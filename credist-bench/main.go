@@ -3,7 +3,7 @@
 // workload, every answer checked against an offline reference, and a
 // separate traced run that attributes the time to layers. See README.md.
 //
-//	bash credist-bench/run.sh --workload serve-mix --seed 1 --seconds 25 --trace 0
+//	bash credist-bench/run.sh --workload serve-mix --seed 1 --seconds 20 --trace 0
 //
 // The last line of standard output is the JSON result.
 package main
@@ -27,7 +27,10 @@ import (
 
 // Run-shape constants shared by all workloads.
 const (
-	setupReps = 3
+	// setupReps is how many fresh set-up processes setup_s is the median of:
+	// one set-up takes well under a second, so a single reading is easily
+	// moved by other work on the machine.
+	setupReps = 9
 	warmup    = time.Second
 	rungDur   = 1500 * time.Millisecond
 	// probeBatches is how many batches the snapshot workloads' held-out
@@ -48,11 +51,12 @@ func main() {
 		opts       options
 		traceFlag  = flag.Int("trace", 0, "1 runs the traced variant and reports per-layer metrics")
 		setupChild = flag.Bool("setup-child", false, "internal: build the deployment, answer one request of each kind, print the answers and exit")
+		prepChild  = flag.Bool("prepare-child", false, "internal: write the prepared inputs under --root and exit")
 		steady     = flag.Int("steady", 0, "steadiness report: run the workload this many times with consecutive seeds and print each metric's spread")
 	)
 	flag.StringVar(&opts.workload, "workload", "serve-mix", "workload name: serve-mix, serve-partitioned or ingest")
 	flag.Int64Var(&opts.seed, "seed", 1, "workload seed: the request stream and the target audience derive from it")
-	flag.IntVar(&opts.seconds, "seconds", 25, "length of the timed fixed-rate phase")
+	flag.IntVar(&opts.seconds, "seconds", 20, "length of the timed fixed-rate phase")
 	flag.StringVar(&opts.root, "root", ".bench_build/credist-bench", "directory for prepared inputs and trace files")
 	flag.Parse()
 	opts.trace = *traceFlag == 1
@@ -64,6 +68,8 @@ func main() {
 		fail(err)
 	}
 	switch {
+	case *prepChild:
+		err = writeInputs(opts.root)
 	case *setupChild:
 		err = runSetupChild(w, opts)
 	case *steady > 0:
@@ -377,8 +383,8 @@ func summarize(res *result) {
 
 // measureSetup starts setupReps fresh processes that each build the
 // deployment from the files on disk and answer one request of every read
-// kind; setup_s is the median wall time from process start to exit after
-// the last answer. The answers are kept for the correctness check.
+// kind; setup_s is the median wall time from process start to the moment
+// the answers arrive. The answers are kept for the correctness check.
 func (rn *runner) measureSetup() (float64, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -389,17 +395,24 @@ func (rn *runner) measureSetup() (float64, error) {
 		cmd := exec.Command(exe, "--setup-child", "--workload", rn.w.name,
 			"--seed", fmt.Sprint(rn.opts.seed), "--root", rn.opts.root)
 		cmd.Stderr = os.Stderr
-		start := time.Now()
-		out, err := cmd.Output()
-		elapsed := time.Since(start)
+		out, err := cmd.StdoutPipe()
 		if err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		if err := cmd.Start(); err != nil {
 			return 0, fmt.Errorf("set-up process: %w", err)
 		}
-		times = append(times, elapsed.Seconds())
 		var answers []childAnswer
-		if err := json.Unmarshal(out, &answers); err != nil {
-			return 0, fmt.Errorf("set-up process output: %w", err)
+		derr := json.NewDecoder(out).Decode(&answers)
+		elapsed := time.Since(start)
+		if err := cmd.Wait(); err != nil {
+			return 0, fmt.Errorf("set-up process: %w", err)
 		}
+		if derr != nil {
+			return 0, fmt.Errorf("set-up process output: %w", derr)
+		}
+		times = append(times, elapsed.Seconds())
 		reqs := firstOfEachKind(rn.w, rn.opts.seed, rn.users)
 		if len(answers) != len(reqs) {
 			return 0, fmt.Errorf("set-up process answered %d of %d requests", len(answers), len(reqs))
@@ -411,6 +424,7 @@ func (rn *runner) measureSetup() (float64, error) {
 			rn.checked = append(rn.checked, &sample{req: &r, status: a.Status, body: a.Body})
 		}
 	}
+	fmt.Fprintf(os.Stderr, "set-up times (s): %.3f\n", times)
 	return median(times), nil
 }
 

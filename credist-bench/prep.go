@@ -1,17 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 
 	"credist"
 	"credist/internal/actionlog"
 	"credist/internal/datagen"
 )
-
-// prepVersion names the on-disk layout of prepared inputs; bump it when
-// preparation changes so stale files from an older benchmark are not reused.
-const prepVersion = "v2"
 
 const (
 	presetName = "flixster-small"
@@ -37,10 +35,14 @@ type inputs struct {
 	// learned from it (with partition slices written next to it).
 	snapLog   string
 	modelPath string
-	snapTail  []credist.Tuple
+	// snapTailPath holds the snapshot workloads' held-out tail, read into
+	// snapTail.
+	snapTailPath string
+	snapTail     []credist.Tuple
 	// ingestLog is the ingest workload's 80% head; ingestTail the rest.
-	ingestLog  string
-	ingestTail []credist.Tuple
+	ingestLog      string
+	ingestTailPath string
+	ingestTail     []credist.Tuple
 }
 
 // datasetConfig is the flixster-small preset with its own fixed seed. The
@@ -57,74 +59,116 @@ func datasetConfig() datagen.Config {
 	return cfg
 }
 
-// prepare writes (or reuses) the inputs under root. Files
-// are written to a temporary directory renamed into place at the end, so
-// an interrupted preparation is never mistaken for a complete one.
+// prepare writes the inputs under root afresh on every run, in a child
+// process so that generation and learning leave nothing in this process's
+// heap, and reads the held-out tails back from their files. Nothing is
+// reused from an earlier run: the files always come from the code built.
 func prepare(root string) (*inputs, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	cmd := exec.Command(exe, "--prepare-child", "--root", root)
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("preparation process: %w", err)
+	}
 	in := inputPaths(root)
-	dir := in.dir
-	full := credist.Generate(datasetConfig())
-	snapHead, snapTail := splitTail(full.Log, snapTailShare)
-	ingestHead, ingestTail := splitTail(full.Log, ingestTailShare)
-	in.snapTail, in.ingestTail = snapTail, ingestTail
-	if _, err := os.Stat(dir); err == nil {
-		return in, nil
-	}
-
-	tmp := dir + ".tmp"
-	if err := os.RemoveAll(tmp); err != nil {
+	if in.snapTail, err = readTuples(in.snapTailPath); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		return nil, err
-	}
-	at := func(p string) string { return filepath.Join(tmp, filepath.Base(p)) }
-	snapDS := &credist.Dataset{Name: full.Name, Graph: full.Graph, Log: snapHead}
-	if err := credist.SaveDataset(snapDS, at(in.graphPath), at(in.snapLog)); err != nil {
-		return nil, err
-	}
-	if err := writeLog(at(in.ingestLog), ingestHead); err != nil {
-		return nil, err
-	}
-
-	// The snapshot is learned from the files just written, exactly as
-	// `credist learn -graph -log -seed-k -ris-samples -prov -o` does.
-	ds, err := credist.LoadDataset(presetName, at(in.graphPath), at(in.snapLog))
-	if err != nil {
-		return nil, err
-	}
-	model := credist.Learn(ds, credist.Options{Lambda: 0.001})
-	model.RecordSeedPrefix(model.Selection(snapSeedK))
-	if err := model.BuildApproxSketch(snapRISSamples); err != nil {
-		return nil, err
-	}
-	model.BuildProvIndex()
-	if err := model.Save(at(in.modelPath)); err != nil {
-		return nil, err
-	}
-	// Pre-split the mapped slices the partitioned workload serves from.
-	_, parts, _, err := credist.LoadModelPartitioned(ds, at(in.modelPath), numPartitions, true, credist.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := parts.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp, dir); err != nil {
+	if in.ingestTail, err = readTuples(in.ingestTailPath); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
 
-// inputPaths names the prepared files (without the tails).
+// writeInputs is the preparation process: it generates the dataset and
+// writes every input file under root, replacing any earlier ones.
+func writeInputs(root string) error {
+	in := inputPaths(root)
+	if err := os.RemoveAll(in.dir); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(in.dir, 0o755); err != nil {
+		return err
+	}
+	full := credist.Generate(datasetConfig())
+	snapHead, snapTail := splitTail(full.Log, snapTailShare)
+	ingestHead, ingestTail := splitTail(full.Log, ingestTailShare)
+	snapDS := &credist.Dataset{Name: full.Name, Graph: full.Graph, Log: snapHead}
+	if err := credist.SaveDataset(snapDS, in.graphPath, in.snapLog); err != nil {
+		return err
+	}
+	if err := writeFile(in.ingestLog, func(f *os.File) error { return actionlog.Write(f, ingestHead) }); err != nil {
+		return err
+	}
+	for path, tail := range map[string][]credist.Tuple{in.snapTailPath: snapTail, in.ingestTailPath: ingestTail} {
+		if err := writeFile(path, func(f *os.File) error { return actionlog.WriteTuples(f, full.Log.NumUsers(), tail) }); err != nil {
+			return err
+		}
+	}
+
+	// The snapshot is learned from the files just written, exactly as
+	// `credist learn -graph -log -seed-k -ris-samples -prov -o` does.
+	ds, err := credist.LoadDataset(presetName, in.graphPath, in.snapLog)
+	if err != nil {
+		return err
+	}
+	model := credist.Learn(ds, credist.Options{Lambda: 0.001})
+	model.RecordSeedPrefix(model.Selection(snapSeedK))
+	if err := model.BuildApproxSketch(snapRISSamples); err != nil {
+		return err
+	}
+	model.BuildProvIndex()
+	if err := model.Save(in.modelPath); err != nil {
+		return err
+	}
+	// Pre-split the mapped slices the partitioned workload serves from.
+	_, parts, _, err := credist.LoadModelPartitioned(ds, in.modelPath, numPartitions, true, credist.Options{})
+	if err != nil {
+		return err
+	}
+	if err := parts.Close(); err != nil {
+		return err
+	}
+	return syncDir(in.dir)
+}
+
+// syncDir flushes every file in dir to disk, so that the kernel's delayed
+// write-back of the fresh inputs does not land in a timed phase.
+func syncDir(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return err
+		}
+		err = f.Sync()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// inputPaths names the prepared files (without the tails' contents).
 func inputPaths(root string) *inputs {
-	dir := filepath.Join(root, "data", prepVersion+"-"+presetName)
+	dir := filepath.Join(root, "data", presetName)
 	return &inputs{
-		dir:       dir,
-		graphPath: filepath.Join(dir, "graph"),
-		snapLog:   filepath.Join(dir, "snap.log"),
-		modelPath: filepath.Join(dir, "model.bin"),
-		ingestLog: filepath.Join(dir, "ingest.log"),
+		dir:            dir,
+		graphPath:      filepath.Join(dir, "graph"),
+		snapLog:        filepath.Join(dir, "snap.log"),
+		modelPath:      filepath.Join(dir, "model.bin"),
+		snapTailPath:   filepath.Join(dir, "snap.tail.log"),
+		ingestLog:      filepath.Join(dir, "ingest.log"),
+		ingestTailPath: filepath.Join(dir, "ingest.tail.log"),
 	}
 }
 
@@ -143,14 +187,24 @@ func splitTail(l *actionlog.Log, share float64) (*actionlog.Log, []credist.Tuple
 	return l.Prefix(headN), tail
 }
 
-func writeLog(path string, l *actionlog.Log) error {
+func writeFile(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := actionlog.Write(f, l); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+func readTuples(path string) ([]credist.Tuple, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tuples, _, err := actionlog.ParseTuples(f)
+	return tuples, err
 }

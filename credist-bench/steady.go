@@ -81,6 +81,7 @@ func runSteady(opts options, n int) error {
 		if !res.Correct {
 			return fmt.Errorf("run with seed %d was not correct", seed)
 		}
+		fmt.Fprintf(os.Stderr, "seed %d: %s\n", seed, lines[len(lines)-1])
 		for name, m := range res.Metrics {
 			values[name] = append(values[name], m.Value)
 			units[name] = m.Unit

@@ -496,15 +496,6 @@ func (rn *runner) layerMetrics(res *result, tr *tracer, rp *replayer, untraced, 
 	res.set("trace.untraced_p50_ms", "ms", untracedP50)
 	res.set("trace.traced_p50_ms", "ms", tracedP50)
 	res.set("trace.overhead_p50_ratio", "x", tracedP50/untracedP50)
-
-	st := res.stamp
-	res.set("env.nproc", "count", float64(st.NumCPU))
-	res.set("env.gomaxprocs", "count", float64(st.GOMAXPROCS))
-	res.set("data.users", "count", float64(st.Users))
-	res.set("data.actions", "count", float64(st.Actions))
-	res.set("data.uc_entries", "count", float64(st.UCEntries))
-	res.set("rowstore.heap_mib", "MiB", float64(st.HeapBytes)/(1<<20))
-	res.set("rowstore.mapped_mib", "MiB", float64(st.MappedBytes)/(1<<20))
 }
 
 // setupBreakdown replays the deployment's build through the public

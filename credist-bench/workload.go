@@ -113,7 +113,7 @@ var workloads = []*workload{
 		name: "ingest",
 		rate: 100,
 		mix: []weighted{
-			{kSpread, 8}, {kGain, 3}, {kSeeds, 1}, {kExplain, 1},
+			{kSpread, 8}, {kGain, 3}, {kSeeds, 1},
 		},
 		p99Limit: 50 * time.Millisecond,
 		ladder:   geometric(50, 4000, 1.05),
