@@ -15,6 +15,32 @@ import (
 	"credist/internal/serve"
 )
 
+// Connection timeouts of the query server. A client must deliver its
+// request headers within readHeaderTimeout and the whole request, body
+// included, within readTimeout, so a client that trickles bytes (the
+// slowloris attack) cannot hold a connection open indefinitely; an idle
+// keep-alive connection closes after idleTimeout. readTimeout leaves room
+// for large /ingest bodies. There is deliberately no write timeout: a
+// cold /seeds growth or an /ingest can legitimately run long, and a write
+// deadline would cut off their answers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the query server for handler h on addr, with the
+// connection timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe is the `credist serve` subcommand: learn a model once, then
 // answer influence queries over HTTP until interrupted. SIGINT/SIGTERM
 // drain in-flight requests before exiting.
@@ -179,7 +205,7 @@ Flags:
 			*warmK, res.Spread, time.Since(t).Round(time.Millisecond))
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

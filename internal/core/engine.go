@@ -434,10 +434,7 @@ func (e *Engine) Credit(a actionlog.ActionID, v, u graph.NodeID) float64 {
 
 // SeedCredit returns SC[x][a] = Gamma_{S,x}(a) for the current seed set.
 func (e *Engine) SeedCredit(a actionlog.ActionID, x graph.NodeID) float64 {
-	if e.sc[a] == nil {
-		return 0
-	}
-	return e.sc[a][x]
+	return e.seedCredit(a, int32(x))
 }
 
 // Entries returns the number of live UC entries, the memory statistic
@@ -510,33 +507,57 @@ func (e *Engine) Seeds() []graph.NodeID {
 // already in S. The walk below cannot derive that (Add removed x's row, and
 // SC keeps no diagonal entry), so it is checked up front — CELF never asks,
 // but the batched-gain API accepts arbitrary candidates.
-func (e *Engine) Gain(x graph.NodeID) float64 {
-	if !e.ownsRow(x) {
-		// A partition can only price candidates whose row it holds;
-		// answering from a missing row would silently drop the UC sum.
-		// Routing is the coordinator's job, so a miss here is a bug.
-		panic(fmt.Sprintf("core: Gain(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
-	}
+func (e *Engine) Gain(x graph.NodeID) float64 { return e.GainObj(x, nil) }
+
+// gainSum is the Theorem 3 sum behind Gain, GainObj and Probe.Gain, the
+// one place its arithmetic lives:
+//
+//	sum over actions a performed by x of
+//	  (1 - SC[x][a]) * (f(x,a)/A_x + sum_u f(u,a) * UC[x][u][a]/A_u)
+//
+// with f the objective factor w(u)*gate(u,a), and f = 1 (the unweighted
+// walk) for the default objective. rowSC(i, a) supplies x's credit row
+// and SC[x][a] in x's i-th action a; actions are visited in log order and
+// row cells in ascending influenced-id order, so the float depends only
+// on the rows and SC values supplied.
+func (e *Engine) gainSum(x graph.NodeID, obj *Objective, rowSC func(i int, a int32) ([]ucEntry, float64)) float64 {
 	ax := float64(e.au[x])
 	if ax == 0 {
 		return 0
 	}
-	if slices.Contains(e.seeds, x) {
-		return 0
+	if obj.IsDefault() {
+		obj = nil
 	}
 	mg := 0.0
-	for _, a := range e.actionsOf[x] {
-		mga := 1.0 / ax
-		for _, en := range e.uc[a].row(x) {
-			mga += en.c / float64(e.au[en.u])
-		}
-		scx := 0.0
-		if e.sc[a] != nil {
-			scx = e.sc[a][x]
+	for i, a := range e.actionsOf[x] {
+		row, scx := rowSC(i, a)
+		mga := 0.0
+		if obj == nil {
+			mga = 1.0 / ax
+			for _, en := range row {
+				mga += en.c / float64(e.au[en.u])
+			}
+		} else {
+			if fx := obj.factor(a, x); fx != 0 {
+				mga = fx / ax
+			}
+			for _, en := range row {
+				if f := obj.factor(a, en.u); f != 0 {
+					mga += f * en.c / float64(e.au[en.u])
+				}
+			}
 		}
 		mg += mga * (1 - scx)
 	}
 	return mg
+}
+
+// seedCredit returns SC[x][a], zero when unset.
+func (e *Engine) seedCredit(a, x int32) float64 {
+	if e.sc[a] == nil {
+		return 0
+	}
+	return e.sc[a][x]
 }
 
 // Add commits x to the seed set and updates UC and SC (Algorithm 5):

@@ -188,40 +188,22 @@ func (d *ActionDelays) Delay(a actionlog.ActionID, u graph.NodeID) (float64, boo
 // entry by its influenced user's. The walk order (actions in log order,
 // row entries in ascending influenced-id order) is exactly Gain's, so
 // objective gains are bit-identical across engine instances, worker
-// counts, and partition counts; the default objective short-circuits to
-// Gain itself.
+// counts, and partition counts; the default objective takes Gain's
+// unweighted walk.
 func (e *Engine) GainObj(x graph.NodeID, obj *Objective) float64 {
-	if obj.IsDefault() {
-		return e.Gain(x)
-	}
 	if !e.ownsRow(x) {
-		panic(fmt.Sprintf("core: GainObj(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
-	}
-	ax := float64(e.au[x])
-	if ax == 0 {
-		return 0
+		// A partition can only price candidates whose row it holds;
+		// answering from a missing row would silently drop the UC sum.
+		// Routing is the coordinator's job, so a miss here is a bug.
+		panic(fmt.Sprintf("core: Gain(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
 	}
 	if slices.Contains(e.seeds, x) {
 		return 0
 	}
-	mg := 0.0
-	for _, a := range e.actionsOf[x] {
-		mga := 0.0
-		if fx := obj.factor(a, x); fx != 0 {
-			mga = fx / ax
-		}
-		for _, en := range e.uc[a].row(x) {
-			if f := obj.factor(a, en.u); f != 0 {
-				mga += f * en.c / float64(e.au[en.u])
-			}
-		}
-		scx := 0.0
-		if e.sc[a] != nil {
-			scx = e.sc[a][x]
-		}
-		mg += mga * (1 - scx)
-	}
-	return mg
+	xi := int32(x)
+	return e.gainSum(x, obj, func(_ int, a int32) ([]ucEntry, float64) {
+		return e.uc[a].row(xi), e.seedCredit(a, xi)
+	})
 }
 
 // SpreadObj computes sigma_obj(S) directly from the training

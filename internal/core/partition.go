@@ -80,6 +80,10 @@ func (e *Engine) ExtractSeedRow(x graph.NodeID) any {
 	return d
 }
 
+// creditFloor is the Lemma 2 removal threshold: a credit cell whose value
+// falls to it or below after a seed commit is deleted.
+const creditFloor = 1e-15
+
 // CommitSeedRow commits x to the seed set given the owning engine's
 // extracted payload (Algorithm 5, driven by data instead of a local row
 // read): per action, Lemma 2 removes from every local credit the share
@@ -94,12 +98,9 @@ func (e *Engine) CommitSeedRow(x graph.NodeID, payload any) {
 	xi := int32(x)
 	for i, a := range e.actionsOf[x] {
 		ua := e.mutShard(a)
-		row := d.rows[i]  // (u, Gamma^{V-S}_{x,u}(a)) cells from the owner
-		col := ua.col(xi) // local v ids with Gamma^{V-S}_{v,x}(a) > 0
-		scx := 0.0
-		if e.sc[a] != nil {
-			scx = e.sc[a][xi]
-		}
+		row := d.rows[i]                // (u, Gamma^{V-S}_{x,u}(a)) cells from the owner
+		col := ua.col(xi)               // local v ids with Gamma^{V-S}_{v,x}(a) > 0
+		keep := 1 - e.seedCredit(a, xi) // 1 - Gamma_{S,x}(a)
 		// The Gamma^{V-S}_{v,x}(a) values are fixed for the whole update
 		// (Lemma 2 only rewrites cells with u != x), so read them once.
 		cvxs := make([]float64, len(col))
@@ -121,7 +122,7 @@ func (e *Engine) CommitSeedRow(x graph.NodeID, payload any) {
 					continue
 				}
 				value := ua.rows[ri][ei].c - cvx*cxu
-				if value > 1e-15 {
+				if value > creditFloor {
 					ua.rows[ri][ei].c = value
 				} else if ua.remove(v, u) {
 					e.entries--
@@ -133,7 +134,7 @@ func (e *Engine) CommitSeedRow(x graph.NodeID, payload any) {
 			if e.sc[a] == nil {
 				e.sc[a] = make(map[int32]float64)
 			}
-			e.sc[a][u] += cxu * (1 - scx)
+			e.sc[a][u] += cxu * keep
 		}
 		// Remove x's row (present only on the owner) and column: x is no
 		// longer part of V-S.

@@ -32,10 +32,8 @@ func (c *Coordinator) ExplainReach(seeds []graph.NodeID, v graph.NodeID, top int
 	if err := c.checkNode("target", v); err != nil {
 		return core.ReachExplanation{}, err
 	}
-	for _, s := range seeds {
-		if err := c.checkNode("seed", s); err != nil {
-			return core.ReachExplanation{}, err
-		}
+	if err := c.checkNode("seed", seeds...); err != nil {
+		return core.ReachExplanation{}, err
 	}
 	ex := core.ReachExplanation{Target: v, PerSeed: make([]core.ReachShare, 0, len(seeds))}
 	var paths []core.ProvPath

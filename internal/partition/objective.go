@@ -49,7 +49,7 @@ func (c *Coordinator) cloneEstimatorObj(obj *core.Objective) *celf.PartitionedEs
 
 // commitSet commits every distinct node in set to the estimator,
 // discarding gains. Used to pre-commit a rival's seed set so subsequent
-// gains and spreads are marginal over it.
+// gains are marginal over it.
 func commitSet(pe *celf.PartitionedEstimator, set []graph.NodeID) {
 	seen := make(map[graph.NodeID]bool, len(set))
 	for _, s := range set {
@@ -61,94 +61,74 @@ func commitSet(pe *celf.PartitionedEstimator, set []graph.NodeID) {
 	}
 }
 
+// probe returns a read-only probe over the partitions with each node of
+// the sets committed in order (repeats are no-ops).
+func (c *Coordinator) probe(sets ...[]graph.NodeID) *core.Probe {
+	pr := core.NewProbe(c.parts...)
+	for _, set := range sets {
+		for _, s := range set {
+			pr.Commit(s, nil)
+		}
+	}
+	return pr
+}
+
 // SpreadObj computes the conditional objective spread
 // sigma_obj(S | R) = sigma_obj(R+S) - sigma_obj(R) for rival set R
-// (blocked): clone, commit the rivals without counting their gains, then
-// telescope the seeds' objective gains in input order. With no rivals and
-// the default objective it routes through Spread bit-identically.
+// (blocked): the rivals are committed to a read-only probe without
+// counting their gains, then the seeds' objective gains telescope in
+// input order. A nil obj is the default objective.
 func (c *Coordinator) SpreadObj(seeds []graph.NodeID, obj *core.Objective, blocked []graph.NodeID) (float64, error) {
-	if obj.IsDefault() && len(blocked) == 0 {
-		return c.Spread(seeds)
+	if err := c.checkNode("seed", seeds...); err != nil {
+		return 0, err
 	}
-	for _, s := range seeds {
-		if err := c.checkNode("seed", s); err != nil {
-			return 0, err
-		}
+	if err := c.checkNode("blocked node", blocked...); err != nil {
+		return 0, err
 	}
-	for _, r := range blocked {
-		if err := c.checkNode("blocked node", r); err != nil {
-			return 0, err
-		}
-	}
-	pe := c.cloneEstimatorObj(obj)
-	commitSet(pe, blocked)
-	seen := make(map[graph.NodeID]bool, len(seeds)+len(blocked))
-	for _, r := range blocked {
-		seen[r] = true
-	}
+	pr := c.probe(blocked)
 	total := 0.0
 	for _, s := range seeds {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		total += pe.Gain(s)
-		pe.Add(s)
+		total += pr.Commit(s, obj)
 	}
 	return total, nil
 }
 
-// GainsObj is Gains under an objective: clone (only if something must be
-// committed), commit blocked rivals then base seeds, and fan candidate
-// evaluations over the partitions with by-index writes. The default
-// objective with no rivals routes through Gains bit-identically.
+// GainsObj is Gains under an objective: blocked rivals then base seeds
+// are committed to a read-only probe, and candidate evaluations fan over
+// the partitions with by-index writes. A nil obj is the default
+// objective.
 func (c *Coordinator) GainsObj(base, candidates []graph.NodeID, obj *core.Objective, blocked []graph.NodeID) ([]float64, error) {
-	if obj.IsDefault() && len(blocked) == 0 {
-		return c.Gains(base, candidates)
+	if err := c.checkNode("seed", base...); err != nil {
+		return nil, err
 	}
-	for _, s := range base {
-		if err := c.checkNode("seed", s); err != nil {
-			return nil, err
-		}
+	if err := c.checkNode("candidate", candidates...); err != nil {
+		return nil, err
 	}
-	for _, x := range candidates {
-		if err := c.checkNode("candidate", x); err != nil {
-			return nil, err
-		}
+	if err := c.checkNode("blocked node", blocked...); err != nil {
+		return nil, err
 	}
-	for _, r := range blocked {
-		if err := c.checkNode("blocked node", r); err != nil {
-			return nil, err
-		}
-	}
-	var pe *celf.PartitionedEstimator
-	if len(base) > 0 || len(blocked) > 0 {
-		pe = c.cloneEstimatorObj(obj)
-		commitSet(pe, blocked)
-		commitSet(pe, base)
-	}
+	pr := c.probe(blocked, base)
 	out := make([]float64, len(candidates))
+	// Group by owning partition so each partition's candidates evaluate on
+	// one goroutine: the probe is read-only once committed, and by-index
+	// writes keep the output order fixed.
 	groups := make([][]int, len(c.parts))
 	for i, x := range candidates {
 		pi := ownerIndex(c.ranges, x)
 		groups[pi] = append(groups[pi], i)
 	}
 	var wg sync.WaitGroup
-	for pi, idxs := range groups {
+	for _, idxs := range groups {
 		if len(idxs) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(pi int, idxs []int) {
+		go func(idxs []int) {
 			defer wg.Done()
 			for _, i := range idxs {
-				if pe != nil {
-					out[i] = pe.Gain(candidates[i])
-				} else {
-					out[i] = c.parts[pi].GainObj(candidates[i], obj)
-				}
+				out[i] = pr.Gain(candidates[i], obj)
 			}
-		}(pi, idxs)
+		}(idxs)
 	}
 	wg.Wait()
 	return out, nil

@@ -20,6 +20,13 @@
 // bit-identical to the single-engine commit, and therefore seeds, gains,
 // and spreads are bit-identical at every partition count and worker
 // count. That invariant is pinned by TestPartitionCountDeterminism.
+//
+// Only selections commit to (clones of) the partitions. Spread and gain
+// queries commit their seeds to a core.Probe instead, which reads each
+// row from its owning partition and replays the same Lemma 2/3
+// arithmetic onto private copies of the queried nodes' rows alone, so
+// they write nothing shared and still answer bit-identically
+// (TestCoordinatorQueriesMatchCloneCommit).
 package partition
 
 import (
@@ -119,9 +126,10 @@ type Stats struct {
 }
 
 // Coordinator fans queries over a contiguous set of engine partitions and
-// merges by summation. It is immutable once built (queries clone the
-// partitions they mutate), so concurrent queries need no locking; ingest
-// builds a successor via Append.
+// merges by summation. It is immutable once built (spread and gain
+// queries read the partitions through a core.Probe, selections clone
+// them), so concurrent queries need no locking; ingest builds a successor
+// via Append.
 type Coordinator struct {
 	parts    []*core.Engine // sorted by row-range start
 	ranges   []Range        // parts[i] owns ranges[i]
@@ -225,102 +233,38 @@ func (c *Coordinator) cloneEstimator() *celf.PartitionedEstimator {
 	return pe
 }
 
-// checkNode rejects ids outside the universe before they reach a
-// partition (where a routing miss is a panic, not an error).
-func (c *Coordinator) checkNode(kind string, x graph.NodeID) error {
-	if int(x) < 0 || int(x) >= c.numUsers {
-		return fmt.Errorf("partition: %s %d outside the universe [0,%d)", kind, x, c.numUsers)
+// checkNode rejects the first id outside the universe before it reaches
+// a partition (where a routing miss is a panic, not an error).
+func (c *Coordinator) checkNode(kind string, ids ...graph.NodeID) error {
+	for _, x := range ids {
+		if int(x) < 0 || int(x) >= c.numUsers {
+			return fmt.Errorf("partition: %s %d outside the universe [0,%d)", kind, x, c.numUsers)
+		}
 	}
 	return nil
 }
 
 // Spread computes sigma_cd(S) as the telescoped sum of marginal gains:
-// clone the partitions, then per seed in input order take its exact gain
-// from the owning partition and broadcast the commit. Duplicate seeds
-// contribute 0, matching the reference evaluator's dedup. The result is
-// the mathematically exact CD spread of the committed set and is
-// bit-identical across partition counts, worker counts, and row-store
-// backends — though not bit-identical to core.Evaluator.Spread, which
-// sums the same quantity in per-action order.
+// per seed in input order, its exact gain from a read-only probe over the
+// partitions (each row read from its owner), then its commit to the
+// probe. Duplicate seeds contribute 0, matching the reference evaluator's
+// dedup. The result is the mathematically exact CD spread of the
+// committed set and is bit-identical across partition counts, worker
+// counts, and row-store backends — though not bit-identical to
+// core.Evaluator.Spread, which sums the same quantity in per-action order.
 func (c *Coordinator) Spread(seeds []graph.NodeID) (float64, error) {
-	for _, s := range seeds {
-		if err := c.checkNode("seed", s); err != nil {
-			return 0, err
-		}
-	}
-	pe := c.cloneEstimator()
-	seen := make(map[graph.NodeID]bool, len(seeds))
-	total := 0.0
-	for _, s := range seeds {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		total += pe.Gain(s)
-		pe.Add(s)
-	}
-	return total, nil
+	return c.SpreadObj(seeds, nil, nil)
 }
 
 // Gains evaluates the marginal gain of every candidate against the given
-// base seed set: clone, commit the base seeds (scatter-gather, exact),
-// then fan the candidate evaluations over the partitions — each candidate
-// priced by its row's owner, results written by candidate index so worker
-// scheduling cannot reorder them. A candidate that is a committed base
-// seed gains 0, as in the single-engine path.
+// base seed set: the base seeds are committed to a read-only probe over
+// the partitions, then the candidate evaluations fan over the partitions
+// — each candidate's rows read from its owner, results written by
+// candidate index so worker scheduling cannot reorder them. A candidate
+// that is a base seed gains 0, as in the single-engine path. No partition
+// is cloned, written or promoted.
 func (c *Coordinator) Gains(base []graph.NodeID, candidates []graph.NodeID) ([]float64, error) {
-	for _, s := range base {
-		if err := c.checkNode("seed", s); err != nil {
-			return nil, err
-		}
-	}
-	for _, x := range candidates {
-		if err := c.checkNode("candidate", x); err != nil {
-			return nil, err
-		}
-	}
-	// With no base seeds nothing is committed, so the shared partitions
-	// answer read-only with no clone at all; otherwise clone and commit.
-	var pe *celf.PartitionedEstimator
-	if len(base) > 0 {
-		pe = c.cloneEstimator()
-		seen := make(map[graph.NodeID]bool, len(base))
-		for _, s := range base {
-			if seen[s] {
-				continue
-			}
-			seen[s] = true
-			pe.Add(s)
-		}
-	}
-	out := make([]float64, len(candidates))
-	// Group by owning partition so each partition's candidates evaluate on
-	// one goroutine: Gain is read-only between commits, partitions are
-	// disjoint, and by-index writes keep the output order fixed.
-	groups := make([][]int, len(c.parts))
-	for i, x := range candidates {
-		pi := sort.Search(len(c.ranges), func(j int) bool { return c.ranges[j].Hi > int(x) })
-		groups[pi] = append(groups[pi], i)
-	}
-	var wg sync.WaitGroup
-	for pi, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(pi int, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				if pe != nil {
-					out[i] = pe.Gain(candidates[i])
-				} else {
-					out[i] = c.parts[pi].Gain(candidates[i])
-				}
-			}
-		}(pi, idxs)
-	}
-	wg.Wait()
-	return out, nil
+	return c.GainsObj(base, candidates, nil, nil)
 }
 
 // NewSelection starts a CELF seed selection over fresh clones of the

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -296,32 +297,71 @@ func TestPrefixReuseZeroExtraCELF(t *testing.T) {
 	}
 }
 
-// TestConcurrentGainsShareBasePlanner drives the batched gain path (which
-// reads the shared scanned planner) from many goroutines at once; -race
-// verifies Gain really is read-only.
+// TestConcurrentGainsShareBasePlanner drives the batched gain path from
+// many goroutines at once, with an empty and a non-empty base seed set, on
+// a heap-resident and a memory-mapped snapshot. Both paths read the shared
+// scanned planner — the base seeds are committed to a read-only probe,
+// not to a clone — so -race verifies the reads really are read-only, every
+// answer must match clone-and-commit on a fresh planner bit for bit, and
+// afterwards the shared planner's heap and mapped footprint and its seed
+// set must be exactly as before: nothing committed, nothing promoted.
 func TestConcurrentGainsShareBasePlanner(t *testing.T) {
-	srv := newTestServer(t)
-	snap := srv.Current()
-	want := demoModel().Gains(nil, []credist.NodeID{0, 1, 2, 3, 4})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				got, err := snap.Gains(nil, []credist.NodeID{0, 1, 2, 3, 4})
-				if err != nil {
-					t.Errorf("Gains: %v", err)
-					return
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Errorf("gain %d: %b vs %b", j, got[j], want[j])
-						return
-					}
-				}
-			}
-		}()
+	dir := t.TempDir()
+	gp, lp, mp := filepath.Join(dir, "d.graph"), filepath.Join(dir, "d.log"), filepath.Join(dir, "model.bin")
+	if err := credist.SaveDataset(demoDataset(), gp, lp); err != nil {
+		t.Fatalf("SaveDataset: %v", err)
 	}
-	wg.Wait()
+	if err := demoModel().Save(mp); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	mapped, err := serve.Build(serve.Source{GraphPath: gp, LogPath: lp, ModelPath: mp, Mmap: true})
+	if err != nil {
+		t.Fatalf("Build mmap: %v", err)
+	}
+	if serve.BasePlanner(mapped).MappedBytes() == 0 {
+		t.Fatal("mmap snapshot's planner maps nothing")
+	}
+	cands := []credist.NodeID{0, 1, 2, 3, 4, 5}
+	for _, backend := range []struct {
+		name string
+		snap *serve.Snapshot
+	}{{"heap", newTestServer(t).Current()}, {"mmap", mapped}} {
+		for _, base := range [][]credist.NodeID{nil, {5, 6, 5, 2}} {
+			ref := demoModel().NewPlanner()
+			for _, s := range base {
+				ref.Add(s)
+			}
+			want := make([]float64, len(cands))
+			for i, x := range cands {
+				want[i] = ref.Gain(x)
+			}
+			shared := serve.BasePlanner(backend.snap)
+			heap, mappedBytes, seeds := shared.HeapBytes(), shared.MappedBytes(), shared.Seeds()
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 20; i++ {
+						got, err := backend.snap.Gains(base, cands)
+						if err != nil {
+							t.Errorf("%s base=%v: Gains: %v", backend.name, base, err)
+							return
+						}
+						for j := range want {
+							if got[j] != want[j] {
+								t.Errorf("%s base=%v: gain %d: %b vs %b", backend.name, base, j, got[j], want[j])
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if h, m, s := shared.HeapBytes(), shared.MappedBytes(), shared.Seeds(); h != heap || m != mappedBytes || !slices.Equal(s, seeds) {
+				t.Errorf("%s base=%v: shared planner changed: heap %d -> %d, mapped %d -> %d, seeds %v -> %v",
+					backend.name, base, heap, h, mappedBytes, m, seeds, s)
+			}
+		}
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -320,7 +321,7 @@ func Build(src Source) (*Snapshot, error) {
 		}
 		if src.Mmap {
 			// The mapping is deliberately never unmapped: ingest successors
-			// and per-request clones keep sharing the still-mapped shards,
+			// and selection clones keep sharing the still-mapped shards,
 			// and even after a /reload the replaced snapshot may be pinned
 			// by in-flight requests. One model file's mapping per process
 			// lifetime is the cost of never faulting a reader.
@@ -346,7 +347,7 @@ func Build(src Source) (*Snapshot, error) {
 	if src.ModelPath != "" {
 		tailActions = base.DeltaActions()
 	}
-	// Freeze the scan product: every shard becomes shared, so per-request
+	// Freeze the scan product: every shard becomes shared, so selection
 	// planner clones copy an outer slice instead of the whole UC store.
 	base.Compact()
 	sn := &Snapshot{
@@ -454,6 +455,15 @@ func buildPartitioned(src Source, ds *credist.Dataset, opts credist.Options) (*S
 	// No evaluator warm-up goroutine: in partitioned mode /spread and
 	// /topk route through the coordinator, so the propagation-DAG build
 	// never happens unless an embedder calls Model.Spread directly.
+	//
+	// Loading leaves several times the snapshot's live heap behind as
+	// garbage: the dataset's text parse, and the whole-model sections
+	// (provenance index, user tables) decoded only to reach the RR
+	// sketch. Partitioned queries allocate little (they read the shared
+	// partitions through a probe), so the collector would otherwise leave
+	// that garbage resident for many seconds of traffic; collect it now
+	// and return the pages, so the process's footprint is the snapshot's.
+	debug.FreeOSMemory()
 	return sn, nil
 }
 
@@ -521,7 +531,7 @@ func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, err
 		base.Compact()
 	}
 	// Freeze before publishing: the successor's delta shards and per-user
-	// state go shared, so per-request planner clones stay cheap even when
+	// state go shared, so selection planner clones stay cheap even when
 	// the operator never sends compact (Compact above already froze; this
 	// is then a no-op).
 	base.Freeze()
@@ -729,11 +739,10 @@ func (sn *Snapshot) SpreadBatch(sets [][]credist.NodeID) ([]float64, error) {
 }
 
 // Gains returns the marginal gain of each candidate against the base seed
-// set, batched. With an empty base the shared scanned planner (or the
-// shared partitions) answers directly (Gain is read-only); otherwise the
-// base state is cloned and the seeds committed to the clone. Either way
-// every value is bit-identical to credist.Model.Gains on the same
-// arguments, at any partition count.
+// set, batched. The base seeds are committed to a read-only probe over the
+// shared scanned planner (or the shared partitions), so nothing is cloned
+// and no shard is promoted. Every value is bit-identical to
+// credist.Model.Gains on the same arguments, at any partition count.
 func (sn *Snapshot) Gains(base, candidates []credist.NodeID) ([]float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
@@ -741,16 +750,7 @@ func (sn *Snapshot) Gains(base, candidates []credist.NodeID) ([]float64, error) 
 	if sn.parts != nil {
 		return sn.parts.Gains(base, candidates)
 	}
-	p := sn.base
-	if len(base) > 0 {
-		p = sn.base.Clone()
-		for _, s := range base {
-			p.Add(s)
-		}
-	}
-	out := make([]float64, len(candidates))
-	forEach(len(candidates), func(i int) { out[i] = p.Gain(candidates[i]) })
-	return out, nil
+	return sn.model.GainsObjOn(sn.base, base, candidates, nil)
 }
 
 // SelectSeeds answers a CELF seed selection for k seeds from the

@@ -120,20 +120,13 @@ func (m *Model) Options() Options { return m.opts }
 func (m *Model) Spread(seeds []NodeID) float64 { return m.eval().Spread(seeds) }
 
 // Gains returns the marginal gain sigma_cd(S+c) - sigma_cd(S) of every
-// candidate c against the base seed set S, batched so the engine scan (or
-// clone) is paid once per call rather than once per candidate. It matches
-// Planner exactly: Gains(base, cs)[i] is bit-for-bit the value a Planner
-// returns from Gain(cs[i]) after Add-ing each base seed in order.
+// candidate c against the base seed set S, batched so the engine scan is
+// paid at most once per model and the base seeds are committed once per
+// call. It matches Planner exactly: Gains(base, cs)[i] is bit-for-bit the
+// value a Planner returns from Gain(cs[i]) after Add-ing each base seed in
+// order. The scanned engine is only read (see gainsOn).
 func (m *Model) Gains(base, candidates []NodeID) []float64 {
-	p := m.NewPlanner()
-	for _, s := range base {
-		p.Add(s)
-	}
-	out := make([]float64, len(candidates))
-	for i, c := range candidates {
-		out[i] = p.Gain(c)
-	}
-	return out
+	return gainsOn(m.base(), nil, base, candidates, nil)
 }
 
 // Ingest returns a new Model extended with a batch of complete new

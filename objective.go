@@ -183,47 +183,33 @@ func (m *Model) SpreadObj(seeds []NodeID, o *Objective) (float64, error) {
 // too. The default objective is exactly Gains, bit for bit. Costs and
 // budget are rejected here.
 func (m *Model) GainsObj(base, candidates []NodeID, o *Objective) ([]float64, error) {
-	cobj, err := m.coreObjective(o, false)
-	if err != nil {
-		return nil, err
-	}
-	n := m.ds.Graph.NumNodes()
-	if err := checkIDs("seed", base, n); err != nil {
-		return nil, err
-	}
-	if err := checkIDs("candidate", candidates, n); err != nil {
-		return nil, err
-	}
-	if o.evalDefault() {
-		return m.Gains(base, candidates), nil
-	}
-	p := m.NewPlanner()
-	seen := make(map[NodeID]bool, len(o.Blocked)+len(base))
-	for _, s := range o.Blocked {
-		if !seen[s] {
-			seen[s] = true
-			p.Add(s)
-		}
-	}
-	for _, s := range base {
-		if !seen[s] {
-			seen[s] = true
-			p.Add(s)
+	return m.GainsObjOn(&Planner{eng: m.base()}, base, candidates, o)
+}
+
+// gainsOn prices candidates under cobj (nil is the default objective)
+// against blocked then base committed in order, through a core.Probe over
+// eng: the engine is only read — never cloned, written or promoted — and
+// every value is bit-for-bit what GainObj returns on a clone after Add-ing
+// the same seeds. Candidates fan over the engine's workers.
+func gainsOn(eng *core.Engine, blocked, base, candidates []NodeID, cobj *core.Objective) []float64 {
+	pr := core.NewProbe(eng)
+	for _, set := range [][]NodeID{blocked, base} {
+		for _, s := range set {
+			pr.Commit(s, nil)
 		}
 	}
 	out := make([]float64, len(candidates))
-	fanObjGains(p.eng.Workers(), len(candidates), func(i int) {
-		out[i] = p.eng.GainObj(candidates[i], cobj)
+	fanGains(eng.Workers(), len(candidates), func(i int) {
+		out[i] = pr.Gain(candidates[i], cobj)
 	})
-	return out, nil
+	return out
 }
 
-// fanObjGains prices n candidates over the engine's worker knob (0 means
-// GOMAXPROCS, matching the scan and the CELF fan-out). GainObj, like
-// Gain, is read-only between Adds (the ConcurrentGain marker), and every
-// result is written by index from an independent evaluation, so the
-// floats are identical at every worker count.
-func fanObjGains(workers, n int, fn func(i int)) {
+// fanGains prices n candidates over the engine's worker knob (0 means
+// GOMAXPROCS, matching the scan and the CELF fan-out). Probe.Gain is
+// read-only, and every result is written by index from an independent
+// evaluation, so the floats are identical at every worker count.
+func fanGains(workers, n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -258,8 +244,7 @@ func fanObjGains(workers, n int, fn func(i int)) {
 // — a serving layer's (possibly ingest-extended) base — instead of the
 // model's lazy base, whose first use for an ingest-grown model would be a
 // second from-scratch scan of the combined log. The planner is never
-// mutated: commits go to a clone, and a commit-free call reads the
-// planner directly (GainObj, like Gain, is read-only).
+// mutated or cloned: the seeds are committed to a read-only probe over it.
 func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) ([]float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
@@ -276,28 +261,7 @@ func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) 
 	if o != nil {
 		blocked = o.Blocked
 	}
-	work := p
-	if len(base) > 0 || len(blocked) > 0 {
-		work = p.Clone()
-		seen := make(map[NodeID]bool, len(blocked)+len(base))
-		for _, s := range blocked {
-			if !seen[s] {
-				seen[s] = true
-				work.Add(s)
-			}
-		}
-		for _, s := range base {
-			if !seen[s] {
-				seen[s] = true
-				work.Add(s)
-			}
-		}
-	}
-	out := make([]float64, len(candidates))
-	fanObjGains(work.eng.Workers(), len(candidates), func(i int) {
-		out[i] = work.eng.GainObj(candidates[i], cobj)
-	})
-	return out, nil
+	return gainsOn(p.eng, blocked, base, candidates, cobj), nil
 }
 
 // SelectSeedsObjOn is SelectSeedsObj run over a clone of a caller-supplied

@@ -36,8 +36,8 @@ func SlicePaths(modelPath string, n int) []string {
 // engine partitions behind a scatter-gather coordinator: every query fans
 // over the partitions and merges by summation, and every answer is
 // bit-identical at any partition count (see internal/partition). It is
-// immutable once built — queries clone the partitions they would mutate —
-// so any number of goroutines may query it concurrently; ingest derives a
+// immutable once built — spread and gain queries only read the
+// partitions, selections clone them — so any number of goroutines may query it concurrently; ingest derives a
 // successor with Extend.
 type PartitionedPlanner struct {
 	coord *partition.Coordinator
@@ -423,9 +423,10 @@ func (pp *PartitionedPlanner) DeltaActions() int {
 	return pp.coord.Engines()[0].DeltaActions()
 }
 
-// Spread computes sigma_cd(S) scatter-gather: per seed, its exact
-// marginal gain from the row's owning partition, committed by broadcast —
-// the telescoped sum that CELF's own Result.Spread() uses. The value is
+// Spread computes sigma_cd(S) from the partitions without writing them:
+// per seed, its exact marginal gain priced from rows read off the owning
+// partition, then its commit to a read-only probe (core.Probe) — the
+// telescoped sum that CELF's own Result.Spread() uses. The value is
 // the mathematically exact CD spread and is bit-identical across
 // partition counts, worker counts, and row-store backends; it is not
 // guaranteed bit-identical to the unpartitioned evaluator, which
@@ -435,8 +436,9 @@ func (pp *PartitionedPlanner) Spread(seeds []NodeID) (float64, error) {
 }
 
 // Gains evaluates each candidate's marginal gain against the base seed
-// set, every candidate priced exactly by its row's owner. Bit-identical
-// to Planner.Gain after the same Adds, at any partition count.
+// set, committed to a read-only probe over the partitions, every
+// candidate priced exactly from its row's owner. Bit-identical to
+// Planner.Gain after the same Adds, at any partition count.
 func (pp *PartitionedPlanner) Gains(base, candidates []NodeID) ([]float64, error) {
 	return pp.coord.Gains(base, candidates)
 }
