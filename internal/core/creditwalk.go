@@ -66,34 +66,33 @@ func (s *CreditWalkSource) Roots() int { return len(s.roots) }
 func (s *CreditWalkSource) NewWalker() func(rng *rand.Rand) []graph.NodeID {
 	return func(rng *rand.Rand) []graph.NodeID {
 		u := s.roots[rng.IntN(len(s.roots))]
-		actions := s.ev.actionsOf[u]
-		a := actions[rng.IntN(len(actions))]
-		return s.walk(a, u, rng)
+		acts := s.ev.acts[u]
+		return s.walk(acts[rng.IntN(len(acts))], rng)
 	}
 }
 
-// walk records one reverse credit walk through propagation a starting at
-// participant u: step to parent j with probability gamma_j, stop with the
-// leftover mass. Chronological indices strictly decrease, so the path is
-// duplicate-free and at most the propagation depth long; the root is
-// always included (a seed root is a guaranteed hit, mirroring its unit
-// kappa in Evaluator.Spread).
-func (s *CreditWalkSource) walk(a int32, u graph.NodeID, rng *rand.Rand) []graph.NodeID {
-	p := s.ev.props[a]
-	i := p.Index(u)
-	path := []graph.NodeID{u}
+// walk records one reverse credit walk through propagation ua.a starting
+// at participant ua.i: step to parent j with probability gamma_j, stop
+// with the leftover mass. Chronological indices strictly
+// decrease, so the path is duplicate-free and at most the propagation
+// depth long; the root is always included (a seed root is a guaranteed
+// hit, mirroring its unit kappa in Evaluator.Spread).
+func (s *CreditWalkSource) walk(ua userAct, rng *rand.Rand) []graph.NodeID {
+	d := &s.ev.dags[ua.a]
+	i := ua.i
+	path := []graph.NodeID{d.users[i]}
 	for {
-		gi := s.ev.gammas[a][i]
-		if len(gi) == 0 {
+		lo, hi := d.off[i], d.off[i+1]
+		if lo == hi {
 			return path
 		}
 		x := rng.Float64()
 		acc := 0.0
 		next := int32(-1)
-		for k, j := range p.Parents[i] {
-			acc += gi[k]
+		for k := lo; k < hi; k++ {
+			acc += d.gam[k]
 			if x < acc {
-				next = j
+				next = d.par[k]
 				break
 			}
 		}
@@ -101,7 +100,7 @@ func (s *CreditWalkSource) walk(a int32, u graph.NodeID, rng *rand.Rand) []graph
 			return path
 		}
 		i = next
-		path = append(path, p.Users[i])
+		path = append(path, d.users[i])
 	}
 }
 

@@ -211,60 +211,13 @@ func (e *Engine) GainObj(x graph.NodeID, obj *Objective) float64 {
 // w(u)*gate(u,a): a seed's unit self-credit becomes the per-action gated
 // sum (1/A_s)*sum_a gate(s,a)*w(s), and each influenced participant
 // contributes gate(u,a)*w(u)*Gamma_{S,u}(a)/A_u. The default objective
-// routes through Spread unchanged.
+// is evaluated exactly as Spread: one unit per active seed, no weights.
 func (ev *Evaluator) SpreadObj(seeds []graph.NodeID, obj *Objective) float64 {
 	if obj.IsDefault() {
-		return ev.Spread(seeds)
+		obj = nil
 	}
-	inS := make(map[graph.NodeID]bool, len(seeds))
-	for _, s := range seeds {
-		inS[s] = true
-	}
-	spread := 0.0
-	seen := make(map[actionlog.ActionID]bool)
-	for _, s := range seeds {
-		for _, a := range ev.actionsOf[s] {
-			if seen[a] {
-				continue
-			}
-			seen[a] = true
-			spread += ev.actionSpreadObj(a, inS, obj)
-		}
-	}
+	sc := ev.scratch.Get().(*spreadScratch)
+	spread := ev.spread(sc, seeds, obj)
+	ev.scratch.Put(sc)
 	return spread
-}
-
-// actionSpreadObj is actionSpread under an objective. Unlike
-// actionSpread, seed self-credits are accumulated here (per action, so
-// the window can gate them) instead of as a flat +1 per seed in the
-// caller.
-func (ev *Evaluator) actionSpreadObj(a actionlog.ActionID, inS map[graph.NodeID]bool, obj *Objective) float64 {
-	p := ev.props[a]
-	val := make([]float64, len(p.Users))
-	total := 0.0
-	for i, u := range p.Users {
-		f := obj.weight(u)
-		if f != 0 && obj.Windowed && p.Times[i]-p.Times[0] > obj.Tau {
-			f = 0
-		}
-		if inS[u] {
-			val[i] = 1
-			if f != 0 {
-				total += f / float64(ev.au[u])
-			}
-			continue
-		}
-		sum := 0.0
-		gi := ev.gammas[a][i]
-		for k, j := range p.Parents[i] {
-			if val[j] > 0 {
-				sum += val[j] * gi[k]
-			}
-		}
-		val[i] = sum
-		if sum > 0 && f != 0 {
-			total += f * sum / float64(ev.au[u])
-		}
-	}
-	return total
 }

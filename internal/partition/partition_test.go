@@ -1,11 +1,13 @@
 package partition
 
 import (
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"credist/internal/core"
+	"credist/internal/graph"
 )
 
 func TestSplitRanges(t *testing.T) {
@@ -127,5 +129,40 @@ func TestNewRejectsMalformedPartitionSets(t *testing.T) {
 	// A single full engine is the trivial cover and is accepted.
 	if _, err := New([]*core.Engine{full}, 0); err != nil {
 		t.Errorf("single full engine rejected: %v", err)
+	}
+}
+
+// TestCoordinatorSpreadMatchesEvaluatorAtLambdaZero pins what the
+// partitioned spread is: with no truncation (lambda = 0) the telescoped
+// gains over the UC structure equal the evaluator's exact sigma_cd to
+// 1e-9 relative, at every partition count. The two never agree to the
+// bit (the coordinator sums per seed, the evaluator per action), and at
+// lambda > 0 the coordinator reads the truncated model's lower spread, so
+// no tolerance is promised there.
+func TestCoordinatorSpreadMatchesEvaluatorAtLambdaZero(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 2011))
+	g, log := randomInstance(rng, 60, 40)
+	credit := core.LearnTimeAware(g, log)
+	full := core.NewEngine(g, log, core.Options{Lambda: 0, Credit: credit})
+	ev := core.NewEvaluator(g, log, credit)
+	for _, nparts := range []int{1, 3} {
+		coord, err := New(slicePartitions(t, full, nparts), 1)
+		if err != nil {
+			t.Fatalf("New(%d partitions): %v", nparts, err)
+		}
+		for q := 0; q < 30; q++ {
+			seeds := make([]graph.NodeID, 1+rng.IntN(6))
+			for i := range seeds {
+				seeds[i] = graph.NodeID(rng.IntN(g.NumNodes()))
+			}
+			got, err := coord.Spread(seeds)
+			if err != nil {
+				t.Fatalf("Spread(%v): %v", seeds, err)
+			}
+			want := ev.Spread(seeds)
+			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+				t.Fatalf("%d partitions, seeds %v: coordinator %.17g, evaluator %.17g", nparts, seeds, got, want)
+			}
+		}
 	}
 }

@@ -72,7 +72,8 @@ func BenchmarkServeSeedsCached(b *testing.B) {
 }
 
 // BenchmarkSnapshotClone measures the planner clone a cold /seeds request
-// (or a /gain with a base set) pays instead of a full log rescan.
+// pays instead of a full log rescan. A /gain with a base set clones
+// nothing: it commits the base to a read-only probe.
 func BenchmarkSnapshotClone(b *testing.B) {
 	model := demoModel()
 	base := model.NewPlanner()

@@ -3,10 +3,12 @@ package serve_test
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +23,11 @@ import (
 // Under -race this proves the snapshot isolation story: queries only ever
 // touch the immutable snapshot they pinned, reloads never mutate shared
 // state, and no request is dropped or answered with a 5xx during a swap.
+// Besides one fixed set, every reader asks its own distinct seed sets,
+// plain and restricted to an audience, each checked against an answer
+// computed sequentially beforehand — so scratch state leaking between
+// concurrent evaluations (the evaluator pools it) would show as a wrong
+// answer.
 func TestConcurrentQueriesAndReload(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -36,6 +43,35 @@ func TestConcurrentQueriesAndReload(t *testing.T) {
 	const readers = 8
 	const requestsPerReader = 40
 	const reloads = 3
+
+	// One distinct 3-seed set per reader and iteration, and its plain and
+	// audience answers from the model, computed before any concurrency.
+	model := demoModel()
+	var audience []credist.NodeID
+	var audienceIDs []string
+	for u := 0; u < 200; u += 4 {
+		audience = append(audience, credist.NodeID(u))
+		audienceIDs = append(audienceIDs, strconv.Itoa(u))
+	}
+	audienceParam := strings.Join(audienceIDs, ",")
+	type setQuery struct {
+		seeds             string
+		plain, restricted float64
+	}
+	queries := make([][]setQuery, readers)
+	rng := rand.New(rand.NewPCG(17, 4))
+	for w := range queries {
+		queries[w] = make([]setQuery, requestsPerReader)
+		for i := range queries[w] {
+			perm := rng.Perm(200)[:3]
+			seeds := []credist.NodeID{credist.NodeID(perm[0]), credist.NodeID(perm[1]), credist.NodeID(perm[2])}
+			restricted, err := model.SpreadObj(seeds, &credist.Objective{Audience: audience})
+			if err != nil {
+				t.Fatalf("SpreadObj(%v): %v", seeds, err)
+			}
+			queries[w][i] = setQuery{fmt.Sprintf("%d,%d,%d", perm[0], perm[1], perm[2]), model.Spread(seeds), restricted}
+		}
+	}
 
 	var failures atomic.Int64
 	var wg sync.WaitGroup
@@ -57,7 +93,7 @@ func TestConcurrentQueriesAndReload(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < requestsPerReader; i++ {
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					var out serve.SpreadResponse
 					if err := get("/spread?seeds=1,2,3", &out); err != nil {
@@ -83,6 +119,25 @@ func TestConcurrentQueriesAndReload(t *testing.T) {
 					var out serve.SeedsResponse
 					if err := get("/seeds?k=2", &out); err != nil {
 						t.Log(err)
+						failures.Add(1)
+						return
+					}
+				case 3:
+					q := queries[w][i]
+					var plain, restricted serve.SpreadResponse
+					if err := get("/spread?seeds="+q.seeds, &plain); err != nil {
+						t.Log(err)
+						failures.Add(1)
+						return
+					}
+					if err := get("/spread?seeds="+q.seeds+"&audience="+audienceParam, &restricted); err != nil {
+						t.Log(err)
+						failures.Add(1)
+						return
+					}
+					if plain.Spread != q.plain || restricted.Spread != q.restricted {
+						t.Logf("seeds %s: spread %b, audience %b; want %b, %b",
+							q.seeds, plain.Spread, restricted.Spread, q.plain, q.restricted)
 						failures.Add(1)
 						return
 					}

@@ -648,9 +648,11 @@ func (sn *Snapshot) RowStoreBackend() string { return sn.rowStore }
 func (sn *Snapshot) NumUsers() int { return sn.Dataset().NumUsers() }
 
 // Spread evaluates sigma_cd for one seed set. On the partitioned path the
-// coordinator telescopes exact per-seed gains (bit-identical at every
-// partition count, though summed in a different order than the
-// single-engine evaluator); degraded partitioned snapshots answer 502.
+// coordinator telescopes per-seed gains over the lambda-truncated UC
+// structure instead: bit-identical at every partition count, but slightly
+// below the evaluator's exact sigma_cd at lambda > 0 (equal to float
+// tolerance only at lambda = 0). Degraded partitioned snapshots answer
+// 502.
 func (sn *Snapshot) Spread(seeds []credist.NodeID) (float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return 0, err

@@ -427,10 +427,11 @@ func (pp *PartitionedPlanner) DeltaActions() int {
 // per seed, its exact marginal gain priced from rows read off the owning
 // partition, then its commit to a read-only probe (core.Probe) — the
 // telescoped sum that CELF's own Result.Spread() uses. The value is
-// the mathematically exact CD spread and is bit-identical across
-// partition counts, worker counts, and row-store backends; it is not
-// guaranteed bit-identical to the unpartitioned evaluator, which
-// accumulates the same total in per-action order.
+// bit-identical across partition counts, worker counts, and row-store
+// backends. It is the spread of the lambda-truncated model the planner
+// learned, not Model.Spread's exact sigma_cd: at lambda > 0 it reads
+// slightly below, and at lambda = 0 the two agree to float tolerance
+// (the evaluator sums in per-action order).
 func (pp *PartitionedPlanner) Spread(seeds []NodeID) (float64, error) {
 	return pp.coord.Spread(seeds)
 }
