@@ -494,6 +494,10 @@ func BenchmarkAppendVsRescan(b *testing.B) {
 //   - "speedup-mmap": one-shot mapped open vs heap load of the full
 //     snapshot, reporting both and the ratio.
 //   - "mmap-open": steady-state ns/op of the mapped open alone.
+//   - "speedup-mmap-prov": the mapped open of the same snapshot saved
+//     with its provenance index (`credist learn -prov`), with allocations
+//     reported: the index is served from the mapping, so the open pays
+//     only its per-influencer offset table.
 //
 // Each speedup case runs one-shot inside the loop so the CI
 // -benchtime=1x smoke still reports the ratios.
@@ -528,6 +532,11 @@ func BenchmarkColdStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	if err := grown.Save(fullPath); err != nil {
+		b.Fatal(err)
+	}
+	provPath := filepath.Join(dir, "model-prov.bin")
+	grown.BuildProvIndex()
+	if err := grown.Save(provPath); err != nil {
 		b.Fatal(err)
 	}
 	combined := &Dataset{Name: full.Name, Graph: full.Graph, Log: grown.Dataset().Log}
@@ -595,6 +604,19 @@ func BenchmarkColdStart(b *testing.B) {
 			b.ReportMetric(loadMs, "heap-load-ms")
 			b.ReportMetric(loadMs/openMs, "speedup")
 			b.ReportMetric(snapMiB, "snapshot-MiB")
+			m.Close()
+		}
+	})
+	b.Run("speedup-mmap-prov", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := LoadModelMapped(combined, provPath, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if m.ProvStats().Pairs == 0 {
+				b.Fatal("prov snapshot restored no provenance index")
+			}
 			m.Close()
 		}
 	})

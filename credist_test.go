@@ -1,10 +1,12 @@
 package credist
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"credist/internal/datagen"
@@ -403,6 +405,58 @@ func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	committed.Add(s1[0])
 	if err := model.WriteSnapshot(io.Discard, committed, nil); err == nil {
 		t.Error("planner with committed seeds accepted")
+	}
+}
+
+// TestMappedModelSavesOverItsOwnFile: Save on a LoadModelMapped model
+// may target the very file the model is mapped from. The rewritten file
+// is byte-identical to the one it replaces, and the still-open model
+// keeps answering Gain and ExplainReach from its mapping, provenance
+// index included.
+func TestMappedModelSavesOverItsOwnFile(t *testing.T) {
+	ds := Generate(tinyConfig(26))
+	m := Learn(ds, Options{Lambda: 0.001})
+	m.BuildProvIndex()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.bin")
+	if err := m.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadModelMapped(ds, path, Options{})
+	if err != nil {
+		t.Fatalf("LoadModelMapped: %v", err)
+	}
+	defer mapped.Close()
+	cands := []NodeID{0, 3, 17, 42, 150}
+	seeds, v := []NodeID{1, 5, 9}, NodeID(14)
+	wantGains := mapped.Gains(nil, cands)
+	wantReach := mapped.ExplainReach(seeds, v, 10)
+
+	if err := mapped.Save(path); err != nil {
+		t.Fatalf("Save over the mapped file: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-saved file differs: %d vs %d bytes", len(got), len(want))
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after Save (err %v), want only the model", len(entries), err)
+	}
+	if g := mapped.Gains(nil, cands); !reflect.DeepEqual(g, wantGains) {
+		t.Errorf("Gains after the re-save = %v, want %v", g, wantGains)
+	}
+	if r := mapped.ExplainReach(seeds, v, 10); !reflect.DeepEqual(r, wantReach) {
+		t.Errorf("ExplainReach after the re-save = %+v, want %+v", r, wantReach)
+	}
+	if st := mapped.ProvStats(); st.Builds != 0 || st.Pairs == 0 {
+		t.Errorf("mapped prov stats = %+v, want the restored index and 0 builds", st)
 	}
 }
 

@@ -279,8 +279,9 @@ func validateBaseSection(payload []byte, baseOff, numUsers, numActions, rowLo, r
 
 // MappedSnapshot owns the file mapping behind an engine returned by
 // OpenSnapshotMapped. It must stay open for as long as any engine (or
-// clone of one) derived from it is in use: shards alias the mapping
-// directly, and Close unmaps it. Closing is idempotent.
+// clone of one) or provenance index derived from it is in use: shards and
+// provenance records alias the mapping directly, and Close unmaps it.
+// Closing is idempotent.
 type MappedSnapshot struct {
 	data    []byte
 	release func() error
@@ -288,8 +289,8 @@ type MappedSnapshot struct {
 }
 
 // Close releases the mapping. The caller must have dropped every engine
-// derived from this snapshot first; reading a mapped shard after Close
-// faults.
+// and provenance index derived from this snapshot first; reading a mapped
+// shard or provenance record after Close faults.
 func (m *MappedSnapshot) Close() error {
 	if m == nil || m.release == nil {
 		return nil
@@ -352,7 +353,10 @@ func OpenSnapshotMappedSketch(path string) (*Engine, Lineage, *SeedPrefix, *RRSk
 // OpenSnapshotMappedProv is OpenSnapshotMapped plus the stored RR sketch
 // and provenance index (nil for files not carrying them). Both sections
 // sit inside the header CRC, so even the mapped open — which skips the
-// footer — reads them corruption-checked.
+// footer — reads them corruption-checked. The sketch is decoded onto the
+// heap; the provenance index reads its records from the mapping in place
+// (only its per-influencer offset table is allocated), so like the engine
+// it is valid only while the returned MappedSnapshot stays open.
 func OpenSnapshotMappedProv(path string) (*Engine, Lineage, *SeedPrefix, *RRSketch, *ProvIndex, *MappedSnapshot, error) {
 	var lin Lineage
 	data, release, err := mmapFile(path)
@@ -373,7 +377,8 @@ func OpenSnapshotMappedProv(path string) (*Engine, Lineage, *SeedPrefix, *RRSket
 
 // parseSnapshotV3 parses a version-3 snapshot payload held in data
 // (footer included). With alias set, shards alias data in place
-// (mappedShard); otherwise they are decoded into heap ucActions. The
+// (mappedShard) and so do the provenance records; otherwise shards are
+// decoded into heap ucActions and the provenance section is copied. The
 // header CRC is verified either way; the full-file footer CRC is the
 // caller's concern (ReadSnapshotPrefix verifies it first, the mapped
 // open deliberately skips it).
@@ -441,7 +446,7 @@ func parseSnapshotV3(data []byte, alias bool) (*Engine, Lineage, *SeedPrefix, *R
 				return nil, lin, nil, nil, nil, err
 			}
 		}
-		if prov, err = parseProvSection(sc, lin.NumUsers, lin.NumActions); err != nil {
+		if prov, err = parseProvSection(sc, lin.NumUsers, lin.NumActions, alias); err != nil {
 			return nil, lin, nil, nil, nil, err
 		}
 	}

@@ -23,10 +23,14 @@
 // pair. It is derivable from the scanned shards (BuildProvIndex walks
 // exactly the cells Gain reads, so index answers and shard walks agree
 // bit for bit), optional, and persistable as a version-6 snapshot
-// section so a restarted process explains with zero index builds.
+// section so a restarted process explains with zero index builds. The
+// index is held in that section's encoding, so a mapped open serves it
+// in place with no decode.
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -221,29 +225,43 @@ func TopProvPaths(paths []ProvPath, n int) []ProvPath {
 
 // ProvIndex is the inverted credit→actions index: per (influencer v,
 // influenced u) pair, the contributing action ids and per-action raw
-// credit shares UC[v][u][a], stored pair-major — pairs sorted by (v, u),
-// entries per pair in ascending action order. Immutable once built.
+// credit shares UC[v][u][a]. It is held in its version-6 section
+// encoding, so building, persisting and serving share one form:
+//
+//	per pair, pairs strictly ascending by (v, u):
+//	  v u32 | u u32 | n u32 | n × (action u32 | credit f64)
+//
+// with actions strictly ascending per pair, all little-endian. byV
+// locates each influencer's run of pairs. Immutable once built. An index
+// restored by OpenSnapshotMappedProv reads its records straight from the
+// mapping and is valid only while the mapping stays open.
 type ProvIndex struct {
-	pairV, pairU []int32   // parallel, sorted by (v, u)
-	off          []int64   // len(pairs)+1; pair i's entries are [off[i], off[i+1])
-	acts         []int32   // entry action ids, ascending per pair
-	creds        []float64 // entry credit shares, parallel to acts
+	raw     []byte  // section body after the pair count
+	byV     []int64 // numUsers+1 offsets: v's pairs are raw[byV[v]:byV[v+1]]
+	pairs   int
+	entries int64
 }
+
+// provRecSize is the encoded size of a pair header (v, u, n) and of an
+// entry (action, credit) alike.
+const provRecSize = 12
 
 // BuildProvIndex builds the inverted index over the engine's current
 // credit state by walking exactly the cells Gain reads — per owned row v,
 // the UC rows of the actions v performed — so shard walks and index
 // lookups agree bit for bit. A partition indexes only its owned rows.
-// Deterministic: the same engine state yields the same index.
+// Deterministic: the same engine state yields the same index, encoded
+// exactly as a snapshot stores it.
 func (e *Engine) BuildProvIndex() *ProvIndex {
 	type cell struct {
 		u, a int32
 		c    float64
 	}
-	p := &ProvIndex{off: []int64{0}}
+	p := &ProvIndex{byV: make([]int64, e.numUsers+1)}
 	lo, hi := e.PartitionRange()
 	var cells []cell
 	for v := lo; v < hi; v++ {
+		p.byV[v] = int64(len(p.raw))
 		cells = cells[:0]
 		for _, a := range e.actionsOf[v] {
 			for _, en := range e.uc[a].row(int32(v)) {
@@ -259,16 +277,25 @@ func (e *Engine) BuildProvIndex() *ProvIndex {
 			}
 			return cells[i].a < cells[j].a
 		})
-		for i, c := range cells {
-			if i == 0 || c.u != cells[i-1].u {
-				p.pairV = append(p.pairV, int32(v))
-				p.pairU = append(p.pairU, c.u)
-				p.off = append(p.off, p.off[len(p.off)-1])
+		for i := 0; i < len(cells); {
+			j := i + 1
+			for j < len(cells) && cells[j].u == cells[i].u {
+				j++
 			}
-			p.off[len(p.off)-1]++
-			p.acts = append(p.acts, c.a)
-			p.creds = append(p.creds, c.c)
+			p.raw = binary.LittleEndian.AppendUint32(p.raw, uint32(v))
+			p.raw = binary.LittleEndian.AppendUint32(p.raw, uint32(cells[i].u))
+			p.raw = binary.LittleEndian.AppendUint32(p.raw, uint32(j-i))
+			for _, c := range cells[i:j] {
+				p.raw = binary.LittleEndian.AppendUint32(p.raw, uint32(c.a))
+				p.raw = binary.LittleEndian.AppendUint64(p.raw, math.Float64bits(c.c))
+			}
+			p.pairs++
+			i = j
 		}
+		p.entries += int64(len(cells))
+	}
+	for v := hi; v <= e.numUsers; v++ {
+		p.byV[v] = int64(len(p.raw))
 	}
 	return p
 }
@@ -278,7 +305,7 @@ func (p *ProvIndex) Pairs() int {
 	if p == nil {
 		return 0
 	}
-	return len(p.pairV)
+	return p.pairs
 }
 
 // Entries returns the total number of indexed (pair, action) cells.
@@ -286,109 +313,82 @@ func (p *ProvIndex) Entries() int64 {
 	if p == nil {
 		return 0
 	}
-	return int64(len(p.acts))
+	return p.entries
 }
 
-// Bytes approximates the index's heap footprint for stats.
+// Bytes returns the size of the index's snapshot section. Those bytes
+// are the index: heap-resident when built or read from a file, mapped
+// when restored by OpenSnapshotMappedProv. The byV table adds
+// 8×(numUsers+1) heap bytes on top.
 func (p *ProvIndex) Bytes() int64 {
 	if p == nil {
 		return 0
 	}
-	return int64(len(p.pairV)+len(p.pairU)+len(p.acts))*4 +
-		int64(len(p.off)+len(p.creds))*8
+	return 4 + int64(len(p.raw))
 }
 
 // Lookup returns the contributing action ids (ascending) and raw credit
 // shares for the (influencer v, influenced u) pair, or nil slices when
-// the pair carries no credit. The returned slices alias the index; do
-// not mutate them.
+// the pair carries no credit. It scans v's run of pairs, which ascends
+// by u, and decodes the match into fresh slices.
 func (p *ProvIndex) Lookup(v, u graph.NodeID) ([]int32, []float64) {
-	i := sort.Search(len(p.pairV), func(i int) bool {
-		return p.pairV[i] > v || (p.pairV[i] == v && p.pairU[i] >= u)
-	})
-	if i == len(p.pairV) || p.pairV[i] != v || p.pairU[i] != u {
+	if v < 0 || int(v) >= len(p.byV)-1 {
 		return nil, nil
 	}
-	return p.acts[p.off[i]:p.off[i+1]], p.creds[p.off[i]:p.off[i+1]]
+	for off, end := p.byV[v], p.byV[v+1]; off < end; {
+		pu := int32(binary.LittleEndian.Uint32(p.raw[off+4:]))
+		n := int(binary.LittleEndian.Uint32(p.raw[off+8:]))
+		if pu > u {
+			break
+		}
+		if pu == u {
+			acts, creds := make([]int32, n), make([]float64, n)
+			rec := p.raw[off+provRecSize:]
+			for j := range acts {
+				acts[j] = int32(binary.LittleEndian.Uint32(rec[j*provRecSize:]))
+				creds[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[j*provRecSize+4:]))
+			}
+			return acts, creds
+		}
+		off += int64(provRecSize * (1 + n))
+	}
+	return nil, nil
 }
 
-// Validate checks the index's structural invariants against a universe —
-// the same rules parseProvSection enforces, so any index that validates
-// here round-trips through a version-6 snapshot section.
+// Validate checks the index against a universe with the same walk the
+// snapshot reader runs, so any index that validates here round-trips
+// through a version-6 snapshot section.
 func (p *ProvIndex) Validate(numUsers, numActions int) error {
 	if p.Pairs() == 0 {
 		return fmt.Errorf("core: provenance index is empty")
 	}
-	if len(p.pairU) != len(p.pairV) || len(p.off) != len(p.pairV)+1 || len(p.creds) != len(p.acts) {
-		return fmt.Errorf("core: provenance index arrays disagree on length")
+	sc := &snapCursor{b: p.raw}
+	walkProvSection(sc, p.pairs, make([]int64, numUsers+1), numActions)
+	if sc.err == nil && sc.remaining() != 0 {
+		sc.fail("%d bytes past the last provenance pair", sc.remaining())
 	}
-	if p.off[0] != 0 || p.off[len(p.off)-1] != int64(len(p.acts)) {
-		return fmt.Errorf("core: provenance index offsets do not cover its entries")
-	}
-	for i := range p.pairV {
-		v, u := p.pairV[i], p.pairU[i]
-		if int(v) < 0 || int(v) >= numUsers || int(u) < 0 || int(u) >= numUsers {
-			return fmt.Errorf("core: provenance pair (%d,%d) outside the universe [0,%d)", v, u, numUsers)
-		}
-		if i > 0 && (p.pairV[i-1] > v || (p.pairV[i-1] == v && p.pairU[i-1] >= u)) {
-			return fmt.Errorf("core: provenance pairs out of order at %d", i)
-		}
-		lo, hi := p.off[i], p.off[i+1]
-		if hi <= lo {
-			return fmt.Errorf("core: provenance pair (%d,%d) has no entries", v, u)
-		}
-		for j := lo; j < hi; j++ {
-			a, c := p.acts[j], p.creds[j]
-			if int(a) < 0 || int(a) >= numActions {
-				return fmt.Errorf("core: provenance action %d outside [0,%d)", a, numActions)
-			}
-			if j > lo && p.acts[j-1] >= a {
-				return fmt.Errorf("core: provenance actions out of order for pair (%d,%d)", v, u)
-			}
-			if math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
-				return fmt.Errorf("core: provenance credit %g for pair (%d,%d) action %d (want finite and positive)", c, v, u, a)
-			}
-		}
-	}
-	return nil
+	return sc.err
 }
 
-// writeProvSection serializes the index: a pair count, then per pair its
-// (v, u) ids, entry count, and (action, credit) entries. With the
-// Validate ordering rules this is a unique encoding — two indexes with
-// the same cells produce the same bytes.
-func writeProvSection(sw *snapWriter, p *ProvIndex) {
-	sw.u32(uint32(len(p.pairV)))
-	for i := range p.pairV {
-		sw.u32(uint32(p.pairV[i]))
-		sw.u32(uint32(p.pairU[i]))
-		lo, hi := p.off[i], p.off[i+1]
-		sw.u32(uint32(hi - lo))
-		for j := lo; j < hi; j++ {
-			sw.u32(uint32(p.acts[j]))
-			sw.f64(p.creds[j])
-		}
-	}
-}
-
-// parseProvSection decodes and validates a provenance section, enforcing
-// the exact invariants Validate describes so that accepted bytes
-// re-encode byte-identically.
-func parseProvSection(sc *snapCursor, numUsers, numActions int) (*ProvIndex, error) {
-	pairs := sc.count("provenance pair", 12)
-	if sc.err == nil && pairs == 0 {
-		sc.fail("version-%d snapshot with an empty provenance section", snapshotVersionProv)
-	}
-	p := &ProvIndex{
-		pairV: make([]int32, 0, pairs),
-		pairU: make([]int32, 0, pairs),
-		off:   make([]int64, 1, pairs+1),
-	}
+// walkProvSection is the one validating walk over a provenance section
+// body: pairs strictly ascending by (v, u) inside the universe, each with
+// at least one entry; actions strictly ascending inside [0, numActions);
+// credits finite and positive. These rules make the encoding unique, so
+// accepted bytes re-encode byte-identically. The walk fills byV (length
+// numUsers+1) with each influencer's run offset, relative to where the
+// cursor started, returns the entry count, records any failure on sc,
+// and allocates nothing.
+func walkProvSection(sc *snapCursor, pairs int, byV []int64, numActions int) int64 {
+	numUsers := len(byV) - 1
+	start := sc.off
+	next := 0 // first influencer whose run offset is not yet set
 	prevV, prevU := int32(-1), int32(-1)
+	var entries int64
 	for i := 0; i < pairs && sc.err == nil; i++ {
+		at := int64(sc.off - start)
 		v := int32(sc.u32())
 		u := int32(sc.u32())
-		n := sc.count("provenance entry", 12)
+		n := sc.count("provenance entry", provRecSize)
 		if sc.err != nil {
 			break
 		}
@@ -404,14 +404,15 @@ func parseProvSection(sc *snapCursor, numUsers, numActions int) (*ProvIndex, err
 			sc.fail("provenance pair (%d,%d) has no entries", v, u)
 			break
 		}
+		for ; next <= int(v); next++ {
+			byV[next] = at
+		}
 		prevV, prevU = v, u
+		rec := sc.take(n * provRecSize)
 		prevA := int32(-1)
-		for j := 0; j < n && sc.err == nil; j++ {
-			a := int32(sc.u32())
-			c := sc.f64()
-			if sc.err != nil {
-				break
-			}
+		for j := 0; j < n; j++ {
+			a := int32(binary.LittleEndian.Uint32(rec[j*provRecSize:]))
+			c := math.Float64frombits(binary.LittleEndian.Uint64(rec[j*provRecSize+4:]))
 			if int(a) < 0 || int(a) >= numActions {
 				sc.fail("provenance action %d outside [0,%d)", a, numActions)
 				break
@@ -425,15 +426,43 @@ func parseProvSection(sc *snapCursor, numUsers, numActions int) (*ProvIndex, err
 				break
 			}
 			prevA = a
-			p.acts = append(p.acts, a)
-			p.creds = append(p.creds, c)
 		}
-		p.pairV = append(p.pairV, v)
-		p.pairU = append(p.pairU, u)
-		p.off = append(p.off, int64(len(p.acts)))
+		entries += int64(n)
+	}
+	for ; next <= numUsers; next++ {
+		byV[next] = int64(sc.off - start)
+	}
+	return entries
+}
+
+// writeProvSection serializes the index: the pair count, then the
+// records exactly as the index holds them.
+func writeProvSection(sw *snapWriter, p *ProvIndex) {
+	sw.u32(uint32(p.pairs))
+	sw.bytes(p.raw)
+}
+
+// parseProvSection validates a provenance section and returns its index.
+// With alias set, the records stay in sc's buffer (the mapping) and only
+// byV is allocated; otherwise they are copied once, so the index does not
+// pin the caller's whole-file buffer.
+func parseProvSection(sc *snapCursor, numUsers, numActions int, alias bool) (*ProvIndex, error) {
+	pairs := sc.count("provenance pair", provRecSize)
+	if sc.err == nil && pairs == 0 {
+		sc.fail("version-%d snapshot with an empty provenance section", snapshotVersionProv)
 	}
 	if sc.err != nil {
 		return nil, sc.err
+	}
+	p := &ProvIndex{byV: make([]int64, numUsers+1), pairs: pairs}
+	start := sc.off
+	p.entries = walkProvSection(sc, pairs, p.byV, numActions)
+	if sc.err != nil {
+		return nil, sc.err
+	}
+	p.raw = sc.b[start:sc.off:sc.off]
+	if !alias {
+		p.raw = bytes.Clone(p.raw)
 	}
 	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -270,8 +271,8 @@ func TestBuildProvIndexSlices(t *testing.T) {
 		}
 		idx := p.BuildProvIndex()
 		totalPairs += idx.Pairs()
-		for j := range idx.pairV {
-			v, u := idx.pairV[j], idx.pairU[j]
+		for _, r := range provRecords(idx) {
+			v, u := r.v, r.u
 			if int(v) < lo || int(v) >= hi {
 				t.Fatalf("slice [%d,%d) indexed foreign row %d", lo, hi, v)
 			}
@@ -457,10 +458,7 @@ func TestSnapshotProvRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	flagsOff := sc.off
-	provSize := 4
-	for i := range prov.pairV {
-		provSize += 12 + 12*int(prov.off[i+1]-prov.off[i])
-	}
+	provSize := 4 + len(prov.raw)
 	hdrCRCOff := flagsOff + 1 + provSize
 
 	restamp := func(b []byte) []byte {
@@ -502,8 +500,37 @@ func TestSnapshotProvRejects(t *testing.T) {
 		t.Fatal("partition wrote a version-6 snapshot")
 	}
 	// An index that fails Validate is refused at write time.
-	badIdx := &ProvIndex{pairV: []int32{1}, pairU: []int32{0}, off: []int64{0, 1}, acts: []int32{0}, creds: []float64{-1}}
+	badIdx := e.BuildProvIndex()
+	badIdx.raw = bytes.Clone(badIdx.raw)
+	binary.LittleEndian.PutUint64(badIdx.raw[16:], math.Float64bits(-1)) // first entry's credit
 	if err := e.WriteSnapshotProv(&bytes.Buffer{}, lin, nil, nil, badIdx); err == nil {
 		t.Fatal("invalid index written without error")
 	}
+}
+
+// provRecord is one decoded pair of a provenance index.
+type provRecord struct {
+	v, u  int32
+	acts  []int32
+	creds []float64
+}
+
+// provRecords decodes every pair of the index by walking its encoding
+// front to back, independently of Lookup.
+func provRecords(p *ProvIndex) []provRecord {
+	var out []provRecord
+	for off := 0; off < len(p.raw); {
+		r := provRecord{
+			v: int32(binary.LittleEndian.Uint32(p.raw[off:])),
+			u: int32(binary.LittleEndian.Uint32(p.raw[off+4:])),
+		}
+		n := int(binary.LittleEndian.Uint32(p.raw[off+8:]))
+		off += provRecSize
+		for j := 0; j < n; j, off = j+1, off+provRecSize {
+			r.acts = append(r.acts, int32(binary.LittleEndian.Uint32(p.raw[off:])))
+			r.creds = append(r.creds, math.Float64frombits(binary.LittleEndian.Uint64(p.raw[off+4:])))
+		}
+		out = append(out, r)
+	}
+	return out
 }

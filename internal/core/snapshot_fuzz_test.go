@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand/v2"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"credist/internal/seedsel"
 )
@@ -17,10 +19,12 @@ import (
 // files with and without the seed-prefix section, and targeted
 // corruptions of each; the fuzzer mutates from there.
 //
-// For input the reader does accept, two invariants are checked: the
-// engine's declared shape matches the lineage, and re-serializing
-// reproduces the input byte for byte (the encoding of a given engine is
-// unique, so anything accepted must already be in canonical form).
+// For input the reader does accept, three invariants are checked: the
+// engine's declared shape matches the lineage, re-serializing reproduces
+// the input byte for byte (the encoding of a given engine is unique, so
+// anything accepted must already be in canonical form), and the mapped
+// open's aliasing parse accepts it too, with an identical provenance
+// index.
 func FuzzReadSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewPCG(101, 7))
 	g, log := randomInstance(rng, 25, 14)
@@ -279,6 +283,9 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
+		if version >= snapshotVersion {
+			checkAliasingParse(t, data, prov)
+		}
 		if version == snapshotVersionSlice {
 			// An accepted slice re-encodes through the slice writer at its
 			// own row range; canonical-form uniqueness holds per version.
@@ -322,4 +329,34 @@ func FuzzReadSnapshot(f *testing.F) {
 				out.Len(), len(data))
 		}
 	})
+}
+
+// checkAliasingParse runs input the heap reader accepted through the
+// mapped open's parse, on an 8-aligned copy so shards and provenance
+// records alias it in place: it must be accepted, and its provenance
+// index must equal the heap reader's, lookup for lookup. The reverse
+// does not hold — the mapped open skips the footer CRC, so it may accept
+// input the heap reader refuses.
+func checkAliasingParse(t *testing.T, data []byte, prov *ProvIndex) {
+	words := make([]uint64, (len(data)+7)/8)
+	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)[:len(data)]
+	copy(aligned, data)
+	_, _, _, _, mprov, err := parseSnapshotV3(aligned, true)
+	if err != nil {
+		t.Fatalf("heap reader accepted input the aliasing parse refuses: %v", err)
+	}
+	if !reflect.DeepEqual(mprov, prov) {
+		t.Fatal("aliasing parse restored a different provenance index")
+	}
+	if prov == nil {
+		return
+	}
+	for _, r := range provRecords(prov) {
+		for _, idx := range []*ProvIndex{prov, mprov} {
+			a, c := idx.Lookup(r.v, r.u)
+			if !reflect.DeepEqual(a, r.acts) || !reflect.DeepEqual(c, r.creds) {
+				t.Fatalf("Lookup(%d,%d) disagrees with the pair's records", r.v, r.u)
+			}
+		}
+	}
 }

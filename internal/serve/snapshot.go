@@ -456,13 +456,16 @@ func buildPartitioned(src Source, ds *credist.Dataset, opts credist.Options) (*S
 	// /topk route through the coordinator, so the propagation-DAG build
 	// never happens unless an embedder calls Model.Spread directly.
 	//
-	// Loading leaves several times the snapshot's live heap behind as
-	// garbage: the dataset's text parse, and the whole-model sections
-	// (provenance index, user tables) decoded only to reach the RR
-	// sketch. Partitioned queries allocate little (they read the shared
-	// partitions through a probe), so the collector would otherwise leave
-	// that garbage resident for many seconds of traffic; collect it now
-	// and return the pages, so the process's footprint is the snapshot's.
+	// A first start that splits the model loads the whole file onto the
+	// heap and leaves 50-100 MiB of garbage on flixster-small, depending
+	// on when the last collection ran. A restart from existing slices
+	// leaves ~2 MiB next to ~8 MiB live: the dataset's text parse, since
+	// reaching the RR sketch maps the whole-model file and decodes only
+	// the sketch. Partitioned queries allocate little (they read the
+	// shared partitions through a probe), so the collector would
+	// otherwise leave that garbage resident for many seconds of traffic;
+	// collect it now and return the pages, so the process's footprint is
+	// the snapshot's.
 	debug.FreeOSMemory()
 	return sn, nil
 }

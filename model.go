@@ -63,9 +63,10 @@ type Model struct {
 
 // Close releases the file mapping behind a model opened with
 // LoadModelMapped; for every other model it is a no-op. It must only be
-// called once no planner derived from the model is in use — planners
-// share the mapped shards copy-on-write, and their reads fault once the
-// mapping is gone.
+// called once no planner derived from the model is in use and no
+// ExplainReach on it is running — planners share the mapped shards
+// copy-on-write, a restored provenance index reads its records from the
+// mapping, and those reads fault once the mapping is gone.
 func (m *Model) Close() error {
 	if m == nil {
 		return nil
@@ -476,16 +477,18 @@ func (m *Model) SaveParams(path string) error {
 // both learning and the log scan — cold start becomes a file read plus an
 // append of only the unscanned tail. Saving forces the model's one-time
 // scan if it has not happened yet.
+//
+// The snapshot is written to a temp file in the same directory and
+// renamed into place, so a crash mid-write never truncates the path, and
+// a LoadModelMapped model can save over its own file: it keeps serving
+// from the old file's mapping until Close.
 func (m *Model) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("credist: create snapshot file: %w", err)
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		return m.WriteSnapshot(w, nil, m.prefix)
+	}); err != nil {
+		return fmt.Errorf("credist: save snapshot %s: %w", path, err)
 	}
-	if err := m.WriteSnapshot(f, nil, m.prefix); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // WriteSnapshot streams the binary snapshot to w. p selects the scanned
@@ -579,8 +582,9 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 // every query is bit-identical to the heap-loaded model. Text parameter
 // files and pre-v3 snapshots are rejected; re-save with Save to upgrade.
 //
+// A provenance index stored in the file is served from the mapping too.
 // The caller owns the mapping's lifetime: Close the model only after all
-// planners derived from it are gone.
+// planners derived from it are gone and its explanations have returned.
 func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
 	eng, lin, prefix, sketch, prov, ms, err := core.OpenSnapshotMappedProv(path)
 	if err != nil {

@@ -263,9 +263,9 @@ func readSnapshotSketch(path string, ds *Dataset, numActions int) *core.RRSketch
 	if err != nil {
 		return nil
 	}
-	// The sketch section is always decoded onto the heap (only UC shards
-	// alias the mapping), so the mapping can close before the sketch is
-	// used.
+	// The sketch section is always decoded onto the heap, so the mapping
+	// can close before the sketch is used. The UC shards and the
+	// provenance index alias the mapping; both are dropped here unread.
 	ms.Close()
 	if sketch == nil || lin.NumActions != numActions || lin.Check(ds.Graph, ds.Log) != nil {
 		return nil

@@ -32,6 +32,8 @@ type ReachExplanation = core.ReachExplanation
 type ProvStats struct {
 	// Pairs, Entries, and Bytes size the current index (all zero before
 	// the first reach explanation on a model with no restored index).
+	// Bytes is its snapshot-section size: the index is held in that
+	// encoding, mapped rather than heap-resident under LoadModelMapped.
 	Pairs   int
 	Entries int64
 	Bytes   int64
