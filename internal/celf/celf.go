@@ -31,11 +31,17 @@
 // k <= 50 is a slice of the recorded arrays and Grow(60) pays only the
 // marginal work. Resume rebuilds a Selection from a previously computed
 // prefix (e.g. one restored from a binary model snapshot): the prefix
-// seeds are committed via Add without any Gain evaluations, and the first
-// growth past the prefix pays one fresh full pass to rebuild the heap.
+// seeds are committed to the estimator with Add, without any Gain
+// evaluations, and the first growth past the prefix pays one fresh full
+// pass to rebuild the heap.
 // Seeds and Gains of a resumed selection are bit-identical to a
 // continuous run; Lookups differ (the rebuild pass replaces the retained
 // bounds a continuous run would have reused).
+//
+// Add is whatever commit the estimator defines. The CD model's production
+// estimator (core.ProbeEstimator) records the seed in a read-only probe
+// and replays it onto the rows of the candidates Gain re-prices, so a
+// selection never writes the engine it selects over.
 package celf
 
 import (
@@ -285,7 +291,7 @@ func (s *Selection) affordable(x graph.NodeID) bool {
 }
 
 // Resume rebuilds a selection from a previously computed prefix: the
-// prefix seeds are committed to the estimator via Add (no Gain
+// prefix seeds are committed to the estimator with Add (no Gain
 // evaluations), and the recorded gains and lookup counts are adopted as
 // the selection's own. The estimator must be fresh (no committed seeds).
 // Growing past the prefix is bit-identical in Seeds and Gains to a
@@ -315,7 +321,7 @@ func Resume(est Estimator, prefix Prefix, opts Options) (*Selection, error) {
 // (Khuller, Moss, Naor — the budgeted-max-coverage argument, which
 // carries over to any monotone submodular objective). When the singleton
 // wins, the estimator's committed state still reflects the greedy path;
-// budgeted runs are one-shot, so callers hand in a clone.
+// budgeted runs are one-shot, so callers hand in a fresh estimator.
 func Run(est Estimator, k int, opts Options) Result {
 	s := NewSelection(est, opts)
 	res := s.Grow(k)

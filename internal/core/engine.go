@@ -568,11 +568,17 @@ func (e *Engine) seedCredit(a, x int32) float64 {
 // shared with sibling engines are copied before the first write, so Add
 // never disturbs a clone or the frozen base of a serving snapshot.
 //
-// Add is exactly CommitSeedRow driven by the engine's own row
+// Add is exactly commitSeedRow driven by the engine's own row
 // (partition.go), which is what makes a scatter-gather commit across
 // row-range partitions bit-identical to the single-engine commit.
+// Committing a seed twice changes nothing.
+//
+// Seed selection does not come here: it commits to a ProbeEstimator,
+// which replays each seed onto the rows it re-prices only. Add backs
+// Planner.Add, and it is the oracle the probe is tested against
+// (FuzzProbeMatchesCommit, FuzzProbeSelectionMatchesCommit).
 func (e *Engine) Add(x graph.NodeID) {
-	e.CommitSeedRow(x, e.ExtractSeedRow(x))
+	e.commitSeedRow(x, e.extractSeedRow(x))
 }
 
 // ResidentBytes reports the UC structure's total footprint across both

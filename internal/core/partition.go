@@ -14,14 +14,14 @@ import (
 // global per-user state (au, actionsOf) and a complete replica of SC, so
 // Gain(x) evaluated on the partition owning x's row is exactly the global
 // marginal gain — Theorem 3 reads only x's row, SC[x], and the global
-// normalizers. Committing a seed is split into ExtractSeedRow (the owner
-// reads out x's row cells) and CommitSeedRow (every partition applies the
+// normalizers. Committing a seed is split into extractSeedRow (the owner
+// reads out x's row cells) and commitSeedRow (every partition applies the
 // Lemma 2 subtractions to its local rows and the identical Lemma 3 SC
 // raise): the Lemma 2 updates touch disjoint (v, u) cells per partition
 // and the SC arithmetic is replayed bit-identically everywhere, so the
 // union of the partitions after a commit equals the unpartitioned engine
 // after Add, cell for cell and bit for bit. Engine.Add is literally
-// CommitSeedRow(x, ExtractSeedRow(x)), so the equivalence holds by
+// commitSeedRow(x, extractSeedRow(x)), so the equivalence holds by
 // construction rather than by parallel maintenance of two code paths.
 
 // ownsRow reports whether this engine holds x's influencer row: always
@@ -44,7 +44,7 @@ func (e *Engine) PartitionRange() (lo, hi int) {
 	return 0, e.numUsers
 }
 
-// seedRowData is the opaque payload behind ExtractSeedRow/CommitSeedRow:
+// seedRowData is the payload behind extractSeedRow/commitSeedRow:
 // the committed seed's credit cells, one row per scanned action of the
 // seed (parallel to actionsOf[x]), copied out of the owning engine so the
 // payload stays valid while every partition applies the commit.
@@ -52,16 +52,16 @@ type seedRowData struct {
 	rows [][]ucEntry
 }
 
-// ExtractSeedRow reads out candidate x's credit rows — the
+// extractSeedRow reads out candidate x's credit rows — the
 // (influenced, Gamma^{V-S}_{x,u}(a)) cells of every action x performed —
-// as an opaque payload for CommitSeedRow. It must be called on the engine
+// as the payload for commitSeedRow. It must be called on the engine
 // owning x's row (any unpartitioned engine, or the partition whose range
 // contains x) before that engine commits x. The cells are copied, so the
 // payload remains valid across the commit on every partition, including
 // the owner's own.
-func (e *Engine) ExtractSeedRow(x graph.NodeID) any {
+func (e *Engine) extractSeedRow(x graph.NodeID) *seedRowData {
 	if !e.ownsRow(x) {
-		panic(fmt.Sprintf("core: ExtractSeedRow(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
+		panic(fmt.Sprintf("core: extractSeedRow(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
 	}
 	xi := int32(x)
 	acts := e.actionsOf[x]
@@ -84,17 +84,19 @@ func (e *Engine) ExtractSeedRow(x graph.NodeID) any {
 // falls to it or below after a seed commit is deleted.
 const creditFloor = 1e-15
 
-// CommitSeedRow commits x to the seed set given the owning engine's
+// commitSeedRow commits x to the seed set given the owning engine's
 // extracted payload (Algorithm 5, driven by data instead of a local row
 // read): per action, Lemma 2 removes from every local credit the share
 // flowing through x, and Lemma 3 raises Gamma_{S,u}(a) for every u in the
 // payload — SC is maintained as a full replica on every partition, which
 // is what keeps Gain exact and bit-identical at any partition count.
 // Finally x's local row (owner only) and column are removed. On an
-// unpartitioned engine, CommitSeedRow(x, ExtractSeedRow(x)) is exactly
-// Add(x).
-func (e *Engine) CommitSeedRow(x graph.NodeID, payload any) {
-	d := payload.(*seedRowData)
+// unpartitioned engine, commitSeedRow(x, extractSeedRow(x)) is exactly
+// Add(x). Committing a seed that is already committed changes nothing.
+func (e *Engine) commitSeedRow(x graph.NodeID, d *seedRowData) {
+	if slices.Contains(e.seeds, x) {
+		return
+	}
 	xi := int32(x)
 	for i, a := range e.actionsOf[x] {
 		ua := e.mutShard(a)

@@ -55,14 +55,14 @@ func TestSliceGainParity(t *testing.T) {
 	// Commit two seeds from different partitions scatter-gather and keep
 	// checking against the full engine driven by plain Add.
 	for _, seed := range []graph.NodeID{3, 41} {
-		var payload any
+		var payload *seedRowData
 		for _, p := range parts {
 			if lo, hi := p.PartitionRange(); int(seed) >= lo && int(seed) < hi {
-				payload = p.ExtractSeedRow(seed)
+				payload = p.extractSeedRow(seed)
 			}
 		}
 		for _, p := range parts {
-			p.CommitSeedRow(seed, payload)
+			p.commitSeedRow(seed, payload)
 		}
 		ref.Add(seed)
 		check("post-commit", ref)
@@ -116,7 +116,7 @@ func TestPartitionRejectsForeignRows(t *testing.T) {
 		call func()
 	}{
 		{"Gain", func() { p.Gain(2) }},
-		{"ExtractSeedRow", func() { p.ExtractSeedRow(15) }},
+		{"extractSeedRow", func() { p.extractSeedRow(15) }},
 	} {
 		func() {
 			defer func() {

@@ -17,7 +17,7 @@ import (
 // the cell (x,s), and raises SC[x][a] by c_sx*(1-SC[s][a]). So a probe
 // records, per action, each committed seed's row and SC factor as they
 // stood at its commit, and prices x by replaying those records onto a
-// private copy of x's rows only — in commit order, with CommitSeedRow's
+// private copy of x's rows only — in commit order, with commitSeedRow's
 // arithmetic — which makes every answer bit-identical to Clone, Add each
 // seed, then Gain or GainObj.
 //
@@ -108,7 +108,7 @@ func (p *Probe) Commit(s graph.NodeID, obj *Objective) float64 {
 }
 
 // replay returns x's credit row and SC[x][a] in action a after the
-// probe's commits in a, applied in commit order exactly as CommitSeedRow
+// probe's commits in a, applied in commit order exactly as commitSeedRow
 // applies them to the engine: Lemma 3 raises SC[x][a] when x is in the
 // seed's row; Lemma 2 lowers the cells of x's row that the seed's row
 // shares, removing any that fall to creditFloor, and the seed's column
@@ -152,3 +152,36 @@ func (p *Probe) replay(e *Engine, x, a int32) ([]ucEntry, float64) {
 	}
 	return row, scx
 }
+
+// ProbeEstimator is CELF's marginal-gain oracle over a Probe: Gain prices
+// a candidate under the objective by replaying the committed seeds onto
+// the candidate's rows alone, and Add commits a seed to the probe. A selection over it
+// never clones, writes or promotes an engine, and its seeds, gains and
+// lookup counts are bit-identical to the same selection run over a clone
+// that Adds each seed. It implements celf.ConcurrentEstimator.
+type ProbeEstimator struct {
+	probe *Probe
+	obj   *Objective
+}
+
+// NewProbeEstimator returns an estimator with nothing committed over
+// engines that tile the row universe, as NewProbe takes them, pricing
+// gains under obj (nil is the default objective). The engines must not
+// change while the estimator is in use.
+func NewProbeEstimator(obj *Objective, engines ...*Engine) *ProbeEstimator {
+	return &ProbeEstimator{probe: NewProbe(engines...), obj: obj}
+}
+
+// NumNodes returns the user-universe size.
+func (pe *ProbeEstimator) NumNodes() int { return pe.probe.parts[0].numUsers }
+
+// Gain returns x's marginal gain under the objective against every seed
+// committed so far.
+func (pe *ProbeEstimator) Gain(x graph.NodeID) float64 { return pe.probe.Gain(x, pe.obj) }
+
+// Add commits x to the probe; a repeat changes nothing.
+func (pe *ProbeEstimator) Add(x graph.NodeID) { pe.probe.Commit(x, pe.obj) }
+
+// ConcurrentGain marks Gain as safe for concurrent calls between Adds:
+// Probe.Gain only reads. Compile-time marker, never called.
+func (pe *ProbeEstimator) ConcurrentGain() {}

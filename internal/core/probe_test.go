@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"credist/internal/actionlog"
+	"credist/internal/celf"
 	"credist/internal/graph"
 )
 
@@ -33,6 +34,25 @@ func probeInstance(rng *rand.Rand) (*graph.Graph, *actionlog.Log) {
 		}
 	}
 	return b.Build(), lb.Build()
+}
+
+// rowPartitions returns nparts (capped at the universe size) near-even
+// row-range slices of full, or one clone of it when nparts is 1.
+func rowPartitions(t *testing.T, full *Engine, nparts int) []*Engine {
+	n := full.NumNodes()
+	nparts = min(nparts, n)
+	if nparts <= 1 {
+		return []*Engine{full.Clone()}
+	}
+	parts := make([]*Engine, 0, nparts)
+	for i := 0; i < nparts; i++ {
+		p, err := full.Slice(i*n/nparts, (i+1)*n/nparts)
+		if err != nil {
+			t.Fatalf("Slice: %v", err)
+		}
+		parts = append(parts, p)
+	}
+	return parts
 }
 
 // engineState is the part of an engine a read-only query must not change.
@@ -66,18 +86,7 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 	if mmap {
 		full, _, _, _ = openMapped(t, writeSnapshotFile(t, full, DatasetLineage("probe", g, log), nil))
 	}
-	nparts = min(nparts, n)
-	parts := []*Engine{full.Clone()}
-	if nparts > 1 {
-		parts = parts[:0]
-		for i := 0; i < nparts; i++ {
-			p, err := full.Slice(i*n/nparts, (i+1)*n/nparts)
-			if err != nil {
-				t.Fatalf("Slice: %v", err)
-			}
-			parts = append(parts, p)
-		}
-	}
+	parts := rowPartitions(t, full, nparts)
 	// The reference is scanned afresh, sharing no storage with the probed
 	// engines, so a probe that wrote through to a shared row would show.
 	// A third of the runs probe engines that already hold committed seeds,
@@ -92,9 +101,9 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 					owner = p
 				}
 			}
-			payload := owner.ExtractSeedRow(s)
+			payload := owner.extractSeedRow(s)
 			for _, p := range parts {
-				p.CommitSeedRow(s, payload)
+				p.commitSeedRow(s, payload)
 			}
 			ref.Add(s)
 		}
@@ -184,4 +193,196 @@ func FuzzProbeMatchesCommit(f *testing.F) {
 		checkProbeMatchesCommit(t, seed,
 			[]float64{0, 0.001, 0.05}[lambda%3], []int{1, 2, 4, 7}[nparts%4], mmap)
 	})
+}
+
+// commitEstimator is the clone+Add selection oracle: gains priced under
+// obj by GainObj on an engine that every seed is Added to.
+type commitEstimator struct {
+	*Engine
+	obj *Objective
+}
+
+func (e commitEstimator) Gain(x graph.NodeID) float64 { return e.GainObj(x, e.obj) }
+
+// checkProbeSelectionMatchesCommit is the selection-level probe property:
+// CELF over a ProbeEstimator on nparts row-range partitions picks the same
+// seeds, with the same gain bits and the same lookup counts, as CELF over
+// a clone of the full engine that Adds each seed — for one-shot Run and
+// for Resume from a prefix of that run followed by Grow. mode picks the
+// pricing (bit 0: a random audience/window objective) and the extras (bit
+// 1: blocked rivals committed first; bit 2: per-node costs and a budget).
+// The probed engines are left exactly as they were.
+func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts int, mode uint8) {
+	rng := rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
+	g, log := probeInstance(rng)
+	n := log.NumUsers()
+	opts := Options{Lambda: lambda, Workers: 1}
+	if rng.IntN(2) == 0 {
+		opts.Credit = LearnTimeAware(g, log)
+	}
+	full := NewEngine(g, log, opts)
+	full.Compact()
+	parts := rowPartitions(t, full, nparts)
+	before := make([]engineState, len(parts))
+	for i, p := range parts {
+		before[i] = stateOf(p)
+	}
+
+	var obj *Objective
+	if mode&1 != 0 {
+		obj = randomObjective(rng, log, BuildActionDelays(log))
+	}
+	sel := celf.Options{Workers: 1 + rng.IntN(3)}
+	if mode&2 != 0 {
+		for r := 1 + rng.IntN(2); r > 0; r-- {
+			sel.Blocked = append(sel.Blocked, graph.NodeID(rng.IntN(n)))
+		}
+	}
+	if mode&4 != 0 {
+		sel.Costs = make([]float64, n)
+		for u := range sel.Costs {
+			sel.Costs[u] = 0.5 + 2*rng.Float64()
+		}
+		sel.Budget = 1 + 4*rng.Float64()
+	}
+	k := 1 + rng.IntN(6)
+
+	// Each estimator starts fresh with the rivals committed. The oracle's
+	// engine is scanned afresh, sharing no storage with the probed ones.
+	commit := func() celf.Estimator {
+		est := commitEstimator{Engine: NewEngine(g, log, opts), obj: obj}
+		for _, r := range sel.Blocked {
+			est.Add(r)
+		}
+		return est
+	}
+	probe := func() celf.Estimator {
+		est := NewProbeEstimator(obj, parts...)
+		for _, r := range sel.Blocked {
+			est.Add(r)
+		}
+		return est
+	}
+	same := func(what string, got, want celf.Result) {
+		t.Helper()
+		if !slices.Equal(got.Seeds, want.Seeds) || !slices.Equal(got.LookupsAt, want.LookupsAt) || got.Lookups != want.Lookups {
+			t.Fatalf("seed=%d mode=%d nparts=%d %s: probe picked %v (lookups %v, %d), clone+Add %v (lookups %v, %d)",
+				seed, mode, nparts, what, got.Seeds, got.LookupsAt, got.Lookups, want.Seeds, want.LookupsAt, want.Lookups)
+		}
+		for i := range want.Gains {
+			if got.Gains[i] != want.Gains[i] {
+				t.Fatalf("seed=%d mode=%d nparts=%d %s: gain %d = %b, clone+Add gives %b",
+					seed, mode, nparts, what, i, got.Gains[i], want.Gains[i])
+			}
+		}
+	}
+
+	want := celf.Run(commit(), k, sel)
+	same("Run", celf.Run(probe(), k, sel), want)
+
+	prefix := celf.Prefix{}
+	if len(want.Seeds) > 0 {
+		p := rng.IntN(len(want.Seeds) + 1)
+		prefix = celf.Prefix{Seeds: want.Seeds[:p], Gains: want.Gains[:p], LookupsAt: want.LookupsAt[:p]}
+	}
+	resume := func(est celf.Estimator) celf.Result {
+		s, err := celf.Resume(est, prefix, sel)
+		if err != nil {
+			t.Fatalf("seed=%d mode=%d: Resume: %v", seed, mode, err)
+		}
+		return s.Grow(k + 1)
+	}
+	same("Resume+Grow", resume(probe()), resume(commit()))
+
+	for i, p := range parts {
+		if after := stateOf(p); after.heap != before[i].heap || after.mapped != before[i].mapped ||
+			after.entries != before[i].entries || !slices.Equal(after.seeds, before[i].seeds) {
+			t.Fatalf("seed=%d: selecting changed engine %d: %+v -> %+v", seed, i, before[i], after)
+		}
+	}
+}
+
+// FuzzProbeSelectionMatchesCommit drives checkProbeSelectionMatchesCommit
+// over instance seeds, truncation thresholds {0, 0.001, 0.05}, 1-4
+// row-range partitions and every mode: default or objective pricing, with
+// and without blocked rivals, costs and a budget. The seed corpus, which
+// plain go test runs, covers every cell of that matrix once.
+func FuzzProbeSelectionMatchesCommit(f *testing.F) {
+	seed := uint64(0)
+	for lambda := uint8(0); lambda < 3; lambda++ {
+		for nparts := uint8(0); nparts < 4; nparts++ {
+			for mode := uint8(0); mode < 8; mode++ {
+				f.Add(seed, lambda, nparts, mode)
+				seed++
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, lambda, nparts, mode uint8) {
+		checkProbeSelectionMatchesCommit(t, seed,
+			[]float64{0, 0.001, 0.05}[lambda%3], 1+int(nparts%4), mode%8)
+	})
+}
+
+// TestRepeatedCommitChangesNothing pins that committing a seed twice is a
+// no-op, through Add on a full engine and through the scatter-gather
+// commitSeedRow on row-range partitions: the seed set lists it once, and
+// entries and every gain are those after a single commit.
+func TestRepeatedCommitChangesNothing(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 3))
+	g, log := probeInstance(rng)
+	full := NewEngine(g, log, Options{Lambda: 0.001, Workers: 1})
+	full.Compact()
+	n := full.NumNodes()
+	x := graph.NodeID(0)
+	for u := 1; u < n; u++ {
+		if full.Gain(graph.NodeID(u)) > full.Gain(x) {
+			x = graph.NodeID(u)
+		}
+	}
+	once := full.Clone()
+	once.Add(x)
+	twice := full.Clone()
+	twice.Add(x)
+	twice.Add(x)
+	if got := twice.Seeds(); !slices.Equal(got, []graph.NodeID{x}) {
+		t.Fatalf("Seeds after a double Add(%d) = %v", x, got)
+	}
+	if twice.Entries() != once.Entries() {
+		t.Fatalf("Entries after a double Add = %d, single Add %d", twice.Entries(), once.Entries())
+	}
+	for u := 0; u < n; u++ {
+		if got, want := twice.Gain(graph.NodeID(u)), once.Gain(graph.NodeID(u)); got != want {
+			t.Fatalf("Gain(%d) after a double Add = %b, single Add %b", u, got, want)
+		}
+	}
+
+	parts := rowPartitions(t, full, 3)
+	var entries int64
+	for range 2 {
+		var owner *Engine
+		for _, p := range parts {
+			if p.ownsRow(x) {
+				owner = p
+			}
+		}
+		payload := owner.extractSeedRow(x)
+		for _, p := range parts {
+			p.commitSeedRow(x, payload)
+		}
+	}
+	for _, p := range parts {
+		if got := p.Seeds(); !slices.Equal(got, []graph.NodeID{x}) {
+			t.Fatalf("partition Seeds after a double commit of %d = %v", x, got)
+		}
+		entries += p.Entries()
+		lo, hi := p.PartitionRange()
+		for u := lo; u < hi; u++ {
+			if got, want := p.Gain(graph.NodeID(u)), once.Gain(graph.NodeID(u)); got != want {
+				t.Fatalf("partition Gain(%d) after a double commit = %b, single Add %b", u, got, want)
+			}
+		}
+	}
+	if entries != once.Entries() {
+		t.Fatalf("partition Entries after a double commit sum to %d, single Add %d", entries, once.Entries())
+	}
 }

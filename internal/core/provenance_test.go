@@ -244,9 +244,9 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 			}
 			if round < len(commits) {
 				seed := commits[round]
-				payload := owner(seed).ExtractSeedRow(seed)
+				payload := owner(seed).extractSeedRow(seed)
 				for _, p := range slices {
-					p.CommitSeedRow(seed, payload)
+					p.commitSeedRow(seed, payload)
 				}
 				full.Add(seed)
 			}

@@ -163,17 +163,17 @@ func ModelSeedSets(env *Env, opts ExpOptions) *SeedSets {
 }
 
 // SelectCD selects seeds with the paper's algorithm: time-aware credit
-// scan plus greedy/CELF over the engine, through the same shared
-// selection engine serve's /seeds uses — so Figure 5/6/7 seed sets match
-// a served snapshot of the same dataset bit for bit (pinned by the
-// serve-parity regression test).
+// scan plus greedy/CELF over a read-only probe of the engine, through the
+// same shared selection engine and estimator serve's /seeds uses — so
+// Figure 5/6/7 seed sets match a served snapshot of the same dataset bit
+// for bit (pinned by the serve-parity regression test).
 func SelectCD(env *Env, opts ExpOptions) seedsel.Result {
 	opts = opts.withDefaults()
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	engine := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: opts.Lambda, Credit: credit, Workers: opts.Workers})
 	// The Workers knob bounds the CELF gain fan-out too, not just the
 	// scan; results are bit-identical either way.
-	return celf.Run(engine, opts.K, celf.Options{Workers: engine.Workers()})
+	return celf.Run(core.NewProbeEstimator(nil, engine), opts.K, celf.Options{Workers: engine.Workers()})
 }
 
 // Figure5 reports the pairwise intersections of the IC, LT, and CD seed

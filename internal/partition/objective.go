@@ -8,59 +8,6 @@ import (
 	"credist/internal/graph"
 )
 
-// objPartition wraps an engine partition so the scatter-gather estimator
-// prices candidates under an objective. Only Gain changes: commits
-// (ExtractSeedRow/CommitSeedRow) are objective-independent — the
-// objective reweights how credit is valued, never how it flows — so the
-// whole partitioned commit path is reused verbatim, and with it the
-// bit-identity of non-default objectives across partition counts.
-type objPartition struct {
-	*core.Engine
-	obj *core.Objective
-}
-
-func (p objPartition) Gain(x graph.NodeID) float64 { return p.Engine.GainObj(x, p.obj) }
-
-// cloneEstimatorObj is cloneEstimator with every clone wrapped to price
-// gains under obj. The default objective short-circuits to the plain
-// estimator: bit-identity for the default comes from taking the exact
-// pre-objective code path.
-func (c *Coordinator) cloneEstimatorObj(obj *core.Objective) *celf.PartitionedEstimator {
-	if obj.IsDefault() {
-		return c.cloneEstimator()
-	}
-	clones := make([]celf.Partition, len(c.parts))
-	var wg sync.WaitGroup
-	for i, p := range c.parts {
-		wg.Add(1)
-		go func(i int, p *core.Engine) {
-			defer wg.Done()
-			clones[i] = objPartition{Engine: p.Clone(), obj: obj}
-		}(i, p)
-	}
-	wg.Wait()
-	pe, err := celf.NewPartitionedEstimator(clones, c.workers)
-	if err != nil {
-		// New validated the ranges and Clone preserves them.
-		panic("partition: clone broke the range cover: " + err.Error())
-	}
-	return pe
-}
-
-// commitSet commits every distinct node in set to the estimator,
-// discarding gains. Used to pre-commit a rival's seed set so subsequent
-// gains are marginal over it.
-func commitSet(pe *celf.PartitionedEstimator, set []graph.NodeID) {
-	seen := make(map[graph.NodeID]bool, len(set))
-	for _, s := range set {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		pe.Add(s)
-	}
-}
-
 // probe returns a read-only probe over the partitions with each node of
 // the sets committed in order (repeats are no-ops).
 func (c *Coordinator) probe(sets ...[]graph.NodeID) *core.Probe {
@@ -135,32 +82,32 @@ func (c *Coordinator) GainsObj(base, candidates []graph.NodeID, obj *core.Object
 }
 
 // NewSelectionObj starts a CELF selection under an objective. Blocked
-// rivals in opts are pre-committed to the cloned estimator — so every
+// rivals in opts are committed to the selection's probe first — so every
 // gain the selection sees is marginal over the rival set — and celf
 // additionally excludes them from the candidate pool. The default
 // objective (with no costs, budget, or rivals) is exactly NewSelection.
 func (c *Coordinator) NewSelectionObj(obj *core.Objective, opts celf.Options) *celf.Selection {
-	if opts.Workers == 0 {
-		opts.Workers = c.workers
-	}
-	pe := c.cloneEstimatorObj(obj)
-	commitSet(pe, opts.Blocked)
-	return celf.NewSelection(pe, opts)
+	return celf.NewSelection(c.estimator(obj, opts.Blocked), c.withWorkers(opts))
 }
 
 // SelectObj runs a complete CELF selection under an objective via
 // celf.Run — including the budgeted best-affordable-singleton rule,
-// which Grow-style selections do not apply — over fresh wrapped clones,
-// with blocked rivals pre-committed. Single-engine and partitioned
-// objective selections are bit-identical because both are celf.Run over
-// estimators returning bit-identical gains.
+// which Grow-style selections do not apply — over a probe of the
+// partitions with blocked rivals committed first. Single-engine and
+// partitioned objective selections are bit-identical because both are
+// celf.Run over probes returning bit-identical gains.
 func (c *Coordinator) SelectObj(obj *core.Objective, k int, opts celf.Options) celf.Result {
-	if opts.Workers == 0 {
-		opts.Workers = c.workers
+	return celf.Run(c.estimator(obj, opts.Blocked), k, c.withWorkers(opts))
+}
+
+// estimator returns a probe estimator over the partitions pricing gains
+// under obj, with the blocked rivals committed in order.
+func (c *Coordinator) estimator(obj *core.Objective, blocked []graph.NodeID) *core.ProbeEstimator {
+	est := core.NewProbeEstimator(obj, c.parts...)
+	for _, s := range blocked {
+		est.Add(s)
 	}
-	pe := c.cloneEstimatorObj(obj)
-	commitSet(pe, opts.Blocked)
-	return celf.Run(pe, k, opts)
+	return est
 }
 
 // ownerIndex returns the index of the range owning row x.

@@ -14,9 +14,9 @@ import (
 // TestObjectivePartitionDeterminism extends the determinism wall to
 // non-default objectives: weighted, windowed, budgeted, and blocked
 // queries must be bit-identical across partition counts {1, 4} and
-// worker counts {1, GOMAXPROCS}, and identical to a single wrapped
-// engine. Default-objective calls through the Obj entry points must
-// route to the exact pre-objective paths.
+// worker counts {1, GOMAXPROCS}, and identical to a clone+Add selection
+// on the full engine. Default-objective calls through the Obj entry
+// points must route to the exact pre-objective paths.
 func TestObjectivePartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 84))
 	g, log := randomInstance(rng, 70, 45)
@@ -46,9 +46,9 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		costs[u] = 0.5 + rng.Float64()*2
 	}
 
-	// Single-engine references: the wrapped full engine is both a celf
-	// estimator and a trivial one-partition coordinator input.
-	refEst := objPartition{Engine: full.Clone(), obj: obj}
+	// Single-engine references: clone+Add selections over the full engine,
+	// the oracle the coordinator's probe selections must reproduce.
+	refEst := commitEstimator{Engine: full.Clone(), obj: obj}
 	const k = 6
 	ref := celf.Run(refEst, k, celf.Options{})
 	if len(ref.Seeds) != k {
@@ -65,7 +65,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		return celf.Options{Workers: workers, Costs: costs, Budget: 5, Blocked: rival}
 	}
 	refBudget := func() celf.Result {
-		eng := objPartition{Engine: full.Clone(), obj: obj}
+		eng := commitEstimator{Engine: full.Clone(), obj: obj}
 		for _, r := range rival {
 			eng.Add(r)
 		}
@@ -170,3 +170,12 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		t.Fatalf("default SpreadObj = %b, Spread = %b", gotSpread, wantSpread)
 	}
 }
+
+// commitEstimator is the clone+Add selection oracle: gains priced under
+// obj on an engine that every seed is Added to.
+type commitEstimator struct {
+	*core.Engine
+	obj *core.Objective
+}
+
+func (e commitEstimator) Gain(x graph.NodeID) float64 { return e.Engine.GainObj(x, e.obj) }

@@ -12,21 +12,14 @@
 //
 // Seed commits are the one cross-cutting operation: Lemma 2 touches cells
 // (v, u) for every v with credit over the new seed x, which spans
-// partitions. The coordinator has x's owner extract x's credit rows once
-// (core.ExtractSeedRow) and broadcasts them (core.CommitSeedRow); each
-// partition then applies Lemma 2 to its own disjoint cells and replays
-// the identical Lemma 3 arithmetic on its SC replica. Since Engine.Add is
-// literally CommitSeedRow(ExtractSeedRow(x)), a scatter-gather commit is
-// bit-identical to the single-engine commit, and therefore seeds, gains,
-// and spreads are bit-identical at every partition count and worker
-// count. That invariant is pinned by TestPartitionCountDeterminism.
-//
-// Only selections commit to (clones of) the partitions. Spread and gain
-// queries commit their seeds to a core.Probe instead, which reads each
-// row from its owning partition and replays the same Lemma 2/3
-// arithmetic onto private copies of the queried nodes' rows alone, so
-// they write nothing shared and still answer bit-identically
-// (TestCoordinatorQueriesMatchCloneCommit).
+// partitions. The coordinator never applies them to a partition. Every
+// query — spread, gain and CELF selection alike — commits its seeds to a
+// core.Probe, which reads each row from its owning partition and replays
+// the Lemma 2/3 arithmetic onto private copies of the queried nodes' rows
+// alone. So no query writes anything shared, and seeds, gains and spreads
+// are bit-identical to committing on the unpartitioned engine, at every
+// partition count and worker count. That invariant is pinned by
+// TestPartitionCountDeterminism and TestCoordinatorQueriesMatchCloneCommit.
 package partition
 
 import (
@@ -126,10 +119,10 @@ type Stats struct {
 }
 
 // Coordinator fans queries over a contiguous set of engine partitions and
-// merges by summation. It is immutable once built (spread and gain
-// queries read the partitions through a core.Probe, selections clone
-// them), so concurrent queries need no locking; ingest builds a successor
-// via Append.
+// merges by summation. It is immutable once built (spread, gain and
+// selection queries all read the partitions through a core.Probe), so
+// concurrent queries need no locking; ingest builds a successor via
+// Append.
 type Coordinator struct {
 	parts    []*core.Engine // sorted by row-range start
 	ranges   []Range        // parts[i] owns ranges[i]
@@ -212,27 +205,6 @@ func (c *Coordinator) Stats() []Stats {
 	return out
 }
 
-// clone deep-copies every partition for a mutating query, wrapped as a
-// PartitionedEstimator carrying the coordinator's worker budget.
-func (c *Coordinator) cloneEstimator() *celf.PartitionedEstimator {
-	clones := make([]celf.Partition, len(c.parts))
-	var wg sync.WaitGroup
-	for i, p := range c.parts {
-		wg.Add(1)
-		go func(i int, p *core.Engine) {
-			defer wg.Done()
-			clones[i] = p.Clone()
-		}(i, p)
-	}
-	wg.Wait()
-	pe, err := celf.NewPartitionedEstimator(clones, c.workers)
-	if err != nil {
-		// New validated the ranges and Clone preserves them.
-		panic(fmt.Sprintf("partition: clone broke the range cover: %v", err))
-	}
-	return pe
-}
-
 // checkNode rejects the first id outside the universe before it reaches
 // a partition (where a routing miss is a panic, not an error).
 func (c *Coordinator) checkNode(kind string, ids ...graph.NodeID) error {
@@ -270,26 +242,30 @@ func (c *Coordinator) Gains(base []graph.NodeID, candidates []graph.NodeID) ([]f
 	return c.GainsObj(base, candidates, nil, nil)
 }
 
-// NewSelection starts a CELF seed selection over fresh clones of the
-// partitions: the coordinator-side lazy-forward heap with a per-partition
-// parallel first-iteration pass (celf fans buildHeap over workers, each
-// Gain routed to its owner). Selections from the same coordinator are
+// NewSelection starts a CELF seed selection over a read-only probe of
+// the partitions (core.ProbeEstimator): the coordinator-side lazy-forward
+// heap with a parallel first-iteration pass (celf fans buildHeap over
+// workers, each Gain reading its candidate's rows from the owner), and
+// seed commits that replay onto the re-priced rows only. No partition is
+// cloned or written, so selections from the same coordinator are
 // independent and bit-identical to a single-engine selection.
 func (c *Coordinator) NewSelection(opts celf.Options) *celf.Selection {
-	if opts.Workers == 0 {
-		opts.Workers = c.workers
-	}
-	return celf.NewSelection(c.cloneEstimator(), opts)
+	return celf.NewSelection(c.estimator(nil, nil), c.withWorkers(opts))
 }
 
 // ResumeSelection continues a selection from a checkpointed seed prefix,
-// recommitting the prefix seeds scatter-gather and adopting the
-// checkpointed heap. Equivalent to celf.Resume on a single engine.
+// committing the prefix seeds to a fresh probe and adopting the
+// checkpointed gains. Equivalent to celf.Resume on a single engine.
 func (c *Coordinator) ResumeSelection(prefix celf.Prefix, opts celf.Options) (*celf.Selection, error) {
+	return celf.Resume(c.estimator(nil, nil), prefix, c.withWorkers(opts))
+}
+
+// withWorkers defaults the selection fan-out to the coordinator's.
+func (c *Coordinator) withWorkers(opts celf.Options) celf.Options {
 	if opts.Workers == 0 {
 		opts.Workers = c.workers
 	}
-	return celf.Resume(c.cloneEstimator(), prefix, opts)
+	return opts
 }
 
 // Append builds a successor coordinator covering the combined log: each

@@ -226,10 +226,10 @@ type Snapshot struct {
 	ds    *credist.Dataset
 	model *credist.Model
 	// base is the one scanned planner for this model. Its seed set stays
-	// empty forever — it is compacted (frozen) at build time, so requests
-	// that need to commit seeds Clone it by sharing shards and rely on the
-	// engine's copy-on-write to stay isolated. nil in partitioned mode,
-	// where parts takes its place.
+	// empty forever — it is compacted (frozen) at build time and never
+	// written: queries and selections commit their seeds to read-only
+	// probes over it (the /seeds selection over a clone sharing its
+	// shards). nil in partitioned mode, where parts takes its place.
 	base *credist.Planner
 	// parts is the scatter-gather coordinator over row-range engine
 	// partitions (nil on the single-engine path). Exactly one of base and
@@ -784,14 +784,15 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 	}
 	if sn.seedSel == nil {
 		// First growth: resume from the restored prefix when there is one
-		// (committing its seeds costs k Adds, no gain evaluations), start
-		// fresh otherwise. The selection clones sn.base — the snapshot's
-		// own (possibly ingest-extended) planner, shards shared — never
-		// the model's lazy base, which for an ingest-grown model would be
-		// a second from-scratch scan of the combined log; and it owns the
-		// clone, so Engine.Add never touches the shared base. On the
-		// partitioned path the same resume runs scatter-gather over fresh
-		// partition clones, bit-identical to the single-engine selection.
+		// (committing its seeds to the selection's probe costs no gain
+		// evaluations), start fresh otherwise. The selection probes a
+		// clone of sn.base — the snapshot's own (possibly ingest-extended)
+		// planner, shards shared — never the model's lazy base, which for
+		// an ingest-grown model would be a second from-scratch scan of the
+		// combined log. Seeds are committed to a read-only probe, so no
+		// shard is written or promoted. On the partitioned path the same
+		// resume runs over a probe of the coordinator's partitions,
+		// bit-identical to the single-engine selection.
 		var restored *credist.SeedPrefix
 		if pv := sn.prefix.Load(); pv != nil {
 			restored = &credist.SeedPrefix{Seeds: pv.seeds, Gains: pv.gains, LookupsAt: pv.lookupsAt}

@@ -209,7 +209,8 @@ func (m *Model) SelectSeeds(k int) ([]NodeID, []float64) {
 func (m *Model) Selection(k int) seedsel.Result { return m.selection(k) }
 
 func (m *Model) selection(k int) seedsel.Result {
-	return m.NewPlanner().Select(k)
+	eng := m.base()
+	return celf.Run(core.NewProbeEstimator(nil, eng), k, celf.Options{Workers: eng.Workers()})
 }
 
 // SeedPrefix is a computed CELF seed-selection prefix: seeds in selection
@@ -243,8 +244,10 @@ func (m *Model) RecordSeedPrefix(res seedsel.Result) {
 // planner clone: Grow(k) extends the committed selection to k seeds,
 // keeping the lazy-forward heap across calls, so after Grow(50) any
 // k <= 50 is answered from the recorded arrays and Grow(60) pays only the
-// marginal work. Not safe for concurrent use; the serving layer
-// serializes Grow and publishes immutable copies for readers.
+// marginal work. Seeds are committed to a read-only probe over the clone
+// (core.ProbeEstimator), never to the clone itself. Not safe for
+// concurrent use; the serving layer serializes Grow and publishes
+// immutable copies for readers.
 type GrowableSelection struct {
 	p   *Planner
 	sel *celf.Selection
@@ -258,16 +261,18 @@ func (m *Model) NewSelection() *GrowableSelection {
 
 // ResumeSelection rebuilds a growable selection from a previously
 // computed prefix (typically the model's own restored SeedPrefix): the
-// prefix seeds are committed without any gain evaluations, and the first
-// Grow past the prefix pays one fresh gain pass to rebuild the heap.
-// Seeds and gains of the continuation are bit-identical to a continuous
-// run.
+// prefix seeds are committed to the probe without any gain evaluations,
+// and the first Grow past the prefix pays one fresh gain pass to rebuild
+// the heap. Seeds and gains of the continuation are bit-identical to a
+// continuous run.
 func (m *Model) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
 	return resumeGrowableSelection(m.NewPlanner(), prefix)
 }
 
 // NewSelection starts an empty growable selection over a clone of this
-// planner — shards shared, copy-on-write isolating the selection's Adds.
+// planner. The selection commits its seeds to a read-only probe, so the
+// clone is never written; it costs microseconds (shards shared) and keeps
+// a later Add on the receiver from changing rows under the live probe.
 // This is how a serving layer grows selections off its incrementally
 // extended base planner instead of forcing a second from-scratch scan
 // out of the model.
@@ -283,9 +288,9 @@ func (p *Planner) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error
 }
 
 // newGrowableSelection wraps a selection around a planner the caller
-// hands over (the selection owns and mutates it).
+// hands over (the selection owns it and probes it, never writing it).
 func newGrowableSelection(p *Planner) *GrowableSelection {
-	return &GrowableSelection{p: p, sel: celf.NewSelection(p.eng, celf.Options{Workers: p.eng.Workers()})}
+	return &GrowableSelection{p: p, sel: celf.NewSelection(core.NewProbeEstimator(nil, p.eng), celf.Options{Workers: p.eng.Workers()})}
 }
 
 func resumeGrowableSelection(p *Planner, prefix *SeedPrefix) (*GrowableSelection, error) {
@@ -299,7 +304,7 @@ func resumeGrowableSelection(p *Planner, prefix *SeedPrefix) (*GrowableSelection
 	if committed := p.Seeds(); len(committed) > 0 {
 		return nil, fmt.Errorf("credist: cannot resume a seed prefix on a planner with %d committed seeds", len(committed))
 	}
-	sel, err := celf.Resume(p.eng, *prefix, celf.Options{Workers: p.eng.Workers()})
+	sel, err := celf.Resume(core.NewProbeEstimator(nil, p.eng), *prefix, celf.Options{Workers: p.eng.Workers()})
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +324,8 @@ func (s *GrowableSelection) Len() int { return s.sel.Len() }
 func (s *GrowableSelection) Exhausted() bool { return s.sel.Exhausted() }
 
 // Planner exposes the selection's owned planner for inspection (entries,
-// resident bytes, delta accounting). Mutating it corrupts the selection;
+// resident bytes, delta accounting). It holds none of the selection's
+// seeds, which live in the probe; mutating it corrupts the selection, so
 // it is read-only by contract. Selections grown from a PartitionedPlanner
 // have no single planner and return nil.
 func (s *GrowableSelection) Planner() *Planner { return s.p }
@@ -366,10 +372,15 @@ func (p *Planner) Seeds() []NodeID { return p.eng.Seeds() }
 // CELF (Algorithm 3) via the shared selection engine — the
 // first-iteration gain pass and stale-bound refreshes fan over the
 // engine's configured workers, with bit-identical seeds and gains at any
-// worker count — and returns the selection trace. It mutates the planner;
-// use Clone first to keep the receiver reusable.
+// worker count — and returns the selection trace. The selection runs over
+// a read-only probe; the chosen seeds are then Added, so it mutates the
+// planner. Use Clone first to keep the receiver reusable.
 func (p *Planner) Select(k int) seedsel.Result {
-	return celf.Run(p.eng, k, celf.Options{Workers: p.eng.Workers()})
+	res := celf.Run(core.NewProbeEstimator(nil, p.eng), k, celf.Options{Workers: p.eng.Workers()})
+	for _, x := range res.Seeds {
+		p.eng.Add(x)
+	}
+	return res
 }
 
 // Entries returns the number of live UC credit entries, the paper's memory

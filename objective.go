@@ -264,52 +264,35 @@ func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) 
 	return gainsOn(p.eng, blocked, base, candidates, cobj), nil
 }
 
-// SelectSeedsObjOn is SelectSeedsObj run over a clone of a caller-supplied
-// planner (never the receiver itself). Unlike SelectSeedsObj it does not
-// route the default objective anywhere special — it always runs a fresh
-// one-shot selection — because its caller (the serving layer) routes
-// default requests to its memoized growable selection before coming here.
+// SelectSeedsObjOn is SelectSeedsObj run over a caller-supplied scanned
+// planner. The planner is never mutated or cloned: the rivals and the
+// selected seeds are committed to a read-only probe over it, so it must
+// not change during the call. Unlike SelectSeedsObj it does not route the
+// default objective anywhere special — it always runs a fresh one-shot
+// selection — because its caller (the serving layer) routes default
+// requests to its memoized growable selection before coming here.
 func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Result, error) {
 	cobj, err := m.coreObjective(o, true)
 	if err != nil {
 		return seedsel.Result{}, err
 	}
-	var blocked, costs = []NodeID(nil), []float64(nil)
-	budget := 0.0
+	return selectObjOn(p.eng, k, cobj, o), nil
+}
+
+// selectObjOn runs celf.Run under cobj over a probe estimator on eng,
+// with o's blocked rivals committed first (so every gain is marginal over
+// them) and excluded from the pool, and o's costs and budget applied.
+func selectObjOn(eng *core.Engine, k int, cobj *core.Objective, o *Objective) seedsel.Result {
+	est := core.NewProbeEstimator(cobj, eng)
+	opts := celf.Options{Workers: eng.Workers()}
 	if o != nil {
-		blocked, costs, budget = o.Blocked, o.Costs, o.Budget
-	}
-	work := p.Clone()
-	seen := make(map[NodeID]bool, len(blocked))
-	for _, s := range blocked {
-		if !seen[s] {
-			seen[s] = true
-			work.Add(s)
+		for _, s := range o.Blocked {
+			est.Add(s)
 		}
+		opts.Costs, opts.Budget, opts.Blocked = o.Costs, o.Budget, o.Blocked
 	}
-	opts := celf.Options{Workers: work.eng.Workers(), Costs: costs, Budget: budget, Blocked: blocked}
-	if cobj == nil {
-		return celf.Run(work.eng, k, opts), nil
-	}
-	return celf.Run(objEstimator{eng: work.eng, obj: cobj}, k, opts), nil
+	return celf.Run(est, k, opts)
 }
-
-// objEstimator wraps a planner engine so CELF prices candidates under an
-// objective. Only Gain changes — seed commits are objective-independent,
-// which is what lets the selection machinery (lazy-forward heap,
-// copy-on-write clones, parallel first pass) run unchanged.
-type objEstimator struct {
-	eng *core.Engine
-	obj *core.Objective
-}
-
-func (e objEstimator) NumNodes() int         { return e.eng.NumNodes() }
-func (e objEstimator) Gain(x NodeID) float64 { return e.eng.GainObj(x, e.obj) }
-func (e objEstimator) Add(x NodeID)          { e.eng.Add(x) }
-
-// ConcurrentGain marks Gain as safe between Adds: GainObj, like Gain, is
-// read-only. Compile-time marker, never called.
-func (e objEstimator) ConcurrentGain() {}
 
 // SelectSeedsObj runs seed selection under the full objective: audience
 // weights and window reprice every marginal gain, blocked rivals are
@@ -326,19 +309,7 @@ func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
 	if o.IsDefault() {
 		return m.selection(k), nil
 	}
-	p := m.NewPlanner()
-	seen := make(map[NodeID]bool, len(o.Blocked))
-	for _, s := range o.Blocked {
-		if !seen[s] {
-			seen[s] = true
-			p.Add(s)
-		}
-	}
-	opts := celf.Options{Workers: p.eng.Workers(), Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
-	if cobj == nil {
-		return celf.Run(p.eng, k, opts), nil
-	}
-	return celf.Run(objEstimator{eng: p.eng, obj: cobj}, k, opts), nil
+	return selectObjOn(m.base(), k, cobj, o), nil
 }
 
 // SpreadObj is Model.SpreadObj served scatter-gather: the conditional
@@ -373,9 +344,9 @@ func (pp *PartitionedPlanner) GainsObj(m *Model, base, candidates []NodeID, o *O
 	return pp.coord.GainsObj(base, candidates, cobj, blocked)
 }
 
-// SelectSeedsObj is Model.SelectSeedsObj served scatter-gather over
-// fresh partition clones. Seeds and gains are bit-identical to the
-// single-engine objective selection at every partition count.
+// SelectSeedsObj is Model.SelectSeedsObj served scatter-gather over a
+// read-only probe of the partitions. Seeds and gains are bit-identical to
+// the single-engine objective selection at every partition count.
 func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (seedsel.Result, error) {
 	cobj, err := m.coreObjective(o, true)
 	if err != nil {

@@ -460,17 +460,17 @@ func (pp *PartitionedPlanner) ExplainReach(seeds []NodeID, v NodeID, top int) (R
 	return pp.coord.ExplainReach(seeds, v, top)
 }
 
-// NewSelection starts a growable CELF selection over fresh partition
-// clones: the coordinator-side lazy-forward heap with the first-iteration
-// gain pass fanned per partition. Seeds and gains are bit-identical to a
-// single-engine selection. The returned selection has no planner
-// (Planner() is nil); its state lives in the partition clones it owns.
+// NewSelection starts a growable CELF selection over a read-only probe of
+// the partitions: the coordinator-side lazy-forward heap with the
+// first-iteration gain pass fanned over the workers. Seeds and gains are
+// bit-identical to a single-engine selection. The returned selection has
+// no planner (Planner() is nil); its seeds live in the probe.
 func (pp *PartitionedPlanner) NewSelection() *GrowableSelection {
 	return &GrowableSelection{sel: pp.coord.NewSelection(celf.Options{})}
 }
 
 // ResumeSelection is NewSelection continuing from a previously computed
-// prefix (nil starts fresh): the prefix seeds are committed scatter-gather
+// prefix (nil starts fresh): the prefix seeds are committed to the probe
 // with no gain evaluations, and the continuation is bit-identical to an
 // uninterrupted run — even when the prefix was computed at a different
 // partition count.
