@@ -91,91 +91,67 @@ type ApproxStats struct {
 
 // approxTier is the per-model state behind ApproxSpread/ApproxSeeds.
 type approxTier struct {
-	mu sync.Mutex // serializes growth; queries read coll lock-free
+	mu sync.Mutex // serializes growth and the walk source's construction
 	// coll is the published collection: readers load it atomically and
 	// estimate against an immutable snapshot while growth swaps in a
-	// superset.
-	coll atomic.Pointer[ris.Collection]
-	// restored is a version-5 snapshot's sketch, consumed (under mu) into
-	// the initial collection on first use.
-	restored *core.RRSketch
-	src      ris.Source
-	sampled  atomic.Int64
+	// superset. A version-5 snapshot's sketch is published when the model
+	// loads (restoreApprox), so no other field ever stands in for it.
+	coll    atomic.Pointer[ris.Collection]
+	src     atomic.Pointer[core.CreditWalkSource]
+	sampled atomic.Int64
 }
 
-// ensure returns the current collection, materializing the walk source
-// and the restored sketch on first use. It never draws new samples.
+// restoreApprox publishes a snapshot's RR sketch as the tier's pool,
+// adopting its arena verbatim (nil sketch: nothing to do). The model must
+// not be shared yet.
+func (m *Model) restoreApprox(sk *core.RRSketch) error {
+	if sk == nil {
+		return nil
+	}
+	c, err := ris.FromSets(m.ds.Graph.NumNodes(), sk.Roots, sk.Seed, sk.Offs, sk.Nodes)
+	if err != nil {
+		return fmt.Errorf("credist: restored RR sketch: %w", err)
+	}
+	m.approx.coll.Store(c)
+	return nil
+}
+
+// ensureApprox returns the current collection (nil before the first
+// draw on a model with no restored sketch) and the walk source, building
+// the source on first use. It never draws new samples.
 func (m *Model) ensureApprox() (*ris.Collection, ris.Source, error) {
 	t := &m.approx
-	if c := t.coll.Load(); c != nil && t.src != nil {
-		return c, t.src, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.src == nil {
-		src, err := m.eval().CreditWalks()
-		if err != nil {
-			return nil, nil, err
+	src := t.src.Load()
+	if src == nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if src = t.src.Load(); src == nil {
+			var err error
+			if src, err = m.eval().CreditWalks(); err != nil {
+				return nil, nil, err
+			}
+			t.src.Store(src)
 		}
-		t.src = src
 	}
-	if c := t.coll.Load(); c != nil {
-		return c, t.src, nil
-	}
-	if sk := t.restored; sk != nil {
-		c, err := ris.FromSets(t.src.NumNodes(), sk.Roots, sk.Seed, sk.Sets)
-		if err != nil {
-			return nil, nil, fmt.Errorf("credist: restored RR sketch: %w", err)
-		}
-		t.restored = nil
-		t.coll.Store(c)
-		return c, t.src, nil
-	}
-	return nil, t.src, nil
-}
-
-// ensureApproxFixed returns the current collection without ever touching
-// the credit-walk source: a restored sketch is materialized, but no
-// samples can be drawn. This is the partitioned serving path — no single
-// engine holds the full universe there, so the evaluator behind the walk
-// source must never be built. nil (with nil error) means the tier holds
-// nothing.
-func (m *Model) ensureApproxFixed() (*ris.Collection, error) {
-	t := &m.approx
-	if c := t.coll.Load(); c != nil {
-		return c, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c := t.coll.Load(); c != nil {
-		return c, nil
-	}
-	sk := t.restored
-	if sk == nil {
-		return nil, nil
-	}
-	c, err := ris.FromSets(m.ds.Graph.NumNodes(), sk.Roots, sk.Seed, sk.Sets)
-	if err != nil {
-		return nil, fmt.Errorf("credist: restored RR sketch: %w", err)
-	}
-	t.restored = nil
-	t.coll.Store(c)
-	return c, nil
+	return t.coll.Load(), src, nil
 }
 
 // ApproxSpreadFixed answers a spread query from the tier's existing pool —
 // snapshot-restored or grown by earlier queries — without drawing a single
-// sample: the answer carries whatever precision the pool affords, with
-// AchievedEps reporting it honestly. ok is false when the tier holds no
-// samples at all (the caller decides how to fail). This is how a
-// partitioned deployment serves approximate queries from a persisted
-// sketch: the fixed pool was drawn over the full universe before the model
-// was split, and estimation is pure membership counting.
+// sample or touching the credit-walk source: the answer carries whatever
+// precision the pool affords, with AchievedEps reporting it honestly. ok
+// is false when the tier holds no samples at all (the caller decides how
+// to fail). This is how a partitioned deployment serves approximate
+// queries from a persisted sketch: the fixed pool was drawn over the full
+// universe before the model was split, and estimation is pure membership
+// counting — no single engine holds the full universe there, so the
+// evaluator behind the walk source must never be built. The pool is
+// published when the model loads, so the error is always nil.
 func (m *Model) ApproxSpreadFixed(seeds []NodeID) (ApproxResult, bool, error) {
 	start := time.Now()
-	c, err := m.ensureApproxFixed()
-	if err != nil || c == nil {
-		return ApproxResult{}, false, err
+	c := m.approx.coll.Load()
+	if c == nil {
+		return ApproxResult{}, false, nil
 	}
 	est := c.Estimate(seeds)
 	return ApproxResult{
@@ -190,12 +166,13 @@ func (m *Model) ApproxSpreadFixed(seeds []NodeID) (ApproxResult, bool, error) {
 
 // ApproxSeedsFixed is ApproxSeeds over the existing pool only: greedy
 // maximum-coverage selection and the selected set's interval, never
-// growing the collection. ok is false when the tier holds no samples.
+// growing the collection. ok is false when the tier holds no samples;
+// the error is always nil, as for ApproxSpreadFixed.
 func (m *Model) ApproxSeedsFixed(k int) ([]NodeID, ApproxResult, bool, error) {
 	start := time.Now()
-	c, err := m.ensureApproxFixed()
-	if err != nil || c == nil {
-		return nil, ApproxResult{}, false, err
+	c := m.approx.coll.Load()
+	if c == nil {
+		return nil, ApproxResult{}, false, nil
 	}
 	seeds, _ := c.SelectSeeds(k)
 	est := c.Estimate(seeds)
@@ -365,28 +342,18 @@ func (m *Model) ApproxStats() ApproxStats {
 	if c := t.coll.Load(); c != nil {
 		s.Samples = c.NumSets()
 		s.Bytes = c.Bytes()
-	} else if sk := t.restored; sk != nil {
-		// Restored but not yet materialized: report the sketch's size so
-		// /stats shows the carried-forward pool right after startup.
-		s.Samples = len(sk.Sets)
-		for _, set := range sk.Sets {
-			s.Bytes += int64(len(set)) * int64(unsafeNodeIDSize)
-		}
 	}
 	return s
 }
 
-// approxSketch snapshots the tier's pool for persistence (nil when the
-// tier holds nothing, keeping sketchless snapshots at version 3).
+// approxSketch hands the tier's pool to the snapshot writer (nil when
+// the tier holds nothing, keeping sketchless snapshots at version 3). The
+// sketch aliases the collection's immutable arena; nothing is copied.
 func (m *Model) approxSketch() *core.RRSketch {
-	t := &m.approx
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c := t.coll.Load(); c != nil {
-		return &core.RRSketch{Seed: c.Seed(), Roots: c.Roots(), Sets: c.Sets()}
+	c := m.approx.coll.Load()
+	if c == nil {
+		return nil
 	}
-	// A restored sketch not yet queried still carries forward.
-	return t.restored
+	offs, nodes := c.Samples()
+	return &core.RRSketch{Seed: c.Seed(), Roots: c.Roots(), Offs: offs, Nodes: nodes}
 }
-
-const unsafeNodeIDSize = 4 // sizeof(graph.NodeID); used only for stats

@@ -1,6 +1,7 @@
 package credist
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -217,5 +218,65 @@ func TestApproxSketchDroppedOnTailAppend(t *testing.T) {
 	}
 	if st := back.ApproxStats(); st.Samples != 0 {
 		t.Fatalf("stale sketch survived a tail append: %+v", st)
+	}
+}
+
+// TestApproxStatsDuringRestoredGrowth polls ApproxStats from another
+// goroutine while the first query on a sketch-restored model grows the
+// pool past the sketch (run under -race). Every poll must see a
+// consistent pool: the restored size or a grown one, with Bytes exactly
+// what that pool reports, so approx_bytes never jumps between formulas.
+func TestApproxStatsDuringRestoredGrowth(t *testing.T) {
+	ds := Generate(tinyConfig(15))
+	m := Learn(ds, Options{Lambda: 0.001})
+	const pool = 1024
+	if err := m.BuildApproxSketch(pool); err != nil {
+		t.Fatal(err)
+	}
+	poolBytes := m.ApproxStats().Bytes
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func() (*Model, error){
+		func() (*Model, error) { return LoadModel(ds, path, Options{}) },
+		func() (*Model, error) { return LoadModelMapped(ds, path, Options{}) },
+	} {
+		back, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := back.ApproxStats(); st.Samples != pool || st.Bytes != poolBytes {
+			t.Fatalf("restored stats %+v, want %d samples in %d bytes", st, pool, poolBytes)
+		}
+		done := make(chan struct{})
+		polled := make(chan error, 1)
+		go func() {
+			var bad error
+			for {
+				st := back.ApproxStats()
+				if st.Samples < pool || (st.Samples == pool && st.Bytes != poolBytes) {
+					bad = fmt.Errorf("poll saw %+v", st)
+				}
+				select {
+				case <-done:
+					polled <- bad
+					return
+				default:
+				}
+			}
+		}()
+		res, err := back.ApproxSpread([]NodeID{1, 2}, ApproxOptions{Eps: 1e-9, MaxSamples: 8 * pool})
+		close(done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-polled; err != nil {
+			t.Fatal(err)
+		}
+		if st := back.ApproxStats(); st.Samples != res.Samples || st.Sampled != int64(res.Grown) {
+			t.Fatalf("stats %+v after growth to %d samples (%d drawn)", st, res.Samples, res.Grown)
+		}
+		back.Close()
 	}
 }

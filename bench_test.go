@@ -1029,6 +1029,8 @@ type approxBench struct {
 	Users       int     `json:"users"`
 	Seeds       int     `json:"seeds"`
 	Samples     int     `json:"samples"`
+	NumCPU      int     `json:"nproc"`
+	GOMAXPROCS  int     `json:"gomaxprocs"`
 	ExactNs     int64   `json:"exact_ns"`
 	ApproxNs    int64   `json:"approx_ns"`
 	Speedup     float64 `json:"speedup"`
@@ -1097,6 +1099,8 @@ func TestWriteApproxBenchJSON(t *testing.T) {
 		Users:       full.Graph.NumNodes(),
 		Seeds:       len(seeds),
 		Samples:     warm.Samples,
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		ExactNs:     exactNs,
 		ApproxNs:    approxNs,
 		Speedup:     speedup,

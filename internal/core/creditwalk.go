@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"credist/internal/graph"
@@ -60,27 +62,27 @@ func (s *CreditWalkSource) NumNodes() int { return s.ev.numUsers }
 // numerator N+: sigma_cd(S) = N+ * Pr[a walk path hits S].
 func (s *CreditWalkSource) Roots() int { return len(s.roots) }
 
-// NewWalker returns a sampling closure drawing one walk path per call.
-// Walkers are independent and allocation-light; the striped collector
-// runs one per stripe.
-func (s *CreditWalkSource) NewWalker() func(rng *rand.Rand) []graph.NodeID {
-	return func(rng *rand.Rand) []graph.NodeID {
+// NewWalker returns a sampling closure appending one walk path to dst
+// per call. Walkers are independent and allocate nothing of their own;
+// the striped collector runs one per stripe over a per-worker buffer.
+func (s *CreditWalkSource) NewWalker() func(rng *rand.Rand, dst []graph.NodeID) []graph.NodeID {
+	return func(rng *rand.Rand, dst []graph.NodeID) []graph.NodeID {
 		u := s.roots[rng.IntN(len(s.roots))]
 		acts := s.ev.acts[u]
-		return s.walk(acts[rng.IntN(len(acts))], rng)
+		return s.walk(acts[rng.IntN(len(acts))], rng, dst)
 	}
 }
 
-// walk records one reverse credit walk through propagation ua.a starting
-// at participant ua.i: step to parent j with probability gamma_j, stop
-// with the leftover mass. Chronological indices strictly
+// walk appends to path one reverse credit walk through propagation ua.a
+// starting at participant ua.i: step to parent j with probability
+// gamma_j, stop with the leftover mass. Chronological indices strictly
 // decrease, so the path is duplicate-free and at most the propagation
 // depth long; the root is always included (a seed root is a guaranteed
 // hit, mirroring its unit kappa in Evaluator.Spread).
-func (s *CreditWalkSource) walk(ua userAct, rng *rand.Rand) []graph.NodeID {
+func (s *CreditWalkSource) walk(ua userAct, rng *rand.Rand, path []graph.NodeID) []graph.NodeID {
 	d := &s.ev.dags[ua.a]
 	i := ua.i
-	path := []graph.NodeID{d.users[i]}
+	path = append(path, d.users[i])
 	for {
 		lo, hi := d.off[i], d.off[i+1]
 		if lo == hi {
@@ -106,36 +108,44 @@ func (s *CreditWalkSource) walk(ua userAct, rng *rand.Rand) []graph.NodeID {
 
 // RRSketch is the persisted form of the approximate tier's RR-sample
 // collection: the PCG seed the stripes were drawn from, the root count
-// the estimates scale by, and the samples themselves in draw order. A
-// version-5 snapshot carries one so a restarted server answers its first
-// approximate query with zero sampling work; because stripes are
-// per-stream deterministic, a restored sketch also grows bit-identically
-// to a continuous collection.
+// the estimates scale by, and the samples themselves in draw order, as
+// the same flat arena the collection holds — sample j is
+// Nodes[Offs[j]:Offs[j+1]]. A version-5 snapshot carries one so a
+// restarted server answers its first approximate query with zero
+// sampling work; because stripes are per-stream deterministic, a
+// restored sketch also grows bit-identically to a continuous collection.
 type RRSketch struct {
 	Seed  uint64
 	Roots int
-	Sets  [][]graph.NodeID
+	Offs  []int32 // NumSets()+1 entries, Offs[0] == 0
+	Nodes []graph.NodeID
 }
+
+// NumSets returns the number of samples the sketch holds.
+func (sk *RRSketch) NumSets() int { return max(len(sk.Offs)-1, 0) }
 
 // Validate enforces the structural rules writer and reader share (so the
 // writer can never produce a sketch section every load refuses): at least
-// one sample, every sample non-empty with ids inside the universe, and a
-// root count in [1, numUsers].
+// one sample, offsets spanning the arena with every sample non-empty, ids
+// inside the universe, and a root count in [1, numUsers].
 func (sk *RRSketch) Validate(numUsers int) error {
-	if len(sk.Sets) == 0 {
+	if sk.NumSets() == 0 {
 		return fmt.Errorf("core: RR sketch has no samples")
 	}
 	if sk.Roots < 1 || sk.Roots > numUsers {
 		return fmt.Errorf("core: RR sketch root count %d outside [1,%d]", sk.Roots, numUsers)
 	}
-	for i, set := range sk.Sets {
-		if len(set) == 0 {
-			return fmt.Errorf("core: RR sample %d is empty", i)
+	if sk.Offs[0] != 0 || int(sk.Offs[len(sk.Offs)-1]) != len(sk.Nodes) {
+		return fmt.Errorf("core: RR sketch offsets do not span its %d entries", len(sk.Nodes))
+	}
+	for i := 1; i < len(sk.Offs); i++ {
+		if sk.Offs[i] <= sk.Offs[i-1] {
+			return fmt.Errorf("core: RR sample %d is empty", i-1)
 		}
-		for _, v := range set {
-			if v < 0 || int(v) >= numUsers {
-				return fmt.Errorf("core: RR sample %d node %d outside [0,%d)", i, v, numUsers)
-			}
+	}
+	for i, v := range sk.Nodes {
+		if v < 0 || int(v) >= numUsers {
+			return fmt.Errorf("core: RR sketch entry %d node %d outside [0,%d)", i, v, numUsers)
 		}
 	}
 	return nil
@@ -147,8 +157,9 @@ func (sk *RRSketch) Validate(numUsers int) error {
 func writeSketchSection(sw *snapWriter, sk *RRSketch) {
 	sw.u64(sk.Seed)
 	sw.u32(uint32(sk.Roots))
-	sw.u32(uint32(len(sk.Sets)))
-	for _, set := range sk.Sets {
+	sw.u32(uint32(sk.NumSets()))
+	for j := 0; j < sk.NumSets(); j++ {
+		set := sk.Nodes[sk.Offs[j]:sk.Offs[j+1]]
 		sw.u32(uint32(len(set)))
 		for _, v := range set {
 			sw.u32(uint32(v))
@@ -157,7 +168,9 @@ func writeSketchSection(sw *snapWriter, sk *RRSketch) {
 }
 
 // parseSketchSection parses the version-5 RR-sketch section, enforcing
-// exactly the rules RRSketch.Validate states.
+// exactly the rules RRSketch.Validate states. A first pass over the
+// length prefixes sizes the arena, so the whole sketch decodes into two
+// allocations however many samples it holds.
 func parseSketchSection(sc *snapCursor, numUsers int) (*RRSketch, error) {
 	sk := &RRSketch{Seed: sc.u64()}
 	roots := sc.u32()
@@ -169,29 +182,38 @@ func parseSketchSection(sc *snapCursor, numUsers int) (*RRSketch, error) {
 	if sc.err == nil && n == 0 {
 		sc.fail("version-5 snapshot with an empty RR sketch")
 	}
-	sk.Sets = make([][]graph.NodeID, 0, n)
+	start, total := sc.off, 0
 	for i := 0; i < n && sc.err == nil; i++ {
 		l := sc.count("RR sample entry", 4)
-		if sc.err != nil {
-			break
-		}
-		if l == 0 {
+		if sc.err == nil && l == 0 {
 			sc.fail("RR sample %d is empty", i)
-			break
 		}
-		set := make([]graph.NodeID, l)
-		for j := range set {
-			v := sc.u32()
-			if sc.err != nil {
-				break
-			}
+		sc.take(4 * l)
+		total += l
+	}
+	if sc.err == nil && total > math.MaxInt32 {
+		sc.fail("RR sketch holds %d entries, more than its offsets can address", total)
+	}
+	if sc.err != nil {
+		return sk, sc.err
+	}
+	sc.off = start
+	sk.Offs = make([]int32, n+1)
+	sk.Nodes = make([]graph.NodeID, total)
+	at := 0
+	for i := 0; i < n; i++ {
+		l := int(sc.u32())
+		b := sc.take(4 * l)
+		for j := range l {
+			v := binary.LittleEndian.Uint32(b[4*j:])
 			if int(v) >= numUsers {
 				sc.fail("RR sample %d node %d outside [0,%d)", i, v, numUsers)
-				break
+				return sk, sc.err
 			}
-			set[j] = graph.NodeID(v)
+			sk.Nodes[at+j] = graph.NodeID(v)
 		}
-		sk.Sets = append(sk.Sets, set)
+		at += l
+		sk.Offs[i+1] = int32(at)
 	}
-	return sk, sc.err
+	return sk, nil
 }

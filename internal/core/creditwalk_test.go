@@ -21,11 +21,31 @@ func walkSketch(t *testing.T, src *CreditWalkSource, count int, seed uint64) *RR
 	t.Helper()
 	walker := src.NewWalker()
 	rng := rand.New(rand.NewPCG(seed, 0x415a))
-	sk := &RRSketch{Seed: seed, Roots: src.Roots()}
+	sk := &RRSketch{Seed: seed, Roots: src.Roots(), Offs: []int32{0}}
 	for i := 0; i < count; i++ {
-		sk.Sets = append(sk.Sets, walker(rng))
+		sk.Nodes = walker(rng, sk.Nodes)
+		sk.Offs = append(sk.Offs, int32(len(sk.Nodes)))
 	}
 	return sk
+}
+
+// sketchOf packs samples into a flat sketch.
+func sketchOf(seed uint64, roots int, sets [][]graph.NodeID) *RRSketch {
+	sk := &RRSketch{Seed: seed, Roots: roots, Offs: []int32{0}}
+	for _, set := range sets {
+		sk.Nodes = append(sk.Nodes, set...)
+		sk.Offs = append(sk.Offs, int32(len(sk.Nodes)))
+	}
+	return sk
+}
+
+// sets unpacks the sketch's samples, one slice each.
+func (sk *RRSketch) sets() [][]graph.NodeID {
+	sets := make([][]graph.NodeID, sk.NumSets())
+	for j := range sets {
+		sets[j] = sk.Nodes[sk.Offs[j]:sk.Offs[j+1]]
+	}
+	return sets
 }
 
 // TestCreditWalkUnbiased is the correctness anchor for the approximate
@@ -58,7 +78,7 @@ func TestCreditWalkUnbiased(t *testing.T) {
 			inS[s] = true
 		}
 		hits := 0
-		for _, set := range sk.Sets {
+		for _, set := range sk.sets() {
 			for _, v := range set {
 				if inS[v] {
 					hits++
@@ -91,10 +111,10 @@ func TestCreditWalkDeterministic(t *testing.T) {
 	}
 	a := walkSketch(t, src, 500, 9)
 	b := walkSketch(t, src, 500, 9)
-	if !reflect.DeepEqual(a.Sets, b.Sets) {
+	if !reflect.DeepEqual(a.sets(), b.sets()) {
 		t.Fatal("identical seeds produced different walk paths")
 	}
-	for i, set := range a.Sets {
+	for i, set := range a.sets() {
 		if len(set) == 0 {
 			t.Fatalf("walk %d returned an empty path", i)
 		}
@@ -139,7 +159,7 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	if backLin != lin {
 		t.Fatalf("lineage round trip: %+v != %+v", backLin, lin)
 	}
-	if got == nil || got.Seed != sk.Seed || got.Roots != sk.Roots || !reflect.DeepEqual(got.Sets, sk.Sets) {
+	if got == nil || got.Seed != sk.Seed || got.Roots != sk.Roots || !reflect.DeepEqual(got.sets(), sk.sets()) {
 		t.Fatal("heap-read sketch differs from the written sketch")
 	}
 	if pfx == nil || !reflect.DeepEqual(pfx.Seeds, prefix.Seeds) {
@@ -168,7 +188,7 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	if mlin != lin || mpfx == nil || msk == nil {
 		t.Fatalf("mapped open dropped a section: lin %+v pfx %v sketch %v", mlin, mpfx != nil, msk != nil)
 	}
-	if msk.Seed != sk.Seed || msk.Roots != sk.Roots || !reflect.DeepEqual(msk.Sets, sk.Sets) {
+	if msk.Seed != sk.Seed || msk.Roots != sk.Roots || !reflect.DeepEqual(msk.sets(), sk.sets()) {
 		t.Fatal("mapped-read sketch differs from the written sketch")
 	}
 	requireEnginesBitIdentical(t, e, meng, 6)
@@ -217,10 +237,12 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 
 	// Writer refuses invalid sketches outright.
 	for _, bad := range []*RRSketch{
-		{Seed: 1, Roots: 0, Sets: sk.Sets},
-		{Seed: 1, Roots: e.NumNodes() + 1, Sets: sk.Sets},
-		{Seed: 1, Roots: 1, Sets: [][]graph.NodeID{{}}},
-		{Seed: 1, Roots: 1, Sets: [][]graph.NodeID{{graph.NodeID(e.NumNodes())}}},
+		sketchOf(1, 0, sk.sets()),
+		sketchOf(1, e.NumNodes()+1, sk.sets()),
+		sketchOf(1, 1, [][]graph.NodeID{{}}),
+		sketchOf(1, 1, [][]graph.NodeID{{graph.NodeID(e.NumNodes())}}),
+		{Seed: 1, Roots: 1, Offs: []int32{1, 2}, Nodes: []graph.NodeID{0, 1}},
+		{Seed: 1, Roots: 1, Offs: []int32{0, 1}, Nodes: []graph.NodeID{0, 1}},
 	} {
 		if err := e.WriteSnapshotSketch(&bytes.Buffer{}, lin, nil, bad); err == nil {
 			t.Fatalf("writer accepted invalid sketch %+v", bad)
@@ -243,7 +265,7 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 	}
 	skOff := sc.off
 	sketchSize := 8 + 4 + 4
-	for _, set := range sk.Sets {
+	for _, set := range sk.sets() {
 		sketchSize += 4 + 4*len(set)
 	}
 	hdrCRCOff := skOff + sketchSize

@@ -32,7 +32,7 @@ func TestProvIndexMappedParity(t *testing.T) {
 	e.Compact()
 	lin := DatasetLineage(ds.Name, ds.Graph, ds.Log)
 	fresh := e.BuildProvIndex()
-	sketch := &RRSketch{Seed: 9, Roots: 3, Sets: [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}}}
+	sketch := sketchOf(9, 3, [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}})
 
 	dir := t.TempDir()
 	write := func(name string, prov *ProvIndex) string {

@@ -385,7 +385,7 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	if !bytes.Equal(provNil.Bytes(), v3.Bytes()) || !bytes.Equal(provEmpty.Bytes(), v3.Bytes()) {
 		t.Fatal("provless WriteSnapshotProv is not byte-identical to WriteSnapshot")
 	}
-	sketch := &RRSketch{Seed: 9, Roots: 3, Sets: [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}}}
+	sketch := sketchOf(9, 3, [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}})
 	var v5, v5viaProv bytes.Buffer
 	if err := e.WriteSnapshotSketch(&v5, lin, nil, sketch); err != nil {
 		t.Fatal(err)

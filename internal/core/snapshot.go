@@ -437,7 +437,7 @@ func (e *Engine) WriteSnapshotProv(w io.Writer, lin Lineage, prefix *SeedPrefix,
 		return fmt.Errorf("core: cannot write a partition engine (rows [%d,%d)) as a full snapshot; use WriteSnapshotSlice", e.partLo, e.partHi)
 	}
 	version := uint32(snapshotVersion)
-	if sk != nil && len(sk.Sets) > 0 {
+	if sk != nil && sk.NumSets() > 0 {
 		if err := sk.Validate(e.numUsers); err != nil {
 			return err
 		}

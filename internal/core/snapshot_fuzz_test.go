@@ -140,9 +140,10 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	walker := src.NewWalker()
 	skRng := rand.New(rand.NewPCG(3, 0x415a))
-	sketch := &RRSketch{Seed: 3, Roots: src.Roots()}
+	sketch := &RRSketch{Seed: 3, Roots: src.Roots(), Offs: []int32{0}}
 	for i := 0; i < 40; i++ {
-		sketch.Sets = append(sketch.Sets, walker(skRng))
+		sketch.Nodes = walker(skRng, sketch.Nodes)
+		sketch.Offs = append(sketch.Offs, int32(len(sketch.Nodes)))
 	}
 	var sketched bytes.Buffer
 	if err := e.WriteSnapshotSketch(&sketched, lin, prefix, sketch); err != nil {
@@ -167,10 +168,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 		skOff := sc.off
-		sketchSize := 8 + 4 + 4
-		for _, set := range sketch.Sets {
-			sketchSize += 4 + 4*len(set)
-		}
+		sketchSize := 8 + 4 + 4 + 4*sketch.NumSets() + 4*len(sketch.Nodes)
 		hdrCRCOff := skOff + sketchSize
 		for _, tweak := range []int{8, 12, 16} { // roots, sample count, first sample len
 			bad := append([]byte(nil), v5...)

@@ -1,6 +1,8 @@
 package ris
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -41,84 +43,113 @@ func Collect(s *Sampler, count int, seed uint64) *Collection {
 // extends deterministically: Extend to a larger count yields exactly the
 // collection CollectParallel would have drawn at that count directly.
 func CollectParallel(src Source, count int, seed uint64, opts CollectOptions) *Collection {
-	if count < 0 {
-		count = 0
-	}
-	sets := make([][]graph.NodeID, count)
-	fillStripes(src, sets, seed, 0, opts.Workers)
-	return newCollection(src.NumNodes(), src.Roots(), seed, sets)
+	offs, nodes := fillStripes(src, seed, []int32{0}, nil, count, opts.Workers)
+	return newCollection(src.NumNodes(), src.Roots(), seed, offs, nodes)
 }
 
 // Extend returns a new collection grown to count samples, reusing every
 // already-drawn sample: only stripes past the current length are drawn
 // (plus a replay of the final partial stripe's prefix, whose samples are
 // discarded — per-stripe streams make the replay bit-identical). The
-// receiver is untouched and stays valid. The source and seed must be the
-// ones the collection was drawn with, or the determinism contract — grown
-// and directly-drawn collections agree bit for bit — is silently lost.
+// grown collection gets its own arena and index; the receiver is never
+// written, so it stays valid for queries still reading it and may be
+// extended again. The source and seed must be the ones the collection was
+// drawn with, or the determinism contract — grown and directly-drawn
+// collections agree bit for bit — is silently lost.
 func (c *Collection) Extend(src Source, count int, opts CollectOptions) *Collection {
-	if count <= len(c.sets) {
+	if count <= c.NumSets() {
 		return c
 	}
-	sets := make([][]graph.NodeID, count)
-	copy(sets, c.sets)
-	fillStripes(src, sets, c.seed, len(c.sets), opts.Workers)
-	return newCollection(c.n, c.roots, c.seed, sets)
+	offs, nodes := fillStripes(src, c.seed, c.offs, c.nodes, count, opts.Workers)
+	return newCollection(c.n, c.roots, c.seed, offs, nodes)
 }
 
-// fillStripes draws samples [from, len(sets)) into sets, one fresh PCG
-// stream and one fresh walker per stripe. Stripes are claimed atomically
-// by a worker pool but each stripe's samples are written only at that
-// stripe's own indices, so scheduling cannot reorder anything.
-func fillStripes(src Source, sets [][]graph.NodeID, seed uint64, from, workers int) {
-	to := len(sets)
-	if from >= to {
-		return
+// stripeSpan locates one drawn stripe's nodes inside its worker's buffer.
+type stripeSpan struct {
+	worker, lo, hi int
+}
+
+// fillStripes returns a fresh arena of count samples whose first
+// len(offs)-1 samples are copied from (offs, nodes) and the rest drawn,
+// one fresh PCG stream and one fresh walker per stripe. Stripes are
+// claimed atomically by a worker pool; each worker appends its stripes'
+// samples to its own buffer, and the buffers are then concatenated in
+// stripe order, so scheduling cannot reorder anything. The arena is
+// allocated once at its exact size; the input arrays are only read.
+func fillStripes(src Source, seed uint64, offs []int32, nodes []graph.NodeID, count, workers int) ([]int32, []graph.NodeID) {
+	from := len(offs) - 1
+	if count <= from {
+		return offs, nodes
 	}
-	first, last := from/DefaultStripe, (to-1)/DefaultStripe
+	first, last := from/DefaultStripe, (count-1)/DefaultStripe
 	stripes := last - first + 1
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > stripes {
-		workers = stripes
-	}
-	draw := func(stripe int) {
+	workers = min(workers, stripes)
+	goffs := make([]int32, count+1) // new samples first hold their lengths
+	copy(goffs, offs)
+	spans := make([]stripeSpan, stripes)
+	bufs := make([][]graph.NodeID, workers)
+	draw := func(w, stripe int) {
 		rng := rand.New(rand.NewPCG(seed, pcgStreamBase+uint64(stripe)))
 		walker := src.NewWalker()
+		buf := bufs[w]
 		lo := stripe * DefaultStripe
-		hi := min(lo+DefaultStripe, to)
-		for j := lo; j < hi; j++ {
-			set := walker(rng)
-			// The first stripe may start mid-stripe when extending: the
-			// prefix is replayed to advance the stream, its samples are
-			// already in place.
-			if j >= from {
-				sets[j] = set
-			}
+		hi := min(lo+DefaultStripe, count)
+		// The first stripe may start mid-stripe when extending: its prefix
+		// is replayed into scratch past the buffer's end to advance the
+		// stream, and dropped; those samples are already in the arena.
+		for j := lo; j < from; j++ {
+			buf = walker(rng, buf)[:len(buf)]
 		}
+		start := len(buf)
+		for j := max(lo, from); j < hi; j++ {
+			end := len(buf)
+			buf = walker(rng, buf)
+			goffs[j+1] = int32(len(buf) - end)
+		}
+		spans[stripe-first] = stripeSpan{worker: w, lo: start, hi: len(buf)}
+		bufs[w] = buf
 	}
 	if workers <= 1 {
 		for s := first; s <= last; s++ {
-			draw(s)
+			draw(0, s)
 		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(int64(first))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1) - 1)
-				if s > last {
-					return
+	} else {
+		var next atomic.Int64
+		next.Store(int64(first))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					s := int(next.Add(1) - 1)
+					if s > last {
+						return
+					}
+					draw(w, s)
 				}
-				draw(s)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+
+	total := int64(offs[from])
+	for _, sp := range spans {
+		total += int64(sp.hi - sp.lo)
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("ris: %d sample entries exceed the arena's int32 offsets", total))
+	}
+	grown := make([]graph.NodeID, 0, total)
+	grown = append(grown, nodes[:offs[from]]...)
+	for _, sp := range spans {
+		grown = append(grown, bufs[sp.worker][sp.lo:sp.hi]...)
+	}
+	for j := from; j < count; j++ {
+		goffs[j+1] += goffs[j]
+	}
+	return goffs, grown
 }

@@ -45,7 +45,7 @@ func TestParallelCollectDeterministic(t *testing.T) {
 	refEst := ref.Estimate(probe)
 	for _, workers := range []int{runtime.GOMAXPROCS(0), 4 * runtime.GOMAXPROCS(0)} {
 		c := CollectParallel(src, count, seed, CollectOptions{Workers: workers})
-		if !reflect.DeepEqual(c.Sets(), ref.Sets()) {
+		if !reflect.DeepEqual(setsOf(c), setsOf(ref)) {
 			t.Fatalf("workers=%d: sample sets differ from serial collection", workers)
 		}
 		seeds, spreads := c.SelectSeeds(8)
@@ -73,7 +73,7 @@ func TestExtendMatchesDirectCollect(t *testing.T) {
 		if small.NumSets() != before {
 			t.Fatalf("Extend mutated the receiver: %d -> %d sets", before, small.NumSets())
 		}
-		if !reflect.DeepEqual(grown.Sets(), direct.Sets()) {
+		if !reflect.DeepEqual(setsOf(grown), setsOf(direct)) {
 			t.Fatalf("start=%d: grown collection differs from direct collection", start)
 		}
 		if grown.Seed() != seed || grown.Roots() != direct.Roots() {
@@ -87,11 +87,12 @@ func TestExtendMatchesDirectCollect(t *testing.T) {
 }
 
 // TestFromSetsRoundTrip pins the snapshot-restore path: a collection
-// rebuilt from Sets() answers every estimate and selection identically.
+// rebuilt from Samples() answers every estimate and selection identically.
 func TestFromSetsRoundTrip(t *testing.T) {
 	src := randomSource(t, 50, 200, 9)
 	c := CollectParallel(src, 800, 3, CollectOptions{})
-	back, err := FromSets(c.NumNodes(), c.Roots(), c.Seed(), c.Sets())
+	offs, nodes := c.Samples()
+	back, err := FromSets(c.NumNodes(), c.Roots(), c.Seed(), offs, nodes)
 	if err != nil {
 		t.Fatalf("FromSets: %v", err)
 	}
@@ -107,22 +108,27 @@ func TestFromSetsRoundTrip(t *testing.T) {
 	// And growth from the restored collection continues the same streams.
 	grown := back.Extend(src, 1200, CollectOptions{})
 	direct := CollectParallel(src, 1200, 3, CollectOptions{})
-	if !reflect.DeepEqual(grown.Sets(), direct.Sets()) {
+	if !reflect.DeepEqual(setsOf(grown), setsOf(direct)) {
 		t.Fatal("growth after restore diverges from a continuous collection")
 	}
 
 	// Validation rejects malformed inputs.
-	if _, err := FromSets(0, 1, 0, nil); err == nil {
+	if _, err := FromSets(0, 1, 0, []int32{0}, nil); err == nil {
 		t.Fatal("FromSets accepted an empty universe")
 	}
-	if _, err := FromSets(10, 0, 0, nil); err == nil {
+	if _, err := FromSets(10, 0, 0, []int32{0}, nil); err == nil {
 		t.Fatal("FromSets accepted zero roots")
 	}
-	if _, err := FromSets(10, 4, 0, [][]graph.NodeID{{}}); err == nil {
+	if _, err := FromSets(10, 4, 0, []int32{0, 0}, nil); err == nil {
 		t.Fatal("FromSets accepted an empty sample")
 	}
-	if _, err := FromSets(10, 4, 0, [][]graph.NodeID{{10}}); err == nil {
+	if _, err := FromSets(10, 4, 0, []int32{0, 1}, []graph.NodeID{10}); err == nil {
 		t.Fatal("FromSets accepted an out-of-range id")
+	}
+	for _, offs := range [][]int32{nil, {1, 2}, {0, 1}, {0, 2, 1}} {
+		if _, err := FromSets(10, 4, 0, offs, []graph.NodeID{1, 2}); err == nil {
+			t.Fatalf("FromSets accepted offsets %v over a 2-entry arena", offs)
+		}
 	}
 }
 
@@ -202,7 +208,7 @@ func BenchmarkEstimateSpread(b *testing.B) {
 // benchmark baseline: a per-call membership map probed for every member
 // of every sample.
 func mapEstimateSpread(c *Collection, seeds []graph.NodeID) float64 {
-	if len(c.sets) == 0 {
+	if c.NumSets() == 0 {
 		return 0
 	}
 	inS := make(map[graph.NodeID]bool, len(seeds))
@@ -210,13 +216,13 @@ func mapEstimateSpread(c *Collection, seeds []graph.NodeID) float64 {
 		inS[s] = true
 	}
 	hit := 0
-	for _, set := range c.sets {
-		for _, v := range set {
+	for j := 0; j < c.NumSets(); j++ {
+		for _, v := range c.nodes[c.offs[j]:c.offs[j+1]] {
 			if inS[v] {
 				hit++
 				break
 			}
 		}
 	}
-	return float64(c.roots) * float64(hit) / float64(len(c.sets))
+	return float64(c.roots) * float64(hit) / float64(c.NumSets())
 }

@@ -84,7 +84,7 @@ type Estimate struct {
 // constants, no randomness — so it is bit-identical across worker counts,
 // runs, and snapshot restores.
 func (c *Collection) Estimate(seeds []graph.NodeID) Estimate {
-	est := Estimate{Samples: len(c.sets), Eps: math.Inf(1)}
+	est := Estimate{Samples: c.NumSets(), Eps: math.Inf(1)}
 	if est.Samples == 0 {
 		return est
 	}

@@ -25,10 +25,11 @@ import (
 
 // Sampler draws reverse-reachable sets under IC or LT semantics.
 type Sampler struct {
-	w     *cascade.Weights
-	model cascade.Model
-	mark  []uint32
-	epoch uint32
+	w        *cascade.Weights
+	model    cascade.Model
+	mark     []uint32
+	epoch    uint32
+	frontier []graph.NodeID // traversal stack, reused across samples
 }
 
 // NewSampler returns a sampler over the weighted graph.
@@ -36,22 +37,23 @@ func NewSampler(w *cascade.Weights, model cascade.Model) *Sampler {
 	return &Sampler{w: w, model: model, mark: make([]uint32, w.Graph().NumNodes())}
 }
 
-// Sample draws one RR set: the nodes that would have influenced a
-// uniformly random target in one random possible world. Edges are
-// realized lazily during the reverse traversal, which is distributionally
-// identical to sampling the whole world first.
-func (s *Sampler) Sample(rng *rand.Rand) []graph.NodeID {
+// Sample draws one RR set — the nodes that would have influenced a
+// uniformly random target in one random possible world — and returns dst
+// with the set appended. Edges are realized lazily during the reverse
+// traversal, which is distributionally identical to sampling the whole
+// world first.
+func (s *Sampler) Sample(rng *rand.Rand, dst []graph.NodeID) []graph.NodeID {
 	root := graph.NodeID(rng.IntN(s.w.Graph().NumNodes()))
-	return s.SampleFrom(root, rng)
+	return s.SampleFrom(root, rng, dst)
 }
 
-// SampleFrom draws the RR set of a chosen target node.
-func (s *Sampler) SampleFrom(root graph.NodeID, rng *rand.Rand) []graph.NodeID {
+// SampleFrom appends the RR set of a chosen target node to dst.
+func (s *Sampler) SampleFrom(root graph.NodeID, rng *rand.Rand, dst []graph.NodeID) []graph.NodeID {
 	g := s.w.Graph()
 	s.epoch++
 	s.mark[root] = s.epoch
-	set := []graph.NodeID{root}
-	frontier := []graph.NodeID{root}
+	set := append(dst, root)
+	frontier := append(s.frontier[:0], root)
 	for len(frontier) > 0 {
 		u := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
@@ -87,6 +89,7 @@ func (s *Sampler) SampleFrom(root graph.NodeID, rng *rand.Rand) []graph.NodeID {
 			}
 		}
 	}
+	s.frontier = frontier
 	return set
 }
 

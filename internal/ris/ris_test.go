@@ -30,11 +30,11 @@ func TestSampleFromDeterministicChain(t *testing.T) {
 	w := chainWeights(t, 5, 1.0)
 	s := NewSampler(w, cascade.IC)
 	rng := rand.New(rand.NewPCG(1, 1))
-	set := s.SampleFrom(4, rng)
+	set := s.SampleFrom(4, rng, nil)
 	if len(set) != 5 {
 		t.Fatalf("RR set of chain tail = %v, want all 5 nodes", set)
 	}
-	set = s.SampleFrom(0, rng)
+	set = s.SampleFrom(0, rng, nil)
 	if len(set) != 1 || set[0] != 0 {
 		t.Fatalf("RR set of chain head = %v, want just {0}", set)
 	}
@@ -45,7 +45,7 @@ func TestSampleZeroProbability(t *testing.T) {
 	s := NewSampler(w, cascade.IC)
 	rng := rand.New(rand.NewPCG(2, 2))
 	for i := 0; i < 10; i++ {
-		if set := s.Sample(rng); len(set) != 1 {
+		if set := s.Sample(rng, nil); len(set) != 1 {
 			t.Fatalf("p=0 RR set = %v", set)
 		}
 	}
@@ -103,7 +103,7 @@ func TestLTSamplerAtMostOneParentStep(t *testing.T) {
 	w := chainWeights(t, 6, 1.0)
 	s := NewSampler(w, cascade.LT)
 	rng := rand.New(rand.NewPCG(8, 8))
-	set := s.SampleFrom(5, rng)
+	set := s.SampleFrom(5, rng, nil)
 	if len(set) != 6 {
 		t.Fatalf("LT chain RR set = %v", set)
 	}

@@ -25,11 +25,13 @@ type Source interface {
 	Roots() int
 	// NewWalker returns a fresh sampling closure. Each call must return
 	// an independent walker (collection stripes run one walker per
-	// stripe, concurrently); a walker itself is used serially. The
-	// returned sample must be non-empty and deterministic given the rng
-	// stream — that determinism is what makes striped collections
-	// bit-identical at any worker count.
-	NewWalker() func(rng *rand.Rand) []graph.NodeID
+	// stripe, concurrently); a walker itself is used serially. A call
+	// draws one sample and returns dst with the sample appended: it must
+	// append at least one node and never write dst[:len(dst)], which
+	// holds earlier samples of the same arena. The sample must be
+	// deterministic given the rng stream — that determinism is what makes
+	// striped collections bit-identical at any worker count.
+	NewWalker() func(rng *rand.Rand, dst []graph.NodeID) []graph.NodeID
 }
 
 // cascadeSource adapts the live-edge Sampler to the Source interface.
@@ -48,7 +50,6 @@ func CascadeSource(w *cascade.Weights, model cascade.Model) Source {
 func (s cascadeSource) NumNodes() int { return s.w.Graph().NumNodes() }
 func (s cascadeSource) Roots() int    { return s.w.Graph().NumNodes() }
 
-func (s cascadeSource) NewWalker() func(rng *rand.Rand) []graph.NodeID {
-	sampler := NewSampler(s.w, s.model)
-	return sampler.Sample
+func (s cascadeSource) NewWalker() func(rng *rand.Rand, dst []graph.NodeID) []graph.NodeID {
+	return NewSampler(s.w, s.model).Sample
 }

@@ -839,8 +839,9 @@ type StatsResponse struct {
 	RequestsBy    map[string]int64 `json:"requests_by_endpoint"`
 	QPS           float64          `json:"qps_1m"`
 
-	// Approximate RR tier: the current sample pool's size and bytes,
-	// samples drawn by this process (0 right after a sketch-carrying
+	// Approximate RR tier: the current sample pool's size and its exact
+	// resident bytes (sample arena plus inverted index), samples drawn by
+	// this process (0 right after a sketch-carrying
 	// restart), and how many requests each endpoint answered from the
 	// tier. On partitioned deployments the tier is fixed: it serves the
 	// whole-model snapshot's persisted sketch (if any) and never grows,

@@ -659,7 +659,9 @@ func bindSnapshotModel(ds *Dataset, eng *core.Engine, lin core.Lineage, prefix *
 	m := newModel(ds, stored, credit)
 	m.base = func() *core.Engine { return eng }
 	m.prefix = prefix
-	m.approx.restored = sketch
+	if err := m.restoreApprox(sketch); err != nil {
+		return nil, err
+	}
 	m.prov.restored = prov
 	return m, nil
 }

@@ -244,7 +244,9 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 	// model file (cheap: the mapped open parses no cell, and the sketch is
 	// decoded onto the heap before the mapping closes) so a partitioned
 	// deployment still answers bounded-error queries — from the fixed pool.
-	m.approx.restored = readSnapshotSketch(modelPath, ds, pp.NumActions())
+	// A sketch the model cannot adopt degrades to none, like every other
+	// mismatch readSnapshotSketch screens for.
+	_ = m.restoreApprox(readSnapshotSketch(modelPath, ds, pp.NumActions()))
 	return m, pp, paths, nil
 }
 
