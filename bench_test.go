@@ -384,36 +384,6 @@ func BenchmarkParallelScan(b *testing.B) {
 	})
 }
 
-// BenchmarkCompactEngine contrasts the engine's sorted sparse-row UC
-// layout with the flattened CompactEngine ablation on construction time,
-// selection time, and resident memory. Entries are equal by construction.
-// (The map-of-maps layout that both engines replaced measured 8.28
-// resident-MiB on this configuration — ~81 bytes per entry across the
-// mirrored hash tables — versus 6.01 MiB for the sorted rows and 4.00
-// MiB for the flattened layout's permutation-indexed slices.)
-func BenchmarkCompactEngine(b *testing.B) {
-	env := benchFlixsterEnv()
-	credit := core.LearnTimeAware(env.Graph, env.Train)
-	b.Run("sorted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-			res := seedsel.CELF(e, 10)
-			b.ReportMetric(float64(e.Entries()), "entries")
-			b.ReportMetric(float64(e.ResidentBytes())/(1<<20), "resident-MiB")
-			b.ReportMetric(res.Spread(), "spread")
-		}
-	})
-	b.Run("compact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := core.NewCompactEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-			res := seedsel.CELF(e, 10)
-			b.ReportMetric(float64(e.Entries()), "entries")
-			b.ReportMetric(float64(e.ResidentBytes())/(1<<20), "resident-MiB")
-			b.ReportMetric(res.Spread(), "spread")
-		}
-	})
-}
-
 // BenchmarkAppendVsRescan is the streaming-ingest headline: extending an
 // engine with a 5% held-out action tail (Clone sharing the frozen base +
 // AppendActions scanning only the tail) versus the full rescan a naive

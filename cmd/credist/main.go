@@ -13,12 +13,11 @@
 //	credist explain -preset flixster-small -seed 42
 //	credist explain -preset flixster-small -set 1,2,3 -reach 99
 //	credist ingest -tail data/flixster-small.tail.log
-//	credist loadgen -addr http://localhost:8632 -qps 200 -duration 10s
 //
 // Selection output: one line per seed with its marginal gain, then the
 // predicted total spread. Run `credist -h`, `credist learn -h`, `credist
-// serve -h`, `credist explain -h`, `credist ingest -h`, or `credist
-// loadgen -h` for the full flag reference.
+// serve -h`, `credist explain -h`, or `credist ingest -h` for the full
+// flag reference.
 package main
 
 import (
@@ -45,9 +44,6 @@ func main() {
 			return
 		case "ingest":
 			runIngest(os.Args[2:])
-			return
-		case "loadgen":
-			runLoadgen(os.Args[2:])
 			return
 		}
 	}
@@ -80,7 +76,6 @@ func runSelect(args []string) {
        credist serve [flags]   run the influence-query HTTP service (see credist serve -h)
        credist explain [flags] decompose a gain or a reach into its credit paths (see credist explain -h)
        credist ingest [flags]  stream new actions into a running service (see credist ingest -h)
-       credist loadgen [flags] replay a mixed query workload against a running service (see credist loadgen -h)
 
 Select seeds from a built-in preset or from dataset files:
 

@@ -394,3 +394,53 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestResidentBytesAccounting pins the row-store footprint accounting: the
+// heap engine's resident bytes cover at least every live cell and never
+// grow across Compact, and the mapped backend reports file-backed cells as
+// mapped, moving a shard heapward only when a write promotes it.
+func TestResidentBytesAccounting(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 5))
+	g, log := randomInstance(rng, 40, 20)
+	rows := NewEngine(g, log, Options{})
+	n := rows.Entries()
+	if n == 0 {
+		t.Fatal("empty instance")
+	}
+	// Lower bound: every live entry occupies at least its cell.
+	if rows.ResidentBytes() < n*16 {
+		t.Errorf("row engine reports %d bytes for %d entries", rows.ResidentBytes(), n)
+	}
+	before := rows.ResidentBytes()
+	rows.Compact()
+	if rows.ResidentBytes() > before {
+		t.Errorf("Compact grew residency: %d -> %d", before, rows.ResidentBytes())
+	}
+
+	// Mapped backend: the same model served off a version-3 file must
+	// report its cells as mapped, not heap — the heap number counts only
+	// what the Go allocator actually holds.
+	lin := DatasetLineage("resident", g, log)
+	mapped, _, _, ms := openMapped(t, writeSnapshotFile(t, rows, lin, nil))
+	if ms.Backend() == "mmap" {
+		if mapped.HeapBytes() != 0 {
+			t.Errorf("mapped engine counts %d heap bytes for file-backed cells", mapped.HeapBytes())
+		}
+		// Every live cell and its 16-byte directory record live in the
+		// mapping, bounded above by the whole file.
+		if mb := mapped.MappedBytes(); mb < n*16 || mb > ms.MappedBytes() {
+			t.Errorf("mapped engine reports %d mapped bytes for %d entries in a %d-byte file", mb, n, ms.MappedBytes())
+		}
+		if mapped.ResidentBytes() != mapped.MappedBytes() {
+			t.Error("resident/mapped split disagrees before any write")
+		}
+		// Promoting one shard by writing moves exactly that shard's cells
+		// to the heap side.
+		heapBefore, mappedBefore := mapped.HeapBytes(), mapped.MappedBytes()
+		seedsel.CELF(mapped, 1)
+		if mapped.HeapBytes() <= heapBefore || mapped.MappedBytes() >= mappedBefore {
+			t.Errorf("promote-on-write did not move footprint heapward: heap %d->%d mapped %d->%d",
+				heapBefore, mapped.HeapBytes(), mappedBefore, mapped.MappedBytes())
+		}
+	}
+}

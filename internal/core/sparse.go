@@ -3,14 +3,13 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
-// This file holds the sorted-sparse shard shared by Engine and
-// CompactEngine: the ucAction structure, its binary-search helpers, and
-// the shard copy used by copy-on-write and Compact. Keeping every sorted
-// search in one place means the base/delta merge path and the flattened
-// ablation reuse one implementation instead of growing private copies.
+// This file holds the Engine's sorted-sparse shard: the ucAction
+// structure, its binary-search helpers, and the shard copy used by
+// copy-on-write and Compact. Keeping every sorted search in one place
+// means the base/delta merge path reuses one implementation instead of
+// growing private copies.
 
 // ucEntry is one cell of an influencer's credit row.
 type ucEntry struct {
@@ -37,17 +36,6 @@ func searchRow(row []ucEntry, u int32) (int, bool) {
 	return slices.BinarySearchFunc(row, u, func(e ucEntry, u int32) int {
 		return cmp.Compare(e.u, u)
 	})
-}
-
-// sortedRange returns the half-open index range [lo, hi) of value k in an
-// ascending int32 slice; lo == hi when k is absent. Both bounds are found
-// by binary search (rows can hold thousands of duplicates of one key). It
-// is the row/column range search shared by the flattened CompactEngine
-// layout.
-func sortedRange(keys []int32, k int32) (int, int) {
-	lo := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	hi := lo + sort.Search(len(keys)-lo, func(i int) bool { return keys[lo+i] > k })
-	return lo, hi
 }
 
 // cloneShard returns an exact deep copy of a shard. It backs Engine's

@@ -162,7 +162,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					}
 				}
 
-				gains, err := coord.Gains(nil, allUsers)
+				gains, err := coord.Gains(nil, allUsers, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: Gains: %v", name, err)
 				}
@@ -171,7 +171,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 						t.Fatalf("%s: Gain(%d) not bit-identical: %b vs %b", name, u, gains[u], refGains[u])
 					}
 				}
-				based, err := coord.Gains(base, allUsers)
+				based, err := coord.Gains(base, allUsers, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: Gains(base): %v", name, err)
 				}
@@ -181,7 +181,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					}
 				}
 
-				spread, err := coord.Spread(ref.Seeds)
+				spread, err := coord.Spread(ref.Seeds, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: Spread: %v", name, err)
 				}
@@ -255,7 +255,7 @@ func TestPartitionIngestParity(t *testing.T) {
 		}
 		for u := 0; u < newUsers; u++ {
 			want := fullRef.Gain(graph.NodeID(u))
-			got, err := grown.Gains(nil, []graph.NodeID{graph.NodeID(u)})
+			got, err := grown.Gains(nil, []graph.NodeID{graph.NodeID(u)}, nil, nil)
 			if err != nil {
 				t.Fatalf("Gains(%d): %v", u, err)
 			}

@@ -15,8 +15,8 @@ import (
 // non-default objectives: weighted, windowed, budgeted, and blocked
 // queries must be bit-identical across partition counts {1, 4} and
 // worker counts {1, GOMAXPROCS}, and identical to a clone+Add selection
-// on the full engine. Default-objective calls through the Obj entry
-// points must route to the exact pre-objective paths.
+// on the full engine. The same entry points with a nil objective must
+// give the engine's default-objective gains.
 func TestObjectivePartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 84))
 	g, log := randomInstance(rng, 70, 45)
@@ -64,15 +64,32 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 	budOpts := func(workers int) celf.Options {
 		return celf.Options{Workers: workers, Costs: costs, Budget: 5, Blocked: rival}
 	}
-	refBudget := func() celf.Result {
+	// Two budgeted references: Grow, the plain-greedy path a growable
+	// selection takes, and Run, which Select uses and which also weighs
+	// the best affordable singleton.
+	refBudget := func(run bool) celf.Result {
 		eng := commitEstimator{Engine: full.Clone(), obj: obj}
 		for _, r := range rival {
 			eng.Add(r)
 		}
-		// Grow, not Run: NewSelectionObj hands the caller a growable
-		// selection, so the reference takes the same plain-greedy path.
+		if run {
+			return celf.Run(eng, k, budOpts(1))
+		}
 		return celf.NewSelection(eng, budOpts(1)).Grow(k)
-	}()
+	}
+	refGrow, refRun := refBudget(false), refBudget(true)
+	sameBudgeted := func(name string, bud, want celf.Result) {
+		t.Helper()
+		for i := range want.Seeds {
+			if i >= len(bud.Seeds) || bud.Seeds[i] != want.Seeds[i] || bud.Gains[i] != want.Gains[i] {
+				t.Fatalf("%s: budgeted blocked selection diverged at %d: %v vs %v",
+					name, i, bud.Seeds, want.Seeds)
+			}
+		}
+		if len(bud.Seeds) != len(want.Seeds) {
+			t.Fatalf("%s: budgeted selection picked %d seeds, reference %d", name, len(bud.Seeds), len(want.Seeds))
+		}
+	}
 
 	var refSpread, refBlockedSpread float64
 	var have bool
@@ -84,7 +101,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				t.Fatalf("%s: New: %v", name, err)
 			}
 
-			res := coord.NewSelectionObj(obj, celf.Options{Workers: workers}).Grow(k)
+			res := coord.Select(obj, k, celf.Options{Workers: workers})
 			for i := range ref.Seeds {
 				if res.Seeds[i] != ref.Seeds[i] || res.Gains[i] != ref.Gains[i] {
 					t.Fatalf("%s: objective seed %d: (%d, %b) vs (%d, %b)",
@@ -92,9 +109,9 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			gains, err := coord.GainsObj(nil, allUsers, obj, nil)
+			gains, err := coord.Gains(nil, allUsers, obj, nil)
 			if err != nil {
-				t.Fatalf("%s: GainsObj: %v", name, err)
+				t.Fatalf("%s: Gains: %v", name, err)
 			}
 			for u := range gains {
 				if gains[u] != refGains[u] {
@@ -102,35 +119,27 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			spread, err := coord.SpreadObj(ref.Seeds, obj, nil)
+			spread, err := coord.Spread(ref.Seeds, obj, nil)
 			if err != nil {
-				t.Fatalf("%s: SpreadObj: %v", name, err)
+				t.Fatalf("%s: Spread: %v", name, err)
 			}
-			blockedSpread, err := coord.SpreadObj(ref.Seeds[2:], obj, rival)
+			blockedSpread, err := coord.Spread(ref.Seeds[2:], obj, rival)
 			if err != nil {
-				t.Fatalf("%s: SpreadObj(blocked): %v", name, err)
+				t.Fatalf("%s: Spread(blocked): %v", name, err)
 			}
 			if !have {
 				refSpread, refBlockedSpread, have = spread, blockedSpread, true
 			} else {
 				if spread != refSpread {
-					t.Fatalf("%s: SpreadObj not bit-identical across configs: %b vs %b", name, spread, refSpread)
+					t.Fatalf("%s: Spread not bit-identical across configs: %b vs %b", name, spread, refSpread)
 				}
 				if blockedSpread != refBlockedSpread {
-					t.Fatalf("%s: blocked SpreadObj not bit-identical: %b vs %b", name, blockedSpread, refBlockedSpread)
+					t.Fatalf("%s: blocked Spread not bit-identical: %b vs %b", name, blockedSpread, refBlockedSpread)
 				}
 			}
 
-			bud := coord.NewSelectionObj(obj, budOpts(workers)).Grow(k)
-			for i := range refBudget.Seeds {
-				if i >= len(bud.Seeds) || bud.Seeds[i] != refBudget.Seeds[i] || bud.Gains[i] != refBudget.Gains[i] {
-					t.Fatalf("%s: budgeted blocked selection diverged at %d: %v vs %v",
-						name, i, bud.Seeds, refBudget.Seeds)
-				}
-			}
-			if len(bud.Seeds) != len(refBudget.Seeds) {
-				t.Fatalf("%s: budgeted selection picked %d seeds, reference %d", name, len(bud.Seeds), len(refBudget.Seeds))
-			}
+			sameBudgeted(name+"/grow", celf.NewSelection(coord.estimator(obj, rival), budOpts(workers)).Grow(k), refGrow)
+			sameBudgeted(name+"/select", coord.Select(obj, k, budOpts(workers)), refRun)
 		}
 	}
 	// The selection commits the same seeds in the same order the telescoped
@@ -139,35 +148,20 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		t.Fatalf("telescoped objective spread %b != selection gain sum %b", refSpread, ref.Spread())
 	}
 
-	// The Obj entry points with the default objective are the pre-objective
-	// paths: bit-identical gains and spread.
+	// A nil objective is the default: every gain is bit-for-bit the full
+	// engine's Gain.
 	coord, err := New(slicePartitions(t, full, 4), 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	wantGains, err := coord.Gains(nil, allUsers)
+	gotGains, err := coord.Gains(nil, allUsers, nil, nil)
 	if err != nil {
-		t.Fatalf("Gains: %v", err)
+		t.Fatalf("Gains(default): %v", err)
 	}
-	gotGains, err := coord.GainsObj(nil, allUsers, nil, nil)
-	if err != nil {
-		t.Fatalf("GainsObj(default): %v", err)
-	}
-	for u := range wantGains {
-		if wantGains[u] != gotGains[u] {
-			t.Fatalf("default GainsObj(%d) = %b, Gains = %b", u, gotGains[u], wantGains[u])
+	for u := range gotGains {
+		if want := full.Gain(graph.NodeID(u)); gotGains[u] != want {
+			t.Fatalf("default Gains(%d) = %b, engine Gain = %b", u, gotGains[u], want)
 		}
-	}
-	wantSpread, err := coord.Spread(ref.Seeds)
-	if err != nil {
-		t.Fatalf("Spread: %v", err)
-	}
-	gotSpread, err := coord.SpreadObj(ref.Seeds, nil, nil)
-	if err != nil {
-		t.Fatalf("SpreadObj(default): %v", err)
-	}
-	if wantSpread != gotSpread {
-		t.Fatalf("default SpreadObj = %b, Spread = %b", gotSpread, wantSpread)
 	}
 }
 

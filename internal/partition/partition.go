@@ -216,30 +216,91 @@ func (c *Coordinator) checkNode(kind string, ids ...graph.NodeID) error {
 	return nil
 }
 
-// Spread computes the spread of S as the telescoped sum of marginal
-// gains: per seed in input order, its gain from a read-only probe over the
-// partitions (each row read from its owner), then its commit to the
-// probe. Duplicate seeds contribute 0, matching the reference evaluator's
-// dedup. The result is bit-identical across partition counts, worker
-// counts, and row-store backends. It is the spread of the engines'
-// lambda-truncated credit model: at lambda > 0 every UC cell below lambda
-// is dropped, so it reads below core.Evaluator.Spread's exact sigma_cd
-// (0.15% on average at lambda = 0.001 on the flixster-small preset). Only
-// at lambda = 0 do the two agree, and then only to float tolerance, since
-// the evaluator sums per action instead of per seed.
-func (c *Coordinator) Spread(seeds []graph.NodeID) (float64, error) {
-	return c.SpreadObj(seeds, nil, nil)
+// Spread computes the conditional objective spread
+// sigma_obj(S | R) = sigma_obj(R+S) - sigma_obj(R) for rival set R
+// (blocked) as the telescoped sum of marginal gains: the rivals are
+// committed to a read-only probe over the partitions without counting
+// their gains, then per seed in input order its objective gain (rows read
+// from the owner) and its commit. A nil obj is the default objective, and
+// with no rivals the result is plain sigma_cd. Duplicate seeds contribute
+// 0, matching the reference evaluator's dedup. The result is bit-identical
+// across partition counts, worker counts, and row-store backends. It is
+// the spread of the engines' lambda-truncated credit model: at lambda > 0
+// every UC cell below lambda is dropped, so it reads below
+// core.Evaluator.Spread's exact sigma_cd (0.15% on average at
+// lambda = 0.001 on the flixster-small preset). Only at lambda = 0 do the
+// two agree, and then only to float tolerance, since the evaluator sums
+// per action instead of per seed.
+func (c *Coordinator) Spread(seeds []graph.NodeID, obj *core.Objective, blocked []graph.NodeID) (float64, error) {
+	if err := c.checkNode("seed", seeds...); err != nil {
+		return 0, err
+	}
+	if err := c.checkNode("blocked node", blocked...); err != nil {
+		return 0, err
+	}
+	pr := c.probe(blocked)
+	total := 0.0
+	for _, s := range seeds {
+		total += pr.Commit(s, obj)
+	}
+	return total, nil
 }
 
-// Gains evaluates the marginal gain of every candidate against the given
-// base seed set: the base seeds are committed to a read-only probe over
-// the partitions, then the candidate evaluations fan over the partitions
-// — each candidate's rows read from its owner, results written by
-// candidate index so worker scheduling cannot reorder them. A candidate
-// that is a base seed gains 0, as in the single-engine path. No partition
-// is cloned, written or promoted.
-func (c *Coordinator) Gains(base []graph.NodeID, candidates []graph.NodeID) ([]float64, error) {
-	return c.GainsObj(base, candidates, nil, nil)
+// Gains evaluates the marginal objective gain of every candidate against
+// the given base seed set: blocked rivals then base seeds are committed to
+// a read-only probe over the partitions, then the candidate evaluations
+// fan over the partitions — each candidate's rows read from its owner,
+// results written by candidate index so worker scheduling cannot reorder
+// them. A nil obj is the default objective. A candidate that is a base
+// seed gains 0, as in the single-engine path. No partition is cloned,
+// written or promoted.
+func (c *Coordinator) Gains(base, candidates []graph.NodeID, obj *core.Objective, blocked []graph.NodeID) ([]float64, error) {
+	if err := c.checkNode("seed", base...); err != nil {
+		return nil, err
+	}
+	if err := c.checkNode("candidate", candidates...); err != nil {
+		return nil, err
+	}
+	if err := c.checkNode("blocked node", blocked...); err != nil {
+		return nil, err
+	}
+	pr := c.probe(blocked, base)
+	out := make([]float64, len(candidates))
+	// Group by owning partition so each partition's candidates evaluate on
+	// one goroutine: the probe is read-only once committed, and by-index
+	// writes keep the output order fixed.
+	groups := make([][]int, len(c.parts))
+	for i, x := range candidates {
+		pi := ownerIndex(c.ranges, x)
+		groups[pi] = append(groups[pi], i)
+	}
+	var wg sync.WaitGroup
+	for _, idxs := range groups {
+		if len(idxs) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(idxs []int) {
+			defer wg.Done()
+			for _, i := range idxs {
+				out[i] = pr.Gain(candidates[i], obj)
+			}
+		}(idxs)
+	}
+	wg.Wait()
+	return out, nil
+}
+
+// probe returns a read-only probe over the partitions with each node of
+// the sets committed in order (repeats are no-ops).
+func (c *Coordinator) probe(sets ...[]graph.NodeID) *core.Probe {
+	pr := core.NewProbe(c.parts...)
+	for _, set := range sets {
+		for _, s := range set {
+			pr.Commit(s, nil)
+		}
+	}
+	return pr
 }
 
 // NewSelection starts a CELF seed selection over a read-only probe of
@@ -258,6 +319,28 @@ func (c *Coordinator) NewSelection(opts celf.Options) *celf.Selection {
 // checkpointed gains. Equivalent to celf.Resume on a single engine.
 func (c *Coordinator) ResumeSelection(prefix celf.Prefix, opts celf.Options) (*celf.Selection, error) {
 	return celf.Resume(c.estimator(nil, nil), prefix, c.withWorkers(opts))
+}
+
+// Select runs a complete one-shot CELF selection under an objective via
+// celf.Run — including the budgeted best-affordable-singleton rule, which
+// Grow-style selections do not apply — over a probe of the partitions
+// with the blocked rivals in opts committed first, so every gain is
+// marginal over them (celf also excludes them from the pool). A nil obj
+// is the default objective. Single-engine and partitioned selections are
+// bit-identical because both are celf.Run over probes returning
+// bit-identical gains.
+func (c *Coordinator) Select(obj *core.Objective, k int, opts celf.Options) celf.Result {
+	return celf.Run(c.estimator(obj, opts.Blocked), k, c.withWorkers(opts))
+}
+
+// estimator returns a probe estimator over the partitions pricing gains
+// under obj, with the blocked rivals committed in order.
+func (c *Coordinator) estimator(obj *core.Objective, blocked []graph.NodeID) *core.ProbeEstimator {
+	est := core.NewProbeEstimator(obj, c.parts...)
+	for _, s := range blocked {
+		est.Add(s)
+	}
+	return est
 }
 
 // withWorkers defaults the selection fan-out to the coordinator's.
@@ -297,4 +380,18 @@ func (c *Coordinator) Append(g *graph.Graph, log *actionlog.Log, from actionlog.
 		}
 	}
 	return New(next, c.workers)
+}
+
+// ownerIndex returns the index of the range owning row x.
+func ownerIndex(ranges []Range, x graph.NodeID) int {
+	lo, hi := 0, len(ranges)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if ranges[mid].Hi > int(x) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

@@ -155,7 +155,7 @@ func TestCoordinatorSpreadMatchesEvaluatorAtLambdaZero(t *testing.T) {
 			for i := range seeds {
 				seeds[i] = graph.NodeID(rng.IntN(g.NumNodes()))
 			}
-			got, err := coord.Spread(seeds)
+			got, err := coord.Spread(seeds, nil, nil)
 			if err != nil {
 				t.Fatalf("Spread(%v): %v", seeds, err)
 			}

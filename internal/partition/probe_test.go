@@ -11,7 +11,7 @@ import (
 )
 
 // TestCoordinatorQueriesMatchCloneCommit pins the read-only query path:
-// the coordinator's Spread, Gains, SpreadObj and GainsObj answer from a
+// the coordinator's Spread and Gains answer from a
 // core.Probe over the shared partitions, and every value must be
 // bit-identical to the clone-and-commit reference — a clone of the full
 // engine, each rival then seed committed with Add in input order, and the
@@ -131,23 +131,13 @@ func checkQuery(t *testing.T, name string, coord *Coordinator, full *core.Engine
 		wantGains[i] = based.GainObj(x, obj)
 	}
 
-	var spread float64
-	var gains []float64
-	var err error
-	if obj == nil && blocked == nil {
-		if spread, err = coord.Spread(seeds); err != nil {
-			t.Fatalf("%s: Spread: %v", name, err)
-		}
-		if gains, err = coord.Gains(seeds, cands); err != nil {
-			t.Fatalf("%s: Gains: %v", name, err)
-		}
-	} else {
-		if spread, err = coord.SpreadObj(seeds, obj, blocked); err != nil {
-			t.Fatalf("%s: SpreadObj: %v", name, err)
-		}
-		if gains, err = coord.GainsObj(seeds, cands, obj, blocked); err != nil {
-			t.Fatalf("%s: GainsObj: %v", name, err)
-		}
+	spread, err := coord.Spread(seeds, obj, blocked)
+	if err != nil {
+		t.Fatalf("%s: Spread: %v", name, err)
+	}
+	gains, err := coord.Gains(seeds, cands, obj, blocked)
+	if err != nil {
+		t.Fatalf("%s: Gains: %v", name, err)
 	}
 	if spread != wantSpread {
 		t.Fatalf("%s: spread of %v (blocked %v) = %b, clone+commit gives %b", name, seeds, blocked, spread, wantSpread)

@@ -32,8 +32,8 @@ func TestIngestSeedsGrowFromExtendedBase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	if grown.base.DeltaActions() != 1 {
-		t.Fatalf("extended base has %d delta actions, want 1", grown.base.DeltaActions())
+	if grown.be.DeltaActions() != 1 {
+		t.Fatalf("extended base has %d delta actions, want 1", grown.be.DeltaActions())
 	}
 	if _, cached, err := grown.SelectSeeds(2); err != nil {
 		t.Fatalf("SelectSeeds: %v", err)

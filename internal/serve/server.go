@@ -195,8 +195,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // /seeds share — who counts (audience), when (window), and which rival
 // seeds are already committed (blocked). They arrive as query parameters
 // (audience=1,2,3&window=12&blocked=4) or the same-named JSON body
-// fields. All absent means the default objective, which routes through
-// the exact pre-objective code paths byte-for-byte.
+// fields. All absent means the default objective, a nil
+// *credist.Objective.
 type objectiveParams struct {
 	Audience []credist.NodeID `json:"audience,omitempty"`
 	Window   *float64         `json:"window,omitempty"`
@@ -354,13 +354,36 @@ func approxBody(res credist.ApproxResult) ApproxBody {
 	return b
 }
 
+// checkEps is the one eps validator: the target relative CI half-width
+// must be a finite number in (0,1). strconv.ParseFloat accepts NaN, which
+// fails every comparison, so the range test is written to reject it.
+func checkEps(eps float64) error {
+	if !(eps > 0 && eps < 1) {
+		return badRequest("eps must be a number in (0,1), got %g", eps)
+	}
+	return nil
+}
+
+// queryEps parses the eps query parameter (0 when absent).
+func queryEps(q url.Values) (float64, error) {
+	raw := q.Get("eps")
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseFloat(raw, 64)
+	if err != nil {
+		return 0, badRequest("eps must be a number in (0,1), got %q", raw)
+	}
+	return v, checkEps(v)
+}
+
 // parseApproxOpts extracts the approximate-tier parameters; ok reports
 // whether the request opted into the tier at all. eps comes pre-parsed
 // (0 = absent) so the JSON body and the query string share one validator.
-func parseApproxOpts(eps float64, epsSet bool, budget string) (opts credist.ApproxOptions, ok bool, err error) {
-	if epsSet {
-		if eps <= 0 || eps >= 1 {
-			return opts, false, badRequest("eps must be in (0,1), got %g", eps)
+func parseApproxOpts(eps float64, budget string) (opts credist.ApproxOptions, ok bool, err error) {
+	if eps != 0 {
+		if err := checkEps(eps); err != nil {
+			return opts, false, err
 		}
 		opts.Eps = eps
 		ok = true
@@ -385,7 +408,7 @@ func (s *Server) handleSpread(sn *Snapshot, r *http.Request) (any, error) {
 	} else if err := req.fromQuery(r); err != nil {
 		return nil, err
 	}
-	opts, approx, err := parseApproxOpts(req.Eps, req.Eps != 0, req.Budget)
+	opts, approx, err := parseApproxOpts(req.Eps, req.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -409,22 +432,13 @@ func (s *Server) handleSpread(sn *Snapshot, r *http.Request) (any, error) {
 		}
 		s.approxSpreadHits.Add(1)
 		return ApproxSpreadResponse{Snapshot: sn.ID, Seeds: req.Seeds, ApproxBody: approxBody(res)}, nil
-	case req.Seeds != nil && obj != nil:
+	case req.Seeds != nil:
 		if err := validateIDs(req.Seeds, sn.NumUsers()); err != nil {
 			return nil, err
 		}
 		spread, err := sn.SpreadObj(req.Seeds, obj)
 		if err != nil {
 			return nil, requestError(err)
-		}
-		return SpreadResponse{Snapshot: sn.ID, Seeds: req.Seeds, Spread: spread}, nil
-	case req.Seeds != nil:
-		if err := validateIDs(req.Seeds, sn.NumUsers()); err != nil {
-			return nil, err
-		}
-		spread, err := sn.Spread(req.Seeds)
-		if err != nil {
-			return nil, err
 		}
 		return SpreadResponse{Snapshot: sn.ID, Seeds: req.Seeds, Spread: spread}, nil
 	case req.Sets != nil:
@@ -445,12 +459,9 @@ func (s *Server) handleSpread(sn *Snapshot, r *http.Request) (any, error) {
 
 func (req *spreadRequest) fromQuery(r *http.Request) error {
 	q := r.URL.Query()
-	if raw := q.Get("eps"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v <= 0 || v >= 1 {
-			return badRequest("eps must be a number in (0,1), got %q", raw)
-		}
-		req.Eps = v
+	var err error
+	if req.Eps, err = queryEps(q); err != nil {
+		return err
 	}
 	req.Budget = q.Get("budget")
 	if q.Get("costs") != "" {
@@ -459,16 +470,8 @@ func (req *spreadRequest) fromQuery(r *http.Request) error {
 	if err := req.objectiveParams.fromQuery(q); err != nil {
 		return err
 	}
-	raw := q.Get("seeds")
-	if raw == "" {
-		return nil
-	}
-	seeds, err := parseIDList(raw)
-	if err != nil {
-		return err
-	}
-	req.Seeds = seeds
-	return nil
+	req.Seeds, err = parseIDList(q.Get("seeds"))
+	return err
 }
 
 // --- /gain -----------------------------------------------------------------
@@ -522,15 +525,9 @@ func (s *Server) handleGain(sn *Snapshot, r *http.Request) (any, error) {
 	if err := validateIDs(req.Seeds, sn.NumUsers()); err != nil {
 		return nil, err
 	}
-	var gains []float64
-	var err error
-	if obj := req.objective(); obj != nil {
-		gains, err = sn.GainsObj(req.Seeds, req.Candidates, obj)
-		if err != nil {
-			return nil, requestError(err)
-		}
-	} else if gains, err = sn.Gains(req.Seeds, req.Candidates); err != nil {
-		return nil, err
+	gains, err := sn.GainsObj(req.Seeds, req.Candidates, req.objective())
+	if err != nil {
+		return nil, requestError(err)
 	}
 	return GainResponse{
 		Snapshot:   sn.ID,
@@ -558,11 +555,9 @@ func (s *Server) handleSeeds(sn *Snapshot, r *http.Request) (any, error) {
 		return nil, err
 	}
 	q := r.URL.Query()
-	eps := 0.0
-	if raw := q.Get("eps"); raw != "" {
-		if eps, err = strconv.ParseFloat(raw, 64); err != nil || eps <= 0 || eps >= 1 {
-			return nil, badRequest("eps must be a number in (0,1), got %q", raw)
-		}
+	eps, err := queryEps(q)
+	if err != nil {
+		return nil, err
 	}
 	var op objectiveParams
 	if err := op.fromQuery(q); err != nil {
@@ -592,7 +587,7 @@ func (s *Server) handleSeeds(sn *Snapshot, r *http.Request) (any, error) {
 			approxBudget = raw
 		}
 	}
-	opts, approx, err := parseApproxOpts(eps, eps != 0, approxBudget)
+	opts, approx, err := parseApproxOpts(eps, approxBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -938,8 +933,9 @@ func (s *Server) handleStats(sn *Snapshot, _ *http.Request) (any, error) {
 		resp.ModelTailActions = sn.TailActions()
 	}
 	if sn.Partitioned() {
-		resp.NumPartitions = sn.NumPartitions()
-		for _, st := range sn.PartitionStats() {
+		stats := sn.PartitionStats()
+		resp.NumPartitions = len(stats)
+		for _, st := range stats {
 			resp.Partitions = append(resp.Partitions, PartitionStat{
 				RowLo:       st.Range.Lo,
 				RowHi:       st.Range.Hi,
@@ -1142,16 +1138,18 @@ type SnapshotResponse struct {
 }
 
 // handleSnapshot serializes the current snapshot's model — learned
-// parameters, scanned UC structure, dataset lineage — to a server-side
-// file, so an operator can checkpoint a long-running ingesting server and
-// later restart it from the file (serve -model) in milliseconds instead
-// of a full relearn+rescan. The write goes to a uniquely named temp file
-// in the target directory and is renamed into place, so a crash mid-write
-// never leaves a truncated snapshot at the requested path, and two
-// concurrent checkpoints to the same path cannot interleave into one file
-// (the later rename wins with a complete snapshot). Queries are never
-// blocked: the written planner is the immutable base the snapshot already
-// serves from.
+// parameters, scanned UC structure, dataset lineage — to server-side
+// files, so an operator can checkpoint a long-running ingesting server and
+// later restart it from them (serve -model) in milliseconds instead of a
+// full relearn+rescan. A single-engine snapshot writes one file at the
+// path; a partitioned one writes one slice file per partition at the
+// canonical "<path>.slice-<i>-of-<n>" names. Every file goes to a uniquely
+// named temp file in the target directory and is renamed into place, so a
+// crash mid-write never leaves a truncated snapshot at a requested path,
+// and two concurrent checkpoints to the same path cannot interleave into
+// one file (the later rename wins with a complete snapshot). Queries are
+// never blocked: what is written is the immutable backend the snapshot
+// already serves from.
 func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	var req snapshotRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -1160,89 +1158,19 @@ func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	if req.Path == "" {
 		return nil, badRequest("snapshot: missing \"path\"")
 	}
-	if sn.Partitioned() {
-		return s.snapshotPartitioned(sn, req.Path)
+	if err := sn.partitionGate(); err != nil {
+		return nil, err
 	}
-	// The rename below replaces whatever sits at the path. Like /ingest's
-	// server-side log option, the path itself is trusted to the operator's
-	// network boundary — but an existing file is only replaced if it
-	// already is a snapshot, so a checkpoint can never clobber a graph,
-	// log, or unrelated file through this endpoint.
-	if prev, err := os.Open(req.Path); err == nil {
-		header := make([]byte, 8)
-		n, _ := io.ReadFull(prev, header)
-		prev.Close()
-		if !credist.IsModelSnapshot(header[:n]) {
-			return nil, badRequest("snapshot: %q exists and is not a model snapshot; refusing to replace it", req.Path)
-		}
-	}
-	start := time.Now()
-	dir, base := filepath.Split(req.Path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return nil, badRequest("snapshot: %v", err)
-	}
-	tmp := f.Name()
-	// The computed seed prefix rides along: it was selected against
-	// exactly the base planner being written, so a restart from this file
-	// serves /seeds up to the same k without running CELF at all.
-	if err := sn.model.WriteSnapshot(f, sn.base, sn.checkpointPrefix()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("snapshot: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("snapshot: %v", err)
-	}
-	if err := os.Rename(tmp, req.Path); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("snapshot: %v", err)
-	}
-	var bytes int64
-	if fi, err := os.Stat(req.Path); err == nil {
-		bytes = fi.Size()
-	}
-	elapsed := time.Since(start)
-	actions := sn.Dataset().Log.NumActions()
-	s.checkpointMu.Lock()
-	s.lastCheckpoint = &CheckpointInfo{
-		Path:      req.Path,
-		Snapshot:  sn.ID,
-		Actions:   actions,
-		Bytes:     bytes,
-		WrittenAt: time.Now(),
-	}
-	s.checkpointMu.Unlock()
-	s.logf("serve: wrote snapshot %d to %s (%d actions, %d bytes), %.0f ms",
-		sn.ID, req.Path, actions, bytes, float64(elapsed.Milliseconds()))
-	return SnapshotResponse{
-		Snapshot:    sn.ID,
-		Dataset:     sn.Dataset().Name,
-		Path:        req.Path,
-		Actions:     actions,
-		Users:       sn.NumUsers(),
-		Entries:     sn.Entries(),
-		Bytes:       bytes,
-		WriteMillis: float64(elapsed.Nanoseconds()) / 1e6,
-	}, nil
-}
-
-// snapshotPartitioned checkpoints a partitioned snapshot as one slice file
-// per partition at the canonical "<path>.slice-<i>-of-<n>" names, so a
-// restart with `serve -model <path> -partitions <n>` finds them without
-// re-splitting. Each slice goes through the same temp-and-rename dance as
-// the single-file path, and the same clobber guard applies per slice.
-func (s *Server) snapshotPartitioned(sn *Snapshot, path string) (any, error) {
-	if err := sn.PartitionErr(); err != nil {
-		return nil, &apiError{code: http.StatusBadGateway,
-			msg: fmt.Sprintf("snapshot: partitioned model unavailable: %v", err)}
-	}
-	paths := credist.SlicePaths(path, sn.NumPartitions())
+	paths := sn.be.checkpointPaths(req.Path)
 	for _, p := range paths {
+		if _, err := os.Stat(filepath.Dir(p)); err != nil {
+			return nil, badRequest("snapshot: %v", err)
+		}
+		// The rename replaces whatever sits at the path. Like /ingest's
+		// server-side log option, the path itself is trusted to the
+		// operator's network boundary — but an existing file is only
+		// replaced if it already is a snapshot, so a checkpoint can never
+		// clobber a graph, log, or unrelated file through this endpoint.
 		if prev, err := os.Open(p); err == nil {
 			header := make([]byte, 8)
 			n, _ := io.ReadFull(prev, header)
@@ -1253,7 +1181,10 @@ func (s *Server) snapshotPartitioned(sn *Snapshot, path string) (any, error) {
 		}
 	}
 	start := time.Now()
-	if err := sn.SaveSlices(paths); err != nil {
+	// The computed seed prefix rides along: it was selected against
+	// exactly the state being written, so a restart from these files
+	// serves /seeds up to the same k without running CELF at all.
+	if err := sn.be.save(sn.checkpointPrefix(), paths); err != nil {
 		return nil, fmt.Errorf("snapshot: %v", err)
 	}
 	var bytes int64
@@ -1266,19 +1197,19 @@ func (s *Server) snapshotPartitioned(sn *Snapshot, path string) (any, error) {
 	actions := sn.Dataset().Log.NumActions()
 	s.checkpointMu.Lock()
 	s.lastCheckpoint = &CheckpointInfo{
-		Path:      path,
+		Path:      req.Path,
 		Snapshot:  sn.ID,
 		Actions:   actions,
 		Bytes:     bytes,
 		WrittenAt: time.Now(),
 	}
 	s.checkpointMu.Unlock()
-	s.logf("serve: wrote %d snapshot slices for %s (%d actions, %d bytes), %.0f ms",
-		len(paths), path, actions, bytes, float64(elapsed.Milliseconds()))
+	s.logf("serve: wrote snapshot %d to %d file(s) at %s (%d actions, %d bytes), %.0f ms",
+		sn.ID, len(paths), req.Path, actions, bytes, float64(elapsed.Milliseconds()))
 	return SnapshotResponse{
 		Snapshot:    sn.ID,
 		Dataset:     sn.Dataset().Name,
-		Path:        path,
+		Path:        req.Path,
 		Actions:     actions,
 		Users:       sn.NumUsers(),
 		Entries:     sn.Entries(),

@@ -209,10 +209,10 @@ func newSeedPrefix(res seedsel.Result, exhausted bool) *seedPrefix {
 
 // Snapshot is one learned model frozen for serving. All public methods are
 // safe for concurrent use: queries touch only immutable scan products (the
-// evaluator and the base planner, on which only the read-only Gain is ever
-// invoked), and seed selection runs on one growable per-snapshot selection
-// whose growth is serialized under a lock while reads slice the published
-// prefix lock-free.
+// evaluator and the backend's frozen planner or partitions, which queries
+// only read through probes), and seed selection runs on one growable
+// per-snapshot selection whose growth is serialized under a lock while
+// reads slice the published prefix lock-free.
 type Snapshot struct {
 	// ID is assigned by the Registry; monotonically increasing per process.
 	ID int64
@@ -221,28 +221,18 @@ type Snapshot struct {
 
 	src Source
 	// ds is the loaded dataset; in the degraded partitioned state (see
-	// partitionErr) it is all a snapshot has, so Dataset reads it rather
-	// than going through the model.
+	// partitionErr) it is all a snapshot has.
 	ds    *credist.Dataset
 	model *credist.Model
-	// base is the one scanned planner for this model. Its seed set stays
-	// empty forever — it is compacted (frozen) at build time and never
-	// written: queries and selections commit their seeds to read-only
-	// probes over it (the /seeds selection over a clone sharing its
-	// shards). nil in partitioned mode, where parts takes its place.
-	base *credist.Planner
-	// parts is the scatter-gather coordinator over row-range engine
-	// partitions (nil on the single-engine path). Exactly one of base and
-	// parts is set on a healthy snapshot.
-	parts *credist.PartitionedPlanner
+	// be answers every model query. Build picks it once: the single engine
+	// or the partition coordinator (see backend). nil only in the degraded
+	// state.
+	be backend
 	// partitionErr records a failed partition assembly: the snapshot is
 	// degraded — /healthz answers 503 and every model query 502 naming the
 	// failed partition — instead of the process crash-looping on one
 	// corrupt slice file. The CLI still refuses to start on it.
 	partitionErr error
-	// slicePaths names the slice files the partitions were loaded from
-	// (empty for in-memory partitions).
-	slicePaths []string
 
 	entries       int64
 	residentBytes int64
@@ -253,9 +243,9 @@ type Snapshot struct {
 	mappedBytes int64
 	rowStore    string
 
-	// Streaming-ingest lineage: delta shape of the base planner plus when
-	// and how often this snapshot line has ingested since its last full
-	// build ({} for a freshly built or reloaded snapshot).
+	// Streaming-ingest lineage: delta shape of the backend plus when and
+	// how often this snapshot line has ingested since its last full build
+	// ({} for a freshly built or reloaded snapshot).
 	deltaEntries int64
 	deltaActions int
 	ingests      int64
@@ -280,14 +270,203 @@ type Snapshot struct {
 	prefix  atomic.Pointer[seedPrefix]
 }
 
+// backend answers a snapshot's model queries. Build picks one of two
+// implementations, once: engineBackend, the exact evaluator plus one
+// frozen scanned planner, or coordBackend, the scatter-gather coordinator
+// over row-range engine partitions. Every query takes its objective as an
+// argument, nil meaning the default objective. The embedded
+// *credist.Planner or *credist.PartitionedPlanner supplies the growable
+// /seeds selection and the row-store accounting (the two types share
+// those method names), and the PartitionedPlanner its explain calls.
+type backend interface {
+	spread(seeds []credist.NodeID, o *credist.Objective) (float64, error)
+	gains(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error)
+	// selectSeeds is a fresh one-shot CELF run under o.
+	selectSeeds(k int, o *credist.Objective) (seedsel.Result, error)
+	ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanation, error)
+	ExplainReach(seeds []credist.NodeID, v credist.NodeID, top int) (credist.ReachExplanation, error)
+	approxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error)
+	approxSeeds(k int, opts credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error)
+	// extend derives the backend serving model, the receiver's model after
+	// an Ingest, scanning only the appended tail; the receiver keeps
+	// serving unchanged. compact folds the accumulated delta where the
+	// backend supports it.
+	extend(model *credist.Model, compact bool) (backend, error)
+	// checkpointPaths names the files a checkpoint at path writes, and
+	// save writes them with prefix riding along.
+	checkpointPaths(path string) []string
+	save(prefix *credist.SeedPrefix, paths []string) error
+	// partitionStats is per-partition accounting (nil for one engine).
+	partitionStats() []credist.PartitionStats
+
+	ResumeSelection(prefix *credist.SeedPrefix) (*credist.GrowableSelection, error)
+	Entries() int64
+	ResidentBytes() int64
+	HeapBytes() int64
+	MappedBytes() int64
+	RowStoreBackend() string
+	DeltaEntries() int64
+	DeltaActions() int
+	NumActions() int
+}
+
+// engineBackend serves from one scanned planner. The planner's seed set
+// stays empty forever — it is frozen at build time and never written:
+// queries and selections commit their seeds to read-only probes over it
+// (the /seeds selection over a clone sharing its shards). /spread is the
+// model's exact evaluator.
+type engineBackend struct {
+	model *credist.Model
+	*credist.Planner
+}
+
+func (b *engineBackend) spread(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
+	return b.model.SpreadObj(seeds, o)
+}
+
+// gains and selectSeeds evaluate over this backend's own (possibly
+// ingest-extended) planner, never the model's lazy base, whose first use
+// for an ingest-grown model would be a second from-scratch scan.
+func (b *engineBackend) gains(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
+	return b.model.GainsObjOn(b.Planner, base, candidates, o)
+}
+
+func (b *engineBackend) selectSeeds(k int, o *credist.Objective) (seedsel.Result, error) {
+	return b.model.SelectSeedsObjOn(b.Planner, k, o)
+}
+
+func (b *engineBackend) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanation, error) {
+	return b.model.ExplainSeedOn(b.Planner, x, top), nil
+}
+
+func (b *engineBackend) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top int) (credist.ReachExplanation, error) {
+	return b.model.ExplainReachOn(b.Planner, seeds, v, top), nil
+}
+
+func (b *engineBackend) approxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
+	return b.model.ApproxSpread(seeds, opts)
+}
+
+func (b *engineBackend) approxSeeds(k int, opts credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error) {
+	return b.model.ApproxSeeds(k, opts)
+}
+
+func (b *engineBackend) extend(model *credist.Model, compact bool) (backend, error) {
+	base, err := model.ExtendPlanner(b.Planner)
+	if err != nil {
+		return nil, err
+	}
+	if compact {
+		base.Compact()
+	}
+	// Freeze before publishing: the successor's delta shards and per-user
+	// state go shared, so selection planner clones stay cheap even when
+	// the operator never sends compact (Compact above already froze; this
+	// is then a no-op).
+	base.Freeze()
+	return &engineBackend{model: model, Planner: base}, nil
+}
+
+func (b *engineBackend) checkpointPaths(path string) []string { return []string{path} }
+
+// save writes the planner the snapshot already serves from, so a
+// checkpoint never blocks queries or pays a second scan.
+func (b *engineBackend) save(prefix *credist.SeedPrefix, paths []string) error {
+	return b.model.SaveOn(paths[0], b.Planner, prefix)
+}
+
+func (b *engineBackend) partitionStats() []credist.PartitionStats { return nil }
+
+// coordBackend serves scatter-gather from row-range partitions. Its
+// spread is the coordinator's telescoped gain sum over the
+// lambda-truncated UC structure: bit-identical at every partition count,
+// but slightly below the evaluator's exact sigma_cd at lambda > 0 (equal
+// to float tolerance only at lambda = 0). Gains, selections and
+// explanations are bit-identical to the single engine's.
+type coordBackend struct {
+	model *credist.Model
+	*credist.PartitionedPlanner
+}
+
+func (b *coordBackend) spread(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
+	return b.SpreadObj(b.model, seeds, o)
+}
+
+func (b *coordBackend) gains(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
+	return b.GainsObj(b.model, base, candidates, o)
+}
+
+func (b *coordBackend) selectSeeds(k int, o *credist.Objective) (seedsel.Result, error) {
+	return b.SelectSeedsObj(b.model, k, o)
+}
+
+// approxSpread and approxSeeds answer from the fixed sample pool the
+// whole-model snapshot persisted. The RR tier samples over the full user
+// universe, which no partition holds, so it cannot draw a single new
+// sample here; precision is whatever the pool affords, reported honestly
+// in achieved_eps, and a model with no persisted sketch answers 501.
+func (b *coordBackend) approxSpread(seeds []credist.NodeID, _ credist.ApproxOptions) (credist.ApproxResult, error) {
+	res, ok, err := b.model.ApproxSpreadFixed(seeds)
+	if err == nil && !ok {
+		err = errApproxPartitioned
+	}
+	return res, err
+}
+
+func (b *coordBackend) approxSeeds(k int, _ credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error) {
+	seeds, res, ok, err := b.model.ApproxSeedsFixed(k)
+	if err == nil && !ok {
+		err = errApproxPartitioned
+	}
+	return seeds, res, err
+}
+
+// extend has every partition clone and scan only its rows of the appended
+// tail, in parallel; the coordinator over the new set replaces the old one
+// atomically. Partitions keep their delta (compact does not apply).
+func (b *coordBackend) extend(model *credist.Model, _ bool) (backend, error) {
+	parts, err := b.Extend(model)
+	if err != nil {
+		return nil, err
+	}
+	return &coordBackend{model: model, PartitionedPlanner: parts}, nil
+}
+
+// checkpointPaths names one slice file per partition at the canonical
+// "<path>.slice-<i>-of-<n>" names, so a restart with `serve -model <path>
+// -partitions <n>` finds them without re-splitting.
+func (b *coordBackend) checkpointPaths(path string) []string {
+	return credist.SlicePaths(path, b.NumPartitions())
+}
+
+func (b *coordBackend) save(prefix *credist.SeedPrefix, paths []string) error {
+	return b.SaveSlices(b.model, prefix, paths)
+}
+
+func (b *coordBackend) partitionStats() []credist.PartitionStats { return b.Stats() }
+
 // Build loads the source's dataset, learns (or restores) the model, and
-// obtains the scanned planner — from a single log scan, or, when
-// ModelPath names a binary snapshot, from a lineage-checked load that
-// scans only the log tail past the snapshot's recorded actions. The
-// returned snapshot has ID 0 until a Registry installs it.
+// picks the snapshot's backend. The single engine's scanned planner comes
+// from one log scan, or, when ModelPath names a binary snapshot, from a
+// lineage-checked load that scans only the log tail past the snapshot's
+// recorded actions. A partitioned source assembles a coordinator over
+// row-range engine partitions, from explicit slice files, a model file
+// (slices written next to it on first start, reopened after), or an
+// in-memory split of a freshly learned model. A failed partition assembly
+// does not fail the build — the snapshot comes back degraded with the
+// error recorded, so an embedded server can bind and answer /healthz with
+// 503 instead of crash-looping on one corrupt slice; the CLI checks
+// PartitionErr and refuses to start. The returned snapshot has ID 0 until
+// a Registry installs it.
 func Build(src Source) (*Snapshot, error) {
 	if src.Mmap && src.ModelPath == "" {
 		return nil, fmt.Errorf("mmap requires a model path (the mapping is the snapshot file)")
+	}
+	if src.Partitions > 0 && len(src.SlicePaths) > 0 && src.Partitions != len(src.SlicePaths) {
+		return nil, fmt.Errorf("partitions=%d contradicts the %d slice paths", src.Partitions, len(src.SlicePaths))
+	}
+	if src.ModelPath != "" && src.ParamsPath != "" {
+		return nil, fmt.Errorf("model and params are mutually exclusive")
 	}
 	ds, err := src.dataset()
 	if err != nil {
@@ -310,63 +489,56 @@ func Build(src Source) (*Snapshot, error) {
 		ds = &credist.Dataset{Name: ds.Name, Graph: ds.Graph, Log: grown}
 	}
 	opts := credist.Options{Lambda: src.Lambda, SimpleCredit: src.SimpleCredit}
+	var (
+		model *credist.Model
+		be    backend
+		// tailActions is the log tail past the snapshot file that the
+		// load appended: the backend's delta before any compaction.
+		tailActions int
+	)
 	if src.partitioned() {
-		return buildPartitioned(src, ds, opts)
-	}
-	var model *credist.Model
-	switch {
-	case src.ModelPath != "":
-		if src.ParamsPath != "" {
-			return nil, fmt.Errorf("model and params are mutually exclusive")
-		}
-		if src.Mmap {
-			// The mapping is deliberately never unmapped: ingest successors
-			// and selection clones keep sharing the still-mapped shards,
-			// and even after a /reload the replaced snapshot may be pinned
-			// by in-flight requests. One model file's mapping per process
-			// lifetime is the cost of never faulting a reader.
-			model, err = credist.LoadModelMapped(ds, src.ModelPath, opts)
-		} else {
-			model, err = credist.LoadModel(ds, src.ModelPath, opts)
-		}
+		var parts *credist.PartitionedPlanner
+		model, parts, err = buildPartitions(src, ds, opts)
 		if err != nil {
+			return &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}, nil
+		}
+		be, tailActions = &coordBackend{model: model, PartitionedPlanner: parts}, parts.DeltaActions()
+		// A first start that splits the model loads the whole file onto the
+		// heap and leaves 50-100 MiB of garbage on flixster-small, depending
+		// on when the last collection ran. A restart from existing slices
+		// leaves ~2 MiB next to ~8 MiB live: the dataset's text parse, since
+		// reaching the RR sketch maps the whole-model file and decodes only
+		// the sketch. Partitioned queries allocate little (they read the
+		// shared partitions through a probe), so the collector would
+		// otherwise leave that garbage resident for many seconds of traffic;
+		// collect it now and return the pages, so the process's footprint is
+		// the snapshot's. No evaluator warm-up runs: /spread and /topk route
+		// through the coordinator, so the propagation-DAG build never
+		// happens unless an embedder calls Model.Spread directly.
+		debug.FreeOSMemory()
+	} else {
+		if model, err = loadModel(src, ds, opts); err != nil {
 			return nil, err
 		}
-	case src.ParamsPath != "":
-		model, err = credist.LoadModel(ds, src.ParamsPath, opts)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		model = credist.Learn(ds, opts)
-	}
-	base := model.NewPlanner()
-	// For a snapshot load the planner's delta is exactly the log tail the
-	// file had not scanned; record it before compaction folds it away.
-	tailActions := 0
-	if src.ModelPath != "" {
+		base := model.NewPlanner()
 		tailActions = base.DeltaActions()
+		// Freeze the scan product: every shard becomes shared, so selection
+		// planner clones copy an outer slice instead of the whole UC store.
+		base.Compact()
+		be = &engineBackend{model: model, Planner: base}
+		// The model's spread evaluator (the /spread and /topk path) builds
+		// lazily on first use. Kick that build off in the background so a
+		// snapshot-loaded server binds its port in milliseconds without the
+		// first spread query absorbing the whole propagation-DAG build; an
+		// earlier request simply waits on the same one-time build.
+		go func() { _ = model.Spread(nil) }()
 	}
-	// Freeze the scan product: every shard becomes shared, so selection
-	// planner clones copy an outer slice instead of the whole UC store.
-	base.Compact()
-	sn := &Snapshot{
-		LoadedAt:      time.Now(),
-		src:           src,
-		ds:            ds,
-		model:         model,
-		base:          base,
-		entries:       base.Entries(),
-		residentBytes: base.ResidentBytes(),
-		heapBytes:     base.HeapBytes(),
-		mappedBytes:   base.MappedBytes(),
-		rowStore:      base.RowStoreBackend(),
-	}
-	if src.ModelPath != "" {
-		sn.modelActions = base.NumActions() - tailActions
+	sn := newSnapshot(src, model, be)
+	if src.ModelPath != "" || len(src.SlicePaths) > 0 {
+		sn.modelActions = be.NumActions() - tailActions
 		sn.tailActions = tailActions
 	}
-	// A seed prefix restored with the model (LoadModel drops it whenever a
+	// A seed prefix restored with the model (the loads drop it whenever a
 	// log tail was appended, so it describes exactly this state) is
 	// published immediately: /seeds?k up to its length is served with zero
 	// CELF work from the first request on.
@@ -377,119 +549,82 @@ func Build(src Source) (*Snapshot, error) {
 			LookupsAt: pfx.LookupsAt,
 		}, false))
 	}
-	// The model's spread evaluator (the /spread and /topk path) builds
-	// lazily on first use. Kick that build off in the background so a
-	// snapshot-loaded server binds its port in milliseconds without the
-	// first spread query absorbing the whole propagation-DAG build; an
-	// earlier request simply waits on the same one-time build.
-	go func() { _ = sn.model.Spread(nil) }()
 	return sn, nil
 }
 
-// buildPartitioned assembles a scatter-gather snapshot: a coordinator
-// over row-range engine partitions, from explicit slice files, a model
-// file (slices written next to it on first start, reopened after), or an
-// in-memory split of a freshly learned model. A failed partition assembly
-// does not fail the build — the snapshot comes back degraded with the
-// error recorded, so an embedded server can bind and answer /healthz with
-// 503 instead of crash-looping on one corrupt slice; the CLI checks
-// PartitionErr and refuses to start.
-func buildPartitioned(src Source, ds *credist.Dataset, opts credist.Options) (*Snapshot, error) {
-	if src.Partitions > 0 && len(src.SlicePaths) > 0 && src.Partitions != len(src.SlicePaths) {
-		return nil, fmt.Errorf("partitions=%d contradicts the %d slice paths", src.Partitions, len(src.SlicePaths))
+// loadModel restores the single-engine model from a binary snapshot
+// (memory-mapped when the source asks), restores learned parameters, or
+// learns from scratch.
+func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, error) {
+	switch {
+	case src.ModelPath != "" && src.Mmap:
+		// The mapping is deliberately never unmapped: ingest successors
+		// and selection clones keep sharing the still-mapped shards, and
+		// even after a /reload the replaced snapshot may be pinned by
+		// in-flight requests. One model file's mapping per process
+		// lifetime is the cost of never faulting a reader.
+		return credist.LoadModelMapped(ds, src.ModelPath, opts)
+	case src.ModelPath != "":
+		return credist.LoadModel(ds, src.ModelPath, opts)
+	case src.ParamsPath != "":
+		return credist.LoadModel(ds, src.ParamsPath, opts)
+	default:
+		return credist.Learn(ds, opts), nil
 	}
-	if src.ParamsPath != "" && src.ModelPath != "" {
-		return nil, fmt.Errorf("model and params are mutually exclusive")
-	}
-	var (
-		model *credist.Model
-		parts *credist.PartitionedPlanner
-		paths []string
-		err   error
-	)
+}
+
+// buildPartitions assembles the coordinator's model and partitions from
+// explicit slice files, a model file, or an in-memory split.
+func buildPartitions(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, *credist.PartitionedPlanner, error) {
 	switch {
 	case len(src.SlicePaths) > 0:
-		paths = src.SlicePaths
-		model, parts, err = credist.LoadPartitions(ds, paths, src.Mmap, opts)
+		return credist.LoadPartitions(ds, src.SlicePaths, src.Mmap, opts)
 	case src.ModelPath != "":
-		model, parts, paths, err = credist.LoadModelPartitioned(ds, src.ModelPath, src.Partitions, src.Mmap, opts)
-	default:
-		if src.ParamsPath != "" {
-			model, err = credist.LoadModel(ds, src.ParamsPath, opts)
-		} else {
-			model = credist.Learn(ds, opts)
-		}
-		if err == nil {
-			base := model.NewPlanner()
-			base.Compact()
-			parts, err = base.Partition(src.Partitions)
-		}
+		model, parts, _, err := credist.LoadModelPartitioned(ds, src.ModelPath, src.Partitions, src.Mmap, opts)
+		return model, parts, err
 	}
+	model, err := loadModel(src, ds, opts)
 	if err != nil {
-		return &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}, nil
+		return nil, nil, err
 	}
-	sn := &Snapshot{
+	base := model.NewPlanner()
+	base.Compact()
+	parts, err := base.Partition(src.Partitions)
+	return model, parts, err
+}
+
+// newSnapshot is the constructor tail Build and Ingest share: it binds
+// the model and backend and caches the row-store accounting.
+func newSnapshot(src Source, model *credist.Model, be backend) *Snapshot {
+	return &Snapshot{
 		LoadedAt:      time.Now(),
 		src:           src,
-		ds:            ds,
+		ds:            model.Dataset(),
 		model:         model,
-		parts:         parts,
-		slicePaths:    paths,
-		entries:       parts.Entries(),
-		residentBytes: parts.ResidentBytes(),
-		heapBytes:     parts.HeapBytes(),
-		mappedBytes:   parts.MappedBytes(),
-		rowStore:      parts.RowStoreBackend(),
+		be:            be,
+		entries:       be.Entries(),
+		residentBytes: be.ResidentBytes(),
+		heapBytes:     be.HeapBytes(),
+		mappedBytes:   be.MappedBytes(),
+		rowStore:      be.RowStoreBackend(),
 	}
-	if src.ModelPath != "" || len(src.SlicePaths) > 0 {
-		sn.modelActions = parts.NumActions() - parts.DeltaActions()
-		sn.tailActions = parts.DeltaActions()
-	}
-	if pfx := model.SeedPrefix(); pfx != nil && len(pfx.Seeds) > 0 {
-		sn.prefix.Store(newSeedPrefix(seedsel.Result{
-			Seeds:     pfx.Seeds,
-			Gains:     pfx.Gains,
-			LookupsAt: pfx.LookupsAt,
-		}, false))
-	}
-	// No evaluator warm-up goroutine: in partitioned mode /spread and
-	// /topk route through the coordinator, so the propagation-DAG build
-	// never happens unless an embedder calls Model.Spread directly.
-	//
-	// A first start that splits the model loads the whole file onto the
-	// heap and leaves 50-100 MiB of garbage on flixster-small, depending
-	// on when the last collection ran. A restart from existing slices
-	// leaves ~2 MiB next to ~8 MiB live: the dataset's text parse, since
-	// reaching the RR sketch maps the whole-model file and decodes only
-	// the sketch. Partitioned queries allocate little (they read the
-	// shared partitions through a probe), so the collector would
-	// otherwise leave that garbage resident for many seconds of traffic;
-	// collect it now and return the pages, so the process's footprint is
-	// the snapshot's.
-	debug.FreeOSMemory()
-	return sn, nil
 }
 
 // Partitioned reports whether this snapshot serves (or was asked to
 // serve) the scatter-gather path.
-func (sn *Snapshot) Partitioned() bool { return sn.parts != nil || sn.partitionErr != nil }
+func (sn *Snapshot) Partitioned() bool { return sn.src.partitioned() }
 
 // NumPartitions returns the partition count (0 on the single-engine path
 // and in the degraded state).
-func (sn *Snapshot) NumPartitions() int {
-	if sn.parts == nil {
-		return 0
-	}
-	return sn.parts.NumPartitions()
-}
+func (sn *Snapshot) NumPartitions() int { return len(sn.PartitionStats()) }
 
 // PartitionStats returns per-partition accounting in partition order (nil
-// on the single-engine path).
+// on the single-engine path and in the degraded state).
 func (sn *Snapshot) PartitionStats() []credist.PartitionStats {
-	if sn.parts == nil {
+	if sn.be == nil {
 		return nil
 	}
-	return sn.parts.Stats()
+	return sn.be.partitionStats()
 }
 
 // PartitionErr returns the recorded partition-assembly failure, or nil.
@@ -509,12 +644,13 @@ func (sn *Snapshot) partitionGate() error {
 
 // Ingest builds the successor snapshot extended with a batch of new
 // propagations, incrementally: the model's learned parameters stay
-// frozen, the base planner is cloned (frozen shards shared) and only the
-// appended action tail is scanned. The receiver keeps serving unchanged —
-// nothing it references is mutated — and the computed seed prefix is
-// invalidated simply by the successor starting with an empty selection.
-// compact additionally folds the accumulated delta into the frozen base
-// before the successor is published.
+// frozen, the backend's planner or partitions are cloned (frozen shards
+// shared) and only the appended action tail is scanned. The receiver
+// keeps serving unchanged — nothing it references is mutated — and the
+// computed seed prefix is invalidated simply by the successor starting
+// with an empty selection. compact additionally folds the accumulated
+// delta into the frozen base before a single-engine successor is
+// published.
 func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
@@ -523,95 +659,24 @@ func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, err
 	if err != nil {
 		return nil, err
 	}
-	if sn.parts != nil {
-		return sn.ingestPartitioned(model)
-	}
-	base, err := model.ExtendPlanner(sn.base)
+	be, err := sn.be.extend(model, compact)
 	if err != nil {
 		return nil, err
 	}
-	if compact {
-		base.Compact()
-	}
-	// Freeze before publishing: the successor's delta shards and per-user
-	// state go shared, so selection planner clones stay cheap even when
-	// the operator never sends compact (Compact above already froze; this
-	// is then a no-op).
-	base.Freeze()
-	return &Snapshot{
-		LoadedAt:      time.Now(),
-		src:           sn.src,
-		ds:            model.Dataset(),
-		model:         model,
-		base:          base,
-		entries:       base.Entries(),
-		residentBytes: base.ResidentBytes(),
-		heapBytes:     base.HeapBytes(),
-		mappedBytes:   base.MappedBytes(),
-		rowStore:      base.RowStoreBackend(),
-		deltaEntries:  base.DeltaEntries(),
-		deltaActions:  base.DeltaActions(),
-		ingests:       sn.ingests + 1,
-		lastIngest:    time.Now(),
-		modelActions:  sn.modelActions,
-		tailActions:   sn.tailActions,
-	}, nil
-}
-
-// ingestPartitioned derives the partitioned successor: every partition
-// clones and scans only its rows of the appended tail, in parallel, and
-// the coordinator over the new set replaces the old one atomically.
-func (sn *Snapshot) ingestPartitioned(model *credist.Model) (*Snapshot, error) {
-	parts, err := sn.parts.Extend(model)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		LoadedAt:      time.Now(),
-		src:           sn.src,
-		ds:            model.Dataset(),
-		model:         model,
-		parts:         parts,
-		slicePaths:    sn.slicePaths,
-		entries:       parts.Entries(),
-		residentBytes: parts.ResidentBytes(),
-		heapBytes:     parts.HeapBytes(),
-		mappedBytes:   parts.MappedBytes(),
-		rowStore:      parts.RowStoreBackend(),
-		deltaEntries:  parts.DeltaEntries(),
-		deltaActions:  parts.DeltaActions(),
-		ingests:       sn.ingests + 1,
-		lastIngest:    time.Now(),
-		modelActions:  sn.modelActions,
-		tailActions:   sn.tailActions,
-	}, nil
-}
-
-// SaveSlices checkpoints the partitioned model as one snapshot-slice file
-// per partition, carrying the published seed prefix so a restart serves
-// /seeds instantly. Only valid on a healthy partitioned snapshot.
-func (sn *Snapshot) SaveSlices(paths []string) error {
-	if err := sn.partitionGate(); err != nil {
-		return err
-	}
-	if sn.parts == nil {
-		return fmt.Errorf("not a partitioned snapshot")
-	}
-	return sn.parts.SaveSlices(sn.model, sn.checkpointPrefix(), paths)
+	next := newSnapshot(sn.src, model, be)
+	next.deltaEntries, next.deltaActions = be.DeltaEntries(), be.DeltaActions()
+	next.ingests, next.lastIngest = sn.ingests+1, time.Now()
+	next.modelActions, next.tailActions = sn.modelActions, sn.tailActions
+	return next, nil
 }
 
 // Dataset returns the snapshot's dataset.
-func (sn *Snapshot) Dataset() *credist.Dataset {
-	if sn.model != nil {
-		return sn.model.Dataset()
-	}
-	return sn.ds
-}
+func (sn *Snapshot) Dataset() *credist.Dataset { return sn.ds }
 
 // Model returns the underlying learned model.
 func (sn *Snapshot) Model() *credist.Model { return sn.model }
 
-// Entries returns the live UC credit-entry count of the base planner.
+// Entries returns the live UC credit-entry count of the backend.
 func (sn *Snapshot) Entries() int64 { return sn.entries }
 
 // BaseEntries returns the UC entries in the frozen base shards.
@@ -642,53 +707,38 @@ func (sn *Snapshot) HeapBytes() int64 { return sn.heapBytes }
 // memory-mapped snapshot file (zero unless the source set Mmap).
 func (sn *Snapshot) MappedBytes() int64 { return sn.mappedBytes }
 
-// RowStoreBackend reports how the base planner's shards are served:
-// "mmap" while any shard still aliases the mapped snapshot file, "heap"
-// otherwise.
+// RowStoreBackend reports how the backend's shards are served: "mmap"
+// while any shard still aliases a mapped snapshot file, "heap" otherwise.
 func (sn *Snapshot) RowStoreBackend() string { return sn.rowStore }
 
 // NumUsers returns the user-universe size, the bound for node-id inputs.
 func (sn *Snapshot) NumUsers() int { return sn.Dataset().NumUsers() }
 
-// Spread evaluates sigma_cd for one seed set. On the partitioned path the
-// coordinator telescopes per-seed gains over the lambda-truncated UC
-// structure instead: bit-identical at every partition count, but slightly
-// below the evaluator's exact sigma_cd at lambda > 0 (equal to float
-// tolerance only at lambda = 0). Degraded partitioned snapshots answer
-// 502.
-func (sn *Snapshot) Spread(seeds []credist.NodeID) (float64, error) {
+// Spread evaluates the default-objective spread of one seed set; see
+// SpreadObj.
+func (sn *Snapshot) Spread(seeds []credist.NodeID) (float64, error) { return sn.SpreadObj(seeds, nil) }
+
+// SpreadObj evaluates sigma_obj(S | blocked) under a campaign objective
+// (audience weights, time window, blocked rivals; nil is plain sigma_cd).
+// The single engine answers from the exact evaluator; the partitioned
+// path telescopes per-seed gains over the lambda-truncated UC structure
+// instead (see coordBackend). Degraded partitioned snapshots answer 502.
+func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return 0, err
 	}
-	if sn.parts != nil {
-		return sn.parts.Spread(seeds)
-	}
-	return sn.model.Spread(seeds), nil
+	return sn.be.spread(seeds, o)
 }
 
 // ApproxSpread answers a spread query from the model's bounded-error RR
-// tier (see credist.Model.ApproxSpread). The tier samples over the full
-// user universe, which a partitioned deployment does not hold in any one
-// engine, so a partitioned snapshot answers from the fixed sample pool its
-// whole-model snapshot persisted (sampled before the split, over the full
-// universe; precision is whatever the pool affords, reported honestly in
-// achieved_eps) — and 501 when no sketch was persisted, since the tier
-// cannot draw a single new sample there.
+// tier (see credist.Model.ApproxSpread). A partitioned snapshot answers
+// from the fixed sample pool its whole-model snapshot persisted, and 501
+// when none was (see coordBackend).
 func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
 	if err := sn.partitionGate(); err != nil {
 		return credist.ApproxResult{}, err
 	}
-	if sn.parts != nil {
-		res, ok, err := sn.model.ApproxSpreadFixed(seeds)
-		if err != nil {
-			return credist.ApproxResult{}, err
-		}
-		if !ok {
-			return credist.ApproxResult{}, errApproxPartitioned
-		}
-		return res, nil
-	}
-	return sn.model.ApproxSpread(seeds, opts)
+	return sn.be.approxSpread(seeds, opts)
 }
 
 // ApproxSeeds runs RR maximum-coverage seed selection with a confidence
@@ -698,17 +748,7 @@ func (sn *Snapshot) ApproxSeeds(k int, opts credist.ApproxOptions) ([]credist.No
 	if err := sn.partitionGate(); err != nil {
 		return nil, credist.ApproxResult{}, err
 	}
-	if sn.parts != nil {
-		seeds, res, ok, err := sn.model.ApproxSeedsFixed(k)
-		if err != nil {
-			return nil, credist.ApproxResult{}, err
-		}
-		if !ok {
-			return nil, credist.ApproxResult{}, errApproxPartitioned
-		}
-		return seeds, res, nil
-	}
-	return sn.model.ApproxSeeds(k, opts)
+	return sn.be.approxSeeds(k, opts)
 }
 
 // ApproxStats reports the RR tier's sample pool. On a partitioned
@@ -743,19 +783,22 @@ func (sn *Snapshot) SpreadBatch(sets [][]credist.NodeID) ([]float64, error) {
 	return out, nil
 }
 
-// Gains returns the marginal gain of each candidate against the base seed
-// set, batched. The base seeds are committed to a read-only probe over the
-// shared scanned planner (or the shared partitions), so nothing is cloned
-// and no shard is promoted. Every value is bit-identical to
-// credist.Model.Gains on the same arguments, at any partition count.
+// Gains returns the default-objective marginal gains; see GainsObj.
 func (sn *Snapshot) Gains(base, candidates []credist.NodeID) ([]float64, error) {
+	return sn.GainsObj(base, candidates, nil)
+}
+
+// GainsObj returns the marginal objective gain of each candidate against
+// the base seed set (nil o is the default objective), batched, with the
+// objective's blocked rivals committed first. The seeds are committed to
+// a read-only probe over the backend's shared planner or partitions, so
+// nothing is cloned and no shard is promoted. Every value is bit-identical
+// to credist.Model.GainsObj on the same arguments, at any partition count.
+func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	if sn.parts != nil {
-		return sn.parts.Gains(base, candidates)
-	}
-	return sn.model.GainsObjOn(sn.base, base, candidates, nil)
+	return sn.be.gains(base, candidates, o)
 }
 
 // SelectSeeds answers a CELF seed selection for k seeds from the
@@ -786,33 +829,22 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 		// First growth: resume from the restored prefix when there is one
 		// (committing its seeds to the selection's probe costs no gain
 		// evaluations), start fresh otherwise. The selection probes a
-		// clone of sn.base — the snapshot's own (possibly ingest-extended)
-		// planner, shards shared — never the model's lazy base, which for
-		// an ingest-grown model would be a second from-scratch scan of the
-		// combined log. Seeds are committed to a read-only probe, so no
-		// shard is written or promoted. On the partitioned path the same
-		// resume runs over a probe of the coordinator's partitions,
-		// bit-identical to the single-engine selection.
+		// clone of the backend's own (possibly ingest-extended) planner or
+		// its partitions, shards shared — never the model's lazy base,
+		// which for an ingest-grown model would be a second from-scratch
+		// scan of the combined log. Seeds are committed to a read-only
+		// probe, so no shard is written or promoted, and the partitioned
+		// selection is bit-identical to the single-engine one.
 		var restored *credist.SeedPrefix
 		if pv := sn.prefix.Load(); pv != nil {
 			restored = &credist.SeedPrefix{Seeds: pv.seeds, Gains: pv.gains, LookupsAt: pv.lookupsAt}
 		}
-		var sel *credist.GrowableSelection
-		var rerr error
-		if sn.parts != nil {
-			sel, rerr = sn.parts.ResumeSelection(restored)
-		} else {
-			sel, rerr = sn.base.ResumeSelection(restored)
-		}
-		if rerr != nil {
+		sel, err := sn.be.ResumeSelection(restored)
+		if err != nil {
 			// A published prefix always comes from this snapshot's model,
 			// so Resume cannot reject it; recover into a fresh selection
 			// regardless.
-			if sn.parts != nil {
-				sel = sn.parts.NewSelection()
-			} else {
-				sel = sn.base.NewSelection()
-			}
+			sel, _ = sn.be.ResumeSelection(nil)
 		}
 		sn.seedSel = sel
 	}
@@ -821,35 +853,6 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 	pv := newSeedPrefix(grown, sn.seedSel.Exhausted())
 	sn.prefix.Store(pv)
 	return pv.result(k), false, nil
-}
-
-// SpreadObj is Spread under a campaign objective (audience weights, time
-// window, blocked rivals): sigma_obj(S | blocked), routed to the
-// scatter-gather coordinator or the exact evaluator exactly as Spread is.
-// Handlers route default-objective requests to Spread instead, so this
-// path never touches (and can never perturb) the default answers.
-func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
-	if err := sn.partitionGate(); err != nil {
-		return 0, err
-	}
-	if sn.parts != nil {
-		return sn.parts.SpreadObj(sn.model, seeds, o)
-	}
-	return sn.model.SpreadObj(seeds, o)
-}
-
-// GainsObj is Gains under a campaign objective: marginal objective gains
-// over base with the objective's blocked rivals committed first. The
-// single-engine path evaluates over this snapshot's own (possibly
-// ingest-extended) base planner, never the model's lazy base.
-func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, err
-	}
-	if sn.parts != nil {
-		return sn.parts.GainsObj(sn.model, base, candidates, o)
-	}
-	return sn.model.GainsObjOn(sn.base, base, candidates, o)
 }
 
 // SelectSeedsObj runs seed selection under a campaign objective —
@@ -864,13 +867,7 @@ func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, e
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	var res seedsel.Result
-	var err error
-	if sn.parts != nil {
-		res, err = sn.parts.SelectSeedsObj(sn.model, k, o)
-	} else {
-		res, err = sn.model.SelectSeedsObjOn(sn.base, k, o)
-	}
+	res, err := sn.be.selectSeeds(k, o)
 	if err != nil {
 		return nil, err
 	}
@@ -894,10 +891,7 @@ func (sn *Snapshot) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanat
 	if err := sn.partitionGate(); err != nil {
 		return credist.SeedExplanation{}, err
 	}
-	if sn.parts != nil {
-		return sn.parts.ExplainSeed(x, top)
-	}
-	return sn.model.ExplainSeedOn(sn.base, x, top), nil
+	return sn.be.ExplainSeed(x, top)
 }
 
 // ExplainReach decomposes the credit the given seed set pushes onto
@@ -909,10 +903,7 @@ func (sn *Snapshot) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top i
 	if err := sn.partitionGate(); err != nil {
 		return credist.ReachExplanation{}, err
 	}
-	if sn.parts != nil {
-		return sn.parts.ExplainReach(seeds, v, top)
-	}
-	return sn.model.ExplainReachOn(sn.base, seeds, v, top), nil
+	return sn.be.ExplainReach(seeds, v, top)
 }
 
 // ProvStats reports the model's provenance index for /stats (all zero in
@@ -941,8 +932,8 @@ func (sn *Snapshot) SeedPrefixLen() int {
 }
 
 // checkpointPrefix returns the published seed prefix in the facade's
-// persistence form, or nil. POST /snapshot passes it to WriteSnapshot so
-// a restart serves /seeds up to the same k instantly.
+// persistence form, or nil. POST /snapshot persists it so a restart
+// serves /seeds up to the same k instantly.
 func (sn *Snapshot) checkpointPrefix() *credist.SeedPrefix {
 	pv := sn.prefix.Load()
 	if pv == nil || len(pv.seeds) == 0 {

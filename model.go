@@ -208,10 +208,7 @@ func (m *Model) SelectSeeds(k int) ([]NodeID, []float64) {
 // per-seed timing, and the number of marginal-gain evaluations).
 func (m *Model) Selection(k int) seedsel.Result { return m.selection(k) }
 
-func (m *Model) selection(k int) seedsel.Result {
-	eng := m.base()
-	return celf.Run(core.NewProbeEstimator(nil, eng), k, celf.Options{Workers: eng.Workers()})
-}
+func (m *Model) selection(k int) seedsel.Result { return selectObjOn(m.base(), k, nil, nil) }
 
 // SeedPrefix is a computed CELF seed-selection prefix: seeds in selection
 // order, their marginal gains (cumulative sums are the per-prefix
@@ -493,9 +490,14 @@ func (m *Model) SaveParams(path string) error {
 // renamed into place, so a crash mid-write never truncates the path, and
 // a LoadModelMapped model can save over its own file: it keeps serving
 // from the old file's mapping until Close.
-func (m *Model) Save(path string) error {
+func (m *Model) Save(path string) error { return m.SaveOn(path, nil, m.prefix) }
+
+// SaveOn is Save of an explicit planner and seed prefix, under
+// WriteSnapshot's rules: how a serving layer checkpoints its live
+// (possibly ingest-extended) planner atomically.
+func (m *Model) SaveOn(path string, p *Planner, prefix *SeedPrefix) error {
 	if err := writeFileAtomic(path, func(w io.Writer) error {
-		return m.WriteSnapshot(w, nil, m.prefix)
+		return m.WriteSnapshot(w, p, prefix)
 	}); err != nil {
 		return fmt.Errorf("credist: save snapshot %s: %w", path, err)
 	}
@@ -513,20 +515,9 @@ func (m *Model) Save(path string) error {
 // (this model's parameters over the planner's log), or a restart would
 // serve seeds the restored model never chose.
 func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error {
-	eng := (*core.Engine)(nil)
-	if p == nil {
-		eng = m.base()
-	} else {
-		if p.eng.CreditModel() != m.credit {
-			return fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
-		}
-		if pl, ml := p.eng.Lambda(), m.opts.Lambda; pl != ml {
-			return fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
-		}
-		if pn, ln := p.NumActions(), m.ds.Log.NumActions(); pn != ln {
-			return fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
-		}
-		eng = p.eng
+	eng, err := m.snapshotEngine(p)
+	if err != nil {
+		return err
 	}
 	// The RR sketch and provenance index ride along whenever their tiers
 	// hold one: both are derived over exactly the model's log, and the
@@ -535,6 +526,25 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 	// stays 3 when there is no section, keeping sectionless files
 	// byte-identical).
 	return eng.WriteSnapshotProv(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch(), m.provForSave())
+}
+
+// snapshotEngine returns the engine a snapshot of p writes: the model's
+// base scan for nil, else p's after checking that it belongs to this
+// model's lineage and covers exactly the model's log.
+func (m *Model) snapshotEngine(p *Planner) (*core.Engine, error) {
+	if p == nil {
+		return m.base(), nil
+	}
+	if p.eng.CreditModel() != m.credit {
+		return nil, fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
+	}
+	if pl, ml := p.eng.Lambda(), m.opts.Lambda; pl != ml {
+		return nil, fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
+	}
+	if pn, ln := p.NumActions(), m.ds.Log.NumActions(); pn != ln {
+		return nil, fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
+	}
+	return p.eng, nil
 }
 
 // IsModelSnapshot reports whether data (at least the first 8 bytes of a

@@ -16,11 +16,11 @@ import (
 // (a target audience, uniform or weighted), when they count (a time
 // window from each action's start), what seeds cost (per-node costs under
 // a total budget), and which rival seeds are already committed (blocked).
-// The zero value is the default objective — the paper's single global
-// sigma_cd — and every evaluation path routes it through the exact
-// pre-objective code, so default answers are bit-identical to a build
-// without the objective layer; non-default answers are bit-identical
-// across worker and partition counts.
+// The zero value (like a nil *Objective) is the default objective — the
+// paper's single global sigma_cd. Every entry point takes the objective
+// as an argument and lowers the default to the core's nil objective, so
+// default answers are bit-identical to Spread, Gains and SelectSeeds;
+// every answer is bit-identical across worker and partition counts.
 //
 // Audience, window, and blocked change what a seed set is *worth* and
 // apply to SpreadObj, GainsObj, and SelectSeedsObj alike. Costs and
@@ -51,19 +51,12 @@ type Objective struct {
 	Blocked []NodeID
 }
 
-// IsDefault reports whether o is the default objective across every
-// dimension — the zero value, for which all Obj entry points take the
-// exact pre-objective code paths.
-func (o *Objective) IsDefault() bool {
-	return o == nil || (o.Audience == nil && o.Weights == nil && !o.Windowed &&
-		o.Costs == nil && o.Budget == 0 && len(o.Blocked) == 0)
-}
-
-// evalDefault reports whether the objective's evaluation dimensions —
-// audience, window, blocked — are default; costs and budget do not
-// change what a fixed seed set is worth.
-func (o *Objective) evalDefault() bool {
-	return o == nil || (o.Audience == nil && o.Weights == nil && !o.Windowed && len(o.Blocked) == 0)
+// blocked returns the objective's rival seed set (nil for the default).
+func (o *Objective) blocked() []NodeID {
+	if o == nil {
+		return nil
+	}
+	return o.Blocked
 }
 
 // checkIDs rejects out-of-universe node ids with an error naming the
@@ -125,12 +118,15 @@ func (o *Objective) validate(numUsers int, selection bool) error {
 // core representation, attaching the model's cached delay index when the
 // window needs one. The result is nil (the core default) whenever
 // audience and window are default — blocked, costs, and budget live
-// above the core layer.
+// above the core layer. A nil o needs no model context, so m may be nil.
 func (m *Model) coreObjective(o *Objective, selection bool) (*core.Objective, error) {
+	if o == nil {
+		return nil, nil
+	}
 	if err := o.validate(m.ds.Graph.NumNodes(), selection); err != nil {
 		return nil, err
 	}
-	if o == nil || (o.Audience == nil && o.Weights == nil && !o.Windowed) {
+	if o.Audience == nil && o.Weights == nil && !o.Windowed {
 		return nil, nil
 	}
 	cobj := &core.Objective{}
@@ -155,8 +151,8 @@ func (m *Model) coreObjective(o *Objective, selection bool) (*core.Objective, er
 // SpreadObj predicts the objective spread sigma_obj(S), conditional on
 // the objective's blocked rival set when one is present:
 // sigma_obj(S | R) = sigma_obj(R+S) - sigma_obj(R), both terms evaluated
-// on the exact per-action credit propagations. The default objective is
-// exactly Spread, bit for bit. Costs and budget are rejected here.
+// on the exact per-action credit propagations. A nil objective is exactly
+// Spread, bit for bit. Costs and budget are rejected here.
 func (m *Model) SpreadObj(seeds []NodeID, o *Objective) (float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
@@ -165,11 +161,8 @@ func (m *Model) SpreadObj(seeds []NodeID, o *Objective) (float64, error) {
 	if err := checkIDs("seed", seeds, m.ds.Graph.NumNodes()); err != nil {
 		return 0, err
 	}
-	if o.evalDefault() {
-		return m.Spread(seeds), nil
-	}
 	ev := m.eval()
-	if o == nil || len(o.Blocked) == 0 {
+	if len(o.blocked()) == 0 {
 		return ev.SpreadObj(seeds, cobj), nil
 	}
 	union := make([]NodeID, 0, len(o.Blocked)+len(seeds))
@@ -257,20 +250,15 @@ func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) 
 	if err := checkIDs("candidate", candidates, n); err != nil {
 		return nil, err
 	}
-	var blocked []NodeID
-	if o != nil {
-		blocked = o.Blocked
-	}
-	return gainsOn(p.eng, blocked, base, candidates, cobj), nil
+	return gainsOn(p.eng, o.blocked(), base, candidates, cobj), nil
 }
 
 // SelectSeedsObjOn is SelectSeedsObj run over a caller-supplied scanned
 // planner. The planner is never mutated or cloned: the rivals and the
 // selected seeds are committed to a read-only probe over it, so it must
-// not change during the call. Unlike SelectSeedsObj it does not route the
-// default objective anywhere special — it always runs a fresh one-shot
-// selection — because its caller (the serving layer) routes default
-// requests to its memoized growable selection before coming here.
+// not change during the call. It always runs a fresh one-shot selection;
+// the serving layer routes default requests to its memoized growable
+// selection before coming here.
 func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Result, error) {
 	cobj, err := m.coreObjective(o, true)
 	if err != nil {
@@ -284,14 +272,20 @@ func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Resul
 // them) and excluded from the pool, and o's costs and budget applied.
 func selectObjOn(eng *core.Engine, k int, cobj *core.Objective, o *Objective) seedsel.Result {
 	est := core.NewProbeEstimator(cobj, eng)
-	opts := celf.Options{Workers: eng.Workers()}
-	if o != nil {
-		for _, s := range o.Blocked {
-			est.Add(s)
-		}
-		opts.Costs, opts.Budget, opts.Blocked = o.Costs, o.Budget, o.Blocked
+	for _, s := range o.blocked() {
+		est.Add(s)
 	}
+	opts := selectOptions(o)
+	opts.Workers = eng.Workers()
 	return celf.Run(est, k, opts)
+}
+
+// selectOptions carries o's costs, budget and blocked rivals into celf.
+func selectOptions(o *Objective) celf.Options {
+	if o == nil {
+		return celf.Options{}
+	}
+	return celf.Options{Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
 }
 
 // SelectSeedsObj runs seed selection under the full objective: audience
@@ -302,46 +296,31 @@ func selectObjOn(eng *core.Engine, k int, cobj *core.Objective, o *Objective) se
 // objective is exactly Selection, bit for bit; non-default selections
 // are bit-identical at every worker count.
 func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
-	cobj, err := m.coreObjective(o, true)
-	if err != nil {
-		return seedsel.Result{}, err
-	}
-	if o.IsDefault() {
-		return m.selection(k), nil
-	}
-	return selectObjOn(m.base(), k, cobj, o), nil
+	return m.SelectSeedsObjOn(&Planner{eng: m.base()}, k, o)
 }
 
 // SpreadObj is Model.SpreadObj served scatter-gather: the conditional
 // objective spread as a telescoped sum of owner-priced objective gains.
-// Bit-identical across partition and worker counts; the default
-// objective routes through Spread. m supplies the objective context
-// (universe, delay index) and must be the model these partitions serve.
+// Bit-identical across partition and worker counts. m supplies the
+// objective context (universe, delay index) and must be the model these
+// partitions serve; it may be nil when o is nil, the default objective.
 func (pp *PartitionedPlanner) SpreadObj(m *Model, seeds []NodeID, o *Objective) (float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
 		return 0, err
 	}
-	var blocked []NodeID
-	if o != nil {
-		blocked = o.Blocked
-	}
-	return pp.coord.SpreadObj(seeds, cobj, blocked)
+	return pp.coord.Spread(seeds, cobj, o.blocked())
 }
 
 // GainsObj is Model.GainsObj served scatter-gather, every candidate
 // priced by its row's owning partition. Bit-identical across partition
-// and worker counts; the default objective routes through Gains.
+// and worker counts; m is as for SpreadObj.
 func (pp *PartitionedPlanner) GainsObj(m *Model, base, candidates []NodeID, o *Objective) ([]float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
 		return nil, err
 	}
-	var blocked []NodeID
-	if o != nil {
-		blocked = o.Blocked
-	}
-	return pp.coord.GainsObj(base, candidates, cobj, blocked)
+	return pp.coord.Gains(base, candidates, cobj, o.blocked())
 }
 
 // SelectSeedsObj is Model.SelectSeedsObj served scatter-gather over a
@@ -352,9 +331,5 @@ func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (see
 	if err != nil {
 		return seedsel.Result{}, err
 	}
-	var opts celf.Options
-	if o != nil {
-		opts = celf.Options{Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
-	}
-	return pp.coord.SelectObj(cobj, k, opts), nil
+	return pp.coord.Select(cobj, k, selectOptions(o)), nil
 }

@@ -76,20 +76,9 @@ func (p *Planner) Partition(n int) (*PartitionedPlanner, error) {
 // [0, NumUsers) reassembles the model exactly; LoadPartitions validates
 // the tiling at load. The prefix rides in every slice, as in WriteSnapshot.
 func (m *Model) WriteSnapshotSlice(w io.Writer, p *Planner, prefix *SeedPrefix, lo, hi int) error {
-	eng := (*core.Engine)(nil)
-	if p == nil {
-		eng = m.base()
-	} else {
-		if p.eng.CreditModel() != m.credit {
-			return fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
-		}
-		if pl, ml := p.eng.Lambda(), m.opts.Lambda; pl != ml {
-			return fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
-		}
-		if pn, ln := p.NumActions(), m.ds.Log.NumActions(); pn != ln {
-			return fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
-		}
-		eng = p.eng
+	eng, err := m.snapshotEngine(p)
+	if err != nil {
+		return err
 	}
 	return eng.WriteSnapshotSlice(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, lo, hi)
 }
@@ -435,7 +424,7 @@ func (pp *PartitionedPlanner) DeltaActions() int {
 // slightly below, and at lambda = 0 the two agree to float tolerance
 // (the evaluator sums in per-action order).
 func (pp *PartitionedPlanner) Spread(seeds []NodeID) (float64, error) {
-	return pp.coord.Spread(seeds)
+	return pp.SpreadObj(nil, seeds, nil)
 }
 
 // Gains evaluates each candidate's marginal gain against the base seed
@@ -443,7 +432,7 @@ func (pp *PartitionedPlanner) Spread(seeds []NodeID) (float64, error) {
 // candidate priced exactly from its row's owner. Bit-identical to
 // Planner.Gain after the same Adds, at any partition count.
 func (pp *PartitionedPlanner) Gains(base, candidates []NodeID) ([]float64, error) {
-	return pp.coord.Gains(base, candidates)
+	return pp.GainsObj(nil, base, candidates, nil)
 }
 
 // ExplainSeed decomposes candidate x's marginal gain into its top credit
