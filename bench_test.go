@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"credist/internal/actionlog"
 	"credist/internal/cascade"
 	"credist/internal/celf"
 	"credist/internal/core"
@@ -1089,4 +1090,68 @@ func TestWriteApproxBenchJSON(t *testing.T) {
 	}
 	t.Logf("approx vs exact: exact %.2f ms, approx %.3f ms (%.0fx), interval [%.1f, %.1f] contains %.1f -> %s",
 		float64(exactNs)/1e6, float64(approxNs)/1e6, speedup, warm.CILow, warm.CIHigh, exact, out)
+}
+
+// --- set-up steps: what a server pays before its first /spread ------------
+
+// BenchmarkSetupSteps times the steps a server started on a text log and a
+// mapped snapshot takes before it answers its first /spread, on the
+// flixster-small preset with its last 2% of actions held out (the
+// serve-mix workload's inputs): parsing the action log, opening the
+// snapshot mapped, and building the exact evaluator's propagation DAGs
+// and direct credits. BENCH_setup.json records these per step.
+func BenchmarkSetupSteps(b *testing.B) {
+	cfg, ok := datagen.PresetByName("flixster-small")
+	if !ok {
+		b.Fatal("missing preset")
+	}
+	full := datagen.Generate(cfg)
+	head := full.Log.Prefix(full.Log.NumActions() - full.Log.NumActions()/50)
+	dir := b.TempDir()
+	graphPath, logPath := filepath.Join(dir, "g.txt"), filepath.Join(dir, "log.txt")
+	modelPath := filepath.Join(dir, "model.bin")
+	if err := SaveDataset(&Dataset{Name: full.Name, Graph: full.Graph, Log: head}, graphPath, logPath); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := LoadDataset(full.Name, graphPath, logPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := Learn(ds, Options{Lambda: 0.001})
+	if err := model.Save(modelPath); err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("read-log", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f, err := os.Open(logPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l, err := actionlog.Read(f)
+			f.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if l.NumTuples() != ds.Log.NumTuples() {
+				b.Fatalf("read %d tuples, want %d", l.NumTuples(), ds.Log.NumTuples())
+			}
+		}
+	})
+	b.Run("mapped-open", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m, err := LoadModelMapped(ds, modelPath, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Close()
+		}
+	})
+	b.Run("new-evaluator", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if ev := core.NewEvaluator(ds.Graph, ds.Log, model.credit); ev.NumActions() != ds.Log.NumActions() {
+				b.Fatalf("evaluator covers %d actions, want %d", ev.NumActions(), ds.Log.NumActions())
+			}
+		}
+	})
 }

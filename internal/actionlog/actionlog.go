@@ -5,10 +5,11 @@
 package actionlog
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"credist/internal/graph"
 )
@@ -82,17 +83,12 @@ func (l *Log) PerformedAt(u graph.NodeID, a ActionID) (Timestamp, bool) {
 // the paper's "a user performs an action at most once" assumption.
 type Builder struct {
 	numUsers int
-	tuples   map[tupleKey]Timestamp
-}
-
-type tupleKey struct {
-	user   graph.NodeID
-	action ActionID
+	tuples   []Tuple
 }
 
 // NewBuilder returns a Builder for a log over numUsers users.
 func NewBuilder(numUsers int) *Builder {
-	return &Builder{numUsers: numUsers, tuples: make(map[tupleKey]Timestamp)}
+	return &Builder{numUsers: numUsers}
 }
 
 // Add records that user u performed action a at time t.
@@ -103,43 +99,50 @@ func (b *Builder) Add(u graph.NodeID, a ActionID, t Timestamp) error {
 	if a < 0 {
 		return fmt.Errorf("actionlog: negative action id %d", a)
 	}
-	key := tupleKey{u, a}
-	if prev, ok := b.tuples[key]; !ok || t < prev {
-		b.tuples[key] = t
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("actionlog: user %d action %d has non-finite time %v", u, a, t)
 	}
+	b.tuples = append(b.tuples, Tuple{User: u, Action: a, Time: t})
 	return nil
 }
 
-// Build produces the immutable Log. Action ids are kept as given; actions
-// with no tuples in [0, maxAction] simply have empty ranges.
+// canonical orders tuples by action, then time, then user: the log's scan
+// order, and the order Write emits.
+func canonical(x, y Tuple) int {
+	return cmp.Or(cmp.Compare(x.Action, y.Action), cmp.Compare(x.Time, y.Time), cmp.Compare(x.User, y.User))
+}
+
+// Build produces the immutable Log and leaves the Builder empty. Action
+// ids are kept as given; actions with no tuples in [0, maxAction] simply
+// have empty ranges. Tuples already in canonical order (a log read back
+// from Write) are not sorted again; otherwise the sort is stable, so of
+// two equal keys (times +0 and -0) the first added survives. Within an
+// action the first occurrence of a user is then its earliest, so one
+// per-user stamp of the last action kept drops every later duplicate.
 func (b *Builder) Build() *Log {
-	tuples := make([]Tuple, 0, len(b.tuples))
-	maxAction := ActionID(-1)
-	for k, t := range b.tuples {
-		tuples = append(tuples, Tuple{User: k.user, Action: k.action, Time: t})
-		if k.action > maxAction {
-			maxAction = k.action
-		}
+	tuples := b.tuples
+	b.tuples = nil
+	if !slices.IsSortedFunc(tuples, canonical) {
+		slices.SortStableFunc(tuples, canonical)
 	}
-	sort.Slice(tuples, func(i, j int) bool {
-		if tuples[i].Action != tuples[j].Action {
-			return tuples[i].Action < tuples[j].Action
-		}
-		if tuples[i].Time != tuples[j].Time {
-			return tuples[i].Time < tuples[j].Time
-		}
-		return tuples[i].User < tuples[j].User
-	})
-	l := &Log{
-		tuples:     tuples,
-		numUsers:   b.numUsers,
-		userCounts: make([]int32, b.numUsers),
+	l := &Log{numUsers: b.numUsers, userCounts: make([]int32, b.numUsers)}
+	maxAction := ActionID(-1)
+	if len(tuples) > 0 {
+		maxAction = tuples[len(tuples)-1].Action
 	}
 	l.actionIdx = make([]int32, maxAction+2)
+	lastAction := make([]ActionID, b.numUsers) // action id + 1 of the user's last kept tuple
+	kept := tuples[:0]
 	for _, t := range tuples {
+		if lastAction[t.User] == t.Action+1 {
+			continue
+		}
+		lastAction[t.User] = t.Action + 1
+		kept = append(kept, t)
 		l.actionIdx[t.Action+1]++
 		l.userCounts[t.User]++
 	}
+	l.tuples = kept[:len(kept):len(kept)]
 	for i := 1; i < len(l.actionIdx); i++ {
 		l.actionIdx[i] += l.actionIdx[i-1]
 	}
@@ -299,25 +302,18 @@ func (l *Log) Restrict(actions []ActionID) *Log {
 // community sub-dataset.
 func (l *Log) RestrictUsers(remap map[graph.NodeID]graph.NodeID, newNumUsers int) *Log {
 	b := NewBuilder(newNumUsers)
-	nextAction := ActionID(0)
-	actionRemap := make(map[ActionID]ActionID)
+	next := ActionID(0)
 	for a := ActionID(0); int(a) < l.NumActions(); a++ {
-		any := false
+		kept := false
 		for _, t := range l.Action(a) {
-			nu, ok := remap[t.User]
-			if !ok {
-				continue
+			if nu, ok := remap[t.User]; ok {
+				_ = b.Add(nu, next, t.Time)
+				kept = true
 			}
-			na, seen := actionRemap[a]
-			if !seen {
-				na = nextAction
-				actionRemap[a] = na
-				nextAction++
-			}
-			_ = b.Add(nu, na, t.Time)
-			any = true
 		}
-		_ = any
+		if kept {
+			next++
+		}
 	}
 	return b.Build()
 }

@@ -2,7 +2,9 @@ package actionlog
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -292,6 +294,38 @@ func TestReadErrors(t *testing.T) {
 	for _, in := range []string{"", "x\n", "2\n0\n", "2\n0 0 zz\n", "2\n9 0 1\n"} {
 		if _, err := Read(bytes.NewBufferString(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
+		}
+	}
+}
+
+// TestReadRejectsNonFiniteTimes: a NaN time would break the canonical
+// time order (NaN compares false both ways) and poison every time-aware
+// credit through exp(-NaN/tau), so Read and FromTuples refuse NaN and
+// infinite times as Log.Append does, Read naming the line.
+func TestReadRejectsNonFiniteTimes(t *testing.T) {
+	for _, tc := range []struct{ in, line string }{
+		{"3\n0 0 NaN\n1 0 1\n2 0 0.5\n", "line 2:"},
+		{"3\n0 0 1\n1 0 +Inf\n", "line 3:"},
+		{"3\n# c\n0 0 1\n1 0 2\n2 1 -Inf\n", "line 5:"},
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.line) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Read(%q) error %v, want a %q non-finite time error", tc.in, err, tc.line)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := FromTuples(2, []Tuple{{User: 0, Action: 0, Time: 1}, {User: 1, Action: 0, Time: bad}}); err == nil {
+			t.Errorf("FromTuples accepted time %v", bad)
+		}
+	}
+}
+
+// TestReadRejectsNegativeUserCount: a negative user-count header used to
+// pass Read and panic when the log was built.
+func TestReadRejectsNegativeUserCount(t *testing.T) {
+	for _, in := range []string{"-3\n", "-1\n0 0 1\n"} {
+		if _, err := Read(strings.NewReader(in)); err == nil {
+			t.Errorf("Read(%q) accepted a negative user count", in)
 		}
 	}
 }

@@ -3,8 +3,11 @@ package actionlog
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"credist/internal/graph"
 )
 
 // FuzzParseTuples drives the ingest tuple parser with arbitrary text. It
@@ -48,6 +51,78 @@ func FuzzParseTuples(f *testing.F) {
 			b := back[i]
 			if b.User != tu.User || b.Action != tu.Action || math.Float64bits(b.Time) != math.Float64bits(tu.Time) {
 				t.Fatalf("tuple %d: %+v round-tripped to %+v", i, tu, b)
+			}
+		}
+	})
+}
+
+// FuzzReadMatchesReference holds Read to the map-based reference it
+// replaced (reference_test.go): for any text, both reject it, or both
+// build the same log — tuples with times compared by their float64 bits,
+// action offsets and per-user counts — and, when the log's users fit the
+// fixed graph below, the same propagation DAG for every action.
+func FuzzReadMatchesReference(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"4\n0 0 1\n1 0 2.5\n",
+		"3\n0 0 NaN\n1 0 1\n2 0 0.5\n",
+		"8\n2 1 5\n0 0 3\n1 0 3\n0 0 1\n7 2 -0\n7 2 0\n3 1 5\n",
+		"8\n0 0 1\n1 0 2\n2 0 2\n3 0 4\n4 0 1e-300\n5 1 9\n6 1 8\n0 1 7\n",
+		"# comment\n\n5\n  1\t0\t2  \r\n4 0 1 # no\n",
+		" 3 \n0\u00850 1\n",
+		"-3\n",
+		"3\n0 0 1\n3\n",
+		"2\n0 0 +Inf\n",
+		"6\n0 3 1\n5 3 0x1p-2\n1 0 2\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	gb := graph.NewBuilder(8)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 0}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {5, 6}, {6, 7}, {7, 5}, {0, 7}, {3, 1}} {
+		_ = gb.AddEdge(e[0], e[1])
+	}
+	g := gb.Build()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Both implementations size dense arrays by the largest user and
+		// action ids, as the format defines them; ids past 1<<16 would only
+		// exercise the allocator.
+		if tuples, users, err := ParseTuples(bytes.NewReader(data)); err == nil {
+			if users > 1<<16 {
+				return
+			}
+			for _, tu := range tuples {
+				if tu.Action > 1<<16 {
+					return
+				}
+			}
+		}
+		got, err := Read(bytes.NewReader(data))
+		want, refErr := refRead(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Read error %v, reference error %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if got.numUsers != want.numUsers || !slices.Equal(got.actionIdx, want.actionIdx) || !slices.Equal(got.userCounts, want.userCounts) {
+			t.Fatalf("log shape: %d users %v %v, reference %d users %v %v",
+				got.numUsers, got.actionIdx, got.userCounts, want.numUsers, want.actionIdx, want.userCounts)
+		}
+		sameTuple := func(x, y Tuple) bool {
+			return x.User == y.User && x.Action == y.Action && math.Float64bits(x.Time) == math.Float64bits(y.Time)
+		}
+		if !slices.EqualFunc(got.tuples, want.tuples, sameTuple) {
+			t.Fatalf("tuples %v, reference %v", got.tuples, want.tuples)
+		}
+		if got.NumUsers() > g.NumNodes() {
+			return
+		}
+		for a := ActionID(0); int(a) < got.NumActions(); a++ {
+			p, q := BuildPropagation(got, g, a), refBuildPropagation(want, g, a)
+			if !slices.Equal(p.Users, q.Users) || !slices.EqualFunc(p.Times, q.Times, func(x, y Timestamp) bool {
+				return math.Float64bits(x) == math.Float64bits(y)
+			}) || !slices.EqualFunc(p.Parents, q.Parents, slices.Equal) {
+				t.Fatalf("action %d: propagation %+v, reference %+v", a, p, q)
 			}
 		}
 	})

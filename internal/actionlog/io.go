@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"credist/internal/graph"
+	"credist/internal/textrec"
 )
 
 // Write serializes the log as plain text:
@@ -18,16 +19,7 @@ import (
 //
 // in (action, time) order, the format cmd/datagen emits.
 func Write(w io.Writer, l *Log) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d\n", l.NumUsers()); err != nil {
-		return err
-	}
-	for _, t := range l.Tuples() {
-		if _, err := fmt.Fprintf(bw, "%d %d %g\n", t.User, t.Action, t.Time); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteTuples(w, l.NumUsers(), l.Tuples())
 }
 
 // WriteTuples serializes a tuple batch in the format Write uses — a
@@ -53,101 +45,84 @@ func WriteTuples(w io.Writer, numUsers int, tuples []Tuple) error {
 // tuples and the user-count header, or 0 when the header is absent. Blank
 // lines and '#' comments are ignored.
 func ParseTuples(r io.Reader) ([]Tuple, int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var tuples []Tuple
-	minUsers := 0
-	sawHeader, sawTuple := false, false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 1 {
-			if sawHeader || sawTuple {
-				return nil, 0, fmt.Errorf("actionlog: line %d: unexpected user-count line %q", lineNo, line)
-			}
-			n, err := strconv.Atoi(fields[0])
-			if err != nil || n < 0 {
-				return nil, 0, fmt.Errorf("actionlog: line %d: bad user count %q", lineNo, line)
-			}
-			minUsers = n
-			sawHeader = true
-			continue
-		}
-		if len(fields) != 3 {
-			return nil, 0, fmt.Errorf("actionlog: line %d: expected 'user action time', got %q", lineNo, line)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, 0, fmt.Errorf("actionlog: line %d: bad user: %w", lineNo, err)
-		}
-		a, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, 0, fmt.Errorf("actionlog: line %d: bad action: %w", lineNo, err)
-		}
-		t, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, 0, fmt.Errorf("actionlog: line %d: bad time: %w", lineNo, err)
-		}
-		tuples = append(tuples, Tuple{User: graph.NodeID(u), Action: ActionID(a), Time: t})
-		sawTuple = true
-	}
-	if err := sc.Err(); err != nil {
+	users, err := scanLines(r, false, func(_ int, t Tuple) error {
+		tuples = append(tuples, t)
+		return nil
+	})
+	if err != nil {
 		return nil, 0, err
 	}
-	return tuples, minUsers, nil
+	return tuples, max(users, 0), nil
 }
 
 // Read parses the format written by Write. Blank lines and '#' comments
 // are ignored.
 func Read(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var b *Builder
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
+	users, err := scanLines(r, true, func(users int, t Tuple) error {
 		if b == nil {
-			n, err := strconv.Atoi(line)
-			if err != nil {
-				return nil, fmt.Errorf("actionlog: line %d: expected user count: %w", lineNo, err)
-			}
-			b = NewBuilder(n)
-			continue
+			b = NewBuilder(users)
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("actionlog: line %d: expected 'user action time', got %q", lineNo, line)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("actionlog: line %d: bad user: %w", lineNo, err)
-		}
-		a, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("actionlog: line %d: bad action: %w", lineNo, err)
-		}
-		t, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("actionlog: line %d: bad time: %w", lineNo, err)
-		}
-		if err := b.Add(graph.NodeID(u), ActionID(a), t); err != nil {
-			return nil, fmt.Errorf("actionlog: line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return b.Add(t.User, t.Action, t.Time)
+	})
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if b == nil {
+	case users < 0:
 		return nil, fmt.Errorf("actionlog: empty input")
+	case b == nil:
+		b = NewBuilder(users)
 	}
 	return b.Build(), nil
+}
+
+// scanLines is the one parser of the text tuple format. It takes a
+// one-field line as the user count — only before any tuple, and required
+// first when headerFirst is set — and hands each "user action time" line
+// to add with the count so far (-1 when absent). It returns the count, or
+// -1. Every error names its line.
+func scanLines(r io.Reader, headerFirst bool, add func(users int, t Tuple) error) (int, error) {
+	users, tuples := -1, 0
+	err := textrec.Scan(r, "actionlog", func(_ int, f []string) error {
+		switch {
+		case len(f) == 1 && (users >= 0 || tuples > 0):
+			return fmt.Errorf("unexpected user-count line %q", f[0])
+		case len(f) == 1:
+			n, err := strconv.Atoi(f[0])
+			if err != nil || n < 0 {
+				return fmt.Errorf("bad user count %q", f[0])
+			}
+			users = n
+			return nil
+		case len(f) != 3:
+			return fmt.Errorf("expected 'user action time', got %q", strings.Join(f, " "))
+		case headerFirst && users < 0:
+			return fmt.Errorf("expected user count")
+		}
+		t, err := parseTuple(f)
+		if err != nil {
+			return err
+		}
+		tuples++
+		return add(users, t)
+	})
+	return users, err
+}
+
+// parseTuple parses the "user action time" fields of one line.
+func parseTuple(f []string) (Tuple, error) {
+	u, err := strconv.ParseInt(f[0], 10, 32)
+	if err != nil {
+		return Tuple{}, fmt.Errorf("bad user: %w", err)
+	}
+	a, err := strconv.ParseInt(f[1], 10, 32)
+	if err != nil {
+		return Tuple{}, fmt.Errorf("bad action: %w", err)
+	}
+	t, err := strconv.ParseFloat(f[2], 64)
+	if err != nil {
+		return Tuple{}, fmt.Errorf("bad time: %w", err)
+	}
+	return Tuple{User: graph.NodeID(u), Action: ActionID(a), Time: t}, nil
 }

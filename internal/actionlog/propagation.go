@@ -1,7 +1,11 @@
 package actionlog
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"credist/internal/graph"
 )
@@ -17,23 +21,13 @@ type Propagation struct {
 	// Times[i] is when Users[i] performed the action.
 	Times []Timestamp
 	// Parents[i] lists the indices (into Users) of the potential
-	// influencers N_in(Users[i], a).
+	// influencers N_in(Users[i], a), ascending; nil when there are none.
+	// All of a propagation's lists share one backing array.
 	Parents [][]int32
-	// pos maps a user id to its index in Users.
-	pos map[graph.NodeID]int32
 }
 
 // Size returns the number of participants, the paper's "propagation size".
 func (p *Propagation) Size() int { return len(p.Users) }
-
-// Index returns the chronological index of user u, or -1 if u did not
-// participate.
-func (p *Propagation) Index(u graph.NodeID) int32 {
-	if i, ok := p.pos[u]; ok {
-		return i
-	}
-	return -1
-}
 
 // InDegree returns d_in(u, a) for the i-th participant.
 func (p *Propagation) InDegree(i int32) int { return len(p.Parents[i]) }
@@ -50,6 +44,48 @@ func (p *Propagation) Initiators() []graph.NodeID {
 	return out
 }
 
+// UserIndex maps user ids to their chronological index in one
+// propagation at a time. It is dense over the user universe and
+// epoch-stamped: loading the next propagation bumps the epoch instead of
+// clearing, so a load costs O(participants).
+type UserIndex struct {
+	epoch uint32
+	at    []uint32 // per user: == epoch iff the user is in the loaded propagation
+	idx   []int32
+	// BuildPropagation's parent lists before they are copied out, and
+	// the end of each participant's list in par.
+	par, ends []int32
+}
+
+// NewUserIndex returns an index over users [0, numUsers).
+func NewUserIndex(numUsers int) *UserIndex {
+	return &UserIndex{at: make([]uint32, numUsers), idx: make([]int32, numUsers)}
+}
+
+// Load makes users (a propagation's Users) the indexed participants.
+func (x *UserIndex) Load(users []graph.NodeID) {
+	if x.epoch == math.MaxUint32 {
+		clear(x.at)
+		x.epoch = 0
+	}
+	x.epoch++
+	for i, u := range users {
+		x.at[u] = x.epoch
+		x.idx[u] = int32(i)
+	}
+}
+
+// Of returns the chronological index of user u in the loaded propagation,
+// or -1 if u did not participate.
+func (x *UserIndex) Of(u graph.NodeID) int32 {
+	if x.at[u] != x.epoch {
+		return -1
+	}
+	return x.idx[u]
+}
+
+var indexPool sync.Pool // *UserIndex, BuildPropagation's scratch
+
 // BuildPropagation constructs G(a) for action a over social graph g.
 // Parents are predecessors in g (edge v->u means v can influence u) that
 // acted strictly earlier; simultaneous actions never influence each other,
@@ -61,34 +97,36 @@ func BuildPropagation(l *Log, g *graph.Graph, a ActionID) *Propagation {
 		Users:   make([]graph.NodeID, len(tuples)),
 		Times:   make([]Timestamp, len(tuples)),
 		Parents: make([][]int32, len(tuples)),
-		pos:     make(map[graph.NodeID]int32, len(tuples)),
 	}
 	for i, t := range tuples {
 		p.Users[i] = t.User
 		p.Times[i] = t.Time
-		p.pos[t.User] = int32(i)
 	}
-	for i, t := range tuples {
-		var parents []int32
+	x, _ := indexPool.Get().(*UserIndex)
+	if n := max(g.NumNodes(), l.NumUsers()); x == nil || len(x.at) < n {
+		x = NewUserIndex(n)
+	}
+	x.Load(p.Users)
+	x.par, x.ends = x.par[:0], x.ends[:0]
+	for _, t := range tuples {
 		for _, v := range g.In(t.User) {
-			j, ok := p.pos[v]
-			if ok && p.Times[j] < t.Time {
-				parents = append(parents, j)
+			if j := x.Of(v); j >= 0 && p.Times[j] < t.Time {
+				x.par = append(x.par, j)
 			}
 		}
-		sort.Slice(parents, func(x, y int) bool { return parents[x] < parents[y] })
-		p.Parents[i] = parents
+		x.ends = append(x.ends, int32(len(x.par)))
 	}
+	par := slices.Clone(x.par)
+	lo := int32(0)
+	for i, hi := range x.ends {
+		if hi > lo {
+			p.Parents[i] = par[lo:hi:hi]
+			slices.Sort(p.Parents[i])
+		}
+		lo = hi
+	}
+	indexPool.Put(x)
 	return p
-}
-
-// Propagations builds the propagation DAG of every action in the log.
-func Propagations(l *Log, g *graph.Graph) []*Propagation {
-	out := make([]*Propagation, l.NumActions())
-	for a := 0; a < l.NumActions(); a++ {
-		out[a] = BuildPropagation(l, g, ActionID(a))
-	}
-	return out
 }
 
 // Split divides the log's actions into training and test sets following
@@ -98,25 +136,17 @@ func Propagations(l *Log, g *graph.Graph) []*Propagation {
 // densely renumbered actions; the third and fourth results map new action
 // ids back to original ids.
 func Split(l *Log) (train, test *Log, trainOrig, testOrig []ActionID) {
-	type sized struct {
-		a    ActionID
-		size int
+	ranked := make([]ActionID, l.NumActions())
+	for a := range ranked {
+		ranked[a] = ActionID(a)
 	}
-	ranked := make([]sized, l.NumActions())
-	for a := 0; a < l.NumActions(); a++ {
-		ranked[a] = sized{ActionID(a), l.Size(ActionID(a))}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].size != ranked[j].size {
-			return ranked[i].size > ranked[j].size
-		}
-		return ranked[i].a < ranked[j].a
-	})
-	for i, r := range ranked {
+	// Larger propagations first, ties by id.
+	slices.SortFunc(ranked, func(x, y ActionID) int { return cmp.Or(l.Size(y)-l.Size(x), cmp.Compare(x, y)) })
+	for i, a := range ranked {
 		if (i+1)%5 == 0 {
-			testOrig = append(testOrig, r.a)
+			testOrig = append(testOrig, a)
 		} else {
-			trainOrig = append(trainOrig, r.a)
+			trainOrig = append(trainOrig, a)
 		}
 	}
 	return l.Restrict(trainOrig), l.Restrict(testOrig), trainOrig, testOrig

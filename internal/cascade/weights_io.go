@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"credist/internal/graph"
+	"credist/internal/textrec"
 )
 
 // WriteWeights serializes edge weights as plain text:
@@ -43,52 +44,41 @@ func WriteWeights(w io.Writer, ws *Weights) error {
 // weights to g. Edges present in the file but absent from g are an error:
 // weights are meaningless without their graph.
 func ReadWeights(r io.Reader, g *graph.Graph) (*Weights, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	ws := NewWeights(g)
-	lineNo := 0
 	sawHeader := false
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
+	err := textrec.Scan(r, "cascade", func(_ int, f []string) error {
 		if !sawHeader {
-			n, err := strconv.Atoi(line)
-			if err != nil {
-				return nil, fmt.Errorf("cascade: line %d: expected node count: %w", lineNo, err)
+			n, err := strconv.Atoi(f[0])
+			if err != nil || len(f) != 1 {
+				return fmt.Errorf("expected node count, got %q", strings.Join(f, " "))
 			}
 			if n != g.NumNodes() {
-				return nil, fmt.Errorf("cascade: weights for %d nodes, graph has %d", n, g.NumNodes())
+				return fmt.Errorf("weights for %d nodes, graph has %d", n, g.NumNodes())
 			}
 			sawHeader = true
-			continue
+			return nil
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("cascade: line %d: expected 'from to p', got %q", lineNo, line)
+		if len(f) != 3 {
+			return fmt.Errorf("expected 'from to p', got %q", strings.Join(f, " "))
 		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
+		u, err := strconv.ParseInt(f[0], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("cascade: line %d: bad from: %w", lineNo, err)
+			return fmt.Errorf("bad from: %w", err)
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
+		v, err := strconv.ParseInt(f[1], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("cascade: line %d: bad to: %w", lineNo, err)
+			return fmt.Errorf("bad to: %w", err)
 		}
-		p, err := strconv.ParseFloat(fields[2], 64)
+		p, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("cascade: line %d: bad probability: %w", lineNo, err)
+			return fmt.Errorf("bad probability: %w", err)
 		}
-		if err := ws.Set(graph.NodeID(u), graph.NodeID(v), p); err != nil {
-			return nil, fmt.Errorf("cascade: line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return ws.Set(graph.NodeID(u), graph.NodeID(v), p)
+	})
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if !sawHeader {
+	case !sawHeader:
 		return nil, fmt.Errorf("cascade: empty weights input")
 	}
 	return ws, nil

@@ -9,6 +9,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"credist/internal/actionlog"
 	"credist/internal/graph"
@@ -40,17 +41,55 @@ func (SimpleCredit) Gamma(p *actionlog.Propagation, child, _ int32) float64 {
 //
 // where tau_{v,u} is the average observed propagation delay on the edge and
 // infl(u) is u's influenceability. Both are learned from the training log
-// by LearnTimeAware.
+// by LearnTimeAware. The delays are stored keyed by v in compressed sparse
+// rows over the influenceability universe: v's edges are tauTo[tauOff[v]:
+// tauOff[v+1]], ascending, with their delays at the same positions of
+// tauVal.
 type TimeAwareCredit struct {
-	tau  map[graph.Edge]float64
-	infl []float64
+	infl   []float64
+	tauOff []int32
+	tauTo  []graph.NodeID
+	tauVal []float64
+}
+
+// newTimeAware returns parameters over infl with room for tauCount delay
+// edges. Callers add them with addTau in strictly ascending (from, to)
+// order, every endpoint inside infl's universe, then call sealTau.
+func newTimeAware(infl []float64, tauCount int) *TimeAwareCredit {
+	return &TimeAwareCredit{
+		infl:   infl,
+		tauOff: make([]int32, len(infl)+1),
+		tauTo:  make([]graph.NodeID, 0, tauCount),
+		tauVal: make([]float64, 0, tauCount),
+	}
+}
+
+func (c *TimeAwareCredit) addTau(v, u graph.NodeID, tau float64) {
+	c.tauOff[v+1]++
+	c.tauTo = append(c.tauTo, u)
+	c.tauVal = append(c.tauVal, tau)
+}
+
+// sealTau turns the per-row counts addTau left into row offsets.
+func (c *TimeAwareCredit) sealTau() {
+	for v := 1; v < len(c.tauOff); v++ {
+		c.tauOff[v] += c.tauOff[v-1]
+	}
+}
+
+// eachTau calls fn on every delay edge in ascending (from, to) order.
+func (c *TimeAwareCredit) eachTau(fn func(v, u graph.NodeID, tau float64)) {
+	for v := 0; v+1 < len(c.tauOff); v++ {
+		for k := c.tauOff[v]; k < c.tauOff[v+1]; k++ {
+			fn(graph.NodeID(v), c.tauTo[k], c.tauVal[k])
+		}
+	}
 }
 
 // Gamma implements CreditModel.
 func (c *TimeAwareCredit) Gamma(p *actionlog.Propagation, child, parent int32) float64 {
 	u := p.Users[child]
-	v := p.Users[parent]
-	tau, ok := c.tau[graph.Edge{From: v, To: u}]
+	tau, ok := c.Tau(p.Users[parent], u)
 	if !ok || tau <= 0 {
 		// No delay evidence for this edge in training: influence decayed
 		// beyond observation; give no credit.
@@ -63,8 +102,13 @@ func (c *TimeAwareCredit) Gamma(p *actionlog.Propagation, child, parent int32) f
 // Tau returns the learned mean propagation delay of edge (v,u) and whether
 // any delay was observed.
 func (c *TimeAwareCredit) Tau(v, u graph.NodeID) (float64, bool) {
-	t, ok := c.tau[graph.Edge{From: v, To: u}]
-	return t, ok
+	if int(v) < len(c.tauOff)-1 {
+		lo, hi := c.tauOff[v], c.tauOff[v+1]
+		if k, ok := slices.BinarySearch(c.tauTo[lo:hi], u); ok {
+			return c.tauVal[int(lo)+k], true
+		}
+	}
+	return 0, false
 }
 
 // Influenceability returns the learned infl(u).
@@ -85,52 +129,52 @@ func (c *TimeAwareCredit) UniverseSize() int { return len(c.infl) }
 //     i.e. actions a with some potential influencer v such that
 //     t(u,a)-t(v,a) <= tau_{v,u}.
 //
-// Two passes over the log are required because infl depends on tau.
+// Two passes over the log are required because infl depends on tau. The
+// delay sums are kept per graph edge, at its from-major position, so the
+// graph's own sorted out-lists give the tau rows their order.
 func LearnTimeAware(g *graph.Graph, train *actionlog.Log) *TimeAwareCredit {
-	type acc struct {
-		sum   float64
-		count int
-	}
-	sums := make(map[graph.Edge]*acc)
+	sum := make([]float64, g.NumEdges())
+	count := make([]int32, g.NumEdges())
 	props := make([]*actionlog.Propagation, train.NumActions())
 	for a := 0; a < train.NumActions(); a++ {
 		p := actionlog.BuildPropagation(train, g, actionlog.ActionID(a))
 		props[a] = p
 		for i := range p.Users {
 			for _, j := range p.Parents[i] {
-				e := graph.Edge{From: p.Users[j], To: p.Users[i]}
-				s := sums[e]
-				if s == nil {
-					s = &acc{}
-					sums[e] = s
-				}
-				s.sum += p.Times[i] - p.Times[j]
-				s.count++
+				e := g.EdgeIndex(p.Users[j], p.Users[i])
+				sum[e] += p.Times[i] - p.Times[j]
+				count[e]++
 			}
 		}
 	}
-	tau := make(map[graph.Edge]float64, len(sums))
-	for e, s := range sums {
-		tau[e] = s.sum / float64(s.count)
+	c := newTimeAware(make([]float64, g.NumNodes()), 0)
+	e := 0
+	for v := range g.NumNodes() {
+		for _, u := range g.Out(graph.NodeID(v)) {
+			if count[e] > 0 {
+				c.addTau(graph.NodeID(v), u, sum[e]/float64(count[e]))
+			}
+			e++
+		}
 	}
+	c.sealTau()
 
 	influenced := make([]int, g.NumNodes())
 	for _, p := range props {
 		for i, u := range p.Users {
 			for _, j := range p.Parents[i] {
-				e := graph.Edge{From: p.Users[j], To: u}
-				if dt := p.Times[i] - p.Times[j]; dt <= tau[e] {
+				tau, _ := c.Tau(p.Users[j], u)
+				if dt := p.Times[i] - p.Times[j]; dt <= tau {
 					influenced[u]++
 					break
 				}
 			}
 		}
 	}
-	infl := make([]float64, g.NumNodes())
-	for u := range infl {
-		if c := train.ActionCount(graph.NodeID(u)); c > 0 {
-			infl[u] = float64(influenced[u]) / float64(c)
+	for u := range c.infl {
+		if n := train.ActionCount(graph.NodeID(u)); n > 0 {
+			c.infl[u] = float64(influenced[u]) / float64(n)
 		}
 	}
-	return &TimeAwareCredit{tau: tau, infl: infl}
+	return c
 }

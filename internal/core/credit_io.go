@@ -2,13 +2,14 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"credist/internal/graph"
+	"credist/internal/textrec"
 )
 
 // WriteTimeAware serializes learned time-aware credit parameters:
@@ -23,113 +24,105 @@ import (
 // and tau records are sorted by edge so identical models produce
 // byte-identical files.
 func WriteTimeAware(w io.Writer, c *TimeAwareCredit) error {
+	// bufio.Writer keeps its first write error and Flush returns it.
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "numUsers %d\n", len(c.infl)); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "numUsers %d\n", len(c.infl))
 	for u, v := range c.infl {
 		if v != 0 {
-			if _, err := fmt.Fprintf(bw, "infl %d %g\n", u, v); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "infl %d %g\n", u, v)
 		}
 	}
-	edges := make([]graph.Edge, 0, len(c.tau))
-	for e := range c.tau {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
+	c.eachTau(func(v, u graph.NodeID, tau float64) {
+		fmt.Fprintf(bw, "tau %d %d %g\n", v, u, tau)
 	})
-	for _, e := range edges {
-		if _, err := fmt.Fprintf(bw, "tau %d %d %g\n", e.From, e.To, c.tau[e]); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
 }
 
 // ReadTimeAware parses the format written by WriteTimeAware. Malformed
 // input is rejected with a line-numbered error; that includes a repeated
 // numUsers header (which would silently discard every previously parsed
-// infl entry) and duplicate infl or tau records (where last-wins would
-// mask a corrupted or concatenated file).
+// infl entry), duplicate infl or tau records (where last-wins would mask
+// a corrupted or concatenated file), and tau edges with an endpoint
+// outside the influenceability table.
 func ReadTimeAware(r io.Reader) (*TimeAwareCredit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	c := &TimeAwareCredit{tau: make(map[graph.Edge]float64)}
+	var infl []float64
+	type tauRec struct {
+		from, to graph.NodeID
+		tau      float64
+		line     int
+	}
+	var taus []tauRec
 	seenInfl := make(map[int]struct{})
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+	err := textrec.Scan(r, "core", func(line int, f []string) error {
+		switch f[0] {
 		case "numUsers":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("core: line %d: malformed numUsers", lineNo)
+			if len(f) != 2 {
+				return fmt.Errorf("malformed numUsers")
 			}
-			if c.infl != nil {
-				return nil, fmt.Errorf("core: line %d: duplicate numUsers header (would discard %d parsed infl entries)", lineNo, len(seenInfl))
+			if infl != nil {
+				return fmt.Errorf("duplicate numUsers header (would discard %d parsed infl entries)", len(seenInfl))
 			}
-			n, err := strconv.Atoi(fields[1])
+			n, err := strconv.Atoi(f[1])
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("core: line %d: bad numUsers %q", lineNo, fields[1])
+				return fmt.Errorf("bad numUsers %q", f[1])
 			}
-			c.infl = make([]float64, n)
+			infl = make([]float64, n)
 		case "infl":
-			if len(fields) != 3 || c.infl == nil {
-				return nil, fmt.Errorf("core: line %d: malformed infl (numUsers must come first)", lineNo)
+			if len(f) != 3 || infl == nil {
+				return fmt.Errorf("malformed infl (numUsers must come first)")
 			}
-			u, err := strconv.Atoi(fields[1])
-			if err != nil || u < 0 || u >= len(c.infl) {
-				return nil, fmt.Errorf("core: line %d: bad user %q", lineNo, fields[1])
+			u, err := strconv.Atoi(f[1])
+			if err != nil || u < 0 || u >= len(infl) {
+				return fmt.Errorf("bad user %q", f[1])
 			}
 			if _, dup := seenInfl[u]; dup {
-				return nil, fmt.Errorf("core: line %d: duplicate infl record for user %d", lineNo, u)
+				return fmt.Errorf("duplicate infl record for user %d", u)
 			}
 			seenInfl[u] = struct{}{}
-			v, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: line %d: bad infl value: %w", lineNo, err)
+			if infl[u], err = strconv.ParseFloat(f[2], 64); err != nil {
+				return fmt.Errorf("bad infl value: %w", err)
 			}
-			c.infl[u] = v
 		case "tau":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("core: line %d: malformed tau", lineNo)
+			if len(f) != 4 {
+				return fmt.Errorf("malformed tau")
 			}
-			from, err := strconv.ParseInt(fields[1], 10, 32)
+			from, err := strconv.ParseInt(f[1], 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("core: line %d: bad from: %w", lineNo, err)
+				return fmt.Errorf("bad from: %w", err)
 			}
-			to, err := strconv.ParseInt(fields[2], 10, 32)
+			to, err := strconv.ParseInt(f[2], 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("core: line %d: bad to: %w", lineNo, err)
+				return fmt.Errorf("bad to: %w", err)
 			}
-			v, err := strconv.ParseFloat(fields[3], 64)
+			v, err := strconv.ParseFloat(f[3], 64)
 			if err != nil {
-				return nil, fmt.Errorf("core: line %d: bad tau value: %w", lineNo, err)
+				return fmt.Errorf("bad tau value: %w", err)
 			}
-			e := graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to)}
-			if _, dup := c.tau[e]; dup {
-				return nil, fmt.Errorf("core: line %d: duplicate tau record for edge (%d,%d)", lineNo, from, to)
-			}
-			c.tau[e] = v
+			taus = append(taus, tauRec{graph.NodeID(from), graph.NodeID(to), v, line})
 		default:
-			return nil, fmt.Errorf("core: line %d: unknown record %q", lineNo, fields[0])
+			return fmt.Errorf("unknown record %q", f[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if c.infl == nil {
+	case infl == nil:
 		return nil, fmt.Errorf("core: missing numUsers header")
 	}
+	slices.SortFunc(taus, func(x, y tauRec) int {
+		return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.to, y.to), cmp.Compare(x.line, y.line))
+	})
+	c := newTimeAware(infl, len(taus))
+	for i, t := range taus {
+		switch {
+		case t.from < 0 || t.to < 0 || int(t.from) >= len(infl) || int(t.to) >= len(infl):
+			return nil, fmt.Errorf("core: line %d: tau edge (%d,%d) outside the %d-user influenceability table", t.line, t.from, t.to, len(infl))
+		case i > 0 && t.from == taus[i-1].from && t.to == taus[i-1].to:
+			return nil, fmt.Errorf("core: line %d: duplicate tau record for edge (%d,%d)", t.line, t.from, t.to)
+		}
+		c.addTau(t.from, t.to, t.tau)
+	}
+	c.sealTau()
 	return c, nil
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,6 +28,86 @@ func TestSimpleCreditSumsToOne(t *testing.T) {
 		}
 		if math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("direct credits of user %d sum to %g", p.Users[i], sum)
+		}
+	}
+}
+
+// tauMap collects c's delay edges into a map.
+func tauMap(c *TimeAwareCredit) map[graph.Edge]float64 {
+	m := make(map[graph.Edge]float64, len(c.tauVal))
+	c.eachTau(func(v, u graph.NodeID, tau float64) { m[graph.Edge{From: v, To: u}] = tau })
+	return m
+}
+
+// withStrayTau returns c plus one tau edge (n-1, n) whose head lies just
+// outside the n-user influenceability table.
+func withStrayTau(c *TimeAwareCredit) *TimeAwareCredit {
+	n := graph.NodeID(len(c.infl))
+	s := newTimeAware(c.infl, len(c.tauVal)+1)
+	c.eachTau(s.addTau)
+	s.addTau(n-1, n, 1)
+	s.sealTau()
+	return s
+}
+
+// TestTauCSRMatchesMap: Tau and Gamma read from the compressed rows equal
+// the map lookups they replaced, over every (from, to) pair of the
+// universe — present, absent and non-positive delays alike — and every
+// parent edge of random propagations.
+func TestTauCSRMatchesMap(t *testing.T) {
+	mapGamma := func(tau map[graph.Edge]float64, infl []float64, p *actionlog.Propagation, child, parent int32) float64 {
+		u, v := p.Users[child], p.Users[parent]
+		d, ok := tau[graph.Edge{From: v, To: u}]
+		if !ok || d <= 0 {
+			return 0
+		}
+		return infl[u] / float64(len(p.Parents[child])) * math.Exp(-(p.Times[child]-p.Times[parent])/d)
+	}
+	rng := rand.New(rand.NewPCG(19, 19))
+	for trial := 0; trial < 40; trial++ {
+		g, log := randomInstance(rng, 6+rng.IntN(20), 3+rng.IntN(6))
+		n := g.NumNodes()
+		infl := make([]float64, n)
+		for u := range infl {
+			infl[u] = rng.Float64()
+		}
+		tau := make(map[graph.Edge]float64)
+		for range rng.IntN(3 * n) {
+			e := graph.Edge{From: graph.NodeID(rng.IntN(n)), To: graph.NodeID(rng.IntN(n))}
+			tau[e] = rng.Float64()*8 - 1
+		}
+		for _, e := range g.Edges() {
+			if rng.IntN(2) == 0 {
+				tau[e] = rng.Float64() * 8
+			}
+		}
+		edges := slices.SortedFunc(maps.Keys(tau), func(x, y graph.Edge) int {
+			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+		})
+		c := newTimeAware(infl, len(edges))
+		for _, e := range edges {
+			c.addTau(e.From, e.To, tau[e])
+		}
+		c.sealTau()
+		for v := graph.NodeID(0); int(v) <= n; v++ {
+			for u := graph.NodeID(0); int(u) <= n; u++ {
+				got, ok := c.Tau(v, u)
+				want, wok := tau[graph.Edge{From: v, To: u}]
+				if ok != wok || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: Tau(%d,%d) = %v,%v, map %v,%v", trial, v, u, got, ok, want, wok)
+				}
+			}
+		}
+		for a := 0; a < log.NumActions(); a++ {
+			p := actionlog.BuildPropagation(log, g, actionlog.ActionID(a))
+			for i, ps := range p.Parents {
+				for _, j := range ps {
+					got, want := c.Gamma(p, int32(i), j), mapGamma(tau, infl, p, int32(i), j)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d: Gamma(action %d, %d<-%d) = %v, map %v", trial, a, i, j, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -92,7 +175,7 @@ func TestTimeAwareGammaDecays(t *testing.T) {
 	log := lb.Build()
 	credit := LearnTimeAware(g, log)
 	p := actionlog.BuildPropagation(log, g, 1)
-	i1, i2 := p.Index(1), p.Index(2)
+	i1, i2 := int32(slices.Index(p.Users, 1)), int32(slices.Index(p.Users, 2))
 	g1 := credit.Gamma(p, i1, p.Parents[i1][0])
 	g2 := credit.Gamma(p, i2, p.Parents[i2][0])
 	if g1 <= g2 {
@@ -103,7 +186,7 @@ func TestTimeAwareGammaDecays(t *testing.T) {
 func TestTimeAwareGammaZeroWithoutTau(t *testing.T) {
 	// An edge never observed propagating earns no credit even if the
 	// propagation graph contains it for a test action: tau is undefined.
-	credit := &TimeAwareCredit{tau: map[graph.Edge]float64{}, infl: []float64{1, 1}}
+	credit := &TimeAwareCredit{infl: []float64{1, 1}}
 	b := graph.NewBuilder(2)
 	_ = b.AddEdge(0, 1)
 	g := b.Build()
@@ -112,7 +195,7 @@ func TestTimeAwareGammaZeroWithoutTau(t *testing.T) {
 	_ = lb.Add(1, 0, 1)
 	log := lb.Build()
 	p := actionlog.BuildPropagation(log, g, 0)
-	i1 := p.Index(1)
+	i1 := int32(slices.Index(p.Users, 1))
 	if got := credit.Gamma(p, i1, p.Parents[i1][0]); got != 0 {
 		t.Fatalf("gamma = %g, want 0 without tau", got)
 	}
@@ -210,7 +293,7 @@ func TestTimeAwareIORoundTrip(t *testing.T) {
 			t.Fatalf("infl(%d) %g != %g", u, a, b)
 		}
 	}
-	for e, tau := range credit.tau {
+	for e, tau := range tauMap(credit) {
 		got, ok := back.Tau(e.From, e.To)
 		if !ok || math.Abs(got-tau) > 1e-12 {
 			t.Fatalf("tau(%v) %g,%v != %g", e, got, ok, tau)
@@ -240,10 +323,7 @@ func TestTimeAwareIOBitExact(t *testing.T) {
 	credit.infl[0] = 1.0 / 3.0
 	credit.infl[1] = 0.1 + 0.2
 	credit.infl[2] = math.Nextafter(1, 2) - 1
-	for e := range credit.tau {
-		credit.tau[e] = math.Nextafter(credit.tau[e], math.Inf(1))
-		break
-	}
+	credit.tauVal[0] = math.Nextafter(credit.tauVal[0], math.Inf(1))
 
 	var buf bytes.Buffer
 	if err := WriteTimeAware(&buf, credit); err != nil {
@@ -259,11 +339,12 @@ func TestTimeAwareIOBitExact(t *testing.T) {
 			t.Fatalf("infl(%d) bits differ: %v -> %v", u, credit.infl[u], back.infl[u])
 		}
 	}
-	if len(back.tau) != len(credit.tau) {
-		t.Fatalf("tau count %d != %d", len(back.tau), len(credit.tau))
+	backTau := tauMap(back)
+	if len(backTau) != len(credit.tauVal) {
+		t.Fatalf("tau count %d != %d", len(backTau), len(credit.tauVal))
 	}
-	for e, tau := range credit.tau {
-		got, ok := back.tau[e]
+	for e, tau := range tauMap(credit) {
+		got, ok := backTau[e]
 		if !ok || math.Float64bits(got) != math.Float64bits(tau) {
 			t.Fatalf("tau(%v) bits differ: %v -> %v", e, tau, got)
 		}
@@ -289,6 +370,9 @@ func TestReadTimeAwareErrors(t *testing.T) {
 		"numUsers 2\ntau a 1 2\n",  // bad from
 		"numUsers 2\ntau 0 1 zz\n", // bad value
 		"numUsers x\n",
+		"numUsers 2\ntau 0 2 1\n",          // head outside the table
+		"numUsers 2\ntau -1 0 1\n",         // negative tail
+		"numUsers 2\ntau 2147483000 0 1\n", // tail far outside the table
 	}
 	for _, in := range cases {
 		if _, err := ReadTimeAware(bytes.NewBufferString(in)); err == nil {

@@ -432,11 +432,6 @@ func (e *Engine) Credit(a actionlog.ActionID, v, u graph.NodeID) float64 {
 	return c
 }
 
-// SeedCredit returns SC[x][a] = Gamma_{S,x}(a) for the current seed set.
-func (e *Engine) SeedCredit(a actionlog.ActionID, x graph.NodeID) float64 {
-	return e.seedCredit(a, int32(x))
-}
-
 // Entries returns the number of live UC entries, the memory statistic
 // reported in Figure 8 and Table 4.
 func (e *Engine) Entries() int64 { return e.entries }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"credist/internal/actionlog"
 	"credist/internal/graph"
 )
@@ -161,7 +163,7 @@ func (ev *refEvaluator) SetCredit(a actionlog.ActionID, seeds []graph.NodeID, u 
 		return 1
 	}
 	p := ev.props[a]
-	target := p.Index(u)
+	target := int32(slices.Index(p.Users, u))
 	if target < 0 {
 		return 0
 	}

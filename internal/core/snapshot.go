@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 
 	"credist/internal/actionlog"
 	"credist/internal/celf"
@@ -360,22 +359,12 @@ func writeSnapshotHeader(sw *snapWriter, e *Engine, lin Lineage, version uint32)
 		for _, v := range credit.infl {
 			sw.f64(v)
 		}
-		edges := make([]graph.Edge, 0, len(credit.tau))
-		for ed := range credit.tau {
-			edges = append(edges, ed)
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].From != edges[j].From {
-				return edges[i].From < edges[j].From
-			}
-			return edges[i].To < edges[j].To
+		sw.u32(uint32(len(credit.tauTo)))
+		credit.eachTau(func(v, u graph.NodeID, tau float64) {
+			sw.u32(uint32(v))
+			sw.u32(uint32(u))
+			sw.f64(tau)
 		})
-		sw.u32(uint32(len(edges)))
-		for _, ed := range edges {
-			sw.u32(uint32(ed.From))
-			sw.u32(uint32(ed.To))
-			sw.f64(credit.tau[ed])
-		}
 	default:
 		return fmt.Errorf("core: cannot snapshot engine with credit model %T", e.credit)
 	}
@@ -580,49 +569,6 @@ func (e *Engine) writeSnapshotRows(w io.Writer, lin Lineage, prefix *SeedPrefix,
 	return bw.Flush()
 }
 
-// writeSnapshotV2 writes the legacy version-2 format (packed 12-byte
-// cells, prefix after the shards, no header CRC or base section). It is
-// never used in production — the compatibility tests need a source of
-// genuine old-format files now that WriteSnapshotPrefix emits version 3.
-func writeSnapshotV2(w io.Writer, e *Engine, lin Lineage, prefix *SeedPrefix) error {
-	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	sw := &snapWriter{w: bw}
-	if err := writeSnapshotHeader(sw, e, lin, snapshotVersionNoBase); err != nil {
-		return err
-	}
-
-	for _, st := range e.uc {
-		nRows := st.numRows()
-		sw.u32(uint32(nRows))
-		sw.u32(uint32(st.entryCount()))
-		for ri := 0; ri < nRows; ri++ {
-			row := st.rowAt(ri)
-			sw.u32(uint32(st.rowKeyAt(ri)))
-			sw.u32(uint32(len(row)))
-			need := len(row) * 12
-			if cap(sw.buf) < need {
-				sw.buf = make([]byte, need)
-			}
-			b := sw.buf[:need]
-			for i, en := range row {
-				binary.LittleEndian.PutUint32(b[i*12:], uint32(en.u))
-				binary.LittleEndian.PutUint64(b[i*12+4:], math.Float64bits(en.c))
-			}
-			sw.bytes(b)
-		}
-	}
-
-	writeSeedPrefixSection(sw, prefix)
-	sw.footer()
-	if sw.err != nil {
-		return fmt.Errorf("core: write snapshot: %w", sw.err)
-	}
-	return bw.Flush()
-}
-
 // snapCursor decodes the snapshot payload from an in-memory buffer with
 // sticky error handling. The whole file is read (and CRC-verified) before
 // parsing starts, so every declared count can be validated against the
@@ -722,17 +668,16 @@ func parseSnapshotHeader(sc *snapCursor) (Lineage, float64, CreditModel, error) 
 	case tag == creditTagSimple:
 		credit = SimpleCredit{}
 	case tag == creditTagTimeAware:
-		ta := &TimeAwareCredit{}
 		inflLen := sc.count("influenceability", 8)
 		if sc.err == nil && inflLen < lin.NumUsers {
 			return lin, 0, nil, fmt.Errorf("core: snapshot: influenceability table covers %d users, lineage declares %d", inflLen, lin.NumUsers)
 		}
-		ta.infl = make([]float64, inflLen)
-		for i := range ta.infl {
-			ta.infl[i] = sc.f64()
+		infl := make([]float64, inflLen)
+		for i := range infl {
+			infl[i] = sc.f64()
 		}
 		tauCount := sc.count("tau", 16)
-		ta.tau = make(map[graph.Edge]float64, tauCount)
+		ta := newTimeAware(infl, tauCount)
 		prev := graph.Edge{From: -1, To: -1}
 		for i := 0; i < tauCount && sc.err == nil; i++ {
 			ed := graph.Edge{From: graph.NodeID(sc.u32()), To: graph.NodeID(sc.u32())}
@@ -740,8 +685,8 @@ func parseSnapshotHeader(sc *snapCursor) (Lineage, float64, CreditModel, error) 
 			if sc.err != nil {
 				break
 			}
-			if ed.From < 0 || ed.To < 0 {
-				sc.fail("negative tau edge (%d,%d)", ed.From, ed.To)
+			if ed.From < 0 || ed.To < 0 || int(ed.From) >= inflLen || int(ed.To) >= inflLen {
+				sc.fail("tau edge (%d,%d) outside the %d-user influenceability table", ed.From, ed.To, inflLen)
 				break
 			}
 			if ed.From < prev.From || (ed.From == prev.From && ed.To <= prev.To) {
@@ -749,8 +694,9 @@ func parseSnapshotHeader(sc *snapCursor) (Lineage, float64, CreditModel, error) 
 				break
 			}
 			prev = ed
-			ta.tau[ed] = tau
+			ta.addTau(ed.From, ed.To, tau)
 		}
+		ta.sealTau()
 		credit = ta
 	default:
 		return lin, 0, nil, fmt.Errorf("core: snapshot: unknown credit model tag %d", tag)

@@ -56,6 +56,14 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(simple.Bytes())
 
+	// Seed: a tau record whose head lies just past the influenceability
+	// table; the decoder must reject it.
+	var stray bytes.Buffer
+	if err := NewEngine(g, log, Options{Lambda: 0.001, Credit: withStrayTau(credit)}).WriteSnapshot(&stray, lin); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stray.Bytes())
+
 	// Seed 4: legacy version-2 layout, with a prefix.
 	var legacy bytes.Buffer
 	if err := writeSnapshotV2(&legacy, e, lin, prefix); err != nil {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -93,17 +96,18 @@ func TestSnapshotRoundTripBitExact(t *testing.T) {
 	// The time-aware parameters must survive bit-exact too.
 	orig := e.CreditModel().(*TimeAwareCredit)
 	restored := back.CreditModel().(*TimeAwareCredit)
-	if len(orig.infl) != len(restored.infl) || len(orig.tau) != len(restored.tau) {
+	origTau, restoredTau := tauMap(orig), tauMap(restored)
+	if len(orig.infl) != len(restored.infl) || len(origTau) != len(restoredTau) {
 		t.Fatalf("credit params shape changed: infl %d/%d tau %d/%d",
-			len(restored.infl), len(orig.infl), len(restored.tau), len(orig.tau))
+			len(restored.infl), len(orig.infl), len(restoredTau), len(origTau))
 	}
 	for u := range orig.infl {
 		if orig.infl[u] != restored.infl[u] {
 			t.Fatalf("infl(%d) %b != %b", u, restored.infl[u], orig.infl[u])
 		}
 	}
-	for ed, tau := range orig.tau {
-		if got, ok := restored.tau[ed]; !ok || got != tau {
+	for ed, tau := range origTau {
+		if got, ok := restoredTau[ed]; !ok || got != tau {
 			t.Fatalf("tau(%v) %b,%v != %b", ed, got, ok, tau)
 		}
 	}
@@ -388,6 +392,49 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	}
 }
 
+// writeSnapshotV2 writes the legacy version-2 format (packed 12-byte
+// cells, prefix after the shards, no header CRC or base section). Nothing
+// writes it any more; the compatibility tests need a source of genuine
+// old-format files now that WriteSnapshotPrefix emits version 3.
+func writeSnapshotV2(w io.Writer, e *Engine, lin Lineage, prefix *SeedPrefix) error {
+	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(w, 1<<20)
+	sw := &snapWriter{w: bw}
+	if err := writeSnapshotHeader(sw, e, lin, snapshotVersionNoBase); err != nil {
+		return err
+	}
+
+	for _, st := range e.uc {
+		nRows := st.numRows()
+		sw.u32(uint32(nRows))
+		sw.u32(uint32(st.entryCount()))
+		for ri := 0; ri < nRows; ri++ {
+			row := st.rowAt(ri)
+			sw.u32(uint32(st.rowKeyAt(ri)))
+			sw.u32(uint32(len(row)))
+			need := len(row) * 12
+			if cap(sw.buf) < need {
+				sw.buf = make([]byte, need)
+			}
+			b := sw.buf[:need]
+			for i, en := range row {
+				binary.LittleEndian.PutUint32(b[i*12:], uint32(en.u))
+				binary.LittleEndian.PutUint64(b[i*12+4:], math.Float64bits(en.c))
+			}
+			sw.bytes(b)
+		}
+	}
+
+	writeSeedPrefixSection(sw, prefix)
+	sw.footer()
+	if sw.err != nil {
+		return fmt.Errorf("core: write snapshot: %w", sw.err)
+	}
+	return bw.Flush()
+}
+
 // craftVersion1 rewrites legacy version-2 bytes as the version-1 layout:
 // patch the version field, drop the 4-byte empty prefix section before the
 // footer, recompute the CRC. The input must carry no seed prefix.
@@ -603,5 +650,19 @@ func TestHashStability(t *testing.T) {
 	// The prefix hash of a prefix-restricted log matches the full log's.
 	if HashLogPrefix(log.Prefix(10), 10) != HashLogPrefix(log, 10) {
 		t.Error("prefix hash differs between Prefix view and full log")
+	}
+}
+
+// TestReadSnapshotRejectsStrayTau: a tau edge with an endpoint outside the
+// influenceability table is refused. No real tau edge has one (every tau
+// edge is a graph edge, and the table covers the graph), and the delay
+// rows are sized by the table, never by an endpoint read from the file.
+func TestReadSnapshotRejectsStrayTau(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 23))
+	g, log := randomInstance(rng, 15, 6)
+	e := NewEngine(g, log, Options{Lambda: 0.001, Credit: withStrayTau(LearnTimeAware(g, log))})
+	data := writeSnapshot(t, e, DatasetLineage("stray", g, log))
+	if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("stray tau edge: error %v, want an outside-the-table error", err)
 	}
 }

@@ -6,9 +6,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID is a dense node index in [0, NumNodes).
@@ -63,12 +64,17 @@ func (g *Graph) In(u NodeID) []NodeID {
 	return g.inEdges[g.inIndex[u]:g.inIndex[u+1]]
 }
 
-// HasEdge reports whether the edge u->v exists. Adjacency lists are sorted,
-// so this is a binary search.
-func (g *Graph) HasEdge(u, v NodeID) bool {
-	out := g.Out(u)
-	i := sort.Search(len(out), func(i int) bool { return out[i] >= v })
-	return i < len(out) && out[i] == v
+// HasEdge reports whether the edge u->v exists.
+func (g *Graph) HasEdge(u, v NodeID) bool { return g.EdgeIndex(u, v) >= 0 }
+
+// EdgeIndex returns the position of edge u->v in from-major order (its
+// index in Edges()), or -1 if there is no such edge. Adjacency lists are
+// sorted, so this is a binary search.
+func (g *Graph) EdgeIndex(u, v NodeID) int {
+	if i, ok := slices.BinarySearch(g.Out(u), v); ok {
+		return int(g.outIndex[u]) + i
+	}
+	return -1
 }
 
 // Edges returns all edges in from-major order. It allocates a fresh slice.
@@ -137,61 +143,37 @@ func (b *Builder) NumNodes() int { return int(b.n) }
 // Build produces the immutable Graph. The builder may be reused afterwards;
 // it retains its accumulated edges.
 func (b *Builder) Build() *Graph {
-	edges := make([]Edge, len(b.edges))
-	copy(edges, b.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	// Deduplicate.
-	uniq := edges[:0]
-	var last Edge = Edge{-1, -1}
-	for _, e := range edges {
-		if e != last {
-			uniq = append(uniq, e)
-			last = e
-		}
-	}
-	edges = uniq
+	edges := slices.Clone(b.edges)
+	slices.SortFunc(edges, func(x, y Edge) int { return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To)) })
+	edges = slices.Compact(edges)
 
+	// Edges are from-major sorted, so both bucketings keep every
+	// adjacency list sorted: successors by To, predecessors by From.
 	g := &Graph{n: b.n}
-	g.outIndex = make([]int32, b.n+1)
-	g.outEdges = make([]NodeID, len(edges))
-	for _, e := range edges {
-		g.outIndex[e.From+1]++
-	}
-	for i := int32(0); i < b.n; i++ {
-		g.outIndex[i+1] += g.outIndex[i]
-	}
-	cursor := make([]int32, b.n)
-	for _, e := range edges {
-		pos := g.outIndex[e.From] + cursor[e.From]
-		g.outEdges[pos] = e.To
-		cursor[e.From]++
-	}
-
-	g.inIndex = make([]int32, b.n+1)
-	g.inEdges = make([]NodeID, len(edges))
-	for _, e := range edges {
-		g.inIndex[e.To+1]++
-	}
-	for i := int32(0); i < b.n; i++ {
-		g.inIndex[i+1] += g.inIndex[i]
-	}
-	for i := range cursor {
-		cursor[i] = 0
-	}
-	for _, e := range edges {
-		pos := g.inIndex[e.To] + cursor[e.To]
-		g.inEdges[pos] = e.From
-		cursor[e.To]++
-	}
-	// In-lists come out sorted already because edges are from-major sorted
-	// and we append in order; predecessors of v are appended in increasing
-	// order of From. Nothing further to do.
+	g.outIndex, g.outEdges = bucket(b.n, edges, func(e Edge) (NodeID, NodeID) { return e.From, e.To })
+	g.inIndex, g.inEdges = bucket(b.n, edges, func(e Edge) (NodeID, NodeID) { return e.To, e.From })
 	return g
+}
+
+// bucket lays edges out in compressed sparse rows: for each edge, key
+// returns its row and the node it lists there. Rows keep edge order.
+func bucket(n int32, edges []Edge, key func(Edge) (NodeID, NodeID)) ([]int32, []NodeID) {
+	index := make([]int32, n+1)
+	for _, e := range edges {
+		row, _ := key(e)
+		index[row+1]++
+	}
+	for i := int32(0); i < n; i++ {
+		index[i+1] += index[i]
+	}
+	out := make([]NodeID, len(edges))
+	next := slices.Clone(index[:n])
+	for _, e := range edges {
+		row, v := key(e)
+		out[next[row]] = v
+		next[row]++
+	}
+	return index, out
 }
 
 // FromEdges builds a graph with n nodes from an edge list, coalescing
@@ -229,13 +211,8 @@ func (g *Graph) Subgraph(keep []NodeID) (*Graph, []NodeID) {
 	return b.Build(), orig
 }
 
-// Transpose returns the graph with every edge reversed.
+// Transpose returns the graph with every edge reversed. Graphs are
+// immutable, so it shares the receiver's adjacency arrays.
 func (g *Graph) Transpose() *Graph {
-	b := NewBuilder(g.NumNodes())
-	for u := int32(0); u < g.n; u++ {
-		for _, v := range g.Out(u) {
-			_ = b.AddEdge(v, u)
-		}
-	}
-	return b.Build()
+	return &Graph{n: g.n, outIndex: g.inIndex, outEdges: g.inEdges, inIndex: g.outIndex, inEdges: g.outEdges}
 }

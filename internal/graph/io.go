@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"credist/internal/textrec"
 )
 
 // WriteEdgeList writes the graph as a plain-text edge list:
@@ -33,44 +35,33 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // ReadEdgeList parses the format written by WriteEdgeList. Blank lines and
 // lines starting with '#' are ignored.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var b *Builder
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
+	err := textrec.Scan(r, "graph", func(_ int, f []string) error {
 		if b == nil {
-			n, err := strconv.Atoi(line)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: expected node count: %w", lineNo, err)
+			n, err := strconv.Atoi(f[0])
+			if err != nil || n < 0 || len(f) != 1 {
+				return fmt.Errorf("expected node count, got %q", strings.Join(f, " "))
 			}
 			b = NewBuilder(n)
-			continue
+			return nil
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: expected 'from to', got %q", lineNo, line)
+		if len(f) != 2 {
+			return fmt.Errorf("expected 'from to', got %q", strings.Join(f, " "))
 		}
-		from, err := strconv.ParseInt(fields[0], 10, 32)
+		from, err := strconv.ParseInt(f[0], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad from: %w", lineNo, err)
+			return fmt.Errorf("bad from: %w", err)
 		}
-		to, err := strconv.ParseInt(fields[1], 10, 32)
+		to, err := strconv.ParseInt(f[1], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad to: %w", lineNo, err)
+			return fmt.Errorf("bad to: %w", err)
 		}
-		if err := b.AddEdge(NodeID(from), NodeID(to)); err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return b.AddEdge(NodeID(from), NodeID(to))
+	})
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if b == nil {
+	case b == nil:
 		return nil, fmt.Errorf("graph: empty input")
 	}
 	return b.Build(), nil

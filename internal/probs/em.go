@@ -26,12 +26,11 @@ func (o EMOptions) withDefaults() EMOptions {
 }
 
 type emEdge struct {
-	from, to graph.NodeID
-	succ     int     // |S+|: actions where from acted strictly before to
-	cooc     int     // actions both performed (any order)
-	denom    float64 // |S+| + |S-| = succ + (A_from - cooc)
-	p        float64
-	num      float64 // E-step accumulator
+	succ  int     // |S+|: actions where from acted strictly before to
+	cooc  int     // actions both performed (any order)
+	denom float64 // |S+| + |S-| = succ + (A_from - cooc)
+	p     float64
+	num   float64 // E-step accumulator
 }
 
 // emCase is one likelihood term: an activation of a user with at least one
@@ -52,27 +51,25 @@ type emCase struct {
 // the M-step re-estimates p(v,u) as attributed successes over |S+|+|S-|.
 func LearnEMIC(g *graph.Graph, train *actionlog.Log, opts EMOptions) *cascade.Weights {
 	opts = opts.withDefaults()
-	edges := make(map[graph.Edge]*emEdge)
+	// One accumulator per graph edge, at its from-major position; edges no
+	// action exercises keep p = 0 throughout and are never set.
+	edges := make([]emEdge, g.NumEdges())
 	var cases []emCase
 
+	ix := actionlog.NewUserIndex(g.NumNodes())
 	for a := 0; a < train.NumActions(); a++ {
 		prop := actionlog.BuildPropagation(train, g, actionlog.ActionID(a))
-		inAction := prop // pos lookup via Index
+		ix.Load(prop.Users)
 		for i, u := range prop.Users {
 			// Record co-occurrence for every in-neighbor that performed a,
 			// and successes/cases for those that performed it earlier.
 			var caseEdges []*emEdge
 			for _, v := range g.In(u) {
-				j := inAction.Index(v)
+				j := ix.Of(v)
 				if j < 0 {
 					continue
 				}
-				key := graph.Edge{From: v, To: u}
-				e := edges[key]
-				if e == nil {
-					e = &emEdge{from: v, to: u}
-					edges[key] = e
-				}
+				e := &edges[g.EdgeIndex(v, u)]
 				e.cooc++
 				if prop.Times[j] < prop.Times[i] {
 					e.succ++
@@ -86,8 +83,10 @@ func LearnEMIC(g *graph.Graph, train *actionlog.Log, opts EMOptions) *cascade.We
 	}
 
 	// Denominators and frequency initialization.
-	for _, e := range edges {
-		fail := train.ActionCount(e.from) - e.cooc
+	all := g.Edges()
+	for k, ed := range all {
+		e := &edges[k]
+		fail := train.ActionCount(ed.From) - e.cooc
 		if fail < 0 {
 			fail = 0
 		}
@@ -98,8 +97,8 @@ func LearnEMIC(g *graph.Graph, train *actionlog.Log, opts EMOptions) *cascade.We
 	}
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		for _, e := range edges {
-			e.num = 0
+		for k := range edges {
+			edges[k].num = 0
 		}
 		for _, c := range cases {
 			q := 1.0
@@ -115,7 +114,8 @@ func LearnEMIC(g *graph.Graph, train *actionlog.Log, opts EMOptions) *cascade.We
 			}
 		}
 		maxDelta := 0.0
-		for _, e := range edges {
+		for k := range edges {
+			e := &edges[k]
 			if e.denom == 0 {
 				continue
 			}
@@ -138,9 +138,9 @@ func LearnEMIC(g *graph.Graph, train *actionlog.Log, opts EMOptions) *cascade.We
 	}
 
 	w := cascade.NewWeights(g)
-	for key, e := range edges {
-		if e.p > 0 {
-			if err := w.Set(key.From, key.To, e.p); err != nil {
+	for k, ed := range all {
+		if edges[k].p > 0 {
+			if err := w.Set(ed.From, ed.To, edges[k].p); err != nil {
 				panic(err) // edges come from g by construction
 			}
 		}

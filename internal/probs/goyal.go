@@ -48,33 +48,28 @@ func (m GoyalModel) String() string {
 // under the chosen model. Edges with no propagation evidence get
 // probability zero.
 func LearnGoyal(g *graph.Graph, train *actionlog.Log, model GoyalModel) *cascade.Weights {
-	// Per-edge accumulators: propagated count (possibly fractional under
-	// partial credits) and co-action count for Jaccard's union.
-	type acc struct {
-		prop float64
-		both int
-	}
-	edges := make(map[graph.Edge]*acc)
+	// Per-edge accumulators at the edge's from-major position: propagated
+	// count (possibly fractional under partial credits) and co-action
+	// count for Jaccard's union.
+	prop := make([]float64, g.NumEdges())
+	both := make([]int, g.NumEdges())
+	ix := actionlog.NewUserIndex(g.NumNodes())
 	for a := 0; a < train.NumActions(); a++ {
 		p := actionlog.BuildPropagation(train, g, actionlog.ActionID(a))
+		ix.Load(p.Users)
 		for i, u := range p.Users {
 			for _, v := range g.In(u) {
-				j := p.Index(v)
+				j := ix.Of(v)
 				if j < 0 {
 					continue
 				}
-				e := graph.Edge{From: v, To: u}
-				s := edges[e]
-				if s == nil {
-					s = &acc{}
-					edges[e] = s
-				}
-				s.both++
+				e := g.EdgeIndex(v, u)
+				both[e]++
 				if p.Times[j] < p.Times[i] {
 					if model == PartialCredits {
-						s.prop += 1.0 / float64(len(p.Parents[i]))
+						prop[e] += 1.0 / float64(len(p.Parents[i]))
 					} else {
-						s.prop++
+						prop[e]++
 					}
 				}
 			}
@@ -82,26 +77,26 @@ func LearnGoyal(g *graph.Graph, train *actionlog.Log, model GoyalModel) *cascade
 	}
 
 	w := cascade.NewWeights(g)
-	for e, s := range edges {
-		if s.prop <= 0 {
+	for e, ed := range g.Edges() {
+		if prop[e] <= 0 {
 			continue
 		}
 		var denom float64
 		switch model {
 		case Bernoulli, PartialCredits:
-			denom = float64(train.ActionCount(e.From))
+			denom = float64(train.ActionCount(ed.From))
 		case Jaccard:
 			// |A_v ∪ A_u| = A_v + A_u - both.
-			denom = float64(train.ActionCount(e.From)+train.ActionCount(e.To)) - float64(s.both)
+			denom = float64(train.ActionCount(ed.From)+train.ActionCount(ed.To)) - float64(both[e])
 		}
 		if denom <= 0 {
 			continue
 		}
-		p := s.prop / denom
+		p := prop[e] / denom
 		if p > 1 {
 			p = 1
 		}
-		if err := w.Set(e.From, e.To, p); err != nil {
+		if err := w.Set(ed.From, ed.To, p); err != nil {
 			panic(err) // edges come from g by construction
 		}
 	}

@@ -18,48 +18,36 @@ import (
 //
 // Nodes with no incoming propagation evidence keep all-zero in-weights.
 func LearnLTWeights(g *graph.Graph, train *actionlog.Log) *cascade.Weights {
-	counts := make(map[graph.Edge]int)
-	for a := 0; a < train.NumActions(); a++ {
-		prop := actionlog.BuildPropagation(train, g, actionlog.ActionID(a))
-		for i, u := range prop.Users {
-			for _, j := range prop.Parents[i] {
-				v := prop.Users[j]
-				counts[graph.Edge{From: v, To: u}]++
-			}
-		}
-	}
-
+	counts := propagationCounts(g, train)
+	edges := g.Edges()
 	// Per-node normalizer.
 	totals := make([]float64, g.NumNodes())
-	for e, c := range counts {
-		totals[e.To] += float64(c)
+	for e, ed := range edges {
+		totals[ed.To] += float64(counts[e])
 	}
 
 	w := cascade.NewWeights(g)
-	for e, c := range counts {
-		n := totals[e.To]
-		if au := float64(train.ActionCount(e.To)); au > n {
-			n = au
-		}
-		if n <= 0 {
+	for e, ed := range edges {
+		n := max(totals[ed.To], float64(train.ActionCount(ed.To)))
+		if counts[e] == 0 || n <= 0 {
 			continue
 		}
-		if err := w.Set(e.From, e.To, float64(c)/n); err != nil {
+		if err := w.Set(ed.From, ed.To, float64(counts[e])/n); err != nil {
 			panic(err) // edges come from g by construction
 		}
 	}
 	return w
 }
 
-// PropagationCounts returns A_{v2u} for every edge with at least one
-// observed propagation. Exposed for tests and diagnostics.
-func PropagationCounts(g *graph.Graph, train *actionlog.Log) map[graph.Edge]int {
-	counts := make(map[graph.Edge]int)
+// propagationCounts returns A_{v2u} per graph edge, at the edge's
+// from-major position (its index in g.Edges()).
+func propagationCounts(g *graph.Graph, train *actionlog.Log) []int {
+	counts := make([]int, g.NumEdges())
 	for a := 0; a < train.NumActions(); a++ {
 		prop := actionlog.BuildPropagation(train, g, actionlog.ActionID(a))
-		for i := range prop.Users {
+		for i, u := range prop.Users {
 			for _, j := range prop.Parents[i] {
-				counts[graph.Edge{From: prop.Users[j], To: prop.Users[i]}]++
+				counts[g.EdgeIndex(prop.Users[j], u)]++
 			}
 		}
 	}

@@ -233,8 +233,8 @@ func TestLTWeightsProportionalToCounts(t *testing.T) {
 func TestPropagationCounts(t *testing.T) {
 	g := chainGraph(t, 3)
 	log := twoUserLog(t, 5, 4)
-	counts := PropagationCounts(g, log)
-	if got := counts[graph.Edge{From: 0, To: 1}]; got != 4 {
+	counts := propagationCounts(g, log)
+	if got := counts[g.EdgeIndex(0, 1)]; got != 4 {
 		t.Fatalf("count = %d, want 4", got)
 	}
 }
