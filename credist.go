@@ -52,7 +52,7 @@ type Tuple = actionlog.Tuple
 // tuples are returned in file order, ready for Model.Ingest. The
 // user-count header is parsed and dropped: model ingestion bounds the
 // universe by the social graph, so a header can only matter for
-// standalone log use — Log.AppendFromReader honors it there, and the
+// standalone log use — Log.AppendWithin honors it there, and the
 // serving layer rejects headers exceeding the graph.
 func ReadTuples(r io.Reader) ([]Tuple, error) {
 	tuples, _, err := actionlog.ParseTuples(r)

@@ -7,7 +7,6 @@ package actionlog
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
@@ -172,35 +171,38 @@ func FromTuples(numUsers int, tuples []Tuple) (*Log, error) {
 // duplicate (user, action) pairs are rejected. Users with ids beyond the
 // current universe are registered: NumUsers grows to cover them.
 func (l *Log) Append(batch []Tuple) (*Log, error) {
-	return l.appendTuples(batch, l.numUsers)
+	return l.appendTuples(batch, 0, math.MaxInt)
 }
 
-// AppendFromReader parses a tuple stream in the text format of Read — an
-// optional leading user-count line (which may grow the universe) followed
-// by "user action time" lines — and appends it. It returns the extended
-// log and the number of tuples appended.
-func (l *Log) AppendFromReader(r io.Reader) (*Log, int, error) {
-	batch, minUsers, err := ParseTuples(r)
-	if err != nil {
-		return nil, 0, err
+// AppendWithin is Append over a bounded universe, for logs tied to a
+// social graph of maxUsers nodes: minUsers floors the new user count (the
+// header ParseTuples returns may grow the universe), and a floor above
+// maxUsers or a user id at or above it is rejected before anything is
+// allocated, so no single tuple can size the successor's per-user arrays.
+func (l *Log) AppendWithin(batch []Tuple, minUsers, maxUsers int) (*Log, error) {
+	if minUsers > maxUsers {
+		return nil, fmt.Errorf("actionlog: tail header declares %d users, but the graph has %d nodes", minUsers, maxUsers)
 	}
-	nl, err := l.appendTuples(batch, minUsers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return nl, len(batch), nil
+	return l.appendTuples(batch, minUsers, maxUsers)
 }
 
 // appendTuples validates the batch and builds the successor log. minUsers
 // is a floor for the new universe size (from an explicit header); the
-// largest appended user id can raise it further.
-func (l *Log) appendTuples(batch []Tuple, minUsers int) (*Log, error) {
-	nUsers := l.numUsers
-	if minUsers > nUsers {
-		nUsers = minUsers
+// largest appended user id can raise it further. Every user id must be
+// below maxUsers, which is checked before anything is allocated.
+func (l *Log) appendTuples(batch []Tuple, minUsers, maxUsers int) (*Log, error) {
+	nUsers := max(l.numUsers, minUsers)
+	for i, t := range batch {
+		if int(t.User) >= maxUsers {
+			return nil, fmt.Errorf("actionlog: append tuple %d has user %d, which exceeds the graph (%d nodes)", i, t.User, maxUsers)
+		}
+		nUsers = max(nUsers, int(t.User)+1)
 	}
 	first := ActionID(l.NumActions())
-	inAction := make(map[graph.NodeID]struct{})
+	// lastAction[u] is the 1-based ordinal, within the batch, of the
+	// action u last appeared in, so a repeat within one action is a hit.
+	lastAction := make([]int32, nUsers)
+	stamp := int32(0)
 	for i, t := range batch {
 		switch {
 		case t.Action < first:
@@ -225,17 +227,14 @@ func (l *Log) appendTuples(batch []Tuple, minUsers int) (*Log, error) {
 			case t.Action == prev.Action && t.Time == prev.Time && t.User < prev.User:
 				return nil, fmt.Errorf("actionlog: append tuple %d out of order: user %d after %d on a timestamp tie", i, t.User, prev.User)
 			}
-			if t.Action != prev.Action {
-				clear(inAction)
-			}
 		}
-		if _, dup := inAction[t.User]; dup {
+		if i == 0 || t.Action != batch[i-1].Action {
+			stamp++
+		}
+		if lastAction[t.User] == stamp {
 			return nil, fmt.Errorf("actionlog: user %d appears twice in appended action %d", t.User, t.Action)
 		}
-		inAction[t.User] = struct{}{}
-		if int(t.User) >= nUsers {
-			nUsers = int(t.User) + 1
-		}
+		lastAction[t.User] = stamp
 	}
 
 	maxAction := first - 1

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// appendStream parses a tuple stream and appends it as a tail file is
+// appended: its header floors the universe, bounded by a graph of 64
+// nodes.
+func appendStream(l *Log, text string) (*Log, error) {
+	batch, header, err := ParseTuples(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	return l.AppendWithin(batch, header, 64)
+}
+
 // appendBase builds a two-action log over four users for the append tests.
 func appendBase(t *testing.T) *Log {
 	t.Helper()
@@ -74,6 +85,45 @@ func TestAppendRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestAppendDuplicateStamps: a user may recur across appended actions
+// but not within one, even when other users sit between the repeats.
+func TestAppendDuplicateStamps(t *testing.T) {
+	l := appendBase(t)
+	if _, err := l.Append([]Tuple{
+		{User: 1, Action: 2, Time: 5}, {User: 2, Action: 2, Time: 6},
+		{User: 1, Action: 3, Time: 1}, {User: 2, Action: 3, Time: 2},
+	}); err != nil {
+		t.Fatalf("Append across actions: %v", err)
+	}
+	_, err := l.Append([]Tuple{
+		{User: 1, Action: 2, Time: 5}, {User: 2, Action: 2, Time: 6}, {User: 1, Action: 2, Time: 7},
+	})
+	if want := "actionlog: user 1 appears twice in appended action 2"; err == nil || err.Error() != want {
+		t.Fatalf("Append = %v, want %q", err, want)
+	}
+}
+
+// TestAppendWithinBoundsUniverse: AppendWithin rejects a user at or above
+// the bound, naming it, and a header above the bound; a header at the
+// bound grows the universe to it.
+func TestAppendWithinBoundsUniverse(t *testing.T) {
+	l := appendBase(t)
+	_, err := l.AppendWithin([]Tuple{{User: 0, Action: 2, Time: 1}, {User: 2147483647, Action: 2, Time: 2}}, 0, 6)
+	if err == nil || !strings.Contains(err.Error(), "user 2147483647") || !strings.Contains(err.Error(), "exceeds the graph") {
+		t.Fatalf("AppendWithin = %v, want an error naming user 2147483647", err)
+	}
+	if _, err := l.AppendWithin([]Tuple{{User: 6, Action: 2, Time: 1}}, 0, 6); err == nil {
+		t.Fatal("AppendWithin accepted user 6 in a 6-node graph")
+	}
+	if _, err := l.AppendWithin([]Tuple{{User: 0, Action: 2, Time: 1}}, 7, 6); err == nil || !strings.Contains(err.Error(), "declares 7 users") {
+		t.Fatalf("AppendWithin = %v, want a header error", err)
+	}
+	nl, err := l.AppendWithin([]Tuple{{User: 5, Action: 2, Time: 1}}, 6, 6)
+	if err != nil || nl.NumUsers() != 6 {
+		t.Fatalf("AppendWithin = %v, %v; want a 6-user log", nl, err)
+	}
+}
+
 // TestAppendRegistersUnseenUsers: users beyond the current universe grow
 // it, both implicitly (max appended id) and via an explicit header floor.
 func TestAppendRegistersUnseenUsers(t *testing.T) {
@@ -96,17 +146,17 @@ func TestAppendRegistersUnseenUsers(t *testing.T) {
 	}
 
 	// An explicit header floor grows the universe past every appended id.
-	nl2, n, err := l.AppendFromReader(strings.NewReader("20\n2 2 4.5\n"))
-	if err != nil || n != 1 {
-		t.Fatalf("AppendFromReader = %d, %v", n, err)
+	nl2, err := appendStream(l, "20\n2 2 4.5\n")
+	if err != nil || nl2.NumTuples() != l.NumTuples()+1 {
+		t.Fatalf("appendStream = %v, %v", nl2, err)
 	}
 	if nl2.NumUsers() != 20 {
 		t.Fatalf("NumUsers = %d, want 20", nl2.NumUsers())
 	}
 	// A header lower than the current universe never shrinks it.
-	nl3, _, err := l.AppendFromReader(strings.NewReader("2\n1 2 4.5\n"))
+	nl3, err := appendStream(l, "2\n1 2 4.5\n")
 	if err != nil {
-		t.Fatalf("AppendFromReader: %v", err)
+		t.Fatalf("appendStream: %v", err)
 	}
 	if nl3.NumUsers() != 4 {
 		t.Fatalf("NumUsers = %d, want 4", nl3.NumUsers())
@@ -159,8 +209,8 @@ func TestAppendSaveLoadByteStable(t *testing.T) {
 	}
 }
 
-// TestAppendTupleStreamRoundTrip: WriteTuples -> ParseTuples -> Append
-// equals appending the in-memory batch directly.
+// TestAppendTupleStreamRoundTrip: WriteTuples -> ParseTuples ->
+// AppendWithin equals appending the in-memory batch directly.
 func TestAppendTupleStreamRoundTrip(t *testing.T) {
 	l := appendBase(t)
 	batch := []Tuple{
@@ -170,9 +220,9 @@ func TestAppendTupleStreamRoundTrip(t *testing.T) {
 	if err := WriteTuples(&buf, l.NumUsers(), batch); err != nil {
 		t.Fatalf("WriteTuples: %v", err)
 	}
-	fromStream, n, err := l.AppendFromReader(&buf)
-	if err != nil || n != len(batch) {
-		t.Fatalf("AppendFromReader = %d, %v", n, err)
+	fromStream, err := appendStream(l, buf.String())
+	if err != nil || fromStream.NumTuples() != l.NumTuples()+len(batch) {
+		t.Fatalf("appendStream = %v, %v", fromStream, err)
 	}
 	direct, err := l.Append(batch)
 	if err != nil {

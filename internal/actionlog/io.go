@@ -25,7 +25,7 @@ func Write(w io.Writer, l *Log) error {
 // WriteTuples serializes a tuple batch in the format Write uses — a
 // user-count line followed by "user action time" lines in the order given.
 // It is how cmd/datagen emits a held-out action tail for streaming-ingest
-// demos; ParseTuples and Log.AppendFromReader read it back.
+// demos; ParseTuples reads it back for Log.AppendWithin.
 func WriteTuples(w io.Writer, numUsers int, tuples []Tuple) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%d\n", numUsers); err != nil {

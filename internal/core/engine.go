@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"credist/internal/actionlog"
 	"credist/internal/graph"
@@ -19,9 +16,10 @@ import (
 // Theorem 3 in time linear in the touched credit entries (Algorithm 4) and
 // Add maintains UC and SC incrementally via Lemmas 2 and 3 (Algorithm 5).
 //
-// UC is stored as sorted sparse rows (sparse.go), so every walk — scan,
-// gain, seed update — visits entries in a fixed (influencer, influenced)
-// order and the floating-point results are bit-for-bit identical across
+// UC is stored as sorted sparse rows (sparse.go), so every walk — gain,
+// seed update — visits entries in a fixed (influencer, influenced) order,
+// and the scan (scan.go) adds every credit's terms in a fixed parent
+// order: the floating-point results are bit-for-bit identical across
 // runs, reloads, and worker counts.
 //
 // Shards split into a frozen base and a mutable delta. Because credits
@@ -127,89 +125,6 @@ func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 		}
 	}
 	return e
-}
-
-// scanShards builds the UC shards (and propagation DAGs) of actions
-// [from, to) of the log, fanned over a worker pool. Shards are written by
-// index, so the result is independent of scheduling.
-func scanShards(g *graph.Graph, log *actionlog.Log, from, to int, model CreditModel, lambda float64, workers int) ([]*ucAction, []*actionlog.Propagation, int64) {
-	n := to - from
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([]*ucAction, n)
-	props := make([]*actionlog.Propagation, n)
-	perWorker := make([]int64, workers)
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				a := actionlog.ActionID(from + int(i))
-				p := actionlog.BuildPropagation(log, g, a)
-				props[i] = p
-				shard, tally := scanAction(p, model, lambda, perWorker[w])
-				shards[i] = &shard
-				perWorker[w] = tally
-			}
-		}(w)
-	}
-	wg.Wait()
-	var entries int64
-	for _, n := range perWorker {
-		entries += n
-	}
-	return shards, props, entries
-}
-
-// scanAction processes one propagation chronologically (the per-action
-// body of Algorithm 2), accumulating direct and transitive credits into a
-// fresh UC shard. It returns the shard and the updated entry tally. All
-// loops walk slices in sorted order, so the accumulated floats do not
-// depend on scheduling or hashing.
-func scanAction(p *actionlog.Propagation, model CreditModel, lambda float64, entries int64) (ucAction, int64) {
-	ua := ucAction{}
-	add := func(v, u int32, delta float64) {
-		cr, created := ua.cell(v, u)
-		if created {
-			entries++
-		}
-		*cr += delta
-	}
-	for i, u := range p.Users {
-		for _, j := range p.Parents[i] {
-			v := p.Users[j]
-			gamma := model.Gamma(p, int32(i), j)
-			if gamma < lambda || gamma <= 0 {
-				continue
-			}
-			add(v, u, gamma)
-			// Transitive credit: everyone with credit over v extends it
-			// to u, scaled by gamma (Eq. 5), subject to truncation. The
-			// adds below only touch u's column, so the snapshot of v's
-			// column stays valid.
-			for _, w := range ua.col(v) {
-				c, _ := ua.get(w, v)
-				c *= gamma
-				if c >= lambda && c > 0 {
-					add(w, u, c)
-				}
-			}
-		}
-	}
-	return ua, entries
 }
 
 // AppendActions extends the engine with the tail of a combined log without
@@ -330,20 +245,24 @@ func (e *Engine) mutUsers(newNumUsers int) {
 }
 
 // Compact folds the delta into the base and freezes the engine: every
-// shard this engine owns is re-allocated at exact size (shedding the
-// growth slack the incremental scan left) and released to shared status,
-// so subsequent Clones copy nothing and Add falls back to copy-on-write.
-// The delta counters reset; results are unchanged. Compact must not run
-// concurrently with readers of the same engine.
+// shard this engine owns that carries slack is re-allocated at exact size
+// (shedding what seed commits removed) and every one is released to
+// shared status, so subsequent Clones copy nothing and Add falls back to
+// copy-on-write. The delta counters reset; results are unchanged. Compact
+// must not run concurrently with readers of the same engine.
 func (e *Engine) Compact() {
 	// Owned shards anywhere, plus every delta shard: a delta frozen by an
-	// earlier Freeze is no longer owned but still carries its scan-time
-	// growth slack, and folding it into the base is the moment to shed it.
-	// Mapped shards are left as they are: never owned, always inside the
-	// old base, they stay shared windows into the snapshot file.
+	// earlier Freeze is no longer owned but may still carry slack, and
+	// folding it into the base is the moment to shed it. Scanned shards
+	// are carved at exact size, so only shards that lost cells are
+	// copied. Mapped shards are left as they are: never owned, always
+	// inside the old base, they stay shared windows into the snapshot
+	// file.
 	for a := range e.uc {
 		if e.owned[a] || a >= e.baseActions {
-			e.uc[a] = e.uc[a].promote()
+			if ua, ok := e.uc[a].(*ucAction); !ok || ua.hasSlack() {
+				e.uc[a] = e.uc[a].promote()
+			}
 			e.owned[a] = false
 		}
 	}

@@ -87,7 +87,8 @@ func newDAG(p *actionlog.Propagation, model CreditModel) dag {
 }
 
 // NewEvaluator precomputes propagation DAGs and direct credits for the
-// training log. model nil means SimpleCredit.
+// training log, fanned over GOMAXPROCS workers. model nil means
+// SimpleCredit.
 func NewEvaluator(g *graph.Graph, train *actionlog.Log, model CreditModel) *Evaluator {
 	if model == nil {
 		model = SimpleCredit{}
@@ -102,9 +103,13 @@ func NewEvaluator(g *graph.Graph, train *actionlog.Log, model CreditModel) *Eval
 	for u := 0; u < train.NumUsers(); u++ {
 		ev.au[u] = int32(train.ActionCount(graph.NodeID(u)))
 	}
-	for a := 0; a < train.NumActions(); a++ {
+	// The DAGs build in parallel, written by index; acts is then filled
+	// serially in action order, so nothing depends on scheduling.
+	fanOut(len(ev.dags), 0, func(_, a int) {
 		ev.dags[a] = newDAG(actionlog.BuildPropagation(train, g, actionlog.ActionID(a)), model)
-		for i, u := range ev.dags[a].users {
+	})
+	for a, d := range ev.dags {
+		for i, u := range d.users {
 			ev.acts[u] = append(ev.acts[u], userAct{int32(a), int32(i)})
 		}
 	}

@@ -43,10 +43,11 @@ func (e *Engine) IngestAction(p *actionlog.Propagation, model CreditModel) error
 	// ingests amortized O(1); mutUsers makes the per-user state privately
 	// mutable (a one-time copy when it was shared with clones), so each
 	// call then costs only the touched users.
-	shard, entries := scanAction(p, model, e.lambda, 0)
+	var scratch scanScratch
+	shard, _ := scratch.scan(p, model, e.lambda)
 	// Ingest routing: a partition keeps only the scanned rows it owns
 	// (the same filter AppendActions applies to tail shards).
-	routed, entries := e.filterShardToPartition(&shard)
+	routed, entries := e.filterShardToPartition(shard)
 	e.uc = append(e.uc, routed)
 	e.owned = append(e.owned, true)
 	e.sc = append(e.sc, nil)

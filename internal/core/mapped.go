@@ -131,7 +131,7 @@ func (ms *mappedShard) promote() *ucAction {
 // dwarf the work): the influenced ids are sorted and run-length counted,
 // then each column fills in ascending influencer order because the outer
 // row walk ascends. The result is structurally identical to the mirrors
-// built by scanAction and the snapshot readers.
+// built by the scan and the snapshot readers.
 func buildColumnsSorted(ua *ucAction) {
 	n := 0
 	for _, row := range ua.rows {

@@ -253,5 +253,7 @@ func (e *Engine) filterShardToPartition(ua *ucAction) (*ucAction, int64) {
 		return ua, ua.entryCount()
 	}
 	sub, n := sliceShard(ua, int32(e.partLo), int32(e.partHi))
-	return sub.(*ucAction), n
+	// The scan carved all rows from one array; copying the kept rows out
+	// lets the rows of other partitions be freed.
+	return cloneShard(sub.(*ucAction)), n
 }

@@ -38,24 +38,62 @@ func searchRow(row []ucEntry, u int32) (int, bool) {
 	})
 }
 
-// cloneShard returns an exact deep copy of a shard. It backs Engine's
+// cloneShard returns an exact deep copy of a shard, carved like a
+// scanned one: every row from one backing array, every column from
+// another, and each slice with cap == len. It backs Engine's
 // copy-on-write Add (the first mutation of a shared shard copies it) and
-// Compact (re-allocating a delta shard to exact size sheds the growth
-// slack slices.Insert left behind).
+// Compact (re-allocating a shard at exact size sheds the slack its
+// removals left).
 func cloneShard(src *ucAction) *ucAction {
-	dst := &ucAction{
-		rowKey: slices.Clone(src.rowKey),
-		colKey: slices.Clone(src.colKey),
-		rows:   make([][]ucEntry, len(src.rows)),
-		cols:   make([][]int32, len(src.cols)),
+	return &ucAction{
+		rowKey: slices.Clip(slices.Clone(src.rowKey)),
+		rows:   carveClone(src.rows),
+		colKey: slices.Clip(slices.Clone(src.colKey)),
+		cols:   carveClone(src.cols),
 	}
-	for i, row := range src.rows {
-		dst.rows[i] = slices.Clone(row)
+}
+
+// carveClone copies every inner slice of src into one backing array,
+// each carved with cap == len.
+func carveClone[T any](src [][]T) [][]T {
+	if len(src) == 0 {
+		return nil
 	}
-	for i, col := range src.cols {
-		dst.cols[i] = slices.Clone(col)
+	n := 0
+	for _, s := range src {
+		n += len(s)
+	}
+	back := make([]T, n)
+	dst := make([][]T, len(src))
+	off := 0
+	for i, s := range src {
+		end := off + copy(back[off:], s)
+		dst[i] = back[off:end:end]
+		off = end
 	}
 	return dst
+}
+
+// hasSlack reports whether any of the shard's slices has spare capacity:
+// removals shrink rows, columns and key lists in place, and builders that
+// append can over-allocate. A shard without slack is already at exact
+// size, so Compact keeps it instead of copying it.
+func (ua *ucAction) hasSlack() bool {
+	if cap(ua.rowKey) > len(ua.rowKey) || cap(ua.rows) > len(ua.rows) ||
+		cap(ua.colKey) > len(ua.colKey) || cap(ua.cols) > len(ua.cols) {
+		return true
+	}
+	for _, row := range ua.rows {
+		if cap(row) > len(row) {
+			return true
+		}
+	}
+	for _, col := range ua.cols {
+		if cap(col) > len(col) {
+			return true
+		}
+	}
+	return false
 }
 
 // row returns v's credit cells, sorted by influenced id, or nil.
@@ -81,35 +119,6 @@ func (ua *ucAction) get(v, u int32) (float64, bool) {
 		return row[i].c, true
 	}
 	return 0, false
-}
-
-// cell returns a pointer to the credit of entry (v,u), creating the entry
-// (and mirroring it in the column index) when absent; created reports
-// whether it did. The pointer is valid until the next structural change.
-func (ua *ucAction) cell(v, u int32) (cr *float64, created bool) {
-	ri, ok := slices.BinarySearch(ua.rowKey, v)
-	if !ok {
-		ua.rowKey = slices.Insert(ua.rowKey, ri, v)
-		ua.rows = slices.Insert(ua.rows, ri, []ucEntry(nil))
-	}
-	ei, found := searchRow(ua.rows[ri], u)
-	if !found {
-		ua.rows[ri] = slices.Insert(ua.rows[ri], ei, ucEntry{u: u})
-		ua.colInsert(u, v)
-	}
-	return &ua.rows[ri][ei].c, !found
-}
-
-// colInsert mirrors a new entry (v,u) into the column index.
-func (ua *ucAction) colInsert(u, v int32) {
-	ci, ok := slices.BinarySearch(ua.colKey, u)
-	if !ok {
-		ua.colKey = slices.Insert(ua.colKey, ci, u)
-		ua.cols = slices.Insert(ua.cols, ci, []int32(nil))
-	}
-	if vi, found := slices.BinarySearch(ua.cols[ci], v); !found {
-		ua.cols[ci] = slices.Insert(ua.cols[ci], vi, v)
-	}
 }
 
 // colRemove drops v from u's column, pruning the column when it empties.

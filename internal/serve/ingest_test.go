@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,6 +163,33 @@ func TestIngestFromServerSideLog(t *testing.T) {
 	getJSON(t, h, "GET", "/spread?seeds=1,2,3", "", &sr)
 	if want := offline.Spread([]credist.NodeID{1, 2, 3}); sr.Spread != want {
 		t.Errorf("/spread = %b, offline = %b", sr.Spread, want)
+	}
+}
+
+// TestIngestHugeUserAllocatesNothing: a tuple whose user id is far past
+// the graph is rejected before the log sizes anything by it — a 400 that
+// names the user, with well under 1 MiB allocated for the whole request.
+func TestIngestHugeUserAllocatesNothing(t *testing.T) {
+	h := newTestServer(t).Handler()
+	next := demoDataset().Log.NumActions()
+	body := fmt.Sprintf(`{"tuples":[{"user":2147483647,"action":%d,"time":1}]}`, next)
+	// Warm the handler and wait out the background evaluator build, so
+	// the measured request is the only thing allocating.
+	do(t, h, "GET", "/spread?seeds=1", "")
+	do(t, h, "POST", "/ingest", body)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	status, resp := do(t, h, "POST", "/ingest", body)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %v)", status, resp)
+	}
+	if msg, _ := resp["error"].(string); !strings.Contains(msg, "2147483647") {
+		t.Errorf("error = %q, want it to name user 2147483647", msg)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("rejected ingest allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 

@@ -1085,7 +1085,7 @@ func (s *Server) handleIngest(_ *Snapshot, r *http.Request) (any, error) {
 	// The social graph bounds the universe: a tail header declaring more
 	// users than the graph holds cannot be honored, only rejected —
 	// silently shrinking the declared universe would let the same file
-	// mean different things here and in Log.AppendFromReader.
+	// mean different things here and in Log.AppendWithin.
 	if minUsers > cur.NumUsers() {
 		return nil, badRequest("ingest: tail header declares %d users, but the graph has %d nodes", minUsers, cur.NumUsers())
 	}

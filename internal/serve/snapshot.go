@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"credist"
+	"credist/internal/actionlog"
 	"credist/internal/seedsel"
 )
 
@@ -477,14 +478,14 @@ func Build(src Source) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("open tail: %w", err)
 		}
-		grown, _, err := ds.Log.AppendFromReader(f)
+		batch, header, err := actionlog.ParseTuples(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("append tail %s: %w", src.TailPath, err)
 		}
-		if grown.NumUsers() > ds.Graph.NumNodes() {
-			return nil, fmt.Errorf("tail %s grows the universe to %d users, but the graph has %d nodes",
-				src.TailPath, grown.NumUsers(), ds.Graph.NumNodes())
+		grown, err := ds.Log.AppendWithin(batch, header, ds.Graph.NumNodes())
+		if err != nil {
+			return nil, fmt.Errorf("append tail %s: %w", src.TailPath, err)
 		}
 		ds = &credist.Dataset{Name: ds.Name, Graph: ds.Graph, Log: grown}
 	}

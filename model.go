@@ -82,9 +82,8 @@ func newModel(ds *Dataset, opts Options, credit core.CreditModel) *Model {
 	})
 	m.base = sync.OnceValue(func() *core.Engine {
 		e := core.NewEngine(ds.Graph, ds.Log, core.Options{Lambda: opts.Lambda, Credit: credit})
-		// Compact at exact size and freeze: clones share every shard, and
-		// the scan's growth slack is shed once instead of retained for the
-		// model's lifetime.
+		// Compact and freeze: clones share every shard. The scan carves
+		// shards at exact size, so this copies nothing.
 		e.Compact()
 		return e
 	})
@@ -140,13 +139,9 @@ func (m *Model) Gains(base, candidates []NodeID) []float64 {
 // the new model are bit-identical to a model over the combined dataset
 // with the same parameters (e.g. one restored by LoadModel).
 func (m *Model) Ingest(tuples []Tuple) (*Model, error) {
-	newLog, err := m.ds.Log.Append(tuples)
+	newLog, err := m.ds.Log.AppendWithin(tuples, 0, m.ds.Graph.NumNodes())
 	if err != nil {
 		return nil, err
-	}
-	if newLog.NumUsers() > m.ds.Graph.NumNodes() {
-		return nil, fmt.Errorf("credist: ingested log universe (%d users) exceeds the graph (%d nodes)",
-			newLog.NumUsers(), m.ds.Graph.NumNodes())
 	}
 	eval, err := m.eval().Extend(m.ds.Graph, newLog, ActionID(m.ds.Log.NumActions()))
 	if err != nil {
