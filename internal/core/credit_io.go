@@ -38,13 +38,17 @@ func WriteTimeAware(w io.Writer, c *TimeAwareCredit) error {
 	return bw.Flush()
 }
 
-// ReadTimeAware parses the format written by WriteTimeAware. Malformed
-// input is rejected with a line-numbered error; that includes a repeated
+// ReadTimeAware parses the format written by WriteTimeAware. maxUsers
+// bounds the numUsers header: parameters are learned over a graph and
+// sized by its node count, so the caller passes that count, and a larger
+// header is rejected before the influenceability table is allocated.
+// Every other allocation grows with the input's length. Malformed input
+// is rejected with a line-numbered error; that includes a repeated
 // numUsers header (which would silently discard every previously parsed
 // infl entry), duplicate infl or tau records (where last-wins would mask
 // a corrupted or concatenated file), and tau edges with an endpoint
 // outside the influenceability table.
-func ReadTimeAware(r io.Reader) (*TimeAwareCredit, error) {
+func ReadTimeAware(r io.Reader, maxUsers int) (*TimeAwareCredit, error) {
 	var infl []float64
 	type tauRec struct {
 		from, to graph.NodeID
@@ -65,6 +69,9 @@ func ReadTimeAware(r io.Reader) (*TimeAwareCredit, error) {
 			n, err := strconv.Atoi(f[1])
 			if err != nil || n < 0 {
 				return fmt.Errorf("bad numUsers %q", f[1])
+			}
+			if n > maxUsers {
+				return fmt.Errorf("numUsers %d exceeds the graph (%d nodes)", n, maxUsers)
 			}
 			infl = make([]float64, n)
 		case "infl":

@@ -236,7 +236,7 @@ func TestEngineWithTimeAwareMatchesEvaluator(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g, log := randomInstance(rng, 15, 6)
 		credit := LearnTimeAware(g, log)
-		e := NewEngine(g, log, Options{Credit: credit})
+		e := NewProbeEstimator(nil, NewEngine(g, log, Options{Credit: credit}))
 		ev := NewEvaluator(g, log, credit)
 		var seeds []graph.NodeID
 		for round := 0; round < 3; round++ {
@@ -284,7 +284,7 @@ func TestTimeAwareIORoundTrip(t *testing.T) {
 	if err := WriteTimeAware(&buf, credit); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadTimeAware(&buf)
+	back, err := ReadTimeAware(&buf, g.NumNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestTimeAwareIOBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := buf.String()
-	back, err := ReadTimeAware(bytes.NewBufferString(first))
+	back, err := ReadTimeAware(bytes.NewBufferString(first), g.NumNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestReadTimeAwareErrors(t *testing.T) {
 		"numUsers 2\ntau 2147483000 0 1\n", // tail far outside the table
 	}
 	for _, in := range cases {
-		if _, err := ReadTimeAware(bytes.NewBufferString(in)); err == nil {
+		if _, err := ReadTimeAware(bytes.NewBufferString(in), 16); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
 	}
@@ -419,7 +419,7 @@ func TestReadTimeAwareRejectsDuplicates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadTimeAware(bytes.NewBufferString(tc.in))
+			_, err := ReadTimeAware(bytes.NewBufferString(tc.in), 16)
 			if err == nil {
 				t.Fatalf("input %q accepted", tc.in)
 			}
@@ -430,7 +430,7 @@ func TestReadTimeAwareRejectsDuplicates(t *testing.T) {
 	}
 	// Distinct records remain accepted.
 	ok := "numUsers 3\ninfl 0 0.5\ninfl 1 0.25\ntau 0 1 2.5\ntau 1 0 3\n"
-	if _, err := ReadTimeAware(bytes.NewBufferString(ok)); err != nil {
+	if _, err := ReadTimeAware(bytes.NewBufferString(ok), 3); err != nil {
 		t.Fatalf("valid input rejected: %v", err)
 	}
 }

@@ -70,7 +70,7 @@ func TestCreditWalkUnbiased(t *testing.T) {
 	for _, seeds := range [][]graph.NodeID{
 		{0, 1, 2},
 		{5, 11, 23, 31},
-		seedsel.CELF(NewEngine(g, log, Options{Lambda: 0.001, Credit: credit}), 3).Seeds,
+		seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, Options{Lambda: 0.001, Credit: credit})), 3).Seeds,
 	} {
 		exact := ev.Spread(seeds)
 		inS := make(map[graph.NodeID]bool, len(seeds))
@@ -135,7 +135,7 @@ func TestCreditWalkDeterministic(t *testing.T) {
 // byte-identical version-3 (older readers keep working on it).
 func TestSnapshotSketchRoundTrip(t *testing.T) {
 	g, log, e, lin := snapshotInstance(t, 91, 50, 30)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	src, err := NewEvaluator(g, log, e.CreditModel()).CreditWalks()
 	if err != nil {

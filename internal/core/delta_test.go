@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"credist/internal/actionlog"
@@ -25,8 +26,8 @@ func TestAppendActionsBitIdenticalToRescan(t *testing.T) {
 		head := log.Prefix(headN)
 
 		full := NewEngine(g, log, opts)
-		inc := NewEngine(g, head, opts)
-		if err := inc.AppendActions(g, log, actionlog.ActionID(headN)); err != nil {
+		inc, err := NewEngine(g, head, opts).AppendActions(g, log, actionlog.ActionID(headN))
+		if err != nil {
 			t.Fatalf("trial %d: AppendActions: %v", trial, err)
 		}
 
@@ -46,8 +47,8 @@ func TestAppendActionsBitIdenticalToRescan(t *testing.T) {
 			}
 		}
 
-		rf := seedsel.CELF(full, 8)
-		ri := seedsel.CELF(inc, 8)
+		rf := seedsel.CELF(NewProbeEstimator(nil, full), 8)
+		ri := seedsel.CELF(NewProbeEstimator(nil, inc), 8)
 		if len(rf.Seeds) != len(ri.Seeds) {
 			t.Fatalf("trial %d: CELF lengths %d vs %d", trial, len(rf.Seeds), len(ri.Seeds))
 		}
@@ -79,12 +80,12 @@ func TestAppendActionsParallelDeterministic(t *testing.T) {
 	credit := LearnTimeAware(g, log)
 	headN := 30
 	head := log.Prefix(headN)
-	serial := NewEngine(g, head, Options{Lambda: 0.001, Credit: credit, Workers: 1})
-	parallel := NewEngine(g, head, Options{Lambda: 0.001, Credit: credit, Workers: runtime.GOMAXPROCS(0)})
-	if err := serial.AppendActions(g, log, actionlog.ActionID(headN)); err != nil {
+	serial, err := NewEngine(g, head, Options{Lambda: 0.001, Credit: credit, Workers: 1}).AppendActions(g, log, actionlog.ActionID(headN))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.AppendActions(g, log, actionlog.ActionID(headN)); err != nil {
+	parallel, err := NewEngine(g, head, Options{Lambda: 0.001, Credit: credit, Workers: runtime.GOMAXPROCS(0)}).AppendActions(g, log, actionlog.ActionID(headN))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Entries() != parallel.Entries() {
@@ -97,10 +98,12 @@ func TestAppendActionsParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestAppendActionsLeavesBaseFrozen: deriving a successor engine from a
-// compacted base (Clone + AppendActions) must leave the base — which may
-// be serving queries concurrently — untouched, while the successor and
-// seed selections on clones of either stay isolated and exact.
+// TestAppendActionsLeavesBaseFrozen: deriving a successor engine with
+// AppendActions must leave the base — which may be serving queries
+// concurrently — untouched, per-user action lists included, while the
+// successor's selections stay exact. Two successors appended from one
+// engine (itself appended, so its action lists may carry spare capacity)
+// must not see each other's tails.
 func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 	rng := rand.New(rand.NewPCG(73, 9))
 	g, log := randomInstance(rng, 50, 30)
@@ -110,21 +113,24 @@ func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 	head := log.Prefix(headN)
 
 	base := NewEngine(g, head, opts)
-	base.Compact()
+	actionsOf := make([][]int32, len(base.actionsOf))
+	for u, row := range base.actionsOf {
+		actionsOf[u] = slices.Clone(row)
+	}
 	baseline := make([]float64, g.NumNodes())
 	for u := range baseline {
 		baseline[u] = base.Gain(graph.NodeID(u))
 	}
 	baseEntries := base.Entries()
 
-	succ := base.Clone()
-	if err := succ.AppendActions(g, log, actionlog.ActionID(headN)); err != nil {
+	succ, err := base.AppendActions(g, log, actionlog.ActionID(headN))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Selection on a clone of the successor exercises copy-on-write over
-	// both shared base shards and the successor's own delta shards.
-	sel := seedsel.CELF(succ.Clone(), 6)
-	ref := seedsel.CELF(NewEngine(g, log, opts), 6)
+	// Selection on the successor reads both shared base shards and the
+	// successor's own delta shards.
+	sel := seedsel.CELF(NewProbeEstimator(nil, succ), 6)
+	ref := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, opts)), 6)
 	for i := range ref.Seeds {
 		if sel.Seeds[i] != ref.Seeds[i] || sel.Gains[i] != ref.Gains[i] {
 			t.Fatalf("successor CELF diverged at %d: (%d, %b) vs (%d, %b)",
@@ -143,11 +149,55 @@ func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 		if got := base.Gain(graph.NodeID(u)); got != baseline[u] {
 			t.Fatalf("base Gain(%d) changed: %b -> %b", u, baseline[u], got)
 		}
+		if !slices.Equal(base.actionsOf[u], actionsOf[u]) || int(base.au[u]) != len(actionsOf[u]) {
+			t.Fatalf("base actions of %d changed: %v -> %v", u, actionsOf[u], base.actionsOf[u])
+		}
+	}
+
+	// Two different tails appended onto one appended engine.
+	midN := headN + 3
+	mid, err := base.AppendActions(g, log.Prefix(midN), actionlog.ActionID(headN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := func(shift int) []actionlog.Tuple {
+		var out []actionlog.Tuple
+		for _, tp := range log.Tuples() {
+			if int(tp.Action) == midN+shift {
+				tp.Action = actionlog.ActionID(midN)
+				out = append(out, tp)
+			}
+		}
+		return out
+	}
+	logA, err := log.Prefix(midN).Append(tail(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logB, err := log.Prefix(midN).Append(tail(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	succA, err := mid.AppendActions(g, logA, actionlog.ActionID(midN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mid.AppendActions(g, logB, actionlog.ActionID(midN)); err != nil {
+		t.Fatal(err)
+	}
+	wantA := NewEngine(g, logA, opts)
+	for u := 0; u < g.NumNodes(); u++ {
+		if !slices.Equal(succA.actionsOf[u], wantA.actionsOf[u]) {
+			t.Fatalf("successor A's actions of %d = %v after appending B, rescan has %v", u, succA.actionsOf[u], wantA.actionsOf[u])
+		}
+		if got, want := succA.Gain(graph.NodeID(u)), wantA.Gain(graph.NodeID(u)); got != want {
+			t.Fatalf("successor A's Gain(%d) = %b after appending B, rescan gives %b", u, got, want)
+		}
 	}
 }
 
-// TestCompactFoldsDelta: Compact resets the delta counters, never changes
-// a result bit, and leaves the engine cheaply cloneable.
+// TestCompactFoldsDelta: Compact returns a successor with the delta
+// counters reset, sharing every shard, and never changes a result bit.
 func TestCompactFoldsDelta(t *testing.T) {
 	rng := rand.New(rand.NewPCG(74, 1))
 	g, log := randomInstance(rng, 40, 24)
@@ -155,9 +205,8 @@ func TestCompactFoldsDelta(t *testing.T) {
 	opts := Options{Lambda: 0.001, Credit: credit}
 	headN := 20
 	head := log.Prefix(headN)
-	e := NewEngine(g, head, opts)
-	e.Compact()
-	if err := e.AppendActions(g, log, actionlog.ActionID(headN)); err != nil {
+	e, err := NewEngine(g, head, opts).Compact().AppendActions(g, log, actionlog.ActionID(headN))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e.DeltaActions() != log.NumActions()-headN || e.DeltaEntries() <= 0 {
@@ -168,7 +217,11 @@ func TestCompactFoldsDelta(t *testing.T) {
 		before[u] = e.Gain(graph.NodeID(u))
 	}
 	resident := e.ResidentBytes()
-	e.Compact()
+	appended := e
+	e = e.Compact()
+	if appended.DeltaActions() != log.NumActions()-headN {
+		t.Fatalf("Compact changed the receiver's delta: %d actions", appended.DeltaActions())
+	}
 	if e.DeltaActions() != 0 || e.DeltaEntries() != 0 {
 		t.Fatalf("delta = %d actions / %d entries after compact", e.DeltaActions(), e.DeltaEntries())
 	}
@@ -180,12 +233,12 @@ func TestCompactFoldsDelta(t *testing.T) {
 			t.Fatalf("Gain(%d) changed across Compact: %b -> %b", u, before[u], got)
 		}
 	}
-	// A post-compact clone shares every shard yet selects identically.
-	a := seedsel.CELF(e.Clone(), 5)
-	b := seedsel.CELF(NewEngine(g, log, opts), 5)
+	// The compacted engine shares every shard yet selects identically.
+	a := seedsel.CELF(NewProbeEstimator(nil, e), 5)
+	b := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, opts)), 5)
 	for i := range b.Seeds {
 		if a.Seeds[i] != b.Seeds[i] || a.Gains[i] != b.Gains[i] {
-			t.Fatalf("post-compact clone CELF diverged at %d", i)
+			t.Fatalf("post-compact CELF diverged at %d", i)
 		}
 	}
 }
@@ -212,8 +265,8 @@ func TestAppendActionsRegistersUnseenUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inc := NewEngine(g, head, Options{})
-	if err := inc.AppendActions(g, combined, 2); err != nil {
+	inc, err := NewEngine(g, head, Options{}).AppendActions(g, combined, 2)
+	if err != nil {
 		t.Fatalf("AppendActions: %v", err)
 	}
 	if inc.NumNodes() != 6 {
@@ -230,24 +283,20 @@ func TestAppendActionsRegistersUnseenUsers(t *testing.T) {
 	}
 }
 
-// TestAppendActionsErrors pins the guard rails.
+// TestAppendActionsErrors pins the guard rails. Engines hold no seeds,
+// so appending after a commit is refused at the planner level
+// (credist's TestIngestAfterAddRejected).
 func TestAppendActionsErrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(75, 2))
 	g, log := randomInstance(rng, 20, 10)
 	head := log.Prefix(8)
 
 	e := NewEngine(g, head, Options{})
-	if err := e.AppendActions(g, log, 5); err == nil {
+	if _, err := e.AppendActions(g, log, 5); err == nil {
 		t.Error("from mismatch accepted")
 	}
-	if err := e.AppendActions(g, head, 8); err != nil {
+	if _, err := e.AppendActions(g, head, 8); err != nil {
 		t.Errorf("no-op append rejected: %v", err)
-	}
-
-	e2 := NewEngine(g, head, Options{})
-	e2.Add(0)
-	if err := e2.AppendActions(g, log, 8); err != ErrSeedsCommitted {
-		t.Errorf("append after Add = %v, want ErrSeedsCommitted", err)
 	}
 
 	// A universe beyond the graph is rejected.
@@ -256,7 +305,7 @@ func TestAppendActionsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	e3 := NewEngine(g, head, Options{})
-	if err := e3.AppendActions(g, grown, 8); err == nil {
+	if _, err := e3.AppendActions(g, grown, 8); err == nil {
 		t.Error("universe beyond graph accepted")
 	}
 

@@ -25,7 +25,7 @@ func TestEngineEmptyLog(t *testing.T) {
 	if got := e.Gain(0); got != 0 {
 		t.Fatalf("gain on empty log = %g", got)
 	}
-	e.Add(0) // must not panic
+	NewProbe(e).Commit(0, nil) // must not panic
 	if got := e.NumActions(); got != 0 {
 		t.Fatalf("actions = %d", got)
 	}
@@ -88,7 +88,7 @@ func TestEngineLambdaDropsEverything(t *testing.T) {
 
 func TestAddSameSeedTwice(t *testing.T) {
 	g, log := figure1(t)
-	e := NewEngine(g, log, Options{})
+	e := newCommitOracle(NewEngine(g, log, Options{}))
 	e.Add(nodeV)
 	gainAfter := e.Gain(nodeV)
 	// After committing, x's row/column are gone; its gain is its

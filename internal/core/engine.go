@@ -2,62 +2,49 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"credist/internal/actionlog"
 	"credist/internal/graph"
 )
 
-// Engine is the incremental marginal-gain machinery behind the CD-model
-// greedy algorithm. Construction performs the one-time Scan of the action
-// log (Algorithm 2), building for every action the total-credit structure
-// UC where UC[v][u][a] = Gamma^{V-S}_{v,u}(a); thereafter Gain evaluates
-// Theorem 3 in time linear in the touched credit entries (Algorithm 4) and
-// Add maintains UC and SC incrementally via Lemmas 2 and 3 (Algorithm 5).
+// Engine is the scanned credit structure behind the CD-model greedy
+// algorithm. Construction performs the one-time Scan of the action log
+// (Algorithm 2), building for every action the total-credit structure UC
+// where UC[v][u][a] = Gamma_{v,u}(a); Gain then evaluates Theorem 3 in
+// time linear in the touched credit entries (Algorithm 4).
 //
-// UC is stored as sorted sparse rows (sparse.go), so every walk — gain,
-// seed update — visits entries in a fixed (influencer, influenced) order,
-// and the scan (scan.go) adds every credit's terms in a fixed parent
-// order: the floating-point results are bit-for-bit identical across
-// runs, reloads, and worker counts.
+// An Engine is immutable once built. Seeds are never committed into it:
+// a Probe (probe.go) records each committed seed's footprint and replays
+// Lemmas 2 and 3 (Algorithm 5) onto private copies of the rows it prices,
+// so any number of probes, selections and planners share one engine.
 //
-// Shards split into a frozen base and a mutable delta. Because credits
-// never cross actions, an engine can grow by scanning only new actions
-// (AppendActions) while the already-scanned shards stay untouched, and
-// sibling engines (Clone) share frozen shards instead of copying them:
-// Add copies a shard on first write (copy-on-write), so the shared base is
-// never mutated. Compact folds the delta into the base, re-freezing the
-// engine so future clones are cheap again.
+// UC is stored as sorted sparse rows (sparse.go), so every walk visits
+// entries in a fixed (influencer, influenced) order, and the scan
+// (scan.go) adds every credit's terms in a fixed parent order: the
+// floating-point results are bit-for-bit identical across runs, reloads,
+// and worker counts.
+//
+// Because credits never cross actions, an engine grows by scanning only
+// new actions: AppendActions returns a successor that shares every
+// already-scanned shard. The shards appended since construction or the
+// last Compact form the delta, which the engine accounts separately.
 type Engine struct {
-	numUsers int
-	// au and actionsOf are mutated in place only while ownsUsers is true
-	// (the engine holds the sole reference); once shared by Clone or
-	// frozen by Compact, AppendActions/IngestAction replace them wholesale
-	// instead, so siblings keep a consistent view.
-	ownsUsers bool
+	numUsers  int
 	au        []int32   // Au: actions performed per user (training log)
 	actionsOf [][]int32 // per user: training actions they performed
 
 	// uc[a] points at action a's shard through the rowStore interface
 	// (rowstore.go): a heap ucAction, or a read-only window into a mapped
-	// version-3 snapshot. owned[a] reports whether this engine may mutate
-	// the shard in place — owned shards are always heap; unowned shards
-	// are shared with sibling engines (or the mapping) and are promoted to
-	// a private heap copy by mutShard before the first write. Delta shards
-	// (indices >= baseActions) are always heap: they come only from this
-	// process's own scans.
-	uc    []rowStore
-	owned []bool
-
-	sc      []map[int32]float64 // per action: Gamma_{S,x}(a) for current seeds
-	seeds   []graph.NodeID
-	entries int64 // live UC entry count, for memory accounting
+	// version-3 snapshot. Shards are never written, so successors and
+	// partitions share them.
+	uc      []rowStore
+	entries int64 // UC entry count, for memory accounting
 	lambda  float64
 	credit  CreditModel // the direct-credit rule the shards were scanned with
 	workers int         // raw Options.Workers, reused by AppendActions
 
-	baseActions  int   // shards [0, baseActions) form the frozen base
+	baseActions  int   // shards [0, baseActions) form the base
 	deltaEntries int64 // entries the delta shards contributed when scanned
 
 	// A partition engine (partition.go) holds only the UC rows of
@@ -84,9 +71,7 @@ type Options struct {
 	Workers int
 }
 
-// NewEngine scans the training log and returns a ready engine. The fresh
-// engine owns every shard, so seed selection mutates in place with no
-// copy-on-write cost; call Compact to freeze it for cheap cloning.
+// NewEngine scans the training log and returns a ready engine.
 func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 	model := opts.Credit
 	if model == nil {
@@ -95,10 +80,8 @@ func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 	numActions := train.NumActions()
 	e := &Engine{
 		numUsers:    train.NumUsers(),
-		ownsUsers:   true,
 		au:          make([]int32, train.NumUsers()),
 		actionsOf:   make([][]int32, train.NumUsers()),
-		sc:          make([]map[int32]float64, numActions),
 		lambda:      opts.Lambda,
 		credit:      model,
 		workers:     opts.Workers,
@@ -113,10 +96,6 @@ func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 		e.uc[a] = shard
 	}
 	e.entries = entries
-	e.owned = make([]bool, numActions)
-	for a := range e.owned {
-		e.owned[a] = true
-	}
 	// actionsOf is rebuilt serially in action order so its contents do not
 	// depend on worker scheduling.
 	for a := 0; a < numActions; a++ {
@@ -127,49 +106,41 @@ func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 	return e
 }
 
-// AppendActions extends the engine with the tail of a combined log without
-// re-scanning the prefix: log must contain the engine's already-scanned
-// actions as [0, from) and from must equal NumActions(). The tail
-// [from, log.NumActions()) is scanned in parallel into delta shards, au
-// and actionsOf are extended (copied first when shared with clones, via
-// mutUsers), and users the engine has not seen — the log universe may
-// have grown — are registered, provided the graph covers them. Gain,
-// Spread via SC, and CELF selections on the result are bit-for-bit
-// identical to a from-scratch NewEngine over the combined log with the
-// same credit rule, because every carried-over structure is per-action
-// and Au only grows.
-//
-// Appending is only legal before the first Add: committed seeds turn UC
-// into the V-S restriction, which raw per-action credits would corrupt.
-func (e *Engine) AppendActions(g *graph.Graph, log *actionlog.Log, from actionlog.ActionID) error {
-	if len(e.seeds) > 0 {
-		return ErrSeedsCommitted
-	}
+// AppendActions returns the engine extended with the tail of a combined
+// log, without re-scanning the prefix: log must contain the engine's
+// already-scanned actions as [0, from) and from must equal NumActions().
+// The tail [from, log.NumActions()) is scanned in parallel into delta
+// shards, and users the engine has not seen — the log universe may have
+// grown — are registered, provided the graph covers them. The successor
+// shares every shard of the receiver, which stays valid and unchanged;
+// the per-user state (au, actionsOf) is copied. Gain, probes, and CELF
+// selections on the result are bit-for-bit identical to a from-scratch
+// NewEngine over the combined log with the same credit rule, because
+// every carried-over structure is per-action and Au only grows.
+func (e *Engine) AppendActions(g *graph.Graph, log *actionlog.Log, from actionlog.ActionID) (*Engine, error) {
 	if int(from) != len(e.uc) {
-		return fmt.Errorf("core: append from action %d, but engine has scanned %d", from, len(e.uc))
+		return nil, fmt.Errorf("core: append from action %d, but engine has scanned %d", from, len(e.uc))
 	}
 	if log.NumActions() < int(from) {
-		return fmt.Errorf("core: combined log has %d actions, fewer than the %d already scanned", log.NumActions(), from)
+		return nil, fmt.Errorf("core: combined log has %d actions, fewer than the %d already scanned", log.NumActions(), from)
 	}
 	if log.NumUsers() > g.NumNodes() {
-		return fmt.Errorf("core: log universe (%d users) exceeds the graph (%d nodes)", log.NumUsers(), g.NumNodes())
+		return nil, fmt.Errorf("core: log universe (%d users) exceeds the graph (%d nodes)", log.NumUsers(), g.NumNodes())
 	}
 	if log.NumUsers() < e.numUsers {
-		return fmt.Errorf("core: log universe shrank: %d users, engine has %d", log.NumUsers(), e.numUsers)
+		return nil, fmt.Errorf("core: log universe shrank: %d users, engine has %d", log.NumUsers(), e.numUsers)
 	}
 	to := log.NumActions()
 	shards, props, entries := scanShards(g, log, int(from), to, e.credit, e.lambda, e.workers)
 
-	// The per-user walk is serial and in action order, so actionsOf ends
-	// up exactly as NewEngine over the combined log would build it.
-	oldNumUsers := e.numUsers
-	e.mutUsers(log.NumUsers())
+	n := *e
+	n.numUsers = log.NumUsers()
 	// A partition whose range ends at the universe end keeps ending there:
 	// rows of users the appended tail registered belong to the trailing
 	// partition, preserving full coverage without cross-partition
 	// coordination.
-	if e.partitioned && e.partHi == oldNumUsers {
-		e.partHi = e.numUsers
+	if n.partitioned && n.partHi == e.numUsers {
+		n.partHi = n.numUsers
 	}
 
 	// Ingest routing: a partition keeps only the scanned rows it owns —
@@ -179,170 +150,56 @@ func (e *Engine) AppendActions(g *graph.Graph, log *actionlog.Log, from actionlo
 	// global per-user walk below is identical on every partition, so
 	// per-partition appends stay bit-equivalent to slicing a freshly
 	// appended full engine.
-	if e.partitioned {
+	if n.partitioned {
 		entries = 0
 		for i, shard := range shards {
-			sub, n := e.filterShardToPartition(shard)
+			sub, cnt := n.filterShardToPartition(shard)
 			shards[i] = sub
-			entries += n
+			entries += cnt
 		}
 	}
+
+	// The per-user walk is serial and in action order, so actionsOf ends
+	// up exactly as NewEngine over the combined log would build it. Rows
+	// the tail touches are copied before the append, so the receiver's
+	// rows are never written.
+	n.au = make([]int32, n.numUsers)
+	copy(n.au, e.au)
+	n.actionsOf = make([][]int32, n.numUsers)
+	copy(n.actionsOf, e.actionsOf)
 	for i, p := range props {
 		a := from + actionlog.ActionID(i)
 		for _, u := range p.Users {
-			e.au[u]++
-			e.actionsOf[u] = append(e.actionsOf[u], a)
-		}
-	}
-
-	uc := make([]rowStore, to)
-	copy(uc, e.uc)
-	for i, shard := range shards {
-		uc[int(from)+i] = shard
-	}
-	owned := make([]bool, to)
-	copy(owned, e.owned)
-	for a := int(from); a < to; a++ {
-		owned[a] = true
-	}
-	sc := make([]map[int32]float64, to)
-	copy(sc, e.sc)
-
-	e.uc = uc
-	e.owned = owned
-	e.sc = sc
-	e.entries += entries
-	e.deltaEntries += entries
-	return nil
-}
-
-// mutUsers makes the per-user state (au, actionsOf) privately mutable and
-// at least newNumUsers long. While the engine owns it — fresh from
-// NewEngine, or after a previous call — mutation happens in place, so a
-// trickle of IngestAction calls costs only the touched users; once shared
-// by Clone or frozen by Compact, the next mutation pays one full copy.
-func (e *Engine) mutUsers(newNumUsers int) {
-	if newNumUsers < e.numUsers {
-		newNumUsers = e.numUsers
-	}
-	if !e.ownsUsers {
-		au := make([]int32, newNumUsers)
-		copy(au, e.au)
-		actionsOf := make([][]int32, newNumUsers)
-		for u, row := range e.actionsOf {
-			actionsOf[u] = slices.Clone(row)
-		}
-		e.au, e.actionsOf = au, actionsOf
-		e.ownsUsers = true
-	} else if newNumUsers > e.numUsers {
-		au := make([]int32, newNumUsers)
-		copy(au, e.au)
-		actionsOf := make([][]int32, newNumUsers)
-		copy(actionsOf, e.actionsOf) // inner rows are already private
-		e.au, e.actionsOf = au, actionsOf
-	}
-	e.numUsers = newNumUsers
-}
-
-// Compact folds the delta into the base and freezes the engine: every
-// shard this engine owns that carries slack is re-allocated at exact size
-// (shedding what seed commits removed) and every one is released to
-// shared status, so subsequent Clones copy nothing and Add falls back to
-// copy-on-write. The delta counters reset; results are unchanged. Compact
-// must not run concurrently with readers of the same engine.
-func (e *Engine) Compact() {
-	// Owned shards anywhere, plus every delta shard: a delta frozen by an
-	// earlier Freeze is no longer owned but may still carry slack, and
-	// folding it into the base is the moment to shed it. Scanned shards
-	// are carved at exact size, so only shards that lost cells are
-	// copied. Mapped shards are left as they are: never owned, always
-	// inside the old base, they stay shared windows into the snapshot
-	// file.
-	for a := range e.uc {
-		if e.owned[a] || a >= e.baseActions {
-			if ua, ok := e.uc[a].(*ucAction); !ok || ua.hasSlack() {
-				e.uc[a] = e.uc[a].promote()
+			n.au[u]++
+			row := n.actionsOf[u]
+			if int(u) < len(e.actionsOf) && len(row) == len(e.actionsOf[u]) {
+				row = slices.Clip(row) // first touch: never append into the receiver's row
 			}
-			e.owned[a] = false
+			n.actionsOf[u] = append(row, a)
 		}
 	}
-	e.baseActions = len(e.uc)
-	e.deltaEntries = 0
-	// Freeze the per-user state too: future clones share it, and the next
-	// ingest copies it back out.
-	e.ownsUsers = false
+
+	n.uc = make([]rowStore, to)
+	copy(n.uc, e.uc)
+	for i, shard := range shards {
+		n.uc[int(from)+i] = shard
+	}
+	n.entries += entries
+	n.deltaEntries += entries
+	return &n, nil
 }
 
-// Clone returns an independent engine: committing seeds to the clone never
-// disturbs the original, and a sequence of Gain/Add calls on the clone
-// produces bit-for-bit the floats the original would have produced. Frozen
-// (unowned) shards and the read-only per-user state are shared, so cloning
-// a compacted engine costs an outer-slice copy — microseconds — while
-// shards the receiver still owns (its delta, or shards it already mutated)
-// are deep-copied. This is what lets a serving layer keep one scanned
-// engine per model snapshot and hand mutable copies to concurrent
-// seed-selection requests.
-func (e *Engine) Clone() *Engine {
-	c := &Engine{
-		numUsers:     e.numUsers,
-		uc:           slices.Clone(e.uc),
-		owned:        slices.Clone(e.owned),
-		sc:           make([]map[int32]float64, len(e.sc)),
-		seeds:        slices.Clone(e.seeds),
-		entries:      e.entries,
-		lambda:       e.lambda,
-		credit:       e.credit,
-		workers:      e.workers,
-		baseActions:  e.baseActions,
-		deltaEntries: e.deltaEntries,
-		partitioned:  e.partitioned,
-		partLo:       e.partLo,
-		partHi:       e.partHi,
-	}
-	// Shards the receiver owns may be mutated by its future Adds or
-	// compacted away, so the clone takes private copies; shared shards are
-	// frozen and stay shared.
-	for a, own := range c.owned {
-		if own {
-			c.uc[a] = c.uc[a].promote()
-		}
-	}
-	// Same for the per-user state: an owning receiver mutates it in place
-	// on ingest, so the clone copies; a frozen one is shared.
-	if e.ownsUsers {
-		c.ownsUsers = true
-		c.au = slices.Clone(e.au)
-		c.actionsOf = make([][]int32, len(e.actionsOf))
-		for u, row := range e.actionsOf {
-			c.actionsOf[u] = slices.Clone(row)
-		}
-	} else {
-		c.au = e.au
-		c.actionsOf = e.actionsOf
-	}
-	for i, m := range e.sc {
-		if m != nil {
-			c.sc[i] = maps.Clone(m)
-		}
-	}
-	return c
+// Compact returns the engine with its delta folded into the base: the
+// same shards, with the delta counters reset. The receiver is unchanged.
+func (e *Engine) Compact() *Engine {
+	c := *e
+	c.baseActions = len(c.uc)
+	c.deltaEntries = 0
+	return &c
 }
 
-// mutShard returns action a's shard ready for in-place mutation, promoting
-// it to a private heap copy first when it is shared with sibling engines
-// (copy-on-write) or backed by a mapped snapshot (promote-on-first-write;
-// the mapping itself is never touched). Owned shards are heap by
-// construction, so the assertion below cannot fail.
-func (e *Engine) mutShard(a int32) *ucAction {
-	if !e.owned[a] {
-		e.uc[a] = e.uc[a].promote()
-		e.owned[a] = true
-	}
-	return e.uc[a].(*ucAction)
-}
-
-// Credit returns UC[v][u][a] = Gamma^{V-S}_{v,u}(a) under the current seed
-// set. Exposed for tests and diagnostics.
+// Credit returns UC[v][u][a] = Gamma_{v,u}(a), the scanned credit.
+// Exposed for tests and diagnostics.
 func (e *Engine) Credit(a actionlog.ActionID, v, u graph.NodeID) float64 {
 	if int(a) >= len(e.uc) {
 		return 0
@@ -350,6 +207,13 @@ func (e *Engine) Credit(a actionlog.ActionID, v, u graph.NodeID) float64 {
 	c, _ := e.uc[a].get(v, u)
 	return c
 }
+
+// NumActions returns how many actions the engine has scanned (initial log
+// plus appended ones).
+func (e *Engine) NumActions() int { return len(e.uc) }
+
+// ActionCount returns the engine's A_u for user u.
+func (e *Engine) ActionCount(u graph.NodeID) int { return int(e.au[u]) }
 
 // Entries returns the number of live UC entries, the memory statistic
 // reported in Figure 8 and Table 4.
@@ -361,21 +225,6 @@ func (e *Engine) CreditModel() CreditModel { return e.credit }
 // Lambda returns the truncation threshold the shards were scanned with.
 func (e *Engine) Lambda() float64 { return e.lambda }
 
-// Freeze releases every shard and the per-user state to shared status
-// without copying anything or folding the delta (unlike Compact, the
-// delta counters and the shards' capacity slack are kept). Clones of a
-// frozen engine share everything, and any later mutation — an Add on a
-// clone, a fresh ingest — pays copy-on-write. Serving snapshots freeze
-// their base planner before publishing it, so per-request clones stay
-// cheap between compactions. Must not run concurrently with other calls
-// on the same engine.
-func (e *Engine) Freeze() {
-	for a := range e.owned {
-		e.owned[a] = false
-	}
-	e.ownsUsers = false
-}
-
 // DeltaEntries returns the UC entries contributed by actions appended
 // since construction or the last Compact — the delta's size, as scanned.
 func (e *Engine) DeltaEntries() int64 { return e.deltaEntries }
@@ -384,8 +233,7 @@ func (e *Engine) DeltaEntries() int64 { return e.deltaEntries }
 // base (zero after NewEngine or Compact).
 func (e *Engine) DeltaActions() int { return len(e.uc) - e.baseActions }
 
-// NumNodes returns the user-universe size, making Engine usable as a
-// seedsel.Estimator.
+// NumNodes returns the user-universe size.
 func (e *Engine) NumNodes() int { return e.numUsers }
 
 // Workers returns the raw Options.Workers the engine was built with
@@ -393,34 +241,16 @@ func (e *Engine) NumNodes() int { return e.numUsers }
 // follows the same knob as the scan.
 func (e *Engine) Workers() int { return e.workers }
 
-// ConcurrentGain marks Gain as safe for concurrent calls between Adds
-// (it reads only state that Add-free execution leaves untouched), which
-// is what lets the shared celf engine fan the first-iteration and
-// stale-refresh gain evaluations over workers. It is a compile-time
-// marker for celf.ConcurrentEstimator and is never called.
-func (e *Engine) ConcurrentGain() {}
-
-// Seeds returns the committed seed set in selection order.
-func (e *Engine) Seeds() []graph.NodeID {
-	out := make([]graph.NodeID, len(e.seeds))
-	copy(out, e.seeds)
-	return out
-}
-
-// Gain computes the marginal gain sigma_cd(S+x) - sigma_cd(S) of candidate
-// x against the current seed set via Theorem 3 (Algorithm 4):
+// Gain computes the marginal gain sigma_cd({x}) of candidate x against
+// the empty seed set via Theorem 3 (Algorithm 4):
 //
 //	sum over actions a performed by x of
-//	  (1 - Gamma_{S,x}(a)) * (1/A_x + sum_u UC[x][u][a]/A_u)
+//	  1/A_x + sum_u UC[x][u][a]/A_u
 //
-// where the 1/A_x term is x's self-credit Gamma^{V-S}_{x,x}(a) = 1. The
-// row walk is in ascending influenced-id order, so the returned float is
-// identical across engine instances built from the same inputs.
-//
-// A committed seed gains exactly 0: sigma_cd(S+x) = sigma_cd(S) when x is
-// already in S. The walk below cannot derive that (Add removed x's row, and
-// SC keeps no diagonal entry), so it is checked up front — CELF never asks,
-// but the batched-gain API accepts arbitrary candidates.
+// where the 1/A_x term is x's self-credit Gamma_{x,x}(a) = 1. The row
+// walk is in ascending influenced-id order, so the returned float is
+// identical across engine instances built from the same inputs. Gains
+// against committed seeds come from a Probe.
 func (e *Engine) Gain(x graph.NodeID) float64 { return e.GainObj(x, nil) }
 
 // gainSum is the Theorem 3 sum behind Gain, GainObj and Probe.Gain, the
@@ -466,47 +296,19 @@ func (e *Engine) gainSum(x graph.NodeID, obj *Objective, rowSC func(i int, a int
 	return mg
 }
 
-// seedCredit returns SC[x][a], zero when unset.
-func (e *Engine) seedCredit(a, x int32) float64 {
-	if e.sc[a] == nil {
-		return 0
-	}
-	return e.sc[a][x]
-}
-
-// Add commits x to the seed set and updates UC and SC (Algorithm 5):
-// Lemma 2 removes from every credit the share flowing through x, and
-// Lemma 3 raises Gamma_{S,u}(a) for every u that x has credit over.
-// Finally x's row and column are removed, matching the V-S superscript
-// semantics of Theorem 3. Both walks follow sorted id order. Shards
-// shared with sibling engines are copied before the first write, so Add
-// never disturbs a clone or the frozen base of a serving snapshot.
-//
-// Add is exactly commitSeedRow driven by the engine's own row
-// (partition.go), which is what makes a scatter-gather commit across
-// row-range partitions bit-identical to the single-engine commit.
-// Committing a seed twice changes nothing.
-//
-// Seed selection does not come here: it commits to a ProbeEstimator,
-// which replays each seed onto the rows it re-prices only. Add backs
-// Planner.Add, and it is the oracle the probe is tested against
-// (FuzzProbeMatchesCommit, FuzzProbeSelectionMatchesCommit).
-func (e *Engine) Add(x graph.NodeID) {
-	e.commitSeedRow(x, e.extractSeedRow(x))
-}
-
 // ResidentBytes reports the UC structure's total footprint across both
-// backends: HeapBytes plus MappedBytes. Shards shared with sibling engines
+// backends: HeapBytes plus MappedBytes. Shards shared with other engines
 // are counted in full for every engine referencing them. On the
-// flixster-small preset the heap representation measures 34.4 bytes per
-// live entry (32.0 MiB total), versus 71.5 bytes per entry (66.4 MiB) for
-// the mirrored map-of-maps representation it replaced.
+// flixster-small preset the heap representation measures 17.9 bytes per
+// live entry (16.6 MiB total, BenchmarkUCFlixsterSmall), versus 71.5
+// bytes per entry for the mirrored map-of-maps representation the sorted
+// rows replaced.
 func (e *Engine) ResidentBytes() int64 {
 	return e.HeapBytes() + e.MappedBytes()
 }
 
 // HeapBytes reports the Go-heap slice footprint of the UC structure
-// (16 bytes per row entry plus the column mirror and slice headers; see
+// (16 bytes per row entry plus row keys and slice headers; see
 // ucAction.residentBytes). Shards served from a mapped snapshot contribute
 // nothing here — their pages are file-backed, not heap.
 func (e *Engine) HeapBytes() int64 {
@@ -518,8 +320,8 @@ func (e *Engine) HeapBytes() int64 {
 }
 
 // MappedBytes reports the file-backed footprint of the UC structure: the
-// bytes of the mapped snapshot's base section this engine's shards still
-// alias (shards promoted to heap by a write no longer count). The OS pages
+// bytes of the mapped snapshot's base section this engine's shards
+// alias. The OS pages
 // these in and out on demand, so this is an upper bound on their resident
 // cost.
 func (e *Engine) MappedBytes() int64 {

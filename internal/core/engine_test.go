@@ -88,23 +88,42 @@ func TestFigure1SeedSetCredit(t *testing.T) {
 
 func TestFigure1Lemma2Update(t *testing.T) {
 	g, log := figure1(t)
-	e := NewEngine(g, log, Options{})
+	eng := NewEngine(g, log, Options{})
+	e := newCommitOracle(eng)
+	pr := NewProbe(eng)
+	// probed reads v's credit over u through the probe's replay.
+	probed := func() float64 {
+		row, _ := pr.replay(eng, int32(nodeV), 0)
+		if i, ok := searchRow(row, int32(nodeU)); ok {
+			return row[i].c
+		}
+		return 0
+	}
 	// Add t and z to the seed set; the paper computes the remaining credit
 	// of v over u in the induced subgraph as 0.5, and 0.25 after w joins.
-	e.Add(nodeT)
-	e.Add(nodeZ)
+	for _, s := range []graph.NodeID{nodeT, nodeZ} {
+		e.Add(s)
+		pr.Commit(s, nil)
+	}
 	if got := e.Credit(0, nodeV, nodeU); !almostEqual(got, 0.5) {
 		t.Fatalf("Gamma^{V-{t,z}}_{v,u} = %g, want 0.5", got)
 	}
+	if got := probed(); got != e.Credit(0, nodeV, nodeU) {
+		t.Fatalf("probe replays Gamma^{V-{t,z}}_{v,u} = %g, the oracle holds %g", got, e.Credit(0, nodeV, nodeU))
+	}
 	e.Add(nodeW)
+	pr.Commit(nodeW, nil)
 	if got := e.Credit(0, nodeV, nodeU); !almostEqual(got, 0.25) {
 		t.Fatalf("Gamma^{V-{t,z,w}}_{v,u} = %g, want 0.25", got)
+	}
+	if got := probed(); got != e.Credit(0, nodeV, nodeU) {
+		t.Fatalf("probe replays Gamma^{V-{t,z,w}}_{v,u} = %g, the oracle holds %g", got, e.Credit(0, nodeV, nodeU))
 	}
 }
 
 func TestFigure1MarginalGainMatchesEvaluator(t *testing.T) {
 	g, log := figure1(t)
-	e := NewEngine(g, log, Options{})
+	e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
 	ev := NewEvaluator(g, log, nil)
 
 	var seeds []graph.NodeID
@@ -163,7 +182,7 @@ func TestEngineMatchesEvaluatorOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for trial := 0; trial < 25; trial++ {
 		g, log := randomInstance(rng, 12+rng.IntN(10), 4+rng.IntN(6))
-		e := NewEngine(g, log, Options{})
+		e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
 		ev := NewEvaluator(g, log, nil)
 		var seeds []graph.NodeID
 		for round := 0; round < 4; round++ {
@@ -191,7 +210,7 @@ func TestEngineMatchesEvaluatorOnRandomInstances(t *testing.T) {
 func TestEngineEntriesAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	g, log := randomInstance(rng, 20, 8)
-	e := NewEngine(g, log, Options{})
+	e := newCommitOracle(NewEngine(g, log, Options{}))
 	if e.Entries() < 0 {
 		t.Fatalf("negative entries %d", e.Entries())
 	}
@@ -263,8 +282,9 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("lambda=%g: Gain(%d) not bit-identical: %b vs %b", lambda, u, gs, gp)
 			}
 		}
-		rs := seedsel.CELF(serial, 8)
-		rp := seedsel.CELF(parallel, 8)
+		ps, pp := NewProbeEstimator(nil, serial), NewProbeEstimator(nil, parallel)
+		rs := seedsel.CELF(ps, 8)
+		rp := seedsel.CELF(pp, 8)
 		for i := range rs.Seeds {
 			if rs.Seeds[i] != rp.Seeds[i] {
 				t.Fatalf("lambda=%g: seed %d differs: %d vs %d", lambda, i, rs.Seeds[i], rp.Seeds[i])
@@ -273,11 +293,16 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("lambda=%g: gain %d not bit-identical: %b vs %b", lambda, i, rs.Gains[i], rp.Gains[i])
 			}
 		}
-		if serial.Entries() != parallel.Entries() {
-			t.Fatalf("lambda=%g: post-selection entries %d vs %d", lambda, serial.Entries(), parallel.Entries())
+		os, op := newCommitOracle(serial), newCommitOracle(parallel)
+		for _, s := range rs.Seeds {
+			os.Add(s)
+			op.Add(s)
+		}
+		if os.Entries() != op.Entries() {
+			t.Fatalf("lambda=%g: post-selection entries %d vs %d", lambda, os.Entries(), op.Entries())
 		}
 		for u := 0; u < g.NumNodes(); u++ {
-			if gs, gp := serial.Gain(graph.NodeID(u)), parallel.Gain(graph.NodeID(u)); gs != gp {
+			if gs, gp := ps.Gain(graph.NodeID(u)), pp.Gain(graph.NodeID(u)); gs != gp {
 				t.Fatalf("lambda=%g: post-selection Gain(%d): %b vs %b", lambda, u, gs, gp)
 			}
 		}
@@ -297,7 +322,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 func TestGainOfCommittedSeedIsZero(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 8))
 	g, log := randomInstance(rng, 30, 12)
-	e := NewEngine(g, log, Options{})
+	e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
 	ev := NewEvaluator(g, log, nil)
 	seeds := []graph.NodeID{4, 9}
 	for _, s := range seeds {
@@ -314,59 +339,77 @@ func TestGainOfCommittedSeedIsZero(t *testing.T) {
 	}
 }
 
-// TestEngineClone proves Clone gives full isolation with bit-identical
-// behavior: committing seeds to a clone leaves the original untouched, and
-// the clone's gains, entry counts, and CELF selections match — exactly —
-// those of a fresh engine driven through the same sequence of Adds.
-func TestEngineClone(t *testing.T) {
+// TestProbeClone proves Probe.Clone gives full isolation with
+// bit-identical behavior: committing seeds to a clone leaves the original
+// untouched, and the clone's gains and CELF selections match — exactly —
+// those of a fresh probe over a freshly scanned engine, and the oracle's
+// entry count after the same commits.
+func TestProbeClone(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 5))
 	g, log := randomInstance(rng, 50, 30)
 	credit := LearnTimeAware(g, log)
 	opts := Options{Lambda: 0.001, Credit: credit}
-	base := NewEngine(g, log, opts)
+	eng := NewEngine(g, log, opts)
+	base := NewProbe(eng)
+	base.Commit(7, nil)
 
 	baseline := make([]float64, g.NumNodes())
 	for u := range baseline {
-		baseline[u] = base.Gain(graph.NodeID(u))
+		baseline[u] = base.Gain(graph.NodeID(u), nil)
 	}
-	baseEntries := base.Entries()
+	baseEntries := eng.Entries()
 
-	// Drive the clone and a from-scratch reference engine identically.
+	// Drive the clone and a from-scratch reference identically.
 	clone := base.Clone()
-	ref := NewEngine(g, log, opts)
-	res := seedsel.CELF(clone, 6)
-	refRes := seedsel.CELF(ref, 6)
+	ref := NewProbe(NewEngine(g, log, opts))
+	ref.Commit(7, nil)
+	res := seedsel.CELF(clone.Estimator(nil), 6)
+	refRes := seedsel.CELF(ref.Estimator(nil), 6)
 	for i := range res.Seeds {
 		if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
 			t.Fatalf("clone CELF diverged at %d: (%d, %b) vs (%d, %b)",
 				i, res.Seeds[i], res.Gains[i], refRes.Seeds[i], refRes.Gains[i])
 		}
 	}
-	if clone.Entries() != ref.Entries() {
-		t.Fatalf("clone entries %d, reference %d", clone.Entries(), ref.Entries())
+	oracle := newCommitOracle(eng)
+	for _, s := range clone.Seeds() {
+		oracle.Add(s)
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		if a, b := clone.Gain(graph.NodeID(u), nil), oracle.Gain(graph.NodeID(u)); a != b {
+			t.Fatalf("clone Gain(%d) = %b, the oracle gives %b", u, a, b)
+		}
+	}
+	if oracle.Entries() >= baseEntries {
+		t.Fatalf("oracle entries %d after %d commits, scanned %d", oracle.Entries(), len(clone.Seeds()), baseEntries)
 	}
 
-	// The original must be exactly as it was before the clone was mutated.
-	if base.Entries() != baseEntries {
-		t.Fatalf("original entries changed: %d -> %d", baseEntries, base.Entries())
+	// The original must be exactly as it was before the clone committed.
+	if eng.Entries() != baseEntries {
+		t.Fatalf("engine entries changed: %d -> %d", baseEntries, eng.Entries())
 	}
-	if len(base.Seeds()) != 0 {
-		t.Fatalf("original seed set changed: %v", base.Seeds())
+	if got := base.Seeds(); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("original seed set changed: %v", got)
 	}
 	for u := range baseline {
-		if got := base.Gain(graph.NodeID(u)); got != baseline[u] {
+		if got := base.Gain(graph.NodeID(u), nil); got != baseline[u] {
 			t.Fatalf("original Gain(%d) changed: %b -> %b", u, baseline[u], got)
 		}
 	}
 
-	// A clone taken mid-selection continues exactly like its source.
+	// A clone taken mid-selection continues exactly like its source, and
+	// a commit to the source afterwards does not reach the clone.
 	mid := base.Clone()
-	mid.Add(res.Seeds[0])
+	mid.Commit(res.Seeds[0], nil)
 	fromClone := mid.Clone()
 	for u := 0; u < g.NumNodes(); u++ {
-		if a, b := mid.Gain(graph.NodeID(u)), fromClone.Gain(graph.NodeID(u)); a != b {
+		if a, b := mid.Gain(graph.NodeID(u), nil), fromClone.Gain(graph.NodeID(u), nil); a != b {
 			t.Fatalf("mid-selection clone Gain(%d): %b vs %b", u, a, b)
 		}
+	}
+	mid.Commit(res.Seeds[1], nil)
+	if got := fromClone.Seeds(); len(got) != 2 {
+		t.Fatalf("a commit to the source reached the clone: %v", got)
 	}
 }
 
@@ -385,10 +428,11 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		}
 	}
 	// And after committing seeds.
-	serial.Add(3)
-	parallel.Add(3)
+	ps, pp := NewProbeEstimator(nil, serial), NewProbeEstimator(nil, parallel)
+	ps.Add(3)
+	pp.Add(3)
 	for u := 0; u < g.NumNodes(); u++ {
-		gs, gp := serial.Gain(graph.NodeID(u)), parallel.Gain(graph.NodeID(u))
+		gs, gp := ps.Gain(graph.NodeID(u)), pp.Gain(graph.NodeID(u))
 		if math.Abs(gs-gp) > 1e-12 {
 			t.Fatalf("post-Add Gain(%d) differs: %g vs %g", u, gs, gp)
 		}
@@ -398,7 +442,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 // TestResidentBytesAccounting pins the row-store footprint accounting: the
 // heap engine's resident bytes cover at least every live cell and never
 // grow across Compact, and the mapped backend reports file-backed cells as
-// mapped, moving a shard heapward only when a write promotes it.
+// mapped, before and after a selection over it (which writes nothing).
 func TestResidentBytesAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(55, 5))
 	g, log := randomInstance(rng, 40, 20)
@@ -412,7 +456,7 @@ func TestResidentBytesAccounting(t *testing.T) {
 		t.Errorf("row engine reports %d bytes for %d entries", rows.ResidentBytes(), n)
 	}
 	before := rows.ResidentBytes()
-	rows.Compact()
+	rows = rows.Compact()
 	if rows.ResidentBytes() > before {
 		t.Errorf("Compact grew residency: %d -> %d", before, rows.ResidentBytes())
 	}
@@ -434,12 +478,11 @@ func TestResidentBytesAccounting(t *testing.T) {
 		if mapped.ResidentBytes() != mapped.MappedBytes() {
 			t.Error("resident/mapped split disagrees before any write")
 		}
-		// Promoting one shard by writing moves exactly that shard's cells
-		// to the heap side.
+		// A selection commits to a probe: nothing moves to the heap.
 		heapBefore, mappedBefore := mapped.HeapBytes(), mapped.MappedBytes()
-		seedsel.CELF(mapped, 1)
-		if mapped.HeapBytes() <= heapBefore || mapped.MappedBytes() >= mappedBefore {
-			t.Errorf("promote-on-write did not move footprint heapward: heap %d->%d mapped %d->%d",
+		seedsel.CELF(NewProbeEstimator(nil, mapped), 3)
+		if mapped.HeapBytes() != heapBefore || mapped.MappedBytes() != mappedBefore {
+			t.Errorf("selection changed the mapped footprint: heap %d->%d mapped %d->%d",
 				heapBefore, mapped.HeapBytes(), mappedBefore, mapped.MappedBytes())
 		}
 	}

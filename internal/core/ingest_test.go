@@ -1,16 +1,17 @@
 package core
 
 import (
-	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"credist/internal/actionlog"
 	"credist/internal/graph"
 )
 
-// TestIngestMatchesFullScan: scanning a log of n actions must equal
-// scanning a prefix and ingesting the rest, for every gain.
+// TestIngestMatchesFullScan: scanning a log of n actions must equal, bit
+// for bit, scanning a prefix and then appending the rest one action at a
+// time, for every gain and the entry count.
 func TestIngestMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 41))
 	for trial := 0; trial < 10; trial++ {
@@ -22,14 +23,10 @@ func TestIngestMatchesFullScan(t *testing.T) {
 		if half == 0 {
 			continue
 		}
-		prefix := make([]actionlog.ActionID, half)
-		for i := range prefix {
-			prefix[i] = actionlog.ActionID(i)
-		}
-		partial := NewEngine(g, log.Restrict(prefix), Options{})
+		partial := NewEngine(g, log.Prefix(half), Options{})
 		for a := half; a < log.NumActions(); a++ {
-			p := actionlog.BuildPropagation(log, g, actionlog.ActionID(a))
-			if err := partial.IngestAction(p, nil); err != nil {
+			var err error
+			if partial, err = partial.AppendActions(g, log.Prefix(a+1), actionlog.ActionID(a)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -41,30 +38,30 @@ func TestIngestMatchesFullScan(t *testing.T) {
 			t.Fatalf("trial %d: actions %d != %d", trial, full.NumActions(), partial.NumActions())
 		}
 		for u := 0; u < g.NumNodes(); u++ {
-			gf, gp := full.Gain(graph.NodeID(u)), partial.Gain(graph.NodeID(u))
-			if math.Abs(gf-gp) > 1e-9 {
-				t.Fatalf("trial %d: Gain(%d) %g != %g", trial, u, gf, gp)
+			if gf, gp := full.Gain(graph.NodeID(u)), partial.Gain(graph.NodeID(u)); gf != gp {
+				t.Fatalf("trial %d: Gain(%d) %b != %b", trial, u, gf, gp)
 			}
 		}
 	}
 }
 
-func TestIngestAfterAddRejected(t *testing.T) {
-	g, log := figure1(t)
-	e := NewEngine(g, log, Options{})
-	e.Add(nodeV)
-	p := actionlog.BuildPropagation(log, g, 0)
-	if err := e.IngestAction(p, nil); err != ErrSeedsCommitted {
-		t.Fatalf("err = %v, want ErrSeedsCommitted", err)
-	}
-}
-
+// TestIngestGrowsActionCount appends a copy of Figure 1's one action, and
+// then a tuple whose user lies outside the graph, which is rejected.
 func TestIngestGrowsActionCount(t *testing.T) {
 	g, log := figure1(t)
 	e := NewEngine(g, log, Options{})
 	before := e.ActionCount(nodeV)
-	p := actionlog.BuildPropagation(log, g, 0)
-	if err := e.IngestAction(p, nil); err != nil {
+	var again []actionlog.Tuple
+	for _, tp := range log.Tuples() {
+		tp.Action = 1
+		again = append(again, tp)
+	}
+	twice, err := log.Append(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err = e.AppendActions(g, twice, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e.ActionCount(nodeV) != before+1 {
@@ -77,5 +74,13 @@ func TestIngestGrowsActionCount(t *testing.T) {
 	// but doubles the action count: spread gains stay finite and positive.
 	if gain := e.Gain(nodeV); gain <= 0 {
 		t.Fatalf("gain after ingest = %g", gain)
+	}
+
+	outside, err := twice.Append([]actionlog.Tuple{{User: graph.NodeID(g.NumNodes()), Action: 2, Time: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AppendActions(g, outside, 2); err == nil || !strings.Contains(err.Error(), "exceeds the graph") {
+		t.Fatalf("append of a user outside the graph: err = %v", err)
 	}
 }

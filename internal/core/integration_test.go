@@ -21,8 +21,8 @@ func TestCELFEqualsGreedyOnEngine(t *testing.T) {
 		g, log := randomInstance(rng, 20+rng.IntN(10), 8+rng.IntN(6))
 		k := 2 + rng.IntN(4)
 
-		celf := seedsel.CELF(NewEngine(g, log, Options{}), k)
-		greedy := seedsel.Greedy(NewEngine(g, log, Options{}), k)
+		celf := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, Options{})), k)
+		greedy := seedsel.Greedy(NewProbeEstimator(nil, NewEngine(g, log, Options{})), k)
 
 		if len(celf.Seeds) != len(greedy.Seeds) {
 			t.Fatalf("trial %d: seed counts differ: %d vs %d", trial, len(celf.Seeds), len(greedy.Seeds))
@@ -65,7 +65,7 @@ func TestGreedyApproximationOnSmallInstances(t *testing.T) {
 				}
 			}
 		}
-		res := seedsel.CELF(NewEngine(g, log, Options{}), k)
+		res := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, Options{})), k)
 		got := ev.Spread(res.Seeds)
 		if best > 0 && got < bound*best-1e-9 {
 			t.Fatalf("trial %d: greedy %g below (1-1/e)*opt = %g", trial, got, bound*best)

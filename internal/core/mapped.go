@@ -58,10 +58,7 @@ func mappedAliasSupported() bool {
 }
 
 // mappedShard is a read-only rowStore over one action's block of a mapped
-// version-3 snapshot. dir and entries alias the mapping directly; the
-// first write to the shard goes through promote, which assembles a
-// private heap ucAction (column mirror included) and leaves the mapping
-// untouched for every sibling engine.
+// version-3 snapshot. dir and entries alias the mapping directly.
 type mappedShard struct {
 	numUsers int
 	dir      []mdirEntry
@@ -103,78 +100,6 @@ func (ms *mappedShard) mappedBytes() int64 {
 	return ms.bytes
 }
 func (ms *mappedShard) backendName() string { return "mmap" }
-
-// promote decodes the mapped block into a private heap ucAction and
-// rebuilds its column mirror — the promote-on-first-write step behind
-// Engine.mutShard. Sibling engines (and later clones of this one) keep
-// reading the untouched mapping.
-func (ms *mappedShard) promote() *ucAction {
-	rowKey := make([]int32, len(ms.dir))
-	flat := make([]ucEntry, len(ms.entries))
-	copy(flat, ms.entries)
-	rows := make([][]ucEntry, len(ms.dir))
-	off := 0
-	for i, d := range ms.dir {
-		rowKey[i] = d.key
-		n := int(d.count)
-		rows[i] = flat[off : off+n : off+n]
-		off += n
-	}
-	ua := &ucAction{rowKey: rowKey, rows: rows}
-	buildColumnsSorted(ua)
-	return ua
-}
-
-// buildColumnsSorted rebuilds ua's column mirror from its rows without
-// universe-sized scratch (promotion happens shard by shard in the middle
-// of seed selection, where an O(numUsers) allocation per shard would
-// dwarf the work): the influenced ids are sorted and run-length counted,
-// then each column fills in ascending influencer order because the outer
-// row walk ascends. The result is structurally identical to the mirrors
-// built by the scan and the snapshot readers.
-func buildColumnsSorted(ua *ucAction) {
-	n := 0
-	for _, row := range ua.rows {
-		n += len(row)
-	}
-	if n == 0 {
-		ua.colKey, ua.cols = nil, nil
-		return
-	}
-	us := make([]int32, 0, n)
-	for _, row := range ua.rows {
-		for _, en := range row {
-			us = append(us, en.u)
-		}
-	}
-	slices.Sort(us)
-	var colKey []int32
-	var counts []int
-	for i := 0; i < len(us); {
-		j := i
-		for j < len(us) && us[j] == us[i] {
-			j++
-		}
-		colKey = append(colKey, us[i])
-		counts = append(counts, j-i)
-		i = j
-	}
-	colBack := make([]int32, n)
-	cols := make([][]int32, len(colKey))
-	off := 0
-	for i, c := range counts {
-		cols[i] = colBack[off : off : off+c]
-		off += c
-	}
-	for ri, v := range ua.rowKey {
-		for _, en := range ua.rows[ri] {
-			ci, _ := slices.BinarySearch(colKey, en.u)
-			cols[ci] = append(cols[ci], v)
-		}
-	}
-	ua.colKey = colKey
-	ua.cols = cols
-}
 
 // validateBaseSection walks a version-3/4 base section at payload[baseOff:]
 // and enforces the canonical layout in full: the per-action offset table
@@ -279,7 +204,7 @@ func validateBaseSection(payload []byte, baseOff, numUsers, numActions, rowLo, r
 
 // MappedSnapshot owns the file mapping behind an engine returned by
 // OpenSnapshotMapped. It must stay open for as long as any engine (or
-// clone of one) or provenance index derived from it is in use: shards and
+// successor of one) or provenance index derived from it is in use: shards and
 // provenance records alias the mapping directly, and Close unmaps it.
 // Closing is idempotent.
 type MappedSnapshot struct {
@@ -326,10 +251,8 @@ func (m *MappedSnapshot) Backend() string {
 // structurally validated in full, and then every shard is an in-place
 // window into the mapping — no cell is parsed, no row allocated. The
 // returned engine behaves exactly like one from ReadSnapshotPrefix
-// (frozen, no committed seeds, bit-identical Gain/Spread/CELF); writes
-// promote individual shards to heap copy-on-write, leaving the mapping
-// shared and untouched. The engine is only valid while the returned
-// MappedSnapshot stays open.
+// (bit-identical Gain/Spread/CELF), and the mapping is never written.
+// The engine is only valid while the returned MappedSnapshot stays open.
 //
 // Version-1/2 files have no mapped-addressable base section and are
 // refused; load them heap-resident and re-save to upgrade. Unlike the
@@ -481,7 +404,7 @@ func parseSnapshotV3(data []byte, alias bool) (*Engine, Lineage, *SeedPrefix, *R
 			e.uc = append(e.uc, aliasShard(payload, ext, lin.NumUsers))
 		}
 	} else {
-		decodeHeapShards(e, payload, extents, lin.NumUsers)
+		decodeHeapShards(e, payload, extents)
 	}
 	return e, lin, prefix, sketch, prov, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"credist/internal/actionlog"
@@ -49,7 +50,7 @@ func openMapped(t *testing.T, path string) (*Engine, Lineage, *SeedPrefix, *Mapp
 // same gains — at one worker and at full fan-out alike.
 func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 41, 60, 40)
-	sel := seedsel.CELF(e.Clone(), 5)
+	sel := seedsel.CELF(NewProbeEstimator(nil, e), 5)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	path := writeSnapshotFile(t, e, lin, prefix)
 
@@ -98,7 +99,7 @@ func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	var want celf.Result
 	for i, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		for _, eng := range []*Engine{heap, mapped} {
-			res := celf.Run(eng.Clone(), 6, celf.Options{Workers: workers})
+			res := celf.Run(NewProbeEstimator(nil, eng), 6, celf.Options{Workers: workers})
 			if i == 0 && eng == heap {
 				want = res
 				continue
@@ -116,20 +117,21 @@ func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMappedPromoteOnWrite pins the copy-on-write contract of the mmap
-// backend: the first Add on a clone promotes only the touched shards to
-// heap, the results match the heap backend bit for bit, and the engine
-// that still serves the mapping is never disturbed.
-func TestMappedPromoteOnWrite(t *testing.T) {
+// TestMappedCommitsMatchHeap pins the mmap backend under seed commits:
+// a probe selection over the mapped engine matches the heap backend bit
+// for bit, the in-place commit oracle over mapped and heap rows agrees
+// cell for cell, and the mapped engine is never disturbed — same bits,
+// same footprint, nothing on the heap.
+func TestMappedCommitsMatchHeap(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 43, 50, 30)
 	path := writeSnapshotFile(t, e, lin, nil)
 	mapped, _, _, ms := openMapped(t, path)
 	if ms.Backend() != "mmap" {
-		t.Skip("platform cannot alias the base section; promote path not reachable")
+		t.Skip("platform cannot alias the base section; the engine is heap-resident")
 	}
 
 	// Reference bits from the heap engine.
-	heapSel := seedsel.CELF(e.Clone(), 4)
+	heapSel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 
 	before := make([]float64, mapped.NumNodes())
 	for u := range before {
@@ -137,38 +139,34 @@ func TestMappedPromoteOnWrite(t *testing.T) {
 	}
 	mappedBefore := mapped.MappedBytes()
 
-	clone := mapped.Clone()
-	cloneSel := seedsel.CELF(clone, 4)
+	mappedSel := seedsel.CELF(NewProbeEstimator(nil, mapped), 4)
 	for i := range heapSel.Seeds {
-		if cloneSel.Seeds[i] != heapSel.Seeds[i] || cloneSel.Gains[i] != heapSel.Gains[i] {
-			t.Fatalf("seed %d: mapped clone (%d, %b), heap (%d, %b)",
-				i, cloneSel.Seeds[i], cloneSel.Gains[i], heapSel.Seeds[i], heapSel.Gains[i])
+		if mappedSel.Seeds[i] != heapSel.Seeds[i] || mappedSel.Gains[i] != heapSel.Gains[i] {
+			t.Fatalf("seed %d: mapped (%d, %b), heap (%d, %b)",
+				i, mappedSel.Seeds[i], mappedSel.Gains[i], heapSel.Seeds[i], heapSel.Gains[i])
+		}
+	}
+	om, oh := newCommitOracle(mapped), newCommitOracle(e)
+	for _, s := range heapSel.Seeds {
+		om.Add(s)
+		oh.Add(s)
+	}
+	if om.Entries() != oh.Entries() {
+		t.Fatalf("oracle entries over mapped rows %d, over heap rows %d", om.Entries(), oh.Entries())
+	}
+	for a := range oh.shards {
+		if !slices.Equal(om.shards[a].rowKey, oh.shards[a].rowKey) || !slices.EqualFunc(om.shards[a].rows, oh.shards[a].rows, slices.Equal) {
+			t.Fatalf("action %d: oracle rows over mapped and heap engines differ", a)
 		}
 	}
 
-	// The clone's Adds promoted every shard of every selected seed's
-	// actions; those shards are heap now, the rest still alias the mapping.
-	if clone.HeapBytes() == 0 {
-		t.Fatal("selection on the mapped clone promoted nothing to heap")
-	}
-	if clone.MappedBytes() >= mappedBefore {
-		t.Fatal("promotion did not release any mapped shard from the clone")
-	}
-	if clone.RowStoreBackend() != "mmap" {
-		// All shards promoted — legal for tiny instances, but then the
-		// backend must read as heap.
-		if clone.MappedBytes() != 0 {
-			t.Fatal("backend says heap but mapped bytes remain")
-		}
-	}
-
-	// The original mapped engine is untouched: same bits, same footprint.
+	// The mapped engine is untouched: same bits, same footprint.
 	if mapped.MappedBytes() != mappedBefore || mapped.HeapBytes() != 0 {
-		t.Fatal("selection on a clone changed the original's footprint")
+		t.Fatal("selection changed the mapped engine's footprint")
 	}
 	for u := range before {
 		if got := mapped.Gain(graph.NodeID(u)); got != before[u] {
-			t.Fatalf("Gain(%d) on the original changed after clone selection: %b vs %b", u, got, before[u])
+			t.Fatalf("Gain(%d) changed after selection: %b vs %b", u, got, before[u])
 		}
 	}
 }
@@ -186,8 +184,9 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 	headEng := NewEngine(g, head, Options{Lambda: 0.001, Credit: credit})
 	path := writeSnapshotFile(t, headEng, DatasetLineage("ingest", g, head), nil)
 
-	mapped, _, _, ms := openMapped(t, path)
-	if err := mapped.AppendActions(g, log, actionlog.ActionID(headN)); err != nil {
+	opened, _, _, ms := openMapped(t, path)
+	mapped, err := opened.AppendActions(g, log, actionlog.ActionID(headN))
+	if err != nil {
 		t.Fatalf("AppendActions on mapped engine: %v", err)
 	}
 	rescan := NewEngine(g, log, Options{Lambda: 0.001, Credit: credit})
@@ -205,10 +204,10 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 		}
 	}
 
-	// Compact folds the delta but must not promote the mapped base: shards
-	// leave the mapping only on first write. The results must not move.
+	// Compact folds the delta and keeps the mapped base mapped. The
+	// results must not move.
 	mappedBefore := mapped.MappedBytes()
-	mapped.Compact()
+	mapped = mapped.Compact()
 	if ms.Backend() == "mmap" && mapped.MappedBytes() != mappedBefore {
 		t.Fatalf("Compact changed the mapped footprint: %d -> %d", mappedBefore, mapped.MappedBytes())
 	}

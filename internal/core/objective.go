@@ -27,8 +27,8 @@ import (
 // Crucially the objective only reweights how credit is *valued*, never how
 // it *flows*: UC and SC updates (Lemmas 2 and 3) are untouched, credits
 // stay additive across influencer rows, and therefore row-range
-// partitioning, scatter-gather commits, and the copy-on-write machinery
-// all work unchanged for every objective. Costs, budgets, and blocked
+// partitioning and the probe's commit replay work unchanged for every
+// objective. Costs, budgets, and blocked
 // rival sets live above this layer (internal/celf and the facade): they
 // change which seeds get picked, not what a seed set is worth.
 //
@@ -181,8 +181,8 @@ func (d *ActionDelays) Delay(a actionlog.ActionID, u graph.NodeID) (float64, boo
 	return d.delays[a][i], true
 }
 
-// GainObj computes the marginal objective gain
-// sigma_obj(S+x) - sigma_obj(S) of candidate x under obj: the Theorem 3
+// GainObj computes the marginal objective gain sigma_obj({x}) of
+// candidate x under obj against the empty seed set: the Theorem 3
 // walk with every credit term scaled by the objective factor
 // w(u)*gate(u,a) — the self-credit term by x's own factor, each UC row
 // entry by its influenced user's. The walk order (actions in log order,
@@ -197,12 +197,9 @@ func (e *Engine) GainObj(x graph.NodeID, obj *Objective) float64 {
 		// Routing is the coordinator's job, so a miss here is a bug.
 		panic(fmt.Sprintf("core: Gain(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
 	}
-	if slices.Contains(e.seeds, x) {
-		return 0
-	}
 	xi := int32(x)
 	return e.gainSum(x, obj, func(_ int, a int32) ([]ucEntry, float64) {
-		return e.uc[a].row(xi), e.seedCredit(a, xi)
+		return e.uc[a].row(xi), 0
 	})
 }
 

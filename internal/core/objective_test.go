@@ -45,7 +45,7 @@ func TestGainObjMatchesSpreadObjDelta(t *testing.T) {
 		if err := obj.Validate(log.NumUsers()); err != nil {
 			t.Fatalf("trial %d: objective invalid: %v", trial, err)
 		}
-		e := NewEngine(g, log, Options{})
+		e := NewProbeEstimator(obj, NewEngine(g, log, Options{}))
 		ev := NewEvaluator(g, log, nil)
 		var seeds []graph.NodeID
 		for round := 0; round < 4; round++ {
@@ -55,7 +55,7 @@ func TestGainObjMatchesSpreadObjDelta(t *testing.T) {
 					continue
 				}
 				want := ev.SpreadObj(append(append([]graph.NodeID(nil), seeds...), c), obj) - ev.SpreadObj(seeds, obj)
-				got := e.GainObj(c, obj)
+				got := e.Gain(c)
 				if math.Abs(got-want) > 1e-6 {
 					t.Fatalf("trial %d seeds=%v GainObj(%d)=%g want %g", trial, seeds, c, got, want)
 				}

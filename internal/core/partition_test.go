@@ -12,13 +12,14 @@ import (
 )
 
 // TestSliceGainParity pins the heart of the partition design: a slice's
-// Gain over its own rows is bit-identical to the full engine's, before
-// and after scatter-gather commits, and entry counts tile exactly.
+// Gain over its own rows is bit-identical to the full engine's, and a
+// probe over the slices prices every row exactly like the in-place commit
+// oracle after each commit; entry counts tile exactly, and commits leave
+// them alone.
 func TestSliceGainParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 17))
 	g, log := randomInstance(rng, 50, 30)
 	full := NewEngine(g, log, Options{Lambda: 0.001})
-	full.Compact()
 
 	bounds := []int{0, 13, 14, 37, 50}
 	var parts []*Engine
@@ -38,41 +39,34 @@ func TestSliceGainParity(t *testing.T) {
 		t.Fatalf("partition entries sum %d, full %d", total, full.Entries())
 	}
 
-	check := func(stage string, ref *Engine) {
-		t.Helper()
-		for _, p := range parts {
-			lo, hi := p.PartitionRange()
-			for x := lo; x < hi; x++ {
-				if got, want := p.Gain(graph.NodeID(x)), ref.Gain(graph.NodeID(x)); got != want {
-					t.Fatalf("%s: partition [%d,%d) Gain(%d) = %b, full %b", stage, lo, hi, x, got, want)
-				}
+	for _, p := range parts {
+		lo, hi := p.PartitionRange()
+		for x := lo; x < hi; x++ {
+			if got, want := p.Gain(graph.NodeID(x)), full.Gain(graph.NodeID(x)); got != want {
+				t.Fatalf("partition [%d,%d) Gain(%d) = %b, full %b", lo, hi, x, got, want)
 			}
 		}
 	}
-	ref := full.Clone()
-	check("pre-commit", ref)
 
-	// Commit two seeds from different partitions scatter-gather and keep
-	// checking against the full engine driven by plain Add.
+	// Commit two seeds from different partitions to a probe over the
+	// slices and keep checking against the oracle committing in place.
+	pr := NewProbe(parts...)
+	ref := newCommitOracle(full)
 	for _, seed := range []graph.NodeID{3, 41} {
-		var payload *seedRowData
-		for _, p := range parts {
-			if lo, hi := p.PartitionRange(); int(seed) >= lo && int(seed) < hi {
-				payload = p.extractSeedRow(seed)
+		pr.Commit(seed, nil)
+		ref.Add(seed)
+		for x := 0; x < full.NumNodes(); x++ {
+			if got, want := pr.Gain(graph.NodeID(x), nil), ref.Gain(graph.NodeID(x)); got != want {
+				t.Fatalf("after committing %v: probe Gain(%d) = %b, the oracle %b", pr.Seeds(), x, got, want)
 			}
 		}
-		for _, p := range parts {
-			p.commitSeedRow(seed, payload)
-		}
-		ref.Add(seed)
-		check("post-commit", ref)
 	}
 	total = 0
 	for _, p := range parts {
 		total += p.Entries()
 	}
-	if total != ref.Entries() {
-		t.Fatalf("post-commit entries sum %d, full %d", total, ref.Entries())
+	if total != full.Entries() || ref.Entries() >= full.Entries() {
+		t.Fatalf("post-commit entries: partitions sum %d, full %d, oracle %d", total, full.Entries(), ref.Entries())
 	}
 }
 
@@ -97,10 +91,8 @@ func TestSliceErrors(t *testing.T) {
 	if _, err := p.Slice(0, 5); err == nil || !strings.Contains(err.Error(), "partition") {
 		t.Fatalf("slicing a partition: %v", err)
 	}
-	e.Add(3)
-	if _, err := e.Slice(0, 10); err != ErrSeedsCommitted {
-		t.Fatalf("slice after Add: %v", err)
-	}
+	// Partitioning a planner that holds seeds is refused by the planner
+	// (credist's TestPartitionAfterAddRejected): engines hold no seeds.
 }
 
 func TestPartitionRejectsForeignRows(t *testing.T) {
@@ -116,7 +108,9 @@ func TestPartitionRejectsForeignRows(t *testing.T) {
 		call func()
 	}{
 		{"Gain", func() { p.Gain(2) }},
-		{"extractSeedRow", func() { p.extractSeedRow(15) }},
+		{"ExplainSeed", func() { p.ExplainSeed(15, 3) }},
+		{"ReachPaths", func() { p.ReachPaths(15, 2) }},
+		{"probe Gain", func() { NewProbe(p).Gain(15, nil) }},
 	} {
 		func() {
 			defer func() {
@@ -139,7 +133,6 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 	g, log := randomInstance(rng, 40, 25)
 	credit := LearnTimeAware(g, log)
 	full := NewEngine(g, log, Options{Lambda: 0.001, Credit: credit})
-	full.Compact()
 	lin := DatasetLineage("slice-roundtrip", g, log)
 
 	const lo, hi = 11, 29

@@ -8,7 +8,8 @@ import (
 )
 
 // Probe answers marginal-gain queries as if a sequence of seeds had been
-// committed with Add, without mutating, cloning or promoting any engine.
+// committed (Algorithm 5), without writing any engine: engines are
+// immutable, and a probe is where seeds live.
 //
 // Theorem 3 prices x from x's own UC rows and SC[x] alone, and Lemmas 2
 // and 3 change those only through the cells of the seeds committed before
@@ -17,19 +18,20 @@ import (
 // the cell (x,s), and raises SC[x][a] by c_sx*(1-SC[s][a]). So a probe
 // records, per action, each committed seed's row and SC factor as they
 // stood at its commit, and prices x by replaying those records onto a
-// private copy of x's rows only — in commit order, with commitSeedRow's
-// arithmetic — which makes every answer bit-identical to Clone, Add each
-// seed, then Gain or GainObj.
+// private copy of x's rows only, in commit order. The answers are
+// bit-identical to committing each seed into the credit structure itself,
+// as the paper's Algorithm 5 does (FuzzProbeMatchesCommit pins this
+// against an in-place commit kept in the tests).
 //
 // Rows are read from the engine owning them, so a probe over a
 // coordinator's row-range partitions answers exactly like one over the
-// full engine. The engines must not change while the probe is in use.
-// Commit mutates the probe and must not race with anything; Gain only
-// reads it and is safe for concurrent use.
+// full engine. Commit mutates the probe and must not race with anything;
+// Gain and the Explain methods only read it and are safe for concurrent
+// use.
 type Probe struct {
 	parts   []*Engine
 	commits map[int32][]seedCommit // per action, in commit order
-	seeds   []graph.NodeID         // committed through the probe
+	seeds   []graph.NodeID         // in commit order
 }
 
 // seedCommit is one committed seed's footprint in one of its actions.
@@ -39,15 +41,38 @@ type seedCommit struct {
 	keep float64   // 1 - SC[s][a] at its commit
 }
 
+// creditFloor is the Lemma 2 removal threshold: a credit cell whose value
+// falls to it or below after a seed commit is deleted.
+const creditFloor = 1e-15
+
 // NewProbe returns a probe with nothing committed over engines that tile
-// the row universe: one full engine, or row-range partitions sharing one
-// seed set (as a coordinator's do).
+// the row universe: one full engine, or row-range partitions (as a
+// coordinator's are).
 func NewProbe(engines ...*Engine) *Probe {
 	if len(engines) == 0 {
 		panic("core: NewProbe with no engines")
 	}
 	return &Probe{parts: engines}
 }
+
+// Clone returns an independent probe over the same engines holding the
+// same commits: later commits to either do not reach the other. The
+// commit records are shared, never copied; they are never written.
+func (p *Probe) Clone() *Probe {
+	c := &Probe{parts: p.parts, seeds: slices.Clip(p.seeds)}
+	if p.commits != nil {
+		c.commits = make(map[int32][]seedCommit, len(p.commits))
+		for a, cs := range p.commits {
+			// Clipped, so an append on either side reallocates instead of
+			// writing into the other's spare capacity.
+			c.commits[a] = slices.Clip(cs)
+		}
+	}
+	return c
+}
+
+// Seeds returns the committed seeds in commit order.
+func (p *Probe) Seeds() []graph.NodeID { return slices.Clone(p.seeds) }
 
 // owner returns the engine holding x's row.
 func (p *Probe) owner(x graph.NodeID) *Engine {
@@ -59,34 +84,31 @@ func (p *Probe) owner(x graph.NodeID) *Engine {
 	panic(fmt.Sprintf("core: probe has no engine owning row %d", x))
 }
 
-// committed reports whether x is a seed, of the engines or of the probe.
-func (p *Probe) committed(e *Engine, x graph.NodeID) bool {
-	return slices.Contains(e.seeds, x) || slices.Contains(p.seeds, x)
-}
+// committed reports whether x is a seed of the probe.
+func (p *Probe) committed(x graph.NodeID) bool { return slices.Contains(p.seeds, x) }
 
 // Gain returns the marginal gain of x under obj (nil is the default
-// objective) against the engines' seeds plus every seed committed to the
-// probe: bit for bit the value GainObj returns on a clone after Add-ing
-// those seeds in the same order.
+// objective) against every seed committed to the probe. A committed seed
+// gains exactly 0: sigma(S+x) = sigma(S) when x is already in S.
 func (p *Probe) Gain(x graph.NodeID, obj *Objective) float64 {
-	e := p.owner(x)
-	if p.committed(e, x) {
+	if p.committed(x) {
 		return 0
 	}
+	e := p.owner(x)
 	xi := int32(x)
 	return e.gainSum(x, obj, func(_ int, a int32) ([]ucEntry, float64) {
 		return p.replay(e, xi, a)
 	})
 }
 
-// Commit adds s to the probe's seed set, as Add would, and returns the
-// marginal gain under obj that s had just before. Committing a node that
-// is already a seed changes nothing and returns 0, as does Add.
+// Commit adds s to the probe's seed set and returns the marginal gain
+// under obj that s had just before. Committing a node that is already a
+// seed changes nothing and returns 0.
 func (p *Probe) Commit(s graph.NodeID, obj *Objective) float64 {
-	e := p.owner(s)
-	if p.committed(e, s) {
+	if p.committed(s) {
 		return 0
 	}
+	e := p.owner(s)
 	si := int32(s)
 	acts := e.actionsOf[s]
 	rows := make([][]ucEntry, len(acts))
@@ -108,14 +130,15 @@ func (p *Probe) Commit(s graph.NodeID, obj *Objective) float64 {
 }
 
 // replay returns x's credit row and SC[x][a] in action a after the
-// probe's commits in a, applied in commit order exactly as commitSeedRow
-// applies them to the engine: Lemma 3 raises SC[x][a] when x is in the
-// seed's row; Lemma 2 lowers the cells of x's row that the seed's row
-// shares, removing any that fall to creditFloor, and the seed's column
-// cell (x,s) goes. The engine's row is copied on the first change only.
+// probe's commits in a, applied in commit order with Algorithm 5's
+// arithmetic: Lemma 3 raises SC[x][a] when x is in the seed's row; Lemma
+// 2 lowers the cells of x's row that the seed's row shares, removing any
+// that fall to creditFloor, and the seed's column cell (x,s) goes. The
+// engine's row is copied on the first change only. A committed x's own
+// row is not dropped here; callers check committed first.
 func (p *Probe) replay(e *Engine, x, a int32) ([]ucEntry, float64) {
 	row := e.uc[a].row(x)
-	scx := e.seedCredit(a, x)
+	scx := 0.0
 	private := false
 	for _, c := range p.commits[a] {
 		if i, ok := searchRow(c.row, x); ok {
@@ -155,10 +178,11 @@ func (p *Probe) replay(e *Engine, x, a int32) ([]ucEntry, float64) {
 
 // ProbeEstimator is CELF's marginal-gain oracle over a Probe: Gain prices
 // a candidate under the objective by replaying the committed seeds onto
-// the candidate's rows alone, and Add commits a seed to the probe. A selection over it
-// never clones, writes or promotes an engine, and its seeds, gains and
-// lookup counts are bit-identical to the same selection run over a clone
-// that Adds each seed. It implements celf.ConcurrentEstimator.
+// the candidate's rows alone, and Add commits a seed to the probe. A
+// selection over it never writes an engine, and its seeds, gains and
+// lookup counts are bit-identical to the same selection run over a credit
+// structure that commits each seed in place. It implements
+// celf.ConcurrentEstimator.
 type ProbeEstimator struct {
 	probe *Probe
 	obj   *Objective
@@ -169,7 +193,13 @@ type ProbeEstimator struct {
 // gains under obj (nil is the default objective). The engines must not
 // change while the estimator is in use.
 func NewProbeEstimator(obj *Objective, engines ...*Engine) *ProbeEstimator {
-	return &ProbeEstimator{probe: NewProbe(engines...), obj: obj}
+	return NewProbe(engines...).Estimator(obj)
+}
+
+// Estimator returns an estimator over p itself, pricing gains under obj:
+// it starts from p's commits, and every seed it adds is committed to p.
+func (p *Probe) Estimator(obj *Objective) *ProbeEstimator {
+	return &ProbeEstimator{probe: p, obj: obj}
 }
 
 // NumNodes returns the user-universe size.

@@ -37,12 +37,12 @@ func probeInstance(rng *rand.Rand) (*graph.Graph, *actionlog.Log) {
 }
 
 // rowPartitions returns nparts (capped at the universe size) near-even
-// row-range slices of full, or one clone of it when nparts is 1.
+// row-range slices of full, or full itself when nparts is 1.
 func rowPartitions(t *testing.T, full *Engine, nparts int) []*Engine {
 	n := full.NumNodes()
 	nparts = min(nparts, n)
 	if nparts <= 1 {
-		return []*Engine{full.Clone()}
+		return []*Engine{full}
 	}
 	parts := make([]*Engine, 0, nparts)
 	for i := 0; i < nparts; i++ {
@@ -55,24 +55,23 @@ func rowPartitions(t *testing.T, full *Engine, nparts int) []*Engine {
 	return parts
 }
 
-// engineState is the part of an engine a read-only query must not change.
+// engineState is the part of an engine a query must not change.
 type engineState struct {
 	heap, mapped, entries int64
-	seeds                 []graph.NodeID
 }
 
 func stateOf(e *Engine) engineState {
-	return engineState{e.HeapBytes(), e.MappedBytes(), e.Entries(), e.Seeds()}
+	return engineState{e.HeapBytes(), e.MappedBytes(), e.Entries()}
 }
 
 // checkProbeMatchesCommit is the probe's defining property: for random
 // seed sequences (duplicates, inactive users and already-committed seeds
 // included) and random objectives, every gain Probe.Commit reports and
 // every candidate gain Probe.Gain returns is bit-identical to GainObj on
-// a clone of the full engine after Add-ing the same seeds in order — with
-// the probe reading nparts row-range partitions of a heap or mapped
-// engine, optionally carrying committed seeds of its own — and the probed
-// engines are left exactly as they were.
+// the commit oracle after Add-ing the same seeds in order — with the
+// probe reading nparts row-range partitions of a heap or mapped engine,
+// and optionally cloned from a probe that already holds commits — and
+// the probed engines are left exactly as they were.
 func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts int, mmap bool) {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	g, log := probeInstance(rng)
@@ -82,29 +81,20 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 		opts.Credit = LearnTimeAware(g, log)
 	}
 	full := NewEngine(g, log, opts)
-	full.Compact()
 	if mmap {
 		full, _, _, _ = openMapped(t, writeSnapshotFile(t, full, DatasetLineage("probe", g, log), nil))
 	}
 	parts := rowPartitions(t, full, nparts)
 	// The reference is scanned afresh, sharing no storage with the probed
 	// engines, so a probe that wrote through to a shared row would show.
-	// A third of the runs probe engines that already hold committed seeds,
-	// committed scatter-gather on partitions.
-	ref := NewEngine(g, log, opts)
+	// A third of the runs start every probe as a clone of one that
+	// already holds commits.
+	ref := newCommitOracle(NewEngine(g, log, opts))
+	held := NewProbe(parts...)
 	if rng.IntN(3) == 0 {
 		for k := 1 + rng.IntN(2); k > 0; k-- {
 			s := graph.NodeID(rng.IntN(n))
-			var owner *Engine
-			for _, p := range parts {
-				if p.ownsRow(s) {
-					owner = p
-				}
-			}
-			payload := owner.extractSeedRow(s)
-			for _, p := range parts {
-				p.commitSeedRow(s, payload)
-			}
+			held.Commit(s, nil)
 			ref.Add(s)
 		}
 	}
@@ -132,40 +122,39 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 		// Blocked rivals, then base seeds, committed in order: the gain
 		// each commit reports is the telescoped spread term.
 		seq := append(pick(2), pick(5)...)
-		want := ref.Clone()
-		pr := NewProbe(parts...)
+		want := ref.clone()
+		pr := held.Clone()
 		for _, s := range seq {
 			w := want.GainObj(s, obj)
 			want.Add(s)
 			if got := pr.Commit(s, obj); got != w {
-				t.Fatalf("seed=%d q=%d seq=%v: Commit(%d) = %b, clone+Add gives %b", seed, q, seq, s, got, w)
+				t.Fatalf("seed=%d q=%d seq=%v: Commit(%d) = %b, the oracle gives %b", seed, q, seq, s, got, w)
 			}
 		}
 		for x := 0; x < n; x++ {
 			w := want.GainObj(graph.NodeID(x), obj)
 			if got := pr.Gain(graph.NodeID(x), obj); got != w {
-				t.Fatalf("seed=%d q=%d seq=%v: Gain(%d) = %b, clone+Add gives %b", seed, q, seq, x, got, w)
+				t.Fatalf("seed=%d q=%d seq=%v: Gain(%d) = %b, the oracle gives %b", seed, q, seq, x, got, w)
 			}
 			if slices.Contains(want.seeds, graph.NodeID(x)) {
-				continue // Add dropped the row; the probe never reads it
+				continue // the oracle dropped the row; the probe never reads it
 			}
-			// Cell for cell, the replayed rows and SC are the committed
-			// clone's, including cells Lemma 2 removed or left too small to
-			// move a gain.
+			// Cell for cell, the replayed rows and SC are the oracle's,
+			// including cells Lemma 2 removed or left too small to move a
+			// gain.
 			xi := int32(x)
 			owner := pr.owner(graph.NodeID(x))
-			for _, a := range want.actionsOf[x] {
+			for _, a := range full.actionsOf[x] {
 				row, sc := pr.replay(owner, xi, a)
-				if wr := want.uc[a].row(xi); !slices.Equal(row, wr) || sc != want.seedCredit(a, xi) {
-					t.Fatalf("seed=%d q=%d seq=%v: node %d action %d: replayed %v sc %b, clone+Add holds %v sc %b",
+				if wr := want.shards[a].row(xi); !slices.Equal(row, wr) || sc != want.seedCredit(a, xi) {
+					t.Fatalf("seed=%d q=%d seq=%v: node %d action %d: replayed %v sc %b, the oracle holds %v sc %b",
 						seed, q, seq, x, a, row, sc, wr, want.seedCredit(a, xi))
 				}
 			}
 		}
 	}
 	for i, p := range parts {
-		if after := stateOf(p); after.heap != before[i].heap || after.mapped != before[i].mapped ||
-			after.entries != before[i].entries || !slices.Equal(after.seeds, before[i].seeds) {
+		if after := stateOf(p); after != before[i] {
 			t.Fatalf("seed=%d: probing changed engine %d: %+v -> %+v", seed, i, before[i], after)
 		}
 	}
@@ -195,10 +184,10 @@ func FuzzProbeMatchesCommit(f *testing.F) {
 	})
 }
 
-// commitEstimator is the clone+Add selection oracle: gains priced under
-// obj by GainObj on an engine that every seed is Added to.
+// commitEstimator is the in-place selection oracle: gains priced under
+// obj by GainObj on the commit oracle that every seed is Added to.
 type commitEstimator struct {
-	*Engine
+	*commitOracle
 	obj *Objective
 }
 
@@ -207,7 +196,7 @@ func (e commitEstimator) Gain(x graph.NodeID) float64 { return e.GainObj(x, e.ob
 // checkProbeSelectionMatchesCommit is the selection-level probe property:
 // CELF over a ProbeEstimator on nparts row-range partitions picks the same
 // seeds, with the same gain bits and the same lookup counts, as CELF over
-// a clone of the full engine that Adds each seed — for one-shot Run and
+// the commit oracle that Adds each seed — for one-shot Run and
 // for Resume from a prefix of that run followed by Grow. mode picks the
 // pricing (bit 0: a random audience/window objective) and the extras (bit
 // 1: blocked rivals committed first; bit 2: per-node costs and a budget).
@@ -221,7 +210,6 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 		opts.Credit = LearnTimeAware(g, log)
 	}
 	full := NewEngine(g, log, opts)
-	full.Compact()
 	parts := rowPartitions(t, full, nparts)
 	before := make([]engineState, len(parts))
 	for i, p := range parts {
@@ -250,7 +238,7 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 	// Each estimator starts fresh with the rivals committed. The oracle's
 	// engine is scanned afresh, sharing no storage with the probed ones.
 	commit := func() celf.Estimator {
-		est := commitEstimator{Engine: NewEngine(g, log, opts), obj: obj}
+		est := commitEstimator{commitOracle: newCommitOracle(NewEngine(g, log, opts)), obj: obj}
 		for _, r := range sel.Blocked {
 			est.Add(r)
 		}
@@ -266,12 +254,12 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 	same := func(what string, got, want celf.Result) {
 		t.Helper()
 		if !slices.Equal(got.Seeds, want.Seeds) || !slices.Equal(got.LookupsAt, want.LookupsAt) || got.Lookups != want.Lookups {
-			t.Fatalf("seed=%d mode=%d nparts=%d %s: probe picked %v (lookups %v, %d), clone+Add %v (lookups %v, %d)",
+			t.Fatalf("seed=%d mode=%d nparts=%d %s: probe picked %v (lookups %v, %d), the oracle %v (lookups %v, %d)",
 				seed, mode, nparts, what, got.Seeds, got.LookupsAt, got.Lookups, want.Seeds, want.LookupsAt, want.Lookups)
 		}
 		for i := range want.Gains {
 			if got.Gains[i] != want.Gains[i] {
-				t.Fatalf("seed=%d mode=%d nparts=%d %s: gain %d = %b, clone+Add gives %b",
+				t.Fatalf("seed=%d mode=%d nparts=%d %s: gain %d = %b, the oracle gives %b",
 					seed, mode, nparts, what, i, got.Gains[i], want.Gains[i])
 			}
 		}
@@ -295,8 +283,7 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 	same("Resume+Grow", resume(probe()), resume(commit()))
 
 	for i, p := range parts {
-		if after := stateOf(p); after.heap != before[i].heap || after.mapped != before[i].mapped ||
-			after.entries != before[i].entries || !slices.Equal(after.seeds, before[i].seeds) {
+		if after := stateOf(p); after != before[i] {
 			t.Fatalf("seed=%d: selecting changed engine %d: %+v -> %+v", seed, i, before[i], after)
 		}
 	}
@@ -324,14 +311,13 @@ func FuzzProbeSelectionMatchesCommit(f *testing.F) {
 }
 
 // TestRepeatedCommitChangesNothing pins that committing a seed twice is a
-// no-op, through Add on a full engine and through the scatter-gather
-// commitSeedRow on row-range partitions: the seed set lists it once, and
-// entries and every gain are those after a single commit.
+// no-op, through the oracle's in-place Add and through a probe over
+// row-range partitions: the seed set lists it once, and entries and every
+// gain are those after a single commit.
 func TestRepeatedCommitChangesNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 3))
 	g, log := probeInstance(rng)
 	full := NewEngine(g, log, Options{Lambda: 0.001, Workers: 1})
-	full.Compact()
 	n := full.NumNodes()
 	x := graph.NodeID(0)
 	for u := 1; u < n; u++ {
@@ -339,9 +325,9 @@ func TestRepeatedCommitChangesNothing(t *testing.T) {
 			x = graph.NodeID(u)
 		}
 	}
-	once := full.Clone()
+	once := newCommitOracle(full)
 	once.Add(x)
-	twice := full.Clone()
+	twice := newCommitOracle(full)
 	twice.Add(x)
 	twice.Add(x)
 	if got := twice.Seeds(); !slices.Equal(got, []graph.NodeID{x}) {
@@ -356,33 +342,17 @@ func TestRepeatedCommitChangesNothing(t *testing.T) {
 		}
 	}
 
-	parts := rowPartitions(t, full, 3)
-	var entries int64
-	for range 2 {
-		var owner *Engine
-		for _, p := range parts {
-			if p.ownsRow(x) {
-				owner = p
-			}
-		}
-		payload := owner.extractSeedRow(x)
-		for _, p := range parts {
-			p.commitSeedRow(x, payload)
-		}
+	pr := NewProbe(rowPartitions(t, full, 3)...)
+	first := pr.Commit(x, nil)
+	if again := pr.Commit(x, nil); again != 0 || first != full.Gain(x) {
+		t.Fatalf("Commit(%d) = %b then %b, want %b then 0", x, first, again, full.Gain(x))
 	}
-	for _, p := range parts {
-		if got := p.Seeds(); !slices.Equal(got, []graph.NodeID{x}) {
-			t.Fatalf("partition Seeds after a double commit of %d = %v", x, got)
-		}
-		entries += p.Entries()
-		lo, hi := p.PartitionRange()
-		for u := lo; u < hi; u++ {
-			if got, want := p.Gain(graph.NodeID(u)), once.Gain(graph.NodeID(u)); got != want {
-				t.Fatalf("partition Gain(%d) after a double commit = %b, single Add %b", u, got, want)
-			}
-		}
+	if got := pr.Seeds(); !slices.Equal(got, []graph.NodeID{x}) {
+		t.Fatalf("probe Seeds after a double commit of %d = %v", x, got)
 	}
-	if entries != once.Entries() {
-		t.Fatalf("partition Entries after a double commit sum to %d, single Add %d", entries, once.Entries())
+	for u := 0; u < n; u++ {
+		if got, want := pr.Gain(graph.NodeID(u), nil), once.Gain(graph.NodeID(u)); got != want {
+			t.Fatalf("probe Gain(%d) after a double commit = %b, single Add %b", u, got, want)
+		}
 	}
 }

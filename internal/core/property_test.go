@@ -97,7 +97,7 @@ func TestSetCreditWithinUnit(t *testing.T) {
 func TestEngineGainMatchesEvaluatorQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, log, _, tt, x := instanceFromSeed(seed)
-		e := NewEngine(g, log, Options{})
+		e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
 		ev := NewEvaluator(g, log, nil)
 		for _, s := range tt {
 			e.Add(s)
@@ -120,8 +120,8 @@ func TestEngineGainOrderIndependent(t *testing.T) {
 		if len(tt) < 2 {
 			return true
 		}
-		e1 := NewEngine(g, log, Options{})
-		e2 := NewEngine(g, log, Options{})
+		e1 := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
+		e2 := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
 		for _, s := range tt {
 			e1.Add(s)
 		}

@@ -79,33 +79,34 @@ type ReachExplanation struct {
 	TotalPaths int
 }
 
-// ExplainSeed decomposes Gain(x) into credit paths. It replays the Gain
-// walk term by term — the 1/A_x self-activation credit plus every UC
-// row entry, each discounted by the committed-seed factor (1 - SC) — in
-// the identical association order, so the returned Gain is bit-for-bit
-// Engine.Gain(x). Read-only, like Gain; a partition answers only for
-// candidates whose row it owns.
+// ExplainSeed decomposes Gain(x) into credit paths; it is the probe's
+// ExplainSeed over this engine alone, with nothing committed. Read-only,
+// like Gain; a partition answers only for candidates whose row it owns.
 func (e *Engine) ExplainSeed(x graph.NodeID, top int) SeedExplanation {
 	if !e.ownsRow(x) {
 		panic(fmt.Sprintf("core: ExplainSeed(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
 	}
+	return NewProbe(e).ExplainSeed(x, top)
+}
+
+// ExplainSeed decomposes Gain(x) against the probe's commits into credit
+// paths. It replays the Gain walk term by term — the 1/A_x
+// self-activation credit plus every cell of x's replayed rows, each
+// discounted by the committed-seed factor (1 - SC) — in the identical
+// association order, so the returned Gain is bit-for-bit Gain(x, nil). A
+// committed seed explains as 0 with no paths. Read-only.
+func (p *Probe) ExplainSeed(x graph.NodeID, top int) SeedExplanation {
+	e := p.owner(x)
 	ex := SeedExplanation{Node: x}
 	ax := float64(e.au[x])
-	if ax == 0 {
-		return ex
-	}
-	if slices.Contains(e.seeds, x) {
+	if ax == 0 || p.committed(x) {
 		return ex
 	}
 	mg := 0.0
 	var paths []ProvPath
 	for _, a := range e.actionsOf[x] {
 		mga := 1.0 / ax
-		row := e.uc[a].row(x)
-		scx := 0.0
-		if e.sc[a] != nil {
-			scx = e.sc[a][x]
-		}
+		row, scx := p.replay(e, int32(x), a)
 		paths = append(paths, ProvPath{Influencer: x, Influenced: x, Action: a, Credit: (1.0 / ax) * (1 - scx)})
 		for _, en := range row {
 			mga += en.c / float64(e.au[en.u])
@@ -131,17 +132,28 @@ func (e *Engine) ReachPaths(s, v graph.NodeID) (float64, []ProvPath) {
 	if !e.ownsRow(s) {
 		panic(fmt.Sprintf("core: ReachPaths(%d) outside partition rows [%d,%d)", s, e.partLo, e.partHi))
 	}
+	return NewProbe(e).reachPaths(s, v)
+}
+
+// reachPaths is ReachPaths read through the probe's replay of s's rows.
+// A committed seed is no longer part of V-S: its row contributes nothing.
+// A committed target keeps no credit cells either, because the replay
+// drops every cell (s, v) of a seed v.
+func (p *Probe) reachPaths(s, v graph.NodeID) (float64, []ProvPath) {
+	e := p.owner(s)
 	av := float64(e.au[v])
-	if av == 0 {
+	if av == 0 || p.committed(s) {
 		return 0, nil
 	}
 	share := 0.0
 	var paths []ProvPath
 	for _, a := range e.actionsOf[s] {
-		c, ok := e.uc[a].get(s, v)
+		row, _ := p.replay(e, int32(s), a)
+		i, ok := searchRow(row, int32(v))
 		if !ok {
 			continue
 		}
+		c := row[i].c
 		share += c / av
 		paths = append(paths, ProvPath{Influencer: s, Influenced: v, Action: a, Credit: c / av})
 	}
@@ -155,10 +167,16 @@ func (e *Engine) ReachPaths(s, v graph.NodeID) (float64, []ProvPath) {
 // to a seed's owner, so a partitioned deployment computes each seed's
 // share wholly in one partition and merges bit-identically.
 func (e *Engine) ExplainReach(seeds []graph.NodeID, v graph.NodeID, top int) ReachExplanation {
+	return NewProbe(e).ExplainReach(seeds, v, top)
+}
+
+// ExplainReach is the engine's ExplainReach against the probe's commits,
+// every seed's rows read through the replay (see reachPaths).
+func (p *Probe) ExplainReach(seeds []graph.NodeID, v graph.NodeID, top int) ReachExplanation {
 	ex := ReachExplanation{Target: v, PerSeed: make([]ReachShare, 0, len(seeds))}
 	var paths []ProvPath
 	for _, s := range seeds {
-		share, ps := e.ReachPaths(s, v)
+		share, ps := p.reachPaths(s, v)
 		ex.PerSeed = append(ex.PerSeed, ReachShare{Seed: s, Share: share})
 		ex.Total += share
 		paths = append(paths, ps...)
@@ -246,10 +264,11 @@ type ProvIndex struct {
 // entry (action, credit) alike.
 const provRecSize = 12
 
-// BuildProvIndex builds the inverted index over the engine's current
-// credit state by walking exactly the cells Gain reads — per owned row v,
-// the UC rows of the actions v performed — so shard walks and index
-// lookups agree bit for bit. A partition indexes only its owned rows.
+// BuildProvIndex builds the inverted index over the engine's credit
+// structure by walking exactly the cells Gain reads — per row v the
+// engine holds, the UC rows of the actions v performed — so shard walks
+// and index lookups agree bit for bit. A partition indexes only the rows
+// in its range.
 // Deterministic: the same engine state yields the same index, encoded
 // exactly as a snapshot stores it.
 func (e *Engine) BuildProvIndex() *ProvIndex {

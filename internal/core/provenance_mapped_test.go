@@ -29,7 +29,6 @@ func TestProvIndexMappedParity(t *testing.T) {
 	}
 	ds := datagen.Generate(cfg)
 	e := NewEngine(ds.Graph, ds.Log, Options{Lambda: 0.001, Credit: LearnTimeAware(ds.Graph, ds.Log)})
-	e.Compact()
 	lin := DatasetLineage(ds.Name, ds.Graph, ds.Log)
 	fresh := e.BuildProvIndex()
 	sketch := sketchOf(9, 3, [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}})

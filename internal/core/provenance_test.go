@@ -53,24 +53,33 @@ func TestFigure1ExplainSeed(t *testing.T) {
 		}
 	}
 
-	// After commits the explained gain still matches bit for bit, and a
-	// committed seed explains as zero with no paths.
-	e.Add(nodeT)
-	e.Add(nodeZ)
+	// After commits to a probe the explained gain still matches bit for
+	// bit — and the oracle's explanation after the same commits in place —
+	// and a committed seed explains as zero with no paths.
+	pr := NewProbe(e)
+	o := newCommitOracle(e)
+	for _, s := range []graph.NodeID{nodeT, nodeZ} {
+		pr.Commit(s, nil)
+		o.Add(s)
+	}
 	for cand := graph.NodeID(0); cand < 6; cand++ {
-		ex := e.ExplainSeed(cand, 10)
-		if ex.Gain != e.Gain(cand) {
-			t.Fatalf("after commits ExplainSeed(%d).Gain = %b, Gain = %b", cand, ex.Gain, e.Gain(cand))
+		ex := pr.ExplainSeed(cand, 10)
+		if ex.Gain != pr.Gain(cand, nil) {
+			t.Fatalf("after commits ExplainSeed(%d).Gain = %b, Gain = %b", cand, ex.Gain, pr.Gain(cand, nil))
+		}
+		if want := o.ExplainSeed(cand, 10); !reflect.DeepEqual(ex, want) {
+			t.Fatalf("after commits ExplainSeed(%d) = %+v, the oracle %+v", cand, ex, want)
 		}
 	}
-	if ex := e.ExplainSeed(nodeT, 10); ex.Gain != 0 || ex.TotalPaths != 0 {
+	if ex := pr.ExplainSeed(nodeT, 10); ex.Gain != 0 || ex.TotalPaths != 0 {
 		t.Fatalf("committed seed explains as %+v, want zero", ex)
 	}
 }
 
 // TestExplainSeedBitExact is the tentpole contract on the seed side: the
-// explanation's gain is bit-identical to Engine.Gain at any worker count,
-// with and without truncation/learned credit, before and after commits.
+// explanation's gain is bit-identical to the probe's Gain at any worker
+// count, with and without truncation/learned credit, before and after
+// commits.
 func TestExplainSeedBitExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 17))
 	for trial := 0; trial < 10; trial++ {
@@ -81,24 +90,24 @@ func TestExplainSeedBitExact(t *testing.T) {
 			credit = LearnTimeAware(g, log)
 			lambda = 0.001
 		}
-		serial := NewEngine(g, log, Options{Workers: 1, Lambda: lambda, Credit: credit})
-		parallel := NewEngine(g, log, Options{Workers: runtime.GOMAXPROCS(0), Lambda: lambda, Credit: credit})
+		serial := NewProbe(NewEngine(g, log, Options{Workers: 1, Lambda: lambda, Credit: credit}))
+		parallel := NewProbe(NewEngine(g, log, Options{Workers: runtime.GOMAXPROCS(0), Lambda: lambda, Credit: credit}))
 		for round := 0; round < 3; round++ {
 			for cand := 0; cand < g.NumNodes(); cand++ {
 				c := graph.NodeID(cand)
 				exS := serial.ExplainSeed(c, 8)
 				exP := parallel.ExplainSeed(c, 8)
-				if exS.Gain != serial.Gain(c) {
+				if exS.Gain != serial.Gain(c, nil) {
 					t.Fatalf("trial %d round %d: ExplainSeed(%d).Gain %b != Gain %b",
-						trial, round, c, exS.Gain, serial.Gain(c))
+						trial, round, c, exS.Gain, serial.Gain(c, nil))
 				}
 				if !reflect.DeepEqual(exS, exP) {
 					t.Fatalf("trial %d round %d: explanations differ across worker counts for %d", trial, round, c)
 				}
 			}
 			next := graph.NodeID(rng.IntN(g.NumNodes()))
-			serial.Add(next)
-			parallel.Add(next)
+			serial.Commit(next, nil)
+			parallel.Commit(next, nil)
 		}
 	}
 }
@@ -175,20 +184,17 @@ func TestExplainReachIndexed(t *testing.T) {
 }
 
 // TestExplainPartitionedBitIdentical is the acceptance criterion at
-// partition counts {1, 4}: a partition explains its owned rows exactly as
-// the full engine does, and per-partition reach shares folded in seed
-// order reproduce the full answer bit for bit.
+// partition counts {1, 4}: a partition explains its rows exactly as the
+// full engine does, per-partition reach shares folded in seed order
+// reproduce the full answer bit for bit, and after commits a probe over
+// the partitions explains exactly as the in-place commit oracle.
 func TestExplainPartitionedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 29))
 	g, log := randomInstance(rng, 24, 9)
 	base := NewEngine(g, log, Options{Lambda: 0.001, Credit: LearnTimeAware(g, log)})
-	base.Freeze()
 	n := g.NumNodes()
+	seeds := []graph.NodeID{1, 9, 20, 9}
 	for _, parts := range []int{1, 4} {
-		// Slices share row storage with a frozen source; the reference
-		// engine is a clone so commits on it copy-on-write instead of
-		// mutating the shared rows.
-		full := base.Clone()
 		var slices []*Engine
 		var ranges [][2]int
 		for i := 0; i < parts; i++ {
@@ -209,46 +215,48 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 			t.Fatalf("no owner for %d", x)
 			return nil
 		}
-		commits := []graph.NodeID{3, 17}
-		for round := 0; round <= len(commits); round++ {
+		for cand := 0; cand < n; cand++ {
+			c := graph.NodeID(cand)
+			if got, want := owner(c).ExplainSeed(c, 7), base.ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
+				t.Fatalf("parts=%d: partition ExplainSeed(%d) differs from full", parts, cand)
+			}
+		}
+		for v := 0; v < n; v += 5 {
+			wantEx := base.ExplainReach(seeds, graph.NodeID(v), 8)
+			// Gather: each seed's share and paths come wholly from its
+			// owner; fold shares in input order, concatenate and re-sort
+			// paths — the partitioned serving path in miniature.
+			got := ReachExplanation{Target: graph.NodeID(v)}
+			var paths []ProvPath
+			for _, s := range seeds {
+				share, ps := owner(s).ReachPaths(s, graph.NodeID(v))
+				got.PerSeed = append(got.PerSeed, ReachShare{Seed: s, Share: share})
+				got.Total += share
+				paths = append(paths, ps...)
+			}
+			got.TotalPaths = len(paths)
+			got.Paths = TopProvPaths(paths, 8)
+			if wantEx.Total != got.Total || !reflect.DeepEqual(wantEx.PerSeed, got.PerSeed) ||
+				!reflect.DeepEqual(wantEx.Paths, got.Paths) {
+				t.Fatalf("parts=%d target %d: merged reach differs from full", parts, v)
+			}
+		}
+
+		pr := NewProbe(slices...)
+		oracle := newCommitOracle(base)
+		for _, seed := range []graph.NodeID{3, 17} {
+			pr.Commit(seed, nil)
+			oracle.Add(seed)
 			for cand := 0; cand < n; cand++ {
 				c := graph.NodeID(cand)
-				got := owner(c).ExplainSeed(c, 7)
-				if wantEx := full.ExplainSeed(c, 7); !reflect.DeepEqual(got, wantEx) {
-					t.Fatalf("parts=%d round %d: partition ExplainSeed(%d) differs from full", parts, round, cand)
+				if got, want := pr.ExplainSeed(c, 7), oracle.ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
+					t.Fatalf("parts=%d seeds %v: probe ExplainSeed(%d) differs from the oracle", parts, pr.Seeds(), cand)
 				}
 			}
-			seeds := []graph.NodeID{1, 9, 20, 9}
 			for v := 0; v < n; v += 5 {
-				wantEx := full.ExplainReach(seeds, graph.NodeID(v), 8)
-				// Gather: each seed's share and paths come wholly from its
-				// owner; fold shares in input order, concatenate and re-sort
-				// paths — the partitioned serving path in miniature.
-				got := ReachExplanation{Target: graph.NodeID(v)}
-				var paths []ProvPath
-				for _, s := range seeds {
-					share, ps := owner(s).ReachPaths(s, graph.NodeID(v))
-					got.PerSeed = append(got.PerSeed, ReachShare{Seed: s, Share: share})
-					got.Total += share
-					paths = append(paths, ps...)
+				if got, want := pr.ExplainReach(seeds, graph.NodeID(v), 8), oracle.ExplainReach(seeds, graph.NodeID(v), 8); !reflect.DeepEqual(got, want) {
+					t.Fatalf("parts=%d seeds %v target %d: probe reach %+v, the oracle %+v", parts, pr.Seeds(), v, got, want)
 				}
-				got.TotalPaths = len(paths)
-				got.Paths = TopProvPaths(paths, 8)
-				if got.PerSeed == nil {
-					got.PerSeed = []ReachShare{}
-				}
-				if wantEx.Total != got.Total || !reflect.DeepEqual(wantEx.PerSeed, append([]ReachShare(nil), got.PerSeed...)) ||
-					!reflect.DeepEqual(wantEx.Paths, got.Paths) {
-					t.Fatalf("parts=%d round %d target %d: merged reach differs from full", parts, round, v)
-				}
-			}
-			if round < len(commits) {
-				seed := commits[round]
-				payload := owner(seed).extractSeedRow(seed)
-				for _, p := range slices {
-					p.commitSeedRow(seed, payload)
-				}
-				full.Add(seed)
 			}
 		}
 	}
@@ -533,4 +541,41 @@ func provRecords(p *ProvIndex) []provRecord {
 		out = append(out, r)
 	}
 	return out
+}
+
+// TestExplainReachMatchesCommitOracle: a probe holding seeds explains
+// reach bit-identically to the in-place commit oracle followed by
+// ExplainReach — with seed lists that name committed seeds (whose rows
+// the commit removed) and duplicates, every target including committed
+// ones (whose columns it removed), on full engines and on row-range
+// partitions. The replay alone does not drop a committed seed's own row;
+// the probe must.
+func TestExplainReachMatchesCommitOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 37))
+	for trial := 0; trial < 12; trial++ {
+		g, log := probeInstance(rng)
+		opts := Options{Lambda: []float64{0, 0.001, 0.05}[trial%3]}
+		if trial%2 == 1 {
+			opts.Credit = LearnTimeAware(g, log)
+		}
+		full := NewEngine(g, log, opts)
+		n := full.NumNodes()
+		pr := NewProbe(rowPartitions(t, full, 1+trial%4)...)
+		oracle := newCommitOracle(full)
+		var committed []graph.NodeID
+		for k := 0; k < 3; k++ {
+			s := graph.NodeID(rng.IntN(n))
+			pr.Commit(s, nil)
+			oracle.Add(s)
+			committed = append(committed, s)
+			seeds := []graph.NodeID{committed[0], graph.NodeID(rng.IntN(n)), s, graph.NodeID(rng.IntN(n)), committed[0]}
+			for v := 0; v < n; v++ {
+				got := pr.ExplainReach(seeds, graph.NodeID(v), 5)
+				want := oracle.ExplainReach(seeds, graph.NodeID(v), 5)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d committed %v seeds %v target %d: probe %+v, oracle %+v", trial, committed, seeds, v, got, want)
+				}
+			}
+		}
+	}
 }

@@ -1,24 +1,20 @@
 package core
 
-// This file defines the pluggable row-store boundary behind the engine's
-// frozen base: the read path (Gain, Credit, snapshot serialization) sees
-// every shard through the small rowStore interface, so a shard can live
-// either as heap ucAction slices or as a window into a memory-mapped
-// version-3 snapshot (mapped.go) without the query algorithms knowing.
-// Delta shards — anything the engine scans or ingests itself — are always
-// heap ucAction values; a mapped shard is promoted to heap by mutShard on
-// its first write, exactly like copy-on-write promotes a shared heap
-// shard.
+// This file defines the row-store boundary behind the engine: the read
+// path (Gain, probe replay, Credit, snapshot serialization) sees every
+// shard through the small rowStore interface, so a shard can live either
+// as heap ucAction slices or as a window into a memory-mapped version-3
+// snapshot (mapped.go) without the query algorithms knowing. Shards the
+// engine scans itself — at construction or by AppendActions — are heap
+// ucAction values. No shard of either kind is ever written.
 
 // rowStore is the read surface of one action's UC shard. Rows are sorted
 // sparse (sparse.go): rowKeyAt(i) ascends with i, and every row's entries
 // ascend by influenced id, which keeps float summation order — and
 // therefore every Gain/Spread/CELF bit — independent of the backend.
 //
-// Implementations: *ucAction (heap, mutable through its own methods) and
-// *mappedShard (read-only window into a mapped snapshot). The column
-// mirror is intentionally not part of the interface: only mutation paths
-// walk columns, and those run on heap shards obtained through promote.
+// Implementations: *ucAction (heap) and *mappedShard (window into a
+// mapped snapshot).
 type rowStore interface {
 	// numRows returns how many influencers have a credit row.
 	numRows() int
@@ -38,10 +34,6 @@ type rowStore interface {
 	// pages. Exactly one of them is non-zero for a non-empty shard.
 	heapBytes() int64
 	mappedBytes() int64
-	// promote returns a private, fully mutable heap copy of the shard
-	// (column mirror included). The engine calls it on the first write to
-	// a shard it does not own — a shared heap shard or a mapped one.
-	promote() *ucAction
 	// backendName identifies the backend ("heap" or "mmap") for stats.
 	backendName() string
 }
@@ -62,8 +54,5 @@ func (ua *ucAction) entryCount() int64 {
 
 func (ua *ucAction) heapBytes() int64   { return ua.residentBytes() }
 func (ua *ucAction) mappedBytes() int64 { return 0 }
-
-// promote on a heap shard is plain copy-on-write: an exact deep copy.
-func (ua *ucAction) promote() *ucAction { return cloneShard(ua) }
 
 func (ua *ucAction) backendName() string { return "heap" }

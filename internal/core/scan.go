@@ -90,9 +90,7 @@ type scanScratch struct {
 	cells   []pcell   // finished columns, in participant order
 	rowLen  []int32   // per participant: cells in its row
 	rowPos  []int32   // per participant: its row's fill cursor in the shard
-	colPos  []int32   // per participant: its column's fill cursor
 	order   []int32   // participants by ascending user id
-	rowOf   []int32   // per row cell: the participant of its column
 }
 
 // grow sizes the per-participant arrays for n participants.
@@ -105,7 +103,6 @@ func (s *scanScratch) grow(n int) {
 	s.colOff = make([]int32, n+1)
 	s.rowLen = make([]int32, n)
 	s.rowPos = make([]int32, n)
-	s.colPos = make([]int32, n)
 	s.order = make([]int32, n)
 }
 
@@ -130,7 +127,7 @@ func (s *scanScratch) credit(k int32, delta float64) {
 // parent order, exactly as a walk over sorted rows would, so every credit
 // is bit-identical to one accumulated cell by cell (scanActionReference in
 // the tests). A last counting pass maps participants to user ids and
-// carves the sorted rows and columns from one array each.
+// carves the sorted rows from one array.
 func (s *scanScratch) scan(p *actionlog.Propagation, model CreditModel, lambda float64) (*ucAction, int64) {
 	n := len(p.Users)
 	s.grow(n)
@@ -165,11 +162,9 @@ func (s *scanScratch) scan(p *actionlog.Propagation, model CreditModel, lambda f
 	return ua, int64(len(s.cells))
 }
 
-// carve builds the shard from the finished columns: rows and columns in
-// ascending user id, each row's cells in ascending influenced id and each
-// column in ascending influencer id, with no per-row or per-column sort.
-// Every slice is carved with cap == len, so growing a row reallocates it
-// instead of overwriting the next one.
+// carve builds the shard from the finished columns: rows in ascending
+// user id, each row's cells in ascending influenced id, with no per-row
+// sort. Every row is carved from one array with cap == len.
 func (s *scanScratch) carve(users []graph.NodeID) *ucAction {
 	n, total := len(users), len(s.cells)
 	if total == 0 {
@@ -180,24 +175,18 @@ func (s *scanScratch) carve(users []graph.NodeID) *ucAction {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(users[a], users[b]) })
-	nRows, nCols := 0, 0
+	nRows := 0
 	for _, k := range order {
 		if s.rowLen[k] > 0 {
 			nRows++
-		}
-		if s.colOff[k+1] > s.colOff[k] {
-			nCols++
 		}
 	}
 	ua := &ucAction{
 		rowKey: make([]int32, 0, nRows),
 		rows:   make([][]ucEntry, 0, nRows),
-		colKey: make([]int32, 0, nCols),
-		cols:   make([][]int32, 0, nCols),
 	}
 	rowBack := make([]ucEntry, total)
-	colBack := make([]int32, total)
-	nextRow, nextCol := int32(0), int32(0)
+	nextRow := int32(0)
 	for _, k := range order {
 		if m := s.rowLen[k]; m > 0 {
 			ua.rowKey = append(ua.rowKey, users[k])
@@ -205,32 +194,13 @@ func (s *scanScratch) carve(users []graph.NodeID) *ucAction {
 			s.rowPos[k] = nextRow
 			nextRow += m
 		}
-		if m := s.colOff[k+1] - s.colOff[k]; m > 0 {
-			ua.colKey = append(ua.colKey, users[k])
-			ua.cols = append(ua.cols, colBack[nextCol:nextCol+m:nextCol+m])
-			s.colPos[k] = nextCol
-			nextCol += m
-		}
 	}
 	// Rows fill column by column in ascending influenced id, so each
-	// row's cells land sorted; rowOf remembers every cell's column.
-	s.rowOf = slices.Grow(s.rowOf[:0], total)[:total]
+	// row's cells land sorted.
 	for _, i := range order {
 		for _, cl := range s.cells[s.colOff[i]:s.colOff[i+1]] {
-			q := s.rowPos[cl.k]
-			rowBack[q] = ucEntry{u: users[i], c: cl.c}
-			s.rowOf[q] = i
+			rowBack[s.rowPos[cl.k]] = ucEntry{u: users[i], c: cl.c}
 			s.rowPos[cl.k]++
-		}
-	}
-	// Columns fill row by row in ascending influencer id.
-	for _, k := range order {
-		if m := s.rowLen[k]; m > 0 {
-			end := s.rowPos[k]
-			for _, i := range s.rowOf[end-m : end] {
-				colBack[s.colPos[i]] = users[k]
-				s.colPos[i]++
-			}
 		}
 	}
 	return ua

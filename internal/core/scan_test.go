@@ -14,10 +14,11 @@ import (
 // scanActionReference is the cell-by-cell scan the participant-space
 // kernel replaced, kept as its oracle: it walks every participant's
 // parents in order and accumulates each credit into a sorted shard with a
-// binary search and a sorted insert per cell. It returns the shard and
-// the number of cells it created.
-func scanActionReference(p *actionlog.Propagation, model CreditModel, lambda float64) (*ucAction, int64) {
-	ua := &ucAction{}
+// binary search and a sorted insert per cell, walking columns through
+// the commit oracle's column mirror. It returns the shard and the number
+// of cells it created.
+func scanActionReference(p *actionlog.Propagation, model CreditModel, lambda float64) (*oracleShard, int64) {
+	ua := &oracleShard{}
 	var entries int64
 	add := func(v, u int32, delta float64) {
 		cr, created := ua.cell(v, u)
@@ -53,7 +54,7 @@ func scanActionReference(p *actionlog.Propagation, model CreditModel, lambda flo
 // cell returns a pointer to the credit of entry (v,u), creating the entry
 // (and mirroring it in the column index) when absent; created reports
 // whether it did. The pointer is valid until the next structural change.
-func (ua *ucAction) cell(v, u int32) (cr *float64, created bool) {
+func (ua *oracleShard) cell(v, u int32) (cr *float64, created bool) {
 	ri, ok := slices.BinarySearch(ua.rowKey, v)
 	if !ok {
 		ua.rowKey = slices.Insert(ua.rowKey, ri, v)
@@ -68,7 +69,7 @@ func (ua *ucAction) cell(v, u int32) (cr *float64, created bool) {
 }
 
 // colInsert mirrors a new entry (v,u) into the column index.
-func (ua *ucAction) colInsert(u, v int32) {
+func (ua *oracleShard) colInsert(u, v int32) {
 	ci, ok := slices.BinarySearch(ua.colKey, u)
 	if !ok {
 		ua.colKey = slices.Insert(ua.colKey, ci, u)
@@ -104,14 +105,14 @@ func scanInstance(rng *rand.Rand) (*graph.Graph, *actionlog.Log) {
 }
 
 // sameShard reports the first difference between a shard and its
-// reference: keys, row cells (credits by bit pattern) and columns.
-func sameShard(t *testing.T, what string, got, want *ucAction) {
+// reference: row keys and row cells (credits by bit pattern).
+func sameShard(t *testing.T, what string, got *ucAction, want *oracleShard) {
 	t.Helper()
-	if !slices.Equal(got.rowKey, want.rowKey) || !slices.Equal(got.colKey, want.colKey) {
-		t.Fatalf("%s: keys differ: rows %v / %v, cols %v / %v", what, got.rowKey, want.rowKey, got.colKey, want.colKey)
+	if !slices.Equal(got.rowKey, want.rowKey) {
+		t.Fatalf("%s: row keys differ: %v / %v", what, got.rowKey, want.rowKey)
 	}
-	if len(got.rows) != len(want.rows) || len(got.cols) != len(want.cols) {
-		t.Fatalf("%s: %d rows / %d cols, reference %d / %d", what, len(got.rows), len(got.cols), len(want.rows), len(want.cols))
+	if len(got.rows) != len(want.rows) {
+		t.Fatalf("%s: %d rows, reference %d", what, len(got.rows), len(want.rows))
 	}
 	for r, row := range want.rows {
 		if !slices.EqualFunc(got.rows[r], row, func(a, b ucEntry) bool {
@@ -120,28 +121,17 @@ func sameShard(t *testing.T, what string, got, want *ucAction) {
 			t.Fatalf("%s: row of %d = %v, reference %v", what, want.rowKey[r], got.rows[r], row)
 		}
 	}
-	for c, col := range want.cols {
-		if !slices.Equal(got.cols[c], col) {
-			t.Fatalf("%s: column of %d = %v, reference %v", what, want.colKey[c], got.cols[c], col)
-		}
-	}
 }
 
 // checkExactCaps fails unless every slice of the shard has cap == len.
 func checkExactCaps(t *testing.T, what string, ua *ucAction) {
 	t.Helper()
-	if cap(ua.rowKey) != len(ua.rowKey) || cap(ua.rows) != len(ua.rows) ||
-		cap(ua.colKey) != len(ua.colKey) || cap(ua.cols) != len(ua.cols) {
+	if cap(ua.rowKey) != len(ua.rowKey) || cap(ua.rows) != len(ua.rows) {
 		t.Fatalf("%s: outer slices carry slack", what)
 	}
 	for r, row := range ua.rows {
 		if cap(row) != len(row) {
 			t.Fatalf("%s: row %d has cap %d > len %d", what, r, cap(row), len(row))
-		}
-	}
-	for c, col := range ua.cols {
-		if cap(col) != len(col) {
-			t.Fatalf("%s: column %d has cap %d > len %d", what, c, cap(col), len(col))
 		}
 	}
 }
@@ -163,7 +153,7 @@ func checkScanMatchesReference(t *testing.T, seed uint64, timeAware bool, lambda
 	}
 	lambda := scanLambdas[int(lambdaSel)%len(scanLambdas)]
 	n := log.NumActions()
-	want := make([]*ucAction, n)
+	want := make([]*oracleShard, n)
 	var wantTotal int64
 	for a := range want {
 		var entries int64
@@ -177,8 +167,8 @@ func checkScanMatchesReference(t *testing.T, seed uint64, timeAware bool, lambda
 		what := fmt.Sprintf("scratch scan of action %d", a)
 		sameShard(t, what, got, want[a])
 		checkExactCaps(t, what, got)
-		if entries != want[a].entryCount() {
-			t.Fatalf("action %d: tally %d, reference %d", a, entries, want[a].entryCount())
+		if want := (&ucAction{rows: want[a].rows}).entryCount(); entries != want {
+			t.Fatalf("action %d: tally %d, reference %d", a, entries, want)
 		}
 	}
 
@@ -211,51 +201,28 @@ func FuzzScanMatchesReference(f *testing.F) {
 	f.Fuzz(checkScanMatchesReference)
 }
 
-// TestCloneShardCarvesExactly: Compact keeps scanned shards, which have
-// no slack, instead of copying them; once a seed commit has removed cells,
-// a clone of the shard equals it cell for cell at exact size, and Compact
-// copies it without changing a gain.
-func TestCloneShardCarvesExactly(t *testing.T) {
+// TestFilterShardCarvesExactly: a partition appending a tail keeps a copy
+// of exactly its rows of each scanned shard, carved at exact size, equal
+// cell for cell to the rows of a full rescan in its range.
+func TestFilterShardCarvesExactly(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	g, log := randomInstance(rng, 30, 12)
-	e := NewEngine(g, log, Options{})
-	scanned := slices.Clone(e.uc)
-	e.Compact()
-	for a, st := range e.uc {
-		if st != scanned[a] {
-			t.Fatalf("Compact copied exact-size shard %d", a)
-		}
+	headN := 6
+	full := NewEngine(g, log, Options{})
+	part, err := NewEngine(g, log.Prefix(headN), Options{}).Slice(8, 21)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := e.Clone()
-	c.Add(0)
-	slack := 0
-	for a, st := range c.uc {
-		ua := st.(*ucAction)
-		if !ua.hasSlack() {
-			continue
-		}
-		slack++
-		what := fmt.Sprintf("clone of action %d", a)
-		clone := cloneShard(ua)
-		sameShard(t, what, clone, ua)
-		checkExactCaps(t, what, clone)
+	succ, err := part.AppendActions(g, log, actionlog.ActionID(headN))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if slack == 0 {
-		t.Fatal("committing a seed left no shard with slack")
-	}
-	before := make([]float64, g.NumNodes())
-	for u := range before {
-		before[u] = c.Gain(graph.NodeID(u))
-	}
-	c.Compact()
-	for a, st := range c.uc {
-		if st.(*ucAction).hasSlack() {
-			t.Fatalf("shard %d keeps slack after Compact", a)
-		}
-	}
-	for u := range before {
-		if got := c.Gain(graph.NodeID(u)); got != before[u] {
-			t.Fatalf("Gain(%d) changed across Compact: %b -> %b", u, before[u], got)
-		}
+	for a := headN; a < log.NumActions(); a++ {
+		ua := succ.uc[a].(*ucAction)
+		what := fmt.Sprintf("action %d", a)
+		checkExactCaps(t, what, ua)
+		want, _ := sliceShard(full.uc[a], 8, 21)
+		w := want.(*ucAction)
+		sameShard(t, what, ua, &oracleShard{rowKey: w.rowKey, rows: w.rows})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"credist/internal/actionlog"
 	"credist/internal/celf"
@@ -64,9 +63,8 @@ import (
 //
 // Version-2 files (12-byte packed cells, no offset tables, prefix after
 // the shards, no header CRC) and version-1 files (version 2 minus the
-// seed-prefix section) are still read. Only the row-major half of each
-// shard is stored; the column mirror is rebuilt deterministically on load,
-// as are the Au normalizers (the length of each user's action list).
+// seed-prefix section) are still read. The Au normalizers (the length of
+// each user's action list) are rebuilt deterministically on load.
 // Strict ordering plus the canonical offset rule make the encoding of a
 // given engine unique: saving a loaded engine reproduces the file byte for
 // byte (older versions re-save as the equivalent version-3 file).
@@ -311,15 +309,9 @@ func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage) error {
 	return e.WriteSnapshotPrefix(w, lin, nil)
 }
 
-// checkSnapshotArgs enforces the shared writer preconditions. The engine
-// must not have committed seeds (a snapshot restores the raw per-action
-// credit structure, which Add destructively restricts to V-S; the prefix
-// is stored as data precisely so the engine itself stays unrestricted),
-// and the lineage must describe exactly the log the engine has scanned.
+// checkSnapshotArgs enforces the shared writer preconditions: the
+// lineage must describe exactly the log the engine has scanned.
 func (e *Engine) checkSnapshotArgs(lin Lineage, prefix *SeedPrefix) error {
-	if len(e.seeds) > 0 {
-		return errors.New("core: cannot snapshot an engine with committed seeds")
-	}
 	if lin.NumUsers != e.numUsers || lin.NumActions != e.NumActions() {
 		return fmt.Errorf("core: snapshot lineage covers %d users/%d actions, engine has scanned %d/%d",
 			lin.NumUsers, lin.NumActions, e.numUsers, e.NumActions())
@@ -708,15 +700,13 @@ func parseSnapshotHeader(sc *snapCursor) (Lineage, float64, CreditModel, error) 
 }
 
 // newSnapshotEngine allocates the skeleton every reader fills: an engine
-// whose base is the full scanned range, with every shard shared (frozen).
+// whose base is the full scanned range.
 func newSnapshotEngine(lin Lineage, lambda float64, credit CreditModel) *Engine {
 	return &Engine{
 		numUsers:    lin.NumUsers,
 		au:          make([]int32, lin.NumUsers),
 		actionsOf:   make([][]int32, lin.NumUsers),
 		uc:          make([]rowStore, 0, lin.NumActions),
-		owned:       make([]bool, lin.NumActions),
-		sc:          make([]map[int32]float64, lin.NumActions),
 		lambda:      lambda,
 		credit:      credit,
 		baseActions: lin.NumActions,
@@ -810,12 +800,11 @@ func ReadSnapshotSketch(r io.Reader) (*Engine, Lineage, *SeedPrefix, *RRSketch, 
 }
 
 // ReadSnapshotProv parses a snapshot written by WriteSnapshotProv and
-// rebuilds the engine heap-resident: the column mirror of every shard and
-// the Au normalizers are reconstructed deterministically from the stored
-// rows. Any supported version (1 through 6) is accepted. The returned
-// engine is frozen (every shard shared) with the full scanned range as its
-// base, has no committed seeds, and is bit-for-bit equivalent to the saved
-// engine; the returned prefix is the stored seed prefix, or nil when the
+// rebuilds the engine heap-resident, with the Au normalizers
+// reconstructed deterministically from the stored action lists. Any
+// supported version (1 through 6) is accepted. The returned engine has
+// the full scanned range as its base and is bit-for-bit equivalent to the
+// saved engine; the returned prefix is the stored seed prefix, or nil when the
 // file carries none (always for version-1 files), the returned sketch
 // is the stored RR sketch, or nil for files not carrying one, and the
 // returned prov is the stored provenance index, or nil for every version
@@ -870,13 +859,6 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 		return nil, lin, nil, err
 	}
 
-	// Scratch for the column-mirror rebuild, reused across shards: per-user
-	// column sizes and fill cursors, reset only for the users a shard
-	// touched. This keeps the rebuild allocation-light and map-free — it is
-	// the hot loop of cold start.
-	colSize := make([]int32, lin.NumUsers)
-	colPos := make([]int32, lin.NumUsers)
-
 	for a := 0; a < lin.NumActions && sc.err == nil; a++ {
 		ua := &ucAction{}
 		rowCount := sc.count("row", 8)
@@ -885,7 +867,6 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 		ua.rows = make([][]ucEntry, 0, rowCount)
 		rowLens := make([]int, 0, rowCount)
 		flat := make([]ucEntry, 0, entryTotal)
-		var touched []int32
 		prevKey := int32(-1)
 		for ri := 0; ri < rowCount && sc.err == nil; ri++ {
 			v := int32(sc.u32())
@@ -930,10 +911,6 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 					break
 				}
 				prevU = u
-				if colSize[u] == 0 {
-					touched = append(touched, u)
-				}
-				colSize[u]++
 				flat = append(flat, ucEntry{u: u, c: math.Float64frombits(binary.LittleEndian.Uint64(cells[off+4:]))})
 			}
 			if sc.err != nil {
@@ -949,16 +926,14 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 			sc.fail("action %d holds %d entries, header declared %d", a, len(flat), entryTotal)
 			break
 		}
-		// Carve the per-row windows out of the flat cell store. Capacity is
-		// clamped per window, so a later copy-on-write mutation of one row
-		// can never bleed into its neighbor.
+		// Carve the per-row windows out of the flat cell store, each with
+		// cap == len like a scanned shard.
 		off := 0
 		for _, n := range rowLens {
 			ua.rows = append(ua.rows, flat[off:off+n:off+n])
 			off += n
 		}
 		e.entries += int64(len(flat))
-		fillColumns(ua, touched, colSize, colPos)
 		e.uc = append(e.uc, ua)
 	}
 	if sc.err != nil {
@@ -980,53 +955,18 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 	return e, lin, prefix, nil
 }
 
-// fillColumns rebuilds ua's column mirror from its finished rows using the
-// shared universe-sized scratch: colSize holds each touched user's column
-// length on entry and is zeroed again before returning; colPos is pure
-// scratch. Influenced ids end up sorted, and each column's influencer list
-// accumulates in ascending order because the outer row walk is ascending.
-func fillColumns(ua *ucAction, touched []int32, colSize, colPos []int32) {
-	slices.Sort(touched)
-	ua.colKey = touched
-	ua.cols = make([][]int32, len(touched))
-	total := 0
-	for _, u := range touched {
-		total += int(colSize[u])
-	}
-	colBack := make([]int32, total)
-	off := 0
-	for i, u := range touched {
-		n := int(colSize[u])
-		ua.cols[i] = colBack[off : off : off+n]
-		colPos[u] = int32(i)
-		off += n
-	}
-	for ri, v := range ua.rowKey {
-		for _, en := range ua.rows[ri] {
-			ci := colPos[en.u]
-			ua.cols[ci] = append(ua.cols[ci], v)
-		}
-	}
-	for _, u := range touched {
-		colSize[u] = 0
-	}
-}
-
-// decodeHeapShards decodes validated version-3 extents into heap ucActions
-// with rebuilt column mirrors — the heap half of the version-3 read path,
+// decodeHeapShards decodes validated version-3 extents into heap
+// ucActions — the heap half of the version-3 read path,
 // also the fallback when a mapped open runs on a platform whose memory
 // layout cannot alias the base section. validateBaseSection has already
 // vetted every offset, key, and id, so the walk here is unchecked.
-func decodeHeapShards(e *Engine, payload []byte, extents []baseExtent, numUsers int) {
-	colSize := make([]int32, numUsers)
-	colPos := make([]int32, numUsers)
+func decodeHeapShards(e *Engine, payload []byte, extents []baseExtent) {
 	for _, ext := range extents {
 		ua := &ucAction{
 			rowKey: make([]int32, ext.rowCount),
 			rows:   make([][]ucEntry, ext.rowCount),
 		}
 		flat := make([]ucEntry, 0, ext.entCount)
-		var touched []int32
 		off := ext.entStart
 		for ri := 0; ri < ext.rowCount; ri++ {
 			rec := payload[ext.dirStart+ri*16:]
@@ -1036,16 +976,11 @@ func decodeHeapShards(e *Engine, payload []byte, extents []baseExtent, numUsers 
 			for c := 0; c < n; c++ {
 				cell := payload[off:]
 				u := int32(binary.LittleEndian.Uint32(cell))
-				if colSize[u] == 0 {
-					touched = append(touched, u)
-				}
-				colSize[u]++
 				flat = append(flat, ucEntry{u: u, c: math.Float64frombits(binary.LittleEndian.Uint64(cell[8:]))})
 				off += 16
 			}
 			ua.rows[ri] = flat[start:len(flat):len(flat)]
 		}
-		fillColumns(ua, touched, colSize, colPos)
 		e.uc = append(e.uc, ua)
 	}
 }

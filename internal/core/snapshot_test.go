@@ -60,8 +60,8 @@ func requireEnginesBitIdentical(t *testing.T, want, got *Engine, k int) {
 			t.Fatalf("Gain(%d) not bit-identical: %b vs %b", u, gg, gw)
 		}
 	}
-	rw := seedsel.CELF(want.Clone(), k)
-	rg := seedsel.CELF(got.Clone(), k)
+	rw := seedsel.CELF(NewProbeEstimator(nil, want), k)
+	rg := seedsel.CELF(NewProbeEstimator(nil, got), k)
 	if len(rw.Seeds) != len(rg.Seeds) {
 		t.Fatalf("CELF lengths %d vs %d", len(rg.Seeds), len(rw.Seeds))
 	}
@@ -156,7 +156,7 @@ func TestSnapshotLoadThenAppendBitIdenticalToRescan(t *testing.T) {
 	if err := lin.Check(g, log); err != nil {
 		t.Fatalf("lineage check against the combined log: %v", err)
 	}
-	if err := back.AppendActions(g, log, actionlog.ActionID(lin.NumActions)); err != nil {
+	if back, err = back.AppendActions(g, log, actionlog.ActionID(lin.NumActions)); err != nil {
 		t.Fatalf("AppendActions: %v", err)
 	}
 	if back.DeltaActions() != log.NumActions()-headN {
@@ -195,15 +195,6 @@ func TestSnapshotLineageCheck(t *testing.T) {
 	longer := log
 	if err := lin.Check(g, longer); err != nil {
 		t.Errorf("equal log refused: %v", err)
-	}
-}
-
-func TestSnapshotRefusesCommittedSeeds(t *testing.T) {
-	g, _, e, lin := snapshotInstance(t, 47, 30, 16)
-	_ = g
-	e.Add(0)
-	if err := e.WriteSnapshot(&bytes.Buffer{}, lin); err == nil {
-		t.Fatal("snapshot of an engine with committed seeds accepted")
 	}
 }
 
@@ -319,7 +310,7 @@ func TestSnapshotRejectsShortInflTable(t *testing.T) {
 // alike.
 func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 83, 50, 30)
-	sel := seedsel.CELF(e.Clone(), 6)
+	sel := seedsel.CELF(NewProbeEstimator(nil, e), 6)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 
 	var buf bytes.Buffer
@@ -475,7 +466,7 @@ func TestSnapshotVersion1StillReads(t *testing.T) {
 // file the same engine would write directly.
 func TestSnapshotVersion2StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 89, 30, 16)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
 	if err := writeSnapshotV2(&buf, e, lin, prefix); err != nil {
@@ -527,7 +518,7 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 // loads such files with the prefix intact and a nil sketch.
 func TestSnapshotVersion3StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 97, 30, 16)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
 	if err := e.WriteSnapshotPrefix(&buf, lin, prefix); err != nil {
@@ -566,7 +557,7 @@ func TestSnapshotVersion3StillReads(t *testing.T) {
 // never carry one).
 func TestSnapshotVersion4StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 101, 30, 16)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
 	if err := e.WriteSnapshotSlice(&buf, lin, prefix, 0, e.NumNodes()); err != nil {

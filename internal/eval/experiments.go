@@ -346,7 +346,7 @@ func Scalability(w io.Writer, env *Env, fractions []float64, opts ExpOptions) []
 		start := time.Now()
 		subCredit := core.LearnTimeAware(env.Graph, sub)
 		engine := core.NewEngine(env.Graph, sub, core.Options{Lambda: opts.Lambda, Credit: subCredit, Workers: opts.Workers})
-		res := celf.Run(engine, opts.K, celf.Options{Workers: engine.Workers()})
+		res := celf.Run(core.NewProbeEstimator(nil, engine), opts.K, celf.Options{Workers: engine.Workers()})
 		elapsed := time.Since(start)
 
 		if fi == len(fractions)-1 {
@@ -422,7 +422,7 @@ func Table4(w io.Writer, env *Env, lambdas []float64, opts ExpOptions) []Truncat
 		lam := lambdas[i]
 		start := time.Now()
 		engine := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: lam, Credit: credit, Workers: opts.Workers})
-		res := celf.Run(engine, opts.K, celf.Options{Workers: engine.Workers()})
+		res := celf.Run(core.NewProbeEstimator(nil, engine), opts.K, celf.Options{Workers: engine.Workers()})
 		elapsed := time.Since(start)
 		if i == len(lambdas)-1 {
 			trueSeeds = res.Seeds

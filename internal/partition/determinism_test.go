@@ -106,10 +106,9 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	lin := core.DatasetLineage("determinism-wall", g, log)
 
 	full := core.NewEngine(g, log, opts)
-	full.Compact()
 
 	const k = 8
-	ref := seedsel.CELF(full.Clone(), k)
+	ref := seedsel.CELF(core.NewProbeEstimator(nil, full), k)
 	if len(ref.Seeds) != k {
 		t.Fatalf("reference selection found %d seeds, want %d", len(ref.Seeds), k)
 	}
@@ -121,7 +120,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	}
 	base := ref.Seeds[:3]
 	refBased := func() []float64 {
-		e := full.Clone()
+		e := core.NewProbeEstimator(nil, full)
 		for _, s := range base {
 			e.Add(s)
 		}
@@ -230,7 +229,6 @@ func TestPartitionIngestParity(t *testing.T) {
 	fullRef := core.NewEngine(g, combined, opts)
 
 	pre := core.NewEngine(g, prefixLog, opts)
-	pre.Compact()
 	for _, nparts := range []int{1, 3} {
 		coord, err := New(slicePartitions(t, pre, nparts), 0)
 		if err != nil {
@@ -264,7 +262,7 @@ func TestPartitionIngestParity(t *testing.T) {
 			}
 		}
 		res := grown.NewSelection(celf.Options{}).Grow(5)
-		refRes := seedsel.CELF(fullRef.Clone(), 5)
+		refRes := seedsel.CELF(core.NewProbeEstimator(nil, fullRef), 5)
 		for i := range refRes.Seeds {
 			if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
 				t.Fatalf("nparts=%d: post-ingest seed %d: (%d, %b) vs (%d, %b)",
@@ -284,10 +282,9 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 	opts := core.Options{Lambda: 0.001}
 	lin := core.DatasetLineage("restart-parity", g, log)
 	full := core.NewEngine(g, log, opts)
-	full.Compact()
 
 	const k1, k = 3, 7
-	ref := seedsel.CELF(full.Clone(), k)
+	ref := seedsel.CELF(core.NewProbeEstimator(nil, full), k)
 
 	first, err := New(slicePartitions(t, full, 4), 0)
 	if err != nil {

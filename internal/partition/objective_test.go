@@ -14,15 +14,14 @@ import (
 // TestObjectivePartitionDeterminism extends the determinism wall to
 // non-default objectives: weighted, windowed, budgeted, and blocked
 // queries must be bit-identical across partition counts {1, 4} and
-// worker counts {1, GOMAXPROCS}, and identical to a clone+Add selection
-// on the full engine. The same entry points with a nil objective must
+// worker counts {1, GOMAXPROCS}, and identical to a selection over a
+// probe of the full engine. The same entry points with a nil objective must
 // give the engine's default-objective gains.
 func TestObjectivePartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 84))
 	g, log := randomInstance(rng, 70, 45)
 	opts := core.Options{Lambda: 0.001}
 	full := core.NewEngine(g, log, opts)
-	full.Compact()
 
 	weights := make([]float64, g.NumNodes())
 	for u := range weights {
@@ -46,9 +45,10 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		costs[u] = 0.5 + rng.Float64()*2
 	}
 
-	// Single-engine references: clone+Add selections over the full engine,
-	// the oracle the coordinator's probe selections must reproduce.
-	refEst := commitEstimator{Engine: full.Clone(), obj: obj}
+	// Single-engine references: selections over a probe of the full
+	// engine, which the coordinator's probes over partitions must
+	// reproduce.
+	refEst := core.NewProbeEstimator(obj, full)
 	const k = 6
 	ref := celf.Run(refEst, k, celf.Options{})
 	if len(ref.Seeds) != k {
@@ -68,7 +68,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 	// selection takes, and Run, which Select uses and which also weighs
 	// the best affordable singleton.
 	refBudget := func(run bool) celf.Result {
-		eng := commitEstimator{Engine: full.Clone(), obj: obj}
+		eng := core.NewProbeEstimator(obj, full)
 		for _, r := range rival {
 			eng.Add(r)
 		}
@@ -164,12 +164,3 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// commitEstimator is the clone+Add selection oracle: gains priced under
-// obj on an engine that every seed is Added to.
-type commitEstimator struct {
-	*core.Engine
-	obj *core.Objective
-}
-
-func (e commitEstimator) Gain(x graph.NodeID) float64 { return e.Engine.GainObj(x, e.obj) }

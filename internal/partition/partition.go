@@ -3,7 +3,7 @@
 //
 // A partition is a core.Engine holding only the UC rows of influencers in
 // its range [lo, hi) while carrying the full global per-user state (A_u,
-// actionsOf, SC). That split follows the additive structure of the model:
+// actionsOf). That split follows the additive structure of the model:
 // every quantity the serving layer reports — marginal gain (Theorem 3),
 // spread, entry counts — is a sum over UC cells, and each cell (v, u, a)
 // belongs to exactly one partition, the one owning influencer v's row. So
@@ -12,13 +12,13 @@
 //
 // Seed commits are the one cross-cutting operation: Lemma 2 touches cells
 // (v, u) for every v with credit over the new seed x, which spans
-// partitions. The coordinator never applies them to a partition. Every
-// query — spread, gain and CELF selection alike — commits its seeds to a
-// core.Probe, which reads each row from its owning partition and replays
-// the Lemma 2/3 arithmetic onto private copies of the queried nodes' rows
-// alone. So no query writes anything shared, and seeds, gains and spreads
-// are bit-identical to committing on the unpartitioned engine, at every
-// partition count and worker count. That invariant is pinned by
+// partitions. Engines are immutable, so every query — spread, gain and
+// CELF selection alike — commits its seeds to a core.Probe, which reads
+// each row from its owning partition and replays the Lemma 2/3 arithmetic
+// onto private copies of the queried nodes' rows alone. So no query
+// writes anything shared, and seeds, gains and spreads are bit-identical
+// to a probe over the unpartitioned engine, at every partition count and
+// worker count. That invariant is pinned by
 // TestPartitionCountDeterminism and TestCoordinatorQueriesMatchCloneCommit.
 package partition
 
@@ -186,8 +186,7 @@ func (c *Coordinator) Ranges() []Range {
 	return out
 }
 
-// Engines returns the underlying partitions in partition order. Callers
-// must not mutate them; clone first.
+// Engines returns the underlying partitions in partition order.
 func (c *Coordinator) Engines() []*core.Engine { return c.parts }
 
 // Stats returns per-partition accounting in partition order.
@@ -252,8 +251,7 @@ func (c *Coordinator) Spread(seeds []graph.NodeID, obj *core.Objective, blocked 
 // fan over the partitions — each candidate's rows read from its owner,
 // results written by candidate index so worker scheduling cannot reorder
 // them. A nil obj is the default objective. A candidate that is a base
-// seed gains 0, as in the single-engine path. No partition is cloned,
-// written or promoted.
+// seed gains 0, as in the single-engine path. No partition is written.
 func (c *Coordinator) Gains(base, candidates []graph.NodeID, obj *core.Objective, blocked []graph.NodeID) ([]float64, error) {
 	if err := c.checkNode("seed", base...); err != nil {
 		return nil, err
@@ -308,8 +306,8 @@ func (c *Coordinator) probe(sets ...[]graph.NodeID) *core.Probe {
 // heap with a parallel first-iteration pass (celf fans buildHeap over
 // workers, each Gain reading its candidate's rows from the owner), and
 // seed commits that replay onto the re-priced rows only. No partition is
-// cloned or written, so selections from the same coordinator are
-// independent and bit-identical to a single-engine selection.
+// written, so selections from the same coordinator are independent and
+// bit-identical to a single-engine selection.
 func (c *Coordinator) NewSelection(opts celf.Options) *celf.Selection {
 	return celf.NewSelection(c.estimator(nil, nil), c.withWorkers(opts))
 }
@@ -352,10 +350,11 @@ func (c *Coordinator) withWorkers(opts celf.Options) celf.Options {
 }
 
 // Append builds a successor coordinator covering the combined log: each
-// partition clones and appends the tail independently (AppendActions
-// routes the scanned rows to their owners, and the trailing partition
-// absorbs rows of users the tail registered). The receiver is untouched,
-// so in-flight queries keep their answers while the successor assembles.
+// partition appends the tail independently into a successor engine that
+// shares its shards (AppendActions routes the scanned rows to their
+// owners, and the trailing partition absorbs rows of users the tail
+// registered). The receiver is untouched, so in-flight queries keep their
+// answers while the successor assembles.
 func (c *Coordinator) Append(g *graph.Graph, log *actionlog.Log, from actionlog.ActionID) (*Coordinator, error) {
 	next := make([]*core.Engine, len(c.parts))
 	errs := make([]error, len(c.parts))
@@ -364,13 +363,10 @@ func (c *Coordinator) Append(g *graph.Graph, log *actionlog.Log, from actionlog.
 		wg.Add(1)
 		go func(i int, p *core.Engine) {
 			defer wg.Done()
-			clone := p.Clone()
-			if err := clone.AppendActions(g, log, from); err != nil {
+			var err error
+			if next[i], err = p.AppendActions(g, log, from); err != nil {
 				errs[i] = fmt.Errorf("partition %v: %w", c.ranges[i], err)
-				return
 			}
-			clone.Freeze()
-			next[i] = clone
 		}(i, p)
 	}
 	wg.Wait()

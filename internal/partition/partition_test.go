@@ -87,7 +87,6 @@ func TestNewRejectsMalformedPartitionSets(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 44))
 	g, log := randomInstance(rng, 30, 12)
 	full := core.NewEngine(g, log, core.Options{})
-	full.Compact()
 	slice := func(lo, hi int) *core.Engine {
 		t.Helper()
 		p, err := full.Slice(lo, hi)

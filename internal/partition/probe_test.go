@@ -13,15 +13,15 @@ import (
 // TestCoordinatorQueriesMatchCloneCommit pins the read-only query path:
 // the coordinator's Spread and Gains answer from a
 // core.Probe over the shared partitions, and every value must be
-// bit-identical to the clone-and-commit reference — a clone of the full
-// engine, each rival then seed committed with Add in input order, and the
-// seeds' gains telescoped or the candidates priced with GainObj. The
+// bit-identical to the clone-and-commit reference — a probe of the full
+// engine, each rival then seed committed in input order, cloned before
+// the seeds for the candidate gains, and the seeds' gains telescoped. The
 // matrix covers truncation {0, 0.001, 0.05}, partition counts
 // {1, 2, 4, 7} and both row stores; the queries include duplicate ids,
 // users with no actions, candidates that are base seeds or rivals, and
 // audience and windowed objectives with blocked rivals. The partitions
-// must come out of it untouched: no heap growth, no promoted mapped
-// bytes, no entries lost.
+// must come out of it untouched: no heap growth, no mapped bytes moved,
+// no entries lost.
 func TestCoordinatorQueriesMatchCloneCommit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 1))
 	const nUsers, active, nActions = 36, 33, 24
@@ -71,7 +71,6 @@ func TestCoordinatorQueriesMatchCloneCommit(t *testing.T) {
 
 	for _, lambda := range []float64{0, 0.001, 0.05} {
 		full := core.NewEngine(g, log, core.Options{Lambda: lambda, Credit: credit})
-		full.Compact()
 		for _, nparts := range []int{1, 2, 4, 7} {
 			for _, backend := range []string{"heap", "mmap"} {
 				name := fmt.Sprintf("lambda=%g/parts=%d/%s", lambda, nparts, backend)
@@ -103,15 +102,15 @@ func TestCoordinatorQueriesMatchCloneCommit(t *testing.T) {
 }
 
 // checkQuery compares one coordinator query against clone-and-commit on
-// the full engine.
+// a probe of the full engine.
 func checkQuery(t *testing.T, name string, coord *Coordinator, full *core.Engine, obj *core.Objective, blocked, seeds, cands []graph.NodeID) {
 	t.Helper()
-	ref := full.Clone()
+	ref := core.NewProbe(full)
 	seen := map[graph.NodeID]bool{}
 	for _, r := range blocked {
 		if !seen[r] {
 			seen[r] = true
-			ref.Add(r)
+			ref.Commit(r, nil)
 		}
 	}
 	based := ref.Clone()
@@ -119,16 +118,16 @@ func checkQuery(t *testing.T, name string, coord *Coordinator, full *core.Engine
 	for _, s := range seeds {
 		if !seen[s] {
 			seen[s] = true
-			wantSpread += ref.GainObj(s, obj)
-			ref.Add(s)
+			wantSpread += ref.Gain(s, obj)
+			ref.Commit(s, nil)
 		}
 	}
 	for _, s := range seeds {
-		based.Add(s)
+		based.Commit(s, nil)
 	}
 	wantGains := make([]float64, len(cands))
 	for i, x := range cands {
-		wantGains[i] = based.GainObj(x, obj)
+		wantGains[i] = based.Gain(x, obj)
 	}
 
 	spread, err := coord.Spread(seeds, obj, blocked)

@@ -1020,8 +1020,8 @@ type IngestTuple struct {
 type ingestRequest struct {
 	Tuples  []IngestTuple `json:"tuples,omitempty"`
 	LogPath string        `json:"log,omitempty"`
-	// Compact folds the accumulated delta into the frozen base after the
-	// append, trimming memory and re-freezing the snapshot.
+	// Compact folds the accumulated delta into the base after the append,
+	// resetting the delta accounting.
 	Compact bool `json:"compact,omitempty"`
 }
 
@@ -1043,8 +1043,8 @@ type IngestResponse struct {
 // handleIngest extends the current snapshot with streamed propagations and
 // atomically swaps in the successor. Like /reload, the build happens
 // before the swap and outside any lock queries take, so in-flight requests
-// keep answering from the predecessor — which shares its frozen shards
-// with the successor instead of being copied. Unlike /reload, nothing is
+// keep answering from the predecessor — which shares its shards with the
+// successor instead of being copied. Unlike /reload, nothing is
 // relearned or rescanned except the appended action tail.
 func (s *Server) handleIngest(_ *Snapshot, r *http.Request) (any, error) {
 	var req ingestRequest

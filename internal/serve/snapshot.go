@@ -54,8 +54,8 @@ type Source struct {
 	// heap: the open touches no cells, so it is near-instant regardless of
 	// model size, and the OS pages shards in on first use. Requires
 	// ModelPath naming a version-3 snapshot (re-save older files to
-	// upgrade). Queries are bit-identical to a heap load; writes (ingest,
-	// seed commits) promote only the shards they touch.
+	// upgrade). Queries are bit-identical to a heap load, and nothing
+	// writes the mapping: ingest scans its tail onto the heap.
 	Mmap bool `json:"mmap,omitempty"`
 	// TailPath appends an action-log tail file (as written by `datagen
 	// -stream`) to the dataset's log before the model binds to it. With
@@ -360,11 +360,6 @@ func (b *engineBackend) extend(model *credist.Model, compact bool) (backend, err
 	if compact {
 		base.Compact()
 	}
-	// Freeze before publishing: the successor's delta shards and per-user
-	// state go shared, so selection planner clones stay cheap even when
-	// the operator never sends compact (Compact above already froze; this
-	// is then a no-op).
-	base.Freeze()
 	return &engineBackend{model: model, Planner: base}, nil
 }
 
@@ -422,8 +417,8 @@ func (b *coordBackend) approxSeeds(k int, _ credist.ApproxOptions) ([]credist.No
 	return seeds, res, err
 }
 
-// extend has every partition clone and scan only its rows of the appended
-// tail, in parallel; the coordinator over the new set replaces the old one
+// extend has every partition scan only its rows of the appended tail, in
+// parallel, into a successor; the coordinator over the new set replaces the old one
 // atomically. Partitions keep their delta (compact does not apply).
 func (b *coordBackend) extend(model *credist.Model, _ bool) (backend, error) {
 	parts, err := b.Extend(model)
@@ -523,8 +518,8 @@ func Build(src Source) (*Snapshot, error) {
 		}
 		base := model.NewPlanner()
 		tailActions = base.DeltaActions()
-		// Freeze the scan product: every shard becomes shared, so selection
-		// planner clones copy an outer slice instead of the whole UC store.
+		// Fold the snapshot's appended tail into the base, so the delta
+		// accounting counts only what /ingest adds from here.
 		base.Compact()
 		be = &engineBackend{model: model, Planner: base}
 		// The model's spread evaluator (the /spread and /topk path) builds
@@ -560,7 +555,7 @@ func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.
 	switch {
 	case src.ModelPath != "" && src.Mmap:
 		// The mapping is deliberately never unmapped: ingest successors
-		// and selection clones keep sharing the still-mapped shards, and
+		// and selection planners keep reading the still-mapped shards, and
 		// even after a /reload the replaced snapshot may be pinned by
 		// in-flight requests. One model file's mapping per process
 		// lifetime is the cost of never faulting a reader.
@@ -645,13 +640,13 @@ func (sn *Snapshot) partitionGate() error {
 
 // Ingest builds the successor snapshot extended with a batch of new
 // propagations, incrementally: the model's learned parameters stay
-// frozen, the backend's planner or partitions are cloned (frozen shards
-// shared) and only the appended action tail is scanned. The receiver
+// frozen, and only the appended action tail is scanned, into successor
+// engines that share every shard of the backend's. The receiver
 // keeps serving unchanged — nothing it references is mutated — and the
 // computed seed prefix is invalidated simply by the successor starting
 // with an empty selection. compact additionally folds the accumulated
-// delta into the frozen base before a single-engine successor is
-// published.
+// delta into the base (resetting the delta accounting) before a
+// single-engine successor is published.
 func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
@@ -792,8 +787,8 @@ func (sn *Snapshot) Gains(base, candidates []credist.NodeID) ([]float64, error) 
 // GainsObj returns the marginal objective gain of each candidate against
 // the base seed set (nil o is the default objective), batched, with the
 // objective's blocked rivals committed first. The seeds are committed to
-// a read-only probe over the backend's shared planner or partitions, so
-// nothing is cloned and no shard is promoted. Every value is bit-identical
+// a probe over the backend's shared planner or partitions, so no engine
+// is written. Every value is bit-identical
 // to credist.Model.GainsObj on the same arguments, at any partition count.
 func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
 	if err := sn.partitionGate(); err != nil {
@@ -833,9 +828,9 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 		// clone of the backend's own (possibly ingest-extended) planner or
 		// its partitions, shards shared — never the model's lazy base,
 		// which for an ingest-grown model would be a second from-scratch
-		// scan of the combined log. Seeds are committed to a read-only
-		// probe, so no shard is written or promoted, and the partitioned
-		// selection is bit-identical to the single-engine one.
+		// scan of the combined log. Seeds are committed to a probe, so no
+		// engine is written, and the partitioned selection is
+		// bit-identical to the single-engine one.
 		var restored *credist.SeedPrefix
 		if pv := sn.prefix.Load(); pv != nil {
 			restored = &credist.SeedPrefix{Seeds: pv.seeds, Gains: pv.gains, LookupsAt: pv.lookupsAt}

@@ -37,7 +37,7 @@ type Model struct {
 	opts   Options
 	credit core.CreditModel
 	eval   func() *core.Evaluator
-	base   func() *core.Engine // frozen; NewPlanner hands out clones
+	base   func() *core.Engine // immutable; every planner shares it
 	// prefix is a computed CELF seed prefix attached by RecordSeedPrefix
 	// or restored by LoadModel from a binary snapshot; Save persists it so
 	// a restarted process answers seed queries up to its length without
@@ -64,9 +64,10 @@ type Model struct {
 // Close releases the file mapping behind a model opened with
 // LoadModelMapped; for every other model it is a no-op. It must only be
 // called once no planner derived from the model is in use and no
-// ExplainReach on it is running — planners share the mapped shards
-// copy-on-write, a restored provenance index reads its records from the
-// mapping, and those reads fault once the mapping is gone.
+// ExplainReach on it is running — planners and their ingest successors
+// read the mapped shards in place, a restored provenance index reads its
+// records from the mapping, and those reads fault once the mapping is
+// gone.
 func (m *Model) Close() error {
 	if m == nil {
 		return nil
@@ -81,11 +82,7 @@ func newModel(ds *Dataset, opts Options, credit core.CreditModel) *Model {
 		return core.NewEvaluator(ds.Graph, ds.Log, credit)
 	})
 	m.base = sync.OnceValue(func() *core.Engine {
-		e := core.NewEngine(ds.Graph, ds.Log, core.Options{Lambda: opts.Lambda, Credit: credit})
-		// Compact and freeze: clones share every shard. The scan carves
-		// shards at exact size, so this copies nothing.
-		e.Compact()
-		return e
+		return core.NewEngine(ds.Graph, ds.Log, core.Options{Lambda: opts.Lambda, Credit: credit})
 	})
 	m.delays = sync.OnceValue(func() *core.ActionDelays {
 		return core.BuildActionDelays(ds.Log)
@@ -126,7 +123,7 @@ func (m *Model) Spread(seeds []NodeID) float64 { return m.eval().Spread(seeds) }
 // value a Planner returns from Gain(cs[i]) after Add-ing each base seed in
 // order. The scanned engine is only read (see gainsOn).
 func (m *Model) Gains(base, candidates []NodeID) []float64 {
-	return gainsOn(m.base(), nil, base, candidates, nil)
+	return gainsOn(core.NewProbe(m.base()), m.base().Workers(), nil, base, candidates, nil)
 }
 
 // Ingest returns a new Model extended with a batch of complete new
@@ -152,24 +149,25 @@ func (m *Model) Ingest(tuples []Tuple) (*Model, error) {
 	// capturing the predecessor here would retain every prior generation's
 	// model, log copy, and evaluator for as long as the lazy base stays
 	// unforced — unbounded memory on a server that trickles ingests. A
-	// caller who wants the cheap clone+tail-scan derivation uses
-	// ExtendPlanner with an explicit planner, which retains nothing.
+	// caller who wants the cheap tail-scan derivation uses ExtendPlanner
+	// with an explicit planner, which retains nothing.
 	grown := newModel(&Dataset{Name: m.ds.Name, Graph: m.ds.Graph, Log: newLog}, m.opts, m.credit)
 	grown.eval = func() *core.Evaluator { return eval }
 	return grown, nil
 }
 
 // ExtendPlanner derives a planner for this (post-Ingest) model from one
-// scanned against the pre-ingest log: the planner is cloned — frozen
-// shards shared, not copied — and only the appended action tail is
-// scanned. The source planner must come from the model lineage this model
-// was ingested from (same credit parameters, a prefix of the same log)
-// and must not have committed seeds. Mismatched credit parameters,
-// truncation thresholds, and user universes are rejected; a planner from
-// a different log that happens to agree on all of those (possible only
-// with the parameterless simple-credit rule) cannot be detected cheaply
-// and yields meaningless results — pairing planners with their own model
-// lineage is the caller's contract. Gains and CELF selections on the
+// scanned against the pre-ingest log: only the appended action tail is
+// scanned, into a successor engine that shares every shard of the
+// source's. The source planner must come from the model lineage this
+// model was ingested from (same credit parameters, a prefix of the same
+// log) and must not have committed seeds, whose gains describe the old
+// log. Mismatched credit parameters, truncation thresholds, and user
+// universes are rejected; a planner from a different log that happens to
+// agree on all of those (possible only with the parameterless
+// simple-credit rule) cannot be detected cheaply and yields meaningless
+// results — pairing planners with their own model lineage is the
+// caller's contract. Gains and CELF selections on the
 // result are bit-identical to those of a freshly scanned NewPlanner, at a
 // fraction of the cost; see BenchmarkAppendVsRescan.
 func (m *Model) ExtendPlanner(p *Planner) (*Planner, error) {
@@ -182,11 +180,14 @@ func (m *Model) ExtendPlanner(p *Planner) (*Planner, error) {
 	if pn, gn := p.eng.NumNodes(), m.ds.Graph.NumNodes(); pn > gn {
 		return nil, fmt.Errorf("credist: planner universe (%d users) exceeds the model's graph (%d nodes)", pn, gn)
 	}
-	np := p.Clone()
-	if err := np.eng.AppendActions(m.ds.Graph, m.ds.Log, ActionID(p.eng.NumActions())); err != nil {
+	if n := len(p.Seeds()); n > 0 {
+		return nil, fmt.Errorf("credist: cannot extend a planner with %d committed seeds", n)
+	}
+	eng, err := p.eng.AppendActions(m.ds.Graph, m.ds.Log, ActionID(p.eng.NumActions()))
+	if err != nil {
 		return nil, err
 	}
-	return np, nil
+	return newPlanner(eng), nil
 }
 
 // SelectSeeds picks k seeds with the paper's algorithm (Scan + greedy with
@@ -203,7 +204,9 @@ func (m *Model) SelectSeeds(k int) ([]NodeID, []float64) {
 // per-seed timing, and the number of marginal-gain evaluations).
 func (m *Model) Selection(k int) seedsel.Result { return m.selection(k) }
 
-func (m *Model) selection(k int) seedsel.Result { return selectObjOn(m.base(), k, nil, nil) }
+func (m *Model) selection(k int) seedsel.Result {
+	return selectObjOn(core.NewProbe(m.base()), m.base().Workers(), k, nil, nil)
+}
 
 // SeedPrefix is a computed CELF seed-selection prefix: seeds in selection
 // order, their marginal gains (cumulative sums are the per-prefix
@@ -236,10 +239,10 @@ func (m *Model) RecordSeedPrefix(res seedsel.Result) {
 // planner clone: Grow(k) extends the committed selection to k seeds,
 // keeping the lazy-forward heap across calls, so after Grow(50) any
 // k <= 50 is answered from the recorded arrays and Grow(60) pays only the
-// marginal work. Seeds are committed to a read-only probe over the clone
-// (core.ProbeEstimator), never to the clone itself. Not safe for
-// concurrent use; the serving layer serializes Grow and publishes
-// immutable copies for readers.
+// marginal work. Seeds are committed to the selection's own probe
+// (core.ProbeEstimator), never to the clone. Not safe for concurrent use;
+// the serving layer serializes Grow and publishes immutable copies for
+// readers.
 type GrowableSelection struct {
 	p   *Planner
 	sel *celf.Selection
@@ -261,13 +264,13 @@ func (m *Model) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) 
 	return resumeGrowableSelection(m.NewPlanner(), prefix)
 }
 
-// NewSelection starts an empty growable selection over a clone of this
-// planner. The selection commits its seeds to a read-only probe, so the
-// clone is never written; it costs microseconds (shards shared) and keeps
-// a later Add on the receiver from changing rows under the live probe.
-// This is how a serving layer grows selections off its incrementally
-// extended base planner instead of forcing a second from-scratch scan
-// out of the model.
+// NewSelection starts a growable selection over a clone of this planner,
+// continuing from the planner's committed seeds. The selection commits
+// its seeds to a probe of its own, so neither the receiver nor the clone
+// sees them, and a later Add on the receiver does not reach the
+// selection. This is how a serving layer grows selections off its
+// incrementally extended base planner instead of forcing a second
+// from-scratch scan out of the model.
 func (p *Planner) NewSelection() *GrowableSelection {
 	return newGrowableSelection(p.Clone())
 }
@@ -280,23 +283,22 @@ func (p *Planner) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error
 }
 
 // newGrowableSelection wraps a selection around a planner the caller
-// hands over (the selection owns it and probes it, never writing it).
+// hands over; the selection commits to a clone of the planner's probe.
 func newGrowableSelection(p *Planner) *GrowableSelection {
-	return &GrowableSelection{p: p, sel: celf.NewSelection(core.NewProbeEstimator(nil, p.eng), celf.Options{Workers: p.eng.Workers()})}
+	return &GrowableSelection{p: p, sel: celf.NewSelection(p.probe.Clone().Estimator(nil), celf.Options{Workers: p.eng.Workers()})}
 }
 
 func resumeGrowableSelection(p *Planner, prefix *SeedPrefix) (*GrowableSelection, error) {
 	if prefix == nil {
 		return newGrowableSelection(p), nil
 	}
-	// Same precondition WriteSnapshotPrefix enforces for its engine: a
-	// prefix describes a selection from an empty seed set, so replaying it
-	// on a planner with committed seeds would silently double-commit any
+	// A prefix describes a selection from an empty seed set, so replaying
+	// it on a planner with committed seeds would silently double-commit any
 	// overlap and report gains from a state that never existed.
 	if committed := p.Seeds(); len(committed) > 0 {
 		return nil, fmt.Errorf("credist: cannot resume a seed prefix on a planner with %d committed seeds", len(committed))
 	}
-	sel, err := celf.Resume(core.NewProbeEstimator(nil, p.eng), *prefix, celf.Options{Workers: p.eng.Workers()})
+	sel, err := celf.Resume(p.probe.Clone().Estimator(nil), *prefix, celf.Options{Workers: p.eng.Workers()})
 	if err != nil {
 		return nil, err
 	}
@@ -322,57 +324,57 @@ func (s *GrowableSelection) Exhausted() bool { return s.sel.Exhausted() }
 // have no single planner and return nil.
 func (s *GrowableSelection) Planner() *Planner { return s.p }
 
-// Planner is the stateful side of the model: the scanned UC credit
-// structure of Algorithm 2 plus the committed seed set. Gain is read-only
-// (and safe to call from many goroutines at once); Add and Select mutate.
-// A Planner is built by one log scan and duplicated with Clone in
-// milliseconds, which is how a serving layer keeps one immutable planner
-// per model snapshot and hands independent copies to concurrent
-// seed-selection requests.
+// Planner is the stateful side of the model: the model's immutable
+// scanned UC credit structure of Algorithm 2 plus a core.Probe holding
+// the committed seed set. Gain is read-only (and safe to call from many
+// goroutines at once); Add and Select commit to the probe. Planners over
+// one model share its engine, so NewPlanner and Clone cost a small copy
+// of the commit records, never a rescan or a shard copy; this is how a
+// serving layer keeps one planner per model snapshot and hands
+// independent copies to concurrent seed-selection requests.
 type Planner struct {
-	eng *core.Engine
+	eng   *core.Engine
+	probe *core.Probe
+}
+
+// newPlanner returns a planner with an empty seed set over eng.
+func newPlanner(eng *core.Engine) *Planner {
+	return &Planner{eng: eng, probe: core.NewProbe(eng)}
 }
 
 // NewPlanner returns a planner with an empty seed set over the model's
 // scanned UC structure (Algorithm 2). The scan happens at most once per
 // model — on the first call, or never for a model restored by LoadModel
-// from a binary snapshot — and every planner is an independent clone
-// sharing the frozen scan products copy-on-write, so repeated calls cost
-// microseconds, not a log rescan. Results are bit-identical to a freshly
-// scanned engine.
-func (m *Model) NewPlanner() *Planner {
-	return &Planner{eng: m.base().Clone()}
-}
+// from a binary snapshot — and every planner shares it, so repeated
+// calls cost microseconds, not a log rescan.
+func (m *Model) NewPlanner() *Planner { return newPlanner(m.base()) }
 
-// Clone returns an independent deep copy: Add and Select on the clone never
+// Clone returns an independent copy: Add and Select on the clone never
 // disturb the receiver, and the clone's results are bit-identical to those
-// of a freshly scanned planner driven through the same calls.
-func (p *Planner) Clone() *Planner { return &Planner{eng: p.eng.Clone()} }
+// of a freshly scanned planner driven through the same calls. It copies
+// the commit records and shares the engine.
+func (p *Planner) Clone() *Planner { return &Planner{eng: p.eng, probe: p.probe.Clone()} }
 
 // Gain returns the marginal gain sigma_cd(S+x) - sigma_cd(S) of candidate x
 // against the committed seed set (Theorem 3). Read-only.
-func (p *Planner) Gain(x NodeID) float64 { return p.eng.Gain(x) }
+func (p *Planner) Gain(x NodeID) float64 { return p.probe.Gain(x, nil) }
 
-// Add commits x to the seed set, updating the credit structure incrementally
-// (Algorithm 5).
-func (p *Planner) Add(x NodeID) { p.eng.Add(x) }
+// Add commits x to the seed set (Algorithm 5); committing a seed twice
+// changes nothing.
+func (p *Planner) Add(x NodeID) { p.probe.Commit(x, nil) }
 
 // Seeds returns the committed seed set in selection order.
-func (p *Planner) Seeds() []NodeID { return p.eng.Seeds() }
+func (p *Planner) Seeds() []NodeID { return p.probe.Seeds() }
 
 // Select greedily extends the committed seed set by up to k seeds with
 // CELF (Algorithm 3) via the shared selection engine — the
 // first-iteration gain pass and stale-bound refreshes fan over the
 // engine's configured workers, with bit-identical seeds and gains at any
-// worker count — and returns the selection trace. The selection runs over
-// a read-only probe; the chosen seeds are then Added, so it mutates the
-// planner. Use Clone first to keep the receiver reusable.
+// worker count — and returns the selection trace. The selection starts
+// from the planner's commits and commits the chosen seeds to it. Use
+// Clone first to keep the receiver reusable.
 func (p *Planner) Select(k int) seedsel.Result {
-	res := celf.Run(core.NewProbeEstimator(nil, p.eng), k, celf.Options{Workers: p.eng.Workers()})
-	for _, x := range res.Seeds {
-		p.eng.Add(x)
-	}
-	return res
+	return celf.Run(p.probe.Estimator(nil), k, celf.Options{Workers: p.eng.Workers()})
 }
 
 // Entries returns the number of live UC credit entries, the paper's memory
@@ -384,40 +386,42 @@ func (p *Planner) Entries() int64 { return p.eng.Entries() }
 func (p *Planner) ResidentBytes() int64 { return p.eng.ResidentBytes() }
 
 // HeapBytes reports the Go-heap slice footprint of the UC structure;
-// shards still served from a mapped snapshot contribute nothing.
+// shards served from a mapped snapshot contribute nothing.
 func (p *Planner) HeapBytes() int64 { return p.eng.HeapBytes() }
 
 // MappedBytes reports the file-backed footprint: bytes of a mapped
-// snapshot's base section this planner's shards still alias (zero for
-// heap-loaded models, shrinking as writes promote shards to heap).
+// snapshot's base section this planner's shards alias (zero for
+// heap-loaded models). Commits never change it.
 func (p *Planner) MappedBytes() int64 { return p.eng.MappedBytes() }
 
 // RowStoreBackend reports how the planner's shards are served: "mmap"
-// while any shard still aliases a mapped snapshot, "heap" otherwise.
+// while any shard aliases a mapped snapshot, "heap" otherwise.
 func (p *Planner) RowStoreBackend() string { return p.eng.RowStoreBackend() }
 
 // NumActions returns how many actions the planner has scanned.
 func (p *Planner) NumActions() int { return p.eng.NumActions() }
 
-// DeltaActions returns how many appended actions sit outside the frozen
-// base (zero for a fresh or compacted planner).
+// DeltaActions returns how many appended actions sit outside the base
+// (zero for a fresh or compacted planner).
 func (p *Planner) DeltaActions() int { return p.eng.DeltaActions() }
 
 // DeltaEntries returns the UC entries the appended actions contributed.
 func (p *Planner) DeltaEntries() int64 { return p.eng.DeltaEntries() }
 
-// Compact folds appended delta shards into the frozen base and releases
-// every shard to shared status, so subsequent Clones copy nothing (seed
-// selection then works copy-on-write). Must not run concurrently with
-// other calls on the same planner; results are unchanged.
-func (p *Planner) Compact() { p.eng.Compact() }
+// Compact folds appended delta actions into the base, resetting the delta
+// accounting; shards, commits and results are unchanged. Must not run
+// concurrently with other calls on the same planner.
+func (p *Planner) Compact() {
+	seeds := p.probe.Seeds()
+	*p = *newPlanner(p.eng.Compact())
+	for _, s := range seeds {
+		p.Add(s)
+	}
+}
 
-// Freeze releases every shard to shared status without folding the delta:
-// Clones copy nothing, later mutations pay copy-on-write, and the delta
-// accounting survives for stats. The serving layer freezes a snapshot's
-// base planner before publishing it. Must not run concurrently with other
-// calls on the same planner.
-func (p *Planner) Freeze() { p.eng.Freeze() }
+// Freeze does nothing. Engines are immutable, so there is nothing left to
+// freeze; it remains so existing callers keep compiling.
+func (p *Planner) Freeze() {}
 
 // Influenceability returns the learned infl(u) when the time-aware rule is
 // in use, or 1 under the simple rule (which does not model it).
@@ -530,6 +534,9 @@ func (m *Model) snapshotEngine(p *Planner) (*core.Engine, error) {
 	if p == nil {
 		return m.base(), nil
 	}
+	if n := len(p.Seeds()); n > 0 {
+		return nil, fmt.Errorf("credist: cannot snapshot a planner with %d committed seeds", n)
+	}
 	if p.eng.CreditModel() != m.credit {
 		return nil, fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
 	}
@@ -575,7 +582,7 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 	if header, err := br.Peek(8); err == nil && core.IsSnapshotHeader(header) {
 		return loadSnapshotModel(ds, br, opts)
 	}
-	credit, err := core.ReadTimeAware(br)
+	credit, err := core.ReadTimeAware(br, ds.Graph.NumNodes())
 	if err != nil {
 		return nil, err
 	}
@@ -644,7 +651,8 @@ func bindSnapshotModel(ds *Dataset, eng *core.Engine, lin core.Lineage, prefix *
 		return nil, fmt.Errorf("credist: snapshot was saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts)
 	}
 	if ds.Log.NumActions() > lin.NumActions {
-		if err := eng.AppendActions(ds.Graph, ds.Log, ActionID(lin.NumActions)); err != nil {
+		var err error
+		if eng, err = eng.AppendActions(ds.Graph, ds.Log, ActionID(lin.NumActions)); err != nil {
 			return nil, err
 		}
 		// The stored seed prefix was selected over the snapshot's log
@@ -657,10 +665,8 @@ func bindSnapshotModel(ds *Dataset, eng *core.Engine, lin core.Lineage, prefix *
 		sketch = nil
 		prov = nil
 	}
-	// Freeze rather than Compact: clones share everything either way, and
-	// keeping the delta accounting lets callers (and /stats) see how much
+	// The delta accounting is kept, so callers (and /stats) see how much
 	// of the engine came from the post-snapshot tail.
-	eng.Freeze()
 	m := newModel(ds, stored, credit)
 	m.base = func() *core.Engine { return eng }
 	m.prefix = prefix

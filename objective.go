@@ -176,23 +176,22 @@ func (m *Model) SpreadObj(seeds []NodeID, o *Objective) (float64, error) {
 // too. The default objective is exactly Gains, bit for bit. Costs and
 // budget are rejected here.
 func (m *Model) GainsObj(base, candidates []NodeID, o *Objective) ([]float64, error) {
-	return m.GainsObjOn(&Planner{eng: m.base()}, base, candidates, o)
+	return m.GainsObjOn(m.NewPlanner(), base, candidates, o)
 }
 
 // gainsOn prices candidates under cobj (nil is the default objective)
-// against blocked then base committed in order, through a core.Probe over
-// eng: the engine is only read — never cloned, written or promoted — and
-// every value is bit-for-bit what GainObj returns on a clone after Add-ing
-// the same seeds. Candidates fan over the engine's workers.
-func gainsOn(eng *core.Engine, blocked, base, candidates []NodeID, cobj *core.Objective) []float64 {
-	pr := core.NewProbe(eng)
+// against blocked then base, committed in order to pr (which the caller
+// hands over): the engine is only read, and every value is bit-for-bit
+// the gain after committing the same seeds in place. Candidates fan over
+// the engine's workers.
+func gainsOn(pr *core.Probe, workers int, blocked, base, candidates []NodeID, cobj *core.Objective) []float64 {
 	for _, set := range [][]NodeID{blocked, base} {
 		for _, s := range set {
 			pr.Commit(s, nil)
 		}
 	}
 	out := make([]float64, len(candidates))
-	fanGains(eng.Workers(), len(candidates), func(i int) {
+	fanGains(workers, len(candidates), func(i int) {
 		out[i] = pr.Gain(candidates[i], cobj)
 	})
 	return out
@@ -236,8 +235,9 @@ func fanGains(workers, n int, fn func(i int)) {
 // GainsObjOn is GainsObj evaluated over a caller-supplied scanned planner
 // — a serving layer's (possibly ingest-extended) base — instead of the
 // model's lazy base, whose first use for an ingest-grown model would be a
-// second from-scratch scan of the combined log. The planner is never
-// mutated or cloned: the seeds are committed to a read-only probe over it.
+// second from-scratch scan of the combined log. The gains are marginal
+// over the planner's committed seeds too; the planner is not changed: the
+// seeds are committed to a clone of its probe.
 func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) ([]float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
@@ -250,13 +250,13 @@ func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) 
 	if err := checkIDs("candidate", candidates, n); err != nil {
 		return nil, err
 	}
-	return gainsOn(p.eng, o.blocked(), base, candidates, cobj), nil
+	return gainsOn(p.probe.Clone(), p.eng.Workers(), o.blocked(), base, candidates, cobj), nil
 }
 
 // SelectSeedsObjOn is SelectSeedsObj run over a caller-supplied scanned
-// planner. The planner is never mutated or cloned: the rivals and the
-// selected seeds are committed to a read-only probe over it, so it must
-// not change during the call. It always runs a fresh one-shot selection;
+// planner, starting from its committed seeds. The planner is not changed:
+// the rivals and the selected seeds are committed to a clone of its
+// probe. It always runs a fresh one-shot selection;
 // the serving layer routes default requests to its memoized growable
 // selection before coming here.
 func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Result, error) {
@@ -264,19 +264,20 @@ func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Resul
 	if err != nil {
 		return seedsel.Result{}, err
 	}
-	return selectObjOn(p.eng, k, cobj, o), nil
+	return selectObjOn(p.probe.Clone(), p.eng.Workers(), k, cobj, o), nil
 }
 
-// selectObjOn runs celf.Run under cobj over a probe estimator on eng,
-// with o's blocked rivals committed first (so every gain is marginal over
-// them) and excluded from the pool, and o's costs and budget applied.
-func selectObjOn(eng *core.Engine, k int, cobj *core.Objective, o *Objective) seedsel.Result {
-	est := core.NewProbeEstimator(cobj, eng)
+// selectObjOn runs celf.Run under cobj over an estimator on pr (which the
+// caller hands over), with o's blocked rivals committed first (so every
+// gain is marginal over them) and excluded from the pool, and o's costs
+// and budget applied.
+func selectObjOn(pr *core.Probe, workers, k int, cobj *core.Objective, o *Objective) seedsel.Result {
+	est := pr.Estimator(cobj)
 	for _, s := range o.blocked() {
 		est.Add(s)
 	}
 	opts := selectOptions(o)
-	opts.Workers = eng.Workers()
+	opts.Workers = workers
 	return celf.Run(est, k, opts)
 }
 
@@ -296,7 +297,7 @@ func selectOptions(o *Objective) celf.Options {
 // objective is exactly Selection, bit for bit; non-default selections
 // are bit-identical at every worker count.
 func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
-	return m.SelectSeedsObjOn(&Planner{eng: m.base()}, k, o)
+	return m.SelectSeedsObjOn(m.NewPlanner(), k, o)
 }
 
 // SpreadObj is Model.SpreadObj served scatter-gather: the conditional

@@ -36,9 +36,9 @@ func SlicePaths(modelPath string, n int) []string {
 // engine partitions behind a scatter-gather coordinator: every query fans
 // over the partitions and merges by summation, and every answer is
 // bit-identical at any partition count (see internal/partition). It is
-// immutable once built — spread and gain queries only read the
-// partitions, selections clone them — so any number of goroutines may query it concurrently; ingest derives a
-// successor with Extend.
+// immutable once built — every query commits its seeds to a probe of its
+// own and only reads the partitions — so any number of goroutines may
+// query it concurrently; ingest derives a successor with Extend.
 type PartitionedPlanner struct {
 	coord *partition.Coordinator
 	// mapped holds the file mappings behind mmap-opened slices (empty for
@@ -49,12 +49,14 @@ type PartitionedPlanner struct {
 }
 
 // Partition splits the planner's scanned engine into n contiguous
-// near-even row-range partitions sharing the frozen shards (nothing is
-// copied), wrapped in a coordinator. The planner must not hold committed
-// seeds. The receiver stays usable: it is frozen first, so its later
-// mutations go copy-on-write instead of corrupting the shared rows.
+// near-even row-range partitions sharing its shards (nothing is copied),
+// wrapped in a coordinator. The planner must not hold committed seeds:
+// partitions serve the scanned model, and their queries start from an
+// empty seed set. The receiver stays usable.
 func (p *Planner) Partition(n int) (*PartitionedPlanner, error) {
-	p.eng.Freeze()
+	if s := len(p.Seeds()); s > 0 {
+		return nil, fmt.Errorf("credist: cannot partition a planner with %d committed seeds", s)
+	}
 	ranges := partition.SplitRanges(p.eng.NumNodes(), n)
 	parts := make([]*core.Engine, len(ranges))
 	for i, r := range ranges {
@@ -166,7 +168,8 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 	}
 	if ds.Log.NumActions() > lineages[0].NumActions {
 		for i, eng := range engines {
-			if err := eng.AppendActions(ds.Graph, ds.Log, ActionID(lineages[0].NumActions)); err != nil {
+			var err error
+			if engines[i], err = eng.AppendActions(ds.Graph, ds.Log, ActionID(lineages[0].NumActions)); err != nil {
 				closeMapped()
 				return nil, nil, fmt.Errorf("credist: partition %d (%s): %w", i, paths[i], err)
 			}
@@ -174,9 +177,6 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 		// Selected over the slices' log prefix; appended actions change
 		// every marginal gain, so it no longer describes this model.
 		prefix = nil
-	}
-	for _, eng := range engines {
-		eng.Freeze()
 	}
 	coord, err := partition.New(engines, engines[0].Workers())
 	if err != nil {
@@ -477,8 +477,8 @@ func (pp *PartitionedPlanner) ResumeSelection(prefix *SeedPrefix) (*GrowableSele
 }
 
 // Extend derives the successor planner for m — this planner's model after
-// an Ingest: every partition clones (frozen shards shared) and scans only
-// its rows of the appended action tail, in parallel. The receiver keeps
+// an Ingest: every partition scans only its rows of the appended action
+// tail, in parallel, into a successor sharing its shards. The receiver keeps
 // serving unchanged. The model must extend the log the partitions cover.
 func (pp *PartitionedPlanner) Extend(m *Model) (*PartitionedPlanner, error) {
 	if pl, ml := pp.coord.Engines()[0].Lambda(), m.opts.Lambda; pl != ml {
@@ -491,8 +491,8 @@ func (pp *PartitionedPlanner) Extend(m *Model) (*PartitionedPlanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The successor aliases the receiver's mapped shards copy-on-write but
-	// does not own the mappings; Close on the opener releases them.
+	// The successor reads the receiver's mapped shards but does not own
+	// the mappings; Close on the opener releases them.
 	return &PartitionedPlanner{coord: coord}, nil
 }
 

@@ -119,10 +119,11 @@ func (m *Model) ExplainSeed(x NodeID, top int) SeedExplanation {
 
 // ExplainSeedOn is ExplainSeed against a planner's state — committed
 // seeds discount and zero out paths exactly as they discount Gain, so the
-// explained value is bit-for-bit p.Gain(x). This is how the serving layer
-// explains on its live (possibly ingest-extended) base planner.
+// explained value is bit-for-bit p.Gain(x), and a committed seed explains
+// as 0. This is how the serving layer explains on its live (possibly
+// ingest-extended) base planner.
 func (m *Model) ExplainSeedOn(p *Planner, x NodeID, top int) SeedExplanation {
-	return p.eng.ExplainSeed(x, top)
+	return p.probe.ExplainSeed(x, top)
 }
 
 // ExplainReach decomposes the credit the given seeds push onto target v:
@@ -135,17 +136,22 @@ func (m *Model) ExplainReach(seeds []NodeID, v NodeID, top int) ReachExplanation
 }
 
 // ExplainReachOn is ExplainReach against a planner's state. A planner
-// matching the model's base state answers from the shared index; an
-// ingest-extended or seeded planner falls back to the direct shard walk,
-// which is bit-identical by construction.
+// without committed seeds over exactly the model's log answers from the
+// shared index; an ingest-extended planner falls back to the direct
+// shard walk, which is bit-identical by construction. A seeded planner
+// reads every seed's rows through its probe's replay: a committed seed's
+// row contributes nothing, and a committed target receives no credit.
 func (m *Model) ExplainReachOn(p *Planner, seeds []NodeID, v NodeID, top int) ReachExplanation {
+	if len(p.Seeds()) > 0 {
+		return p.probe.ExplainReach(seeds, v, top)
+	}
 	return m.explainReachOn(p.eng, seeds, v, top)
 }
 
 func (m *Model) explainReachOn(eng *core.Engine, seeds []NodeID, v NodeID, top int) ReachExplanation {
-	// The index describes the base scan over exactly the model's log with
-	// no committed seeds; any other engine state walks its own shards.
-	if eng.NumActions() == m.ds.Log.NumActions() && len(eng.Seeds()) == 0 {
+	// The index describes the base scan over exactly the model's log; any
+	// other engine walks its own shards.
+	if eng.NumActions() == m.ds.Log.NumActions() {
 		return eng.ExplainReachIndexed(m.ensureProv(), seeds, v, top)
 	}
 	return eng.ExplainReach(seeds, v, top)
