@@ -120,7 +120,7 @@ func LoadDataset(name, graphPath, logPath string) (*Dataset, error) {
 		return nil, fmt.Errorf("credist: open log: %w", err)
 	}
 	defer lf.Close()
-	l, err := actionlog.Read(lf)
+	l, err := actionlog.Read(lf, g.NumNodes())
 	if err != nil {
 		return nil, err
 	}

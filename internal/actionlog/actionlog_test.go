@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -278,7 +279,7 @@ func TestLogIORoundTrip(t *testing.T) {
 	if err := Write(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Read(&buf)
+	l2, err := Read(&buf, l.NumUsers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestLogIORoundTrip(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	for _, in := range []string{"", "x\n", "2\n0\n", "2\n0 0 zz\n", "2\n9 0 1\n"} {
-		if _, err := Read(bytes.NewBufferString(in)); err == nil {
+		if _, err := Read(bytes.NewBufferString(in), 8); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
 	}
@@ -308,7 +309,7 @@ func TestReadRejectsNonFiniteTimes(t *testing.T) {
 		{"3\n0 0 1\n1 0 +Inf\n", "line 3:"},
 		{"3\n# c\n0 0 1\n1 0 2\n2 1 -Inf\n", "line 5:"},
 	} {
-		_, err := Read(strings.NewReader(tc.in))
+		_, err := Read(strings.NewReader(tc.in), 8)
 		if err == nil || !strings.Contains(err.Error(), tc.line) || !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("Read(%q) error %v, want a %q non-finite time error", tc.in, err, tc.line)
 		}
@@ -324,8 +325,30 @@ func TestReadRejectsNonFiniteTimes(t *testing.T) {
 // pass Read and panic when the log was built.
 func TestReadRejectsNegativeUserCount(t *testing.T) {
 	for _, in := range []string{"-3\n", "-1\n0 0 1\n"} {
-		if _, err := Read(strings.NewReader(in)); err == nil {
+		if _, err := Read(strings.NewReader(in), 8); err == nil {
 			t.Errorf("Read(%q) accepted a negative user count", in)
 		}
+	}
+}
+
+// TestReadRejectsHostileUserCount: a user-count header beyond the graph
+// is refused on its own line, before anything is sized by it — a 2e9
+// header costs less than 1 MiB — and so is a user id past the header.
+func TestReadRejectsHostileUserCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(strings.NewReader("2000000000\n0 0 1\n1999999999 0 2\n"), 100)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "line 1:") || !strings.Contains(err.Error(), "exceeds the graph") {
+		t.Fatalf("2e9 header: error %v, want a line-1 bound error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting a 2e9 header allocated %d bytes", alloc)
+	}
+	if _, err := Read(strings.NewReader("100\n0 0 1\n100 0 2\n"), 100); err == nil || !strings.Contains(err.Error(), "line 3:") {
+		t.Fatalf("user id past the header: error %v, want a line-3 range error", err)
+	}
+	if _, err := Read(strings.NewReader("100\n0 0 1\n99 0 2\n"), 100); err != nil {
+		t.Fatalf("header at the bound: %v", err)
 	}
 }

@@ -196,7 +196,7 @@ func TestAppendSaveLoadByteStable(t *testing.T) {
 		t.Fatalf("appended log serializes differently:\n%q\nvs\n%q", fromAppend.String(), fromScratch.String())
 	}
 
-	reread, err := Read(bytes.NewReader(fromAppend.Bytes()))
+	reread, err := Read(bytes.NewReader(fromAppend.Bytes()), 4)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -46,7 +47,7 @@ func WriteTuples(w io.Writer, numUsers int, tuples []Tuple) error {
 // lines and '#' comments are ignored.
 func ParseTuples(r io.Reader) ([]Tuple, int, error) {
 	var tuples []Tuple
-	users, err := scanLines(r, false, func(_ int, t Tuple) error {
+	users, err := scanLines(r, false, math.MaxInt, func(_ int, t Tuple) error {
 		tuples = append(tuples, t)
 		return nil
 	})
@@ -57,10 +58,13 @@ func ParseTuples(r io.Reader) ([]Tuple, int, error) {
 }
 
 // Read parses the format written by Write. Blank lines and '#' comments
-// are ignored.
-func Read(r io.Reader) (*Log, error) {
+// are ignored. maxUsers bounds the user-count header: a log is read
+// against a graph and sized by its node count, so the caller passes that
+// count, and a larger header is rejected on its own line, before anything
+// is sized by it. User ids are checked against the header line by line.
+func Read(r io.Reader, maxUsers int) (*Log, error) {
 	var b *Builder
-	users, err := scanLines(r, true, func(users int, t Tuple) error {
+	users, err := scanLines(r, true, maxUsers, func(users int, t Tuple) error {
 		if b == nil {
 			b = NewBuilder(users)
 		}
@@ -78,11 +82,11 @@ func Read(r io.Reader) (*Log, error) {
 }
 
 // scanLines is the one parser of the text tuple format. It takes a
-// one-field line as the user count — only before any tuple, and required
-// first when headerFirst is set — and hands each "user action time" line
-// to add with the count so far (-1 when absent). It returns the count, or
-// -1. Every error names its line.
-func scanLines(r io.Reader, headerFirst bool, add func(users int, t Tuple) error) (int, error) {
+// one-field line as the user count — only before any tuple, at most
+// maxUsers, and required first when headerFirst is set — and hands each
+// "user action time" line to add with the count so far (-1 when absent).
+// It returns the count, or -1. Every error names its line.
+func scanLines(r io.Reader, headerFirst bool, maxUsers int, add func(users int, t Tuple) error) (int, error) {
 	users, tuples := -1, 0
 	err := textrec.Scan(r, "actionlog", func(_ int, f []string) error {
 		switch {
@@ -92,6 +96,9 @@ func scanLines(r io.Reader, headerFirst bool, add func(users int, t Tuple) error
 			n, err := strconv.Atoi(f[0])
 			if err != nil || n < 0 {
 				return fmt.Errorf("bad user count %q", f[0])
+			}
+			if n > maxUsers {
+				return fmt.Errorf("user count %d exceeds the graph (%d nodes)", n, maxUsers)
 			}
 			users = n
 			return nil

@@ -85,7 +85,7 @@ func (b *refBuilder) build() *Log {
 	return l
 }
 
-func refRead(r io.Reader) (*Log, error) {
+func refRead(r io.Reader, maxUsers int) (*Log, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var b *refBuilder
@@ -98,7 +98,7 @@ func refRead(r io.Reader) (*Log, error) {
 		}
 		if b == nil {
 			n, err := strconv.Atoi(line)
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > maxUsers {
 				return nil, fmt.Errorf("actionlog: line %d: expected user count", lineNo)
 			}
 			b = newRefBuilder(n)

@@ -24,8 +24,8 @@ type commitOracle struct {
 	entries int64
 }
 
-// oracleShard is one action's mutable credit matrix: the sorted rows of
-// ucAction plus the column mirror (influenced -> sorted influencer ids)
+// oracleShard is one action's mutable credit matrix: a shard's sorted
+// rows plus the column mirror (influenced -> sorted influencer ids)
 // that lets a commit walk the seed's column without scanning every row.
 type oracleShard struct {
 	rowKey []int32
@@ -43,8 +43,8 @@ func newCommitOracle(e *Engine) *commitOracle {
 	o := &commitOracle{e: e, shards: make([]*oracleShard, len(e.uc)), sc: make([]map[int32]float64, len(e.uc)), entries: e.entries}
 	for a, st := range e.uc {
 		sh := &oracleShard{}
-		for ri := 0; ri < st.numRows(); ri++ {
-			sh.rowKey = append(sh.rowKey, st.rowKeyAt(ri))
+		for ri := 0; ri < len(st.dir); ri++ {
+			sh.rowKey = append(sh.rowKey, st.dir[ri].key)
 			sh.rows = append(sh.rows, slices.Clone(st.rowAt(ri)))
 		}
 		sh.buildColumns()

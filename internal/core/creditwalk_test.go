@@ -130,7 +130,7 @@ func TestCreditWalkDeterministic(t *testing.T) {
 
 // TestSnapshotSketchRoundTrip pins the version-5 format: a snapshot
 // written with a sketch reads the sketch back bit-identically through
-// both the heap reader and the mapped open, the engine and prefix are
+// both the heap open and the mapped open, the engine and prefix are
 // untouched, re-encoding is byte-identical, and a sketchless write stays
 // byte-identical version-3 (older readers keep working on it).
 func TestSnapshotSketchRoundTrip(t *testing.T) {
@@ -144,18 +144,19 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	sk := walkSketch(t, src, 200, 17)
 
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotSketch(&buf, lin, prefix, sk); err != nil {
-		t.Fatalf("WriteSnapshotSketch: %v", err)
+	if err := e.WriteSnapshot(&buf, lin, prefix, sk, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); v != snapshotVersionSketch {
 		t.Fatalf("sketch snapshot stamped version %d, want %d", v, snapshotVersionSketch)
 	}
 
-	back, backLin, pfx, got, err := ReadSnapshotSketch(bytes.NewReader(data))
+	sf, err := readSnapshot(data)
 	if err != nil {
-		t.Fatalf("ReadSnapshotSketch: %v", err)
+		t.Fatalf("heap read: %v", err)
 	}
+	back, backLin, pfx, got := sf.Engine, sf.Lineage, sf.Prefix, sf.Sketch
 	if backLin != lin {
 		t.Fatalf("lineage round trip: %+v != %+v", backLin, lin)
 	}
@@ -168,7 +169,7 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	requireEnginesBitIdentical(t, e, back, 6)
 
 	var again bytes.Buffer
-	if err := back.WriteSnapshotSketch(&again, backLin, pfx, got); err != nil {
+	if err := back.WriteSnapshot(&again, backLin, pfx, got, nil); err != nil {
 		t.Fatalf("re-serialize: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), data) {
@@ -180,11 +181,12 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meng, mlin, mpfx, msk, ms, err := OpenSnapshotMappedSketch(path)
+	mf, err := OpenSnapshot(path, true)
 	if err != nil {
-		t.Fatalf("OpenSnapshotMappedSketch: %v", err)
+		t.Fatalf("mapped open: %v", err)
 	}
-	defer ms.Close()
+	defer mf.Close()
+	meng, mlin, mpfx, msk := mf.Engine, mf.Lineage, mf.Prefix, mf.Sketch
 	if mlin != lin || mpfx == nil || msk == nil {
 		t.Fatalf("mapped open dropped a section: lin %+v pfx %v sketch %v", mlin, mpfx != nil, msk != nil)
 	}
@@ -193,22 +195,12 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	}
 	requireEnginesBitIdentical(t, e, meng, 6)
 
-	// The legacy entry points still read a version-5 file, just without
-	// surfacing the sketch.
-	leng, _, lpfx, err := ReadSnapshotPrefix(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix on v5: %v", err)
-	}
-	if lpfx == nil || leng.NumNodes() != e.NumNodes() {
-		t.Fatal("legacy reader mangled a v5 snapshot")
-	}
-
 	// No sketch attached -> byte-identical version-3 output.
 	var plain, viaSketch bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&plain, lin, prefix); err != nil {
+	if err := e.WriteSnapshot(&plain, lin, prefix, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotSketch(&viaSketch, lin, prefix, nil); err != nil {
+	if err := e.WriteSnapshot(&viaSketch, lin, prefix, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), viaSketch.Bytes()) {
@@ -230,7 +222,7 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 	}
 	sk := walkSketch(t, src, 20, 3)
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotSketch(&buf, lin, nil, sk); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, nil, sk, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -244,7 +236,7 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 		{Seed: 1, Roots: 1, Offs: []int32{1, 2}, Nodes: []graph.NodeID{0, 1}},
 		{Seed: 1, Roots: 1, Offs: []int32{0, 1}, Nodes: []graph.NodeID{0, 1}},
 	} {
-		if err := e.WriteSnapshotSketch(&bytes.Buffer{}, lin, nil, bad); err == nil {
+		if err := e.WriteSnapshot(&bytes.Buffer{}, lin, nil, bad, nil); err == nil {
 			t.Fatalf("writer accepted invalid sketch %+v", bad)
 		}
 	}
@@ -273,16 +265,15 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	expectReject := func(name string, contents []byte) {
 		t.Helper()
-		if _, _, _, _, err := ReadSnapshotSketch(bytes.NewReader(contents)); err == nil {
-			t.Fatalf("%s: heap reader accepted corrupt sketch", name)
+		if _, err := readSnapshot(contents); err == nil {
+			t.Fatalf("%s: heap open accepted corrupt sketch", name)
 		}
 		path := filepath.Join(dir, name+".bin")
 		if err := os.WriteFile(path, contents, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, _, ms, err := OpenSnapshotMappedSketch(path)
-		if err == nil {
-			ms.Close()
+		if f, err := OpenSnapshot(path, true); err == nil {
+			f.Close()
 			t.Fatalf("%s: mapped open accepted corrupt sketch", name)
 		}
 	}

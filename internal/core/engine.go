@@ -34,11 +34,11 @@ type Engine struct {
 	au        []int32   // Au: actions performed per user (training log)
 	actionsOf [][]int32 // per user: training actions they performed
 
-	// uc[a] points at action a's shard through the rowStore interface
-	// (rowstore.go): a heap ucAction, or a read-only window into a mapped
-	// version-3 snapshot. Shards are never written, so successors and
-	// partitions share them.
-	uc      []rowStore
+	// uc[a] points at action a's shard (sparse.go): scanned onto the
+	// heap, or aliasing a snapshot's base section in a mapping or a heap
+	// buffer. Shards are never written, so successors and partitions
+	// share them.
+	uc      []*shard
 	entries int64 // UC entry count, for memory accounting
 	lambda  float64
 	credit  CreditModel // the direct-credit rule the shards were scanned with
@@ -91,11 +91,7 @@ func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 		e.au[u] = int32(train.ActionCount(graph.NodeID(u)))
 	}
 	shards, props, entries := scanShards(g, train, 0, numActions, model, e.lambda, e.workers)
-	e.uc = make([]rowStore, numActions)
-	for a, shard := range shards {
-		e.uc[a] = shard
-	}
-	e.entries = entries
+	e.uc, e.entries = shards, entries
 	// actionsOf is rebuilt serially in action order so its contents do not
 	// depend on worker scheduling.
 	for a := 0; a < numActions; a++ {
@@ -152,10 +148,9 @@ func (e *Engine) AppendActions(g *graph.Graph, log *actionlog.Log, from actionlo
 	// appended full engine.
 	if n.partitioned {
 		entries = 0
-		for i, shard := range shards {
-			sub, cnt := n.filterShardToPartition(shard)
-			shards[i] = sub
-			entries += cnt
+		for i, sh := range shards {
+			shards[i] = n.filterShardToPartition(sh)
+			entries += shards[i].entryCount()
 		}
 	}
 
@@ -179,11 +174,9 @@ func (e *Engine) AppendActions(g *graph.Graph, log *actionlog.Log, from actionlo
 		}
 	}
 
-	n.uc = make([]rowStore, to)
+	n.uc = make([]*shard, to)
 	copy(n.uc, e.uc)
-	for i, shard := range shards {
-		n.uc[int(from)+i] = shard
-	}
+	copy(n.uc[from:], shards)
 	n.entries += entries
 	n.deltaEntries += entries
 	return &n, nil
@@ -296,38 +289,35 @@ func (e *Engine) gainSum(x graph.NodeID, obj *Objective, rowSC func(i int, a int
 	return mg
 }
 
-// ResidentBytes reports the UC structure's total footprint across both
-// backends: HeapBytes plus MappedBytes. Shards shared with other engines
-// are counted in full for every engine referencing them. On the
-// flixster-small preset the heap representation measures 17.9 bytes per
-// live entry (16.6 MiB total, BenchmarkUCFlixsterSmall), versus 71.5
-// bytes per entry for the mirrored map-of-maps representation the sorted
-// rows replaced.
+// ResidentBytes reports the UC structure's total footprint: HeapBytes
+// plus MappedBytes. Shards shared with other engines are counted in full
+// for every engine referencing them. On the flixster-small preset the
+// shards measure 17.1 bytes per live entry (BenchmarkUCFlixsterSmall),
+// versus 71.5 bytes per entry for the mirrored map-of-maps representation
+// the sorted rows replaced.
 func (e *Engine) ResidentBytes() int64 {
 	return e.HeapBytes() + e.MappedBytes()
 }
 
-// HeapBytes reports the Go-heap slice footprint of the UC structure
-// (16 bytes per row entry plus row keys and slice headers; see
-// ucAction.residentBytes). Shards served from a mapped snapshot contribute
-// nothing here — their pages are file-backed, not heap.
-func (e *Engine) HeapBytes() int64 {
-	var bytes int64
-	for _, st := range e.uc {
-		bytes += st.heapBytes()
-	}
-	return bytes
-}
+// HeapBytes reports the Go-heap footprint of the UC structure: 16 bytes
+// per directory record and per cell of every shard not served from a
+// mapping. Shards served from a mapped snapshot contribute nothing here —
+// their pages are file-backed, not heap.
+func (e *Engine) HeapBytes() int64 { return e.shardBytes(false) }
 
 // MappedBytes reports the file-backed footprint of the UC structure: the
-// bytes of the mapped snapshot's base section this engine's shards
-// alias. The OS pages
-// these in and out on demand, so this is an upper bound on their resident
-// cost.
-func (e *Engine) MappedBytes() int64 {
+// directory and cell bytes of a mapped snapshot's base section this
+// engine's shards alias. The OS pages these in and out on demand, so this
+// is an upper bound on their resident cost.
+func (e *Engine) MappedBytes() int64 { return e.shardBytes(true) }
+
+// shardBytes sums the footprint of the shards whose mapped flag is mapped.
+func (e *Engine) shardBytes(mapped bool) int64 {
 	var bytes int64
-	for _, st := range e.uc {
-		bytes += st.mappedBytes()
+	for _, s := range e.uc {
+		if s.mapped == mapped {
+			bytes += s.bytes()
+		}
 	}
 	return bytes
 }
@@ -335,9 +325,9 @@ func (e *Engine) MappedBytes() int64 {
 // RowStoreBackend reports how the engine's shards are served: "mmap" when
 // any shard still aliases a mapped snapshot, "heap" otherwise.
 func (e *Engine) RowStoreBackend() string {
-	for _, st := range e.uc {
-		if name := st.backendName(); name != "heap" {
-			return name
+	for _, s := range e.uc {
+		if s.mapped {
+			return "mmap"
 		}
 	}
 	return "heap"

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"credist/internal/actionlog"
 	"credist/internal/celf"
@@ -22,8 +23,8 @@ import (
 func writeSnapshotFile(t *testing.T, e *Engine, lin Lineage, prefix *SeedPrefix) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, prefix); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	if err := e.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "model.bin")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -32,20 +33,21 @@ func writeSnapshotFile(t *testing.T, e *Engine, lin Lineage, prefix *SeedPrefix)
 	return path
 }
 
-// openMapped opens the file and registers the mapping for cleanup.
-func openMapped(t *testing.T, path string) (*Engine, Lineage, *SeedPrefix, *MappedSnapshot) {
+// openSnapshot opens the file, heap-read or mapped, and registers Close
+// for cleanup.
+func openSnapshot(t *testing.T, path string, mmap bool) *SnapshotFile {
 	t.Helper()
-	eng, lin, prefix, ms, err := OpenSnapshotMapped(path)
+	f, err := OpenSnapshot(path, mmap)
 	if err != nil {
-		t.Fatalf("OpenSnapshotMapped: %v", err)
+		t.Fatalf("OpenSnapshot(mmap=%t): %v", mmap, err)
 	}
-	t.Cleanup(func() { ms.Close() })
-	return eng, lin, prefix, ms
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
 // TestOpenSnapshotMappedBitIdentical is the cross-backend half of the
-// determinism wall: the same snapshot file served heap-resident
-// (ReadSnapshotPrefix) and memory-mapped (OpenSnapshotMapped) must answer
+// determinism wall: the same snapshot file served heap-resident and
+// memory-mapped through OpenSnapshot must answer
 // every Gain with the same bits and select the same CELF seeds with the
 // same gains — at one worker and at full fan-out alike.
 func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
@@ -54,16 +56,9 @@ func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	path := writeSnapshotFile(t, e, lin, prefix)
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, heapLin, heapPrefix, err := ReadSnapshotPrefix(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix: %v", err)
-	}
-	mapped, mapLin, mapPrefix, ms := openMapped(t, path)
+	hf, mf := openSnapshot(t, path, false), openSnapshot(t, path, true)
+	heap, heapLin, heapPrefix := hf.Engine, hf.Lineage, hf.Prefix
+	mapped, mapLin, mapPrefix := mf.Engine, mf.Lineage, mf.Prefix
 
 	if mapLin != heapLin || mapLin != lin {
 		t.Fatalf("lineage: mapped %+v, heap %+v, want %+v", mapLin, heapLin, lin)
@@ -77,10 +72,13 @@ func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 			t.Fatalf("prefix entry %d differs across backends", i)
 		}
 	}
-	if got := mapped.RowStoreBackend(); got != ms.Backend() {
-		t.Fatalf("engine backend %q, snapshot reports %q", got, ms.Backend())
+	if got := heap.RowStoreBackend(); got != "heap" || heap.MappedBytes() != 0 {
+		t.Fatalf("heap open reports backend %q with %d mapped bytes", got, heap.MappedBytes())
 	}
-	if ms.Backend() == "mmap" {
+	if got, want := mapped.RowStoreBackend() == "mmap", mappedAliasSupported(); got != want {
+		t.Fatalf("mapped open reports backend %q, aliasing supported: %t", mapped.RowStoreBackend(), want)
+	}
+	if mappedAliasSupported() {
 		if mapped.HeapBytes() != 0 {
 			t.Fatalf("mapped engine reports %d heap bytes before any write", mapped.HeapBytes())
 		}
@@ -125,8 +123,8 @@ func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 func TestMappedCommitsMatchHeap(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 43, 50, 30)
 	path := writeSnapshotFile(t, e, lin, nil)
-	mapped, _, _, ms := openMapped(t, path)
-	if ms.Backend() != "mmap" {
+	mapped := openSnapshot(t, path, true).Engine
+	if !mappedAliasSupported() {
 		t.Skip("platform cannot alias the base section; the engine is heap-resident")
 	}
 
@@ -184,15 +182,14 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 	headEng := NewEngine(g, head, Options{Lambda: 0.001, Credit: credit})
 	path := writeSnapshotFile(t, headEng, DatasetLineage("ingest", g, head), nil)
 
-	opened, _, _, ms := openMapped(t, path)
-	mapped, err := opened.AppendActions(g, log, actionlog.ActionID(headN))
+	mapped, err := openSnapshot(t, path, true).Engine.AppendActions(g, log, actionlog.ActionID(headN))
 	if err != nil {
 		t.Fatalf("AppendActions on mapped engine: %v", err)
 	}
 	rescan := NewEngine(g, log, Options{Lambda: 0.001, Credit: credit})
 	requireEnginesBitIdentical(t, rescan, mapped, 6)
 
-	if ms.Backend() == "mmap" {
+	if mappedAliasSupported() {
 		if mapped.MappedBytes() == 0 {
 			t.Fatal("appending a tail evicted the mapped base")
 		}
@@ -208,7 +205,7 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 	// results must not move.
 	mappedBefore := mapped.MappedBytes()
 	mapped = mapped.Compact()
-	if ms.Backend() == "mmap" && mapped.MappedBytes() != mappedBefore {
+	if mapped.MappedBytes() != mappedBefore {
 		t.Fatalf("Compact changed the mapped footprint: %d -> %d", mappedBefore, mapped.MappedBytes())
 	}
 	requireEnginesBitIdentical(t, rescan, mapped, 6)
@@ -222,13 +219,13 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 func TestOpenSnapshotMappedRejects(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 53, 30, 16)
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	baseSize := e.NumActions() * 8
 	for _, st := range e.uc {
-		baseSize += 8 + (st.numRows()+int(st.entryCount()))*16
+		baseSize += 8 + int(st.bytes())
 	}
 	baseOff := len(data) - 4 - baseSize
 
@@ -238,9 +235,9 @@ func TestOpenSnapshotMappedRejects(t *testing.T) {
 		if err := os.WriteFile(path, contents, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, ms, err := OpenSnapshotMapped(path)
+		f, err := OpenSnapshot(path, true)
 		if err == nil {
-			ms.Close()
+			f.Close()
 		}
 		return err
 	}
@@ -294,7 +291,7 @@ func TestOpenSnapshotMappedRejects(t *testing.T) {
 
 // TestMappedEngineSnapshotRoundTrip: serializing an engine whose shards
 // still alias a mapped file must reproduce the file byte for byte — the
-// writer walks the rowStore interface, so the backend cannot leak into
+// writer reads every shard the same way, so the backend cannot leak into
 // the encoding.
 func TestMappedEngineSnapshotRoundTrip(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 59, 40, 24)
@@ -303,12 +300,88 @@ func TestMappedEngineSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, mapLin, _, _ := openMapped(t, path)
+	mf := openSnapshot(t, path, true)
+	mapped, mapLin := mf.Engine, mf.Lineage
 	var again bytes.Buffer
-	if err := mapped.WriteSnapshot(&again, mapLin); err != nil {
+	if err := mapped.WriteSnapshot(&again, mapLin, nil, nil, nil); err != nil {
 		t.Fatalf("WriteSnapshot from mapped engine: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), original) {
 		t.Fatal("snapshot written from a mapped engine is not byte-identical to its source file")
+	}
+}
+
+// TestHeapOpenAliasesReadBuffer pins what makes the heap open cheap: it
+// reads the file into one buffer and runs the mapped open's aliasing
+// parse over it, so every shard's directory and cells lie inside that
+// buffer, and the open allocates the file size plus per-user and
+// per-action state — never a copy of the credit entries.
+func TestHeapOpenAliasesReadBuffer(t *testing.T) {
+	if !mappedAliasSupported() {
+		t.Skip("platform cannot alias the base section; the heap open decodes it")
+	}
+	// A dense instance — 25 out-edges per user, every user in every
+	// action at distinct times — holds far more credit entries than log
+	// tuples, so a per-entry cost could not hide in the file size.
+	const users, actions = 80, 40
+	rng := rand.New(rand.NewPCG(61, 16))
+	gb := graph.NewBuilder(users)
+	for u := 0; u < users; u++ {
+		for _, v := range rng.Perm(users)[:25] {
+			if v != u {
+				_ = gb.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			}
+		}
+	}
+	g := gb.Build()
+	lb := actionlog.NewBuilder(users)
+	for a := 0; a < actions; a++ {
+		for i, u := range rng.Perm(users) {
+			_ = lb.Add(graph.NodeID(u), actionlog.ActionID(a), float64(i))
+		}
+	}
+	log := lb.Build()
+	e := NewEngine(g, log, Options{})
+	path := writeSnapshotFile(t, e, DatasetLineage("alias", g, log), nil)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(fi.Size())
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := OpenSnapshot(path, false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(f.data)))
+	hi := lo + uintptr(len(f.data))
+	inside := func(p unsafe.Pointer, n int) bool {
+		return n == 0 || (uintptr(p) >= lo && uintptr(p)+uintptr(n) <= hi)
+	}
+	for a, s := range f.Engine.uc {
+		if !inside(unsafe.Pointer(unsafe.SliceData(s.dir)), len(s.dir)*16) || !inside(unsafe.Pointer(unsafe.SliceData(s.cells)), len(s.cells)*16) {
+			t.Fatalf("action %d: shard lies outside the read buffer", a)
+		}
+		if s.mapped {
+			t.Fatalf("action %d: heap-opened shard flagged file-backed", a)
+		}
+	}
+	requireEnginesBitIdentical(t, e, f.Engine, 4)
+
+	// Per user: its action list, the slice header and the normalizer; per
+	// action: a shard and its pointer. The credit entries, 16 bytes each,
+	// must be nowhere in the bill.
+	state := uint64(8*log.NumTuples() + 64*e.NumNodes() + 96*e.NumActions() + 16<<10)
+	entryBytes := uint64(e.Entries()) * 16
+	if entryBytes <= state {
+		t.Fatalf("instance too small: %d entry bytes do not exceed the %d-byte allowance", entryBytes, state)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("heap open of a %d-byte file holding %d entries allocated %d bytes", size, e.Entries(), alloc)
+	if alloc > size+state {
+		t.Fatalf("heap open allocated %d bytes, want at most file size %d + %d", alloc, size, state)
 	}
 }

@@ -2,19 +2,14 @@
 
 package core
 
-import (
-	"fmt"
-	"os"
-)
-
 // mmapFile on platforms without the unix mmap syscall reads the file into
-// one heap buffer. OpenSnapshotMapped still works — same layout, same
-// zero-parse open — but the pages are heap-resident rather than
-// file-backed, and the release function just drops the reference.
+// one 8-aligned heap buffer. A mapped OpenSnapshot still works — same
+// layout, same zero-parse open — but the pages are heap-resident rather
+// than file-backed, and the release function just drops the reference.
 func mmapFile(path string) ([]byte, func() error, error) {
-	data, err := os.ReadFile(path)
+	data, err := readAligned(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: mmap snapshot: %w", err)
+		return nil, nil, err
 	}
 	return data, func() error { return nil }, nil
 }

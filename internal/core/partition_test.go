@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -142,8 +143,8 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := full.WriteSnapshotSlice(&buf, lin, nil, lo, hi); err != nil {
-		t.Fatalf("WriteSnapshotSlice: %v", err)
+	if err := ref.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	raw := buf.Bytes()
 
@@ -152,15 +153,8 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	heapEng, _, _, err := ReadSnapshotPrefix(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix: %v", err)
-	}
-	mapEng, _, _, ms, err := OpenSnapshotMapped(path)
-	if err != nil {
-		t.Fatalf("OpenSnapshotMapped: %v", err)
-	}
-	defer ms.Close()
+	heapEng := openSnapshot(t, path, false).Engine
+	mapEng := openSnapshot(t, path, true).Engine
 
 	for name, eng := range map[string]*Engine{"heap": heapEng, "mmap": mapEng} {
 		if !eng.IsPartition() {
@@ -181,9 +175,9 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 			}
 		}
 		// The byte-identical re-encode rule, extended to slices: a loaded
-		// partition re-encodes through WriteSnapshotSlice at its own range.
+		// partition re-encodes as a slice at its own range.
 		var re bytes.Buffer
-		if err := eng.WriteSnapshotSlice(&re, lin, nil, lo, hi); err != nil {
+		if err := eng.WriteSnapshot(&re, lin, nil, nil, nil); err != nil {
 			t.Fatalf("%s: re-encode: %v", name, err)
 		}
 		if !bytes.Equal(re.Bytes(), raw) {
@@ -198,48 +192,50 @@ func TestSnapshotSliceWriterRejections(t *testing.T) {
 	full := NewEngine(g, log, Options{})
 	lin := DatasetLineage("slice-rejects", g, log)
 
-	var buf bytes.Buffer
-	if err := full.WriteSnapshotSlice(&buf, lin, nil, 10, 35); err == nil {
-		t.Fatalf("out-of-universe slice range accepted")
-	}
-	if err := full.WriteSnapshotSlice(&buf, lin, nil, 20, 10); err == nil {
-		t.Fatalf("inverted slice range accepted")
-	}
-
 	p, err := full.Slice(5, 15)
 	if err != nil {
 		t.Fatalf("Slice: %v", err)
 	}
-	// A partition engine holds only its own rows: writing a full snapshot,
-	// or a slice at any other range, would mislabel partial data.
-	if err := p.WriteSnapshotPrefix(&buf, lin, nil); err == nil || !strings.Contains(err.Error(), "WriteSnapshotSlice") {
-		t.Fatalf("full snapshot of a partition: %v", err)
+	// A partition engine holds only its own rows, and the RR sketch and
+	// provenance index span the whole universe: a slice refuses both.
+	var buf bytes.Buffer
+	if err := p.WriteSnapshot(&buf, lin, nil, nil, full.BuildProvIndex()); err == nil || !strings.Contains(err.Error(), "partition") {
+		t.Fatalf("slice with a provenance index: %v", err)
 	}
-	if err := p.WriteSnapshotSlice(&buf, lin, nil, 5, 20); err == nil {
-		t.Fatalf("partition wrote a foreign range")
+	sketch := &RRSketch{Seed: 1, Roots: 1, Offs: []int32{0, 1}, Nodes: []int32{0}}
+	if err := p.WriteSnapshot(&buf, lin, nil, sketch, nil); err == nil || !strings.Contains(err.Error(), "partition") {
+		t.Fatalf("slice with an RR sketch: %v", err)
 	}
-	if err := p.WriteSnapshotSlice(&buf, lin, nil, 5, 15); err != nil {
+	buf.Reset()
+	if err := p.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
 		t.Fatalf("partition writing its own range: %v", err)
+	}
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[len(snapshotMagic):]); v != snapshotVersionSlice {
+		t.Fatalf("partition wrote version %d, want %d", v, snapshotVersionSlice)
 	}
 
 	// Full snapshots are untouched by the slice format: a full engine
-	// writing [0, numUsers) through WriteSnapshotSlice is still a
-	// version-4 file, while WriteSnapshotPrefix keeps emitting version 3.
-	var v3, v4 bytes.Buffer
-	if err := full.WriteSnapshotPrefix(&v3, lin, nil); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	// sliced to [0, numUsers) still writes a version-4 file, while the
+	// full engine keeps emitting version 3.
+	whole, err := full.Slice(0, full.NumNodes())
+	if err != nil {
+		t.Fatalf("Slice(full range): %v", err)
 	}
-	if err := full.WriteSnapshotSlice(&v4, lin, nil, 0, full.NumNodes()); err != nil {
-		t.Fatalf("WriteSnapshotSlice(full range): %v", err)
+	var v3, v4 bytes.Buffer
+	if err := full.WriteSnapshot(&v3, lin, nil, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if err := whole.WriteSnapshot(&v4, lin, nil, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot(full-range slice): %v", err)
 	}
 	if bytes.Equal(v3.Bytes(), v4.Bytes()) {
 		t.Fatalf("v3 and v4 encodings are byte-identical; version bump missing")
 	}
-	eng, _, _, err := ReadSnapshotPrefix(&v4)
+	sf, err := readSnapshot(v4.Bytes())
 	if err != nil {
 		t.Fatalf("read full-range slice: %v", err)
 	}
-	if !eng.IsPartition() {
+	if !sf.Engine.IsPartition() {
 		t.Fatalf("full-range slice did not load as a partition")
 	}
 }

@@ -82,7 +82,7 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 	}
 	full := NewEngine(g, log, opts)
 	if mmap {
-		full, _, _, _ = openMapped(t, writeSnapshotFile(t, full, DatasetLineage("probe", g, log), nil))
+		full = openSnapshot(t, writeSnapshotFile(t, full, DatasetLineage("probe", g, log), nil), true).Engine
 	}
 	parts := rowPartitions(t, full, nparts)
 	// The reference is scanned afresh, sharing no storage with the probed

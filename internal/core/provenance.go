@@ -251,8 +251,9 @@ func TopProvPaths(paths []ProvPath, n int) []ProvPath {
 //
 // with actions strictly ascending per pair, all little-endian. byV
 // locates each influencer's run of pairs. Immutable once built. An index
-// restored by OpenSnapshotMappedProv reads its records straight from the
-// mapping and is valid only while the mapping stays open.
+// restored by OpenSnapshot reads its records straight from the bytes the
+// open read or mapped; a mapped one is valid only while the SnapshotFile
+// stays open.
 type ProvIndex struct {
 	raw     []byte  // section body after the pair count
 	byV     []int64 // numUsers+1 offsets: v's pairs are raw[byV[v]:byV[v+1]]
@@ -337,7 +338,7 @@ func (p *ProvIndex) Entries() int64 {
 
 // Bytes returns the size of the index's snapshot section. Those bytes
 // are the index: heap-resident when built or read from a file, mapped
-// when restored by OpenSnapshotMappedProv. The byV table adds
+// when restored by a mapped OpenSnapshot. The byV table adds
 // 8×(numUsers+1) heap bytes on top.
 func (p *ProvIndex) Bytes() int64 {
 	if p == nil {

@@ -352,16 +352,17 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	}
 
 	var v6 bytes.Buffer
-	if err := e.WriteSnapshotProv(&v6, lin, nil, nil, prov); err != nil {
-		t.Fatalf("WriteSnapshotProv: %v", err)
+	if err := e.WriteSnapshot(&v6, lin, nil, nil, prov); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if got := binary.LittleEndian.Uint32(v6.Bytes()[len(snapshotMagic):]); got != snapshotVersionProv {
 		t.Fatalf("prov snapshot has version %d, want %d", got, snapshotVersionProv)
 	}
-	eng, lin2, pfx, sk, prov2, err := ReadSnapshotProv(bytes.NewReader(v6.Bytes()))
+	sf, err := readSnapshot(v6.Bytes())
 	if err != nil {
-		t.Fatalf("ReadSnapshotProv: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
+	eng, lin2, pfx, sk, prov2 := sf.Engine, sf.Lineage, sf.Prefix, sf.Sketch, sf.Prov
 	if pfx != nil || sk != nil {
 		t.Fatalf("unexpected prefix/sketch from provless-sketch file")
 	}
@@ -370,7 +371,7 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	}
 	requireEnginesBitIdentical(t, e, eng, 4)
 	var again bytes.Buffer
-	if err := eng.WriteSnapshotProv(&again, lin2, pfx, sk, prov2); err != nil {
+	if err := eng.WriteSnapshot(&again, lin2, pfx, sk, prov2); err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), v6.Bytes()) {
@@ -380,40 +381,44 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	// Sectionless writes never escalate the version: nil and empty prov
 	// hand back the exact v3 bytes, and a sketch-only write the exact v5
 	// bytes.
-	var v3, provNil, provEmpty bytes.Buffer
-	if err := e.WriteSnapshot(&v3, lin); err != nil {
+	var v3, provEmpty bytes.Buffer
+	if err := e.WriteSnapshot(&v3, lin, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotProv(&provNil, lin, nil, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&provEmpty, lin, nil, nil, &ProvIndex{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotProv(&provEmpty, lin, nil, nil, &ProvIndex{}); err != nil {
-		t.Fatal(err)
+	if got := binary.LittleEndian.Uint32(v3.Bytes()[len(snapshotMagic):]); got != snapshotVersion {
+		t.Fatalf("provless snapshot has version %d, want %d", got, snapshotVersion)
 	}
-	if !bytes.Equal(provNil.Bytes(), v3.Bytes()) || !bytes.Equal(provEmpty.Bytes(), v3.Bytes()) {
-		t.Fatal("provless WriteSnapshotProv is not byte-identical to WriteSnapshot")
+	if !bytes.Equal(provEmpty.Bytes(), v3.Bytes()) {
+		t.Fatal("an empty provenance index changed the version-3 bytes")
 	}
 	sketch := sketchOf(9, 3, [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}})
-	var v5, v5viaProv bytes.Buffer
-	if err := e.WriteSnapshotSketch(&v5, lin, nil, sketch); err != nil {
+	var v5, v5EmptyProv bytes.Buffer
+	if err := e.WriteSnapshot(&v5, lin, nil, sketch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotProv(&v5viaProv, lin, nil, sketch, nil); err != nil {
+	if err := e.WriteSnapshot(&v5EmptyProv, lin, nil, sketch, &ProvIndex{}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v5viaProv.Bytes(), v5.Bytes()) {
-		t.Fatal("sketch-only WriteSnapshotProv is not byte-identical to WriteSnapshotSketch")
+	if got := binary.LittleEndian.Uint32(v5.Bytes()[len(snapshotMagic):]); got != snapshotVersionSketch {
+		t.Fatalf("sketch-only snapshot has version %d, want %d", got, snapshotVersionSketch)
+	}
+	if !bytes.Equal(v5EmptyProv.Bytes(), v5.Bytes()) {
+		t.Fatal("an empty provenance index changed the version-5 bytes")
 	}
 
 	// Both sections together round-trip too.
 	var both bytes.Buffer
-	if err := e.WriteSnapshotProv(&both, lin, nil, sketch, prov); err != nil {
+	if err := e.WriteSnapshot(&both, lin, nil, sketch, prov); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, sk2, prov3, err := ReadSnapshotProv(bytes.NewReader(both.Bytes()))
+	sf, err = readSnapshot(both.Bytes())
 	if err != nil {
 		t.Fatalf("read sketch+prov: %v", err)
 	}
+	sk2, prov3 := sf.Sketch, sf.Prov
 	if !reflect.DeepEqual(sk2, sketch) || !reflect.DeepEqual(prov3, prov) {
 		t.Fatal("sketch+prov round-trip lost a section")
 	}
@@ -424,11 +429,8 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, v6.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meng, _, _, _, mprov, ms, err := OpenSnapshotMappedProv(path)
-	if err != nil {
-		t.Fatalf("OpenSnapshotMappedProv: %v", err)
-	}
-	defer ms.Close()
+	mf := openSnapshot(t, path, true)
+	meng, mprov := mf.Engine, mf.Prov
 	if !reflect.DeepEqual(mprov, prov) {
 		t.Fatal("mapped open returned a different index")
 	}
@@ -446,7 +448,7 @@ func TestSnapshotProvRejects(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 67, 18, 7)
 	prov := e.BuildProvIndex()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotProv(&buf, lin, nil, nil, prov); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, nil, nil, prov); err != nil {
 		t.Fatal(err)
 	}
 	v6 := buf.Bytes()
@@ -490,11 +492,11 @@ func TestSnapshotProvRejects(t *testing.T) {
 	}
 	for _, c := range cases {
 		bad := restamp(func() []byte { b := append([]byte(nil), v6...); c.mut(b); return b }())
-		_, _, _, _, _, err := ReadSnapshotProv(bytes.NewReader(bad))
+		_, err := readSnapshot(bad)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: err = %v, want mention of %q", c.name, err, c.want)
 		}
-		if _, _, _, _, err := ReadSnapshotSketch(bytes.NewReader(bad)); err == nil {
+		if _, err := readSnapshot(bad); err == nil {
 			t.Fatalf("%s: discarding reader accepted corrupt input", c.name)
 		}
 	}
@@ -504,14 +506,14 @@ func TestSnapshotProvRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteSnapshotProv(&bytes.Buffer{}, lin, nil, nil, p.BuildProvIndex()); err == nil {
+	if err := p.WriteSnapshot(&bytes.Buffer{}, lin, nil, nil, p.BuildProvIndex()); err == nil {
 		t.Fatal("partition wrote a version-6 snapshot")
 	}
 	// An index that fails Validate is refused at write time.
 	badIdx := e.BuildProvIndex()
 	badIdx.raw = bytes.Clone(badIdx.raw)
 	binary.LittleEndian.PutUint64(badIdx.raw[16:], math.Float64bits(-1)) // first entry's credit
-	if err := e.WriteSnapshotProv(&bytes.Buffer{}, lin, nil, nil, badIdx); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, lin, nil, nil, badIdx); err == nil {
 		t.Fatal("invalid index written without error")
 	}
 }

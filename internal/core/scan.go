@@ -51,18 +51,18 @@ func poolSize(n, workers int) int {
 // [from, to) of the log, fanned over a worker pool with one scanScratch
 // per worker. Shards are written by index, so the result is independent
 // of scheduling.
-func scanShards(g *graph.Graph, log *actionlog.Log, from, to int, model CreditModel, lambda float64, workers int) ([]*ucAction, []*actionlog.Propagation, int64) {
+func scanShards(g *graph.Graph, log *actionlog.Log, from, to int, model CreditModel, lambda float64, workers int) ([]*shard, []*actionlog.Propagation, int64) {
 	n := to - from
 	workers = poolSize(n, workers)
-	shards := make([]*ucAction, n)
+	shards := make([]*shard, n)
 	props := make([]*actionlog.Propagation, n)
 	scratch := make([]scanScratch, workers)
 	perWorker := make([]int64, workers)
 	fanOut(n, workers, func(w, i int) {
 		p := actionlog.BuildPropagation(log, g, actionlog.ActionID(from+i))
 		props[i] = p
-		shard, entries := scratch[w].scan(p, model, lambda)
-		shards[i] = shard
+		var entries int64
+		shards[i], entries = scratch[w].scan(p, model, lambda)
 		perWorker[w] += entries
 	})
 	var entries int64
@@ -89,7 +89,7 @@ type scanScratch struct {
 	colOff  []int32   // column i's cells are cells[colOff[i]:colOff[i+1]]
 	cells   []pcell   // finished columns, in participant order
 	rowLen  []int32   // per participant: cells in its row
-	rowPos  []int32   // per participant: its row's fill cursor in the shard
+	rowPos  []int32   // per participant: its row's fill cursor in the cells
 	order   []int32   // participants by ascending user id
 }
 
@@ -127,8 +127,8 @@ func (s *scanScratch) credit(k int32, delta float64) {
 // parent order, exactly as a walk over sorted rows would, so every credit
 // is bit-identical to one accumulated cell by cell (scanActionReference in
 // the tests). A last counting pass maps participants to user ids and
-// carves the sorted rows from one array.
-func (s *scanScratch) scan(p *actionlog.Propagation, model CreditModel, lambda float64) (*ucAction, int64) {
+// carves the sorted rows in the snapshot's base-section layout.
+func (s *scanScratch) scan(p *actionlog.Propagation, model CreditModel, lambda float64) (*shard, int64) {
 	n := len(p.Users)
 	s.grow(n)
 	s.cells = s.cells[:0]
@@ -157,18 +157,19 @@ func (s *scanScratch) scan(p *actionlog.Propagation, model CreditModel, lambda f
 		}
 		s.colOff[i+1] = int32(len(s.cells))
 	}
-	ua := s.carve(p.Users)
+	sh := s.carve(p.Users)
 	clear(s.rowLen[:n])
-	return ua, int64(len(s.cells))
+	return sh, int64(len(s.cells))
 }
 
-// carve builds the shard from the finished columns: rows in ascending
-// user id, each row's cells in ascending influenced id, with no per-row
-// sort. Every row is carved from one array with cap == len.
-func (s *scanScratch) carve(users []graph.NodeID) *ucAction {
+// carve builds the shard from the finished columns: the directory in
+// ascending user id, each row's cells in ascending influenced id, all
+// cells in one array in directory order — the canonical on-disk block
+// order — with no per-row sort. Offsets count bytes from cells[0].
+func (s *scanScratch) carve(users []graph.NodeID) *shard {
 	n, total := len(users), len(s.cells)
 	if total == 0 {
-		return &ucAction{}
+		return &shard{}
 	}
 	order := s.order[:n]
 	for i := range order {
@@ -181,27 +182,22 @@ func (s *scanScratch) carve(users []graph.NodeID) *ucAction {
 			nRows++
 		}
 	}
-	ua := &ucAction{
-		rowKey: make([]int32, 0, nRows),
-		rows:   make([][]ucEntry, 0, nRows),
-	}
-	rowBack := make([]ucEntry, total)
-	nextRow := int32(0)
+	sh := &shard{dir: make([]mdirEntry, 0, nRows), cells: make([]ucEntry, total)}
+	next := int32(0)
 	for _, k := range order {
 		if m := s.rowLen[k]; m > 0 {
-			ua.rowKey = append(ua.rowKey, users[k])
-			ua.rows = append(ua.rows, rowBack[nextRow:nextRow+m:nextRow+m])
-			s.rowPos[k] = nextRow
-			nextRow += m
+			sh.dir = append(sh.dir, mdirEntry{key: users[k], count: uint32(m), off: uint64(next) * 16})
+			s.rowPos[k] = next
+			next += m
 		}
 	}
 	// Rows fill column by column in ascending influenced id, so each
 	// row's cells land sorted.
 	for _, i := range order {
 		for _, cl := range s.cells[s.colOff[i]:s.colOff[i+1]] {
-			rowBack[s.rowPos[cl.k]] = ucEntry{u: users[i], c: cl.c}
+			sh.cells[s.rowPos[cl.k]] = ucEntry{u: users[i], c: cl.c}
 			s.rowPos[cl.k]++
 		}
 	}
-	return ua
+	return sh
 }

@@ -106,34 +106,51 @@ func scanInstance(rng *rand.Rand) (*graph.Graph, *actionlog.Log) {
 
 // sameShard reports the first difference between a shard and its
 // reference: row keys and row cells (credits by bit pattern).
-func sameShard(t *testing.T, what string, got *ucAction, want *oracleShard) {
+func sameShard(t *testing.T, what string, got *shard, want *oracleShard) {
 	t.Helper()
-	if !slices.Equal(got.rowKey, want.rowKey) {
-		t.Fatalf("%s: row keys differ: %v / %v", what, got.rowKey, want.rowKey)
-	}
-	if len(got.rows) != len(want.rows) {
-		t.Fatalf("%s: %d rows, reference %d", what, len(got.rows), len(want.rows))
+	if len(got.dir) != len(want.rowKey) {
+		t.Fatalf("%s: %d rows, reference %d", what, len(got.dir), len(want.rowKey))
 	}
 	for r, row := range want.rows {
-		if !slices.EqualFunc(got.rows[r], row, func(a, b ucEntry) bool {
+		if got.dir[r].key != want.rowKey[r] {
+			t.Fatalf("%s: row key %d = %d, reference %d", what, r, got.dir[r].key, want.rowKey[r])
+		}
+		if !slices.EqualFunc(got.rowAt(r), row, func(a, b ucEntry) bool {
 			return a.u == b.u && math.Float64bits(a.c) == math.Float64bits(b.c)
 		}) {
-			t.Fatalf("%s: row of %d = %v, reference %v", what, want.rowKey[r], got.rows[r], row)
+			t.Fatalf("%s: row of %d = %v, reference %v", what, want.rowKey[r], got.rowAt(r), row)
 		}
 	}
 }
 
-// checkExactCaps fails unless every slice of the shard has cap == len.
-func checkExactCaps(t *testing.T, what string, ua *ucAction) {
+// checkExactCaps fails unless the shard is carved at exact size in the
+// canonical block order: cap == len on the directory and the cells, and
+// every row's cells right after the previous row's.
+func checkExactCaps(t *testing.T, what string, s *shard) {
 	t.Helper()
-	if cap(ua.rowKey) != len(ua.rowKey) || cap(ua.rows) != len(ua.rows) {
-		t.Fatalf("%s: outer slices carry slack", what)
+	if cap(s.dir) != len(s.dir) || cap(s.cells) != len(s.cells) {
+		t.Fatalf("%s: directory or cells carry slack", what)
 	}
-	for r, row := range ua.rows {
-		if cap(row) != len(row) {
-			t.Fatalf("%s: row %d has cap %d > len %d", what, r, cap(row), len(row))
+	next := s.first
+	for r, d := range s.dir {
+		if d.off != next {
+			t.Fatalf("%s: row %d cells at offset %d, canonical %d", what, r, d.off, next)
 		}
+		next += uint64(d.count) * 16
 	}
+	if want := s.first + uint64(len(s.cells))*16; next != want {
+		t.Fatalf("%s: rows end at offset %d, cells at %d", what, next, want)
+	}
+}
+
+// oracleOf copies a shard's rows into the reference representation.
+func oracleOf(s *shard) *oracleShard {
+	o := &oracleShard{}
+	for ri := 0; ri < len(s.dir); ri++ {
+		o.rowKey = append(o.rowKey, s.dir[ri].key)
+		o.rows = append(o.rows, s.rowAt(ri))
+	}
+	return o
 }
 
 // scanLambdas are the truncation thresholds the scan fuzz picks from.
@@ -167,8 +184,8 @@ func checkScanMatchesReference(t *testing.T, seed uint64, timeAware bool, lambda
 		what := fmt.Sprintf("scratch scan of action %d", a)
 		sameShard(t, what, got, want[a])
 		checkExactCaps(t, what, got)
-		if want := (&ucAction{rows: want[a].rows}).entryCount(); entries != want {
-			t.Fatalf("action %d: tally %d, reference %d", a, entries, want)
+		if entries != got.entryCount() {
+			t.Fatalf("action %d: tally %d, shard holds %d cells", a, entries, got.entryCount())
 		}
 	}
 
@@ -218,11 +235,9 @@ func TestFilterShardCarvesExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for a := headN; a < log.NumActions(); a++ {
-		ua := succ.uc[a].(*ucAction)
+		got := succ.uc[a]
 		what := fmt.Sprintf("action %d", a)
-		checkExactCaps(t, what, ua)
-		want, _ := sliceShard(full.uc[a], 8, 21)
-		w := want.(*ucAction)
-		sameShard(t, what, ua, &oracleShard{rowKey: w.rowKey, rows: w.rows})
+		checkExactCaps(t, what, got)
+		sameShard(t, what, got, oracleOf(full.uc[a].slice(8, 21)))
 	}
 }

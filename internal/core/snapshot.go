@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"unsafe"
 
 	"credist/internal/actionlog"
 	"credist/internal/celf"
@@ -23,7 +25,9 @@ import (
 // count, content hashes) so a snapshot can refuse to bind to a dataset it
 // was not built from. Float64 values are stored as raw IEEE-754 bits, so a
 // write/read round trip is bit-exact and every Gain/Spread/CELF result of
-// a reloaded engine is identical to the engine that was saved.
+// a reloaded engine is identical to the engine that was saved. One
+// writer (WriteSnapshot) emits every current version and one opener
+// (OpenSnapshot) reads them all, from a heap buffer or a mapping.
 //
 // Version-3 layout (all integers little-endian):
 //
@@ -44,9 +48,9 @@ import (
 //	hdrCRC    u32 CRC-32 (IEEE) of every preceding byte — the slice of the
 //	          file a mapped open trusts before the structural walk
 //	pad       0–7 zero bytes so the base section starts 8-aligned
-//	base      the frozen shards, fixed-width and directly addressable when
-//	          the file is memory-mapped (every offset relative to the base
-//	          section start, every record 8-aligned):
+//	base      the frozen shards, fixed-width and directly addressable in
+//	          memory (every offset relative to the base section start,
+//	          every record 8-aligned):
 //	            offsets   per action: u64 block offset (canonical: blocks
 //	                      contiguous, in action order, starting right after
 //	                      this table)
@@ -57,8 +61,8 @@ import (
 //	                      directory); then the cells, 16 bytes each
 //	                      (i32 influenced id strictly ascending, u32 zero
 //	                      padding, f64 credit bits) — exactly the in-memory
-//	                      ucEntry layout, so a mapped shard aliases them
-//	                      in place (mapped.go)
+//	                      shard layout (sparse.go), so an open aliases
+//	                      directory and cells in place (mapped.go)
 //	footer    u32 CRC-32 (IEEE) of every preceding byte
 //
 // Version-2 files (12-byte packed cells, no offset tables, prefix after
@@ -280,13 +284,17 @@ func (sw *snapWriter) str(s string) {
 	sw.bytes([]byte(s))
 }
 
+// scratch returns the writer's reusable buffer sized to n bytes.
+func (sw *snapWriter) scratch(n int) []byte {
+	if cap(sw.buf) < n {
+		sw.buf = make([]byte, n)
+	}
+	return sw.buf[:n]
+}
+
 // i32s writes a whole int32 slice through the scratch buffer in one pass.
 func (sw *snapWriter) i32s(vs []int32) {
-	need := len(vs) * 4
-	if cap(sw.buf) < need {
-		sw.buf = make([]byte, need)
-	}
-	b := sw.buf[:need]
+	b := sw.scratch(len(vs) * 4)
 	for i, v := range vs {
 		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
 	}
@@ -301,12 +309,6 @@ func (sw *snapWriter) footer() {
 		binary.LittleEndian.PutUint32(b[:], sw.crc)
 		_, sw.err = sw.w.Write(b[:])
 	}
-}
-
-// WriteSnapshot serializes the engine and its lineage in the binary
-// snapshot format, with no seed prefix. See WriteSnapshotPrefix.
-func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage) error {
-	return e.WriteSnapshotPrefix(w, lin, nil)
 }
 
 // checkSnapshotArgs enforces the shared writer preconditions: the
@@ -382,110 +384,74 @@ func writeSeedPrefixSection(sw *snapWriter, prefix *SeedPrefix) {
 	}
 }
 
-// WriteSnapshotPrefix serializes the engine, its lineage, and an optional
-// computed seed prefix in the current (version 3) binary snapshot format.
-// The base section is written in its canonical mapped-addressable layout:
-// contiguous in-order blocks behind a per-action offset table, 16-byte
-// directory records and cells, everything 8-aligned — so the very bytes
-// this writer emits are what OpenSnapshotMapped later serves queries from
-// without parsing.
-func (e *Engine) WriteSnapshotPrefix(w io.Writer, lin Lineage, prefix *SeedPrefix) error {
-	return e.WriteSnapshotSketch(w, lin, prefix, nil)
-}
-
-// WriteSnapshotSketch serializes the engine, its lineage, an optional
-// seed prefix, and an optional RR sketch. With a non-empty sketch the
-// file is written as version 5 (version 3 plus the sketch section); with
-// sk nil (or empty) it is the byte-identical version-3 file
-// WriteSnapshotPrefix has always produced, so sketchless snapshots stay
-// readable by older binaries.
-func (e *Engine) WriteSnapshotSketch(w io.Writer, lin Lineage, prefix *SeedPrefix, sk *RRSketch) error {
-	return e.WriteSnapshotProv(w, lin, prefix, sk, nil)
-}
-
-// WriteSnapshotProv serializes the engine, its lineage, an optional seed
-// prefix, an optional RR sketch, and an optional provenance index. With
-// a non-empty index the file is written as version 6 (version 3 plus the
-// flags byte, the sketch section when one rides along, and the
-// provenance section); with prov nil (or empty) it is the byte-identical
-// version-3 or version-5 file WriteSnapshotSketch has always produced,
-// so provless snapshots stay readable by older binaries.
-func (e *Engine) WriteSnapshotProv(w io.Writer, lin Lineage, prefix *SeedPrefix, sk *RRSketch, prov *ProvIndex) error {
-	if e.partitioned {
-		// A partition's base holds only its own rows; writing it under the
-		// full-model version would produce a file every reader trusts as
-		// the complete credit structure.
-		return fmt.Errorf("core: cannot write a partition engine (rows [%d,%d)) as a full snapshot; use WriteSnapshotSlice", e.partLo, e.partHi)
-	}
-	version := uint32(snapshotVersion)
-	if sk != nil && sk.NumSets() > 0 {
-		if err := sk.Validate(e.numUsers); err != nil {
-			return err
-		}
-		version = snapshotVersionSketch
-	} else {
-		sk = nil
-	}
-	if prov != nil && prov.Pairs() > 0 {
-		if err := prov.Validate(e.numUsers, e.NumActions()); err != nil {
-			return err
-		}
-		version = snapshotVersionProv
-	} else {
-		prov = nil
-	}
-	return e.writeSnapshotRows(w, lin, prefix, version, 0, e.numUsers, sk, prov)
-}
-
-// WriteSnapshotSlice serializes the engine's influencer rows in [lo, hi)
-// as a version-4 partition slice: the identical header (full lineage,
-// params, per-user action lists, seed prefix) plus the declared row
-// range, with the base section restricted to the range's rows in the same
-// canonical offset-addressed layout — so a slice mmaps exactly like a
-// full version-3 file. A contiguous set of slices covering [0, NumNodes())
-// reassembles the model with no row stored twice. A full engine may write
-// any valid range; a partition engine re-encodes only its own range, and
-// the encoding of a given engine remains unique (saving a loaded slice
-// reproduces the file byte for byte).
-func (e *Engine) WriteSnapshotSlice(w io.Writer, lin Lineage, prefix *SeedPrefix, lo, hi int) error {
-	if lo < 0 || lo > hi || hi > e.numUsers {
-		return fmt.Errorf("core: slice rows [%d,%d) outside the universe [0,%d)", lo, hi, e.numUsers)
-	}
-	if e.partitioned && (lo != e.partLo || hi != e.partHi) {
-		return fmt.Errorf("core: partition engine holds rows [%d,%d), cannot write slice [%d,%d)", e.partLo, e.partHi, lo, hi)
-	}
-	return e.writeSnapshotRows(w, lin, prefix, snapshotVersionSlice, lo, hi, nil, nil)
-}
-
-// writeSnapshotRows is the shared body of WriteSnapshotProv (version 3,
-// every row; version 5 when an RR sketch rides along; version 6 when a
-// provenance index does) and WriteSnapshotSlice (version 4, rows in
-// [lo, hi) plus the range record in the header).
-func (e *Engine) writeSnapshotRows(w io.Writer, lin Lineage, prefix *SeedPrefix, version uint32, lo, hi int, sk *RRSketch, prov *ProvIndex) error {
+// WriteSnapshot serializes the engine, its lineage, and the optional
+// sections stored beside it: prefix, a computed CELF seed prefix; sketch,
+// the approximate tier's RR sketch; prov, the provenance index (nil or
+// empty means none for each). A full engine writes version 3, version 5
+// when a sketch rides along, and version 6 when a provenance index does,
+// so a file without sections stays byte-identical to what older binaries
+// read. A partition engine writes its own rows as a version-4 slice —
+// the full header plus its row range — and refuses a sketch or an index,
+// which span the whole universe; a full engine writes a slice by Slice
+// first. The base section is written in its canonical mapped-addressable
+// layout: contiguous in-order blocks behind a per-action offset table,
+// 16-byte directory records and cells, everything 8-aligned — so the very
+// bytes this writer emits are what OpenSnapshot later serves queries from
+// without parsing. The encoding of a given engine state is unique: saving
+// a loaded snapshot reproduces the file byte for byte.
+func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, sketch *RRSketch, prov *ProvIndex) error {
 	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
 		return err
 	}
+	if sketch != nil && sketch.NumSets() == 0 {
+		sketch = nil
+	}
+	if prov.Pairs() == 0 {
+		prov = nil
+	}
+	version := uint32(snapshotVersion)
+	switch {
+	case e.partitioned:
+		if sketch != nil || prov != nil {
+			return fmt.Errorf("core: a partition engine (rows [%d,%d)) cannot write an RR sketch or a provenance index; both belong to the whole-model file", e.partLo, e.partHi)
+		}
+		version = snapshotVersionSlice
+	case prov != nil:
+		version = snapshotVersionProv
+	case sketch != nil:
+		version = snapshotVersionSketch
+	}
+	if sketch != nil {
+		if err := sketch.Validate(e.numUsers); err != nil {
+			return err
+		}
+	}
+	if prov != nil {
+		if err := prov.Validate(e.numUsers, e.NumActions()); err != nil {
+			return err
+		}
+	}
+
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sw := &snapWriter{w: bw}
 	if err := writeSnapshotHeader(sw, e, lin, version); err != nil {
 		return err
 	}
 	writeSeedPrefixSection(sw, prefix)
-	if version == snapshotVersionSlice {
-		sw.u32(uint32(lo))
-		sw.u32(uint32(hi))
-	}
-	if version == snapshotVersionSketch {
-		writeSketchSection(sw, sk)
-	}
-	if version == snapshotVersionProv {
+	switch version {
+	case snapshotVersionSlice:
+		sw.u32(uint32(e.partLo))
+		sw.u32(uint32(e.partHi))
+	case snapshotVersionSketch:
+		writeSketchSection(sw, sketch)
+	case snapshotVersionProv:
 		flags := provFlagProv
-		if sk != nil {
+		if sketch != nil {
 			flags |= provFlagSketch
 		}
 		sw.u8(flags)
-		if sk != nil {
-			writeSketchSection(sw, sk)
+		if sketch != nil {
+			writeSketchSection(sw, sketch)
 		}
 		writeProvSection(sw, prov)
 	}
@@ -499,59 +465,33 @@ func (e *Engine) writeSnapshotRows(w io.Writer, lin Lineage, prefix *SeedPrefix,
 		sw.bytes(make([]byte, pad))
 	}
 
-	// Per-shard row windows: the directory index range within [lo, hi).
-	// For a full snapshot that is every row of every shard.
-	type window struct {
-		ri0, ri1 int
-		ents     uint64
-	}
-	wins := make([]window, len(e.uc))
-	for a, st := range e.uc {
-		ri0, ri1 := rowIndexRange(st, int32(lo), int32(hi))
-		var ents uint64
-		for ri := ri0; ri < ri1; ri++ {
-			ents += uint64(len(st.rowAt(ri)))
-		}
-		wins[a] = window{ri0: ri0, ri1: ri1, ents: ents}
-	}
-
 	// Offset table: canonical positions, blocks contiguous in action order.
 	off := uint64(len(e.uc)) * 8
-	for a := range e.uc {
+	for _, s := range e.uc {
 		sw.u64(off)
-		off += 8 + (uint64(wins[a].ri1-wins[a].ri0)+wins[a].ents)*16
+		off += 8 + uint64(s.bytes())
 	}
-
-	// Blocks: row directory then the cells, both in canonical order with
-	// canonical offsets (base-relative).
+	// Blocks: the row count, then the directory and the cells in the
+	// shard's own order, with canonical base-relative cell offsets.
 	cur := uint64(len(e.uc)) * 8
-	for a, st := range e.uc {
-		win := wins[a]
-		nRows := win.ri1 - win.ri0
-		sw.u64(uint64(nRows))
-		entOff := cur + 8 + uint64(nRows)*16
-		for ri := win.ri0; ri < win.ri1; ri++ {
-			sw.u32(uint32(st.rowKeyAt(ri)))
-			rowLen := len(st.rowAt(ri))
-			sw.u32(uint32(rowLen))
-			sw.u64(entOff)
-			entOff += uint64(rowLen) * 16
+	for _, s := range e.uc {
+		sw.u64(uint64(len(s.dir)))
+		b := sw.scratch(int(s.bytes()))
+		cellOff := cur + 8 + uint64(len(s.dir))*16
+		for i, d := range s.dir {
+			binary.LittleEndian.PutUint32(b[i*16:], uint32(d.key))
+			binary.LittleEndian.PutUint32(b[i*16+4:], d.count)
+			binary.LittleEndian.PutUint64(b[i*16+8:], cellOff)
+			cellOff += uint64(d.count) * 16
 		}
-		for ri := win.ri0; ri < win.ri1; ri++ {
-			row := st.rowAt(ri)
-			need := len(row) * 16
-			if cap(sw.buf) < need {
-				sw.buf = make([]byte, need)
-			}
-			b := sw.buf[:need]
-			for i, en := range row {
-				binary.LittleEndian.PutUint32(b[i*16:], uint32(en.u))
-				binary.LittleEndian.PutUint32(b[i*16+4:], 0)
-				binary.LittleEndian.PutUint64(b[i*16+8:], math.Float64bits(en.c))
-			}
-			sw.bytes(b)
+		cb := b[len(s.dir)*16:]
+		for i, en := range s.cells {
+			binary.LittleEndian.PutUint32(cb[i*16:], uint32(en.u))
+			binary.LittleEndian.PutUint32(cb[i*16+4:], 0)
+			binary.LittleEndian.PutUint64(cb[i*16+8:], math.Float64bits(en.c))
 		}
-		cur = entOff
+		sw.bytes(b)
+		cur = cellOff
 	}
 
 	sw.footer()
@@ -706,7 +646,7 @@ func newSnapshotEngine(lin Lineage, lambda float64, credit CreditModel) *Engine 
 		numUsers:    lin.NumUsers,
 		au:          make([]int32, lin.NumUsers),
 		actionsOf:   make([][]int32, lin.NumUsers),
-		uc:          make([]rowStore, 0, lin.NumActions),
+		uc:          make([]*shard, 0, lin.NumActions),
 		lambda:      lambda,
 		credit:      credit,
 		baseActions: lin.NumActions,
@@ -778,95 +718,151 @@ func parseSeedPrefix(sc *snapCursor, numUsers int) (*SeedPrefix, error) {
 	return p, sc.err
 }
 
-// ReadSnapshot parses a snapshot written by WriteSnapshot, discarding any
-// stored seed prefix. See ReadSnapshotPrefix.
-func ReadSnapshot(r io.Reader) (*Engine, Lineage, error) {
-	e, lin, _, err := ReadSnapshotPrefix(r)
-	return e, lin, err
+// SnapshotFile is an opened snapshot: the engine and everything stored
+// beside it. Prefix, Sketch and Prov are nil when the file carries no
+// such section (always for version-1 files, and for the sections a
+// version predates). The engine's shards and the provenance records
+// alias the bytes the open read or mapped, so a mapped SnapshotFile must
+// stay open for as long as the engine, any successor or partition of it,
+// or the provenance index is in use.
+type SnapshotFile struct {
+	Engine  *Engine
+	Lineage Lineage
+	Prefix  *SeedPrefix
+	Sketch  *RRSketch
+	Prov    *ProvIndex
+
+	data    []byte       // the bytes shards and provenance records alias
+	release func() error // unmaps data; nil for a heap open
 }
 
-// ReadSnapshotPrefix parses a snapshot written by WriteSnapshotPrefix,
-// discarding any stored RR sketch. See ReadSnapshotSketch.
-func ReadSnapshotPrefix(r io.Reader) (*Engine, Lineage, *SeedPrefix, error) {
-	e, lin, prefix, _, err := ReadSnapshotSketch(r)
-	return e, lin, prefix, err
-}
-
-// ReadSnapshotSketch parses a snapshot written by WriteSnapshotSketch,
-// discarding any stored provenance index. See ReadSnapshotProv.
-func ReadSnapshotSketch(r io.Reader) (*Engine, Lineage, *SeedPrefix, *RRSketch, error) {
-	e, lin, prefix, sketch, _, err := ReadSnapshotProv(r)
-	return e, lin, prefix, sketch, err
-}
-
-// ReadSnapshotProv parses a snapshot written by WriteSnapshotProv and
-// rebuilds the engine heap-resident, with the Au normalizers
-// reconstructed deterministically from the stored action lists. Any
-// supported version (1 through 6) is accepted. The returned engine has
-// the full scanned range as its base and is bit-for-bit equivalent to the
-// saved engine; the returned prefix is the stored seed prefix, or nil when the
-// file carries none (always for version-1 files), the returned sketch
-// is the stored RR sketch, or nil for files not carrying one, and the
-// returned prov is the stored provenance index, or nil for every version
-// below 6. Corrupt or truncated input — bad magic, impossible counts,
-// unordered keys, a CRC mismatch, trailing garbage, a malformed prefix,
-// sketch, or provenance section — is rejected with an error, never a
-// panic or an unbounded allocation. For serving straight off the file
-// without this parse, see OpenSnapshotMapped.
-func ReadSnapshotProv(r io.Reader) (*Engine, Lineage, *SeedPrefix, *RRSketch, *ProvIndex, error) {
-	var lin Lineage
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: read: %w", err)
+// Close releases the mapping behind a mapped open; for a heap open it is
+// a no-op, since the garbage collector owns the buffer. The caller must
+// have dropped every engine and provenance index derived from a mapped
+// file first: reading a mapped shard or record after Close faults.
+// Closing is idempotent.
+func (f *SnapshotFile) Close() error {
+	if f == nil || f.release == nil {
+		return nil
 	}
+	rel := f.release
+	f.release, f.data = nil, nil
+	return rel()
+}
+
+// OpenSnapshot opens a snapshot file written by WriteSnapshot. Every
+// supported version (1 through 6) opens on the heap; versions 3 to 6 also
+// open mapped. Both opens run the same parse: the header (lineage,
+// parameters, per-user action lists, the optional sections) is decoded
+// and its CRC verified, the base section's offset tables, keys and ids
+// are validated in full, and then every shard is an in-place window onto
+// the file's bytes — no cell is copied, no row allocated. The returned
+// engine is bit-for-bit equivalent to the one that was saved and has the
+// full scanned range as its base.
+//
+// With mmap false the file is read into one 8-aligned heap buffer and the
+// full-file CRC footer is verified before anything is parsed. With mmap
+// true the file is memory-mapped and the OS pages shards in and out on
+// demand, so the model can exceed RAM; the footer's checksum pass is
+// skipped, while the header CRC and the structural walk over every
+// record still run. Hosts that cannot
+// alias the layout (32-bit or big-endian) decode the same bytes into heap
+// shards instead. Corrupt or truncated input — bad magic, impossible
+// counts, unordered keys, a CRC mismatch, trailing garbage, a malformed
+// section — is rejected with an error, never a panic or an unbounded
+// allocation.
+func OpenSnapshot(path string, mmap bool) (*SnapshotFile, error) {
+	if !mmap {
+		data, err := readAligned(path)
+		if err != nil {
+			return nil, err
+		}
+		return decodeSnapshot(data)
+	}
+	data, release, err := mmapFile(path)
+	if err != nil {
+		return nil, err
+	}
+	f, err := parseSnapshotV3(data, mappedAliasSupported(), true)
+	if err != nil {
+		release()
+		return nil, err
+	}
+	f.release = release
+	return f, nil
+}
+
+// readAligned reads the file at path into one heap buffer sized from Stat
+// and backed by []uint64, so it is 8-aligned and the version-3 parse can
+// alias the base section in place.
+func readAligned(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
+	size := fi.Size()
+	if size != int64(int(size)) {
+		return nil, fmt.Errorf("core: snapshot: %s is %d bytes, beyond this platform's address space", path, size)
+	}
+	words := make([]uint64, (size+7)/8)
+	data := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)[:size]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("core: snapshot: read %s: %w", path, err)
+	}
+	return data, nil
+}
+
+// decodeSnapshot is the heap open's parse of a whole file held in data:
+// the footer CRC first, then the version-3 parse (aliasing data when the
+// host and data's alignment allow) or the version-1/2 legacy reader.
+func decodeSnapshot(data []byte) (*SnapshotFile, error) {
 	if len(data) < len(snapshotMagic)+4+4 {
-		return nil, lin, nil, nil, nil, errors.New("core: snapshot: truncated input: shorter than the fixed header")
+		return nil, errors.New("core: snapshot: truncated input: shorter than the fixed header")
 	}
 	if !IsSnapshotHeader(data) {
-		return nil, lin, nil, nil, nil, errors.New("core: snapshot: bad magic (not a snapshot file)")
+		return nil, errors.New("core: snapshot: bad magic (not a snapshot file)")
 	}
 	// Integrity first: the CRC footer covers the whole payload, so every
 	// later structural check runs on bytes known to be exactly what the
 	// writer produced (or the file is rejected here, wholesale).
 	payload, footer := data[:len(data)-4], data[len(data)-4:]
 	if got, want := binary.LittleEndian.Uint32(footer), crc32.ChecksumIEEE(payload); got != want {
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: checksum mismatch (file %08x, computed %08x): corrupt or truncated input", got, want)
+		return nil, fmt.Errorf("core: snapshot: checksum mismatch (file %08x, computed %08x): corrupt or truncated input", got, want)
 	}
-
-	version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
-	switch version {
+	switch version := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); version {
 	case snapshotVersion, snapshotVersionSlice, snapshotVersionSketch, snapshotVersionProv:
-		return parseSnapshotV3(data, false)
+		return parseSnapshotV3(data, mappedAliasSupported(), false)
 	case snapshotVersionNoBase, snapshotVersionNoPrefix:
-		e, l, p, err := readLegacySnapshot(payload, version)
-		return e, l, p, nil, nil, err
+		return readLegacySnapshot(payload, version)
 	default:
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
+		return nil, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
 	}
 }
 
 // readLegacySnapshot parses the version-1/2 payload (footer already
 // verified and stripped): shards as packed 12-byte cells, then — for
-// version 2 — the seed-prefix section.
-func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *SeedPrefix, error) {
+// version 2 — the seed-prefix section. Each shard is rebuilt in the
+// base-section layout, offsets counted from its first cell.
+func readLegacySnapshot(payload []byte, version uint32) (*SnapshotFile, error) {
 	sc := &snapCursor{b: payload, off: len(snapshotMagic) + 4}
 	lin, lambda, credit, err := parseSnapshotHeader(sc)
 	if err != nil {
-		return nil, lin, nil, err
+		return nil, err
 	}
 	e := newSnapshotEngine(lin, lambda, credit)
 	if err := parseUsers(sc, lin, e); err != nil {
-		return nil, lin, nil, err
+		return nil, err
 	}
 
 	for a := 0; a < lin.NumActions && sc.err == nil; a++ {
-		ua := &ucAction{}
 		rowCount := sc.count("row", 8)
 		entryTotal := sc.count("shard entry", 12)
-		ua.rowKey = make([]int32, 0, rowCount)
-		ua.rows = make([][]ucEntry, 0, rowCount)
-		rowLens := make([]int, 0, rowCount)
-		flat := make([]ucEntry, 0, entryTotal)
+		s := &shard{dir: make([]mdirEntry, 0, rowCount), cells: make([]ucEntry, 0, entryTotal)}
 		prevKey := int32(-1)
 		for ri := 0; ri < rowCount && sc.err == nil; ri++ {
 			v := int32(sc.u32())
@@ -890,7 +886,7 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 				sc.fail("action %d row %d is empty", a, v)
 				break
 			}
-			if len(flat)+n > entryTotal {
+			if len(s.cells)+n > entryTotal {
 				sc.fail("action %d rows exceed the declared entry total %d", a, entryTotal)
 				break
 			}
@@ -898,7 +894,7 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 			if cells == nil {
 				break
 			}
-			start := len(flat)
+			s.dir = append(s.dir, mdirEntry{key: v, count: uint32(n), off: uint64(len(s.cells)) * 16})
 			prevU := int32(-1)
 			for off := 0; off < len(cells); off += 12 {
 				u := int32(binary.LittleEndian.Uint32(cells[off:]))
@@ -911,76 +907,33 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 					break
 				}
 				prevU = u
-				flat = append(flat, ucEntry{u: u, c: math.Float64frombits(binary.LittleEndian.Uint64(cells[off+4:]))})
+				s.cells = append(s.cells, ucEntry{u: u, c: math.Float64frombits(binary.LittleEndian.Uint64(cells[off+4:]))})
 			}
-			if sc.err != nil {
-				break
-			}
-			ua.rowKey = append(ua.rowKey, v)
-			rowLens = append(rowLens, len(flat)-start)
 		}
 		if sc.err != nil {
 			break
 		}
-		if len(flat) != entryTotal {
-			sc.fail("action %d holds %d entries, header declared %d", a, len(flat), entryTotal)
+		if len(s.cells) != entryTotal {
+			sc.fail("action %d holds %d entries, header declared %d", a, len(s.cells), entryTotal)
 			break
 		}
-		// Carve the per-row windows out of the flat cell store, each with
-		// cap == len like a scanned shard.
-		off := 0
-		for _, n := range rowLens {
-			ua.rows = append(ua.rows, flat[off:off+n:off+n])
-			off += n
-		}
-		e.entries += int64(len(flat))
-		e.uc = append(e.uc, ua)
+		e.entries += int64(len(s.cells))
+		e.uc = append(e.uc, s)
 	}
 	if sc.err != nil {
-		return nil, lin, nil, sc.err
+		return nil, sc.err
 	}
 
 	// Seed-prefix section (version >= 2 only); version-1 files end at the
 	// shards.
-	var prefix *SeedPrefix
+	f := &SnapshotFile{Engine: e, Lineage: lin}
 	if version >= snapshotVersionNoBase {
-		prefix, err = parseSeedPrefix(sc, lin.NumUsers)
-		if err != nil {
-			return nil, lin, nil, err
+		if f.Prefix, err = parseSeedPrefix(sc, lin.NumUsers); err != nil {
+			return nil, err
 		}
 	}
 	if sc.remaining() != 0 {
-		return nil, lin, nil, errors.New("core: snapshot: trailing data after payload")
+		return nil, errors.New("core: snapshot: trailing data after payload")
 	}
-	return e, lin, prefix, nil
-}
-
-// decodeHeapShards decodes validated version-3 extents into heap
-// ucActions — the heap half of the version-3 read path,
-// also the fallback when a mapped open runs on a platform whose memory
-// layout cannot alias the base section. validateBaseSection has already
-// vetted every offset, key, and id, so the walk here is unchecked.
-func decodeHeapShards(e *Engine, payload []byte, extents []baseExtent) {
-	for _, ext := range extents {
-		ua := &ucAction{
-			rowKey: make([]int32, ext.rowCount),
-			rows:   make([][]ucEntry, ext.rowCount),
-		}
-		flat := make([]ucEntry, 0, ext.entCount)
-		off := ext.entStart
-		for ri := 0; ri < ext.rowCount; ri++ {
-			rec := payload[ext.dirStart+ri*16:]
-			ua.rowKey[ri] = int32(binary.LittleEndian.Uint32(rec))
-			n := int(binary.LittleEndian.Uint32(rec[4:]))
-			start := len(flat)
-			for c := 0; c < n; c++ {
-				cell := payload[off:]
-				u := int32(binary.LittleEndian.Uint32(cell))
-				flat = append(flat, ucEntry{u: u, c: math.Float64frombits(binary.LittleEndian.Uint64(cell[8:]))})
-				off += 16
-			}
-			ua.rows[ri] = flat[start:len(flat):len(flat)]
-		}
-		e.uc = append(e.uc, ua)
-	}
+	return f, nil
 }

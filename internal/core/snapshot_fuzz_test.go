@@ -3,11 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"credist/internal/seedsel"
 )
@@ -23,8 +23,8 @@ import (
 // engine's declared shape matches the lineage, re-serializing reproduces
 // the input byte for byte (the encoding of a given engine is unique, so
 // anything accepted must already be in canonical form), and the mapped
-// open's aliasing parse accepts it too, with an identical provenance
-// index.
+// open's parse and the non-aliasing fallback accept it too, with the same
+// rows and an identical provenance index.
 func FuzzReadSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewPCG(101, 7))
 	g, log := randomInstance(rng, 25, 14)
@@ -34,7 +34,7 @@ func FuzzReadSnapshot(f *testing.F) {
 
 	// Seed 1: plain snapshot, no prefix.
 	var plain bytes.Buffer
-	if err := e.WriteSnapshot(&plain, lin); err != nil {
+	if err := e.WriteSnapshot(&plain, lin, nil, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(plain.Bytes())
@@ -43,7 +43,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	sel := seedsel.CELF(NewProbeEstimator(nil, e), 5)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var prefixed bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&prefixed, lin, prefix); err != nil {
+	if err := e.WriteSnapshot(&prefixed, lin, prefix, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(prefixed.Bytes())
@@ -51,7 +51,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	// Seed 3: simple-credit variant (exercises the other credit tag).
 	se := NewEngine(g, log, Options{Lambda: 0.001})
 	var simple bytes.Buffer
-	if err := se.WriteSnapshot(&simple, lin); err != nil {
+	if err := se.WriteSnapshot(&simple, lin, nil, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(simple.Bytes())
@@ -59,7 +59,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	// Seed: a tau record whose head lies just past the influenceability
 	// table; the decoder must reject it.
 	var stray bytes.Buffer
-	if err := NewEngine(g, log, Options{Lambda: 0.001, Credit: withStrayTau(credit)}).WriteSnapshot(&stray, lin); err != nil {
+	if err := NewEngine(g, log, Options{Lambda: 0.001, Credit: withStrayTau(credit)}).WriteSnapshot(&stray, lin, nil, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(stray.Bytes())
@@ -105,7 +105,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var slice bytes.Buffer
-	if err := part.WriteSnapshotSlice(&slice, lin, nil, 8, 17); err != nil {
+	if err := part.WriteSnapshot(&slice, lin, nil, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(slice.Bytes())
@@ -114,7 +114,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var tailSlice bytes.Buffer
-	if err := tailPart.WriteSnapshotSlice(&tailSlice, lin, prefix, 17, e.NumNodes()); err != nil {
+	if err := tailPart.WriteSnapshot(&tailSlice, lin, prefix, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(tailSlice.Bytes())
@@ -124,7 +124,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		badRange := append([]byte(nil), slice.Bytes()...)
 		baseSize := part.NumActions() * 8
 		for _, st := range part.uc {
-			baseSize += 8 + (st.numRows()+int(st.entryCount()))*16
+			baseSize += 8 + int(st.bytes())
 		}
 		hdrCRCOff := len(badRange) - 4 - baseSize - 4
 		if hdrCRCOff >= 8 {
@@ -154,7 +154,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		sketch.Offs = append(sketch.Offs, int32(len(sketch.Nodes)))
 	}
 	var sketched bytes.Buffer
-	if err := e.WriteSnapshotSketch(&sketched, lin, prefix, sketch); err != nil {
+	if err := e.WriteSnapshot(&sketched, lin, prefix, sketch, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sketched.Bytes())
@@ -195,12 +195,12 @@ func FuzzReadSnapshot(f *testing.F) {
 	// rejecting rather than the checksum.
 	prov := e.BuildProvIndex()
 	var proved bytes.Buffer
-	if err := e.WriteSnapshotProv(&proved, lin, prefix, nil, prov); err != nil {
+	if err := e.WriteSnapshot(&proved, lin, prefix, nil, prov); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(proved.Bytes())
 	var provSketched bytes.Buffer
-	if err := e.WriteSnapshotProv(&provSketched, lin, prefix, sketch, prov); err != nil {
+	if err := e.WriteSnapshot(&provSketched, lin, prefix, sketch, prov); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(provSketched.Bytes())
@@ -251,7 +251,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	v3 := prefixed.Bytes()
 	baseSize := e.NumActions() * 8
 	for _, st := range e.uc {
-		baseSize += 8 + (st.numRows()+int(st.entryCount()))*16
+		baseSize += 8 + int(st.bytes())
 	}
 	if baseOff := len(v3) - 4 - baseSize; baseOff > 0 {
 		restamp := func(b []byte) []byte {
@@ -274,10 +274,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng, lin, pfx, sketch, prov, err := ReadSnapshotProv(bytes.NewReader(data))
+		sf, err := readSnapshot(data)
 		if err != nil {
 			return // rejected input is the expected outcome; no panic happened
 		}
+		eng, lin, pfx := sf.Engine, sf.Lineage, sf.Prefix
 		if eng.NumNodes() != lin.NumUsers || eng.NumActions() != lin.NumActions {
 			t.Fatalf("accepted engine shape %d users/%d actions contradicts lineage %d/%d",
 				eng.NumNodes(), eng.NumActions(), lin.NumUsers, lin.NumActions)
@@ -289,45 +290,18 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
-		if version >= snapshotVersion {
-			checkAliasingParse(t, data, prov)
-		}
-		if version == snapshotVersionSlice {
-			// An accepted slice re-encodes through the slice writer at its
-			// own row range; canonical-form uniqueness holds per version.
-			lo, hi := eng.PartitionRange()
-			var out bytes.Buffer
-			if err := eng.WriteSnapshotSlice(&out, lin, pfx, lo, hi); err != nil {
-				t.Fatalf("accepted slice fails to re-serialize: %v", err)
-			}
-			if !bytes.Equal(out.Bytes(), data) {
-				t.Fatalf("accepted slice is not canonical: re-encode differs (%d vs %d bytes)",
-					out.Len(), len(data))
-			}
-			return
-		}
-		if version == snapshotVersionSketch || version == snapshotVersionProv {
-			// An accepted sketch or provenance snapshot re-encodes through
-			// the section-aware writer; section encoding is unique, so bytes
-			// must round-trip. A version-6 file must actually carry an index.
-			if version == snapshotVersionProv && prov == nil {
-				t.Fatal("accepted version-6 snapshot without a provenance index")
-			}
-			var out bytes.Buffer
-			if err := eng.WriteSnapshotProv(&out, lin, pfx, sketch, prov); err != nil {
-				t.Fatalf("accepted sectioned snapshot fails to re-serialize: %v", err)
-			}
-			if !bytes.Equal(out.Bytes(), data) {
-				t.Fatalf("accepted sectioned snapshot is not canonical: re-encode differs (%d vs %d bytes)",
-					out.Len(), len(data))
-			}
-			return
-		}
-		if version != snapshotVersion {
+		if version < snapshotVersion {
 			return // v1/v2 input re-encodes as v3; bytes legitimately differ
 		}
+		if version == snapshotVersionProv && sf.Prov == nil {
+			t.Fatal("accepted version-6 snapshot without a provenance index")
+		}
+		checkAliasingParse(t, data, sf)
+		// Anything accepted re-encodes byte for byte through the one
+		// writer — a slice at its own row range, a sectioned file with its
+		// sections: the encoding of a given engine state is unique.
 		var out bytes.Buffer
-		if err := eng.WriteSnapshotPrefix(&out, lin, pfx); err != nil {
+		if err := eng.WriteSnapshot(&out, lin, pfx, sf.Sketch, sf.Prov); err != nil {
 			t.Fatalf("accepted input fails to re-serialize: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), data) {
@@ -337,32 +311,49 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// checkAliasingParse runs input the heap reader accepted through the
-// mapped open's parse, on an 8-aligned copy so shards and provenance
-// records alias it in place: it must be accepted, and its provenance
-// index must equal the heap reader's, lookup for lookup. The reverse
-// does not hold — the mapped open skips the footer CRC, so it may accept
-// input the heap reader refuses.
-func checkAliasingParse(t *testing.T, data []byte, prov *ProvIndex) {
-	words := make([]uint64, (len(data)+7)/8)
-	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)[:len(data)]
-	copy(aligned, data)
-	_, _, _, _, mprov, err := parseSnapshotV3(aligned, true)
+// checkAliasingParse runs version-3+ input the heap open accepted through
+// the two other parses of the same bytes: the mapped open's (aliasing, no
+// footer check) and the non-aliasing fallback that 32-bit and big-endian
+// hosts take. Both must accept it and restore the same engine rows and
+// the same provenance index, lookup for lookup. The reverse does not
+// hold — the mapped open skips the footer CRC, so it may accept input the
+// heap open refuses.
+func checkAliasingParse(t *testing.T, data []byte, heap *SnapshotFile) {
+	mapped, err := parseSnapshotV3(alignedCopy(data), mappedAliasSupported(), true)
 	if err != nil {
-		t.Fatalf("heap reader accepted input the aliasing parse refuses: %v", err)
+		t.Fatalf("heap open accepted input the mapped open's parse refuses: %v", err)
 	}
-	if !reflect.DeepEqual(mprov, prov) {
-		t.Fatal("aliasing parse restored a different provenance index")
+	copied, err := parseSnapshotV3(data, false, false)
+	if err != nil {
+		t.Fatalf("heap open accepted input the non-aliasing parse refuses: %v", err)
 	}
-	if prov == nil {
+	for _, other := range []*SnapshotFile{mapped, copied} {
+		requireSameShards(t, heap.Engine, other.Engine)
+		if !reflect.DeepEqual(other.Prov, heap.Prov) {
+			t.Fatal("parses restored different provenance indexes")
+		}
+	}
+	if heap.Prov == nil {
 		return
 	}
-	for _, r := range provRecords(prov) {
-		for _, idx := range []*ProvIndex{prov, mprov} {
+	for _, r := range provRecords(heap.Prov) {
+		for _, idx := range []*ProvIndex{heap.Prov, mapped.Prov, copied.Prov} {
 			a, c := idx.Lookup(r.v, r.u)
 			if !reflect.DeepEqual(a, r.acts) || !reflect.DeepEqual(c, r.creds) {
 				t.Fatalf("Lookup(%d,%d) disagrees with the pair's records", r.v, r.u)
 			}
 		}
+	}
+}
+
+// requireSameShards fails unless two engines hold the same rows, key for
+// key and cell for cell (credits by bit pattern), whatever backs them.
+func requireSameShards(t *testing.T, want, got *Engine) {
+	t.Helper()
+	if len(got.uc) != len(want.uc) || got.entries != want.entries {
+		t.Fatalf("%d shards/%d entries, want %d/%d", len(got.uc), got.entries, len(want.uc), want.entries)
+	}
+	for a, s := range want.uc {
+		sameShard(t, fmt.Sprintf("action %d", a), got.uc[a], oracleOf(s))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"credist/internal/actionlog"
 	"credist/internal/graph"
@@ -33,10 +34,25 @@ func snapshotInstance(t *testing.T, seed uint64, users, actions int) (*graph.Gra
 func writeSnapshot(t *testing.T, e *Engine, lin Lineage) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// readSnapshot parses snapshot bytes exactly as the heap OpenSnapshot
+// parses a file it has read: from an 8-aligned buffer, footer first.
+func readSnapshot(data []byte) (*SnapshotFile, error) {
+	return decodeSnapshot(alignedCopy(data))
+}
+
+// alignedCopy copies data into an 8-aligned buffer backed by []uint64, the
+// kind readAligned reads a file into.
+func alignedCopy(data []byte) []byte {
+	words := make([]uint64, (len(data)+7)/8)
+	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)[:len(data)]
+	copy(aligned, data)
+	return aligned
 }
 
 // requireEnginesBitIdentical compares two engines through their public
@@ -81,10 +97,11 @@ func TestSnapshotRoundTripBitExact(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 31, 60, 40)
 	data := writeSnapshot(t, e, lin)
 
-	back, backLin, err := ReadSnapshot(bytes.NewReader(data))
+	sf, err := readSnapshot(data)
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
+	back, backLin := sf.Engine, sf.Lineage
 	if backLin != lin {
 		t.Fatalf("lineage round trip: %+v != %+v", backLin, lin)
 	}
@@ -125,10 +142,11 @@ func TestSnapshotSimpleCreditRoundTrip(t *testing.T) {
 	e := NewEngine(g, log, Options{Lambda: 0.001})
 	lin := DatasetLineage("simple", g, log)
 	data := writeSnapshot(t, e, lin)
-	back, _, err := ReadSnapshot(bytes.NewReader(data))
+	sf, err := readSnapshot(data)
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
+	back := sf.Engine
 	if _, ok := back.CreditModel().(SimpleCredit); !ok {
 		t.Fatalf("credit model = %T, want SimpleCredit", back.CreditModel())
 	}
@@ -149,10 +167,11 @@ func TestSnapshotLoadThenAppendBitIdenticalToRescan(t *testing.T) {
 
 	saved := NewEngine(g, head, opts)
 	data := writeSnapshot(t, saved, DatasetLineage("head", g, head))
-	back, lin, err := ReadSnapshot(bytes.NewReader(data))
+	sf, err := readSnapshot(data)
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
+	back, lin := sf.Engine, sf.Lineage
 	if err := lin.Check(g, log); err != nil {
 		t.Fatalf("lineage check against the combined log: %v", err)
 	}
@@ -202,19 +221,19 @@ func TestSnapshotRefusesMismatchedLineage(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 53, 30, 16)
 	bad := lin
 	bad.NumActions--
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil, nil); err == nil {
 		t.Fatal("lineage with wrong action count accepted")
 	}
 	bad = lin
 	bad.NumUsers++
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil, nil); err == nil {
 		t.Fatal("lineage with wrong user count accepted")
 	}
 	// The writer enforces the reader's name bound, so it can never produce
 	// a CRC-valid file that no load will accept.
 	bad = lin
 	bad.Dataset = strings.Repeat("x", 1<<16+1)
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil, nil); err == nil {
 		t.Fatal("oversized dataset name accepted")
 	}
 }
@@ -226,7 +245,7 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 59, 30, 16)
 	data := writeSnapshot(t, e, lin)
 	for i := 0; i < len(data); i++ {
-		if _, _, err := ReadSnapshot(bytes.NewReader(data[:i])); err == nil {
+		if _, err := readSnapshot(data[:i]); err == nil {
 			t.Fatalf("truncation at byte %d/%d accepted", i, len(data))
 		}
 	}
@@ -240,12 +259,12 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(data); i += 7 {
 		corrupt := append([]byte(nil), data...)
 		corrupt[i] ^= 0x40
-		if _, _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
+		if _, err := readSnapshot(corrupt); err == nil {
 			t.Fatalf("bit flip at byte %d/%d accepted", i, len(data))
 		}
 	}
 	// Trailing garbage after a valid payload is also rejected.
-	if _, _, err := ReadSnapshot(bytes.NewReader(append(append([]byte(nil), data...), 0))); err == nil {
+	if _, err := readSnapshot(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing data accepted")
 	}
 }
@@ -283,7 +302,7 @@ func TestSnapshotRejectsHostileCounts(t *testing.T) {
 		},
 	}
 	for name, mk := range cases {
-		if _, _, err := ReadSnapshot(bytes.NewReader(mk())); err == nil {
+		if _, err := readSnapshot(mk()); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -297,7 +316,7 @@ func TestSnapshotRejectsShortInflTable(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 71, 30, 16)
 	e.credit.(*TimeAwareCredit).infl = e.credit.(*TimeAwareCredit).infl[:1]
 	data := writeSnapshot(t, e, lin)
-	_, _, err := ReadSnapshot(bytes.NewReader(data))
+	_, err := readSnapshot(data)
 	if err == nil {
 		t.Fatal("snapshot with a short influenceability table accepted")
 	}
@@ -314,15 +333,16 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, prefix); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	if err := e.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
 
-	back, backLin, backPrefix, err := ReadSnapshotPrefix(bytes.NewReader(data))
+	sf, err := readSnapshot(data)
 	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
+	back, backLin, backPrefix := sf.Engine, sf.Lineage, sf.Prefix
 	if backPrefix == nil {
 		t.Fatal("prefix did not survive the round trip")
 	}
@@ -340,7 +360,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	requireEnginesBitIdentical(t, e, back, 6)
 
 	var again bytes.Buffer
-	if err := back.WriteSnapshotPrefix(&again, backLin, backPrefix); err != nil {
+	if err := back.WriteSnapshot(&again, backLin, backPrefix, nil, nil); err != nil {
 		t.Fatalf("re-serialize: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), data) {
@@ -352,7 +372,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 		if i < 0 {
 			continue
 		}
-		if _, _, _, err := ReadSnapshotPrefix(bytes.NewReader(data[:i])); err == nil {
+		if _, err := readSnapshot(data[:i]); err == nil {
 			t.Fatalf("truncation at byte %d/%d accepted", i, len(data))
 		}
 	}
@@ -362,7 +382,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 		}
 		corrupt := append([]byte(nil), data...)
 		corrupt[i] ^= 0x20
-		if _, _, _, err := ReadSnapshotPrefix(bytes.NewReader(corrupt)); err == nil {
+		if _, err := readSnapshot(corrupt); err == nil {
 			t.Fatalf("bit flip at byte %d/%d accepted", i, len(data))
 		}
 	}
@@ -377,7 +397,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 			LookupsAt: []int64{5, 4}},
 	}
 	for name, bad := range badPrefixes {
-		if err := e.WriteSnapshotPrefix(&bytes.Buffer{}, lin, bad); err == nil {
+		if err := e.WriteSnapshot(&bytes.Buffer{}, lin, bad, nil, nil); err == nil {
 			t.Errorf("writer accepted prefix with %s", name)
 		}
 	}
@@ -386,7 +406,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 // writeSnapshotV2 writes the legacy version-2 format (packed 12-byte
 // cells, prefix after the shards, no header CRC or base section). Nothing
 // writes it any more; the compatibility tests need a source of genuine
-// old-format files now that WriteSnapshotPrefix emits version 3.
+// old-format files now that WriteSnapshot emits version 3.
 func writeSnapshotV2(w io.Writer, e *Engine, lin Lineage, prefix *SeedPrefix) error {
 	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
 		return err
@@ -398,12 +418,12 @@ func writeSnapshotV2(w io.Writer, e *Engine, lin Lineage, prefix *SeedPrefix) er
 	}
 
 	for _, st := range e.uc {
-		nRows := st.numRows()
+		nRows := len(st.dir)
 		sw.u32(uint32(nRows))
 		sw.u32(uint32(st.entryCount()))
 		for ri := 0; ri < nRows; ri++ {
 			row := st.rowAt(ri)
-			sw.u32(uint32(st.rowKeyAt(ri)))
+			sw.u32(uint32(st.dir[ri].key))
 			sw.u32(uint32(len(row)))
 			need := len(row) * 12
 			if cap(sw.buf) < need {
@@ -446,10 +466,11 @@ func TestSnapshotVersion1StillReads(t *testing.T) {
 	if err := writeSnapshotV2(&buf, e, lin, nil); err != nil {
 		t.Fatalf("writeSnapshotV2: %v", err)
 	}
-	back, backLin, prefix, err := ReadSnapshotPrefix(bytes.NewReader(craftVersion1(buf.Bytes())))
+	sf, err := readSnapshot(craftVersion1(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("version-1 read: %v", err)
 	}
+	back, backLin, prefix := sf.Engine, sf.Lineage, sf.Prefix
 	if prefix != nil {
 		t.Fatal("version-1 file produced a seed prefix")
 	}
@@ -477,10 +498,11 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 		t.Fatalf("legacy writer stamped version %d, want %d", v, snapshotVersionNoBase)
 	}
 
-	back, backLin, backPrefix, err := ReadSnapshotPrefix(bytes.NewReader(v2))
+	sf, err := readSnapshot(v2)
 	if err != nil {
 		t.Fatalf("version-2 read: %v", err)
 	}
+	back, backLin, backPrefix := sf.Engine, sf.Lineage, sf.Prefix
 	if backLin != lin {
 		t.Fatalf("lineage %+v, want %+v", backLin, lin)
 	}
@@ -498,10 +520,10 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 	// Re-saving the loaded engine upgrades to version 3, byte-identical to
 	// what the original engine writes directly.
 	var resaved, direct bytes.Buffer
-	if err := back.WriteSnapshotPrefix(&resaved, backLin, backPrefix); err != nil {
+	if err := back.WriteSnapshot(&resaved, backLin, backPrefix, nil, nil); err != nil {
 		t.Fatalf("re-save: %v", err)
 	}
-	if err := e.WriteSnapshotPrefix(&direct, lin, prefix); err != nil {
+	if err := e.WriteSnapshot(&direct, lin, prefix, nil, nil); err != nil {
 		t.Fatalf("direct save: %v", err)
 	}
 	if v := binary.LittleEndian.Uint32(resaved.Bytes()[len(snapshotMagic):]); v != snapshotVersion {
@@ -513,7 +535,7 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 }
 
 // TestSnapshotVersion3StillReads pins backward compatibility with the
-// sketchless version-3 layout: WriteSnapshotPrefix still stamps version 3
+// sketchless version-3 layout: a sectionless write still stamps version 3
 // (not 5) so pre-sketch readers keep working, and the sketch-aware reader
 // loads such files with the prefix intact and a nil sketch.
 func TestSnapshotVersion3StillReads(t *testing.T) {
@@ -521,18 +543,19 @@ func TestSnapshotVersion3StillReads(t *testing.T) {
 	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, prefix); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	if err := e.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	v3 := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(v3[len(snapshotMagic):]); v != snapshotVersion {
 		t.Fatalf("sketchless writer stamped version %d, want %d", v, snapshotVersion)
 	}
 
-	back, backLin, backPrefix, sketch, err := ReadSnapshotSketch(bytes.NewReader(v3))
+	sf, err := readSnapshot(v3)
 	if err != nil {
 		t.Fatalf("version-3 read: %v", err)
 	}
+	back, backLin, backPrefix, sketch := sf.Engine, sf.Lineage, sf.Prefix, sf.Sketch
 	if sketch != nil {
 		t.Fatal("version-3 file produced an RR sketch")
 	}
@@ -559,19 +582,24 @@ func TestSnapshotVersion4StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 101, 30, 16)
 	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
+	whole, err := e.Slice(0, e.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotSlice(&buf, lin, prefix, 0, e.NumNodes()); err != nil {
-		t.Fatalf("WriteSnapshotSlice: %v", err)
+	if err := whole.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot(slice): %v", err)
 	}
 	v4 := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(v4[len(snapshotMagic):]); v != snapshotVersionSlice {
 		t.Fatalf("slice writer stamped version %d, want %d", v, snapshotVersionSlice)
 	}
 
-	back, backLin, backPrefix, sketch, err := ReadSnapshotSketch(bytes.NewReader(v4))
+	sf, err := readSnapshot(v4)
 	if err != nil {
 		t.Fatalf("version-4 read: %v", err)
 	}
+	back, backLin, backPrefix, sketch := sf.Engine, sf.Lineage, sf.Prefix, sf.Sketch
 	if sketch != nil {
 		t.Fatal("version-4 slice produced an RR sketch")
 	}
@@ -602,7 +630,7 @@ func TestSnapshotUnsupportedVersionError(t *testing.T) {
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(future))
 	future = append(future, crc[:]...)
 
-	_, _, _, _, err := ReadSnapshotSketch(bytes.NewReader(future))
+	_, err := readSnapshot(future)
 	if err == nil {
 		t.Fatal("version-99 file accepted")
 	}
@@ -616,7 +644,7 @@ func TestSnapshotUnsupportedVersionError(t *testing.T) {
 	if err := os.WriteFile(path, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, err = OpenSnapshotMapped(path)
+	_, err = OpenSnapshot(path, true)
 	if err == nil {
 		t.Fatal("mapped open accepted a version-99 file")
 	}
@@ -653,7 +681,7 @@ func TestReadSnapshotRejectsStrayTau(t *testing.T) {
 	g, log := randomInstance(rng, 15, 6)
 	e := NewEngine(g, log, Options{Lambda: 0.001, Credit: withStrayTau(LearnTimeAware(g, log))})
 	data := writeSnapshot(t, e, DatasetLineage("stray", g, log))
-	if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "outside") {
+	if _, err := readSnapshot(data); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("stray tau edge: error %v, want an outside-the-table error", err)
 	}
 }

@@ -63,9 +63,10 @@ func slicePartitions(t *testing.T, full *core.Engine, n int) []*core.Engine {
 	return parts
 }
 
-// mmapPartitions writes one snapshot slice per range and reopens each
-// memory-mapped. Cleanup of the mappings is registered on t.
-func mmapPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int) []*core.Engine {
+// openPartitions writes one snapshot slice per range and reopens each
+// through OpenSnapshot, heap-read or memory-mapped. Cleanup of the
+// mappings is registered on t.
+func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mmap bool) []*core.Engine {
 	t.Helper()
 	dir := t.TempDir()
 	ranges := SplitRanges(full.NumNodes(), n)
@@ -76,25 +77,29 @@ func mmapPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int) []
 		if err != nil {
 			t.Fatalf("create %s: %v", path, err)
 		}
-		if err := full.WriteSnapshotSlice(f, lin, nil, r.Lo, r.Hi); err != nil {
-			t.Fatalf("WriteSnapshotSlice%v: %v", r, err)
+		part, err := full.Slice(r.Lo, r.Hi)
+		if err != nil {
+			t.Fatalf("Slice%v: %v", r, err)
+		}
+		if err := part.WriteSnapshot(f, lin, nil, nil, nil); err != nil {
+			t.Fatalf("WriteSnapshot%v: %v", r, err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		eng, _, _, ms, err := core.OpenSnapshotMapped(path)
+		sf, err := core.OpenSnapshot(path, mmap)
 		if err != nil {
-			t.Fatalf("OpenSnapshotMapped(%s): %v", path, err)
+			t.Fatalf("OpenSnapshot(%s, mmap=%t): %v", path, mmap, err)
 		}
-		t.Cleanup(func() { ms.Close() })
-		parts[i] = eng
+		t.Cleanup(func() { sf.Close() })
+		parts[i] = sf.Engine
 	}
 	return parts
 }
 
 // TestPartitionCountDeterminism is the headline wall: for partition
-// counts {1, 2, 4, 7} x workers {1, GOMAXPROCS} x row stores
-// {heap, mmap}, the coordinator's CELF seeds and gains must be
+// counts {1, 2, 4, 7} x workers {1, GOMAXPROCS} x row stores {in-memory
+// slices, heap-opened slice files, mmap-opened slice files}, the coordinator's CELF seeds and gains must be
 // bit-identical to the single-engine selection, batched gains must be
 // bit-identical to single-engine Gain, and the telescoped spread must be
 // bit-identical across every cell of the matrix.
@@ -135,13 +140,13 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	var haveSpread bool
 	for _, nparts := range []int{1, 2, 4, 7} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			for _, backend := range []string{"heap", "mmap"} {
+			for _, backend := range []string{"sliced", "heap", "mmap"} {
 				name := fmt.Sprintf("parts=%d/workers=%d/%s", nparts, workers, backend)
 				var parts []*core.Engine
-				if backend == "heap" {
+				if backend == "sliced" {
 					parts = slicePartitions(t, full, nparts)
 				} else {
-					parts = mmapPartitions(t, full, lin, nparts)
+					parts = openPartitions(t, full, lin, nparts, backend == "mmap")
 				}
 				coord, err := New(parts, workers)
 				if err != nil {
@@ -295,7 +300,7 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 
 	// "Restart": reload the model as mmap slices at a different partition
 	// count and resume from the checkpointed prefix.
-	second, err := New(mmapPartitions(t, full, lin, 2), 0)
+	second, err := New(openPartitions(t, full, lin, 2, true), 0)
 	if err != nil {
 		t.Fatalf("New(mmap): %v", err)
 	}

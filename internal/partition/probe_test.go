@@ -78,7 +78,7 @@ func TestCoordinatorQueriesMatchCloneCommit(t *testing.T) {
 				if backend == "heap" {
 					parts = slicePartitions(t, full, nparts)
 				} else {
-					parts = mmapPartitions(t, full, lin, nparts)
+					parts = openPartitions(t, full, lin, nparts, true)
 				}
 				coord, err := New(parts, 0)
 				if err != nil {

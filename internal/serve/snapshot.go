@@ -50,9 +50,9 @@ type Source struct {
 	// left zero to adopt them.
 	ModelPath string `json:"model,omitempty"`
 	// Mmap serves the frozen UC base directly out of the ModelPath file
-	// through a read-only memory mapping instead of parsing it onto the
-	// heap: the open touches no cells, so it is near-instant regardless of
-	// model size, and the OS pages shards in on first use. Requires
+	// through a read-only memory mapping instead of reading the file into
+	// a heap buffer: the open copies no cells, and the OS pages shards in
+	// and out on demand. Requires
 	// ModelPath naming a version-3 snapshot (re-save older files to
 	// upgrade). Queries are bit-identical to a heap load, and nothing
 	// writes the mapping: ingest scans its tail onto the heap.

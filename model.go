@@ -43,9 +43,9 @@ type Model struct {
 	// a restarted process answers seed queries up to its length without
 	// running selection.
 	prefix *SeedPrefix
-	// mapped is the file mapping behind a LoadModelMapped model (nil
-	// otherwise); Close releases it.
-	mapped *core.MappedSnapshot
+	// file is the snapshot behind a LoadModelMapped model (nil
+	// otherwise); Close releases its mapping.
+	file *core.SnapshotFile
 	// approx is the bounded-error serving tier's RR-sample state: a
 	// striped, deterministically grown collection of reverse credit walks,
 	// seeded either lazily on the first approximate query or from a
@@ -72,7 +72,7 @@ func (m *Model) Close() error {
 	if m == nil {
 		return nil
 	}
-	return m.mapped.Close()
+	return m.file.Close()
 }
 
 // newModel wires a model with a lazily built evaluator and base engine.
@@ -87,7 +87,6 @@ func newModel(ds *Dataset, opts Options, credit core.CreditModel) *Model {
 	m.delays = sync.OnceValue(func() *core.ActionDelays {
 		return core.BuildActionDelays(ds.Log)
 	})
-	m.wireProv()
 	return m
 }
 
@@ -524,7 +523,7 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 	// this model are always consistent with the snapshot (the version
 	// stays 3 when there is no section, keeping sectionless files
 	// byte-identical).
-	return eng.WriteSnapshotProv(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch(), m.provForSave())
+	return eng.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch(), m.provForSave())
 }
 
 // snapshotEngine returns the engine a snapshot of p writes: the model's
@@ -580,7 +579,7 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
 	if header, err := br.Peek(8); err == nil && core.IsSnapshotHeader(header) {
-		return loadSnapshotModel(ds, br, opts)
+		return loadSnapshotModel(ds, path, false, opts)
 	}
 	credit, err := core.ReadTimeAware(br, ds.Graph.NumNodes())
 	if err != nil {
@@ -609,32 +608,32 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 // The caller owns the mapping's lifetime: Close the model only after all
 // planners derived from it are gone and its explanations have returned.
 func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
-	eng, lin, prefix, sketch, prov, ms, err := core.OpenSnapshotMappedProv(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := bindSnapshotModel(ds, eng, lin, prefix, sketch, prov, opts)
-	if err != nil {
-		ms.Close()
-		return nil, err
-	}
-	m.mapped = ms
-	return m, nil
+	return loadSnapshotModel(ds, path, true, opts)
 }
 
-// loadSnapshotModel binds a heap-parsed binary snapshot to ds.
-func loadSnapshotModel(ds *Dataset, r io.Reader, opts Options) (*Model, error) {
-	eng, lin, prefix, sketch, prov, err := core.ReadSnapshotProv(r)
+// loadSnapshotModel opens a binary snapshot, heap-read or mapped, and
+// binds it to ds. A mapped model keeps the file open until Close.
+func loadSnapshotModel(ds *Dataset, path string, mmap bool, opts Options) (*Model, error) {
+	f, err := core.OpenSnapshot(path, mmap)
 	if err != nil {
 		return nil, err
 	}
-	return bindSnapshotModel(ds, eng, lin, prefix, sketch, prov, opts)
+	m, err := bindSnapshotModel(ds, f, opts)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	if mmap {
+		m.file = f
+	}
+	return m, nil
 }
 
 // bindSnapshotModel finishes a snapshot load regardless of backend:
 // lineage check, options resolution, and the tail append for a log that
 // has grown past the snapshot's scanned prefix.
-func bindSnapshotModel(ds *Dataset, eng *core.Engine, lin core.Lineage, prefix *SeedPrefix, sketch *core.RRSketch, prov *core.ProvIndex, opts Options) (*Model, error) {
+func bindSnapshotModel(ds *Dataset, f *core.SnapshotFile, opts Options) (*Model, error) {
+	eng, lin, prefix, sketch, prov := f.Engine, f.Lineage, f.Prefix, f.Sketch, f.Prov
 	if err := lin.Check(ds.Graph, ds.Log); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package credist
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -41,11 +40,11 @@ func SlicePaths(modelPath string, n int) []string {
 // query it concurrently; ingest derives a successor with Extend.
 type PartitionedPlanner struct {
 	coord *partition.Coordinator
-	// mapped holds the file mappings behind mmap-opened slices (empty for
-	// heap loads and in-memory partitions); Close releases them. Successors
+	// files holds the mmap-opened slice files (empty for heap loads and
+	// in-memory partitions); Close releases their mappings. Successors
 	// built by Extend share the mappings but do not own them — close the
 	// planner that opened the files, and only after every successor is gone.
-	mapped []*core.MappedSnapshot
+	files []*core.SnapshotFile
 }
 
 // Partition splits the planner's scanned engine into n contiguous
@@ -82,7 +81,11 @@ func (m *Model) WriteSnapshotSlice(w io.Writer, p *Planner, prefix *SeedPrefix, 
 	if err != nil {
 		return err
 	}
-	return eng.WriteSnapshotSlice(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, lo, hi)
+	part, err := eng.Slice(lo, hi)
+	if err != nil {
+		return err
+	}
+	return part.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, nil, nil)
 }
 
 // LoadPartitions restores a partitioned model from snapshot-slice files:
@@ -99,31 +102,22 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("credist: no slice paths")
 	}
-	var mapped []*core.MappedSnapshot
+	var files []*core.SnapshotFile
 	closeMapped := func() {
-		for _, ms := range mapped {
-			ms.Close()
+		for _, f := range files {
+			f.Close()
 		}
 	}
 	engines := make([]*core.Engine, len(paths))
 	lineages := make([]core.Lineage, len(paths))
 	prefixes := make([]*SeedPrefix, len(paths))
 	for i, path := range paths {
-		var err error
-		if mmap {
-			var ms *core.MappedSnapshot
-			engines[i], lineages[i], prefixes[i], ms, err = core.OpenSnapshotMapped(path)
-			if err == nil {
-				mapped = append(mapped, ms)
-			}
-		} else {
-			var f *os.File
-			if f, err = os.Open(path); err == nil {
-				engines[i], lineages[i], prefixes[i], err = core.ReadSnapshotPrefix(bufio.NewReaderSize(f, 1<<20))
-				f.Close()
-			}
-		}
+		f, err := core.OpenSnapshot(path, mmap)
 		if err == nil {
+			if mmap {
+				files = append(files, f)
+			}
+			engines[i], lineages[i], prefixes[i] = f.Engine, f.Lineage, f.Prefix
 			err = lineages[i].Check(ds.Graph, ds.Log)
 		}
 		if err == nil && lineages[i].NumActions != lineages[0].NumActions {
@@ -185,7 +179,7 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 	}
 	m := newModel(ds, stored, credit)
 	m.prefix = prefix
-	return m, &PartitionedPlanner{coord: coord, mapped: mapped}, nil
+	return m, &PartitionedPlanner{coord: coord, files: files}, nil
 }
 
 // LoadModelPartitioned opens modelPath as n partitions: when the canonical
@@ -250,18 +244,18 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 // the sketch, and a model file older than re-checkpointed slices sampled
 // a log the partitions no longer serve).
 func readSnapshotSketch(path string, ds *Dataset, numActions int) *core.RRSketch {
-	_, lin, _, sketch, ms, err := core.OpenSnapshotMappedSketch(path)
+	f, err := core.OpenSnapshot(path, true)
 	if err != nil {
 		return nil
 	}
 	// The sketch section is always decoded onto the heap, so the mapping
 	// can close before the sketch is used. The UC shards and the
 	// provenance index alias the mapping; both are dropped here unread.
-	ms.Close()
-	if sketch == nil || lin.NumActions != numActions || lin.Check(ds.Graph, ds.Log) != nil {
+	f.Close()
+	if f.Sketch == nil || f.Lineage.NumActions != numActions || f.Lineage.Check(ds.Graph, ds.Log) != nil {
 		return nil
 	}
-	return sketch
+	return f.Sketch
 }
 
 // SaveSlices checkpoints the planner's partitions as snapshot-slice files,
@@ -282,9 +276,8 @@ func (pp *PartitionedPlanner) SaveSlices(m *Model, prefix *SeedPrefix, paths []s
 	}
 	lin := core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
 	for i, eng := range engines {
-		lo, hi := eng.PartitionRange()
 		err := writeFileAtomic(paths[i], func(w io.Writer) error {
-			return eng.WriteSnapshotSlice(w, lin, prefix, lo, hi)
+			return eng.WriteSnapshot(w, lin, prefix, nil, nil)
 		})
 		if err != nil {
 			return fmt.Errorf("credist: write slice %s: %w", paths[i], err)
@@ -501,11 +494,11 @@ func (pp *PartitionedPlanner) Extend(m *Model) (*PartitionedPlanner, error) {
 // derived from this planner is in use.
 func (pp *PartitionedPlanner) Close() error {
 	var first error
-	for _, ms := range pp.mapped {
-		if err := ms.Close(); err != nil && first == nil {
+	for _, f := range pp.files {
+		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	pp.mapped = nil
+	pp.files = nil
 	return first
 }

@@ -45,40 +45,45 @@ type ProvStats struct {
 // provTier is the per-model provenance state: the lazily built (or
 // snapshot-restored) credit→actions index plus build accounting.
 type provTier struct {
-	// once builds or adopts the index at most once (the sync.OnceValue
-	// lazy pattern shared with the model's evaluator and base engine),
-	// publishing it in cur.
-	once func() *core.ProvIndex
-	cur  atomic.Pointer[core.ProvIndex]
-	// restored is a version-6 snapshot's index, adopted by once on first
-	// use. Written before the model is published, read-only after.
+	// mu serializes the one build or adoption, published in cur.
+	mu  sync.Mutex
+	cur atomic.Pointer[core.ProvIndex]
+	// restored is a version-6 snapshot's index, adopted on first use.
+	// Written before the model is published, read-only after.
 	restored *core.ProvIndex
 	builds   atomic.Int64
 }
 
-// wireProv installs the tier's lazy build; called from newModel.
-func (m *Model) wireProv() {
-	m.prov.once = sync.OnceValue(func() *core.ProvIndex {
-		idx := m.prov.restored
-		if idx == nil {
-			m.prov.builds.Add(1)
-			idx = m.base().BuildProvIndex()
-		}
-		m.prov.cur.Store(idx)
+// ensureProv returns the model's index, adopting a restored one or
+// building it on first use from eng(), which must return an engine
+// scanned over exactly the model's log. Any such engine holds the same
+// credit cells bit for bit — a planner extended by ingest matches a fresh
+// scan of the combined log — so the index built from a live planner's
+// engine is the model's index, and no second scan is forced.
+func (m *Model) ensureProv(eng func() *core.Engine) *core.ProvIndex {
+	if idx := m.prov.cur.Load(); idx != nil {
 		return idx
-	})
+	}
+	m.prov.mu.Lock()
+	defer m.prov.mu.Unlock()
+	if idx := m.prov.cur.Load(); idx != nil {
+		return idx
+	}
+	idx := m.prov.restored
+	if idx == nil {
+		m.prov.builds.Add(1)
+		idx = eng().BuildProvIndex()
+	}
+	m.prov.cur.Store(idx)
+	return idx
 }
-
-// ensureProv returns the model's index, building it on first use unless a
-// snapshot restore already supplied one.
-func (m *Model) ensureProv() *core.ProvIndex { return m.prov.once() }
 
 // BuildProvIndex forces the provenance index to exist now — this is what
 // `credist learn -prov` calls so the following Save persists it — and
 // returns the resulting stats. A no-op (beyond stats) if the index was
 // already built or restored.
 func (m *Model) BuildProvIndex() ProvStats {
-	m.ensureProv()
+	m.ensureProv(m.base)
 	return m.ProvStats()
 }
 
@@ -137,8 +142,10 @@ func (m *Model) ExplainReach(seeds []NodeID, v NodeID, top int) ReachExplanation
 
 // ExplainReachOn is ExplainReach against a planner's state. A planner
 // without committed seeds over exactly the model's log answers from the
-// shared index; an ingest-extended planner falls back to the direct
-// shard walk, which is bit-identical by construction. A seeded planner
+// model's index — building it from the planner's own engine if no index
+// exists yet, so an ingest-grown model never rescans its log for it; a
+// planner over any other log walks its own shards, which is bit-identical
+// by construction. A seeded planner
 // reads every seed's rows through its probe's replay: a committed seed's
 // row contributes nothing, and a committed target receives no credit.
 func (m *Model) ExplainReachOn(p *Planner, seeds []NodeID, v NodeID, top int) ReachExplanation {
@@ -149,10 +156,10 @@ func (m *Model) ExplainReachOn(p *Planner, seeds []NodeID, v NodeID, top int) Re
 }
 
 func (m *Model) explainReachOn(eng *core.Engine, seeds []NodeID, v NodeID, top int) ReachExplanation {
-	// The index describes the base scan over exactly the model's log; any
-	// other engine walks its own shards.
+	// The index describes the credit cells over exactly the model's log;
+	// an engine over any other log walks its own shards.
 	if eng.NumActions() == m.ds.Log.NumActions() {
-		return eng.ExplainReachIndexed(m.ensureProv(), seeds, v, top)
+		return eng.ExplainReachIndexed(m.ensureProv(func() *core.Engine { return eng }), seeds, v, top)
 	}
 	return eng.ExplainReach(seeds, v, top)
 }

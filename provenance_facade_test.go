@@ -3,7 +3,11 @@ package credist
 import (
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"credist/internal/core"
 )
 
 // TestFacadeExplainSeedMatchesGains pins the why-seed contract at the
@@ -161,5 +165,82 @@ func TestFacadePartitionedExplainParity(t *testing.T) {
 		if _, err := pp.ExplainReach([]NodeID{0, NodeID(ds.NumUsers())}, v, 3); err == nil {
 			t.Errorf("nparts=%d: out-of-universe seed accepted", nparts)
 		}
+	}
+}
+
+// TestExplainReachOnAfterIngestBuildsFromPlanner: on an ingest-grown
+// preset model, the first reach explanation against the extended planner
+// builds the index from that planner's engine — the model's own lazy
+// base, a full rescan of the combined log, is never forced — and answers
+// bit for bit like a model bound to the combined log with the same frozen
+// parameters.
+func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("learns the flixster-small preset")
+	}
+	full, err := GeneratePreset("flixster-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := full.Log.NumActions()
+	headN := n - n/20
+	var tail []Tuple
+	for a := headN; a < n; a++ {
+		tail = append(tail, full.Log.Action(ActionID(a))...)
+	}
+	model := Learn(&Dataset{Name: "head", Graph: full.Graph, Log: full.Log.Prefix(headN)}, Options{Lambda: 0.001})
+	grown, err := model.Ingest(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := grown.ExtendPlanner(model.NewPlanner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Forcing the grown model's lazy base would rescan the combined log;
+	// stand in the planner's engine and record the call instead.
+	var forced atomic.Bool
+	grown.base = func() *core.Engine {
+		forced.Store(true)
+		return planner.eng
+	}
+
+	params := filepath.Join(t.TempDir(), "params.txt")
+	if err := model.SaveParams(params); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := LoadModel(&Dataset{Name: "combined", Graph: full.Graph, Log: grown.Dataset().Log}, params, Options{Lambda: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first explanations race from several goroutines: exactly one
+	// of them builds the index, and all answer from it.
+	seeds := []NodeID{3, 17, 256, 1024, 2047}
+	targets := []NodeID{5, 99, 512, 2999}
+	got := make([][]ReachExplanation, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range targets {
+				got[g] = append(got[g], grown.ExplainReachOn(planner, seeds, v, 10))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, v := range targets {
+		want := ref.ExplainReach(seeds, v, 10)
+		for g := range got {
+			if !reflect.DeepEqual(got[g][i], want) {
+				t.Fatalf("goroutine %d: ExplainReachOn(%d) = %+v, combined-log model %+v", g, v, got[g][i], want)
+			}
+		}
+	}
+	if forced.Load() {
+		t.Fatal("reach explanation forced a rescan of the combined log")
+	}
+	if st := grown.ProvStats(); st.Builds != 1 || st.Pairs != ref.ProvStats().Pairs {
+		t.Fatalf("grown model prov stats %+v, want one build of %d pairs", st, ref.ProvStats().Pairs)
 	}
 }
