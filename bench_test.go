@@ -751,9 +751,9 @@ func BenchmarkCELFParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPartitionedSpread is the scatter-gather headline (ISSUE 7
-// acceptance): sigma_cd of a 32-seed set through the partition
-// coordinator at 1, 2, and 4 partitions on the full flixster-small
+// BenchmarkPartitionedSpread is the partitioned-spread headline:
+// sigma_cd of a 32-seed set through the partitioned planner at 1, 2, and
+// 4 partitions on the full flixster-small
 // preset. Spreads are bit-identical at every partition count (checked
 // each iteration); the sub-benchmarks differ only in wall clock. The
 // "speedup" sub-benchmark runs 1-vs-4 one-shot inside the loop so the CI
@@ -777,7 +777,7 @@ func BenchmarkPartitionedSpread(b *testing.B) {
 	}
 
 	counts := []int{1, 2, 4}
-	planners := make(map[int]*PartitionedPlanner, len(counts))
+	planners := make(map[int]*Planner, len(counts))
 	var ref float64
 	for _, n := range counts {
 		pp, err := base.Partition(n)
@@ -829,7 +829,7 @@ func BenchmarkPartitionedSpread(b *testing.B) {
 	})
 }
 
-// partitionBench is the per-commit scatter-gather record the CI bench
+// partitionBench is the per-commit partitioned-spread record the CI bench
 // smoke archives as BENCH_partition.json: the same 32-seed sigma_cd
 // through 1 and 4 partitions, with the measured ratio and the core count
 // and GOMAXPROCS it was measured under. The expected ratio is parity
@@ -852,7 +852,7 @@ type partitionBench struct {
 
 // TestWritePartitionBenchJSON is the CI bench smoke behind the
 // BENCH_PARTITION_JSON env var (the output path; unset skips): it times
-// the coordinator spread at 1 and 4 partitions, checks the answers are
+// the partitioned planner's spread at 1 and 4 partitions, checks the answers are
 // bit-identical, and writes the record as JSON. BENCH_COMMIT stamps the
 // measured revision.
 func TestWritePartitionBenchJSON(t *testing.T) {

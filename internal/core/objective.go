@@ -194,7 +194,7 @@ func (e *Engine) GainObj(x graph.NodeID, obj *Objective) float64 {
 	if !e.ownsRow(x) {
 		// A partition can only price candidates whose row it holds;
 		// answering from a missing row would silently drop the UC sum.
-		// Routing is the coordinator's job, so a miss here is a bug.
+		// Routing is the probe's job, so a miss here is a bug.
 		panic(fmt.Sprintf("core: Gain(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
 	}
 	xi := int32(x)

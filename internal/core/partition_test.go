@@ -110,7 +110,7 @@ func TestPartitionRejectsForeignRows(t *testing.T) {
 	}{
 		{"Gain", func() { p.Gain(2) }},
 		{"ExplainSeed", func() { p.ExplainSeed(15, 3) }},
-		{"ReachPaths", func() { p.ReachPaths(15, 2) }},
+		{"probe ExplainReach", func() { NewProbe(p).ExplainReach([]graph.NodeID{15}, 2, 3) }},
 		{"probe Gain", func() { NewProbe(p).Gain(15, nil) }},
 	} {
 		func() {

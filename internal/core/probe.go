@@ -23,9 +23,8 @@ import (
 // as the paper's Algorithm 5 does (FuzzProbeMatchesCommit pins this
 // against an in-place commit kept in the tests).
 //
-// Rows are read from the engine owning them, so a probe over a
-// coordinator's row-range partitions answers exactly like one over the
-// full engine. Commit mutates the probe and must not race with anything;
+// Rows are read from the engine owning them, so a probe over row-range
+// partitions answers exactly like one over the full engine. Commit mutates the probe and must not race with anything;
 // Gain and the Explain methods only read it and are safe for concurrent
 // use.
 type Probe struct {
@@ -46,8 +45,7 @@ type seedCommit struct {
 const creditFloor = 1e-15
 
 // NewProbe returns a probe with nothing committed over engines that tile
-// the row universe: one full engine, or row-range partitions (as a
-// coordinator's are).
+// the row universe: one full engine, or row-range partitions.
 func NewProbe(engines ...*Engine) *Probe {
 	if len(engines) == 0 {
 		panic("core: NewProbe with no engines")

@@ -123,20 +123,12 @@ func (p *Probe) ExplainSeed(x graph.NodeID, top int) SeedExplanation {
 	return ex
 }
 
-// ReachPaths returns seed s's slice of the credit reaching target v: the
-// shares UC[s][v][a]/A_v folded in ascending action order, one path per
+// reachPaths returns seed s's slice of the credit reaching target v, read
+// through the probe's replay of s's rows from s's owner: the shares
+// UC[s][v][a]/A_v folded in ascending action order, one path per
 // contributing action. The seed's own activation (the 1/A_v self term of
-// its gain) is not a credit path and does not appear. A partition
-// answers only for seeds whose row it owns.
-func (e *Engine) ReachPaths(s, v graph.NodeID) (float64, []ProvPath) {
-	if !e.ownsRow(s) {
-		panic(fmt.Sprintf("core: ReachPaths(%d) outside partition rows [%d,%d)", s, e.partLo, e.partHi))
-	}
-	return NewProbe(e).reachPaths(s, v)
-}
-
-// reachPaths is ReachPaths read through the probe's replay of s's rows.
-// A committed seed is no longer part of V-S: its row contributes nothing.
+// its gain) is not a credit path and does not appear. A committed seed is
+// no longer part of V-S: its row contributes nothing.
 // A committed target keeps no credit cells either, because the replay
 // drops every cell (s, v) of a seed v.
 func (p *Probe) reachPaths(s, v graph.NodeID) (float64, []ProvPath) {

@@ -116,12 +116,12 @@ func TestFigure1ExplainReach(t *testing.T) {
 	g, log := figure1(t)
 	e := NewEngine(g, log, Options{})
 
-	share, paths := e.ReachPaths(nodeV, nodeU)
+	share, paths := NewProbe(e).reachPaths(nodeV, nodeU)
 	if !almostEqual(share, 0.75) {
-		t.Fatalf("ReachPaths(v,u) share = %g, want 0.75", share)
+		t.Fatalf("reachPaths(v,u) share = %g, want 0.75", share)
 	}
 	if len(paths) != 1 || paths[0].Action != 0 || !almostEqual(paths[0].Credit, 0.75) {
-		t.Fatalf("ReachPaths(v,u) paths = %+v", paths)
+		t.Fatalf("reachPaths(v,u) paths = %+v", paths)
 	}
 
 	ex := e.ExplainReach([]graph.NodeID{nodeV, nodeZ}, nodeU, 10)
@@ -145,16 +145,16 @@ func TestExplainReachMatchesPairCredit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 19))
 	for trial := 0; trial < 8; trial++ {
 		g, log := randomInstance(rng, 10+rng.IntN(6), 4+rng.IntN(4))
-		e := NewEngine(g, log, Options{})
+		pr := NewProbe(NewEngine(g, log, Options{}))
 		ev := NewEvaluator(g, log, nil)
 		for s := 0; s < g.NumNodes(); s++ {
 			for v := 0; v < g.NumNodes(); v++ {
 				if s == v {
 					continue
 				}
-				share, _ := e.ReachPaths(graph.NodeID(s), graph.NodeID(v))
+				share, _ := pr.reachPaths(graph.NodeID(s), graph.NodeID(v))
 				if want := ev.PairCredit(graph.NodeID(s), graph.NodeID(v)); !almostEqual(share, want) {
-					t.Fatalf("trial %d ReachPaths(%d,%d) = %g, evaluator kappa = %g", trial, s, v, share, want)
+					t.Fatalf("trial %d reachPaths(%d,%d) = %g, evaluator kappa = %g", trial, s, v, share, want)
 				}
 			}
 		}
@@ -229,7 +229,7 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 			got := ReachExplanation{Target: graph.NodeID(v)}
 			var paths []ProvPath
 			for _, s := range seeds {
-				share, ps := owner(s).ReachPaths(s, graph.NodeID(v))
+				share, ps := NewProbe(owner(s)).reachPaths(s, graph.NodeID(v))
 				got.PerSeed = append(got.PerSeed, ReachShare{Seed: s, Share: share})
 				got.Total += share
 				paths = append(paths, ps...)

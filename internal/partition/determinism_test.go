@@ -1,11 +1,12 @@
-package partition
+package partition_test
 
-// The partition-count determinism wall. The whole point of the
-// scatter-gather design is that partitioning is invisible in the numbers:
-// seeds, gains, and spreads must be bit-identical — not approximately
-// equal — at every partition count, worker count, and row-store backend.
-// These tests pin that matrix, plus ingest and checkpoint-restart parity
-// at partition granularity.
+// The partition-count determinism wall. The whole point of row-range
+// partitions is that partitioning is invisible in the numbers: seeds,
+// gains, and spreads must be bit-identical — not approximately equal — at
+// every partition count, worker count, and row-store backend. These tests
+// pin that matrix on the facade planner, which answers every query from a
+// core.Probe over one engine or many, plus ingest and checkpoint-restart
+// parity at partition granularity over this package's Append and tiling.
 
 import (
 	"fmt"
@@ -15,10 +16,12 @@ import (
 	"runtime"
 	"testing"
 
+	"credist"
 	"credist/internal/actionlog"
 	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
+	"credist/internal/partition"
 	"credist/internal/seedsel"
 )
 
@@ -51,7 +54,7 @@ func randomInstance(rng *rand.Rand, nUsers, nActions int) (*graph.Graph, *action
 // partitions.
 func slicePartitions(t *testing.T, full *core.Engine, n int) []*core.Engine {
 	t.Helper()
-	ranges := SplitRanges(full.NumNodes(), n)
+	ranges := partition.SplitRanges(full.NumNodes(), n)
 	parts := make([]*core.Engine, len(ranges))
 	for i, r := range ranges {
 		p, err := full.Slice(r.Lo, r.Hi)
@@ -69,7 +72,7 @@ func slicePartitions(t *testing.T, full *core.Engine, n int) []*core.Engine {
 func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mmap bool) []*core.Engine {
 	t.Helper()
 	dir := t.TempDir()
-	ranges := SplitRanges(full.NumNodes(), n)
+	ranges := partition.SplitRanges(full.NumNodes(), n)
 	parts := make([]*core.Engine, len(ranges))
 	for i, r := range ranges {
 		path := filepath.Join(dir, fmt.Sprintf("slice-%d-of-%d.bin", i, n))
@@ -97,18 +100,53 @@ func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mm
 	return parts
 }
 
+// plannerFor returns m's planner split n ways, served from in-memory
+// slices of the scanned engine ("sliced") or from snapshot-slice files
+// written by SaveSlices and reopened by LoadPartitions, heap-read ("heap")
+// or memory-mapped ("mmap"). It also returns the model the planner serves.
+// The mappings are released on t's cleanup.
+func plannerFor(t *testing.T, m *credist.Model, n int, backend string) (*credist.Model, *credist.Planner) {
+	t.Helper()
+	pp, err := m.NewPlanner().Partition(n)
+	if err != nil {
+		t.Fatalf("Partition(%d): %v", n, err)
+	}
+	if backend == "sliced" {
+		return m, pp
+	}
+	paths := credist.SlicePaths(filepath.Join(t.TempDir(), "model.bin"), n)
+	if err := pp.SaveSlices(m, nil, paths); err != nil {
+		t.Fatalf("SaveSlices: %v", err)
+	}
+	loaded, lp, err := credist.LoadPartitions(m.Dataset(), paths, backend == "mmap", credist.Options{})
+	if err != nil {
+		t.Fatalf("LoadPartitions(mmap=%t): %v", backend == "mmap", err)
+	}
+	t.Cleanup(func() { lp.Close() })
+	return loaded, lp
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS n, restoring the
+// original on cleanup. Models learned through the facade keep the default
+// worker knob, so the planner's gain fan-out and CELF width follow it.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestPartitionCountDeterminism is the headline wall: for partition
 // counts {1, 2, 4, 7} x workers {1, GOMAXPROCS} x row stores {in-memory
-// slices, heap-opened slice files, mmap-opened slice files}, the coordinator's CELF seeds and gains must be
-// bit-identical to the single-engine selection, batched gains must be
-// bit-identical to single-engine Gain, and the telescoped spread must be
-// bit-identical across every cell of the matrix.
+// slices, heap-opened slice files, mmap-opened slice files}, the
+// partitioned planner's CELF seeds and gains must be bit-identical to the
+// single-engine selection, batched gains — and Gain and Gains after Add —
+// must be bit-identical to the single-engine planner's, and the telescoped
+// spread must be bit-identical across every cell of the matrix.
 func TestPartitionCountDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 8))
 	g, log := randomInstance(rng, 80, 50)
 	credit := core.LearnTimeAware(g, log)
 	opts := core.Options{Lambda: 0.001, Credit: credit}
-	lin := core.DatasetLineage("determinism-wall", g, log)
+	m := credist.Learn(&credist.Dataset{Name: "determinism-wall", Graph: g, Log: log}, credist.Options{Lambda: 0.001})
 
 	full := core.NewEngine(g, log, opts)
 
@@ -135,28 +173,31 @@ func TestPartitionCountDeterminism(t *testing.T) {
 		}
 		return out
 	}()
+	// The single-engine facade planner after the same Adds answers the
+	// same gains: the partitioned planners below must match it.
+	single := m.NewPlanner()
+	for _, s := range base {
+		single.Add(s)
+	}
+	for u := range refBased {
+		if got := single.Gain(graph.NodeID(u)); got != refBased[u] {
+			t.Fatalf("single-engine planner: Gain(%d) after Add = %b, reference %b", u, got, refBased[u])
+		}
+	}
 
 	var refSpread float64
 	var haveSpread bool
 	for _, nparts := range []int{1, 2, 4, 7} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			setProcs(t, workers)
 			for _, backend := range []string{"sliced", "heap", "mmap"} {
 				name := fmt.Sprintf("parts=%d/workers=%d/%s", nparts, workers, backend)
-				var parts []*core.Engine
-				if backend == "sliced" {
-					parts = slicePartitions(t, full, nparts)
-				} else {
-					parts = openPartitions(t, full, lin, nparts, backend == "mmap")
-				}
-				coord, err := New(parts, workers)
-				if err != nil {
-					t.Fatalf("%s: New: %v", name, err)
-				}
-				if got := coord.NumPartitions(); got != nparts {
+				_, pp := plannerFor(t, m, nparts, backend)
+				if got := pp.NumPartitions(); got != nparts {
 					t.Fatalf("%s: %d partitions", name, got)
 				}
 
-				res := coord.NewSelection(celf.Options{Workers: workers}).Grow(k)
+				res := pp.NewSelection().Grow(k)
 				for i := range ref.Seeds {
 					if res.Seeds[i] != ref.Seeds[i] {
 						t.Fatalf("%s: seed %d = %d, reference %d", name, i, res.Seeds[i], ref.Seeds[i])
@@ -166,7 +207,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					}
 				}
 
-				gains, err := coord.Gains(nil, allUsers, nil, nil)
+				gains, err := pp.Gains(nil, allUsers)
 				if err != nil {
 					t.Fatalf("%s: Gains: %v", name, err)
 				}
@@ -175,7 +216,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 						t.Fatalf("%s: Gain(%d) not bit-identical: %b vs %b", name, u, gains[u], refGains[u])
 					}
 				}
-				based, err := coord.Gains(base, allUsers, nil, nil)
+				based, err := pp.Gains(base, allUsers)
 				if err != nil {
 					t.Fatalf("%s: Gains(base): %v", name, err)
 				}
@@ -185,7 +226,31 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					}
 				}
 
-				spread, err := coord.Spread(ref.Seeds, nil, nil)
+				// Add then Gain and Gains on a clone: the seeds live in the
+				// clone's probe, and every answer is the single-engine
+				// planner's after the same Adds.
+				added := pp.Clone()
+				for _, s := range base {
+					added.Add(s)
+				}
+				addedGains, err := added.Gains(nil, allUsers)
+				if err != nil {
+					t.Fatalf("%s: Gains after Add: %v", name, err)
+				}
+				for u := range allUsers {
+					want := single.Gain(graph.NodeID(u))
+					if got := added.Gain(graph.NodeID(u)); got != want {
+						t.Fatalf("%s: Gain(%d) after Add = %b, single-engine planner %b", name, u, got, want)
+					}
+					if addedGains[u] != want {
+						t.Fatalf("%s: Gains[%d] after Add = %b, single-engine planner %b", name, u, addedGains[u], want)
+					}
+				}
+				if len(pp.Seeds()) != 0 {
+					t.Fatalf("%s: Add on a clone reached the planner: %v", name, pp.Seeds())
+				}
+
+				spread, err := pp.Spread(ref.Seeds)
 				if err != nil {
 					t.Fatalf("%s: Spread: %v", name, err)
 				}
@@ -235,38 +300,36 @@ func TestPartitionIngestParity(t *testing.T) {
 
 	pre := core.NewEngine(g, prefixLog, opts)
 	for _, nparts := range []int{1, 3} {
-		coord, err := New(slicePartitions(t, pre, nparts), 0)
+		parts, err := partition.Tile(slicePartitions(t, pre, nparts))
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("Tile: %v", err)
 		}
-		grown, err := coord.Append(g, combined, from)
+		grown, err := partition.Append(parts, g, combined, from)
 		if err != nil {
 			t.Fatalf("Append: %v", err)
 		}
-		if grown.NumUsers() != newUsers {
-			t.Fatalf("grown universe %d, want %d", grown.NumUsers(), newUsers)
+		if got := grown[0].NumNodes(); got != newUsers {
+			t.Fatalf("grown universe %d, want %d", got, newUsers)
 		}
-		if last := grown.Ranges()[len(grown.Ranges())-1]; last.Hi != newUsers {
+		ranges := partition.Ranges(grown)
+		if last := ranges[len(ranges)-1]; last.Hi != newUsers {
 			t.Fatalf("trailing partition %v does not absorb new users (want hi=%d)", last, newUsers)
 		}
 		var entries int64
-		for _, s := range grown.Stats() {
+		for _, s := range partition.StatsOf(grown) {
 			entries += s.Entries
 		}
 		if entries != fullRef.Entries() {
 			t.Fatalf("partition entries sum %d, full engine %d", entries, fullRef.Entries())
 		}
+		pr := core.NewProbe(grown...)
 		for u := 0; u < newUsers; u++ {
 			want := fullRef.Gain(graph.NodeID(u))
-			got, err := grown.Gains(nil, []graph.NodeID{graph.NodeID(u)}, nil, nil)
-			if err != nil {
-				t.Fatalf("Gains(%d): %v", u, err)
-			}
-			if got[0] != want {
-				t.Fatalf("nparts=%d: post-ingest Gain(%d) not bit-identical: %b vs %b", nparts, u, got[0], want)
+			if got := pr.Gain(graph.NodeID(u), nil); got != want {
+				t.Fatalf("nparts=%d: post-ingest Gain(%d) not bit-identical: %b vs %b", nparts, u, got, want)
 			}
 		}
-		res := grown.NewSelection(celf.Options{}).Grow(5)
+		res := seedsel.CELF(core.NewProbeEstimator(nil, grown...), 5)
 		refRes := seedsel.CELF(core.NewProbeEstimator(nil, fullRef), 5)
 		for i := range refRes.Seeds {
 			if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
@@ -291,20 +354,20 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 	const k1, k = 3, 7
 	ref := seedsel.CELF(core.NewProbeEstimator(nil, full), k)
 
-	first, err := New(slicePartitions(t, full, 4), 0)
+	first, err := partition.Tile(slicePartitions(t, full, 4))
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("Tile: %v", err)
 	}
-	mid := first.NewSelection(celf.Options{}).Grow(k1)
+	mid := celf.NewSelection(core.NewProbeEstimator(nil, first...), celf.Options{}).Grow(k1)
 	prefix := celf.Prefix{Seeds: mid.Seeds, Gains: mid.Gains, LookupsAt: mid.LookupsAt}
 
 	// "Restart": reload the model as mmap slices at a different partition
 	// count and resume from the checkpointed prefix.
-	second, err := New(openPartitions(t, full, lin, 2, true), 0)
+	second, err := partition.Tile(openPartitions(t, full, lin, 2, true))
 	if err != nil {
-		t.Fatalf("New(mmap): %v", err)
+		t.Fatalf("Tile(mmap): %v", err)
 	}
-	sel, err := second.ResumeSelection(prefix, celf.Options{})
+	sel, err := celf.Resume(core.NewProbeEstimator(nil, second...), prefix, celf.Options{})
 	if err != nil {
 		t.Fatalf("ResumeSelection: %v", err)
 	}

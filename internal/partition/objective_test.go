@@ -1,4 +1,4 @@
-package partition
+package partition_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"credist"
 	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
@@ -13,15 +14,18 @@ import (
 
 // TestObjectivePartitionDeterminism extends the determinism wall to
 // non-default objectives: weighted, windowed, budgeted, and blocked
-// queries must be bit-identical across partition counts {1, 4} and
-// worker counts {1, GOMAXPROCS}, and identical to a selection over a
-// probe of the full engine. The same entry points with a nil objective must
-// give the engine's default-objective gains.
+// queries on the partitioned planner must be bit-identical across
+// partition counts {1, 4} and worker counts {1, GOMAXPROCS}, and identical
+// to a selection over a probe of the full engine. The growable selection
+// the facade runs only for the default objective is pinned the same way
+// over a core.Probe of the partitions. The same entry points with a nil
+// objective must give the engine's default-objective gains.
 func TestObjectivePartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 84))
 	g, log := randomInstance(rng, 70, 45)
 	opts := core.Options{Lambda: 0.001}
 	full := core.NewEngine(g, log, opts)
+	m := credist.Learn(&credist.Dataset{Name: "objective-wall", Graph: g, Log: log}, credist.Options{Lambda: 0.001, SimpleCredit: true})
 
 	weights := make([]float64, g.NumNodes())
 	for u := range weights {
@@ -44,10 +48,14 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 	for u := range costs {
 		costs[u] = 0.5 + rng.Float64()*2
 	}
+	// The same objective at the facade: the model derives the delay index
+	// from the same log.
+	fobj := func(blocked []graph.NodeID, costs []float64, budget float64) *credist.Objective {
+		return &credist.Objective{Weights: weights, Windowed: true, Window: 4, Blocked: blocked, Costs: costs, Budget: budget}
+	}
 
 	// Single-engine references: selections over a probe of the full
-	// engine, which the coordinator's probes over partitions must
-	// reproduce.
+	// engine, which the partitioned planner must reproduce.
 	refEst := core.NewProbeEstimator(obj, full)
 	const k = 6
 	ref := celf.Run(refEst, k, celf.Options{})
@@ -95,13 +103,17 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 	var have bool
 	for _, nparts := range []int{1, 4} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			setProcs(t, workers)
 			name := fmt.Sprintf("parts=%d/workers=%d", nparts, workers)
-			coord, err := New(slicePartitions(t, full, nparts), workers)
+			pp, err := m.NewPlanner().Partition(nparts)
 			if err != nil {
-				t.Fatalf("%s: New: %v", name, err)
+				t.Fatalf("%s: Partition: %v", name, err)
 			}
 
-			res := coord.Select(obj, k, celf.Options{Workers: workers})
+			res, err := m.SelectSeedsObjOn(pp, k, fobj(nil, nil, 0))
+			if err != nil {
+				t.Fatalf("%s: SelectSeedsObjOn: %v", name, err)
+			}
 			for i := range ref.Seeds {
 				if res.Seeds[i] != ref.Seeds[i] || res.Gains[i] != ref.Gains[i] {
 					t.Fatalf("%s: objective seed %d: (%d, %b) vs (%d, %b)",
@@ -109,9 +121,9 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			gains, err := coord.Gains(nil, allUsers, obj, nil)
+			gains, err := m.GainsObjOn(pp, nil, allUsers, fobj(nil, nil, 0))
 			if err != nil {
-				t.Fatalf("%s: Gains: %v", name, err)
+				t.Fatalf("%s: GainsObjOn: %v", name, err)
 			}
 			for u := range gains {
 				if gains[u] != refGains[u] {
@@ -119,13 +131,13 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			spread, err := coord.Spread(ref.Seeds, obj, nil)
+			spread, err := pp.SpreadObj(m, ref.Seeds, fobj(nil, nil, 0))
 			if err != nil {
-				t.Fatalf("%s: Spread: %v", name, err)
+				t.Fatalf("%s: SpreadObj: %v", name, err)
 			}
-			blockedSpread, err := coord.Spread(ref.Seeds[2:], obj, rival)
+			blockedSpread, err := pp.SpreadObj(m, ref.Seeds[2:], fobj(rival, nil, 0))
 			if err != nil {
-				t.Fatalf("%s: Spread(blocked): %v", name, err)
+				t.Fatalf("%s: SpreadObj(blocked): %v", name, err)
 			}
 			if !have {
 				refSpread, refBlockedSpread, have = spread, blockedSpread, true
@@ -138,8 +150,16 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			sameBudgeted(name+"/grow", celf.NewSelection(coord.estimator(obj, rival), budOpts(workers)).Grow(k), refGrow)
-			sameBudgeted(name+"/select", coord.Select(obj, k, budOpts(workers)), refRun)
+			est := core.NewProbeEstimator(obj, slicePartitions(t, full, nparts)...)
+			for _, r := range rival {
+				est.Add(r)
+			}
+			sameBudgeted(name+"/grow", celf.NewSelection(est, budOpts(workers)).Grow(k), refGrow)
+			budgeted, err := m.SelectSeedsObjOn(pp, k, fobj(rival, costs, 5))
+			if err != nil {
+				t.Fatalf("%s: budgeted SelectSeedsObjOn: %v", name, err)
+			}
+			sameBudgeted(name+"/select", budgeted, refRun)
 		}
 	}
 	// The selection commits the same seeds in the same order the telescoped
@@ -150,13 +170,13 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 
 	// A nil objective is the default: every gain is bit-for-bit the full
 	// engine's Gain.
-	coord, err := New(slicePartitions(t, full, 4), 0)
+	pp, err := m.NewPlanner().Partition(4)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("Partition: %v", err)
 	}
-	gotGains, err := coord.Gains(nil, allUsers, nil, nil)
+	gotGains, err := m.GainsObjOn(pp, nil, allUsers, nil)
 	if err != nil {
-		t.Fatalf("Gains(default): %v", err)
+		t.Fatalf("GainsObjOn(default): %v", err)
 	}
 	for u := range gotGains {
 		if want := full.Gain(graph.NodeID(u)); gotGains[u] != want {

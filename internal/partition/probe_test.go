@@ -1,17 +1,18 @@
-package partition
+package partition_test
 
 import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
 
+	"credist"
 	"credist/internal/actionlog"
 	"credist/internal/core"
 	"credist/internal/graph"
 )
 
 // TestCoordinatorQueriesMatchCloneCommit pins the read-only query path:
-// the coordinator's Spread and Gains answer from a
+// the partitioned planner's SpreadObj and GainsObjOn answer from a
 // core.Probe over the shared partitions, and every value must be
 // bit-identical to the clone-and-commit reference — a probe of the full
 // engine, each rival then seed committed in input order, cloned before
@@ -34,19 +35,24 @@ func TestCoordinatorQueriesMatchCloneCommit(t *testing.T) {
 		}
 	}
 	log := lb.Build()
+	ds := &credist.Dataset{Name: "probe-parity", Graph: g, Log: log}
 	credit := core.LearnTimeAware(g, log)
 	delays := core.BuildActionDelays(log)
-	lin := core.DatasetLineage("probe-parity", g, log)
 
 	audience := make([]float64, nUsers)
 	for u := range audience {
 		audience[u] = float64(rng.IntN(2))
 	}
-	objectives := []*core.Objective{
-		nil,
-		{Weights: audience},
-		{Windowed: true, Tau: 3, Delays: delays},
-		{Weights: audience, Windowed: true, Tau: 5, Delays: delays},
+	// Each objective at the core, and the same one at the facade (the
+	// model derives the delay index from the same log).
+	objectives := []struct {
+		core   *core.Objective
+		facade credist.Objective
+	}{
+		{nil, credist.Objective{}},
+		{&core.Objective{Weights: audience}, credist.Objective{Weights: audience}},
+		{&core.Objective{Windowed: true, Tau: 3, Delays: delays}, credist.Objective{Windowed: true, Window: 3}},
+		{&core.Objective{Weights: audience, Windowed: true, Tau: 5, Delays: delays}, credist.Objective{Weights: audience, Windowed: true, Window: 5}},
 	}
 	all := make([]graph.NodeID, nUsers)
 	for u := range all {
@@ -71,26 +77,20 @@ func TestCoordinatorQueriesMatchCloneCommit(t *testing.T) {
 
 	for _, lambda := range []float64{0, 0.001, 0.05} {
 		full := core.NewEngine(g, log, core.Options{Lambda: lambda, Credit: credit})
+		m := credist.Learn(ds, credist.Options{Lambda: lambda})
 		for _, nparts := range []int{1, 2, 4, 7} {
-			for _, backend := range []string{"heap", "mmap"} {
+			for _, backend := range []string{"sliced", "mmap"} {
 				name := fmt.Sprintf("lambda=%g/parts=%d/%s", lambda, nparts, backend)
-				var parts []*core.Engine
-				if backend == "heap" {
-					parts = slicePartitions(t, full, nparts)
-				} else {
-					parts = openPartitions(t, full, lin, nparts, true)
-				}
-				coord, err := New(parts, 0)
-				if err != nil {
-					t.Fatalf("%s: New: %v", name, err)
-				}
-				before := coord.Stats()
+				pm, pp := plannerFor(t, m, nparts, backend)
+				before := pp.Stats()
 				for qi, q := range queries {
 					for oi, obj := range objectives {
-						checkQuery(t, fmt.Sprintf("%s/q%d/obj%d", name, qi, oi), coord, full, obj, q.blocked, q.seeds, all)
+						fo := obj.facade
+						fo.Blocked = q.blocked
+						checkQuery(t, fmt.Sprintf("%s/q%d/obj%d", name, qi, oi), pm, pp, &fo, full, obj.core, q.blocked, q.seeds, all)
 					}
 				}
-				after := coord.Stats()
+				after := pp.Stats()
 				for i := range before {
 					if before[i] != after[i] {
 						t.Fatalf("%s: partition %d changed by read-only queries: %+v -> %+v", name, i, before[i], after[i])
@@ -101,9 +101,9 @@ func TestCoordinatorQueriesMatchCloneCommit(t *testing.T) {
 	}
 }
 
-// checkQuery compares one coordinator query against clone-and-commit on
-// a probe of the full engine.
-func checkQuery(t *testing.T, name string, coord *Coordinator, full *core.Engine, obj *core.Objective, blocked, seeds, cands []graph.NodeID) {
+// checkQuery compares one planner query under fo against clone-and-commit
+// on a probe of the full engine under obj, the same objective.
+func checkQuery(t *testing.T, name string, m *credist.Model, pp *credist.Planner, fo *credist.Objective, full *core.Engine, obj *core.Objective, blocked, seeds, cands []graph.NodeID) {
 	t.Helper()
 	ref := core.NewProbe(full)
 	seen := map[graph.NodeID]bool{}
@@ -130,13 +130,13 @@ func checkQuery(t *testing.T, name string, coord *Coordinator, full *core.Engine
 		wantGains[i] = based.Gain(x, obj)
 	}
 
-	spread, err := coord.Spread(seeds, obj, blocked)
+	spread, err := pp.SpreadObj(m, seeds, fo)
 	if err != nil {
-		t.Fatalf("%s: Spread: %v", name, err)
+		t.Fatalf("%s: SpreadObj: %v", name, err)
 	}
-	gains, err := coord.Gains(seeds, cands, obj, blocked)
+	gains, err := m.GainsObjOn(pp, seeds, cands, fo)
 	if err != nil {
-		t.Fatalf("%s: Gains: %v", name, err)
+		t.Fatalf("%s: GainsObjOn: %v", name, err)
 	}
 	if spread != wantSpread {
 		t.Fatalf("%s: spread of %v (blocked %v) = %b, clone+commit gives %b", name, seeds, blocked, spread, wantSpread)

@@ -141,7 +141,7 @@ func TestApproxZeroSpreadEncodes(t *testing.T) {
 	}
 }
 
-// TestApproxPartitionedUnavailable pins the 501 on scatter-gather
+// TestApproxPartitionedUnavailable pins the 501 on partitioned
 // deployments: the RR tier needs the whole universe in one engine.
 func TestApproxPartitionedUnavailable(t *testing.T) {
 	snap, err := serve.Build(serve.Source{Dataset: demoDataset(), Lambda: 0.001, Partitions: 2})

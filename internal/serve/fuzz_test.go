@@ -74,7 +74,7 @@ var fuzzServers = sync.OnceValues(func() (http.Handler, http.Handler) {
 // partitioned snapshot, which has no persisted sketch — and every 4xx
 // carries a non-empty error. /gain, /explain and exact /seeds must answer
 // byte-identically on both (modulo the snapshot id and the cached flag);
-// /spread and /topk are excluded because the coordinator's spread is the
+// /spread and /topk are excluded because the partitioned spread is the
 // lambda-truncated one, below the evaluator's exact sigma_cd by design.
 func FuzzQueryParams(f *testing.F) {
 	seeds := []struct {

@@ -11,11 +11,12 @@ import (
 	"testing"
 
 	"credist"
+	"credist/internal/actionlog"
 	"credist/internal/serve"
 )
 
 // newPartitionedServer builds a serve.Server over the shared demo dataset
-// split n ways behind the scatter-gather coordinator.
+// split n ways into row-range partitions.
 func newPartitionedServer(t *testing.T, n int) *serve.Server {
 	t.Helper()
 	snap, err := serve.Build(serve.Source{Dataset: demoDataset(), Lambda: 0.001, Partitions: n})
@@ -45,42 +46,168 @@ func bodyModuloSnapshot(t *testing.T, h http.Handler, method, target, body strin
 	return string(out)
 }
 
+// parityRequests are the queries whose full HTTP responses must not
+// depend on the partition count.
+var parityRequests = []struct {
+	method, target, body string
+}{
+	{"GET", "/spread?seeds=1,2,3", ""},
+	{"GET", "/spread?seeds=17", ""},
+	{"POST", "/spread", `{"sets":[[0,1],[5,6,7],[42]]}`},
+	{"GET", "/gain?candidates=4,5,6&seeds=1,2", ""},
+	{"GET", "/gain?candidates=0,10,20,30", ""},
+	{"GET", "/seeds?k=5", ""},
+	{"GET", "/seeds?k=3", ""}, // prefix slice of the k=5 selection
+	{"GET", "/topk?method=highdeg&k=4", ""},
+	// Campaign objectives ride the same wall: targeted, windowed,
+	// blocked, and budgeted answers may not depend on the partition
+	// count either.
+	{"GET", "/spread?seeds=1,2&audience=4,5,6,7", ""},
+	{"GET", "/spread?seeds=1,2&window=25", ""},
+	{"GET", "/gain?candidates=4,5&seeds=1&blocked=2,3", ""},
+	{"GET", "/seeds?k=3&audience=4,5,6,7", ""},
+	{"GET", "/seeds?k=3&costs=1:3,2:3&budget=2.5", ""},
+	{"GET", "/explain?seed=5&top=4", ""},
+	{"GET", "/explain?set=1,2,3&reach=10&top=4", ""},
+}
+
+// sameResponses requires every parity request to answer identically —
+// modulo the snapshot id — on handlers a and b.
+func sameResponses(t *testing.T, what string, a, b http.Handler) {
+	t.Helper()
+	for _, req := range parityRequests {
+		ra := bodyModuloSnapshot(t, a, req.method, req.target, req.body)
+		rb := bodyModuloSnapshot(t, b, req.method, req.target, req.body)
+		if ra != rb {
+			t.Errorf("%s: %s %s diverged:\n  %s\n  %s", what, req.method, req.target, ra, rb)
+		}
+	}
+}
+
 // TestPartitionCountParityHTTP is the serve-layer face of the partition
 // determinism wall: the full HTTP responses of /spread (single and
-// batched), /gain, and /seeds must be identical — modulo the snapshot id —
-// whether the model is served by one partition or four. Float formatting
-// goes through the same encoder on both sides, so equal JSON here means
-// bit-identical float64s underneath.
+// batched), /gain, /seeds and /explain must be identical — modulo the
+// snapshot id — whether the model is served by one partition or four.
+// Float formatting goes through the same encoder on both sides, so equal
+// JSON here means bit-identical float64s underneath. Two shapes are
+// pinned: an in-memory split of a freshly learned model, and a model file
+// checkpointed after an ingest and served from the on-disk log plus its
+// tail, whose first start writes the slice files that a restart reopens —
+// four mmap'd slices against one heap-loaded slice. There /stats must
+// report the four mapped partitions whose rows sum to its top-level
+// accounting.
 func TestPartitionCountParityHTTP(t *testing.T) {
-	one := newPartitionedServer(t, 1).Handler()
-	four := newPartitionedServer(t, 4).Handler()
-	requests := []struct {
-		method, target, body string
-	}{
-		{"GET", "/spread?seeds=1,2,3", ""},
-		{"GET", "/spread?seeds=17", ""},
-		{"POST", "/spread", `{"sets":[[0,1],[5,6,7],[42]]}`},
-		{"GET", "/gain?candidates=4,5,6&seeds=1,2", ""},
-		{"GET", "/gain?candidates=0,10,20,30", ""},
-		{"GET", "/seeds?k=5", ""},
-		{"GET", "/seeds?k=3", ""}, // prefix slice of the k=5 selection
-		{"GET", "/topk?method=highdeg&k=4", ""},
-		// Campaign objectives ride the same wall: targeted, windowed,
-		// blocked, and budgeted answers may not depend on the partition
-		// count either.
-		{"GET", "/spread?seeds=1,2&audience=4,5,6,7", ""},
-		{"GET", "/spread?seeds=1,2&window=25", ""},
-		{"GET", "/gain?candidates=4,5&seeds=1&blocked=2,3", ""},
-		{"GET", "/seeds?k=3&audience=4,5,6,7", ""},
-		{"GET", "/seeds?k=3&costs=1:3,2:3&budget=2.5", ""},
+	sameResponses(t, "in-memory split, 1 vs 4 partitions",
+		newPartitionedServer(t, 1).Handler(), newPartitionedServer(t, 4).Handler())
+
+	// The model file: checkpointed after the tail's actions were ingested,
+	// so the on-disk head log plus the tail covers it exactly.
+	demo := demoDataset()
+	n := demo.Log.NumActions()
+	headN := n - 10
+	headDS := &credist.Dataset{Name: demo.Name, Graph: demo.Graph, Log: demo.Log.Prefix(headN)}
+	var tail []credist.Tuple
+	for a := headN; a < n; a++ {
+		tail = append(tail, demo.Log.Action(credist.ActionID(a))...)
 	}
-	for _, req := range requests {
-		a := bodyModuloSnapshot(t, one, req.method, req.target, req.body)
+	dir := t.TempDir()
+	tailPath := filepath.Join(dir, "demo.tail.log")
+	tf, err := os.Create(tailPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := actionlog.WriteTuples(tf, demo.NumUsers(), tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	head, err := serve.Build(serve.Source{Dataset: headDS, Lambda: 0.001})
+	if err != nil {
+		t.Fatalf("Build(head): %v", err)
+	}
+	grown, err := head.Ingest(tail, false)
+	if err != nil {
+		t.Fatalf("Ingest(tail): %v", err)
+	}
+	modelPath := filepath.Join(dir, "model.bin")
+	if code, resp := do(t, serve.New(grown).Handler(), "POST", "/snapshot", fmt.Sprintf(`{"path":%q}`, modelPath)); code != http.StatusOK {
+		t.Fatalf("/snapshot: status %d: %v", code, resp)
+	}
+
+	build := func(parts int, mmap bool) http.Handler {
+		t.Helper()
+		snap, err := serve.Build(serve.Source{Dataset: headDS, TailPath: tailPath, ModelPath: modelPath, Partitions: parts, Mmap: mmap})
+		if err != nil {
+			t.Fatalf("Build(partitions=%d, mmap=%t): %v", parts, mmap, err)
+		}
+		if err := snap.PartitionErr(); err != nil {
+			t.Fatalf("Build(partitions=%d, mmap=%t) degraded: %v", parts, mmap, err)
+		}
+		return serve.New(snap).Handler()
+	}
+	build(4, true) // first start: splits the model file into slice files
+	slices := credist.SlicePaths(modelPath, 4)
+	written := make([]os.FileInfo, len(slices))
+	for i, p := range slices {
+		if written[i], err = os.Stat(p); err != nil {
+			t.Fatalf("first partitioned start wrote no slice: %v", err)
+		}
+	}
+	four := build(4, true) // restart: reopens the slices
+	for i, p := range slices {
+		if fi, err := os.Stat(p); err != nil || !fi.ModTime().Equal(written[i].ModTime()) || fi.Size() != written[i].Size() {
+			t.Errorf("restart rewrote slice %s", p)
+		}
+	}
+	sameResponses(t, "model file, 4 mmap'd vs 1 heap partition", build(1, false), four)
+
+	var st serve.StatsResponse
+	getJSON(t, four, "GET", "/stats", "", &st)
+	if st.NumPartitions != 4 || len(st.Partitions) != 4 {
+		t.Fatalf("/stats: num_partitions %d with %d rows, want 4", st.NumPartitions, len(st.Partitions))
+	}
+	if st.RowStore != "mmap" || st.MappedBytes <= 0 {
+		t.Errorf("/stats: row_store %q with %d mapped bytes, want mmap and > 0", st.RowStore, st.MappedBytes)
+	}
+	var entries, heap, mapped int64
+	for _, row := range st.Partitions {
+		entries += row.Entries
+		heap += row.HeapBytes
+		mapped += row.MappedBytes
+	}
+	if entries != st.Entries || heap != st.HeapBytes || mapped != st.MappedBytes {
+		t.Errorf("/stats: rows sum to entries %d, heap %d, mapped %d; top level has %d, %d, %d",
+			entries, heap, mapped, st.Entries, st.HeapBytes, st.MappedBytes)
+	}
+	if lo, hi := st.Partitions[0].RowLo, st.Partitions[3].RowHi; lo != 0 || hi != st.Users {
+		t.Errorf("/stats: partitions cover [%d,%d), want [0,%d)", lo, hi, st.Users)
+	}
+}
+
+// TestSingleEngineVsPartitionedHTTP pins the two serving shapes against
+// each other: /gain, /seeds and /explain must answer identically — modulo
+// the snapshot id — from one engine and from four partitions, objectives
+// included. /spread is left out: the single engine answers from the exact
+// evaluator, partitions from the telescoped lambda-truncated spread.
+func TestSingleEngineVsPartitionedHTTP(t *testing.T) {
+	single := newTestServer(t).Handler()
+	four := newPartitionedServer(t, 4).Handler()
+	compared := 0
+	for _, req := range parityRequests {
+		if strings.HasPrefix(req.target, "/spread") || strings.HasPrefix(req.target, "/topk") {
+			continue
+		}
+		compared++
+		a := bodyModuloSnapshot(t, single, req.method, req.target, req.body)
 		b := bodyModuloSnapshot(t, four, req.method, req.target, req.body)
 		if a != b {
-			t.Errorf("%s %s diverged between 1 and 4 partitions:\n  1: %s\n  4: %s",
+			t.Errorf("%s %s diverged between one engine and 4 partitions:\n  1: %s\n  4: %s",
 				req.method, req.target, a, b)
 		}
+	}
+	if compared < 9 {
+		t.Fatalf("compared only %d requests", compared)
 	}
 }
 
@@ -310,7 +437,7 @@ func TestPartitionedCheckpointRestart(t *testing.T) {
 
 // TestConcurrentQueriesDuringPartitionedIngest hammers the partitioned
 // read path while ingests swap in successors; -race makes this a proof
-// that coordinator queries never observe a partition mid-extension.
+// that partitioned queries never observe a partition mid-extension.
 func TestConcurrentQueriesDuringPartitionedIngest(t *testing.T) {
 	srv := newPartitionedServer(t, 3)
 	h := srv.Handler()

@@ -270,7 +270,7 @@ func parseCosts(raw string, numUsers int) ([]float64, error) {
 }
 
 // requestError maps objective-path failures to 400s: everything the
-// facade and the coordinator reject (unknown ids, malformed windows,
+// facade rejects (unknown ids, malformed windows,
 // costs where they do not apply) is a request fault, while errors already
 // carrying a status — the partition gate's 502 — pass through.
 func requestError(err error) error {
@@ -867,7 +867,7 @@ type StatsResponse struct {
 	LastSnapshot     *CheckpointInfo `json:"last_snapshot,omitempty"`
 
 	// Partitioned serving: one row per engine partition, present only when
-	// the snapshot runs behind a scatter-gather coordinator. The top-level
+	// the snapshot serves row-range partitions. The top-level
 	// entries/heap_bytes/mapped_bytes above are the sums of these rows.
 	NumPartitions  int             `json:"num_partitions,omitempty"`
 	Partitions     []PartitionStat `json:"partitions,omitempty"`

@@ -70,9 +70,9 @@ type Source struct {
 	SimpleCredit bool `json:"simple_credit,omitempty"`
 
 	// Partitions splits the model into N contiguous row-range engine
-	// partitions served behind a scatter-gather coordinator: /spread,
-	// /gain, and /seeds fan over the partitions and merge by summation,
-	// with answers bit-identical at every partition count. 0 (the default)
+	// partitions behind the snapshot's one planner: every query reads each
+	// row from the partition owning it, with answers bit-identical at
+	// every partition count. 0 (the default)
 	// serves the classic single-engine path. With ModelPath, slice files
 	// ("<model>.slice-<i>-of-<N>") are written next to the model on first
 	// start and reopened directly — per-partition memory mappings when
@@ -89,8 +89,8 @@ type Source struct {
 	Dataset *credist.Dataset `json:"-"`
 }
 
-// partitioned reports whether the source asks for the scatter-gather
-// serving path at all (1 partition still exercises the coordinator).
+// partitioned reports whether the source asks for partitions at all (1
+// partition still takes the partitioned answers; see backend).
 func (src Source) partitioned() bool {
 	return src.Partitions > 0 || len(src.SlicePaths) > 0
 }
@@ -225,10 +225,9 @@ type Snapshot struct {
 	// partitionErr) it is all a snapshot has.
 	ds    *credist.Dataset
 	model *credist.Model
-	// be answers every model query. Build picks it once: the single engine
-	// or the partition coordinator (see backend). nil only in the degraded
-	// state.
-	be backend
+	// be answers every model query: the model and its one planner, a full
+	// engine or partitions (see backend). nil only in the degraded state.
+	be *backend
 	// partitionErr records a failed partition assembly: the snapshot is
 	// degraded — /healthz answers 503 and every model query 502 naming the
 	// failed partition — instead of the process crash-looping on one
@@ -271,137 +270,44 @@ type Snapshot struct {
 	prefix  atomic.Pointer[seedPrefix]
 }
 
-// backend answers a snapshot's model queries. Build picks one of two
-// implementations, once: engineBackend, the exact evaluator plus one
-// frozen scanned planner, or coordBackend, the scatter-gather coordinator
-// over row-range engine partitions. Every query takes its objective as an
-// argument, nil meaning the default objective. The embedded
-// *credist.Planner or *credist.PartitionedPlanner supplies the growable
-// /seeds selection and the row-store accounting (the two types share
-// those method names), and the PartitionedPlanner its explain calls.
-type backend interface {
-	spread(seeds []credist.NodeID, o *credist.Objective) (float64, error)
-	gains(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error)
-	// selectSeeds is a fresh one-shot CELF run under o.
-	selectSeeds(k int, o *credist.Objective) (seedsel.Result, error)
-	ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanation, error)
-	ExplainReach(seeds []credist.NodeID, v credist.NodeID, top int) (credist.ReachExplanation, error)
-	approxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error)
-	approxSeeds(k int, opts credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error)
-	// extend derives the backend serving model, the receiver's model after
-	// an Ingest, scanning only the appended tail; the receiver keeps
-	// serving unchanged. compact folds the accumulated delta where the
-	// backend supports it.
-	extend(model *credist.Model, compact bool) (backend, error)
-	// checkpointPaths names the files a checkpoint at path writes, and
-	// save writes them with prefix riding along.
-	checkpointPaths(path string) []string
-	save(prefix *credist.SeedPrefix, paths []string) error
-	// partitionStats is per-partition accounting (nil for one engine).
-	partitionStats() []credist.PartitionStats
-
-	ResumeSelection(prefix *credist.SeedPrefix) (*credist.GrowableSelection, error)
-	Entries() int64
-	ResidentBytes() int64
-	HeapBytes() int64
-	MappedBytes() int64
-	RowStoreBackend() string
-	DeltaEntries() int64
-	DeltaActions() int
-	NumActions() int
-}
-
-// engineBackend serves from one scanned planner. The planner's seed set
-// stays empty forever — it is frozen at build time and never written:
+// backend answers a snapshot's model queries: the model plus one frozen
+// scanned planner — a full engine, or row-range engine partitions when
+// the source is partitioned. The planner's seed set stays empty forever:
 // queries and selections commit their seeds to read-only probes over it
-// (the /seeds selection over a clone sharing its shards). /spread is the
-// model's exact evaluator.
-type engineBackend struct {
-	model *credist.Model
-	*credist.Planner
+// (the /seeds selection over a clone sharing its shards), and gains,
+// selections and explanations are bit-identical at every partition count.
+// The methods here are the places where the two shapes answer
+// differently.
+type backend struct {
+	model   *credist.Model
+	planner *credist.Planner
+	// partitioned is Source.partitioned(): even one partition takes the
+	// partitioned answers below.
+	partitioned bool
 }
 
-func (b *engineBackend) spread(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
+// spread answers from the model's exact evaluator on one engine. No
+// partition holds the evaluator's full propagation DAGs, so partitions
+// telescope per-seed gains over the lambda-truncated UC structure instead:
+// bit-identical at every partition count, but slightly below the exact
+// sigma_cd at lambda > 0 (equal to float tolerance only at lambda = 0).
+func (b *backend) spread(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
+	if b.partitioned {
+		return b.planner.SpreadObj(b.model, seeds, o)
+	}
 	return b.model.SpreadObj(seeds, o)
 }
 
-// gains and selectSeeds evaluate over this backend's own (possibly
-// ingest-extended) planner, never the model's lazy base, whose first use
-// for an ingest-grown model would be a second from-scratch scan.
-func (b *engineBackend) gains(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
-	return b.model.GainsObjOn(b.Planner, base, candidates, o)
-}
-
-func (b *engineBackend) selectSeeds(k int, o *credist.Objective) (seedsel.Result, error) {
-	return b.model.SelectSeedsObjOn(b.Planner, k, o)
-}
-
-func (b *engineBackend) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanation, error) {
-	return b.model.ExplainSeedOn(b.Planner, x, top), nil
-}
-
-func (b *engineBackend) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top int) (credist.ReachExplanation, error) {
-	return b.model.ExplainReachOn(b.Planner, seeds, v, top), nil
-}
-
-func (b *engineBackend) approxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
-	return b.model.ApproxSpread(seeds, opts)
-}
-
-func (b *engineBackend) approxSeeds(k int, opts credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error) {
-	return b.model.ApproxSeeds(k, opts)
-}
-
-func (b *engineBackend) extend(model *credist.Model, compact bool) (backend, error) {
-	base, err := model.ExtendPlanner(b.Planner)
-	if err != nil {
-		return nil, err
+// approxSpread and approxSeeds grow the live sample pool on one engine.
+// Partitioned, they answer from the fixed pool the whole-model snapshot
+// persisted: the RR tier samples over the full user universe, which no
+// partition holds, so it cannot draw a single new sample; precision is
+// whatever the pool affords, reported honestly in achieved_eps, and a
+// model with no persisted sketch answers 501.
+func (b *backend) approxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
+	if !b.partitioned {
+		return b.model.ApproxSpread(seeds, opts)
 	}
-	if compact {
-		base.Compact()
-	}
-	return &engineBackend{model: model, Planner: base}, nil
-}
-
-func (b *engineBackend) checkpointPaths(path string) []string { return []string{path} }
-
-// save writes the planner the snapshot already serves from, so a
-// checkpoint never blocks queries or pays a second scan.
-func (b *engineBackend) save(prefix *credist.SeedPrefix, paths []string) error {
-	return b.model.SaveOn(paths[0], b.Planner, prefix)
-}
-
-func (b *engineBackend) partitionStats() []credist.PartitionStats { return nil }
-
-// coordBackend serves scatter-gather from row-range partitions. Its
-// spread is the coordinator's telescoped gain sum over the
-// lambda-truncated UC structure: bit-identical at every partition count,
-// but slightly below the evaluator's exact sigma_cd at lambda > 0 (equal
-// to float tolerance only at lambda = 0). Gains, selections and
-// explanations are bit-identical to the single engine's.
-type coordBackend struct {
-	model *credist.Model
-	*credist.PartitionedPlanner
-}
-
-func (b *coordBackend) spread(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
-	return b.SpreadObj(b.model, seeds, o)
-}
-
-func (b *coordBackend) gains(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
-	return b.GainsObj(b.model, base, candidates, o)
-}
-
-func (b *coordBackend) selectSeeds(k int, o *credist.Objective) (seedsel.Result, error) {
-	return b.SelectSeedsObj(b.model, k, o)
-}
-
-// approxSpread and approxSeeds answer from the fixed sample pool the
-// whole-model snapshot persisted. The RR tier samples over the full user
-// universe, which no partition holds, so it cannot draw a single new
-// sample here; precision is whatever the pool affords, reported honestly
-// in achieved_eps, and a model with no persisted sketch answers 501.
-func (b *coordBackend) approxSpread(seeds []credist.NodeID, _ credist.ApproxOptions) (credist.ApproxResult, error) {
 	res, ok, err := b.model.ApproxSpreadFixed(seeds)
 	if err == nil && !ok {
 		err = errApproxPartitioned
@@ -409,7 +315,10 @@ func (b *coordBackend) approxSpread(seeds []credist.NodeID, _ credist.ApproxOpti
 	return res, err
 }
 
-func (b *coordBackend) approxSeeds(k int, _ credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error) {
+func (b *backend) approxSeeds(k int, opts credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error) {
+	if !b.partitioned {
+		return b.model.ApproxSeeds(k, opts)
+	}
 	seeds, res, ok, err := b.model.ApproxSeedsFixed(k)
 	if err == nil && !ok {
 		err = errApproxPartitioned
@@ -417,35 +326,56 @@ func (b *coordBackend) approxSeeds(k int, _ credist.ApproxOptions) ([]credist.No
 	return seeds, res, err
 }
 
-// extend has every partition scan only its rows of the appended tail, in
-// parallel, into a successor; the coordinator over the new set replaces the old one
-// atomically. Partitions keep their delta (compact does not apply).
-func (b *coordBackend) extend(model *credist.Model, _ bool) (backend, error) {
-	parts, err := b.Extend(model)
+// extend derives the backend serving model, the receiver's model after an
+// Ingest: every engine scans only its rows of the appended tail (the
+// partitions in parallel), and the receiver keeps serving unchanged.
+// compact folds the accumulated delta into a single engine's base;
+// partitions keep their delta.
+func (b *backend) extend(model *credist.Model, compact bool) (*backend, error) {
+	planner, err := model.ExtendPlanner(b.planner)
 	if err != nil {
 		return nil, err
 	}
-	return &coordBackend{model: model, PartitionedPlanner: parts}, nil
+	if compact && !b.partitioned {
+		planner.Compact()
+	}
+	return &backend{model: model, planner: planner, partitioned: b.partitioned}, nil
 }
 
-// checkpointPaths names one slice file per partition at the canonical
+// checkpointPaths names the files a checkpoint at path writes: the path
+// itself, or one slice file per partition at the canonical
 // "<path>.slice-<i>-of-<n>" names, so a restart with `serve -model <path>
 // -partitions <n>` finds them without re-splitting.
-func (b *coordBackend) checkpointPaths(path string) []string {
-	return credist.SlicePaths(path, b.NumPartitions())
+func (b *backend) checkpointPaths(path string) []string {
+	if b.partitioned {
+		return credist.SlicePaths(path, b.planner.NumPartitions())
+	}
+	return []string{path}
 }
 
-func (b *coordBackend) save(prefix *credist.SeedPrefix, paths []string) error {
-	return b.SaveSlices(b.model, prefix, paths)
+// save writes the planner the snapshot already serves from, with prefix
+// riding along, so a checkpoint never blocks queries or pays a second
+// scan.
+func (b *backend) save(prefix *credist.SeedPrefix, paths []string) error {
+	if b.partitioned {
+		return b.planner.SaveSlices(b.model, prefix, paths)
+	}
+	return b.model.SaveOn(paths[0], b.planner, prefix)
 }
 
-func (b *coordBackend) partitionStats() []credist.PartitionStats { return b.Stats() }
+// partitionStats is per-partition accounting (nil for one engine).
+func (b *backend) partitionStats() []credist.PartitionStats {
+	if b.partitioned {
+		return b.planner.Stats()
+	}
+	return nil
+}
 
 // Build loads the source's dataset, learns (or restores) the model, and
-// picks the snapshot's backend. The single engine's scanned planner comes
+// binds the snapshot's backend. The single engine's scanned planner comes
 // from one log scan, or, when ModelPath names a binary snapshot, from a
 // lineage-checked load that scans only the log tail past the snapshot's
-// recorded actions. A partitioned source assembles a coordinator over
+// recorded actions. A partitioned source assembles a planner over
 // row-range engine partitions, from explicit slice files, a model file
 // (slices written next to it on first start, reopened after), or an
 // in-memory split of a freshly learned model. A failed partition assembly
@@ -486,19 +416,18 @@ func Build(src Source) (*Snapshot, error) {
 	}
 	opts := credist.Options{Lambda: src.Lambda, SimpleCredit: src.SimpleCredit}
 	var (
-		model *credist.Model
-		be    backend
+		model   *credist.Model
+		planner *credist.Planner
 		// tailActions is the log tail past the snapshot file that the
-		// load appended: the backend's delta before any compaction.
+		// load appended: the planner's delta before any compaction.
 		tailActions int
 	)
 	if src.partitioned() {
-		var parts *credist.PartitionedPlanner
-		model, parts, err = buildPartitions(src, ds, opts)
+		model, planner, err = buildPartitions(src, ds, opts)
 		if err != nil {
 			return &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}, nil
 		}
-		be, tailActions = &coordBackend{model: model, PartitionedPlanner: parts}, parts.DeltaActions()
+		tailActions = planner.DeltaActions()
 		// A first start that splits the model loads the whole file onto the
 		// heap and leaves 50-100 MiB of garbage on flixster-small, depending
 		// on when the last collection ran. A restart from existing slices
@@ -508,20 +437,19 @@ func Build(src Source) (*Snapshot, error) {
 		// shared partitions through a probe), so the collector would
 		// otherwise leave that garbage resident for many seconds of traffic;
 		// collect it now and return the pages, so the process's footprint is
-		// the snapshot's. No evaluator warm-up runs: /spread and /topk route
-		// through the coordinator, so the propagation-DAG build never
+		// the snapshot's. No evaluator warm-up runs: /spread and /topk
+		// telescope over the partitions, so the propagation-DAG build never
 		// happens unless an embedder calls Model.Spread directly.
 		debug.FreeOSMemory()
 	} else {
 		if model, err = loadModel(src, ds, opts); err != nil {
 			return nil, err
 		}
-		base := model.NewPlanner()
-		tailActions = base.DeltaActions()
+		planner = model.NewPlanner()
+		tailActions = planner.DeltaActions()
 		// Fold the snapshot's appended tail into the base, so the delta
 		// accounting counts only what /ingest adds from here.
-		base.Compact()
-		be = &engineBackend{model: model, Planner: base}
+		planner.Compact()
 		// The model's spread evaluator (the /spread and /topk path) builds
 		// lazily on first use. Kick that build off in the background so a
 		// snapshot-loaded server binds its port in milliseconds without the
@@ -529,9 +457,10 @@ func Build(src Source) (*Snapshot, error) {
 		// earlier request simply waits on the same one-time build.
 		go func() { _ = model.Spread(nil) }()
 	}
-	sn := newSnapshot(src, model, be)
+	be := &backend{model: model, planner: planner, partitioned: src.partitioned()}
+	sn := newSnapshot(src, be)
 	if src.ModelPath != "" || len(src.SlicePaths) > 0 {
-		sn.modelActions = be.NumActions() - tailActions
+		sn.modelActions = planner.NumActions() - tailActions
 		sn.tailActions = tailActions
 	}
 	// A seed prefix restored with the model (the loads drop it whenever a
@@ -569,9 +498,9 @@ func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.
 	}
 }
 
-// buildPartitions assembles the coordinator's model and partitions from
+// buildPartitions assembles the partitioned model and planner from
 // explicit slice files, a model file, or an in-memory split.
-func buildPartitions(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, *credist.PartitionedPlanner, error) {
+func buildPartitions(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, *credist.Planner, error) {
 	switch {
 	case len(src.SlicePaths) > 0:
 		return credist.LoadPartitions(ds, src.SlicePaths, src.Mmap, opts)
@@ -590,24 +519,25 @@ func buildPartitions(src Source, ds *credist.Dataset, opts credist.Options) (*cr
 }
 
 // newSnapshot is the constructor tail Build and Ingest share: it binds
-// the model and backend and caches the row-store accounting.
-func newSnapshot(src Source, model *credist.Model, be backend) *Snapshot {
+// the backend and caches the row-store accounting.
+func newSnapshot(src Source, be *backend) *Snapshot {
+	p := be.planner
 	return &Snapshot{
 		LoadedAt:      time.Now(),
 		src:           src,
-		ds:            model.Dataset(),
-		model:         model,
+		ds:            be.model.Dataset(),
+		model:         be.model,
 		be:            be,
-		entries:       be.Entries(),
-		residentBytes: be.ResidentBytes(),
-		heapBytes:     be.HeapBytes(),
-		mappedBytes:   be.MappedBytes(),
-		rowStore:      be.RowStoreBackend(),
+		entries:       p.Entries(),
+		residentBytes: p.ResidentBytes(),
+		heapBytes:     p.HeapBytes(),
+		mappedBytes:   p.MappedBytes(),
+		rowStore:      p.RowStoreBackend(),
 	}
 }
 
 // Partitioned reports whether this snapshot serves (or was asked to
-// serve) the scatter-gather path.
+// serve) row-range partitions.
 func (sn *Snapshot) Partitioned() bool { return sn.src.partitioned() }
 
 // NumPartitions returns the partition count (0 on the single-engine path
@@ -659,8 +589,8 @@ func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, err
 	if err != nil {
 		return nil, err
 	}
-	next := newSnapshot(sn.src, model, be)
-	next.deltaEntries, next.deltaActions = be.DeltaEntries(), be.DeltaActions()
+	next := newSnapshot(sn.src, be)
+	next.deltaEntries, next.deltaActions = be.planner.DeltaEntries(), be.planner.DeltaActions()
 	next.ingests, next.lastIngest = sn.ingests+1, time.Now()
 	next.modelActions, next.tailActions = sn.modelActions, sn.tailActions
 	return next, nil
@@ -718,7 +648,7 @@ func (sn *Snapshot) Spread(seeds []credist.NodeID) (float64, error) { return sn.
 // (audience weights, time window, blocked rivals; nil is plain sigma_cd).
 // The single engine answers from the exact evaluator; the partitioned
 // path telescopes per-seed gains over the lambda-truncated UC structure
-// instead (see coordBackend). Degraded partitioned snapshots answer 502.
+// instead (see backend). Degraded partitioned snapshots answer 502.
 func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return 0, err
@@ -729,7 +659,7 @@ func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (flo
 // ApproxSpread answers a spread query from the model's bounded-error RR
 // tier (see credist.Model.ApproxSpread). A partitioned snapshot answers
 // from the fixed sample pool its whole-model snapshot persisted, and 501
-// when none was (see coordBackend).
+// when none was (see backend).
 func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
 	if err := sn.partitionGate(); err != nil {
 		return credist.ApproxResult{}, err
@@ -794,7 +724,7 @@ func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objec
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	return sn.be.gains(base, candidates, o)
+	return sn.model.GainsObjOn(sn.be.planner, base, candidates, o)
 }
 
 // SelectSeeds answers a CELF seed selection for k seeds from the
@@ -835,12 +765,12 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 		if pv := sn.prefix.Load(); pv != nil {
 			restored = &credist.SeedPrefix{Seeds: pv.seeds, Gains: pv.gains, LookupsAt: pv.lookupsAt}
 		}
-		sel, err := sn.be.ResumeSelection(restored)
+		sel, err := sn.be.planner.ResumeSelection(restored)
 		if err != nil {
 			// A published prefix always comes from this snapshot's model,
 			// so Resume cannot reject it; recover into a fresh selection
 			// regardless.
-			sel, _ = sn.be.ResumeSelection(nil)
+			sel, _ = sn.be.planner.ResumeSelection(nil)
 		}
 		sn.seedSel = sel
 	}
@@ -863,7 +793,7 @@ func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, e
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	res, err := sn.be.selectSeeds(k, o)
+	res, err := sn.model.SelectSeedsObjOn(sn.be.planner, k, o)
 	if err != nil {
 		return nil, err
 	}
@@ -887,7 +817,7 @@ func (sn *Snapshot) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanat
 	if err := sn.partitionGate(); err != nil {
 		return credist.SeedExplanation{}, err
 	}
-	return sn.be.ExplainSeed(x, top)
+	return sn.model.ExplainSeedOn(sn.be.planner, x, top)
 }
 
 // ExplainReach decomposes the credit the given seed set pushes onto
@@ -899,7 +829,7 @@ func (sn *Snapshot) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top i
 	if err := sn.partitionGate(); err != nil {
 		return credist.ReachExplanation{}, err
 	}
-	return sn.be.ExplainReach(seeds, v, top)
+	return sn.model.ExplainReachOn(sn.be.planner, seeds, v, top)
 }
 
 // ProvStats reports the model's provenance index for /stats (all zero in

@@ -11,6 +11,7 @@ import (
 	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
+	"credist/internal/partition"
 	"credist/internal/seedsel"
 )
 
@@ -157,36 +158,55 @@ func (m *Model) Ingest(tuples []Tuple) (*Model, error) {
 
 // ExtendPlanner derives a planner for this (post-Ingest) model from one
 // scanned against the pre-ingest log: only the appended action tail is
-// scanned, into a successor engine that shares every shard of the
-// source's. The source planner must come from the model lineage this
-// model was ingested from (same credit parameters, a prefix of the same
-// log) and must not have committed seeds, whose gains describe the old
-// log. Mismatched credit parameters, truncation thresholds, and user
-// universes are rejected; a planner from a different log that happens to
-// agree on all of those (possible only with the parameterless
-// simple-credit rule) cannot be detected cheaply and yields meaningless
-// results — pairing planners with their own model lineage is the
-// caller's contract. Gains and CELF selections on the
-// result are bit-identical to those of a freshly scanned NewPlanner, at a
-// fraction of the cost; see BenchmarkAppendVsRescan.
+// scanned, into successor engines that share every shard of the source's
+// — one full engine, or every row-range partition in parallel, each
+// keeping only its rows of the tail. The source planner must come from the
+// model lineage this model was ingested from (same credit parameters, a
+// prefix of the same log) and must not have committed seeds, whose gains
+// describe the old log; see checkPlanner for what is rejected. A planner
+// from a different log that happens to agree on all of that (possible
+// only with the parameterless simple-credit rule) cannot be detected
+// cheaply and yields meaningless results — pairing planners with their
+// own model lineage is the caller's contract. Gains and CELF selections on
+// the result are bit-identical to those of a freshly scanned NewPlanner,
+// at a fraction of the cost; see BenchmarkAppendVsRescan. The source keeps
+// serving unchanged, and the successor reads its mapped shards without
+// owning the mappings: Close the planner that opened them.
 func (m *Model) ExtendPlanner(p *Planner) (*Planner, error) {
-	if p.eng.CreditModel() != m.credit {
-		return nil, fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
+	if err := m.checkPlanner(p, "extend", false); err != nil {
+		return nil, err
 	}
-	if pl, ml := p.eng.Lambda(), m.opts.Lambda; pl != ml {
-		return nil, fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
-	}
-	if pn, gn := p.eng.NumNodes(), m.ds.Graph.NumNodes(); pn > gn {
-		return nil, fmt.Errorf("credist: planner universe (%d users) exceeds the model's graph (%d nodes)", pn, gn)
-	}
-	if n := len(p.Seeds()); n > 0 {
-		return nil, fmt.Errorf("credist: cannot extend a planner with %d committed seeds", n)
-	}
-	eng, err := p.eng.AppendActions(m.ds.Graph, m.ds.Log, ActionID(p.eng.NumActions()))
+	parts, err := partition.Append(p.parts, m.ds.Graph, m.ds.Log, ActionID(p.NumActions()))
 	if err != nil {
 		return nil, err
 	}
-	return newPlanner(eng), nil
+	return newPlanner(parts...), nil
+}
+
+// checkPlanner is the one planner-vs-model check behind extending and
+// checkpointing: p must hold no committed seeds, be scanned with this
+// model's credit parameters and truncation threshold over a universe the
+// model's graph covers, and cover a prefix of the model's log — all of it
+// when exact is set, as a checkpoint records the model's log as its
+// lineage. verb names the refused operation in the error.
+func (m *Model) checkPlanner(p *Planner, verb string, exact bool) error {
+	if n := len(p.Seeds()); n > 0 {
+		return fmt.Errorf("credist: cannot %s a planner with %d committed seeds", verb, n)
+	}
+	eng := p.parts[0]
+	if eng.CreditModel() != m.credit {
+		return fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
+	}
+	if pl, ml := eng.Lambda(), m.opts.Lambda; pl != ml {
+		return fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
+	}
+	if pn, gn := p.NumUsers(), m.ds.Graph.NumNodes(); pn > gn {
+		return fmt.Errorf("credist: planner universe (%d users) exceeds the model's graph (%d nodes)", pn, gn)
+	}
+	if pn, ln := p.NumActions(), m.ds.Log.NumActions(); pn > ln || exact && pn != ln {
+		return fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
+	}
+	return nil
 }
 
 // SelectSeeds picks k seeds with the paper's algorithm (Scan + greedy with
@@ -269,7 +289,8 @@ func (m *Model) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) 
 // sees them, and a later Add on the receiver does not reach the
 // selection. This is how a serving layer grows selections off its
 // incrementally extended base planner instead of forcing a second
-// from-scratch scan out of the model.
+// from-scratch scan out of the model. Seeds and gains are bit-identical
+// at every partition count.
 func (p *Planner) NewSelection() *GrowableSelection {
 	return newGrowableSelection(p.Clone())
 }
@@ -277,6 +298,7 @@ func (p *Planner) NewSelection() *GrowableSelection {
 // ResumeSelection is NewSelection continuing from a previously computed
 // prefix; see Model.ResumeSelection. A receiver holding committed seeds
 // is rejected: a prefix describes a selection from an empty seed set.
+// The prefix may come from a selection at a different partition count.
 func (p *Planner) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
 	return resumeGrowableSelection(p.Clone(), prefix)
 }
@@ -284,7 +306,7 @@ func (p *Planner) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error
 // newGrowableSelection wraps a selection around a planner the caller
 // hands over; the selection commits to a clone of the planner's probe.
 func newGrowableSelection(p *Planner) *GrowableSelection {
-	return &GrowableSelection{p: p, sel: celf.NewSelection(p.probe.Clone().Estimator(nil), celf.Options{Workers: p.eng.Workers()})}
+	return &GrowableSelection{p: p, sel: celf.NewSelection(p.probe.Clone().Estimator(nil), celf.Options{Workers: p.workers()})}
 }
 
 func resumeGrowableSelection(p *Planner, prefix *SeedPrefix) (*GrowableSelection, error) {
@@ -297,7 +319,7 @@ func resumeGrowableSelection(p *Planner, prefix *SeedPrefix) (*GrowableSelection
 	if committed := p.Seeds(); len(committed) > 0 {
 		return nil, fmt.Errorf("credist: cannot resume a seed prefix on a planner with %d committed seeds", len(committed))
 	}
-	sel, err := celf.Resume(p.probe.Clone().Estimator(nil), *prefix, celf.Options{Workers: p.eng.Workers()})
+	sel, err := celf.Resume(p.probe.Clone().Estimator(nil), *prefix, celf.Options{Workers: p.workers()})
 	if err != nil {
 		return nil, err
 	}
@@ -319,26 +341,36 @@ func (s *GrowableSelection) Exhausted() bool { return s.sel.Exhausted() }
 // Planner exposes the selection's owned planner for inspection (entries,
 // resident bytes, delta accounting). It holds none of the selection's
 // seeds, which live in the probe; mutating it corrupts the selection, so
-// it is read-only by contract. Selections grown from a PartitionedPlanner
-// have no single planner and return nil.
+// it is read-only by contract.
 func (s *GrowableSelection) Planner() *Planner { return s.p }
 
 // Planner is the stateful side of the model: the model's immutable
 // scanned UC credit structure of Algorithm 2 plus a core.Probe holding
-// the committed seed set. Gain is read-only (and safe to call from many
-// goroutines at once); Add and Select commit to the probe. Planners over
-// one model share its engine, so NewPlanner and Clone cost a small copy
-// of the commit records, never a rescan or a shard copy; this is how a
-// serving layer keeps one planner per model snapshot and hands
-// independent copies to concurrent seed-selection requests.
+// the committed seed set. The structure is one full engine, or row-range
+// engine partitions tiling the user universe (Partition, LoadPartitions):
+// the probe reads every row from the partition owning it, and Theorem 3
+// prices a candidate from its own rows alone, so every gain, selection and
+// explanation is bit-identical at any partition count. Gain is read-only
+// (and safe to call from many goroutines at once); Add and Select commit
+// to the probe. Planners over one model share its engines, so NewPlanner
+// and Clone cost a small copy of the commit records, never a rescan or a
+// shard copy; this is how a serving layer keeps one planner per model
+// snapshot and hands independent copies to concurrent seed-selection
+// requests.
 type Planner struct {
-	eng   *core.Engine
+	// parts is one full engine, or partitions sorted by row range.
+	parts []*core.Engine
 	probe *core.Probe
+	// files holds the slice files LoadPartitions mapped (nil otherwise);
+	// Close releases them. Clones and Extend successors read the mappings
+	// but do not own them.
+	files []*core.SnapshotFile
 }
 
-// newPlanner returns a planner with an empty seed set over eng.
-func newPlanner(eng *core.Engine) *Planner {
-	return &Planner{eng: eng, probe: core.NewProbe(eng)}
+// newPlanner returns a planner with an empty seed set over parts, which
+// must tile the universe (one full engine, or partition.Tile's output).
+func newPlanner(parts ...*core.Engine) *Planner {
+	return &Planner{parts: parts, probe: core.NewProbe(parts...)}
 }
 
 // NewPlanner returns a planner with an empty seed set over the model's
@@ -351,8 +383,15 @@ func (m *Model) NewPlanner() *Planner { return newPlanner(m.base()) }
 // Clone returns an independent copy: Add and Select on the clone never
 // disturb the receiver, and the clone's results are bit-identical to those
 // of a freshly scanned planner driven through the same calls. It copies
-// the commit records and shares the engine.
-func (p *Planner) Clone() *Planner { return &Planner{eng: p.eng, probe: p.probe.Clone()} }
+// the commit records and shares the engines.
+func (p *Planner) Clone() *Planner { return &Planner{parts: p.parts, probe: p.probe.Clone()} }
+
+// workers is the engines' worker knob, which query fan-out and CELF reuse.
+func (p *Planner) workers() int { return p.parts[0].Workers() }
+
+// partitioned reports whether the planner serves row-range partitions
+// (even a single one covering every row) rather than one full engine.
+func (p *Planner) partitioned() bool { return p.parts[0].IsPartition() }
 
 // Gain returns the marginal gain sigma_cd(S+x) - sigma_cd(S) of candidate x
 // against the committed seed set (Theorem 3). Read-only.
@@ -373,46 +412,71 @@ func (p *Planner) Seeds() []NodeID { return p.probe.Seeds() }
 // from the planner's commits and commits the chosen seeds to it. Use
 // Clone first to keep the receiver reusable.
 func (p *Planner) Select(k int) seedsel.Result {
-	return celf.Run(p.probe.Estimator(nil), k, celf.Options{Workers: p.eng.Workers()})
+	return celf.Run(p.probe.Estimator(nil), k, celf.Options{Workers: p.workers()})
+}
+
+// sum adds f over the engines.
+func (p *Planner) sum(f func(*core.Engine) int64) int64 {
+	var total int64
+	for _, e := range p.parts {
+		total += f(e)
+	}
+	return total
 }
 
 // Entries returns the number of live UC credit entries, the paper's memory
-// statistic (Figure 8, Table 4).
-func (p *Planner) Entries() int64 { return p.eng.Entries() }
+// statistic (Figure 8, Table 4). Every cell lives in exactly one
+// partition, so the count is the same at any partition count.
+func (p *Planner) Entries() int64 { return p.sum((*core.Engine).Entries) }
 
 // ResidentBytes reports the UC structure's total footprint: HeapBytes
 // plus MappedBytes.
-func (p *Planner) ResidentBytes() int64 { return p.eng.ResidentBytes() }
+func (p *Planner) ResidentBytes() int64 { return p.HeapBytes() + p.MappedBytes() }
 
 // HeapBytes reports the Go-heap slice footprint of the UC structure;
 // shards served from a mapped snapshot contribute nothing.
-func (p *Planner) HeapBytes() int64 { return p.eng.HeapBytes() }
+func (p *Planner) HeapBytes() int64 { return p.sum((*core.Engine).HeapBytes) }
 
-// MappedBytes reports the file-backed footprint: bytes of a mapped
-// snapshot's base section this planner's shards alias (zero for
-// heap-loaded models). Commits never change it.
-func (p *Planner) MappedBytes() int64 { return p.eng.MappedBytes() }
+// MappedBytes reports the file-backed footprint: bytes of mapped snapshot
+// files this planner's shards alias (zero for heap-loaded models).
+// Commits never change it.
+func (p *Planner) MappedBytes() int64 { return p.sum((*core.Engine).MappedBytes) }
 
 // RowStoreBackend reports how the planner's shards are served: "mmap"
 // while any shard aliases a mapped snapshot, "heap" otherwise.
-func (p *Planner) RowStoreBackend() string { return p.eng.RowStoreBackend() }
+func (p *Planner) RowStoreBackend() string {
+	for _, e := range p.parts {
+		if e.RowStoreBackend() == "mmap" {
+			return "mmap"
+		}
+	}
+	return "heap"
+}
+
+// NumUsers returns the user-universe size.
+func (p *Planner) NumUsers() int { return p.parts[0].NumNodes() }
 
 // NumActions returns how many actions the planner has scanned.
-func (p *Planner) NumActions() int { return p.eng.NumActions() }
+func (p *Planner) NumActions() int { return p.parts[0].NumActions() }
 
 // DeltaActions returns how many appended actions sit outside the base
-// (zero for a fresh or compacted planner).
-func (p *Planner) DeltaActions() int { return p.eng.DeltaActions() }
+// (zero for a fresh or compacted planner). Every partition appends the
+// same actions, so this is not a sum.
+func (p *Planner) DeltaActions() int { return p.parts[0].DeltaActions() }
 
 // DeltaEntries returns the UC entries the appended actions contributed.
-func (p *Planner) DeltaEntries() int64 { return p.eng.DeltaEntries() }
+func (p *Planner) DeltaEntries() int64 { return p.sum((*core.Engine).DeltaEntries) }
 
 // Compact folds appended delta actions into the base, resetting the delta
 // accounting; shards, commits and results are unchanged. Must not run
 // concurrently with other calls on the same planner.
 func (p *Planner) Compact() {
 	seeds := p.probe.Seeds()
-	*p = *newPlanner(p.eng.Compact())
+	parts := make([]*core.Engine, len(p.parts))
+	for i, e := range p.parts {
+		parts[i] = e.Compact()
+	}
+	p.parts, p.probe = parts, core.NewProbe(parts...)
 	for _, s := range seeds {
 		p.Add(s)
 	}
@@ -527,25 +591,19 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 }
 
 // snapshotEngine returns the engine a snapshot of p writes: the model's
-// base scan for nil, else p's after checking that it belongs to this
-// model's lineage and covers exactly the model's log.
+// base scan for nil, else p's one full engine after checkPlanner. A
+// partitioned planner is checkpointed slice by slice (SaveSlices).
 func (m *Model) snapshotEngine(p *Planner) (*core.Engine, error) {
 	if p == nil {
 		return m.base(), nil
 	}
-	if n := len(p.Seeds()); n > 0 {
-		return nil, fmt.Errorf("credist: cannot snapshot a planner with %d committed seeds", n)
+	if err := m.checkPlanner(p, "snapshot", true); err != nil {
+		return nil, err
 	}
-	if p.eng.CreditModel() != m.credit {
-		return nil, fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
+	if p.partitioned() {
+		return nil, fmt.Errorf("credist: cannot write a partitioned planner as one snapshot; save its slices")
 	}
-	if pl, ml := p.eng.Lambda(), m.opts.Lambda; pl != ml {
-		return nil, fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
-	}
-	if pn, ln := p.NumActions(), m.ds.Log.NumActions(); pn != ln {
-		return nil, fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
-	}
-	return p.eng, nil
+	return p.parts[0], nil
 }
 
 // IsModelSnapshot reports whether data (at least the first 8 bytes of a

@@ -233,24 +233,30 @@ func fanGains(workers, n int, fn func(i int)) {
 }
 
 // GainsObjOn is GainsObj evaluated over a caller-supplied scanned planner
-// — a serving layer's (possibly ingest-extended) base — instead of the
-// model's lazy base, whose first use for an ingest-grown model would be a
-// second from-scratch scan of the combined log. The gains are marginal
-// over the planner's committed seeds too; the planner is not changed: the
-// seeds are committed to a clone of its probe.
+// — a serving layer's (possibly ingest-extended or partitioned) base —
+// instead of the model's lazy base, whose first use for an ingest-grown
+// model would be a second from-scratch scan of the combined log. The gains
+// are marginal over the planner's committed seeds too; the planner is not
+// changed: the seeds are committed to a clone of its probe.
 func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) ([]float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
 		return nil, err
 	}
-	n := m.ds.Graph.NumNodes()
+	return p.gainsObj(o.blocked(), base, candidates, cobj)
+}
+
+// gainsObj checks the ids against the planner's universe and prices the
+// candidates under cobj over a clone of its probe (see gainsOn).
+func (p *Planner) gainsObj(blocked, base, candidates []NodeID, cobj *core.Objective) ([]float64, error) {
+	n := p.NumUsers()
 	if err := checkIDs("seed", base, n); err != nil {
 		return nil, err
 	}
 	if err := checkIDs("candidate", candidates, n); err != nil {
 		return nil, err
 	}
-	return gainsOn(p.probe.Clone(), p.eng.Workers(), o.blocked(), base, candidates, cobj), nil
+	return gainsOn(p.probe.Clone(), p.workers(), blocked, base, candidates, cobj), nil
 }
 
 // SelectSeedsObjOn is SelectSeedsObj run over a caller-supplied scanned
@@ -264,7 +270,7 @@ func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Resul
 	if err != nil {
 		return seedsel.Result{}, err
 	}
-	return selectObjOn(p.probe.Clone(), p.eng.Workers(), k, cobj, o), nil
+	return selectObjOn(p.probe.Clone(), p.workers(), k, cobj, o), nil
 }
 
 // selectObjOn runs celf.Run under cobj over an estimator on pr (which the
@@ -300,37 +306,30 @@ func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
 	return m.SelectSeedsObjOn(m.NewPlanner(), k, o)
 }
 
-// SpreadObj is Model.SpreadObj served scatter-gather: the conditional
-// objective spread as a telescoped sum of owner-priced objective gains.
-// Bit-identical across partition and worker counts. m supplies the
-// objective context (universe, delay index) and must be the model these
-// partitions serve; it may be nil when o is nil, the default objective.
-func (pp *PartitionedPlanner) SpreadObj(m *Model, seeds []NodeID, o *Objective) (float64, error) {
+// SpreadObj is the planner's telescoped Spread under an objective: the
+// objective's blocked rivals are committed to a clone of the planner's
+// probe without counting their gains, then each seed's objective gain is
+// summed as it is committed in input order, so the result is the
+// conditional sigma_obj(S | R) of the lambda-truncated model (duplicate
+// seeds contribute 0). Bit-identical across partition and worker counts.
+// m supplies the objective context (universe, delay index) and must be
+// the model this planner serves; it may be nil when o is nil, the default
+// objective. Costs and budget are rejected here.
+func (p *Planner) SpreadObj(m *Model, seeds []NodeID, o *Objective) (float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
 		return 0, err
 	}
-	return pp.coord.Spread(seeds, cobj, o.blocked())
-}
-
-// GainsObj is Model.GainsObj served scatter-gather, every candidate
-// priced by its row's owning partition. Bit-identical across partition
-// and worker counts; m is as for SpreadObj.
-func (pp *PartitionedPlanner) GainsObj(m *Model, base, candidates []NodeID, o *Objective) ([]float64, error) {
-	cobj, err := m.coreObjective(o, false)
-	if err != nil {
-		return nil, err
+	if err := checkIDs("seed", seeds, p.NumUsers()); err != nil {
+		return 0, err
 	}
-	return pp.coord.Gains(base, candidates, cobj, o.blocked())
-}
-
-// SelectSeedsObj is Model.SelectSeedsObj served scatter-gather over a
-// read-only probe of the partitions. Seeds and gains are bit-identical to
-// the single-engine objective selection at every partition count.
-func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (seedsel.Result, error) {
-	cobj, err := m.coreObjective(o, true)
-	if err != nil {
-		return seedsel.Result{}, err
+	pr := p.probe.Clone()
+	for _, s := range o.blocked() {
+		pr.Commit(s, nil)
 	}
-	return pp.coord.Select(cobj, k, selectOptions(o)), nil
+	total := 0.0
+	for _, s := range seeds {
+		total += pr.Commit(s, cobj)
+	}
+	return total, nil
 }

@@ -65,7 +65,7 @@ func TestObjectiveFacadeDefaultBitIdentical(t *testing.T) {
 
 // TestObjectiveFacadePartitionedParity pins that a targeted, windowed,
 // blocked objective answers bit-identically whether served by the single
-// engine or scatter-gather at partition counts {1, 4} — gains and seeds
+// engine or by partitions at counts {1, 4} — gains and seeds
 // exactly, the two spread paths (per-action evaluator vs telescoped
 // gains) to within arithmetic reassociation.
 func TestObjectiveFacadePartitionedParity(t *testing.T) {
@@ -102,7 +102,7 @@ func TestObjectiveFacadePartitionedParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Partition(%d): %v", nparts, err)
 		}
-		sel, err := pp.SelectSeedsObj(m, 4, obj)
+		sel, err := m.SelectSeedsObjOn(pp, 4, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: SelectSeedsObj: %v", nparts, err)
 		}
@@ -112,7 +112,7 @@ func TestObjectiveFacadePartitionedParity(t *testing.T) {
 					nparts, i, sel.Seeds[i], sel.Gains[i], wantSel.Seeds[i], wantSel.Gains[i])
 			}
 		}
-		gains, err := pp.GainsObj(m, nil, candidates, obj)
+		gains, err := m.GainsObjOn(pp, nil, candidates, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: GainsObj: %v", nparts, err)
 		}
@@ -324,7 +324,7 @@ func TestSeedsBlockedOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Partition(%d): %v", nparts, err)
 		}
-		pg, err := pp.GainsObj(m, nil, []NodeID{3, x, 9}, obj)
+		pg, err := m.GainsObjOn(pp, nil, []NodeID{3, x, 9}, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: GainsObj: %v", nparts, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/partition"
 )
@@ -31,44 +30,30 @@ func SlicePaths(modelPath string, n int) []string {
 	return out
 }
 
-// PartitionedPlanner serves the model as a set of self-contained row-range
-// engine partitions behind a scatter-gather coordinator: every query fans
-// over the partitions and merges by summation, and every answer is
-// bit-identical at any partition count (see internal/partition). It is
-// immutable once built — every query commits its seeds to a probe of its
-// own and only reads the partitions — so any number of goroutines may
-// query it concurrently; ingest derives a successor with Extend.
-type PartitionedPlanner struct {
-	coord *partition.Coordinator
-	// files holds the mmap-opened slice files (empty for heap loads and
-	// in-memory partitions); Close releases their mappings. Successors
-	// built by Extend share the mappings but do not own them — close the
-	// planner that opened the files, and only after every successor is gone.
-	files []*core.SnapshotFile
-}
+// PartitionedPlanner is the former name of a partitioned Planner, kept so
+// existing callers compile. A partitioned planner is a Planner like any
+// other; see Planner for what it answers and how.
+type PartitionedPlanner = Planner
 
 // Partition splits the planner's scanned engine into n contiguous
-// near-even row-range partitions sharing its shards (nothing is copied),
-// wrapped in a coordinator. The planner must not hold committed seeds:
-// partitions serve the scanned model, and their queries start from an
-// empty seed set. The receiver stays usable.
-func (p *Planner) Partition(n int) (*PartitionedPlanner, error) {
+// near-even row-range partitions sharing its shards (nothing is copied).
+// The planner must be one full engine without committed seeds: partitions
+// serve the scanned model, and their queries start from an empty seed
+// set. The receiver stays usable.
+func (p *Planner) Partition(n int) (*Planner, error) {
 	if s := len(p.Seeds()); s > 0 {
 		return nil, fmt.Errorf("credist: cannot partition a planner with %d committed seeds", s)
 	}
-	ranges := partition.SplitRanges(p.eng.NumNodes(), n)
+	eng := p.parts[0]
+	ranges := partition.SplitRanges(eng.NumNodes(), n)
 	parts := make([]*core.Engine, len(ranges))
 	for i, r := range ranges {
 		var err error
-		if parts[i], err = p.eng.Slice(r.Lo, r.Hi); err != nil {
+		if parts[i], err = eng.Slice(r.Lo, r.Hi); err != nil {
 			return nil, err
 		}
 	}
-	coord, err := partition.New(parts, p.eng.Workers())
-	if err != nil {
-		return nil, err
-	}
-	return &PartitionedPlanner{coord: coord}, nil
+	return newPlanner(parts...), nil
 }
 
 // WriteSnapshotSlice streams the influencer rows in [lo, hi) of the
@@ -98,7 +83,7 @@ func (m *Model) WriteSnapshotSlice(w io.Writer, p *Planner, prefix *SeedPrefix, 
 // model carries the slices' learned parameters and stored options (pass
 // the zero Options to adopt them) but no scanned full engine — its lazy
 // base would be a fresh scan; serve queries through the planner instead.
-func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *PartitionedPlanner, error) {
+func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *Planner, error) {
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("credist: no slice paths")
 	}
@@ -172,14 +157,19 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 		// every marginal gain, so it no longer describes this model.
 		prefix = nil
 	}
-	coord, err := partition.New(engines, engines[0].Workers())
+	parts, err := partition.Tile(engines)
 	if err != nil {
 		closeMapped()
 		return nil, nil, err
 	}
-	m := newModel(ds, stored, credit)
+	// Each slice decodes its own copy of the parameters; the model adopts
+	// the copy of the planner's first partition, the one checkPlanner
+	// compares against, whatever order the paths came in.
+	m := newModel(ds, stored, parts[0].CreditModel())
 	m.prefix = prefix
-	return m, &PartitionedPlanner{coord: coord, files: files}, nil
+	p := newPlanner(parts...)
+	p.files = files
+	return m, p, nil
 }
 
 // LoadModelPartitioned opens modelPath as n partitions: when the canonical
@@ -188,7 +178,7 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 // parsed — otherwise the full snapshot is heap-loaded once, the slices are
 // written (atomically, temp file + rename), and the load proceeds from
 // them. The returned paths name the slice files in partition order.
-func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts Options) (*Model, *PartitionedPlanner, []string, error) {
+func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts Options) (*Model, *Planner, []string, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -260,22 +250,19 @@ func readSnapshotSketch(path string, ds *Dataset, numActions int) *core.RRSketch
 
 // SaveSlices checkpoints the planner's partitions as snapshot-slice files,
 // one per partition in partition order, each written to a temp file and
-// renamed into place. The partitions must cover exactly the model's log
-// (the usual WriteSnapshot planner rule); prefix, if non-nil, rides in
-// every slice so a restart from them resumes seed selection.
-func (pp *PartitionedPlanner) SaveSlices(m *Model, prefix *SeedPrefix, paths []string) error {
-	engines := pp.coord.Engines()
-	if len(paths) != len(engines) {
-		return fmt.Errorf("credist: %d slice paths for %d partitions", len(paths), len(engines))
+// renamed into place. The planner must pass the same check as
+// WriteSnapshot's (this model's lineage, exactly the model's log, no
+// committed seeds); prefix, if non-nil, rides in every slice so a restart
+// from them resumes seed selection.
+func (p *Planner) SaveSlices(m *Model, prefix *SeedPrefix, paths []string) error {
+	if len(paths) != len(p.parts) {
+		return fmt.Errorf("credist: %d slice paths for %d partitions", len(paths), len(p.parts))
 	}
-	if pn, ln := pp.coord.NumActions(), m.ds.Log.NumActions(); pn != ln {
-		return fmt.Errorf("credist: partitions cover %d actions, model's log holds %d", pn, ln)
-	}
-	if pl, ml := engines[0].Lambda(), m.opts.Lambda; pl != ml {
-		return fmt.Errorf("credist: partitions were scanned with lambda %g, model uses %g", pl, ml)
+	if err := m.checkPlanner(p, "snapshot", true); err != nil {
+		return err
 	}
 	lin := core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
-	for i, eng := range engines {
+	for i, eng := range p.parts {
 		err := writeFileAtomic(paths[i], func(w io.Writer) error {
 			return eng.WriteSnapshot(w, lin, prefix, nil, nil)
 		})
@@ -332,173 +319,51 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// NumPartitions returns how many partitions the planner fans over.
-func (pp *PartitionedPlanner) NumPartitions() int { return pp.coord.NumPartitions() }
-
-// NumUsers returns the global user-universe size.
-func (pp *PartitionedPlanner) NumUsers() int { return pp.coord.NumUsers() }
-
-// NumActions returns the global scanned action count.
-func (pp *PartitionedPlanner) NumActions() int { return pp.coord.NumActions() }
+// NumPartitions returns how many engines the planner fans over: 1 for a
+// full engine.
+func (p *Planner) NumPartitions() int { return len(p.parts) }
 
 // Ranges returns the per-partition row ranges in partition order.
-func (pp *PartitionedPlanner) Ranges() []PartitionRange { return pp.coord.Ranges() }
+func (p *Planner) Ranges() []PartitionRange { return partition.Ranges(p.parts) }
 
 // Stats returns per-partition accounting in partition order.
-func (pp *PartitionedPlanner) Stats() []PartitionStats { return pp.coord.Stats() }
+func (p *Planner) Stats() []PartitionStats { return partition.StatsOf(p.parts) }
 
-// Entries returns the live UC entry count summed over partitions — equal
-// to the single-engine count, since every cell lives in exactly one
-// partition.
-func (pp *PartitionedPlanner) Entries() int64 {
-	var total int64
-	for _, st := range pp.coord.Stats() {
-		total += st.Entries
-	}
-	return total
-}
-
-// HeapBytes sums the partitions' Go-heap shard bytes.
-func (pp *PartitionedPlanner) HeapBytes() int64 {
-	var total int64
-	for _, st := range pp.coord.Stats() {
-		total += st.HeapBytes
-	}
-	return total
-}
-
-// MappedBytes sums the bytes partitions still serve out of mapped slice
-// files.
-func (pp *PartitionedPlanner) MappedBytes() int64 {
-	var total int64
-	for _, st := range pp.coord.Stats() {
-		total += st.MappedBytes
-	}
-	return total
-}
-
-// ResidentBytes returns HeapBytes plus MappedBytes.
-func (pp *PartitionedPlanner) ResidentBytes() int64 { return pp.HeapBytes() + pp.MappedBytes() }
-
-// RowStoreBackend reports "mmap" while any partition still aliases a
-// mapped slice file, "heap" otherwise.
-func (pp *PartitionedPlanner) RowStoreBackend() string {
-	for _, st := range pp.coord.Stats() {
-		if st.RowStore == "mmap" {
-			return "mmap"
-		}
-	}
-	return "heap"
-}
-
-// DeltaEntries sums the UC entries the partitions' appended action tails
-// contributed (zero for freshly loaded or compacted partitions).
-func (pp *PartitionedPlanner) DeltaEntries() int64 {
-	var total int64
-	for _, eng := range pp.coord.Engines() {
-		total += eng.DeltaEntries()
-	}
-	return total
-}
-
-// DeltaActions returns how many appended actions sit outside the frozen
-// base. Every partition appends the same actions, so this is not a sum.
-func (pp *PartitionedPlanner) DeltaActions() int {
-	return pp.coord.Engines()[0].DeltaActions()
-}
-
-// Spread computes sigma_cd(S) from the partitions without writing them:
-// per seed, its exact marginal gain priced from rows read off the owning
-// partition, then its commit to a read-only probe (core.Probe) — the
-// telescoped sum that CELF's own Result.Spread() uses. The value is
-// bit-identical across partition counts, worker counts, and row-store
-// backends. It is the spread of the lambda-truncated model the planner
+// Spread computes sigma_cd(S) from the planner's engines without writing
+// them: per seed, its exact marginal gain, then its commit to a clone of
+// the planner's probe — the telescoped sum that CELF's own
+// Result.Spread() uses, marginal over any seeds the planner holds. The
+// value is bit-identical across partition counts, worker counts, and row
+// stores. It is the spread of the lambda-truncated model the planner
 // learned, not Model.Spread's exact sigma_cd: at lambda > 0 it reads
-// slightly below, and at lambda = 0 the two agree to float tolerance
-// (the evaluator sums in per-action order).
-func (pp *PartitionedPlanner) Spread(seeds []NodeID) (float64, error) {
-	return pp.SpreadObj(nil, seeds, nil)
+// slightly below, and at lambda = 0 the two agree to float tolerance (the
+// evaluator sums in per-action order).
+func (p *Planner) Spread(seeds []NodeID) (float64, error) {
+	return p.SpreadObj(nil, seeds, nil)
 }
 
-// Gains evaluates each candidate's marginal gain against the base seed
-// set, committed to a read-only probe over the partitions, every
-// candidate priced exactly from its row's owner. Bit-identical to
-// Planner.Gain after the same Adds, at any partition count.
-func (pp *PartitionedPlanner) Gains(base, candidates []NodeID) ([]float64, error) {
-	return pp.GainsObj(nil, base, candidates, nil)
+// Gains evaluates each candidate's marginal gain against the planner's
+// committed seeds plus the base seed set, committed to a clone of the
+// planner's probe, every candidate priced from its row's owner.
+// Bit-identical to Gain after the same Adds, at any partition count.
+func (p *Planner) Gains(base, candidates []NodeID) ([]float64, error) {
+	return p.gainsObj(nil, base, candidates, nil)
 }
 
-// ExplainSeed decomposes candidate x's marginal gain into its top credit
-// paths, answered wholly by the partition owning x's row. The explained
-// Gain is bit-for-bit Gains(nil, {x})[0] at any partition count.
-func (pp *PartitionedPlanner) ExplainSeed(x NodeID, top int) (SeedExplanation, error) {
-	return pp.coord.ExplainSeed(x, top)
-}
-
-// ExplainReach decomposes the credit the given seeds push onto target v:
-// per-seed shares gathered from each seed's owning partition, folded in
-// input order (so they sum bit-exactly to Total), with the gathered paths
-// re-sorted deterministically. Bit-identical to Model.ExplainReach at any
-// partition count.
-func (pp *PartitionedPlanner) ExplainReach(seeds []NodeID, v NodeID, top int) (ReachExplanation, error) {
-	return pp.coord.ExplainReach(seeds, v, top)
-}
-
-// NewSelection starts a growable CELF selection over a read-only probe of
-// the partitions: the coordinator-side lazy-forward heap with the
-// first-iteration gain pass fanned over the workers. Seeds and gains are
-// bit-identical to a single-engine selection. The returned selection has
-// no planner (Planner() is nil); its seeds live in the probe.
-func (pp *PartitionedPlanner) NewSelection() *GrowableSelection {
-	return &GrowableSelection{sel: pp.coord.NewSelection(celf.Options{})}
-}
-
-// ResumeSelection is NewSelection continuing from a previously computed
-// prefix (nil starts fresh): the prefix seeds are committed to the probe
-// with no gain evaluations, and the continuation is bit-identical to an
-// uninterrupted run — even when the prefix was computed at a different
-// partition count.
-func (pp *PartitionedPlanner) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
-	if prefix == nil {
-		return pp.NewSelection(), nil
-	}
-	sel, err := pp.coord.ResumeSelection(*prefix, celf.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &GrowableSelection{sel: sel}, nil
-}
-
-// Extend derives the successor planner for m — this planner's model after
-// an Ingest: every partition scans only its rows of the appended action
-// tail, in parallel, into a successor sharing its shards. The receiver keeps
-// serving unchanged. The model must extend the log the partitions cover.
-func (pp *PartitionedPlanner) Extend(m *Model) (*PartitionedPlanner, error) {
-	if pl, ml := pp.coord.Engines()[0].Lambda(), m.opts.Lambda; pl != ml {
-		return nil, fmt.Errorf("credist: partitions were scanned with lambda %g, model uses %g", pl, ml)
-	}
-	if pn, gn := pp.coord.NumUsers(), m.ds.Graph.NumNodes(); pn > gn {
-		return nil, fmt.Errorf("credist: partition universe (%d users) exceeds the model's graph (%d nodes)", pn, gn)
-	}
-	coord, err := pp.coord.Append(m.ds.Graph, m.ds.Log, ActionID(pp.coord.NumActions()))
-	if err != nil {
-		return nil, err
-	}
-	// The successor reads the receiver's mapped shards but does not own
-	// the mappings; Close on the opener releases them.
-	return &PartitionedPlanner{coord: coord}, nil
-}
+// Extend derives the successor planner for m, this planner's model after
+// an Ingest; it is m.ExtendPlanner(p).
+func (p *Planner) Extend(m *Model) (*Planner, error) { return m.ExtendPlanner(p) }
 
 // Close releases the file mappings behind mmap-opened slices; a no-op
-// otherwise. Call it only once no query, selection, or Extend successor
-// derived from this planner is in use.
-func (pp *PartitionedPlanner) Close() error {
+// otherwise. Call it only once no query, selection, clone or Extend
+// successor derived from this planner is in use.
+func (p *Planner) Close() error {
 	var first error
-	for _, f := range pp.files {
+	for _, f := range p.files {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	pp.files = nil
+	p.files = nil
 	return first
 }

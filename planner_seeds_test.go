@@ -97,19 +97,27 @@ func TestExplainReachOnSeededPlanner(t *testing.T) {
 	seeds := []NodeID{picks[0], 1, 5, 9, 40, picks[0]}
 	targets := []NodeID{picks[1], 3, 14, 77}
 	fresh := m.NewPlanner()
-	if ex := m.ExplainReachOn(fresh, seeds, picks[1], 10); ex.Total == 0 {
+	reach := func(p *Planner, seeds []NodeID, v NodeID) ReachExplanation {
+		t.Helper()
+		ex, err := m.ExplainReachOn(p, seeds, v, 10)
+		if err != nil {
+			t.Fatalf("ExplainReachOn(%v, %d): %v", seeds, v, err)
+		}
+		return ex
+	}
+	if ex := reach(fresh, seeds, picks[1]); ex.Total == 0 {
 		t.Fatalf("instance too weak: no credit reaches %d without seeds", picks[1])
 	}
 	pushes := false
 	for _, v := range targets {
-		pushes = pushes || m.ExplainReachOn(fresh, seeds[:1], v, 10).Total > 0
+		pushes = pushes || reach(fresh, seeds[:1], v).Total > 0
 	}
 	if !pushes {
 		t.Fatalf("instance too weak: seed %d pushes no credit to %v without seeds", picks[0], targets)
 	}
 	for _, v := range targets {
-		ex := m.ExplainReachOn(p, seeds, v, 10)
-		if again := m.ExplainReachOn(p.Clone(), seeds, v, 10); !reflect.DeepEqual(ex, again) {
+		ex := reach(p, seeds, v)
+		if again := reach(p.Clone(), seeds, v); !reflect.DeepEqual(ex, again) {
 			t.Fatalf("target %d: a clone explains %+v, the planner %+v", v, again, ex)
 		}
 		sum := 0.0

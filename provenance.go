@@ -125,10 +125,14 @@ func (m *Model) ExplainSeed(x NodeID, top int) SeedExplanation {
 // ExplainSeedOn is ExplainSeed against a planner's state — committed
 // seeds discount and zero out paths exactly as they discount Gain, so the
 // explained value is bit-for-bit p.Gain(x), and a committed seed explains
-// as 0. This is how the serving layer explains on its live (possibly
-// ingest-extended) base planner.
-func (m *Model) ExplainSeedOn(p *Planner, x NodeID, top int) SeedExplanation {
-	return p.probe.ExplainSeed(x, top)
+// as 0. x's rows are read from the engine owning them, so the answer is
+// the same at any partition count. This is how the serving layer explains
+// on its live (possibly ingest-extended or partitioned) base planner.
+func (m *Model) ExplainSeedOn(p *Planner, x NodeID, top int) (SeedExplanation, error) {
+	if err := checkIDs("candidate", []NodeID{x}, p.NumUsers()); err != nil {
+		return SeedExplanation{}, err
+	}
+	return p.probe.ExplainSeed(x, top), nil
 }
 
 // ExplainReach decomposes the credit the given seeds push onto target v:
@@ -140,19 +144,27 @@ func (m *Model) ExplainReach(seeds []NodeID, v NodeID, top int) ReachExplanation
 	return m.explainReachOn(m.base(), seeds, v, top)
 }
 
-// ExplainReachOn is ExplainReach against a planner's state. A planner
-// without committed seeds over exactly the model's log answers from the
-// model's index — building it from the planner's own engine if no index
-// exists yet, so an ingest-grown model never rescans its log for it; a
-// planner over any other log walks its own shards, which is bit-identical
-// by construction. A seeded planner
-// reads every seed's rows through its probe's replay: a committed seed's
-// row contributes nothing, and a committed target receives no credit.
-func (m *Model) ExplainReachOn(p *Planner, seeds []NodeID, v NodeID, top int) ReachExplanation {
-	if len(p.Seeds()) > 0 {
-		return p.probe.ExplainReach(seeds, v, top)
+// ExplainReachOn is ExplainReach against a planner's state. A full-engine
+// planner without committed seeds over exactly the model's log answers
+// from the model's index — building it from the planner's own engine if no
+// index exists yet, so an ingest-grown model never rescans its log for it;
+// a planner over any other log walks its own shards, which is
+// bit-identical by construction. A seeded or partitioned planner reads
+// every seed's rows through its probe, from the seed's owning partition,
+// and never builds the index: a committed seed's row contributes nothing,
+// and a committed target receives no credit.
+func (m *Model) ExplainReachOn(p *Planner, seeds []NodeID, v NodeID, top int) (ReachExplanation, error) {
+	n := p.NumUsers()
+	if err := checkIDs("target", []NodeID{v}, n); err != nil {
+		return ReachExplanation{}, err
 	}
-	return m.explainReachOn(p.eng, seeds, v, top)
+	if err := checkIDs("seed", seeds, n); err != nil {
+		return ReachExplanation{}, err
+	}
+	if len(p.Seeds()) > 0 || p.partitioned() {
+		return p.probe.ExplainReach(seeds, v, top), nil
+	}
+	return m.explainReachOn(p.parts[0], seeds, v, top), nil
 }
 
 func (m *Model) explainReachOn(eng *core.Engine, seeds []NodeID, v NodeID, top int) ReachExplanation {

@@ -32,7 +32,10 @@ func TestFacadeExplainSeedMatchesGains(t *testing.T) {
 	p := m.NewPlanner()
 	p.Add(cands[0])
 	for _, c := range cands[1:] {
-		ex := m.ExplainSeedOn(p, c, 8)
+		ex, err := m.ExplainSeedOn(p, c, 8)
+		if err != nil {
+			t.Fatalf("ExplainSeedOn(%d): %v", c, err)
+		}
 		if want := p.Gain(c); ex.Gain != want {
 			t.Errorf("ExplainSeedOn(%d) after commit = %b, Gain = %b", c, ex.Gain, want)
 		}
@@ -127,7 +130,7 @@ func TestFacadeProvSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestFacadePartitionedExplainParity pins the scatter-gather answer to the
+// TestFacadePartitionedExplainParity pins the partitioned answer to the
 // single-engine one at partition counts {1, 4}: seed explanations come
 // wholly from the owner, reach decompositions gather bit-identically.
 func TestFacadePartitionedExplainParity(t *testing.T) {
@@ -144,7 +147,7 @@ func TestFacadePartitionedExplainParity(t *testing.T) {
 		}
 		for _, c := range cands {
 			want := m.ExplainSeed(c, 7)
-			got, err := pp.ExplainSeed(c, 7)
+			got, err := m.ExplainSeedOn(pp, c, 7)
 			if err != nil {
 				t.Fatalf("nparts=%d: ExplainSeed(%d): %v", nparts, c, err)
 			}
@@ -152,17 +155,17 @@ func TestFacadePartitionedExplainParity(t *testing.T) {
 				t.Errorf("nparts=%d: ExplainSeed(%d) = %+v, single engine %+v", nparts, c, got, want)
 			}
 		}
-		got, err := pp.ExplainReach(seeds, v, 12)
+		got, err := m.ExplainReachOn(pp, seeds, v, 12)
 		if err != nil {
 			t.Fatalf("nparts=%d: ExplainReach: %v", nparts, err)
 		}
 		if !reflect.DeepEqual(wantReach, got) {
 			t.Errorf("nparts=%d: ExplainReach = %+v, single engine %+v", nparts, got, wantReach)
 		}
-		if _, err := pp.ExplainSeed(NodeID(ds.NumUsers()), 3); err == nil {
+		if _, err := m.ExplainSeedOn(pp, NodeID(ds.NumUsers()), 3); err == nil {
 			t.Errorf("nparts=%d: out-of-universe candidate accepted", nparts)
 		}
-		if _, err := pp.ExplainReach([]NodeID{0, NodeID(ds.NumUsers())}, v, 3); err == nil {
+		if _, err := m.ExplainReachOn(pp, []NodeID{0, NodeID(ds.NumUsers())}, v, 3); err == nil {
 			t.Errorf("nparts=%d: out-of-universe seed accepted", nparts)
 		}
 	}
@@ -202,7 +205,7 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 	var forced atomic.Bool
 	grown.base = func() *core.Engine {
 		forced.Store(true)
-		return planner.eng
+		return planner.parts[0]
 	}
 
 	params := filepath.Join(t.TempDir(), "params.txt")
@@ -224,11 +227,19 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, v := range targets {
-				got[g] = append(got[g], grown.ExplainReachOn(planner, seeds, v, 10))
+				ex, err := grown.ExplainReachOn(planner, seeds, v, 10)
+				if err != nil {
+					t.Errorf("goroutine %d: ExplainReachOn(%d): %v", g, v, err)
+					return
+				}
+				got[g] = append(got[g], ex)
 			}
 		}()
 	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
 	for i, v := range targets {
 		want := ref.ExplainReach(seeds, v, 10)
 		for g := range got {
