@@ -465,10 +465,6 @@ func BenchmarkAppendVsRescan(b *testing.B) {
 //   - "speedup-mmap": one-shot mapped open vs heap load of the full
 //     snapshot, reporting both and the ratio.
 //   - "mmap-open": steady-state ns/op of the mapped open alone.
-//   - "speedup-mmap-prov": the mapped open of the same snapshot saved
-//     with its provenance index (`credist learn -prov`), with allocations
-//     reported: the index is served from the mapping, so the open pays
-//     only its per-influencer offset table.
 //
 // Each speedup case runs one-shot inside the loop so the CI
 // -benchtime=1x smoke still reports the ratios.
@@ -503,11 +499,6 @@ func BenchmarkColdStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	if err := grown.Save(fullPath); err != nil {
-		b.Fatal(err)
-	}
-	provPath := filepath.Join(dir, "model-prov.bin")
-	grown.BuildProvIndex()
-	if err := grown.Save(provPath); err != nil {
 		b.Fatal(err)
 	}
 	combined := &Dataset{Name: full.Name, Graph: full.Graph, Log: grown.Dataset().Log}
@@ -578,19 +569,6 @@ func BenchmarkColdStart(b *testing.B) {
 			m.Close()
 		}
 	})
-	b.Run("speedup-mmap-prov", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := LoadModelMapped(combined, provPath, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.ProvStats().Pairs == 0 {
-				b.Fatal("prov snapshot restored no provenance index")
-			}
-			m.Close()
-		}
-	})
 	b.Run("load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			loadOnce(b, fullPath)
@@ -608,6 +586,64 @@ func BenchmarkColdStart(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkExplainReach measures one why-reach query (five seeds, one
+// target, top 10 paths) on the flixster-small preset, over 1,000
+// precomputed queries cycled in order:
+//
+//   - "random": seeds and target drawn uniformly from the users;
+//   - "celf-seeds": the five CELF seeds with a uniform target, so every
+//     seed is an influential user with long action lists.
+func BenchmarkExplainReach(b *testing.B) {
+	cfg, ok := datagen.PresetByName("flixster-small")
+	if !ok {
+		b.Fatal("missing preset")
+	}
+	full := datagen.Generate(cfg)
+	m := Learn(&Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}, Options{Lambda: 0.001})
+	celfSeeds, _ := m.SelectSeeds(5)
+	n := m.Dataset().NumUsers()
+	type query struct {
+		seeds []NodeID
+		v     NodeID
+	}
+	queries := func(pick func(rng *rand.Rand) []NodeID) []query {
+		rng := rand.New(rand.NewPCG(29, 3))
+		qs := make([]query, 1000)
+		for i := range qs {
+			qs[i] = query{seeds: pick(rng), v: NodeID(rng.IntN(n))}
+		}
+		return qs
+	}
+	cases := []struct {
+		name    string
+		queries []query
+	}{
+		{"random", queries(func(rng *rand.Rand) []NodeID {
+			seeds := make([]NodeID, 5)
+			for i := range seeds {
+				seeds[i] = NodeID(rng.IntN(n))
+			}
+			return seeds
+		})},
+		{"celf-seeds", queries(func(*rand.Rand) []NodeID { return celfSeeds })},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m.ExplainReach(c.queries[0].seeds, c.queries[0].v, 10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := c.queries[i%len(c.queries)]
+				explainSink = m.ExplainReach(q.seeds, q.v, 10)
+			}
+		})
+	}
+}
+
+// explainSink keeps BenchmarkExplainReach's calls from being optimized
+// away.
+var explainSink ReachExplanation
 
 // coldStartBench is the per-commit cold-start record the CI bench smoke
 // archives as BENCH_coldstart.json: one heap load and one mapped open of

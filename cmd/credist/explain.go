@@ -23,7 +23,7 @@ func runExplain(args []string) {
 		preset    = fs.String("preset", "", "explain over a built-in dataset; one of: "+presetList())
 		graphPath = fs.String("graph", "", "graph edge-list file (as written by datagen); requires -log")
 		logPath   = fs.String("log", "", "action log file (as written by datagen); requires -graph")
-		modelPath = fs.String("model", "", "optional binary model snapshot (credist learn -o): skips learning and the log scan; a snapshot saved with `credist learn -prov` restores the provenance index too")
+		modelPath = fs.String("model", "", "optional binary model snapshot (credist learn -o): skips learning and the log scan; explanations read the snapshot's credit shards directly")
 		lambda    = fs.Float64("lambda", 0.001, "CD truncation threshold (paper default 0.001); with -model, must match the stored value or be left unset")
 		simple    = fs.Bool("simple-credit", false, "use the equal-split 1/d_in direct-credit rule instead of the learned time-aware rule (Eq. 9)")
 		seed      = fs.Int("seed", -1, "why-seed: decompose this candidate's marginal gain into its top credit paths")

@@ -25,7 +25,6 @@ func runLearn(args []string) {
 		simple    = fs.Bool("simple-credit", false, "use the equal-split 1/d_in direct-credit rule instead of the learned time-aware rule (Eq. 9)")
 		seedK     = fs.Int("seed-k", 0, "also run CELF for this many seeds and persist the selection prefix in the snapshot, so `credist serve -model` answers /seeds?k<=N instantly from the first request (0 skips)")
 		risN      = fs.Int("ris-samples", 0, "also draw this many RR samples (reverse credit walks) and persist the sketch in the snapshot, so `credist serve -model` answers its first approximate query (/spread?eps=) with zero sampling work (0 skips)")
-		prov      = fs.Bool("prov", false, "also build the credit->actions provenance index and persist it in the snapshot, so `credist serve -model` and `credist explain -model` answer why-seed / why-reach queries (/explain) with zero index builds")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `Usage: credist learn [flags] -o model.bin
@@ -40,7 +39,6 @@ processed.
   credist learn -preset flixster-small -o model.bin
   credist learn -preset flixster-small -seed-k 50 -o model.bin   # + seed prefix
   credist learn -preset flixster-small -ris-samples 100000 -o model.bin  # + RR sketch
-  credist learn -preset flixster-small -prov -o model.bin        # + provenance index
   credist serve -preset flixster-small -model model.bin
   credist learn -graph d.graph -log d.log -lambda 0.001 -o model.bin
 
@@ -90,12 +88,6 @@ Flags:
 		ast := model.ApproxStats()
 		fmt.Printf("drew %d RR samples (%.1f MiB sketch) in %v\n",
 			ast.Samples, float64(ast.Bytes)/(1<<20), time.Since(t).Round(time.Millisecond))
-	}
-	if *prov {
-		t := time.Now()
-		pst := model.BuildProvIndex()
-		fmt.Printf("built provenance index (%d influence pairs, %d action entries, %.1f MiB) in %v\n",
-			pst.Pairs, pst.Entries, float64(pst.Bytes)/(1<<20), time.Since(t).Round(time.Millisecond))
 	}
 	if err := model.Save(*out); err != nil {
 		fmt.Fprintln(os.Stderr, "credist learn:", err)

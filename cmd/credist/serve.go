@@ -88,7 +88,7 @@ JSON queries. Endpoints:
   GET  /healthz                liveness
   GET  /stats                  snapshot shape, base/delta UC entries, QPS,
                                RR-sketch size, approximate-tier hits, and
-                               provenance-index counters
+                               /explain requests
   POST /reload                 learn from a new source and atomically swap,
                                e.g. {"preset":"flickr-small","lambda":0.001}
   POST /ingest                 append new propagations incrementally (only the

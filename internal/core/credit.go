@@ -114,6 +114,16 @@ func (c *TimeAwareCredit) Tau(v, u graph.NodeID) (float64, bool) {
 // Influenceability returns the learned infl(u).
 func (c *TimeAwareCredit) Influenceability(u graph.NodeID) float64 { return c.infl[u] }
 
+// Equal reports whether c and o hold the same learned parameters, bit for
+// bit: the influenceability table and every tau edge with its delay.
+func (c *TimeAwareCredit) Equal(o *TimeAwareCredit) bool {
+	bitsEqual := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	return bitsEqual(c.infl, o.infl) && slices.Equal(c.tauOff, o.tauOff) &&
+		slices.Equal(c.tauTo, o.tauTo) && bitsEqual(c.tauVal, o.tauVal)
+}
+
 // UniverseSize returns how many users the learned parameters cover (the
 // graph size at learn time). Callers binding restored parameters to a
 // graph must ensure every graph node is covered, or Gamma will index out

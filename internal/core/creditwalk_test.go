@@ -144,7 +144,7 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	sk := walkSketch(t, src, 200, 17)
 
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, prefix, sk, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, prefix, sk); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
@@ -169,7 +169,7 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	requireEnginesBitIdentical(t, e, back, 6)
 
 	var again bytes.Buffer
-	if err := back.WriteSnapshot(&again, backLin, pfx, got, nil); err != nil {
+	if err := back.WriteSnapshot(&again, backLin, pfx, got); err != nil {
 		t.Fatalf("re-serialize: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), data) {
@@ -197,10 +197,10 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 
 	// No sketch attached -> byte-identical version-3 output.
 	var plain, viaSketch bytes.Buffer
-	if err := e.WriteSnapshot(&plain, lin, prefix, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&plain, lin, prefix, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshot(&viaSketch, lin, prefix, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&viaSketch, lin, prefix, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), viaSketch.Bytes()) {
@@ -222,7 +222,7 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 	}
 	sk := walkSketch(t, src, 20, 3)
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, nil, sk, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, nil, sk); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -236,7 +236,7 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 		{Seed: 1, Roots: 1, Offs: []int32{1, 2}, Nodes: []graph.NodeID{0, 1}},
 		{Seed: 1, Roots: 1, Offs: []int32{0, 1}, Nodes: []graph.NodeID{0, 1}},
 	} {
-		if err := e.WriteSnapshot(&bytes.Buffer{}, lin, nil, bad, nil); err == nil {
+		if err := e.WriteSnapshot(&bytes.Buffer{}, lin, nil, bad); err == nil {
 			t.Fatalf("writer accepted invalid sketch %+v", bad)
 		}
 	}

@@ -147,12 +147,11 @@ func validateBaseSection(payload []byte, baseOff, numUsers, numActions, rowLo, r
 
 // parseSnapshotV3 parses a version-3 to 6 snapshot held in data (footer
 // included). With alias set and the base section 8-aligned in memory,
-// shards alias data in place and so do the provenance records; otherwise
-// shards are decoded into heap copies and the provenance section is
-// copied, so nothing pins data. mapped marks aliased shards as file-backed
-// pages. The header CRC is verified either way; the full-file footer CRC
-// is the caller's concern (the heap open verifies it first, the mapped
-// open deliberately skips it).
+// shards alias data in place; otherwise they are decoded into heap
+// copies, so nothing pins data. mapped marks aliased shards as
+// file-backed pages. The header CRC is verified either way; the full-file
+// footer CRC is the caller's concern (the heap open verifies it first,
+// the mapped open deliberately skips it).
 func parseSnapshotV3(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 	if len(data) < len(snapshotMagic)+4+4 {
 		return nil, fmt.Errorf("core: snapshot: truncated input: shorter than the fixed header")
@@ -204,10 +203,10 @@ func parseSnapshotV3(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 			return nil, err
 		}
 	}
-	// Version-6 snapshots carry a flags byte, then the optional sketch
-	// section, then the provenance section — all inside the header CRC.
-	// The prov flag must be set (a provless engine state writes version 3
-	// or 5, keeping its encoding unique) and stray bits are refused.
+	// Legacy version-6 snapshots carry a flags byte, then the optional
+	// sketch section, then a provenance section — all inside the header
+	// CRC. The prov flag must be set, as its writer always set it, and
+	// stray bits are refused; the section is validated and skipped.
 	if version == snapshotVersionProv {
 		flags := sc.u8()
 		if sc.err == nil && (flags&provFlagProv == 0 || flags&^(provFlagProv|provFlagSketch) != 0) {
@@ -218,7 +217,7 @@ func parseSnapshotV3(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 				return nil, err
 			}
 		}
-		if f.Prov, err = parseProvSection(sc, lin.NumUsers, lin.NumActions, alias); err != nil {
+		if err := skipProvSection(sc, lin.NumUsers, lin.NumActions); err != nil {
 			return nil, err
 		}
 	}

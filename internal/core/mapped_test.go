@@ -23,7 +23,7 @@ import (
 func writeSnapshotFile(t *testing.T, e *Engine, lin Lineage, prefix *SeedPrefix) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, prefix, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "model.bin")
@@ -219,7 +219,7 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 func TestOpenSnapshotMappedRejects(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 53, 30, 16)
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -303,7 +303,7 @@ func TestMappedEngineSnapshotRoundTrip(t *testing.T) {
 	mf := openSnapshot(t, path, true)
 	mapped, mapLin := mf.Engine, mf.Lineage
 	var again bytes.Buffer
-	if err := mapped.WriteSnapshot(&again, mapLin, nil, nil, nil); err != nil {
+	if err := mapped.WriteSnapshot(&again, mapLin, nil, nil); err != nil {
 		t.Fatalf("WriteSnapshot from mapped engine: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), original) {

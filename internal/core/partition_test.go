@@ -143,7 +143,7 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := ref.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
+	if err := ref.WriteSnapshot(&buf, lin, nil, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	raw := buf.Bytes()
@@ -177,7 +177,7 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 		// The byte-identical re-encode rule, extended to slices: a loaded
 		// partition re-encodes as a slice at its own range.
 		var re bytes.Buffer
-		if err := eng.WriteSnapshot(&re, lin, nil, nil, nil); err != nil {
+		if err := eng.WriteSnapshot(&re, lin, nil, nil); err != nil {
 			t.Fatalf("%s: re-encode: %v", name, err)
 		}
 		if !bytes.Equal(re.Bytes(), raw) {
@@ -196,18 +196,15 @@ func TestSnapshotSliceWriterRejections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Slice: %v", err)
 	}
-	// A partition engine holds only its own rows, and the RR sketch and
-	// provenance index span the whole universe: a slice refuses both.
+	// A partition engine holds only its own rows, and the RR sketch spans
+	// the whole universe: a slice refuses it.
 	var buf bytes.Buffer
-	if err := p.WriteSnapshot(&buf, lin, nil, nil, full.BuildProvIndex()); err == nil || !strings.Contains(err.Error(), "partition") {
-		t.Fatalf("slice with a provenance index: %v", err)
-	}
 	sketch := &RRSketch{Seed: 1, Roots: 1, Offs: []int32{0, 1}, Nodes: []int32{0}}
-	if err := p.WriteSnapshot(&buf, lin, nil, sketch, nil); err == nil || !strings.Contains(err.Error(), "partition") {
+	if err := p.WriteSnapshot(&buf, lin, nil, sketch); err == nil || !strings.Contains(err.Error(), "partition") {
 		t.Fatalf("slice with an RR sketch: %v", err)
 	}
 	buf.Reset()
-	if err := p.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
+	if err := p.WriteSnapshot(&buf, lin, nil, nil); err != nil {
 		t.Fatalf("partition writing its own range: %v", err)
 	}
 	if v := binary.LittleEndian.Uint32(buf.Bytes()[len(snapshotMagic):]); v != snapshotVersionSlice {
@@ -222,10 +219,10 @@ func TestSnapshotSliceWriterRejections(t *testing.T) {
 		t.Fatalf("Slice(full range): %v", err)
 	}
 	var v3, v4 bytes.Buffer
-	if err := full.WriteSnapshot(&v3, lin, nil, nil, nil); err != nil {
+	if err := full.WriteSnapshot(&v3, lin, nil, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	if err := whole.WriteSnapshot(&v4, lin, nil, nil, nil); err != nil {
+	if err := whole.WriteSnapshot(&v4, lin, nil, nil); err != nil {
 		t.Fatalf("WriteSnapshot(full-range slice): %v", err)
 	}
 	if bytes.Equal(v3.Bytes(), v4.Bytes()) {

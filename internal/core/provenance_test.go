@@ -1,18 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc32"
-	"math"
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
+	"credist/internal/actionlog"
 	"credist/internal/graph"
 )
 
@@ -161,23 +155,97 @@ func TestExplainReachMatchesPairCredit(t *testing.T) {
 	}
 }
 
-// TestExplainReachIndexed pins the index consumer bit-identical to the
-// shard walk: same shares, same paths, same fold order.
-func TestExplainReachIndexed(t *testing.T) {
-	rng := rand.New(rand.NewPCG(47, 23))
-	for trial := 0; trial < 6; trial++ {
-		g, log := randomInstance(rng, 12+rng.IntN(8), 4+rng.IntN(5))
-		e := NewEngine(g, log, Options{Lambda: 0.001, Credit: LearnTimeAware(g, log)})
-		idx := e.BuildProvIndex()
-		if err := idx.Validate(g.NumNodes(), e.NumActions()); idx.Pairs() > 0 && err != nil {
-			t.Fatalf("trial %d: built index fails Validate: %v", trial, err)
+// reachAllActions is ExplainReach with the reach walk visiting every
+// action of each seed, not just the actions the target shares with it:
+// the oracle the intersected walk must match bit for bit.
+func reachAllActions(p *Probe, seeds []graph.NodeID, v graph.NodeID, top int) ReachExplanation {
+	ex := ReachExplanation{Target: v, PerSeed: make([]ReachShare, 0, len(seeds))}
+	var paths []ProvPath
+	for _, s := range seeds {
+		share := 0.0
+		if e := p.owner(s); e.au[v] != 0 && !p.committed(s) {
+			for _, a := range e.actionsOf[s] {
+				row, _ := p.replay(e, int32(s), a)
+				if i, ok := searchRow(row, int32(v)); ok {
+					c := row[i].c / float64(e.au[v])
+					share += c
+					paths = append(paths, ProvPath{Influencer: s, Influenced: v, Action: a, Credit: c})
+				}
+			}
 		}
-		seeds := []graph.NodeID{0, graph.NodeID(g.NumNodes() / 2), graph.NodeID(g.NumNodes() - 1), 0}
-		for v := 0; v < g.NumNodes(); v++ {
-			walk := e.ExplainReach(seeds, graph.NodeID(v), 6)
-			indexed := e.ExplainReachIndexed(idx, seeds, graph.NodeID(v), 6)
-			if !reflect.DeepEqual(walk, indexed) {
-				t.Fatalf("trial %d target %d: walk %+v != indexed %+v", trial, v, walk, indexed)
+		ex.PerSeed = append(ex.PerSeed, ReachShare{Seed: s, Share: share})
+		ex.Total += share
+	}
+	ex.TotalPaths = len(paths)
+	ex.Paths = TopProvPaths(paths, top)
+	return ex
+}
+
+// TestExplainReachMatchesAllActionsWalk pins the intersected reach walk
+// to the all-actions walk, bit for bit, on freshly scanned, heap-opened,
+// mmap-opened and ingest-grown engines, at 1, 2 and 4 partitions, against
+// probes holding 0 to 3 committed seeds, for seed lists that name
+// committed seeds and duplicates and every target. Every engine also
+// answers exactly as the freshly scanned one.
+func TestExplainReachMatchesAllActionsWalk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 23))
+	for trial := 0; trial < 8; trial++ {
+		g, log := probeInstance(rng)
+		opts := Options{Lambda: []float64{0, 0.001, 0.05}[trial%3]}
+		if trial%2 == 1 {
+			opts.Credit = LearnTimeAware(g, log)
+		}
+		fresh := NewEngine(g, log, opts)
+		path := writeSnapshotFile(t, fresh, DatasetLineage("reach", g, log), nil)
+		head := log.NumActions() / 2
+		grown, err := NewEngine(g, log.Prefix(head), opts).AppendActions(g, log, actionlog.ActionID(head))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := fresh.NumNodes()
+		commits := make([]graph.NodeID, 3)
+		queries := make([][]graph.NodeID, len(commits)+1)
+		for k := range queries {
+			if k < len(commits) {
+				commits[k] = graph.NodeID(rng.IntN(n))
+			}
+			seeds := []graph.NodeID{commits[0], graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n))}
+			queries[k] = append(seeds, seeds[1], commits[max(k-1, 0)])
+		}
+		var first [][]ReachExplanation
+		engines := []struct {
+			name string
+			e    *Engine
+		}{
+			{"scanned", fresh},
+			{"heap", openSnapshot(t, path, false).Engine},
+			{"mmap", openSnapshot(t, path, true).Engine},
+			{"ingested", grown},
+		}
+		for _, eng := range engines {
+			for _, nparts := range []int{1, 2, 4} {
+				pr := NewProbe(rowPartitions(t, eng.e, nparts)...)
+				var answers [][]ReachExplanation
+				for k, seeds := range queries {
+					if k > 0 {
+						pr.Commit(commits[k-1], nil)
+					}
+					var row []ReachExplanation
+					for v := 0; v < n; v++ {
+						got := pr.ExplainReach(seeds, graph.NodeID(v), 5)
+						if want := reachAllActions(pr, seeds, graph.NodeID(v), 5); !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d %s parts=%d commits %v seeds %v target %d: %+v, all-actions walk %+v",
+								trial, eng.name, nparts, pr.Seeds(), seeds, v, got, want)
+						}
+						row = append(row, got)
+					}
+					answers = append(answers, row)
+				}
+				if first == nil {
+					first = answers
+				} else if !reflect.DeepEqual(answers, first) {
+					t.Fatalf("trial %d %s parts=%d: answers differ from the scanned single engine's", trial, eng.name, nparts)
+				}
 			}
 		}
 	}
@@ -262,66 +330,6 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildProvIndexSlices: a slice indexes exactly its owned rows, and
-// slice indexes agree cell-for-cell with the full index.
-func TestBuildProvIndexSlices(t *testing.T) {
-	rng := rand.New(rand.NewPCG(59, 31))
-	g, log := randomInstance(rng, 20, 7)
-	e := NewEngine(g, log, Options{})
-	fullIdx := e.BuildProvIndex()
-	n := g.NumNodes()
-	totalPairs := 0
-	for i := 0; i < 4; i++ {
-		lo, hi := i*n/4, (i+1)*n/4
-		p, err := e.Slice(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := p.BuildProvIndex()
-		totalPairs += idx.Pairs()
-		for _, r := range provRecords(idx) {
-			v, u := r.v, r.u
-			if int(v) < lo || int(v) >= hi {
-				t.Fatalf("slice [%d,%d) indexed foreign row %d", lo, hi, v)
-			}
-			acts, creds := idx.Lookup(graph.NodeID(v), graph.NodeID(u))
-			wantActs, wantCreds := fullIdx.Lookup(graph.NodeID(v), graph.NodeID(u))
-			if !reflect.DeepEqual(acts, wantActs) || !reflect.DeepEqual(creds, wantCreds) {
-				t.Fatalf("slice cell (%d,%d) disagrees with full index", v, u)
-			}
-		}
-	}
-	if totalPairs != fullIdx.Pairs() {
-		t.Fatalf("slice pair counts sum to %d, full index has %d", totalPairs, fullIdx.Pairs())
-	}
-}
-
-func TestProvIndexLookupAndValidate(t *testing.T) {
-	g, log := figure1(t)
-	e := NewEngine(g, log, Options{})
-	idx := e.BuildProvIndex()
-	if err := idx.Validate(6, 1); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	acts, creds := idx.Lookup(nodeV, nodeU)
-	if len(acts) != 1 || acts[0] != 0 || !almostEqual(creds[0], 0.75) {
-		t.Fatalf("Lookup(v,u) = %v %v", acts, creds)
-	}
-	if acts, creds := idx.Lookup(nodeU, nodeV); acts != nil || creds != nil {
-		t.Fatalf("Lookup miss returned %v %v", acts, creds)
-	}
-	if err := (&ProvIndex{}).Validate(6, 1); err == nil {
-		t.Fatal("empty index passed Validate")
-	}
-	if err := idx.Validate(6, 0); err == nil {
-		t.Fatal("index validated against a universe with no actions")
-	}
-	var nilIdx *ProvIndex
-	if nilIdx.Pairs() != 0 || nilIdx.Entries() != 0 || nilIdx.Bytes() != 0 {
-		t.Fatal("nil index stats not zero")
-	}
-}
-
 func TestTopProvPathsDeterministic(t *testing.T) {
 	paths := []ProvPath{
 		{Influencer: 2, Influenced: 1, Action: 0, Credit: 0.5},
@@ -337,212 +345,6 @@ func TestTopProvPathsDeterministic(t *testing.T) {
 	if n := len(TopProvPaths(append([]ProvPath(nil), paths...), -1)); n != 0 {
 		t.Fatalf("negative n kept %d paths", n)
 	}
-}
-
-// TestSnapshotProvRoundTrip is the format contract: a version-6 snapshot
-// round-trips byte-identically, a provless write stays byte-identical to
-// the version-5 (and version-3) writers, and the mapped opener returns
-// the same index.
-func TestSnapshotProvRoundTrip(t *testing.T) {
-	g, log, e, lin := snapshotInstance(t, 61, 22, 9)
-	_ = log
-	prov := e.BuildProvIndex()
-	if prov.Pairs() == 0 {
-		t.Fatal("instance produced an empty index; pick another seed")
-	}
-
-	var v6 bytes.Buffer
-	if err := e.WriteSnapshot(&v6, lin, nil, nil, prov); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(v6.Bytes()[len(snapshotMagic):]); got != snapshotVersionProv {
-		t.Fatalf("prov snapshot has version %d, want %d", got, snapshotVersionProv)
-	}
-	sf, err := readSnapshot(v6.Bytes())
-	if err != nil {
-		t.Fatalf("readSnapshot: %v", err)
-	}
-	eng, lin2, pfx, sk, prov2 := sf.Engine, sf.Lineage, sf.Prefix, sf.Sketch, sf.Prov
-	if pfx != nil || sk != nil {
-		t.Fatalf("unexpected prefix/sketch from provless-sketch file")
-	}
-	if !reflect.DeepEqual(prov2, prov) {
-		t.Fatal("restored index differs from written index")
-	}
-	requireEnginesBitIdentical(t, e, eng, 4)
-	var again bytes.Buffer
-	if err := eng.WriteSnapshot(&again, lin2, pfx, sk, prov2); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(again.Bytes(), v6.Bytes()) {
-		t.Fatalf("v6 re-encode differs: %d vs %d bytes", again.Len(), v6.Len())
-	}
-
-	// Sectionless writes never escalate the version: nil and empty prov
-	// hand back the exact v3 bytes, and a sketch-only write the exact v5
-	// bytes.
-	var v3, provEmpty bytes.Buffer
-	if err := e.WriteSnapshot(&v3, lin, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteSnapshot(&provEmpty, lin, nil, nil, &ProvIndex{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(v3.Bytes()[len(snapshotMagic):]); got != snapshotVersion {
-		t.Fatalf("provless snapshot has version %d, want %d", got, snapshotVersion)
-	}
-	if !bytes.Equal(provEmpty.Bytes(), v3.Bytes()) {
-		t.Fatal("an empty provenance index changed the version-3 bytes")
-	}
-	sketch := sketchOf(9, 3, [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}})
-	var v5, v5EmptyProv bytes.Buffer
-	if err := e.WriteSnapshot(&v5, lin, nil, sketch, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteSnapshot(&v5EmptyProv, lin, nil, sketch, &ProvIndex{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(v5.Bytes()[len(snapshotMagic):]); got != snapshotVersionSketch {
-		t.Fatalf("sketch-only snapshot has version %d, want %d", got, snapshotVersionSketch)
-	}
-	if !bytes.Equal(v5EmptyProv.Bytes(), v5.Bytes()) {
-		t.Fatal("an empty provenance index changed the version-5 bytes")
-	}
-
-	// Both sections together round-trip too.
-	var both bytes.Buffer
-	if err := e.WriteSnapshot(&both, lin, nil, sketch, prov); err != nil {
-		t.Fatal(err)
-	}
-	sf, err = readSnapshot(both.Bytes())
-	if err != nil {
-		t.Fatalf("read sketch+prov: %v", err)
-	}
-	sk2, prov3 := sf.Sketch, sf.Prov
-	if !reflect.DeepEqual(sk2, sketch) || !reflect.DeepEqual(prov3, prov) {
-		t.Fatal("sketch+prov round-trip lost a section")
-	}
-
-	// The mapped opener hands back the same index.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.snap")
-	if err := os.WriteFile(path, v6.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mf := openSnapshot(t, path, true)
-	meng, mprov := mf.Engine, mf.Prov
-	if !reflect.DeepEqual(mprov, prov) {
-		t.Fatal("mapped open returned a different index")
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if meng.Gain(graph.NodeID(u)) != e.Gain(graph.NodeID(u)) {
-			t.Fatalf("mapped Gain(%d) differs", u)
-		}
-	}
-}
-
-// TestSnapshotProvRejects covers the v6-specific reject paths: stray or
-// missing flag bits and structural violations inside the section, all
-// CRC-refreshed so the structural validators do the rejecting.
-func TestSnapshotProvRejects(t *testing.T) {
-	_, _, e, lin := snapshotInstance(t, 67, 18, 7)
-	prov := e.BuildProvIndex()
-	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, nil, nil, prov); err != nil {
-		t.Fatal(err)
-	}
-	v6 := buf.Bytes()
-
-	// Replay the header parse to locate the flags byte and the section
-	// bounds; the header CRC sits right after the section.
-	sc := &snapCursor{b: v6[:len(v6)-4], off: len(snapshotMagic) + 4}
-	lin6, lambda6, credit6, err := parseSnapshotHeader(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := newSnapshotEngine(lin6, lambda6, credit6)
-	if err := parseUsers(sc, lin6, tmp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseSeedPrefix(sc, lin6.NumUsers); err != nil {
-		t.Fatal(err)
-	}
-	flagsOff := sc.off
-	provSize := 4 + len(prov.raw)
-	hdrCRCOff := flagsOff + 1 + provSize
-
-	restamp := func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[hdrCRCOff:], crc32.ChecksumIEEE(b[:hdrCRCOff]))
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
-		return b
-	}
-	cases := []struct {
-		name string
-		mut  func(b []byte)
-		want string
-	}{
-		{"prov bit clear", func(b []byte) { b[flagsOff] = 0 }, "provenance bit"},
-		{"stray flag bit", func(b []byte) { b[flagsOff] |= 1 << 6 }, "stray bits"},
-		{"zero pairs", func(b []byte) { binary.LittleEndian.PutUint32(b[flagsOff+1:], 0) }, "provenance"},
-		{"pair out of universe", func(b []byte) { binary.LittleEndian.PutUint32(b[flagsOff+5:], 1<<20) }, "universe"},
-		{"credit corrupted", func(b []byte) {
-			// First entry's credit sits after pairCount(4)+v(4)+u(4)+entryCount(4)+action(4).
-			binary.LittleEndian.PutUint64(b[flagsOff+21:], ^uint64(0)) // NaN bits
-		}, "finite"},
-	}
-	for _, c := range cases {
-		bad := restamp(func() []byte { b := append([]byte(nil), v6...); c.mut(b); return b }())
-		_, err := readSnapshot(bad)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: err = %v, want mention of %q", c.name, err, c.want)
-		}
-		if _, err := readSnapshot(bad); err == nil {
-			t.Fatalf("%s: discarding reader accepted corrupt input", c.name)
-		}
-	}
-
-	// A partition cannot write a whole-model prov snapshot.
-	p, err := e.Slice(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WriteSnapshot(&bytes.Buffer{}, lin, nil, nil, p.BuildProvIndex()); err == nil {
-		t.Fatal("partition wrote a version-6 snapshot")
-	}
-	// An index that fails Validate is refused at write time.
-	badIdx := e.BuildProvIndex()
-	badIdx.raw = bytes.Clone(badIdx.raw)
-	binary.LittleEndian.PutUint64(badIdx.raw[16:], math.Float64bits(-1)) // first entry's credit
-	if err := e.WriteSnapshot(&bytes.Buffer{}, lin, nil, nil, badIdx); err == nil {
-		t.Fatal("invalid index written without error")
-	}
-}
-
-// provRecord is one decoded pair of a provenance index.
-type provRecord struct {
-	v, u  int32
-	acts  []int32
-	creds []float64
-}
-
-// provRecords decodes every pair of the index by walking its encoding
-// front to back, independently of Lookup.
-func provRecords(p *ProvIndex) []provRecord {
-	var out []provRecord
-	for off := 0; off < len(p.raw); {
-		r := provRecord{
-			v: int32(binary.LittleEndian.Uint32(p.raw[off:])),
-			u: int32(binary.LittleEndian.Uint32(p.raw[off+4:])),
-		}
-		n := int(binary.LittleEndian.Uint32(p.raw[off+8:]))
-		off += provRecSize
-		for j := 0; j < n; j, off = j+1, off+provRecSize {
-			r.acts = append(r.acts, int32(binary.LittleEndian.Uint32(p.raw[off:])))
-			r.creds = append(r.creds, math.Float64frombits(binary.LittleEndian.Uint64(p.raw[off+4:])))
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // TestExplainReachMatchesCommitOracle: a probe holding seeds explains

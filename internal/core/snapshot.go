@@ -26,8 +26,8 @@ import (
 // was not built from. Float64 values are stored as raw IEEE-754 bits, so a
 // write/read round trip is bit-exact and every Gain/Spread/CELF result of
 // a reloaded engine is identical to the engine that was saved. One
-// writer (WriteSnapshot) emits every current version and one opener
-// (OpenSnapshot) reads them all, from a heap buffer or a mapping.
+// writer (WriteSnapshot) emits versions 3 to 5 and one opener
+// (OpenSnapshot) reads versions 1 to 6, from a heap buffer or a mapping.
 //
 // Version-3 layout (all integers little-endian):
 //
@@ -67,11 +67,13 @@ import (
 //
 // Version-2 files (12-byte packed cells, no offset tables, prefix after
 // the shards, no header CRC) and version-1 files (version 2 minus the
-// seed-prefix section) are still read. The Au normalizers (the length of
-// each user's action list) are rebuilt deterministically on load.
-// Strict ordering plus the canonical offset rule make the encoding of a
-// given engine unique: saving a loaded engine reproduces the file byte for
-// byte (older versions re-save as the equivalent version-3 file).
+// seed-prefix section) are still read, and so are version-6 files, which
+// carried an inverted copy of the credit cells that is now validated and
+// skipped. The Au normalizers (the length of each user's action list) are
+// rebuilt deterministically on load. Strict ordering plus the canonical
+// offset rule make the encoding of a given engine unique: saving a loaded
+// engine reproduces the file byte for byte (version-1/2 files re-save as
+// the equivalent version-3 file, version-6 files as version 3 or 5).
 
 const (
 	snapshotMagic   = "CREDSNAP"
@@ -97,22 +99,18 @@ const (
 	// byte-identically; slices (version 4) never carry a sketch.
 	snapshotVersionSketch = 5
 
-	// snapshotVersionProv marks a snapshot carrying the provenance index
-	// (and, optionally, the RR sketch too): version 3 plus, right after the
-	// seed-prefix section and inside the header CRC, a u8 flags byte
-	// (provFlagSketch, provFlagProv; provFlagProv must be set, other bits
-	// must be zero), then the version-5 sketch section when provFlagSketch
-	// is set, then the provenance section (u32 pair count >= 1; per pair
-	// u32 influencer, u32 influenced — pairs strictly ascending by
-	// (influencer, influenced) — u32 entry count >= 1, then per entry u32
-	// action id, strictly ascending within the pair, and f64 raw credit
-	// bits, finite and positive). A restart serves /explain from the
-	// section with zero index builds. The writer emits version 6 only when
-	// an index is present — a provless snapshot keeps writing version 3 or
-	// 5 byte-identically, and the parser rejects a version-6 file without
-	// the prov flag, keeping the encoding of any engine state unique.
-	// Slices (version 4) never carry the section: a partitioned deployment
-	// re-reads it from the whole-model file, like the sketch.
+	// snapshotVersionProv is a legacy format, read but never written:
+	// version 3 plus, right after the seed-prefix section and inside the
+	// header CRC, a u8 flags byte (provFlagSketch, provFlagProv;
+	// provFlagProv must be set, other bits must be zero), then the
+	// version-5 sketch section when provFlagSketch is set, then a
+	// provenance section (u32 pair count >= 1; per pair u32 influencer,
+	// u32 influenced — pairs strictly ascending by (influencer,
+	// influenced) — u32 entry count >= 1, then per entry u32 action id,
+	// strictly ascending within the pair, and f64 raw credit bits, finite
+	// and positive). The section only repeated shard cells, which reach
+	// explanations read directly, so the reader validates and skips it;
+	// the sketch is restored as from version 5.
 	snapshotVersionProv = 6
 
 	provFlagSketch = uint8(1 << 0)
@@ -386,48 +384,35 @@ func writeSeedPrefixSection(sw *snapWriter, prefix *SeedPrefix) {
 
 // WriteSnapshot serializes the engine, its lineage, and the optional
 // sections stored beside it: prefix, a computed CELF seed prefix; sketch,
-// the approximate tier's RR sketch; prov, the provenance index (nil or
-// empty means none for each). A full engine writes version 3, version 5
-// when a sketch rides along, and version 6 when a provenance index does,
+// the approximate tier's RR sketch (nil or empty means none for each). A
+// full engine writes version 3, or version 5 when a sketch rides along,
 // so a file without sections stays byte-identical to what older binaries
 // read. A partition engine writes its own rows as a version-4 slice —
-// the full header plus its row range — and refuses a sketch or an index,
-// which span the whole universe; a full engine writes a slice by Slice
-// first. The base section is written in its canonical mapped-addressable
-// layout: contiguous in-order blocks behind a per-action offset table,
-// 16-byte directory records and cells, everything 8-aligned — so the very
-// bytes this writer emits are what OpenSnapshot later serves queries from
+// the full header plus its row range — and refuses a sketch, which spans
+// the whole universe; a full engine writes a slice by Slice first. The
+// base section is written in its canonical mapped-addressable layout:
+// contiguous in-order blocks behind a per-action offset table, 16-byte
+// directory records and cells, everything 8-aligned — so the very bytes
+// this writer emits are what OpenSnapshot later serves queries from
 // without parsing. The encoding of a given engine state is unique: saving
 // a loaded snapshot reproduces the file byte for byte.
-func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, sketch *RRSketch, prov *ProvIndex) error {
+func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
 	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
 		return err
 	}
 	if sketch != nil && sketch.NumSets() == 0 {
 		sketch = nil
 	}
-	if prov.Pairs() == 0 {
-		prov = nil
-	}
 	version := uint32(snapshotVersion)
 	switch {
 	case e.partitioned:
-		if sketch != nil || prov != nil {
-			return fmt.Errorf("core: a partition engine (rows [%d,%d)) cannot write an RR sketch or a provenance index; both belong to the whole-model file", e.partLo, e.partHi)
+		if sketch != nil {
+			return fmt.Errorf("core: a partition engine (rows [%d,%d)) cannot write an RR sketch; it belongs to the whole-model file", e.partLo, e.partHi)
 		}
 		version = snapshotVersionSlice
-	case prov != nil:
-		version = snapshotVersionProv
 	case sketch != nil:
 		version = snapshotVersionSketch
-	}
-	if sketch != nil {
 		if err := sketch.Validate(e.numUsers); err != nil {
-			return err
-		}
-	}
-	if prov != nil {
-		if err := prov.Validate(e.numUsers, e.NumActions()); err != nil {
 			return err
 		}
 	}
@@ -444,16 +429,6 @@ func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, ske
 		sw.u32(uint32(e.partHi))
 	case snapshotVersionSketch:
 		writeSketchSection(sw, sketch)
-	case snapshotVersionProv:
-		flags := provFlagProv
-		if sketch != nil {
-			flags |= provFlagSketch
-		}
-		sw.u8(flags)
-		if sketch != nil {
-			writeSketchSection(sw, sketch)
-		}
-		writeProvSection(sw, prov)
 	}
 
 	// Header CRC over everything written so far, then zero padding so the
@@ -718,29 +693,82 @@ func parseSeedPrefix(sc *snapCursor, numUsers int) (*SeedPrefix, error) {
 	return p, sc.err
 }
 
+// skipProvSection validates a version-6 provenance section and moves the
+// cursor past it, keeping nothing: pairs strictly ascending by (v, u)
+// inside the universe, each with at least one entry; actions strictly
+// ascending inside [0, numActions); credits finite and positive. These
+// are the rules the section was written under, so a file accepted here
+// is one its writer could have produced.
+func skipProvSection(sc *snapCursor, numUsers, numActions int) error {
+	const recSize = 12 // a pair header (v, u, n) and an entry (action, credit) alike
+	pairs := sc.count("provenance pair", recSize)
+	if sc.err == nil && pairs == 0 {
+		sc.fail("version-%d snapshot with an empty provenance section", snapshotVersionProv)
+	}
+	prevV, prevU := int32(-1), int32(-1)
+	for i := 0; i < pairs && sc.err == nil; i++ {
+		v := int32(sc.u32())
+		u := int32(sc.u32())
+		n := sc.count("provenance entry", recSize)
+		if sc.err != nil {
+			break
+		}
+		if int(v) < 0 || int(v) >= numUsers || int(u) < 0 || int(u) >= numUsers {
+			sc.fail("provenance pair (%d,%d) outside the universe [0,%d)", v, u, numUsers)
+			break
+		}
+		if prevV > v || (prevV == v && prevU >= u) {
+			sc.fail("provenance pairs out of order: (%d,%d) after (%d,%d)", v, u, prevV, prevU)
+			break
+		}
+		if n == 0 {
+			sc.fail("provenance pair (%d,%d) has no entries", v, u)
+			break
+		}
+		prevV, prevU = v, u
+		rec := sc.take(n * recSize)
+		prevA := int32(-1)
+		for j := 0; j < n; j++ {
+			a := int32(binary.LittleEndian.Uint32(rec[j*recSize:]))
+			c := math.Float64frombits(binary.LittleEndian.Uint64(rec[j*recSize+4:]))
+			if int(a) < 0 || int(a) >= numActions {
+				sc.fail("provenance action %d outside [0,%d)", a, numActions)
+				break
+			}
+			if prevA >= a {
+				sc.fail("provenance actions out of order for pair (%d,%d)", v, u)
+				break
+			}
+			if math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
+				sc.fail("provenance credit %g for pair (%d,%d) action %d (want finite and positive)", c, v, u, a)
+				break
+			}
+			prevA = a
+		}
+	}
+	return sc.err
+}
+
 // SnapshotFile is an opened snapshot: the engine and everything stored
-// beside it. Prefix, Sketch and Prov are nil when the file carries no
-// such section (always for version-1 files, and for the sections a
-// version predates). The engine's shards and the provenance records
-// alias the bytes the open read or mapped, so a mapped SnapshotFile must
-// stay open for as long as the engine, any successor or partition of it,
-// or the provenance index is in use.
+// beside it. Prefix and Sketch are nil when the file carries no such
+// section (always for version-1 files, and for the sections a version
+// predates). The engine's shards alias the bytes the open read or mapped,
+// so a mapped SnapshotFile must stay open for as long as the engine or
+// any successor or partition of it is in use.
 type SnapshotFile struct {
 	Engine  *Engine
 	Lineage Lineage
 	Prefix  *SeedPrefix
 	Sketch  *RRSketch
-	Prov    *ProvIndex
 
-	data    []byte       // the bytes shards and provenance records alias
+	data    []byte       // the bytes shards alias
 	release func() error // unmaps data; nil for a heap open
 }
 
 // Close releases the mapping behind a mapped open; for a heap open it is
 // a no-op, since the garbage collector owns the buffer. The caller must
-// have dropped every engine and provenance index derived from a mapped
-// file first: reading a mapped shard or record after Close faults.
-// Closing is idempotent.
+// have dropped every engine derived from a mapped file first: reading a
+// mapped shard after Close faults. Closing is idempotent.
 func (f *SnapshotFile) Close() error {
 	if f == nil || f.release == nil {
 		return nil
@@ -750,9 +778,9 @@ func (f *SnapshotFile) Close() error {
 	return rel()
 }
 
-// OpenSnapshot opens a snapshot file written by WriteSnapshot. Every
-// supported version (1 through 6) opens on the heap; versions 3 to 6 also
-// open mapped. Both opens run the same parse: the header (lineage,
+// OpenSnapshot opens a snapshot file written by WriteSnapshot or by an
+// older writer. Every supported version (1 through 6) opens on the heap;
+// versions 3 to 6 also open mapped. Both opens run the same parse: the header (lineage,
 // parameters, per-user action lists, the optional sections) is decoded
 // and its CRC verified, the base section's offset tables, keys and ids
 // are validated in full, and then every shard is an in-place window onto

@@ -24,7 +24,9 @@ import (
 // the input byte for byte (the encoding of a given engine is unique, so
 // anything accepted must already be in canonical form), and the mapped
 // open's parse and the non-aliasing fallback accept it too, with the same
-// rows and an identical provenance index.
+// rows and sketch. A legacy version-6 input re-encodes instead as its
+// provless equivalent (version 5, or 3 without a sketch), which must
+// itself be canonical.
 func FuzzReadSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewPCG(101, 7))
 	g, log := randomInstance(rng, 25, 14)
@@ -34,7 +36,7 @@ func FuzzReadSnapshot(f *testing.F) {
 
 	// Seed 1: plain snapshot, no prefix.
 	var plain bytes.Buffer
-	if err := e.WriteSnapshot(&plain, lin, nil, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&plain, lin, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(plain.Bytes())
@@ -43,7 +45,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	sel := seedsel.CELF(NewProbeEstimator(nil, e), 5)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var prefixed bytes.Buffer
-	if err := e.WriteSnapshot(&prefixed, lin, prefix, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&prefixed, lin, prefix, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(prefixed.Bytes())
@@ -51,7 +53,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	// Seed 3: simple-credit variant (exercises the other credit tag).
 	se := NewEngine(g, log, Options{Lambda: 0.001})
 	var simple bytes.Buffer
-	if err := se.WriteSnapshot(&simple, lin, nil, nil, nil); err != nil {
+	if err := se.WriteSnapshot(&simple, lin, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(simple.Bytes())
@@ -59,7 +61,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	// Seed: a tau record whose head lies just past the influenceability
 	// table; the decoder must reject it.
 	var stray bytes.Buffer
-	if err := NewEngine(g, log, Options{Lambda: 0.001, Credit: withStrayTau(credit)}).WriteSnapshot(&stray, lin, nil, nil, nil); err != nil {
+	if err := NewEngine(g, log, Options{Lambda: 0.001, Credit: withStrayTau(credit)}).WriteSnapshot(&stray, lin, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(stray.Bytes())
@@ -105,7 +107,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var slice bytes.Buffer
-	if err := part.WriteSnapshot(&slice, lin, nil, nil, nil); err != nil {
+	if err := part.WriteSnapshot(&slice, lin, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(slice.Bytes())
@@ -114,7 +116,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var tailSlice bytes.Buffer
-	if err := tailPart.WriteSnapshot(&tailSlice, lin, prefix, nil, nil); err != nil {
+	if err := tailPart.WriteSnapshot(&tailSlice, lin, prefix, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(tailSlice.Bytes())
@@ -154,7 +156,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		sketch.Offs = append(sketch.Offs, int32(len(sketch.Nodes)))
 	}
 	var sketched bytes.Buffer
-	if err := e.WriteSnapshot(&sketched, lin, prefix, sketch, nil); err != nil {
+	if err := e.WriteSnapshot(&sketched, lin, prefix, sketch); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sketched.Bytes())
@@ -188,60 +190,24 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 	}
 
-	// Seeds: version-6 snapshots carrying the provenance index — alone and
-	// together with the RR sketch — plus CRC-refreshed corruptions of the
-	// flags byte and the prov section, so the structural validators (flag
-	// bits, pair/action ordering, count bounds, credit finiteness) do the
-	// rejecting rather than the checksum.
-	prov := e.BuildProvIndex()
-	var proved bytes.Buffer
-	if err := e.WriteSnapshot(&proved, lin, prefix, nil, prov); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(proved.Bytes())
-	var provSketched bytes.Buffer
-	if err := e.WriteSnapshot(&provSketched, lin, prefix, sketch, prov); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(provSketched.Bytes())
-	{
-		// Locate the flags byte by replaying the header parse, exactly as
-		// for the sketch section above.
-		v6 := proved.Bytes()
-		sc := &snapCursor{b: v6[:len(v6)-4], off: len(snapshotMagic) + 4}
-		lin6, lambda6, credit6, err := parseSnapshotHeader(sc)
-		if err != nil {
-			f.Fatal(err)
-		}
-		tmp := newSnapshotEngine(lin6, lambda6, credit6)
-		if err := parseUsers(sc, lin6, tmp); err != nil {
-			f.Fatal(err)
-		}
-		if _, err := parseSeedPrefix(sc, lin6.NumUsers); err != nil {
-			f.Fatal(err)
-		}
-		flagsOff := sc.off
-		provSize := 4 + 12*prov.Pairs() + 12*int(prov.Entries())
-		hdrCRCOff := flagsOff + 1 + provSize
-		restamp := func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[hdrCRCOff:], crc32.ChecksumIEEE(b[:hdrCRCOff]))
-			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
-			return b
-		}
-		// A stray flag bit, and a version-6 file whose prov flag is clear.
-		strayBit := append([]byte(nil), v6...)
-		strayBit[flagsOff] |= 1 << 7
-		f.Add(restamp(strayBit))
-		noProv := append([]byte(nil), v6...)
-		noProv[flagsOff] = 0
-		f.Add(restamp(noProv))
-		// Pair count, first pair's (v, u), and its entry count tweaked.
-		for _, tweak := range []int{1, 5, 9, 13} {
-			bad := append([]byte(nil), v6...)
-			binary.LittleEndian.PutUint32(bad[flagsOff+tweak:],
-				binary.LittleEndian.Uint32(bad[flagsOff+tweak:])^(1<<30))
-			f.Add(restamp(bad))
-		}
+	// Seeds: the legacy version-6 fixture (sketch plus provenance
+	// section), the same file without its sketch, and CRC-refreshed
+	// corruptions of the flags byte and the provenance section, so the
+	// structural validators (flag bits, pair/action ordering, count
+	// bounds, credit finiteness) do the rejecting rather than the checksum.
+	v6 := readLegacyV6(f)
+	f.Add(v6.data)
+	f.Add(v6.withoutSketch())
+	f.Add(v6.mutated(func(b []byte) { b[v6.flagsOff] |= 1 << 7 }))        // stray flag bit
+	f.Add(v6.mutated(func(b []byte) { b[v6.flagsOff] = provFlagSketch })) // prov flag clear
+	f.Add(v6.mutated(func(b []byte) {                                     // pairs out of order
+		binary.LittleEndian.PutUint32(b[v6.provOff+4:], uint32(v6.numUsers-1))
+	}))
+	// Pair count, first pair's (v, u), and its entry count tweaked.
+	for _, tweak := range []int{0, 4, 8, 12} {
+		f.Add(v6.mutated(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[v6.provOff+tweak:], binary.LittleEndian.Uint32(b[v6.provOff+tweak:])^(1<<30))
+		}))
 	}
 
 	// Seeds: version-3 base-section abuse — truncated and misaligned offset
@@ -293,17 +259,19 @@ func FuzzReadSnapshot(f *testing.F) {
 		if version < snapshotVersion {
 			return // v1/v2 input re-encodes as v3; bytes legitimately differ
 		}
-		if version == snapshotVersionProv && sf.Prov == nil {
-			t.Fatal("accepted version-6 snapshot without a provenance index")
-		}
 		checkAliasingParse(t, data, sf)
-		// Anything accepted re-encodes byte for byte through the one
-		// writer — a slice at its own row range, a sectioned file with its
-		// sections: the encoding of a given engine state is unique.
 		var out bytes.Buffer
-		if err := eng.WriteSnapshot(&out, lin, pfx, sf.Sketch, sf.Prov); err != nil {
+		if err := eng.WriteSnapshot(&out, lin, pfx, sf.Sketch); err != nil {
 			t.Fatalf("accepted input fails to re-serialize: %v", err)
 		}
+		if version == snapshotVersionProv {
+			checkProvlessEquivalent(t, sf, out.Bytes())
+			return
+		}
+		// Anything accepted at versions 3 to 5 re-encodes byte for byte
+		// through the one writer — a slice at its own row range, a
+		// sectioned file with its sections: the encoding of a given engine
+		// state is unique.
 		if !bytes.Equal(out.Bytes(), data) {
 			t.Fatalf("accepted input is not canonical: re-encode differs (%d vs %d bytes)",
 				out.Len(), len(data))
@@ -311,13 +279,41 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
+// checkProvlessEquivalent checks the re-encoding of an accepted legacy
+// version-6 input: it is version 5 when the input carried a sketch and 3
+// otherwise, it reopens to the same rows, prefix and sketch, and it is
+// canonical itself.
+func checkProvlessEquivalent(t *testing.T, sf *SnapshotFile, out []byte) {
+	want := uint32(snapshotVersion)
+	if sf.Sketch != nil {
+		want = snapshotVersionSketch
+	}
+	if got := binary.LittleEndian.Uint32(out[len(snapshotMagic):]); got != want {
+		t.Fatalf("version-6 input re-encodes as version %d, want %d", got, want)
+	}
+	back, err := readSnapshot(out)
+	if err != nil {
+		t.Fatalf("re-encoded version-6 input fails to reopen: %v", err)
+	}
+	requireSameShards(t, sf.Engine, back.Engine)
+	if !reflect.DeepEqual(back.Prefix, sf.Prefix) || !reflect.DeepEqual(back.Sketch, sf.Sketch) {
+		t.Fatal("re-encoded version-6 input lost its prefix or sketch")
+	}
+	var again bytes.Buffer
+	if err := back.Engine.WriteSnapshot(&again, back.Lineage, back.Prefix, back.Sketch); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), out) {
+		t.Fatal("re-encoded version-6 input is not canonical")
+	}
+}
+
 // checkAliasingParse runs version-3+ input the heap open accepted through
 // the two other parses of the same bytes: the mapped open's (aliasing, no
 // footer check) and the non-aliasing fallback that 32-bit and big-endian
 // hosts take. Both must accept it and restore the same engine rows and
-// the same provenance index, lookup for lookup. The reverse does not
-// hold — the mapped open skips the footer CRC, so it may accept input the
-// heap open refuses.
+// the same sketch. The reverse does not hold — the mapped open skips the
+// footer CRC, so it may accept input the heap open refuses.
 func checkAliasingParse(t *testing.T, data []byte, heap *SnapshotFile) {
 	mapped, err := parseSnapshotV3(alignedCopy(data), mappedAliasSupported(), true)
 	if err != nil {
@@ -329,19 +325,8 @@ func checkAliasingParse(t *testing.T, data []byte, heap *SnapshotFile) {
 	}
 	for _, other := range []*SnapshotFile{mapped, copied} {
 		requireSameShards(t, heap.Engine, other.Engine)
-		if !reflect.DeepEqual(other.Prov, heap.Prov) {
-			t.Fatal("parses restored different provenance indexes")
-		}
-	}
-	if heap.Prov == nil {
-		return
-	}
-	for _, r := range provRecords(heap.Prov) {
-		for _, idx := range []*ProvIndex{heap.Prov, mapped.Prov, copied.Prov} {
-			a, c := idx.Lookup(r.v, r.u)
-			if !reflect.DeepEqual(a, r.acts) || !reflect.DeepEqual(c, r.creds) {
-				t.Fatalf("Lookup(%d,%d) disagrees with the pair's records", r.v, r.u)
-			}
+		if !reflect.DeepEqual(other.Sketch, heap.Sketch) {
+			t.Fatal("parses restored different sketches")
 		}
 	}
 }

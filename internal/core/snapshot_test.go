@@ -34,7 +34,7 @@ func snapshotInstance(t *testing.T, seed uint64, users, actions int) (*graph.Gra
 func writeSnapshot(t *testing.T, e *Engine, lin Lineage) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, nil, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, nil, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -221,19 +221,19 @@ func TestSnapshotRefusesMismatchedLineage(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 53, 30, 16)
 	bad := lin
 	bad.NumActions--
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil, nil); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil); err == nil {
 		t.Fatal("lineage with wrong action count accepted")
 	}
 	bad = lin
 	bad.NumUsers++
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil, nil); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil); err == nil {
 		t.Fatal("lineage with wrong user count accepted")
 	}
 	// The writer enforces the reader's name bound, so it can never produce
 	// a CRC-valid file that no load will accept.
 	bad = lin
 	bad.Dataset = strings.Repeat("x", 1<<16+1)
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil, nil); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, bad, nil, nil); err == nil {
 		t.Fatal("oversized dataset name accepted")
 	}
 }
@@ -333,7 +333,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, prefix, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
@@ -360,7 +360,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	requireEnginesBitIdentical(t, e, back, 6)
 
 	var again bytes.Buffer
-	if err := back.WriteSnapshot(&again, backLin, backPrefix, nil, nil); err != nil {
+	if err := back.WriteSnapshot(&again, backLin, backPrefix, nil); err != nil {
 		t.Fatalf("re-serialize: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), data) {
@@ -397,7 +397,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 			LookupsAt: []int64{5, 4}},
 	}
 	for name, bad := range badPrefixes {
-		if err := e.WriteSnapshot(&bytes.Buffer{}, lin, bad, nil, nil); err == nil {
+		if err := e.WriteSnapshot(&bytes.Buffer{}, lin, bad, nil); err == nil {
 			t.Errorf("writer accepted prefix with %s", name)
 		}
 	}
@@ -520,10 +520,10 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 	// Re-saving the loaded engine upgrades to version 3, byte-identical to
 	// what the original engine writes directly.
 	var resaved, direct bytes.Buffer
-	if err := back.WriteSnapshot(&resaved, backLin, backPrefix, nil, nil); err != nil {
+	if err := back.WriteSnapshot(&resaved, backLin, backPrefix, nil); err != nil {
 		t.Fatalf("re-save: %v", err)
 	}
-	if err := e.WriteSnapshot(&direct, lin, prefix, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&direct, lin, prefix, nil); err != nil {
 		t.Fatalf("direct save: %v", err)
 	}
 	if v := binary.LittleEndian.Uint32(resaved.Bytes()[len(snapshotMagic):]); v != snapshotVersion {
@@ -543,7 +543,7 @@ func TestSnapshotVersion3StillReads(t *testing.T) {
 	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, lin, prefix, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	v3 := buf.Bytes()
@@ -587,7 +587,7 @@ func TestSnapshotVersion4StillReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := whole.WriteSnapshot(&buf, lin, prefix, nil, nil); err != nil {
+	if err := whole.WriteSnapshot(&buf, lin, prefix, nil); err != nil {
 		t.Fatalf("WriteSnapshot(slice): %v", err)
 	}
 	v4 := buf.Bytes()

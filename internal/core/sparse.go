@@ -1,10 +1,5 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-)
-
 // This file holds the Engine's one shard type and its binary-search
 // helpers. A shard is laid out exactly like a block of a snapshot's base
 // section (snapshot.go): a 16-byte row-directory record per influencer
@@ -48,11 +43,21 @@ type shard struct {
 	mapped bool
 }
 
-// searchRow locates influenced id u in a sorted row.
+// searchRow returns the index of the first cell of a sorted row whose
+// influenced id is at least u, and whether that cell's id is u. Like
+// searchDir it is written out: the replay and the reach walk call it once
+// per row they read.
 func searchRow(row []ucEntry, u int32) (int, bool) {
-	return slices.BinarySearchFunc(row, u, func(e ucEntry, u int32) int {
-		return cmp.Compare(e.u, u)
-	})
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].u < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(row) && row[lo].u == u
 }
 
 // searchDir returns the directory index of the first row whose key is at

@@ -84,7 +84,7 @@ func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mm
 		if err != nil {
 			t.Fatalf("Slice%v: %v", r, err)
 		}
-		if err := part.WriteSnapshot(f, lin, nil, nil, nil); err != nil {
+		if err := part.WriteSnapshot(f, lin, nil, nil); err != nil {
 			t.Fatalf("WriteSnapshot%v: %v", r, err)
 		}
 		if err := f.Close(); err != nil {

@@ -847,15 +847,8 @@ type StatsResponse struct {
 	ApproxSpreadRequests int64 `json:"approx_spread_requests"`
 	ApproxSeedsRequests  int64 `json:"approx_seeds_requests"`
 
-	// Influence provenance: the credit→actions index behind /explain —
-	// its shape, how many builds this process paid (0 after a restart from
-	// a version-6 snapshot), and the /explain traffic. Partitioned
-	// deployments explain by walking each partition's own rows, so the
-	// index fields stay 0 there.
-	ProvPairs       int   `json:"prov_pairs"`
-	ProvEntries     int64 `json:"prov_entries"`
-	ProvBytes       int64 `json:"prov_bytes"`
-	ProvBuilds      int64 `json:"prov_builds"`
+	// Influence provenance: the /explain traffic. Explanations walk the
+	// scanned shards, so they hold no state of their own to report.
 	ExplainRequests int64 `json:"explain_requests"`
 
 	// Snapshot provenance: where this snapshot line cold-started from
@@ -918,11 +911,6 @@ func (s *Server) handleStats(sn *Snapshot, _ *http.Request) (any, error) {
 	resp.ApproxSampled = ast.Sampled
 	resp.ApproxSpreadRequests = s.approxSpreadHits.Load()
 	resp.ApproxSeedsRequests = s.approxSeedsHits.Load()
-	pst := sn.ProvStats()
-	resp.ProvPairs = pst.Pairs
-	resp.ProvEntries = pst.Entries
-	resp.ProvBytes = pst.Bytes
-	resp.ProvBuilds = pst.Builds
 	resp.ExplainRequests = s.explainHits.Load()
 	if t := sn.LastIngest(); !t.IsZero() {
 		resp.LastIngest = &t

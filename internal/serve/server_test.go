@@ -184,8 +184,7 @@ func TestHandlerTable(t *testing.T) {
 			wantStatus: 405},
 		{name: "stats", method: "GET", target: "/stats",
 			wantStatus: 200, wantKeys: []string{"snapshot", "dataset", "users", "entries", "resident_bytes",
-				"heap_bytes", "mapped_bytes", "row_store", "requests", "qps_1m", "prov_pairs", "prov_builds",
-				"explain_requests"}},
+				"heap_bytes", "mapped_bytes", "row_store", "requests", "qps_1m", "explain_requests"}},
 		{name: "reload wrong method", method: "GET", target: "/reload",
 			wantStatus: 405},
 		{name: "reload bad json", method: "POST", target: "/reload", body: `{`,
@@ -341,16 +340,71 @@ func TestExplainEndpoints(t *testing.T) {
 		}
 	}
 
-	// The reach explanation answered from the lazily built index; /stats
-	// reports its shape and the build it paid.
 	var st serve.StatsResponse
 	getJSON(t, h, "GET", "/stats", "", &st)
 	if st.ExplainRequests < 2 {
 		t.Errorf("explain_requests = %d, want >= 2", st.ExplainRequests)
 	}
-	if st.ProvBuilds != 1 || st.ProvPairs == 0 || st.ProvEntries == 0 || st.ProvBytes == 0 {
-		t.Errorf("prov stats = %d builds, %d pairs, %d entries, %d bytes; want 1 build and a non-empty index",
-			st.ProvBuilds, st.ProvPairs, st.ProvEntries, st.ProvBytes)
+}
+
+// TestExplainFromModelFileHTTP serves /explain from a server cold-started
+// off a binary model file, as `credist serve -model` does: the explained
+// gain is /gain's answer, at most top paths come back sorted by credit,
+// the per-seed shares fold in request order to exactly the total, /stats
+// counts the two explanations, and malformed shapes are 400s.
+func TestExplainFromModelFileHTTP(t *testing.T) {
+	dir := t.TempDir()
+	gp, lp, mp := filepath.Join(dir, "d.graph"), filepath.Join(dir, "d.log"), filepath.Join(dir, "model.bin")
+	if err := credist.SaveDataset(demoDataset(), gp, lp); err != nil {
+		t.Fatal(err)
+	}
+	if err := demoModel().Save(mp); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := serve.Build(serve.Source{GraphPath: gp, LogPath: lp, ModelPath: mp})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	h := serve.New(snap).Handler()
+
+	var gr serve.GainResponse
+	getJSON(t, h, "GET", "/gain?candidates=4", "", &gr)
+	var er serve.ExplainSeedResponse
+	getJSON(t, h, "GET", "/explain?seed=4&top=5", "", &er)
+	if er.Seed != 4 || er.Gain != gr.Gains[0] {
+		t.Errorf("/explain seed %d gain %b, /gain %b", er.Seed, er.Gain, gr.Gains[0])
+	}
+	if len(er.Paths) == 0 || len(er.Paths) > 5 || er.TotalPaths < 5 {
+		t.Errorf("/explain returned %d paths of %d with top=5", len(er.Paths), er.TotalPaths)
+	}
+	for i := 1; i < len(er.Paths); i++ {
+		if er.Paths[i].Credit > er.Paths[i-1].Credit {
+			t.Errorf("paths not sorted by credit at %d", i)
+		}
+	}
+
+	var rr serve.ExplainReachResponse
+	getJSON(t, h, "GET", "/explain?set=1,2,3&reach=7", "", &rr)
+	total := 0.0
+	for i, ps := range rr.PerSeed {
+		if ps.Seed != credist.NodeID(i+1) {
+			t.Errorf("share %d names seed %d, want %d", i, ps.Seed, i+1)
+		}
+		total += ps.Share
+	}
+	if len(rr.PerSeed) != 3 || total != rr.Total {
+		t.Errorf("%d per-seed shares fold to %b, total = %b", len(rr.PerSeed), total, rr.Total)
+	}
+
+	var st serve.StatsResponse
+	getJSON(t, h, "GET", "/stats", "", &st)
+	if st.ExplainRequests != 2 {
+		t.Errorf("explain_requests = %d, want 2", st.ExplainRequests)
+	}
+	for _, target := range []string{"/explain", "/explain?seed=4&set=1&reach=2", "/explain?set=1,2"} {
+		if status, body := doRaw(t, h, "GET", target, "", nil); status != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d (%s), want 400", target, status, body)
+		}
 	}
 }
 

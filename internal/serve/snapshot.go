@@ -832,16 +832,6 @@ func (sn *Snapshot) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top i
 	return sn.model.ExplainReachOn(sn.be.planner, seeds, v, top)
 }
 
-// ProvStats reports the model's provenance index for /stats (all zero in
-// the degraded state, and on partitioned deployments, which explain by
-// walking each partition's own rows instead of an index).
-func (sn *Snapshot) ProvStats() credist.ProvStats {
-	if sn.model == nil {
-		return credist.ProvStats{}
-	}
-	return sn.model.ProvStats()
-}
-
 // Selections returns how many CELF growth runs this snapshot has actually
 // executed: at most one per new high-water k, and zero for anything the
 // computed (or restored) prefix already covers — the diagnostic that pins

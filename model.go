@@ -52,10 +52,6 @@ type Model struct {
 	// seeded either lazily on the first approximate query or from a
 	// version-5 snapshot's restored sketch (zero sampling on restart).
 	approx approxTier
-	// prov is the influence-provenance tier: the credit→actions index
-	// behind ExplainSeed/ExplainReach, built lazily or restored from a
-	// version-6 snapshot (zero build work on restart).
-	prov provTier
 	// delays lazily indexes per-(action, participant) delays from the
 	// action's first participation — what time-windowed objectives gate
 	// on. Derived from the log alone, at most once per model.
@@ -64,11 +60,10 @@ type Model struct {
 
 // Close releases the file mapping behind a model opened with
 // LoadModelMapped; for every other model it is a no-op. It must only be
-// called once no planner derived from the model is in use and no
-// ExplainReach on it is running — planners and their ingest successors
-// read the mapped shards in place, a restored provenance index reads its
-// records from the mapping, and those reads fault once the mapping is
-// gone.
+// called once no planner derived from the model is in use and no query on
+// it is running — the model, its planners and their ingest successors
+// read the mapped shards in place, and those reads fault once the mapping
+// is gone.
 func (m *Model) Close() error {
 	if m == nil {
 		return nil
@@ -581,13 +576,12 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 	if err != nil {
 		return err
 	}
-	// The RR sketch and provenance index ride along whenever their tiers
-	// hold one: both are derived over exactly the model's log, and the
-	// lineage written here is that same log's, so sections attached to
-	// this model are always consistent with the snapshot (the version
-	// stays 3 when there is no section, keeping sectionless files
-	// byte-identical).
-	return eng.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch(), m.provForSave())
+	// The RR sketch rides along whenever the approximate tier holds one:
+	// it is derived over exactly the model's log, and the lineage written
+	// here is that same log's, so a sketch attached to this model is
+	// always consistent with the snapshot (the version stays 3 without
+	// one, keeping sketchless files byte-identical).
+	return eng.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch())
 }
 
 // snapshotEngine returns the engine a snapshot of p writes: the model's
@@ -662,9 +656,8 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 // every query is bit-identical to the heap-loaded model. Text parameter
 // files and pre-v3 snapshots are rejected; re-save with Save to upgrade.
 //
-// A provenance index stored in the file is served from the mapping too.
 // The caller owns the mapping's lifetime: Close the model only after all
-// planners derived from it are gone and its explanations have returned.
+// planners derived from it are gone and its queries have returned.
 func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
 	return loadSnapshotModel(ds, path, true, opts)
 }
@@ -691,7 +684,7 @@ func loadSnapshotModel(ds *Dataset, path string, mmap bool, opts Options) (*Mode
 // lineage check, options resolution, and the tail append for a log that
 // has grown past the snapshot's scanned prefix.
 func bindSnapshotModel(ds *Dataset, f *core.SnapshotFile, opts Options) (*Model, error) {
-	eng, lin, prefix, sketch, prov := f.Engine, f.Lineage, f.Prefix, f.Sketch, f.Prov
+	eng, lin, prefix, sketch := f.Engine, f.Lineage, f.Prefix, f.Sketch
 	if err := lin.Check(ds.Graph, ds.Log); err != nil {
 		return nil, err
 	}
@@ -715,12 +708,9 @@ func bindSnapshotModel(ds *Dataset, f *core.SnapshotFile, opts Options) (*Model,
 		// The stored seed prefix was selected over the snapshot's log
 		// prefix; appended actions change every marginal gain, so it no
 		// longer describes this model and is dropped. The RR sketch falls
-		// for the same reason (its walks sampled the old log's DAGs), and
-		// the provenance index too: the tail adds credit cells it never
-		// indexed.
+		// for the same reason: its walks sampled the old log's DAGs.
 		prefix = nil
 		sketch = nil
-		prov = nil
 	}
 	// The delta accounting is kept, so callers (and /stats) see how much
 	// of the engine came from the post-snapshot tail.
@@ -730,6 +720,5 @@ func bindSnapshotModel(ds *Dataset, f *core.SnapshotFile, opts Options) (*Model,
 	if err := m.restoreApprox(sketch); err != nil {
 		return nil, err
 	}
-	m.prov.restored = prov
 	return m, nil
 }

@@ -70,19 +70,21 @@ func (m *Model) WriteSnapshotSlice(w io.Writer, p *Planner, prefix *SeedPrefix, 
 	if err != nil {
 		return err
 	}
-	return part.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, nil, nil)
+	return part.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, nil)
 }
 
 // LoadPartitions restores a partitioned model from snapshot-slice files:
 // each slice is loaded (memory-mapped when mmap is set), lineage-checked
 // against the dataset, and the set is validated to tile the user universe
 // exactly — overlapping or gapped row ranges are rejected naming both
-// offending ranges. Like LoadModel, the dataset's log may extend past the
-// slices' recorded scan: each partition appends only its rows of the
-// unscanned tail, and any stored seed prefix is dropped. The returned
-// model carries the slices' learned parameters and stored options (pass
-// the zero Options to adopt them) but no scanned full engine — its lazy
-// base would be a fresh scan; serve queries through the planner instead.
+// offending ranges — and to come from one model: a slice whose options or
+// learned parameters differ from slice 0's is refused. Like LoadModel,
+// the dataset's log may extend past the slices' recorded scan: each
+// partition appends only its rows of the unscanned tail, and any stored
+// seed prefix is dropped. The returned model carries the slices' learned
+// parameters and stored options (pass the zero Options to adopt them) but
+// no scanned full engine — its lazy base would be a fresh scan; serve
+// queries through the planner instead.
 func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *Planner, error) {
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("credist: no slice paths")
@@ -132,6 +134,13 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 			closeMapped()
 			return nil, nil, fmt.Errorf("credist: partition %d (%s) was saved with options {Lambda:%g SimpleCredit:%t}, slice 0 with %+v",
 				i+1, paths[i+1], eng.Lambda(), si, stored)
+		}
+		// Slices of one model carry bitwise-equal learned parameters; any
+		// difference means they were checkpointed from different models.
+		if ta, ok := eng.CreditModel().(*core.TimeAwareCredit); ok && !ta.Equal(credit.(*core.TimeAwareCredit)) {
+			closeMapped()
+			return nil, nil, fmt.Errorf("credist: partition %d (%s) holds different learned credit parameters than slice 0 (%s); the slices come from different models",
+				i+1, paths[i+1], paths[0])
 		}
 	}
 
@@ -239,8 +248,8 @@ func readSnapshotSketch(path string, ds *Dataset, numActions int) *core.RRSketch
 		return nil
 	}
 	// The sketch section is always decoded onto the heap, so the mapping
-	// can close before the sketch is used. The UC shards and the
-	// provenance index alias the mapping; both are dropped here unread.
+	// can close before the sketch is used. The UC shards alias the
+	// mapping; they are dropped here unread.
 	f.Close()
 	if f.Sketch == nil || f.Lineage.NumActions != numActions || f.Lineage.Check(ds.Graph, ds.Log) != nil {
 		return nil
@@ -264,7 +273,7 @@ func (p *Planner) SaveSlices(m *Model, prefix *SeedPrefix, paths []string) error
 	lin := core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
 	for i, eng := range p.parts {
 		err := writeFileAtomic(paths[i], func(w io.Writer) error {
-			return eng.WriteSnapshot(w, lin, prefix, nil, nil)
+			return eng.WriteSnapshot(w, lin, prefix, nil)
 		})
 		if err != nil {
 			return fmt.Errorf("credist: write slice %s: %w", paths[i], err)

@@ -80,3 +80,59 @@ func TestPartitionedPlannerWritesSlicesOnly(t *testing.T) {
 		t.Error("WriteSnapshotSlice of a partitioned planner accepted")
 	}
 }
+
+// TestLoadPartitionsRejectsMixedModels: slices checkpointed from two
+// models that agree on lambda, the credit rule, the action count and the
+// lineage but learned different time-aware parameters — one learned on
+// the head 80% of the log and ingested to the full log, one learned on
+// the full log — are refused, naming the offending slice, heap or mapped.
+func TestLoadPartitionsRejectsMixedModels(t *testing.T) {
+	ds := Generate(tinyConfig(31))
+	n := ds.Log.NumActions()
+	headN := n - n/5
+	var tail []Tuple
+	for a := headN; a < n; a++ {
+		tail = append(tail, ds.Log.Action(ActionID(a))...)
+	}
+	head := Learn(&Dataset{Name: ds.Name, Graph: ds.Graph, Log: ds.Log.Prefix(headN)}, Options{Lambda: 0.001})
+	grown, err := head.Ingest(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extended, err := grown.ExtendPlanner(head.NewPlanner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	relearned := Learn(ds, Options{Lambda: 0.001})
+	dir := t.TempDir()
+	save := func(m *Model, p *Planner, name string) []string {
+		pp, err := p.Partition(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := SlicePaths(filepath.Join(dir, name), 2)
+		if err := pp.SaveSlices(m, nil, paths); err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	ingested, learned := save(grown, extended, "ingested.bin"), save(relearned, relearned.NewPlanner(), "learned.bin")
+
+	for _, mmap := range []bool{false, true} {
+		for _, paths := range [][]string{ingested, learned} {
+			_, p, err := LoadPartitions(ds, paths, mmap, Options{})
+			if err != nil {
+				t.Fatalf("mmap=%t: slices of one model: %v", mmap, err)
+			}
+			p.Close()
+		}
+		_, p, err := LoadPartitions(ds, []string{ingested[0], learned[1]}, mmap, Options{})
+		if err == nil {
+			p.Close()
+			t.Fatalf("mmap=%t: slices of two models loaded as one", mmap)
+		}
+		if !strings.Contains(err.Error(), learned[1]) || !strings.Contains(err.Error(), "credit parameters") {
+			t.Errorf("mmap=%t: err = %v, want a credit-parameter refusal naming %s", mmap, err, learned[1])
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package credist
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -66,67 +69,61 @@ func TestFacadeExplainReachSumsToTotal(t *testing.T) {
 	}
 }
 
-// TestFacadeProvSnapshotRestore pins the persistence story: a model saved
-// with a built index restores it from the version-6 snapshot and explains
-// identically with zero index builds, on both the heap and mmap loaders.
+// TestFacadeProvSnapshotRestore pins the persistence story: a saved
+// model restored on the heap or mapped explains exactly as the model that
+// was saved, through the model and through a planner, and the deprecated
+// BuildProvIndex changes nothing — a save after it writes the same
+// version-3 bytes.
 func TestFacadeProvSnapshotRestore(t *testing.T) {
 	ds := Generate(tinyConfig(22))
 	m := Learn(ds, Options{Lambda: 0.001})
-	st := m.BuildProvIndex()
-	if st.Builds != 1 || st.Pairs == 0 || st.Entries == 0 || st.Bytes == 0 {
-		t.Fatalf("BuildProvIndex stats = %+v, want one build of a non-empty index", st)
-	}
 	seeds := []NodeID{1, 5, 9}
 	v := NodeID(14)
 	wantReach := m.ExplainReach(seeds, v, 10)
 	wantSeedEx := m.ExplainSeed(7, 10)
 
-	path := filepath.Join(t.TempDir(), "model.bin")
+	dir := t.TempDir()
+	path, again := filepath.Join(dir, "model.bin"), filepath.Join(dir, "again.bin")
 	if err := m.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := LoadModel(ds, path, Options{})
+	m.BuildProvIndex()
+	if err := m.Save(again); err != nil {
+		t.Fatalf("Save after BuildProvIndex: %v", err)
+	}
+	before, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("LoadModel: %v", err)
+		t.Fatal(err)
 	}
-	if got := loaded.ExplainReach(seeds, v, 10); !reflect.DeepEqual(wantReach, got) {
-		t.Errorf("restored ExplainReach = %+v, want %+v", got, wantReach)
+	after, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := loaded.ExplainSeed(7, 10); !reflect.DeepEqual(wantSeedEx, got) {
-		t.Errorf("restored ExplainSeed = %+v, want %+v", got, wantSeedEx)
-	}
-	lst := loaded.ProvStats()
-	if lst.Builds != 0 {
-		t.Errorf("restored model paid %d index builds, want 0", lst.Builds)
-	}
-	if lst.Pairs != st.Pairs || lst.Entries != st.Entries {
-		t.Errorf("restored index shape %d/%d, want %d/%d", lst.Pairs, lst.Entries, st.Pairs, st.Entries)
+	if !bytes.Equal(before, after) || binary.LittleEndian.Uint32(after[8:]) != 3 {
+		t.Fatalf("BuildProvIndex changed the saved snapshot (version %d)", binary.LittleEndian.Uint32(after[8:]))
 	}
 
-	mm, err := LoadModelMapped(ds, path, Options{})
-	if err != nil {
-		t.Fatalf("LoadModelMapped: %v", err)
-	}
-	if got := mm.ExplainReach(seeds, v, 10); !reflect.DeepEqual(wantReach, got) {
-		t.Errorf("mapped ExplainReach = %+v, want %+v", got, wantReach)
-	}
-	if got := mm.ProvStats(); got.Builds != 0 || got.Pairs != st.Pairs {
-		t.Errorf("mapped prov stats = %+v, want 0 builds and %d pairs", got, st.Pairs)
-	}
-
-	// A model saved without touching the tier stays at its previous
-	// snapshot version and reloads with an empty tier.
-	plain := Learn(ds, Options{Lambda: 0.001})
-	path2 := filepath.Join(t.TempDir(), "plain.bin")
-	if err := plain.Save(path2); err != nil {
-		t.Fatalf("Save plain: %v", err)
-	}
-	loaded2, err := LoadModel(ds, path2, Options{})
-	if err != nil {
-		t.Fatalf("LoadModel plain: %v", err)
-	}
-	if got := loaded2.ProvStats(); got.Pairs != 0 || got.Builds != 0 {
-		t.Errorf("index-less reload carries prov stats %+v", got)
+	for _, mmap := range []bool{false, true} {
+		load := LoadModel
+		if mmap {
+			load = LoadModelMapped
+		}
+		loaded, err := load(ds, path, Options{})
+		if err != nil {
+			t.Fatalf("mmap=%t: load: %v", mmap, err)
+		}
+		if got := loaded.ExplainReach(seeds, v, 10); !reflect.DeepEqual(wantReach, got) {
+			t.Errorf("mmap=%t: restored ExplainReach = %+v, want %+v", mmap, got, wantReach)
+		}
+		if got, err := loaded.ExplainReachOn(loaded.NewPlanner(), seeds, v, 10); err != nil || !reflect.DeepEqual(wantReach, got) {
+			t.Errorf("mmap=%t: restored ExplainReachOn = %+v (%v), want %+v", mmap, got, err, wantReach)
+		}
+		if got := loaded.ExplainSeed(7, 10); !reflect.DeepEqual(wantSeedEx, got) {
+			t.Errorf("mmap=%t: restored ExplainSeed = %+v, want %+v", mmap, got, wantSeedEx)
+		}
+		if err := loaded.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -172,11 +169,11 @@ func TestFacadePartitionedExplainParity(t *testing.T) {
 }
 
 // TestExplainReachOnAfterIngestBuildsFromPlanner: on an ingest-grown
-// preset model, the first reach explanation against the extended planner
-// builds the index from that planner's engine — the model's own lazy
-// base, a full rescan of the combined log, is never forced — and answers
-// bit for bit like a model bound to the combined log with the same frozen
-// parameters.
+// preset model, reach explanations against the extended planner are built
+// from that planner's own shards — the model's lazy base, a full rescan
+// of the combined log, is never forced — and answer bit for bit like a
+// model bound to the combined log with the same frozen parameters, from
+// several goroutines at once.
 func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("learns the flixster-small preset")
@@ -216,8 +213,7 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first explanations race from several goroutines: exactly one
-	// of them builds the index, and all answer from it.
+	// The first explanations race from several goroutines.
 	seeds := []NodeID{3, 17, 256, 1024, 2047}
 	targets := []NodeID{5, 99, 512, 2999}
 	got := make([][]ReachExplanation, 4)
@@ -250,8 +246,5 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 	}
 	if forced.Load() {
 		t.Fatal("reach explanation forced a rescan of the combined log")
-	}
-	if st := grown.ProvStats(); st.Builds != 1 || st.Pairs != ref.ProvStats().Pairs {
-		t.Fatalf("grown model prov stats %+v, want one build of %d pairs", st, ref.ProvStats().Pairs)
 	}
 }
