@@ -2,7 +2,6 @@ package credist
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +42,10 @@ const (
 )
 
 // ApproxOptions bounds one approximate query. Zero values mean: Eps 0.1,
-// no wall-clock budget, DefaultMaxApproxSamples, GOMAXPROCS sampling
-// workers. Eps and Budget may be combined; the query stops at whichever
-// bound binds first and reports the precision it actually achieved.
+// no wall-clock budget, DefaultMaxApproxSamples. Eps and Budget may be
+// combined; the query stops at whichever bound binds first and reports
+// the precision it actually achieved. Sampling fans over GOMAXPROCS
+// workers, with bit-identical answers at any count.
 type ApproxOptions struct {
 	// Eps is the target relative half-width of the confidence interval:
 	// the query grows the sample pool until
@@ -56,9 +56,6 @@ type ApproxOptions struct {
 	Budget time.Duration
 	// MaxSamples caps the collection size this query may grow to.
 	MaxSamples int
-	// Workers fans sample growth over this many goroutines; answers are
-	// bit-identical at any value.
-	Workers int
 }
 
 // ApproxResult is one bounded-error answer from the approximate tier.
@@ -96,8 +93,11 @@ type approxTier struct {
 	// estimate against an immutable snapshot while growth swaps in a
 	// superset. A version-5 snapshot's sketch is published when the model
 	// loads (restoreApprox), so no other field ever stands in for it.
-	coll    atomic.Pointer[ris.Collection]
-	src     atomic.Pointer[core.CreditWalkSource]
+	coll atomic.Pointer[ris.Collection]
+	// src is the credit-walk source, guarded by mu. It is built (with the
+	// evaluator behind it) on the first draw only: a query the pool
+	// already answers never builds either.
+	src     *core.CreditWalkSource
 	sampled atomic.Int64
 }
 
@@ -116,96 +116,47 @@ func (m *Model) restoreApprox(sk *core.RRSketch) error {
 	return nil
 }
 
-// ensureApprox returns the current collection (nil before the first
-// draw on a model with no restored sketch) and the walk source, building
-// the source on first use. It never draws new samples.
-func (m *Model) ensureApprox() (*ris.Collection, ris.Source, error) {
-	t := &m.approx
-	src := t.src.Load()
-	if src == nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if src = t.src.Load(); src == nil {
-			var err error
-			if src, err = m.eval().CreditWalks(); err != nil {
-				return nil, nil, err
-			}
-			t.src.Store(src)
-		}
-	}
-	return t.coll.Load(), src, nil
-}
-
-// ApproxSpreadFixed answers a spread query from the tier's existing pool —
-// snapshot-restored or grown by earlier queries — without drawing a single
-// sample or touching the credit-walk source: the answer carries whatever
-// precision the pool affords, with AchievedEps reporting it honestly. ok
-// is false when the tier holds no samples at all (the caller decides how
-// to fail). This is how a partitioned deployment serves approximate
-// queries from a persisted sketch: the fixed pool was drawn over the full
-// universe before the model was split, and estimation is pure membership
-// counting — no single engine holds the full universe there, so the
-// evaluator behind the walk source must never be built. The pool is
-// published when the model loads, so the error is always nil.
-func (m *Model) ApproxSpreadFixed(seeds []NodeID) (ApproxResult, bool, error) {
-	start := time.Now()
-	c := m.approx.coll.Load()
-	if c == nil {
-		return ApproxResult{}, false, nil
-	}
-	est := c.Estimate(seeds)
-	return ApproxResult{
-		Estimate:    est.Spread,
-		CILow:       est.Low,
-		CIHigh:      est.High,
-		AchievedEps: est.Eps,
-		Samples:     est.Samples,
-		Elapsed:     time.Since(start),
-	}, true, nil
-}
-
-// ApproxSeedsFixed is ApproxSeeds over the existing pool only: greedy
-// maximum-coverage selection and the selected set's interval, never
-// growing the collection. ok is false when the tier holds no samples;
-// the error is always nil, as for ApproxSpreadFixed.
-func (m *Model) ApproxSeedsFixed(k int) ([]NodeID, ApproxResult, bool, error) {
-	start := time.Now()
-	c := m.approx.coll.Load()
-	if c == nil {
-		return nil, ApproxResult{}, false, nil
-	}
-	seeds, _ := c.SelectSeeds(k)
-	est := c.Estimate(seeds)
-	return seeds, ApproxResult{
-		Estimate:    est.Spread,
-		CILow:       est.Low,
-		CIHigh:      est.High,
-		AchievedEps: est.Eps,
-		Samples:     est.Samples,
-		Elapsed:     time.Since(start),
-	}, true, nil
-}
-
-// grow extends the published collection to count samples (no-op if it
-// already holds that many) and returns the resulting collection.
-func (m *Model) growApprox(src ris.Source, count, workers int) *ris.Collection {
+// growApprox extends the published collection to count samples (no-op if
+// it already holds that many) and returns the resulting collection. Only
+// a draw builds the walk source.
+func (m *Model) growApprox(count int) (*ris.Collection, error) {
 	t := &m.approx
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c := t.coll.Load()
+	if c != nil && count <= c.NumSets() {
+		return c, nil
+	}
+	if t.src == nil {
+		src, err := m.eval().CreditWalks()
+		if err != nil {
+			return nil, err
+		}
+		t.src = src
+	}
+	var grown *ris.Collection
+	had := 0
 	if c == nil {
-		c = ris.CollectParallel(src, count, defaultApproxSeed, ris.CollectOptions{Workers: workers})
-		t.sampled.Add(int64(c.NumSets()))
-		t.coll.Store(c)
-		return c
+		grown = ris.CollectParallel(t.src, count, defaultApproxSeed, ris.CollectOptions{})
+	} else {
+		grown, had = c.Extend(t.src, count, ris.CollectOptions{}), c.NumSets()
 	}
-	if count <= c.NumSets() {
-		return c
-	}
-	grown := c.Extend(src, count, ris.CollectOptions{Workers: workers})
-	t.sampled.Add(int64(grown.NumSets() - c.NumSets()))
+	t.sampled.Add(int64(grown.NumSets() - had))
 	t.coll.Store(grown)
-	return grown
+	return grown, nil
+}
+
+// ApproxSpreadFixed answers a spread query from the tier's existing pool
+// alone: ApproxSpread capped at the pool's size, so it never draws a
+// sample or builds the credit-walk source. ok is false when the tier
+// holds no samples at all (the caller decides how to fail).
+func (m *Model) ApproxSpreadFixed(seeds []NodeID) (ApproxResult, bool, error) {
+	c := m.approx.coll.Load()
+	if c == nil {
+		return ApproxResult{}, false, nil
+	}
+	res, err := m.ApproxSpread(seeds, ApproxOptions{MaxSamples: c.NumSets()})
+	return res, true, err
 }
 
 func (o ApproxOptions) resolved() ApproxOptions {
@@ -214,9 +165,6 @@ func (o ApproxOptions) resolved() ApproxOptions {
 	}
 	if o.MaxSamples <= 0 {
 		o.MaxSamples = DefaultMaxApproxSamples
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -229,45 +177,8 @@ func (o ApproxOptions) resolved() ApproxOptions {
 // use and deterministic: the same model state and seed set yield the same
 // answer at any worker count.
 func (m *Model) ApproxSpread(seeds []NodeID, opts ApproxOptions) (ApproxResult, error) {
-	start := time.Now()
-	opts = opts.resolved()
-	c, src, err := m.ensureApprox()
-	if err != nil {
-		return ApproxResult{}, err
-	}
-	grown := 0
-	if c == nil {
-		n := initialApproxSamples
-		if n > opts.MaxSamples {
-			n = opts.MaxSamples
-		}
-		c = m.growApprox(src, n, opts.Workers)
-		grown = c.NumSets()
-	}
-	for {
-		est := c.Estimate(seeds)
-		if est.Eps <= opts.Eps ||
-			(est.Hits == 0 && c.NumSets() >= zeroHitStopSamples) ||
-			c.NumSets() >= opts.MaxSamples ||
-			(opts.Budget > 0 && time.Since(start) >= opts.Budget) {
-			return ApproxResult{
-				Estimate:    est.Spread,
-				CILow:       est.Low,
-				CIHigh:      est.High,
-				AchievedEps: est.Eps,
-				Samples:     est.Samples,
-				Grown:       grown,
-				Elapsed:     time.Since(start),
-			}, nil
-		}
-		target := 2 * c.NumSets()
-		if target > opts.MaxSamples {
-			target = opts.MaxSamples
-		}
-		next := m.growApprox(src, target, opts.Workers)
-		grown += next.NumSets() - c.NumSets()
-		c = next
-	}
+	_, res, err := m.approxQuery(opts, func(*ris.Collection) []NodeID { return seeds })
+	return res, err
 }
 
 // ApproxSeeds runs greedy maximum-coverage seed selection over the
@@ -277,23 +188,31 @@ func (m *Model) ApproxSpread(seeds []NodeID, opts ApproxOptions) (ApproxResult, 
 // interval meets opts.Eps, re-selecting on each growth step since more
 // samples can change the greedy choice.
 func (m *Model) ApproxSeeds(k int, opts ApproxOptions) ([]NodeID, ApproxResult, error) {
+	return m.approxQuery(opts, func(c *ris.Collection) []NodeID {
+		seeds, _ := c.SelectSeeds(k)
+		return seeds
+	})
+}
+
+// approxQuery is the one bounded growth loop behind ApproxSpread and
+// ApproxSeeds: pick chooses the seed set from the current pool, and the
+// pool doubles until the set's interval meets opts.Eps or a sample, time
+// or zero-hit bound binds first. A pool already at opts.MaxSamples answers
+// at once, drawing nothing.
+func (m *Model) approxQuery(opts ApproxOptions, pick func(*ris.Collection) []NodeID) ([]NodeID, ApproxResult, error) {
 	start := time.Now()
 	opts = opts.resolved()
-	c, src, err := m.ensureApprox()
-	if err != nil {
-		return nil, ApproxResult{}, err
-	}
+	c := m.approx.coll.Load()
 	grown := 0
 	if c == nil {
-		n := initialApproxSamples
-		if n > opts.MaxSamples {
-			n = opts.MaxSamples
+		var err error
+		if c, err = m.growApprox(min(initialApproxSamples, opts.MaxSamples)); err != nil {
+			return nil, ApproxResult{}, err
 		}
-		c = m.growApprox(src, n, opts.Workers)
 		grown = c.NumSets()
 	}
 	for {
-		seeds, _ := c.SelectSeeds(k)
+		seeds := pick(c)
 		est := c.Estimate(seeds)
 		if est.Eps <= opts.Eps ||
 			(est.Hits == 0 && c.NumSets() >= zeroHitStopSamples) ||
@@ -309,11 +228,10 @@ func (m *Model) ApproxSeeds(k int, opts ApproxOptions) ([]NodeID, ApproxResult, 
 				Elapsed:     time.Since(start),
 			}, nil
 		}
-		target := 2 * c.NumSets()
-		if target > opts.MaxSamples {
-			target = opts.MaxSamples
+		next, err := m.growApprox(min(2*c.NumSets(), opts.MaxSamples))
+		if err != nil {
+			return nil, ApproxResult{}, err
 		}
-		next := m.growApprox(src, target, opts.Workers)
 		grown += next.NumSets() - c.NumSets()
 		c = next
 	}
@@ -327,12 +245,8 @@ func (m *Model) BuildApproxSketch(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("credist: sketch size %d must be positive", n)
 	}
-	_, src, err := m.ensureApprox()
-	if err != nil {
-		return err
-	}
-	m.growApprox(src, n, runtime.GOMAXPROCS(0))
-	return nil
+	_, err := m.growApprox(n)
+	return err
 }
 
 // ApproxStats reports the tier's current pool; see the field docs.

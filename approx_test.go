@@ -5,6 +5,8 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -52,38 +54,38 @@ func TestApproxWithinEps(t *testing.T) {
 }
 
 // TestApproxDeterministicAcrossWorkers pins the serving guarantee that
-// approximate answers are bit-identical at any sampling worker count.
+// approximate answers are bit-identical at any sampling worker count:
+// sampling fans over GOMAXPROCS workers, so the test varies it.
 func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 	ds := Generate(tinyConfig(11))
 	seeds := []NodeID{1, 5, 9}
-	var ref ApproxResult
-	for i, workers := range []int{1, 4, 13} {
+	type answer struct {
+		spread ApproxResult
+		seeds  []NodeID
+		picked ApproxResult
+	}
+	var ref answer
+	for i, procs := range []int{1, 4, 13} {
+		prev := runtime.GOMAXPROCS(procs)
 		m := Learn(ds, Options{Lambda: 0.001})
-		res, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.05, Workers: workers})
+		res, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Seed selection over the tier is deterministic too.
+		picked, pres, err := Learn(ds, Options{Lambda: 0.001}).ApproxSeeds(4, ApproxOptions{})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := answer{approxFields(res), picked, approxFields(pres)}
 		if i == 0 {
-			ref = res
+			ref = got
 			continue
 		}
-		if approxFields(res) != approxFields(ref) {
-			t.Fatalf("workers=%d: result %+v differs from workers=1 %+v", workers, res, ref)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("GOMAXPROCS=%d: answers %+v differ from GOMAXPROCS=1 %+v", procs, got, ref)
 		}
-	}
-
-	// Seed selection over the tier is deterministic too.
-	m1, m2 := Learn(ds, Options{Lambda: 0.001}), Learn(ds, Options{Lambda: 0.001})
-	s1, r1, err := m1.ApproxSeeds(4, ApproxOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, r2, err := m2.ApproxSeeds(4, ApproxOptions{Workers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1, s2) || approxFields(r1) != approxFields(r2) {
-		t.Fatalf("ApproxSeeds diverged across workers: %v %+v vs %v %+v", s1, r1, s2, r2)
 	}
 }
 
@@ -278,5 +280,93 @@ func TestApproxStatsDuringRestoredGrowth(t *testing.T) {
 			t.Fatalf("stats %+v after growth to %d samples (%d drawn)", st, res.Samples, res.Grown)
 		}
 		back.Close()
+	}
+}
+
+// TestApproxFixedPoolBuildsNoSource pins that a query capped at the pool
+// a partitioned model restored from the whole-model snapshot answers from
+// that pool alone: it draws nothing and never builds the credit-walk
+// source (nor the evaluator behind it), and its answers equal the
+// one-engine model's over the same pool.
+func TestApproxFixedPoolBuildsNoSource(t *testing.T) {
+	ds := Generate(tinyConfig(16))
+	m := Learn(ds, Options{Lambda: 0.001})
+	const pool = 2048
+	if err := m.BuildApproxSketch(pool); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	seeds := []NodeID{2, 7, 19}
+	capOpts := ApproxOptions{Eps: 1e-9, MaxSamples: pool}
+	wantSpread, err := m.ApproxSpread(seeds, capOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSeeds, wantPicked, err := m.ApproxSeeds(3, capOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		pm, pp, _, err := LoadModelPartitioned(ds, path, 3, mmap, Options{})
+		if err != nil {
+			t.Fatalf("mmap=%t: %v", mmap, err)
+		}
+		got, err := pm.ApproxSpread(seeds, capOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed, ok, err := pm.ApproxSpreadFixed(seeds)
+		if err != nil || !ok {
+			t.Fatalf("mmap=%t: ApproxSpreadFixed ok=%t err=%v", mmap, ok, err)
+		}
+		picked, pres, err := pm.ApproxSeeds(3, capOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pm.approx.src != nil {
+			t.Fatalf("mmap=%t: a pool-capped query built the credit-walk source", mmap)
+		}
+		if st := pm.ApproxStats(); st.Samples != pool || st.Sampled != 0 || got.Grown != 0 || pres.Grown != 0 {
+			t.Fatalf("mmap=%t: capped queries drew samples: stats %+v, grown %d and %d", mmap, st, got.Grown, pres.Grown)
+		}
+		if approxFields(got) != approxFields(wantSpread) || approxFields(fixed) != approxFields(wantSpread) {
+			t.Fatalf("mmap=%t: partitioned answers %+v, %+v differ from one engine's %+v", mmap, got, fixed, wantSpread)
+		}
+		if !reflect.DeepEqual(picked, wantSeeds) || approxFields(pres) != approxFields(wantPicked) {
+			t.Fatalf("mmap=%t: partitioned seeds %v %+v differ from one engine's %v %+v", mmap, picked, pres, wantSeeds, wantPicked)
+		}
+		pp.Close()
+	}
+}
+
+// TestApproxConcurrentFirstDraws races queries on a model with no pool,
+// so the walk source's construction and the pool's growth are contended
+// (run under -race): every query answers with a valid interval, and the
+// pool's stats count each sample drawn exactly once.
+func TestApproxConcurrentFirstDraws(t *testing.T) {
+	m := Learn(Generate(tinyConfig(17)), Options{Lambda: 0.001})
+	var wg sync.WaitGroup
+	for i, eps := range []float64{0.3, 0.1, 0.05, 0.02} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var res ApproxResult
+			var err error
+			if i%2 == 0 {
+				res, err = m.ApproxSpread([]NodeID{NodeID(i), NodeID(i + 3)}, ApproxOptions{Eps: eps})
+			} else {
+				_, res, err = m.ApproxSeeds(3, ApproxOptions{Eps: eps})
+			}
+			if err != nil || res.Samples <= 0 || res.CILow > res.Estimate || res.Estimate > res.CIHigh {
+				t.Errorf("eps=%g: %+v, %v", eps, res, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := m.ApproxStats(); st.Samples == 0 || st.Sampled != int64(st.Samples) {
+		t.Fatalf("stats %+v: want every pooled sample counted as drawn once", st)
 	}
 }

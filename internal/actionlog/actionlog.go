@@ -16,6 +16,10 @@ import (
 // ActionID is a dense action index in [0, NumActions).
 type ActionID = int32
 
+// maxActionID is the largest action id a log holds: the action offsets
+// take maxAction+2 int32 slots, so a larger id would wrap their length.
+const maxActionID = math.MaxInt32 - 2
+
 // Timestamp is the time a user performed an action, in arbitrary units.
 // Only the ordering and differences of timestamps matter.
 type Timestamp = float64
@@ -95,8 +99,8 @@ func (b *Builder) Add(u graph.NodeID, a ActionID, t Timestamp) error {
 	if u < 0 || int(u) >= b.numUsers {
 		return fmt.Errorf("actionlog: user %d out of range [0,%d)", u, b.numUsers)
 	}
-	if a < 0 {
-		return fmt.Errorf("actionlog: negative action id %d", a)
+	if a < 0 || a > maxActionID {
+		return fmt.Errorf("actionlog: action id %d outside [0,%d]", a, maxActionID)
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("actionlog: user %d action %d has non-finite time %v", u, a, t)

@@ -331,6 +331,21 @@ func TestReadRejectsNegativeUserCount(t *testing.T) {
 	}
 }
 
+// TestReadRejectsActionIDsPastInt32: the action offsets take maxAction+2
+// int32 slots, so an id whose count wraps int32 used to panic in Build;
+// Read refuses it on its line.
+func TestReadRejectsActionIDsPastInt32(t *testing.T) {
+	for _, tc := range []struct{ in, line string }{
+		{"2\n0 2147483647 1\n", "line 2:"},
+		{"2\n0 0 1\n1 2147483646 1\n", "line 3:"},
+	} {
+		_, err := Read(strings.NewReader(tc.in), 8)
+		if err == nil || !strings.Contains(err.Error(), tc.line) || !strings.Contains(err.Error(), "action id") {
+			t.Errorf("Read(%q) error %v, want a %q action-id error", tc.in, err, tc.line)
+		}
+	}
+}
+
 // TestReadRejectsHostileUserCount: a user-count header beyond the graph
 // is refused on its own line, before anything is sized by it — a 2e9
 // header costs less than 1 MiB — and so is a user id past the header.

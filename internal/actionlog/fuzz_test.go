@@ -74,6 +74,7 @@ func FuzzReadMatchesReference(f *testing.F) {
 		"3\n0 0 1\n3\n",
 		"2\n0 0 +Inf\n",
 		"6\n0 3 1\n5 3 0x1p-2\n1 0 2\n",
+		"2\n0 2147483647 1\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -87,11 +88,11 @@ func FuzzReadMatchesReference(f *testing.F) {
 	const maxUsers = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Both implementations size dense arrays by the largest action id,
-		// as the format defines them; ids past 1<<16 would only exercise
-		// the allocator.
+		// as the format defines them; accepted ids past 1<<16 would only
+		// exercise the allocator. Ids past maxActionID are refused unsized.
 		if tuples, _, err := ParseTuples(bytes.NewReader(data)); err == nil {
 			for _, tu := range tuples {
-				if tu.Action > 1<<16 {
+				if tu.Action > 1<<16 && tu.Action <= maxActionID {
 					return
 				}
 			}

@@ -17,8 +17,9 @@ import (
 // them to: a Builder that dedups through a map keyed by (user, action)
 // and sorts the survivors, the Read loop over it, and a BuildPropagation
 // that finds participants through a per-action map. The reference Read
-// carries the two input checks the dense one added — a negative user
-// count and a non-finite time are errors — and is otherwise unchanged.
+// carries the three input checks the dense one added — a negative user
+// count, a non-finite time and an action id past maxActionID are errors —
+// and is otherwise unchanged.
 
 type refTupleKey struct {
 	user   graph.NodeID
@@ -38,8 +39,8 @@ func (b *refBuilder) add(u graph.NodeID, a ActionID, t Timestamp) error {
 	if u < 0 || int(u) >= b.numUsers {
 		return fmt.Errorf("actionlog: user %d out of range [0,%d)", u, b.numUsers)
 	}
-	if a < 0 {
-		return fmt.Errorf("actionlog: negative action id %d", a)
+	if a < 0 || a > maxActionID {
+		return fmt.Errorf("actionlog: action id %d outside [0,%d]", a, maxActionID)
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("actionlog: non-finite time %v", t)

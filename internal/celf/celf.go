@@ -48,13 +48,11 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"credist/internal/graph"
+	"credist/internal/par"
 )
 
 // Estimator is the marginal-gain oracle greedy needs. Implementations
@@ -388,7 +386,7 @@ func (s *Selection) Grow(k int) Result {
 			}
 			batch = append(batch, e)
 		}
-		s.forEach(len(batch), func(i int) {
+		par.For(len(batch), s.workers, func(_, i int) {
 			batch[i].gain = s.est.Gain(batch[i].node)
 			batch[i].key = s.keyOf(batch[i].node, batch[i].gain)
 			batch[i].round = round
@@ -447,7 +445,7 @@ func (s *Selection) buildHeap() {
 	}
 	round := len(s.seeds)
 	ents := make(gainHeap, len(pool))
-	s.forEach(len(pool), func(i int) {
+	par.For(len(pool), s.workers, func(_, i int) {
 		g := s.est.Gain(pool[i])
 		ents[i] = entry{node: pool[i], gain: g, key: s.keyOf(pool[i], g), round: round}
 	})
@@ -481,45 +479,12 @@ func (s *Selection) result() Result {
 	}
 }
 
-// forEach runs fn(0..n-1) over up to s.workers goroutines, written by
-// index; with one worker it is a plain loop.
-func (s *Selection) forEach(n int, fn func(i int)) {
-	workers := s.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // resolveWorkers applies the safety rule: only marked-concurrent
-// estimators are fanned out at all.
+// estimators are fanned out at all. Others get par's worker-count rule,
+// unclamped, since the count also sizes the stale-refresh batch.
 func resolveWorkers(est Estimator, workers int) int {
 	if _, ok := est.(ConcurrentEstimator); !ok {
 		return 1
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers
+	return par.Workers(math.MaxInt, workers)
 }

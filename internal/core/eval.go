@@ -9,6 +9,7 @@ import (
 
 	"credist/internal/actionlog"
 	"credist/internal/graph"
+	"credist/internal/par"
 )
 
 // Evaluator computes the CD spread objective sigma_cd(S) (Eq. 8) for
@@ -105,7 +106,7 @@ func NewEvaluator(g *graph.Graph, train *actionlog.Log, model CreditModel) *Eval
 	}
 	// The DAGs build in parallel, written by index; acts is then filled
 	// serially in action order, so nothing depends on scheduling.
-	fanOut(len(ev.dags), 0, func(_, a int) {
+	par.For(len(ev.dags), 0, func(_, a int) {
 		ev.dags[a] = newDAG(actionlog.BuildPropagation(train, g, actionlog.ActionID(a)), model)
 	})
 	for a, d := range ev.dags {

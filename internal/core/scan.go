@@ -2,50 +2,15 @@ package core
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"credist/internal/actionlog"
 	"credist/internal/graph"
+	"credist/internal/par"
 )
 
 // This file holds the one-pass scan of Algorithm 2: the worker fan-out
 // over actions and the per-action kernel that builds one UC shard.
-
-// fanOut calls fn(w, i) for every i in [0, n), handing indexes out one at
-// a time to poolSize(n, workers) goroutines; w is the calling worker's
-// index, for per-worker scratch. Callers write results by index, so
-// nothing they build depends on scheduling.
-func fanOut(n, workers int, fn func(w, i int)) {
-	workers = poolSize(n, workers)
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(w, int(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// poolSize is the worker count fanOut uses for n items: workers, or
-// GOMAXPROCS when workers <= 0, clamped to [1, n].
-func poolSize(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, n))
-}
 
 // scanShards builds the UC shards (and propagation DAGs) of actions
 // [from, to) of the log, fanned over a worker pool with one scanScratch
@@ -53,12 +18,12 @@ func poolSize(n, workers int) int {
 // of scheduling.
 func scanShards(g *graph.Graph, log *actionlog.Log, from, to int, model CreditModel, lambda float64, workers int) ([]*shard, []*actionlog.Propagation, int64) {
 	n := to - from
-	workers = poolSize(n, workers)
+	workers = par.Workers(n, workers)
 	shards := make([]*shard, n)
 	props := make([]*actionlog.Propagation, n)
 	scratch := make([]scanScratch, workers)
 	perWorker := make([]int64, workers)
-	fanOut(n, workers, func(w, i int) {
+	par.For(n, workers, func(w, i int) {
 		p := actionlog.BuildPropagation(log, g, actionlog.ActionID(from+i))
 		props[i] = p
 		var entries int64

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -110,6 +111,9 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
+	if n > math.MaxInt32 {
+		panic("graph: node count exceeds the int32 node ids")
+	}
 	return &Builder{n: int32(n)}
 }
 
@@ -158,7 +162,7 @@ func (b *Builder) Build() *Graph {
 // bucket lays edges out in compressed sparse rows: for each edge, key
 // returns its row and the node it lists there. Rows keep edge order.
 func bucket(n int32, edges []Edge, key func(Edge) (NodeID, NodeID)) ([]int32, []NodeID) {
-	index := make([]int32, n+1)
+	index := make([]int32, int(n)+1)
 	for _, e := range edges {
 		row, _ := key(e)
 		index[row+1]++

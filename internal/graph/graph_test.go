@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -197,6 +199,26 @@ func TestReadEdgeListErrors(t *testing.T) {
 			t.Errorf("input %q: expected error", in)
 		}
 	}
+}
+
+// TestReadEdgeListRejectsNodeCountPastInt32: node ids are int32, so a
+// header past math.MaxInt32 is refused on its line instead of wrapping
+// through NewBuilder (4294967301 used to load a 5-node graph, 2147483648
+// to fail on the first edge against a negative node count).
+func TestReadEdgeListRejectsNodeCountPastInt32(t *testing.T) {
+	for _, in := range []string{"4294967301\n0 1\n", "2147483648\n0 1\n"} {
+		_, err := ReadEdgeList(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 1:") {
+			t.Errorf("ReadEdgeList(%q) error %v, want a line-1 node-count error", in, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewBuilder accepted a node count past math.MaxInt32")
+		}
+	}()
+	n := int64(math.MaxInt32) + 1
+	NewBuilder(int(n))
 }
 
 func TestReadEdgeListSkipsComments(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -41,6 +42,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			n, err := strconv.Atoi(f[0])
 			if err != nil || n < 0 || len(f) != 1 {
 				return fmt.Errorf("expected node count, got %q", strings.Join(f, " "))
+			}
+			if n > math.MaxInt32 {
+				return fmt.Errorf("node count %d exceeds the int32 node ids", n)
 			}
 			b = NewBuilder(n)
 			return nil

@@ -17,11 +17,11 @@ package partition
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"credist/internal/actionlog"
 	"credist/internal/core"
 	"credist/internal/graph"
+	"credist/internal/par"
 )
 
 // Range is a half-open influencer-row range [Lo, Hi).
@@ -183,18 +183,12 @@ func StatsOf(parts []*core.Engine) []Stats {
 func Append(parts []*core.Engine, g *graph.Graph, log *actionlog.Log, from actionlog.ActionID) ([]*core.Engine, error) {
 	next := make([]*core.Engine, len(parts))
 	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *core.Engine) {
-			defer wg.Done()
-			var err error
-			if next[i], err = p.AppendActions(g, log, from); err != nil {
-				errs[i] = fmt.Errorf("rows %v: %w", rangeOf(p), err)
-			}
-		}(i, p)
-	}
-	wg.Wait()
+	par.For(len(parts), len(parts), func(_, i int) {
+		var err error
+		if next[i], err = parts[i].AppendActions(g, log, from); err != nil {
+			errs[i] = fmt.Errorf("rows %v: %w", rangeOf(parts[i]), err)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"credist/internal/graph"
+	"credist/internal/par"
 )
 
 // DefaultStripe is the fixed stripe width of parallel collection: stripe i
@@ -71,10 +69,10 @@ type stripeSpan struct {
 
 // fillStripes returns a fresh arena of count samples whose first
 // len(offs)-1 samples are copied from (offs, nodes) and the rest drawn,
-// one fresh PCG stream and one fresh walker per stripe. Stripes are
-// claimed atomically by a worker pool; each worker appends its stripes'
-// samples to its own buffer, and the buffers are then concatenated in
-// stripe order, so scheduling cannot reorder anything. The arena is
+// one fresh PCG stream and one fresh walker per stripe. Stripes fan over
+// par.For; each worker appends its stripes' samples to its own buffer,
+// and the buffers are then concatenated in stripe order, so scheduling
+// cannot reorder anything. The arena is
 // allocated once at its exact size; the input arrays are only read.
 func fillStripes(src Source, seed uint64, offs []int32, nodes []graph.NodeID, count, workers int) ([]int32, []graph.NodeID) {
 	from := len(offs) - 1
@@ -83,15 +81,12 @@ func fillStripes(src Source, seed uint64, offs []int32, nodes []graph.NodeID, co
 	}
 	first, last := from/DefaultStripe, (count-1)/DefaultStripe
 	stripes := last - first + 1
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, stripes)
 	goffs := make([]int32, count+1) // new samples first hold their lengths
 	copy(goffs, offs)
 	spans := make([]stripeSpan, stripes)
-	bufs := make([][]graph.NodeID, workers)
-	draw := func(w, stripe int) {
+	bufs := make([][]graph.NodeID, par.Workers(stripes, workers))
+	par.For(stripes, workers, func(w, i int) {
+		stripe := first + i
 		rng := rand.New(rand.NewPCG(seed, pcgStreamBase+uint64(stripe)))
 		walker := src.NewWalker()
 		buf := bufs[w]
@@ -109,32 +104,9 @@ func fillStripes(src Source, seed uint64, offs []int32, nodes []graph.NodeID, co
 			buf = walker(rng, buf)
 			goffs[j+1] = int32(len(buf) - end)
 		}
-		spans[stripe-first] = stripeSpan{worker: w, lo: start, hi: len(buf)}
+		spans[i] = stripeSpan{worker: w, lo: start, hi: len(buf)}
 		bufs[w] = buf
-	}
-	if workers <= 1 {
-		for s := first; s <= last; s++ {
-			draw(0, s)
-		}
-	} else {
-		var next atomic.Int64
-		next.Store(int64(first))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1) - 1)
-					if s > last {
-						return
-					}
-					draw(w, s)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	total := int64(offs[from])
 	for _, sp := range spans {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -293,5 +294,158 @@ func TestApproxDeterministicAcrossServers(t *testing.T) {
 				t.Fatalf("%s differs across servers: %v vs %v", key, body[key], ref[key])
 			}
 		}
+	}
+}
+
+// saveSketchModel saves the demo dataset and a model carrying a persisted
+// RR sketch of pool samples into dir, returning a Source template that
+// serves the model file.
+func saveSketchModel(t *testing.T, dir string, pool int) serve.Source {
+	t.Helper()
+	graphPath, logPath := saveDemoDataset(t, dir)
+	model := credist.Learn(demoDataset(), credist.Options{Lambda: 0.001})
+	if err := model.BuildApproxSketch(pool); err != nil {
+		t.Fatalf("BuildApproxSketch: %v", err)
+	}
+	modelPath := filepath.Join(dir, "model-ris.bin")
+	if err := model.Save(modelPath); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	return serve.Source{GraphPath: graphPath, LogPath: logPath, ModelPath: modelPath}
+}
+
+// TestApproxFromModelFileHTTP serves a model file saved with a persisted
+// sketch: the eps=0.1 interval holds the exact answer at the target
+// precision, the budgeted and seed-selection intervals are valid, the
+// restored pool answers every query with zero sampling, and a restarted
+// server answers the same bits.
+func TestApproxFromModelFileHTTP(t *testing.T) {
+	const pool = 50000
+	src := saveSketchModel(t, t.TempDir(), pool)
+	build := func() http.Handler {
+		t.Helper()
+		snap, err := serve.Build(src)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		return serve.New(snap).Handler()
+	}
+	valid := func(name string, r serve.ApproxBody) {
+		t.Helper()
+		if r.CILow > r.Estimate || r.Estimate > r.CIHigh || r.Samples <= 0 || r.Elapsed < 0 {
+			t.Fatalf("%s: malformed interval %+v", name, r)
+		}
+	}
+	h := build()
+	var exact serve.SpreadResponse
+	getJSON(t, h, "GET", "/spread?seeds=1,2,3", "", &exact)
+	var eps, budget serve.ApproxSpreadResponse
+	getJSON(t, h, "GET", "/spread?seeds=1,2,3&eps=0.1", "", &eps)
+	valid("eps=0.1", eps.ApproxBody)
+	if eps.CILow > exact.Spread || exact.Spread > eps.CIHigh {
+		t.Fatalf("exact spread %g outside the eps=0.1 interval %+v", exact.Spread, eps.ApproxBody)
+	}
+	if eps.AchievedEps == nil || *eps.AchievedEps > 0.1 {
+		t.Fatalf("eps=0.1 achieved %v", eps.AchievedEps)
+	}
+	getJSON(t, h, "GET", "/spread?seeds=1,2,3&budget=10ms", "", &budget)
+	valid("budget=10ms", budget.ApproxBody)
+	var seeds serve.ApproxSeedsResponse
+	getJSON(t, h, "GET", "/seeds?k=5&eps=0.1", "", &seeds)
+	valid("/seeds?k=5&eps=0.1", seeds.ApproxBody)
+	if len(seeds.Seeds) != 5 {
+		t.Fatalf("/seeds?k=5&eps=0.1 returned %v", seeds.Seeds)
+	}
+	var stats serve.StatsResponse
+	getJSON(t, h, "GET", "/stats", "", &stats)
+	if stats.ApproxSamples < pool || stats.ApproxBytes <= 0 || stats.ApproxSampled != 0 {
+		t.Fatalf("restored pool stats: samples %d, bytes %d, sampled %d; want >= %d samples and zero sampling",
+			stats.ApproxSamples, stats.ApproxBytes, stats.ApproxSampled, pool)
+	}
+	if stats.ApproxSpreadRequests != 2 || stats.ApproxSeedsRequests != 1 {
+		t.Fatalf("approx counters: spread %d, seeds %d; want 2 and 1", stats.ApproxSpreadRequests, stats.ApproxSeedsRequests)
+	}
+
+	// Restart: the sketch rides the snapshot, so a fresh server answers
+	// the same query bit-identically, again with zero sampling.
+	h2 := build()
+	var again serve.ApproxSpreadResponse
+	getJSON(t, h2, "GET", "/spread?seeds=1,2,3&eps=0.1", "", &again)
+	again.Elapsed = eps.Elapsed
+	if !reflect.DeepEqual(again.ApproxBody, eps.ApproxBody) {
+		t.Fatalf("restarted server answered %+v, first server %+v", again.ApproxBody, eps.ApproxBody)
+	}
+	getJSON(t, h2, "GET", "/stats", "", &stats)
+	if stats.ApproxSamples < pool || stats.ApproxSampled != 0 {
+		t.Fatalf("restarted server stats: samples %d, sampled %d", stats.ApproxSamples, stats.ApproxSampled)
+	}
+}
+
+// TestApproxPartitionedMatchesOneEngine pins that the partitioned tier is
+// the one-engine growth loop capped at the restored pool: whenever a
+// one-engine snapshot over the same model file answers without drawing a
+// sample, four partitions answer the same bits.
+func TestApproxPartitionedMatchesOneEngine(t *testing.T) {
+	src := saveSketchModel(t, t.TempDir(), 20000)
+	partSrc := src
+	partSrc.Partitions = 4
+	parted, err := serve.Build(partSrc)
+	if err != nil || parted.PartitionErr() != nil {
+		t.Fatalf("partitioned Build: %v %v", err, parted.PartitionErr())
+	}
+	compared := 0
+	for _, q := range []struct {
+		seeds []credist.NodeID
+		k     int
+		eps   float64
+	}{
+		{seeds: []credist.NodeID{1, 2, 3}, eps: 0.5},
+		{seeds: []credist.NodeID{1, 2, 3}, eps: 0.1},
+		{seeds: []credist.NodeID{40, 80, 120, 160}, eps: 0.2},
+		{seeds: []credist.NodeID{7}, eps: 0.01},
+		{k: 3, eps: 0.5},
+		{k: 5, eps: 0.05},
+	} {
+		// A fresh one-engine snapshot per query keeps its pool at the
+		// restored size, as the partitioned one's stays.
+		one, err := serve.Build(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := credist.ApproxOptions{Eps: q.eps}
+		var want, got credist.ApproxResult
+		var wantSeeds, gotSeeds []credist.NodeID
+		if q.k > 0 {
+			wantSeeds, want, err = one.ApproxSeeds(q.k, opts)
+			if err == nil {
+				gotSeeds, got, err = parted.ApproxSeeds(q.k, opts)
+			}
+		} else {
+			want, err = one.ApproxSpread(q.seeds, opts)
+			if err == nil {
+				got, err = parted.ApproxSpread(q.seeds, opts)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		if got.Grown != 0 {
+			t.Fatalf("%+v: partitioned query drew %d samples", q, got.Grown)
+		}
+		if want.Grown != 0 {
+			t.Logf("%+v: one engine drew %d samples", q, want.Grown)
+			continue
+		}
+		compared++
+		want.Elapsed, got.Elapsed = 0, 0
+		if want != got || !reflect.DeepEqual(wantSeeds, gotSeeds) {
+			t.Fatalf("%+v: partitioned %v %+v, one engine %v %+v", q, gotSeeds, got, wantSeeds, want)
+		}
+	}
+	if compared < 3 {
+		t.Fatalf("only %d queries answered from the restored pool on one engine", compared)
+	}
+	if st := parted.ApproxStats(); st.Sampled != 0 {
+		t.Fatalf("partitioned tier sampled %d sets", st.Sampled)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -25,6 +24,7 @@ import (
 
 	"credist"
 	"credist/internal/actionlog"
+	"credist/internal/par"
 	"credist/internal/seedsel"
 )
 
@@ -52,10 +52,10 @@ type Source struct {
 	// Mmap serves the frozen UC base directly out of the ModelPath file
 	// through a read-only memory mapping instead of reading the file into
 	// a heap buffer: the open copies no cells, and the OS pages shards in
-	// and out on demand. Requires
-	// ModelPath naming a version-3 snapshot (re-save older files to
-	// upgrade). Queries are bit-identical to a heap load, and nothing
-	// writes the mapping: ingest scans its tail onto the heap.
+	// and out on demand. Requires ModelPath naming a version-3 to
+	// version-6 snapshot (re-save older files to upgrade). Queries are
+	// bit-identical to a heap load, and nothing writes the mapping:
+	// ingest scans its tail onto the heap.
 	Mmap bool `json:"mmap,omitempty"`
 	// TailPath appends an action-log tail file (as written by `datagen
 	// -stream`) to the dataset's log before the model binds to it. With
@@ -79,7 +79,7 @@ type Source struct {
 	// Mmap is set — on every start after.
 	Partitions int `json:"partitions,omitempty"`
 	// SlicePaths serves directly from explicitly named snapshot-slice
-	// files (as written by Model.WriteSnapshotSlice or a partitioned POST
+	// files (as written by Planner.SaveSlices or a partitioned POST
 	// /snapshot), bypassing the full model file entirely. The slices must
 	// tile the user universe exactly; overlaps and gaps are rejected
 	// naming the offending row ranges.
@@ -298,32 +298,21 @@ func (b *backend) spread(seeds []credist.NodeID, o *credist.Objective) (float64,
 	return b.model.SpreadObj(seeds, o)
 }
 
-// approxSpread and approxSeeds grow the live sample pool on one engine.
-// Partitioned, they answer from the fixed pool the whole-model snapshot
-// persisted: the RR tier samples over the full user universe, which no
-// partition holds, so it cannot draw a single new sample; precision is
-// whatever the pool affords, reported honestly in achieved_eps, and a
-// model with no persisted sketch answers 501.
-func (b *backend) approxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
-	if !b.partitioned {
-		return b.model.ApproxSpread(seeds, opts)
+// approxOptions bounds an approximate query. One engine grows the live
+// sample pool. Partitioned, the query is capped at the fixed pool the
+// whole-model snapshot persisted: the RR tier samples over the full user
+// universe, which no partition holds, so it cannot draw a single new
+// sample; precision is whatever the pool affords, reported honestly in
+// achieved_eps, and a model with no persisted sketch answers 501.
+func (b *backend) approxOptions(opts credist.ApproxOptions) (credist.ApproxOptions, error) {
+	if b.partitioned {
+		n := b.model.ApproxStats().Samples
+		if n == 0 {
+			return opts, errApproxPartitioned
+		}
+		opts.MaxSamples = n
 	}
-	res, ok, err := b.model.ApproxSpreadFixed(seeds)
-	if err == nil && !ok {
-		err = errApproxPartitioned
-	}
-	return res, err
-}
-
-func (b *backend) approxSeeds(k int, opts credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error) {
-	if !b.partitioned {
-		return b.model.ApproxSeeds(k, opts)
-	}
-	seeds, res, ok, err := b.model.ApproxSeedsFixed(k)
-	if err == nil && !ok {
-		err = errApproxPartitioned
-	}
-	return seeds, res, err
+	return opts, nil
 }
 
 // extend derives the backend serving model, the receiver's model after an
@@ -664,7 +653,11 @@ func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOpti
 	if err := sn.partitionGate(); err != nil {
 		return credist.ApproxResult{}, err
 	}
-	return sn.be.approxSpread(seeds, opts)
+	opts, err := sn.be.approxOptions(opts)
+	if err != nil {
+		return credist.ApproxResult{}, err
+	}
+	return sn.model.ApproxSpread(seeds, opts)
 }
 
 // ApproxSeeds runs RR maximum-coverage seed selection with a confidence
@@ -674,7 +667,11 @@ func (sn *Snapshot) ApproxSeeds(k int, opts credist.ApproxOptions) ([]credist.No
 	if err := sn.partitionGate(); err != nil {
 		return nil, credist.ApproxResult{}, err
 	}
-	return sn.be.approxSeeds(k, opts)
+	opts, err := sn.be.approxOptions(opts)
+	if err != nil {
+		return nil, credist.ApproxResult{}, err
+	}
+	return sn.model.ApproxSeeds(k, opts)
 }
 
 // ApproxStats reports the RR tier's sample pool. On a partitioned
@@ -700,7 +697,7 @@ func (sn *Snapshot) SpreadBatch(sets [][]credist.NodeID) ([]float64, error) {
 	}
 	out := make([]float64, len(sets))
 	errs := make([]error, len(sets))
-	forEach(len(sets), func(i int) { out[i], errs[i] = sn.Spread(sets[i]) })
+	par.For(len(sets), 0, func(_, i int) { out[i], errs[i] = sn.Spread(sets[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -888,37 +885,6 @@ func (sn *Snapshot) TopK(method string, k int) ([]credist.NodeID, float64, error
 		return nil, 0, err
 	}
 	return seeds, spread, nil
-}
-
-// forEach runs fn(0..n-1) over up to GOMAXPROCS goroutines. Results are
-// written by index, so parallelism never reorders a batch.
-func forEach(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Registry hands out the current snapshot and swaps in replacements

@@ -572,9 +572,17 @@ func (m *Model) SaveOn(path string, p *Planner, prefix *SeedPrefix) error {
 // (this model's parameters over the planner's log), or a restart would
 // serve seeds the restored model never chose.
 func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error {
-	eng, err := m.snapshotEngine(p)
-	if err != nil {
-		return err
+	var eng *core.Engine
+	if p == nil {
+		eng = m.base()
+	} else {
+		if err := m.checkPlanner(p, "snapshot", true); err != nil {
+			return err
+		}
+		if p.partitioned() {
+			return fmt.Errorf("credist: cannot write a partitioned planner as one snapshot; save its slices")
+		}
+		eng = p.parts[0]
 	}
 	// The RR sketch rides along whenever the approximate tier holds one:
 	// it is derived over exactly the model's log, and the lineage written
@@ -582,22 +590,6 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 	// always consistent with the snapshot (the version stays 3 without
 	// one, keeping sketchless files byte-identical).
 	return eng.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch())
-}
-
-// snapshotEngine returns the engine a snapshot of p writes: the model's
-// base scan for nil, else p's one full engine after checkPlanner. A
-// partitioned planner is checkpointed slice by slice (SaveSlices).
-func (m *Model) snapshotEngine(p *Planner) (*core.Engine, error) {
-	if p == nil {
-		return m.base(), nil
-	}
-	if err := m.checkPlanner(p, "snapshot", true); err != nil {
-		return nil, err
-	}
-	if p.partitioned() {
-		return nil, fmt.Errorf("credist: cannot write a partitioned planner as one snapshot; save its slices")
-	}
-	return p.parts[0], nil
 }
 
 // IsModelSnapshot reports whether data (at least the first 8 bytes of a
@@ -646,15 +638,16 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 	return newModel(ds, opts, credit), nil
 }
 
-// LoadModelMapped restores a model from a version-3 binary snapshot with
-// the frozen UC base served directly from the memory-mapped file: no cell
-// is parsed, no shard allocated, and the OS pages cold shards in and out
-// on demand, so the model can exceed RAM and opening is near-instant
-// regardless of model size. Everything else matches LoadModel's snapshot
-// path — lineage check, stored-options authority, tail append for a grown
-// log (the tail is scanned onto the heap; the base stays mapped) — and
-// every query is bit-identical to the heap-loaded model. Text parameter
-// files and pre-v3 snapshots are rejected; re-save with Save to upgrade.
+// LoadModelMapped restores a model from a binary snapshot of version 3
+// to 6 with the frozen UC base served directly from the memory-mapped
+// file: no cell is parsed, no shard allocated, and the OS pages cold
+// shards in and out on demand, so the model can exceed RAM and opening is
+// near-instant regardless of model size. Everything else matches
+// LoadModel's snapshot path — lineage check, stored-options authority,
+// tail append for a grown log (the tail is scanned onto the heap; the
+// base stays mapped) — and every query is bit-identical to the
+// heap-loaded model. Text parameter files and pre-v3 snapshots are
+// rejected; re-save with Save to upgrade.
 //
 // The caller owns the mapping's lifetime: Close the model only after all
 // planners derived from it are gone and its queries have returned.
@@ -662,63 +655,126 @@ func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
 	return loadSnapshotModel(ds, path, true, opts)
 }
 
-// loadSnapshotModel opens a binary snapshot, heap-read or mapped, and
-// binds it to ds. A mapped model keeps the file open until Close.
+// loadSnapshotModel opens one whole-model snapshot, heap-read or mapped,
+// and binds it to ds. A mapped model keeps the file open until Close.
 func loadSnapshotModel(ds *Dataset, path string, mmap bool, opts Options) (*Model, error) {
-	f, err := core.OpenSnapshot(path, mmap)
+	m, parts, files, err := openSnapshots(ds, []string{path}, mmap, opts)
 	if err != nil {
 		return nil, err
 	}
-	m, err := bindSnapshotModel(ds, f, opts)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
+	// The delta accounting is kept, so callers (and /stats) see how much
+	// of the engine came from the post-snapshot tail.
+	eng := parts[0]
+	m.base = func() *core.Engine { return eng }
 	if mmap {
-		m.file = f
+		m.file = files[0]
 	}
 	return m, nil
 }
 
-// bindSnapshotModel finishes a snapshot load regardless of backend:
-// lineage check, options resolution, and the tail append for a log that
-// has grown past the snapshot's scanned prefix.
-func bindSnapshotModel(ds *Dataset, f *core.SnapshotFile, opts Options) (*Model, error) {
-	eng, lin, prefix, sketch := f.Engine, f.Lineage, f.Prefix, f.Sketch
-	if err := lin.Check(ds.Graph, ds.Log); err != nil {
-		return nil, err
+// openSnapshots is the one snapshot bind behind LoadModel,
+// LoadModelMapped and LoadPartitions. It opens paths — one whole model,
+// or the slices of one — heap-read or mapped, and binds them to ds as one
+// model. Every file must pass the lineage check; the learned parameters
+// must cover the graph; the stored options must match opts (the zero
+// Options adopts them); and every file must agree with the first on the
+// actions covered, the options, the parameters and the seed prefix. When
+// the log has grown past the files' scan, every engine appends the
+// unscanned tail. It returns the model, its engines tiled by row range,
+// and the mapped files (nil for heap opens), which must stay open while
+// the engines serve.
+func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, []*core.Engine, []*core.SnapshotFile, error) {
+	var mapped []*core.SnapshotFile
+	// fail closes what was mapped and names the offending file (i >= 0).
+	fail := func(i int, err error) (*Model, []*core.Engine, []*core.SnapshotFile, error) {
+		for _, f := range mapped {
+			f.Close()
+		}
+		if i >= 0 && len(paths) > 1 {
+			err = fmt.Errorf("partition %d (%s): %w", i, paths[i], err)
+		} else if i >= 0 {
+			err = fmt.Errorf("snapshot %s: %w", paths[i], err)
+		}
+		return nil, nil, nil, fmt.Errorf("credist: %w", err)
 	}
-	credit := eng.CreditModel()
-	// The graph hash matched, so a snapshot learned on this graph covers
+	files := make([]*core.SnapshotFile, len(paths))
+	for i, path := range paths {
+		f, err := core.OpenSnapshot(path, mmap)
+		if err != nil {
+			return fail(i, err)
+		}
+		if mmap {
+			mapped = append(mapped, f)
+		}
+		files[i] = f
+		if err := f.Lineage.Check(ds.Graph, ds.Log); err != nil {
+			return fail(i, err)
+		}
+	}
+	first := files[0]
+	// The graph hash matched, so parameters learned on this graph cover
 	// every node; a crafted file that passed its CRC but shrank the
 	// parameter table must still be refused before Gamma can index past it.
+	credit := first.Engine.CreditModel()
 	if ta, ok := credit.(*core.TimeAwareCredit); ok && ta.UniverseSize() < ds.Graph.NumNodes() {
-		return nil, fmt.Errorf("credist: snapshot parameters cover %d users, graph has %d nodes", ta.UniverseSize(), ds.Graph.NumNodes())
+		return fail(0, fmt.Errorf("parameters cover %d users, graph has %d nodes", ta.UniverseSize(), ds.Graph.NumNodes()))
 	}
-	_, simple := credit.(core.SimpleCredit)
-	stored := Options{Lambda: eng.Lambda(), SimpleCredit: simple}
+	stored := storedOptions(first.Engine)
 	if opts != (Options{}) && opts != stored {
-		return nil, fmt.Errorf("credist: snapshot was saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts)
+		return fail(-1, fmt.Errorf("snapshot was saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts))
 	}
-	if ds.Log.NumActions() > lin.NumActions {
+	// Slices of one checkpoint agree on all of these; any difference means
+	// they were written from different models or checkpoints.
+	for i := 1; i < len(files); i++ {
+		f := files[i]
 		var err error
-		if eng, err = eng.AppendActions(ds.Graph, ds.Log, ActionID(lin.NumActions)); err != nil {
-			return nil, err
+		switch ta, _ := f.Engine.CreditModel().(*core.TimeAwareCredit); {
+		case f.Lineage.NumActions != first.Lineage.NumActions:
+			err = fmt.Errorf("covers %d actions, %s covers %d", f.Lineage.NumActions, paths[0], first.Lineage.NumActions)
+		case storedOptions(f.Engine) != stored:
+			err = fmt.Errorf("was saved with options %+v, %s with %+v", storedOptions(f.Engine), paths[0], stored)
+		case ta != nil && !ta.Equal(credit.(*core.TimeAwareCredit)):
+			err = fmt.Errorf("holds different learned credit parameters than %s; the slices come from different models", paths[0])
+		case !samePrefix(f.Prefix, first.Prefix):
+			err = fmt.Errorf("stores a different seed prefix than %s; the slices come from different checkpoints", paths[0])
 		}
-		// The stored seed prefix was selected over the snapshot's log
-		// prefix; appended actions change every marginal gain, so it no
-		// longer describes this model and is dropped. The RR sketch falls
-		// for the same reason: its walks sampled the old log's DAGs.
-		prefix = nil
-		sketch = nil
+		if err != nil {
+			return fail(i, err)
+		}
 	}
-	// The delta accounting is kept, so callers (and /stats) see how much
-	// of the engine came from the post-snapshot tail.
-	m := newModel(ds, stored, credit)
-	m.base = func() *core.Engine { return eng }
+	engines := make([]*core.Engine, len(files))
+	prefix, sketch := first.Prefix, first.Sketch
+	for i, f := range files {
+		engines[i] = f.Engine
+		if ds.Log.NumActions() > first.Lineage.NumActions {
+			var err error
+			if engines[i], err = f.Engine.AppendActions(ds.Graph, ds.Log, ActionID(first.Lineage.NumActions)); err != nil {
+				return fail(i, err)
+			}
+			// The stored seed prefix was selected over the files' log
+			// prefix; appended actions change every marginal gain, so it
+			// no longer describes this model. The RR sketch falls for the
+			// same reason: its walks sampled the old log's DAGs.
+			prefix, sketch = nil, nil
+		}
+	}
+	parts, err := partition.Tile(engines)
+	if err != nil {
+		return fail(-1, err)
+	}
+	// Each file decodes its own copy of the parameters; the model adopts
+	// the copy of the first partition, the one checkPlanner compares
+	// against, whatever order the paths came in.
+	m := newModel(ds, stored, parts[0].CreditModel())
 	m.prefix = prefix
 	if err := m.restoreApprox(sketch); err != nil {
-		return nil, err
+		return fail(-1, err)
 	}
-	return m, nil
+	return m, parts, mapped, nil
+}
+
+// storedOptions returns the options a snapshot engine was saved with.
+func storedOptions(e *core.Engine) Options {
+	_, simple := e.CreditModel().(core.SimpleCredit)
+	return Options{Lambda: e.Lambda(), SimpleCredit: simple}
 }

@@ -3,12 +3,10 @@ package credist
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"credist/internal/celf"
 	"credist/internal/core"
+	"credist/internal/par"
 	"credist/internal/seedsel"
 )
 
@@ -191,45 +189,10 @@ func gainsOn(pr *core.Probe, workers int, blocked, base, candidates []NodeID, co
 		}
 	}
 	out := make([]float64, len(candidates))
-	fanGains(workers, len(candidates), func(i int) {
+	par.For(len(candidates), workers, func(_, i int) {
 		out[i] = pr.Gain(candidates[i], cobj)
 	})
 	return out
-}
-
-// fanGains prices n candidates over the engine's worker knob (0 means
-// GOMAXPROCS, matching the scan and the CELF fan-out). Probe.Gain is
-// read-only, and every result is written by index from an independent
-// evaluation, so the floats are identical at every worker count.
-func fanGains(workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // GainsObjOn is GainsObj evaluated over a caller-supplied scanned planner

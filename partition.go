@@ -56,23 +56,6 @@ func (p *Planner) Partition(n int) (*Planner, error) {
 	return newPlanner(parts...), nil
 }
 
-// WriteSnapshotSlice streams the influencer rows in [lo, hi) of the
-// model's scanned engine (or of p, under WriteSnapshot's planner rules) as
-// a version-4 snapshot slice. A contiguous set of slices tiling
-// [0, NumUsers) reassembles the model exactly; LoadPartitions validates
-// the tiling at load. The prefix rides in every slice, as in WriteSnapshot.
-func (m *Model) WriteSnapshotSlice(w io.Writer, p *Planner, prefix *SeedPrefix, lo, hi int) error {
-	eng, err := m.snapshotEngine(p)
-	if err != nil {
-		return err
-	}
-	part, err := eng.Slice(lo, hi)
-	if err != nil {
-		return err
-	}
-	return part.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, nil)
-}
-
 // LoadPartitions restores a partitioned model from snapshot-slice files:
 // each slice is loaded (memory-mapped when mmap is set), lineage-checked
 // against the dataset, and the set is validated to tile the user universe
@@ -89,93 +72,10 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("credist: no slice paths")
 	}
-	var files []*core.SnapshotFile
-	closeMapped := func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}
-	engines := make([]*core.Engine, len(paths))
-	lineages := make([]core.Lineage, len(paths))
-	prefixes := make([]*SeedPrefix, len(paths))
-	for i, path := range paths {
-		f, err := core.OpenSnapshot(path, mmap)
-		if err == nil {
-			if mmap {
-				files = append(files, f)
-			}
-			engines[i], lineages[i], prefixes[i] = f.Engine, f.Lineage, f.Prefix
-			err = lineages[i].Check(ds.Graph, ds.Log)
-		}
-		if err == nil && lineages[i].NumActions != lineages[0].NumActions {
-			err = fmt.Errorf("slice covers %d actions, slice 0 (%s) covers %d",
-				lineages[i].NumActions, paths[0], lineages[0].NumActions)
-		}
-		if err != nil {
-			closeMapped()
-			return nil, nil, fmt.Errorf("credist: partition %d (%s): %w", i, path, err)
-		}
-	}
-
-	credit := engines[0].CreditModel()
-	if ta, ok := credit.(*core.TimeAwareCredit); ok && ta.UniverseSize() < ds.Graph.NumNodes() {
-		closeMapped()
-		return nil, nil, fmt.Errorf("credist: slice parameters cover %d users, graph has %d nodes", ta.UniverseSize(), ds.Graph.NumNodes())
-	}
-	_, simple := credit.(core.SimpleCredit)
-	stored := Options{Lambda: engines[0].Lambda(), SimpleCredit: simple}
-	if opts != (Options{}) && opts != stored {
-		closeMapped()
-		return nil, nil, fmt.Errorf("credist: slices were saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts)
-	}
-	for i, eng := range engines[1:] {
-		_, si := eng.CreditModel().(core.SimpleCredit)
-		if eng.Lambda() != stored.Lambda || si != simple {
-			closeMapped()
-			return nil, nil, fmt.Errorf("credist: partition %d (%s) was saved with options {Lambda:%g SimpleCredit:%t}, slice 0 with %+v",
-				i+1, paths[i+1], eng.Lambda(), si, stored)
-		}
-		// Slices of one model carry bitwise-equal learned parameters; any
-		// difference means they were checkpointed from different models.
-		if ta, ok := eng.CreditModel().(*core.TimeAwareCredit); ok && !ta.Equal(credit.(*core.TimeAwareCredit)) {
-			closeMapped()
-			return nil, nil, fmt.Errorf("credist: partition %d (%s) holds different learned credit parameters than slice 0 (%s); the slices come from different models",
-				i+1, paths[i+1], paths[0])
-		}
-	}
-
-	// Every slice of one save carries the same prefix; a disagreement means
-	// the files come from different checkpoints and must not be mixed.
-	prefix := prefixes[0]
-	for i, pfx := range prefixes[1:] {
-		if !samePrefix(prefix, pfx) {
-			closeMapped()
-			return nil, nil, fmt.Errorf("credist: partition %d (%s) stores a different seed prefix than slice 0 (%s); the slices come from different checkpoints",
-				i+1, paths[i+1], paths[0])
-		}
-	}
-	if ds.Log.NumActions() > lineages[0].NumActions {
-		for i, eng := range engines {
-			var err error
-			if engines[i], err = eng.AppendActions(ds.Graph, ds.Log, ActionID(lineages[0].NumActions)); err != nil {
-				closeMapped()
-				return nil, nil, fmt.Errorf("credist: partition %d (%s): %w", i, paths[i], err)
-			}
-		}
-		// Selected over the slices' log prefix; appended actions change
-		// every marginal gain, so it no longer describes this model.
-		prefix = nil
-	}
-	parts, err := partition.Tile(engines)
+	m, parts, files, err := openSnapshots(ds, paths, mmap, opts)
 	if err != nil {
-		closeMapped()
 		return nil, nil, err
 	}
-	// Each slice decodes its own copy of the parameters; the model adopts
-	// the copy of the planner's first partition, the one checkPlanner
-	// compares against, whatever order the paths came in.
-	m := newModel(ds, stored, parts[0].CreditModel())
-	m.prefix = prefix
 	p := newPlanner(parts...)
 	p.files = files
 	return m, p, nil
@@ -204,14 +104,12 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		ranges := partition.SplitRanges(ds.Graph.NumNodes(), n)
-		for i, r := range ranges {
-			err := writeFileAtomic(paths[i], func(w io.Writer) error {
-				return conv.WriteSnapshotSlice(w, nil, conv.prefix, r.Lo, r.Hi)
-			})
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("credist: write slice %s: %w", paths[i], err)
-			}
+		pp, err := conv.NewPlanner().Partition(n)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if err := pp.SaveSlices(conv, conv.prefix, paths); err != nil {
+			return nil, nil, nil, err
 		}
 		// conv (and its full heap engine) is dropped here; the model served
 		// from is rebuilt from the slices so nothing retains the full copy.

@@ -66,7 +66,8 @@ func TestPartitionedPlannerRefusedUnderOtherCreditRule(t *testing.T) {
 
 // TestPartitionedPlannerWritesSlicesOnly: a partitioned planner holds no
 // full engine, so whole-model snapshots of it are refused with a pointer
-// to SaveSlices instead of writing one partition's rows as the model.
+// to SaveSlices instead of writing one partition's rows as the model, and
+// it cannot be split again into slices of its partitions.
 func TestPartitionedPlannerWritesSlicesOnly(t *testing.T) {
 	m := Learn(Generate(tinyConfig(32)), Options{Lambda: 0.001})
 	pp, err := m.NewPlanner().Partition(2)
@@ -76,8 +77,8 @@ func TestPartitionedPlannerWritesSlicesOnly(t *testing.T) {
 	if err := m.WriteSnapshot(io.Discard, pp, nil); err == nil || !strings.Contains(err.Error(), "slices") {
 		t.Errorf("WriteSnapshot of a partitioned planner = %v, want a refusal naming slices", err)
 	}
-	if err := m.WriteSnapshotSlice(io.Discard, pp, nil, 0, 10); err == nil {
-		t.Error("WriteSnapshotSlice of a partitioned planner accepted")
+	if _, err := pp.Partition(2); err == nil || !strings.Contains(err.Error(), "partition engine") {
+		t.Errorf("Partition of a partitioned planner = %v, want a refusal", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package credist
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -72,13 +73,17 @@ func TestSnapshotRefusesCommittedSeeds(t *testing.T) {
 	if err := m.WriteSnapshot(&buf, p, nil); err == nil || !strings.Contains(err.Error(), "committed seeds") {
 		t.Errorf("WriteSnapshot: err = %v", err)
 	}
-	if err := m.WriteSnapshotSlice(&buf, p, nil, 0, 10); err == nil || !strings.Contains(err.Error(), "committed seeds") {
-		t.Errorf("WriteSnapshotSlice: err = %v", err)
-	}
 	if buf.Len() != 0 {
 		t.Errorf("refused writes left %d bytes", buf.Len())
 	}
 	path := filepath.Join(t.TempDir(), "model.bin")
+	slices := SlicePaths(path, 1)
+	if err := p.SaveSlices(m, nil, slices); err == nil || !strings.Contains(err.Error(), "committed seeds") {
+		t.Errorf("SaveSlices: err = %v", err)
+	}
+	if _, err := os.Stat(slices[0]); err == nil {
+		t.Errorf("refused SaveSlices wrote %s", slices[0])
+	}
 	if err := m.SaveOn(path, p, nil); err == nil || !strings.Contains(err.Error(), "committed seeds") {
 		t.Errorf("SaveOn: err = %v", err)
 	}
