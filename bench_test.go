@@ -209,9 +209,9 @@ func BenchmarkAblationCELFvsGreedy(b *testing.B) {
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	for i := 0; i < b.N; i++ {
 		eng1 := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-		celf := seedsel.CELF(core.NewProbeEstimator(nil, eng1), 10)
+		celf := seedsel.CELF(core.NewProbe(eng1).Estimator(nil), 10)
 		eng2 := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-		greedy := seedsel.Greedy(core.NewProbeEstimator(nil, eng2), 10)
+		greedy := seedsel.Greedy(core.NewProbe(eng2).Estimator(nil), 10)
 		b.ReportMetric(float64(celf.Lookups), "celf-lookups")
 		b.ReportMetric(float64(greedy.Lookups), "greedy-lookups")
 	}
@@ -225,11 +225,11 @@ func BenchmarkAblationDirectCredit(b *testing.B) {
 	scorer := core.NewEvaluator(env.Graph, env.Train, ta)
 	for i := 0; i < b.N; i++ {
 		simple := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001})
-		sRes := seedsel.CELF(core.NewProbeEstimator(nil, simple), 10)
+		sRes := seedsel.CELF(core.NewProbe(simple).Estimator(nil), 10)
 		timeAware := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: ta})
-		tRes := seedsel.CELF(core.NewProbeEstimator(nil, timeAware), 10)
-		b.ReportMetric(scorer.Spread(sRes.Seeds), "simple-spread")
-		b.ReportMetric(scorer.Spread(tRes.Seeds), "timeaware-spread")
+		tRes := seedsel.CELF(core.NewProbe(timeAware).Estimator(nil), 10)
+		b.ReportMetric(scorer.Spread(sRes.Seeds, nil), "simple-spread")
+		b.ReportMetric(scorer.Spread(tRes.Seeds, nil), "timeaware-spread")
 		b.ReportMetric(float64(simple.Entries()), "simple-entries")
 		b.ReportMetric(float64(timeAware.Entries()), "timeaware-entries")
 	}
@@ -250,9 +250,10 @@ func BenchmarkEngineGain(b *testing.B) {
 	env := benchFlixsterEnv()
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	engine := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
+	pr := core.NewProbe(engine)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Gain(NodeID(i % env.Graph.NumNodes()))
+		pr.Gain(NodeID(i%env.Graph.NumNodes()), nil)
 	}
 }
 
@@ -275,13 +276,13 @@ func BenchmarkEvaluatorSpread(b *testing.B) {
 	b.Run("plain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ev.Spread(sets[i%len(sets)])
+			ev.Spread(sets[i%len(sets)], nil)
 		}
 	})
 	b.Run("audience", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ev.SpreadObj(sets[i%len(sets)], audience)
+			ev.Spread(sets[i%len(sets)], audience)
 		}
 	})
 }
@@ -360,9 +361,9 @@ func BenchmarkAblationRISvsCD(b *testing.B) {
 		col := ris.Collect(ris.NewSampler(emW, cascade.IC), 30000, 1)
 		risSeeds, _ := col.SelectSeeds(10)
 		cd := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-		cdRes := seedsel.CELF(core.NewProbeEstimator(nil, cd), 10)
-		b.ReportMetric(scorer.Spread(risSeeds), "ris-cdspread")
-		b.ReportMetric(scorer.Spread(cdRes.Seeds), "cd-cdspread")
+		cdRes := seedsel.CELF(core.NewProbe(cd).Estimator(nil), 10)
+		b.ReportMetric(scorer.Spread(risSeeds, nil), "ris-cdspread")
+		b.ReportMetric(scorer.Spread(cdRes.Seeds, nil), "cd-cdspread")
 		b.ReportMetric(col.EstimateSpread(risSeeds), "ris-icspread")
 		b.ReportMetric(col.EstimateSpread(cdRes.Seeds), "cd-icspread")
 	}
@@ -752,7 +753,7 @@ func BenchmarkCELFParallel(b *testing.B) {
 	base := core.NewEngine(full.Graph, full.Log, core.Options{Lambda: 0.001, Credit: credit})
 
 	run := func(b *testing.B, k, workers int) celf.Result {
-		res := celf.Run(core.NewProbeEstimator(nil, base), k, celf.Options{Workers: workers})
+		res := celf.Run(core.NewProbe(base).Estimator(nil), k, celf.Options{Workers: workers})
 		if len(res.Seeds) != k {
 			b.Fatalf("selected %d seeds, want %d", len(res.Seeds), k)
 		}
@@ -805,7 +806,6 @@ func BenchmarkPartitionedSpread(b *testing.B) {
 	full := datagen.Generate(cfg)
 	ds := &Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}
 	base := Learn(ds, Options{Lambda: 0.001}).NewPlanner()
-	base.Compact()
 	numUsers := full.Graph.NumNodes()
 	var seeds []NodeID
 	for i := 0; i < 32; i++ {
@@ -903,7 +903,6 @@ func TestWritePartitionBenchJSON(t *testing.T) {
 	full := datagen.Generate(cfg)
 	ds := &Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}
 	base := Learn(ds, Options{Lambda: 0.001}).NewPlanner()
-	base.Compact()
 	numUsers := full.Graph.NumNodes()
 	var seeds []NodeID
 	for i := 0; i < 32; i++ {
@@ -979,9 +978,10 @@ func BenchmarkUCFlixsterSmall(b *testing.B) {
 	full := datagen.Generate(cfg)
 	credit := core.LearnTimeAware(full.Graph, full.Log)
 	engine := core.NewEngine(full.Graph, full.Log, core.Options{Lambda: 0.001, Credit: credit})
+	pr := core.NewProbe(engine)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Gain(NodeID(i % full.Graph.NumNodes()))
+		pr.Gain(NodeID(i%full.Graph.NumNodes()), nil)
 	}
 	// Reported after the loop: ResetTimer deletes metrics reported before it.
 	b.ReportMetric(float64(engine.Entries()), "entries")

@@ -21,7 +21,7 @@ func runIngest(args []string) {
 	var (
 		addr    = fs.String("addr", "http://127.0.0.1:8632", "base URL of the running credist serve instance")
 		tail    = fs.String("tail", "", "action-tail file to stream (as written by `datagen -stream`); parsed locally and sent inline")
-		compact = fs.Bool("compact", false, "fold the accumulated delta into the base after the append")
+		compact = fs.Bool("compact", false, "reset the server's delta counts after the append (the server keeps them; the model's shards are not touched)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `Usage: credist ingest [flags]

@@ -184,7 +184,6 @@ func TestModelIngestMatchesRelearnFreeReference(t *testing.T) {
 
 	model := Learn(headDS, Options{Lambda: 0.001})
 	base := model.NewPlanner()
-	base.Compact()
 
 	grown, err := model.Ingest(tail)
 	if err != nil {
@@ -222,8 +221,8 @@ func TestModelIngestMatchesRelearnFreeReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtendPlanner: %v", err)
 	}
-	if planner.NumActions() != n || planner.DeltaActions() != n-headN {
-		t.Fatalf("planner covers %d actions (%d delta)", planner.NumActions(), planner.DeltaActions())
+	if planner.NumActions() != n {
+		t.Fatalf("planner covers %d actions, want %d", planner.NumActions(), n)
 	}
 	fresh := grown.NewPlanner()
 	for _, s := range seeds {
@@ -295,10 +294,10 @@ func TestModelSnapshotSaveLoadBitIdentical(t *testing.T) {
 		if loaded.Options() != opts {
 			t.Fatalf("loaded options %+v, want %+v", loaded.Options(), opts)
 		}
-		// The loaded planner's delta is exactly the appended tail.
-		if p := loaded.NewPlanner(); p.NumActions() != n || p.DeltaActions() != n-headN {
-			t.Fatalf("loaded planner covers %d actions (%d delta), want %d (%d)",
-				p.NumActions(), p.DeltaActions(), n, n-headN)
+		// The load scanned exactly the appended tail past the file.
+		if p := loaded.NewPlanner(); p.NumActions() != n || loaded.OpenTailActions() != n-headN {
+			t.Fatalf("loaded planner covers %d actions (%d scanned on open), want %d (%d)",
+				p.NumActions(), loaded.OpenTailActions(), n, n-headN)
 		}
 
 		seeds, gains := ref.SelectSeeds(4)
@@ -485,9 +484,9 @@ func TestLoadModelMappedBitIdentical(t *testing.T) {
 	}
 
 	p := mapped.NewPlanner()
-	if p.NumActions() != n || p.DeltaActions() != n-headN {
-		t.Fatalf("mapped planner covers %d actions (%d delta), want %d (%d)",
-			p.NumActions(), p.DeltaActions(), n, n-headN)
+	if p.NumActions() != n || mapped.OpenTailActions() != n-headN {
+		t.Fatalf("mapped planner covers %d actions (%d scanned on open), want %d (%d)",
+			p.NumActions(), mapped.OpenTailActions(), n, n-headN)
 	}
 	if p.RowStoreBackend() == "mmap" {
 		if p.MappedBytes() == 0 {

@@ -51,8 +51,8 @@ func main() {
 	// Cross-score: each seed set under both objectives.
 	cdScorer := core.NewEvaluator(ds.Graph, ds.Log, core.LearnTimeAware(ds.Graph, ds.Log))
 	fmt.Printf("%-12s %14s %14s\n", "", "CD spread", "IC-RIS spread")
-	fmt.Printf("%-12s %14.1f %14.1f\n", "CD seeds", cdScorer.Spread(cdSeeds), col.EstimateSpread(cdSeeds))
-	fmt.Printf("%-12s %14.1f %14.1f\n\n", "RIS seeds", cdScorer.Spread(risSeeds), col.EstimateSpread(risSeeds))
+	fmt.Printf("%-12s %14.1f %14.1f\n", "CD seeds", cdScorer.Spread(cdSeeds, nil), col.EstimateSpread(cdSeeds))
+	fmt.Printf("%-12s %14.1f %14.1f\n\n", "RIS seeds", cdScorer.Spread(risSeeds, nil), col.EstimateSpread(risSeeds))
 
 	overlap := 0
 	in := make(map[credist.NodeID]bool, k)

@@ -173,12 +173,12 @@ func toInts(seeds []graph.NodeID) []int {
 // bit — seeds, gains, and prefix spreads — on the real CD engine.
 func TestUnitCostsBitIdenticalToDefault(t *testing.T) {
 	base := freshEngine(t, true)
-	classic := celf.Run(core.NewProbeEstimator(nil, base), 15, celf.Options{})
+	classic := celf.Run(core.NewProbe(base).Estimator(nil), 15, celf.Options{})
 	unit := make([]float64, base.NumNodes())
 	for i := range unit {
 		unit[i] = 1
 	}
-	costed := celf.Run(core.NewProbeEstimator(nil, base), 15, celf.Options{Costs: unit})
+	costed := celf.Run(core.NewProbe(base).Estimator(nil), 15, celf.Options{Costs: unit})
 	requireSameSelection(t, "unit costs", classic, costed)
 }
 
@@ -187,8 +187,8 @@ func TestUnitCostsBitIdenticalToDefault(t *testing.T) {
 // selection's prefix.
 func TestBudgetAsSeedCountCap(t *testing.T) {
 	base := freshEngine(t, true)
-	free := celf.Run(core.NewProbeEstimator(nil, base), 10, celf.Options{})
-	capped := celf.Run(core.NewProbeEstimator(nil, base), 10, celf.Options{Budget: 3})
+	free := celf.Run(core.NewProbe(base).Estimator(nil), 10, celf.Options{})
+	capped := celf.Run(core.NewProbe(base).Estimator(nil), 10, celf.Options{Budget: 3})
 	if len(capped.Seeds) != 3 {
 		t.Fatalf("budget 3 over unit costs selected %d seeds", len(capped.Seeds))
 	}
@@ -206,10 +206,10 @@ func TestBudgetAsSeedCountCap(t *testing.T) {
 // selection, at any worker count, bit-identically.
 func TestBlockedNodesNeverSelected(t *testing.T) {
 	base := freshEngine(t, true)
-	rival := celf.Run(core.NewProbeEstimator(nil, base), 3, celf.Options{}).Seeds
+	rival := celf.Run(core.NewProbe(base).Estimator(nil), 3, celf.Options{}).Seeds
 
 	runBlocked := func(workers int) celf.Result {
-		eng := core.NewProbeEstimator(nil, base)
+		eng := core.NewProbe(base).Estimator(nil)
 		for _, x := range rival {
 			eng.Add(x)
 		}
@@ -245,7 +245,7 @@ func TestBudgetedSelectionDeterministicAcrossWorkers(t *testing.T) {
 	opts := func(workers int) celf.Options {
 		return celf.Options{Workers: workers, Costs: costs, Budget: 12}
 	}
-	serial := celf.Run(core.NewProbeEstimator(nil, base), 30, opts(1))
+	serial := celf.Run(core.NewProbe(base).Estimator(nil), 30, opts(1))
 	if len(serial.Seeds) == 0 {
 		t.Fatal("budgeted run selected nothing")
 	}
@@ -257,7 +257,7 @@ func TestBudgetedSelectionDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("selection spends %g over budget 12", spent)
 	}
 	for _, workers := range []int{runtime.GOMAXPROCS(0), 4, 13} {
-		parallel := celf.Run(core.NewProbeEstimator(nil, base), 30, opts(workers))
+		parallel := celf.Run(core.NewProbe(base).Estimator(nil), 30, opts(workers))
 		requireSameSelection(t, "budgeted", serial, parallel)
 	}
 }

@@ -68,12 +68,12 @@ func TestParallelCELFDeterministicCD(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			base := freshEngine(t, simple)
-			serial := celf.Run(core.NewProbeEstimator(nil, base), 25, celf.Options{Workers: 1})
+			serial := celf.Run(core.NewProbe(base).Estimator(nil), 25, celf.Options{Workers: 1})
 			if len(serial.Seeds) != 25 {
 				t.Fatalf("serial run selected %d seeds, want 25", len(serial.Seeds))
 			}
 			for _, workers := range []int{runtime.GOMAXPROCS(0), 4, 13} {
-				parallel := celf.Run(core.NewProbeEstimator(nil, base), 25, celf.Options{Workers: workers})
+				parallel := celf.Run(core.NewProbe(base).Estimator(nil), 25, celf.Options{Workers: workers})
 				requireSameSelection(t, name, serial, parallel)
 			}
 		})
@@ -139,7 +139,7 @@ func TestParallelCELFActuallyFaster(t *testing.T) {
 		best := time.Duration(1<<62 - 1)
 		for i := 0; i < 2; i++ {
 			start := time.Now()
-			if res := celf.Run(core.NewProbeEstimator(nil, base), k, celf.Options{Workers: workers}); len(res.Seeds) != k {
+			if res := celf.Run(core.NewProbe(base).Estimator(nil), k, celf.Options{Workers: workers}); len(res.Seeds) != k {
 				t.Fatalf("selected %d seeds, want %d", len(res.Seeds), k)
 			}
 			if d := time.Since(start); d < best {
@@ -161,9 +161,9 @@ func TestParallelCELFActuallyFaster(t *testing.T) {
 // over the CD engine equals plain greedy, seed for seed, bit for bit.
 func TestCELFMatchesGreedyOnEngine(t *testing.T) {
 	base := freshEngine(t, false)
-	greedy := seedsel.Greedy(core.NewProbeEstimator(nil, base), 10)
+	greedy := seedsel.Greedy(core.NewProbe(base).Estimator(nil), 10)
 	for _, workers := range []int{1, 4} {
-		lazy := celf.Run(core.NewProbeEstimator(nil, base), 10, celf.Options{Workers: workers})
+		lazy := celf.Run(core.NewProbe(base).Estimator(nil), 10, celf.Options{Workers: workers})
 		requireSameSelection(t, "greedy-vs-celf", greedy, lazy)
 		if lazy.Lookups >= greedy.Lookups {
 			t.Fatalf("workers=%d: CELF lookups %d not below greedy %d", workers, lazy.Lookups, greedy.Lookups)
@@ -176,9 +176,9 @@ func TestCELFMatchesGreedyOnEngine(t *testing.T) {
 // work, and the grown selection equals a one-shot run at the larger k.
 func TestSelectionGrowIsPrefixIncremental(t *testing.T) {
 	base := freshEngine(t, false)
-	oneShot := celf.Run(core.NewProbeEstimator(nil, base), 20, celf.Options{Workers: 2})
+	oneShot := celf.Run(core.NewProbe(base).Estimator(nil), 20, celf.Options{Workers: 2})
 
-	sel := celf.NewSelection(core.NewProbeEstimator(nil, base), celf.Options{Workers: 2})
+	sel := celf.NewSelection(core.NewProbe(base).Estimator(nil), celf.Options{Workers: 2})
 	first := sel.Grow(8)
 	if len(first.Seeds) != 8 || sel.Len() != 8 {
 		t.Fatalf("Grow(8) committed %d seeds", sel.Len())
@@ -215,14 +215,14 @@ func TestSelectionGrowIsPrefixIncremental(t *testing.T) {
 // produces the same seeds and gains as the continuous 15-seed run.
 func TestResumeContinuationBitIdentical(t *testing.T) {
 	base := freshEngine(t, false)
-	continuous := celf.Run(core.NewProbeEstimator(nil, base), 15, celf.Options{Workers: 2})
+	continuous := celf.Run(core.NewProbe(base).Estimator(nil), 15, celf.Options{Workers: 2})
 
 	prefix := celf.Prefix{
 		Seeds:     continuous.Seeds[:7],
 		Gains:     continuous.Gains[:7],
 		LookupsAt: continuous.LookupsAt[:7],
 	}
-	sel, err := celf.Resume(core.NewProbeEstimator(nil, base), prefix, celf.Options{Workers: 2})
+	sel, err := celf.Resume(core.NewProbe(base).Estimator(nil), prefix, celf.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestResumeContinuationBitIdentical(t *testing.T) {
 
 // TestResumeRejectsBadPrefixes covers the validation of restored input.
 func TestResumeRejectsBadPrefixes(t *testing.T) {
-	mk := func() *core.ProbeEstimator { return core.NewProbeEstimator(nil, freshEngine(t, true)) }
+	mk := func() *core.ProbeEstimator { return core.NewProbe(freshEngine(t, true)).Estimator(nil) }
 	cases := map[string]celf.Prefix{
 		"length mismatch":   {Seeds: []graph.NodeID{1, 2}, Gains: []float64{1}, LookupsAt: []int64{1, 2}},
 		"out of range":      {Seeds: []graph.NodeID{100000}, Gains: []float64{1}, LookupsAt: []int64{1}},
@@ -259,7 +259,7 @@ func inf() float64 { z := 0.0; return 1 / z }
 func TestCandidatePoolRestriction(t *testing.T) {
 	base := freshEngine(t, true)
 	pool := []graph.NodeID{5, 9, 17, 40, 77}
-	res := celf.Run(core.NewProbeEstimator(nil, base), 3, celf.Options{Candidates: pool, Workers: 2})
+	res := celf.Run(core.NewProbe(base).Estimator(nil), 3, celf.Options{Candidates: pool, Workers: 2})
 	allowed := map[graph.NodeID]bool{}
 	for _, x := range pool {
 		allowed[x] = true
@@ -277,7 +277,7 @@ func TestCandidatePoolRestriction(t *testing.T) {
 // TestExhaustion: a pool smaller than k runs dry and says so.
 func TestExhaustion(t *testing.T) {
 	base := freshEngine(t, true)
-	sel := celf.NewSelection(core.NewProbeEstimator(nil, base), celf.Options{Candidates: []graph.NodeID{1, 2}})
+	sel := celf.NewSelection(core.NewProbe(base).Estimator(nil), celf.Options{Candidates: []graph.NodeID{1, 2}})
 	res := sel.Grow(10)
 	if len(res.Seeds) != 2 || !sel.Exhausted() {
 		t.Fatalf("Grow(10) over 2 candidates: %d seeds, exhausted=%v", len(res.Seeds), sel.Exhausted())

@@ -236,7 +236,7 @@ func TestEngineWithTimeAwareMatchesEvaluator(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g, log := randomInstance(rng, 15, 6)
 		credit := LearnTimeAware(g, log)
-		e := NewProbeEstimator(nil, NewEngine(g, log, Options{Credit: credit}))
+		e := NewProbe(NewEngine(g, log, Options{Credit: credit})).Estimator(nil)
 		ev := NewEvaluator(g, log, credit)
 		var seeds []graph.NodeID
 		for round := 0; round < 3; round++ {
@@ -245,7 +245,7 @@ func TestEngineWithTimeAwareMatchesEvaluator(t *testing.T) {
 				if contains(seeds, c) {
 					continue
 				}
-				want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), c)) - ev.Spread(seeds)
+				want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), c), nil) - ev.Spread(seeds, nil)
 				if got := e.Gain(c); math.Abs(got-want) > 1e-6 {
 					t.Fatalf("trial %d: Gain(%d)=%g want %g", trial, c, got, want)
 				}
@@ -303,7 +303,7 @@ func TestTimeAwareIORoundTrip(t *testing.T) {
 	ev1 := NewEvaluator(g, log, credit)
 	ev2 := NewEvaluator(g, log, back)
 	seeds := []graph.NodeID{0, 3, 7}
-	if a, b := ev1.Spread(seeds), ev2.Spread(seeds); math.Abs(a-b) > 1e-9 {
+	if a, b := ev1.Spread(seeds, nil), ev2.Spread(seeds, nil); math.Abs(a-b) > 1e-9 {
 		t.Fatalf("restored model spread %g != %g", b, a)
 	}
 }

@@ -70,9 +70,9 @@ func TestCreditWalkUnbiased(t *testing.T) {
 	for _, seeds := range [][]graph.NodeID{
 		{0, 1, 2},
 		{5, 11, 23, 31},
-		seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, Options{Lambda: 0.001, Credit: credit})), 3).Seeds,
+		seedsel.CELF(NewProbe(NewEngine(g, log, Options{Lambda: 0.001, Credit: credit})).Estimator(nil), 3).Seeds,
 	} {
-		exact := ev.Spread(seeds)
+		exact := ev.Spread(seeds, nil)
 		inS := make(map[graph.NodeID]bool, len(seeds))
 		for _, s := range seeds {
 			inS[s] = true
@@ -135,7 +135,7 @@ func TestCreditWalkDeterministic(t *testing.T) {
 // byte-identical version-3 (older readers keep working on it).
 func TestSnapshotSketchRoundTrip(t *testing.T) {
 	g, log, e, lin := snapshotInstance(t, 91, 50, 30)
-	sel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
+	sel := seedsel.CELF(NewProbe(e).Estimator(nil), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	src, err := NewEvaluator(g, log, e.CreditModel()).CreditWalks()
 	if err != nil {

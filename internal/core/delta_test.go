@@ -37,18 +37,15 @@ func TestAppendActionsBitIdenticalToRescan(t *testing.T) {
 		if inc.NumActions() != log.NumActions() {
 			t.Fatalf("trial %d: NumActions %d, want %d", trial, inc.NumActions(), log.NumActions())
 		}
-		if inc.DeltaActions() != log.NumActions()-headN {
-			t.Fatalf("trial %d: DeltaActions %d, want %d", trial, inc.DeltaActions(), log.NumActions()-headN)
-		}
 		for u := 0; u < g.NumNodes(); u++ {
-			gf, gi := full.Gain(graph.NodeID(u)), inc.Gain(graph.NodeID(u))
+			gf, gi := NewProbe(full).Gain(graph.NodeID(u), nil), NewProbe(inc).Gain(graph.NodeID(u), nil)
 			if gf != gi {
 				t.Fatalf("trial %d: Gain(%d) not bit-identical: %b vs %b", trial, u, gf, gi)
 			}
 		}
 
-		rf := seedsel.CELF(NewProbeEstimator(nil, full), 8)
-		ri := seedsel.CELF(NewProbeEstimator(nil, inc), 8)
+		rf := seedsel.CELF(NewProbe(full).Estimator(nil), 8)
+		ri := seedsel.CELF(NewProbe(inc).Estimator(nil), 8)
 		if len(rf.Seeds) != len(ri.Seeds) {
 			t.Fatalf("trial %d: CELF lengths %d vs %d", trial, len(rf.Seeds), len(ri.Seeds))
 		}
@@ -66,7 +63,7 @@ func TestAppendActionsBitIdenticalToRescan(t *testing.T) {
 			t.Fatalf("trial %d: Extend: %v", trial, err)
 		}
 		evFull := NewEvaluator(g, log, credit)
-		if a, b := evFull.Spread(rf.Seeds), evInc.Spread(rf.Seeds); a != b {
+		if a, b := evFull.Spread(rf.Seeds, nil), evInc.Spread(rf.Seeds, nil); a != b {
 			t.Fatalf("trial %d: Spread not bit-identical: %b vs %b", trial, a, b)
 		}
 	}
@@ -92,7 +89,7 @@ func TestAppendActionsParallelDeterministic(t *testing.T) {
 		t.Fatalf("entries %d vs %d", serial.Entries(), parallel.Entries())
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		if gs, gp := serial.Gain(graph.NodeID(u)), parallel.Gain(graph.NodeID(u)); gs != gp {
+		if gs, gp := NewProbe(serial).Gain(graph.NodeID(u), nil), NewProbe(parallel).Gain(graph.NodeID(u), nil); gs != gp {
 			t.Fatalf("Gain(%d): %b vs %b", u, gs, gp)
 		}
 	}
@@ -119,7 +116,7 @@ func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 	}
 	baseline := make([]float64, g.NumNodes())
 	for u := range baseline {
-		baseline[u] = base.Gain(graph.NodeID(u))
+		baseline[u] = NewProbe(base).Gain(graph.NodeID(u), nil)
 	}
 	baseEntries := base.Entries()
 
@@ -129,8 +126,8 @@ func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 	}
 	// Selection on the successor reads both shared base shards and the
 	// successor's own delta shards.
-	sel := seedsel.CELF(NewProbeEstimator(nil, succ), 6)
-	ref := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, opts)), 6)
+	sel := seedsel.CELF(NewProbe(succ).Estimator(nil), 6)
+	ref := seedsel.CELF(NewProbe(NewEngine(g, log, opts)).Estimator(nil), 6)
 	for i := range ref.Seeds {
 		if sel.Seeds[i] != ref.Seeds[i] || sel.Gains[i] != ref.Gains[i] {
 			t.Fatalf("successor CELF diverged at %d: (%d, %b) vs (%d, %b)",
@@ -146,7 +143,7 @@ func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 		t.Fatalf("base action count changed: %d", base.NumActions())
 	}
 	for u := range baseline {
-		if got := base.Gain(graph.NodeID(u)); got != baseline[u] {
+		if got := NewProbe(base).Gain(graph.NodeID(u), nil); got != baseline[u] {
 			t.Fatalf("base Gain(%d) changed: %b -> %b", u, baseline[u], got)
 		}
 		if !slices.Equal(base.actionsOf[u], actionsOf[u]) || int(base.au[u]) != len(actionsOf[u]) {
@@ -190,55 +187,8 @@ func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 		if !slices.Equal(succA.actionsOf[u], wantA.actionsOf[u]) {
 			t.Fatalf("successor A's actions of %d = %v after appending B, rescan has %v", u, succA.actionsOf[u], wantA.actionsOf[u])
 		}
-		if got, want := succA.Gain(graph.NodeID(u)), wantA.Gain(graph.NodeID(u)); got != want {
+		if got, want := NewProbe(succA).Gain(graph.NodeID(u), nil), NewProbe(wantA).Gain(graph.NodeID(u), nil); got != want {
 			t.Fatalf("successor A's Gain(%d) = %b after appending B, rescan gives %b", u, got, want)
-		}
-	}
-}
-
-// TestCompactFoldsDelta: Compact returns a successor with the delta
-// counters reset, sharing every shard, and never changes a result bit.
-func TestCompactFoldsDelta(t *testing.T) {
-	rng := rand.New(rand.NewPCG(74, 1))
-	g, log := randomInstance(rng, 40, 24)
-	credit := LearnTimeAware(g, log)
-	opts := Options{Lambda: 0.001, Credit: credit}
-	headN := 20
-	head := log.Prefix(headN)
-	e, err := NewEngine(g, head, opts).Compact().AppendActions(g, log, actionlog.ActionID(headN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.DeltaActions() != log.NumActions()-headN || e.DeltaEntries() <= 0 {
-		t.Fatalf("delta = %d actions / %d entries before compact", e.DeltaActions(), e.DeltaEntries())
-	}
-	before := make([]float64, g.NumNodes())
-	for u := range before {
-		before[u] = e.Gain(graph.NodeID(u))
-	}
-	resident := e.ResidentBytes()
-	appended := e
-	e = e.Compact()
-	if appended.DeltaActions() != log.NumActions()-headN {
-		t.Fatalf("Compact changed the receiver's delta: %d actions", appended.DeltaActions())
-	}
-	if e.DeltaActions() != 0 || e.DeltaEntries() != 0 {
-		t.Fatalf("delta = %d actions / %d entries after compact", e.DeltaActions(), e.DeltaEntries())
-	}
-	if e.Entries() == 0 || e.ResidentBytes() > resident {
-		t.Fatalf("compact grew residency: %d -> %d", resident, e.ResidentBytes())
-	}
-	for u := range before {
-		if got := e.Gain(graph.NodeID(u)); got != before[u] {
-			t.Fatalf("Gain(%d) changed across Compact: %b -> %b", u, before[u], got)
-		}
-	}
-	// The compacted engine shares every shard yet selects identically.
-	a := seedsel.CELF(NewProbeEstimator(nil, e), 5)
-	b := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, opts)), 5)
-	for i := range b.Seeds {
-		if a.Seeds[i] != b.Seeds[i] || a.Gains[i] != b.Gains[i] {
-			t.Fatalf("post-compact CELF diverged at %d", i)
 		}
 	}
 }
@@ -274,7 +224,7 @@ func TestAppendActionsRegistersUnseenUsers(t *testing.T) {
 	}
 	full := NewEngine(g, combined, Options{})
 	for u := 0; u < 6; u++ {
-		if gf, gi := full.Gain(graph.NodeID(u)), inc.Gain(graph.NodeID(u)); gf != gi {
+		if gf, gi := NewProbe(full).Gain(graph.NodeID(u), nil), NewProbe(inc).Gain(graph.NodeID(u), nil); gf != gi {
 			t.Fatalf("Gain(%d): %b vs %b", u, gf, gi)
 		}
 	}

@@ -22,7 +22,7 @@ func TestEngineEmptyLog(t *testing.T) {
 	if e.Entries() != 0 {
 		t.Fatalf("entries = %d", e.Entries())
 	}
-	if got := e.Gain(0); got != 0 {
+	if got := NewProbe(e).Gain(0, nil); got != 0 {
 		t.Fatalf("gain on empty log = %g", got)
 	}
 	NewProbe(e).Commit(0, nil) // must not panic
@@ -34,10 +34,10 @@ func TestEngineEmptyLog(t *testing.T) {
 func TestEvaluatorEmptyLog(t *testing.T) {
 	g, log := emptyInstance(t)
 	ev := NewEvaluator(g, log, nil)
-	if got := ev.Spread([]graph.NodeID{0, 1}); got != 0 {
+	if got := ev.Spread([]graph.NodeID{0, 1}, nil); got != 0 {
 		t.Fatalf("spread on empty log = %g", got)
 	}
-	if got := ev.Spread(nil); got != 0 {
+	if got := ev.Spread(nil, nil); got != 0 {
 		t.Fatalf("spread of empty set = %g", got)
 	}
 }
@@ -45,8 +45,8 @@ func TestEvaluatorEmptyLog(t *testing.T) {
 func TestEvaluatorDuplicateSeeds(t *testing.T) {
 	g, log := figure1(t)
 	ev := NewEvaluator(g, log, nil)
-	once := ev.Spread([]graph.NodeID{nodeV})
-	twice := ev.Spread([]graph.NodeID{nodeV, nodeV, nodeV})
+	once := ev.Spread([]graph.NodeID{nodeV}, nil)
+	twice := ev.Spread([]graph.NodeID{nodeV, nodeV, nodeV}, nil)
 	if once != twice {
 		t.Fatalf("duplicates changed spread: %g vs %g", once, twice)
 	}
@@ -62,14 +62,14 @@ func TestSingleUserAction(t *testing.T) {
 	_ = lb.Add(0, 0, 5)
 	log := lb.Build()
 	e := NewEngine(g, log, Options{})
-	if got := e.Gain(0); !almostEqual(got, 1) {
+	if got := NewProbe(e).Gain(0, nil); !almostEqual(got, 1) {
 		t.Fatalf("lone actor gain = %g, want 1", got)
 	}
-	if got := e.Gain(1); got != 0 {
+	if got := NewProbe(e).Gain(1, nil); got != 0 {
 		t.Fatalf("bystander gain = %g, want 0", got)
 	}
 	ev := NewEvaluator(g, log, nil)
-	if got := ev.Spread([]graph.NodeID{0}); !almostEqual(got, 1) {
+	if got := ev.Spread([]graph.NodeID{0}, nil); !almostEqual(got, 1) {
 		t.Fatalf("lone actor spread = %g", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestEngineLambdaDropsEverything(t *testing.T) {
 		t.Fatalf("entries = %d with lambda above max credit", e.Entries())
 	}
 	// Gains reduce to self-credit only.
-	if got := e.Gain(nodeV); !almostEqual(got, 1) {
+	if got := NewProbe(e).Gain(nodeV, nil); !almostEqual(got, 1) {
 		t.Fatalf("gain = %g, want pure self credit 1", got)
 	}
 }
@@ -119,8 +119,8 @@ func TestEvaluatorSeedWithNoActions(t *testing.T) {
 	log2 := lb.Build()
 	ev := NewEvaluator(g2, log2, nil)
 	// An inactive seed contributes nothing (kappa undefined -> 0).
-	withInactive := ev.Spread([]graph.NodeID{nodeV, 6})
-	without := ev.Spread([]graph.NodeID{nodeV})
+	withInactive := ev.Spread([]graph.NodeID{nodeV, 6}, nil)
+	without := ev.Spread([]graph.NodeID{nodeV}, nil)
 	if withInactive != without {
 		t.Fatalf("inactive seed changed spread: %g vs %g", withInactive, without)
 	}

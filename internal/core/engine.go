@@ -11,8 +11,8 @@ import (
 // Engine is the scanned credit structure behind the CD-model greedy
 // algorithm. Construction performs the one-time Scan of the action log
 // (Algorithm 2), building for every action the total-credit structure UC
-// where UC[v][u][a] = Gamma_{v,u}(a); Gain then evaluates Theorem 3 in
-// time linear in the touched credit entries (Algorithm 4).
+// where UC[v][u][a] = Gamma_{v,u}(a); a Probe's Gain then evaluates
+// Theorem 3 in time linear in the touched credit entries (Algorithm 4).
 //
 // An Engine is immutable once built. Seeds are never committed into it:
 // a Probe (probe.go) records each committed seed's footprint and replays
@@ -27,8 +27,9 @@ import (
 //
 // Because credits never cross actions, an engine grows by scanning only
 // new actions: AppendActions returns a successor that shares every
-// already-scanned shard. The shards appended since construction or the
-// last Compact form the delta, which the engine accounts separately.
+// already-scanned shard. An engine is a shard store and nothing more:
+// gains and explanations are asked of a Probe over it, and how much of
+// it a caller appended is counted by that caller.
 type Engine struct {
 	numUsers  int
 	au        []int32   // Au: actions performed per user (training log)
@@ -43,9 +44,6 @@ type Engine struct {
 	lambda  float64
 	credit  CreditModel // the direct-credit rule the shards were scanned with
 	workers int         // raw Options.Workers, reused by AppendActions
-
-	baseActions  int   // shards [0, baseActions) form the base
-	deltaEntries int64 // entries the delta shards contributed when scanned
 
 	// A partition engine (partition.go) holds only the UC rows of
 	// influencers in [partLo, partHi) while carrying the full global
@@ -79,13 +77,12 @@ func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 	}
 	numActions := train.NumActions()
 	e := &Engine{
-		numUsers:    train.NumUsers(),
-		au:          make([]int32, train.NumUsers()),
-		actionsOf:   make([][]int32, train.NumUsers()),
-		lambda:      opts.Lambda,
-		credit:      model,
-		workers:     opts.Workers,
-		baseActions: numActions,
+		numUsers:  train.NumUsers(),
+		au:        make([]int32, train.NumUsers()),
+		actionsOf: make([][]int32, train.NumUsers()),
+		lambda:    opts.Lambda,
+		credit:    model,
+		workers:   opts.Workers,
 	}
 	for u := 0; u < train.NumUsers(); u++ {
 		e.au[u] = int32(train.ActionCount(graph.NodeID(u)))
@@ -105,11 +102,11 @@ func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 // AppendActions returns the engine extended with the tail of a combined
 // log, without re-scanning the prefix: log must contain the engine's
 // already-scanned actions as [0, from) and from must equal NumActions().
-// The tail [from, log.NumActions()) is scanned in parallel into delta
+// The tail [from, log.NumActions()) is scanned in parallel into new
 // shards, and users the engine has not seen — the log universe may have
 // grown — are registered, provided the graph covers them. The successor
 // shares every shard of the receiver, which stays valid and unchanged;
-// the per-user state (au, actionsOf) is copied. Gain, probes, and CELF
+// the per-user state (au, actionsOf) is copied. Probe gains and CELF
 // selections on the result are bit-for-bit identical to a from-scratch
 // NewEngine over the combined log with the same credit rule, because
 // every carried-over structure is per-action and Au only grows.
@@ -178,17 +175,7 @@ func (e *Engine) AppendActions(g *graph.Graph, log *actionlog.Log, from actionlo
 	copy(n.uc, e.uc)
 	copy(n.uc[from:], shards)
 	n.entries += entries
-	n.deltaEntries += entries
 	return &n, nil
-}
-
-// Compact returns the engine with its delta folded into the base: the
-// same shards, with the delta counters reset. The receiver is unchanged.
-func (e *Engine) Compact() *Engine {
-	c := *e
-	c.baseActions = len(c.uc)
-	c.deltaEntries = 0
-	return &c
 }
 
 // Credit returns UC[v][u][a] = Gamma_{v,u}(a), the scanned credit.
@@ -218,14 +205,6 @@ func (e *Engine) CreditModel() CreditModel { return e.credit }
 // Lambda returns the truncation threshold the shards were scanned with.
 func (e *Engine) Lambda() float64 { return e.lambda }
 
-// DeltaEntries returns the UC entries contributed by actions appended
-// since construction or the last Compact — the delta's size, as scanned.
-func (e *Engine) DeltaEntries() int64 { return e.deltaEntries }
-
-// DeltaActions returns how many appended actions sit outside the frozen
-// base (zero after NewEngine or Compact).
-func (e *Engine) DeltaActions() int { return len(e.uc) - e.baseActions }
-
 // NumNodes returns the user-universe size.
 func (e *Engine) NumNodes() int { return e.numUsers }
 
@@ -234,26 +213,15 @@ func (e *Engine) NumNodes() int { return e.numUsers }
 // follows the same knob as the scan.
 func (e *Engine) Workers() int { return e.workers }
 
-// Gain computes the marginal gain sigma_cd({x}) of candidate x against
-// the empty seed set via Theorem 3 (Algorithm 4):
-//
-//	sum over actions a performed by x of
-//	  1/A_x + sum_u UC[x][u][a]/A_u
-//
-// where the 1/A_x term is x's self-credit Gamma_{x,x}(a) = 1. The row
-// walk is in ascending influenced-id order, so the returned float is
-// identical across engine instances built from the same inputs. Gains
-// against committed seeds come from a Probe.
-func (e *Engine) Gain(x graph.NodeID) float64 { return e.GainObj(x, nil) }
-
-// gainSum is the Theorem 3 sum behind Gain, GainObj and Probe.Gain, the
-// one place its arithmetic lives:
+// gainSum is the Theorem 3 sum (Algorithm 4) behind Probe.Gain,
+// Probe.Commit and Probe.ExplainSeed, the one place its arithmetic lives:
 //
 //	sum over actions a performed by x of
 //	  (1 - SC[x][a]) * (f(x,a)/A_x + sum_u f(u,a) * UC[x][u][a]/A_u)
 //
 // with f the objective factor w(u)*gate(u,a), and f = 1 (the unweighted
-// walk) for the default objective. rowSC(i, a) supplies x's credit row
+// walk) for the default objective; the f(x,a)/A_x term is x's
+// self-credit Gamma_{x,x}(a) = 1. rowSC(i, a) supplies x's credit row
 // and SC[x][a] in x's i-th action a; actions are visited in log order and
 // row cells in ascending influenced-id order, so the float depends only
 // on the rows and SC values supplied.

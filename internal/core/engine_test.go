@@ -124,7 +124,7 @@ func TestFigure1Lemma2Update(t *testing.T) {
 
 func TestFigure1MarginalGainMatchesEvaluator(t *testing.T) {
 	g, log := figure1(t)
-	e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
+	e := NewProbe(NewEngine(g, log, Options{})).Estimator(nil)
 	ev := NewEvaluator(g, log, nil)
 
 	var seeds []graph.NodeID
@@ -134,7 +134,7 @@ func TestFigure1MarginalGainMatchesEvaluator(t *testing.T) {
 			if contains(seeds, cand) {
 				continue
 			}
-			want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), cand)) - ev.Spread(seeds)
+			want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), cand), nil) - ev.Spread(seeds, nil)
 			if got := e.Gain(cand); !almostEqual(got, want) {
 				t.Errorf("seeds=%v Gain(%d) = %g, want %g", seeds, cand, got, want)
 			}
@@ -183,7 +183,7 @@ func TestEngineMatchesEvaluatorOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for trial := 0; trial < 25; trial++ {
 		g, log := randomInstance(rng, 12+rng.IntN(10), 4+rng.IntN(6))
-		e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
+		e := NewProbe(NewEngine(g, log, Options{})).Estimator(nil)
 		ev := NewEvaluator(g, log, nil)
 		var seeds []graph.NodeID
 		for round := 0; round < 4; round++ {
@@ -192,7 +192,7 @@ func TestEngineMatchesEvaluatorOnRandomInstances(t *testing.T) {
 				if contains(seeds, c) {
 					continue
 				}
-				want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), c)) - ev.Spread(seeds)
+				want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), c), nil) - ev.Spread(seeds, nil)
 				got := e.Gain(c)
 				if math.Abs(got-want) > 1e-6 {
 					t.Fatalf("trial %d seeds=%v Gain(%d)=%g want %g", trial, seeds, c, got, want)
@@ -236,7 +236,7 @@ func TestEngineTruncationReducesEntriesAndSpread(t *testing.T) {
 		t.Fatalf("truncated engine has more entries: %d > %d", trunc.Entries(), exact.Entries())
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		ge, gt := exact.Gain(graph.NodeID(u)), trunc.Gain(graph.NodeID(u))
+		ge, gt := NewProbe(exact).Gain(graph.NodeID(u), nil), NewProbe(trunc).Gain(graph.NodeID(u), nil)
 		if gt > ge+1e-9 {
 			t.Fatalf("truncated gain exceeds exact for %d: %g > %g", u, gt, ge)
 		}
@@ -258,7 +258,7 @@ func TestGainZeroForInactiveUser(t *testing.T) {
 	}
 	log2 := lb.Build()
 	e := NewEngine(g2, log2, Options{})
-	if got := e.Gain(6); got != 0 {
+	if got := NewProbe(e).Gain(6, nil); got != 0 {
 		t.Fatalf("inactive user gain = %g, want 0", got)
 	}
 }
@@ -279,11 +279,11 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("lambda=%g: entries %d vs %d", lambda, serial.Entries(), parallel.Entries())
 		}
 		for u := 0; u < g.NumNodes(); u++ {
-			if gs, gp := serial.Gain(graph.NodeID(u)), parallel.Gain(graph.NodeID(u)); gs != gp {
+			if gs, gp := NewProbe(serial).Gain(graph.NodeID(u), nil), NewProbe(parallel).Gain(graph.NodeID(u), nil); gs != gp {
 				t.Fatalf("lambda=%g: Gain(%d) not bit-identical: %b vs %b", lambda, u, gs, gp)
 			}
 		}
-		ps, pp := NewProbeEstimator(nil, serial), NewProbeEstimator(nil, parallel)
+		ps, pp := NewProbe(serial).Estimator(nil), NewProbe(parallel).Estimator(nil)
 		rs := seedsel.CELF(ps, 8)
 		rp := seedsel.CELF(pp, 8)
 		for i := range rs.Seeds {
@@ -311,7 +311,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		// must score the selected set bit-identically (the union of seed
 		// actions is walked in input order, not map order).
 		ev1, ev2 := NewEvaluator(g, log, credit), NewEvaluator(g, log, credit)
-		if a, b := ev1.Spread(rs.Seeds), ev2.Spread(rs.Seeds); a != b {
+		if a, b := ev1.Spread(rs.Seeds, nil), ev2.Spread(rs.Seeds, nil); a != b {
 			t.Fatalf("lambda=%g: Spread not bit-identical: %b vs %b", lambda, a, b)
 		}
 	}
@@ -323,7 +323,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 func TestGainOfCommittedSeedIsZero(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 8))
 	g, log := randomInstance(rng, 30, 12)
-	e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
+	e := NewProbe(NewEngine(g, log, Options{})).Estimator(nil)
 	ev := NewEvaluator(g, log, nil)
 	seeds := []graph.NodeID{4, 9}
 	for _, s := range seeds {
@@ -333,7 +333,7 @@ func TestGainOfCommittedSeedIsZero(t *testing.T) {
 		if got := e.Gain(s); got != 0 {
 			t.Errorf("Gain(%d) = %g for committed seed, want 0", s, got)
 		}
-		want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), s)) - ev.Spread(seeds)
+		want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), s), nil) - ev.Spread(seeds, nil)
 		if want != 0 {
 			t.Errorf("evaluator disagrees: Spread(S+%d)-Spread(S) = %g", s, want)
 		}
@@ -423,13 +423,13 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		t.Fatalf("entries differ: serial %d parallel %d", serial.Entries(), parallel.Entries())
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		gs, gp := serial.Gain(graph.NodeID(u)), parallel.Gain(graph.NodeID(u))
+		gs, gp := NewProbe(serial).Gain(graph.NodeID(u), nil), NewProbe(parallel).Gain(graph.NodeID(u), nil)
 		if math.Abs(gs-gp) > 1e-12 {
 			t.Fatalf("Gain(%d) differs: %g vs %g", u, gs, gp)
 		}
 	}
 	// And after committing seeds.
-	ps, pp := NewProbeEstimator(nil, serial), NewProbeEstimator(nil, parallel)
+	ps, pp := NewProbe(serial).Estimator(nil), NewProbe(parallel).Estimator(nil)
 	ps.Add(3)
 	pp.Add(3)
 	for u := 0; u < g.NumNodes(); u++ {
@@ -441,9 +441,9 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 }
 
 // TestResidentBytesAccounting pins the row-store footprint accounting: the
-// heap engine's resident bytes cover at least every live cell and never
-// grow across Compact, and the mapped backend reports file-backed cells as
-// mapped, before and after a selection over it (which writes nothing).
+// heap engine's resident bytes cover at least every live cell, and the
+// mapped backend reports file-backed cells as mapped, before and after a
+// selection over it (which writes nothing).
 func TestResidentBytesAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(55, 5))
 	g, log := randomInstance(rng, 40, 20)
@@ -455,11 +455,6 @@ func TestResidentBytesAccounting(t *testing.T) {
 	// Lower bound: every live entry occupies at least its cell.
 	if rows.ResidentBytes() < n*16 {
 		t.Errorf("row engine reports %d bytes for %d entries", rows.ResidentBytes(), n)
-	}
-	before := rows.ResidentBytes()
-	rows = rows.Compact()
-	if rows.ResidentBytes() > before {
-		t.Errorf("Compact grew residency: %d -> %d", before, rows.ResidentBytes())
 	}
 
 	// Mapped backend: the same model served off a version-3 file must
@@ -486,7 +481,7 @@ func TestResidentBytesAccounting(t *testing.T) {
 		}
 		// A selection commits to a probe: nothing moves to the heap.
 		heapBefore, mappedBefore := mapped.HeapBytes(), mapped.MappedBytes()
-		seedsel.CELF(NewProbeEstimator(nil, mapped), 3)
+		seedsel.CELF(NewProbe(mapped).Estimator(nil), 3)
 		if mapped.HeapBytes() != heapBefore || mapped.MappedBytes() != mappedBefore {
 			t.Errorf("selection changed the mapped footprint: heap %d->%d mapped %d->%d",
 				heapBefore, mapped.HeapBytes(), mappedBefore, mapped.MappedBytes())

@@ -176,7 +176,7 @@ func (ev *Evaluator) Extend(g *graph.Graph, log *actionlog.Log, from actionlog.A
 	return ne, nil
 }
 
-// spreadScratch is the per-call working state Spread and SpreadObj
+// spreadScratch is the per-call working state Spread calls
 // borrow from the evaluator's pool. seedAt and seenAt are epoch-marked
 // membership over users and actions: bumping the epoch empties both in
 // O(1). val and state are indexed by participant and are all zero
@@ -253,13 +253,24 @@ func (sc *spreadScratch) mark(ev *Evaluator, seeds []graph.NodeID) int {
 	return active
 }
 
-// Spread computes sigma_cd(S) = sum_u kappa_{S,u}. Each seed with at least
-// one training action contributes exactly 1 (its own kappa); every other
-// participant u of an action some seed performed contributes
-// Gamma_{S,u}(a)/A_u, where Gamma is the forward credit DP over the
-// propagation DAG (Eq. 5 generalized to sets).
-func (ev *Evaluator) Spread(seeds []graph.NodeID) float64 {
-	return ev.SpreadObj(seeds, nil)
+// Spread computes sigma_obj(S) under obj directly from the training
+// propagations; nil (or the default objective) is sigma_cd(S) =
+// sum_u kappa_{S,u}. Each seed with at least one training action
+// contributes exactly 1 (its own kappa); every other participant u of an
+// action some seed performed contributes Gamma_{S,u}(a)/A_u, where Gamma
+// is the forward credit DP over the propagation DAG (Eq. 5 generalized to
+// sets). Under an objective every contribution is scaled by
+// w(u)*gate(u,a): a seed's unit self-credit becomes the per-action gated
+// sum (1/A_s)*sum_a gate(s,a)*w(s), and each influenced participant
+// contributes gate(u,a)*w(u)*Gamma_{S,u}(a)/A_u.
+func (ev *Evaluator) Spread(seeds []graph.NodeID, obj *Objective) float64 {
+	if obj.IsDefault() {
+		obj = nil
+	}
+	sc := ev.scratch.Get().(*spreadScratch)
+	spread := ev.spread(sc, seeds, obj)
+	ev.scratch.Put(sc)
+	return spread
 }
 
 // spread evaluates seeds on sc. obj nil is plain sigma_cd: one unit per

@@ -33,8 +33,8 @@ func randomSeedSet(rng *rand.Rand, log *actionlog.Log) []graph.NodeID {
 
 // checkEvaluatorMatchesReference is the evaluator's defining property: on
 // a random instance, under the simple or the time-aware credit rule, and
-// optionally grown by Extend from a random head of the log, Spread,
-// SpreadObj (audience, window, both, and the two halves of a blocked
+// optionally grown by Extend from a random head of the log, Spread
+// (default, audience, window, both, and the two halves of a blocked
 // query) and SetCredit are bit-identical to the map-based reference DP for
 // a stream of random seed sets answered from the evaluator's pooled
 // scratch.
@@ -58,7 +58,7 @@ func checkEvaluatorMatchesReference(t *testing.T, seed uint64, timeAware, extend
 	n := log.NumUsers()
 	for q := 0; q < 40; q++ {
 		seeds := randomSeedSet(rng, log)
-		if got, want := ev.Spread(seeds), ref.Spread(seeds); got != want {
+		if got, want := ev.Spread(seeds, nil), ref.Spread(seeds); got != want {
 			t.Fatalf("seed=%d %v: Spread = %b, reference %b", seed, seeds, got, want)
 		}
 		obj := randomObjective(rng, log, delays)
@@ -68,16 +68,16 @@ func checkEvaluatorMatchesReference(t *testing.T, seed uint64, timeAware, extend
 		case 1: // audience only
 			obj.Windowed, obj.Tau, obj.Delays = false, 0, nil
 		}
-		if got, want := ev.SpreadObj(seeds, obj), ref.SpreadObj(seeds, obj); got != want {
-			t.Fatalf("seed=%d %v %+v: SpreadObj = %b, reference %b", seed, seeds, obj, got, want)
+		if got, want := ev.Spread(seeds, obj), ref.SpreadObj(seeds, obj); got != want {
+			t.Fatalf("seed=%d %v %+v: Spread = %b, reference %b", seed, seeds, obj, got, want)
 		}
 		// A blocked query evaluates the union with the rivals and the
 		// rivals alone.
 		blocked := randomSeedSet(rng, log)
 		union := append(append([]graph.NodeID(nil), seeds...), blocked...)
 		for _, set := range [][]graph.NodeID{union, blocked} {
-			if got, want := ev.SpreadObj(set, obj), ref.SpreadObj(set, obj); got != want {
-				t.Fatalf("seed=%d blocked %v: SpreadObj = %b, reference %b", seed, set, got, want)
+			if got, want := ev.Spread(set, obj), ref.SpreadObj(set, obj); got != want {
+				t.Fatalf("seed=%d blocked %v: Spread = %b, reference %b", seed, set, got, want)
 			}
 		}
 		if log.NumActions() > 0 {
@@ -135,7 +135,7 @@ func TestEvaluatorScratchEpochWrap(t *testing.T) {
 }
 
 // TestEvaluatorSpreadZeroAllocs pins the pooled hot path: once the pool
-// holds a scratch, Spread and SpreadObj allocate nothing.
+// holds a scratch, Spread allocates nothing, with or without an objective.
 func TestEvaluatorSpreadZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -145,11 +145,11 @@ func TestEvaluatorSpreadZeroAllocs(t *testing.T) {
 	ev := NewEvaluator(g, log, nil)
 	seeds := randomSeedSet(rng, log)
 	obj := randomObjective(rng, log, BuildActionDelays(log))
-	ev.Spread(seeds)
-	if n := testing.AllocsPerRun(100, func() { ev.Spread(seeds) }); n != 0 {
+	ev.Spread(seeds, nil)
+	if n := testing.AllocsPerRun(100, func() { ev.Spread(seeds, nil) }); n != 0 {
 		t.Errorf("Spread: %v allocs per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { ev.SpreadObj(seeds, obj) }); n != 0 {
-		t.Errorf("SpreadObj: %v allocs per call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { ev.Spread(seeds, obj) }); n != 0 {
+		t.Errorf("Spread under an objective: %v allocs per call, want 0", n)
 	}
 }

@@ -38,7 +38,7 @@ func TestIngestMatchesFullScan(t *testing.T) {
 			t.Fatalf("trial %d: actions %d != %d", trial, full.NumActions(), partial.NumActions())
 		}
 		for u := 0; u < g.NumNodes(); u++ {
-			if gf, gp := full.Gain(graph.NodeID(u)), partial.Gain(graph.NodeID(u)); gf != gp {
+			if gf, gp := NewProbe(full).Gain(graph.NodeID(u), nil), NewProbe(partial).Gain(graph.NodeID(u), nil); gf != gp {
 				t.Fatalf("trial %d: Gain(%d) %b != %b", trial, u, gf, gp)
 			}
 		}
@@ -72,7 +72,7 @@ func TestIngestGrowsActionCount(t *testing.T) {
 	}
 	// Ingesting the same propagation again halves every per-action share
 	// but doubles the action count: spread gains stay finite and positive.
-	if gain := e.Gain(nodeV); gain <= 0 {
+	if gain := NewProbe(e).Gain(nodeV, nil); gain <= 0 {
 		t.Fatalf("gain after ingest = %g", gain)
 	}
 

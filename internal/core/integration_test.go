@@ -21,8 +21,8 @@ func TestCELFEqualsGreedyOnEngine(t *testing.T) {
 		g, log := randomInstance(rng, 20+rng.IntN(10), 8+rng.IntN(6))
 		k := 2 + rng.IntN(4)
 
-		celf := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, Options{})), k)
-		greedy := seedsel.Greedy(NewProbeEstimator(nil, NewEngine(g, log, Options{})), k)
+		celf := seedsel.CELF(NewProbe(NewEngine(g, log, Options{})).Estimator(nil), k)
+		greedy := seedsel.Greedy(NewProbe(NewEngine(g, log, Options{})).Estimator(nil), k)
 
 		if len(celf.Seeds) != len(greedy.Seeds) {
 			t.Fatalf("trial %d: seed counts differ: %d vs %d", trial, len(celf.Seeds), len(greedy.Seeds))
@@ -59,14 +59,14 @@ func TestGreedyApproximationOnSmallInstances(t *testing.T) {
 		best := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				sp := ev.Spread([]graph.NodeID{graph.NodeID(i), graph.NodeID(j)})
+				sp := ev.Spread([]graph.NodeID{graph.NodeID(i), graph.NodeID(j)}, nil)
 				if sp > best {
 					best = sp
 				}
 			}
 		}
-		res := seedsel.CELF(NewProbeEstimator(nil, NewEngine(g, log, Options{})), k)
-		got := ev.Spread(res.Seeds)
+		res := seedsel.CELF(NewProbe(NewEngine(g, log, Options{})).Estimator(nil), k)
+		got := ev.Spread(res.Seeds, nil)
 		if best > 0 && got < bound*best-1e-9 {
 			t.Fatalf("trial %d: greedy %g below (1-1/e)*opt = %g", trial, got, bound*best)
 		}

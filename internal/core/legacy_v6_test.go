@@ -225,8 +225,8 @@ func TestLegacyV6SnapshotAnswers(t *testing.T) {
 		e := sf.Engine
 		var got legacyAnswers
 		for u := 0; u < e.NumNodes(); u++ {
-			got.Gains = append(got.Gains, e.Gain(graph.NodeID(u)))
-			got.Seeds = append(got.Seeds, e.ExplainSeed(graph.NodeID(u), 5))
+			got.Gains = append(got.Gains, NewProbe(e).Gain(graph.NodeID(u), nil))
+			got.Seeds = append(got.Seeds, NewProbe(e).ExplainSeed(graph.NodeID(u), 5))
 		}
 		got.ReachSeeds = want.ReachSeeds
 		pr := NewProbe(e)
@@ -236,7 +236,7 @@ func TestLegacyV6SnapshotAnswers(t *testing.T) {
 		for _, seeds := range want.ReachSeeds {
 			var row, prow []ReachExplanation
 			for v := 0; v < e.NumNodes(); v++ {
-				row = append(row, e.ExplainReach(seeds, graph.NodeID(v), 5))
+				row = append(row, NewProbe(e).ExplainReach(seeds, graph.NodeID(v), 5))
 				prow = append(prow, pr.ExplainReach(seeds, graph.NodeID(v), 5))
 			}
 			got.Reach = append(got.Reach, row)

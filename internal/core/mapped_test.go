@@ -52,7 +52,7 @@ func openSnapshot(t *testing.T, path string, mmap bool) *SnapshotFile {
 // same gains — at one worker and at full fan-out alike.
 func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 41, 60, 40)
-	sel := seedsel.CELF(NewProbeEstimator(nil, e), 5)
+	sel := seedsel.CELF(NewProbe(e).Estimator(nil), 5)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	path := writeSnapshotFile(t, e, lin, prefix)
 
@@ -97,7 +97,7 @@ func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	var want celf.Result
 	for i, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		for _, eng := range []*Engine{heap, mapped} {
-			res := celf.Run(NewProbeEstimator(nil, eng), 6, celf.Options{Workers: workers})
+			res := celf.Run(NewProbe(eng).Estimator(nil), 6, celf.Options{Workers: workers})
 			if i == 0 && eng == heap {
 				want = res
 				continue
@@ -129,15 +129,15 @@ func TestMappedCommitsMatchHeap(t *testing.T) {
 	}
 
 	// Reference bits from the heap engine.
-	heapSel := seedsel.CELF(NewProbeEstimator(nil, e), 4)
+	heapSel := seedsel.CELF(NewProbe(e).Estimator(nil), 4)
 
 	before := make([]float64, mapped.NumNodes())
 	for u := range before {
-		before[u] = mapped.Gain(graph.NodeID(u))
+		before[u] = NewProbe(mapped).Gain(graph.NodeID(u), nil)
 	}
 	mappedBefore := mapped.MappedBytes()
 
-	mappedSel := seedsel.CELF(NewProbeEstimator(nil, mapped), 4)
+	mappedSel := seedsel.CELF(NewProbe(mapped).Estimator(nil), 4)
 	for i := range heapSel.Seeds {
 		if mappedSel.Seeds[i] != heapSel.Seeds[i] || mappedSel.Gains[i] != heapSel.Gains[i] {
 			t.Fatalf("seed %d: mapped (%d, %b), heap (%d, %b)",
@@ -163,7 +163,7 @@ func TestMappedCommitsMatchHeap(t *testing.T) {
 		t.Fatal("selection changed the mapped engine's footprint")
 	}
 	for u := range before {
-		if got := mapped.Gain(graph.NodeID(u)); got != before[u] {
+		if got := NewProbe(mapped).Gain(graph.NodeID(u), nil); got != before[u] {
 			t.Fatalf("Gain(%d) changed after selection: %b vs %b", u, got, before[u])
 		}
 	}
@@ -201,13 +201,6 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 		}
 	}
 
-	// Compact folds the delta and keeps the mapped base mapped. The
-	// results must not move.
-	mappedBefore := mapped.MappedBytes()
-	mapped = mapped.Compact()
-	if mapped.MappedBytes() != mappedBefore {
-		t.Fatalf("Compact changed the mapped footprint: %d -> %d", mappedBefore, mapped.MappedBytes())
-	}
 	requireEnginesBitIdentical(t, rescan, mapped, 6)
 }
 

@@ -22,7 +22,7 @@ import (
 // and for a seed s the unit self-credit becomes
 // (1/A_s) * sum_{a in A_s} gate(s,a) — gated per action, which is exactly
 // what keeps the telescoping identity sigma_obj(S) = sum of objective
-// marginal gains intact (Engine.GainObj).
+// marginal gains intact (Probe.Gain).
 //
 // Crucially the objective only reweights how credit is *valued*, never how
 // it *flows*: UC and SC updates (Lemmas 2 and 3) are untouched, credits
@@ -179,42 +179,4 @@ func (d *ActionDelays) Delay(a actionlog.ActionID, u graph.NodeID) (float64, boo
 		return 0, false
 	}
 	return d.delays[a][i], true
-}
-
-// GainObj computes the marginal objective gain sigma_obj({x}) of
-// candidate x under obj against the empty seed set: the Theorem 3
-// walk with every credit term scaled by the objective factor
-// w(u)*gate(u,a) — the self-credit term by x's own factor, each UC row
-// entry by its influenced user's. The walk order (actions in log order,
-// row entries in ascending influenced-id order) is exactly Gain's, so
-// objective gains are bit-identical across engine instances, worker
-// counts, and partition counts; the default objective takes Gain's
-// unweighted walk.
-func (e *Engine) GainObj(x graph.NodeID, obj *Objective) float64 {
-	if !e.ownsRow(x) {
-		// A partition can only price candidates whose row it holds;
-		// answering from a missing row would silently drop the UC sum.
-		// Routing is the probe's job, so a miss here is a bug.
-		panic(fmt.Sprintf("core: Gain(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
-	}
-	xi := int32(x)
-	return e.gainSum(x, obj, func(_ int, a int32) ([]ucEntry, float64) {
-		return e.uc[a].row(xi), 0
-	})
-}
-
-// SpreadObj computes sigma_obj(S) directly from the training
-// propagations, mirroring Spread with every contribution scaled by
-// w(u)*gate(u,a): a seed's unit self-credit becomes the per-action gated
-// sum (1/A_s)*sum_a gate(s,a)*w(s), and each influenced participant
-// contributes gate(u,a)*w(u)*Gamma_{S,u}(a)/A_u. The default objective
-// is evaluated exactly as Spread: one unit per active seed, no weights.
-func (ev *Evaluator) SpreadObj(seeds []graph.NodeID, obj *Objective) float64 {
-	if obj.IsDefault() {
-		obj = nil
-	}
-	sc := ev.scratch.Get().(*spreadScratch)
-	spread := ev.spread(sc, seeds, obj)
-	ev.scratch.Put(sc)
-	return spread
 }

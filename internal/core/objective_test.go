@@ -45,7 +45,7 @@ func TestGainObjMatchesSpreadObjDelta(t *testing.T) {
 		if err := obj.Validate(log.NumUsers()); err != nil {
 			t.Fatalf("trial %d: objective invalid: %v", trial, err)
 		}
-		e := NewProbeEstimator(obj, NewEngine(g, log, Options{}))
+		e := NewProbe(NewEngine(g, log, Options{})).Estimator(obj)
 		ev := NewEvaluator(g, log, nil)
 		var seeds []graph.NodeID
 		for round := 0; round < 4; round++ {
@@ -54,10 +54,10 @@ func TestGainObjMatchesSpreadObjDelta(t *testing.T) {
 				if contains(seeds, c) {
 					continue
 				}
-				want := ev.SpreadObj(append(append([]graph.NodeID(nil), seeds...), c), obj) - ev.SpreadObj(seeds, obj)
+				want := ev.Spread(append(append([]graph.NodeID(nil), seeds...), c), obj) - ev.Spread(seeds, obj)
 				got := e.Gain(c)
 				if math.Abs(got-want) > 1e-6 {
-					t.Fatalf("trial %d seeds=%v GainObj(%d)=%g want %g", trial, seeds, c, got, want)
+					t.Fatalf("trial %d seeds=%v Gain(%d)=%g want %g", trial, seeds, c, got, want)
 				}
 			}
 			next := graph.NodeID(rng.IntN(g.NumNodes()))
@@ -77,7 +77,7 @@ func TestGainObjMatchesSpreadObjDelta(t *testing.T) {
 func TestObjectiveDefaultBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 15))
 	g, log := randomInstance(rng, 30, 12)
-	e := NewEngine(g, log, Options{})
+	pr := NewProbe(NewEngine(g, log, Options{}))
 	ev := NewEvaluator(g, log, nil)
 	uniform := make([]float64, log.NumUsers())
 	for u := range uniform {
@@ -86,32 +86,26 @@ func TestObjectiveDefaultBitIdentical(t *testing.T) {
 	explicit := &Objective{Weights: uniform}
 	for u := 0; u < g.NumNodes(); u++ {
 		x := graph.NodeID(u)
-		want := e.Gain(x)
-		if got := e.GainObj(x, nil); got != want {
-			t.Fatalf("GainObj(%d, nil) = %b, Gain = %b", u, got, want)
+		want := pr.Gain(x, nil)
+		if got := pr.Gain(x, &Objective{}); got != want {
+			t.Fatalf("Gain(%d, zero) = %b, Gain(%d, nil) = %b", u, got, u, want)
 		}
-		if got := e.GainObj(x, &Objective{}); got != want {
-			t.Fatalf("GainObj(%d, zero) = %b, Gain = %b", u, got, want)
-		}
-		if got := e.GainObj(x, explicit); got != want {
-			t.Fatalf("GainObj(%d, uniform) = %b, Gain = %b", u, got, want)
+		if got := pr.Gain(x, explicit); got != want {
+			t.Fatalf("Gain(%d, uniform) = %b, Gain(%d, nil) = %b", u, got, u, want)
 		}
 	}
 	seeds := []graph.NodeID{3, 17, 9}
-	want := ev.Spread(seeds)
-	if got := ev.SpreadObj(seeds, nil); got != want {
-		t.Fatalf("SpreadObj(nil) = %b, Spread = %b", got, want)
-	}
-	if got := ev.SpreadObj(seeds, &Objective{}); got != want {
-		t.Fatalf("SpreadObj(zero) = %b, Spread = %b", got, want)
+	want := ev.Spread(seeds, nil)
+	if got := ev.Spread(seeds, &Objective{}); got != want {
+		t.Fatalf("Spread(zero) = %b, Spread(nil) = %b", got, want)
 	}
 	// Explicit uniform weights are the same number but not the same bits:
 	// the objective path sums each seed's self-credit per action
 	// (sum_a 1/A_s) where Spread adds the algebraically equal flat 1.
 	// Bit-identity for the default objective comes from taking the
 	// pre-objective code path, never from arithmetic coincidence.
-	if got := ev.SpreadObj(seeds, explicit); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("SpreadObj(uniform) = %g, Spread = %g", got, want)
+	if got := ev.Spread(seeds, explicit); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("Spread(uniform) = %g, Spread(nil) = %g", got, want)
 	}
 }
 
@@ -125,12 +119,12 @@ func TestObjectiveWindowZero(t *testing.T) {
 	ev := NewEvaluator(g, log, nil)
 	seeds := []graph.NodeID{1, 5}
 	wide := &Objective{Windowed: true, Tau: 1e9, Delays: delays}
-	if got, want := ev.SpreadObj(seeds, wide), ev.Spread(seeds); math.Abs(got-want) > 1e-12 {
+	if got, want := ev.Spread(seeds, wide), ev.Spread(seeds, nil); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("wide window spread %g, unwindowed %g", got, want)
 	}
 	zero := &Objective{Windowed: true, Tau: 0, Delays: delays}
-	if got := ev.SpreadObj(seeds, zero); got < 0 || got > ev.Spread(seeds) {
-		t.Fatalf("zero-window spread %g outside [0, %g]", got, ev.Spread(seeds))
+	if got := ev.Spread(seeds, zero); got < 0 || got > ev.Spread(seeds, nil) {
+		t.Fatalf("zero-window spread %g outside [0, %g]", got, ev.Spread(seeds, nil))
 	}
 }
 

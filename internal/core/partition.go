@@ -9,7 +9,7 @@ import (
 // This file implements horizontal partitioning of the engine by
 // influencer-row range. A partition engine is a full Engine restricted to
 // the UC rows of influencers in [partLo, partHi): it keeps the complete
-// global per-user state (au, actionsOf), so Gain(x) evaluated on the
+// global per-user state (au, actionsOf), so a gain of x priced on the
 // partition owning x's row is exactly the global marginal gain — Theorem
 // 3 reads only x's row and the global normalizers. Seeds are committed to
 // a Probe over the whole partition set, which reads every row from its
@@ -56,7 +56,6 @@ func (e *Engine) Slice(lo, hi int) (*Engine, error) {
 		lambda:      e.lambda,
 		credit:      e.credit,
 		workers:     e.workers,
-		baseActions: len(e.uc),
 		partitioned: true,
 		partLo:      lo,
 		partHi:      hi,

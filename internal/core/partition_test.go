@@ -43,7 +43,7 @@ func TestSliceGainParity(t *testing.T) {
 	for _, p := range parts {
 		lo, hi := p.PartitionRange()
 		for x := lo; x < hi; x++ {
-			if got, want := p.Gain(graph.NodeID(x)), full.Gain(graph.NodeID(x)); got != want {
+			if got, want := NewProbe(p).Gain(graph.NodeID(x), nil), NewProbe(full).Gain(graph.NodeID(x), nil); got != want {
 				t.Fatalf("partition [%d,%d) Gain(%d) = %b, full %b", lo, hi, x, got, want)
 			}
 		}
@@ -108,8 +108,8 @@ func TestPartitionRejectsForeignRows(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"Gain", func() { p.Gain(2) }},
-		{"ExplainSeed", func() { p.ExplainSeed(15, 3) }},
+		{"probe Gain below the range", func() { NewProbe(p).Gain(2, nil) }},
+		{"probe ExplainSeed", func() { NewProbe(p).ExplainSeed(15, 3) }},
 		{"probe ExplainReach", func() { NewProbe(p).ExplainReach([]graph.NodeID{15}, 2, 3) }},
 		{"probe Gain", func() { NewProbe(p).Gain(15, nil) }},
 	} {
@@ -170,7 +170,7 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 			t.Fatalf("%s: entries %d, want %d", name, eng.Entries(), ref.Entries())
 		}
 		for x := lo; x < hi; x++ {
-			if got, want := eng.Gain(graph.NodeID(x)), ref.Gain(graph.NodeID(x)); got != want {
+			if got, want := NewProbe(eng).Gain(graph.NodeID(x), nil), NewProbe(ref).Gain(graph.NodeID(x), nil); got != want {
 				t.Fatalf("%s: Gain(%d) = %b, want %b", name, x, got, want)
 			}
 		}

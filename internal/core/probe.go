@@ -186,14 +186,6 @@ type ProbeEstimator struct {
 	obj   *Objective
 }
 
-// NewProbeEstimator returns an estimator with nothing committed over
-// engines that tile the row universe, as NewProbe takes them, pricing
-// gains under obj (nil is the default objective). The engines must not
-// change while the estimator is in use.
-func NewProbeEstimator(obj *Objective, engines ...*Engine) *ProbeEstimator {
-	return NewProbe(engines...).Estimator(obj)
-}
-
 // Estimator returns an estimator over p itself, pricing gains under obj:
 // it starts from p's commits, and every seed it adds is committed to p.
 func (p *Probe) Estimator(obj *Objective) *ProbeEstimator {

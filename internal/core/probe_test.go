@@ -245,7 +245,7 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 		return est
 	}
 	probe := func() celf.Estimator {
-		est := NewProbeEstimator(obj, parts...)
+		est := NewProbe(parts...).Estimator(obj)
 		for _, r := range sel.Blocked {
 			est.Add(r)
 		}
@@ -321,7 +321,7 @@ func TestRepeatedCommitChangesNothing(t *testing.T) {
 	n := full.NumNodes()
 	x := graph.NodeID(0)
 	for u := 1; u < n; u++ {
-		if full.Gain(graph.NodeID(u)) > full.Gain(x) {
+		if NewProbe(full).Gain(graph.NodeID(u), nil) > NewProbe(full).Gain(x, nil) {
 			x = graph.NodeID(u)
 		}
 	}
@@ -344,8 +344,8 @@ func TestRepeatedCommitChangesNothing(t *testing.T) {
 
 	pr := NewProbe(rowPartitions(t, full, 3)...)
 	first := pr.Commit(x, nil)
-	if again := pr.Commit(x, nil); again != 0 || first != full.Gain(x) {
-		t.Fatalf("Commit(%d) = %b then %b, want %b then 0", x, first, again, full.Gain(x))
+	if again := pr.Commit(x, nil); again != 0 || first != NewProbe(full).Gain(x, nil) {
+		t.Fatalf("Commit(%d) = %b then %b, want %b then 0", x, first, again, NewProbe(full).Gain(x, nil))
 	}
 	if got := pr.Seeds(); !slices.Equal(got, []graph.NodeID{x}) {
 		t.Fatalf("probe Seeds after a double commit of %d = %v", x, got)

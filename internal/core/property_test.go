@@ -32,7 +32,7 @@ func TestSpreadMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, log, s, tt, _ := instanceFromSeed(seed)
 		ev := NewEvaluator(g, log, nil)
-		return ev.Spread(s) <= ev.Spread(tt)+1e-9
+		return ev.Spread(s, nil) <= ev.Spread(tt, nil)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -46,8 +46,8 @@ func TestSpreadSubmodular(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, log, s, tt, x := instanceFromSeed(seed)
 		ev := NewEvaluator(g, log, nil)
-		gainS := ev.Spread(append(append([]graph.NodeID(nil), s...), x)) - ev.Spread(s)
-		gainT := ev.Spread(append(append([]graph.NodeID(nil), tt...), x)) - ev.Spread(tt)
+		gainS := ev.Spread(append(append([]graph.NodeID(nil), s...), x), nil) - ev.Spread(s, nil)
+		gainT := ev.Spread(append(append([]graph.NodeID(nil), tt...), x), nil) - ev.Spread(tt, nil)
 		return gainS >= gainT-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -61,7 +61,7 @@ func TestSpreadNonNegativeAndBounded(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, log, _, tt, _ := instanceFromSeed(seed)
 		ev := NewEvaluator(g, log, nil)
-		sp := ev.Spread(tt)
+		sp := ev.Spread(tt, nil)
 		return sp >= 0 && sp <= float64(g.NumNodes())+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -97,12 +97,12 @@ func TestSetCreditWithinUnit(t *testing.T) {
 func TestEngineGainMatchesEvaluatorQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, log, _, tt, x := instanceFromSeed(seed)
-		e := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
+		e := NewProbe(NewEngine(g, log, Options{})).Estimator(nil)
 		ev := NewEvaluator(g, log, nil)
 		for _, s := range tt {
 			e.Add(s)
 		}
-		want := ev.Spread(append(append([]graph.NodeID(nil), tt...), x)) - ev.Spread(tt)
+		want := ev.Spread(append(append([]graph.NodeID(nil), tt...), x), nil) - ev.Spread(tt, nil)
 		got := e.Gain(x)
 		return abs(got-want) < 1e-6
 	}
@@ -120,8 +120,8 @@ func TestEngineGainOrderIndependent(t *testing.T) {
 		if len(tt) < 2 {
 			return true
 		}
-		e1 := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
-		e2 := NewProbeEstimator(nil, NewEngine(g, log, Options{}))
+		e1 := NewProbe(NewEngine(g, log, Options{})).Estimator(nil)
+		e2 := NewProbe(NewEngine(g, log, Options{})).Estimator(nil)
 		for _, s := range tt {
 			e1.Add(s)
 		}

@@ -6,10 +6,10 @@
 // file exposes it two ways, both read straight from the scanned shards:
 //
 //   - ExplainSeed(x, top) decomposes Gain(x) into (influencer →
-//     influenced, action) credit paths by replaying the Gain fold
-//     itself: the same terms, in the same association order, so the
-//     per-action contributions sum bit-exactly to the reported gain at
-//     any worker or partition count.
+//     influenced, action) credit paths by running the Gain fold itself
+//     and recording each row it folds, so the per-action contributions
+//     sum bit-exactly to the reported gain at any worker or partition
+//     count.
 //   - ExplainReach(S, v) decomposes the credit reaching target v by
 //     seed and action: per seed s (in input order), the shares
 //     UC[s][v][a]/A_v folded in ascending action order. A cell
@@ -21,7 +21,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"credist/internal/actionlog"
@@ -39,7 +38,7 @@ type ProvPath struct {
 }
 
 // SeedExplanation decomposes one candidate's marginal gain. Gain is
-// bit-identical to Engine.Gain(Node) on the same state; Paths holds the
+// bit-identical to Probe.Gain(Node, nil) on the same probe; Paths holds the
 // top paths by credit (self-activation paths appear as Influencer ==
 // Influenced) out of TotalPaths.
 type SeedExplanation struct {
@@ -67,45 +66,32 @@ type ReachExplanation struct {
 	TotalPaths int
 }
 
-// ExplainSeed decomposes Gain(x) into credit paths; it is the probe's
-// ExplainSeed over this engine alone, with nothing committed. Read-only,
-// like Gain; a partition answers only for candidates whose row it owns.
-func (e *Engine) ExplainSeed(x graph.NodeID, top int) SeedExplanation {
-	if !e.ownsRow(x) {
-		panic(fmt.Sprintf("core: ExplainSeed(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
-	}
-	return NewProbe(e).ExplainSeed(x, top)
-}
-
-// ExplainSeed decomposes Gain(x) against the probe's commits into credit
-// paths. It replays the Gain walk term by term — the 1/A_x
-// self-activation credit plus every cell of x's replayed rows, each
-// discounted by the committed-seed factor (1 - SC) — in the identical
-// association order, so the returned Gain is bit-for-bit Gain(x, nil). A
-// committed seed explains as 0 with no paths. Read-only.
+// ExplainSeed decomposes Gain(x, nil) against the probe's commits into
+// credit paths: the 1/A_x self-activation credit plus every cell of x's
+// replayed rows, each discounted by the committed-seed factor (1 - SC).
+// The gain is the probe's own gainSum over the same replayed rows, whose
+// row callback records each path as it hands the row over, so the
+// returned Gain is bit-for-bit Gain(x, nil) by construction. A committed
+// seed explains as 0 with no paths. Read-only.
 func (p *Probe) ExplainSeed(x graph.NodeID, top int) SeedExplanation {
-	e := p.owner(x)
 	ex := SeedExplanation{Node: x}
-	ax := float64(e.au[x])
-	if ax == 0 || p.committed(x) {
+	if p.committed(x) {
 		return ex
 	}
-	mg := 0.0
+	e := p.owner(x)
+	ax := float64(e.au[x])
 	var paths []ProvPath
-	for _, a := range e.actionsOf[x] {
-		mga := 1.0 / ax
+	ex.Gain = e.gainSum(x, nil, func(_ int, a int32) ([]ucEntry, float64) {
 		row, scx := p.replay(e, int32(x), a)
 		paths = append(paths, ProvPath{Influencer: x, Influenced: x, Action: a, Credit: (1.0 / ax) * (1 - scx)})
 		for _, en := range row {
-			mga += en.c / float64(e.au[en.u])
 			paths = append(paths, ProvPath{
 				Influencer: x, Influenced: en.u, Action: a,
 				Credit: (en.c / float64(e.au[en.u])) * (1 - scx),
 			})
 		}
-		mg += mga * (1 - scx)
-	}
-	ex.Gain = mg
+		return row, scx
+	})
 	ex.TotalPaths = len(paths)
 	ex.Paths = TopProvPaths(paths, top)
 	return ex
@@ -151,17 +137,12 @@ func (p *Probe) reachPaths(s, v graph.NodeID) (float64, []ProvPath) {
 }
 
 // ExplainReach decomposes the credit reaching target v from the given
-// seeds: per-seed shares in input order (duplicate seeds each count, so
-// callers wanting set semantics deduplicate first), their fixed-order
-// fold as the total, and the top paths by credit. Every row read belongs
-// to a seed's owner, so a partitioned deployment computes each seed's
-// share wholly in one partition and merges bit-identically.
-func (e *Engine) ExplainReach(seeds []graph.NodeID, v graph.NodeID, top int) ReachExplanation {
-	return NewProbe(e).ExplainReach(seeds, v, top)
-}
-
-// ExplainReach is the engine's ExplainReach against the probe's commits,
-// every seed's rows read through the replay (see reachPaths).
+// seeds against the probe's commits: per-seed shares in input order
+// (duplicate seeds each count, so callers wanting set semantics
+// deduplicate first), their fixed-order fold as the total, and the top
+// paths by credit. Every seed's rows are read through the replay from
+// the seed's owner (see reachPaths), so a partitioned deployment computes
+// each seed's share wholly in one partition and merges bit-identically.
 func (p *Probe) ExplainReach(seeds []graph.NodeID, v graph.NodeID, top int) ReachExplanation {
 	ex := ReachExplanation{Target: v, PerSeed: make([]ReachShare, 0, len(seeds))}
 	var paths []ProvPath

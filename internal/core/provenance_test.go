@@ -14,9 +14,9 @@ func TestFigure1ExplainSeed(t *testing.T) {
 	g, log := figure1(t)
 	e := NewEngine(g, log, Options{})
 
-	ex := e.ExplainSeed(nodeV, 10)
-	if ex.Gain != e.Gain(nodeV) {
-		t.Fatalf("ExplainSeed(v).Gain = %b, Gain(v) = %b", ex.Gain, e.Gain(nodeV))
+	ex := NewProbe(e).ExplainSeed(nodeV, 10)
+	if ex.Gain != NewProbe(e).Gain(nodeV, nil) {
+		t.Fatalf("ExplainSeed(v).Gain = %b, Gain(v) = %b", ex.Gain, NewProbe(e).Gain(nodeV, nil))
 	}
 	// v's gain decomposes into its self-activation plus its credit over
 	// t, w, z, u — five paths for the single action.
@@ -37,7 +37,7 @@ func TestFigure1ExplainSeed(t *testing.T) {
 		t.Fatalf("paths missing targets %v", want)
 	}
 	// Truncation keeps the top paths by credit.
-	top2 := e.ExplainSeed(nodeV, 2)
+	top2 := NewProbe(e).ExplainSeed(nodeV, 2)
 	if len(top2.Paths) != 2 || top2.TotalPaths != 5 {
 		t.Fatalf("top-2 kept %d of %d paths", len(top2.Paths), top2.TotalPaths)
 	}
@@ -118,7 +118,7 @@ func TestFigure1ExplainReach(t *testing.T) {
 		t.Fatalf("reachPaths(v,u) paths = %+v", paths)
 	}
 
-	ex := e.ExplainReach([]graph.NodeID{nodeV, nodeZ}, nodeU, 10)
+	ex := NewProbe(e).ExplainReach([]graph.NodeID{nodeV, nodeZ}, nodeU, 10)
 	if len(ex.PerSeed) != 2 || !almostEqual(ex.PerSeed[0].Share, 0.75) || !almostEqual(ex.PerSeed[1].Share, 0.25) {
 		t.Fatalf("ExplainReach per-seed = %+v", ex.PerSeed)
 	}
@@ -126,7 +126,7 @@ func TestFigure1ExplainReach(t *testing.T) {
 		t.Fatalf("Total %b != fold of shares %b", ex.Total, sum)
 	}
 	// A node that performed nothing reaches nothing.
-	lb2 := e.ExplainReach([]graph.NodeID{nodeU}, nodeV, 10)
+	lb2 := NewProbe(e).ExplainReach([]graph.NodeID{nodeU}, nodeV, 10)
 	if lb2.Total != 0 || lb2.TotalPaths != 0 {
 		t.Fatalf("reach from sink = %+v, want zero", lb2)
 	}
@@ -285,12 +285,12 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 		}
 		for cand := 0; cand < n; cand++ {
 			c := graph.NodeID(cand)
-			if got, want := owner(c).ExplainSeed(c, 7), base.ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
+			if got, want := NewProbe(owner(c)).ExplainSeed(c, 7), NewProbe(base).ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
 				t.Fatalf("parts=%d: partition ExplainSeed(%d) differs from full", parts, cand)
 			}
 		}
 		for v := 0; v < n; v += 5 {
-			wantEx := base.ExplainReach(seeds, graph.NodeID(v), 8)
+			wantEx := NewProbe(base).ExplainReach(seeds, graph.NodeID(v), 8)
 			// Gather: each seed's share and paths come wholly from its
 			// owner; fold shares in input order, concatenate and re-sort
 			// paths — the partitioned serving path in miniature.

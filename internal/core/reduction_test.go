@@ -69,7 +69,7 @@ func TestTheorem1Equivalence(t *testing.T) {
 					inS[graph.NodeID(i)] = true
 				}
 			}
-			spread := ev.Spread(seeds)
+			spread := ev.Spread(seeds, nil)
 			threshold := CoverThreshold(len(seeds), n, 1)
 			cover := isVertexCover(edges, inS)
 			if cover && spread < threshold-1e-9 {
@@ -98,7 +98,7 @@ func TestReductionSpreadFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(g, log, SimpleCredit{})
-	got := ev.Spread([]graph.NodeID{0})
+	got := ev.Spread([]graph.NodeID{0}, nil)
 	want := CoverThreshold(1, 5, 1) // 1 + 4/2 = 3
 	if !almostEqual(got, want) {
 		t.Fatalf("star cover spread = %g, want %g", got, want)

@@ -614,17 +614,15 @@ func parseSnapshotHeader(sc *snapCursor) (Lineage, float64, CreditModel, error) 
 	return lin, lambda, credit, nil
 }
 
-// newSnapshotEngine allocates the skeleton every reader fills: an engine
-// whose base is the full scanned range.
+// newSnapshotEngine allocates the skeleton every reader fills.
 func newSnapshotEngine(lin Lineage, lambda float64, credit CreditModel) *Engine {
 	return &Engine{
-		numUsers:    lin.NumUsers,
-		au:          make([]int32, lin.NumUsers),
-		actionsOf:   make([][]int32, lin.NumUsers),
-		uc:          make([]*shard, 0, lin.NumActions),
-		lambda:      lambda,
-		credit:      credit,
-		baseActions: lin.NumActions,
+		numUsers:  lin.NumUsers,
+		au:        make([]int32, lin.NumUsers),
+		actionsOf: make([][]int32, lin.NumUsers),
+		uc:        make([]*shard, 0, lin.NumActions),
+		lambda:    lambda,
+		credit:    credit,
 	}
 }
 

@@ -42,7 +42,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(plain.Bytes())
 
 	// Seed 2: snapshot carrying a computed seed prefix.
-	sel := seedsel.CELF(NewProbeEstimator(nil, e), 5)
+	sel := seedsel.CELF(NewProbe(e).Estimator(nil), 5)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var prefixed bytes.Buffer
 	if err := e.WriteSnapshot(&prefixed, lin, prefix, nil); err != nil {

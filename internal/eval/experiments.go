@@ -173,7 +173,7 @@ func SelectCD(env *Env, opts ExpOptions) seedsel.Result {
 	engine := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: opts.Lambda, Credit: credit, Workers: opts.Workers})
 	// The Workers knob bounds the CELF gain fan-out too, not just the
 	// scan; results are bit-identical either way.
-	return celf.Run(core.NewProbeEstimator(nil, engine), opts.K, celf.Options{Workers: engine.Workers()})
+	return celf.Run(core.NewProbe(engine).Estimator(nil), opts.K, celf.Options{Workers: engine.Workers()})
 }
 
 // Figure5 reports the pairwise intersections of the IC, LT, and CD seed
@@ -220,7 +220,7 @@ func Figure6(w io.Writer, env *Env, opts ExpOptions) []SpreadCurve {
 			if k < len(prefix) {
 				prefix = prefix[:k]
 			}
-			curve.Spread = append(curve.Spread, ev.Spread(prefix))
+			curve.Spread = append(curve.Spread, ev.Spread(prefix, nil))
 		}
 		total := 0
 		for _, s := range sets.Sets[i] {
@@ -346,7 +346,7 @@ func Scalability(w io.Writer, env *Env, fractions []float64, opts ExpOptions) []
 		start := time.Now()
 		subCredit := core.LearnTimeAware(env.Graph, sub)
 		engine := core.NewEngine(env.Graph, sub, core.Options{Lambda: opts.Lambda, Credit: subCredit, Workers: opts.Workers})
-		res := celf.Run(core.NewProbeEstimator(nil, engine), opts.K, celf.Options{Workers: engine.Workers()})
+		res := celf.Run(core.NewProbe(engine).Estimator(nil), opts.K, celf.Options{Workers: engine.Workers()})
 		elapsed := time.Since(start)
 
 		if fi == len(fractions)-1 {
@@ -357,7 +357,7 @@ func Scalability(w io.Writer, env *Env, fractions []float64, opts ExpOptions) []
 			Runtime:     elapsed,
 			UCEntries:   engine.Entries(),
 			ApproxBytes: engine.Entries() * ucEntryBytes,
-			Spread:      fullEv.Spread(res.Seeds),
+			Spread:      fullEv.Spread(res.Seeds, nil),
 			TrueSeeds:   Overlap(res.Seeds, trueSeeds),
 		})
 	}
@@ -422,14 +422,14 @@ func Table4(w io.Writer, env *Env, lambdas []float64, opts ExpOptions) []Truncat
 		lam := lambdas[i]
 		start := time.Now()
 		engine := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: lam, Credit: credit, Workers: opts.Workers})
-		res := celf.Run(core.NewProbeEstimator(nil, engine), opts.K, celf.Options{Workers: engine.Workers()})
+		res := celf.Run(core.NewProbe(engine).Estimator(nil), opts.K, celf.Options{Workers: engine.Workers()})
 		elapsed := time.Since(start)
 		if i == len(lambdas)-1 {
 			trueSeeds = res.Seeds
 		}
 		points = append(points, TruncationPoint{
 			Lambda:      lam,
-			Spread:      ev.Spread(res.Seeds),
+			Spread:      ev.Spread(res.Seeds, nil),
 			TrueSeeds:   Overlap(res.Seeds, trueSeeds),
 			UCEntries:   engine.Entries(),
 			ApproxBytes: engine.Entries() * ucEntryBytes,

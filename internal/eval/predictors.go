@@ -57,7 +57,7 @@ func LTPredictor(name string, w *cascade.Weights, opts MethodOptions) Predictor 
 
 // CDPredictor wraps the credit-distribution evaluator.
 func CDPredictor(ev *core.Evaluator) Predictor {
-	return Predictor{Name: "CD", Predict: ev.Spread}
+	return Predictor{Name: "CD", Predict: func(seeds []graph.NodeID) float64 { return ev.Spread(seeds, nil) }}
 }
 
 // Section3Weights builds the five IC edge-probability assignments compared

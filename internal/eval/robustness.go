@@ -39,7 +39,7 @@ func NoiseRobustness(w io.Writer, env *Env, noises []float64, opts ExpOptions) [
 	// actual spread.
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	scorer := core.NewEvaluator(env.Graph, env.Train, credit)
-	baseSpread := scorer.Spread(base.Seeds)
+	baseSpread := scorer.Spread(base.Seeds, nil)
 
 	rng := rand.New(rand.NewPCG(opts.Seed, 0xfade))
 	var points []NoisePoint
@@ -48,7 +48,7 @@ func NoiseRobustness(w io.Writer, env *Env, noises []float64, opts ExpOptions) [
 		res := seedsel.CELF(heuristic.NewPMIA(pt, opts.Theta), opts.K)
 		loss := 0.0
 		if baseSpread > 0 {
-			loss = 1 - scorer.Spread(res.Seeds)/baseSpread
+			loss = 1 - scorer.Spread(res.Seeds, nil)/baseSpread
 		}
 		points = append(points, NoisePoint{
 			Noise:      noise,
@@ -107,7 +107,7 @@ func LearnerComparison(w io.Writer, env *Env, opts ExpOptions) []MethodSpreadPoi
 	var points []MethodSpreadPoint
 	for _, name := range order {
 		seeds := weights[name]()
-		points = append(points, MethodSpreadPoint{Method: name, Spread: scorer.Spread(seeds)})
+		points = append(points, MethodSpreadPoint{Method: name, Spread: scorer.Spread(seeds, nil)})
 	}
 
 	fmt.Fprintf(w, "Trace-based learners on %s (k=%d, CD-scored spread):\n", env.Name, opts.K)

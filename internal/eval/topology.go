@@ -45,9 +45,9 @@ func TopologyRobustness(w io.Writer, base datagen.Config, opts ExpOptions) []Top
 
 		pt := TopologyPoint{
 			Topology: topo,
-			CDSpread: scorer.Spread(cd.Seeds),
-			HDSpread: scorer.Spread(hd),
-			PRSpread: scorer.Spread(pr),
+			CDSpread: scorer.Spread(cd.Seeds, nil),
+			HDSpread: scorer.Spread(hd, nil),
+			PRSpread: scorer.Spread(pr, nil),
 		}
 		baseline := pt.HDSpread
 		if pt.PRSpread > baseline {

@@ -151,7 +151,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	full := core.NewEngine(g, log, opts)
 
 	const k = 8
-	ref := seedsel.CELF(core.NewProbeEstimator(nil, full), k)
+	ref := seedsel.CELF(core.NewProbe(full).Estimator(nil), k)
 	if len(ref.Seeds) != k {
 		t.Fatalf("reference selection found %d seeds, want %d", len(ref.Seeds), k)
 	}
@@ -159,11 +159,11 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	allUsers := make([]graph.NodeID, g.NumNodes())
 	for u := range refGains {
 		allUsers[u] = graph.NodeID(u)
-		refGains[u] = full.Gain(graph.NodeID(u))
+		refGains[u] = core.NewProbe(full).Gain(graph.NodeID(u), nil)
 	}
 	base := ref.Seeds[:3]
 	refBased := func() []float64 {
-		e := core.NewProbeEstimator(nil, full)
+		e := core.NewProbe(full).Estimator(nil)
 		for _, s := range base {
 			e.Add(s)
 		}
@@ -324,13 +324,13 @@ func TestPartitionIngestParity(t *testing.T) {
 		}
 		pr := core.NewProbe(grown...)
 		for u := 0; u < newUsers; u++ {
-			want := fullRef.Gain(graph.NodeID(u))
+			want := core.NewProbe(fullRef).Gain(graph.NodeID(u), nil)
 			if got := pr.Gain(graph.NodeID(u), nil); got != want {
 				t.Fatalf("nparts=%d: post-ingest Gain(%d) not bit-identical: %b vs %b", nparts, u, got, want)
 			}
 		}
-		res := seedsel.CELF(core.NewProbeEstimator(nil, grown...), 5)
-		refRes := seedsel.CELF(core.NewProbeEstimator(nil, fullRef), 5)
+		res := seedsel.CELF(core.NewProbe(grown...).Estimator(nil), 5)
+		refRes := seedsel.CELF(core.NewProbe(fullRef).Estimator(nil), 5)
 		for i := range refRes.Seeds {
 			if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
 				t.Fatalf("nparts=%d: post-ingest seed %d: (%d, %b) vs (%d, %b)",
@@ -352,13 +352,13 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 	full := core.NewEngine(g, log, opts)
 
 	const k1, k = 3, 7
-	ref := seedsel.CELF(core.NewProbeEstimator(nil, full), k)
+	ref := seedsel.CELF(core.NewProbe(full).Estimator(nil), k)
 
 	first, err := partition.Tile(slicePartitions(t, full, 4))
 	if err != nil {
 		t.Fatalf("Tile: %v", err)
 	}
-	mid := celf.NewSelection(core.NewProbeEstimator(nil, first...), celf.Options{}).Grow(k1)
+	mid := celf.NewSelection(core.NewProbe(first...).Estimator(nil), celf.Options{}).Grow(k1)
 	prefix := celf.Prefix{Seeds: mid.Seeds, Gains: mid.Gains, LookupsAt: mid.LookupsAt}
 
 	// "Restart": reload the model as mmap slices at a different partition
@@ -367,7 +367,7 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Tile(mmap): %v", err)
 	}
-	sel, err := celf.Resume(core.NewProbeEstimator(nil, second...), prefix, celf.Options{})
+	sel, err := celf.Resume(core.NewProbe(second...).Estimator(nil), prefix, celf.Options{})
 	if err != nil {
 		t.Fatalf("ResumeSelection: %v", err)
 	}

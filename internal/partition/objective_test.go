@@ -56,7 +56,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 
 	// Single-engine references: selections over a probe of the full
 	// engine, which the partitioned planner must reproduce.
-	refEst := core.NewProbeEstimator(obj, full)
+	refEst := core.NewProbe(full).Estimator(obj)
 	const k = 6
 	ref := celf.Run(refEst, k, celf.Options{})
 	if len(ref.Seeds) != k {
@@ -66,7 +66,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 	refGains := make([]float64, g.NumNodes())
 	for u := range refGains {
 		allUsers[u] = graph.NodeID(u)
-		refGains[u] = full.GainObj(graph.NodeID(u), obj)
+		refGains[u] = core.NewProbe(full).Gain(graph.NodeID(u), obj)
 	}
 	rival := ref.Seeds[:2]
 	budOpts := func(workers int) celf.Options {
@@ -76,7 +76,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 	// selection takes, and Run, which Select uses and which also weighs
 	// the best affordable singleton.
 	refBudget := func(run bool) celf.Result {
-		eng := core.NewProbeEstimator(obj, full)
+		eng := core.NewProbe(full).Estimator(obj)
 		for _, r := range rival {
 			eng.Add(r)
 		}
@@ -150,7 +150,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			est := core.NewProbeEstimator(obj, slicePartitions(t, full, nparts)...)
+			est := core.NewProbe(slicePartitions(t, full, nparts)...).Estimator(obj)
 			for _, r := range rival {
 				est.Add(r)
 			}
@@ -179,7 +179,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		t.Fatalf("GainsObjOn(default): %v", err)
 	}
 	for u := range gotGains {
-		if want := full.Gain(graph.NodeID(u)); gotGains[u] != want {
+		if want := core.NewProbe(full).Gain(graph.NodeID(u), nil); gotGains[u] != want {
 			t.Fatalf("default Gains(%d) = %b, engine Gain = %b", u, gotGains[u], want)
 		}
 	}

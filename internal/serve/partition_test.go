@@ -262,9 +262,7 @@ func TestStatsPartitionRows(t *testing.T) {
 func writeDemoSlices(t *testing.T, dir string, n int) []string {
 	t.Helper()
 	model := credist.Learn(demoDataset(), credist.Options{Lambda: 0.001})
-	base := model.NewPlanner()
-	base.Compact()
-	pp, err := base.Partition(n)
+	pp, err := model.NewPlanner().Partition(n)
 	if err != nil {
 		t.Fatalf("Partition(%d): %v", n, err)
 	}
@@ -462,21 +460,41 @@ func TestConcurrentQueriesDuringPartitionedIngest(t *testing.T) {
 			}
 		}()
 	}
+	// The same ingests go to one engine, whose delta counts the
+	// partitioned server must reproduce.
+	single := newTestServer(t)
 	actions := demoDataset().Log.NumActions()
 	for i := 0; i < 5; i++ {
 		body := fmt.Sprintf(`{"tuples":[{"user":%d,"action":%d,"time":1},{"user":%d,"action":%d,"time":2}]}`,
 			i, actions+i, i+100, actions+i)
-		if code, resp := do(t, h, "POST", "/ingest", body); code != http.StatusOK {
-			t.Fatalf("ingest %d: status %d: %v", i, code, resp)
+		for _, target := range []*serve.Server{srv, single} {
+			if code, resp := do(t, target.Handler(), "POST", "/ingest", body); code != http.StatusOK {
+				t.Fatalf("ingest %d: status %d: %v", i, code, resp)
+			}
 		}
 	}
 	close(stop)
 	wg.Wait()
-	sn := srv.Current()
-	if got := sn.DeltaActions(); got != 5 {
-		t.Errorf("after 5 partitioned ingests: %d delta actions, want 5", got)
+	sn, one := srv.Current(), single.Current()
+	if got := sn.DeltaActions(); got != 5 || one.DeltaActions() != 5 {
+		t.Errorf("after 5 ingests: %d delta actions partitioned, %d on one engine, want 5", got, one.DeltaActions())
+	}
+	if sn.DeltaEntries() != one.DeltaEntries() || sn.BaseEntries() != one.BaseEntries() {
+		t.Errorf("partitioned delta/base entries %d/%d, one engine %d/%d",
+			sn.DeltaEntries(), sn.BaseEntries(), one.DeltaEntries(), one.BaseEntries())
 	}
 	if !sn.Partitioned() || sn.NumPartitions() != 3 {
 		t.Errorf("ingest successor lost the partitioned shape: partitions=%d", sn.NumPartitions())
+	}
+	// A compacting ingest zeroes the delta on both shapes.
+	body := fmt.Sprintf(`{"tuples":[{"user":7,"action":%d,"time":1}],"compact":true}`, actions+5)
+	for _, target := range []*serve.Server{srv, single} {
+		if code, resp := do(t, target.Handler(), "POST", "/ingest", body); code != http.StatusOK {
+			t.Fatalf("compacting ingest: status %d: %v", code, resp)
+		}
+		if sn := target.Current(); sn.DeltaActions() != 0 || sn.DeltaEntries() != 0 || sn.BaseEntries() != sn.Entries() {
+			t.Errorf("after a compacting ingest (partitioned=%t): delta %d actions / %d entries, base %d of %d",
+				sn.Partitioned(), sn.DeltaActions(), sn.DeltaEntries(), sn.BaseEntries(), sn.Entries())
+		}
 	}
 }

@@ -1008,8 +1008,8 @@ type IngestTuple struct {
 type ingestRequest struct {
 	Tuples  []IngestTuple `json:"tuples,omitempty"`
 	LogPath string        `json:"log,omitempty"`
-	// Compact folds the accumulated delta into the base after the append,
-	// resetting the delta accounting.
+	// Compact resets the server's delta counts after the append: the
+	// successor's totals become the base. The shards are not touched.
 	Compact bool `json:"compact,omitempty"`
 }
 

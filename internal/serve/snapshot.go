@@ -243,13 +243,16 @@ type Snapshot struct {
 	mappedBytes int64
 	rowStore    string
 
-	// Streaming-ingest lineage: delta shape of the backend plus when and
-	// how often this snapshot line has ingested since its last full build
-	// ({} for a freshly built or reloaded snapshot).
-	deltaEntries int64
-	deltaActions int
-	ingests      int64
-	lastIngest   time.Time
+	// Streaming-ingest lineage: the entries and actions this snapshot line
+	// held at its last full build or compacting ingest (the base; whatever
+	// was ingested since is the delta), plus when and how often it has
+	// ingested since its last full build ({} for a freshly built or
+	// reloaded snapshot). Engines keep no such split: the delta is only
+	// this server's count.
+	baseEntries int64
+	baseActions int
+	ingests     int64
+	lastIngest  time.Time
 
 	// Cold-start provenance: when the model came from a binary snapshot
 	// file, how many actions the file covered and how many the load
@@ -318,15 +321,10 @@ func (b *backend) approxOptions(opts credist.ApproxOptions) (credist.ApproxOptio
 // extend derives the backend serving model, the receiver's model after an
 // Ingest: every engine scans only its rows of the appended tail (the
 // partitions in parallel), and the receiver keeps serving unchanged.
-// compact folds the accumulated delta into a single engine's base;
-// partitions keep their delta.
-func (b *backend) extend(model *credist.Model, compact bool) (*backend, error) {
+func (b *backend) extend(model *credist.Model) (*backend, error) {
 	planner, err := model.ExtendPlanner(b.planner)
 	if err != nil {
 		return nil, err
-	}
-	if compact && !b.partitioned {
-		planner.Compact()
 	}
 	return &backend{model: model, planner: planner, partitioned: b.partitioned}, nil
 }
@@ -407,16 +405,14 @@ func Build(src Source) (*Snapshot, error) {
 	var (
 		model   *credist.Model
 		planner *credist.Planner
-		// tailActions is the log tail past the snapshot file that the
-		// load appended: the planner's delta before any compaction.
-		tailActions int
 	)
 	if src.partitioned() {
 		model, planner, err = buildPartitions(src, ds, opts)
 		if err != nil {
-			return &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}, nil
+			sn := &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}
+			sn.markBase()
+			return sn, nil
 		}
-		tailActions = planner.DeltaActions()
 		// A first start that splits the model loads the whole file onto the
 		// heap and leaves 50-100 MiB of garbage on flixster-small, depending
 		// on when the last collection ran. A restart from existing slices
@@ -435,10 +431,6 @@ func Build(src Source) (*Snapshot, error) {
 			return nil, err
 		}
 		planner = model.NewPlanner()
-		tailActions = planner.DeltaActions()
-		// Fold the snapshot's appended tail into the base, so the delta
-		// accounting counts only what /ingest adds from here.
-		planner.Compact()
 		// The model's spread evaluator (the /spread and /topk path) builds
 		// lazily on first use. Kick that build off in the background so a
 		// snapshot-loaded server binds its port in milliseconds without the
@@ -448,9 +440,12 @@ func Build(src Source) (*Snapshot, error) {
 	}
 	be := &backend{model: model, planner: planner, partitioned: src.partitioned()}
 	sn := newSnapshot(src, be)
+	// Everything the build loaded, a log tail past the snapshot files
+	// included, is the base: the delta counts only what /ingest adds.
+	sn.markBase()
 	if src.ModelPath != "" || len(src.SlicePaths) > 0 {
-		sn.modelActions = planner.NumActions() - tailActions
-		sn.tailActions = tailActions
+		sn.tailActions = model.OpenTailActions()
+		sn.modelActions = planner.NumActions() - sn.tailActions
 	}
 	// A seed prefix restored with the model (the loads drop it whenever a
 	// log tail was appended, so it describes exactly this state) is
@@ -501,9 +496,7 @@ func buildPartitions(src Source, ds *credist.Dataset, opts credist.Options) (*cr
 	if err != nil {
 		return nil, nil, err
 	}
-	base := model.NewPlanner()
-	base.Compact()
-	parts, err := base.Partition(src.Partitions)
+	parts, err := model.NewPlanner().Partition(src.Partitions)
 	return model, parts, err
 }
 
@@ -563,9 +556,8 @@ func (sn *Snapshot) partitionGate() error {
 // engines that share every shard of the backend's. The receiver
 // keeps serving unchanged — nothing it references is mutated — and the
 // computed seed prefix is invalidated simply by the successor starting
-// with an empty selection. compact additionally folds the accumulated
-// delta into the base (resetting the delta accounting) before a
-// single-engine successor is published.
+// with an empty selection. compact additionally moves the base marks to
+// the successor's totals, resetting the delta counts, on either shape.
 func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
@@ -574,12 +566,15 @@ func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, err
 	if err != nil {
 		return nil, err
 	}
-	be, err := sn.be.extend(model, compact)
+	be, err := sn.be.extend(model)
 	if err != nil {
 		return nil, err
 	}
 	next := newSnapshot(sn.src, be)
-	next.deltaEntries, next.deltaActions = be.planner.DeltaEntries(), be.planner.DeltaActions()
+	next.baseEntries, next.baseActions = sn.baseEntries, sn.baseActions
+	if compact {
+		next.markBase()
+	}
 	next.ingests, next.lastIngest = sn.ingests+1, time.Now()
 	next.modelActions, next.tailActions = sn.modelActions, sn.tailActions
 	return next, nil
@@ -594,14 +589,23 @@ func (sn *Snapshot) Model() *credist.Model { return sn.model }
 // Entries returns the live UC credit-entry count of the backend.
 func (sn *Snapshot) Entries() int64 { return sn.entries }
 
-// BaseEntries returns the UC entries in the frozen base shards.
-func (sn *Snapshot) BaseEntries() int64 { return sn.entries - sn.deltaEntries }
+// markBase makes everything the snapshot holds the base: the delta counts
+// start again from zero.
+func (sn *Snapshot) markBase() {
+	sn.baseEntries, sn.baseActions = sn.entries, sn.ds.Log.NumActions()
+}
 
-// DeltaEntries returns the UC entries in the not-yet-compacted delta.
-func (sn *Snapshot) DeltaEntries() int64 { return sn.deltaEntries }
+// BaseEntries returns the UC entries the snapshot line held at its last
+// full build or compacting ingest.
+func (sn *Snapshot) BaseEntries() int64 { return sn.baseEntries }
 
-// DeltaActions returns how many ingested actions sit outside the base.
-func (sn *Snapshot) DeltaActions() int { return sn.deltaActions }
+// DeltaEntries returns the UC entries ingested since the last full build
+// or compacting ingest.
+func (sn *Snapshot) DeltaEntries() int64 { return sn.entries - sn.baseEntries }
+
+// DeltaActions returns how many actions were ingested since the last full
+// build or compacting ingest.
+func (sn *Snapshot) DeltaActions() int { return sn.ds.Log.NumActions() - sn.baseActions }
 
 // Ingests returns how many ingest generations this snapshot line has
 // accumulated since its last full build or reload.

@@ -56,6 +56,9 @@ type Model struct {
 	// action's first participation — what time-windowed objectives gate
 	// on. Derived from the log alone, at most once per model.
 	delays func() *core.ActionDelays
+	// openTail is how many log actions past its snapshot files the open
+	// scanned (openSnapshots); zero for every other model.
+	openTail int
 }
 
 // Close releases the file mapping behind a model opened with
@@ -102,6 +105,12 @@ func Learn(ds *Dataset, opts Options) *Model {
 // Dataset returns the dataset the model is bound to.
 func (m *Model) Dataset() *Dataset { return m.ds }
 
+// OpenTailActions returns how many log actions past its snapshot files
+// the load that opened the model scanned from the log: the rest came
+// scanned from the files. It is zero for a model that was learned,
+// restored from text parameters, or derived by Ingest.
+func (m *Model) OpenTailActions() int { return m.openTail }
+
 // Options returns the options the model was learned with.
 func (m *Model) Options() Options { return m.opts }
 
@@ -109,7 +118,7 @@ func (m *Model) Options() Options { return m.opts }
 // It is safe for concurrent use: evaluation reads only immutable scan
 // products, so any number of goroutines may call Spread (and Gains with an
 // empty base set) on a shared Model.
-func (m *Model) Spread(seeds []NodeID) float64 { return m.eval().Spread(seeds) }
+func (m *Model) Spread(seeds []NodeID) float64 { return m.eval().Spread(seeds, nil) }
 
 // Gains returns the marginal gain sigma_cd(S+c) - sigma_cd(S) of every
 // candidate c against the base seed set S, batched so the engine scan is
@@ -334,7 +343,7 @@ func (s *GrowableSelection) Len() int { return s.sel.Len() }
 func (s *GrowableSelection) Exhausted() bool { return s.sel.Exhausted() }
 
 // Planner exposes the selection's owned planner for inspection (entries,
-// resident bytes, delta accounting). It holds none of the selection's
+// resident bytes, actions scanned). It holds none of the selection's
 // seeds, which live in the probe; mutating it corrupts the selection, so
 // it is read-only by contract.
 func (s *GrowableSelection) Planner() *Planner { return s.p }
@@ -453,29 +462,6 @@ func (p *Planner) NumUsers() int { return p.parts[0].NumNodes() }
 
 // NumActions returns how many actions the planner has scanned.
 func (p *Planner) NumActions() int { return p.parts[0].NumActions() }
-
-// DeltaActions returns how many appended actions sit outside the base
-// (zero for a fresh or compacted planner). Every partition appends the
-// same actions, so this is not a sum.
-func (p *Planner) DeltaActions() int { return p.parts[0].DeltaActions() }
-
-// DeltaEntries returns the UC entries the appended actions contributed.
-func (p *Planner) DeltaEntries() int64 { return p.sum((*core.Engine).DeltaEntries) }
-
-// Compact folds appended delta actions into the base, resetting the delta
-// accounting; shards, commits and results are unchanged. Must not run
-// concurrently with other calls on the same planner.
-func (p *Planner) Compact() {
-	seeds := p.probe.Seeds()
-	parts := make([]*core.Engine, len(p.parts))
-	for i, e := range p.parts {
-		parts[i] = e.Compact()
-	}
-	p.parts, p.probe = parts, core.NewProbe(parts...)
-	for _, s := range seeds {
-		p.Add(s)
-	}
-}
 
 // Freeze does nothing. Engines are immutable, so there is nothing left to
 // freeze; it remains so existing callers keep compiling.
@@ -662,8 +648,6 @@ func loadSnapshotModel(ds *Dataset, path string, mmap bool, opts Options) (*Mode
 	if err != nil {
 		return nil, err
 	}
-	// The delta accounting is kept, so callers (and /stats) see how much
-	// of the engine came from the post-snapshot tail.
 	eng := parts[0]
 	m.base = func() *core.Engine { return eng }
 	if mmap {
@@ -767,6 +751,7 @@ func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model
 	// against, whatever order the paths came in.
 	m := newModel(ds, stored, parts[0].CreditModel())
 	m.prefix = prefix
+	m.openTail = ds.Log.NumActions() - first.Lineage.NumActions
 	if err := m.restoreApprox(sketch); err != nil {
 		return fail(-1, err)
 	}

@@ -161,11 +161,11 @@ func (m *Model) SpreadObj(seeds []NodeID, o *Objective) (float64, error) {
 	}
 	ev := m.eval()
 	if len(o.blocked()) == 0 {
-		return ev.SpreadObj(seeds, cobj), nil
+		return ev.Spread(seeds, cobj), nil
 	}
 	union := make([]NodeID, 0, len(o.Blocked)+len(seeds))
 	union = append(append(union, o.Blocked...), seeds...)
-	return ev.SpreadObj(union, cobj) - ev.SpreadObj(o.Blocked, cobj), nil
+	return ev.Spread(union, cobj) - ev.Spread(o.Blocked, cobj), nil
 }
 
 // GainsObj is Gains under an objective: each candidate's marginal

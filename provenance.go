@@ -34,7 +34,7 @@ func (m *Model) BuildProvIndex() {}
 // set into its top credit paths. The explained Gain is bit-for-bit
 // Model.Gains(nil, {x})[0]. Read-only and safe for concurrent use.
 func (m *Model) ExplainSeed(x NodeID, top int) SeedExplanation {
-	return m.base().ExplainSeed(x, top)
+	return core.NewProbe(m.base()).ExplainSeed(x, top)
 }
 
 // ExplainSeedOn is ExplainSeed against a planner's state — committed
@@ -55,7 +55,7 @@ func (m *Model) ExplainSeedOn(p *Planner, x NodeID, top int) (SeedExplanation, e
 // the returned Total, plus the top contributing (seed, action) paths,
 // read from the model's scanned shards.
 func (m *Model) ExplainReach(seeds []NodeID, v NodeID, top int) ReachExplanation {
-	return m.base().ExplainReach(seeds, v, top)
+	return core.NewProbe(m.base()).ExplainReach(seeds, v, top)
 }
 
 // ExplainReachOn is ExplainReach against a planner's state: every seed's
