@@ -28,6 +28,7 @@ import (
 	"credist/internal/core"
 	"credist/internal/datagen"
 	"credist/internal/eval"
+	"credist/internal/graph"
 	"credist/internal/probs"
 	"credist/internal/ris"
 	"credist/internal/seedsel"
@@ -1134,7 +1135,8 @@ func TestWriteApproxBenchJSON(t *testing.T) {
 // BenchmarkSetupSteps times the steps a server started on a text log and a
 // mapped snapshot takes before it answers its first /spread, on the
 // flixster-small preset with its last 2% of actions held out (the
-// serve-mix workload's inputs): parsing the action log, opening the
+// serve-mix workload's inputs): parsing the action log and the edge
+// list, alone and together as LoadDataset reads them, opening the
 // snapshot mapped, and building the exact evaluator's propagation DAGs
 // and direct credits. BENCH_setup.json records these per step.
 func BenchmarkSetupSteps(b *testing.B) {
@@ -1172,6 +1174,33 @@ func BenchmarkSetupSteps(b *testing.B) {
 			}
 			if l.NumTuples() != ds.Log.NumTuples() {
 				b.Fatalf("read %d tuples, want %d", l.NumTuples(), ds.Log.NumTuples())
+			}
+		}
+	})
+	b.Run("read-graph", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f, err := os.Open(graphPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := graph.ReadEdgeList(f)
+			f.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if g.NumEdges() != ds.Graph.NumEdges() {
+				b.Fatalf("read %d edges, want %d", g.NumEdges(), ds.Graph.NumEdges())
+			}
+		}
+	})
+	b.Run("load-dataset", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d, err := LoadDataset(full.Name, graphPath, logPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if d.Log.NumTuples() != ds.Log.NumTuples() {
+				b.Fatalf("loaded %d tuples, want %d", d.Log.NumTuples(), ds.Log.NumTuples())
 			}
 		}
 	})

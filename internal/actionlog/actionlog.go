@@ -96,16 +96,24 @@ func NewBuilder(numUsers int) *Builder {
 
 // Add records that user u performed action a at time t.
 func (b *Builder) Add(u graph.NodeID, a ActionID, t Timestamp) error {
-	if u < 0 || int(u) >= b.numUsers {
-		return fmt.Errorf("actionlog: user %d out of range [0,%d)", u, b.numUsers)
+	tu := Tuple{User: u, Action: a, Time: t}
+	if err := check(b.numUsers, tu); err != nil {
+		return err
 	}
-	if a < 0 || a > maxActionID {
-		return fmt.Errorf("actionlog: action id %d outside [0,%d]", a, maxActionID)
+	b.tuples = append(b.tuples, tu)
+	return nil
+}
+
+// check is Add's rule for a tuple of a log over numUsers users.
+func check(numUsers int, t Tuple) error {
+	switch {
+	case t.User < 0 || int(t.User) >= numUsers:
+		return fmt.Errorf("actionlog: user %d out of range [0,%d)", t.User, numUsers)
+	case t.Action < 0 || t.Action > maxActionID:
+		return fmt.Errorf("actionlog: action id %d outside [0,%d]", t.Action, maxActionID)
+	case math.IsNaN(t.Time) || math.IsInf(t.Time, 0):
+		return fmt.Errorf("actionlog: user %d action %d has non-finite time %v", t.User, t.Action, t.Time)
 	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("actionlog: user %d action %d has non-finite time %v", u, a, t)
-	}
-	b.tuples = append(b.tuples, Tuple{User: u, Action: a, Time: t})
 	return nil
 }
 

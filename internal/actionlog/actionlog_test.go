@@ -2,8 +2,11 @@ package actionlog
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -365,5 +368,35 @@ func TestReadRejectsHostileUserCount(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("100\n0 0 1\n99 0 2\n"), 100); err != nil {
 		t.Fatalf("header at the bound: %v", err)
+	}
+}
+
+// TestReadAllocsDoNotScale: reading a log file allocates a fixed number
+// of times, however many lines it has: no per-line string, and the tuple
+// slice sized once from the bytes read.
+func TestReadAllocsDoNotScale(t *testing.T) {
+	allocs := func(lines int) float64 {
+		var b bytes.Buffer
+		fmt.Fprintln(&b, 500)
+		for i := range lines {
+			fmt.Fprintf(&b, "%d %d %g\n", i%500, i/50, float64(i)*1.37)
+		}
+		path := filepath.Join(t.TempDir(), "log.txt")
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := Read(f, 500); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(2000), allocs(16000); large > small+2 {
+		t.Fatalf("%v allocations for 2000 lines, %v for 16000", small, large)
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
-	"credist/internal/graph"
 	"credist/internal/textrec"
 )
 
@@ -46,11 +44,7 @@ func WriteTuples(w io.Writer, numUsers int, tuples []Tuple) error {
 // tuples and the user-count header, or 0 when the header is absent. Blank
 // lines and '#' comments are ignored.
 func ParseTuples(r io.Reader) ([]Tuple, int, error) {
-	var tuples []Tuple
-	users, err := scanLines(r, false, math.MaxInt, func(_ int, t Tuple) error {
-		tuples = append(tuples, t)
-		return nil
-	})
+	tuples, users, err := parse(r, false, math.MaxInt)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -63,73 +57,72 @@ func ParseTuples(r io.Reader) ([]Tuple, int, error) {
 // count, and a larger header is rejected on its own line, before anything
 // is sized by it. User ids are checked against the header line by line.
 func Read(r io.Reader, maxUsers int) (*Log, error) {
-	var b *Builder
-	users, err := scanLines(r, true, maxUsers, func(users int, t Tuple) error {
-		if b == nil {
-			b = NewBuilder(users)
-		}
-		return b.Add(t.User, t.Action, t.Time)
-	})
+	tuples, users, err := parse(r, true, maxUsers)
 	switch {
 	case err != nil:
 		return nil, err
 	case users < 0:
 		return nil, fmt.Errorf("actionlog: empty input")
-	case b == nil:
-		b = NewBuilder(users)
 	}
+	b := &Builder{numUsers: users, tuples: tuples}
 	return b.Build(), nil
 }
 
-// scanLines is the one parser of the text tuple format. It takes a
-// one-field line as the user count — only before any tuple, at most
-// maxUsers, and required first when headerFirst is set — and hands each
-// "user action time" line to add with the count so far (-1 when absent).
-// It returns the count, or -1. Every error names its line.
-func scanLines(r io.Reader, headerFirst bool, maxUsers int, add func(users int, t Tuple) error) (int, error) {
-	users, tuples := -1, 0
-	err := textrec.Scan(r, "actionlog", func(_ int, f []string) error {
+// parse is the one parser of the text tuple format. It takes a one-field
+// line as the user count — only before any tuple, at most maxUsers, and
+// required first when headerFirst is set, in which case every tuple is
+// also checked as Builder.Add checks it. It returns the tuples in file
+// order and the count, or -1 when absent. Every error names its line.
+func parse(r io.Reader, headerFirst bool, maxUsers int) ([]Tuple, int, error) {
+	c, err := textrec.Read(r, "actionlog")
+	if err != nil {
+		return nil, -1, err
+	}
+	users := -1
+	var tuples []Tuple
+	for c.Next() {
+		f0, f1, f2 := c.Field(), c.Field(), c.Field()
 		switch {
-		case len(f) == 1 && (users >= 0 || tuples > 0):
-			return fmt.Errorf("unexpected user-count line %q", f[0])
-		case len(f) == 1:
-			n, err := strconv.Atoi(f[0])
+		case f1 == nil && (users >= 0 || tuples != nil):
+			return nil, -1, c.Errorf("unexpected user-count line %q", f0)
+		case f1 == nil:
+			n, err := strconv.Atoi(string(f0))
 			if err != nil || n < 0 {
-				return fmt.Errorf("bad user count %q", f[0])
+				return nil, -1, c.Errorf("bad user count %q", f0)
 			}
 			if n > maxUsers {
-				return fmt.Errorf("user count %d exceeds the graph (%d nodes)", n, maxUsers)
+				return nil, -1, c.Errorf("user count %d exceeds the graph (%d nodes)", n, maxUsers)
 			}
 			users = n
-			return nil
-		case len(f) != 3:
-			return fmt.Errorf("expected 'user action time', got %q", strings.Join(f, " "))
+			continue
+		case f2 == nil || c.Field() != nil:
+			return nil, -1, c.Errorf("expected 'user action time', got %q", c.Record())
 		case headerFirst && users < 0:
-			return fmt.Errorf("expected user count")
+			return nil, -1, c.Errorf("expected user count")
 		}
-		t, err := parseTuple(f)
+		u, err := textrec.ParseInt32(f0)
 		if err != nil {
-			return err
+			return nil, -1, c.Errorf("bad user: %w", err)
 		}
-		tuples++
-		return add(users, t)
-	})
-	return users, err
-}
-
-// parseTuple parses the "user action time" fields of one line.
-func parseTuple(f []string) (Tuple, error) {
-	u, err := strconv.ParseInt(f[0], 10, 32)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("bad user: %w", err)
+		a, err := textrec.ParseInt32(f1)
+		if err != nil {
+			return nil, -1, c.Errorf("bad action: %w", err)
+		}
+		tm, err := textrec.ParseFloat(f2)
+		if err != nil {
+			return nil, -1, c.Errorf("bad time: %w", err)
+		}
+		t := Tuple{User: u, Action: a, Time: tm}
+		if headerFirst {
+			if err := check(users, t); err != nil {
+				return nil, -1, c.Errorf("%w", err)
+			}
+		}
+		if tuples == nil {
+			// This line and every further one is at least "0 0 0\n".
+			tuples = make([]Tuple, 0, 1+c.Records(6))
+		}
+		tuples = append(tuples, t)
 	}
-	a, err := strconv.ParseInt(f[1], 10, 32)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("bad action: %w", err)
-	}
-	t, err := strconv.ParseFloat(f[2], 64)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("bad time: %w", err)
-	}
-	return Tuple{User: graph.NodeID(u), Action: ActionID(a), Time: t}, nil
+	return tuples, users, nil
 }

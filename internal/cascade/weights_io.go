@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"credist/internal/graph"
 	"credist/internal/textrec"
@@ -44,42 +43,41 @@ func WriteWeights(w io.Writer, ws *Weights) error {
 // weights to g. Edges present in the file but absent from g are an error:
 // weights are meaningless without their graph.
 func ReadWeights(r io.Reader, g *graph.Graph) (*Weights, error) {
-	ws := NewWeights(g)
-	sawHeader := false
-	err := textrec.Scan(r, "cascade", func(_ int, f []string) error {
-		if !sawHeader {
-			n, err := strconv.Atoi(f[0])
-			if err != nil || len(f) != 1 {
-				return fmt.Errorf("expected node count, got %q", strings.Join(f, " "))
-			}
-			if n != g.NumNodes() {
-				return fmt.Errorf("weights for %d nodes, graph has %d", n, g.NumNodes())
-			}
-			sawHeader = true
-			return nil
-		}
-		if len(f) != 3 {
-			return fmt.Errorf("expected 'from to p', got %q", strings.Join(f, " "))
-		}
-		u, err := strconv.ParseInt(f[0], 10, 32)
-		if err != nil {
-			return fmt.Errorf("bad from: %w", err)
-		}
-		v, err := strconv.ParseInt(f[1], 10, 32)
-		if err != nil {
-			return fmt.Errorf("bad to: %w", err)
-		}
-		p, err := strconv.ParseFloat(f[2], 64)
-		if err != nil {
-			return fmt.Errorf("bad probability: %w", err)
-		}
-		return ws.Set(graph.NodeID(u), graph.NodeID(v), p)
-	})
-	switch {
-	case err != nil:
+	c, err := textrec.Read(r, "cascade")
+	if err != nil {
 		return nil, err
-	case !sawHeader:
+	}
+	if !c.Next() {
 		return nil, fmt.Errorf("cascade: empty weights input")
+	}
+	n, err := strconv.Atoi(string(c.Field()))
+	if err != nil || c.Field() != nil {
+		return nil, c.Errorf("expected node count, got %q", c.Record())
+	}
+	if n != g.NumNodes() {
+		return nil, c.Errorf("weights for %d nodes, graph has %d", n, g.NumNodes())
+	}
+	ws := NewWeights(g)
+	for c.Next() {
+		f0, f1, f2 := c.Field(), c.Field(), c.Field()
+		if f2 == nil || c.Field() != nil {
+			return nil, c.Errorf("expected 'from to p', got %q", c.Record())
+		}
+		u, err := textrec.ParseInt32(f0)
+		if err != nil {
+			return nil, c.Errorf("bad from: %w", err)
+		}
+		v, err := textrec.ParseInt32(f1)
+		if err != nil {
+			return nil, c.Errorf("bad to: %w", err)
+		}
+		p, err := textrec.ParseFloat(f2)
+		if err != nil {
+			return nil, c.Errorf("bad probability: %w", err)
+		}
+		if err := ws.Set(u, v, p); err != nil {
+			return nil, c.Errorf("%w", err)
+		}
 	}
 	return ws, nil
 }

@@ -55,72 +55,76 @@ func ReadTimeAware(r io.Reader, maxUsers int) (*TimeAwareCredit, error) {
 		tau      float64
 		line     int
 	}
+	c, err := textrec.Read(r, "core")
+	if err != nil {
+		return nil, err
+	}
 	var taus []tauRec
 	seenInfl := make(map[int]struct{})
-	err := textrec.Scan(r, "core", func(line int, f []string) error {
-		switch f[0] {
+	for c.Next() {
+		f0 := c.Field()
+		switch string(f0) {
 		case "numUsers":
-			if len(f) != 2 {
-				return fmt.Errorf("malformed numUsers")
+			f1 := c.Field()
+			if f1 == nil || c.Field() != nil {
+				return nil, c.Errorf("malformed numUsers")
 			}
 			if infl != nil {
-				return fmt.Errorf("duplicate numUsers header (would discard %d parsed infl entries)", len(seenInfl))
+				return nil, c.Errorf("duplicate numUsers header (would discard %d parsed infl entries)", len(seenInfl))
 			}
-			n, err := strconv.Atoi(f[1])
+			n, err := strconv.Atoi(string(f1))
 			if err != nil || n < 0 {
-				return fmt.Errorf("bad numUsers %q", f[1])
+				return nil, c.Errorf("bad numUsers %q", f1)
 			}
 			if n > maxUsers {
-				return fmt.Errorf("numUsers %d exceeds the graph (%d nodes)", n, maxUsers)
+				return nil, c.Errorf("numUsers %d exceeds the graph (%d nodes)", n, maxUsers)
 			}
 			infl = make([]float64, n)
 		case "infl":
-			if len(f) != 3 || infl == nil {
-				return fmt.Errorf("malformed infl (numUsers must come first)")
+			f1, f2 := c.Field(), c.Field()
+			if f2 == nil || c.Field() != nil || infl == nil {
+				return nil, c.Errorf("malformed infl (numUsers must come first)")
 			}
-			u, err := strconv.Atoi(f[1])
-			if err != nil || u < 0 || u >= len(infl) {
-				return fmt.Errorf("bad user %q", f[1])
+			u, err := textrec.ParseInt32(f1)
+			if err != nil || u < 0 || int(u) >= len(infl) {
+				return nil, c.Errorf("bad user %q", f1)
 			}
-			if _, dup := seenInfl[u]; dup {
-				return fmt.Errorf("duplicate infl record for user %d", u)
+			if _, dup := seenInfl[int(u)]; dup {
+				return nil, c.Errorf("duplicate infl record for user %d", u)
 			}
-			seenInfl[u] = struct{}{}
-			if infl[u], err = strconv.ParseFloat(f[2], 64); err != nil {
-				return fmt.Errorf("bad infl value: %w", err)
+			seenInfl[int(u)] = struct{}{}
+			if infl[u], err = textrec.ParseFloat(f2); err != nil {
+				return nil, c.Errorf("bad infl value: %w", err)
 			}
 		case "tau":
-			if len(f) != 4 {
-				return fmt.Errorf("malformed tau")
+			f1, f2, f3 := c.Field(), c.Field(), c.Field()
+			if f3 == nil || c.Field() != nil {
+				return nil, c.Errorf("malformed tau")
 			}
-			from, err := strconv.ParseInt(f[1], 10, 32)
+			from, err := textrec.ParseInt32(f1)
 			if err != nil {
-				return fmt.Errorf("bad from: %w", err)
+				return nil, c.Errorf("bad from: %w", err)
 			}
-			to, err := strconv.ParseInt(f[2], 10, 32)
+			to, err := textrec.ParseInt32(f2)
 			if err != nil {
-				return fmt.Errorf("bad to: %w", err)
+				return nil, c.Errorf("bad to: %w", err)
 			}
-			v, err := strconv.ParseFloat(f[3], 64)
+			v, err := textrec.ParseFloat(f3)
 			if err != nil {
-				return fmt.Errorf("bad tau value: %w", err)
+				return nil, c.Errorf("bad tau value: %w", err)
 			}
-			taus = append(taus, tauRec{graph.NodeID(from), graph.NodeID(to), v, line})
+			taus = append(taus, tauRec{from, to, v, c.Line()})
 		default:
-			return fmt.Errorf("unknown record %q", f[0])
+			return nil, c.Errorf("unknown record %q", f0)
 		}
-		return nil
-	})
-	switch {
-	case err != nil:
-		return nil, err
-	case infl == nil:
+	}
+	if infl == nil {
 		return nil, fmt.Errorf("core: missing numUsers header")
 	}
 	slices.SortFunc(taus, func(x, y tauRec) int {
 		return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.to, y.to), cmp.Compare(x.line, y.line))
 	})
-	c := newTimeAware(infl, len(taus))
+	ta := newTimeAware(infl, len(taus))
 	for i, t := range taus {
 		switch {
 		case t.from < 0 || t.to < 0 || int(t.from) >= len(infl) || int(t.to) >= len(infl):
@@ -128,8 +132,8 @@ func ReadTimeAware(r io.Reader, maxUsers int) (*TimeAwareCredit, error) {
 		case i > 0 && t.from == taus[i-1].from && t.to == taus[i-1].to:
 			return nil, fmt.Errorf("core: line %d: duplicate tau record for edge (%d,%d)", t.line, t.from, t.to)
 		}
-		c.addTau(t.from, t.to, t.tau)
+		ta.addTau(t.from, t.to, t.tau)
 	}
-	c.sealTau()
-	return c, nil
+	ta.sealTau()
+	return ta, nil
 }

@@ -122,13 +122,21 @@ var ErrSelfLoop = errors.New("graph: self-loop rejected")
 
 // AddEdge records the directed edge u->v.
 func (b *Builder) AddEdge(u, v NodeID) error {
+	if err := checkEdge(b.n, u, v); err != nil {
+		return err
+	}
+	b.edges = append(b.edges, Edge{From: u, To: v})
+	return nil
+}
+
+// checkEdge is AddEdge's rule for an edge u->v of an n-node graph.
+func checkEdge(n int32, u, v NodeID) error {
 	if u == v {
 		return ErrSelfLoop
 	}
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
-	b.edges = append(b.edges, Edge{From: u, To: v})
 	return nil
 }
 
@@ -147,15 +155,20 @@ func (b *Builder) NumNodes() int { return int(b.n) }
 // Build produces the immutable Graph. The builder may be reused afterwards;
 // it retains its accumulated edges.
 func (b *Builder) Build() *Graph {
-	edges := slices.Clone(b.edges)
+	return build(b.n, slices.Clone(b.edges))
+}
+
+// build lays out an n-node graph from edges, which it sorts and
+// deduplicates in place.
+func build(n int32, edges []Edge) *Graph {
 	slices.SortFunc(edges, func(x, y Edge) int { return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To)) })
 	edges = slices.Compact(edges)
 
 	// Edges are from-major sorted, so both bucketings keep every
 	// adjacency list sorted: successors by To, predecessors by From.
-	g := &Graph{n: b.n}
-	g.outIndex, g.outEdges = bucket(b.n, edges, func(e Edge) (NodeID, NodeID) { return e.From, e.To })
-	g.inIndex, g.inEdges = bucket(b.n, edges, func(e Edge) (NodeID, NodeID) { return e.To, e.From })
+	g := &Graph{n: n}
+	g.outIndex, g.outEdges = bucket(n, edges, func(e Edge) (NodeID, NodeID) { return e.From, e.To })
+	g.inIndex, g.inEdges = bucket(n, edges, func(e Edge) (NodeID, NodeID) { return e.To, e.From })
 	return g
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"credist/internal/textrec"
 )
@@ -36,37 +35,39 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // ReadEdgeList parses the format written by WriteEdgeList. Blank lines and
 // lines starting with '#' are ignored.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	var b *Builder
-	err := textrec.Scan(r, "graph", func(_ int, f []string) error {
-		if b == nil {
-			n, err := strconv.Atoi(f[0])
-			if err != nil || n < 0 || len(f) != 1 {
-				return fmt.Errorf("expected node count, got %q", strings.Join(f, " "))
-			}
-			if n > math.MaxInt32 {
-				return fmt.Errorf("node count %d exceeds the int32 node ids", n)
-			}
-			b = NewBuilder(n)
-			return nil
-		}
-		if len(f) != 2 {
-			return fmt.Errorf("expected 'from to', got %q", strings.Join(f, " "))
-		}
-		from, err := strconv.ParseInt(f[0], 10, 32)
-		if err != nil {
-			return fmt.Errorf("bad from: %w", err)
-		}
-		to, err := strconv.ParseInt(f[1], 10, 32)
-		if err != nil {
-			return fmt.Errorf("bad to: %w", err)
-		}
-		return b.AddEdge(NodeID(from), NodeID(to))
-	})
-	switch {
-	case err != nil:
+	c, err := textrec.Read(r, "graph")
+	if err != nil {
 		return nil, err
-	case b == nil:
+	}
+	if !c.Next() {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	return b.Build(), nil
+	n, err := strconv.Atoi(string(c.Field()))
+	if err != nil || n < 0 || c.Field() != nil {
+		return nil, c.Errorf("expected node count, got %q", c.Record())
+	}
+	if n > math.MaxInt32 {
+		return nil, c.Errorf("node count %d exceeds the int32 node ids", n)
+	}
+	// Every further line is at least "0 1\n".
+	edges := make([]Edge, 0, c.Records(4))
+	for c.Next() {
+		f0, f1 := c.Field(), c.Field()
+		if f1 == nil || c.Field() != nil {
+			return nil, c.Errorf("expected 'from to', got %q", c.Record())
+		}
+		from, err := textrec.ParseInt32(f0)
+		if err != nil {
+			return nil, c.Errorf("bad from: %w", err)
+		}
+		to, err := textrec.ParseInt32(f1)
+		if err != nil {
+			return nil, c.Errorf("bad to: %w", err)
+		}
+		if err := checkEdge(int32(n), from, to); err != nil {
+			return nil, c.Errorf("%w", err)
+		}
+		edges = append(edges, Edge{From: from, To: to})
+	}
+	return build(int32(n), edges), nil
 }

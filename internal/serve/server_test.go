@@ -561,6 +561,32 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	}
 }
 
+// TestStatsParamsFileHasNoSnapshotProvenance: a text parameter file
+// served as the model restores no scan, so /stats names the file but
+// reports no snapshot actions: the whole log was scanned at start.
+func TestStatsParamsFileHasNoSnapshotProvenance(t *testing.T) {
+	demo := demoDataset()
+	headDS := &credist.Dataset{Name: "demo-head", Graph: demo.Graph, Log: demo.Log.Prefix(demo.Log.NumActions() - 10)}
+	dir := t.TempDir()
+	gp, lp, pp := filepath.Join(dir, "d.graph"), filepath.Join(dir, "d.log"), filepath.Join(dir, "params.txt")
+	if err := credist.SaveDataset(headDS, gp, lp); err != nil {
+		t.Fatal(err)
+	}
+	if err := credist.Learn(headDS, credist.Options{}).SaveParams(pp); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := serve.Build(serve.Source{GraphPath: gp, LogPath: lp, ModelPath: pp})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	var st serve.StatsResponse
+	getJSON(t, serve.New(sn).Handler(), "GET", "/stats", "", &st)
+	if st.ModelFile != pp || st.ModelActions != 0 || st.ModelTailActions != 0 || st.Actions != headDS.Log.NumActions() {
+		t.Fatalf("stats provenance = %s/%d/%d over %d actions, want %s/0/0 over %d",
+			st.ModelFile, st.ModelActions, st.ModelTailActions, st.Actions, pp, headDS.Log.NumActions())
+	}
+}
+
 // TestSnapshotCheckpointRestartCycle walks the full durable-snapshot ops
 // story: serve from files, checkpoint to a binary snapshot, cold-start a
 // second server from it (bit-identical answers, no rescan of scanned

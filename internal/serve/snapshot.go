@@ -443,10 +443,7 @@ func Build(src Source) (*Snapshot, error) {
 	// Everything the build loaded, a log tail past the snapshot files
 	// included, is the base: the delta counts only what /ingest adds.
 	sn.markBase()
-	if src.ModelPath != "" || len(src.SlicePaths) > 0 {
-		sn.tailActions = model.OpenTailActions()
-		sn.modelActions = planner.NumActions() - sn.tailActions
-	}
+	sn.modelActions, sn.tailActions = model.SnapshotActions(), model.OpenTailActions()
 	// A seed prefix restored with the model (the loads drop it whenever a
 	// log tail was appended, so it describes exactly this state) is
 	// published immediately: /seeds?k up to its length is served with zero
@@ -861,11 +858,12 @@ func (sn *Snapshot) checkpointPrefix() *credist.SeedPrefix {
 
 // ModelActions returns how many actions the binary snapshot file this
 // snapshot line cold-started from had scanned (0 when the model was
-// learned in-process).
+// learned in-process or restored from a text parameter file).
 func (sn *Snapshot) ModelActions() int { return sn.modelActions }
 
 // TailActions returns how many log actions past the snapshot file the
-// cold start appended (0 when the model was learned in-process).
+// cold start appended (0 when the model was learned in-process or
+// restored from a text parameter file).
 func (sn *Snapshot) TailActions() int { return sn.tailActions }
 
 // TopK returns the k top users under a heuristic baseline ("highdeg" or

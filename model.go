@@ -56,9 +56,10 @@ type Model struct {
 	// action's first participation — what time-windowed objectives gate
 	// on. Derived from the log alone, at most once per model.
 	delays func() *core.ActionDelays
-	// openTail is how many log actions past its snapshot files the open
-	// scanned (openSnapshots); zero for every other model.
-	openTail int
+	// fileActions is how many log actions its snapshot files held
+	// scanned, and openTail how many past them the open scanned
+	// (openSnapshots); both are zero for every other model.
+	fileActions, openTail int
 }
 
 // Close releases the file mapping behind a model opened with
@@ -110,6 +111,11 @@ func (m *Model) Dataset() *Dataset { return m.ds }
 // scanned from the files. It is zero for a model that was learned,
 // restored from text parameters, or derived by Ingest.
 func (m *Model) OpenTailActions() int { return m.openTail }
+
+// SnapshotActions returns how many log actions the snapshot files the
+// model was opened from held scanned. It is zero for a model that was
+// learned, restored from text parameters, or derived by Ingest.
+func (m *Model) SnapshotActions() int { return m.fileActions }
 
 // Options returns the options the model was learned with.
 func (m *Model) Options() Options { return m.opts }
@@ -751,6 +757,7 @@ func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model
 	// against, whatever order the paths came in.
 	m := newModel(ds, stored, parts[0].CreditModel())
 	m.prefix = prefix
+	m.fileActions = first.Lineage.NumActions
 	m.openTail = ds.Log.NumActions() - first.Lineage.NumActions
 	if err := m.restoreApprox(sketch); err != nil {
 		return fail(-1, err)
