@@ -28,7 +28,7 @@ func TestApproxWithinEps(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Learn(ds, Options{Lambda: 0.001})
-	celfSeeds, _ := m.SelectSeeds(5)
+	celfSeeds, _ := selectSeeds(m, 5)
 	for _, seeds := range [][]NodeID{
 		celfSeeds,
 		{0, 1, 2, 3},

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -603,7 +604,7 @@ func BenchmarkExplainReach(b *testing.B) {
 	}
 	full := datagen.Generate(cfg)
 	m := Learn(&Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}, Options{Lambda: 0.001})
-	celfSeeds, _ := m.SelectSeeds(5)
+	celfSeeds, _ := selectSeeds(m, 5)
 	n := m.Dataset().NumUsers()
 	type query struct {
 		seeds []NodeID
@@ -622,9 +623,11 @@ func BenchmarkExplainReach(b *testing.B) {
 		queries []query
 	}{
 		{"random", queries(func(rng *rand.Rand) []NodeID {
-			seeds := make([]NodeID, 5)
-			for i := range seeds {
-				seeds[i] = NodeID(rng.IntN(n))
+			seeds := make([]NodeID, 0, 5)
+			for len(seeds) < 5 {
+				if s := NodeID(rng.IntN(n)); !slices.Contains(seeds, s) {
+					seeds = append(seeds, s)
+				}
 			}
 			return seeds
 		})},
@@ -632,12 +635,15 @@ func BenchmarkExplainReach(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			m.ExplainReach(c.queries[0].seeds, c.queries[0].v, 10)
+			p := m.NewPlanner()
+			for _, q := range c.queries {
+				mustExplainReach(b, p, q.seeds, q.v, 10)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := c.queries[i%len(c.queries)]
-				explainSink = m.ExplainReach(q.seeds, q.v, 10)
+				explainSink, _ = p.ExplainReach(q.seeds, q.v, 10)
 			}
 		})
 	}
@@ -1005,7 +1011,7 @@ func BenchmarkApproxVsExact(b *testing.B) {
 	full := datagen.Generate(cfg)
 	ds := &Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}
 	m := Learn(ds, Options{Lambda: 0.001})
-	seeds, _ := m.SelectSeeds(10)
+	seeds, _ := selectSeeds(m, 10)
 	exact := m.Spread(seeds)
 	// Warm: the first approximate query grows the pool to its eps target;
 	// every later query answers from the shared samples.
@@ -1068,7 +1074,7 @@ func TestWriteApproxBenchJSON(t *testing.T) {
 	full := datagen.Generate(cfg)
 	ds := &Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}
 	m := Learn(ds, Options{Lambda: 0.001})
-	seeds, _ := m.SelectSeeds(10)
+	seeds, _ := selectSeeds(m, 10)
 	exact := m.Spread(seeds)
 	warm, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.1})
 	if err != nil {

@@ -100,7 +100,10 @@ Flags:
 		if *seed >= ds.NumUsers() {
 			fail("-seed %d out of range [0,%d)", *seed, ds.NumUsers())
 		}
-		ex := model.ExplainSeed(credist.NodeID(*seed), *top)
+		ex, err := model.NewPlanner().ExplainSeed(credist.NodeID(*seed), *top)
+		if err != nil {
+			fail("%s", strings.TrimPrefix(err.Error(), "credist: "))
+		}
 		fmt.Printf("candidate %d: marginal gain %.6f (%d credit paths, model ready in %v)\n",
 			ex.Node, ex.Gain, ex.TotalPaths, time.Since(start).Round(time.Millisecond))
 		printPaths(ex.Paths)
@@ -114,7 +117,10 @@ Flags:
 	if *reach >= ds.NumUsers() {
 		fail("-reach %d out of range [0,%d)", *reach, ds.NumUsers())
 	}
-	ex := model.ExplainReach(seeds, credist.NodeID(*reach), *top)
+	ex, err := model.NewPlanner().ExplainReach(seeds, credist.NodeID(*reach), *top)
+	if err != nil {
+		fail("-set: %s", strings.TrimPrefix(err.Error(), "credist: "))
+	}
 	fmt.Printf("target %d: total credit %.6f from %d seeds (%d credit paths, model ready in %v)\n",
 		ex.Target, ex.Total, len(ex.PerSeed), ex.TotalPaths, time.Since(start).Round(time.Millisecond))
 	for _, ps := range ex.PerSeed {

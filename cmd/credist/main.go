@@ -133,16 +133,12 @@ Flags:
 	var gains []float64
 	switch *method {
 	case "cd":
-		if obj != nil {
-			res, err := model.SelectSeedsObj(*k, obj)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "credist:", strings.TrimPrefix(err.Error(), "credist: "))
-				os.Exit(1)
-			}
-			seeds, gains = res.Seeds, res.Gains
-		} else {
-			seeds, gains = model.SelectSeeds(*k)
+		res, err := model.NewPlanner().Select(*k, obj)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "credist:", strings.TrimPrefix(err.Error(), "credist: "))
+			os.Exit(1)
 		}
+		seeds, gains = res.Seeds, res.Gains
 	case "highdeg", "pagerank":
 		if obj != nil && (obj.Costs != nil || obj.Budget != 0 || obj.Blocked != nil) {
 			fmt.Fprintf(os.Stderr, "credist: -costs, -budget, and -blocked apply to -method cd only\n")

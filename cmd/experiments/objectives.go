@@ -29,7 +29,12 @@ func objectivesDemo(out io.Writer, preset string, opts eval.ExpOptions) error {
 		k = 10 // five selections per preset; keep the experiment brisk
 	}
 
-	globalSeeds, _ := model.SelectSeeds(k)
+	planner := model.NewPlanner()
+	globalSel, err := planner.Select(k, nil)
+	if err != nil {
+		return err
+	}
+	globalSeeds := globalSel.Seeds
 	global := map[credist.NodeID]bool{}
 	for _, s := range globalSeeds {
 		global[s] = true
@@ -68,7 +73,7 @@ func objectivesDemo(out io.Writer, preset string, opts eval.ExpOptions) error {
 		if sc.obj == nil {
 			seeds = globalSeeds
 		} else {
-			res, err := model.SelectSeedsObj(k, sc.obj)
+			res, err := planner.Select(k, sc.obj)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", ds.Name, sc.name, err)
 			}

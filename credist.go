@@ -7,12 +7,14 @@
 //
 // The package is a thin facade over the building blocks in internal/:
 // load or synthesize a Dataset, Learn a Model from its training traces,
-// then predict spreads and select seed sets:
+// then predict spreads and select seed sets. A Planner answers every
+// gain, selection and explanation; a nil *Objective is the paper's
+// global spread:
 //
 //	ds, _ := credist.GeneratePreset("flixster-small")
 //	model := credist.Learn(ds, credist.Options{})
-//	seeds, gains := model.SelectSeeds(50)
-//	spread := model.Spread(seeds)
+//	res, _ := model.NewPlanner().Select(50, nil)
+//	spread := model.Spread(res.Seeds)
 //
 // All results are deterministic: the credit store keeps its entries in
 // sorted sparse rows, so spreads, marginal gains, and selected seed sets

@@ -20,6 +20,43 @@ func tinyConfig(seed uint64) datagen.Config {
 	}
 }
 
+// selectSeeds is the default-objective selection from an empty seed set,
+// as a seeds/gains pair.
+func selectSeeds(m *Model, k int) ([]NodeID, []float64) {
+	res := m.Selection(k)
+	return res.Seeds, res.Gains
+}
+
+// mustGains is p.Gains, failing t on an error.
+func mustGains(t testing.TB, p *Planner, base, candidates []NodeID) []float64 {
+	t.Helper()
+	g, err := p.Gains(base, candidates)
+	if err != nil {
+		t.Fatalf("Gains: %v", err)
+	}
+	return g
+}
+
+// mustExplainSeed is p.ExplainSeed, failing t on an error.
+func mustExplainSeed(t testing.TB, p *Planner, x NodeID, top int) SeedExplanation {
+	t.Helper()
+	ex, err := p.ExplainSeed(x, top)
+	if err != nil {
+		t.Fatalf("ExplainSeed(%d): %v", x, err)
+	}
+	return ex
+}
+
+// mustExplainReach is p.ExplainReach, failing t on an error.
+func mustExplainReach(t testing.TB, p *Planner, seeds []NodeID, v NodeID, top int) ReachExplanation {
+	t.Helper()
+	ex, err := p.ExplainReach(seeds, v, top)
+	if err != nil {
+		t.Fatalf("ExplainReach(%v, %d): %v", seeds, v, err)
+	}
+	return ex
+}
+
 func TestGeneratePreset(t *testing.T) {
 	ds, err := GeneratePreset("flixster-small")
 	if err != nil {
@@ -48,7 +85,7 @@ func TestSplitRatio(t *testing.T) {
 func TestLearnSelectPredict(t *testing.T) {
 	ds := Generate(tinyConfig(2))
 	model := Learn(ds, Options{Lambda: 0.001})
-	seeds, gains := model.SelectSeeds(5)
+	seeds, gains := selectSeeds(model, 5)
 	if len(seeds) != 5 || len(gains) != 5 {
 		t.Fatalf("seeds/gains = %d/%d", len(seeds), len(gains))
 	}
@@ -68,7 +105,7 @@ func TestLearnSelectPredict(t *testing.T) {
 		t.Fatalf("spread %g far from gain sum %g", spread, sum)
 	}
 	// More seeds never hurt.
-	more, _ := model.SelectSeeds(10)
+	more, _ := selectSeeds(model, 10)
 	if model.Spread(more) < spread-1e-9 {
 		t.Fatal("spread decreased with more seeds")
 	}
@@ -78,7 +115,7 @@ func TestSimpleVsTimeAwareOptions(t *testing.T) {
 	ds := Generate(tinyConfig(3))
 	ta := Learn(ds, Options{})
 	simple := Learn(ds, Options{SimpleCredit: true})
-	seeds, _ := ta.SelectSeeds(3)
+	seeds, _ := selectSeeds(ta, 3)
 	// The simple rule gives more credit per hop, so it predicts at least
 	// as much spread for any fixed set.
 	if simple.Spread(seeds) < ta.Spread(seeds)-1e-9 {
@@ -141,8 +178,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("tuples %d != %d", back.Stats().NumTuples, ds.Stats().NumTuples)
 	}
 	// Models learned from the round-tripped dataset agree.
-	s1, _ := Learn(ds, Options{}).SelectSeeds(3)
-	s2, _ := Learn(back, Options{}).SelectSeeds(3)
+	s1, _ := selectSeeds(Learn(ds, Options{}), 3)
+	s2, _ := selectSeeds(Learn(back, Options{}), 3)
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatalf("seeds diverged after round trip: %v vs %v", s1, s2)
@@ -206,11 +243,11 @@ func TestModelIngestMatchesRelearnFreeReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seeds, _ := ref.SelectSeeds(4)
+	seeds, _ := selectSeeds(ref, 4)
 	if a, b := grown.Spread(seeds), ref.Spread(seeds); a != b {
 		t.Fatalf("ingested Spread %b != reference %b", a, b)
 	}
-	gs, ggains := grown.SelectSeeds(4)
+	gs, ggains := selectSeeds(grown, 4)
 	for i := range seeds {
 		if gs[i] != seeds[i] {
 			t.Fatalf("ingested model selects %v, reference %v", gs, seeds)
@@ -230,7 +267,10 @@ func TestModelIngestMatchesRelearnFreeReference(t *testing.T) {
 			t.Fatalf("extended planner Gain(%d) %b != fresh %b", s, a, b)
 		}
 	}
-	res := planner.Clone().Select(4)
+	res, err := planner.Select(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range res.Seeds {
 		if res.Seeds[i] != gs[i] || res.Gains[i] != ggains[i] {
 			t.Fatalf("extended planner CELF diverged at %d", i)
@@ -300,8 +340,8 @@ func TestModelSnapshotSaveLoadBitIdentical(t *testing.T) {
 				p.NumActions(), loaded.OpenTailActions(), n, n-headN)
 		}
 
-		seeds, gains := ref.SelectSeeds(4)
-		ls, lg := loaded.SelectSeeds(4)
+		seeds, gains := selectSeeds(ref, 4)
+		ls, lg := selectSeeds(loaded, 4)
 		for i := range seeds {
 			if ls[i] != seeds[i] || lg[i] != gains[i] {
 				t.Fatalf("opts %+v: selection diverged at %d: (%d, %b) vs (%d, %b)",
@@ -312,7 +352,7 @@ func TestModelSnapshotSaveLoadBitIdentical(t *testing.T) {
 			t.Fatalf("opts %+v: Spread %b != reference %b", opts, a, b)
 		}
 		cands := []NodeID{0, 1, 2, 3, 4, 5}
-		ga, gb := loaded.Gains(seeds[:2], cands), ref.Gains(seeds[:2], cands)
+		ga, gb := mustGains(t, loaded.NewPlanner(), seeds[:2], cands), mustGains(t, ref.NewPlanner(), seeds[:2], cands)
 		for i := range ga {
 			if ga[i] != gb[i] {
 				t.Fatalf("opts %+v: Gains[%d] %b != %b", opts, i, ga[i], gb[i])
@@ -386,8 +426,8 @@ func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModel: %v", err)
 	}
-	s1, _ := model.SelectSeeds(3)
-	s2, _ := loaded.SelectSeeds(3)
+	s1, _ := selectSeeds(model, 3)
+	s2, _ := selectSeeds(loaded, 3)
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatalf("selection diverged: %v vs %v", s2, s1)
@@ -430,8 +470,8 @@ func TestMappedModelSavesOverItsOwnFile(t *testing.T) {
 	defer mapped.Close()
 	cands := []NodeID{0, 3, 17, 42, 150}
 	seeds, v := []NodeID{1, 5, 9}, NodeID(14)
-	wantGains := mapped.Gains(nil, cands)
-	wantReach := mapped.ExplainReach(seeds, v, 10)
+	wantGains := mustGains(t, mapped.NewPlanner(), nil, cands)
+	wantReach := mustExplainReach(t, mapped.NewPlanner(), seeds, v, 10)
 
 	if err := mapped.Save(path); err != nil {
 		t.Fatalf("Save over the mapped file: %v", err)
@@ -446,10 +486,10 @@ func TestMappedModelSavesOverItsOwnFile(t *testing.T) {
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
 		t.Fatalf("directory holds %d entries after Save (err %v), want only the model", len(entries), err)
 	}
-	if g := mapped.Gains(nil, cands); !reflect.DeepEqual(g, wantGains) {
+	if g := mustGains(t, mapped.NewPlanner(), nil, cands); !reflect.DeepEqual(g, wantGains) {
 		t.Errorf("Gains after the re-save = %v, want %v", g, wantGains)
 	}
-	if r := mapped.ExplainReach(seeds, v, 10); !reflect.DeepEqual(r, wantReach) {
+	if r := mustExplainReach(t, mapped.NewPlanner(), seeds, v, 10); !reflect.DeepEqual(r, wantReach) {
 		t.Errorf("ExplainReach after the re-save = %+v, want %+v", r, wantReach)
 	}
 }
@@ -497,8 +537,8 @@ func TestLoadModelMappedBitIdentical(t *testing.T) {
 		}
 	}
 
-	seeds, gains := heap.SelectSeeds(4)
-	ms, mg := mapped.SelectSeeds(4)
+	seeds, gains := selectSeeds(heap, 4)
+	ms, mg := selectSeeds(mapped, 4)
 	for i := range seeds {
 		if ms[i] != seeds[i] || mg[i] != gains[i] {
 			t.Fatalf("selection diverged at %d: (%d, %b) vs (%d, %b)", i, ms[i], mg[i], seeds[i], gains[i])
@@ -508,7 +548,7 @@ func TestLoadModelMappedBitIdentical(t *testing.T) {
 		t.Fatalf("Spread %b != heap %b", a, b)
 	}
 	cands := []NodeID{0, 1, 2, 3, 4, 5}
-	ga, gb := mapped.Gains(seeds[:2], cands), heap.Gains(seeds[:2], cands)
+	ga, gb := mustGains(t, mapped.NewPlanner(), seeds[:2], cands), mustGains(t, heap.NewPlanner(), seeds[:2], cands)
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatalf("Gains[%d] %b != %b", i, ga[i], gb[i])
@@ -543,8 +583,8 @@ func TestModelSaveLoadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, _ := model.SelectSeeds(4)
-	s2, _ := back.SelectSeeds(4)
+	seeds, _ := selectSeeds(model, 4)
+	s2, _ := selectSeeds(back, 4)
 	for i := range seeds {
 		if seeds[i] != s2[i] {
 			t.Fatalf("restored model selects %v, original %v", s2, seeds)

@@ -22,8 +22,8 @@ func demoConfig() datagen.Config {
 func ExampleLearn() {
 	ds := credist.Generate(demoConfig())
 	model := credist.Learn(ds, credist.Options{Lambda: 0.001})
-	seeds, _ := model.SelectSeeds(3)
-	fmt.Println(len(seeds))
+	res, _ := model.NewPlanner().Select(3, nil)
+	fmt.Println(len(res.Seeds))
 	// Output: 3
 }
 
@@ -32,24 +32,25 @@ func ExampleLearn() {
 func ExampleModel_Spread() {
 	ds := credist.Generate(demoConfig())
 	model := credist.Learn(ds, credist.Options{})
-	seeds, gains := model.SelectSeeds(2)
+	res, _ := model.NewPlanner().Select(2, nil)
 	sum := 0.0
-	for _, g := range gains {
+	for _, g := range res.Gains {
 		sum += g
 	}
 	// The exact spread matches the engine's accumulated marginal gains
 	// (no truncation configured here).
-	fmt.Printf("%.3f\n", model.Spread(seeds)-sum)
+	fmt.Printf("%.3f\n", model.Spread(res.Seeds)-sum)
 	// Output: 0.000
 }
 
-// SelectSeeds runs the paper's seed-selection algorithm (Scan + CELF
-// greedy): seeds come back in selection order and, by submodularity,
-// their marginal gains never increase.
-func ExampleModel_SelectSeeds() {
+// Select runs the paper's seed-selection algorithm (Scan + CELF greedy):
+// seeds come back in selection order and, by submodularity, their
+// marginal gains never increase.
+func ExamplePlanner_Select() {
 	ds := credist.Generate(demoConfig())
 	model := credist.Learn(ds, credist.Options{Lambda: 0.001})
-	seeds, gains := model.SelectSeeds(5)
+	res, _ := model.NewPlanner().Select(5, nil)
+	seeds, gains := res.Seeds, res.Gains
 	nonIncreasing := true
 	for i := 1; i < len(gains); i++ {
 		if gains[i] > gains[i-1] {
@@ -60,23 +61,24 @@ func ExampleModel_SelectSeeds() {
 	// Output: 5 true
 }
 
-// A Planner exposes the engine behind SelectSeeds for incremental use:
-// commit seeds one at a time, read marginal gains between commits, and
-// Clone to branch what-if explorations without rescanning the log. This is
-// the hook the serving layer (internal/serve) builds snapshots on.
+// A Planner answers every gain, selection and explanation from the
+// scanned credit structure and its committed seeds: commit seeds one at a
+// time, read marginal gains between commits, and Clone to branch what-if
+// explorations without rescanning the log. This is the hook the serving
+// layer (internal/serve) builds snapshots on.
 func ExampleModel_NewPlanner() {
 	ds := credist.Generate(demoConfig())
 	model := credist.Learn(ds, credist.Options{})
 
 	planner := model.NewPlanner()
-	branch := planner.Clone()
-	res := branch.Select(3) // mutates only the clone
+	res, _ := planner.Select(3, nil) // commits to a probe clone only
 
-	offline, _ := model.SelectSeeds(3)
-	fmt.Println("clone matches SelectSeeds:", res.Seeds[0] == offline[0])
+	branch := planner.Clone()
+	branch.Add(res.Seeds[0]) // commits to the clone only
+	fmt.Println("clone gain matches Select:", branch.Gain(res.Seeds[1]) == res.Gains[1])
 	fmt.Println("original planner untouched:", len(planner.Seeds()))
 	// Output:
-	// clone matches SelectSeeds: true
+	// clone gain matches Select: true
 	// original planner untouched: 0
 }
 

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"credist"
 	"credist/internal/datagen"
@@ -26,8 +27,8 @@ func main() {
 	timeAware := credist.Learn(ds, credist.Options{Lambda: 0.001})
 	simple := credist.Learn(ds, credist.Options{Lambda: 0.001, SimpleCredit: true})
 
-	taSeeds, _ := timeAware.SelectSeeds(k)
-	simSeeds, _ := simple.SelectSeeds(k)
+	taSeeds := selectSeeds(timeAware, k)
+	simSeeds := selectSeeds(simple, k)
 
 	fmt.Printf("time-aware credit seeds: %v\n", taSeeds[:10])
 	fmt.Printf("simple credit seeds:     %v\n", simSeeds[:10])
@@ -44,13 +45,23 @@ func main() {
 	// Truncation sweep (Table 4 flavor): coarser lambda means fewer UC
 	// entries and faster selection, at some cost in seed quality.
 	fmt.Println("truncation threshold sweep (k=20, time-aware credit):")
-	ref, _ := credist.Learn(ds, credist.Options{Lambda: 0.0001}).SelectSeeds(k)
+	ref := selectSeeds(credist.Learn(ds, credist.Options{Lambda: 0.0001}), k)
 	for _, lambda := range []float64{0.1, 0.01, 0.001, 0.0001} {
 		m := credist.Learn(ds, credist.Options{Lambda: lambda})
-		seeds, _ := m.SelectSeeds(k)
+		seeds := selectSeeds(m, k)
 		fmt.Printf("  lambda %-7g spread %8.1f   true seeds recovered %2d/%d\n",
 			lambda, timeAware.Spread(seeds), overlap(seeds, ref), k)
 	}
+}
+
+// selectSeeds picks k seeds with the paper's algorithm (Scan + greedy with
+// CELF) on a fresh planner over the model.
+func selectSeeds(m *credist.Model, k int) []credist.NodeID {
+	res, err := m.NewPlanner().Select(k, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Seeds
 }
 
 func overlap(a, b []credist.NodeID) int {

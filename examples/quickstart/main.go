@@ -33,7 +33,11 @@ func main() {
 	// Learn the CD model from the traces (time-aware direct credit, the
 	// paper's Eq. 9) and select seeds with greedy+CELF.
 	model := credist.Learn(ds, credist.Options{Lambda: 0.001})
-	seeds, gains := model.SelectSeeds(5)
+	res, err := model.NewPlanner().Select(5, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	seeds, gains := res.Seeds, res.Gains
 	if len(seeds) == 0 {
 		log.Fatal("no seeds selected")
 	}

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"credist"
@@ -33,7 +34,11 @@ func main() {
 	// CD: learn credit from traces, select with the engine.
 	t0 := time.Now()
 	model := credist.Learn(ds, credist.Options{Lambda: 0.001})
-	cdSeeds, _ := model.SelectSeeds(k)
+	cdSel, err := model.NewPlanner().Select(k, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cdSeeds := cdSel.Seeds
 	cdTime := time.Since(t0)
 
 	// RIS: learn IC probabilities with EM, sample RR sets, greedy cover.

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"credist"
 	"credist/internal/datagen"
@@ -29,7 +30,7 @@ func main() {
 	model := credist.Learn(ds, credist.Options{Lambda: 0.001})
 
 	for _, budget := range []int{5, 10, 25} {
-		cdSeeds, _ := model.SelectSeeds(budget)
+		cdSeeds := selectSeeds(model, budget)
 		hdSeeds := credist.HighDegreeSeeds(ds, budget)
 		prSeeds := credist.PageRankSeeds(ds, budget)
 
@@ -43,11 +44,21 @@ func main() {
 
 	// The paper's Section 6 post-mortem: highly connected users who are
 	// rarely active make poor seeds. Show activity of each choice.
-	cdSeeds, _ := model.SelectSeeds(5)
+	cdSeeds := selectSeeds(model, 5)
 	hdSeeds := credist.HighDegreeSeeds(ds, 5)
 	fmt.Println("why the heuristics mislead — actions performed per seed:")
 	fmt.Printf("  CD seeds:       %v\n", actionCounts(ds, cdSeeds))
 	fmt.Printf("  HighDeg seeds:  %v\n", actionCounts(ds, hdSeeds))
+}
+
+// selectSeeds picks k seeds with the paper's algorithm (Scan + greedy with
+// CELF) on a fresh planner over the model.
+func selectSeeds(m *credist.Model, k int) []credist.NodeID {
+	res, err := m.NewPlanner().Select(k, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Seeds
 }
 
 func overlap(a, b []credist.NodeID) int {

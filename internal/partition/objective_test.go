@@ -110,9 +110,9 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				t.Fatalf("%s: Partition: %v", name, err)
 			}
 
-			res, err := m.SelectSeedsObjOn(pp, k, fobj(nil, nil, 0))
+			res, err := pp.Select(k, fobj(nil, nil, 0))
 			if err != nil {
-				t.Fatalf("%s: SelectSeedsObjOn: %v", name, err)
+				t.Fatalf("%s: Select: %v", name, err)
 			}
 			for i := range ref.Seeds {
 				if res.Seeds[i] != ref.Seeds[i] || res.Gains[i] != ref.Gains[i] {
@@ -121,9 +121,9 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			gains, err := m.GainsObjOn(pp, nil, allUsers, fobj(nil, nil, 0))
+			gains, err := pp.GainsObj(nil, allUsers, fobj(nil, nil, 0))
 			if err != nil {
-				t.Fatalf("%s: GainsObjOn: %v", name, err)
+				t.Fatalf("%s: GainsObj: %v", name, err)
 			}
 			for u := range gains {
 				if gains[u] != refGains[u] {
@@ -131,11 +131,11 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			spread, err := pp.SpreadObj(m, ref.Seeds, fobj(nil, nil, 0))
+			spread, err := pp.SpreadObj(ref.Seeds, fobj(nil, nil, 0))
 			if err != nil {
 				t.Fatalf("%s: SpreadObj: %v", name, err)
 			}
-			blockedSpread, err := pp.SpreadObj(m, ref.Seeds[2:], fobj(rival, nil, 0))
+			blockedSpread, err := pp.SpreadObj(ref.Seeds[2:], fobj(rival, nil, 0))
 			if err != nil {
 				t.Fatalf("%s: SpreadObj(blocked): %v", name, err)
 			}
@@ -155,9 +155,9 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				est.Add(r)
 			}
 			sameBudgeted(name+"/grow", celf.NewSelection(est, budOpts(workers)).Grow(k), refGrow)
-			budgeted, err := m.SelectSeedsObjOn(pp, k, fobj(rival, costs, 5))
+			budgeted, err := pp.Select(k, fobj(rival, costs, 5))
 			if err != nil {
-				t.Fatalf("%s: budgeted SelectSeedsObjOn: %v", name, err)
+				t.Fatalf("%s: budgeted Select: %v", name, err)
 			}
 			sameBudgeted(name+"/select", budgeted, refRun)
 		}
@@ -174,9 +174,9 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-	gotGains, err := m.GainsObjOn(pp, nil, allUsers, nil)
+	gotGains, err := pp.GainsObj(nil, allUsers, nil)
 	if err != nil {
-		t.Fatalf("GainsObjOn(default): %v", err)
+		t.Fatalf("GainsObj(default): %v", err)
 	}
 	for u := range gotGains {
 		if want := core.NewProbe(full).Gain(graph.NodeID(u), nil); gotGains[u] != want {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCoordinatorQueriesMatchCloneCommit pins the read-only query path:
-// the partitioned planner's SpreadObj and GainsObjOn answer from a
+// the partitioned planner's SpreadObj and GainsObj answer from a
 // core.Probe over the shared partitions, and every value must be
 // bit-identical to the clone-and-commit reference — a probe of the full
 // engine, each rival then seed committed in input order, cloned before
@@ -130,13 +130,13 @@ func checkQuery(t *testing.T, name string, m *credist.Model, pp *credist.Planner
 		wantGains[i] = based.Gain(x, obj)
 	}
 
-	spread, err := pp.SpreadObj(m, seeds, fo)
+	spread, err := pp.SpreadObj(seeds, fo)
 	if err != nil {
 		t.Fatalf("%s: SpreadObj: %v", name, err)
 	}
-	gains, err := m.GainsObjOn(pp, seeds, cands, fo)
+	gains, err := pp.GainsObj(seeds, cands, fo)
 	if err != nil {
-		t.Fatalf("%s: GainsObjOn: %v", name, err)
+		t.Fatalf("%s: GainsObj: %v", name, err)
 	}
 	if spread != wantSpread {
 		t.Fatalf("%s: spread of %v (blocked %v) = %b, clone+commit gives %b", name, seeds, blocked, spread, wantSpread)

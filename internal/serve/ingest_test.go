@@ -79,7 +79,7 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 	var gr serve.GainResponse
 	getJSON(t, h, "GET", "/gain?candidates=4,5,6", "", &gr)
-	if want := offline.Gains(nil, []credist.NodeID{4, 5, 6}); !equalFloats(gr.Gains, want) {
+	if want := offlineGains(t, offline, nil, []credist.NodeID{4, 5, 6}); !equalFloats(gr.Gains, want) {
 		t.Errorf("post-ingest /gain = %v, offline = %v", gr.Gains, want)
 	}
 
@@ -92,7 +92,7 @@ func TestIngestEndpoint(t *testing.T) {
 	if after.Snapshot != ir.Snapshot {
 		t.Errorf("/seeds answered from snapshot %d, want %d", after.Snapshot, ir.Snapshot)
 	}
-	wantSeeds, wantGains := offline.SelectSeeds(3)
+	wantSeeds, wantGains := offlineSeeds(offline, 3)
 	for i := range wantSeeds {
 		if after.Seeds[i] != wantSeeds[i] || after.Gains[i] != wantGains[i] {
 			t.Errorf("post-ingest seed %d: served (%d, %b), offline (%d, %b)",

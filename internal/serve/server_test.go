@@ -246,12 +246,12 @@ func TestBitIdenticalToOfflineModel(t *testing.T) {
 
 	var gr serve.GainResponse
 	getJSON(t, h, "GET", "/gain?candidates=4,5,6", "", &gr)
-	if want := model.Gains(nil, []credist.NodeID{4, 5, 6}); !equalFloats(gr.Gains, want) {
+	if want := offlineGains(t, model, nil, []credist.NodeID{4, 5, 6}); !equalFloats(gr.Gains, want) {
 		t.Errorf("/gain = %v, offline Gains = %v", gr.Gains, want)
 	}
 
 	getJSON(t, h, "POST", "/gain", `{"seeds":[1,2],"candidates":[4,5,6]}`, &gr)
-	if want := model.Gains([]credist.NodeID{1, 2}, []credist.NodeID{4, 5, 6}); !equalFloats(gr.Gains, want) {
+	if want := offlineGains(t, model, []credist.NodeID{1, 2}, []credist.NodeID{4, 5, 6}); !equalFloats(gr.Gains, want) {
 		t.Errorf("/gain with base = %v, offline Gains = %v", gr.Gains, want)
 	}
 
@@ -260,13 +260,13 @@ func TestBitIdenticalToOfflineModel(t *testing.T) {
 	if gr.Gains[0] != 0 {
 		t.Errorf("/gain for committed seed = %g, want 0", gr.Gains[0])
 	}
-	if want := model.Gains([]credist.NodeID{5}, []credist.NodeID{5, 6}); !equalFloats(gr.Gains, want) {
+	if want := offlineGains(t, model, []credist.NodeID{5}, []credist.NodeID{5, 6}); !equalFloats(gr.Gains, want) {
 		t.Errorf("/gain committed-seed case = %v, offline Gains = %v", gr.Gains, want)
 	}
 
 	var seedsResp serve.SeedsResponse
 	getJSON(t, h, "GET", "/seeds?k=4", "", &seedsResp)
-	wantSeeds, wantGains := model.SelectSeeds(4)
+	wantSeeds, wantGains := offlineSeeds(model, 4)
 	if len(seedsResp.Seeds) != len(wantSeeds) {
 		t.Fatalf("/seeds returned %d seeds, offline %d", len(seedsResp.Seeds), len(wantSeeds))
 	}
@@ -305,7 +305,7 @@ func TestExplainEndpoints(t *testing.T) {
 	if er.Gain != gr.Gains[0] {
 		t.Errorf("/explain gain = %b, /gain = %b", er.Gain, gr.Gains[0])
 	}
-	if want := model.ExplainSeed(4, 5); er.Gain != want.Gain || len(er.Paths) != len(want.Paths) || er.TotalPaths != want.TotalPaths {
+	if want := mustExplainSeed(t, model.NewPlanner(), 4, 5); er.Gain != want.Gain || len(er.Paths) != len(want.Paths) || er.TotalPaths != want.TotalPaths {
 		t.Errorf("served explanation (%b, %d paths of %d) diverges from offline (%b, %d of %d)",
 			er.Gain, len(er.Paths), er.TotalPaths, want.Gain, len(want.Paths), want.TotalPaths)
 	}
@@ -328,7 +328,7 @@ func TestExplainEndpoints(t *testing.T) {
 	if sum != rr.Total {
 		t.Errorf("per-seed shares fold to %b, total = %b", sum, rr.Total)
 	}
-	want := model.ExplainReach(seeds, 7, 10)
+	want := mustExplainReach(t, model.NewPlanner(), seeds, 7, 10)
 	if rr.Total != want.Total || len(rr.PerSeed) != len(want.PerSeed) {
 		t.Errorf("served reach (%b, %d shares) diverges from offline (%b, %d)",
 			rr.Total, len(rr.PerSeed), want.Total, len(want.PerSeed))
@@ -438,7 +438,7 @@ func TestObjectiveEndpoints(t *testing.T) {
 
 	var gr serve.GainResponse
 	getJSON(t, h, "GET", "/gain?seeds=1&candidates=4,5&blocked=2,3", "", &gr)
-	wantG, err := model.GainsObj([]credist.NodeID{1}, []credist.NodeID{4, 5},
+	wantG, err := model.NewPlanner().GainsObj([]credist.NodeID{1}, []credist.NodeID{4, 5},
 		&credist.Objective{Blocked: []credist.NodeID{2, 3}})
 	if err != nil {
 		t.Fatalf("offline GainsObj: %v", err)
@@ -455,9 +455,9 @@ func TestObjectiveEndpoints(t *testing.T) {
 		costs[i] = 1
 	}
 	costs[1], costs[2] = 3, 3
-	wantRes, err := model.SelectSeedsObj(4, &credist.Objective{Costs: costs, Budget: 2.5})
+	wantRes, err := model.NewPlanner().Select(4, &credist.Objective{Costs: costs, Budget: 2.5})
 	if err != nil {
-		t.Fatalf("offline SelectSeedsObj: %v", err)
+		t.Fatalf("offline Select: %v", err)
 	}
 	if len(seedsResp.Seeds) != len(wantRes.Seeds) {
 		t.Fatalf("budgeted /seeds returned %d seeds, offline %d", len(seedsResp.Seeds), len(wantRes.Seeds))
@@ -482,9 +482,9 @@ func TestObjectiveEndpoints(t *testing.T) {
 	if targeted.Cached {
 		t.Error("targeted /seeds served from the default memo")
 	}
-	wantRes, err = model.SelectSeedsObj(3, &credist.Objective{Audience: aud})
+	wantRes, err = model.NewPlanner().Select(3, &credist.Objective{Audience: aud})
 	if err != nil {
-		t.Fatalf("offline targeted SelectSeedsObj: %v", err)
+		t.Fatalf("offline targeted Select: %v", err)
 	}
 	for i := range wantRes.Seeds {
 		if targeted.Seeds[i] != wantRes.Seeds[i] || targeted.Gains[i] != wantRes.Gains[i] {
@@ -728,7 +728,7 @@ func TestSnapshotCheckpointRestartCycle(t *testing.T) {
 	}
 	// The continuation matches a from-scratch selection on the same model
 	// bit for bit (restored-prefix resume is exact, not approximate).
-	wantSeeds, wantGains := snC.Model().SelectSeeds(5)
+	wantSeeds, wantGains := offlineSeeds(snC.Model(), 5)
 	for i := range wantSeeds {
 		if grownC.Seeds[i] != wantSeeds[i] || grownC.Gains[i] != wantGains[i] {
 			t.Fatalf("resumed growth diverges from offline selection at seed %d: (%d, %b) vs (%d, %b)",
@@ -808,6 +808,43 @@ func doRaw(t *testing.T, h http.Handler, method, target, body string, out any) (
 		}
 	}
 	return w.Code, raw
+}
+
+// offlineGains is the offline planner answer a served gain must match.
+func offlineGains(t *testing.T, m *credist.Model, base, candidates []credist.NodeID) []float64 {
+	t.Helper()
+	g, err := m.NewPlanner().Gains(base, candidates)
+	if err != nil {
+		t.Fatalf("offline Gains: %v", err)
+	}
+	return g
+}
+
+// offlineSeeds is the offline default-objective selection a served one
+// must match.
+func offlineSeeds(m *credist.Model, k int) ([]credist.NodeID, []float64) {
+	res := m.Selection(k)
+	return res.Seeds, res.Gains
+}
+
+// mustExplainSeed is p.ExplainSeed, failing t on an error.
+func mustExplainSeed(t *testing.T, p *credist.Planner, x credist.NodeID, top int) credist.SeedExplanation {
+	t.Helper()
+	ex, err := p.ExplainSeed(x, top)
+	if err != nil {
+		t.Fatalf("offline ExplainSeed(%d): %v", x, err)
+	}
+	return ex
+}
+
+// mustExplainReach is p.ExplainReach, failing t on an error.
+func mustExplainReach(t *testing.T, p *credist.Planner, seeds []credist.NodeID, v credist.NodeID, top int) credist.ReachExplanation {
+	t.Helper()
+	ex, err := p.ExplainReach(seeds, v, top)
+	if err != nil {
+		t.Fatalf("offline ExplainReach(%v, %d): %v", seeds, v, err)
+	}
+	return ex
 }
 
 func equalFloats(a, b []float64) bool {

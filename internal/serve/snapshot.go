@@ -296,7 +296,7 @@ type backend struct {
 // sigma_cd at lambda > 0 (equal to float tolerance only at lambda = 0).
 func (b *backend) spread(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
 	if b.partitioned {
-		return b.planner.SpreadObj(b.model, seeds, o)
+		return b.planner.SpreadObj(seeds, o)
 	}
 	return b.model.SpreadObj(seeds, o)
 }
@@ -714,15 +714,14 @@ func (sn *Snapshot) Gains(base, candidates []credist.NodeID) ([]float64, error) 
 
 // GainsObj returns the marginal objective gain of each candidate against
 // the base seed set (nil o is the default objective), batched, with the
-// objective's blocked rivals committed first. The seeds are committed to
-// a probe over the backend's shared planner or partitions, so no engine
-// is written. Every value is bit-identical
-// to credist.Model.GainsObj on the same arguments, at any partition count.
+// objective's blocked rivals committed first: the backend planner's
+// GainsObj, which commits the seeds to a clone of its probe, so no engine
+// is written. Every value is bit-identical at any partition count.
 func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	return sn.model.GainsObjOn(sn.be.planner, base, candidates, o)
+	return sn.be.planner.GainsObj(base, candidates, o)
 }
 
 // SelectSeeds answers a CELF seed selection for k seeds from the
@@ -735,7 +734,7 @@ func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objec
 // requests are serialized; racers that arrive while a sufficient prefix
 // is being published are served from it. cached reports whether the
 // request was answered without running any selection. The result is
-// bit-identical to the offline Model.SelectSeeds(k).
+// bit-identical to the offline Planner.Select(k, nil).
 func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, false, err
@@ -785,13 +784,13 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 // one-shot run every time: the snapshot's growable selection and its
 // published prefix memo answer the default objective only, and an
 // objective-shaped result stored there would poison later default
-// requests. Bit-identical to the offline Model.SelectSeedsObj at any
-// worker or partition count.
+// requests. Bit-identical to the offline Planner.Select at any worker or
+// partition count.
 func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	res, err := sn.model.SelectSeedsObjOn(sn.be.planner, k, o)
+	res, err := sn.be.planner.Select(k, o)
 	if err != nil {
 		return nil, err
 	}
@@ -815,7 +814,7 @@ func (sn *Snapshot) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanat
 	if err := sn.partitionGate(); err != nil {
 		return credist.SeedExplanation{}, err
 	}
-	return sn.model.ExplainSeedOn(sn.be.planner, x, top)
+	return sn.be.planner.ExplainSeed(x, top)
 }
 
 // ExplainReach decomposes the credit the given seed set pushes onto
@@ -827,7 +826,7 @@ func (sn *Snapshot) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top i
 	if err := sn.partitionGate(); err != nil {
 		return credist.ReachExplanation{}, err
 	}
-	return sn.model.ExplainReachOn(sn.be.planner, seeds, v, top)
+	return sn.be.planner.ExplainReach(seeds, v, top)
 }
 
 // Selections returns how many CELF growth runs this snapshot has actually

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"credist/internal/actionlog"
-	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
 	"credist/internal/partition"
@@ -32,7 +31,8 @@ type Options struct {
 // and then reused: a model restored from a binary snapshot (LoadModel)
 // serves planners without ever re-scanning the log, and even a freshly
 // learned model pays the Algorithm 2 scan once across any number of
-// NewPlanner/Gains/SelectSeeds calls.
+// NewPlanner calls. Every gain, selection and explanation is answered by
+// a Planner; the model answers the exact spread (Spread, SpreadObj).
 type Model struct {
 	ds     *Dataset
 	opts   Options
@@ -122,19 +122,10 @@ func (m *Model) Options() Options { return m.opts }
 
 // Spread predicts the expected influence spread sigma_cd of a seed set.
 // It is safe for concurrent use: evaluation reads only immutable scan
-// products, so any number of goroutines may call Spread (and Gains with an
-// empty base set) on a shared Model.
+// products, so any number of goroutines may call Spread on a shared
+// Model. A seed outside [0, NumUsers) panics; SpreadObj returns an error
+// for it instead.
 func (m *Model) Spread(seeds []NodeID) float64 { return m.eval().Spread(seeds, nil) }
-
-// Gains returns the marginal gain sigma_cd(S+c) - sigma_cd(S) of every
-// candidate c against the base seed set S, batched so the engine scan is
-// paid at most once per model and the base seeds are committed once per
-// call. It matches Planner exactly: Gains(base, cs)[i] is bit-for-bit the
-// value a Planner returns from Gain(cs[i]) after Add-ing each base seed in
-// order. The scanned engine is only read (see gainsOn).
-func (m *Model) Gains(base, candidates []NodeID) []float64 {
-	return gainsOn(core.NewProbe(m.base()), m.base().Workers(), nil, base, candidates, nil)
-}
 
 // Ingest returns a new Model extended with a batch of complete new
 // propagations, without relearning: the credit parameters stay frozen and
@@ -190,7 +181,7 @@ func (m *Model) ExtendPlanner(p *Planner) (*Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPlanner(parts...), nil
+	return newPlanner(m, parts...), nil
 }
 
 // checkPlanner is the one planner-vs-model check behind extending and
@@ -219,22 +210,19 @@ func (m *Model) checkPlanner(p *Planner, verb string, exact bool) error {
 	return nil
 }
 
-// SelectSeeds picks k seeds with the paper's algorithm (Scan + greedy with
-// CELF, the first-iteration gain pass fanned over the available cores) and
-// returns them with their marginal gains; summing the gains gives the
-// predicted spread of the whole set. Results are bit-identical regardless
-// of worker count.
-func (m *Model) SelectSeeds(k int) ([]NodeID, []float64) {
-	res := m.selection(k)
-	return res.Seeds, res.Gains
-}
+// NewPlanner returns a planner with an empty seed set over the model's
+// scanned UC structure (Algorithm 2). The scan happens at most once per
+// model — on the first call, or never for a model restored by LoadModel
+// from a binary snapshot — and every planner shares it, so repeated
+// calls cost microseconds, not a log rescan.
+func (m *Model) NewPlanner() *Planner { return newPlanner(m, m.base()) }
 
-// Selection runs seed selection and returns the full trace (seeds, gains,
-// per-seed timing, and the number of marginal-gain evaluations).
-func (m *Model) Selection(k int) seedsel.Result { return m.selection(k) }
-
-func (m *Model) selection(k int) seedsel.Result {
-	return selectObjOn(core.NewProbe(m.base()), m.base().Workers(), k, nil, nil)
+// Selection runs default-objective seed selection from an empty seed set
+// and returns the full trace (seeds, gains, per-seed timing, and the
+// number of marginal-gain evaluations); it is NewPlanner().Select(k, nil).
+func (m *Model) Selection(k int) seedsel.Result {
+	res, _ := m.NewPlanner().Select(k, nil) // the default objective never fails
+	return res
 }
 
 // SeedPrefix is a computed CELF seed-selection prefix: seeds in selection
@@ -263,215 +251,6 @@ func (m *Model) RecordSeedPrefix(res seedsel.Result) {
 		LookupsAt: append([]int64(nil), res.LookupsAt...),
 	}
 }
-
-// GrowableSelection is a prefix-incremental CELF run bound to its own
-// planner clone: Grow(k) extends the committed selection to k seeds,
-// keeping the lazy-forward heap across calls, so after Grow(50) any
-// k <= 50 is answered from the recorded arrays and Grow(60) pays only the
-// marginal work. Seeds are committed to the selection's own probe
-// (core.ProbeEstimator), never to the clone. Not safe for concurrent use;
-// the serving layer serializes Grow and publishes immutable copies for
-// readers.
-type GrowableSelection struct {
-	p   *Planner
-	sel *celf.Selection
-}
-
-// NewSelection starts an empty growable selection over a fresh planner
-// clone of the model's scanned engine.
-func (m *Model) NewSelection() *GrowableSelection {
-	return newGrowableSelection(m.NewPlanner())
-}
-
-// ResumeSelection rebuilds a growable selection from a previously
-// computed prefix (typically the model's own restored SeedPrefix): the
-// prefix seeds are committed to the probe without any gain evaluations,
-// and the first Grow past the prefix pays one fresh gain pass to rebuild
-// the heap. Seeds and gains of the continuation are bit-identical to a
-// continuous run.
-func (m *Model) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
-	return resumeGrowableSelection(m.NewPlanner(), prefix)
-}
-
-// NewSelection starts a growable selection over a clone of this planner,
-// continuing from the planner's committed seeds. The selection commits
-// its seeds to a probe of its own, so neither the receiver nor the clone
-// sees them, and a later Add on the receiver does not reach the
-// selection. This is how a serving layer grows selections off its
-// incrementally extended base planner instead of forcing a second
-// from-scratch scan out of the model. Seeds and gains are bit-identical
-// at every partition count.
-func (p *Planner) NewSelection() *GrowableSelection {
-	return newGrowableSelection(p.Clone())
-}
-
-// ResumeSelection is NewSelection continuing from a previously computed
-// prefix; see Model.ResumeSelection. A receiver holding committed seeds
-// is rejected: a prefix describes a selection from an empty seed set.
-// The prefix may come from a selection at a different partition count.
-func (p *Planner) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
-	return resumeGrowableSelection(p.Clone(), prefix)
-}
-
-// newGrowableSelection wraps a selection around a planner the caller
-// hands over; the selection commits to a clone of the planner's probe.
-func newGrowableSelection(p *Planner) *GrowableSelection {
-	return &GrowableSelection{p: p, sel: celf.NewSelection(p.probe.Clone().Estimator(nil), celf.Options{Workers: p.workers()})}
-}
-
-func resumeGrowableSelection(p *Planner, prefix *SeedPrefix) (*GrowableSelection, error) {
-	if prefix == nil {
-		return newGrowableSelection(p), nil
-	}
-	// A prefix describes a selection from an empty seed set, so replaying
-	// it on a planner with committed seeds would silently double-commit any
-	// overlap and report gains from a state that never existed.
-	if committed := p.Seeds(); len(committed) > 0 {
-		return nil, fmt.Errorf("credist: cannot resume a seed prefix on a planner with %d committed seeds", len(committed))
-	}
-	sel, err := celf.Resume(p.probe.Clone().Estimator(nil), *prefix, celf.Options{Workers: p.workers()})
-	if err != nil {
-		return nil, err
-	}
-	return &GrowableSelection{p: p, sel: sel}, nil
-}
-
-// Grow extends the selection to at most k seeds and returns the full
-// accumulated trace (slicing it to any length <= Len yields that prefix's
-// selection). Growing to a k at or below the current length does no work.
-func (s *GrowableSelection) Grow(k int) seedsel.Result { return s.sel.Grow(k) }
-
-// Len returns the number of committed seeds.
-func (s *GrowableSelection) Len() int { return s.sel.Len() }
-
-// Exhausted reports whether the candidate pool ran dry: no further Grow
-// can add seeds.
-func (s *GrowableSelection) Exhausted() bool { return s.sel.Exhausted() }
-
-// Planner exposes the selection's owned planner for inspection (entries,
-// resident bytes, actions scanned). It holds none of the selection's
-// seeds, which live in the probe; mutating it corrupts the selection, so
-// it is read-only by contract.
-func (s *GrowableSelection) Planner() *Planner { return s.p }
-
-// Planner is the stateful side of the model: the model's immutable
-// scanned UC credit structure of Algorithm 2 plus a core.Probe holding
-// the committed seed set. The structure is one full engine, or row-range
-// engine partitions tiling the user universe (Partition, LoadPartitions):
-// the probe reads every row from the partition owning it, and Theorem 3
-// prices a candidate from its own rows alone, so every gain, selection and
-// explanation is bit-identical at any partition count. Gain is read-only
-// (and safe to call from many goroutines at once); Add and Select commit
-// to the probe. Planners over one model share its engines, so NewPlanner
-// and Clone cost a small copy of the commit records, never a rescan or a
-// shard copy; this is how a serving layer keeps one planner per model
-// snapshot and hands independent copies to concurrent seed-selection
-// requests.
-type Planner struct {
-	// parts is one full engine, or partitions sorted by row range.
-	parts []*core.Engine
-	probe *core.Probe
-	// files holds the slice files LoadPartitions mapped (nil otherwise);
-	// Close releases them. Clones and Extend successors read the mappings
-	// but do not own them.
-	files []*core.SnapshotFile
-}
-
-// newPlanner returns a planner with an empty seed set over parts, which
-// must tile the universe (one full engine, or partition.Tile's output).
-func newPlanner(parts ...*core.Engine) *Planner {
-	return &Planner{parts: parts, probe: core.NewProbe(parts...)}
-}
-
-// NewPlanner returns a planner with an empty seed set over the model's
-// scanned UC structure (Algorithm 2). The scan happens at most once per
-// model — on the first call, or never for a model restored by LoadModel
-// from a binary snapshot — and every planner shares it, so repeated
-// calls cost microseconds, not a log rescan.
-func (m *Model) NewPlanner() *Planner { return newPlanner(m.base()) }
-
-// Clone returns an independent copy: Add and Select on the clone never
-// disturb the receiver, and the clone's results are bit-identical to those
-// of a freshly scanned planner driven through the same calls. It copies
-// the commit records and shares the engines.
-func (p *Planner) Clone() *Planner { return &Planner{parts: p.parts, probe: p.probe.Clone()} }
-
-// workers is the engines' worker knob, which query fan-out and CELF reuse.
-func (p *Planner) workers() int { return p.parts[0].Workers() }
-
-// partitioned reports whether the planner serves row-range partitions
-// (even a single one covering every row) rather than one full engine.
-func (p *Planner) partitioned() bool { return p.parts[0].IsPartition() }
-
-// Gain returns the marginal gain sigma_cd(S+x) - sigma_cd(S) of candidate x
-// against the committed seed set (Theorem 3). Read-only.
-func (p *Planner) Gain(x NodeID) float64 { return p.probe.Gain(x, nil) }
-
-// Add commits x to the seed set (Algorithm 5); committing a seed twice
-// changes nothing.
-func (p *Planner) Add(x NodeID) { p.probe.Commit(x, nil) }
-
-// Seeds returns the committed seed set in selection order.
-func (p *Planner) Seeds() []NodeID { return p.probe.Seeds() }
-
-// Select greedily extends the committed seed set by up to k seeds with
-// CELF (Algorithm 3) via the shared selection engine — the
-// first-iteration gain pass and stale-bound refreshes fan over the
-// engine's configured workers, with bit-identical seeds and gains at any
-// worker count — and returns the selection trace. The selection starts
-// from the planner's commits and commits the chosen seeds to it. Use
-// Clone first to keep the receiver reusable.
-func (p *Planner) Select(k int) seedsel.Result {
-	return celf.Run(p.probe.Estimator(nil), k, celf.Options{Workers: p.workers()})
-}
-
-// sum adds f over the engines.
-func (p *Planner) sum(f func(*core.Engine) int64) int64 {
-	var total int64
-	for _, e := range p.parts {
-		total += f(e)
-	}
-	return total
-}
-
-// Entries returns the number of live UC credit entries, the paper's memory
-// statistic (Figure 8, Table 4). Every cell lives in exactly one
-// partition, so the count is the same at any partition count.
-func (p *Planner) Entries() int64 { return p.sum((*core.Engine).Entries) }
-
-// ResidentBytes reports the UC structure's total footprint: HeapBytes
-// plus MappedBytes.
-func (p *Planner) ResidentBytes() int64 { return p.HeapBytes() + p.MappedBytes() }
-
-// HeapBytes reports the Go-heap slice footprint of the UC structure;
-// shards served from a mapped snapshot contribute nothing.
-func (p *Planner) HeapBytes() int64 { return p.sum((*core.Engine).HeapBytes) }
-
-// MappedBytes reports the file-backed footprint: bytes of mapped snapshot
-// files this planner's shards alias (zero for heap-loaded models).
-// Commits never change it.
-func (p *Planner) MappedBytes() int64 { return p.sum((*core.Engine).MappedBytes) }
-
-// RowStoreBackend reports how the planner's shards are served: "mmap"
-// while any shard aliases a mapped snapshot, "heap" otherwise.
-func (p *Planner) RowStoreBackend() string {
-	for _, e := range p.parts {
-		if e.RowStoreBackend() == "mmap" {
-			return "mmap"
-		}
-	}
-	return "heap"
-}
-
-// NumUsers returns the user-universe size.
-func (p *Planner) NumUsers() int { return p.parts[0].NumNodes() }
-
-// NumActions returns how many actions the planner has scanned.
-func (p *Planner) NumActions() int { return p.parts[0].NumActions() }
-
-// Freeze does nothing. Engines are immutable, so there is nothing left to
-// freeze; it remains so existing callers keep compiling.
-func (p *Planner) Freeze() {}
 
 // Influenceability returns the learned infl(u) when the time-aware rule is
 // in use, or 1 under the simple rule (which does not model it).

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"credist/internal/celf"
 	"credist/internal/core"
-	"credist/internal/par"
-	"credist/internal/seedsel"
 )
 
 // Objective describes a campaign-shaped query against a model: who counts
@@ -17,13 +14,14 @@ import (
 // The zero value (like a nil *Objective) is the default objective — the
 // paper's single global sigma_cd. Every entry point takes the objective
 // as an argument and lowers the default to the core's nil objective, so
-// default answers are bit-identical to Spread, Gains and SelectSeeds;
-// every answer is bit-identical across worker and partition counts.
+// default answers are bit-identical to Spread, Gains and Select with a
+// nil objective; every answer is bit-identical across worker and
+// partition counts.
 //
 // Audience, window, and blocked change what a seed set is *worth* and
-// apply to SpreadObj, GainsObj, and SelectSeedsObj alike. Costs and
-// Budget change which seeds get *picked* and apply only to selection;
-// SpreadObj and GainsObj reject them.
+// apply to Model.SpreadObj and to Planner.SpreadObj, GainsObj and Select
+// alike. Costs and Budget change which seeds get *picked* and apply only
+// to Planner.Select; SpreadObj and GainsObj reject them.
 type Objective struct {
 	// Audience restricts the objective to these users, each with weight 1
 	// (everyone else weighs 0). Mutually exclusive with Weights.
@@ -116,7 +114,7 @@ func (o *Objective) validate(numUsers int, selection bool) error {
 // core representation, attaching the model's cached delay index when the
 // window needs one. The result is nil (the core default) whenever
 // audience and window are default — blocked, costs, and budget live
-// above the core layer. A nil o needs no model context, so m may be nil.
+// above the core layer.
 func (m *Model) coreObjective(o *Objective, selection bool) (*core.Objective, error) {
 	if o == nil {
 		return nil, nil
@@ -166,133 +164,4 @@ func (m *Model) SpreadObj(seeds []NodeID, o *Objective) (float64, error) {
 	union := make([]NodeID, 0, len(o.Blocked)+len(seeds))
 	union = append(append(union, o.Blocked...), seeds...)
 	return ev.Spread(union, cobj) - ev.Spread(o.Blocked, cobj), nil
-}
-
-// GainsObj is Gains under an objective: each candidate's marginal
-// objective gain against the base seed set, with the objective's blocked
-// rivals committed first so every gain is marginal over the rival set
-// too. The default objective is exactly Gains, bit for bit. Costs and
-// budget are rejected here.
-func (m *Model) GainsObj(base, candidates []NodeID, o *Objective) ([]float64, error) {
-	return m.GainsObjOn(m.NewPlanner(), base, candidates, o)
-}
-
-// gainsOn prices candidates under cobj (nil is the default objective)
-// against blocked then base, committed in order to pr (which the caller
-// hands over): the engine is only read, and every value is bit-for-bit
-// the gain after committing the same seeds in place. Candidates fan over
-// the engine's workers.
-func gainsOn(pr *core.Probe, workers int, blocked, base, candidates []NodeID, cobj *core.Objective) []float64 {
-	for _, set := range [][]NodeID{blocked, base} {
-		for _, s := range set {
-			pr.Commit(s, nil)
-		}
-	}
-	out := make([]float64, len(candidates))
-	par.For(len(candidates), workers, func(_, i int) {
-		out[i] = pr.Gain(candidates[i], cobj)
-	})
-	return out
-}
-
-// GainsObjOn is GainsObj evaluated over a caller-supplied scanned planner
-// — a serving layer's (possibly ingest-extended or partitioned) base —
-// instead of the model's lazy base, whose first use for an ingest-grown
-// model would be a second from-scratch scan of the combined log. The gains
-// are marginal over the planner's committed seeds too; the planner is not
-// changed: the seeds are committed to a clone of its probe.
-func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) ([]float64, error) {
-	cobj, err := m.coreObjective(o, false)
-	if err != nil {
-		return nil, err
-	}
-	return p.gainsObj(o.blocked(), base, candidates, cobj)
-}
-
-// gainsObj checks the ids against the planner's universe and prices the
-// candidates under cobj over a clone of its probe (see gainsOn).
-func (p *Planner) gainsObj(blocked, base, candidates []NodeID, cobj *core.Objective) ([]float64, error) {
-	n := p.NumUsers()
-	if err := checkIDs("seed", base, n); err != nil {
-		return nil, err
-	}
-	if err := checkIDs("candidate", candidates, n); err != nil {
-		return nil, err
-	}
-	return gainsOn(p.probe.Clone(), p.workers(), blocked, base, candidates, cobj), nil
-}
-
-// SelectSeedsObjOn is SelectSeedsObj run over a caller-supplied scanned
-// planner, starting from its committed seeds. The planner is not changed:
-// the rivals and the selected seeds are committed to a clone of its
-// probe. It always runs a fresh one-shot selection;
-// the serving layer routes default requests to its memoized growable
-// selection before coming here.
-func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Result, error) {
-	cobj, err := m.coreObjective(o, true)
-	if err != nil {
-		return seedsel.Result{}, err
-	}
-	return selectObjOn(p.probe.Clone(), p.workers(), k, cobj, o), nil
-}
-
-// selectObjOn runs celf.Run under cobj over an estimator on pr (which the
-// caller hands over), with o's blocked rivals committed first (so every
-// gain is marginal over them) and excluded from the pool, and o's costs
-// and budget applied.
-func selectObjOn(pr *core.Probe, workers, k int, cobj *core.Objective, o *Objective) seedsel.Result {
-	est := pr.Estimator(cobj)
-	for _, s := range o.blocked() {
-		est.Add(s)
-	}
-	opts := selectOptions(o)
-	opts.Workers = workers
-	return celf.Run(est, k, opts)
-}
-
-// selectOptions carries o's costs, budget and blocked rivals into celf.
-func selectOptions(o *Objective) celf.Options {
-	if o == nil {
-		return celf.Options{}
-	}
-	return celf.Options{Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
-}
-
-// SelectSeedsObj runs seed selection under the full objective: audience
-// weights and window reprice every marginal gain, blocked rivals are
-// committed up front (and excluded from the pool), and costs/budget turn
-// the run into budgeted cost-benefit CELF with the best-affordable-
-// singleton fallback (the (1-1/sqrt(e))-approximate rule). The default
-// objective is exactly Selection, bit for bit; non-default selections
-// are bit-identical at every worker count.
-func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
-	return m.SelectSeedsObjOn(m.NewPlanner(), k, o)
-}
-
-// SpreadObj is the planner's telescoped Spread under an objective: the
-// objective's blocked rivals are committed to a clone of the planner's
-// probe without counting their gains, then each seed's objective gain is
-// summed as it is committed in input order, so the result is the
-// conditional sigma_obj(S | R) of the lambda-truncated model (duplicate
-// seeds contribute 0). Bit-identical across partition and worker counts.
-// m supplies the objective context (universe, delay index) and must be
-// the model this planner serves; it may be nil when o is nil, the default
-// objective. Costs and budget are rejected here.
-func (p *Planner) SpreadObj(m *Model, seeds []NodeID, o *Objective) (float64, error) {
-	cobj, err := m.coreObjective(o, false)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkIDs("seed", seeds, p.NumUsers()); err != nil {
-		return 0, err
-	}
-	pr := p.probe.Clone()
-	for _, s := range o.blocked() {
-		pr.Commit(s, nil)
-	}
-	total := 0.0
-	for _, s := range seeds {
-		total += pr.Commit(s, cobj)
-	}
-	return total, nil
 }

@@ -26,7 +26,7 @@ func objTestModel(t *testing.T) (*Model, *Objective) {
 func TestObjectiveFacadeDefaultBitIdentical(t *testing.T) {
 	ds := Generate(tinyConfig(12))
 	m := Learn(ds, Options{Lambda: 0.001})
-	seeds, _ := m.SelectSeeds(5)
+	seeds, _ := selectSeeds(m, 5)
 	candidates := make([]NodeID, 40)
 	for i := range candidates {
 		candidates[i] = NodeID(i * 7)
@@ -39,17 +39,17 @@ func TestObjectiveFacadeDefaultBitIdentical(t *testing.T) {
 		if want := m.Spread(seeds); spread != want {
 			t.Fatalf("default SpreadObj = %b, Spread = %b", spread, want)
 		}
-		gains, err := m.GainsObj(seeds[:2], candidates, o)
+		gains, err := m.NewPlanner().GainsObj(seeds[:2], candidates, o)
 		if err != nil {
 			t.Fatalf("GainsObj: %v", err)
 		}
-		want := m.Gains(seeds[:2], candidates)
+		want := mustGains(t, m.NewPlanner(), seeds[:2], candidates)
 		for i := range gains {
 			if gains[i] != want[i] {
 				t.Fatalf("default GainsObj[%d] = %b, Gains = %b", i, gains[i], want[i])
 			}
 		}
-		res, err := m.SelectSeedsObj(5, o)
+		res, err := m.NewPlanner().Select(5, o)
 		if err != nil {
 			t.Fatalf("SelectSeedsObj: %v", err)
 		}
@@ -70,7 +70,7 @@ func TestObjectiveFacadeDefaultBitIdentical(t *testing.T) {
 // gains) to within arithmetic reassociation.
 func TestObjectiveFacadePartitionedParity(t *testing.T) {
 	m, obj := objTestModel(t)
-	res, err := m.SelectSeedsObj(6, obj)
+	res, err := m.NewPlanner().Select(6, obj)
 	if err != nil {
 		t.Fatalf("SelectSeedsObj: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestObjectiveFacadePartitionedParity(t *testing.T) {
 		t.Fatalf("objective selection found %d seeds", len(res.Seeds))
 	}
 	obj.Blocked = res.Seeds[:2]
-	wantSel, err := m.SelectSeedsObj(4, obj)
+	wantSel, err := m.NewPlanner().Select(4, obj)
 	if err != nil {
 		t.Fatalf("SelectSeedsObj(blocked): %v", err)
 	}
@@ -86,7 +86,7 @@ func TestObjectiveFacadePartitionedParity(t *testing.T) {
 	for i := range candidates {
 		candidates[i] = NodeID(i * 5)
 	}
-	wantGains, err := m.GainsObj(nil, candidates, obj)
+	wantGains, err := m.NewPlanner().GainsObj(nil, candidates, obj)
 	if err != nil {
 		t.Fatalf("GainsObj: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestObjectiveFacadePartitionedParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Partition(%d): %v", nparts, err)
 		}
-		sel, err := m.SelectSeedsObjOn(pp, 4, obj)
+		sel, err := pp.Select(4, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: SelectSeedsObj: %v", nparts, err)
 		}
@@ -112,7 +112,7 @@ func TestObjectiveFacadePartitionedParity(t *testing.T) {
 					nparts, i, sel.Seeds[i], sel.Gains[i], wantSel.Seeds[i], wantSel.Gains[i])
 			}
 		}
-		gains, err := m.GainsObjOn(pp, nil, candidates, obj)
+		gains, err := pp.GainsObj(nil, candidates, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: GainsObj: %v", nparts, err)
 		}
@@ -121,7 +121,7 @@ func TestObjectiveFacadePartitionedParity(t *testing.T) {
 				t.Fatalf("nparts=%d: GainsObj[%d] = %b, single engine %b", nparts, i, gains[i], wantGains[i])
 			}
 		}
-		spread, err := pp.SpreadObj(m, res.Seeds[2:], obj)
+		spread, err := pp.SpreadObj(res.Seeds[2:], obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: SpreadObj: %v", nparts, err)
 		}
@@ -151,7 +151,7 @@ func TestObjectiveBudgetedSelection(t *testing.T) {
 	}
 	obj.Costs = costs
 	obj.Budget = 9
-	res, err := m.SelectSeedsObj(20, obj)
+	res, err := m.NewPlanner().Select(20, obj)
 	if err != nil {
 		t.Fatalf("SelectSeedsObj: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestObjectiveBudgetedSelection(t *testing.T) {
 		t.Fatalf("selection spends %g over budget %g", spent, obj.Budget)
 	}
 
-	capped, err := m.SelectSeedsObj(10, &Objective{Budget: 3})
+	capped, err := m.NewPlanner().Select(10, &Objective{Budget: 3})
 	if err != nil {
 		t.Fatalf("SelectSeedsObj(count cap): %v", err)
 	}
@@ -187,9 +187,9 @@ func TestObjectiveBudgetedSelection(t *testing.T) {
 func TestObjectiveBlockedSelection(t *testing.T) {
 	ds := Generate(tinyConfig(13))
 	m := Learn(ds, Options{Lambda: 0.001})
-	rival, _ := m.SelectSeeds(3)
+	rival, _ := selectSeeds(m, 3)
 	obj := &Objective{Blocked: rival}
-	res, err := m.SelectSeedsObj(6, obj)
+	res, err := m.NewPlanner().Select(6, obj)
 	if err != nil {
 		t.Fatalf("SelectSeedsObj: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestObjectiveValidationErrors(t *testing.T) {
 		if _, err := m.SpreadObj([]NodeID{1}, o); err == nil {
 			t.Errorf("%s: SpreadObj accepted", name)
 		}
-		if _, err := m.SelectSeedsObj(3, o); err == nil {
+		if _, err := m.NewPlanner().Select(3, o); err == nil {
 			t.Errorf("%s: SelectSeedsObj accepted", name)
 		}
 	}
@@ -241,7 +241,7 @@ func TestObjectiveValidationErrors(t *testing.T) {
 		"zero cost":       {Costs: make([]float64, n)},
 	}
 	for name, o := range selOnly {
-		if _, err := m.SelectSeedsObj(3, o); err == nil {
+		if _, err := m.NewPlanner().Select(3, o); err == nil {
 			t.Errorf("%s: SelectSeedsObj accepted", name)
 		}
 	}
@@ -249,7 +249,7 @@ func TestObjectiveValidationErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "seed selection") {
 		t.Errorf("budget on SpreadObj: err = %v, want selection-only rejection", err)
 	}
-	if _, err := m.GainsObj(nil, []NodeID{1}, &Objective{Costs: make([]float64, n)}); err == nil {
+	if _, err := m.NewPlanner().GainsObj(nil, []NodeID{1}, &Objective{Costs: make([]float64, n)}); err == nil {
 		t.Error("costs on GainsObj accepted")
 	}
 }
@@ -266,12 +266,12 @@ func TestGainsObjFanBitIdentical(t *testing.T) {
 	for i := range candidates {
 		candidates[i] = NodeID(i * 4)
 	}
-	batched, err := m.GainsObj(base, candidates, obj)
+	batched, err := m.NewPlanner().GainsObj(base, candidates, obj)
 	if err != nil {
 		t.Fatalf("GainsObj: %v", err)
 	}
 	for i, c := range candidates {
-		one, err := m.GainsObj(base, []NodeID{c}, obj)
+		one, err := m.NewPlanner().GainsObj(base, []NodeID{c}, obj)
 		if err != nil {
 			t.Fatalf("GainsObj(%d): %v", c, err)
 		}
@@ -281,13 +281,13 @@ func TestGainsObjFanBitIdentical(t *testing.T) {
 	}
 	// The caller-supplied-planner variant fans identically.
 	p := m.NewPlanner()
-	onPlanner, err := m.GainsObjOn(p, base, candidates, obj)
+	onPlanner, err := p.GainsObj(base, candidates, obj)
 	if err != nil {
-		t.Fatalf("GainsObjOn: %v", err)
+		t.Fatalf("planner GainsObj: %v", err)
 	}
 	for i := range batched {
 		if onPlanner[i] != batched[i] {
-			t.Fatalf("GainsObjOn[%d] = %b, GainsObj = %b", i, onPlanner[i], batched[i])
+			t.Fatalf("planner GainsObj[%d] = %b, GainsObj = %b", i, onPlanner[i], batched[i])
 		}
 	}
 }
@@ -301,7 +301,7 @@ func TestSeedsBlockedOverlap(t *testing.T) {
 	obj.Blocked = []NodeID{3, 9}
 	x := NodeID(21)
 
-	gains, err := m.GainsObj(nil, []NodeID{3, x, 9}, obj)
+	gains, err := m.NewPlanner().GainsObj(nil, []NodeID{3, x, 9}, obj)
 	if err != nil {
 		t.Fatalf("GainsObj: %v", err)
 	}
@@ -324,7 +324,7 @@ func TestSeedsBlockedOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Partition(%d): %v", nparts, err)
 		}
-		pg, err := m.GainsObjOn(pp, nil, []NodeID{3, x, 9}, obj)
+		pg, err := pp.GainsObj(nil, []NodeID{3, x, 9}, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: GainsObj: %v", nparts, err)
 		}
@@ -333,11 +333,11 @@ func TestSeedsBlockedOverlap(t *testing.T) {
 				t.Fatalf("nparts=%d: GainsObj[%d] = %b, single engine %b", nparts, i, pg[i], gains[i])
 			}
 		}
-		pw, err := pp.SpreadObj(m, []NodeID{3, x}, obj)
+		pw, err := pp.SpreadObj([]NodeID{3, x}, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: SpreadObj(blocked seed): %v", nparts, err)
 		}
-		pwo, err := pp.SpreadObj(m, []NodeID{x}, obj)
+		pwo, err := pp.SpreadObj([]NodeID{x}, obj)
 		if err != nil {
 			t.Fatalf("nparts=%d: SpreadObj: %v", nparts, err)
 		}

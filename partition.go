@@ -53,7 +53,7 @@ func (p *Planner) Partition(n int) (*Planner, error) {
 			return nil, err
 		}
 	}
-	return newPlanner(parts...), nil
+	return newPlanner(p.m, parts...), nil
 }
 
 // LoadPartitions restores a partitioned model from snapshot-slice files:
@@ -76,7 +76,7 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 	if err != nil {
 		return nil, nil, err
 	}
-	p := newPlanner(parts...)
+	p := newPlanner(m, parts...)
 	p.files = files
 	return m, p, nil
 }
@@ -235,31 +235,6 @@ func (p *Planner) Ranges() []PartitionRange { return partition.Ranges(p.parts) }
 
 // Stats returns per-partition accounting in partition order.
 func (p *Planner) Stats() []PartitionStats { return partition.StatsOf(p.parts) }
-
-// Spread computes sigma_cd(S) from the planner's engines without writing
-// them: per seed, its exact marginal gain, then its commit to a clone of
-// the planner's probe — the telescoped sum that CELF's own
-// Result.Spread() uses, marginal over any seeds the planner holds. The
-// value is bit-identical across partition counts, worker counts, and row
-// stores. It is the spread of the lambda-truncated model the planner
-// learned, not Model.Spread's exact sigma_cd: at lambda > 0 it reads
-// slightly below, and at lambda = 0 the two agree to float tolerance (the
-// evaluator sums in per-action order).
-func (p *Planner) Spread(seeds []NodeID) (float64, error) {
-	return p.SpreadObj(nil, seeds, nil)
-}
-
-// Gains evaluates each candidate's marginal gain against the planner's
-// committed seeds plus the base seed set, committed to a clone of the
-// planner's probe, every candidate priced from its row's owner.
-// Bit-identical to Gain after the same Adds, at any partition count.
-func (p *Planner) Gains(base, candidates []NodeID) ([]float64, error) {
-	return p.gainsObj(nil, base, candidates, nil)
-}
-
-// Extend derives the successor planner for m, this planner's model after
-// an Ingest; it is m.ExtendPlanner(p).
-func (p *Planner) Extend(m *Model) (*Planner, error) { return m.ExtendPlanner(p) }
 
 // Close releases the file mappings behind mmap-opened slices; a no-op
 // otherwise. Call it only once no query, selection, clone or Extend

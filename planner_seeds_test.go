@@ -15,7 +15,7 @@ import (
 func seededPlanner(t *testing.T, seed uint64) (*Model, *Planner, []NodeID) {
 	t.Helper()
 	m := Learn(Generate(tinyConfig(seed)), Options{Lambda: 0.001})
-	picks, _ := m.SelectSeeds(2)
+	picks, _ := selectSeeds(m, 2)
 	p := m.NewPlanner()
 	for _, s := range picks {
 		p.Add(s)
@@ -95,20 +95,21 @@ func TestSnapshotRefusesCommittedSeeds(t *testing.T) {
 // TestExplainReachOnSeededPlanner: over a planner holding seeds, a
 // committed seed pushes no credit and a committed target receives none,
 // though both carry credit on a seedless planner; the shares fold to the
-// total and a clone explains identically. Bit-identity to committing in
-// place is pinned in internal/core (TestExplainReachMatchesCommitOracle).
+// total and a clone explains identically; a seed listed twice is refused
+// on either. Bit-identity to committing in place is pinned in
+// internal/core (TestExplainReachMatchesCommitOracle).
 func TestExplainReachOnSeededPlanner(t *testing.T) {
 	m, p, picks := seededPlanner(t, 34)
-	seeds := []NodeID{picks[0], 1, 5, 9, 40, picks[0]}
+	seeds := []NodeID{picks[0], 1, 5, 9, 40}
 	targets := []NodeID{picks[1], 3, 14, 77}
 	fresh := m.NewPlanner()
 	reach := func(p *Planner, seeds []NodeID, v NodeID) ReachExplanation {
-		t.Helper()
-		ex, err := m.ExplainReachOn(p, seeds, v, 10)
-		if err != nil {
-			t.Fatalf("ExplainReachOn(%v, %d): %v", seeds, v, err)
+		return mustExplainReach(t, p, seeds, v, 10)
+	}
+	for _, q := range []*Planner{fresh, p} {
+		if _, err := q.ExplainReach(append(seeds, picks[0]), targets[1], 10); err == nil {
+			t.Fatalf("repeated seed %d accepted", picks[0])
 		}
-		return ex
 	}
 	if ex := reach(fresh, seeds, picks[1]); ex.Total == 0 {
 		t.Fatalf("instance too weak: no credit reaches %d without seeds", picks[1])

@@ -20,9 +20,9 @@ func TestFacadeExplainSeedMatchesGains(t *testing.T) {
 	ds := Generate(tinyConfig(21))
 	m := Learn(ds, Options{Lambda: 0.001})
 	cands := []NodeID{2, 7, 19, 40, 111}
-	gains := m.Gains(nil, cands)
+	gains := mustGains(t, m.NewPlanner(), nil, cands)
 	for i, c := range cands {
-		ex := m.ExplainSeed(c, 8)
+		ex := mustExplainSeed(t, m.NewPlanner(), c, 8)
 		if ex.Node != c || ex.Gain != gains[i] {
 			t.Errorf("ExplainSeed(%d).Gain = %b, Gains = %b", c, ex.Gain, gains[i])
 		}
@@ -52,7 +52,7 @@ func TestFacadeExplainReachSumsToTotal(t *testing.T) {
 	m := Learn(ds, Options{Lambda: 0.001})
 	seeds := []NodeID{1, 5, 9, 40}
 	for _, v := range []NodeID{3, 14, 77} {
-		ex := m.ExplainReach(seeds, v, 10)
+		ex := mustExplainReach(t, m.NewPlanner(), seeds, v, 10)
 		if ex.Target != v || len(ex.PerSeed) != len(seeds) {
 			t.Fatalf("ExplainReach(%d) shape: target %d, %d shares", v, ex.Target, len(ex.PerSeed))
 		}
@@ -71,7 +71,7 @@ func TestFacadeExplainReachSumsToTotal(t *testing.T) {
 
 // TestFacadeProvSnapshotRestore pins the persistence story: a saved
 // model restored on the heap or mapped explains exactly as the model that
-// was saved, through the model and through a planner, and the deprecated
+// was saved, and the deprecated
 // BuildProvIndex changes nothing — a save after it writes the same
 // version-3 bytes.
 func TestFacadeProvSnapshotRestore(t *testing.T) {
@@ -79,8 +79,8 @@ func TestFacadeProvSnapshotRestore(t *testing.T) {
 	m := Learn(ds, Options{Lambda: 0.001})
 	seeds := []NodeID{1, 5, 9}
 	v := NodeID(14)
-	wantReach := m.ExplainReach(seeds, v, 10)
-	wantSeedEx := m.ExplainSeed(7, 10)
+	wantReach := mustExplainReach(t, m.NewPlanner(), seeds, v, 10)
+	wantSeedEx := mustExplainSeed(t, m.NewPlanner(), 7, 10)
 
 	dir := t.TempDir()
 	path, again := filepath.Join(dir, "model.bin"), filepath.Join(dir, "again.bin")
@@ -112,13 +112,10 @@ func TestFacadeProvSnapshotRestore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mmap=%t: load: %v", mmap, err)
 		}
-		if got := loaded.ExplainReach(seeds, v, 10); !reflect.DeepEqual(wantReach, got) {
-			t.Errorf("mmap=%t: restored ExplainReach = %+v, want %+v", mmap, got, wantReach)
+		if got, err := loaded.NewPlanner().ExplainReach(seeds, v, 10); err != nil || !reflect.DeepEqual(wantReach, got) {
+			t.Errorf("mmap=%t: restored ExplainReach = %+v (%v), want %+v", mmap, got, err, wantReach)
 		}
-		if got, err := loaded.ExplainReachOn(loaded.NewPlanner(), seeds, v, 10); err != nil || !reflect.DeepEqual(wantReach, got) {
-			t.Errorf("mmap=%t: restored ExplainReachOn = %+v (%v), want %+v", mmap, got, err, wantReach)
-		}
-		if got := loaded.ExplainSeed(7, 10); !reflect.DeepEqual(wantSeedEx, got) {
+		if got := mustExplainSeed(t, loaded.NewPlanner(), 7, 10); !reflect.DeepEqual(wantSeedEx, got) {
 			t.Errorf("mmap=%t: restored ExplainSeed = %+v, want %+v", mmap, got, wantSeedEx)
 		}
 		if err := loaded.Close(); err != nil {
@@ -135,7 +132,7 @@ func TestFacadePartitionedExplainParity(t *testing.T) {
 	m := Learn(ds, Options{Lambda: 0.001})
 	seeds := []NodeID{3, 11, 27, 90}
 	v := NodeID(8)
-	wantReach := m.ExplainReach(seeds, v, 12)
+	wantReach := mustExplainReach(t, m.NewPlanner(), seeds, v, 12)
 	cands := []NodeID{2, 9, 33, 150, 299}
 	for _, nparts := range []int{1, 4} {
 		pp, err := m.NewPlanner().Partition(nparts)
@@ -143,8 +140,8 @@ func TestFacadePartitionedExplainParity(t *testing.T) {
 			t.Fatalf("Partition(%d): %v", nparts, err)
 		}
 		for _, c := range cands {
-			want := m.ExplainSeed(c, 7)
-			got, err := m.ExplainSeedOn(pp, c, 7)
+			want := mustExplainSeed(t, m.NewPlanner(), c, 7)
+			got, err := pp.ExplainSeed(c, 7)
 			if err != nil {
 				t.Fatalf("nparts=%d: ExplainSeed(%d): %v", nparts, c, err)
 			}
@@ -152,17 +149,17 @@ func TestFacadePartitionedExplainParity(t *testing.T) {
 				t.Errorf("nparts=%d: ExplainSeed(%d) = %+v, single engine %+v", nparts, c, got, want)
 			}
 		}
-		got, err := m.ExplainReachOn(pp, seeds, v, 12)
+		got, err := pp.ExplainReach(seeds, v, 12)
 		if err != nil {
 			t.Fatalf("nparts=%d: ExplainReach: %v", nparts, err)
 		}
 		if !reflect.DeepEqual(wantReach, got) {
 			t.Errorf("nparts=%d: ExplainReach = %+v, single engine %+v", nparts, got, wantReach)
 		}
-		if _, err := m.ExplainSeedOn(pp, NodeID(ds.NumUsers()), 3); err == nil {
+		if _, err := pp.ExplainSeed(NodeID(ds.NumUsers()), 3); err == nil {
 			t.Errorf("nparts=%d: out-of-universe candidate accepted", nparts)
 		}
-		if _, err := m.ExplainReachOn(pp, []NodeID{0, NodeID(ds.NumUsers())}, v, 3); err == nil {
+		if _, err := pp.ExplainReach([]NodeID{0, NodeID(ds.NumUsers())}, v, 3); err == nil {
 			t.Errorf("nparts=%d: out-of-universe seed accepted", nparts)
 		}
 	}
@@ -223,9 +220,9 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, v := range targets {
-				ex, err := grown.ExplainReachOn(planner, seeds, v, 10)
+				ex, err := planner.ExplainReach(seeds, v, 10)
 				if err != nil {
-					t.Errorf("goroutine %d: ExplainReachOn(%d): %v", g, v, err)
+					t.Errorf("goroutine %d: ExplainReach(%d): %v", g, v, err)
 					return
 				}
 				got[g] = append(got[g], ex)
@@ -237,10 +234,10 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 		t.FailNow()
 	}
 	for i, v := range targets {
-		want := ref.ExplainReach(seeds, v, 10)
+		want := mustExplainReach(t, ref.NewPlanner(), seeds, v, 10)
 		for g := range got {
 			if !reflect.DeepEqual(got[g][i], want) {
-				t.Fatalf("goroutine %d: ExplainReachOn(%d) = %+v, combined-log model %+v", g, v, got[g][i], want)
+				t.Fatalf("goroutine %d: ExplainReach(%d) = %+v, combined-log model %+v", g, v, got[g][i], want)
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func TestSeedPrefixSaveLoadCycle(t *testing.T) {
 
 	// Resuming the restored prefix and growing continues the selection
 	// exactly where a from-scratch run would be.
-	sel, err := loaded.ResumeSelection(p)
+	sel, err := loaded.NewPlanner().ResumeSelection(p)
 	if err != nil {
 		t.Fatalf("ResumeSelection: %v", err)
 	}
