@@ -151,6 +151,9 @@ func (m *Model) growApprox(count int) (*ris.Collection, error) {
 // sample or builds the credit-walk source. ok is false when the tier
 // holds no samples at all (the caller decides how to fail).
 func (m *Model) ApproxSpreadFixed(seeds []NodeID) (ApproxResult, bool, error) {
+	if err := checkIDs("seed", seeds, m.ds.Graph.NumNodes()); err != nil {
+		return ApproxResult{}, false, err
+	}
 	c := m.approx.coll.Load()
 	if c == nil {
 		return ApproxResult{}, false, nil
@@ -177,6 +180,9 @@ func (o ApproxOptions) resolved() ApproxOptions {
 // use and deterministic: the same model state and seed set yield the same
 // answer at any worker count.
 func (m *Model) ApproxSpread(seeds []NodeID, opts ApproxOptions) (ApproxResult, error) {
+	if err := checkIDs("seed", seeds, m.ds.Graph.NumNodes()); err != nil {
+		return ApproxResult{}, err
+	}
 	_, res, err := m.approxQuery(opts, func(*ris.Collection) []NodeID { return seeds })
 	return res, err
 }

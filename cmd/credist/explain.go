@@ -69,25 +69,18 @@ Flags:
 	if *top < 1 {
 		fail("-top must be a positive integer, got %d", *top)
 	}
+	opts, err := modelOptions(fs, *modelPath, *lambda, *simple)
+	if err != nil {
+		fail("%s", err)
+	}
 
 	ds, err := loadDataset(*preset, *graphPath, *logPath)
 	if err != nil {
 		fail("%s", strings.TrimPrefix(err.Error(), "credist: "))
 	}
-	opts := credist.Options{Lambda: *lambda, SimpleCredit: *simple}
 	var model *credist.Model
 	start := time.Now()
 	if *modelPath != "" {
-		// Adopt the snapshot's stored options unless flags were passed
-		// explicitly (same convention as `credist serve -model`).
-		explicit := make(map[string]bool)
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if !explicit["lambda"] {
-			opts.Lambda = 0
-		}
-		if !explicit["simple-credit"] {
-			opts.SimpleCredit = false
-		}
 		model, err = credist.LoadModel(ds, *modelPath, opts)
 		if err != nil {
 			fail("%s", strings.TrimPrefix(err.Error(), "credist: "))

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -277,4 +278,33 @@ func loadDataset(preset, graphPath, logPath string) (*credist.Dataset, error) {
 		return nil, fmt.Errorf("provide -preset (one of: %s), or both -graph and -log", presetList())
 	}
 	return credist.LoadDataset("custom", graphPath, logPath)
+}
+
+// modelOptions resolves -lambda and -simple-credit. Without a -model
+// snapshot they apply as given. With one, the snapshot's stored options are
+// authoritative: an unset flag adopts them, and an explicitly passed flag
+// is checked against them on load. The zero Options value is also the
+// "adopt the stored options" sentinel, so an explicit -lambda 0 or
+// -simple-credit=false could never be told from unset and would silently
+// skip the mismatch check; both are refused.
+func modelOptions(fs *flag.FlagSet, model string, lambda float64, simple bool) (credist.Options, error) {
+	if model == "" {
+		return credist.Options{Lambda: lambda, SimpleCredit: simple}, nil
+	}
+	explicit := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	var opts credist.Options
+	if explicit["lambda"] {
+		if lambda == 0 {
+			return opts, errors.New("-lambda 0 with -model is indistinguishable from unset; omit -lambda (the snapshot's stored options are authoritative)")
+		}
+		opts.Lambda = lambda
+	}
+	if explicit["simple-credit"] {
+		if !simple {
+			return opts, errors.New("-simple-credit=false with -model is indistinguishable from unset; omit it (the snapshot's stored options are authoritative)")
+		}
+		opts.SimpleCredit = true
+	}
+	return opts, nil
 }

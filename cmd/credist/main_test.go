@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
+
+	"credist"
 )
 
 func TestParseSeeds(t *testing.T) {
@@ -66,5 +69,48 @@ func TestLoadDatasetValidation(t *testing.T) {
 	}
 	if _, err := loadDataset("", "", ""); !strings.Contains(err.Error(), "flixster-small") {
 		t.Errorf("missing-input error does not list valid presets: %v", err)
+	}
+}
+
+// TestModelOptions pins the -lambda/-simple-credit rule serve and explain
+// share: with -model, unset flags adopt the snapshot's stored options
+// (the zero Options), explicit ones are passed on to be checked, and an
+// explicit zero value, which could never be checked, is refused.
+func TestModelOptions(t *testing.T) {
+	cases := []struct {
+		name    string
+		model   string
+		args    []string
+		want    credist.Options
+		refused string
+	}{
+		{name: "no model, defaults", want: credist.Options{Lambda: 0.001}},
+		{name: "no model, explicit zero", args: []string{"-lambda", "0", "-simple-credit=false"}},
+		{name: "no model, simple", args: []string{"-lambda", "0.01", "-simple-credit"}, want: credist.Options{Lambda: 0.01, SimpleCredit: true}},
+		{name: "model, unset adopts stored", model: "m.bin"},
+		{name: "model, explicit lambda", model: "m.bin", args: []string{"-lambda", "0.01"}, want: credist.Options{Lambda: 0.01}},
+		{name: "model, explicit simple", model: "m.bin", args: []string{"-simple-credit"}, want: credist.Options{SimpleCredit: true}},
+		{name: "model, lambda 0", model: "m.bin", args: []string{"-lambda", "0"}, refused: "-lambda 0"},
+		{name: "model, simple false", model: "m.bin", args: []string{"-simple-credit=false"}, refused: "-simple-credit=false"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			lambda := fs.Float64("lambda", 0.001, "")
+			simple := fs.Bool("simple-credit", false, "")
+			if err := fs.Parse(c.args); err != nil {
+				t.Fatal(err)
+			}
+			got, err := modelOptions(fs, c.model, *lambda, *simple)
+			if c.refused != "" {
+				if err == nil || !strings.Contains(err.Error(), c.refused) {
+					t.Fatalf("err = %v, want a refusal naming %s", err, c.refused)
+				}
+				return
+			}
+			if err != nil || got != c.want {
+				t.Fatalf("got %+v, %v; want %+v", got, err, c.want)
+			}
+		})
 	}
 }

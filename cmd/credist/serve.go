@@ -116,34 +116,14 @@ Flags:
 	}
 	fs.Parse(args)
 
-	// With -model the snapshot's stored options are authoritative; only an
-	// explicitly passed -lambda/-simple-credit should be checked against
-	// them, not the flag defaults. Explicit zero values are rejected
-	// outright: Options{Lambda: 0} is also the "adopt the stored options"
-	// sentinel, so they could never be distinguished from unset and would
-	// silently skip the mismatch check.
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *mmap && *model == "" {
 		fmt.Fprintln(os.Stderr, "credist serve: -mmap needs -model (the mapping is the snapshot file)")
 		os.Exit(1)
 	}
-	srcLambda, srcSimple := *lambda, *simple
-	if *model != "" {
-		if explicit["lambda"] && *lambda == 0 {
-			fmt.Fprintln(os.Stderr, "credist serve: -lambda 0 with -model is indistinguishable from unset; omit -lambda (the snapshot's stored options are authoritative)")
-			os.Exit(1)
-		}
-		if explicit["simple-credit"] && !*simple {
-			fmt.Fprintln(os.Stderr, "credist serve: -simple-credit=false with -model is indistinguishable from unset; omit it (the snapshot's stored options are authoritative)")
-			os.Exit(1)
-		}
-		if !explicit["lambda"] {
-			srcLambda = 0
-		}
-		if !explicit["simple-credit"] {
-			srcSimple = false
-		}
+	opts, err := modelOptions(fs, *model, *lambda, *simple)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "credist serve:", err)
+		os.Exit(1)
 	}
 	if *parts < 0 {
 		fmt.Fprintln(os.Stderr, "credist serve: -partitions must be non-negative")
@@ -157,8 +137,8 @@ Flags:
 		ModelPath:    *model,
 		Mmap:         *mmap,
 		TailPath:     *tail,
-		Lambda:       srcLambda,
-		SimpleCredit: srcSimple,
+		Lambda:       opts.Lambda,
+		SimpleCredit: opts.SimpleCredit,
 		Partitions:   *parts,
 	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)

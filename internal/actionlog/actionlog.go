@@ -306,25 +306,3 @@ func (l *Log) Restrict(actions []ActionID) *Log {
 	}
 	return b.Build()
 }
-
-// RestrictUsers returns a new Log keeping only tuples whose user is in the
-// remap (old id -> new id), with users renumbered and actions renumbered
-// densely over the surviving non-empty actions. It is used when carving a
-// community sub-dataset.
-func (l *Log) RestrictUsers(remap map[graph.NodeID]graph.NodeID, newNumUsers int) *Log {
-	b := NewBuilder(newNumUsers)
-	next := ActionID(0)
-	for a := ActionID(0); int(a) < l.NumActions(); a++ {
-		kept := false
-		for _, t := range l.Action(a) {
-			if nu, ok := remap[t.User]; ok {
-				_ = b.Add(nu, next, t.Time)
-				kept = true
-			}
-		}
-		if kept {
-			next++
-		}
-	}
-	return b.Build()
-}

@@ -240,20 +240,6 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestRestrictUsers(t *testing.T) {
-	l := buildLog(t, 4, []Tuple{
-		{User: 0, Action: 0, Time: 1},
-		{User: 1, Action: 0, Time: 2},
-		{User: 3, Action: 1, Time: 5},
-	})
-	remap := map[graph.NodeID]graph.NodeID{0: 0, 1: 1}
-	r := l.RestrictUsers(remap, 2)
-	if r.NumUsers() != 2 || r.NumTuples() != 2 || r.NumActions() != 1 {
-		t.Fatalf("restricted log wrong: users=%d tuples=%d actions=%d",
-			r.NumUsers(), r.NumTuples(), r.NumActions())
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	l := buildLog(t, 5, []Tuple{
 		{User: 0, Action: 0, Time: 1},

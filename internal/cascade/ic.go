@@ -51,41 +51,6 @@ func SimulateIC(w *Weights, seeds []graph.NodeID, rng *rand.Rand, st *ICState) i
 	return active
 }
 
-// SimulateICActivated is SimulateIC but also reports which nodes activated.
-func SimulateICActivated(w *Weights, seeds []graph.NodeID, rng *rand.Rand) []graph.NodeID {
-	st := NewICState(w.Graph())
-	g := w.Graph()
-	var activated, frontier []graph.NodeID
-	st.epoch++
-	for _, s := range seeds {
-		if st.mark[s] == st.epoch {
-			continue
-		}
-		st.mark[s] = st.epoch
-		frontier = append(frontier, s)
-		activated = append(activated, s)
-	}
-	for len(frontier) > 0 {
-		var next []graph.NodeID
-		for _, v := range frontier {
-			out := g.Out(v)
-			probs := w.OutRow(v)
-			for i, u := range out {
-				if st.mark[u] == st.epoch {
-					continue
-				}
-				if p := probs[i]; p > 0 && rng.Float64() < p {
-					st.mark[u] = st.epoch
-					next = append(next, u)
-					activated = append(activated, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	return activated
-}
-
 // ICState is per-goroutine scratch space for IC simulation, avoiding an
 // O(n) reset between trials via epoch marking.
 type ICState struct {

@@ -104,11 +104,3 @@ func (w *Weights) InSum(u graph.NodeID) float64 {
 	}
 	return sum
 }
-
-// Clone returns a deep copy sharing the graph.
-func (w *Weights) Clone() *Weights {
-	c := NewWeights(w.g)
-	copy(c.out, w.out)
-	copy(c.in, w.in)
-	return c
-}

@@ -254,8 +254,8 @@ func TestResumeRejectsBadPrefixes(t *testing.T) {
 func nan() float64 { z := 0.0; return z / z }
 func inf() float64 { z := 0.0; return 1 / z }
 
-// TestCandidatePoolRestriction pins CELFCandidates-style pools through
-// the shared engine.
+// TestCandidatePoolRestriction pins candidate pools through the shared
+// engine.
 func TestCandidatePoolRestriction(t *testing.T) {
 	base := freshEngine(t, true)
 	pool := []graph.NodeID{5, 9, 17, 40, 77}

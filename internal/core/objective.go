@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"slices"
 
 	"credist/internal/actionlog"
@@ -39,7 +37,8 @@ import (
 type Objective struct {
 	// Weights is the per-node audience weight w(u), indexed by node id and
 	// covering the whole universe; nil means uniform weight 1. Weights
-	// must be finite and non-negative (Validate enforces it).
+	// must be finite and non-negative (the facade's validation enforces
+	// it).
 	Weights []float64
 	// Windowed enables the time window: credit earned for a participation
 	// later than Tau after the action's first participation counts for
@@ -59,27 +58,6 @@ type Objective struct {
 // code path (bit-identity by construction, not by arithmetic accident).
 func (o *Objective) IsDefault() bool {
 	return o == nil || (o.Weights == nil && !o.Windowed)
-}
-
-// Validate enforces the structural rules every objective consumer relies
-// on: a weight vector covering the universe with finite non-negative
-// entries, and a finite non-negative window.
-func (o *Objective) Validate(numUsers int) error {
-	if o == nil {
-		return nil
-	}
-	if o.Weights != nil && len(o.Weights) != numUsers {
-		return fmt.Errorf("core: objective weights cover %d users, universe has %d", len(o.Weights), numUsers)
-	}
-	for u, w := range o.Weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return fmt.Errorf("core: objective weight %g for user %d (want finite and non-negative)", w, u)
-		}
-	}
-	if o.Windowed && (math.IsNaN(o.Tau) || o.Tau < 0) {
-		return fmt.Errorf("core: objective window %g (want finite and non-negative)", o.Tau)
-	}
-	return nil
 }
 
 // weight returns w(u) (1 under uniform weights).

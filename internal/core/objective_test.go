@@ -42,9 +42,6 @@ func TestGainObjMatchesSpreadObjDelta(t *testing.T) {
 		g, log := randomInstance(rng, 12+rng.IntN(10), 4+rng.IntN(6))
 		delays := BuildActionDelays(log)
 		obj := randomObjective(rng, log, delays)
-		if err := obj.Validate(log.NumUsers()); err != nil {
-			t.Fatalf("trial %d: objective invalid: %v", trial, err)
-		}
 		e := NewProbe(NewEngine(g, log, Options{})).Estimator(obj)
 		ev := NewEvaluator(g, log, nil)
 		var seeds []graph.NodeID
@@ -128,24 +125,10 @@ func TestObjectiveWindowZero(t *testing.T) {
 	}
 }
 
-// TestObjectiveValidate pins the rejection rules serve's 400s rely on.
-func TestObjectiveValidate(t *testing.T) {
-	cases := map[string]*Objective{
-		"short weights":   {Weights: []float64{1, 2}},
-		"negative weight": {Weights: []float64{1, -1, 1, 1, 1, 1, 1, 1, 1, 1}},
-		"nan weight":      {Weights: []float64{math.NaN(), 1, 1, 1, 1, 1, 1, 1, 1, 1}},
-		"negative window": {Windowed: true, Tau: -1},
-		"nan window":      {Windowed: true, Tau: math.NaN()},
-	}
-	for name, obj := range cases {
-		if err := obj.Validate(10); err == nil {
-			t.Errorf("%s: objective accepted", name)
-		}
-	}
+// TestObjectiveIsDefault pins which objectives take the exact
+// pre-objective code path.
+func TestObjectiveIsDefault(t *testing.T) {
 	var nilObj *Objective
-	if err := nilObj.Validate(10); err != nil {
-		t.Errorf("nil objective rejected: %v", err)
-	}
 	if !nilObj.IsDefault() || !(&Objective{}).IsDefault() {
 		t.Error("nil or zero objective not default")
 	}

@@ -29,8 +29,6 @@ type ExpOptions struct {
 	Lambda float64
 	// Seed drives every randomized component.
 	Seed uint64
-	// Theta is the PMIA/LDAG influence threshold.
-	Theta float64
 	// Workers bounds the CD engine's scan and CELF gain fan-out
 	// (0 = GOMAXPROCS). Results are bit-identical at any worker count —
 	// the same determinism rule the serving layer's /seeds obeys — so the
@@ -47,9 +45,6 @@ func (o ExpOptions) withDefaults() ExpOptions {
 	}
 	if o.Lambda == 0 {
 		o.Lambda = 0.001
-	}
-	if o.Theta == 0 {
-		o.Theta = heuristic.DefaultTheta
 	}
 	return o
 }
@@ -89,7 +84,7 @@ func Table2(w io.Writer, env *Env, opts ExpOptions) *SeedSets {
 	weights := Section3Weights(env, opts.methodOptions())
 	sets := &SeedSets{}
 	for _, name := range []string{"UN", "WC", "TV", "EM", "PT"} {
-		est := heuristic.NewPMIA(weights[name], opts.Theta)
+		est := heuristic.NewPMIA(weights[name], heuristic.DefaultTheta)
 		res := seedsel.CELF(est, opts.K)
 		sets.Add(name, res.Seeds)
 	}
@@ -151,11 +146,11 @@ func ModelSeedSets(env *Env, opts ExpOptions) *SeedSets {
 	sets := &SeedSets{}
 
 	icW := probs.LearnEMIC(env.Graph, env.Train, probs.EMOptions{})
-	icRes := seedsel.CELF(heuristic.NewPMIA(icW, opts.Theta), opts.K)
+	icRes := seedsel.CELF(heuristic.NewPMIA(icW, heuristic.DefaultTheta), opts.K)
 	sets.Add("IC", icRes.Seeds)
 
 	ltW := probs.LearnLTWeights(env.Graph, env.Train)
-	ltRes := seedsel.CELF(heuristic.NewLDAG(ltW, opts.Theta), opts.K)
+	ltRes := seedsel.CELF(heuristic.NewLDAG(ltW, heuristic.DefaultTheta), opts.K)
 	sets.Add("LT", ltRes.Seeds)
 
 	sets.Add("CD", SelectCD(env, opts).Seeds)
@@ -206,7 +201,7 @@ func Figure6(w io.Writer, env *Env, opts ExpOptions) []SpreadCurve {
 	opts = opts.withDefaults()
 	sets := ModelSeedSets(env, opts)
 	sets.Add("HighDeg", seedsel.HighDegree(env.Graph, opts.K))
-	sets.Add("PageRank", seedsel.PageRankSeeds(env.Graph, opts.K, graph.PageRankOptions{}))
+	sets.Add("PageRank", seedsel.PageRankSeeds(env.Graph, opts.K))
 
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	ev := core.NewEvaluator(env.Graph, env.Train, credit)

@@ -21,22 +21,20 @@ type Predictor struct {
 // DESIGN.md §4). Override per-call via Methods options.
 const MCTrials = 1000
 
+// perturbNoise is the PT method's relative noise bound.
+const perturbNoise = 0.20
+
 // MethodOptions configures predictor construction.
 type MethodOptions struct {
 	// Trials overrides the Monte-Carlo simulation count (default MCTrials).
 	Trials int
 	// Seed drives all randomized assignments and simulations.
 	Seed uint64
-	// PerturbNoise is the PT method's relative noise bound (default 0.20).
-	PerturbNoise float64
 }
 
 func (o MethodOptions) withDefaults() MethodOptions {
 	if o.Trials == 0 {
 		o.Trials = MCTrials
-	}
-	if o.PerturbNoise == 0 {
-		o.PerturbNoise = 0.20
 	}
 	return o
 }
@@ -71,7 +69,7 @@ func Section3Weights(env *Env, opts MethodOptions) map[string]*cascade.Weights {
 		"TV": probs.Trivalency(env.Graph, rng),
 		"WC": probs.WeightedCascade(env.Graph),
 		"EM": em,
-		"PT": probs.Perturb(em, opts.PerturbNoise, rng),
+		"PT": probs.Perturb(em, perturbNoise, rng),
 	}
 }
 

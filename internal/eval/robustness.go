@@ -33,7 +33,7 @@ func NoiseRobustness(w io.Writer, env *Env, noises []float64, opts ExpOptions) [
 		noises = []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 	}
 	em := probs.LearnEMIC(env.Graph, env.Train, probs.EMOptions{})
-	base := seedsel.CELF(heuristic.NewPMIA(em, opts.Theta), opts.K)
+	base := seedsel.CELF(heuristic.NewPMIA(em, heuristic.DefaultTheta), opts.K)
 
 	// Score seed sets with the CD evaluator, the paper's best proxy for
 	// actual spread.
@@ -45,7 +45,7 @@ func NoiseRobustness(w io.Writer, env *Env, noises []float64, opts ExpOptions) [
 	var points []NoisePoint
 	for _, noise := range noises {
 		pt := probs.Perturb(em, noise, rng)
-		res := seedsel.CELF(heuristic.NewPMIA(pt, opts.Theta), opts.K)
+		res := seedsel.CELF(heuristic.NewPMIA(pt, heuristic.DefaultTheta), opts.K)
 		loss := 0.0
 		if baseSpread > 0 {
 			loss = 1 - scorer.Spread(res.Seeds, nil)/baseSpread
@@ -85,19 +85,19 @@ func LearnerComparison(w io.Writer, env *Env, opts ExpOptions) []MethodSpreadPoi
 	weights := map[string]func() []graph.NodeID{
 		"EM": func() []graph.NodeID {
 			w := probs.LearnEMIC(env.Graph, env.Train, probs.EMOptions{})
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return seedsel.CELF(heuristic.NewPMIA(w, heuristic.DefaultTheta), opts.K).Seeds
 		},
 		"Bernoulli": func() []graph.NodeID {
 			w := probs.LearnGoyal(env.Graph, env.Train, probs.Bernoulli)
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return seedsel.CELF(heuristic.NewPMIA(w, heuristic.DefaultTheta), opts.K).Seeds
 		},
 		"Jaccard": func() []graph.NodeID {
 			w := probs.LearnGoyal(env.Graph, env.Train, probs.Jaccard)
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return seedsel.CELF(heuristic.NewPMIA(w, heuristic.DefaultTheta), opts.K).Seeds
 		},
 		"PartialCredits": func() []graph.NodeID {
 			w := probs.LearnGoyal(env.Graph, env.Train, probs.PartialCredits)
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return seedsel.CELF(heuristic.NewPMIA(w, heuristic.DefaultTheta), opts.K).Seeds
 		},
 		"CD": func() []graph.NodeID {
 			return SelectCD(env, opts).Seeds

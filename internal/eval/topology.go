@@ -6,7 +6,6 @@ import (
 
 	"credist/internal/core"
 	"credist/internal/datagen"
-	"credist/internal/graph"
 	"credist/internal/seedsel"
 )
 
@@ -41,7 +40,7 @@ func TopologyRobustness(w io.Writer, base datagen.Config, opts ExpOptions) []Top
 
 		cd := SelectCD(env, opts)
 		hd := seedsel.HighDegree(env.Graph, opts.K)
-		pr := seedsel.PageRankSeeds(env.Graph, opts.K, graph.PageRankOptions{})
+		pr := seedsel.PageRankSeeds(env.Graph, opts.K)
 
 		pt := TopologyPoint{
 			Topology: topo,

@@ -54,99 +54,3 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *Graph {
 	}
 	return b.Build()
 }
-
-// Metrics summarizes a graph's shape for dataset reports and robustness
-// checks.
-type Metrics struct {
-	Nodes       int
-	Edges       int
-	AvgDegree   float64
-	MaxInDeg    int
-	MaxOutDeg   int
-	Reciprocity float64 // fraction of edges whose reverse also exists
-	Isolated    int     // nodes with no edges at all
-}
-
-// Measure computes Metrics for g.
-func Measure(g *Graph) Metrics {
-	m := Metrics{
-		Nodes:     g.NumNodes(),
-		Edges:     g.NumEdges(),
-		AvgDegree: g.AvgDegree(),
-	}
-	recip := 0
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		if d := g.InDegree(u); d > m.MaxInDeg {
-			m.MaxInDeg = d
-		}
-		if d := g.OutDegree(u); d > m.MaxOutDeg {
-			m.MaxOutDeg = d
-		}
-		if g.Degree(u) == 0 {
-			m.Isolated++
-		}
-		for _, v := range g.Out(u) {
-			if g.HasEdge(v, u) {
-				recip++
-			}
-		}
-	}
-	if g.NumEdges() > 0 {
-		m.Reciprocity = float64(recip) / float64(g.NumEdges())
-	}
-	return m
-}
-
-// DegreeHistogram returns counts of out-degrees: hist[d] is the number of
-// nodes with out-degree d. The slice length is MaxOutDeg+1.
-func DegreeHistogram(g *Graph) []int {
-	maxDeg := 0
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		if d := g.OutDegree(u); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	hist := make([]int, maxDeg+1)
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		hist[g.OutDegree(u)]++
-	}
-	return hist
-}
-
-// ClusteringCoefficient returns the global clustering coefficient of the
-// undirected view of g: 3 * triangles / connected triples.
-func ClusteringCoefficient(g *Graph) float64 {
-	// Build undirected neighbor sets once.
-	neighbors := make([]map[NodeID]bool, g.NumNodes())
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		set := make(map[NodeID]bool)
-		for _, v := range g.Out(u) {
-			set[v] = true
-		}
-		for _, v := range g.In(u) {
-			set[v] = true
-		}
-		neighbors[u] = set
-	}
-	triangles, triples := 0, 0
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		var ns []NodeID
-		for v := range neighbors[u] {
-			ns = append(ns, v)
-		}
-		deg := len(ns)
-		triples += deg * (deg - 1) / 2
-		for i := 0; i < deg; i++ {
-			for j := i + 1; j < deg; j++ {
-				if neighbors[ns[i]][ns[j]] {
-					triangles++
-				}
-			}
-		}
-	}
-	if triples == 0 {
-		return 0
-	}
-	// Each triangle is counted once per corner, i.e. three times.
-	return float64(triangles) / float64(triples)
-}

@@ -48,53 +48,3 @@ func TestWattsStrogatzShape(t *testing.T) {
 		t.Fatal("beta=0.5 changed nothing")
 	}
 }
-
-func TestMeasure(t *testing.T) {
-	b := NewBuilder(4)
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(1, 0) // reciprocated pair
-	_ = b.AddEdge(1, 2)
-	g := b.Build()
-	m := Measure(g)
-	if m.Nodes != 4 || m.Edges != 3 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	if math.Abs(m.Reciprocity-2.0/3.0) > 1e-12 {
-		t.Fatalf("reciprocity = %g, want 2/3", m.Reciprocity)
-	}
-	if m.Isolated != 1 {
-		t.Fatalf("isolated = %d, want 1 (node 3)", m.Isolated)
-	}
-	if m.MaxOutDeg != 2 || m.MaxInDeg != 1 {
-		t.Fatalf("degrees = %+v", m)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(3)
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(0, 2)
-	g := b.Build()
-	hist := DegreeHistogram(g)
-	if hist[0] != 2 || hist[2] != 1 {
-		t.Fatalf("hist = %v", hist)
-	}
-}
-
-func TestClusteringCoefficient(t *testing.T) {
-	// Triangle: coefficient 1.
-	b := NewBuilder(3)
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(1, 2)
-	_ = b.AddEdge(2, 0)
-	if got := ClusteringCoefficient(b.Build()); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("triangle coefficient = %g", got)
-	}
-	// Path: no triangles.
-	b2 := NewBuilder(3)
-	_ = b2.AddEdge(0, 1)
-	_ = b2.AddEdge(1, 2)
-	if got := ClusteringCoefficient(b2.Build()); got != 0 {
-		t.Fatalf("path coefficient = %g", got)
-	}
-}

@@ -149,9 +149,6 @@ func (b *Builder) AddUndirected(u, v NodeID) error {
 	return b.AddEdge(v, u)
 }
 
-// NumNodes returns the node count the builder was created with.
-func (b *Builder) NumNodes() int { return int(b.n) }
-
 // Build produces the immutable Graph. The builder may be reused afterwards;
 // it retains its accumulated edges.
 func (b *Builder) Build() *Graph {
@@ -191,41 +188,6 @@ func bucket(n int32, edges []Edge, key func(Edge) (NodeID, NodeID)) ([]int32, []
 		next[row]++
 	}
 	return index, out
-}
-
-// FromEdges builds a graph with n nodes from an edge list, coalescing
-// duplicates and skipping nothing: any invalid edge is an error.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		if err := b.AddEdge(e.From, e.To); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
-// Subgraph returns the node-induced subgraph on keep (which must contain
-// dense original ids) plus the mapping from new ids to original ids.
-// Nodes are renumbered 0..len(keep)-1 in the order given.
-func (g *Graph) Subgraph(keep []NodeID) (*Graph, []NodeID) {
-	remap := make(map[NodeID]NodeID, len(keep))
-	orig := make([]NodeID, len(keep))
-	for i, u := range keep {
-		remap[u] = NodeID(i)
-		orig[i] = u
-	}
-	b := NewBuilder(len(keep))
-	for _, u := range keep {
-		nu := remap[u]
-		for _, v := range g.Out(u) {
-			if nv, ok := remap[v]; ok {
-				// Errors impossible: ids in range, no self-loops in g.
-				_ = b.AddEdge(nu, nv)
-			}
-		}
-	}
-	return b.Build(), orig
 }
 
 // Transpose returns the graph with every edge reversed. Graphs are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -123,24 +124,6 @@ func TestAdjacencySorted(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g := mustGraph(t, 5, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2}})
-	sub, orig := g.Subgraph([]NodeID{0, 1, 2})
-	if sub.NumNodes() != 3 {
-		t.Fatalf("sub nodes = %d, want 3", sub.NumNodes())
-	}
-	// Edges within {0,1,2}: 0->1, 1->2, 0->2.
-	if sub.NumEdges() != 3 {
-		t.Fatalf("sub edges = %d, want 3", sub.NumEdges())
-	}
-	if orig[0] != 0 || orig[1] != 1 || orig[2] != 2 {
-		t.Errorf("orig mapping = %v", orig)
-	}
-	if !sub.HasEdge(0, 2) {
-		t.Error("edge 0->2 lost in subgraph")
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	g := mustGraph(t, 3, [][2]NodeID{{0, 1}, {1, 2}})
 	tr := g.Transpose()
@@ -155,12 +138,12 @@ func TestTranspose(t *testing.T) {
 
 func TestEdgesRoundTrip(t *testing.T) {
 	g := mustGraph(t, 4, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
-	g2, err := FromEdges(4, g.Edges())
-	if err != nil {
-		t.Fatal(err)
+	var pairs [][2]NodeID
+	for _, e := range g.Edges() {
+		pairs = append(pairs, [2]NodeID{e.From, e.To})
 	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("edge count changed: %d vs %d", g2.NumEdges(), g.NumEdges())
+	if g2 := mustGraph(t, 4, pairs); !reflect.DeepEqual(g2.Edges(), g.Edges()) {
+		t.Fatalf("edges changed: %v vs %v", g2.Edges(), g.Edges())
 	}
 }
 
@@ -233,7 +216,7 @@ func TestReadEdgeListSkipsComments(t *testing.T) {
 
 func TestPageRankUniformOnCycle(t *testing.T) {
 	g := mustGraph(t, 4, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	pr := PageRank(g, PageRankOptions{})
+	pr := PageRank(g)
 	for i, p := range pr {
 		if p < 0.24 || p > 0.26 {
 			t.Errorf("rank[%d] = %g, want 0.25", i, p)
@@ -250,7 +233,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 			_ = b.AddEdge(u, v)
 		}
 	}
-	pr := PageRank(b.Build(), PageRankOptions{})
+	pr := PageRank(b.Build())
 	sum := 0.0
 	for _, p := range pr {
 		sum += p
@@ -267,7 +250,7 @@ func TestPageRankPrefersHub(t *testing.T) {
 		edges = append(edges, [2]NodeID{i, 0})
 	}
 	g := mustGraph(t, 6, edges)
-	pr := PageRank(g, PageRankOptions{})
+	pr := PageRank(g)
 	for i := 1; i < 6; i++ {
 		if pr[0] <= pr[i] {
 			t.Fatalf("hub rank %g not above leaf rank %g", pr[0], pr[i])
@@ -286,73 +269,5 @@ func TestTopKByScore(t *testing.T) {
 	}
 	if got := TopKByScore(scores, 99); len(got) != 5 {
 		t.Fatalf("k>n returned %d items", len(got))
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := mustGraph(t, 6, [][2]NodeID{{0, 1}, {1, 2}, {3, 4}})
-	label, n := ConnectedComponents(g)
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if label[0] != label[1] || label[1] != label[2] {
-		t.Error("0,1,2 should share a component")
-	}
-	if label[3] != label[4] {
-		t.Error("3,4 should share a component")
-	}
-	if label[5] == label[0] || label[5] == label[3] {
-		t.Error("5 should be isolated")
-	}
-}
-
-func TestCommunitiesFindTwoCliques(t *testing.T) {
-	// Two 6-cliques joined by a single edge.
-	b := NewBuilder(12)
-	for i := NodeID(0); i < 6; i++ {
-		for j := NodeID(0); j < 6; j++ {
-			if i != j {
-				_ = b.AddEdge(i, j)
-				_ = b.AddEdge(i+6, j+6)
-			}
-		}
-	}
-	_ = b.AddEdge(0, 6)
-	g := b.Build()
-	rng := rand.New(rand.NewPCG(9, 9))
-	label := Communities(g, 20, rng)
-	for i := 1; i < 6; i++ {
-		if label[i] != label[0] {
-			t.Fatalf("clique A split: %v", label)
-		}
-		if label[i+6] != label[6] {
-			t.Fatalf("clique B split: %v", label)
-		}
-	}
-	if label[0] == label[6] {
-		t.Fatalf("cliques merged: %v", label)
-	}
-	members := LargestCommunity(label)
-	if len(members) != 6 {
-		t.Fatalf("largest community size = %d, want 6", len(members))
-	}
-}
-
-func TestCommunityOfSize(t *testing.T) {
-	label := []int{0, 0, 0, 1, 1, 2}
-	got := CommunityOfSize(label, 2)
-	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
-		t.Fatalf("CommunityOfSize = %v, want [3 4]", got)
-	}
-}
-
-func TestBFSBall(t *testing.T) {
-	g := mustGraph(t, 5, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	ball := BFSBall(g, 0, 3)
-	if len(ball) != 3 || ball[0] != 0 {
-		t.Fatalf("BFSBall = %v", ball)
-	}
-	if got := BFSBall(g, 0, 0); got != nil {
-		t.Fatalf("limit 0 should return nil, got %v", got)
 	}
 }

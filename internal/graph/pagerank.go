@@ -2,28 +2,16 @@ package graph
 
 import "sort"
 
-// PageRankOptions configures the PageRank computation.
-type PageRankOptions struct {
-	// Damping is the probability of following an out-link (default 0.85).
-	Damping float64
-	// MaxIter bounds the number of power iterations (default 100).
-	MaxIter int
-	// Tol is the L1 convergence tolerance (default 1e-9).
-	Tol float64
-}
-
-func (o PageRankOptions) withDefaults() PageRankOptions {
-	if o.Damping == 0 {
-		o.Damping = 0.85
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	return o
-}
+// PageRank's damping (the probability of following an out-link), its
+// power-iteration cap and its L1 convergence tolerance. The damping is
+// typed: 1-pageRankDamping then starts from the float64 nearest 0.85, as
+// runtime arithmetic does, where an untyped constant would fold 1-0.85
+// exactly and round to a different float64.
+const (
+	pageRankDamping float64 = 0.85
+	pageRankMaxIter         = 100
+	pageRankTol     float64 = 1e-9
+)
 
 // PageRank computes PageRank scores by power iteration. Scores sum to 1.
 // Dangling nodes (no out-edges) distribute their mass uniformly, the
@@ -34,8 +22,7 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 // rank should accumulate along *reversed* edges (a node is influential if
 // influenced nodes point at it); callers who want the influence-oriented
 // variant should run PageRank on g.Transpose(), as cmd/experiments does.
-func PageRank(g *Graph, opts PageRankOptions) []float64 {
-	opts = opts.withDefaults()
+func PageRank(g *Graph) []float64 {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil
@@ -46,7 +33,7 @@ func PageRank(g *Graph, opts PageRankOptions) []float64 {
 	for i := range rank {
 		rank[i] = inv
 	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < pageRankMaxIter; iter++ {
 		dangling := 0.0
 		for i := range next {
 			next[i] = 0
@@ -62,10 +49,10 @@ func PageRank(g *Graph, opts PageRankOptions) []float64 {
 				next[v] += share
 			}
 		}
-		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
+		base := (1-pageRankDamping)*inv + pageRankDamping*dangling*inv
 		delta := 0.0
 		for i := range next {
-			v := base + opts.Damping*next[i]
+			v := base + pageRankDamping*next[i]
 			d := v - rank[i]
 			if d < 0 {
 				d = -d
@@ -73,7 +60,7 @@ func PageRank(g *Graph, opts PageRankOptions) []float64 {
 			delta += d
 			rank[i] = v
 		}
-		if delta < opts.Tol {
+		if delta < pageRankTol {
 			break
 		}
 	}

@@ -31,9 +31,6 @@ type Range struct {
 
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
-// Contains reports whether the range owns row x.
-func (r Range) Contains(x graph.NodeID) bool { return int(x) >= r.Lo && int(x) < r.Hi }
-
 // SplitRanges tiles [0, numUsers) into n contiguous near-even ranges (the
 // first numUsers mod n ranges get the extra row). n is clamped to at
 // least 1 and at most numUsers (every partition below numUsers rows wide

@@ -230,9 +230,6 @@ func (e *Estimator) Add(x graph.NodeID) {
 	}
 }
 
-// CoveredCount returns how many samples the committed seeds cover.
-func (e *Estimator) CoveredCount() int { return e.count }
-
 // ConcurrentGain marks Gain as safe for concurrent calls between Adds.
 // Compile-time marker for celf.ConcurrentEstimator; never called.
 func (e *Estimator) ConcurrentGain() {}

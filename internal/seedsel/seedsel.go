@@ -96,11 +96,6 @@ func CELF(est Estimator, k int) Result {
 	return celf.Run(est, k, celf.Options{})
 }
 
-// CELFCandidates is CELF restricted to a candidate pool.
-func CELFCandidates(est Estimator, k int, candidates []graph.NodeID) Result {
-	return celf.Run(est, k, celf.Options{Candidates: candidates})
-}
-
 // HighDegree returns the k nodes of largest out-degree (ties by id), the
 // paper's "High Degree" baseline.
 func HighDegree(g *graph.Graph, k int) []graph.NodeID {
@@ -113,7 +108,7 @@ func HighDegree(g *graph.Graph, k int) []graph.NodeID {
 
 // PageRankSeeds returns the k top nodes by PageRank over the reversed
 // graph, so that rank flows from the influenced toward influencers.
-func PageRankSeeds(g *graph.Graph, k int, opts graph.PageRankOptions) []graph.NodeID {
-	scores := graph.PageRank(g.Transpose(), opts)
+func PageRankSeeds(g *graph.Graph, k int) []graph.NodeID {
+	scores := graph.PageRank(g.Transpose())
 	return graph.TopKByScore(scores, k)
 }

@@ -177,7 +177,7 @@ func TestPageRankSeedsPicksInfluencer(t *testing.T) {
 		_ = b.AddEdge(0, i)
 	}
 	g := b.Build()
-	seeds := PageRankSeeds(g, 1, graph.PageRankOptions{})
+	seeds := PageRankSeeds(g, 1)
 	if seeds[0] != 0 {
 		t.Fatalf("PageRankSeeds = %v, want node 0 first", seeds)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"credist/internal/actionlog"
 	"credist/internal/core"
-	"credist/internal/graph"
 	"credist/internal/partition"
 	"credist/internal/seedsel"
 )
@@ -283,7 +282,7 @@ func HighDegreeSeeds(ds *Dataset, k int) []NodeID {
 // PageRankSeeds returns the k top users by PageRank on the reversed graph,
 // the paper's PageRank baseline.
 func PageRankSeeds(ds *Dataset, k int) []NodeID {
-	return seedsel.PageRankSeeds(ds.Graph, k, graph.PageRankOptions{})
+	return seedsel.PageRankSeeds(ds.Graph, k)
 }
 
 // SaveParams writes the model's learned parameters (time-aware credit

@@ -226,6 +226,9 @@ func TestObjectiveValidationErrors(t *testing.T) {
 		"nan window":           {Windowed: true, Window: math.NaN()},
 		"audience and weights": {Audience: []NodeID{1}, Weights: make([]float64, n)},
 		"short weights":        {Weights: []float64{1, 2}},
+		"negative weight":      {Weights: weightsWith(n, -1)},
+		"nan weight":           {Weights: weightsWith(n, math.NaN())},
+		"inf window":           {Windowed: true, Window: math.Inf(1)},
 	}
 	for name, o := range cases {
 		if _, err := m.SpreadObj([]NodeID{1}, o); err == nil {
@@ -252,6 +255,16 @@ func TestObjectiveValidationErrors(t *testing.T) {
 	if _, err := m.NewPlanner().GainsObj(nil, []NodeID{1}, &Objective{Costs: make([]float64, n)}); err == nil {
 		t.Error("costs on GainsObj accepted")
 	}
+}
+
+// weightsWith is n uniform weights with the last one set to w.
+func weightsWith(n int, w float64) []float64 {
+	ws := make([]float64, n)
+	for i := range ws {
+		ws[i] = 1
+	}
+	ws[n-1] = w
+	return ws
 }
 
 // TestGainsObjFanBitIdentical pins the batched objective gain fan-out:

@@ -215,6 +215,13 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
+	// Without the sync the rename can reach the disk before the data, and
+	// a crash would leave an empty file under path.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err

@@ -60,6 +60,11 @@ func TestQueryFormsRejectOutOfRangeIDs(t *testing.T) {
 				},
 				"Model.SpreadObj":     func() error { _, err := m.SpreadObj(ids, nil); return err },
 				"Model.ExplainSeedOn": func() error { _, err := m.ExplainSeedOn(p, id, 3); return err },
+				"Model.ApproxSpread": func() error {
+					_, err := m.ApproxSpread(ids, ApproxOptions{MaxSamples: 64})
+					return err
+				},
+				"Model.ApproxSpreadFixed": func() error { _, _, err := m.ApproxSpreadFixed(ids); return err },
 			}
 			for name, call := range forms {
 				t.Run(fmt.Sprintf("%s/%s/%d", shape, name, id), func(t *testing.T) {
