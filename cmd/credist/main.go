@@ -188,7 +188,7 @@ func buildObjective(audience string, window float64, blocked, costs string, budg
 		obj.Blocked, touched = ids, true
 	}
 	if costs != "" {
-		vec, err := parseCostVector(costs, numUsers)
+		vec, err := credist.ParseCosts("-costs", costs, numUsers)
 		if err != nil {
 			return nil, err
 		}
@@ -201,35 +201,6 @@ func buildObjective(audience string, window float64, blocked, costs string, budg
 		return nil, nil
 	}
 	return &obj, nil
-}
-
-// parseCostVector expands "id:cost" pairs over implicit unit costs into
-// the full per-user vector the objective layer expects.
-func parseCostVector(raw string, numUsers int) ([]float64, error) {
-	costs := make([]float64, numUsers)
-	for i := range costs {
-		costs[i] = 1
-	}
-	for _, pair := range strings.Split(raw, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		id, val, ok := strings.Cut(pair, ":")
-		if !ok {
-			return nil, fmt.Errorf("-costs: want id:cost pairs (e.g. 3:2.5,7:0.5), got %q", pair)
-		}
-		u, err := strconv.Atoi(strings.TrimSpace(id))
-		if err != nil || u < 0 || u >= numUsers {
-			return nil, fmt.Errorf("-costs: bad user id %q (universe [0,%d))", id, numUsers)
-		}
-		c, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-costs: bad cost %q for user %d", val, u)
-		}
-		costs[u] = c
-	}
-	return costs, nil
 }
 
 // objSpread scores a seed set under the objective's evaluation half

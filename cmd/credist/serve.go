@@ -148,12 +148,6 @@ Flags:
 		fmt.Fprintln(os.Stderr, "credist serve:", err)
 		os.Exit(1)
 	}
-	// A degraded partitioned build would bind the port and answer 502 to
-	// every query; at the CLI that is a startup failure, not a service.
-	if err := snap.PartitionErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "credist serve:", err)
-		os.Exit(1)
-	}
 	srv := serve.New(snap)
 	srv.Logf = logger.Printf
 	if *model != "" {

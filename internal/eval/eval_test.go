@@ -99,16 +99,6 @@ func TestRunSpreadPredictionShape(t *testing.T) {
 	}
 }
 
-func TestRMSEHelper(t *testing.T) {
-	got := RMSE([]float64{1, 2}, []float64{1, 4})
-	if math.Abs(got-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("RMSE = %g", got)
-	}
-	if !math.IsNaN(RMSE([]float64{1}, []float64{})) {
-		t.Fatal("length mismatch should be NaN")
-	}
-}
-
 func TestSeedSetsIntersection(t *testing.T) {
 	var s SeedSets
 	s.Add("A", []graph.NodeID{1, 2, 3})

@@ -114,16 +114,3 @@ func predictOne(env *Env, p Predictor, binWidth int, errGrid []int) PredictionRe
 	}
 	return rep
 }
-
-// RMSE computes the root mean squared error between paired slices.
-func RMSE(pred, actual []float64) float64 {
-	if len(pred) != len(actual) || len(pred) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range pred {
-		d := pred[i] - actual[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred)))
-}

@@ -196,9 +196,6 @@ func TestApproxPartitionedServedFromSketch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partitioned Build from sketch-carrying snapshot: %v", err)
 		}
-		if err := snap.PartitionErr(); err != nil {
-			t.Fatalf("partitioned Build degraded: %v", err)
-		}
 		return serve.New(snap).Handler()
 	}
 	h := build()
@@ -390,8 +387,8 @@ func TestApproxPartitionedMatchesOneEngine(t *testing.T) {
 	partSrc := src
 	partSrc.Partitions = 4
 	parted, err := serve.Build(partSrc)
-	if err != nil || parted.PartitionErr() != nil {
-		t.Fatalf("partitioned Build: %v %v", err, parted.PartitionErr())
+	if err != nil {
+		t.Fatalf("partitioned Build: %v", err)
 	}
 	compared := 0
 	for _, q := range []struct {

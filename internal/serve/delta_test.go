@@ -79,9 +79,6 @@ func TestDeltaFiguresAgreeAcrossShapesHTTP(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Build: %v", shape, err)
 				}
-				if err := snap.PartitionErr(); err != nil {
-					t.Fatalf("%s: degraded: %v", shape, err)
-				}
 				h := serve.New(snap).Handler()
 				var ir serve.IngestResponse
 				getJSON(t, h, "POST", "/ingest", string(body), &ir)

@@ -54,9 +54,6 @@ var fuzzRoutes = []string{"/spread", "/gain", "/seeds", "/topk", "/explain"}
 var fuzzServers = sync.OnceValues(func() (http.Handler, http.Handler) {
 	handler := func(src serve.Source) http.Handler {
 		snap, err := serve.Build(src)
-		if err == nil {
-			err = snap.PartitionErr()
-		}
 		if err != nil {
 			panic(err)
 		}

@@ -23,9 +23,6 @@ func newPartitionedServer(t *testing.T, n int) *serve.Server {
 	if err != nil {
 		t.Fatalf("Build(partitions=%d): %v", n, err)
 	}
-	if err := snap.PartitionErr(); err != nil {
-		t.Fatalf("Build(partitions=%d) degraded: %v", n, err)
-	}
 	return serve.New(snap)
 }
 
@@ -141,9 +138,6 @@ func TestPartitionCountParityHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(partitions=%d, mmap=%t): %v", parts, mmap, err)
 		}
-		if err := snap.PartitionErr(); err != nil {
-			t.Fatalf("Build(partitions=%d, mmap=%t) degraded: %v", parts, mmap, err)
-		}
 		return serve.New(snap).Handler()
 	}
 	build(4, true) // first start: splits the model file into slice files
@@ -257,32 +251,22 @@ func TestStatsPartitionRows(t *testing.T) {
 	}
 }
 
-// writeDemoSlices checkpoints the demo model split n ways into dir and
-// returns the slice paths.
-func writeDemoSlices(t *testing.T, dir string, n int) []string {
+// corruptDemoSlices checkpoints the demo model split n ways as the
+// canonical slices of dir/model.bin (no model file is written) and flips
+// a byte mid-file in slice 1, which still opens but fails its CRC. It
+// returns the model path and the corrupt slice's path.
+func corruptDemoSlices(t *testing.T, dir string, n int) (modelPath, bad string) {
 	t.Helper()
 	model := credist.Learn(demoDataset(), credist.Options{Lambda: 0.001})
 	pp, err := model.NewPlanner().Partition(n)
 	if err != nil {
 		t.Fatalf("Partition(%d): %v", n, err)
 	}
-	paths := credist.SlicePaths(filepath.Join(dir, "model.bin"), n)
+	modelPath = filepath.Join(dir, "model.bin")
+	paths := credist.SlicePaths(modelPath, n)
 	if err := pp.SaveSlices(model, nil, paths); err != nil {
 		t.Fatalf("SaveSlices: %v", err)
 	}
-	return paths
-}
-
-// TestDegradedPartitionServing injects a corrupt slice and pins the whole
-// degraded fault path: Build records the failure instead of returning an
-// error, /healthz answers 503, every model query answers 502 naming the
-// failed partition, /ingest refuses with 502, and /reload refuses to
-// install another degraded snapshot.
-func TestDegradedPartitionServing(t *testing.T) {
-	dir := t.TempDir()
-	paths := writeDemoSlices(t, dir, 3)
-
-	// Flip a byte mid-file: the slice still opens but fails its CRC.
 	raw, err := os.ReadFile(paths[1])
 	if err != nil {
 		t.Fatal(err)
@@ -291,62 +275,23 @@ func TestDegradedPartitionServing(t *testing.T) {
 	if err := os.WriteFile(paths[1], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return modelPath, paths[1]
+}
 
-	snap, err := serve.Build(serve.Source{Dataset: demoDataset(), SlicePaths: paths})
-	if err != nil {
-		t.Fatalf("Build returned a hard error, want a degraded snapshot: %v", err)
-	}
-	perr := snap.PartitionErr()
-	if perr == nil {
-		t.Fatal("corrupt slice produced a healthy snapshot")
-	}
-	if !strings.Contains(perr.Error(), "partition 1") || !strings.Contains(perr.Error(), paths[1]) {
-		t.Fatalf("partition error does not name the failed partition and path: %v", perr)
-	}
-	h := serve.New(snap).Handler()
-
-	if code, body := do(t, h, "GET", "/healthz", ""); code != http.StatusServiceUnavailable {
-		t.Errorf("/healthz: status %d, want 503: %v", code, body)
-	}
-	for _, target := range []string{
-		"/spread?seeds=1,2", "/gain?candidates=3,4", "/seeds?k=3", "/topk?k=3",
-	} {
-		code, body := do(t, h, "GET", target, "")
-		if code != http.StatusBadGateway {
-			t.Errorf("%s: status %d, want 502: %v", target, code, body)
-			continue
+// TestCorruptSliceFailsBuild pins the partitioned fault path: a slice
+// that does not load fails Build, heap-loaded or mapped, with an error
+// naming the partition and its file, the way a corrupt model file fails
+// the single-engine build.
+func TestCorruptSliceFailsBuild(t *testing.T) {
+	modelPath, bad := corruptDemoSlices(t, t.TempDir(), 3)
+	for _, mmap := range []bool{false, true} {
+		snap, err := serve.Build(serve.Source{Dataset: demoDataset(), ModelPath: modelPath, Partitions: 3, Mmap: mmap})
+		if err == nil {
+			t.Fatalf("mmap=%t: Build over a corrupt slice returned a snapshot with %d partitions", mmap, snap.NumPartitions())
 		}
-		msg, _ := body["error"].(string)
-		if !strings.Contains(msg, "partition 1") {
-			t.Errorf("%s: error %q does not name the failed partition", target, msg)
+		if !strings.Contains(err.Error(), "partition 1") || !strings.Contains(err.Error(), bad) {
+			t.Errorf("mmap=%t: Build error does not name the failed partition and path: %v", mmap, err)
 		}
-	}
-	if code, body := do(t, h, "POST", "/ingest",
-		`{"tuples":[{"user":0,"action":120,"time":1}]}`); code != http.StatusBadGateway {
-		t.Errorf("/ingest: status %d, want 502: %v", code, body)
-	}
-	if code, body := do(t, h, "POST", "/snapshot",
-		fmt.Sprintf(`{"path":%q}`, filepath.Join(dir, "out.bin"))); code != http.StatusBadGateway {
-		t.Errorf("/snapshot: status %d, want 502: %v", code, body)
-	}
-	// /stats still answers (operators need it to diagnose) and carries the
-	// recorded failure.
-	code, st := do(t, h, "GET", "/stats", "")
-	if code != http.StatusOK {
-		t.Fatalf("/stats: status %d: %v", code, st)
-	}
-	if msg, _ := st["partition_error"].(string); !strings.Contains(msg, "partition 1") {
-		t.Errorf("/stats partition_error = %q, want the recorded failure", msg)
-	}
-	// A reload pointing at the same broken slices must not install.
-	graphPath, logPath := saveDemoDataset(t, dir)
-	body, _ := json.Marshal(serve.Source{GraphPath: graphPath, LogPath: logPath, SlicePaths: paths})
-	code, resp := do(t, h, "POST", "/reload", string(body))
-	if code != http.StatusBadRequest {
-		t.Errorf("/reload of degraded source: status %d, want 400: %v", code, resp)
-	}
-	if msg, _ := resp["error"].(string); !strings.Contains(msg, "degraded") {
-		t.Errorf("/reload error %q does not say why it refused", msg)
 	}
 }
 
@@ -362,33 +307,41 @@ func saveDemoDataset(t *testing.T, dir string) (graphPath, logPath string) {
 	return graphPath, logPath
 }
 
-// TestReloadRefusesDegradedOverHealthy starts healthy, reloads into broken
-// slices, and verifies the working snapshot keeps serving.
-func TestReloadRefusesDegradedOverHealthy(t *testing.T) {
+// TestReloadRefusesCorruptSlices reloads a healthy partitioned server
+// into a source with a corrupt slice: /reload answers 400 with Build's
+// error, and the old snapshot stays installed and keeps answering.
+func TestReloadRefusesCorruptSlices(t *testing.T) {
 	dir := t.TempDir()
-	paths := writeDemoSlices(t, dir, 2)
-	if err := os.Truncate(paths[0], 16); err != nil {
-		t.Fatal(err)
-	}
-	h := newPartitionedServer(t, 2).Handler()
+	modelPath, _ := corruptDemoSlices(t, dir, 3)
 	graphPath, logPath := saveDemoDataset(t, dir)
-	body, _ := json.Marshal(serve.Source{GraphPath: graphPath, LogPath: logPath, SlicePaths: paths})
+	src := serve.Source{GraphPath: graphPath, LogPath: logPath, ModelPath: modelPath, Partitions: 3}
+	_, buildErr := serve.Build(src)
+	if buildErr == nil || !strings.Contains(buildErr.Error(), "partition 1") {
+		t.Fatalf("Build over a corrupt slice: %v, want an error naming partition 1", buildErr)
+	}
+
+	h := newPartitionedServer(t, 2).Handler()
+	want := bodyModuloSnapshot(t, h, "GET", "/spread?seeds=1,2", "")
+	body, _ := json.Marshal(src)
 	code, resp := do(t, h, "POST", "/reload", string(body))
 	if code != http.StatusBadRequest {
 		t.Fatalf("/reload: status %d, want 400: %v", code, resp)
 	}
-	if msg, _ := resp["error"].(string); !strings.Contains(msg, "degraded") {
-		t.Errorf("/reload error %q does not say why it refused", msg)
+	if msg, _ := resp["error"].(string); msg != "reload: "+buildErr.Error() {
+		t.Errorf("/reload error %q, want Build's %q", msg, buildErr)
 	}
-	if code, _ := do(t, h, "GET", "/spread?seeds=1,2", ""); code != http.StatusOK {
-		t.Errorf("healthy snapshot stopped serving after the refused reload: status %d", code)
+	if code, st := do(t, h, "GET", "/healthz", ""); code != http.StatusOK || st["snapshot"] != float64(1) {
+		t.Errorf("after the refused reload /healthz answers %d on snapshot %v, want 200 on snapshot 1", code, st["snapshot"])
+	}
+	if got := bodyModuloSnapshot(t, h, "GET", "/spread?seeds=1,2", ""); got != want {
+		t.Errorf("old snapshot's /spread changed after the refused reload:\n  before: %s\n  after:  %s", want, got)
 	}
 }
 
 // TestPartitionedCheckpointRestart round-trips POST /snapshot in
 // partitioned mode: the checkpoint writes one slice per partition under
-// the canonical names, and a server restarted from those slices answers
-// /seeds identically.
+// the canonical names, and a server restarted from them through the
+// checkpoint path and partition count answers /seeds identically.
 func TestPartitionedCheckpointRestart(t *testing.T) {
 	const n = 2
 	dir := t.TempDir()
@@ -410,12 +363,9 @@ func TestPartitionedCheckpointRestart(t *testing.T) {
 			t.Fatalf("checkpoint slice missing: %v", err)
 		}
 	}
-	snap, err := serve.Build(serve.Source{Dataset: demoDataset(), SlicePaths: paths})
+	snap, err := serve.Build(serve.Source{Dataset: demoDataset(), ModelPath: target, Partitions: n})
 	if err != nil {
 		t.Fatalf("Build from checkpoint slices: %v", err)
-	}
-	if err := snap.PartitionErr(); err != nil {
-		t.Fatalf("checkpoint slices loaded degraded: %v", err)
 	}
 	restarted := serve.New(snap).Handler()
 	// The checkpoint carries the computed seed prefix, so the restarted

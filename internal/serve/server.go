@@ -205,7 +205,7 @@ type objectiveParams struct {
 
 func (p *objectiveParams) fromQuery(q url.Values) error {
 	var err error
-	if p.Audience, err = parseIDList(q.Get("audience")); err != nil {
+	if p.Audience, err = parseIDList("audience", q.Get("audience")); err != nil {
 		return err
 	}
 	if raw := q.Get("window"); raw != "" {
@@ -215,7 +215,7 @@ func (p *objectiveParams) fromQuery(q url.Values) error {
 		}
 		p.Window = &v
 	}
-	if p.Blocked, err = parseIDList(q.Get("blocked")); err != nil {
+	if p.Blocked, err = parseIDList("blocked", q.Get("blocked")); err != nil {
 		return err
 	}
 	return nil
@@ -233,51 +233,6 @@ func (p *objectiveParams) objective() *credist.Objective {
 		o.Windowed, o.Window = true, *p.Window
 	}
 	return o
-}
-
-// parseCosts parses the /seeds costs parameter: "id:cost" pairs over
-// implicit unit costs (costs=3:2.5,7:0.5 prices users 3 and 7, everyone
-// else costs 1). Returns nil for an absent parameter. Cost values are
-// range-checked by the facade (finite, positive), ids here.
-func parseCosts(raw string, numUsers int) ([]float64, error) {
-	if raw == "" {
-		return nil, nil
-	}
-	costs := make([]float64, numUsers)
-	for i := range costs {
-		costs[i] = 1
-	}
-	for _, part := range strings.Split(raw, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		idStr, costStr, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, badRequest("costs must be id:cost pairs (e.g. costs=3:2.5,7:0.5), got %q", part)
-		}
-		id, err := strconv.Atoi(strings.TrimSpace(idStr))
-		if err != nil || id < 0 || id >= numUsers {
-			return nil, badRequest("costs: user id %q out of range [0,%d)", strings.TrimSpace(idStr), numUsers)
-		}
-		c, err := strconv.ParseFloat(strings.TrimSpace(costStr), 64)
-		if err != nil {
-			return nil, badRequest("costs: bad cost %q for user %d", strings.TrimSpace(costStr), id)
-		}
-		costs[id] = c
-	}
-	return costs, nil
-}
-
-// requestError maps objective-path failures to 400s: everything the
-// facade rejects (unknown ids, malformed windows,
-// costs where they do not apply) is a request fault, while errors already
-// carrying a status — the partition gate's 502 — pass through.
-func requestError(err error) error {
-	if _, ok := err.(*apiError); ok {
-		return err
-	}
-	return badRequest("%v", err)
 }
 
 const errObjectiveApprox = "the approximate tier (eps/budget) serves only the default objective; drop audience, window, costs, and blocked"
@@ -423,7 +378,7 @@ func (s *Server) handleSpread(sn *Snapshot, r *http.Request) (any, error) {
 	case approx && obj != nil:
 		return nil, badRequest("%s", errObjectiveApprox)
 	case approx:
-		if err := validateIDs(req.Seeds, sn.NumUsers()); err != nil {
+		if err := validateIDs("seeds", req.Seeds, sn.NumUsers()); err != nil {
 			return nil, err
 		}
 		res, err := sn.ApproxSpread(req.Seeds, opts)
@@ -433,18 +388,18 @@ func (s *Server) handleSpread(sn *Snapshot, r *http.Request) (any, error) {
 		s.approxSpreadHits.Add(1)
 		return ApproxSpreadResponse{Snapshot: sn.ID, Seeds: req.Seeds, ApproxBody: approxBody(res)}, nil
 	case req.Seeds != nil:
-		if err := validateIDs(req.Seeds, sn.NumUsers()); err != nil {
+		if err := validateIDs("seeds", req.Seeds, sn.NumUsers()); err != nil {
 			return nil, err
 		}
 		spread, err := sn.SpreadObj(req.Seeds, obj)
 		if err != nil {
-			return nil, requestError(err)
+			return nil, badRequest("%v", err)
 		}
 		return SpreadResponse{Snapshot: sn.ID, Seeds: req.Seeds, Spread: spread}, nil
 	case req.Sets != nil:
 		for i, set := range req.Sets {
-			if err := validateIDs(set, sn.NumUsers()); err != nil {
-				return nil, badRequest("set %d: %v", i, err)
+			if err := validateIDs(fmt.Sprintf("sets[%d]", i), set, sn.NumUsers()); err != nil {
+				return nil, err
 			}
 		}
 		spreads, err := sn.SpreadBatch(req.Sets)
@@ -470,7 +425,7 @@ func (req *spreadRequest) fromQuery(r *http.Request) error {
 	if err := req.objectiveParams.fromQuery(q); err != nil {
 		return err
 	}
-	req.Seeds, err = parseIDList(q.Get("seeds"))
+	req.Seeds, err = parseIDList("seeds", q.Get("seeds"))
 	return err
 }
 
@@ -504,11 +459,11 @@ func (s *Server) handleGain(sn *Snapshot, r *http.Request) (any, error) {
 			return nil, badRequest("costs and budget apply to seed selection (/seeds), not gain evaluation")
 		}
 		var err error
-		if req.Candidates, err = parseIDList(q.Get("candidates")); err != nil {
+		if req.Candidates, err = parseIDList("candidates", q.Get("candidates")); err != nil {
 			return nil, err
 		}
 		if raw := q.Get("seeds"); raw != "" {
-			if req.Seeds, err = parseIDList(raw); err != nil {
+			if req.Seeds, err = parseIDList("seeds", raw); err != nil {
 				return nil, err
 			}
 		}
@@ -519,15 +474,15 @@ func (s *Server) handleGain(sn *Snapshot, r *http.Request) (any, error) {
 	if len(req.Candidates) == 0 {
 		return nil, badRequest("missing candidates (e.g. /gain?candidates=1,2,3)")
 	}
-	if err := validateIDs(req.Candidates, sn.NumUsers()); err != nil {
+	if err := validateIDs("candidates", req.Candidates, sn.NumUsers()); err != nil {
 		return nil, err
 	}
-	if err := validateIDs(req.Seeds, sn.NumUsers()); err != nil {
+	if err := validateIDs("seeds", req.Seeds, sn.NumUsers()); err != nil {
 		return nil, err
 	}
 	gains, err := sn.GainsObj(req.Seeds, req.Candidates, req.objective())
 	if err != nil {
-		return nil, requestError(err)
+		return nil, badRequest("%v", err)
 	}
 	return GainResponse{
 		Snapshot:   sn.ID,
@@ -563,9 +518,9 @@ func (s *Server) handleSeeds(sn *Snapshot, r *http.Request) (any, error) {
 	if err := op.fromQuery(q); err != nil {
 		return nil, err
 	}
-	costs, err := parseCosts(q.Get("costs"), sn.NumUsers())
+	costs, err := credist.ParseCosts("costs", q.Get("costs"), sn.NumUsers())
 	if err != nil {
-		return nil, err
+		return nil, badRequest("%v", err)
 	}
 	// budget= is overloaded by value space: a bare number (budget=12.5) is
 	// a seed-cost budget for the objective layer, a duration (budget=10ms)
@@ -604,7 +559,7 @@ func (s *Server) handleSeeds(sn *Snapshot, r *http.Request) (any, error) {
 	if obj != nil {
 		res, err := sn.SelectSeedsObj(k, obj)
 		if err != nil {
-			return nil, requestError(err)
+			return nil, badRequest("%v", err)
 		}
 		return SeedsResponse{Snapshot: sn.ID, K: k, SeedsResult: *res, Cached: false}, nil
 	}
@@ -646,9 +601,6 @@ func (s *Server) handleTopK(sn *Snapshot, r *http.Request) (any, error) {
 	}
 	seeds, spread, err := sn.TopK(method, k)
 	if err != nil {
-		if ae, ok := err.(*apiError); ok {
-			return nil, ae
-		}
 		return nil, badRequest("%v", err)
 	}
 	return TopKResponse{Snapshot: sn.ID, Method: method, K: k, Seeds: seeds, Spread: spread}, nil
@@ -720,19 +672,19 @@ func (s *Server) handleExplain(sn *Snapshot, r *http.Request) (any, error) {
 	case seedRaw != "" && (setRaw != "" || reachRaw != ""):
 		return nil, badRequest("seed= (why-seed) and set=&reach= (why-reach) are mutually exclusive")
 	case seedRaw != "":
-		ids, err := parseIDList(seedRaw)
+		ids, err := parseIDList("seed", seedRaw)
 		if err != nil {
 			return nil, err
 		}
 		if len(ids) != 1 {
 			return nil, badRequest("seed must be a single user id, got %q", seedRaw)
 		}
-		if err := validateIDs(ids, sn.NumUsers()); err != nil {
+		if err := validateIDs("seed", ids, sn.NumUsers()); err != nil {
 			return nil, err
 		}
 		ex, err := sn.ExplainSeed(ids[0], top)
 		if err != nil {
-			return nil, requestError(err)
+			return nil, badRequest("%v", err)
 		}
 		s.explainHits.Add(1)
 		return ExplainSeedResponse{
@@ -743,29 +695,29 @@ func (s *Server) handleExplain(sn *Snapshot, r *http.Request) (any, error) {
 			TotalPaths: ex.TotalPaths,
 		}, nil
 	case setRaw != "" && reachRaw != "":
-		seeds, err := parseIDList(setRaw)
+		seeds, err := parseIDList("set", setRaw)
 		if err != nil {
 			return nil, err
 		}
 		if len(seeds) == 0 {
 			return nil, badRequest("set must name at least one seed (e.g. /explain?set=1,2&reach=5)")
 		}
-		if err := validateIDs(seeds, sn.NumUsers()); err != nil {
+		if err := validateIDs("set", seeds, sn.NumUsers()); err != nil {
 			return nil, err
 		}
-		targets, err := parseIDList(reachRaw)
+		targets, err := parseIDList("reach", reachRaw)
 		if err != nil {
 			return nil, err
 		}
 		if len(targets) != 1 {
 			return nil, badRequest("reach must be a single user id, got %q", reachRaw)
 		}
-		if err := validateIDs(targets, sn.NumUsers()); err != nil {
+		if err := validateIDs("reach", targets, sn.NumUsers()); err != nil {
 			return nil, err
 		}
 		ex, err := sn.ExplainReach(seeds, targets[0], top)
 		if err != nil {
-			return nil, requestError(err)
+			return nil, badRequest("%v", err)
 		}
 		s.explainHits.Add(1)
 		shares := make([]ExplainShare, len(ex.PerSeed))
@@ -798,12 +750,6 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(sn *Snapshot, _ *http.Request) (any, error) {
-	if err := sn.PartitionErr(); err != nil {
-		// A missing partition means every model query over the full
-		// universe fails; the server is up but not serviceable.
-		return nil, &apiError{code: http.StatusServiceUnavailable,
-			msg: fmt.Sprintf("degraded: %v", err)}
-	}
 	return HealthResponse{Status: "ok", Snapshot: sn.ID, Dataset: sn.Dataset().Name}, nil
 }
 
@@ -862,9 +808,8 @@ type StatsResponse struct {
 	// Partitioned serving: one row per engine partition, present only when
 	// the snapshot serves row-range partitions. The top-level
 	// entries/heap_bytes/mapped_bytes above are the sums of these rows.
-	NumPartitions  int             `json:"num_partitions,omitempty"`
-	Partitions     []PartitionStat `json:"partitions,omitempty"`
-	PartitionError string          `json:"partition_error,omitempty"`
+	NumPartitions int             `json:"num_partitions,omitempty"`
+	Partitions    []PartitionStat `json:"partitions,omitempty"`
 }
 
 // PartitionStat is one engine partition's shape in /stats: the influencer
@@ -934,9 +879,6 @@ func (s *Server) handleStats(sn *Snapshot, _ *http.Request) (any, error) {
 			})
 		}
 	}
-	if err := sn.PartitionErr(); err != nil {
-		resp.PartitionError = err.Error()
-	}
 	s.checkpointMu.Lock()
 	resp.LastSnapshot = s.lastCheckpoint
 	s.checkpointMu.Unlock()
@@ -970,13 +912,6 @@ func (s *Server) handleReload(_ *Snapshot, r *http.Request) (any, error) {
 	sn, err := Build(src)
 	if err != nil {
 		return nil, badRequest("reload: %v", err)
-	}
-	// A degraded partitioned build is tolerated at process start (the
-	// operator sees the error and the old slices stay on disk), but a
-	// reload must never replace a working snapshot with one that cannot
-	// answer queries.
-	if perr := sn.PartitionErr(); perr != nil {
-		return nil, badRequest("reload: refusing to install a degraded partitioned snapshot: %v", perr)
 	}
 	s.reg.Install(sn)
 	elapsed := time.Since(start)
@@ -1079,11 +1014,6 @@ func (s *Server) handleIngest(_ *Snapshot, r *http.Request) (any, error) {
 	}
 	sn, err := cur.Ingest(tuples, req.Compact)
 	if err != nil {
-		// A degraded partitioned snapshot answers 502, not 400: the tuples
-		// may be perfectly valid, the model just cannot accept them.
-		if ae, ok := err.(*apiError); ok {
-			return nil, ae
-		}
 		return nil, badRequest("ingest: %v", err)
 	}
 	s.reg.Install(sn)
@@ -1145,9 +1075,6 @@ func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	}
 	if req.Path == "" {
 		return nil, badRequest("snapshot: missing \"path\"")
-	}
-	if err := sn.partitionGate(); err != nil {
-		return nil, err
 	}
 	paths := sn.be.checkpointPaths(req.Path)
 	for _, p := range paths {
@@ -1218,8 +1145,9 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // parseIDList parses a comma-separated node-id list ("1,2,3"); blanks are
-// tolerated, range checking happens in validateIDs.
-func parseIDList(raw string) ([]credist.NodeID, error) {
+// tolerated, range checking happens in validateIDs. name is the parameter
+// the list came from, which every error names.
+func parseIDList(name, raw string) ([]credist.NodeID, error) {
 	if raw == "" {
 		return nil, nil
 	}
@@ -1231,7 +1159,7 @@ func parseIDList(raw string) ([]credist.NodeID, error) {
 		}
 		id, err := strconv.ParseInt(part, 10, 32)
 		if err != nil {
-			return nil, badRequest("bad user id %q", part)
+			return nil, badRequest("%s: bad user id %q", name, part)
 		}
 		ids = append(ids, credist.NodeID(id))
 	}
@@ -1241,15 +1169,16 @@ func parseIDList(raw string) ([]credist.NodeID, error) {
 // validateIDs range-checks a node-id list and rejects duplicates: a
 // repeated id in a base seed set would commit the same seed twice,
 // silently corrupting the V-S credit restriction (seeds=3,3,3 is never
-// what the caller meant), so every id list gets a 400 instead.
-func validateIDs(ids []credist.NodeID, numUsers int) error {
+// what the caller meant), so every id list gets a 400 instead, naming the
+// parameter (name) at fault.
+func validateIDs(name string, ids []credist.NodeID, numUsers int) error {
 	seen := make(map[credist.NodeID]struct{}, len(ids))
 	for _, id := range ids {
 		if id < 0 || int(id) >= numUsers {
-			return badRequest("user id %d out of range [0,%d)", id, numUsers)
+			return badRequest("%s: user id %d out of range [0,%d)", name, id, numUsers)
 		}
 		if _, dup := seen[id]; dup {
-			return badRequest("duplicate user id %d in list", id)
+			return badRequest("%s: duplicate user id %d", name, id)
 		}
 		seen[id] = struct{}{}
 	}

@@ -83,19 +83,19 @@ func TestHandlerTable(t *testing.T) {
 		{name: "spread missing seeds", method: "GET", target: "/spread",
 			wantStatus: 400, wantErrSub: "missing seeds"},
 		{name: "spread bad id", method: "GET", target: "/spread?seeds=1,x",
-			wantStatus: 400, wantErrSub: "bad user id"},
+			wantStatus: 400, wantErrSub: `seeds: bad user id "x"`},
 		{name: "spread out of range", method: "GET", target: "/spread?seeds=100000",
-			wantStatus: 400, wantErrSub: "out of range"},
+			wantStatus: 400, wantErrSub: "seeds: user id 100000 out of range"},
 		{name: "spread seeds and sets", method: "POST", target: "/spread", body: `{"seeds":[1],"sets":[[2]]}`,
 			wantStatus: 400, wantErrSub: "not both"},
 		{name: "spread duplicate seeds", method: "GET", target: "/spread?seeds=3,3,3",
-			wantStatus: 400, wantErrSub: "duplicate user id 3"},
+			wantStatus: 400, wantErrSub: "seeds: duplicate user id 3"},
 		{name: "spread batch duplicate in set", method: "POST", target: "/spread", body: `{"sets":[[1],[2,2]]}`,
-			wantStatus: 400, wantErrSub: "duplicate user id 2"},
+			wantStatus: 400, wantErrSub: "sets[1]: duplicate user id 2"},
 		{name: "gain duplicate base seeds", method: "GET", target: "/gain?seeds=5,5&candidates=1",
-			wantStatus: 400, wantErrSub: "duplicate user id 5"},
+			wantStatus: 400, wantErrSub: "seeds: duplicate user id 5"},
 		{name: "gain duplicate candidates", method: "POST", target: "/gain", body: `{"candidates":[4,4]}`,
-			wantStatus: 400, wantErrSub: "duplicate user id 4"},
+			wantStatus: 400, wantErrSub: "candidates: duplicate user id 4"},
 		{name: "spread bad json", method: "POST", target: "/spread", body: `{"seeds":`,
 			wantStatus: 400, wantErrSub: "bad JSON"},
 		{name: "gain GET", method: "GET", target: "/gain?candidates=4,5",
@@ -171,13 +171,13 @@ func TestHandlerTable(t *testing.T) {
 		{name: "explain bad top", method: "GET", target: "/explain?seed=1&top=0",
 			wantStatus: 400, wantErrSub: "positive integer"},
 		{name: "explain seed out of range", method: "GET", target: "/explain?seed=100000",
-			wantStatus: 400, wantErrSub: "out of range"},
+			wantStatus: 400, wantErrSub: "seed: user id 100000 out of range"},
 		{name: "explain multi seed", method: "GET", target: "/explain?seed=1,2",
 			wantStatus: 400, wantErrSub: "single user id"},
 		{name: "explain multi reach", method: "GET", target: "/explain?set=1&reach=5,6",
 			wantStatus: 400, wantErrSub: "single user id"},
 		{name: "explain duplicate set", method: "GET", target: "/explain?set=2,2&reach=5",
-			wantStatus: 400, wantErrSub: "duplicate user id 2"},
+			wantStatus: 400, wantErrSub: "set: duplicate user id 2"},
 		{name: "explain empty set", method: "GET", target: "/explain?set=,&reach=5",
 			wantStatus: 400, wantErrSub: "at least one seed"},
 		{name: "explain wrong method", method: "POST", target: "/explain",
@@ -193,6 +193,8 @@ func TestHandlerTable(t *testing.T) {
 			wantStatus: 400, wantErrSub: "valid presets"},
 		{name: "reload unknown field", method: "POST", target: "/reload", body: `{"bogus":1}`,
 			wantStatus: 400, wantErrSub: "bad JSON"},
+		{name: "reload slice paths", method: "POST", target: "/reload", body: `{"slices":["model.bin.slice-0-of-1"]}`,
+			wantStatus: 400, wantErrSub: `unknown field "slices"`},
 		{name: "reload empty source", method: "POST", target: "/reload", body: `{}`,
 			wantStatus: 400, wantErrSub: "needs a preset"},
 		{name: "reload mmap without model", method: "POST", target: "/reload", body: `{"preset":"flixster-small","mmap":true}`,

@@ -74,16 +74,11 @@ type Source struct {
 	// row from the partition owning it, with answers bit-identical at
 	// every partition count. 0 (the default)
 	// serves the classic single-engine path. With ModelPath, slice files
-	// ("<model>.slice-<i>-of-<N>") are written next to the model on first
-	// start and reopened directly — per-partition memory mappings when
-	// Mmap is set — on every start after.
+	// ("<model>.slice-<i>-of-<N>", the names a partitioned POST /snapshot
+	// writes) are written next to the model on first start and reopened
+	// directly — per-partition memory mappings when Mmap is set — on every
+	// start after, without touching the model file's rows.
 	Partitions int `json:"partitions,omitempty"`
-	// SlicePaths serves directly from explicitly named snapshot-slice
-	// files (as written by Planner.SaveSlices or a partitioned POST
-	// /snapshot), bypassing the full model file entirely. The slices must
-	// tile the user universe exactly; overlaps and gaps are rejected
-	// naming the offending row ranges.
-	SlicePaths []string `json:"slices,omitempty"`
 
 	// Dataset bypasses loading entirely; used by tests and embedders.
 	Dataset *credist.Dataset `json:"-"`
@@ -92,7 +87,7 @@ type Source struct {
 // partitioned reports whether the source asks for partitions at all (1
 // partition still takes the partitioned answers; see backend).
 func (src Source) partitioned() bool {
-	return src.Partitions > 0 || len(src.SlicePaths) > 0
+	return src.Partitions > 0
 }
 
 func (src Source) dataset() (*credist.Dataset, error) {
@@ -132,13 +127,7 @@ func (src Source) describe() string {
 			s += " (mmap)"
 		}
 	}
-	switch {
-	case len(src.SlicePaths) > 0:
-		s += fmt.Sprintf(" slices:%d", len(src.SlicePaths))
-		if src.Mmap {
-			s += " (mmap)"
-		}
-	case src.Partitions > 0:
+	if src.Partitions > 0 {
 		s += fmt.Sprintf(" partitions:%d", src.Partitions)
 	}
 	return s
@@ -220,19 +209,12 @@ type Snapshot struct {
 	// LoadedAt is when the snapshot finished building.
 	LoadedAt time.Time
 
-	src Source
-	// ds is the loaded dataset; in the degraded partitioned state (see
-	// partitionErr) it is all a snapshot has.
+	src   Source
 	ds    *credist.Dataset
 	model *credist.Model
 	// be answers every model query: the model and its one planner, a full
-	// engine or partitions (see backend). nil only in the degraded state.
+	// engine or partitions (see backend).
 	be *backend
-	// partitionErr records a failed partition assembly: the snapshot is
-	// degraded — /healthz answers 503 and every model query 502 naming the
-	// failed partition — instead of the process crash-looping on one
-	// corrupt slice file. The CLI still refuses to start on it.
-	partitionErr error
 
 	entries       int64
 	residentBytes int64
@@ -363,20 +345,15 @@ func (b *backend) partitionStats() []credist.PartitionStats {
 // from one log scan, or, when ModelPath names a binary snapshot, from a
 // lineage-checked load that scans only the log tail past the snapshot's
 // recorded actions. A partitioned source assembles a planner over
-// row-range engine partitions, from explicit slice files, a model file
-// (slices written next to it on first start, reopened after), or an
-// in-memory split of a freshly learned model. A failed partition assembly
-// does not fail the build — the snapshot comes back degraded with the
-// error recorded, so an embedded server can bind and answer /healthz with
-// 503 instead of crash-looping on one corrupt slice; the CLI checks
-// PartitionErr and refuses to start. The returned snapshot has ID 0 until
-// a Registry installs it.
+// row-range engine partitions, from a model file (slices written next to
+// it on first start, reopened after) or an in-memory split of a freshly
+// learned model. Any failure fails the build, on either shape: a slice
+// that does not load is an error naming its partition and file, never a
+// snapshot missing that partition's rows. The returned snapshot has ID 0
+// until a Registry installs it.
 func Build(src Source) (*Snapshot, error) {
 	if src.Mmap && src.ModelPath == "" {
 		return nil, fmt.Errorf("mmap requires a model path (the mapping is the snapshot file)")
-	}
-	if src.Partitions > 0 && len(src.SlicePaths) > 0 && src.Partitions != len(src.SlicePaths) {
-		return nil, fmt.Errorf("partitions=%d contradicts the %d slice paths", src.Partitions, len(src.SlicePaths))
 	}
 	if src.ModelPath != "" && src.ParamsPath != "" {
 		return nil, fmt.Errorf("model and params are mutually exclusive")
@@ -407,11 +384,8 @@ func Build(src Source) (*Snapshot, error) {
 		planner *credist.Planner
 	)
 	if src.partitioned() {
-		model, planner, err = buildPartitions(src, ds, opts)
-		if err != nil {
-			sn := &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}
-			sn.markBase()
-			return sn, nil
+		if model, planner, err = buildPartitions(src, ds, opts); err != nil {
+			return nil, err
 		}
 		// A first start that splits the model loads the whole file onto the
 		// heap and leaves 50-100 MiB of garbage on flixster-small, depending
@@ -479,13 +453,10 @@ func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.
 	}
 }
 
-// buildPartitions assembles the partitioned model and planner from
-// explicit slice files, a model file, or an in-memory split.
+// buildPartitions assembles the partitioned model and planner from a
+// model file's slices or an in-memory split.
 func buildPartitions(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, *credist.Planner, error) {
-	switch {
-	case len(src.SlicePaths) > 0:
-		return credist.LoadPartitions(ds, src.SlicePaths, src.Mmap, opts)
-	case src.ModelPath != "":
+	if src.ModelPath != "" {
 		model, parts, _, err := credist.LoadModelPartitioned(ds, src.ModelPath, src.Partitions, src.Mmap, opts)
 		return model, parts, err
 	}
@@ -515,37 +486,19 @@ func newSnapshot(src Source, be *backend) *Snapshot {
 	}
 }
 
-// Partitioned reports whether this snapshot serves (or was asked to
-// serve) row-range partitions.
+// Partitioned reports whether this snapshot serves row-range partitions.
 func (sn *Snapshot) Partitioned() bool { return sn.src.partitioned() }
 
-// NumPartitions returns the partition count (0 on the single-engine path
-// and in the degraded state).
+// NumPartitions returns the partition count (0 on the single-engine path).
 func (sn *Snapshot) NumPartitions() int { return len(sn.PartitionStats()) }
 
 // PartitionStats returns per-partition accounting in partition order (nil
-// on the single-engine path and in the degraded state).
-func (sn *Snapshot) PartitionStats() []credist.PartitionStats {
-	if sn.be == nil {
-		return nil
-	}
-	return sn.be.partitionStats()
-}
+// on the single-engine path).
+func (sn *Snapshot) PartitionStats() []credist.PartitionStats { return sn.be.partitionStats() }
 
-// PartitionErr returns the recorded partition-assembly failure, or nil.
-// A snapshot carrying one is degraded: every model query answers 502.
-func (sn *Snapshot) PartitionErr() error { return sn.partitionErr }
-
-// partitionGate turns the degraded state into the 502 every model query
-// must return: a failed partition means no query can be answered over the
-// full universe, and a partial sum silently missing one partition's rows
-// would be far worse than an error.
-func (sn *Snapshot) partitionGate() error {
-	if sn.partitionErr != nil {
-		return &apiError{code: http.StatusBadGateway, msg: fmt.Sprintf("partitioned model unavailable: %v", sn.partitionErr)}
-	}
-	return nil
-}
+// PartitionErr always returns nil: a partition that fails to load fails
+// Build instead. It stays for credist-bench, which still calls it.
+func (sn *Snapshot) PartitionErr() error { return nil }
 
 // Ingest builds the successor snapshot extended with a batch of new
 // propagations, incrementally: the model's learned parameters stay
@@ -556,9 +509,6 @@ func (sn *Snapshot) partitionGate() error {
 // with an empty selection. compact additionally moves the base marks to
 // the successor's totals, resetting the delta counts, on either shape.
 func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, err
-	}
 	model, err := sn.model.Ingest(tuples)
 	if err != nil {
 		return nil, err
@@ -638,11 +588,8 @@ func (sn *Snapshot) Spread(seeds []credist.NodeID) (float64, error) { return sn.
 // (audience weights, time window, blocked rivals; nil is plain sigma_cd).
 // The single engine answers from the exact evaluator; the partitioned
 // path telescopes per-seed gains over the lambda-truncated UC structure
-// instead (see backend). Degraded partitioned snapshots answer 502.
+// instead (see backend).
 func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
-	if err := sn.partitionGate(); err != nil {
-		return 0, err
-	}
 	return sn.be.spread(seeds, o)
 }
 
@@ -651,9 +598,6 @@ func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (flo
 // from the fixed sample pool its whole-model snapshot persisted, and 501
 // when none was (see backend).
 func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
-	if err := sn.partitionGate(); err != nil {
-		return credist.ApproxResult{}, err
-	}
 	opts, err := sn.be.approxOptions(opts)
 	if err != nil {
 		return credist.ApproxResult{}, err
@@ -665,9 +609,6 @@ func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOpti
 // interval on the selected set's spread; same partitioning rule as
 // ApproxSpread.
 func (sn *Snapshot) ApproxSeeds(k int, opts credist.ApproxOptions) ([]credist.NodeID, credist.ApproxResult, error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, credist.ApproxResult{}, err
-	}
 	opts, err := sn.be.approxOptions(opts)
 	if err != nil {
 		return nil, credist.ApproxResult{}, err
@@ -678,12 +619,7 @@ func (sn *Snapshot) ApproxSeeds(k int, opts credist.ApproxOptions) ([]credist.No
 // ApproxStats reports the RR tier's sample pool. On a partitioned
 // deployment this is the fixed pool restored from the whole-model
 // snapshot's sketch (all zero when none was persisted).
-func (sn *Snapshot) ApproxStats() credist.ApproxStats {
-	if sn.model == nil {
-		return credist.ApproxStats{}
-	}
-	return sn.model.ApproxStats()
-}
+func (sn *Snapshot) ApproxStats() credist.ApproxStats { return sn.model.ApproxStats() }
 
 var errApproxPartitioned = &apiError{code: http.StatusNotImplemented,
 	msg: "approximate queries on a partitioned deployment are served from a persisted RR sketch, and this model has none " +
@@ -693,9 +629,6 @@ var errApproxPartitioned = &apiError{code: http.StatusNotImplemented,
 // the available cores. Each set is evaluated independently, so the floats
 // are identical to len(sets) sequential Spread calls.
 func (sn *Snapshot) SpreadBatch(sets [][]credist.NodeID) ([]float64, error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, err
-	}
 	out := make([]float64, len(sets))
 	errs := make([]error, len(sets))
 	par.For(len(sets), 0, func(_, i int) { out[i], errs[i] = sn.Spread(sets[i]) })
@@ -718,9 +651,6 @@ func (sn *Snapshot) Gains(base, candidates []credist.NodeID) ([]float64, error) 
 // GainsObj, which commits the seeds to a clone of its probe, so no engine
 // is written. Every value is bit-identical at any partition count.
 func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, err
-	}
 	return sn.be.planner.GainsObj(base, candidates, o)
 }
 
@@ -736,9 +666,6 @@ func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objec
 // request was answered without running any selection. The result is
 // bit-identical to the offline Planner.Select(k, nil).
 func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, false, err
-	}
 	if pv := sn.prefix.Load(); pv != nil && pv.covers(k) {
 		return pv.result(k), true, nil
 	}
@@ -787,9 +714,6 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 // requests. Bit-identical to the offline Planner.Select at any worker or
 // partition count.
 func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, err
-	}
 	res, err := sn.be.planner.Select(k, o)
 	if err != nil {
 		return nil, err
@@ -808,12 +732,8 @@ func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, e
 // snapshot's live base state) into its top credit paths. The explained
 // Gain is bit-for-bit the snapshot's Gains(nil, {x}) value. On the
 // partitioned path the owner of x's row answers alone — credit paths are
-// partitioned by influencer row, so no gather is needed; degraded
-// partitioned snapshots answer 502.
+// partitioned by influencer row, so no gather is needed.
 func (sn *Snapshot) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanation, error) {
-	if err := sn.partitionGate(); err != nil {
-		return credist.SeedExplanation{}, err
-	}
 	return sn.be.planner.ExplainSeed(x, top)
 }
 
@@ -823,9 +743,6 @@ func (sn *Snapshot) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanat
 // partitioned path each seed's share comes wholly from its row's owner
 // and the gathered answer is bit-identical to the single-engine one.
 func (sn *Snapshot) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top int) (credist.ReachExplanation, error) {
-	if err := sn.partitionGate(); err != nil {
-		return credist.ReachExplanation{}, err
-	}
 	return sn.be.planner.ExplainReach(seeds, v, top)
 }
 
@@ -869,9 +786,6 @@ func (sn *Snapshot) TailActions() int { return sn.tailActions }
 // "pagerank") together with the CD-model spread the set achieves — the
 // paper's "Spread Achieved" comparison (Figure 6) as an online query.
 func (sn *Snapshot) TopK(method string, k int) ([]credist.NodeID, float64, error) {
-	if err := sn.partitionGate(); err != nil {
-		return nil, 0, err
-	}
 	var seeds []credist.NodeID
 	switch method {
 	case "highdeg":

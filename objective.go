@@ -3,6 +3,8 @@ package credist
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"credist/internal/core"
 )
@@ -45,6 +47,43 @@ type Objective struct {
 	// Blocked is a rival's committed seed set: excluded from selection,
 	// and spreads/gains are marginal over it (sigma(S | Blocked)).
 	Blocked []NodeID
+}
+
+// ParseCosts expands an "id:cost" list (3:2.5,7:0.5) over implicit unit
+// costs into the per-user Costs vector: the listed users cost what the
+// list says, everyone else 1. Blank entries are skipped, and an empty list
+// returns nil (unit costs). name labels the list in errors (the flag or
+// query parameter it came from). Ids are range-checked here; cost values
+// are checked where the objective is used (finite, positive).
+func ParseCosts(name, raw string, numUsers int) ([]float64, error) {
+	if raw == "" {
+		return nil, nil
+	}
+	costs := make([]float64, numUsers)
+	for i := range costs {
+		costs[i] = 1
+	}
+	for _, pair := range strings.Split(raw, ",") {
+		pair = strings.TrimSpace(pair)
+		if pair == "" {
+			continue
+		}
+		id, val, ok := strings.Cut(pair, ":")
+		if !ok {
+			return nil, fmt.Errorf("%s must be id:cost pairs (e.g. 3:2.5,7:0.5), got %q", name, pair)
+		}
+		id, val = strings.TrimSpace(id), strings.TrimSpace(val)
+		u, err := strconv.Atoi(id)
+		if err != nil || u < 0 || u >= numUsers {
+			return nil, fmt.Errorf("%s: user id %q out of range [0,%d)", name, id, numUsers)
+		}
+		c, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s: bad cost %q for user %d", name, val, u)
+		}
+		costs[u] = c
+	}
+	return costs, nil
 }
 
 // blocked returns the objective's rival seed set (nil for the default).

@@ -41,7 +41,6 @@ var reachAllowed = map[string]string{
 	"cascade.Weights.InSum":           "test oracle: the LT model's in-weight bound",
 	"actionlog.FromTuples":            "test fixture: builds a log from literal tuples",
 	"actionlog.Log.Append":            "test fixture: AppendWithin without a universe bound",
-	"eval.RMSE":                       "metric helper; only TestRMSEHelper calls it",
 
 	// Behind public facade methods no program calls.
 	"core.WriteTimeAware":       "behind Model.SaveParams",
