@@ -185,7 +185,8 @@ func parseSnapshotV3(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 		return nil, err
 	}
 	// Version-4 slices declare the influencer-row range their base section
-	// holds; the base walk below then enforces it row by row.
+	// holds; the base walk below then enforces it row by row. Reading them
+	// is benchmark-pinned: credist-bench reopens pre-split slices.
 	rowLo, rowHi := 0, lin.NumUsers
 	if version == snapshotVersionSlice {
 		rowLo, rowHi = int(sc.u32()), int(sc.u32())

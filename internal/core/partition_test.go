@@ -236,3 +236,43 @@ func TestSnapshotSliceWriterRejections(t *testing.T) {
 		t.Fatalf("full-range slice did not load as a partition")
 	}
 }
+
+// TestWriteModelSnapshotOfPartitions: partitions tiling the universe
+// write the whole-model file their full engine writes, byte for byte,
+// with a seed prefix and an RR sketch riding along; engine sets that do
+// not tile one model in ascending order are refused.
+func TestWriteModelSnapshotOfPartitions(t *testing.T) {
+	rng := rand.New(rand.NewPCG(44, 9))
+	g, log := randomInstance(rng, 30, 12)
+	full := NewEngine(g, log, Options{Lambda: 0.001})
+	lin := DatasetLineage("whole-of-parts", g, log)
+	prefix := &SeedPrefix{Seeds: []graph.NodeID{3}, Gains: []float64{1.5}, LookupsAt: []int64{30}}
+	sketch := &RRSketch{Seed: 1, Roots: 1, Offs: []int32{0, 1}, Nodes: []int32{0}}
+
+	var want bytes.Buffer
+	if err := full.WriteSnapshot(&want, lin, prefix, sketch); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	slice := func(lo, hi int) *Engine {
+		p, err := full.Slice(lo, hi)
+		if err != nil {
+			t.Fatalf("Slice(%d,%d): %v", lo, hi, err)
+		}
+		return p
+	}
+	a, b, c := slice(0, 7), slice(7, 22), slice(22, 30)
+	for _, parts := range [][]*Engine{{full}, {slice(0, 30)}, {a, b, c}} {
+		var got bytes.Buffer
+		if err := WriteModelSnapshot(&got, parts, lin, prefix, sketch); err != nil {
+			t.Fatalf("%d parts: %v", len(parts), err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d parts: %d bytes differ from the full engine's %d", len(parts), got.Len(), want.Len())
+		}
+	}
+	for _, parts := range [][]*Engine{nil, {a, c}, {b, a, c}, {a, b}, {full, b}} {
+		if err := WriteModelSnapshot(&bytes.Buffer{}, parts, lin, nil, nil); err == nil {
+			t.Errorf("%d engines not tiling the universe in order: accepted", len(parts))
+		}
+	}
+}

@@ -26,8 +26,9 @@ import (
 // was not built from. Float64 values are stored as raw IEEE-754 bits, so a
 // write/read round trip is bit-exact and every Gain/Spread/CELF result of
 // a reloaded engine is identical to the engine that was saved. One
-// writer (WriteSnapshot) emits versions 3 to 5 and one opener
-// (OpenSnapshot) reads versions 1 to 6, from a heap buffer or a mapping.
+// writer emits versions 3 to 5 — WriteModelSnapshot, from one engine or
+// the partitions tiling it — and one opener (OpenSnapshot) reads versions
+// 1 to 6, from a heap buffer or a mapping.
 //
 // Version-3 layout (all integers little-endian):
 //
@@ -85,7 +86,9 @@ const (
 	// The lineage, params, per-user lists, and prefix describe the FULL
 	// model — only the base section is restricted to rows in the range —
 	// so a contiguous set of slices reassembles the model exactly. Full
-	// snapshots keep writing version 3 byte-identically.
+	// snapshots keep writing version 3 byte-identically. Benchmark-pinned:
+	// only credist-bench's pre-split slices are still written and read in
+	// this format; partitions are otherwise views of one whole-model file.
 	snapshotVersionSlice = 4
 
 	// snapshotVersionSketch marks a snapshot carrying the approximate
@@ -383,40 +386,73 @@ func writeSeedPrefixSection(sw *snapWriter, prefix *SeedPrefix) {
 }
 
 // WriteSnapshot serializes the engine, its lineage, and the optional
-// sections stored beside it: prefix, a computed CELF seed prefix; sketch,
-// the approximate tier's RR sketch (nil or empty means none for each). A
-// full engine writes version 3, or version 5 when a sketch rides along,
-// so a file without sections stays byte-identical to what older binaries
-// read. A partition engine writes its own rows as a version-4 slice —
-// the full header plus its row range — and refuses a sketch, which spans
-// the whole universe; a full engine writes a slice by Slice first. The
-// base section is written in its canonical mapped-addressable layout:
-// contiguous in-order blocks behind a per-action offset table, 16-byte
-// directory records and cells, everything 8-aligned — so the very bytes
-// this writer emits are what OpenSnapshot later serves queries from
-// without parsing. The encoding of a given engine state is unique: saving
-// a loaded snapshot reproduces the file byte for byte.
+// sections stored beside it (see WriteModelSnapshot). A full engine
+// writes the whole model. A partition engine writes its own rows as a
+// version-4 slice — the full header plus its row range — and refuses a
+// sketch, which spans the whole universe; that branch is
+// benchmark-pinned, kept for the slice files credist-bench reopens.
 func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
-	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
-		return err
+	if !e.partitioned {
+		return WriteModelSnapshot(w, []*Engine{e}, lin, prefix, sketch)
+	}
+	if sketch != nil && sketch.NumSets() > 0 {
+		return fmt.Errorf("core: a partition engine (rows [%d,%d)) cannot write an RR sketch; it belongs to the whole-model file", e.partLo, e.partHi)
+	}
+	return writeSnapshotParts(w, []*Engine{e}, snapshotVersionSlice, lin, prefix, nil)
+}
+
+// WriteModelSnapshot serializes the whole model held by parts — one full
+// engine, or row-range partitions tiling the universe in ascending order
+// — with its lineage and the optional sections stored beside it: prefix,
+// a computed CELF seed prefix; sketch, the approximate tier's RR sketch
+// (nil or empty means none for each). It writes version 3, or version 5
+// when a sketch rides along, so a file without sections stays
+// byte-identical to what older binaries read. Partitions share the global
+// per-user state, so the header comes from the first; for each action the
+// base block walks every partition's shard in order, and since the ranges
+// are disjoint and ascending the rows come out sorted: the file is the one
+// a single engine over the same rows writes. The base section is written
+// in its canonical mapped-addressable layout: contiguous in-order blocks
+// behind a per-action offset table, 16-byte directory records and cells,
+// everything 8-aligned — so the very bytes this writer emits are what
+// OpenSnapshot later serves queries from without parsing. The encoding of
+// a given model state is unique: saving a loaded snapshot reproduces the
+// file byte for byte.
+func WriteModelSnapshot(w io.Writer, parts []*Engine, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
+	if len(parts) == 0 {
+		return fmt.Errorf("core: no engines to snapshot")
+	}
+	next := 0
+	for _, p := range parts {
+		lo, hi := p.PartitionRange()
+		if lo != next || p.numUsers != parts[0].numUsers || len(p.uc) != len(parts[0].uc) {
+			return fmt.Errorf("core: engines do not tile one model: rows [%d,%d) follow row %d", lo, hi, next)
+		}
+		next = hi
+	}
+	if next != parts[0].numUsers {
+		return fmt.Errorf("core: engines cover rows [0,%d) of a %d-user universe", next, parts[0].numUsers)
 	}
 	if sketch != nil && sketch.NumSets() == 0 {
 		sketch = nil
 	}
 	version := uint32(snapshotVersion)
-	switch {
-	case e.partitioned:
-		if sketch != nil {
-			return fmt.Errorf("core: a partition engine (rows [%d,%d)) cannot write an RR sketch; it belongs to the whole-model file", e.partLo, e.partHi)
-		}
-		version = snapshotVersionSlice
-	case sketch != nil:
+	if sketch != nil {
 		version = snapshotVersionSketch
-		if err := sketch.Validate(e.numUsers); err != nil {
+		if err := sketch.Validate(parts[0].numUsers); err != nil {
 			return err
 		}
 	}
+	return writeSnapshotParts(w, parts, version, lin, prefix, sketch)
+}
 
+// writeSnapshotParts emits one snapshot file of the given version from parts,
+// whose shards it concatenates per action.
+func writeSnapshotParts(w io.Writer, parts []*Engine, version uint32, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
+	e := parts[0]
+	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
+		return err
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sw := &snapWriter{w: bw}
 	if err := writeSnapshotHeader(sw, e, lin, version); err != nil {
@@ -440,30 +476,47 @@ func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, ske
 		sw.bytes(make([]byte, pad))
 	}
 
-	// Offset table: canonical positions, blocks contiguous in action order.
-	off := uint64(len(e.uc)) * 8
-	for _, s := range e.uc {
-		sw.u64(off)
-		off += 8 + uint64(s.bytes())
-	}
-	// Blocks: the row count, then the directory and the cells in the
-	// shard's own order, with canonical base-relative cell offsets.
-	cur := uint64(len(e.uc)) * 8
-	for _, s := range e.uc {
-		sw.u64(uint64(len(s.dir)))
-		b := sw.scratch(int(s.bytes()))
-		cellOff := cur + 8 + uint64(len(s.dir))*16
-		for i, d := range s.dir {
-			binary.LittleEndian.PutUint32(b[i*16:], uint32(d.key))
-			binary.LittleEndian.PutUint32(b[i*16+4:], d.count)
-			binary.LittleEndian.PutUint64(b[i*16+8:], cellOff)
-			cellOff += uint64(d.count) * 16
+	// block returns action a's row count and directory-plus-cell bytes
+	// over every part.
+	block := func(a int) (rows, size int) {
+		for _, p := range parts {
+			rows += len(p.uc[a].dir)
+			size += int(p.uc[a].bytes())
 		}
-		cb := b[len(s.dir)*16:]
-		for i, en := range s.cells {
-			binary.LittleEndian.PutUint32(cb[i*16:], uint32(en.u))
-			binary.LittleEndian.PutUint32(cb[i*16+4:], 0)
-			binary.LittleEndian.PutUint64(cb[i*16+8:], math.Float64bits(en.c))
+		return rows, size
+	}
+	// Offset table: canonical positions, blocks contiguous in action order.
+	numActions := len(e.uc)
+	off := uint64(numActions) * 8
+	for a := 0; a < numActions; a++ {
+		_, size := block(a)
+		sw.u64(off)
+		off += 8 + uint64(size)
+	}
+	// Blocks: the row count, then the directory and the cells of every
+	// part in part order, with canonical base-relative cell offsets.
+	cur := uint64(numActions) * 8
+	for a := 0; a < numActions; a++ {
+		rows, size := block(a)
+		sw.u64(uint64(rows))
+		b := sw.scratch(size)
+		cellOff := cur + 8 + uint64(rows)*16
+		db, cb := b[:rows*16], b[rows*16:]
+		for _, p := range parts {
+			s := p.uc[a]
+			for _, d := range s.dir {
+				binary.LittleEndian.PutUint32(db, uint32(d.key))
+				binary.LittleEndian.PutUint32(db[4:], d.count)
+				binary.LittleEndian.PutUint64(db[8:], cellOff)
+				db = db[16:]
+				cellOff += uint64(d.count) * 16
+			}
+			for _, en := range s.cells {
+				binary.LittleEndian.PutUint32(cb, uint32(en.u))
+				binary.LittleEndian.PutUint32(cb[4:], 0)
+				binary.LittleEndian.PutUint64(cb[8:], math.Float64bits(en.c))
+				cb = cb[16:]
+			}
 		}
 		sw.bytes(b)
 		cur = cellOff

@@ -101,17 +101,36 @@ func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mm
 }
 
 // plannerFor returns m's planner split n ways, served from in-memory
-// slices of the scanned engine ("sliced") or from snapshot-slice files
-// written by SaveSlices and reopened by LoadPartitions, heap-read ("heap")
-// or memory-mapped ("mmap"). It also returns the model the planner serves.
-// The mappings are released on t's cleanup.
+// slices of the scanned engine ("sliced"); from in-memory views of one
+// whole-model file, heap-read ("file-heap") or memory-mapped
+// ("file-mmap"); or from snapshot-slice files written by SaveSlices and
+// reopened by LoadPartitions, heap-read ("heap") or memory-mapped
+// ("mmap"). It also returns the model the planner serves. The mappings
+// are released on t's cleanup.
 func plannerFor(t *testing.T, m *credist.Model, n int, backend string) (*credist.Model, *credist.Planner) {
 	t.Helper()
+	switch backend {
+	case "file-heap", "file-mmap":
+		path := filepath.Join(t.TempDir(), "model.bin")
+		if err := m.Save(path); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		open := credist.LoadModel
+		if backend == "file-mmap" {
+			open = credist.LoadModelMapped
+		}
+		loaded, err := open(m.Dataset(), path, credist.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		t.Cleanup(func() { loaded.Close() })
+		m = loaded
+	}
 	pp, err := m.NewPlanner().Partition(n)
 	if err != nil {
 		t.Fatalf("Partition(%d): %v", n, err)
 	}
-	if backend == "sliced" {
+	if backend != "heap" && backend != "mmap" {
 		return m, pp
 	}
 	paths := credist.SlicePaths(filepath.Join(t.TempDir(), "model.bin"), n)
@@ -136,7 +155,8 @@ func setProcs(t *testing.T, n int) {
 
 // TestPartitionCountDeterminism is the headline wall: for partition
 // counts {1, 2, 4, 7} x workers {1, GOMAXPROCS} x row stores {in-memory
-// slices, heap-opened slice files, mmap-opened slice files}, the
+// slices; views of one heap-opened or mmap-opened model file; heap-opened
+// or mmap-opened slice files}, the
 // partitioned planner's CELF seeds and gains must be bit-identical to the
 // single-engine selection, batched gains — and Gain and Gains after Add —
 // must be bit-identical to the single-engine planner's, and the telescoped
@@ -190,7 +210,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	for _, nparts := range []int{1, 2, 4, 7} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			setProcs(t, workers)
-			for _, backend := range []string{"sliced", "heap", "mmap"} {
+			for _, backend := range []string{"sliced", "file-heap", "file-mmap", "heap", "mmap"} {
 				name := fmt.Sprintf("parts=%d/workers=%d/%s", nparts, workers, backend)
 				_, pp := plannerFor(t, m, nparts, backend)
 				if got := pp.NumPartitions(); got != nparts {

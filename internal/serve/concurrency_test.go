@@ -373,8 +373,8 @@ func TestConcurrentGainsShareBasePlanner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build mmap: %v", err)
 	}
-	if serve.BasePlanner(mapped).MappedBytes() == 0 {
-		t.Fatal("mmap snapshot's planner maps nothing")
+	if got := serve.BasePlanner(mapped).MappedBytes(); (got > 0) != serve.MapsInPlace() {
+		t.Fatalf("mmap snapshot's planner maps %d bytes on a host that maps in place: %t", got, serve.MapsInPlace())
 	}
 	cands := []credist.NodeID{0, 1, 2, 3, 4, 5}
 	for _, backend := range []struct {

@@ -1,11 +1,13 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -89,10 +91,10 @@ func sameResponses(t *testing.T, what string, a, b http.Handler) {
 // JSON here means bit-identical float64s underneath. Two shapes are
 // pinned: an in-memory split of a freshly learned model, and a model file
 // checkpointed after an ingest and served from the on-disk log plus its
-// tail, whose first start writes the slice files that a restart reopens —
-// four mmap'd slices against one heap-loaded slice. There /stats must
-// report the four mapped partitions whose rows sum to its top-level
-// accounting.
+// tail — four in-memory views of a mapped open against one of a heap
+// open, neither start writing a file. There /stats must report the four
+// partitions, mapped where the host maps in place, whose rows sum to its
+// top-level accounting.
 func TestPartitionCountParityHTTP(t *testing.T) {
 	sameResponses(t, "in-memory split, 1 vs 4 partitions",
 		newPartitionedServer(t, 1).Handler(), newPartitionedServer(t, 4).Handler())
@@ -140,29 +142,21 @@ func TestPartitionCountParityHTTP(t *testing.T) {
 		}
 		return serve.New(snap).Handler()
 	}
-	build(4, true) // first start: splits the model file into slice files
-	slices := credist.SlicePaths(modelPath, 4)
-	written := make([]os.FileInfo, len(slices))
-	for i, p := range slices {
-		if written[i], err = os.Stat(p); err != nil {
-			t.Fatalf("first partitioned start wrote no slice: %v", err)
-		}
-	}
-	four := build(4, true) // restart: reopens the slices
-	for i, p := range slices {
-		if fi, err := os.Stat(p); err != nil || !fi.ModTime().Equal(written[i].ModTime()) || fi.Size() != written[i].Size() {
-			t.Errorf("restart rewrote slice %s", p)
-		}
-	}
+	before := listDir(t, dir)
+	build(4, false)
+	four := build(4, true)
 	sameResponses(t, "model file, 4 mmap'd vs 1 heap partition", build(1, false), four)
+	if after := listDir(t, dir); !slices.Equal(after, before) {
+		t.Errorf("partitioned starts wrote files: %v, then %v", before, after)
+	}
 
 	var st serve.StatsResponse
 	getJSON(t, four, "GET", "/stats", "", &st)
 	if st.NumPartitions != 4 || len(st.Partitions) != 4 {
 		t.Fatalf("/stats: num_partitions %d with %d rows, want 4", st.NumPartitions, len(st.Partitions))
 	}
-	if st.RowStore != "mmap" || st.MappedBytes <= 0 {
-		t.Errorf("/stats: row_store %q with %d mapped bytes, want mmap and > 0", st.RowStore, st.MappedBytes)
+	if st.RowStore != serve.WantRowStore() || (st.MappedBytes > 0) != serve.MapsInPlace() {
+		t.Errorf("/stats: row_store %q with %d mapped bytes, want %s", st.RowStore, st.MappedBytes, serve.WantRowStore())
 	}
 	var entries, heap, mapped int64
 	for _, row := range st.Partitions {
@@ -251,46 +245,78 @@ func TestStatsPartitionRows(t *testing.T) {
 	}
 }
 
-// corruptDemoSlices checkpoints the demo model split n ways as the
-// canonical slices of dir/model.bin (no model file is written) and flips
-// a byte mid-file in slice 1, which still opens but fails its CRC. It
-// returns the model path and the corrupt slice's path.
-func corruptDemoSlices(t *testing.T, dir string, n int) (modelPath, bad string) {
+// listDir returns the names in dir, sorted.
+func listDir(t *testing.T, dir string) []string {
 	t.Helper()
-	model := credist.Learn(demoDataset(), credist.Options{Lambda: 0.001})
-	pp, err := model.NewPlanner().Partition(n)
-	if err != nil {
-		t.Fatalf("Partition(%d): %v", n, err)
-	}
-	modelPath = filepath.Join(dir, "model.bin")
-	paths := credist.SlicePaths(modelPath, n)
-	if err := pp.SaveSlices(model, nil, paths); err != nil {
-		t.Fatalf("SaveSlices: %v", err)
-	}
-	raw, err := os.ReadFile(paths[1])
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(paths[1], raw, 0o644); err != nil {
-		t.Fatal(err)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
-	return modelPath, paths[1]
+	return names
 }
 
-// TestCorruptSliceFailsBuild pins the partitioned fault path: a slice
-// that does not load fails Build, heap-loaded or mapped, with an error
-// naming the partition and its file, the way a corrupt model file fails
-// the single-engine build.
-func TestCorruptSliceFailsBuild(t *testing.T) {
-	modelPath, bad := corruptDemoSlices(t, t.TempDir(), 3)
+// TestPartitionsBeyondUsersClamp: a source asking for more partitions
+// than there are users serves one partition per user, from a model file
+// (heap-read or mapped) as from a learned model, and both answer alike.
+func TestPartitionsBeyondUsersClamp(t *testing.T) {
+	users := demoDataset().NumUsers()
+	modelPath := filepath.Join(t.TempDir(), "model.bin")
+	if err := demoModel().Save(modelPath); err != nil {
+		t.Fatal(err)
+	}
 	for _, mmap := range []bool{false, true} {
+		learned, err := serve.Build(serve.Source{Dataset: demoDataset(), Lambda: 0.001, Partitions: users + 3})
+		if err != nil {
+			t.Fatalf("learned Build: %v", err)
+		}
+		snap, err := serve.Build(serve.Source{Dataset: demoDataset(), ModelPath: modelPath, Partitions: users + 3, Mmap: mmap})
+		if err != nil {
+			t.Fatalf("mmap=%t: Build: %v", mmap, err)
+		}
+		if got := snap.NumPartitions(); got != users || learned.NumPartitions() != users {
+			t.Fatalf("mmap=%t: %d partitions from the file, %d learned; want %d", mmap, got, learned.NumPartitions(), users)
+		}
+		sameResponses(t, fmt.Sprintf("%d partitions, model file (mmap=%t) vs learned", users+3, mmap),
+			serve.New(learned).Handler(), serve.New(snap).Handler())
+	}
+}
+
+// corruptDemoModel writes the demo model to dir/model.bin with a byte of
+// its header flipped, which every open refuses on its checksum.
+func corruptDemoModel(t *testing.T, dir string) string {
+	t.Helper()
+	modelPath := filepath.Join(dir, "model.bin")
+	if err := demoModel().Save(modelPath); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[40] ^= 0xFF
+	if err := os.WriteFile(modelPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return modelPath
+}
+
+// TestCorruptModelFailsPartitionedBuild pins the partitioned fault path:
+// a model file that does not load fails Build, heap-read or mapped, with
+// an error naming the file, the way it fails the single-engine build.
+func TestCorruptModelFailsPartitionedBuild(t *testing.T) {
+	modelPath := corruptDemoModel(t, t.TempDir())
+	for _, mmap := range []bool{false, true} {
+		_, oneErr := serve.Build(serve.Source{Dataset: demoDataset(), ModelPath: modelPath, Mmap: mmap})
 		snap, err := serve.Build(serve.Source{Dataset: demoDataset(), ModelPath: modelPath, Partitions: 3, Mmap: mmap})
 		if err == nil {
-			t.Fatalf("mmap=%t: Build over a corrupt slice returned a snapshot with %d partitions", mmap, snap.NumPartitions())
+			t.Fatalf("mmap=%t: Build over a corrupt model returned a snapshot with %d partitions", mmap, snap.NumPartitions())
 		}
-		if !strings.Contains(err.Error(), "partition 1") || !strings.Contains(err.Error(), bad) {
-			t.Errorf("mmap=%t: Build error does not name the failed partition and path: %v", mmap, err)
+		if !strings.Contains(err.Error(), modelPath) || oneErr == nil || err.Error() != oneErr.Error() {
+			t.Errorf("mmap=%t: partitioned Build error %q, single-engine %v; want the same error naming the file", mmap, err, oneErr)
 		}
 	}
 }
@@ -307,17 +333,18 @@ func saveDemoDataset(t *testing.T, dir string) (graphPath, logPath string) {
 	return graphPath, logPath
 }
 
-// TestReloadRefusesCorruptSlices reloads a healthy partitioned server
-// into a source with a corrupt slice: /reload answers 400 with Build's
-// error, and the old snapshot stays installed and keeps answering.
-func TestReloadRefusesCorruptSlices(t *testing.T) {
+// TestReloadRefusesCorruptModel reloads a healthy partitioned server into
+// a partitioned source whose model file is corrupt: /reload answers 400
+// with Build's error, and the old snapshot stays installed and keeps
+// answering.
+func TestReloadRefusesCorruptModel(t *testing.T) {
 	dir := t.TempDir()
-	modelPath, _ := corruptDemoSlices(t, dir, 3)
+	modelPath := corruptDemoModel(t, dir)
 	graphPath, logPath := saveDemoDataset(t, dir)
 	src := serve.Source{GraphPath: graphPath, LogPath: logPath, ModelPath: modelPath, Partitions: 3}
 	_, buildErr := serve.Build(src)
-	if buildErr == nil || !strings.Contains(buildErr.Error(), "partition 1") {
-		t.Fatalf("Build over a corrupt slice: %v, want an error naming partition 1", buildErr)
+	if buildErr == nil || !strings.Contains(buildErr.Error(), modelPath) {
+		t.Fatalf("Build over a corrupt model: %v, want an error naming %s", buildErr, modelPath)
 	}
 
 	h := newPartitionedServer(t, 2).Handler()
@@ -339,47 +366,103 @@ func TestReloadRefusesCorruptSlices(t *testing.T) {
 }
 
 // TestPartitionedCheckpointRestart round-trips POST /snapshot in
-// partitioned mode: the checkpoint writes one slice per partition under
-// the canonical names, and a server restarted from them through the
-// checkpoint path and partition count answers /seeds identically.
+// partitioned mode, from a model file carrying a 2,048-sample RR sketch,
+// at partitions {1, 2, 4, 7}, heap-read and mapped: the checkpoint is
+// exactly one file at the path, byte-identical to a one-engine server's
+// checkpoint of the same model, and a server restarted from it at the
+// same partition count answers /seeds from the checkpointed prefix and
+// eps= queries from the checkpointed pool, byte-identically.
 func TestPartitionedCheckpointRestart(t *testing.T) {
-	const n = 2
-	dir := t.TempDir()
-	srv := newPartitionedServer(t, n)
-	h := srv.Handler()
-	// Ask twice so the captured body has cached:true, like the restarted
-	// server's prefix-served answer.
-	bodyModuloSnapshot(t, h, "GET", "/seeds?k=4", "")
-	want := bodyModuloSnapshot(t, h, "GET", "/seeds?k=4", "")
-
-	target := filepath.Join(dir, "ckpt.bin")
-	code, resp := do(t, h, "POST", "/snapshot", fmt.Sprintf(`{"path":%q}`, target))
-	if code != http.StatusOK {
-		t.Fatalf("/snapshot: status %d: %v", code, resp)
+	src := saveSketchModel(t, t.TempDir(), 2048)
+	requests := []string{
+		"/seeds?k=4",
+		"/spread?seeds=1,2,3&eps=0.2",
+		"/seeds?k=3&eps=0.5",
 	}
-	paths := credist.SlicePaths(target, n)
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("checkpoint slice missing: %v", err)
+	// answer is the response body without the snapshot id and the
+	// approximate tier's wall-clock "elapsed".
+	answer := func(h http.Handler, target string) string {
+		t.Helper()
+		code, decoded := do(t, h, "GET", target, "")
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", target, code, decoded)
 		}
+		delete(decoded, "snapshot")
+		delete(decoded, "elapsed")
+		out, err := json.Marshal(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
 	}
-	snap, err := serve.Build(serve.Source{Dataset: demoDataset(), ModelPath: target, Partitions: n})
-	if err != nil {
-		t.Fatalf("Build from checkpoint slices: %v", err)
+	// checkpoint warms the /seeds prefix (asked twice, so a captured body
+	// has cached:true like the restarted server's prefix-served answer),
+	// records the answers to targets, and checkpoints into a fresh
+	// directory, which must then hold exactly that one file.
+	checkpoint := func(name string, src serve.Source, targets []string) (want []string, path string, written []byte) {
+		t.Helper()
+		snap, err := serve.Build(src)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", name, err)
+		}
+		h := serve.New(snap).Handler()
+		answer(h, requests[0])
+		for _, target := range targets {
+			want = append(want, answer(h, target))
+		}
+		dir := t.TempDir()
+		path = filepath.Join(dir, "ckpt.bin")
+		code, resp := do(t, h, "POST", "/snapshot", fmt.Sprintf(`{"path":%q}`, path))
+		if code != http.StatusOK {
+			t.Fatalf("%s: /snapshot: status %d: %v", name, code, resp)
+		}
+		if got := listDir(t, dir); !slices.Equal(got, []string{"ckpt.bin"}) {
+			t.Fatalf("%s: checkpoint wrote %v, want exactly ckpt.bin", name, got)
+		}
+		if written, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if resp["path"] != path || resp["bytes"] != float64(len(written)) {
+			t.Errorf("%s: /snapshot reported %v bytes at %v, wrote %d at %s", name, resp["bytes"], resp["path"], len(written), path)
+		}
+		return want, path, written
 	}
-	restarted := serve.New(snap).Handler()
-	// The checkpoint carries the computed seed prefix, so the restarted
-	// server must answer k=4 from it — cached, no selection work.
-	code, res := do(t, restarted, "GET", "/seeds?k=4", "")
-	if code != http.StatusOK {
-		t.Fatalf("restarted /seeds: status %d: %v", code, res)
-	}
-	if cached, _ := res["cached"].(bool); !cached {
-		t.Error("restarted /seeds?k=4 was not served from the checkpointed prefix")
-	}
-	got := bodyModuloSnapshot(t, restarted, "GET", "/seeds?k=4", "")
-	if got != want {
-		t.Errorf("restarted /seeds diverged:\n  before: %s\n  after:  %s", want, got)
+	for _, mmap := range []bool{false, true} {
+		src.Mmap, src.Partitions = mmap, 0
+		// One engine grows its RR pool on eps= queries, so the reference
+		// asks only for seeds and checkpoints the restored pool.
+		_, _, oneBytes := checkpoint(fmt.Sprintf("mmap=%t/one engine", mmap), src, requests[:1])
+		for _, n := range []int{1, 2, 4, 7} {
+			name := fmt.Sprintf("mmap=%t/parts=%d", mmap, n)
+			src.Partitions = n
+			want, path, written := checkpoint(name, src, requests)
+			if !bytes.Equal(written, oneBytes) {
+				t.Errorf("%s: partitioned checkpoint (%d bytes) differs from the one-engine one (%d bytes)", name, len(written), len(oneBytes))
+			}
+
+			restartSrc := src
+			restartSrc.ModelPath = path
+			snap, err := serve.Build(restartSrc)
+			if err != nil {
+				t.Fatalf("%s: Build from the checkpoint: %v", name, err)
+			}
+			restarted := serve.New(snap).Handler()
+			// The checkpoint carries the computed seed prefix, so the
+			// restarted server must answer k=4 from it — cached, no
+			// selection work.
+			code, res := do(t, restarted, "GET", requests[0], "")
+			if code != http.StatusOK {
+				t.Fatalf("%s: restarted /seeds: status %d: %v", name, code, res)
+			}
+			if cached, _ := res["cached"].(bool); !cached {
+				t.Errorf("%s: restarted /seeds?k=4 was not served from the checkpointed prefix", name)
+			}
+			for i, target := range requests {
+				if got := answer(restarted, target); got != want[i] {
+					t.Errorf("%s: restarted %s diverged:\n  before: %s\n  after:  %s", name, target, want[i], got)
+				}
+			}
+		}
 	}
 }
 

@@ -1056,18 +1056,15 @@ type SnapshotResponse struct {
 }
 
 // handleSnapshot serializes the current snapshot's model — learned
-// parameters, scanned UC structure, dataset lineage — to server-side
-// files, so an operator can checkpoint a long-running ingesting server and
-// later restart it from them (serve -model) in milliseconds instead of a
-// full relearn+rescan. A single-engine snapshot writes one file at the
-// path; a partitioned one writes one slice file per partition at the
-// canonical "<path>.slice-<i>-of-<n>" names. Every file goes to a uniquely
-// named temp file in the target directory and is renamed into place, so a
-// crash mid-write never leaves a truncated snapshot at a requested path,
-// and two concurrent checkpoints to the same path cannot interleave into
-// one file (the later rename wins with a complete snapshot). Queries are
-// never blocked: what is written is the immutable backend the snapshot
-// already serves from.
+// parameters, scanned UC structure, dataset lineage — to one server-side
+// file, so an operator can checkpoint a long-running ingesting server and
+// later restart it from it (serve -model) in milliseconds instead of a
+// full relearn+rescan. Single-engine and partitioned snapshots write the
+// same whole-model file. It goes to a uniquely named temp file in the
+// target directory and is renamed into place, so a crash mid-write never
+// leaves a truncated snapshot at the requested path, and two concurrent
+// checkpoints to the same path cannot interleave into one file (the later
+// rename wins with a complete snapshot).
 func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	var req snapshotRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -1076,37 +1073,35 @@ func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	if req.Path == "" {
 		return nil, badRequest("snapshot: missing \"path\"")
 	}
-	paths := sn.be.checkpointPaths(req.Path)
-	for _, p := range paths {
-		if _, err := os.Stat(filepath.Dir(p)); err != nil {
-			return nil, badRequest("snapshot: %v", err)
-		}
-		// The rename replaces whatever sits at the path. Like /ingest's
-		// server-side log option, the path itself is trusted to the
-		// operator's network boundary — but an existing file is only
-		// replaced if it already is a snapshot, so a checkpoint can never
-		// clobber a graph, log, or unrelated file through this endpoint.
-		if prev, err := os.Open(p); err == nil {
-			header := make([]byte, 8)
-			n, _ := io.ReadFull(prev, header)
-			prev.Close()
-			if !credist.IsModelSnapshot(header[:n]) {
-				return nil, badRequest("snapshot: %q exists and is not a model snapshot; refusing to replace it", p)
-			}
+	if _, err := os.Stat(filepath.Dir(req.Path)); err != nil {
+		return nil, badRequest("snapshot: %v", err)
+	}
+	// The rename replaces whatever sits at the path. Like /ingest's
+	// server-side log option, the path itself is trusted to the
+	// operator's network boundary — but an existing file is only
+	// replaced if it already is a snapshot, so a checkpoint can never
+	// clobber a graph, log, or unrelated file through this endpoint.
+	if prev, err := os.Open(req.Path); err == nil {
+		header := make([]byte, 8)
+		n, _ := io.ReadFull(prev, header)
+		prev.Close()
+		if !credist.IsModelSnapshot(header[:n]) {
+			return nil, badRequest("snapshot: %q exists and is not a model snapshot; refusing to replace it", req.Path)
 		}
 	}
 	start := time.Now()
-	// The computed seed prefix rides along: it was selected against
-	// exactly the state being written, so a restart from these files
-	// serves /seeds up to the same k without running CELF at all.
-	if err := sn.be.save(sn.checkpointPrefix(), paths); err != nil {
+	// What is written is the planner the snapshot already serves from —
+	// one engine or every partition, as one whole-model file — so a
+	// checkpoint never blocks queries or pays a second scan. The computed
+	// seed prefix rides along: it was selected against exactly the state
+	// being written, so a restart from this file serves /seeds up to the
+	// same k without running CELF at all.
+	if err := sn.model.SaveOn(req.Path, sn.be.planner, sn.checkpointPrefix()); err != nil {
 		return nil, fmt.Errorf("snapshot: %v", err)
 	}
 	var bytes int64
-	for _, p := range paths {
-		if fi, err := os.Stat(p); err == nil {
-			bytes += fi.Size()
-		}
+	if fi, err := os.Stat(req.Path); err == nil {
+		bytes = fi.Size()
 	}
 	elapsed := time.Since(start)
 	actions := sn.Dataset().Log.NumActions()
@@ -1119,8 +1114,8 @@ func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 		WrittenAt: time.Now(),
 	}
 	s.checkpointMu.Unlock()
-	s.logf("serve: wrote snapshot %d to %d file(s) at %s (%d actions, %d bytes), %.0f ms",
-		sn.ID, len(paths), req.Path, actions, bytes, float64(elapsed.Milliseconds()))
+	s.logf("serve: wrote snapshot %d to %s (%d actions, %d bytes), %.0f ms",
+		sn.ID, req.Path, actions, bytes, float64(elapsed.Milliseconds()))
 	return SnapshotResponse{
 		Snapshot:    sn.ID,
 		Dataset:     sn.Dataset().Name,

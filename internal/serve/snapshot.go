@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,12 +71,12 @@ type Source struct {
 	// Partitions splits the model into N contiguous row-range engine
 	// partitions behind the snapshot's one planner: every query reads each
 	// row from the partition owning it, with answers bit-identical at
-	// every partition count. 0 (the default)
-	// serves the classic single-engine path. With ModelPath, slice files
-	// ("<model>.slice-<i>-of-<N>", the names a partitioned POST /snapshot
-	// writes) are written next to the model on first start and reopened
-	// directly — per-partition memory mappings when Mmap is set — on every
-	// start after, without touching the model file's rows.
+	// every partition count. 0 (the default) serves the classic
+	// single-engine path. Partitions are in-memory views of the one loaded
+	// model — with ModelPath, of the one file, heap-read or mapped — so
+	// nothing is copied and no file is written; N is clamped to the user
+	// count. A partitioned POST /snapshot writes one whole-model file,
+	// the same bytes a single engine writes.
 	Partitions int `json:"partitions,omitempty"`
 
 	// Dataset bypasses loading entirely; used by tests and embedders.
@@ -311,27 +310,6 @@ func (b *backend) extend(model *credist.Model) (*backend, error) {
 	return &backend{model: model, planner: planner, partitioned: b.partitioned}, nil
 }
 
-// checkpointPaths names the files a checkpoint at path writes: the path
-// itself, or one slice file per partition at the canonical
-// "<path>.slice-<i>-of-<n>" names, so a restart with `serve -model <path>
-// -partitions <n>` finds them without re-splitting.
-func (b *backend) checkpointPaths(path string) []string {
-	if b.partitioned {
-		return credist.SlicePaths(path, b.planner.NumPartitions())
-	}
-	return []string{path}
-}
-
-// save writes the planner the snapshot already serves from, with prefix
-// riding along, so a checkpoint never blocks queries or pays a second
-// scan.
-func (b *backend) save(prefix *credist.SeedPrefix, paths []string) error {
-	if b.partitioned {
-		return b.planner.SaveSlices(b.model, prefix, paths)
-	}
-	return b.model.SaveOn(paths[0], b.planner, prefix)
-}
-
 // partitionStats is per-partition accounting (nil for one engine).
 func (b *backend) partitionStats() []credist.PartitionStats {
 	if b.partitioned {
@@ -341,16 +319,13 @@ func (b *backend) partitionStats() []credist.PartitionStats {
 }
 
 // Build loads the source's dataset, learns (or restores) the model, and
-// binds the snapshot's backend. The single engine's scanned planner comes
-// from one log scan, or, when ModelPath names a binary snapshot, from a
-// lineage-checked load that scans only the log tail past the snapshot's
-// recorded actions. A partitioned source assembles a planner over
-// row-range engine partitions, from a model file (slices written next to
-// it on first start, reopened after) or an in-memory split of a freshly
-// learned model. Any failure fails the build, on either shape: a slice
-// that does not load is an error naming its partition and file, never a
-// snapshot missing that partition's rows. The returned snapshot has ID 0
-// until a Registry installs it.
+// binds the snapshot's backend. The scanned planner comes from one log
+// scan, or, when ModelPath names a binary snapshot, from a lineage-checked
+// load that scans only the log tail past the snapshot's recorded actions.
+// A partitioned source then splits that one planner into row-range
+// partitions in memory: views of the same shards, so nothing is copied
+// and no file is written. Any failure fails the build, on either shape.
+// The returned snapshot has ID 0 until a Registry installs it.
 func Build(src Source) (*Snapshot, error) {
 	if src.Mmap && src.ModelPath == "" {
 		return nil, fmt.Errorf("mmap requires a model path (the mapping is the snapshot file)")
@@ -379,32 +354,19 @@ func Build(src Source) (*Snapshot, error) {
 		ds = &credist.Dataset{Name: ds.Name, Graph: ds.Graph, Log: grown}
 	}
 	opts := credist.Options{Lambda: src.Lambda, SimpleCredit: src.SimpleCredit}
-	var (
-		model   *credist.Model
-		planner *credist.Planner
-	)
+	model, err := loadModel(src, ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	planner := model.NewPlanner()
 	if src.partitioned() {
-		if model, planner, err = buildPartitions(src, ds, opts); err != nil {
+		// No evaluator warm-up runs: /spread and /topk telescope over the
+		// partitions, so the propagation-DAG build never happens unless an
+		// embedder calls Model.Spread directly.
+		if planner, err = planner.Partition(src.Partitions); err != nil {
 			return nil, err
 		}
-		// A first start that splits the model loads the whole file onto the
-		// heap and leaves 50-100 MiB of garbage on flixster-small, depending
-		// on when the last collection ran. A restart from existing slices
-		// leaves ~2 MiB next to ~8 MiB live: the dataset's text parse, since
-		// reaching the RR sketch maps the whole-model file and decodes only
-		// the sketch. Partitioned queries allocate little (they read the
-		// shared partitions through a probe), so the collector would
-		// otherwise leave that garbage resident for many seconds of traffic;
-		// collect it now and return the pages, so the process's footprint is
-		// the snapshot's. No evaluator warm-up runs: /spread and /topk
-		// telescope over the partitions, so the propagation-DAG build never
-		// happens unless an embedder calls Model.Spread directly.
-		debug.FreeOSMemory()
 	} else {
-		if model, err = loadModel(src, ds, opts); err != nil {
-			return nil, err
-		}
-		planner = model.NewPlanner()
 		// The model's spread evaluator (the /spread and /topk path) builds
 		// lazily on first use. Kick that build off in the background so a
 		// snapshot-loaded server binds its port in milliseconds without the
@@ -432,9 +394,9 @@ func Build(src Source) (*Snapshot, error) {
 	return sn, nil
 }
 
-// loadModel restores the single-engine model from a binary snapshot
-// (memory-mapped when the source asks), restores learned parameters, or
-// learns from scratch.
+// loadModel restores the model from a binary snapshot (memory-mapped
+// when the source asks), restores learned parameters, or learns from
+// scratch.
 func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, error) {
 	switch {
 	case src.ModelPath != "" && src.Mmap:
@@ -451,21 +413,6 @@ func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.
 	default:
 		return credist.Learn(ds, opts), nil
 	}
-}
-
-// buildPartitions assembles the partitioned model and planner from a
-// model file's slices or an in-memory split.
-func buildPartitions(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, *credist.Planner, error) {
-	if src.ModelPath != "" {
-		model, parts, _, err := credist.LoadModelPartitioned(ds, src.ModelPath, src.Partitions, src.Mmap, opts)
-		return model, parts, err
-	}
-	model, err := loadModel(src, ds, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	parts, err := model.NewPlanner().Partition(src.Partitions)
-	return model, parts, err
 }
 
 // newSnapshot is the constructor tail Build and Ingest share: it binds
@@ -497,7 +444,7 @@ func (sn *Snapshot) NumPartitions() int { return len(sn.PartitionStats()) }
 func (sn *Snapshot) PartitionStats() []credist.PartitionStats { return sn.be.partitionStats() }
 
 // PartitionErr always returns nil: a partition that fails to load fails
-// Build instead. It stays for credist-bench, which still calls it.
+// Build instead. Benchmark-pinned: it stays while credist-bench calls it.
 func (sn *Snapshot) PartitionErr() error { return nil }
 
 // Ingest builds the successor snapshot extended with a batch of new

@@ -336,30 +336,29 @@ func (m *Model) SaveOn(path string, p *Planner, prefix *SeedPrefix) error {
 // credit parameters and truncation threshold), cover exactly the model's
 // log, and hold no committed seeds; nil uses the model's own base scan.
 // Passing an explicit planner is how a serving layer checkpoints its live
-// (possibly ingest-extended) planner without a second scan. prefix, if
-// non-nil, is the computed seed prefix to persist alongside the engine —
-// it must have been selected against exactly the state being written
-// (this model's parameters over the planner's log), or a restart would
-// serve seeds the restored model never chose.
+// (possibly ingest-extended) planner without a second scan. A partitioned
+// planner writes the same one whole-model file: its partitions' rows are
+// walked in partition order, which is sorted order. prefix, if non-nil,
+// is the computed seed prefix to persist alongside the engine — it must
+// have been selected against exactly the state being written (this
+// model's parameters over the planner's log), or a restart would serve
+// seeds the restored model never chose.
 func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error {
-	var eng *core.Engine
+	var parts []*core.Engine
 	if p == nil {
-		eng = m.base()
+		parts = []*core.Engine{m.base()}
 	} else {
 		if err := m.checkPlanner(p, "snapshot", true); err != nil {
 			return err
 		}
-		if p.partitioned() {
-			return fmt.Errorf("credist: cannot write a partitioned planner as one snapshot; save its slices")
-		}
-		eng = p.parts[0]
+		parts = p.parts
 	}
 	// The RR sketch rides along whenever the approximate tier holds one:
 	// it is derived over exactly the model's log, and the lineage written
 	// here is that same log's, so a sketch attached to this model is
 	// always consistent with the snapshot (the version stays 3 without
 	// one, keeping sketchless files byte-identical).
-	return eng.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch())
+	return core.WriteModelSnapshot(w, parts, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch())
 }
 
 // IsModelSnapshot reports whether data (at least the first 8 bytes of a

@@ -19,9 +19,9 @@ type PartitionRange = partition.Range
 type PartitionStats = partition.Stats
 
 // SlicePaths returns the canonical snapshot-slice file names for a model
-// split n ways: "<modelPath>.slice-<i>-of-<n>". `credist serve -partitions`
-// writes and reopens slices under these names, so a checkpointed partition
-// set can be found again from the model path alone.
+// split n ways: "<modelPath>.slice-<i>-of-<n>". Benchmark-pinned:
+// credist-bench reopens the slices LoadModelPartitioned writes under
+// these names; serve names no slice file.
 func SlicePaths(modelPath string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -56,18 +56,21 @@ func (p *Planner) Partition(n int) (*Planner, error) {
 	return newPlanner(p.m, parts...), nil
 }
 
-// LoadPartitions restores a partitioned model from snapshot-slice files:
-// each slice is loaded (memory-mapped when mmap is set), lineage-checked
-// against the dataset, and the set is validated to tile the user universe
-// exactly — overlapping or gapped row ranges are rejected naming both
-// offending ranges — and to come from one model: a slice whose options or
-// learned parameters differ from slice 0's is refused. Like LoadModel,
-// the dataset's log may extend past the slices' recorded scan: each
-// partition appends only its rows of the unscanned tail, and any stored
-// seed prefix is dropped. The returned model carries the slices' learned
-// parameters and stored options (pass the zero Options to adopt them) but
-// no scanned full engine — its lazy base would be a fresh scan; serve
-// queries through the planner instead.
+// LoadPartitions restores a partitioned model from version-4
+// snapshot-slice files: each slice is loaded (memory-mapped when mmap is
+// set), lineage-checked against the dataset, and the set is validated to
+// tile the user universe exactly — overlapping or gapped row ranges are
+// rejected naming both offending ranges — and to come from one model: a
+// slice whose options or learned parameters differ from slice 0's is
+// refused. Like LoadModel, the dataset's log may extend past the slices'
+// recorded scan: each partition appends only its rows of the unscanned
+// tail, and any stored seed prefix is dropped. The returned model carries
+// the slices' learned parameters and stored options (pass the zero
+// Options to adopt them) but no scanned full engine — its lazy base would
+// be a fresh scan; serve queries through the planner instead.
+// Model.SaveOn with the returned planner merges the slices into one
+// whole-model file. Benchmark-pinned: credist-bench reopens the slices
+// LoadModelPartitioned writes.
 func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *Planner, error) {
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("credist: no slice paths")
@@ -81,86 +84,46 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 	return m, p, nil
 }
 
-// LoadModelPartitioned opens modelPath as n partitions: when the canonical
-// slice files (SlicePaths) already sit next to the model they are opened
-// directly — the full snapshot is never touched, and with mmap no row is
-// parsed — otherwise the full snapshot is heap-loaded once, the slices are
-// written (atomically, temp file + rename), and the load proceeds from
-// them. The returned paths name the slice files in partition order.
+// LoadModelPartitioned opens the whole-model snapshot at modelPath once
+// (memory-mapped when mmap is set) and partitions it n ways in memory, as
+// Planner.Partition does; the planner owns the mapping, so Close it, not
+// the model. Benchmark-pinned: when the canonical slice files (SlicePaths)
+// of the partition count are missing it writes them next to the model,
+// for credist-bench to reopen with LoadPartitions, and returns their
+// paths in partition order.
 func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts Options) (*Model, *Planner, []string, error) {
-	if n < 1 {
-		n = 1
-	}
-	paths := SlicePaths(modelPath, n)
-	missing := false
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
-			missing = true
-			break
-		}
-	}
-	if missing {
-		conv, err := LoadModel(ds, modelPath, opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		pp, err := conv.NewPlanner().Partition(n)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := pp.SaveSlices(conv, conv.prefix, paths); err != nil {
-			return nil, nil, nil, err
-		}
-		// conv (and its full heap engine) is dropped here; the model served
-		// from is rebuilt from the slices so nothing retains the full copy.
-	}
-	m, pp, err := LoadPartitions(ds, paths, mmap, opts)
+	m, err := loadSnapshotModel(ds, modelPath, mmap, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// A version-5 whole-model snapshot carries the approximate tier's RR
-	// sketch, which slices do not: its samples span the full universe, so
-	// it cannot be split along row ranges. Re-read just the sketch from the
-	// model file (cheap: the mapped open parses no cell, and the sketch is
-	// decoded onto the heap before the mapping closes) so a partitioned
-	// deployment still answers bounded-error queries — from the fixed pool.
-	// A sketch the model cannot adopt degrades to none, like every other
-	// mismatch readSnapshotSketch screens for.
-	_ = m.restoreApprox(readSnapshotSketch(modelPath, ds, pp.NumActions()))
+	pp, err := m.NewPlanner().Partition(n)
+	if err != nil {
+		m.Close()
+		return nil, nil, nil, err
+	}
+	if m.file != nil {
+		pp.files, m.file = []*core.SnapshotFile{m.file}, nil
+	}
+	paths := SlicePaths(modelPath, pp.NumPartitions())
+	for _, p := range paths {
+		if _, err := os.Stat(p); err != nil {
+			if err := pp.SaveSlices(m, m.prefix, paths); err != nil {
+				pp.Close()
+				return nil, nil, nil, err
+			}
+			break
+		}
+	}
 	return m, pp, paths, nil
 }
 
-// readSnapshotSketch reads only the RR sketch from a whole-model snapshot
-// file, returning nil for missing files, unreadable or pre-version-5
-// snapshots, and sketchless version-5 files. The sketch is an optional
-// accelerator — a partitioned start must not fail because the model file
-// next to healthy slices went stale — so every mismatch degrades to "no
-// sketch": the file's lineage must match the dataset and its scan must
-// cover exactly the numActions the partitions serve (a log tail appended
-// past the snapshot invalidates the walks the same way LoadModel drops
-// the sketch, and a model file older than re-checkpointed slices sampled
-// a log the partitions no longer serve).
-func readSnapshotSketch(path string, ds *Dataset, numActions int) *core.RRSketch {
-	f, err := core.OpenSnapshot(path, true)
-	if err != nil {
-		return nil
-	}
-	// The sketch section is always decoded onto the heap, so the mapping
-	// can close before the sketch is used. The UC shards alias the
-	// mapping; they are dropped here unread.
-	f.Close()
-	if f.Sketch == nil || f.Lineage.NumActions != numActions || f.Lineage.Check(ds.Graph, ds.Log) != nil {
-		return nil
-	}
-	return f.Sketch
-}
-
-// SaveSlices checkpoints the planner's partitions as snapshot-slice files,
-// one per partition in partition order, each written to a temp file and
-// renamed into place. The planner must pass the same check as
-// WriteSnapshot's (this model's lineage, exactly the model's log, no
-// committed seeds); prefix, if non-nil, rides in every slice so a restart
-// from them resumes seed selection.
+// SaveSlices checkpoints the planner's partitions as version-4
+// snapshot-slice files, one per partition in partition order, each
+// written to a temp file and renamed into place. The planner must pass the
+// same check as WriteSnapshot's (this model's lineage, exactly the model's
+// log, no committed seeds); prefix, if non-nil, rides in every slice so a
+// restart from them resumes seed selection. Benchmark-pinned: only
+// LoadModelPartitioned's slices for credist-bench call it.
 func (p *Planner) SaveSlices(m *Model, prefix *SeedPrefix, paths []string) error {
 	if len(paths) != len(p.parts) {
 		return fmt.Errorf("credist: %d slice paths for %d partitions", len(paths), len(p.parts))
@@ -243,8 +206,8 @@ func (p *Planner) Ranges() []PartitionRange { return partition.Ranges(p.parts) }
 // Stats returns per-partition accounting in partition order.
 func (p *Planner) Stats() []PartitionStats { return partition.StatsOf(p.parts) }
 
-// Close releases the file mappings behind mmap-opened slices; a no-op
-// otherwise. Call it only once no query, selection, clone or Extend
+// Close releases the file mappings LoadPartitions or LoadModelPartitioned
+// opened with mmap; a no-op otherwise. Call it only once no query, selection, clone or Extend
 // successor derived from this planner is in use.
 func (p *Planner) Close() error {
 	var first error

@@ -1,11 +1,14 @@
 package credist
 
 import (
-	"io"
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"credist/internal/actionlog"
 )
 
 // TestPartitionedPlannerRefusedUnderOtherCreditRule: extending and
@@ -64,21 +67,141 @@ func TestPartitionedPlannerRefusedUnderOtherCreditRule(t *testing.T) {
 	}
 }
 
-// TestPartitionedPlannerWritesSlicesOnly: a partitioned planner holds no
-// full engine, so whole-model snapshots of it are refused with a pointer
-// to SaveSlices instead of writing one partition's rows as the model, and
-// it cannot be split again into slices of its partitions.
-func TestPartitionedPlannerWritesSlicesOnly(t *testing.T) {
-	m := Learn(Generate(tinyConfig(32)), Options{Lambda: 0.001})
-	pp, err := m.NewPlanner().Partition(2)
+// TestPartitionedCheckpointIsOneModelFile: a partitioned planner
+// checkpoints as one whole-model file, byte-identical to the one-engine
+// checkpoint of the same model — prefix and RR sketch included — at
+// partitions {1, 2, 4, 7}, over a heap-read and a mapped open, fresh and
+// again after an ingest that registers new users (the trailing
+// partition's range widens). A partitioned planner cannot be split again.
+func TestPartitionedCheckpointIsOneModelFile(t *testing.T) {
+	full := Generate(tinyConfig(32))
+	// The head log leaves the graph's last users unseen, so the ingested
+	// action below grows the log universe.
+	nUsers := full.Graph.NumNodes()
+	headUsers, headActions := nUsers-4, full.Log.NumActions()-20
+	var kept []Tuple
+	for _, tp := range full.Log.Prefix(headActions).Tuples() {
+		if int(tp.User) < headUsers {
+			kept = append(kept, tp)
+		}
+	}
+	headLog, err := actionlog.FromTuples(headUsers, kept)
 	if err != nil {
-		t.Fatalf("Partition(2): %v", err)
+		t.Fatal(err)
 	}
-	if err := m.WriteSnapshot(io.Discard, pp, nil); err == nil || !strings.Contains(err.Error(), "slices") {
-		t.Errorf("WriteSnapshot of a partitioned planner = %v, want a refusal naming slices", err)
+	ds := &Dataset{Name: full.Name, Graph: full.Graph, Log: headLog}
+	// Time-aware learning needs the whole graph's universe in the log;
+	// the simple rule has no parameters to cover it.
+	m := Learn(ds, Options{Lambda: 0.001, SimpleCredit: true})
+	m.RecordSeedPrefix(m.Selection(3))
+	if err := m.BuildApproxSketch(512); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := pp.Partition(2); err == nil || !strings.Contains(err.Error(), "partition engine") {
-		t.Errorf("Partition of a partitioned planner = %v, want a refusal", err)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.bin")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := ActionID(headLog.NumActions())
+	batch := []Tuple{{User: 0, Action: next, Time: 1}, {User: NodeID(nUsers - 2), Action: next, Time: 2}, {User: NodeID(nUsers - 1), Action: next, Time: 3}}
+
+	for _, mmap := range []bool{false, true} {
+		loaded, err := loadSnapshotModel(ds, path, mmap, Options{})
+		if err != nil {
+			t.Fatalf("mmap=%t: %v", mmap, err)
+		}
+		grown, err := loaded.Ingest(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grown.Dataset().NumUsers() != nUsers {
+			t.Fatalf("ingest grew the universe to %d users, want %d", grown.Dataset().NumUsers(), nUsers)
+		}
+		one, err := grown.ExtendPlanner(loaded.NewPlanner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantGrown bytes.Buffer
+		if err := grown.WriteSnapshot(&wantGrown, one, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 4, 7} {
+			name := fmt.Sprintf("mmap=%t/parts=%d", mmap, n)
+			pp, err := loaded.NewPlanner().Partition(n)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ckpt := filepath.Join(dir, fmt.Sprintf("ckpt-%t-%d.bin", mmap, n))
+			if err := loaded.SaveOn(ckpt, pp, loaded.SeedPrefix()); err != nil {
+				t.Fatalf("%s: SaveOn: %v", name, err)
+			}
+			if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: partitioned checkpoint differs from the one-engine file (%d vs %d bytes, %v)", name, len(got), len(want), err)
+			}
+			gp, err := grown.ExtendPlanner(pp)
+			if err != nil {
+				t.Fatalf("%s: ExtendPlanner: %v", name, err)
+			}
+			if r := gp.Ranges(); r[len(r)-1].Hi != nUsers {
+				t.Fatalf("%s: trailing partition %v does not reach the grown universe", name, r[len(r)-1])
+			}
+			var got bytes.Buffer
+			if err := grown.WriteSnapshot(&got, gp, nil); err != nil {
+				t.Fatalf("%s: WriteSnapshot after ingest: %v", name, err)
+			}
+			if !bytes.Equal(got.Bytes(), wantGrown.Bytes()) {
+				t.Fatalf("%s: post-ingest partitioned checkpoint differs from one engine's", name)
+			}
+			if _, err := pp.Partition(2); err == nil || !strings.Contains(err.Error(), "partition engine") {
+				t.Errorf("%s: Partition of a partitioned planner = %v, want a refusal", name, err)
+			}
+		}
+		loaded.Close()
+	}
+}
+
+// TestSliceCheckpointMergesIntoOneFile is the migration path for a
+// slice-only checkpoint: LoadPartitions over the version-4 slices, then
+// Model.SaveOn with that planner, writes the bytes the whole-model Save
+// writes, heap-read or mapped.
+func TestSliceCheckpointMergesIntoOneFile(t *testing.T) {
+	ds := Generate(tinyConfig(33))
+	m := Learn(ds, Options{Lambda: 0.001})
+	m.RecordSeedPrefix(m.Selection(3))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.bin")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := m.NewPlanner().Partition(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices := SlicePaths(path, 3)
+	if err := pp.SaveSlices(m, m.SeedPrefix(), slices); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		lm, lp, err := LoadPartitions(ds, slices, mmap, Options{})
+		if err != nil {
+			t.Fatalf("mmap=%t: LoadPartitions: %v", mmap, err)
+		}
+		merged := filepath.Join(dir, fmt.Sprintf("merged-%t.bin", mmap))
+		if err := lm.SaveOn(merged, lp, lm.SeedPrefix()); err != nil {
+			t.Fatalf("mmap=%t: SaveOn: %v", mmap, err)
+		}
+		if got, err := os.ReadFile(merged); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("mmap=%t: merged slices differ from the whole-model file (%d vs %d bytes, %v)", mmap, len(got), len(want), err)
+		}
+		lp.Close()
 	}
 }
 

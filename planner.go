@@ -32,9 +32,9 @@ type Planner struct {
 	// parts is one full engine, or partitions sorted by row range.
 	parts []*core.Engine
 	probe *core.Probe
-	// files holds the slice files LoadPartitions mapped (nil otherwise);
-	// Close releases them. Clones and Extend successors read the mappings
-	// but do not own them.
+	// files holds the snapshot files LoadPartitions or
+	// LoadModelPartitioned mapped (nil otherwise); Close releases them.
+	// Clones and Extend successors read the mappings but do not own them.
 	files []*core.SnapshotFile
 }
 
@@ -53,10 +53,6 @@ func (p *Planner) Clone() *Planner { return &Planner{m: p.m, parts: p.parts, pro
 
 // workers is the engines' worker knob, which query fan-out and CELF reuse.
 func (p *Planner) workers() int { return p.parts[0].Workers() }
-
-// partitioned reports whether the planner serves row-range partitions
-// (even a single one covering every row) rather than one full engine.
-func (p *Planner) partitioned() bool { return p.parts[0].IsPartition() }
 
 // Gain returns the marginal gain sigma_cd(S+x) - sigma_cd(S) of candidate x
 // against the committed seed set (Theorem 3). Read-only. An x outside
