@@ -795,182 +795,6 @@ func BenchmarkCELFParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPartitionedSpread is the partitioned-spread headline:
-// sigma_cd of a 32-seed set through the partitioned planner at 1, 2, and
-// 4 partitions on the full flixster-small
-// preset. Spreads are bit-identical at every partition count (checked
-// each iteration); the sub-benchmarks differ only in wall clock. The
-// "speedup" sub-benchmark runs 1-vs-4 one-shot inside the loop so the CI
-// -benchtime=1x smoke still reports the ratio. The spread is a serial
-// telescope over a read-only probe that reads each seed's rows from its
-// owning partition, so the expected ratio is parity (~1x) at any core
-// count: partitioning only changes which engine a row is read from.
-func BenchmarkPartitionedSpread(b *testing.B) {
-	cfg, ok := datagen.PresetByName("flixster-small")
-	if !ok {
-		b.Fatal("missing preset")
-	}
-	full := datagen.Generate(cfg)
-	ds := &Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}
-	base := Learn(ds, Options{Lambda: 0.001}).NewPlanner()
-	numUsers := full.Graph.NumNodes()
-	var seeds []NodeID
-	for i := 0; i < 32; i++ {
-		seeds = append(seeds, NodeID(i*numUsers/32))
-	}
-
-	counts := []int{1, 2, 4}
-	planners := make(map[int]*Planner, len(counts))
-	var ref float64
-	for _, n := range counts {
-		pp, err := base.Partition(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := pp.Spread(seeds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n == counts[0] {
-			ref = s
-		} else if s != ref {
-			b.Fatalf("partitions=%d: spread %b != %b at partitions=%d", n, s, ref, counts[0])
-		}
-		planners[n] = pp
-	}
-
-	for _, n := range counts {
-		b.Run(fmt.Sprintf("partitions-%d", n), func(b *testing.B) {
-			pp := planners[n]
-			for i := 0; i < b.N; i++ {
-				s, err := pp.Spread(seeds)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s != ref {
-					b.Fatalf("spread drifted: %b != %b", s, ref)
-				}
-			}
-		})
-	}
-	b.Run("speedup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			if _, err := planners[1].Spread(seeds); err != nil {
-				b.Fatal(err)
-			}
-			oneMs := float64(time.Since(t0).Nanoseconds()) / 1e6
-			t0 = time.Now()
-			if _, err := planners[4].Spread(seeds); err != nil {
-				b.Fatal(err)
-			}
-			fourMs := float64(time.Since(t0).Nanoseconds()) / 1e6
-			b.ReportMetric(oneMs, "partitions1-ms")
-			b.ReportMetric(fourMs, "partitions4-ms")
-			b.ReportMetric(oneMs/fourMs, "speedup")
-		}
-	})
-}
-
-// partitionBench is the per-commit partitioned-spread record the CI bench
-// smoke archives as BENCH_partition.json: the same 32-seed sigma_cd
-// through 1 and 4 partitions, with the measured ratio and the core count
-// and GOMAXPROCS it was measured under. The expected ratio is parity
-// (~1x); the determinism walls guarantee the answers are bit-identical
-// either way.
-type partitionBench struct {
-	Commit        string  `json:"commit,omitempty"`
-	Date          string  `json:"date"`
-	Dataset       string  `json:"dataset"`
-	Users         int     `json:"users"`
-	Entries       int64   `json:"entries"`
-	Seeds         int     `json:"seeds"`
-	NumCPU        int     `json:"nproc"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Partitions1Ns int64   `json:"partitions1_ns"`
-	Partitions4Ns int64   `json:"partitions4_ns"`
-	Speedup       float64 `json:"speedup"`
-	Spread        float64 `json:"spread"`
-}
-
-// TestWritePartitionBenchJSON is the CI bench smoke behind the
-// BENCH_PARTITION_JSON env var (the output path; unset skips): it times
-// the partitioned planner's spread at 1 and 4 partitions, checks the answers are
-// bit-identical, and writes the record as JSON. BENCH_COMMIT stamps the
-// measured revision.
-func TestWritePartitionBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_PARTITION_JSON")
-	if out == "" {
-		t.Skip("set BENCH_PARTITION_JSON=<path> to write the partition bench artifact")
-	}
-	cfg, ok := datagen.PresetByName("flixster-small")
-	if !ok {
-		t.Fatal("missing preset")
-	}
-	full := datagen.Generate(cfg)
-	ds := &Dataset{Name: full.Name, Graph: full.Graph, Log: full.Log}
-	base := Learn(ds, Options{Lambda: 0.001}).NewPlanner()
-	numUsers := full.Graph.NumNodes()
-	var seeds []NodeID
-	for i := 0; i < 32; i++ {
-		seeds = append(seeds, NodeID(i*numUsers/32))
-	}
-	one, err := base.Partition(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := base.Partition(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm both paths once so the record measures steady state, not
-	// first-touch page faults.
-	if _, err := one.Spread(seeds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := four.Spread(seeds); err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Now()
-	s1, err := one.Spread(seeds)
-	oneNs := time.Since(t0).Nanoseconds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 = time.Now()
-	s4, err := four.Spread(seeds)
-	fourNs := time.Since(t0).Nanoseconds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s4 {
-		t.Fatalf("spread diverged: %b at 1 partition, %b at 4", s1, s4)
-	}
-	rec := partitionBench{
-		Commit:        os.Getenv("BENCH_COMMIT"),
-		Date:          time.Now().UTC().Format(time.RFC3339),
-		Dataset:       full.Name,
-		Users:         numUsers,
-		Entries:       one.Entries(),
-		Seeds:         len(seeds),
-		NumCPU:        runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Partitions1Ns: oneNs,
-		Partitions4Ns: fourNs,
-		Speedup:       float64(oneNs) / float64(fourNs),
-		Spread:        s1,
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("partitioned spread: 1 partition %.2f ms, 4 partitions %.2f ms (%.2fx), spread %.4f -> %s",
-		float64(oneNs)/1e6, float64(fourNs)/1e6, rec.Speedup, s1, out)
-}
-
 // BenchmarkUCFlixsterSmall measures the UC store on the full
 // flixster-small preset: entry count, resident bytes per entry, and Gain
 // throughput over every candidate. These are the numbers CHANGES.md

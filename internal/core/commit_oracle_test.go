@@ -34,12 +34,9 @@ type oracleShard struct {
 	cols   [][]int32
 }
 
-// newCommitOracle copies every shard of a full (unpartitioned) engine,
-// heap or mapped, into private mutable shards with rebuilt columns.
+// newCommitOracle copies every shard of an engine, heap or mapped, into
+// private mutable shards with rebuilt columns.
 func newCommitOracle(e *Engine) *commitOracle {
-	if e.partitioned {
-		panic("core: commit oracle over a partition engine")
-	}
 	o := &commitOracle{e: e, shards: make([]*oracleShard, len(e.uc)), sc: make([]map[int32]float64, len(e.uc)), entries: e.entries}
 	for a, st := range e.uc {
 		sh := &oracleShard{}

@@ -37,20 +37,12 @@ type Engine struct {
 
 	// uc[a] points at action a's shard (sparse.go): scanned onto the
 	// heap, or aliasing a snapshot's base section in a mapping or a heap
-	// buffer. Shards are never written, so successors and partitions
-	// share them.
+	// buffer. Shards are never written, so successors share them.
 	uc      []*shard
 	entries int64 // UC entry count, for memory accounting
 	lambda  float64
 	credit  CreditModel // the direct-credit rule the shards were scanned with
 	workers int         // raw Options.Workers, reused by AppendActions
-
-	// A partition engine (partition.go) holds only the UC rows of
-	// influencers in [partLo, partHi) while carrying the full global
-	// per-user state; partitioned stays false on full engines, whose row
-	// range is implicitly [0, numUsers).
-	partitioned    bool
-	partLo, partHi int
 }
 
 // Options configures engine construction.
@@ -128,28 +120,6 @@ func (e *Engine) AppendActions(g *graph.Graph, log *actionlog.Log, from actionlo
 
 	n := *e
 	n.numUsers = log.NumUsers()
-	// A partition whose range ends at the universe end keeps ending there:
-	// rows of users the appended tail registered belong to the trailing
-	// partition, preserving full coverage without cross-partition
-	// coordination.
-	if n.partitioned && n.partHi == e.numUsers {
-		n.partHi = n.numUsers
-	}
-
-	// Ingest routing: a partition keeps only the scanned rows it owns —
-	// under the range as just extended, so new users' rows are kept by the
-	// trailing partition rather than dropped. The filtered shards sum to
-	// exactly the full scan across a contiguous partition set, and the
-	// global per-user walk below is identical on every partition, so
-	// per-partition appends stay bit-equivalent to slicing a freshly
-	// appended full engine.
-	if n.partitioned {
-		entries = 0
-		for i, sh := range shards {
-			shards[i] = n.filterShardToPartition(sh)
-			entries += shards[i].entryCount()
-		}
-	}
 
 	// The per-user walk is serial and in action order, so actionsOf ends
 	// up exactly as NewEngine over the combined log would build it. Rows

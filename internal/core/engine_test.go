@@ -94,7 +94,7 @@ func TestFigure1Lemma2Update(t *testing.T) {
 	pr := NewProbe(eng)
 	// probed reads v's credit over u through the probe's replay.
 	probed := func() float64 {
-		row, _ := pr.replay(eng, int32(nodeV), 0)
+		row, _ := pr.replay(int32(nodeV), 0)
 		if i, ok := searchRow(row, int32(nodeU)); ok {
 			return row[i].c
 		}

@@ -187,14 +187,12 @@ func parseSnapshotV3(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 	// Version-4 slices declare the influencer-row range their base section
 	// holds; the base walk below then enforces it row by row. Reading them
 	// is benchmark-pinned: credist-bench reopens pre-split slices.
-	rowLo, rowHi := 0, lin.NumUsers
+	f.RowHi = lin.NumUsers
 	if version == snapshotVersionSlice {
-		rowLo, rowHi = int(sc.u32()), int(sc.u32())
-		if sc.err == nil && (rowLo < 0 || rowLo > rowHi || rowHi > lin.NumUsers) {
-			return nil, fmt.Errorf("core: snapshot: slice rows [%d,%d) outside the universe [0,%d)", rowLo, rowHi, lin.NumUsers)
+		f.Slice, f.RowLo, f.RowHi = true, int(sc.u32()), int(sc.u32())
+		if sc.err == nil && (f.RowLo < 0 || f.RowLo > f.RowHi || f.RowHi > lin.NumUsers) {
+			return nil, fmt.Errorf("core: snapshot: slice rows [%d,%d) outside the universe [0,%d)", f.RowLo, f.RowHi, lin.NumUsers)
 		}
-		e.partitioned = true
-		e.partLo, e.partHi = rowLo, rowHi
 	}
 	// Version-5 snapshots carry the approximate tier's RR sketch between
 	// the prefix section and the header CRC, so both opens restore it
@@ -243,7 +241,7 @@ func parseSnapshotV3(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 		return nil, sc.err
 	}
 	baseOff := sc.off
-	extents, total, err := validateBaseSection(payload, baseOff, lin.NumUsers, lin.NumActions, rowLo, rowHi)
+	extents, total, err := validateBaseSection(payload, baseOff, lin.NumUsers, lin.NumActions, f.RowLo, f.RowHi)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"credist/internal/graph"
@@ -23,12 +22,10 @@ import (
 // as the paper's Algorithm 5 does (FuzzProbeMatchesCommit pins this
 // against an in-place commit kept in the tests).
 //
-// Rows are read from the engine owning them, so a probe over row-range
-// partitions answers exactly like one over the full engine. Commit mutates the probe and must not race with anything;
-// Gain and the Explain methods only read it and are safe for concurrent
-// use.
+// Commit mutates the probe and must not race with anything; Gain and the
+// Explain methods only read it and are safe for concurrent use.
 type Probe struct {
-	parts   []*Engine
+	e       *Engine
 	commits map[int32][]seedCommit // per action, in commit order
 	seeds   []graph.NodeID         // in commit order
 }
@@ -44,20 +41,14 @@ type seedCommit struct {
 // falls to it or below after a seed commit is deleted.
 const creditFloor = 1e-15
 
-// NewProbe returns a probe with nothing committed over engines that tile
-// the row universe: one full engine, or row-range partitions.
-func NewProbe(engines ...*Engine) *Probe {
-	if len(engines) == 0 {
-		panic("core: NewProbe with no engines")
-	}
-	return &Probe{parts: engines}
-}
+// NewProbe returns a probe over e with nothing committed.
+func NewProbe(e *Engine) *Probe { return &Probe{e: e} }
 
-// Clone returns an independent probe over the same engines holding the
+// Clone returns an independent probe over the same engine holding the
 // same commits: later commits to either do not reach the other. The
 // commit records are shared, never copied; they are never written.
 func (p *Probe) Clone() *Probe {
-	c := &Probe{parts: p.parts, seeds: slices.Clip(p.seeds)}
+	c := &Probe{e: p.e, seeds: slices.Clip(p.seeds)}
 	if p.commits != nil {
 		c.commits = make(map[int32][]seedCommit, len(p.commits))
 		for a, cs := range p.commits {
@@ -72,16 +63,6 @@ func (p *Probe) Clone() *Probe {
 // Seeds returns the committed seeds in commit order.
 func (p *Probe) Seeds() []graph.NodeID { return slices.Clone(p.seeds) }
 
-// owner returns the engine holding x's row.
-func (p *Probe) owner(x graph.NodeID) *Engine {
-	for _, e := range p.parts {
-		if e.ownsRow(x) {
-			return e
-		}
-	}
-	panic(fmt.Sprintf("core: probe has no engine owning row %d", x))
-}
-
 // committed reports whether x is a seed of the probe.
 func (p *Probe) committed(x graph.NodeID) bool { return slices.Contains(p.seeds, x) }
 
@@ -92,10 +73,9 @@ func (p *Probe) Gain(x graph.NodeID, obj *Objective) float64 {
 	if p.committed(x) {
 		return 0
 	}
-	e := p.owner(x)
 	xi := int32(x)
-	return e.gainSum(x, obj, func(_ int, a int32) ([]ucEntry, float64) {
-		return p.replay(e, xi, a)
+	return p.e.gainSum(x, obj, func(_ int, a int32) ([]ucEntry, float64) {
+		return p.replay(xi, a)
 	})
 }
 
@@ -106,15 +86,14 @@ func (p *Probe) Commit(s graph.NodeID, obj *Objective) float64 {
 	if p.committed(s) {
 		return 0
 	}
-	e := p.owner(s)
 	si := int32(s)
-	acts := e.actionsOf[s]
+	acts := p.e.actionsOf[s]
 	rows := make([][]ucEntry, len(acts))
 	scs := make([]float64, len(acts))
 	for i, a := range acts {
-		rows[i], scs[i] = p.replay(e, si, a)
+		rows[i], scs[i] = p.replay(si, a)
 	}
-	gain := e.gainSum(s, obj, func(i int, _ int32) ([]ucEntry, float64) {
+	gain := p.e.gainSum(s, obj, func(i int, _ int32) ([]ucEntry, float64) {
 		return rows[i], scs[i]
 	})
 	if p.commits == nil {
@@ -134,8 +113,8 @@ func (p *Probe) Commit(s graph.NodeID, obj *Objective) float64 {
 // that fall to creditFloor, and the seed's column cell (x,s) goes. The
 // engine's row is copied on the first change only. A committed x's own
 // row is not dropped here; callers check committed first.
-func (p *Probe) replay(e *Engine, x, a int32) ([]ucEntry, float64) {
-	row := e.uc[a].row(x)
+func (p *Probe) replay(x, a int32) ([]ucEntry, float64) {
+	row := p.e.uc[a].row(x)
 	scx := 0.0
 	private := false
 	for _, c := range p.commits[a] {
@@ -193,7 +172,7 @@ func (p *Probe) Estimator(obj *Objective) *ProbeEstimator {
 }
 
 // NumNodes returns the user-universe size.
-func (pe *ProbeEstimator) NumNodes() int { return pe.probe.parts[0].numUsers }
+func (pe *ProbeEstimator) NumNodes() int { return pe.probe.e.numUsers }
 
 // Gain returns x's marginal gain under the objective against every seed
 // committed so far.

@@ -36,25 +36,6 @@ func probeInstance(rng *rand.Rand) (*graph.Graph, *actionlog.Log) {
 	return b.Build(), lb.Build()
 }
 
-// rowPartitions returns nparts (capped at the universe size) near-even
-// row-range slices of full, or full itself when nparts is 1.
-func rowPartitions(t *testing.T, full *Engine, nparts int) []*Engine {
-	n := full.NumNodes()
-	nparts = min(nparts, n)
-	if nparts <= 1 {
-		return []*Engine{full}
-	}
-	parts := make([]*Engine, 0, nparts)
-	for i := 0; i < nparts; i++ {
-		p, err := full.Slice(i*n/nparts, (i+1)*n/nparts)
-		if err != nil {
-			t.Fatalf("Slice: %v", err)
-		}
-		parts = append(parts, p)
-	}
-	return parts
-}
-
 // engineState is the part of an engine a query must not change.
 type engineState struct {
 	heap, mapped, entries int64
@@ -69,9 +50,9 @@ func stateOf(e *Engine) engineState {
 // included) and random objectives, every gain Probe.Commit reports and
 // every candidate gain Probe.Gain returns is bit-identical to GainObj on
 // the commit oracle after Add-ing the same seeds in order — with the
-// probe reading nparts row-range partitions of a heap or mapped engine,
-// and optionally cloned from a probe that already holds commits — and
-// the probed engines are left exactly as they were.
+// probe reading a heap or mapped engine, or one joined from nparts
+// row-range slices of it, and optionally cloned from a probe that already
+// holds commits — and the probed engine is left exactly as it was.
 func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts int, mmap bool) {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	g, log := probeInstance(rng)
@@ -84,13 +65,13 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 	if mmap {
 		full = openSnapshot(t, writeSnapshotFile(t, full, DatasetLineage("probe", g, log), nil), true).Engine
 	}
-	parts := rowPartitions(t, full, nparts)
+	eng := joinedSlices(t, full, nparts)
 	// The reference is scanned afresh, sharing no storage with the probed
-	// engines, so a probe that wrote through to a shared row would show.
+	// engine, so a probe that wrote through to a shared row would show.
 	// A third of the runs start every probe as a clone of one that
 	// already holds commits.
 	ref := newCommitOracle(NewEngine(g, log, opts))
-	held := NewProbe(parts...)
+	held := NewProbe(eng)
 	if rng.IntN(3) == 0 {
 		for k := 1 + rng.IntN(2); k > 0; k-- {
 			s := graph.NodeID(rng.IntN(n))
@@ -98,10 +79,7 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 			ref.Add(s)
 		}
 	}
-	before := make([]engineState, len(parts))
-	for i, p := range parts {
-		before[i] = stateOf(p)
-	}
+	before := stateOf(eng)
 
 	delays := BuildActionDelays(log)
 	pick := func(max int) []graph.NodeID {
@@ -143,9 +121,8 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 			// including cells Lemma 2 removed or left too small to move a
 			// gain.
 			xi := int32(x)
-			owner := pr.owner(graph.NodeID(x))
 			for _, a := range full.actionsOf[x] {
-				row, sc := pr.replay(owner, xi, a)
+				row, sc := pr.replay(xi, a)
 				if wr := want.shards[a].row(xi); !slices.Equal(row, wr) || sc != want.seedCredit(a, xi) {
 					t.Fatalf("seed=%d q=%d seq=%v: node %d action %d: replayed %v sc %b, the oracle holds %v sc %b",
 						seed, q, seq, x, a, row, sc, wr, want.seedCredit(a, xi))
@@ -153,18 +130,16 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 			}
 		}
 	}
-	for i, p := range parts {
-		if after := stateOf(p); after != before[i] {
-			t.Fatalf("seed=%d: probing changed engine %d: %+v -> %+v", seed, i, before[i], after)
-		}
+	if after := stateOf(eng); after != before {
+		t.Fatalf("seed=%d: probing changed the engine: %+v -> %+v", seed, before, after)
 	}
 }
 
 // FuzzProbeMatchesCommit drives checkProbeMatchesCommit over instance
 // seeds, truncation thresholds {0, 0.001, 0.05} (the largest drops many
 // transitive cells, so Lemma 2 often finds the cell to lower missing, and
-// pushes cells through the 1e-15 removal), partition counts {1, 2, 4, 7}
-// and both row stores. The seed corpus, which plain go test runs, covers
+// pushes cells through the 1e-15 removal), engines joined from
+// {1, 2, 4, 7} row-range slices, and both row stores. The seed corpus, which plain go test runs, covers
 // every cell of that matrix with three instances.
 func FuzzProbeMatchesCommit(f *testing.F) {
 	seed := uint64(0)
@@ -194,13 +169,14 @@ type commitEstimator struct {
 func (e commitEstimator) Gain(x graph.NodeID) float64 { return e.GainObj(x, e.obj) }
 
 // checkProbeSelectionMatchesCommit is the selection-level probe property:
-// CELF over a ProbeEstimator on nparts row-range partitions picks the same
+// CELF over a ProbeEstimator on an engine joined from nparts row-range
+// slices picks the same
 // seeds, with the same gain bits and the same lookup counts, as CELF over
 // the commit oracle that Adds each seed — for one-shot Run and
 // for Resume from a prefix of that run followed by Grow. mode picks the
 // pricing (bit 0: a random audience/window objective) and the extras (bit
 // 1: blocked rivals committed first; bit 2: per-node costs and a budget).
-// The probed engines are left exactly as they were.
+// The probed engine is left exactly as it was.
 func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts int, mode uint8) {
 	rng := rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
 	g, log := probeInstance(rng)
@@ -210,11 +186,8 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 		opts.Credit = LearnTimeAware(g, log)
 	}
 	full := NewEngine(g, log, opts)
-	parts := rowPartitions(t, full, nparts)
-	before := make([]engineState, len(parts))
-	for i, p := range parts {
-		before[i] = stateOf(p)
-	}
+	eng := joinedSlices(t, full, nparts)
+	before := stateOf(eng)
 
 	var obj *Objective
 	if mode&1 != 0 {
@@ -245,7 +218,7 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 		return est
 	}
 	probe := func() celf.Estimator {
-		est := NewProbe(parts...).Estimator(obj)
+		est := NewProbe(eng).Estimator(obj)
 		for _, r := range sel.Blocked {
 			est.Add(r)
 		}
@@ -282,16 +255,14 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 	}
 	same("Resume+Grow", resume(probe()), resume(commit()))
 
-	for i, p := range parts {
-		if after := stateOf(p); after != before[i] {
-			t.Fatalf("seed=%d: selecting changed engine %d: %+v -> %+v", seed, i, before[i], after)
-		}
+	if after := stateOf(eng); after != before {
+		t.Fatalf("seed=%d: selecting changed the engine: %+v -> %+v", seed, before, after)
 	}
 }
 
 // FuzzProbeSelectionMatchesCommit drives checkProbeSelectionMatchesCommit
-// over instance seeds, truncation thresholds {0, 0.001, 0.05}, 1-4
-// row-range partitions and every mode: default or objective pricing, with
+// over instance seeds, truncation thresholds {0, 0.001, 0.05}, engines
+// joined from 1-4 row-range slices and every mode: default or objective pricing, with
 // and without blocked rivals, costs and a budget. The seed corpus, which
 // plain go test runs, covers every cell of that matrix once.
 func FuzzProbeSelectionMatchesCommit(f *testing.F) {
@@ -311,8 +282,8 @@ func FuzzProbeSelectionMatchesCommit(f *testing.F) {
 }
 
 // TestRepeatedCommitChangesNothing pins that committing a seed twice is a
-// no-op, through the oracle's in-place Add and through a probe over
-// row-range partitions: the seed set lists it once, and entries and every
+// no-op, through the oracle's in-place Add and through a probe over an
+// engine joined from row-range slices: the seed set lists it once, and entries and every
 // gain are those after a single commit.
 func TestRepeatedCommitChangesNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 3))
@@ -342,7 +313,7 @@ func TestRepeatedCommitChangesNothing(t *testing.T) {
 		}
 	}
 
-	pr := NewProbe(rowPartitions(t, full, 3)...)
+	pr := NewProbe(joinedSlices(t, full, 3))
 	first := pr.Commit(x, nil)
 	if again := pr.Commit(x, nil); again != 0 || first != NewProbe(full).Gain(x, nil) {
 		t.Fatalf("Commit(%d) = %b then %b, want %b then 0", x, first, again, NewProbe(full).Gain(x, nil))

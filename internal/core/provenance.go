@@ -8,16 +8,14 @@
 //   - ExplainSeed(x, top) decomposes Gain(x) into (influencer →
 //     influenced, action) credit paths by running the Gain fold itself
 //     and recording each row it folds, so the per-action contributions
-//     sum bit-exactly to the reported gain at any worker or partition
-//     count.
+//     sum bit-exactly to the reported gain at any worker count.
 //   - ExplainReach(S, v) decomposes the credit reaching target v by
 //     seed and action: per seed s (in input order), the shares
 //     UC[s][v][a]/A_v folded in ascending action order. A cell
 //     UC[s][v][a] exists only when both s and v performed a, so the walk
 //     visits just the intersection of the two users' ascending action
-//     lists. Credits are additive across seeds and partitions, so
-//     per-seed subtotals sum bit-exactly to the total and per-partition
-//     answers merge deterministically.
+//     lists. Credits are additive across seeds, so per-seed subtotals
+//     sum bit-exactly to the total.
 package core
 
 import (
@@ -78,11 +76,11 @@ func (p *Probe) ExplainSeed(x graph.NodeID, top int) SeedExplanation {
 	if p.committed(x) {
 		return ex
 	}
-	e := p.owner(x)
+	e := p.e
 	ax := float64(e.au[x])
 	var paths []ProvPath
 	ex.Gain = e.gainSum(x, nil, func(_ int, a int32) ([]ucEntry, float64) {
-		row, scx := p.replay(e, int32(x), a)
+		row, scx := p.replay(int32(x), a)
 		paths = append(paths, ProvPath{Influencer: x, Influenced: x, Action: a, Credit: (1.0 / ax) * (1 - scx)})
 		for _, en := range row {
 			paths = append(paths, ProvPath{
@@ -98,18 +96,17 @@ func (p *Probe) ExplainSeed(x graph.NodeID, top int) SeedExplanation {
 }
 
 // reachPaths returns seed s's slice of the credit reaching target v, read
-// through the probe's replay of s's rows from s's owner: the shares
-// UC[s][v][a]/A_v folded in ascending action order, one path per
-// contributing action. Only actions both s and v performed can hold a
-// cell (s, v), so the walk merges the two ascending action lists (every
-// partition holds the global lists) and looks v up in s's row of each
+// through the probe's replay of s's rows: the shares UC[s][v][a]/A_v
+// folded in ascending action order, one path per contributing action.
+// Only actions both s and v performed can hold a cell (s, v), so the walk
+// merges the two ascending action lists and looks v up in s's row of each
 // common action. The seed's own activation (the 1/A_v self term of its
 // gain) is not a credit path and does not appear. A committed seed is no
 // longer part of V-S: its row contributes nothing. A committed target
 // keeps no credit cells either, because the replay drops every cell
 // (s, v) of a seed v.
 func (p *Probe) reachPaths(s, v graph.NodeID) (float64, []ProvPath) {
-	e := p.owner(s)
+	e := p.e
 	av := float64(e.au[v])
 	if av == 0 || p.committed(s) {
 		return 0, nil
@@ -125,7 +122,7 @@ func (p *Probe) reachPaths(s, v graph.NodeID) (float64, []ProvPath) {
 			j++
 		default:
 			i, j = i+1, j+1
-			row, _ := p.replay(e, int32(s), a)
+			row, _ := p.replay(int32(s), a)
 			if k, ok := searchRow(row, int32(v)); ok {
 				c := row[k].c / av
 				share += c
@@ -140,9 +137,8 @@ func (p *Probe) reachPaths(s, v graph.NodeID) (float64, []ProvPath) {
 // seeds against the probe's commits: per-seed shares in input order
 // (duplicate seeds each count, so callers wanting set semantics
 // deduplicate first), their fixed-order fold as the total, and the top
-// paths by credit. Every seed's rows are read through the replay from
-// the seed's owner (see reachPaths), so a partitioned deployment computes
-// each seed's share wholly in one partition and merges bit-identically.
+// paths by credit. Every seed's rows are read through the replay (see
+// reachPaths).
 func (p *Probe) ExplainReach(seeds []graph.NodeID, v graph.NodeID, top int) ReachExplanation {
 	ex := ReachExplanation{Target: v, PerSeed: make([]ReachShare, 0, len(seeds))}
 	var paths []ProvPath

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -163,9 +164,9 @@ func reachAllActions(p *Probe, seeds []graph.NodeID, v graph.NodeID, top int) Re
 	var paths []ProvPath
 	for _, s := range seeds {
 		share := 0.0
-		if e := p.owner(s); e.au[v] != 0 && !p.committed(s) {
+		if e := p.e; e.au[v] != 0 && !p.committed(s) {
 			for _, a := range e.actionsOf[s] {
-				row, _ := p.replay(e, int32(s), a)
+				row, _ := p.replay(int32(s), a)
 				if i, ok := searchRow(row, int32(v)); ok {
 					c := row[i].c / float64(e.au[v])
 					share += c
@@ -183,7 +184,8 @@ func reachAllActions(p *Probe, seeds []graph.NodeID, v graph.NodeID, top int) Re
 
 // TestExplainReachMatchesAllActionsWalk pins the intersected reach walk
 // to the all-actions walk, bit for bit, on freshly scanned, heap-opened,
-// mmap-opened and ingest-grown engines, at 1, 2 and 4 partitions, against
+// mmap-opened and ingest-grown engines, each also joined from 2 and 4
+// row-range slices, against
 // probes holding 0 to 3 committed seeds, for seed lists that name
 // committed seeds and duplicates and every target. Every engine also
 // answers exactly as the freshly scanned one.
@@ -224,7 +226,7 @@ func TestExplainReachMatchesAllActionsWalk(t *testing.T) {
 		}
 		for _, eng := range engines {
 			for _, nparts := range []int{1, 2, 4} {
-				pr := NewProbe(rowPartitions(t, eng.e, nparts)...)
+				pr := NewProbe(joinedSlices(t, eng.e, nparts))
 				var answers [][]ReachExplanation
 				for k, seeds := range queries {
 					if k > 0 {
@@ -252,14 +254,16 @@ func TestExplainReachMatchesAllActionsWalk(t *testing.T) {
 }
 
 // TestExplainPartitionedBitIdentical is the acceptance criterion at
-// partition counts {1, 4}: a partition explains its rows exactly as the
-// full engine does, per-partition reach shares folded in seed order
-// reproduce the full answer bit for bit, and after commits a probe over
-// the partitions explains exactly as the in-place commit oracle.
+// partition counts {1, 4}: a version-4 slice read back explains its rows
+// exactly as the full engine does, per-slice reach shares folded in seed
+// order reproduce the full answer bit for bit, and after commits a probe
+// over the engine joined from the slices explains exactly as the
+// in-place commit oracle.
 func TestExplainPartitionedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 29))
 	g, log := randomInstance(rng, 24, 9)
 	base := NewEngine(g, log, Options{Lambda: 0.001, Credit: LearnTimeAware(g, log)})
+	lin := DatasetLineage("explain-slices", g, log)
 	n := g.NumNodes()
 	seeds := []graph.NodeID{1, 9, 20, 9}
 	for _, parts := range []int{1, 4} {
@@ -267,11 +271,15 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 		var ranges [][2]int
 		for i := 0; i < parts; i++ {
 			lo, hi := i*n/parts, (i+1)*n/parts
-			p, err := base.Slice(lo, hi)
-			if err != nil {
-				t.Fatalf("Slice(%d,%d): %v", lo, hi, err)
+			var buf bytes.Buffer
+			if err := base.WriteSlice(&buf, lin, nil, lo, hi); err != nil {
+				t.Fatalf("WriteSlice(%d,%d): %v", lo, hi, err)
 			}
-			slices = append(slices, p)
+			sf, err := readSnapshot(buf.Bytes())
+			if err != nil {
+				t.Fatalf("read slice [%d,%d): %v", lo, hi, err)
+			}
+			slices = append(slices, sf.Engine)
 			ranges = append(ranges, [2]int{lo, hi})
 		}
 		owner := func(x graph.NodeID) *Engine {
@@ -286,14 +294,14 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 		for cand := 0; cand < n; cand++ {
 			c := graph.NodeID(cand)
 			if got, want := NewProbe(owner(c)).ExplainSeed(c, 7), NewProbe(base).ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
-				t.Fatalf("parts=%d: partition ExplainSeed(%d) differs from full", parts, cand)
+				t.Fatalf("parts=%d: slice ExplainSeed(%d) differs from full", parts, cand)
 			}
 		}
 		for v := 0; v < n; v += 5 {
 			wantEx := NewProbe(base).ExplainReach(seeds, graph.NodeID(v), 8)
-			// Gather: each seed's share and paths come wholly from its
-			// owner; fold shares in input order, concatenate and re-sort
-			// paths — the partitioned serving path in miniature.
+			// Gather: each seed's share and paths come wholly from the
+			// slice holding its row; fold shares in input order,
+			// concatenate and re-sort paths.
 			got := ReachExplanation{Target: graph.NodeID(v)}
 			var paths []ProvPath
 			for _, s := range seeds {
@@ -310,7 +318,7 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 			}
 		}
 
-		pr := NewProbe(slices...)
+		pr := NewProbe(JoinRows(slices))
 		oracle := newCommitOracle(base)
 		for _, seed := range []graph.NodeID{3, 17} {
 			pr.Commit(seed, nil)
@@ -351,8 +359,8 @@ func TestTopProvPathsDeterministic(t *testing.T) {
 // reach bit-identically to the in-place commit oracle followed by
 // ExplainReach — with seed lists that name committed seeds (whose rows
 // the commit removed) and duplicates, every target including committed
-// ones (whose columns it removed), on full engines and on row-range
-// partitions. The replay alone does not drop a committed seed's own row;
+// ones (whose columns it removed), on full engines and on engines joined
+// from row-range slices. The replay alone does not drop a committed seed's own row;
 // the probe must.
 func TestExplainReachMatchesCommitOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(61, 37))
@@ -364,7 +372,7 @@ func TestExplainReachMatchesCommitOracle(t *testing.T) {
 		}
 		full := NewEngine(g, log, opts)
 		n := full.NumNodes()
-		pr := NewProbe(rowPartitions(t, full, 1+trial%4)...)
+		pr := NewProbe(joinedSlices(t, full, 1+trial%4))
 		oracle := newCommitOracle(full)
 		var committed []graph.NodeID
 		for k := 0; k < 3; k++ {

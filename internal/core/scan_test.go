@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -218,26 +221,40 @@ func FuzzScanMatchesReference(f *testing.F) {
 	f.Fuzz(checkScanMatchesReference)
 }
 
-// TestFilterShardCarvesExactly: a partition appending a tail keeps a copy
-// of exactly its rows of each scanned shard, carved at exact size, equal
-// cell for cell to the rows of a full rescan in its range.
-func TestFilterShardCarvesExactly(t *testing.T) {
+// TestJoinRowsCarvesExactly: an engine joined from version-4 slices read
+// back, heap or mapped, holds every action's rows carved at exact size in
+// the canonical block order, equal cell for cell to the sliced engine's,
+// including the actions it appended onto a scanned head.
+func TestJoinRowsCarvesExactly(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	g, log := randomInstance(rng, 30, 12)
 	headN := 6
-	full := NewEngine(g, log, Options{})
-	part, err := NewEngine(g, log.Prefix(headN), Options{}).Slice(8, 21)
+	full, err := NewEngine(g, log.Prefix(headN), Options{}).AppendActions(g, log, actionlog.ActionID(headN))
 	if err != nil {
 		t.Fatal(err)
 	}
-	succ, err := part.AppendActions(g, log, actionlog.ActionID(headN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := headN; a < log.NumActions(); a++ {
-		got := succ.uc[a]
-		what := fmt.Sprintf("action %d", a)
-		checkExactCaps(t, what, got)
-		sameShard(t, what, got, oracleOf(full.uc[a].slice(8, 21)))
+	lin := DatasetLineage("join", g, log)
+	for _, mmap := range []bool{false, true} {
+		var parts []*Engine
+		for _, r := range [][2]int{{0, 8}, {8, 21}, {21, 30}} {
+			var buf bytes.Buffer
+			if err := full.WriteSlice(&buf, lin, nil, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "slice.bin")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, openSnapshot(t, path, mmap).Engine)
+		}
+		joined := JoinRows(parts)
+		if joined.Entries() != full.Entries() || joined.MappedBytes() != 0 {
+			t.Fatalf("mmap=%t: joined %d entries, %d mapped bytes; want %d entries on the heap", mmap, joined.Entries(), joined.MappedBytes(), full.Entries())
+		}
+		for a := range full.uc {
+			what := fmt.Sprintf("mmap=%t action %d", mmap, a)
+			checkExactCaps(t, what, joined.uc[a])
+			sameShard(t, what, joined.uc[a], oracleOf(full.uc[a]))
+		}
 	}
 }

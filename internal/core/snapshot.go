@@ -26,9 +26,9 @@ import (
 // was not built from. Float64 values are stored as raw IEEE-754 bits, so a
 // write/read round trip is bit-exact and every Gain/Spread/CELF result of
 // a reloaded engine is identical to the engine that was saved. One
-// writer emits versions 3 to 5 — WriteModelSnapshot, from one engine or
-// the partitions tiling it — and one opener (OpenSnapshot) reads versions
-// 1 to 6, from a heap buffer or a mapping.
+// writer emits versions 3 to 5 — a whole engine, or one row range of it
+// as a version-4 slice — and one opener (OpenSnapshot) reads versions 1
+// to 6, from a heap buffer or a mapping.
 //
 // Version-3 layout (all integers little-endian):
 //
@@ -88,7 +88,7 @@ const (
 	// so a contiguous set of slices reassembles the model exactly. Full
 	// snapshots keep writing version 3 byte-identically. Benchmark-pinned:
 	// only credist-bench's pre-split slices are still written and read in
-	// this format; partitions are otherwise views of one whole-model file.
+	// this format; partitions are otherwise row ranges of one engine.
 	snapshotVersionSlice = 4
 
 	// snapshotVersionSketch marks a snapshot carrying the approximate
@@ -385,71 +385,46 @@ func writeSeedPrefixSection(sw *snapWriter, prefix *SeedPrefix) {
 	}
 }
 
-// WriteSnapshot serializes the engine, its lineage, and the optional
-// sections stored beside it (see WriteModelSnapshot). A full engine
-// writes the whole model. A partition engine writes its own rows as a
-// version-4 slice — the full header plus its row range — and refuses a
-// sketch, which spans the whole universe; that branch is
-// benchmark-pinned, kept for the slice files credist-bench reopens.
-func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
-	if !e.partitioned {
-		return WriteModelSnapshot(w, []*Engine{e}, lin, prefix, sketch)
-	}
-	if sketch != nil && sketch.NumSets() > 0 {
-		return fmt.Errorf("core: a partition engine (rows [%d,%d)) cannot write an RR sketch; it belongs to the whole-model file", e.partLo, e.partHi)
-	}
-	return writeSnapshotParts(w, []*Engine{e}, snapshotVersionSlice, lin, prefix, nil)
-}
-
-// WriteModelSnapshot serializes the whole model held by parts — one full
-// engine, or row-range partitions tiling the universe in ascending order
-// — with its lineage and the optional sections stored beside it: prefix,
-// a computed CELF seed prefix; sketch, the approximate tier's RR sketch
-// (nil or empty means none for each). It writes version 3, or version 5
-// when a sketch rides along, so a file without sections stays
-// byte-identical to what older binaries read. Partitions share the global
-// per-user state, so the header comes from the first; for each action the
-// base block walks every partition's shard in order, and since the ranges
-// are disjoint and ascending the rows come out sorted: the file is the one
-// a single engine over the same rows writes. The base section is written
-// in its canonical mapped-addressable layout: contiguous in-order blocks
-// behind a per-action offset table, 16-byte directory records and cells,
+// WriteSnapshot serializes the whole model held by the engine with its
+// lineage and the optional sections stored beside it: prefix, a computed
+// CELF seed prefix; sketch, the approximate tier's RR sketch (nil or
+// empty means none for each). It writes version 3, or version 5 when a
+// sketch rides along, so a file without sections stays byte-identical to
+// what older binaries read. The base section is written in its canonical
+// mapped-addressable layout: contiguous in-order blocks behind a
+// per-action offset table, 16-byte directory records and cells,
 // everything 8-aligned — so the very bytes this writer emits are what
 // OpenSnapshot later serves queries from without parsing. The encoding of
 // a given model state is unique: saving a loaded snapshot reproduces the
 // file byte for byte.
-func WriteModelSnapshot(w io.Writer, parts []*Engine, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("core: no engines to snapshot")
-	}
-	next := 0
-	for _, p := range parts {
-		lo, hi := p.PartitionRange()
-		if lo != next || p.numUsers != parts[0].numUsers || len(p.uc) != len(parts[0].uc) {
-			return fmt.Errorf("core: engines do not tile one model: rows [%d,%d) follow row %d", lo, hi, next)
-		}
-		next = hi
-	}
-	if next != parts[0].numUsers {
-		return fmt.Errorf("core: engines cover rows [0,%d) of a %d-user universe", next, parts[0].numUsers)
-	}
+func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
 	if sketch != nil && sketch.NumSets() == 0 {
 		sketch = nil
 	}
 	version := uint32(snapshotVersion)
 	if sketch != nil {
 		version = snapshotVersionSketch
-		if err := sketch.Validate(parts[0].numUsers); err != nil {
+		if err := sketch.Validate(e.numUsers); err != nil {
 			return err
 		}
 	}
-	return writeSnapshotParts(w, parts, version, lin, prefix, sketch)
+	return e.writeSnapshot(w, version, lin, prefix, sketch, 0, e.numUsers)
 }
 
-// writeSnapshotParts emits one snapshot file of the given version from parts,
-// whose shards it concatenates per action.
-func writeSnapshotParts(w io.Writer, parts []*Engine, version uint32, lin Lineage, prefix *SeedPrefix, sketch *RRSketch) error {
-	e := parts[0]
+// WriteSlice writes the engine's rows of influencers in [lo, hi) as a
+// version-4 slice: the whole model's header and prefix, the row range,
+// and a base section holding only those rows. Benchmark-pinned, kept for
+// the slice files credist-bench reopens.
+func (e *Engine) WriteSlice(w io.Writer, lin Lineage, prefix *SeedPrefix, lo, hi int) error {
+	if lo < 0 || lo > hi || hi > e.numUsers {
+		return fmt.Errorf("core: slice rows [%d,%d) outside the universe [0,%d)", lo, hi, e.numUsers)
+	}
+	return e.writeSnapshot(w, snapshotVersionSlice, lin, prefix, nil, lo, hi)
+}
+
+// writeSnapshot emits one snapshot file of the given version whose base
+// section holds the engine's rows of influencers in [lo, hi).
+func (e *Engine) writeSnapshot(w io.Writer, version uint32, lin Lineage, prefix *SeedPrefix, sketch *RRSketch, lo, hi int) error {
 	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
 		return err
 	}
@@ -461,8 +436,8 @@ func writeSnapshotParts(w io.Writer, parts []*Engine, version uint32, lin Lineag
 	writeSeedPrefixSection(sw, prefix)
 	switch version {
 	case snapshotVersionSlice:
-		sw.u32(uint32(e.partLo))
-		sw.u32(uint32(e.partHi))
+		sw.u32(uint32(lo))
+		sw.u32(uint32(hi))
 	case snapshotVersionSketch:
 		writeSketchSection(sw, sketch)
 	}
@@ -476,47 +451,38 @@ func writeSnapshotParts(w io.Writer, parts []*Engine, version uint32, lin Lineag
 		sw.bytes(make([]byte, pad))
 	}
 
-	// block returns action a's row count and directory-plus-cell bytes
-	// over every part.
-	block := func(a int) (rows, size int) {
-		for _, p := range parts {
-			rows += len(p.uc[a].dir)
-			size += int(p.uc[a].bytes())
-		}
-		return rows, size
+	shards := make([]shard, len(e.uc))
+	for a, s := range e.uc {
+		shards[a] = s.slice(int32(lo), int32(hi))
 	}
 	// Offset table: canonical positions, blocks contiguous in action order.
-	numActions := len(e.uc)
+	numActions := len(shards)
 	off := uint64(numActions) * 8
-	for a := 0; a < numActions; a++ {
-		_, size := block(a)
+	for _, s := range shards {
 		sw.u64(off)
-		off += 8 + uint64(size)
+		off += 8 + uint64(s.bytes())
 	}
-	// Blocks: the row count, then the directory and the cells of every
-	// part in part order, with canonical base-relative cell offsets.
+	// Blocks: the row count, then the directory and the cells, with
+	// canonical base-relative cell offsets.
 	cur := uint64(numActions) * 8
-	for a := 0; a < numActions; a++ {
-		rows, size := block(a)
+	for _, s := range shards {
+		rows := len(s.dir)
 		sw.u64(uint64(rows))
-		b := sw.scratch(size)
+		b := sw.scratch(int(s.bytes()))
 		cellOff := cur + 8 + uint64(rows)*16
 		db, cb := b[:rows*16], b[rows*16:]
-		for _, p := range parts {
-			s := p.uc[a]
-			for _, d := range s.dir {
-				binary.LittleEndian.PutUint32(db, uint32(d.key))
-				binary.LittleEndian.PutUint32(db[4:], d.count)
-				binary.LittleEndian.PutUint64(db[8:], cellOff)
-				db = db[16:]
-				cellOff += uint64(d.count) * 16
-			}
-			for _, en := range s.cells {
-				binary.LittleEndian.PutUint32(cb, uint32(en.u))
-				binary.LittleEndian.PutUint32(cb[4:], 0)
-				binary.LittleEndian.PutUint64(cb[8:], math.Float64bits(en.c))
-				cb = cb[16:]
-			}
+		for _, d := range s.dir {
+			binary.LittleEndian.PutUint32(db, uint32(d.key))
+			binary.LittleEndian.PutUint32(db[4:], d.count)
+			binary.LittleEndian.PutUint64(db[8:], cellOff)
+			db = db[16:]
+			cellOff += uint64(d.count) * 16
+		}
+		for _, en := range s.cells {
+			binary.LittleEndian.PutUint32(cb, uint32(en.u))
+			binary.LittleEndian.PutUint32(cb[4:], 0)
+			binary.LittleEndian.PutUint64(cb[8:], math.Float64bits(en.c))
+			cb = cb[16:]
 		}
 		sw.bytes(b)
 		cur = cellOff
@@ -803,14 +769,18 @@ func skipProvSection(sc *snapCursor, numUsers, numActions int) error {
 // SnapshotFile is an opened snapshot: the engine and everything stored
 // beside it. Prefix and Sketch are nil when the file carries no such
 // section (always for version-1 files, and for the sections a version
-// predates). The engine's shards alias the bytes the open read or mapped,
-// so a mapped SnapshotFile must stay open for as long as the engine or
-// any successor or partition of it is in use.
+// predates). Slice marks a version-4 slice, whose engine holds only the
+// rows of influencers in [RowLo, RowHi); every other file holds the whole
+// universe [0, Lineage.NumUsers). The engine's shards alias the bytes the
+// open read or mapped, so a mapped SnapshotFile must stay open for as
+// long as the engine or any successor of it is in use.
 type SnapshotFile struct {
-	Engine  *Engine
-	Lineage Lineage
-	Prefix  *SeedPrefix
-	Sketch  *RRSketch
+	Engine       *Engine
+	Lineage      Lineage
+	Prefix       *SeedPrefix
+	Sketch       *RRSketch
+	Slice        bool
+	RowLo, RowHi int
 
 	data    []byte       // the bytes shards alias
 	release func() error // unmaps data; nil for a heap open
@@ -1005,7 +975,7 @@ func readLegacySnapshot(payload []byte, version uint32) (*SnapshotFile, error) {
 
 	// Seed-prefix section (version >= 2 only); version-1 files end at the
 	// shards.
-	f := &SnapshotFile{Engine: e, Lineage: lin}
+	f := &SnapshotFile{Engine: e, Lineage: lin, RowHi: lin.NumUsers}
 	if version >= snapshotVersionNoBase {
 		if f.Prefix, err = parseSeedPrefix(sc, lin.NumUsers); err != nil {
 			return nil, err

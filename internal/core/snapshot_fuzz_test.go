@@ -102,21 +102,13 @@ func FuzzReadSnapshot(f *testing.F) {
 	// Seeds: version-4 snapshot slices — a mid-universe partition, a
 	// trailing partition carrying the prefix, and a corrupted range field
 	// (CRC-refreshed so the row-range validators do the rejecting).
-	part, err := e.Slice(8, 17)
-	if err != nil {
-		f.Fatal(err)
-	}
 	var slice bytes.Buffer
-	if err := part.WriteSnapshot(&slice, lin, nil, nil); err != nil {
+	if err := e.WriteSlice(&slice, lin, nil, 8, 17); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(slice.Bytes())
-	tailPart, err := e.Slice(17, e.NumNodes())
-	if err != nil {
-		f.Fatal(err)
-	}
 	var tailSlice bytes.Buffer
-	if err := tailPart.WriteSnapshot(&tailSlice, lin, prefix, nil); err != nil {
+	if err := e.WriteSlice(&tailSlice, lin, prefix, 17, e.NumNodes()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(tailSlice.Bytes())
@@ -124,9 +116,10 @@ func FuzzReadSnapshot(f *testing.F) {
 		// The row range sits right before the 4-byte header CRC and the base
 		// section; recompute both checksums so only the range check can bite.
 		badRange := append([]byte(nil), slice.Bytes()...)
-		baseSize := part.NumActions() * 8
-		for _, st := range part.uc {
-			baseSize += 8 + int(st.bytes())
+		baseSize := e.NumActions() * 8
+		for _, st := range e.uc {
+			w := st.slice(8, 17)
+			baseSize += 8 + int(w.bytes())
 		}
 		hdrCRCOff := len(badRange) - 4 - baseSize - 4
 		if hdrCRCOff >= 8 {
@@ -261,7 +254,12 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		checkAliasingParse(t, data, sf)
 		var out bytes.Buffer
-		if err := eng.WriteSnapshot(&out, lin, pfx, sf.Sketch); err != nil {
+		if sf.Slice {
+			err = eng.WriteSlice(&out, lin, pfx, sf.RowLo, sf.RowHi)
+		} else {
+			err = eng.WriteSnapshot(&out, lin, pfx, sf.Sketch)
+		}
+		if err != nil {
 			t.Fatalf("accepted input fails to re-serialize: %v", err)
 		}
 		if version == snapshotVersionProv {

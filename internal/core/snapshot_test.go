@@ -579,13 +579,9 @@ func TestSnapshotVersion4StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 101, 30, 16)
 	sel := seedsel.CELF(NewProbe(e).Estimator(nil), 4)
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
-	whole, err := e.Slice(0, e.NumNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := whole.WriteSnapshot(&buf, lin, prefix, nil); err != nil {
-		t.Fatalf("WriteSnapshot(slice): %v", err)
+	if err := e.WriteSlice(&buf, lin, prefix, 0, e.NumNodes()); err != nil {
+		t.Fatalf("WriteSlice: %v", err)
 	}
 	v4 := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(v4[len(snapshotMagic):]); v != snapshotVersionSlice {

@@ -34,8 +34,8 @@ type mdirEntry struct {
 // that cells[0] sits first bytes past: the base-section start for a shard
 // read from a snapshot, cells[0] itself for a scanned one. mapped marks
 // shards whose bytes are file-backed pages of a mapped snapshot rather
-// than Go heap. A shard is never written once built, so engines,
-// successors and partitions share them.
+// than Go heap. A shard is never written once built, so engines and
+// their successors share them.
 type shard struct {
 	dir    []mdirEntry
 	cells  []ucEntry
@@ -110,10 +110,10 @@ func (s *shard) bytes() int64 { return int64(len(s.dir)+len(s.cells)) * 16 }
 // slice restricts the shard to the influencer rows in [lo, hi). The
 // result is a window sharing the receiver's directory and cells — and
 // its backing, mapped or heap.
-func (s *shard) slice(lo, hi int32) *shard {
+func (s *shard) slice(lo, hi int32) shard {
 	ri0, _ := s.searchDir(lo)
 	ri1, _ := s.searchDir(hi)
-	sub := &shard{mapped: s.mapped}
+	sub := shard{mapped: s.mapped}
 	if ri0 < ri1 {
 		sub.dir = s.dir[ri0:ri1:ri1]
 		sub.first = sub.dir[0].off

@@ -5,8 +5,8 @@ package partition_test
 // gains, and spreads must be bit-identical — not approximately equal — at
 // every partition count, worker count, and row-store backend. These tests
 // pin that matrix on the facade planner, which answers every query from a
-// core.Probe over one engine or many, plus ingest and checkpoint-restart
-// parity at partition granularity over this package's Append and tiling.
+// core.Probe over its one engine whatever its row ranges, plus ingest and
+// checkpoint-restart parity at partition granularity.
 
 import (
 	"fmt"
@@ -18,7 +18,6 @@ import (
 
 	"credist"
 	"credist/internal/actionlog"
-	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
 	"credist/internal/partition"
@@ -50,26 +49,11 @@ func randomInstance(rng *rand.Rand, nUsers, nActions int) (*graph.Graph, *action
 	return g, lb.Build()
 }
 
-// slicePartitions splits the (seed-free) full engine into n heap
-// partitions.
-func slicePartitions(t *testing.T, full *core.Engine, n int) []*core.Engine {
-	t.Helper()
-	ranges := partition.SplitRanges(full.NumNodes(), n)
-	parts := make([]*core.Engine, len(ranges))
-	for i, r := range ranges {
-		p, err := full.Slice(r.Lo, r.Hi)
-		if err != nil {
-			t.Fatalf("Slice%v: %v", r, err)
-		}
-		parts[i] = p
-	}
-	return parts
-}
-
-// openPartitions writes one snapshot slice per range and reopens each
-// through OpenSnapshot, heap-read or memory-mapped. Cleanup of the
-// mappings is registered on t.
-func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mmap bool) []*core.Engine {
+// openPartitions writes full's n near-even row ranges as version-4
+// snapshot slices under lin, reopens each through OpenSnapshot,
+// heap-read or memory-mapped, and returns the engine core.JoinRows
+// reassembles from them. Cleanup of the mappings is registered on t.
+func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mmap bool) *core.Engine {
 	t.Helper()
 	dir := t.TempDir()
 	ranges := partition.SplitRanges(full.NumNodes(), n)
@@ -80,12 +64,8 @@ func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mm
 		if err != nil {
 			t.Fatalf("create %s: %v", path, err)
 		}
-		part, err := full.Slice(r.Lo, r.Hi)
-		if err != nil {
-			t.Fatalf("Slice%v: %v", r, err)
-		}
-		if err := part.WriteSnapshot(f, lin, nil, nil); err != nil {
-			t.Fatalf("WriteSnapshot%v: %v", r, err)
+		if err := full.WriteSlice(f, lin, nil, r.Lo, r.Hi); err != nil {
+			t.Fatalf("WriteSlice%v: %v", r, err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatalf("close: %v", err)
@@ -97,15 +77,14 @@ func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mm
 		t.Cleanup(func() { sf.Close() })
 		parts[i] = sf.Engine
 	}
-	return parts
+	return core.JoinRows(parts)
 }
 
-// plannerFor returns m's planner split n ways, served from in-memory
-// slices of the scanned engine ("sliced"); from in-memory views of one
-// whole-model file, heap-read ("file-heap") or memory-mapped
-// ("file-mmap"); or from snapshot-slice files written by SaveSlices and
-// reopened by LoadPartitions, heap-read ("heap") or memory-mapped
-// ("mmap"). It also returns the model the planner serves. The mappings
+// plannerFor returns m's planner split n ways, as row ranges of the
+// scanned engine ("sliced"); of the engine of one whole-model file,
+// heap-read ("file-heap") or memory-mapped ("file-mmap"); or of the
+// engine LoadPartitions joins from snapshot-slice files written by
+// SaveSlices, heap-read ("heap") or memory-mapped ("mmap"). It also returns the model the planner serves. The mappings
 // are released on t's cleanup.
 func plannerFor(t *testing.T, m *credist.Model, n int, backend string) (*credist.Model, *credist.Planner) {
 	t.Helper()
@@ -154,9 +133,9 @@ func setProcs(t *testing.T, n int) {
 }
 
 // TestPartitionCountDeterminism is the headline wall: for partition
-// counts {1, 2, 4, 7} x workers {1, GOMAXPROCS} x row stores {in-memory
-// slices; views of one heap-opened or mmap-opened model file; heap-opened
-// or mmap-opened slice files}, the
+// counts {1, 2, 4, 7} x workers {1, GOMAXPROCS} x row stores {the scanned
+// engine; one heap-opened or mmap-opened model file; heap-opened or
+// mmap-opened slice files}, the
 // partitioned planner's CELF seeds and gains must be bit-identical to the
 // single-engine selection, batched gains — and Gain and Gains after Add —
 // must be bit-identical to the single-engine planner's, and the telescoped
@@ -289,10 +268,11 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	}
 }
 
-// TestPartitionIngestParity pins ingest routing: appending a log tail
-// partition-by-partition (including a tail that grows the user universe,
-// absorbed by the trailing partition) must yield bit-identical seeds,
-// gains, and entry accounting to a full engine over the combined log.
+// TestPartitionIngestParity pins ingest at partition granularity:
+// extending a partitioned planner with a log tail (including a tail that
+// grows the user universe, absorbed by the trailing partition) must
+// yield bit-identical seeds, gains, and entry accounting to a full engine
+// over the combined log.
 func TestPartitionIngestParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 2026))
 	const oldUsers, newUsers, from, total = 40, 46, 25, 40
@@ -308,48 +288,53 @@ func TestPartitionIngestParity(t *testing.T) {
 	prefixLog := lb.Build()
 	// Rebuild the combined log so its prefix matches exactly.
 	cb := actionlog.NewBuilder(newUsers)
+	var tail []credist.Tuple
 	for _, tp := range combined.Tuples() {
 		if int(tp.Action) >= from || int(tp.User) < oldUsers {
 			_ = cb.Add(tp.User, tp.Action, tp.Time)
 		}
 	}
 	combined = cb.Build()
+	for a := from; a < total; a++ {
+		tail = append(tail, combined.Action(actionlog.ActionID(a))...)
+	}
 
-	opts := core.Options{Lambda: 0.001}
-	fullRef := core.NewEngine(g, combined, opts)
-
-	pre := core.NewEngine(g, prefixLog, opts)
+	fullRef := core.NewEngine(g, combined, core.Options{Lambda: 0.001})
+	m := credist.Learn(&credist.Dataset{Name: "ingest-parity", Graph: g, Log: prefixLog}, credist.Options{Lambda: 0.001, SimpleCredit: true})
+	grownModel, err := m.Ingest(tail)
+	if err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
 	for _, nparts := range []int{1, 3} {
-		parts, err := partition.Tile(slicePartitions(t, pre, nparts))
+		pp, err := m.NewPlanner().Partition(nparts)
 		if err != nil {
-			t.Fatalf("Tile: %v", err)
+			t.Fatalf("Partition(%d): %v", nparts, err)
 		}
-		grown, err := partition.Append(parts, g, combined, from)
+		grown, err := grownModel.ExtendPlanner(pp)
 		if err != nil {
-			t.Fatalf("Append: %v", err)
+			t.Fatalf("ExtendPlanner: %v", err)
 		}
-		if got := grown[0].NumNodes(); got != newUsers {
+		if got := grown.NumUsers(); got != newUsers {
 			t.Fatalf("grown universe %d, want %d", got, newUsers)
 		}
-		ranges := partition.Ranges(grown)
-		if last := ranges[len(ranges)-1]; last.Hi != newUsers {
-			t.Fatalf("trailing partition %v does not absorb new users (want hi=%d)", last, newUsers)
+		ranges := grown.Ranges()
+		if len(ranges) != nparts || ranges[len(ranges)-1].Hi != newUsers {
+			t.Fatalf("nparts=%d: ranges %v, want the trailing partition to absorb new users (hi=%d)", nparts, ranges, newUsers)
 		}
 		var entries int64
-		for _, s := range partition.StatsOf(grown) {
+		for _, s := range grown.Stats() {
 			entries += s.Entries
 		}
-		if entries != fullRef.Entries() {
-			t.Fatalf("partition entries sum %d, full engine %d", entries, fullRef.Entries())
+		if entries != fullRef.Entries() || grown.Entries() != fullRef.Entries() {
+			t.Fatalf("partition entries sum %d (planner %d), full engine %d", entries, grown.Entries(), fullRef.Entries())
 		}
-		pr := core.NewProbe(grown...)
 		for u := 0; u < newUsers; u++ {
 			want := core.NewProbe(fullRef).Gain(graph.NodeID(u), nil)
-			if got := pr.Gain(graph.NodeID(u), nil); got != want {
+			if got := grown.Gain(graph.NodeID(u)); got != want {
 				t.Fatalf("nparts=%d: post-ingest Gain(%d) not bit-identical: %b vs %b", nparts, u, got, want)
 			}
 		}
-		res := seedsel.CELF(core.NewProbe(grown...).Estimator(nil), 5)
+		res := grown.NewSelection().Grow(5)
 		refRes := seedsel.CELF(core.NewProbe(fullRef).Estimator(nil), 5)
 		for i := range refRes.Seeds {
 			if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
@@ -361,33 +346,42 @@ func TestPartitionIngestParity(t *testing.T) {
 }
 
 // TestPartitionCheckpointRestartParity pins checkpoint-restart at
-// partition granularity: a selection checkpointed after k1 seeds and
-// resumed on freshly loaded snapshot slices (a different partition count,
-// mmap-backed) must finish bit-identically to an uninterrupted run.
+// partition granularity: a selection checkpointed after k1 seeds on a
+// 4-way partitioned planner and resumed on the planner LoadPartitions
+// builds from snapshot slices of a different partition count,
+// mmap-backed, must finish bit-identically to an uninterrupted run.
 func TestPartitionCheckpointRestartParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 21))
 	g, log := randomInstance(rng, 60, 35)
-	opts := core.Options{Lambda: 0.001}
-	lin := core.DatasetLineage("restart-parity", g, log)
-	full := core.NewEngine(g, log, opts)
+	full := core.NewEngine(g, log, core.Options{Lambda: 0.001})
+	m := credist.Learn(&credist.Dataset{Name: "restart-parity", Graph: g, Log: log}, credist.Options{Lambda: 0.001, SimpleCredit: true})
 
 	const k1, k = 3, 7
 	ref := seedsel.CELF(core.NewProbe(full).Estimator(nil), k)
 
-	first, err := partition.Tile(slicePartitions(t, full, 4))
+	first, err := m.NewPlanner().Partition(4)
 	if err != nil {
-		t.Fatalf("Tile: %v", err)
+		t.Fatalf("Partition: %v", err)
 	}
-	mid := celf.NewSelection(core.NewProbe(first...).Estimator(nil), celf.Options{}).Grow(k1)
-	prefix := celf.Prefix{Seeds: mid.Seeds, Gains: mid.Gains, LookupsAt: mid.LookupsAt}
+	mid := first.NewSelection().Grow(k1)
+	prefix := &credist.SeedPrefix{Seeds: mid.Seeds, Gains: mid.Gains, LookupsAt: mid.LookupsAt}
 
 	// "Restart": reload the model as mmap slices at a different partition
 	// count and resume from the checkpointed prefix.
-	second, err := partition.Tile(openPartitions(t, full, lin, 2, true))
+	two, err := m.NewPlanner().Partition(2)
 	if err != nil {
-		t.Fatalf("Tile(mmap): %v", err)
+		t.Fatalf("Partition: %v", err)
 	}
-	sel, err := celf.Resume(core.NewProbe(second...).Estimator(nil), prefix, celf.Options{})
+	paths := credist.SlicePaths(filepath.Join(t.TempDir(), "model.bin"), 2)
+	if err := two.SaveSlices(m, prefix, paths); err != nil {
+		t.Fatalf("SaveSlices: %v", err)
+	}
+	lm, second, err := credist.LoadPartitions(m.Dataset(), paths, true, credist.Options{})
+	if err != nil {
+		t.Fatalf("LoadPartitions(mmap): %v", err)
+	}
+	defer second.Close()
+	sel, err := second.ResumeSelection(lm.SeedPrefix())
 	if err != nil {
 		t.Fatalf("ResumeSelection: %v", err)
 	}

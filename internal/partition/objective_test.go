@@ -18,13 +18,14 @@ import (
 // partition counts {1, 4} and worker counts {1, GOMAXPROCS}, and identical
 // to a selection over a probe of the full engine. The growable selection
 // the facade runs only for the default objective is pinned the same way
-// over a core.Probe of the partitions. The same entry points with a nil
+// over a core.Probe of the engine joined from row-range slices. The same entry points with a nil
 // objective must give the engine's default-objective gains.
 func TestObjectivePartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 84))
 	g, log := randomInstance(rng, 70, 45)
 	opts := core.Options{Lambda: 0.001}
 	full := core.NewEngine(g, log, opts)
+	lin := core.DatasetLineage("objective-wall", g, log)
 	m := credist.Learn(&credist.Dataset{Name: "objective-wall", Graph: g, Log: log}, credist.Options{Lambda: 0.001, SimpleCredit: true})
 
 	weights := make([]float64, g.NumNodes())
@@ -150,7 +151,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			est := core.NewProbe(slicePartitions(t, full, nparts)...).Estimator(obj)
+			est := core.NewProbe(openPartitions(t, full, lin, nparts, false)).Estimator(obj)
 			for _, r := range rival {
 				est.Add(r)
 			}

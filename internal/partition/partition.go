@@ -1,27 +1,24 @@
 // Package partition holds the row-range bookkeeping behind a partitioned
 // credist.Planner: splitting the user universe into ranges, checking that
-// a set of engine partitions tiles it, per-partition accounting, and the
-// parallel append of a log tail to every partition.
+// a set of snapshot slices tiles it, extending the ranges over users an
+// ingest registers, and per-range accounting.
 //
-// A partition is a core.Engine holding only the UC rows of influencers in
-// its range [lo, hi) while carrying the full global per-user state (A_u,
-// actionsOf). That split follows the additive structure of the model:
-// every quantity the serving layer reports — marginal gain (Theorem 3),
-// spread, entry counts — is a sum over UC cells, and each cell (v, u, a)
-// belongs to exactly one partition, the one owning influencer v's row. So
-// a core.Probe over the partitions, which reads every row from its owner,
-// answers every query exactly as a probe over the unpartitioned engine
-// does: queries need nothing from this package beyond a tiled engine set.
+// A partition is nothing but a range [lo, hi) of influencer rows of the
+// one core.Engine a planner holds. That split follows the additive
+// structure of the model: every quantity the serving layer reports —
+// marginal gain (Theorem 3), spread, entry counts — is a sum over UC
+// cells, and each cell (v, u, a) lies in exactly one range, the one
+// holding influencer v's row, while Theorem 3 prices a candidate from its
+// own rows plus the global normalizers. So queries need nothing from this
+// package: they answer from the engine, identically at every partition
+// count.
 package partition
 
 import (
 	"fmt"
 	"sort"
 
-	"credist/internal/actionlog"
 	"credist/internal/core"
-	"credist/internal/graph"
-	"credist/internal/par"
 )
 
 // Range is a half-open influencer-row range [Lo, Hi).
@@ -106,90 +103,23 @@ type Stats struct {
 	RowStore    string
 }
 
-// Tile validates that engines are row-range partitions tiling the
-// universe — every engine partitioned, agreeing on universe size and
-// action count, ranges contiguous from 0 to the universe size — and
-// returns them sorted by range start. A single full (unpartitioned)
-// engine is also accepted: it is partition trivially, covering every row.
-func Tile(engines []*core.Engine) ([]*core.Engine, error) {
-	if len(engines) == 0 {
-		return nil, fmt.Errorf("partition: no engines")
-	}
-	parts := make([]*core.Engine, len(engines))
-	copy(parts, engines)
-	sort.SliceStable(parts, func(i, j int) bool {
-		li, _ := parts[i].PartitionRange()
-		lj, _ := parts[j].PartitionRange()
-		return li < lj
-	})
-	numUsers := parts[0].NumNodes()
-	numActions := parts[0].NumActions()
-	for i, p := range parts {
-		if p.NumNodes() != numUsers {
-			return nil, fmt.Errorf("partition: engine %d spans a %d-user universe, engine 0 spans %d", i, p.NumNodes(), numUsers)
-		}
-		if p.NumActions() != numActions {
-			return nil, fmt.Errorf("partition: engine %d has %d actions, engine 0 has %d", i, p.NumActions(), numActions)
-		}
-		if len(parts) > 1 && !p.IsPartition() {
-			return nil, fmt.Errorf("partition: engine %d is a full model claiming rows %v; cannot mix it with partitions", i, rangeOf(p))
-		}
-	}
-	if err := ValidateRanges(Ranges(parts), numUsers); err != nil {
-		return nil, err
-	}
-	return parts, nil
-}
-
-// rangeOf returns the row range engine e holds.
-func rangeOf(e *core.Engine) Range {
-	lo, hi := e.PartitionRange()
-	return Range{Lo: lo, Hi: hi}
-}
-
-// Ranges returns the row range of each engine, in order.
-func Ranges(parts []*core.Engine) []Range {
-	out := make([]Range, len(parts))
-	for i, p := range parts {
-		out[i] = rangeOf(p)
+// StatsOf returns the accounting row of each range of e, in order: the
+// entries and heap/mapped bytes of the range's rows (core.Engine's
+// RowFootprint), which over ranges tiling the universe sum to e's totals.
+func StatsOf(e *core.Engine, ranges []Range) []Stats {
+	out := make([]Stats, len(ranges))
+	for i, r := range ranges {
+		entries, heap, mapped := e.RowFootprint(r.Lo, r.Hi)
+		out[i] = Stats{Range: r, Entries: entries, HeapBytes: heap, MappedBytes: mapped, RowStore: e.RowStoreBackend()}
 	}
 	return out
 }
 
-// StatsOf returns each engine's accounting row, in order.
-func StatsOf(parts []*core.Engine) []Stats {
-	out := make([]Stats, len(parts))
-	for i, p := range parts {
-		out[i] = Stats{
-			Range:       rangeOf(p),
-			Entries:     p.Entries(),
-			HeapBytes:   p.HeapBytes(),
-			MappedBytes: p.MappedBytes(),
-			RowStore:    p.RowStoreBackend(),
-		}
-	}
+// Extend returns a copy of ranges, which tile a smaller universe, tiling
+// [0, numUsers): rows of users an appended log tail registered belong to
+// the trailing range, so the ranges stay contiguous and no row moves.
+func Extend(ranges []Range, numUsers int) []Range {
+	out := append([]Range(nil), ranges...)
+	out[len(out)-1].Hi = numUsers
 	return out
-}
-
-// Append extends a tiled engine set with the tail of a combined log: each
-// engine appends the tail independently, in parallel, into a successor
-// that shares its shards (AppendActions routes the scanned rows to their
-// owners, and the trailing partition absorbs rows of users the tail
-// registered). The receivers are untouched, so in-flight queries keep
-// their answers while the successors assemble. The result is tiled again.
-func Append(parts []*core.Engine, g *graph.Graph, log *actionlog.Log, from actionlog.ActionID) ([]*core.Engine, error) {
-	next := make([]*core.Engine, len(parts))
-	errs := make([]error, len(parts))
-	par.For(len(parts), len(parts), func(_, i int) {
-		var err error
-		if next[i], err = parts[i].AppendActions(g, log, from); err != nil {
-			errs[i] = fmt.Errorf("rows %v: %w", rangeOf(parts[i]), err)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return Tile(next)
 }

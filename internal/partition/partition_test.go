@@ -1,12 +1,17 @@
 package partition_test
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"credist"
+	"credist/internal/actionlog"
 	"credist/internal/core"
 	"credist/internal/graph"
 	"credist/internal/partition"
@@ -82,54 +87,86 @@ func TestValidateRangesMalformed(t *testing.T) {
 	}
 }
 
-// TestNewRejectsMalformedPartitionSets drives the same malformed shapes
-// through the tiling check with real engine slices — the path a
-// snapshot-slice load takes.
+// TestNewRejectsMalformedPartitionSets drives the malformed shapes
+// through LoadPartitions with real snapshot-slice files, heap-read and
+// memory-mapped: every refusal names its cause, and a lone file covering
+// the universe — a whole model or a full-range slice — loads.
 func TestNewRejectsMalformedPartitionSets(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 44))
-	g, log := randomInstance(rng, 30, 12)
-	full := core.NewEngine(g, log, core.Options{})
-	slice := func(lo, hi int) *core.Engine {
-		t.Helper()
-		p, err := full.Slice(lo, hi)
-		if err != nil {
-			t.Fatalf("Slice(%d,%d): %v", lo, hi, err)
+	g, raw := randomInstance(rng, 30, 12)
+	// User 29 never acts, so a log over the 30-user universe and one over
+	// 29 users hold the same tuples: a slice of the narrow model passes
+	// the lineage check but spans another universe.
+	wide, narrow := actionlog.NewBuilder(30), actionlog.NewBuilder(29)
+	for _, tp := range raw.Tuples() {
+		if int(tp.User) < 29 {
+			_ = wide.Add(tp.User, tp.Action, tp.Time)
+			_ = narrow.Add(tp.User, tp.Action, tp.Time)
 		}
-		return p
 	}
+	log, small := wide.Build(), narrow.Build()
+	ds := &credist.Dataset{Name: "malformed", Graph: g, Log: log}
+	full := core.NewEngine(g, log, core.Options{})
+	lin := core.DatasetLineage(ds.Name, g, log)
+	dir := t.TempDir()
+	write := func(name string, w func(io.Writer) error) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w(f); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	slice := func(lo, hi int) string {
+		return write(fmt.Sprintf("slice-%d-%d.bin", lo, hi), func(w io.Writer) error { return full.WriteSlice(w, lin, nil, lo, hi) })
+	}
+	whole := write("model.bin", func(w io.Writer) error { return full.WriteSnapshot(w, lin, nil, nil) })
+	other := write("narrow.bin", func(w io.Writer) error {
+		return core.NewEngine(g, small, core.Options{}).WriteSlice(w, core.DatasetLineage(ds.Name, g, small), nil, 20, 29)
+	})
 
 	cases := []struct {
 		name  string
-		parts []*core.Engine
+		paths []string
 		want  string
 	}{
-		{"none", nil, "no engines"},
-		{"overlap", []*core.Engine{slice(0, 20), slice(15, 30)}, "overlaps"},
-		{"gap", []*core.Engine{slice(0, 10), slice(15, 30)}, "gap"},
-		{"missing head", []*core.Engine{slice(5, 30)}, "uncovered"},
-		{"missing tail", []*core.Engine{slice(0, 25)}, "uncovered"},
-		{"full engine among partitions", []*core.Engine{full, slice(0, 30)}, "full model"},
+		{"none", nil, "no slice paths"},
+		{"overlap", []string{slice(0, 20), slice(15, 30)}, "overlaps"},
+		{"gap", []string{slice(0, 10), slice(15, 30)}, "gap"},
+		{"missing head", []string{slice(5, 30)}, "uncovered"},
+		{"missing tail", []string{slice(0, 25)}, "uncovered"},
+		{"full model among slices", []string{whole, slice(0, 30)}, "full model"},
+		{"mismatched universes", []string{slice(0, 20), other}, "29-user universe"},
 	}
-	for _, c := range cases {
-		if _, err := partition.Tile(c.parts); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Tile = %v, want error containing %q", c.name, err, c.want)
+	for _, mmap := range []bool{false, true} {
+		for _, c := range cases {
+			_, p, err := credist.LoadPartitions(ds, c.paths, mmap, credist.Options{})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("mmap=%t %s: LoadPartitions = %v, want error containing %q", mmap, c.name, err, c.want)
+			}
+			if err == nil {
+				p.Close()
+			}
 		}
-	}
-
-	// Mismatched universes: a slice of a different dataset cannot join.
-	g2, log2 := randomInstance(rng, 20, 8)
-	other := core.NewEngine(g2, log2, core.Options{})
-	otherSlice, err := other.Slice(0, 20)
-	if err != nil {
-		t.Fatalf("Slice: %v", err)
-	}
-	if _, err := partition.Tile([]*core.Engine{slice(0, 20), otherSlice}); err == nil || !strings.Contains(err.Error(), "universe") {
-		t.Errorf("mismatched universes: %v", err)
-	}
-
-	// A single full engine is the trivial cover and is accepted.
-	if _, err := partition.Tile([]*core.Engine{full}); err != nil {
-		t.Errorf("single full engine rejected: %v", err)
+		// A lone file covering the universe is the trivial cover.
+		for _, path := range []string{whole, slice(0, 30)} {
+			_, p, err := credist.LoadPartitions(ds, []string{path}, mmap, credist.Options{})
+			if err != nil {
+				t.Errorf("mmap=%t %s alone rejected: %v", mmap, filepath.Base(path), err)
+				continue
+			}
+			if p.NumPartitions() != 1 || p.Entries() != full.Entries() {
+				t.Errorf("mmap=%t %s alone: %d partitions, %d entries; want 1, %d", mmap, filepath.Base(path), p.NumPartitions(), p.Entries(), full.Entries())
+			}
+			p.Close()
+		}
 	}
 }
 

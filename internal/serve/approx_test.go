@@ -1,14 +1,17 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"credist"
+	"credist/internal/actionlog"
 	"credist/internal/serve"
 )
 
@@ -444,5 +447,82 @@ func TestApproxPartitionedMatchesOneEngine(t *testing.T) {
 	}
 	if st := parted.ApproxStats(); st.Sampled != 0 {
 		t.Fatalf("partitioned tier sampled %d sets", st.Sampled)
+	}
+}
+
+// TestApproxPartitionedKeepsPoolAcrossIngest: a partitioned server over a
+// 2,048-sample sketch model, heap-read or mapped, at partitions {1, 4},
+// answers /spread?eps= before and after a one-action /ingest — the
+// successor grows a fresh pool up to the persisted size instead of
+// answering 501 — and a checkpoint taken after that answer carries the
+// grown sketch, so a restart from it answers the same bytes.
+func TestApproxPartitionedKeepsPoolAcrossIngest(t *testing.T) {
+	const pool, target = 2048, "/spread?seeds=1,2,3&eps=0.2"
+	dir := t.TempDir()
+	src := saveSketchModel(t, dir, pool)
+	batch := demoIngestBatch(t, credist.ActionID(demoDataset().Log.NumActions()))
+	tailPath := filepath.Join(dir, "ingested.tail.log")
+	f, err := os.Create(tailPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := actionlog.WriteTuples(f, demoDataset().NumUsers(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ingest, _ := json.Marshal(map[string]any{"tuples": batch})
+	// answer is the /spread body without the snapshot id and the
+	// wall-clock "elapsed".
+	answer := func(name string, h http.Handler) string {
+		t.Helper()
+		code, decoded := do(t, h, "GET", target, "")
+		if code != http.StatusOK {
+			t.Fatalf("%s: %s: status %d: %v", name, target, code, decoded)
+		}
+		delete(decoded, "snapshot")
+		delete(decoded, "elapsed")
+		if s := decoded["samples"].(float64); s <= 0 || s > pool {
+			t.Fatalf("%s: answered from %v samples, want a pool capped at %d", name, s, pool)
+		}
+		out, err := json.Marshal(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	for _, mmap := range []bool{false, true} {
+		for _, n := range []int{1, 4} {
+			name := fmt.Sprintf("mmap=%t/parts=%d", mmap, n)
+			src.Mmap, src.Partitions = mmap, n
+			snap, err := serve.Build(src)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", name, err)
+			}
+			h := serve.New(snap).Handler()
+			answer(name+"/before ingest", h)
+			if code, body := do(t, h, "POST", "/ingest", string(ingest)); code != http.StatusOK {
+				t.Fatalf("%s: /ingest: status %d: %v", name, code, body)
+			}
+			want := answer(name+"/after ingest", h)
+
+			ckpt := filepath.Join(t.TempDir(), "ckpt.bin")
+			if code, body := do(t, h, "POST", "/snapshot", fmt.Sprintf(`{"path":%q}`, ckpt)); code != http.StatusOK {
+				t.Fatalf("%s: /snapshot: status %d: %v", name, code, body)
+			}
+			restart := src
+			restart.ModelPath, restart.TailPath = ckpt, tailPath
+			snap, err = serve.Build(restart)
+			if err != nil {
+				t.Fatalf("%s: Build from the checkpoint: %v", name, err)
+			}
+			if s := snap.ApproxStats().Samples; s <= 0 {
+				t.Fatalf("%s: the checkpoint carried no sketch", name)
+			}
+			if got := answer(name+"/restarted", serve.New(snap).Handler()); got != want {
+				t.Errorf("%s: restarted answer diverged:\n  before: %s\n  after:  %s", name, want, got)
+			}
+		}
 	}
 }

@@ -784,9 +784,10 @@ type StatsResponse struct {
 	// resident bytes (sample arena plus inverted index), samples drawn by
 	// this process (0 right after a sketch-carrying
 	// restart), and how many requests each endpoint answered from the
-	// tier. On partitioned deployments the tier is fixed: it serves the
-	// whole-model snapshot's persisted sketch (if any) and never grows,
-	// so approx_sampled stays 0 and approx_samples reports the pool.
+	// tier. On partitioned deployments the pool is capped at the size of
+	// the model file's persisted sketch (if any): it serves that sketch,
+	// with approx_sampled 0, until an /ingest, after which it regrows up
+	// to the cap.
 	ApproxSamples        int   `json:"approx_samples"`
 	ApproxBytes          int64 `json:"approx_bytes"`
 	ApproxSampled        int64 `json:"approx_sampled"`
@@ -805,15 +806,15 @@ type StatsResponse struct {
 	ModelTailActions int             `json:"model_tail_actions,omitempty"`
 	LastSnapshot     *CheckpointInfo `json:"last_snapshot,omitempty"`
 
-	// Partitioned serving: one row per engine partition, present only when
-	// the snapshot serves row-range partitions. The top-level
+	// Partitioned serving: one row per partition, present only when the
+	// snapshot serves row-range partitions. The top-level
 	// entries/heap_bytes/mapped_bytes above are the sums of these rows.
 	NumPartitions int             `json:"num_partitions,omitempty"`
 	Partitions    []PartitionStat `json:"partitions,omitempty"`
 }
 
-// PartitionStat is one engine partition's shape in /stats: the influencer
-// row range it owns ([row_lo,row_hi)) and its share of the resident model.
+// PartitionStat is one partition's shape in /stats: its influencer row
+// range ([row_lo,row_hi)) and those rows' share of the resident model.
 type PartitionStat struct {
 	RowLo       int    `json:"row_lo"`
 	RowHi       int    `json:"row_hi"`
@@ -1091,7 +1092,7 @@ func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	}
 	start := time.Now()
 	// What is written is the planner the snapshot already serves from —
-	// one engine or every partition, as one whole-model file — so a
+	// its one engine, as one whole-model file — so a
 	// checkpoint never blocks queries or pays a second scan. The computed
 	// seed prefix rides along: it was selected against exactly the state
 	// being written, so a restart from this file serves /seeds up to the

@@ -68,15 +68,15 @@ type Source struct {
 	// time-aware Eq. (9) rule.
 	SimpleCredit bool `json:"simple_credit,omitempty"`
 
-	// Partitions splits the model into N contiguous row-range engine
-	// partitions behind the snapshot's one planner: every query reads each
-	// row from the partition owning it, with answers bit-identical at
-	// every partition count. 0 (the default) serves the classic
-	// single-engine path. Partitions are in-memory views of the one loaded
-	// model — with ModelPath, of the one file, heap-read or mapped — so
-	// nothing is copied and no file is written; N is clamped to the user
-	// count. A partitioned POST /snapshot writes one whole-model file,
-	// the same bytes a single engine writes.
+	// Partitions splits the snapshot's one planner into N contiguous
+	// influencer-row ranges of its engine, reported per range in /stats,
+	// with answers bit-identical at every partition count. 0 (the
+	// default) serves the classic single-engine path. The ranges are
+	// bookkeeping over the one loaded model — with ModelPath, the one
+	// file, heap-read or mapped — so nothing is copied and no file is
+	// written; N is clamped to the user count. A partitioned POST
+	// /snapshot writes one whole-model file, the same bytes a single
+	// engine writes.
 	Partitions int `json:"partitions,omitempty"`
 
 	// Dataset bypasses loading entirely; used by tests and embedders.
@@ -198,8 +198,8 @@ func newSeedPrefix(res seedsel.Result, exhausted bool) *seedPrefix {
 
 // Snapshot is one learned model frozen for serving. All public methods are
 // safe for concurrent use: queries touch only immutable scan products (the
-// evaluator and the backend's frozen planner or partitions, which queries
-// only read through probes), and seed selection runs on one growable
+// evaluator and the backend's frozen planner, which queries only read
+// through probes), and seed selection runs on one growable
 // per-snapshot selection whose growth is serialized under a lock while
 // reads slice the published prefix lock-free.
 type Snapshot struct {
@@ -211,8 +211,8 @@ type Snapshot struct {
 	src   Source
 	ds    *credist.Dataset
 	model *credist.Model
-	// be answers every model query: the model and its one planner, a full
-	// engine or partitions (see backend).
+	// be answers every model query: the model and its one planner,
+	// partitioned or not (see backend).
 	be *backend
 
 	entries       int64
@@ -255,8 +255,8 @@ type Snapshot struct {
 }
 
 // backend answers a snapshot's model queries: the model plus one frozen
-// scanned planner — a full engine, or row-range engine partitions when
-// the source is partitioned. The planner's seed set stays empty forever:
+// scanned planner — one engine, split into row-range partitions when the
+// source is partitioned. The planner's seed set stays empty forever:
 // queries and selections commit their seeds to read-only probes over it
 // (the /seeds selection over a clone sharing its shards), and gains,
 // selections and explanations are bit-identical at every partition count.
@@ -268,11 +268,15 @@ type backend struct {
 	// partitioned is Source.partitioned(): even one partition takes the
 	// partitioned answers below.
 	partitioned bool
+	// approxCap is the RR pool size a partitioned backend caps
+	// approximate queries at: the pool the model held at Build, carried
+	// through every ingest (0 for one engine).
+	approxCap int
 }
 
-// spread answers from the model's exact evaluator on one engine. No
-// partition holds the evaluator's full propagation DAGs, so partitions
-// telescope per-seed gains over the lambda-truncated UC structure instead:
+// spread answers from the model's exact evaluator on one engine.
+// Partitions telescope per-seed gains over the lambda-truncated UC
+// structure instead, so the propagation-DAG build never happens:
 // bit-identical at every partition count, but slightly below the exact
 // sigma_cd at lambda > 0 (equal to float tolerance only at lambda = 0).
 func (b *backend) spread(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
@@ -283,31 +287,31 @@ func (b *backend) spread(seeds []credist.NodeID, o *credist.Objective) (float64,
 }
 
 // approxOptions bounds an approximate query. One engine grows the live
-// sample pool. Partitioned, the query is capped at the fixed pool the
-// whole-model snapshot persisted: the RR tier samples over the full user
-// universe, which no partition holds, so it cannot draw a single new
-// sample; precision is whatever the pool affords, reported honestly in
-// achieved_eps, and a model with no persisted sketch answers 501.
+// sample pool. Partitioned, the query is capped at the pool the model
+// held at Build — its persisted sketch: before any ingest that is the
+// live pool, so nothing is drawn, and after one the successor model
+// grows a fresh pool up to the same size. Precision is whatever the cap
+// affords, reported honestly in achieved_eps, and a model built with no
+// persisted sketch answers 501.
 func (b *backend) approxOptions(opts credist.ApproxOptions) (credist.ApproxOptions, error) {
 	if b.partitioned {
-		n := b.model.ApproxStats().Samples
-		if n == 0 {
+		if b.approxCap == 0 {
 			return opts, errApproxPartitioned
 		}
-		opts.MaxSamples = n
+		opts.MaxSamples = b.approxCap
 	}
 	return opts, nil
 }
 
 // extend derives the backend serving model, the receiver's model after an
-// Ingest: every engine scans only its rows of the appended tail (the
-// partitions in parallel), and the receiver keeps serving unchanged.
+// Ingest: the engine scans only the appended tail, once at any partition
+// count, and the receiver keeps serving unchanged.
 func (b *backend) extend(model *credist.Model) (*backend, error) {
 	planner, err := model.ExtendPlanner(b.planner)
 	if err != nil {
 		return nil, err
 	}
-	return &backend{model: model, planner: planner, partitioned: b.partitioned}, nil
+	return &backend{model: model, planner: planner, partitioned: b.partitioned, approxCap: b.approxCap}, nil
 }
 
 // partitionStats is per-partition accounting (nil for one engine).
@@ -322,9 +326,8 @@ func (b *backend) partitionStats() []credist.PartitionStats {
 // binds the snapshot's backend. The scanned planner comes from one log
 // scan, or, when ModelPath names a binary snapshot, from a lineage-checked
 // load that scans only the log tail past the snapshot's recorded actions.
-// A partitioned source then splits that one planner into row-range
-// partitions in memory: views of the same shards, so nothing is copied
-// and no file is written. Any failure fails the build, on either shape.
+// A partitioned source then splits that one planner into row ranges of
+// its engine, so nothing is copied and no file is written. Any failure fails the build, on either shape.
 // The returned snapshot has ID 0 until a Registry installs it.
 func Build(src Source) (*Snapshot, error) {
 	if src.Mmap && src.ModelPath == "" {
@@ -361,8 +364,9 @@ func Build(src Source) (*Snapshot, error) {
 	planner := model.NewPlanner()
 	if src.partitioned() {
 		// No evaluator warm-up runs: /spread and /topk telescope over the
-		// partitions, so the propagation-DAG build never happens unless an
-		// embedder calls Model.Spread directly.
+		// planner, so the propagation-DAG build waits for the first
+		// /ingest, which extends the evaluator, or an embedder's direct
+		// Model.Spread.
 		if planner, err = planner.Partition(src.Partitions); err != nil {
 			return nil, err
 		}
@@ -375,6 +379,9 @@ func Build(src Source) (*Snapshot, error) {
 		go func() { _ = model.Spread(nil) }()
 	}
 	be := &backend{model: model, planner: planner, partitioned: src.partitioned()}
+	if be.partitioned {
+		be.approxCap = model.ApproxStats().Samples
+	}
 	sn := newSnapshot(src, be)
 	// Everything the build loaded, a log tail past the snapshot files
 	// included, is the base: the delta counts only what /ingest adds.
@@ -449,8 +456,8 @@ func (sn *Snapshot) PartitionErr() error { return nil }
 
 // Ingest builds the successor snapshot extended with a batch of new
 // propagations, incrementally: the model's learned parameters stay
-// frozen, and only the appended action tail is scanned, into successor
-// engines that share every shard of the backend's. The receiver
+// frozen, and only the appended action tail is scanned, once, into a
+// successor engine that shares every shard of the backend's. The receiver
 // keeps serving unchanged — nothing it references is mutated — and the
 // computed seed prefix is invalidated simply by the successor starting
 // with an empty selection. compact additionally moves the base marks to
@@ -541,9 +548,9 @@ func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (flo
 }
 
 // ApproxSpread answers a spread query from the model's bounded-error RR
-// tier (see credist.Model.ApproxSpread). A partitioned snapshot answers
-// from the fixed sample pool its whole-model snapshot persisted, and 501
-// when none was (see backend).
+// tier (see credist.Model.ApproxSpread). A partitioned snapshot caps the
+// pool at the size its model file persisted, and answers 501 when none
+// was (see backend).
 func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
 	opts, err := sn.be.approxOptions(opts)
 	if err != nil {
@@ -564,13 +571,13 @@ func (sn *Snapshot) ApproxSeeds(k int, opts credist.ApproxOptions) ([]credist.No
 }
 
 // ApproxStats reports the RR tier's sample pool. On a partitioned
-// deployment this is the fixed pool restored from the whole-model
-// snapshot's sketch (all zero when none was persisted).
+// deployment it is the pool restored from the model file's sketch until
+// an ingest; the successor's pool grows up to that size on demand.
 func (sn *Snapshot) ApproxStats() credist.ApproxStats { return sn.model.ApproxStats() }
 
 var errApproxPartitioned = &apiError{code: http.StatusNotImplemented,
-	msg: "approximate queries on a partitioned deployment are served from a persisted RR sketch, and this model has none " +
-		"(re-save it with `credist learn -ris-samples` and restart); no partition holds the full universe, so the tier cannot sample live"}
+	msg: "approximate queries on a partitioned deployment are capped at the RR pool its model file persisted, and this model has none " +
+		"(re-save it with `credist learn -ris-samples` and restart)"}
 
 // SpreadBatch evaluates sigma_cd for many seed sets, fanning the sets over
 // the available cores. Each set is evaluated independently, so the floats
@@ -626,8 +633,8 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 		// First growth: resume from the restored prefix when there is one
 		// (committing its seeds to the selection's probe costs no gain
 		// evaluations), start fresh otherwise. The selection probes a
-		// clone of the backend's own (possibly ingest-extended) planner or
-		// its partitions, shards shared — never the model's lazy base,
+		// clone of the backend's own (possibly ingest-extended) planner,
+		// shards shared — never the model's lazy base,
 		// which for an ingest-grown model would be a second from-scratch
 		// scan of the combined log. Seeds are committed to a probe, so no
 		// engine is written, and the partitioned selection is
@@ -677,18 +684,16 @@ func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, e
 
 // ExplainSeed decomposes candidate x's marginal gain (against this
 // snapshot's live base state) into its top credit paths. The explained
-// Gain is bit-for-bit the snapshot's Gains(nil, {x}) value. On the
-// partitioned path the owner of x's row answers alone — credit paths are
-// partitioned by influencer row, so no gather is needed.
+// Gain is bit-for-bit the snapshot's Gains(nil, {x}) value, at any
+// partition count.
 func (sn *Snapshot) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanation, error) {
 	return sn.be.planner.ExplainSeed(x, top)
 }
 
 // ExplainReach decomposes the credit the given seed set pushes onto
 // target v: per-seed shares in request order whose fixed-order fold is
-// bit-exactly the returned Total, plus the top contributing paths. On the
-// partitioned path each seed's share comes wholly from its row's owner
-// and the gathered answer is bit-identical to the single-engine one.
+// bit-exactly the returned Total, plus the top contributing paths; the
+// same at any partition count.
 func (sn *Snapshot) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top int) (credist.ReachExplanation, error) {
 	return sn.be.planner.ExplainReach(seeds, v, top)
 }

@@ -2,9 +2,11 @@ package credist
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"credist/internal/actionlog"
@@ -158,29 +160,30 @@ func (m *Model) Ingest(tuples []Tuple) (*Model, error) {
 
 // ExtendPlanner derives a planner for this (post-Ingest) model from one
 // scanned against the pre-ingest log: only the appended action tail is
-// scanned, into successor engines that share every shard of the source's
-// — one full engine, or every row-range partition in parallel, each
-// keeping only its rows of the tail. The source planner must come from the
-// model lineage this model was ingested from (same credit parameters, a
-// prefix of the same log) and must not have committed seeds, whose gains
-// describe the old log; see checkPlanner for what is rejected. A planner
-// from a different log that happens to agree on all of that (possible
-// only with the parameterless simple-credit rule) cannot be detected
-// cheaply and yields meaningless results — pairing planners with their
-// own model lineage is the caller's contract. Gains and CELF selections on
-// the result are bit-identical to those of a freshly scanned NewPlanner,
-// at a fraction of the cost; see BenchmarkAppendVsRescan. The source keeps
-// serving unchanged, and the successor reads its mapped shards without
-// owning the mappings: Close the planner that opened them.
+// scanned, once, into a successor engine that shares every shard of the
+// source's, and a partitioned source keeps its ranges, the trailing one
+// stretched over any users the tail registered. The source planner must
+// come from the model lineage this model was ingested from (same credit
+// parameters, a prefix of the same log) and must not have committed
+// seeds, whose gains describe the old log; see checkPlanner for what is
+// rejected. A planner from a different log that happens to agree on all
+// of that (possible only with the parameterless simple-credit rule)
+// cannot be detected cheaply and yields meaningless results — pairing
+// planners with their own model lineage is the caller's contract. Gains
+// and CELF selections on the result are bit-identical to those of a
+// freshly scanned NewPlanner, at a fraction of the cost; see
+// BenchmarkAppendVsRescan. The source keeps serving unchanged, and the
+// successor reads its mapped shards without owning the mappings: Close
+// the planner that opened them.
 func (m *Model) ExtendPlanner(p *Planner) (*Planner, error) {
 	if err := m.checkPlanner(p, "extend", false); err != nil {
 		return nil, err
 	}
-	parts, err := partition.Append(p.parts, m.ds.Graph, m.ds.Log, ActionID(p.NumActions()))
+	eng, err := p.eng.AppendActions(m.ds.Graph, m.ds.Log, ActionID(p.NumActions()))
 	if err != nil {
 		return nil, err
 	}
-	return newPlanner(m, parts...), nil
+	return newPlanner(m, eng, partition.Extend(p.ranges, eng.NumNodes())), nil
 }
 
 // checkPlanner is the one planner-vs-model check behind extending and
@@ -193,7 +196,7 @@ func (m *Model) checkPlanner(p *Planner, verb string, exact bool) error {
 	if n := len(p.Seeds()); n > 0 {
 		return fmt.Errorf("credist: cannot %s a planner with %d committed seeds", verb, n)
 	}
-	eng := p.parts[0]
+	eng := p.eng
 	if eng.CreditModel() != m.credit {
 		return fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
 	}
@@ -214,7 +217,7 @@ func (m *Model) checkPlanner(p *Planner, verb string, exact bool) error {
 // model — on the first call, or never for a model restored by LoadModel
 // from a binary snapshot — and every planner shares it, so repeated
 // calls cost microseconds, not a log rescan.
-func (m *Model) NewPlanner() *Planner { return newPlanner(m, m.base()) }
+func (m *Model) NewPlanner() *Planner { return newPlanner(m, m.base(), nil) }
 
 // Selection runs default-objective seed selection from an empty seed set
 // and returns the full trace (seeds, gains, per-seed timing, and the
@@ -336,29 +339,28 @@ func (m *Model) SaveOn(path string, p *Planner, prefix *SeedPrefix) error {
 // credit parameters and truncation threshold), cover exactly the model's
 // log, and hold no committed seeds; nil uses the model's own base scan.
 // Passing an explicit planner is how a serving layer checkpoints its live
-// (possibly ingest-extended) planner without a second scan. A partitioned
-// planner writes the same one whole-model file: its partitions' rows are
-// walked in partition order, which is sorted order. prefix, if non-nil,
-// is the computed seed prefix to persist alongside the engine — it must
-// have been selected against exactly the state being written (this
-// model's parameters over the planner's log), or a restart would serve
-// seeds the restored model never chose.
+// (possibly ingest-extended) planner without a second scan; a
+// partitioned planner writes the same one whole-model file. prefix, if
+// non-nil, is the computed seed prefix to persist alongside the engine —
+// it must have been selected against exactly the state being written
+// (this model's parameters over the planner's log), or a restart would
+// serve seeds the restored model never chose.
 func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error {
-	var parts []*core.Engine
+	var eng *core.Engine
 	if p == nil {
-		parts = []*core.Engine{m.base()}
+		eng = m.base()
 	} else {
 		if err := m.checkPlanner(p, "snapshot", true); err != nil {
 			return err
 		}
-		parts = p.parts
+		eng = p.eng
 	}
 	// The RR sketch rides along whenever the approximate tier holds one:
 	// it is derived over exactly the model's log, and the lineage written
 	// here is that same log's, so a sketch attached to this model is
 	// always consistent with the snapshot (the version stays 3 without
 	// one, keeping sketchless files byte-identical).
-	return core.WriteModelSnapshot(w, parts, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch())
+	return eng.WriteSnapshot(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch())
 }
 
 // IsModelSnapshot reports whether data (at least the first 8 bytes of a
@@ -427,36 +429,38 @@ func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
 // loadSnapshotModel opens one whole-model snapshot, heap-read or mapped,
 // and binds it to ds. A mapped model keeps the file open until Close.
 func loadSnapshotModel(ds *Dataset, path string, mmap bool, opts Options) (*Model, error) {
-	m, parts, files, err := openSnapshots(ds, []string{path}, mmap, opts)
+	m, eng, _, err := openSnapshots(ds, []string{path}, mmap, opts)
 	if err != nil {
 		return nil, err
 	}
-	eng := parts[0]
 	m.base = func() *core.Engine { return eng }
-	if mmap {
-		m.file = files[0]
-	}
 	return m, nil
 }
 
 // openSnapshots is the one snapshot bind behind LoadModel,
 // LoadModelMapped and LoadPartitions. It opens paths — one whole model,
-// or the slices of one — heap-read or mapped, and binds them to ds as one
-// model. Every file must pass the lineage check; the learned parameters
-// must cover the graph; the stored options must match opts (the zero
-// Options adopts them); and every file must agree with the first on the
-// actions covered, the options, the parameters and the seed prefix. When
-// the log has grown past the files' scan, every engine appends the
-// unscanned tail. It returns the model, its engines tiled by row range,
-// and the mapped files (nil for heap opens), which must stay open while
-// the engines serve.
-func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, []*core.Engine, []*core.SnapshotFile, error) {
+// or the version-4 slices of one — heap-read or mapped, and binds them to
+// ds as one model. Every file must pass the lineage check; the learned
+// parameters must cover the graph; the stored options must match opts
+// (the zero Options adopts them); every file must agree with the first
+// on the universe, the actions covered, the options, the parameters and
+// the seed prefix; and the files' row ranges must tile the universe. Two
+// or more slices are joined into one heap engine and their files closed.
+// When the log has grown past the files' scan, the engine appends the
+// unscanned tail once. It returns the model, its engine and the files'
+// row ranges in ascending order (the trailing one stretched over users
+// the tail registered); a mapped file the engine aliases is the model's
+// file, which must stay open while the engine serves.
+func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *core.Engine, []partition.Range, error) {
 	var mapped []*core.SnapshotFile
-	// fail closes what was mapped and names the offending file (i >= 0).
-	fail := func(i int, err error) (*Model, []*core.Engine, []*core.SnapshotFile, error) {
+	defer func() {
 		for _, f := range mapped {
 			f.Close()
 		}
+	}()
+	// fail names the offending file (i >= 0); the deferred loop closes
+	// what was mapped.
+	fail := func(i int, err error) (*Model, *core.Engine, []partition.Range, error) {
 		if i >= 0 && len(paths) > 1 {
 			err = fmt.Errorf("partition %d (%s): %w", i, paths[i], err)
 		} else if i >= 0 {
@@ -477,6 +481,9 @@ func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model
 		if err := f.Lineage.Check(ds.Graph, ds.Log); err != nil {
 			return fail(i, err)
 		}
+		if len(paths) > 1 && !f.Slice {
+			return fail(i, fmt.Errorf("is a full model, not a slice; cannot mix it with slices"))
+		}
 	}
 	first := files[0]
 	// The graph hash matched, so parameters learned on this graph cover
@@ -492,10 +499,12 @@ func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model
 	}
 	// Slices of one checkpoint agree on all of these; any difference means
 	// they were written from different models or checkpoints.
-	for i := 1; i < len(files); i++ {
-		f := files[i]
+	numUsers := first.Lineage.NumUsers
+	for i, f := range files[1:] {
 		var err error
 		switch ta, _ := f.Engine.CreditModel().(*core.TimeAwareCredit); {
+		case f.Lineage.NumUsers != numUsers:
+			err = fmt.Errorf("spans a %d-user universe, %s spans %d", f.Lineage.NumUsers, paths[0], numUsers)
 		case f.Lineage.NumActions != first.Lineage.NumActions:
 			err = fmt.Errorf("covers %d actions, %s covers %d", f.Lineage.NumActions, paths[0], first.Lineage.NumActions)
 		case storedOptions(f.Engine) != stored:
@@ -506,40 +515,49 @@ func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model
 			err = fmt.Errorf("stores a different seed prefix than %s; the slices come from different checkpoints", paths[0])
 		}
 		if err != nil {
-			return fail(i, err)
+			return fail(i+1, err)
 		}
 	}
+	slices.SortFunc(files, func(a, b *core.SnapshotFile) int {
+		return cmp.Or(cmp.Compare(a.RowLo, b.RowLo), cmp.Compare(a.RowHi, b.RowHi))
+	})
+	ranges := make([]partition.Range, len(files))
 	engines := make([]*core.Engine, len(files))
-	prefix, sketch := first.Prefix, first.Sketch
 	for i, f := range files {
-		engines[i] = f.Engine
-		if ds.Log.NumActions() > first.Lineage.NumActions {
-			var err error
-			if engines[i], err = f.Engine.AppendActions(ds.Graph, ds.Log, ActionID(first.Lineage.NumActions)); err != nil {
-				return fail(i, err)
-			}
-			// The stored seed prefix was selected over the files' log
-			// prefix; appended actions change every marginal gain, so it
-			// no longer describes this model. The RR sketch falls for the
-			// same reason: its walks sampled the old log's DAGs.
-			prefix, sketch = nil, nil
-		}
+		ranges[i], engines[i] = partition.Range{Lo: f.RowLo, Hi: f.RowHi}, f.Engine
 	}
-	parts, err := partition.Tile(engines)
-	if err != nil {
+	if err := partition.ValidateRanges(ranges, numUsers); err != nil {
 		return fail(-1, err)
 	}
-	// Each file decodes its own copy of the parameters; the model adopts
-	// the copy of the first partition, the one checkPlanner compares
-	// against, whatever order the paths came in.
-	m := newModel(ds, stored, parts[0].CreditModel())
+	eng := engines[0]
+	if len(engines) > 1 {
+		eng = core.JoinRows(engines)
+	}
+	prefix, sketch := first.Prefix, first.Sketch
+	if ds.Log.NumActions() > first.Lineage.NumActions {
+		var err error
+		if eng, err = eng.AppendActions(ds.Graph, ds.Log, ActionID(first.Lineage.NumActions)); err != nil {
+			return fail(-1, err)
+		}
+		ranges = partition.Extend(ranges, eng.NumNodes())
+		// The stored seed prefix was selected over the files' log prefix;
+		// appended actions change every marginal gain, so it no longer
+		// describes this model. The RR sketch falls for the same reason:
+		// its walks sampled the old log's DAGs.
+		prefix, sketch = nil, nil
+	}
+	m := newModel(ds, stored, eng.CreditModel())
 	m.prefix = prefix
 	m.fileActions = first.Lineage.NumActions
 	m.openTail = ds.Log.NumActions() - first.Lineage.NumActions
 	if err := m.restoreApprox(sketch); err != nil {
 		return fail(-1, err)
 	}
-	return m, parts, mapped, nil
+	if len(files) == 1 && mmap {
+		// The engine aliases the one mapped file: the model keeps it open.
+		m.file, mapped = files[0], nil
+	}
+	return m, eng, ranges, nil
 }
 
 // storedOptions returns the options a snapshot engine was saved with.

@@ -10,12 +10,12 @@ import (
 	"credist/internal/partition"
 )
 
-// PartitionRange is a half-open influencer-row range [Lo, Hi) owned by one
-// engine partition.
+// PartitionRange is a half-open influencer-row range [Lo, Hi): one
+// partition of a planner.
 type PartitionRange = partition.Range
 
 // PartitionStats is one partition's accounting row: its row range, live UC
-// entries, and the heap/mapped split of its resident bytes.
+// entries, and the heap/mapped split of its rows' resident bytes.
 type PartitionStats = partition.Stats
 
 // SlicePaths returns the canonical snapshot-slice file names for a model
@@ -35,57 +35,51 @@ func SlicePaths(modelPath string, n int) []string {
 // other; see Planner for what it answers and how.
 type PartitionedPlanner = Planner
 
-// Partition splits the planner's scanned engine into n contiguous
-// near-even row-range partitions sharing its shards (nothing is copied).
-// The planner must be one full engine without committed seeds: partitions
-// serve the scanned model, and their queries start from an empty seed
-// set. The receiver stays usable.
+// Partition returns the planner split into n contiguous near-even
+// row-range partitions of its engine: the same engine and answers, with
+// Ranges and Stats reporting per partition. Nothing is copied. The
+// planner must hold no committed seeds: partitions serve the scanned
+// model, and their queries start from an empty seed set. The receiver
+// stays usable.
 func (p *Planner) Partition(n int) (*Planner, error) {
 	if s := len(p.Seeds()); s > 0 {
 		return nil, fmt.Errorf("credist: cannot partition a planner with %d committed seeds", s)
 	}
-	eng := p.parts[0]
-	ranges := partition.SplitRanges(eng.NumNodes(), n)
-	parts := make([]*core.Engine, len(ranges))
-	for i, r := range ranges {
-		var err error
-		if parts[i], err = eng.Slice(r.Lo, r.Hi); err != nil {
-			return nil, err
-		}
-	}
-	return newPlanner(p.m, parts...), nil
+	return newPlanner(p.m, p.eng, partition.SplitRanges(p.eng.NumNodes(), n)), nil
 }
 
 // LoadPartitions restores a partitioned model from version-4
-// snapshot-slice files: each slice is loaded (memory-mapped when mmap is
-// set), lineage-checked against the dataset, and the set is validated to
-// tile the user universe exactly — overlapping or gapped row ranges are
-// rejected naming both offending ranges — and to come from one model: a
-// slice whose options or learned parameters differ from slice 0's is
-// refused. Like LoadModel, the dataset's log may extend past the slices'
-// recorded scan: each partition appends only its rows of the unscanned
-// tail, and any stored seed prefix is dropped. The returned model carries
-// the slices' learned parameters and stored options (pass the zero
-// Options to adopt them) but no scanned full engine — its lazy base would
-// be a fresh scan; serve queries through the planner instead.
-// Model.SaveOn with the returned planner merges the slices into one
-// whole-model file. Benchmark-pinned: credist-bench reopens the slices
-// LoadModelPartitioned writes.
+// snapshot-slice files, one partition per slice: each slice is opened
+// (memory-mapped when mmap is set) and lineage-checked against the
+// dataset, and the set must tile the user universe exactly — overlapping
+// or gapped row ranges are refused naming both offending ranges — and
+// come from one model: a slice whose options, learned parameters or seed
+// prefix differ from slice 0's is refused. The slices' rows are then
+// joined into one heap engine, so the files are closed before it
+// returns. Like LoadModel, the dataset's log may extend past the slices'
+// recorded scan: the unscanned tail is appended once, the trailing
+// partition takes the rows of users it registers, and any stored seed
+// prefix is dropped. The returned model carries the slices' learned
+// parameters and stored options (pass the zero Options to adopt them)
+// but no scanned engine of its own — its lazy base would be a fresh
+// scan; serve queries through the planner instead. Model.SaveOn with the
+// returned planner writes the one whole-model file. Benchmark-pinned:
+// credist-bench reopens the slices LoadModelPartitioned writes.
 func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *Planner, error) {
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("credist: no slice paths")
 	}
-	m, parts, files, err := openSnapshots(ds, paths, mmap, opts)
+	m, eng, ranges, err := openSnapshots(ds, paths, mmap, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := newPlanner(m, parts...)
-	p.files = files
+	p := newPlanner(m, eng, ranges)
+	p.file, m.file = m.file, nil
 	return m, p, nil
 }
 
 // LoadModelPartitioned opens the whole-model snapshot at modelPath once
-// (memory-mapped when mmap is set) and partitions it n ways in memory, as
+// (memory-mapped when mmap is set) and partitions its planner n ways, as
 // Planner.Partition does; the planner owns the mapping, so Close it, not
 // the model. Benchmark-pinned: when the canonical slice files (SlicePaths)
 // of the partition count are missing it writes them next to the model,
@@ -101,9 +95,7 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 		m.Close()
 		return nil, nil, nil, err
 	}
-	if m.file != nil {
-		pp.files, m.file = []*core.SnapshotFile{m.file}, nil
-	}
+	pp.file, m.file = m.file, nil
 	paths := SlicePaths(modelPath, pp.NumPartitions())
 	for _, p := range paths {
 		if _, err := os.Stat(p); err != nil {
@@ -118,23 +110,24 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 }
 
 // SaveSlices checkpoints the planner's partitions as version-4
-// snapshot-slice files, one per partition in partition order, each
-// written to a temp file and renamed into place. The planner must pass the
-// same check as WriteSnapshot's (this model's lineage, exactly the model's
-// log, no committed seeds); prefix, if non-nil, rides in every slice so a
-// restart from them resumes seed selection. Benchmark-pinned: only
+// snapshot-slice files, one per partition in partition order, each the
+// engine's rows of the partition's range, written to a temp file and
+// renamed into place. The planner must pass the same check as
+// WriteSnapshot's (this model's lineage, exactly the model's log, no
+// committed seeds); prefix, if non-nil, rides in every slice so a restart
+// from them resumes seed selection. Benchmark-pinned: only
 // LoadModelPartitioned's slices for credist-bench call it.
 func (p *Planner) SaveSlices(m *Model, prefix *SeedPrefix, paths []string) error {
-	if len(paths) != len(p.parts) {
-		return fmt.Errorf("credist: %d slice paths for %d partitions", len(paths), len(p.parts))
+	if len(paths) != len(p.ranges) {
+		return fmt.Errorf("credist: %d slice paths for %d partitions", len(paths), len(p.ranges))
 	}
 	if err := m.checkPlanner(p, "snapshot", true); err != nil {
 		return err
 	}
 	lin := core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
-	for i, eng := range p.parts {
+	for i, r := range p.ranges {
 		err := writeFileAtomic(paths[i], func(w io.Writer) error {
-			return eng.WriteSnapshot(w, lin, prefix, nil)
+			return p.eng.WriteSlice(w, lin, prefix, r.Lo, r.Hi)
 		})
 		if err != nil {
 			return fmt.Errorf("credist: write slice %s: %w", paths[i], err)
@@ -196,26 +189,22 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// NumPartitions returns how many engines the planner fans over: 1 for a
-// full engine.
-func (p *Planner) NumPartitions() int { return len(p.parts) }
+// NumPartitions returns how many row ranges the planner is split into: 1
+// for an unpartitioned planner.
+func (p *Planner) NumPartitions() int { return len(p.ranges) }
 
 // Ranges returns the per-partition row ranges in partition order.
-func (p *Planner) Ranges() []PartitionRange { return partition.Ranges(p.parts) }
+func (p *Planner) Ranges() []PartitionRange { return append([]PartitionRange(nil), p.ranges...) }
 
 // Stats returns per-partition accounting in partition order.
-func (p *Planner) Stats() []PartitionStats { return partition.StatsOf(p.parts) }
+func (p *Planner) Stats() []PartitionStats { return partition.StatsOf(p.eng, p.ranges) }
 
-// Close releases the file mappings LoadPartitions or LoadModelPartitioned
-// opened with mmap; a no-op otherwise. Call it only once no query, selection, clone or Extend
-// successor derived from this planner is in use.
+// Close releases the file mapping LoadModelPartitioned, or LoadPartitions
+// of one file, opened with mmap; a no-op otherwise. Call it
+// only once no query, selection, clone or Extend successor derived from
+// this planner is in use.
 func (p *Planner) Close() error {
-	var first error
-	for _, f := range p.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	p.files = nil
-	return first
+	err := p.file.Close()
+	p.file = nil
+	return err
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"credist/internal/actionlog"
+	"credist/internal/partition"
 )
 
 // TestPartitionedPlannerRefusedUnderOtherCreditRule: extending and
@@ -72,7 +74,8 @@ func TestPartitionedPlannerRefusedUnderOtherCreditRule(t *testing.T) {
 // checkpoint of the same model — prefix and RR sketch included — at
 // partitions {1, 2, 4, 7}, over a heap-read and a mapped open, fresh and
 // again after an ingest that registers new users (the trailing
-// partition's range widens). A partitioned planner cannot be split again.
+// partition's range widens). A partitioned planner splits again like the
+// planner it came from.
 func TestPartitionedCheckpointIsOneModelFile(t *testing.T) {
 	full := Generate(tinyConfig(32))
 	// The head log leaves the graph's last users unseen, so the ingested
@@ -156,8 +159,10 @@ func TestPartitionedCheckpointIsOneModelFile(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), wantGrown.Bytes()) {
 				t.Fatalf("%s: post-ingest partitioned checkpoint differs from one engine's", name)
 			}
-			if _, err := pp.Partition(2); err == nil || !strings.Contains(err.Error(), "partition engine") {
-				t.Errorf("%s: Partition of a partitioned planner = %v, want a refusal", name, err)
+			// A partition is a row range of the one engine, so a
+			// partitioned planner re-splits like the one it came from.
+			if again, err := pp.Partition(2); err != nil || !reflect.DeepEqual(again.Ranges(), partition.SplitRanges(pp.NumUsers(), 2)) {
+				t.Errorf("%s: Partition(2) of a partitioned planner: %v", name, err)
 			}
 		}
 		loaded.Close()

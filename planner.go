@@ -6,53 +6,61 @@ import (
 	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/par"
+	"credist/internal/partition"
 	"credist/internal/seedsel"
 )
 
 // Planner is the query object of a model: the model's immutable scanned
-// UC credit structure of Algorithm 2 plus a core.Probe holding the
-// committed seed set S. Every gain (Theorem 3), selection (Algorithm 3,
-// CELF) and explanation is answered here, from those two things alone,
-// and each has one implementation; an *Objective argument selects the
-// objective, nil meaning the default. The structure is one full engine,
-// or row-range engine partitions tiling the user universe (Partition,
-// LoadPartitions): the probe reads every row from the partition owning
-// it, and Theorem 3 prices a candidate from its own rows alone, so every
-// answer is bit-identical at any partition count. Only Add commits to
-// the receiver (Algorithm 5); every other query leaves it unchanged
-// (working on a clone of its probe where it commits seeds), so many
-// goroutines may query one planner at once while none calls Add. Planners
-// over one model share its engines, so NewPlanner and Clone cost a small
-// copy of the commit records, never a rescan or a shard copy; this is how
-// a serving layer keeps one planner per model snapshot.
+// UC credit structure of Algorithm 2 — one engine — plus a core.Probe
+// holding the committed seed set S. Every gain (Theorem 3), selection
+// (Algorithm 3, CELF) and explanation is answered here, from those two
+// things alone, and each has one implementation; an *Objective argument
+// selects the objective, nil meaning the default. A partitioned planner
+// (Partition, LoadPartitions) is the same engine plus the row ranges
+// that tile its user universe: Theorem 3 prices a candidate from its own
+// rows and the global normalizers, so the ranges are bookkeeping for
+// per-partition accounting (Stats) and every answer is the one engine's
+// at any partition count. Only Add commits to the receiver (Algorithm
+// 5); every other query leaves it unchanged (working on a clone of its
+// probe where it commits seeds), so many goroutines may query one
+// planner at once while none calls Add. Planners over one model share
+// its engine, so NewPlanner and Clone cost a small copy of the commit
+// records, never a rescan or a shard copy; this is how a serving layer
+// keeps one planner per model snapshot.
 type Planner struct {
 	// m is the model the planner answers for: it supplies the objective
 	// context (universe size and delay index).
-	m *Model
-	// parts is one full engine, or partitions sorted by row range.
-	parts []*core.Engine
-	probe *core.Probe
-	// files holds the snapshot files LoadPartitions or
-	// LoadModelPartitioned mapped (nil otherwise); Close releases them.
-	// Clones and Extend successors read the mappings but do not own them.
-	files []*core.SnapshotFile
+	m   *Model
+	eng *core.Engine
+	// ranges tiles the engine's universe in ascending order: one range
+	// for an unpartitioned planner.
+	ranges []partition.Range
+	probe  *core.Probe
+	// file is the snapshot LoadModelPartitioned, or LoadPartitions of one
+	// file, mapped (nil otherwise); Close releases it. Clones and Extend successors
+	// read the mapping but do not own it.
+	file *core.SnapshotFile
 }
 
-// newPlanner returns a planner for m with an empty seed set over parts,
-// which must tile the universe (one full engine, or partition.Tile's
-// output).
-func newPlanner(m *Model, parts ...*core.Engine) *Planner {
-	return &Planner{m: m, parts: parts, probe: core.NewProbe(parts...)}
+// newPlanner returns a planner for m with an empty seed set over eng,
+// split into ranges, which must tile eng's universe (nil is one range).
+func newPlanner(m *Model, eng *core.Engine, ranges []partition.Range) *Planner {
+	if ranges == nil {
+		ranges = partition.SplitRanges(eng.NumNodes(), 1)
+	}
+	return &Planner{m: m, eng: eng, ranges: ranges, probe: core.NewProbe(eng)}
 }
 
 // Clone returns an independent copy: Add on the clone never disturbs the
 // receiver, and the clone's results are bit-identical to those of a
 // freshly scanned planner driven through the same calls. It copies the
-// commit records and shares the engines.
-func (p *Planner) Clone() *Planner { return &Planner{m: p.m, parts: p.parts, probe: p.probe.Clone()} }
+// commit records and shares the engine.
+func (p *Planner) Clone() *Planner {
+	return &Planner{m: p.m, eng: p.eng, ranges: p.ranges, probe: p.probe.Clone()}
+}
 
-// workers is the engines' worker knob, which query fan-out and CELF reuse.
-func (p *Planner) workers() int { return p.parts[0].Workers() }
+// workers is the engine's worker knob, which query fan-out and CELF reuse.
+func (p *Planner) workers() int { return p.eng.Workers() }
 
 // Gain returns the marginal gain sigma_cd(S+x) - sigma_cd(S) of candidate x
 // against the committed seed set (Theorem 3). Read-only. An x outside
@@ -69,8 +77,8 @@ func (p *Planner) Seeds() []NodeID { return p.probe.Seeds() }
 // Spread is SpreadObj under the default objective.
 func (p *Planner) Spread(seeds []NodeID) (float64, error) { return p.SpreadObj(seeds, nil) }
 
-// SpreadObj computes sigma_obj(S | R) from the planner's engines without
-// writing them: the objective's blocked rivals R are committed to a clone
+// SpreadObj computes sigma_obj(S | R) from the planner's engine without
+// writing it: the objective's blocked rivals R are committed to a clone
 // of the planner's probe without counting their gains, then each seed's
 // exact objective gain is summed as it is committed in input order — the
 // telescoped sum that CELF's own Result.Spread() uses, marginal over any
@@ -108,8 +116,8 @@ func (p *Planner) Gains(base, candidates []NodeID) ([]float64, error) {
 // planner's committed seeds plus the base seed set, with the objective's
 // blocked rivals committed first so every gain is marginal over the rival
 // set too. The seeds are committed to a clone of the planner's probe, so
-// the receiver is not changed, and the candidates fan over the engines'
-// workers, each priced from its row's owner. GainsObj(base, cs, o)[i] is
+// the receiver is not changed, and the candidates fan over the engine's
+// workers. GainsObj(base, cs, o)[i] is
 // bit-for-bit the Gain a clone returns for cs[i] after Add-ing the rivals
 // and base seeds in order, at any partition or worker count. Costs and
 // budget are rejected here.
@@ -147,7 +155,7 @@ func (p *Planner) GainsObj(base, candidates []NodeID, o *Objective) ([]float64, 
 // best-affordable-singleton fallback (the (1-1/sqrt(e))-approximate
 // rule). The run commits to a clone of the planner's probe, so the
 // receiver is not changed. The first-iteration gain pass and stale-bound
-// refreshes fan over the engines' workers, with bit-identical seeds and
+// refreshes fan over the engine's workers, with bit-identical seeds and
 // gains at any worker or partition count.
 func (p *Planner) Select(k int, o *Objective) (seedsel.Result, error) {
 	cobj, err := p.m.coreObjective(o, true)
@@ -168,9 +176,8 @@ func (p *Planner) Select(k int, o *Objective) (seedsel.Result, error) {
 // ExplainSeed decomposes candidate x's marginal gain against the
 // committed seeds into its top credit paths. Committed seeds discount and
 // zero out paths exactly as they discount Gain, so the explained value is
-// bit-for-bit Gain(x), and a committed seed explains as 0. x's rows are
-// read from the engine owning them, so the answer is the same at any
-// partition count.
+// bit-for-bit Gain(x), and a committed seed explains as 0. The answer is
+// the same at any partition count.
 func (p *Planner) ExplainSeed(x NodeID, top int) (SeedExplanation, error) {
 	if err := checkIDs("candidate", []NodeID{x}, p.NumUsers()); err != nil {
 		return SeedExplanation{}, err
@@ -181,9 +188,9 @@ func (p *Planner) ExplainSeed(x NodeID, top int) (SeedExplanation, error) {
 // ExplainReach decomposes the credit the given seeds push onto target v:
 // per-seed shares in input order whose fixed-order fold is bit-exactly
 // the returned Total, plus the top contributing (seed, action) paths.
-// Every seed's rows are read through the planner's probe, from the seed's
-// owning partition, so the answer is the same at any partition count. A
-// committed seed's row contributes nothing, and a committed target
+// Every seed's rows are read through the planner's probe, so the answer
+// is the same at any partition count. A committed seed's row contributes
+// nothing, and a committed target
 // receives no credit. A seed listed twice is refused: its credit would
 // count twice.
 func (p *Planner) ExplainReach(seeds []NodeID, v NodeID, top int) (ReachExplanation, error) {
@@ -273,19 +280,9 @@ func (s *GrowableSelection) Exhausted() bool { return s.sel.Exhausted() }
 // it is read-only by contract.
 func (s *GrowableSelection) Planner() *Planner { return s.p }
 
-// sum adds f over the engines.
-func (p *Planner) sum(f func(*core.Engine) int64) int64 {
-	var total int64
-	for _, e := range p.parts {
-		total += f(e)
-	}
-	return total
-}
-
 // Entries returns the number of live UC credit entries, the paper's memory
-// statistic (Figure 8, Table 4). Every cell lives in exactly one
-// partition, so the count is the same at any partition count.
-func (p *Planner) Entries() int64 { return p.sum((*core.Engine).Entries) }
+// statistic (Figure 8, Table 4); the same at any partition count.
+func (p *Planner) Entries() int64 { return p.eng.Entries() }
 
 // ResidentBytes reports the UC structure's total footprint: HeapBytes
 // plus MappedBytes.
@@ -293,34 +290,27 @@ func (p *Planner) ResidentBytes() int64 { return p.HeapBytes() + p.MappedBytes()
 
 // HeapBytes reports the Go-heap slice footprint of the UC structure;
 // shards served from a mapped snapshot contribute nothing.
-func (p *Planner) HeapBytes() int64 { return p.sum((*core.Engine).HeapBytes) }
+func (p *Planner) HeapBytes() int64 { return p.eng.HeapBytes() }
 
 // MappedBytes reports the file-backed footprint: bytes of mapped snapshot
 // files this planner's shards alias (zero for heap-loaded models).
 // Commits never change it.
-func (p *Planner) MappedBytes() int64 { return p.sum((*core.Engine).MappedBytes) }
+func (p *Planner) MappedBytes() int64 { return p.eng.MappedBytes() }
 
 // RowStoreBackend reports how the planner's shards are served: "mmap"
 // while any shard aliases a mapped snapshot, "heap" otherwise.
-func (p *Planner) RowStoreBackend() string {
-	for _, e := range p.parts {
-		if e.RowStoreBackend() == "mmap" {
-			return "mmap"
-		}
-	}
-	return "heap"
-}
+func (p *Planner) RowStoreBackend() string { return p.eng.RowStoreBackend() }
 
 // NumUsers returns the user-universe size.
-func (p *Planner) NumUsers() int { return p.parts[0].NumNodes() }
+func (p *Planner) NumUsers() int { return p.eng.NumNodes() }
 
 // NumActions returns how many actions the planner has scanned.
-func (p *Planner) NumActions() int { return p.parts[0].NumActions() }
+func (p *Planner) NumActions() int { return p.eng.NumActions() }
 
 // Extend derives the successor planner for m, this planner's model after
 // an Ingest; it is m.ExtendPlanner(p).
 func (p *Planner) Extend(m *Model) (*Planner, error) { return m.ExtendPlanner(p) }
 
-// Freeze does nothing. Engines are immutable, so there is nothing left to
+// Freeze does nothing. The engine is immutable, so there is nothing left to
 // freeze; it remains so existing callers keep compiling.
 func (p *Planner) Freeze() {}

@@ -199,7 +199,7 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 	var forced atomic.Bool
 	grown.base = func() *core.Engine {
 		forced.Store(true)
-		return planner.parts[0]
+		return planner.eng
 	}
 
 	params := filepath.Join(t.TempDir(), "params.txt")
