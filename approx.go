@@ -10,66 +10,61 @@ import (
 	"credist/internal/ris"
 )
 
-// Approximate serving tier: bounded-error, bounded-latency spread answers
-// from a shared RR-sample collection of reverse credit walks.
+// Approximate serving tier: bounded-error, bounded-latency answers from a
+// shared RR-sample collection of reverse credit walks.
 //
 // The tier trades the exact evaluator's full credit-DAG walk per query for
 // membership counting over pre-drawn samples, and reports an honest
 // Wilson confidence interval around the exact sigma_cd value (the walks
-// are exactly unbiased for it; see core.CreditWalkSource). Samples are
-// drawn once and shared: a query with a tight eps grows the collection,
-// and every later query answers from the grown pool for free. Growth is
-// striped and per-stream deterministic, so the answer to any query is
-// bit-identical regardless of worker count, growth history, or whether
-// the collection was restored from a version-5 snapshot or drawn live.
+// are exactly unbiased for it; see core.CreditWalkSource). A spread query
+// never draws: the pool as it stands answers it, or the exact evaluator
+// does. Only coverage seed selection and BuildApproxSketch grow the pool.
+// Growth is striped and per-stream deterministic, so a pool of a given
+// size is bit-identical regardless of worker count, growth history, or
+// whether it was restored from a version-5 snapshot or drawn live.
 
 const (
 	// defaultApproxSeed is the PCG seed the tier samples with when none
 	// was restored from a snapshot. Fixed so two processes serving the
 	// same model return bit-identical approximate answers.
 	defaultApproxSeed = 0x5eed
-	// initialApproxSamples is the collection size the first approximate
-	// query starts from before any eps-driven doubling.
+	// initialApproxSamples is the collection size the first seed
+	// selection starts from before any eps-driven doubling.
 	initialApproxSamples = 4 * ris.DefaultStripe
 	// DefaultMaxApproxSamples caps adaptive growth when ApproxOptions
 	// leaves MaxSamples zero; it matches the RecommendedSamples clamp.
 	DefaultMaxApproxSamples = 500000
-	// zeroHitStopSamples stops eps-driven growth for a seed set no sample
-	// hits: its relative half-width is undefined (+Inf) at any pool size,
-	// so past this many samples the tier reports the absolute interval
-	// [0, small] instead of growing to the cap chasing an unreachable eps.
-	zeroHitStopSamples = 16 * ris.DefaultStripe
 )
 
 // ApproxOptions bounds one approximate query. Zero values mean: Eps 0.1,
-// no wall-clock budget, DefaultMaxApproxSamples. Eps and Budget may be
-// combined; the query stops at whichever bound binds first and reports
-// the precision it actually achieved. Sampling fans over GOMAXPROCS
-// workers, with bit-identical answers at any count.
+// no wall-clock budget, DefaultMaxApproxSamples. Seed selection grows the
+// pool until whichever bound binds first and reports the precision it
+// achieved; sampling fans over GOMAXPROCS workers, bit-identical at any
+// count. A spread query never grows it.
 type ApproxOptions struct {
-	// Eps is the target relative half-width of the confidence interval:
-	// the query grows the sample pool until
-	// (CIHigh-CILow)/(2*Estimate) <= Eps or another bound binds.
+	// Eps is the target relative half-width of the confidence interval,
+	// (CIHigh-CILow)/(2*Estimate).
 	Eps float64
-	// Budget caps the query's wall-clock time. Growth stops once spent;
-	// the reply still carries a valid (wider) interval.
+	// Budget caps seed selection's growth time; the reply still carries a
+	// valid (wider) interval.
 	Budget time.Duration
-	// MaxSamples caps the collection size this query may grow to.
+	// MaxSamples caps the pool; a spread query answers from a pool this
+	// large at any Eps.
 	MaxSamples int
 }
 
 // ApproxResult is one bounded-error answer from the approximate tier.
 type ApproxResult struct {
 	// Estimate is the RR estimate of sigma_cd, with [CILow, CIHigh] its
-	// 99% Wilson confidence interval around the exact value.
+	// 99% Wilson confidence interval around the exact value. An exact
+	// answer sets all three to sigma_cd.
 	Estimate, CILow, CIHigh float64
-	// AchievedEps is the realized relative half-width; +Inf when the
-	// estimate is zero. At most Eps when the eps bound is what stopped
-	// growth.
+	// AchievedEps is the realized relative half-width: 0 when exact, +Inf
+	// for a pool estimate of zero, above Eps only when a bound stopped it.
 	AchievedEps float64
-	// Samples is the collection size the answer was computed from; Grown
-	// is how many of those were drawn during this call (0 when the pool —
-	// possibly snapshot-restored — was already sufficient).
+	// Samples is the collection size the answer was computed from (0 when
+	// exact); Grown is how many of those seed selection drew during this
+	// call (0 when the pool, possibly snapshot-restored, sufficed).
 	Samples, Grown int
 	// Elapsed is the query's wall-clock time.
 	Elapsed time.Duration
@@ -77,16 +72,16 @@ type ApproxResult struct {
 
 // ApproxStats describes the tier's current sample pool for /stats.
 type ApproxStats struct {
-	// Samples and Bytes size the current collection (0 before the first
-	// approximate query on a model with no restored sketch).
+	// Samples and Bytes size the current collection (0 until a sketch is
+	// restored or a seed selection or BuildApproxSketch draws one).
 	Samples int
 	Bytes   int64
 	// Sampled counts samples drawn by this process; a snapshot-restored
-	// pool answers with Sampled 0 until a query outgrows it.
+	// pool answers with Sampled 0 until a seed selection outgrows it.
 	Sampled int64
 }
 
-// approxTier is the per-model state behind ApproxSpread/ApproxSeeds.
+// approxTier is the per-model pool ApproxSpread reads and ApproxSeeds grows.
 type approxTier struct {
 	mu sync.Mutex // serializes growth and the walk source's construction
 	// coll is the published collection: readers load it atomically and
@@ -147,9 +142,9 @@ func (m *Model) growApprox(count int) (*ris.Collection, error) {
 }
 
 // ApproxSpreadFixed answers a spread query from the tier's existing pool
-// alone: ApproxSpread capped at the pool's size, so it never draws a
-// sample or builds the credit-walk source. ok is false when the tier
-// holds no samples at all (the caller decides how to fail).
+// alone: ApproxSpread capped at the pool's size, so it never falls back to
+// the exact evaluator. ok is false when the tier holds no samples at all
+// (the caller decides how to fail).
 func (m *Model) ApproxSpreadFixed(seeds []NodeID) (ApproxResult, bool, error) {
 	if err := checkIDs("seed", seeds, m.ds.Graph.NumNodes()); err != nil {
 		return ApproxResult{}, false, err
@@ -172,74 +167,62 @@ func (o ApproxOptions) resolved() ApproxOptions {
 	return o
 }
 
-// ApproxSpread answers a spread query from the RR-sample tier: an
-// unbiased estimate of sigma_cd(seeds) with a 99% Wilson confidence
-// interval, growing the shared sample pool (doubling, reusing every
-// already-drawn stripe) until the interval's relative half-width reaches
-// opts.Eps or the time/sample budget is spent. It is safe for concurrent
-// use and deterministic: the same model state and seed set yield the same
-// answer at any worker count.
+func approxResult(est ris.Estimate, grown int, start time.Time) ApproxResult {
+	return ApproxResult{
+		Estimate:    est.Spread,
+		CILow:       est.Low,
+		CIHigh:      est.High,
+		AchievedEps: est.Eps,
+		Samples:     est.Samples,
+		Grown:       grown,
+		Elapsed:     time.Since(start),
+	}
+}
+
+// ApproxSpread answers a spread query within opts.Eps without drawing a
+// sample: from the pool as it stands when that meets opts.Eps or holds
+// opts.MaxSamples, else as Spread's exact value, bit for bit, with a
+// zero-width interval and AchievedEps and Samples 0 (cheaper than growing
+// the pool). The branch depends only on the model, its pool and the seed
+// set, never on earlier queries. It is safe for concurrent use.
 func (m *Model) ApproxSpread(seeds []NodeID, opts ApproxOptions) (ApproxResult, error) {
+	start := time.Now()
 	if err := checkIDs("seed", seeds, m.ds.Graph.NumNodes()); err != nil {
 		return ApproxResult{}, err
 	}
-	_, res, err := m.approxQuery(opts, func(*ris.Collection) []NodeID { return seeds })
-	return res, err
+	opts = opts.resolved()
+	if c := m.approx.coll.Load(); c != nil {
+		if est := c.Estimate(seeds); est.Eps <= opts.Eps || c.NumSets() >= opts.MaxSamples {
+			return approxResult(est, 0, start), nil
+		}
+	}
+	exact := m.Spread(seeds)
+	return ApproxResult{Estimate: exact, CILow: exact, CIHigh: exact, Elapsed: time.Since(start)}, nil
 }
 
 // ApproxSeeds runs greedy maximum-coverage seed selection over the
 // RR-sample tier: the returned seeds maximize sample coverage, and the
-// result's interval describes the selected set's spread. The pool grows
-// (within the same bounds as ApproxSpread) until the selected set's
-// interval meets opts.Eps, re-selecting on each growth step since more
-// samples can change the greedy choice.
+// result's interval describes the selected set's spread. The pool doubles
+// until the selected set's interval meets opts.Eps or another bound binds,
+// re-selecting on each step since more samples can change the greedy
+// choice. Every sample holds its root, so k >= 1 seeds always hit.
 func (m *Model) ApproxSeeds(k int, opts ApproxOptions) ([]NodeID, ApproxResult, error) {
-	return m.approxQuery(opts, func(c *ris.Collection) []NodeID {
-		seeds, _ := c.SelectSeeds(k)
-		return seeds
-	})
-}
-
-// approxQuery is the one bounded growth loop behind ApproxSpread and
-// ApproxSeeds: pick chooses the seed set from the current pool, and the
-// pool doubles until the set's interval meets opts.Eps or a sample, time
-// or zero-hit bound binds first. A pool already at opts.MaxSamples answers
-// at once, drawing nothing.
-func (m *Model) approxQuery(opts ApproxOptions, pick func(*ris.Collection) []NodeID) ([]NodeID, ApproxResult, error) {
-	start := time.Now()
-	opts = opts.resolved()
-	c := m.approx.coll.Load()
-	grown := 0
-	if c == nil {
-		var err error
-		if c, err = m.growApprox(min(initialApproxSamples, opts.MaxSamples)); err != nil {
-			return nil, ApproxResult{}, err
-		}
-		grown = c.NumSets()
+	if k < 1 {
+		return nil, ApproxResult{}, fmt.Errorf("credist: k must be at least 1, got %d", k)
 	}
-	for {
-		seeds := pick(c)
-		est := c.Estimate(seeds)
-		if est.Eps <= opts.Eps ||
-			(est.Hits == 0 && c.NumSets() >= zeroHitStopSamples) ||
-			c.NumSets() >= opts.MaxSamples ||
-			(opts.Budget > 0 && time.Since(start) >= opts.Budget) {
-			return seeds, ApproxResult{
-				Estimate:    est.Spread,
-				CILow:       est.Low,
-				CIHigh:      est.High,
-				AchievedEps: est.Eps,
-				Samples:     est.Samples,
-				Grown:       grown,
-				Elapsed:     time.Since(start),
-			}, nil
-		}
-		next, err := m.growApprox(min(2*c.NumSets(), opts.MaxSamples))
-		if err != nil {
+	start, opts, had := time.Now(), opts.resolved(), m.ApproxStats().Samples
+	var c *ris.Collection
+	for size := min(initialApproxSamples, opts.MaxSamples); ; size = min(2*c.NumSets(), opts.MaxSamples) {
+		var err error
+		if c, err = m.growApprox(size); err != nil {
 			return nil, ApproxResult{}, err
 		}
-		grown += next.NumSets() - c.NumSets()
-		c = next
+		seeds, _ := c.SelectSeeds(k)
+		est := c.Estimate(seeds)
+		if est.Eps <= opts.Eps || c.NumSets() >= opts.MaxSamples ||
+			(opts.Budget > 0 && time.Since(start) >= opts.Budget) {
+			return seeds, approxResult(est, c.NumSets()-had, start), nil
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package credist
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -19,43 +20,68 @@ func approxFields(r ApproxResult) ApproxResult {
 }
 
 // TestApproxWithinEps is the accuracy wall for the approximate tier: on
-// the flixster-small preset, the reported confidence interval must
-// contain the exact evaluator's spread for several seed sets, and an
-// eps-bound query must achieve its target.
+// the flixster-small preset, every reported confidence interval must
+// contain the exact evaluator's spread and meet its eps target, whether
+// the answer came from a warm pool, from the exact fallback, or from
+// seed selection's eps-driven growth.
 func TestApproxWithinEps(t *testing.T) {
 	ds, err := GeneratePreset("flixster-small")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Learn(ds, Options{Lambda: 0.001})
+	if err := m.BuildApproxSketch(16384); err != nil {
+		t.Fatal(err)
+	}
 	celfSeeds, _ := selectSeeds(m, 5)
+	fromPool := 0
+	check := func(what string, seeds []NodeID, res ApproxResult) {
+		t.Helper()
+		exact := m.Spread(seeds)
+		if res.CILow > exact || exact > res.CIHigh {
+			t.Fatalf("%s %v: exact spread %g outside reported interval [%g, %g] (estimate %g, %d samples)",
+				what, seeds, exact, res.CILow, res.CIHigh, res.Estimate, res.Samples)
+		}
+		if res.AchievedEps > 0.1 && res.Samples < DefaultMaxApproxSamples {
+			t.Fatalf("%s %v: achieved eps %g over target with budget left (%d samples)",
+				what, seeds, res.AchievedEps, res.Samples)
+		}
+		if res.Estimate < res.CILow || res.Estimate > res.CIHigh {
+			t.Fatalf("%s %v: malformed result %+v", what, seeds, res)
+		}
+	}
 	for _, seeds := range [][]NodeID{
 		celfSeeds,
 		{0, 1, 2, 3},
 		{10, 50, 100, 200, 400},
 	} {
-		exact := m.Spread(seeds)
 		res, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.1})
 		if err != nil {
 			t.Fatalf("ApproxSpread(%v): %v", seeds, err)
 		}
-		if res.CILow > exact || exact > res.CIHigh {
-			t.Fatalf("seeds %v: exact spread %g outside reported interval [%g, %g] (estimate %g, %d samples)",
-				seeds, exact, res.CILow, res.CIHigh, res.Estimate, res.Samples)
-		}
-		if res.AchievedEps > 0.1 && res.Samples < DefaultMaxApproxSamples {
-			t.Fatalf("seeds %v: achieved eps %g over target with budget left (%d samples)",
-				seeds, res.AchievedEps, res.Samples)
-		}
-		if res.Estimate < res.CILow || res.Estimate > res.CIHigh || res.Samples <= 0 {
-			t.Fatalf("seeds %v: malformed result %+v", seeds, res)
+		check("spread", seeds, res)
+		if res.Samples > 0 {
+			fromPool++
 		}
 	}
+	if fromPool == 0 || fromPool == 3 {
+		t.Fatalf("%d of 3 spread queries answered from the pool; the sets must exercise both branches", fromPool)
+	}
+	picked, res, err := Learn(ds, Options{Lambda: 0.001}).ApproxSeeds(5, ApproxOptions{Eps: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Samples <= 0 || res.Grown != res.Samples {
+		t.Fatalf("seed selection on an empty pool: %+v", res)
+	}
+	check("seeds", picked, res)
 }
 
 // TestApproxDeterministicAcrossWorkers pins the serving guarantee that
 // approximate answers are bit-identical at any sampling worker count:
-// sampling fans over GOMAXPROCS workers, so the test varies it.
+// sampling fans over GOMAXPROCS workers, so the test varies it. The
+// spread answer reads a pool BuildApproxSketch drew; the seed selection
+// grows its own.
 func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 	ds := Generate(tinyConfig(11))
 	seeds := []NodeID{1, 5, 9}
@@ -68,7 +94,10 @@ func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 	for i, procs := range []int{1, 4, 13} {
 		prev := runtime.GOMAXPROCS(procs)
 		m := Learn(ds, Options{Lambda: 0.001})
-		res, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.05})
+		if err := m.BuildApproxSketch(3000); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.05, MaxSamples: 3000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,13 +118,14 @@ func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestApproxBudget pins the bounded-latency contract: a budgeted query
-// returns promptly with a valid (possibly wide) interval instead of
-// growing to the eps target.
+// TestApproxBudget pins the bounded-latency contract: a budgeted seed
+// selection returns promptly with a valid (possibly wide) interval
+// instead of growing to the eps target, and a query no sample can answer
+// (an empty spread set, k < 1) never grows the pool chasing +Inf eps.
 func TestApproxBudget(t *testing.T) {
 	ds := Generate(tinyConfig(12))
 	m := Learn(ds, Options{Lambda: 0.001})
-	res, err := m.ApproxSpread([]NodeID{2, 3}, ApproxOptions{Eps: 1e-9, Budget: 5 * time.Millisecond})
+	_, res, err := m.ApproxSeeds(2, ApproxOptions{Eps: 1e-9, Budget: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +136,19 @@ func TestApproxBudget(t *testing.T) {
 		t.Fatalf("budgeted query grew past the cap: %d samples", res.Samples)
 	}
 
-	// A zero-hit seed set must not grow to the cap chasing +Inf eps.
-	none, err := Learn(ds, Options{Lambda: 0.001}).ApproxSpread(nil, ApproxOptions{Eps: 0.01})
+	fresh := Learn(ds, Options{Lambda: 0.001})
+	none, err := fresh.ApproxSpread(nil, ApproxOptions{Eps: 0.01, Budget: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if none.Estimate != 0 || !math.IsInf(none.AchievedEps, 1) {
-		t.Fatalf("empty-set result %+v", none)
+	if none != (ApproxResult{Elapsed: none.Elapsed}) {
+		t.Fatalf("empty-set result %+v, want the exact zero", none)
 	}
-	if none.Samples > zeroHitStopSamples {
-		t.Fatalf("zero-hit query grew to %d samples", none.Samples)
+	if _, _, err := fresh.ApproxSeeds(0, ApproxOptions{Eps: 0.01}); err == nil {
+		t.Fatal("ApproxSeeds(0) accepted")
+	}
+	if st := fresh.ApproxStats(); st.Samples != 0 || st.Sampled != 0 {
+		t.Fatalf("zero-hit queries drew samples: %+v", st)
 	}
 }
 
@@ -169,16 +202,25 @@ func TestApproxSnapshotRestart(t *testing.T) {
 		}
 		// Growth past the restored pool continues the same streams: it
 		// must match a continuously grown collection bit for bit.
-		grown, err := back.ApproxSpread(seeds, ApproxOptions{Eps: 1e-9, MaxSamples: 2 * pool})
+		fresh := Learn(ds, Options{Lambda: 0.001})
+		for _, m := range []*Model{back, fresh} {
+			if err := m.BuildApproxSketch(2 * pool); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := back.ApproxStats(); st.Samples != 2*pool || st.Sampled != pool {
+			t.Fatalf("%s: growth after restore: stats %+v", name, st)
+		}
+		wideOpts := ApproxOptions{Eps: 1e-9, MaxSamples: 2 * pool}
+		grown, err := back.ApproxSpread(seeds, wideOpts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fresh := Learn(ds, Options{Lambda: 0.001})
-		cont, err := fresh.ApproxSpread(seeds, ApproxOptions{Eps: 1e-9, MaxSamples: 2 * pool})
+		cont, err := fresh.ApproxSpread(seeds, wideOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if approxFields(grown) != approxFields(func() ApproxResult { cont.Grown = grown.Grown; return cont }()) {
+		if grown.Samples != 2*pool || approxFields(grown) != approxFields(cont) {
 			t.Fatalf("%s: growth after restore %+v diverges from continuous %+v", name, grown, cont)
 		}
 	}
@@ -225,7 +267,8 @@ func TestApproxSketchDroppedOnTailAppend(t *testing.T) {
 
 // TestApproxStatsDuringRestoredGrowth polls ApproxStats from another
 // goroutine while the first query on a sketch-restored model grows the
-// pool past the sketch (run under -race). Every poll must see a
+// pool past the sketch (run under -race); seed selection is the query
+// that grows it. Every poll must see a
 // consistent pool: the restored size or a grown one, with Bytes exactly
 // what that pool reports, so approx_bytes never jumps between formulas.
 func TestApproxStatsDuringRestoredGrowth(t *testing.T) {
@@ -268,7 +311,7 @@ func TestApproxStatsDuringRestoredGrowth(t *testing.T) {
 				}
 			}
 		}()
-		res, err := back.ApproxSpread([]NodeID{1, 2}, ApproxOptions{Eps: 1e-9, MaxSamples: 8 * pool})
+		_, res, err := back.ApproxSeeds(2, ApproxOptions{Eps: 1e-9, MaxSamples: 8 * pool})
 		close(done)
 		if err != nil {
 			t.Fatal(err)
@@ -342,31 +385,168 @@ func TestApproxFixedPoolBuildsNoSource(t *testing.T) {
 	}
 }
 
-// TestApproxConcurrentFirstDraws races queries on a model with no pool,
-// so the walk source's construction and the pool's growth are contended
-// (run under -race): every query answers with a valid interval, and the
-// pool's stats count each sample drawn exactly once.
+// TestApproxConcurrentFirstDraws races the growing queries on a model
+// with no pool, so the walk source's construction and the pool's growth
+// are contended, while spread queries read whatever pool is published
+// (run under -race): every query answers with a valid interval around
+// the exact spread, and the pool's stats count each sample drawn exactly
+// once.
 func TestApproxConcurrentFirstDraws(t *testing.T) {
 	m := Learn(Generate(tinyConfig(17)), Options{Lambda: 0.001})
 	var wg sync.WaitGroup
 	for i, eps := range []float64{0.3, 0.1, 0.05, 0.02} {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			var res ApproxResult
 			var err error
 			if i%2 == 0 {
-				res, err = m.ApproxSpread([]NodeID{NodeID(i), NodeID(i + 3)}, ApproxOptions{Eps: eps})
+				err = m.BuildApproxSketch(1024 * (i + 1))
 			} else {
+				var res ApproxResult
 				_, res, err = m.ApproxSeeds(3, ApproxOptions{Eps: eps})
+				if res.Samples <= 0 || res.CILow > res.Estimate || res.Estimate > res.CIHigh {
+					t.Errorf("eps=%g: %+v", eps, res)
+				}
 			}
-			if err != nil || res.Samples <= 0 || res.CILow > res.Estimate || res.Estimate > res.CIHigh {
-				t.Errorf("eps=%g: %+v, %v", eps, res, err)
+			if err != nil {
+				t.Errorf("eps=%g: %v", eps, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			seeds := []NodeID{NodeID(i), NodeID(i + 3)}
+			res, err := m.ApproxSpread(seeds, ApproxOptions{Eps: eps})
+			if exact := m.Spread(seeds); err != nil || res.Grown != 0 || res.CILow > exact || exact > res.CIHigh {
+				t.Errorf("spread eps=%g: %+v, %v", eps, res, err)
 			}
 		}()
 	}
 	wg.Wait()
 	if st := m.ApproxStats(); st.Samples == 0 || st.Sampled != int64(st.Samples) {
 		t.Fatalf("stats %+v: want every pooled sample counted as drawn once", st)
+	}
+}
+
+// TestApproxSpreadExactFallback pins the spread query's exact branch: on
+// a model with no pool, with a pool too small for eps, and on an ingest
+// successor, the answer is m.Spread's value bit for bit as a zero-width
+// interval with AchievedEps and Samples 0, and nothing is drawn: no
+// sample, no credit-walk source.
+func TestApproxSpreadExactFallback(t *testing.T) {
+	ds := Generate(tinyConfig(18))
+	head := &Dataset{Name: ds.Name, Graph: ds.Graph, Log: ds.Log.Prefix(ds.Log.NumActions() - 20)}
+	bare := Learn(head, Options{Lambda: 0.001})
+	small := Learn(head, Options{Lambda: 0.001})
+	if err := small.BuildApproxSketch(256); err != nil {
+		t.Fatal(err)
+	}
+	var tail []Tuple
+	for a := head.Log.NumActions(); a < ds.Log.NumActions(); a++ {
+		for _, p := range ds.Log.Action(ActionID(a)) {
+			tail = append(tail, Tuple{User: p.User, Action: ActionID(a), Time: p.Time})
+		}
+	}
+	ingested, err := small.Ingest(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []NodeID{4, 9, 33}
+	for name, m := range map[string]*Model{"no pool": bare, "small pool": small, "ingested": ingested} {
+		before, hadSource := m.ApproxStats(), m.approx.src != nil
+		res, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.01})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		exact := m.Spread(seeds)
+		if math.Float64bits(res.Estimate) != math.Float64bits(exact) || res.CILow != exact || res.CIHigh != exact ||
+			res.AchievedEps != 0 || res.Samples != 0 || res.Grown != 0 {
+			t.Fatalf("%s: exact fallback %+v, want the zero-width interval at %v", name, res, exact)
+		}
+		if st := m.ApproxStats(); st != before || (m.approx.src != nil) != hadSource {
+			t.Fatalf("%s: the exact fallback drew: stats %+v -> %+v, source built %t", name, before, st, m.approx.src != nil)
+		}
+	}
+	if st := bare.ApproxStats(); st.Sampled != 0 {
+		t.Fatalf("bare model sampled %d sets", st.Sampled)
+	}
+}
+
+// TestApproxSpreadOrderIndependent guards the reference check that
+// replays eps= answers in its own order: over a restored 8,192-sample
+// pool, a fixed list of queries, some answered from the pool and some
+// exactly, gives the same bits in any order on one model and across
+// fresh loads, because no spread query changes the pool.
+func TestApproxSpreadOrderIndependent(t *testing.T) {
+	ds := Generate(tinyConfig(19))
+	m := Learn(ds, Options{Lambda: 0.001})
+	if err := m.BuildApproxSketch(8192); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	type query struct {
+		seeds []NodeID
+		eps   float64
+	}
+	var queries []query
+	for i, eps := range []float64{0.5, 0.2, 0.1, 0.05, 0.02} {
+		for j := 0; j < 4; j++ {
+			queries = append(queries, query{[]NodeID{NodeID(7*i + j), NodeID(50 + 13*j), NodeID(200 - i)}, eps})
+		}
+	}
+	render := func(r ApproxResult) string {
+		return fmt.Sprintf("%x %x %x %x %d %d", r.Estimate, r.CILow, r.CIHigh, r.AchievedEps, r.Samples, r.Grown)
+	}
+	ask := func(m *Model, order []int) []string {
+		out := make([]string, len(queries))
+		for _, i := range order {
+			res, err := m.ApproxSpread(queries[i].seeds, ApproxOptions{Eps: queries[i].eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = render(res)
+		}
+		return out
+	}
+	back, err := LoadModel(ds, path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(queries))
+	for i := range order {
+		order[i] = i
+	}
+	want := ask(back, order)
+	exact := 0
+	for i, q := range queries {
+		if res, _ := back.ApproxSpread(q.seeds, ApproxOptions{Eps: q.eps}); res.Samples == 0 {
+			exact++
+		} else if want[i] != render(res) {
+			t.Fatalf("query %d changed on a second ask", i)
+		}
+	}
+	if exact == 0 || exact == len(queries) {
+		t.Fatalf("%d of %d queries answered exactly; the list must exercise both branches", exact, len(queries))
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for round := 0; round < 4; round++ {
+		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		target := back
+		if round%2 == 1 {
+			if target, err = LoadModelMapped(ds, path, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := ask(target, order); !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %v: answers differ:\n got %v\nwant %v", order, got, want)
+		}
+		if st := target.ApproxStats(); st.Samples != 8192 || st.Sampled != 0 {
+			t.Fatalf("order %v: the pool changed: %+v", order, st)
+		}
+		if target != back {
+			target.Close()
+		}
 	}
 }

@@ -837,9 +837,7 @@ func BenchmarkApproxVsExact(b *testing.B) {
 	m := Learn(ds, Options{Lambda: 0.001})
 	seeds, _ := selectSeeds(m, 10)
 	exact := m.Spread(seeds)
-	// Warm: the first approximate query grows the pool to its eps target;
-	// every later query answers from the shared samples.
-	warm, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.1})
+	warm, err := warmApproxPool(m, seeds)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -859,6 +857,21 @@ func BenchmarkApproxVsExact(b *testing.B) {
 		}
 		b.ReportMetric(float64(warm.Samples), "samples")
 	})
+}
+
+// warmApproxPool draws the 8,192-sample pool credist-bench's snapshot
+// persists and answers the timed eps=0.1 query once. A spread query never
+// draws, and one the pool cannot answer within eps answers exactly, so an
+// exact answer here would time the evaluator against itself: it fails.
+func warmApproxPool(m *Model, seeds []NodeID) (ApproxResult, error) {
+	if err := m.BuildApproxSketch(8192); err != nil {
+		return ApproxResult{}, err
+	}
+	warm, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.1})
+	if err == nil && warm.Samples == 0 {
+		err = fmt.Errorf("the pool does not meet eps=0.1 for %v: the query answered exactly", seeds)
+	}
+	return warm, err
 }
 
 type approxBench struct {
@@ -900,7 +913,7 @@ func TestWriteApproxBenchJSON(t *testing.T) {
 	m := Learn(ds, Options{Lambda: 0.001})
 	seeds, _ := selectSeeds(m, 10)
 	exact := m.Spread(seeds)
-	warm, err := m.ApproxSpread(seeds, ApproxOptions{Eps: 0.1})
+	warm, err := warmApproxPool(m, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func runLearn(args []string) {
 		lambda    = fs.Float64("lambda", 0.001, "CD truncation threshold (paper default 0.001; 0 keeps every credit)")
 		simple    = fs.Bool("simple-credit", false, "use the equal-split 1/d_in direct-credit rule instead of the learned time-aware rule (Eq. 9)")
 		seedK     = fs.Int("seed-k", 0, "also run CELF for this many seeds and persist the selection prefix in the snapshot, so `credist serve -model` answers /seeds?k<=N instantly from the first request (0 skips)")
-		risN      = fs.Int("ris-samples", 0, "also draw this many RR samples (reverse credit walks) and persist the sketch in the snapshot, so `credist serve -model` answers its first approximate query (/spread?eps=) with zero sampling work (0 skips)")
+		risN      = fs.Int("ris-samples", 0, "also draw this many RR samples (reverse credit walks) and persist the sketch in the snapshot, so `credist serve -model` answers /spread?eps= from the pool instead of exactly and its first /seeds?eps= with zero sampling work (0 skips)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `Usage: credist learn [flags] -o model.bin

@@ -17,7 +17,8 @@ import (
 
 // TestApproxSpreadEndpoint pins the approximate /spread contract: a valid
 // interval containing both the estimate and the exact engine's answer,
-// achieved eps at or under the target, and the /stats hit counters.
+// the exact answer as a zero-width interval while no pool meets eps, and
+// the /stats hit and exact-fallback counters.
 func TestApproxSpreadEndpoint(t *testing.T) {
 	h := newTestServer(t).Handler()
 	code, exactBody := do(t, h, "GET", "/spread?seeds=1,2,3", "")
@@ -48,8 +49,9 @@ func TestApproxSpreadEndpoint(t *testing.T) {
 		if lo > exact || exact > hi {
 			t.Fatalf("%s: exact spread %g outside interval [%g,%g]", target, exact, lo, hi)
 		}
-		if body["samples"].(float64) <= 0 {
-			t.Fatalf("%s: no samples reported: %v", target, body)
+		// The server holds no pool, so the exact evaluator answers.
+		if body["samples"].(float64) != 0 || body["achieved_eps"] != 0.0 || lo != exact || hi != exact {
+			t.Fatalf("%s: want the exact spread as a zero-width interval: %v", target, body)
 		}
 	}
 
@@ -62,19 +64,41 @@ func TestApproxSpreadEndpoint(t *testing.T) {
 		t.Fatalf("POST approx /spread: not an approximate reply: %v", body)
 	}
 
-	// Exact endpoints are untouched and the tier counters tick.
+	// Exact endpoints are untouched and the tier counters tick; no
+	// /spread drew a sample.
 	code, stats := do(t, h, "GET", "/stats", "")
 	if code != 200 {
 		t.Fatalf("/stats: %d", code)
 	}
-	if stats["approx_spread_requests"].(float64) != 4 {
-		t.Fatalf("approx_spread_requests = %v, want 4", stats["approx_spread_requests"])
+	if stats["approx_spread_requests"].(float64) != 4 || stats["approx_spread_exact"].(float64) != 4 {
+		t.Fatalf("approx_spread_requests = %v, approx_spread_exact = %v, want 4 and 4",
+			stats["approx_spread_requests"], stats["approx_spread_exact"])
 	}
+	if stats["approx_samples"].(float64) != 0 || stats["approx_sampled"].(float64) != 0 {
+		t.Fatalf("an eps= /spread drew samples: %v", stats)
+	}
+	// /seeds?eps= grows a live pool, which a loose /spread then answers
+	// from.
+	if code, body := do(t, h, "GET", "/seeds?k=3&eps=0.1", ""); code != 200 {
+		t.Fatalf("/seeds?eps: %d %v", code, body)
+	}
+	code, body = do(t, h, "GET", "/spread?seeds=1,2,3&eps=0.9", "")
+	if code != 200 || body["samples"].(float64) <= 0 {
+		t.Fatalf("eps=0.9 over the grown pool: %d %v", code, body)
+	}
+	if lo, hi := body["ci_low"].(float64), body["ci_high"].(float64); lo > exact || exact > hi {
+		t.Fatalf("pool interval [%g,%g] misses the exact spread %g", lo, hi, exact)
+	}
+	_, stats = do(t, h, "GET", "/stats", "")
 	if stats["approx_samples"].(float64) <= 0 || stats["approx_bytes"].(float64) <= 0 {
 		t.Fatalf("stats missing sketch shape: %v", stats)
 	}
 	if stats["approx_sampled"].(float64) <= 0 {
 		t.Fatalf("live-sampled pool reports zero sampling: %v", stats)
+	}
+	if stats["approx_spread_requests"].(float64) != 5 || stats["approx_spread_exact"].(float64) != 4 {
+		t.Fatalf("approx_spread_requests = %v, approx_spread_exact = %v, want 5 and 4",
+			stats["approx_spread_requests"], stats["approx_spread_exact"])
 	}
 
 	// Malformed parameters are 400s.
@@ -126,22 +150,38 @@ func TestApproxSeedsEndpoint(t *testing.T) {
 	}
 }
 
-// TestApproxZeroSpreadEncodes pins the JSON edge: a zero-estimate reply
+// TestApproxZeroSpreadEncodes pins the JSON edge: a zero pool estimate
 // has no finite relative precision, which must encode as a null
-// achieved_eps, not break the encoder.
+// achieved_eps, not break the encoder. Only a pool at its cap answers a
+// set it never hits (a partitioned server over a persisted sketch); with
+// no such pool the exact zero answers, with achieved_eps 0.
 func TestApproxZeroSpreadEncodes(t *testing.T) {
-	h := newTestServer(t).Handler()
-	// An empty seed list hits nothing. The query parameter form cannot
-	// express it, but the POST body can.
-	code, body := do(t, h, "POST", "/spread", `{"seeds":[],"eps":0.1}`)
-	if code != 200 {
-		t.Fatalf("zero-spread approx: %d %v", code, body)
+	src := saveSketchModel(t, t.TempDir(), 1024)
+	src.Partitions = 2
+	snap, err := serve.Build(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if body["estimate"].(float64) != 0 {
-		t.Fatalf("empty set estimated %v", body["estimate"])
-	}
-	if eps, present := body["achieved_eps"]; !present || eps != nil {
-		t.Fatalf("achieved_eps = %v, want null", eps)
+	for _, tc := range []struct {
+		name    string
+		h       http.Handler
+		wantEps any
+	}{
+		{"pool at its cap", serve.New(snap).Handler(), nil},
+		{"exact", newTestServer(t).Handler(), 0.0},
+	} {
+		// An empty seed list hits nothing. The query parameter form cannot
+		// express it, but the POST body can.
+		code, body := do(t, tc.h, "POST", "/spread", `{"seeds":[],"eps":0.1}`)
+		if code != 200 {
+			t.Fatalf("%s: zero-spread approx: %d %v", tc.name, code, body)
+		}
+		if body["estimate"].(float64) != 0 {
+			t.Fatalf("%s: empty set estimated %v", tc.name, body["estimate"])
+		}
+		if eps, present := body["achieved_eps"]; !present || eps != tc.wantEps {
+			t.Fatalf("%s: achieved_eps = %v, want %v", tc.name, eps, tc.wantEps)
+		}
 	}
 }
 
@@ -382,9 +422,10 @@ func TestApproxFromModelFileHTTP(t *testing.T) {
 }
 
 // TestApproxPartitionedMatchesOneEngine pins that the partitioned tier is
-// the one-engine growth loop capped at the restored pool: whenever a
-// one-engine snapshot over the same model file answers without drawing a
-// sample, four partitions answer the same bits.
+// the one-engine tier capped at the restored pool: whenever a one-engine
+// snapshot over the same model file answers from that pool, neither
+// drawing a sample nor answering exactly, four partitions answer the
+// same bits.
 func TestApproxPartitionedMatchesOneEngine(t *testing.T) {
 	src := saveSketchModel(t, t.TempDir(), 20000)
 	partSrc := src
@@ -432,8 +473,8 @@ func TestApproxPartitionedMatchesOneEngine(t *testing.T) {
 		if got.Grown != 0 {
 			t.Fatalf("%+v: partitioned query drew %d samples", q, got.Grown)
 		}
-		if want.Grown != 0 {
-			t.Logf("%+v: one engine drew %d samples", q, want.Grown)
+		if want.Grown != 0 || want.Samples == 0 {
+			t.Logf("%+v: one engine drew %d samples or answered exactly", q, want.Grown)
 			continue
 		}
 		compared++
@@ -452,10 +493,11 @@ func TestApproxPartitionedMatchesOneEngine(t *testing.T) {
 
 // TestApproxPartitionedKeepsPoolAcrossIngest: a partitioned server over a
 // 2,048-sample sketch model, heap-read or mapped, at partitions {1, 4},
-// answers /spread?eps= before and after a one-action /ingest — the
-// successor grows a fresh pool up to the persisted size instead of
-// answering 501 — and a checkpoint taken after that answer carries the
-// grown sketch, so a restart from it answers the same bytes.
+// answers /spread?eps= before and after a one-action /ingest. Before, the
+// restored pool answers; after, the successor has no pool and answers
+// exactly instead of 501, until /seeds?eps= grows a fresh pool up to the
+// persisted size. A checkpoint taken then carries the grown sketch, so a
+// restart from it answers the same bytes.
 func TestApproxPartitionedKeepsPoolAcrossIngest(t *testing.T) {
 	const pool, target = 2048, "/spread?seeds=1,2,3&eps=0.2"
 	dir := t.TempDir()
@@ -474,8 +516,9 @@ func TestApproxPartitionedKeepsPoolAcrossIngest(t *testing.T) {
 	}
 	ingest, _ := json.Marshal(map[string]any{"tuples": batch})
 	// answer is the /spread body without the snapshot id and the
-	// wall-clock "elapsed".
-	answer := func(name string, h http.Handler) string {
+	// wall-clock "elapsed"; samples is the pool it must come from (0:
+	// the exact evaluator).
+	answer := func(name string, h http.Handler, samples float64) string {
 		t.Helper()
 		code, decoded := do(t, h, "GET", target, "")
 		if code != http.StatusOK {
@@ -483,8 +526,11 @@ func TestApproxPartitionedKeepsPoolAcrossIngest(t *testing.T) {
 		}
 		delete(decoded, "snapshot")
 		delete(decoded, "elapsed")
-		if s := decoded["samples"].(float64); s <= 0 || s > pool {
-			t.Fatalf("%s: answered from %v samples, want a pool capped at %d", name, s, pool)
+		if s := decoded["samples"].(float64); s != samples {
+			t.Fatalf("%s: answered from %v samples, want %v", name, s, samples)
+		}
+		if samples == 0 && (decoded["ci_low"] != decoded["estimate"] || decoded["ci_high"] != decoded["estimate"]) {
+			t.Fatalf("%s: exact answer %v is not a zero-width interval", name, decoded)
 		}
 		out, err := json.Marshal(decoded)
 		if err != nil {
@@ -501,11 +547,16 @@ func TestApproxPartitionedKeepsPoolAcrossIngest(t *testing.T) {
 				t.Fatalf("%s: Build: %v", name, err)
 			}
 			h := serve.New(snap).Handler()
-			answer(name+"/before ingest", h)
+			answer(name+"/before ingest", h, pool)
 			if code, body := do(t, h, "POST", "/ingest", string(ingest)); code != http.StatusOK {
 				t.Fatalf("%s: /ingest: status %d: %v", name, code, body)
 			}
-			want := answer(name+"/after ingest", h)
+			answer(name+"/after ingest", h, 0)
+			// An eps no pool below the cap meets grows it to the cap.
+			if code, body := do(t, h, "GET", "/seeds?k=3&eps=0.000001", ""); code != http.StatusOK || body["samples"] != float64(pool) {
+				t.Fatalf("%s: /seeds?eps: status %d: %v", name, code, body)
+			}
+			want := answer(name+"/after regrowth", h, pool)
 
 			ckpt := filepath.Join(t.TempDir(), "ckpt.bin")
 			if code, body := do(t, h, "POST", "/snapshot", fmt.Sprintf(`{"path":%q}`, ckpt)); code != http.StatusOK {
@@ -520,7 +571,7 @@ func TestApproxPartitionedKeepsPoolAcrossIngest(t *testing.T) {
 			if s := snap.ApproxStats().Samples; s <= 0 {
 				t.Fatalf("%s: the checkpoint carried no sketch", name)
 			}
-			if got := answer(name+"/restarted", serve.New(snap).Handler()); got != want {
+			if got := answer(name+"/restarted", serve.New(snap).Handler(), pool); got != want {
 				t.Errorf("%s: restarted answer diverged:\n  before: %s\n  after:  %s", name, want, got)
 			}
 		}

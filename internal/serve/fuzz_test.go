@@ -17,7 +17,9 @@ import (
 // only a finite number strictly inside (0,1) opts into the RR tier. NaN
 // used to slip through (it fails every comparison, so "eps <= 0 || eps >=
 // 1" was false) and grew the pool to its sample cap; a rejected request
-// must answer 400 naming eps and draw no samples.
+// must answer 400 naming eps and draw no samples. A valid eps answers 200:
+// /seeds from a pool it draws, /spread exactly, drawing nothing, since
+// this server holds no pool.
 func TestEpsValidation(t *testing.T) {
 	for _, route := range []string{"/spread?seeds=1,2,3", "/seeds?k=3"} {
 		for _, eps := range []string{"NaN", "nan", "Inf", "-Inf", "0", "1", "0.1"} {
@@ -27,8 +29,10 @@ func TestEpsValidation(t *testing.T) {
 			_, st := do(t, h, "GET", "/stats", "")
 			sampled := st["approx_sampled"].(float64)
 			if eps == "0.1" {
-				if code != http.StatusOK || sampled == 0 {
-					t.Errorf("%s: status %d, %g samples drawn; want 200 from the RR tier: %v", target, code, sampled, body)
+				exact := st["approx_spread_exact"].(float64)
+				if spread := strings.HasPrefix(route, "/spread"); code != http.StatusOK ||
+					(sampled == 0) != spread || (exact == 1) != spread {
+					t.Errorf("%s: status %d, %g samples drawn, %g exact answers: %v", target, code, sampled, exact, body)
 				}
 				continue
 			}

@@ -38,10 +38,11 @@ type Server struct {
 	// POST /snapshot, surfaced in /stats.
 	checkpointMu   sync.Mutex
 	lastCheckpoint *CheckpointInfo
-	// Approximate-tier hit counters: how many /spread and /seeds requests
-	// were answered from the RR-sample tier instead of the exact engine.
-	approxSpreadHits atomic.Int64
-	approxSeedsHits  atomic.Int64
+	// Approximate-tier hit counters: /spread and /seeds requests on the RR
+	// tier, and the /spread ones the exact evaluator answered.
+	approxSpreadHits  atomic.Int64
+	approxSpreadExact atomic.Int64
+	approxSeedsHits   atomic.Int64
 	// explainHits counts answered /explain requests (either shape).
 	explainHits atomic.Int64
 	// Logf, when set, receives one line per reload. Queries are not logged.
@@ -265,9 +266,10 @@ type SpreadBatchResponse struct {
 
 // ApproxBody is the bounded-error answer shared by approximate /spread
 // and /seeds replies: the RR estimate with its 99% Wilson confidence
-// interval around the exact sigma_cd value. AchievedEps is null when the
-// estimate is zero (relative precision is undefined there); Elapsed is
-// seconds of wall clock spent answering.
+// interval around the exact sigma_cd value. An exact /spread answer has
+// estimate = ci_low = ci_high, achieved_eps 0 and samples 0. AchievedEps
+// is null when a pool estimate is zero (relative precision is undefined
+// there); Elapsed is seconds of wall clock spent answering.
 type ApproxBody struct {
 	Estimate    float64  `json:"estimate"`
 	CILow       float64  `json:"ci_low"`
@@ -386,6 +388,9 @@ func (s *Server) handleSpread(sn *Snapshot, r *http.Request) (any, error) {
 			return nil, err
 		}
 		s.approxSpreadHits.Add(1)
+		if res.Samples == 0 {
+			s.approxSpreadExact.Add(1)
+		}
 		return ApproxSpreadResponse{Snapshot: sn.ID, Seeds: req.Seeds, ApproxBody: approxBody(res)}, nil
 	case req.Seeds != nil:
 		if err := validateIDs("seeds", req.Seeds, sn.NumUsers()); err != nil {
@@ -782,16 +787,17 @@ type StatsResponse struct {
 
 	// Approximate RR tier: the current sample pool's size and its exact
 	// resident bytes (sample arena plus inverted index), samples drawn by
-	// this process (0 right after a sketch-carrying
-	// restart), and how many requests each endpoint answered from the
-	// tier. On partitioned deployments the pool is capped at the size of
-	// the model file's persisted sketch (if any): it serves that sketch,
-	// with approx_sampled 0, until an /ingest, after which it regrows up
-	// to the cap.
+	// /seeds?eps= (0 right after a sketch-carrying restart), each
+	// endpoint's tier requests, and the /spread ones answered exactly
+	// since the pool did not meet eps. On partitioned deployments the pool
+	// is capped at the size of the model file's persisted sketch (if
+	// any): it serves that sketch until an /ingest, after which /seeds
+	// regrows it up to the cap.
 	ApproxSamples        int   `json:"approx_samples"`
 	ApproxBytes          int64 `json:"approx_bytes"`
 	ApproxSampled        int64 `json:"approx_sampled"`
 	ApproxSpreadRequests int64 `json:"approx_spread_requests"`
+	ApproxSpreadExact    int64 `json:"approx_spread_exact"`
 	ApproxSeedsRequests  int64 `json:"approx_seeds_requests"`
 
 	// Influence provenance: the /explain traffic. Explanations walk the
@@ -856,6 +862,7 @@ func (s *Server) handleStats(sn *Snapshot, _ *http.Request) (any, error) {
 	resp.ApproxBytes = ast.Bytes
 	resp.ApproxSampled = ast.Sampled
 	resp.ApproxSpreadRequests = s.approxSpreadHits.Load()
+	resp.ApproxSpreadExact = s.approxSpreadExact.Load()
 	resp.ApproxSeedsRequests = s.approxSeedsHits.Load()
 	resp.ExplainRequests = s.explainHits.Load()
 	if t := sn.LastIngest(); !t.IsZero() {

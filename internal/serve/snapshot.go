@@ -286,13 +286,13 @@ func (b *backend) spread(seeds []credist.NodeID, o *credist.Objective) (float64,
 	return b.model.SpreadObj(seeds, o)
 }
 
-// approxOptions bounds an approximate query. One engine grows the live
-// sample pool. Partitioned, the query is capped at the pool the model
-// held at Build — its persisted sketch: before any ingest that is the
-// live pool, so nothing is drawn, and after one the successor model
-// grows a fresh pool up to the same size. Precision is whatever the cap
-// affords, reported honestly in achieved_eps, and a model built with no
-// persisted sketch answers 501.
+// approxOptions bounds an approximate query. One engine answers /spread
+// from the live pool or exactly, and grows the pool for /seeds.
+// Partitioned, the pool is capped at the one the model held at Build, its
+// persisted sketch: before any ingest that is the live pool, so /spread
+// answers from it and nothing is drawn. After one, the successor answers
+// /spread exactly until /seeds regrows a pool up to the same size. A
+// model built with no persisted sketch answers 501.
 func (b *backend) approxOptions(opts credist.ApproxOptions) (credist.ApproxOptions, error) {
 	if b.partitioned {
 		if b.approxCap == 0 {
@@ -364,9 +364,9 @@ func Build(src Source) (*Snapshot, error) {
 	planner := model.NewPlanner()
 	if src.partitioned() {
 		// No evaluator warm-up runs: /spread and /topk telescope over the
-		// planner, so the propagation-DAG build waits for the first
-		// /ingest, which extends the evaluator, or an embedder's direct
-		// Model.Spread.
+		// planner, and an /ingest leaves the successor's evaluator lazy
+		// too, so the propagation-DAG build waits for the first exact
+		// eps= answer or an embedder's direct Model.Spread.
 		if planner, err = planner.Partition(src.Partitions); err != nil {
 			return nil, err
 		}
@@ -547,10 +547,10 @@ func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (flo
 	return sn.be.spread(seeds, o)
 }
 
-// ApproxSpread answers a spread query from the model's bounded-error RR
-// tier (see credist.Model.ApproxSpread). A partitioned snapshot caps the
-// pool at the size its model file persisted, and answers 501 when none
-// was (see backend).
+// ApproxSpread answers a spread query from the model's RR pool, or
+// exactly when the pool does not meet eps (see credist.Model.ApproxSpread).
+// A partitioned snapshot caps the pool at the size its model file
+// persisted, and answers 501 when none was (see backend).
 func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOptions) (credist.ApproxResult, error) {
 	opts, err := sn.be.approxOptions(opts)
 	if err != nil {
@@ -572,7 +572,7 @@ func (sn *Snapshot) ApproxSeeds(k int, opts credist.ApproxOptions) ([]credist.No
 
 // ApproxStats reports the RR tier's sample pool. On a partitioned
 // deployment it is the pool restored from the model file's sketch until
-// an ingest; the successor's pool grows up to that size on demand.
+// an ingest; the successor's pool grows up to that size on /seeds?eps=.
 func (sn *Snapshot) ApproxStats() credist.ApproxStats { return sn.model.ApproxStats() }
 
 var errApproxPartitioned = &apiError{code: http.StatusNotImplemented,

@@ -8,6 +8,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"credist/internal/actionlog"
 	"credist/internal/core"
@@ -39,7 +40,10 @@ type Model struct {
 	opts   Options
 	credit core.CreditModel
 	eval   func() *core.Evaluator
-	base   func() *core.Engine // immutable; every planner shares it
+	// evalUsed is set once eval's build starts: Ingest extends only an
+	// evaluator something already asked for.
+	evalUsed atomic.Bool
+	base     func() *core.Engine // immutable; every planner shares it
 	// prefix is a computed CELF seed prefix attached by RecordSeedPrefix
 	// or restored by LoadModel from a binary snapshot; Save persists it so
 	// a restarted process answers seed queries up to its length without
@@ -50,8 +54,8 @@ type Model struct {
 	file *core.SnapshotFile
 	// approx is the bounded-error serving tier's RR-sample state: a
 	// striped, deterministically grown collection of reverse credit walks,
-	// seeded either lazily on the first approximate query or from a
-	// version-5 snapshot's restored sketch (zero sampling on restart).
+	// drawn by the first seed selection or BuildApproxSketch, or restored
+	// from a version-5 snapshot's sketch (zero sampling on restart).
 	approx approxTier
 	// delays lazily indexes per-(action, participant) delays from the
 	// action's first participation — what time-windowed objectives gate
@@ -80,6 +84,7 @@ func (m *Model) Close() error {
 func newModel(ds *Dataset, opts Options, credit core.CreditModel) *Model {
 	m := &Model{ds: ds, opts: opts, credit: credit}
 	m.eval = sync.OnceValue(func() *core.Evaluator {
+		m.evalUsed.Store(true)
 		return core.NewEvaluator(ds.Graph, ds.Log, credit)
 	})
 	m.base = sync.OnceValue(func() *core.Engine {
@@ -136,13 +141,10 @@ func (m *Model) Spread(seeds []NodeID) float64 { return m.eval().Spread(seeds, n
 // (action, time, user) order, action ids starting at the log's current
 // NumActions() — and every user must exist in the social graph. Results on
 // the new model are bit-identical to a model over the combined dataset
-// with the same parameters (e.g. one restored by LoadModel).
+// with the same parameters (e.g. one restored by LoadModel). Only an
+// evaluator something asked for is extended; else the new one stays lazy.
 func (m *Model) Ingest(tuples []Tuple) (*Model, error) {
 	newLog, err := m.ds.Log.AppendWithin(tuples, 0, m.ds.Graph.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	eval, err := m.eval().Extend(m.ds.Graph, newLog, ActionID(m.ds.Log.NumActions()))
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +156,14 @@ func (m *Model) Ingest(tuples []Tuple) (*Model, error) {
 	// caller who wants the cheap tail-scan derivation uses ExtendPlanner
 	// with an explicit planner, which retains nothing.
 	grown := newModel(&Dataset{Name: m.ds.Name, Graph: m.ds.Graph, Log: newLog}, m.opts, m.credit)
-	grown.eval = func() *core.Evaluator { return eval }
+	if m.evalUsed.Load() {
+		eval, err := m.eval().Extend(m.ds.Graph, newLog, ActionID(m.ds.Log.NumActions()))
+		if err != nil {
+			return nil, err
+		}
+		grown.eval = func() *core.Evaluator { return eval }
+		grown.evalUsed.Store(true)
+	}
 	return grown, nil
 }
 
