@@ -446,11 +446,10 @@ func BenchmarkAppendVsRescan(b *testing.B) {
 	})
 }
 
-// BenchmarkColdStart is the durable-snapshot headline (ISSUE 4
-// acceptance): restarting from a binary model snapshot versus the full
-// rescan a naive restart pays, on the flixster-small preset. The rescan
-// reference restores the same frozen parameters from the text format
-// (the pre-snapshot state of the art, serve -params) and scans the whole
+// BenchmarkColdStart is the durable-snapshot headline: restarting from a
+// binary model snapshot versus the full rescan a naive restart pays, on
+// the flixster-small preset. The rescan reference binds the same frozen
+// parameters to the combined log (ReferenceModel) and scans the whole
 // log — re-learning would be a different model, not a restart. Two
 // snapshot scenarios are measured:
 //
@@ -489,12 +488,8 @@ func BenchmarkColdStart(b *testing.B) {
 	dir := b.TempDir()
 	fullPath := filepath.Join(dir, "model-full.bin")
 	stalePath := filepath.Join(dir, "model-head.bin")
-	paramsPath := filepath.Join(dir, "params.txt")
 	head := Learn(headDS, opts)
 	if err := head.Save(stalePath); err != nil {
-		b.Fatal(err)
-	}
-	if err := head.SaveParams(paramsPath); err != nil {
 		b.Fatal(err)
 	}
 	grown, err := head.Ingest(tail)
@@ -517,12 +512,8 @@ func BenchmarkColdStart(b *testing.B) {
 		}
 		return m.NewPlanner()
 	}
-	rescanOnce := func(b *testing.B) *Planner {
-		m, err := LoadModel(combined, paramsPath, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m.NewPlanner()
+	rescanOnce := func() *Planner {
+		return ReferenceModel(combined, head).NewPlanner()
 	}
 	speedup := func(path string) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -531,7 +522,7 @@ func BenchmarkColdStart(b *testing.B) {
 				loaded := loadOnce(b, path)
 				loadMs := float64(time.Since(t0).Nanoseconds()) / 1e6
 				t0 = time.Now()
-				rescanned := rescanOnce(b)
+				rescanned := rescanOnce()
 				rescanMs := float64(time.Since(t0).Nanoseconds()) / 1e6
 				if loaded.Entries() != rescanned.Entries() {
 					b.Fatalf("loaded entries %d != rescanned %d", loaded.Entries(), rescanned.Entries())
@@ -585,7 +576,7 @@ func BenchmarkColdStart(b *testing.B) {
 	})
 	b.Run("rescan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rescanOnce(b)
+			rescanOnce()
 		}
 	})
 }

@@ -51,9 +51,8 @@ func runServe(args []string) {
 		preset    = fs.String("preset", "", "serve a built-in dataset; one of: "+presetList())
 		graphPath = fs.String("graph", "", "graph edge-list file (as written by datagen); requires -log")
 		logPath   = fs.String("log", "", "action log file (as written by datagen); requires -graph")
-		params    = fs.String("params", "", "optional saved model parameters (Model.SaveParams file); skips re-learning the time-aware rule")
 		model     = fs.String("model", "", "optional binary model snapshot (credist learn -o / POST /snapshot file): skips learning and the full log scan, processing only log actions past the snapshot")
-		mmap      = fs.Bool("mmap", false, "serve the UC base directly from the -model file via a read-only memory mapping: no parse, near-instant open, model may exceed RAM; answers stay bit-identical (version-3 to version-6 snapshots; re-save older files to upgrade)")
+		mmap      = fs.Bool("mmap", false, "serve the UC base directly from the -model file via a read-only memory mapping: no parse, near-instant open, model may exceed RAM; answers stay bit-identical; reads the same files as a heap load")
 		tail      = fs.String("tail", "", "optional action-tail file (as written by `datagen -stream`) appended to the log before the model binds; with -model, how a restart catches up past a checkpoint")
 		lambda    = fs.Float64("lambda", 0.001, "CD truncation threshold (paper default 0.001; 0 keeps every credit); with -model, must match the stored value or be left unset")
 		simple    = fs.Bool("simple-credit", false, "use the equal-split 1/d_in direct-credit rule instead of the learned time-aware rule (Eq. 9)")
@@ -133,7 +132,6 @@ Flags:
 		Preset:       *preset,
 		GraphPath:    *graphPath,
 		LogPath:      *logPath,
-		ParamsPath:   *params,
 		ModelPath:    *model,
 		Mmap:         *mmap,
 		TailPath:     *tail,

@@ -19,7 +19,9 @@
 // All results are deterministic: the credit store keeps its entries in
 // sorted sparse rows, so spreads, marginal gains, and selected seed sets
 // are bit-for-bit identical across runs, scan worker counts, and
-// SaveParams/LoadModel round trips.
+// Save/LoadModel round trips. A saved model is one binary snapshot file,
+// the learned parameters and the scanned credit structure checked against
+// the lineage of the graph and log they came from.
 //
 // The cmd/ tools and examples/ programs demonstrate the full surface,
 // internal/eval regenerates every table and figure of the paper, and

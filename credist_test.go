@@ -2,11 +2,14 @@ package credist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"credist/internal/datagen"
@@ -207,7 +210,7 @@ func TestSelectionResultExtras(t *testing.T) {
 
 // TestModelIngestMatchesRelearnFreeReference: ingesting a held-out action
 // tail yields, bit for bit, the model one gets by binding the same frozen
-// parameters (via SaveParams/LoadModel) to the combined dataset — and the
+// parameters (ReferenceModel) to the combined dataset — and the
 // incrementally extended planner matches a freshly scanned one.
 func TestModelIngestMatchesRelearnFreeReference(t *testing.T) {
 	full := Generate(tinyConfig(9))
@@ -234,14 +237,7 @@ func TestModelIngestMatchesRelearnFreeReference(t *testing.T) {
 		t.Fatalf("receiver mutated: %d actions", model.Dataset().Log.NumActions())
 	}
 
-	path := filepath.Join(t.TempDir(), "params.txt")
-	if err := model.SaveParams(path); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := LoadModel(&Dataset{Name: "combined", Graph: full.Graph, Log: grown.Dataset().Log}, path, Options{Lambda: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := ReferenceModel(&Dataset{Name: "combined", Graph: full.Graph, Log: grown.Dataset().Log}, model)
 
 	seeds, _ := selectSeeds(ref, 4)
 	if a, b := grown.Spread(seeds), ref.Spread(seeds); a != b {
@@ -555,14 +551,6 @@ func TestLoadModelMappedBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Only binary snapshots can be mapped: text parameters are refused.
-	params := filepath.Join(t.TempDir(), "params.txt")
-	if err := model.SaveParams(params); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModelMapped(combined, params, Options{}); err == nil {
-		t.Fatal("LoadModelMapped accepted a text parameter file")
-	}
 	// Closing a heap-loaded or nil model is a harmless no-op.
 	if err := heap.Close(); err != nil {
 		t.Fatalf("Close on heap model: %v", err)
@@ -572,32 +560,47 @@ func TestLoadModelMappedBitIdentical(t *testing.T) {
 	}
 }
 
-func TestModelSaveLoadParams(t *testing.T) {
+// TestLoadModelRefusesOtherFiles: both opens refuse a text parameter
+// file, a version-2 snapshot and a missing file, and each refusal names
+// the file; the first two say to rebuild it with `credist learn -o`, and
+// the heap and mapped opens refuse each file with the same error.
+func TestLoadModelRefusesOtherFiles(t *testing.T) {
 	ds := Generate(tinyConfig(8))
-	model := Learn(ds, Options{})
-	path := filepath.Join(t.TempDir(), "params.txt")
-	if err := model.SaveParams(path); err != nil {
+	dir := t.TempDir()
+	text := filepath.Join(dir, "params.txt")
+	if err := os.WriteFile(text, []byte("numUsers 3\ninfl 0 0.5\ntau 0 1 2.5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadModel(ds, path, Options{})
+	snap := filepath.Join(dir, "model.bin")
+	if err := Learn(ds, Options{}).Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	// A version-2 stamp with the footer refreshed: only the version check
+	// can refuse it.
+	data, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, _ := selectSeeds(model, 4)
-	s2, _ := selectSeeds(back, 4)
-	for i := range seeds {
-		if seeds[i] != s2[i] {
-			t.Fatalf("restored model selects %v, original %v", s2, seeds)
+	binary.LittleEndian.PutUint32(data[8:], 2)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	v2 := filepath.Join(dir, "v2.bin")
+	if err := os.WriteFile(v2, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path    string
+		rebuild bool
+	}{{text, true}, {v2, true}, {filepath.Join(dir, "missing.bin"), false}} {
+		_, heapErr := LoadModel(ds, c.path, Options{})
+		_, mapErr := LoadModelMapped(ds, c.path, Options{})
+		if heapErr == nil || mapErr == nil {
+			t.Fatalf("%s accepted: LoadModel %v, LoadModelMapped %v", c.path, heapErr, mapErr)
 		}
-	}
-	if a, b := model.Spread(seeds), back.Spread(seeds); a != b {
-		t.Fatalf("spreads differ after reload: %g vs %g", a, b)
-	}
-	// Simple-credit models have nothing to save.
-	if err := Learn(ds, Options{SimpleCredit: true}).SaveParams(path); err == nil {
-		t.Fatal("simple-credit SaveParams should fail")
-	}
-	if _, err := LoadModel(ds, "/nonexistent", Options{}); err == nil {
-		t.Fatal("missing file accepted")
+		if c.rebuild && heapErr.Error() != mapErr.Error() {
+			t.Errorf("%s refused differently: %q vs %q", c.path, heapErr, mapErr)
+		}
+		if msg := heapErr.Error(); !strings.Contains(msg, c.path) || c.rebuild && !strings.Contains(msg, "credist learn -o") {
+			t.Errorf("refusal of %s = %q", c.path, msg)
+		}
 	}
 }

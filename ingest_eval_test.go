@@ -1,7 +1,6 @@
 package credist_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"credist"
@@ -48,14 +47,7 @@ func TestSnapshotIngestEvaluatorStaysLazy(t *testing.T) {
 		if want := parts == 0; before != want || after != want {
 			t.Fatalf("parts=%d: evaluators used %t before and %t after the ingest, want %t", parts, before, after, want)
 		}
-		params := filepath.Join(t.TempDir(), "params.txt")
-		if err := sn.Model().SaveParams(params); err != nil {
-			t.Fatal(err)
-		}
-		ref, err := credist.LoadModel(full, params, credist.Options{Lambda: 0.001})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := credist.ReferenceModel(full, sn.Model())
 		if got, want := next.Model().Spread(seeds), ref.Spread(seeds); got != want {
 			t.Fatalf("parts=%d: successor spread %v, combined-log model %v", parts, got, want)
 		}

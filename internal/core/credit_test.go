@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"maps"
 	"math"
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -273,164 +271,5 @@ func TestPairCreditIdentity(t *testing.T) {
 	}
 	if got := ev.PairCredit(nodeU, nodeV); got != 0 {
 		t.Fatalf("kappa_uv = %g, want 0 (credit flows backward)", got)
-	}
-}
-
-func TestTimeAwareIORoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(61, 61))
-	g, log := randomInstance(rng, 20, 8)
-	credit := LearnTimeAware(g, log)
-	var buf bytes.Buffer
-	if err := WriteTimeAware(&buf, credit); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTimeAware(&buf, g.NumNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if a, b := credit.Influenceability(graph.NodeID(u)), back.Influenceability(graph.NodeID(u)); math.Abs(a-b) > 1e-12 {
-			t.Fatalf("infl(%d) %g != %g", u, a, b)
-		}
-	}
-	for e, tau := range tauMap(credit) {
-		got, ok := back.Tau(e.From, e.To)
-		if !ok || math.Abs(got-tau) > 1e-12 {
-			t.Fatalf("tau(%v) %g,%v != %g", e, got, ok, tau)
-		}
-	}
-	// Models built from original and restored parameters agree.
-	ev1 := NewEvaluator(g, log, credit)
-	ev2 := NewEvaluator(g, log, back)
-	seeds := []graph.NodeID{0, 3, 7}
-	if a, b := ev1.Spread(seeds, nil), ev2.Spread(seeds, nil); math.Abs(a-b) > 1e-9 {
-		t.Fatalf("restored model spread %g != %g", b, a)
-	}
-}
-
-// TestTimeAwareIOBitExact audits the %g serialization: every learned
-// parameter must survive a write/read round trip with identical float64
-// bits (%g with default precision is Go's shortest decimal that parses
-// back to the same value), including adversarial values near the format's
-// edge cases, and re-serializing the restored model must reproduce the
-// file byte for byte (tau records are written in sorted edge order).
-func TestTimeAwareIOBitExact(t *testing.T) {
-	rng := rand.New(rand.NewPCG(67, 67))
-	g, log := randomInstance(rng, 30, 12)
-	credit := LearnTimeAware(g, log)
-	// Splice in values that stress shortest-float formatting: repeating
-	// binary fractions, a denormal, and neighbors of representable points.
-	credit.infl[0] = 1.0 / 3.0
-	credit.infl[1] = 0.1 + 0.2
-	credit.infl[2] = math.Nextafter(1, 2) - 1
-	credit.tauVal[0] = math.Nextafter(credit.tauVal[0], math.Inf(1))
-
-	var buf bytes.Buffer
-	if err := WriteTimeAware(&buf, credit); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-	back, err := ReadTimeAware(bytes.NewBufferString(first), g.NumNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range credit.infl {
-		if math.Float64bits(credit.infl[u]) != math.Float64bits(back.infl[u]) {
-			t.Fatalf("infl(%d) bits differ: %v -> %v", u, credit.infl[u], back.infl[u])
-		}
-	}
-	backTau := tauMap(back)
-	if len(backTau) != len(credit.tauVal) {
-		t.Fatalf("tau count %d != %d", len(backTau), len(credit.tauVal))
-	}
-	for e, tau := range tauMap(credit) {
-		got, ok := backTau[e]
-		if !ok || math.Float64bits(got) != math.Float64bits(tau) {
-			t.Fatalf("tau(%v) bits differ: %v -> %v", e, tau, got)
-		}
-	}
-	var again bytes.Buffer
-	if err := WriteTimeAware(&again, back); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != first {
-		t.Fatal("re-serialized params are not byte-identical")
-	}
-}
-
-func TestReadTimeAwareErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"bogus 1\n",
-		"numUsers -2\n",
-		"infl 0 0.5\n",             // before numUsers
-		"numUsers 2\ninfl 5 0.5\n", // out of range
-		"numUsers 2\ninfl 0\n",     // malformed
-		"numUsers 2\ntau 0 1\n",    // malformed
-		"numUsers 2\ntau a 1 2\n",  // bad from
-		"numUsers 2\ntau 0 1 zz\n", // bad value
-		"numUsers x\n",
-		"numUsers 2\ntau 0 2 1\n",          // head outside the table
-		"numUsers 2\ntau -1 0 1\n",         // negative tail
-		"numUsers 2\ntau 2147483000 0 1\n", // tail far outside the table
-	}
-	for _, in := range cases {
-		if _, err := ReadTimeAware(bytes.NewBufferString(in), 16); err == nil {
-			t.Errorf("input %q: expected error", in)
-		}
-	}
-}
-
-// TestReadTimeAwareRejectsDuplicates pins the repeated-record hardening: a
-// second numUsers header used to silently discard every parsed infl entry,
-// and duplicate infl/tau records used to resolve last-wins. All three are
-// now line-numbered errors.
-func TestReadTimeAwareRejectsDuplicates(t *testing.T) {
-	cases := []struct {
-		name    string
-		in      string
-		wantSub string
-	}{
-		{
-			name:    "repeated numUsers header",
-			in:      "numUsers 3\ninfl 0 0.5\nnumUsers 3\n",
-			wantSub: "line 3: duplicate numUsers",
-		},
-		{
-			name:    "repeated numUsers without infl",
-			in:      "numUsers 3\nnumUsers 4\n",
-			wantSub: "line 2: duplicate numUsers",
-		},
-		{
-			name:    "duplicate infl record",
-			in:      "numUsers 3\ninfl 1 0.5\ninfl 1 0.7\n",
-			wantSub: "line 3: duplicate infl record for user 1",
-		},
-		{
-			name:    "duplicate tau record",
-			in:      "numUsers 3\ntau 0 1 2.5\ntau 0 1 9\n",
-			wantSub: "line 3: duplicate tau record for edge (0,1)",
-		},
-		{
-			name:    "duplicate tau after other edges",
-			in:      "numUsers 3\ntau 0 1 2.5\ntau 1 2 3\ntau 0 1 2.5\n",
-			wantSub: "line 4: duplicate tau record for edge (0,1)",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadTimeAware(bytes.NewBufferString(tc.in), 16)
-			if err == nil {
-				t.Fatalf("input %q accepted", tc.in)
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("error = %q, want substring %q", err, tc.wantSub)
-			}
-		})
-	}
-	// Distinct records remain accepted.
-	ok := "numUsers 3\ninfl 0 0.5\ninfl 1 0.25\ntau 0 1 2.5\ntau 1 0 3\n"
-	if _, err := ReadTimeAware(bytes.NewBufferString(ok), 3); err != nil {
-		t.Fatalf("valid input rejected: %v", err)
 	}
 }

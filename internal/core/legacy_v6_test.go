@@ -132,7 +132,7 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("heap open: %v", err)
 	}
-	copied, err := parseSnapshotV3(f.data, false, false)
+	copied, err := parseSnapshot(f.data, false, false)
 	if err != nil {
 		t.Fatalf("non-aliasing parse: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestSnapshotProvRejects(t *testing.T) {
 		if _, err := readSnapshot(bad); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: heap open err = %v, want mention of %q", c.name, err, c.want)
 		}
-		if _, err := parseSnapshotV3(alignedCopy(bad), mappedAliasSupported(), true); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := parseSnapshot(alignedCopy(bad), mappedAliasSupported(), true); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: mapped parse err = %v, want mention of %q", c.name, err, c.want)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -145,33 +146,40 @@ func validateBaseSection(payload []byte, baseOff, numUsers, numActions, rowLo, r
 	return extents, total, nil
 }
 
-// parseSnapshotV3 parses a version-3 to 6 snapshot held in data (footer
-// included). With alias set and the base section 8-aligned in memory,
-// shards alias data in place; otherwise they are decoded into heap
-// copies, so nothing pins data. mapped marks aliased shards as
-// file-backed pages. The header CRC is verified either way; the full-file
-// footer CRC is the caller's concern (the heap open verifies it first,
-// the mapped open deliberately skips it).
-func parseSnapshotV3(data []byte, alias, mapped bool) (*SnapshotFile, error) {
-	if len(data) < len(snapshotMagic)+4+4 {
-		return nil, fmt.Errorf("core: snapshot: truncated input: shorter than the fixed header")
-	}
+// parseSnapshot parses a version-3 to 6 snapshot held in data (footer
+// included), the one parse behind both opens. With alias set and the
+// base section 8-aligned in memory, shards alias data in place;
+// otherwise they are decoded into heap copies, so nothing pins data.
+// mapped marks aliased shards as file-backed pages and skips the
+// full-file footer CRC, which the heap open verifies right after the
+// version check. The header CRC is verified either way.
+func parseSnapshot(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 	if !IsSnapshotHeader(data) {
-		return nil, fmt.Errorf("core: snapshot: bad magic (not a snapshot file)")
+		return nil, errors.New("core: snapshot: bad magic (not a model snapshot); " + rebuildHint)
+	}
+	if len(data) < len(snapshotMagic)+4+4 {
+		return nil, errors.New("core: snapshot: truncated input: shorter than the fixed header")
 	}
 	payload := data[:len(data)-4]
 	sc := &snapCursor{b: payload, off: len(snapshotMagic)}
+	version := sc.u32()
+	switch version {
+	case snapshotVersion, snapshotVersionSlice, snapshotVersionSketch, snapshotVersionProv:
+	default:
+		return nil, fmt.Errorf("core: snapshot: unsupported version %d (this build reads %d through %d); %s", version, snapshotVersion, snapshotVersionProv, rebuildHint)
+	}
+	// Integrity first on the heap: the footer covers the whole payload,
+	// so every later structural check runs on bytes known to be exactly
+	// what the writer produced (or the file is rejected here, wholesale).
+	if !mapped {
+		if got, want := binary.LittleEndian.Uint32(data[len(payload):]), crc32.ChecksumIEEE(payload); got != want {
+			return nil, fmt.Errorf("core: snapshot: checksum mismatch (file %08x, computed %08x): corrupt or truncated input", got, want)
+		}
+	}
 	// Shards alias the base section only where it sits 8-aligned in
 	// memory. The writer pads it to an 8-aligned file offset, so any
 	// 8-aligned buffer (a mapping, or readAligned's) qualifies.
 	alias = alias && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
-	version := sc.u32()
-	if version != snapshotVersion && version != snapshotVersionSlice && version != snapshotVersionSketch && version != snapshotVersionProv {
-		if version == snapshotVersionNoBase || version == snapshotVersionNoPrefix {
-			return nil, fmt.Errorf("core: snapshot: version %d predates the mapped base section (version %d); load it without mmap or re-save it", version, snapshotVersion)
-		}
-		return nil, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
-	}
 	lin, lambda, credit, err := parseSnapshotHeader(sc)
 	if err != nil {
 		return nil, err

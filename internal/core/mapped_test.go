@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -204,11 +207,10 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 	requireEnginesBitIdentical(t, rescan, mapped, 6)
 }
 
-// TestOpenSnapshotMappedRejects drives the mapped open with damaged and
-// legacy files: structural corruption anywhere the open trusts — header,
-// offset table, row directory, alignment padding — and truncation at any
-// depth must come back as an error, and pre-v3 files must be refused with
-// a pointer at the upgrade path.
+// TestOpenSnapshotMappedRejects drives the mapped open with damaged
+// files: structural corruption anywhere the open trusts — header, offset
+// table, row directory, alignment padding — and truncation at any depth
+// must come back as an error.
 func TestOpenSnapshotMappedRejects(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 53, 30, 16)
 	var buf bytes.Buffer
@@ -268,17 +270,73 @@ func TestOpenSnapshotMappedRejects(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 
-	// Legacy versions are refused with re-save guidance.
-	var legacy bytes.Buffer
-	if err := writeSnapshotV2(&legacy, e, lin, nil); err != nil {
-		t.Fatal(err)
+}
+
+// TestOpenSnapshotVersionTable is the version table of both opens: they
+// accept exactly versions 3 to 6, with the same rows, and each refuses
+// versions 1, 2 and 7 with the error the other gives, naming the version
+// and the rebuild. Versions 1 and 2 are genuine old-format files, version
+// 7 a version-3 file restamped with its footer refreshed.
+func TestOpenSnapshotVersionTable(t *testing.T) {
+	_, _, e, lin := snapshotInstance(t, 61, 30, 16)
+	write := func(fn func(w io.Writer) error) []byte {
+		var buf bytes.Buffer
+		if err := fn(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	err := open("v2.bin", legacy.Bytes())
-	if err == nil {
-		t.Fatal("version-2 file accepted by mapped open")
+	readFile := func(path string) []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	if !bytes.Contains([]byte(err.Error()), []byte("re-save")) {
-		t.Fatalf("version error carries no upgrade hint: %v", err)
+	v3 := write(func(w io.Writer) error { return e.WriteSnapshot(w, lin, nil, nil) })
+	v2 := write(func(w io.Writer) error { return writeSnapshotV2(w, e, lin, nil) })
+	v7 := bytes.Clone(v3)
+	binary.LittleEndian.PutUint32(v7[len(snapshotMagic):], 7)
+	binary.LittleEndian.PutUint32(v7[len(v7)-4:], crc32.ChecksumIEEE(v7[:len(v7)-4]))
+	files := [][]byte{
+		1: craftVersion1(v2),
+		2: v2,
+		3: v3,
+		4: write(func(w io.Writer) error { return e.WriteSlice(w, lin, nil, 8, 17) }),
+		5: readFile(legacyV6AsV5Path),
+		6: readFile(legacyV6Path),
+		7: v7,
+	}
+	dir := t.TempDir()
+	for v := 1; v < len(files); v++ {
+		if got := binary.LittleEndian.Uint32(files[v][len(snapshotMagic):]); got != uint32(v) {
+			t.Fatalf("file for version %d is stamped %d", v, got)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("v%d.snap", v))
+		if err := os.WriteFile(path, files[v], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		heap, heapErr := OpenSnapshot(path, false)
+		mapped, mapErr := OpenSnapshot(path, true)
+		if v >= snapshotVersion && v <= snapshotVersionProv {
+			if heapErr != nil || mapErr != nil {
+				t.Fatalf("version %d: heap open %v, mapped open %v", v, heapErr, mapErr)
+			}
+			requireSameShards(t, heap.Engine, mapped.Engine)
+			mapped.Close()
+			continue
+		}
+		if heapErr == nil || mapErr == nil {
+			t.Fatalf("version %d accepted: heap open %v, mapped open %v", v, heapErr, mapErr)
+		}
+		if heapErr.Error() != mapErr.Error() {
+			t.Fatalf("version %d refused differently: heap open %q, mapped open %q", v, heapErr, mapErr)
+		}
+		for _, sub := range []string{fmt.Sprintf("unsupported version %d", v), "credist learn -o"} {
+			if !strings.Contains(heapErr.Error(), sub) {
+				t.Errorf("version %d: error %q missing %q", v, heapErr, sub)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -27,8 +26,11 @@ import (
 // write/read round trip is bit-exact and every Gain/Spread/CELF result of
 // a reloaded engine is identical to the engine that was saved. One
 // writer emits versions 3 to 5 — a whole engine, or one row range of it
-// as a version-4 slice — and one opener (OpenSnapshot) reads versions 1
-// to 6, from a heap buffer or a mapping.
+// as a version-4 slice — and one opener (OpenSnapshot) reads versions 3
+// to 6, from a heap buffer or a mapping, through one version check.
+// A snapshot is a cache of its graph and log: anything the opener does
+// not read is refused with the advice to rebuild it with `credist learn
+// -o`, which writes the same file bit for bit from those inputs.
 //
 // Version-3 layout (all integers little-endian):
 //
@@ -66,15 +68,12 @@ import (
 //	                      directory and cells in place (mapped.go)
 //	footer    u32 CRC-32 (IEEE) of every preceding byte
 //
-// Version-2 files (12-byte packed cells, no offset tables, prefix after
-// the shards, no header CRC) and version-1 files (version 2 minus the
-// seed-prefix section) are still read, and so are version-6 files, which
-// carried an inverted copy of the credit cells that is now validated and
-// skipped. The Au normalizers (the length of each user's action list) are
-// rebuilt deterministically on load. Strict ordering plus the canonical
-// offset rule make the encoding of a given engine unique: saving a loaded
-// engine reproduces the file byte for byte (version-1/2 files re-save as
-// the equivalent version-3 file, version-6 files as version 3 or 5).
+// Version-6 files, which carried an inverted copy of the credit cells,
+// are still read: the copy is validated and skipped. The Au normalizers
+// (the length of each user's action list) are rebuilt deterministically
+// on load. Strict ordering plus the canonical offset rule make the
+// encoding of a given engine unique: saving a loaded engine reproduces
+// the file byte for byte (version-6 files re-save as version 3 or 5).
 
 const (
 	snapshotMagic   = "CREDSNAP"
@@ -119,13 +118,9 @@ const (
 	provFlagSketch = uint8(1 << 0)
 	provFlagProv   = uint8(1 << 1)
 
-	// snapshotVersionNoBase is the pre-mmap format: packed 12-byte cells,
-	// no offset tables, no header CRC. Still read, never written.
-	snapshotVersionNoBase = 2
-
-	// snapshotVersionNoPrefix is the pre-seed-prefix format, still
-	// accepted by the reader for files written before the section existed.
-	snapshotVersionNoPrefix = 1
+	// rebuildHint ends every refusal of a file that is not a snapshot of
+	// a readable version.
+	rebuildHint = "rebuild the model file with `credist learn -o`"
 
 	creditTagSimple    = 0
 	creditTagTimeAware = 1
@@ -241,8 +236,7 @@ func HashLogPrefix(log *actionlog.Log, actions int) uint64 {
 type SeedPrefix = celf.Prefix
 
 // IsSnapshotHeader reports whether p (at least the first 8 bytes of a
-// file) starts with the binary snapshot magic. Callers use it to sniff
-// snapshot files apart from the text parameter format.
+// file) starts with the binary snapshot magic.
 func IsSnapshotHeader(p []byte) bool {
 	return len(p) >= len(snapshotMagic) && string(p[:len(snapshotMagic)]) == snapshotMagic
 }
@@ -768,8 +762,7 @@ func skipProvSection(sc *snapCursor, numUsers, numActions int) error {
 
 // SnapshotFile is an opened snapshot: the engine and everything stored
 // beside it. Prefix and Sketch are nil when the file carries no such
-// section (always for version-1 files, and for the sections a version
-// predates). Slice marks a version-4 slice, whose engine holds only the
+// section (for the sections a version predates). Slice marks a version-4 slice, whose engine holds only the
 // rows of influencers in [RowLo, RowHi); every other file holds the whole
 // universe [0, Lineage.NumUsers). The engine's shards alias the bytes the
 // open read or mapped, so a mapped SnapshotFile must stay open for as
@@ -799,40 +792,41 @@ func (f *SnapshotFile) Close() error {
 	return rel()
 }
 
-// OpenSnapshot opens a snapshot file written by WriteSnapshot or by an
-// older writer. Every supported version (1 through 6) opens on the heap;
-// versions 3 to 6 also open mapped. Both opens run the same parse: the header (lineage,
-// parameters, per-user action lists, the optional sections) is decoded
-// and its CRC verified, the base section's offset tables, keys and ids
-// are validated in full, and then every shard is an in-place window onto
-// the file's bytes — no cell is copied, no row allocated. The returned
-// engine is bit-for-bit equivalent to the one that was saved and has the
-// full scanned range as its base.
+// OpenSnapshot opens a snapshot file of version 3 to 6: one written by
+// WriteSnapshot or WriteSlice, or a legacy version-6 file. Both opens
+// accept exactly these versions and run the same parse: the header
+// (lineage, parameters, per-user action lists, the optional sections) is
+// decoded and its CRC verified, the base section's offset tables, keys
+// and ids are validated in full, and then every shard is an in-place
+// window onto the file's bytes — no cell is copied, no row allocated.
+// The returned engine is bit-for-bit equivalent to the one that was saved
+// and has the full scanned range as its base.
 //
 // With mmap false the file is read into one 8-aligned heap buffer and the
-// full-file CRC footer is verified before anything is parsed. With mmap
-// true the file is memory-mapped and the OS pages shards in and out on
-// demand, so the model can exceed RAM; the footer's checksum pass is
-// skipped, while the header CRC and the structural walk over every
-// record still run. Hosts that cannot
-// alias the layout (32-bit or big-endian) decode the same bytes into heap
-// shards instead. Corrupt or truncated input — bad magic, impossible
-// counts, unordered keys, a CRC mismatch, trailing garbage, a malformed
-// section — is rejected with an error, never a panic or an unbounded
-// allocation.
+// full-file CRC footer is verified before anything past the version word
+// is parsed. With mmap true the file is memory-mapped and the OS pages
+// shards in and out on demand, so the model can exceed RAM; the footer's
+// checksum pass is skipped, while the header CRC and the structural walk
+// over every record still run. Hosts that cannot alias the layout (32-bit
+// or big-endian) decode the same bytes into heap shards instead. Corrupt
+// or truncated input — impossible counts, unordered keys, a CRC
+// mismatch, trailing garbage, a malformed section — is rejected with an
+// error, never a panic or an unbounded allocation. A file that is not a
+// snapshot, or holds any other version, is refused with the advice to
+// rebuild it.
 func OpenSnapshot(path string, mmap bool) (*SnapshotFile, error) {
 	if !mmap {
 		data, err := readAligned(path)
 		if err != nil {
 			return nil, err
 		}
-		return decodeSnapshot(data)
+		return parseSnapshot(data, mappedAliasSupported(), false)
 	}
 	data, release, err := mmapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	f, err := parseSnapshotV3(data, mappedAliasSupported(), true)
+	f, err := parseSnapshot(data, mappedAliasSupported(), true)
 	if err != nil {
 		release()
 		return nil, err
@@ -842,8 +836,8 @@ func OpenSnapshot(path string, mmap bool) (*SnapshotFile, error) {
 }
 
 // readAligned reads the file at path into one heap buffer sized from Stat
-// and backed by []uint64, so it is 8-aligned and the version-3 parse can
-// alias the base section in place.
+// and backed by []uint64, so it is 8-aligned and the parse can alias
+// the base section in place.
 func readAligned(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -864,125 +858,4 @@ func readAligned(path string) ([]byte, error) {
 		return nil, fmt.Errorf("core: snapshot: read %s: %w", path, err)
 	}
 	return data, nil
-}
-
-// decodeSnapshot is the heap open's parse of a whole file held in data:
-// the footer CRC first, then the version-3 parse (aliasing data when the
-// host and data's alignment allow) or the version-1/2 legacy reader.
-func decodeSnapshot(data []byte) (*SnapshotFile, error) {
-	if len(data) < len(snapshotMagic)+4+4 {
-		return nil, errors.New("core: snapshot: truncated input: shorter than the fixed header")
-	}
-	if !IsSnapshotHeader(data) {
-		return nil, errors.New("core: snapshot: bad magic (not a snapshot file)")
-	}
-	// Integrity first: the CRC footer covers the whole payload, so every
-	// later structural check runs on bytes known to be exactly what the
-	// writer produced (or the file is rejected here, wholesale).
-	payload, footer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(footer), crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("core: snapshot: checksum mismatch (file %08x, computed %08x): corrupt or truncated input", got, want)
-	}
-	switch version := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); version {
-	case snapshotVersion, snapshotVersionSlice, snapshotVersionSketch, snapshotVersionProv:
-		return parseSnapshotV3(data, mappedAliasSupported(), false)
-	case snapshotVersionNoBase, snapshotVersionNoPrefix:
-		return readLegacySnapshot(payload, version)
-	default:
-		return nil, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
-	}
-}
-
-// readLegacySnapshot parses the version-1/2 payload (footer already
-// verified and stripped): shards as packed 12-byte cells, then — for
-// version 2 — the seed-prefix section. Each shard is rebuilt in the
-// base-section layout, offsets counted from its first cell.
-func readLegacySnapshot(payload []byte, version uint32) (*SnapshotFile, error) {
-	sc := &snapCursor{b: payload, off: len(snapshotMagic) + 4}
-	lin, lambda, credit, err := parseSnapshotHeader(sc)
-	if err != nil {
-		return nil, err
-	}
-	e := newSnapshotEngine(lin, lambda, credit)
-	if err := parseUsers(sc, lin, e); err != nil {
-		return nil, err
-	}
-
-	for a := 0; a < lin.NumActions && sc.err == nil; a++ {
-		rowCount := sc.count("row", 8)
-		entryTotal := sc.count("shard entry", 12)
-		s := &shard{dir: make([]mdirEntry, 0, rowCount), cells: make([]ucEntry, 0, entryTotal)}
-		prevKey := int32(-1)
-		for ri := 0; ri < rowCount && sc.err == nil; ri++ {
-			v := int32(sc.u32())
-			if sc.err != nil {
-				break
-			}
-			if v < 0 || int(v) >= lin.NumUsers {
-				sc.fail("action %d row key %d out of range [0,%d)", a, v, lin.NumUsers)
-				break
-			}
-			if v <= prevKey {
-				sc.fail("action %d row keys out of order at %d", a, v)
-				break
-			}
-			prevKey = v
-			n := sc.count("entry", 12)
-			if sc.err != nil {
-				break
-			}
-			if n == 0 {
-				sc.fail("action %d row %d is empty", a, v)
-				break
-			}
-			if len(s.cells)+n > entryTotal {
-				sc.fail("action %d rows exceed the declared entry total %d", a, entryTotal)
-				break
-			}
-			cells := sc.take(n * 12)
-			if cells == nil {
-				break
-			}
-			s.dir = append(s.dir, mdirEntry{key: v, count: uint32(n), off: uint64(len(s.cells)) * 16})
-			prevU := int32(-1)
-			for off := 0; off < len(cells); off += 12 {
-				u := int32(binary.LittleEndian.Uint32(cells[off:]))
-				if u < 0 || int(u) >= lin.NumUsers {
-					sc.fail("action %d entry id %d out of range [0,%d)", a, u, lin.NumUsers)
-					break
-				}
-				if u <= prevU {
-					sc.fail("action %d row %d entries out of order at %d", a, v, u)
-					break
-				}
-				prevU = u
-				s.cells = append(s.cells, ucEntry{u: u, c: math.Float64frombits(binary.LittleEndian.Uint64(cells[off+4:]))})
-			}
-		}
-		if sc.err != nil {
-			break
-		}
-		if len(s.cells) != entryTotal {
-			sc.fail("action %d holds %d entries, header declared %d", a, len(s.cells), entryTotal)
-			break
-		}
-		e.entries += int64(len(s.cells))
-		e.uc = append(e.uc, s)
-	}
-	if sc.err != nil {
-		return nil, sc.err
-	}
-
-	// Seed-prefix section (version >= 2 only); version-1 files end at the
-	// shards.
-	f := &SnapshotFile{Engine: e, Lineage: lin, RowHi: lin.NumUsers}
-	if version >= snapshotVersionNoBase {
-		if f.Prefix, err = parseSeedPrefix(sc, lin.NumUsers); err != nil {
-			return nil, err
-		}
-	}
-	if sc.remaining() != 0 {
-		return nil, errors.New("core: snapshot: trailing data after payload")
-	}
-	return f, nil
 }

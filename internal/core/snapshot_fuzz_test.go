@@ -15,9 +15,10 @@ import (
 // FuzzReadSnapshot drives the binary-snapshot reader with arbitrary
 // bytes: corrupt, truncated, or outright hostile input must always come
 // back as an error — never a panic, an unbounded allocation, or a
-// silently wrong engine. The corpus seeds cover both format versions,
-// files with and without the seed-prefix section, and targeted
-// corruptions of each; the fuzzer mutates from there.
+// silently wrong engine. The corpus seeds cover every readable version,
+// files with and without the seed-prefix section, the version-1/2
+// layouts no open reads any more (which must be refused), and targeted
+// corruptions; the fuzzer mutates from there.
 //
 // For input the reader does accept, three invariants are checked: the
 // engine's declared shape matches the lineage, re-serializing reproduces
@@ -66,14 +67,15 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(stray.Bytes())
 
-	// Seed 4: legacy version-2 layout, with a prefix.
+	// Seed 4: the version-2 layout, with a prefix; refused.
 	var legacy bytes.Buffer
 	if err := writeSnapshotV2(&legacy, e, lin, prefix); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(legacy.Bytes())
 
-	// Seed 5: version-1 layout (version-2 minus the prefix section).
+	// Seed 5: the version-1 layout (version 2 minus the prefix section);
+	// refused.
 	var legacyPlain bytes.Buffer
 	if err := writeSnapshotV2(&legacyPlain, e, lin, nil); err != nil {
 		f.Fatal(err)
@@ -81,7 +83,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(craftVersion1(legacyPlain.Bytes()))
 
 	// Seeds 6+: truncations and CRC-refreshed corruptions, against both the
-	// version-3 and the legacy layout. Re-stamping the footer after a flip
+	// version-3 and the version-2 layout. Re-stamping the footer after a flip
 	// steers the fuzzer straight past the checksum to the structural
 	// validators (count bounds, ordering, offset-table canonicality, prefix
 	// rules).
@@ -249,9 +251,6 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
-		if version < snapshotVersion {
-			return // v1/v2 input re-encodes as v3; bytes legitimately differ
-		}
 		checkAliasingParse(t, data, sf)
 		var out bytes.Buffer
 		if sf.Slice {
@@ -313,11 +312,11 @@ func checkProvlessEquivalent(t *testing.T, sf *SnapshotFile, out []byte) {
 // the same sketch. The reverse does not hold — the mapped open skips the
 // footer CRC, so it may accept input the heap open refuses.
 func checkAliasingParse(t *testing.T, data []byte, heap *SnapshotFile) {
-	mapped, err := parseSnapshotV3(alignedCopy(data), mappedAliasSupported(), true)
+	mapped, err := parseSnapshot(alignedCopy(data), mappedAliasSupported(), true)
 	if err != nil {
 		t.Fatalf("heap open accepted input the mapped open's parse refuses: %v", err)
 	}
-	copied, err := parseSnapshotV3(data, false, false)
+	copied, err := parseSnapshot(data, false, false)
 	if err != nil {
 		t.Fatalf("heap open accepted input the non-aliasing parse refuses: %v", err)
 	}

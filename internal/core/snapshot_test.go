@@ -41,9 +41,10 @@ func writeSnapshot(t *testing.T, e *Engine, lin Lineage) []byte {
 }
 
 // readSnapshot parses snapshot bytes exactly as the heap OpenSnapshot
-// parses a file it has read: from an 8-aligned buffer, footer first.
+// parses a file it has read: from an 8-aligned buffer, the footer
+// checked right after the version.
 func readSnapshot(data []byte) (*SnapshotFile, error) {
-	return decodeSnapshot(alignedCopy(data))
+	return parseSnapshot(alignedCopy(data), mappedAliasSupported(), false)
 }
 
 // alignedCopy copies data into an 8-aligned buffer backed by []uint64, the
@@ -400,17 +401,24 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	}
 }
 
-// writeSnapshotV2 writes the legacy version-2 format (packed 12-byte
-// cells, prefix after the shards, no header CRC or base section). Nothing
-// writes it any more; the compatibility tests need a source of genuine
-// old-format files now that WriteSnapshot emits version 3.
+// Versions 1 and 2 are the pre-mmap layouts no open reads any more:
+// version 2 has packed 12-byte cells, the prefix after the shards, and no
+// header CRC or base section; version 1 is version 2 minus the
+// seed-prefix section.
+const (
+	legacyVersionNoPrefix = 1
+	legacyVersionNoBase   = 2
+)
+
+// writeSnapshotV2 writes the version-2 format, the source of genuine
+// old-format files for the tests that pin their refusal.
 func writeSnapshotV2(w io.Writer, e *Engine, lin Lineage, prefix *SeedPrefix) error {
 	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sw := &snapWriter{w: bw}
-	if err := writeSnapshotHeader(sw, e, lin, snapshotVersionNoBase); err != nil {
+	if err := writeSnapshotHeader(sw, e, lin, legacyVersionNoBase); err != nil {
 		return err
 	}
 
@@ -448,87 +456,10 @@ func writeSnapshotV2(w io.Writer, e *Engine, lin Lineage, prefix *SeedPrefix) er
 // footer, recompute the CRC. The input must carry no seed prefix.
 func craftVersion1(v2 []byte) []byte {
 	v1 := append([]byte(nil), v2[:len(v2)-8]...)
-	binary.LittleEndian.PutUint32(v1[len(snapshotMagic):], snapshotVersionNoPrefix)
+	binary.LittleEndian.PutUint32(v1[len(snapshotMagic):], legacyVersionNoPrefix)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(v1))
 	return append(v1, crc[:]...)
-}
-
-// TestSnapshotVersion1StillReads pins backward compatibility: a file in
-// the pre-prefix version-1 layout (the version-2 layout minus the prefix
-// section) still loads, with a nil prefix.
-func TestSnapshotVersion1StillReads(t *testing.T) {
-	_, _, e, lin := snapshotInstance(t, 89, 30, 16)
-	var buf bytes.Buffer
-	if err := writeSnapshotV2(&buf, e, lin, nil); err != nil {
-		t.Fatalf("writeSnapshotV2: %v", err)
-	}
-	sf, err := readSnapshot(craftVersion1(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("version-1 read: %v", err)
-	}
-	back, backLin, prefix := sf.Engine, sf.Lineage, sf.Prefix
-	if prefix != nil {
-		t.Fatal("version-1 file produced a seed prefix")
-	}
-	if backLin != lin {
-		t.Fatalf("lineage %+v, want %+v", backLin, lin)
-	}
-	requireEnginesBitIdentical(t, e, back, 6)
-}
-
-// TestSnapshotVersion2StillReads pins backward compatibility with the
-// pre-mmap version-2 layout (packed 12-byte cells, prefix after the
-// shards, no header CRC or base section): such files still load with
-// their seed prefix intact, and a re-save upgrades them to the version-3
-// file the same engine would write directly.
-func TestSnapshotVersion2StillReads(t *testing.T) {
-	_, _, e, lin := snapshotInstance(t, 89, 30, 16)
-	sel := seedsel.CELF(NewProbe(e).Estimator(nil), 4)
-	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
-	var buf bytes.Buffer
-	if err := writeSnapshotV2(&buf, e, lin, prefix); err != nil {
-		t.Fatalf("writeSnapshotV2: %v", err)
-	}
-	v2 := buf.Bytes()
-	if v := binary.LittleEndian.Uint32(v2[len(snapshotMagic):]); v != snapshotVersionNoBase {
-		t.Fatalf("legacy writer stamped version %d, want %d", v, snapshotVersionNoBase)
-	}
-
-	sf, err := readSnapshot(v2)
-	if err != nil {
-		t.Fatalf("version-2 read: %v", err)
-	}
-	back, backLin, backPrefix := sf.Engine, sf.Lineage, sf.Prefix
-	if backLin != lin {
-		t.Fatalf("lineage %+v, want %+v", backLin, lin)
-	}
-	if backPrefix == nil {
-		t.Fatal("version-2 file lost its seed prefix")
-	}
-	for i := range prefix.Seeds {
-		if backPrefix.Seeds[i] != prefix.Seeds[i] || backPrefix.Gains[i] != prefix.Gains[i] ||
-			backPrefix.LookupsAt[i] != prefix.LookupsAt[i] {
-			t.Fatalf("prefix entry %d changed: %+v vs %+v", i, backPrefix, prefix)
-		}
-	}
-	requireEnginesBitIdentical(t, e, back, 6)
-
-	// Re-saving the loaded engine upgrades to version 3, byte-identical to
-	// what the original engine writes directly.
-	var resaved, direct bytes.Buffer
-	if err := back.WriteSnapshot(&resaved, backLin, backPrefix, nil); err != nil {
-		t.Fatalf("re-save: %v", err)
-	}
-	if err := e.WriteSnapshot(&direct, lin, prefix, nil); err != nil {
-		t.Fatalf("direct save: %v", err)
-	}
-	if v := binary.LittleEndian.Uint32(resaved.Bytes()[len(snapshotMagic):]); v != snapshotVersion {
-		t.Fatalf("re-save stamped version %d, want %d", v, snapshotVersion)
-	}
-	if !bytes.Equal(resaved.Bytes(), direct.Bytes()) {
-		t.Fatal("version-2 re-save differs from the direct version-3 encoding")
-	}
 }
 
 // TestSnapshotVersion3StillReads pins backward compatibility with the
@@ -627,7 +558,7 @@ func TestSnapshotUnsupportedVersionError(t *testing.T) {
 	if err == nil {
 		t.Fatal("version-99 file accepted")
 	}
-	for _, sub := range []string{"unsupported version 99", "1 through 6"} {
+	for _, sub := range []string{"unsupported version 99", "3 through 6", "credist learn -o"} {
 		if !strings.Contains(err.Error(), sub) {
 			t.Errorf("read error %q missing %q", err, sub)
 		}
@@ -641,7 +572,7 @@ func TestSnapshotUnsupportedVersionError(t *testing.T) {
 	if err == nil {
 		t.Fatal("mapped open accepted a version-99 file")
 	}
-	for _, sub := range []string{"unsupported version 99", "1 through 6"} {
+	for _, sub := range []string{"unsupported version 99", "3 through 6", "credist learn -o"} {
 		if !strings.Contains(err.Error(), sub) {
 			t.Errorf("mapped open error %q missing %q", err, sub)
 		}

@@ -195,6 +195,8 @@ func TestHandlerTable(t *testing.T) {
 			wantStatus: 400, wantErrSub: "bad JSON"},
 		{name: "reload slice paths", method: "POST", target: "/reload", body: `{"slices":["model.bin.slice-0-of-1"]}`,
 			wantStatus: 400, wantErrSub: `unknown field "slices"`},
+		{name: "reload params field", method: "POST", target: "/reload", body: `{"preset":"flixster-small","params":"params.txt"}`,
+			wantStatus: 400, wantErrSub: `unknown field "params"`},
 		{name: "reload empty source", method: "POST", target: "/reload", body: `{}`,
 			wantStatus: 400, wantErrSub: "needs a preset"},
 		{name: "reload mmap without model", method: "POST", target: "/reload", body: `{"preset":"flixster-small","mmap":true}`,
@@ -563,29 +565,24 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	}
 }
 
-// TestStatsParamsFileHasNoSnapshotProvenance: a text parameter file
-// served as the model restores no scan, so /stats names the file but
-// reports no snapshot actions: the whole log was scanned at start.
-func TestStatsParamsFileHasNoSnapshotProvenance(t *testing.T) {
+// TestBuildRefusesTextParamsModel: a text parameter file named as the
+// model is refused by both opens, with an error that names the file and
+// says to rebuild it with `credist learn -o`.
+func TestBuildRefusesTextParamsModel(t *testing.T) {
 	demo := demoDataset()
-	headDS := &credist.Dataset{Name: "demo-head", Graph: demo.Graph, Log: demo.Log.Prefix(demo.Log.NumActions() - 10)}
 	dir := t.TempDir()
 	gp, lp, pp := filepath.Join(dir, "d.graph"), filepath.Join(dir, "d.log"), filepath.Join(dir, "params.txt")
-	if err := credist.SaveDataset(headDS, gp, lp); err != nil {
+	if err := credist.SaveDataset(demo, gp, lp); err != nil {
 		t.Fatal(err)
 	}
-	if err := credist.Learn(headDS, credist.Options{}).SaveParams(pp); err != nil {
+	if err := os.WriteFile(pp, []byte("numUsers 3\ninfl 0 0.5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sn, err := serve.Build(serve.Source{GraphPath: gp, LogPath: lp, ModelPath: pp})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	var st serve.StatsResponse
-	getJSON(t, serve.New(sn).Handler(), "GET", "/stats", "", &st)
-	if st.ModelFile != pp || st.ModelActions != 0 || st.ModelTailActions != 0 || st.Actions != headDS.Log.NumActions() {
-		t.Fatalf("stats provenance = %s/%d/%d over %d actions, want %s/0/0 over %d",
-			st.ModelFile, st.ModelActions, st.ModelTailActions, st.Actions, pp, headDS.Log.NumActions())
+	for _, mmap := range []bool{false, true} {
+		_, err := serve.Build(serve.Source{GraphPath: gp, LogPath: lp, ModelPath: pp, Mmap: mmap})
+		if err == nil || !strings.Contains(err.Error(), pp) || !strings.Contains(err.Error(), "credist learn -o") {
+			t.Errorf("mmap=%t: Build of a text parameter file: err = %v", mmap, err)
+		}
 	}
 }
 

@@ -37,24 +37,21 @@ type Source struct {
 	// written by cmd/datagen.
 	GraphPath string `json:"graph,omitempty"`
 	LogPath   string `json:"log,omitempty"`
-	// ParamsPath optionally restores time-aware parameters written by
-	// Model.SaveParams instead of re-learning them from the log.
-	ParamsPath string `json:"params,omitempty"`
-	// ModelPath restores a full binary snapshot written by Model.Save or
-	// POST /snapshot: learned parameters plus the scanned UC structure,
-	// lineage-checked against the dataset. Only log actions past the
-	// snapshot's recorded scan are processed, so starting from a snapshot
-	// skips both learning and the full log scan. Mutually exclusive with
-	// ParamsPath; Lambda/SimpleCredit must match the stored options or be
-	// left zero to adopt them.
+	// ModelPath restores a full binary snapshot written by Model.Save,
+	// `credist learn -o` or POST /snapshot: learned parameters plus the
+	// scanned UC structure, lineage-checked against the dataset. Only log
+	// actions past the snapshot's recorded scan are processed, so starting
+	// from a snapshot skips both learning and the full log scan.
+	// Lambda/SimpleCredit must match the stored options or be left zero
+	// to adopt them. Any other file is refused with the advice to rebuild
+	// it with `credist learn -o`.
 	ModelPath string `json:"model,omitempty"`
 	// Mmap serves the frozen UC base directly out of the ModelPath file
 	// through a read-only memory mapping instead of reading the file into
 	// a heap buffer: the open copies no cells, and the OS pages shards in
-	// and out on demand. Requires ModelPath naming a version-3 to
-	// version-6 snapshot (re-save older files to upgrade). Queries are
-	// bit-identical to a heap load, and nothing writes the mapping:
-	// ingest scans its tail onto the heap.
+	// and out on demand. It accepts the same files as the heap load.
+	// Queries are bit-identical to a heap load, and nothing writes the
+	// mapping: ingest scans its tail onto the heap.
 	Mmap bool `json:"mmap,omitempty"`
 	// TailPath appends an action-log tail file (as written by `datagen
 	// -stream`) to the dataset's log before the model binds to it. With
@@ -333,9 +330,6 @@ func Build(src Source) (*Snapshot, error) {
 	if src.Mmap && src.ModelPath == "" {
 		return nil, fmt.Errorf("mmap requires a model path (the mapping is the snapshot file)")
 	}
-	if src.ModelPath != "" && src.ParamsPath != "" {
-		return nil, fmt.Errorf("model and params are mutually exclusive")
-	}
 	ds, err := src.dataset()
 	if err != nil {
 		return nil, err
@@ -402,8 +396,7 @@ func Build(src Source) (*Snapshot, error) {
 }
 
 // loadModel restores the model from a binary snapshot (memory-mapped
-// when the source asks), restores learned parameters, or learns from
-// scratch.
+// when the source asks) or learns it from scratch.
 func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, error) {
 	switch {
 	case src.ModelPath != "" && src.Mmap:
@@ -415,8 +408,6 @@ func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.
 		return credist.LoadModelMapped(ds, src.ModelPath, opts)
 	case src.ModelPath != "":
 		return credist.LoadModel(ds, src.ModelPath, opts)
-	case src.ParamsPath != "":
-		return credist.LoadModel(ds, src.ParamsPath, opts)
 	default:
 		return credist.Learn(ds, opts), nil
 	}
@@ -726,12 +717,11 @@ func (sn *Snapshot) checkpointPrefix() *credist.SeedPrefix {
 
 // ModelActions returns how many actions the binary snapshot file this
 // snapshot line cold-started from had scanned (0 when the model was
-// learned in-process or restored from a text parameter file).
+// learned in-process).
 func (sn *Snapshot) ModelActions() int { return sn.modelActions }
 
 // TailActions returns how many log actions past the snapshot file the
-// cold start appended (0 when the model was learned in-process or
-// restored from a text parameter file).
+// cold start appended (0 when the model was learned in-process).
 func (sn *Snapshot) TailActions() int { return sn.tailActions }
 
 // TopK returns the k top users under a heuristic baseline ("highdeg" or

@@ -1,6 +1,6 @@
-// Package textrec reads the line-oriented text formats of graphs, action
-// logs and learned parameters: one record per line, its fields separated
-// by white space, with blank lines and '#' comments skipped.
+// Package textrec reads the line-oriented text formats of graphs and
+// action logs: one record per line, its fields separated by white space,
+// with blank lines and '#' comments skipped.
 //
 // A Cursor holds the whole input in one buffer and walks it once: Next
 // steps to the next record line and Field hands out that line's fields
@@ -137,9 +137,6 @@ func (c *Cursor) skipSpace(i int) int {
 	}
 	return i
 }
-
-// Line returns the current record's line number, from 1.
-func (c *Cursor) Line() int { return c.line }
 
 // Record returns the current record's fields joined by single spaces,
 // for error messages.

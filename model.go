@@ -1,11 +1,9 @@
 package credist
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -114,13 +112,13 @@ func (m *Model) Dataset() *Dataset { return m.ds }
 
 // OpenTailActions returns how many log actions past its snapshot files
 // the load that opened the model scanned from the log: the rest came
-// scanned from the files. It is zero for a model that was learned,
-// restored from text parameters, or derived by Ingest.
+// scanned from the files. It is zero for a model that was learned or
+// derived by Ingest.
 func (m *Model) OpenTailActions() int { return m.openTail }
 
 // SnapshotActions returns how many log actions the snapshot files the
 // model was opened from held scanned. It is zero for a model that was
-// learned, restored from text parameters, or derived by Ingest.
+// learned or derived by Ingest.
 func (m *Model) SnapshotActions() int { return m.fileActions }
 
 // Options returns the options the model was learned with.
@@ -297,25 +295,6 @@ func PageRankSeeds(ds *Dataset, k int) []NodeID {
 	return seedsel.PageRankSeeds(ds.Graph, k)
 }
 
-// SaveParams writes the model's learned parameters (time-aware credit
-// only; the simple rule has none) so a model fitted once can be restored
-// with LoadModel without re-learning.
-func (m *Model) SaveParams(path string) error {
-	ta, ok := m.credit.(*core.TimeAwareCredit)
-	if !ok {
-		return fmt.Errorf("credist: simple-credit models have no parameters to save")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("credist: create params file: %w", err)
-	}
-	if err := core.WriteTimeAware(f, ta); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Save writes the model as a durable binary snapshot: learned parameters
 // plus the fully scanned UC credit structure, the dataset lineage
 // (name, universe, action count, graph/log content hashes), and the
@@ -374,60 +353,37 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 
 // IsModelSnapshot reports whether data (at least the first 8 bytes of a
 // file) begins with the binary model-snapshot magic — the format written
-// by Model.Save and `credist learn -o`, as opposed to the SaveParams text
-// format.
+// by Model.Save and `credist learn -o`.
 func IsModelSnapshot(data []byte) bool { return core.IsSnapshotHeader(data) }
 
-// LoadModel restores a model from a file written by Save (binary
-// snapshot) or SaveParams (text parameters), sniffing the format from the
-// file header and binding the result to the given dataset.
+// LoadModel restores a model from a binary snapshot written by Save or
+// `credist learn -o`, of version 3 to 6, reading the whole file into
+// memory and binding the result to the given dataset. LoadModelMapped
+// accepts exactly the same files and refuses the same ones: anything
+// else, a text parameter file included, is refused with an error that
+// names the file and says to rebuild it with `credist learn -o`.
 //
-// For a binary snapshot the dataset is lineage-checked: the graph must
-// hash-match the one the snapshot was built against, and the log must
-// contain the snapshot's scanned prefix verbatim. The log may be longer —
-// the restored engine appends only the unscanned tail (bit-identical to a
-// from-scratch rescan of the combined log), which is what makes restarting
-// an ingesting service a matter of milliseconds instead of a full rescan.
-// The snapshot's stored options are authoritative: pass the same options
-// it was saved with, or the zero Options to adopt them; anything else is
-// a lineage error.
-//
-// For text parameters (time-aware only) the behavior is unchanged: the
-// dataset must share the user universe the parameters were learned on,
-// and opts is taken as given.
+// The dataset is lineage-checked: the graph must hash-match the one the
+// snapshot was built against, and the log must contain the snapshot's
+// scanned prefix verbatim. The log may be longer — the restored engine
+// appends only the unscanned tail (bit-identical to a from-scratch rescan
+// of the combined log), which is what makes restarting an ingesting
+// service a matter of milliseconds instead of a full rescan. The
+// snapshot's stored options are authoritative: pass the same options it
+// was saved with, or the zero Options to adopt them; anything else is a
+// lineage error.
 func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("credist: open model file: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	if header, err := br.Peek(8); err == nil && core.IsSnapshotHeader(header) {
-		return loadSnapshotModel(ds, path, false, opts)
-	}
-	credit, err := core.ReadTimeAware(br, ds.Graph.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	// Same guard the snapshot path applies: parameters must cover every
-	// graph node, or the first Gamma evaluation for an uncovered user
-	// would panic instead of erroring here.
-	if credit.UniverseSize() < ds.Graph.NumNodes() {
-		return nil, fmt.Errorf("credist: parameters cover %d users, graph has %d nodes", credit.UniverseSize(), ds.Graph.NumNodes())
-	}
-	return newModel(ds, opts, credit), nil
+	return loadSnapshotModel(ds, path, false, opts)
 }
 
-// LoadModelMapped restores a model from a binary snapshot of version 3
-// to 6 with the frozen UC base served directly from the memory-mapped
-// file: no cell is parsed, no shard allocated, and the OS pages cold
-// shards in and out on demand, so the model can exceed RAM and opening is
-// near-instant regardless of model size. Everything else matches
-// LoadModel's snapshot path — lineage check, stored-options authority,
-// tail append for a grown log (the tail is scanned onto the heap; the
-// base stays mapped) — and every query is bit-identical to the
-// heap-loaded model. Text parameter files and pre-v3 snapshots are
-// rejected; re-save with Save to upgrade.
+// LoadModelMapped is LoadModel with the frozen UC base served directly
+// from the memory-mapped file: no cell is parsed, no shard allocated, and
+// the OS pages cold shards in and out on demand, so the model can exceed
+// RAM and opening is near-instant regardless of model size. It accepts
+// the same files as LoadModel, with the same lineage check, stored-options
+// authority and tail append for a grown log (the tail is scanned onto the
+// heap; the base stays mapped), and every query is bit-identical to the
+// heap-loaded model.
 //
 // The caller owns the mapping's lifetime: Close the model only after all
 // planners derived from it are gone and its queries have returned.

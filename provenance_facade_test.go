@@ -202,14 +202,7 @@ func TestExplainReachOnAfterIngestBuildsFromPlanner(t *testing.T) {
 		return planner.eng
 	}
 
-	params := filepath.Join(t.TempDir(), "params.txt")
-	if err := model.SaveParams(params); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := LoadModel(&Dataset{Name: "combined", Graph: full.Graph, Log: grown.Dataset().Log}, params, Options{Lambda: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := ReferenceModel(&Dataset{Name: "combined", Graph: full.Graph, Log: grown.Dataset().Log}, model)
 	// The first explanations race from several goroutines.
 	seeds := []NodeID{3, 17, 256, 1024, 2047}
 	targets := []NodeID{5, 99, 512, 2999}

@@ -43,7 +43,6 @@ var reachAllowed = map[string]string{
 	"actionlog.Log.Append":            "test fixture: AppendWithin without a universe bound",
 
 	// Behind public facade methods no program calls.
-	"core.WriteTimeAware":       "behind Model.SaveParams",
 	"core.Evaluator.PairCredit": "behind Model.PairCredit",
 
 	// Interface markers, never called.
