@@ -56,7 +56,7 @@ func runServe(args []string) {
 		tail      = fs.String("tail", "", "optional action-tail file (as written by `datagen -stream`) appended to the log before the model binds; with -model, how a restart catches up past a checkpoint")
 		lambda    = fs.Float64("lambda", 0.001, "CD truncation threshold (paper default 0.001; 0 keeps every credit); with -model, must match the stored value or be left unset")
 		simple    = fs.Bool("simple-credit", false, "use the equal-split 1/d_in direct-credit rule instead of the learned time-aware rule (Eq. 9)")
-		parts     = fs.Int("partitions", 0, "split the model into N influencer-row partitions, reported per partition in /stats (0 serves the single-engine path; answers are bit-identical at every N); partitions are row ranges of the one model, and a partitioned POST /snapshot writes one whole-model file")
+		parts     = fs.Int("partitions", 0, "split the model into N influencer-row partitions, reported per partition in /stats (0 serves the single-engine path; /gain, /seeds and /explain are bit-identical to it at every N, while /spread and /topk answer the telescoped lambda-truncated sum, slightly below the exact spread, and eps= is capped at the RR pool the model file persisted, 501 without one); partitions are row ranges of the one model, and a partitioned POST /snapshot writes one whole-model file")
 		warmK     = fs.Int("warm-k", 0, "precompute and cache the CELF selection for this k before accepting traffic (0 skips warmup)")
 	)
 	fs.Usage = func() {

@@ -3,6 +3,7 @@ package credist
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -561,9 +562,10 @@ func TestLoadModelMappedBitIdentical(t *testing.T) {
 }
 
 // TestLoadModelRefusesOtherFiles: both opens refuse a text parameter
-// file, a version-2 snapshot and a missing file, and each refusal names
-// the file; the first two say to rebuild it with `credist learn -o`, and
-// the heap and mapped opens refuse each file with the same error.
+// file, a version-2 or version-4 snapshot and a missing file, and each
+// refusal names the file; all but the missing file's say to rebuild it
+// with `credist learn -o`, and the heap and mapped opens refuse each file
+// with the same error.
 func TestLoadModelRefusesOtherFiles(t *testing.T) {
 	ds := Generate(tinyConfig(8))
 	dir := t.TempDir()
@@ -575,22 +577,25 @@ func TestLoadModelRefusesOtherFiles(t *testing.T) {
 	if err := Learn(ds, Options{}).Save(snap); err != nil {
 		t.Fatal(err)
 	}
-	// A version-2 stamp with the footer refreshed: only the version check
-	// can refuse it.
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[8:], 2)
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-	v2 := filepath.Join(dir, "v2.bin")
-	if err := os.WriteFile(v2, data, 0o644); err != nil {
-		t.Fatal(err)
+	// Version-2 and version-4 stamps with the footer refreshed: only the
+	// version check can refuse them.
+	stamped := func(v uint32) string {
+		data, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[8:], v)
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+		path := filepath.Join(dir, fmt.Sprintf("v%d.bin", v))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
 	for _, c := range []struct {
 		path    string
 		rebuild bool
-	}{{text, true}, {v2, true}, {filepath.Join(dir, "missing.bin"), false}} {
+	}{{text, true}, {stamped(2), true}, {stamped(4), true}, {filepath.Join(dir, "missing.bin"), false}} {
 		_, heapErr := LoadModel(ds, c.path, Options{})
 		_, mapErr := LoadModelMapped(ds, c.path, Options{})
 		if heapErr == nil || mapErr == nil {

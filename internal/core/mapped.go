@@ -45,17 +45,15 @@ func mappedAliasSupported() bool {
 	return binary.NativeEndian.Uint32(probe[:]) == binary.LittleEndian.Uint32(probe[:])
 }
 
-// validateBaseSection walks a version-3/4 base section at payload[baseOff:]
-// and enforces the canonical layout in full: the per-action offset table
-// must point at contiguous, in-order blocks; row keys and cell ids must
-// be strictly ascending and in range — row keys additionally inside
-// [rowLo, rowHi), the declared row range of a version-4 slice (the full
-// universe for a version-3 file); every row offset must equal its
+// validateBaseSection walks a base section at payload[baseOff:] and
+// enforces the canonical layout in full: the per-action offset table must
+// point at contiguous, in-order blocks; row keys and cell ids must be
+// strictly ascending and in range; every row offset must equal its
 // canonical (contiguous, 8-aligned) position; cell padding words must be
 // zero; and the section must end exactly at the payload end. Both the
 // heap open and the mapped open run this, so a corrupt or hostile
 // offset table is rejected before any row is ever addressed.
-func validateBaseSection(payload []byte, baseOff, numUsers, numActions, rowLo, rowHi int) ([]baseExtent, int64, error) {
+func validateBaseSection(payload []byte, baseOff, numUsers, numActions int) ([]baseExtent, int64, error) {
 	fail := func(format string, args ...any) ([]baseExtent, int64, error) {
 		return nil, 0, fmt.Errorf("core: snapshot: "+format, args...)
 	}
@@ -96,9 +94,6 @@ func validateBaseSection(payload []byte, baseOff, numUsers, numActions, rowLo, r
 			off := binary.LittleEndian.Uint64(rec[8:])
 			if key < 0 || int(key) >= numUsers {
 				return fail("action %d row key %d out of range [0,%d)", a, key, numUsers)
-			}
-			if int(key) < rowLo || int(key) >= rowHi {
-				return fail("action %d row key %d outside the slice's declared rows [%d,%d)", a, key, rowLo, rowHi)
 			}
 			if key <= prevKey {
 				return fail("action %d row keys out of order at %d", a, key)
@@ -146,7 +141,7 @@ func validateBaseSection(payload []byte, baseOff, numUsers, numActions, rowLo, r
 	return extents, total, nil
 }
 
-// parseSnapshot parses a version-3 to 6 snapshot held in data (footer
+// parseSnapshot parses a version-3, 5 or 6 snapshot held in data (footer
 // included), the one parse behind both opens. With alias set and the
 // base section 8-aligned in memory, shards alias data in place;
 // otherwise they are decoded into heap copies, so nothing pins data.
@@ -164,9 +159,9 @@ func parseSnapshot(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 	sc := &snapCursor{b: payload, off: len(snapshotMagic)}
 	version := sc.u32()
 	switch version {
-	case snapshotVersion, snapshotVersionSlice, snapshotVersionSketch, snapshotVersionProv:
+	case snapshotVersion, snapshotVersionSketch, snapshotVersionProv:
 	default:
-		return nil, fmt.Errorf("core: snapshot: unsupported version %d (this build reads %d through %d); %s", version, snapshotVersion, snapshotVersionProv, rebuildHint)
+		return nil, fmt.Errorf("core: snapshot: unsupported version %d (this build reads %d, %d and %d); %s", version, snapshotVersion, snapshotVersionSketch, snapshotVersionProv, rebuildHint)
 	}
 	// Integrity first on the heap: the footer covers the whole payload,
 	// so every later structural check runs on bytes known to be exactly
@@ -191,16 +186,6 @@ func parseSnapshot(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 	f := &SnapshotFile{Engine: e, Lineage: lin, data: data}
 	if f.Prefix, err = parseSeedPrefix(sc, lin.NumUsers); err != nil {
 		return nil, err
-	}
-	// Version-4 slices declare the influencer-row range their base section
-	// holds; the base walk below then enforces it row by row. Reading them
-	// is benchmark-pinned: credist-bench reopens pre-split slices.
-	f.RowHi = lin.NumUsers
-	if version == snapshotVersionSlice {
-		f.Slice, f.RowLo, f.RowHi = true, int(sc.u32()), int(sc.u32())
-		if sc.err == nil && (f.RowLo < 0 || f.RowLo > f.RowHi || f.RowHi > lin.NumUsers) {
-			return nil, fmt.Errorf("core: snapshot: slice rows [%d,%d) outside the universe [0,%d)", f.RowLo, f.RowHi, lin.NumUsers)
-		}
 	}
 	// Version-5 snapshots carry the approximate tier's RR sketch between
 	// the prefix section and the header CRC, so both opens restore it
@@ -249,7 +234,7 @@ func parseSnapshot(data []byte, alias, mapped bool) (*SnapshotFile, error) {
 		return nil, sc.err
 	}
 	baseOff := sc.off
-	extents, total, err := validateBaseSection(payload, baseOff, lin.NumUsers, lin.NumActions, f.RowLo, f.RowHi)
+	extents, total, err := validateBaseSection(payload, baseOff, lin.NumUsers, lin.NumActions)
 	if err != nil {
 		return nil, err
 	}

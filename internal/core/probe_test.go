@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -45,15 +46,37 @@ func stateOf(e *Engine) engineState {
 	return engineState{e.HeapBytes(), e.MappedBytes(), e.Entries()}
 }
 
+// engineForm returns e itself (form 0), or e written as a snapshot and
+// read back on the heap: with its shards aliasing the read buffer, so row
+// offsets count from the base section rather than from the first cell
+// (form 1), or decoded into heap copies, as hosts that cannot alias the
+// layout read it (form 2).
+func engineForm(t *testing.T, e *Engine, form int) *Engine {
+	t.Helper()
+	if form == 0 {
+		return e
+	}
+	var buf bytes.Buffer
+	lin := Lineage{Dataset: "form", NumUsers: e.NumNodes(), NumActions: e.NumActions()}
+	if err := e.WriteSnapshot(&buf, lin, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	sf, err := parseSnapshot(alignedCopy(buf.Bytes()), form == 1 && mappedAliasSupported(), false)
+	if err != nil {
+		t.Fatalf("read engine form %d: %v", form, err)
+	}
+	return sf.Engine
+}
+
 // checkProbeMatchesCommit is the probe's defining property: for random
 // seed sequences (duplicates, inactive users and already-committed seeds
 // included) and random objectives, every gain Probe.Commit reports and
 // every candidate gain Probe.Gain returns is bit-identical to GainObj on
 // the commit oracle after Add-ing the same seeds in order — with the
-// probe reading a heap or mapped engine, or one joined from nparts
-// row-range slices of it, and optionally cloned from a probe that already
-// holds commits — and the probed engine is left exactly as it was.
-func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts int, mmap bool) {
+// probe reading a scanned or mapped engine in the given form
+// (engineForm), and optionally cloned from a probe that already holds
+// commits — and the probed engine is left exactly as it was.
+func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, form int, mmap bool) {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	g, log := probeInstance(rng)
 	n := log.NumUsers()
@@ -65,7 +88,7 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 	if mmap {
 		full = openSnapshot(t, writeSnapshotFile(t, full, DatasetLineage("probe", g, log), nil), true).Engine
 	}
-	eng := joinedSlices(t, full, nparts)
+	eng := engineForm(t, full, form)
 	// The reference is scanned afresh, sharing no storage with the probed
 	// engine, so a probe that wrote through to a shared row would show.
 	// A third of the runs start every probe as a clone of one that
@@ -138,24 +161,23 @@ func checkProbeMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts i
 // FuzzProbeMatchesCommit drives checkProbeMatchesCommit over instance
 // seeds, truncation thresholds {0, 0.001, 0.05} (the largest drops many
 // transitive cells, so Lemma 2 often finds the cell to lower missing, and
-// pushes cells through the 1e-15 removal), engines joined from
-// {1, 2, 4, 7} row-range slices, and both row stores. The seed corpus, which plain go test runs, covers
-// every cell of that matrix with three instances.
+// pushes cells through the 1e-15 removal), every engine form
+// (engineForm), and both row stores. The seed corpus, which plain go test
+// runs, covers every cell of that matrix with three instances.
 func FuzzProbeMatchesCommit(f *testing.F) {
 	seed := uint64(0)
 	for lambda := uint8(0); lambda < 3; lambda++ {
-		for nparts := uint8(0); nparts < 4; nparts++ {
+		for form := uint8(0); form < 4; form++ {
 			for _, mmap := range []bool{false, true} {
 				for i := 0; i < 3; i++ {
-					f.Add(seed, lambda, nparts, mmap)
+					f.Add(seed, lambda, form, mmap)
 					seed++
 				}
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, lambda, nparts uint8, mmap bool) {
-		checkProbeMatchesCommit(t, seed,
-			[]float64{0, 0.001, 0.05}[lambda%3], []int{1, 2, 4, 7}[nparts%4], mmap)
+	f.Fuzz(func(t *testing.T, seed uint64, lambda, form uint8, mmap bool) {
+		checkProbeMatchesCommit(t, seed, []float64{0, 0.001, 0.05}[lambda%3], int(form%3), mmap)
 	})
 }
 
@@ -169,15 +191,14 @@ type commitEstimator struct {
 func (e commitEstimator) Gain(x graph.NodeID) float64 { return e.GainObj(x, e.obj) }
 
 // checkProbeSelectionMatchesCommit is the selection-level probe property:
-// CELF over a ProbeEstimator on an engine joined from nparts row-range
-// slices picks the same
-// seeds, with the same gain bits and the same lookup counts, as CELF over
-// the commit oracle that Adds each seed — for one-shot Run and
-// for Resume from a prefix of that run followed by Grow. mode picks the
+// CELF over a ProbeEstimator on a scanned engine in the given form
+// (engineForm) picks the same seeds, with the same gain bits and the same
+// lookup counts, as CELF over the commit oracle that Adds each seed — for
+// one-shot Run and for Resume from a prefix of that run followed by Grow. mode picks the
 // pricing (bit 0: a random audience/window objective) and the extras (bit
 // 1: blocked rivals committed first; bit 2: per-node costs and a budget).
 // The probed engine is left exactly as it was.
-func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64, nparts int, mode uint8) {
+func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64, form int, mode uint8) {
 	rng := rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
 	g, log := probeInstance(rng)
 	n := log.NumUsers()
@@ -185,8 +206,7 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 	if rng.IntN(2) == 0 {
 		opts.Credit = LearnTimeAware(g, log)
 	}
-	full := NewEngine(g, log, opts)
-	eng := joinedSlices(t, full, nparts)
+	eng := engineForm(t, NewEngine(g, log, opts), form)
 	before := stateOf(eng)
 
 	var obj *Objective
@@ -227,13 +247,13 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 	same := func(what string, got, want celf.Result) {
 		t.Helper()
 		if !slices.Equal(got.Seeds, want.Seeds) || !slices.Equal(got.LookupsAt, want.LookupsAt) || got.Lookups != want.Lookups {
-			t.Fatalf("seed=%d mode=%d nparts=%d %s: probe picked %v (lookups %v, %d), the oracle %v (lookups %v, %d)",
-				seed, mode, nparts, what, got.Seeds, got.LookupsAt, got.Lookups, want.Seeds, want.LookupsAt, want.Lookups)
+			t.Fatalf("seed=%d mode=%d form=%d %s: probe picked %v (lookups %v, %d), the oracle %v (lookups %v, %d)",
+				seed, mode, form, what, got.Seeds, got.LookupsAt, got.Lookups, want.Seeds, want.LookupsAt, want.Lookups)
 		}
 		for i := range want.Gains {
 			if got.Gains[i] != want.Gains[i] {
-				t.Fatalf("seed=%d mode=%d nparts=%d %s: gain %d = %b, the oracle gives %b",
-					seed, mode, nparts, what, i, got.Gains[i], want.Gains[i])
+				t.Fatalf("seed=%d mode=%d form=%d %s: gain %d = %b, the oracle gives %b",
+					seed, mode, form, what, i, got.Gains[i], want.Gains[i])
 			}
 		}
 	}
@@ -261,29 +281,28 @@ func checkProbeSelectionMatchesCommit(t *testing.T, seed uint64, lambda float64,
 }
 
 // FuzzProbeSelectionMatchesCommit drives checkProbeSelectionMatchesCommit
-// over instance seeds, truncation thresholds {0, 0.001, 0.05}, engines
-// joined from 1-4 row-range slices and every mode: default or objective pricing, with
-// and without blocked rivals, costs and a budget. The seed corpus, which
+// over instance seeds, truncation thresholds {0, 0.001, 0.05}, every
+// engine form (engineForm) and every mode: default or objective pricing,
+// with and without blocked rivals, costs and a budget. The seed corpus, which
 // plain go test runs, covers every cell of that matrix once.
 func FuzzProbeSelectionMatchesCommit(f *testing.F) {
 	seed := uint64(0)
 	for lambda := uint8(0); lambda < 3; lambda++ {
-		for nparts := uint8(0); nparts < 4; nparts++ {
+		for form := uint8(0); form < 4; form++ {
 			for mode := uint8(0); mode < 8; mode++ {
-				f.Add(seed, lambda, nparts, mode)
+				f.Add(seed, lambda, form, mode)
 				seed++
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, lambda, nparts, mode uint8) {
-		checkProbeSelectionMatchesCommit(t, seed,
-			[]float64{0, 0.001, 0.05}[lambda%3], 1+int(nparts%4), mode%8)
+	f.Fuzz(func(t *testing.T, seed uint64, lambda, form, mode uint8) {
+		checkProbeSelectionMatchesCommit(t, seed, []float64{0, 0.001, 0.05}[lambda%3], int(form%3), mode%8)
 	})
 }
 
 // TestRepeatedCommitChangesNothing pins that committing a seed twice is a
-// no-op, through the oracle's in-place Add and through a probe over an
-// engine joined from row-range slices: the seed set lists it once, and entries and every
+// no-op, through the oracle's in-place Add and through a probe over the
+// engine reopened on the heap: the seed set lists it once, and entries and every
 // gain are those after a single commit.
 func TestRepeatedCommitChangesNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 3))
@@ -313,7 +332,7 @@ func TestRepeatedCommitChangesNothing(t *testing.T) {
 		}
 	}
 
-	pr := NewProbe(joinedSlices(t, full, 3))
+	pr := NewProbe(engineForm(t, full, 1))
 	first := pr.Commit(x, nil)
 	if again := pr.Commit(x, nil); again != 0 || first != NewProbe(full).Gain(x, nil) {
 		t.Fatalf("Commit(%d) = %b then %b, want %b then 0", x, first, again, NewProbe(full).Gain(x, nil))

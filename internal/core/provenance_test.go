@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -184,9 +183,8 @@ func reachAllActions(p *Probe, seeds []graph.NodeID, v graph.NodeID, top int) Re
 
 // TestExplainReachMatchesAllActionsWalk pins the intersected reach walk
 // to the all-actions walk, bit for bit, on freshly scanned, heap-opened,
-// mmap-opened and ingest-grown engines, each also joined from 2 and 4
-// row-range slices, against
-// probes holding 0 to 3 committed seeds, for seed lists that name
+// mmap-opened and ingest-grown engines, against probes holding 0 to 3
+// committed seeds, for seed lists that name
 // committed seeds and duplicates and every target. Every engine also
 // answers exactly as the freshly scanned one.
 func TestExplainReachMatchesAllActionsWalk(t *testing.T) {
@@ -225,87 +223,71 @@ func TestExplainReachMatchesAllActionsWalk(t *testing.T) {
 			{"ingested", grown},
 		}
 		for _, eng := range engines {
-			for _, nparts := range []int{1, 2, 4} {
-				pr := NewProbe(joinedSlices(t, eng.e, nparts))
-				var answers [][]ReachExplanation
-				for k, seeds := range queries {
-					if k > 0 {
-						pr.Commit(commits[k-1], nil)
-					}
-					var row []ReachExplanation
-					for v := 0; v < n; v++ {
-						got := pr.ExplainReach(seeds, graph.NodeID(v), 5)
-						if want := reachAllActions(pr, seeds, graph.NodeID(v), 5); !reflect.DeepEqual(got, want) {
-							t.Fatalf("trial %d %s parts=%d commits %v seeds %v target %d: %+v, all-actions walk %+v",
-								trial, eng.name, nparts, pr.Seeds(), seeds, v, got, want)
-						}
-						row = append(row, got)
-					}
-					answers = append(answers, row)
+			pr := NewProbe(eng.e)
+			var answers [][]ReachExplanation
+			for k, seeds := range queries {
+				if k > 0 {
+					pr.Commit(commits[k-1], nil)
 				}
-				if first == nil {
-					first = answers
-				} else if !reflect.DeepEqual(answers, first) {
-					t.Fatalf("trial %d %s parts=%d: answers differ from the scanned single engine's", trial, eng.name, nparts)
+				var row []ReachExplanation
+				for v := 0; v < n; v++ {
+					got := pr.ExplainReach(seeds, graph.NodeID(v), 5)
+					if want := reachAllActions(pr, seeds, graph.NodeID(v), 5); !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d %s commits %v seeds %v target %d: %+v, all-actions walk %+v",
+							trial, eng.name, pr.Seeds(), seeds, v, got, want)
+					}
+					row = append(row, got)
 				}
+				answers = append(answers, row)
+			}
+			if first == nil {
+				first = answers
+			} else if !reflect.DeepEqual(answers, first) {
+				t.Fatalf("trial %d %s: answers differ from the scanned engine's", trial, eng.name)
 			}
 		}
 	}
 }
 
-// TestExplainPartitionedBitIdentical is the acceptance criterion at
-// partition counts {1, 4}: a version-4 slice read back explains its rows
-// exactly as the full engine does, per-slice reach shares folded in seed
-// order reproduce the full answer bit for bit, and after commits a probe
-// over the engine joined from the slices explains exactly as the
-// in-place commit oracle.
+// TestExplainPartitionedBitIdentical is the acceptance criterion for
+// partitioned explanations. A partition is a row range of one engine,
+// scanned or opened from the model file heap-read or mapped, so on each of
+// those three engines: every candidate explains exactly as the scanned
+// engine does, per-seed reach shares and paths gathered seed by seed and
+// folded in input order reproduce the whole answer bit for bit (what a
+// scatter over row ranges returns), and after commits a probe over the
+// engine explains exactly as the in-place commit oracle.
 func TestExplainPartitionedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 29))
 	g, log := randomInstance(rng, 24, 9)
 	base := NewEngine(g, log, Options{Lambda: 0.001, Credit: LearnTimeAware(g, log)})
-	lin := DatasetLineage("explain-slices", g, log)
+	path := writeSnapshotFile(t, base, DatasetLineage("explain-partitions", g, log), nil)
 	n := g.NumNodes()
 	seeds := []graph.NodeID{1, 9, 20, 9}
-	for _, parts := range []int{1, 4} {
-		var slices []*Engine
-		var ranges [][2]int
-		for i := 0; i < parts; i++ {
-			lo, hi := i*n/parts, (i+1)*n/parts
-			var buf bytes.Buffer
-			if err := base.WriteSlice(&buf, lin, nil, lo, hi); err != nil {
-				t.Fatalf("WriteSlice(%d,%d): %v", lo, hi, err)
-			}
-			sf, err := readSnapshot(buf.Bytes())
-			if err != nil {
-				t.Fatalf("read slice [%d,%d): %v", lo, hi, err)
-			}
-			slices = append(slices, sf.Engine)
-			ranges = append(ranges, [2]int{lo, hi})
-		}
-		owner := func(x graph.NodeID) *Engine {
-			for i, r := range ranges {
-				if int(x) >= r[0] && int(x) < r[1] {
-					return slices[i]
-				}
-			}
-			t.Fatalf("no owner for %d", x)
-			return nil
-		}
+	engines := []struct {
+		name string
+		e    *Engine
+	}{
+		{"scanned", base},
+		{"heap", openSnapshot(t, path, false).Engine},
+		{"mmap", openSnapshot(t, path, true).Engine},
+	}
+	for _, eng := range engines {
 		for cand := 0; cand < n; cand++ {
 			c := graph.NodeID(cand)
-			if got, want := NewProbe(owner(c)).ExplainSeed(c, 7), NewProbe(base).ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
-				t.Fatalf("parts=%d: slice ExplainSeed(%d) differs from full", parts, cand)
+			if got, want := NewProbe(eng.e).ExplainSeed(c, 7), NewProbe(base).ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ExplainSeed(%d) differs from the scanned engine's", eng.name, cand)
 			}
 		}
 		for v := 0; v < n; v += 5 {
 			wantEx := NewProbe(base).ExplainReach(seeds, graph.NodeID(v), 8)
-			// Gather: each seed's share and paths come wholly from the
-			// slice holding its row; fold shares in input order,
-			// concatenate and re-sort paths.
+			// Gather: each seed's share and paths come wholly from its
+			// own row; fold shares in input order, concatenate and
+			// re-sort paths.
 			got := ReachExplanation{Target: graph.NodeID(v)}
 			var paths []ProvPath
 			for _, s := range seeds {
-				share, ps := NewProbe(owner(s)).reachPaths(s, graph.NodeID(v))
+				share, ps := NewProbe(eng.e).reachPaths(s, graph.NodeID(v))
 				got.PerSeed = append(got.PerSeed, ReachShare{Seed: s, Share: share})
 				got.Total += share
 				paths = append(paths, ps...)
@@ -314,11 +296,11 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 			got.Paths = TopProvPaths(paths, 8)
 			if wantEx.Total != got.Total || !reflect.DeepEqual(wantEx.PerSeed, got.PerSeed) ||
 				!reflect.DeepEqual(wantEx.Paths, got.Paths) {
-				t.Fatalf("parts=%d target %d: merged reach differs from full", parts, v)
+				t.Fatalf("%s target %d: gathered reach differs from the whole answer", eng.name, v)
 			}
 		}
 
-		pr := NewProbe(JoinRows(slices))
+		pr := NewProbe(eng.e)
 		oracle := newCommitOracle(base)
 		for _, seed := range []graph.NodeID{3, 17} {
 			pr.Commit(seed, nil)
@@ -326,12 +308,12 @@ func TestExplainPartitionedBitIdentical(t *testing.T) {
 			for cand := 0; cand < n; cand++ {
 				c := graph.NodeID(cand)
 				if got, want := pr.ExplainSeed(c, 7), oracle.ExplainSeed(c, 7); !reflect.DeepEqual(got, want) {
-					t.Fatalf("parts=%d seeds %v: probe ExplainSeed(%d) differs from the oracle", parts, pr.Seeds(), cand)
+					t.Fatalf("%s seeds %v: probe ExplainSeed(%d) differs from the oracle", eng.name, pr.Seeds(), cand)
 				}
 			}
 			for v := 0; v < n; v += 5 {
 				if got, want := pr.ExplainReach(seeds, graph.NodeID(v), 8), oracle.ExplainReach(seeds, graph.NodeID(v), 8); !reflect.DeepEqual(got, want) {
-					t.Fatalf("parts=%d seeds %v target %d: probe reach %+v, the oracle %+v", parts, pr.Seeds(), v, got, want)
+					t.Fatalf("%s seeds %v target %d: probe reach %+v, the oracle %+v", eng.name, pr.Seeds(), v, got, want)
 				}
 			}
 		}
@@ -359,9 +341,9 @@ func TestTopProvPathsDeterministic(t *testing.T) {
 // reach bit-identically to the in-place commit oracle followed by
 // ExplainReach — with seed lists that name committed seeds (whose rows
 // the commit removed) and duplicates, every target including committed
-// ones (whose columns it removed), on full engines and on engines joined
-// from row-range slices. The replay alone does not drop a committed seed's own row;
-// the probe must.
+// ones (whose columns it removed), on scanned engines in every form
+// (engineForm). The replay alone does not drop a committed seed's own
+// row; the probe must.
 func TestExplainReachMatchesCommitOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(61, 37))
 	for trial := 0; trial < 12; trial++ {
@@ -372,7 +354,7 @@ func TestExplainReachMatchesCommitOracle(t *testing.T) {
 		}
 		full := NewEngine(g, log, opts)
 		n := full.NumNodes()
-		pr := NewProbe(joinedSlices(t, full, 1+trial%4))
+		pr := NewProbe(engineForm(t, full, trial%3))
 		oracle := newCommitOracle(full)
 		var committed []graph.NodeID
 		for k := 0; k < 3; k++ {

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -219,42 +216,4 @@ func FuzzScanMatchesReference(f *testing.F) {
 		}
 	}
 	f.Fuzz(checkScanMatchesReference)
-}
-
-// TestJoinRowsCarvesExactly: an engine joined from version-4 slices read
-// back, heap or mapped, holds every action's rows carved at exact size in
-// the canonical block order, equal cell for cell to the sliced engine's,
-// including the actions it appended onto a scanned head.
-func TestJoinRowsCarvesExactly(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	g, log := randomInstance(rng, 30, 12)
-	headN := 6
-	full, err := NewEngine(g, log.Prefix(headN), Options{}).AppendActions(g, log, actionlog.ActionID(headN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lin := DatasetLineage("join", g, log)
-	for _, mmap := range []bool{false, true} {
-		var parts []*Engine
-		for _, r := range [][2]int{{0, 8}, {8, 21}, {21, 30}} {
-			var buf bytes.Buffer
-			if err := full.WriteSlice(&buf, lin, nil, r[0], r[1]); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "slice.bin")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, openSnapshot(t, path, mmap).Engine)
-		}
-		joined := JoinRows(parts)
-		if joined.Entries() != full.Entries() || joined.MappedBytes() != 0 {
-			t.Fatalf("mmap=%t: joined %d entries, %d mapped bytes; want %d entries on the heap", mmap, joined.Entries(), joined.MappedBytes(), full.Entries())
-		}
-		for a := range full.uc {
-			what := fmt.Sprintf("mmap=%t action %d", mmap, a)
-			checkExactCaps(t, what, joined.uc[a])
-			sameShard(t, what, joined.uc[a], oracleOf(full.uc[a]))
-		}
-	}
 }

@@ -25,9 +25,9 @@ import (
 // was not built from. Float64 values are stored as raw IEEE-754 bits, so a
 // write/read round trip is bit-exact and every Gain/Spread/CELF result of
 // a reloaded engine is identical to the engine that was saved. One
-// writer emits versions 3 to 5 — a whole engine, or one row range of it
-// as a version-4 slice — and one opener (OpenSnapshot) reads versions 3
-// to 6, from a heap buffer or a mapping, through one version check.
+// writer emits versions 3 and 5, always the whole engine, and one opener
+// (OpenSnapshot) reads versions 3, 5 and 6, from a heap buffer or a
+// mapping, through one version check.
 // A snapshot is a cache of its graph and log: anything the opener does
 // not read is refused with the advice to rebuild it with `credist learn
 // -o`, which writes the same file bit for bit from those inputs.
@@ -69,26 +69,16 @@ import (
 //	footer    u32 CRC-32 (IEEE) of every preceding byte
 //
 // Version-6 files, which carried an inverted copy of the credit cells,
-// are still read: the copy is validated and skipped. The Au normalizers
-// (the length of each user's action list) are rebuilt deterministically
-// on load. Strict ordering plus the canonical offset rule make the
+// are still read: the copy is validated and skipped. Version 4, a file
+// holding one row range of an engine, is refused: every file holds the
+// whole model. The Au normalizers (the length of each user's action list)
+// are rebuilt deterministically on load. Strict ordering plus the canonical offset rule make the
 // encoding of a given engine unique: saving a loaded engine reproduces
 // the file byte for byte (version-6 files re-save as version 3 or 5).
 
 const (
 	snapshotMagic   = "CREDSNAP"
 	snapshotVersion = 3
-
-	// snapshotVersionSlice marks a partition slice: version 3 plus one
-	// header record (u32 rowLo, u32 rowHi, right after the seed-prefix
-	// section) declaring the influencer-row range the base section holds.
-	// The lineage, params, per-user lists, and prefix describe the FULL
-	// model — only the base section is restricted to rows in the range —
-	// so a contiguous set of slices reassembles the model exactly. Full
-	// snapshots keep writing version 3 byte-identically. Benchmark-pinned:
-	// only credist-bench's pre-split slices are still written and read in
-	// this format; partitions are otherwise row ranges of one engine.
-	snapshotVersionSlice = 4
 
 	// snapshotVersionSketch marks a snapshot carrying the approximate
 	// tier's RR sketch: version 3 plus one header section (right after the
@@ -98,7 +88,7 @@ const (
 	// many u32 node ids in [0, numUsers)). A restart rebuilds the
 	// approximate tier's collection from the section with zero sampling
 	// work. Snapshots without a sketch keep writing version 3
-	// byte-identically; slices (version 4) never carry a sketch.
+	// byte-identically.
 	snapshotVersionSketch = 5
 
 	// snapshotVersionProv is a legacy format, read but never written:
@@ -402,23 +392,6 @@ func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage, prefix *SeedPrefix, ske
 			return err
 		}
 	}
-	return e.writeSnapshot(w, version, lin, prefix, sketch, 0, e.numUsers)
-}
-
-// WriteSlice writes the engine's rows of influencers in [lo, hi) as a
-// version-4 slice: the whole model's header and prefix, the row range,
-// and a base section holding only those rows. Benchmark-pinned, kept for
-// the slice files credist-bench reopens.
-func (e *Engine) WriteSlice(w io.Writer, lin Lineage, prefix *SeedPrefix, lo, hi int) error {
-	if lo < 0 || lo > hi || hi > e.numUsers {
-		return fmt.Errorf("core: slice rows [%d,%d) outside the universe [0,%d)", lo, hi, e.numUsers)
-	}
-	return e.writeSnapshot(w, snapshotVersionSlice, lin, prefix, nil, lo, hi)
-}
-
-// writeSnapshot emits one snapshot file of the given version whose base
-// section holds the engine's rows of influencers in [lo, hi).
-func (e *Engine) writeSnapshot(w io.Writer, version uint32, lin Lineage, prefix *SeedPrefix, sketch *RRSketch, lo, hi int) error {
 	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
 		return err
 	}
@@ -428,11 +401,7 @@ func (e *Engine) writeSnapshot(w io.Writer, version uint32, lin Lineage, prefix 
 		return err
 	}
 	writeSeedPrefixSection(sw, prefix)
-	switch version {
-	case snapshotVersionSlice:
-		sw.u32(uint32(lo))
-		sw.u32(uint32(hi))
-	case snapshotVersionSketch:
+	if sketch != nil {
 		writeSketchSection(sw, sketch)
 	}
 
@@ -445,21 +414,17 @@ func (e *Engine) writeSnapshot(w io.Writer, version uint32, lin Lineage, prefix 
 		sw.bytes(make([]byte, pad))
 	}
 
-	shards := make([]shard, len(e.uc))
-	for a, s := range e.uc {
-		shards[a] = s.slice(int32(lo), int32(hi))
-	}
 	// Offset table: canonical positions, blocks contiguous in action order.
-	numActions := len(shards)
+	numActions := len(e.uc)
 	off := uint64(numActions) * 8
-	for _, s := range shards {
+	for _, s := range e.uc {
 		sw.u64(off)
 		off += 8 + uint64(s.bytes())
 	}
 	// Blocks: the row count, then the directory and the cells, with
 	// canonical base-relative cell offsets.
 	cur := uint64(numActions) * 8
-	for _, s := range shards {
+	for _, s := range e.uc {
 		rows := len(s.dir)
 		sw.u64(uint64(rows))
 		b := sw.scratch(int(s.bytes()))
@@ -762,18 +727,14 @@ func skipProvSection(sc *snapCursor, numUsers, numActions int) error {
 
 // SnapshotFile is an opened snapshot: the engine and everything stored
 // beside it. Prefix and Sketch are nil when the file carries no such
-// section (for the sections a version predates). Slice marks a version-4 slice, whose engine holds only the
-// rows of influencers in [RowLo, RowHi); every other file holds the whole
-// universe [0, Lineage.NumUsers). The engine's shards alias the bytes the
-// open read or mapped, so a mapped SnapshotFile must stay open for as
-// long as the engine or any successor of it is in use.
+// section (for the sections a version predates). The engine's shards
+// alias the bytes the open read or mapped, so a mapped SnapshotFile must
+// stay open for as long as the engine or any successor of it is in use.
 type SnapshotFile struct {
-	Engine       *Engine
-	Lineage      Lineage
-	Prefix       *SeedPrefix
-	Sketch       *RRSketch
-	Slice        bool
-	RowLo, RowHi int
+	Engine  *Engine
+	Lineage Lineage
+	Prefix  *SeedPrefix
+	Sketch  *RRSketch
 
 	data    []byte       // the bytes shards alias
 	release func() error // unmaps data; nil for a heap open
@@ -792,8 +753,8 @@ func (f *SnapshotFile) Close() error {
 	return rel()
 }
 
-// OpenSnapshot opens a snapshot file of version 3 to 6: one written by
-// WriteSnapshot or WriteSlice, or a legacy version-6 file. Both opens
+// OpenSnapshot opens a snapshot file of version 3, 5 or 6: one written by
+// WriteSnapshot, or a legacy version-6 file. Both opens
 // accept exactly these versions and run the same parse: the header
 // (lineage, parameters, per-user action lists, the optional sections) is
 // decoded and its CRC verified, the base section's offset tables, keys

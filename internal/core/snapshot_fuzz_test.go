@@ -17,8 +17,8 @@ import (
 // back as an error — never a panic, an unbounded allocation, or a
 // silently wrong engine. The corpus seeds cover every readable version,
 // files with and without the seed-prefix section, the version-1/2
-// layouts no open reads any more (which must be refused), and targeted
-// corruptions; the fuzzer mutates from there.
+// layouts and the version-4 stamp no open reads any more (which must be
+// refused), and targeted corruptions; the fuzzer mutates from there.
 //
 // For input the reader does accept, three invariants are checked: the
 // engine's declared shape matches the lineage, re-serializing reproduces
@@ -101,39 +101,16 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 	}
 
-	// Seeds: version-4 snapshot slices — a mid-universe partition, a
-	// trailing partition carrying the prefix, and a corrupted range field
-	// (CRC-refreshed so the row-range validators do the rejecting).
-	var slice bytes.Buffer
-	if err := e.WriteSlice(&slice, lin, nil, 8, 17); err != nil {
-		f.Fatal(err)
+	// Seeds: the retired version-4 stamp, which both opens refuse — on
+	// the plain, prefixed and simple-credit files with both checksums
+	// restamped, so only the version check can refuse them, and on the
+	// prefixed file with its checksums left stale.
+	for _, data := range [][]byte{plain.Bytes(), prefixed.Bytes(), simple.Bytes()} {
+		f.Add(restampVersion(f, data, 4))
 	}
-	f.Add(slice.Bytes())
-	var tailSlice bytes.Buffer
-	if err := e.WriteSlice(&tailSlice, lin, prefix, 17, e.NumNodes()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(tailSlice.Bytes())
-	for _, flip := range []uint32{1, 1 << 31} {
-		// The row range sits right before the 4-byte header CRC and the base
-		// section; recompute both checksums so only the range check can bite.
-		badRange := append([]byte(nil), slice.Bytes()...)
-		baseSize := e.NumActions() * 8
-		for _, st := range e.uc {
-			w := st.slice(8, 17)
-			baseSize += 8 + int(w.bytes())
-		}
-		hdrCRCOff := len(badRange) - 4 - baseSize - 4
-		if hdrCRCOff >= 8 {
-			loOff := hdrCRCOff - 8
-			binary.LittleEndian.PutUint32(badRange[loOff:],
-				binary.LittleEndian.Uint32(badRange[loOff:])^flip)
-			binary.LittleEndian.PutUint32(badRange[hdrCRCOff:], crc32.ChecksumIEEE(badRange[:hdrCRCOff]))
-			binary.LittleEndian.PutUint32(badRange[len(badRange)-4:],
-				crc32.ChecksumIEEE(badRange[:len(badRange)-4]))
-			f.Add(badRange)
-		}
-	}
+	staleV4 := bytes.Clone(prefixed.Bytes())
+	binary.LittleEndian.PutUint32(staleV4[len(snapshotMagic):], 4)
+	f.Add(staleV4)
 
 	// Seeds: version-5 snapshot carrying an RR sketch, plus CRC-refreshed
 	// corruptions of the sketch section (the section sits right after the
@@ -253,27 +230,45 @@ func FuzzReadSnapshot(f *testing.F) {
 		version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
 		checkAliasingParse(t, data, sf)
 		var out bytes.Buffer
-		if sf.Slice {
-			err = eng.WriteSlice(&out, lin, pfx, sf.RowLo, sf.RowHi)
-		} else {
-			err = eng.WriteSnapshot(&out, lin, pfx, sf.Sketch)
-		}
-		if err != nil {
+		if err := eng.WriteSnapshot(&out, lin, pfx, sf.Sketch); err != nil {
 			t.Fatalf("accepted input fails to re-serialize: %v", err)
 		}
 		if version == snapshotVersionProv {
 			checkProvlessEquivalent(t, sf, out.Bytes())
 			return
 		}
-		// Anything accepted at versions 3 to 5 re-encodes byte for byte
-		// through the one writer — a slice at its own row range, a
-		// sectioned file with its sections: the encoding of a given engine
-		// state is unique.
+		// Anything accepted at versions 3 and 5 re-encodes byte for byte
+		// through the one writer, a sectioned file with its sections: the
+		// encoding of a given engine state is unique.
 		if !bytes.Equal(out.Bytes(), data) {
 			t.Fatalf("accepted input is not canonical: re-encode differs (%d vs %d bytes)",
 				out.Len(), len(data))
 		}
 	})
+}
+
+// restampVersion returns a copy of a sectionless version-3 file with its
+// version word set to v and both checksums recomputed, so only the
+// version check can refuse it.
+func restampVersion(tb testing.TB, data []byte, v uint32) []byte {
+	tb.Helper()
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[len(snapshotMagic):], v)
+	// Replay the header parse: the cursor stops at the header CRC.
+	sc := &snapCursor{b: out[:len(out)-4], off: len(snapshotMagic) + 4}
+	lin, lambda, credit, err := parseSnapshotHeader(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := parseUsers(sc, lin, newSnapshotEngine(lin, lambda, credit)); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := parseSeedPrefix(sc, lin.NumUsers); err != nil {
+		tb.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(out[sc.off:], crc32.ChecksumIEEE(out[:sc.off]))
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
 }
 
 // checkProvlessEquivalent checks the re-encoding of an accepted legacy

@@ -20,7 +20,6 @@ import (
 	"credist/internal/actionlog"
 	"credist/internal/core"
 	"credist/internal/graph"
-	"credist/internal/partition"
 	"credist/internal/seedsel"
 )
 
@@ -49,43 +48,37 @@ func randomInstance(rng *rand.Rand, nUsers, nActions int) (*graph.Graph, *action
 	return g, lb.Build()
 }
 
-// openPartitions writes full's n near-even row ranges as version-4
-// snapshot slices under lin, reopens each through OpenSnapshot,
-// heap-read or memory-mapped, and returns the engine core.JoinRows
-// reassembles from them. Cleanup of the mappings is registered on t.
-func openPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int, mmap bool) *core.Engine {
+// openEngine writes full's whole-model snapshot under lin and reopens it
+// through OpenSnapshot, heap-read or memory-mapped. The mapping is
+// released on t's cleanup.
+func openEngine(t *testing.T, full *core.Engine, lin core.Lineage, mmap bool) *core.Engine {
 	t.Helper()
-	dir := t.TempDir()
-	ranges := partition.SplitRanges(full.NumNodes(), n)
-	parts := make([]*core.Engine, len(ranges))
-	for i, r := range ranges {
-		path := filepath.Join(dir, fmt.Sprintf("slice-%d-of-%d.bin", i, n))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatalf("create %s: %v", path, err)
-		}
-		if err := full.WriteSlice(f, lin, nil, r.Lo, r.Hi); err != nil {
-			t.Fatalf("WriteSlice%v: %v", r, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		sf, err := core.OpenSnapshot(path, mmap)
-		if err != nil {
-			t.Fatalf("OpenSnapshot(%s, mmap=%t): %v", path, mmap, err)
-		}
-		t.Cleanup(func() { sf.Close() })
-		parts[i] = sf.Engine
+	path := filepath.Join(t.TempDir(), "model.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatalf("create %s: %v", path, err)
 	}
-	return core.JoinRows(parts)
+	if err := full.WriteSnapshot(f, lin, nil, nil); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	sf, err := core.OpenSnapshot(path, mmap)
+	if err != nil {
+		t.Fatalf("OpenSnapshot(%s, mmap=%t): %v", path, mmap, err)
+	}
+	t.Cleanup(func() { sf.Close() })
+	return sf.Engine
 }
 
 // plannerFor returns m's planner split n ways, as row ranges of the
 // scanned engine ("sliced"); of the engine of one whole-model file,
 // heap-read ("file-heap") or memory-mapped ("file-mmap"); or of the
-// engine LoadPartitions joins from snapshot-slice files written by
-// SaveSlices, heap-read ("heap") or memory-mapped ("mmap"). It also returns the model the planner serves. The mappings
-// are released on t's cleanup.
+// engine LoadPartitions opens, heap-read ("heap") or memory-mapped
+// ("mmap"), from the checkpoint Model.SaveOn writes of the partitioned
+// planner. It also returns the model the planner serves. The mappings are
+// released on t's cleanup.
 func plannerFor(t *testing.T, m *credist.Model, n int, backend string) (*credist.Model, *credist.Planner) {
 	t.Helper()
 	switch backend {
@@ -112,11 +105,11 @@ func plannerFor(t *testing.T, m *credist.Model, n int, backend string) (*credist
 	if backend != "heap" && backend != "mmap" {
 		return m, pp
 	}
-	paths := credist.SlicePaths(filepath.Join(t.TempDir(), "model.bin"), n)
-	if err := pp.SaveSlices(m, nil, paths); err != nil {
-		t.Fatalf("SaveSlices: %v", err)
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := m.SaveOn(path, pp, nil); err != nil {
+		t.Fatalf("SaveOn: %v", err)
 	}
-	loaded, lp, err := credist.LoadPartitions(m.Dataset(), paths, backend == "mmap", credist.Options{})
+	loaded, lp, err := credist.LoadPartitions(m.Dataset(), credist.SlicePaths(path, n), backend == "mmap", credist.Options{})
 	if err != nil {
 		t.Fatalf("LoadPartitions(mmap=%t): %v", backend == "mmap", err)
 	}
@@ -134,8 +127,8 @@ func setProcs(t *testing.T, n int) {
 
 // TestPartitionCountDeterminism is the headline wall: for partition
 // counts {1, 2, 4, 7} x workers {1, GOMAXPROCS} x row stores {the scanned
-// engine; one heap-opened or mmap-opened model file; heap-opened or
-// mmap-opened slice files}, the
+// engine; one heap-opened or mmap-opened model file; the partitioned
+// checkpoint reopened heap or mmap by LoadPartitions}, the
 // partitioned planner's CELF seeds and gains must be bit-identical to the
 // single-engine selection, batched gains — and Gain and Gains after Add —
 // must be bit-identical to the single-engine planner's, and the telescoped
@@ -346,10 +339,11 @@ func TestPartitionIngestParity(t *testing.T) {
 }
 
 // TestPartitionCheckpointRestartParity pins checkpoint-restart at
-// partition granularity: a selection checkpointed after k1 seeds on a
-// 4-way partitioned planner and resumed on the planner LoadPartitions
-// builds from snapshot slices of a different partition count,
-// mmap-backed, must finish bit-identically to an uninterrupted run.
+// partition granularity: a selection on a 4-way partitioned planner is
+// checkpointed after k1 seeds as one whole-model file with its seed
+// prefix (Model.SaveOn), reopened by LoadPartitions at partition counts 4
+// and 2, heap-read and mmap-backed, and resumed from the stored prefix;
+// every resumed run must finish bit-identically to an uninterrupted one.
 func TestPartitionCheckpointRestartParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 21))
 	g, log := randomInstance(rng, 60, 35)
@@ -365,33 +359,39 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 	}
 	mid := first.NewSelection().Grow(k1)
 	prefix := &credist.SeedPrefix{Seeds: mid.Seeds, Gains: mid.Gains, LookupsAt: mid.LookupsAt}
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := m.SaveOn(path, first, prefix); err != nil {
+		t.Fatalf("SaveOn: %v", err)
+	}
 
-	// "Restart": reload the model as mmap slices at a different partition
-	// count and resume from the checkpointed prefix.
-	two, err := m.NewPlanner().Partition(2)
-	if err != nil {
-		t.Fatalf("Partition: %v", err)
-	}
-	paths := credist.SlicePaths(filepath.Join(t.TempDir(), "model.bin"), 2)
-	if err := two.SaveSlices(m, prefix, paths); err != nil {
-		t.Fatalf("SaveSlices: %v", err)
-	}
-	lm, second, err := credist.LoadPartitions(m.Dataset(), paths, true, credist.Options{})
-	if err != nil {
-		t.Fatalf("LoadPartitions(mmap): %v", err)
-	}
-	defer second.Close()
-	sel, err := second.ResumeSelection(lm.SeedPrefix())
-	if err != nil {
-		t.Fatalf("ResumeSelection: %v", err)
-	}
-	res := sel.Grow(k)
-	for i := range ref.Seeds {
-		if res.Seeds[i] != ref.Seeds[i] {
-			t.Fatalf("resumed seed %d = %d, uninterrupted %d", i, res.Seeds[i], ref.Seeds[i])
-		}
-		if res.Gains[i] != ref.Gains[i] {
-			t.Fatalf("resumed gain %d not bit-identical: %b vs %b", i, res.Gains[i], ref.Gains[i])
+	// "Restart": reopen the checkpoint at the same and at a different
+	// partition count and resume from the stored prefix.
+	for _, n := range []int{4, 2} {
+		for _, mmap := range []bool{false, true} {
+			name := fmt.Sprintf("parts=%d/mmap=%t", n, mmap)
+			lm, second, err := credist.LoadPartitions(m.Dataset(), credist.SlicePaths(path, n), mmap, credist.Options{})
+			if err != nil {
+				t.Fatalf("%s: LoadPartitions: %v", name, err)
+			}
+			if got := second.NumPartitions(); got != n {
+				t.Fatalf("%s: %d partitions", name, got)
+			}
+			sel, err := second.ResumeSelection(lm.SeedPrefix())
+			if err != nil {
+				t.Fatalf("%s: ResumeSelection: %v", name, err)
+			}
+			res := sel.Grow(k)
+			for i := range ref.Seeds {
+				if res.Seeds[i] != ref.Seeds[i] {
+					t.Fatalf("%s: resumed seed %d = %d, uninterrupted %d", name, i, res.Seeds[i], ref.Seeds[i])
+				}
+				if res.Gains[i] != ref.Gains[i] {
+					t.Fatalf("%s: resumed gain %d not bit-identical: %b vs %b", name, i, res.Gains[i], ref.Gains[i])
+				}
+			}
+			if err := second.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", name, err)
+			}
 		}
 	}
 }

@@ -18,8 +18,9 @@ import (
 // partition counts {1, 4} and worker counts {1, GOMAXPROCS}, and identical
 // to a selection over a probe of the full engine. The growable selection
 // the facade runs only for the default objective is pinned the same way
-// over a core.Probe of the engine joined from row-range slices. The same entry points with a nil
-// objective must give the engine's default-objective gains.
+// over a core.Probe of the engine reopened on the heap from its snapshot.
+// The same entry points with a nil objective must give the engine's
+// default-objective gains.
 func TestObjectivePartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 84))
 	g, log := randomInstance(rng, 70, 45)
@@ -151,7 +152,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			est := core.NewProbe(openPartitions(t, full, lin, nparts, false)).Estimator(obj)
+			est := core.NewProbe(openEngine(t, full, lin, false)).Estimator(obj)
 			for _, r := range rival {
 				est.Add(r)
 			}

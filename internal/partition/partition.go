@@ -1,7 +1,6 @@
 // Package partition holds the row-range bookkeeping behind a partitioned
-// credist.Planner: splitting the user universe into ranges, checking that
-// a set of snapshot slices tiles it, extending the ranges over users an
-// ingest registers, and per-range accounting.
+// credist.Planner: splitting the user universe into ranges, extending the
+// ranges over users an ingest registers, and per-range accounting.
 //
 // A partition is nothing but a range [lo, hi) of influencer rows of the
 // one core.Engine a planner holds. That split follows the additive
@@ -16,7 +15,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"credist/internal/core"
 )
@@ -53,47 +51,6 @@ func SplitRanges(numUsers, n int) []Range {
 	return out
 }
 
-// ValidateRanges checks that ranges — in any order — tile [0, numUsers)
-// exactly: sorted by start they must begin at row 0, end at numUsers, and
-// neither overlap nor leave a gap. Violations are reported naming both
-// offending ranges, so a mis-assembled slice set is diagnosable from the
-// error alone.
-func ValidateRanges(ranges []Range, numUsers int) error {
-	if len(ranges) == 0 {
-		return fmt.Errorf("partition: no row ranges")
-	}
-	sorted := make([]Range, len(ranges))
-	copy(sorted, ranges)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Lo != sorted[j].Lo {
-			return sorted[i].Lo < sorted[j].Lo
-		}
-		return sorted[i].Hi < sorted[j].Hi
-	})
-	for i, r := range sorted {
-		if r.Lo < 0 || r.Lo > r.Hi || r.Hi > numUsers {
-			return fmt.Errorf("partition: range %v outside the universe [0,%d)", r, numUsers)
-		}
-		if i == 0 {
-			if r.Lo != 0 {
-				return fmt.Errorf("partition: rows [0,%d) uncovered: first range is %v", r.Lo, r)
-			}
-			continue
-		}
-		prev := sorted[i-1]
-		if r.Lo < prev.Hi {
-			return fmt.Errorf("partition: range %v overlaps %v", r, prev)
-		}
-		if r.Lo > prev.Hi {
-			return fmt.Errorf("partition: gap between %v and %v leaves rows [%d,%d) uncovered", prev, r, prev.Hi, r.Lo)
-		}
-	}
-	if last := sorted[len(sorted)-1]; last.Hi != numUsers {
-		return fmt.Errorf("partition: rows [%d,%d) uncovered: last range is %v", last.Hi, numUsers, last)
-	}
-	return nil
-}
-
 // Stats is the per-partition accounting the serving layer surfaces.
 type Stats struct {
 	Range       Range
@@ -108,9 +65,10 @@ type Stats struct {
 // RowFootprint), which over ranges tiling the universe sum to e's totals.
 func StatsOf(e *core.Engine, ranges []Range) []Stats {
 	out := make([]Stats, len(ranges))
+	store := e.RowStoreBackend()
 	for i, r := range ranges {
 		entries, heap, mapped := e.RowFootprint(r.Lo, r.Hi)
-		out[i] = Stats{Range: r, Entries: entries, HeapBytes: heap, MappedBytes: mapped, RowStore: e.RowStoreBackend()}
+		out[i] = Stats{Range: r, Entries: entries, HeapBytes: heap, MappedBytes: mapped, RowStore: store}
 	}
 	return out
 }

@@ -60,8 +60,8 @@ func TestDeltaFiguresAgreeAcrossShapesHTTP(t *testing.T) {
 	if err := credist.Learn(head, credist.Options{Lambda: 0.001}).Save(modelPath); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	// A first partitioned start splits the head model into slice files,
-	// which every restart below reopens and extends by the load tail.
+	// A first partitioned start opens the one model file, which every
+	// restart below reopens and extends by the load tail.
 	for _, parts := range []int{1, 4} {
 		if _, err := serve.Build(serve.Source{Dataset: head, ModelPath: modelPath, Partitions: parts}); err != nil {
 			t.Fatalf("first start, partitions=%d: %v", parts, err)

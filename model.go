@@ -1,10 +1,8 @@
 package credist
 
 import (
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,9 +57,9 @@ type Model struct {
 	// action's first participation — what time-windowed objectives gate
 	// on. Derived from the log alone, at most once per model.
 	delays func() *core.ActionDelays
-	// fileActions is how many log actions its snapshot files held
+	// fileActions is how many log actions its snapshot file held
 	// scanned, and openTail how many past them the open scanned
-	// (openSnapshots); both are zero for every other model.
+	// (loadSnapshotModel); both are zero for every other model.
 	fileActions, openTail int
 }
 
@@ -357,11 +355,12 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 func IsModelSnapshot(data []byte) bool { return core.IsSnapshotHeader(data) }
 
 // LoadModel restores a model from a binary snapshot written by Save or
-// `credist learn -o`, of version 3 to 6, reading the whole file into
+// `credist learn -o`, of version 3, 5 or 6, reading the whole file into
 // memory and binding the result to the given dataset. LoadModelMapped
 // accepts exactly the same files and refuses the same ones: anything
-// else, a text parameter file included, is refused with an error that
-// names the file and says to rebuild it with `credist learn -o`.
+// else, a text parameter file or a version-4 slice included, is refused
+// with an error that names the file and says to rebuild it with
+// `credist learn -o`.
 //
 // The dataset is lineage-checked: the graph must hash-match the one the
 // snapshot was built against, and the log must contain the snapshot's
@@ -391,138 +390,61 @@ func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
 	return loadSnapshotModel(ds, path, true, opts)
 }
 
-// loadSnapshotModel opens one whole-model snapshot, heap-read or mapped,
-// and binds it to ds. A mapped model keeps the file open until Close.
+// loadSnapshotModel is the one snapshot bind behind LoadModel,
+// LoadModelMapped and the partitioned opens. It opens the whole-model
+// file at path, heap-read or mapped, and binds it to ds: the file must
+// pass the lineage check, its learned parameters must cover the graph,
+// and its stored options must match opts (the zero Options adopts them).
+// When the log has grown past the file's scan, the engine appends the
+// unscanned tail once. A mapped model keeps the file open until Close,
+// since its engine aliases the mapping; a heap open leaves nothing open.
 func loadSnapshotModel(ds *Dataset, path string, mmap bool, opts Options) (*Model, error) {
-	m, eng, _, err := openSnapshots(ds, []string{path}, mmap, opts)
+	f, err := core.OpenSnapshot(path, mmap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("credist: snapshot %s: %w", path, err)
 	}
-	m.base = func() *core.Engine { return eng }
-	return m, nil
-}
-
-// openSnapshots is the one snapshot bind behind LoadModel,
-// LoadModelMapped and LoadPartitions. It opens paths — one whole model,
-// or the version-4 slices of one — heap-read or mapped, and binds them to
-// ds as one model. Every file must pass the lineage check; the learned
-// parameters must cover the graph; the stored options must match opts
-// (the zero Options adopts them); every file must agree with the first
-// on the universe, the actions covered, the options, the parameters and
-// the seed prefix; and the files' row ranges must tile the universe. Two
-// or more slices are joined into one heap engine and their files closed.
-// When the log has grown past the files' scan, the engine appends the
-// unscanned tail once. It returns the model, its engine and the files'
-// row ranges in ascending order (the trailing one stretched over users
-// the tail registered); a mapped file the engine aliases is the model's
-// file, which must stay open while the engine serves.
-func openSnapshots(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *core.Engine, []partition.Range, error) {
-	var mapped []*core.SnapshotFile
-	defer func() {
-		for _, f := range mapped {
-			f.Close()
-		}
-	}()
-	// fail names the offending file (i >= 0); the deferred loop closes
-	// what was mapped.
-	fail := func(i int, err error) (*Model, *core.Engine, []partition.Range, error) {
-		if i >= 0 && len(paths) > 1 {
-			err = fmt.Errorf("partition %d (%s): %w", i, paths[i], err)
-		} else if i >= 0 {
-			err = fmt.Errorf("snapshot %s: %w", paths[i], err)
-		}
-		return nil, nil, nil, fmt.Errorf("credist: %w", err)
+	// fail closes the file before returning err.
+	fail := func(err error) (*Model, error) {
+		f.Close()
+		return nil, fmt.Errorf("credist: %w", err)
 	}
-	files := make([]*core.SnapshotFile, len(paths))
-	for i, path := range paths {
-		f, err := core.OpenSnapshot(path, mmap)
-		if err != nil {
-			return fail(i, err)
-		}
-		if mmap {
-			mapped = append(mapped, f)
-		}
-		files[i] = f
-		if err := f.Lineage.Check(ds.Graph, ds.Log); err != nil {
-			return fail(i, err)
-		}
-		if len(paths) > 1 && !f.Slice {
-			return fail(i, fmt.Errorf("is a full model, not a slice; cannot mix it with slices"))
-		}
+	if err := f.Lineage.Check(ds.Graph, ds.Log); err != nil {
+		return fail(fmt.Errorf("snapshot %s: %w", path, err))
 	}
-	first := files[0]
 	// The graph hash matched, so parameters learned on this graph cover
 	// every node; a crafted file that passed its CRC but shrank the
 	// parameter table must still be refused before Gamma can index past it.
-	credit := first.Engine.CreditModel()
-	if ta, ok := credit.(*core.TimeAwareCredit); ok && ta.UniverseSize() < ds.Graph.NumNodes() {
-		return fail(0, fmt.Errorf("parameters cover %d users, graph has %d nodes", ta.UniverseSize(), ds.Graph.NumNodes()))
+	eng := f.Engine
+	if ta, ok := eng.CreditModel().(*core.TimeAwareCredit); ok && ta.UniverseSize() < ds.Graph.NumNodes() {
+		return fail(fmt.Errorf("snapshot %s: parameters cover %d users, graph has %d nodes", path, ta.UniverseSize(), ds.Graph.NumNodes()))
 	}
-	stored := storedOptions(first.Engine)
+	stored := storedOptions(eng)
 	if opts != (Options{}) && opts != stored {
-		return fail(-1, fmt.Errorf("snapshot was saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts))
+		return fail(fmt.Errorf("snapshot was saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts))
 	}
-	// Slices of one checkpoint agree on all of these; any difference means
-	// they were written from different models or checkpoints.
-	numUsers := first.Lineage.NumUsers
-	for i, f := range files[1:] {
-		var err error
-		switch ta, _ := f.Engine.CreditModel().(*core.TimeAwareCredit); {
-		case f.Lineage.NumUsers != numUsers:
-			err = fmt.Errorf("spans a %d-user universe, %s spans %d", f.Lineage.NumUsers, paths[0], numUsers)
-		case f.Lineage.NumActions != first.Lineage.NumActions:
-			err = fmt.Errorf("covers %d actions, %s covers %d", f.Lineage.NumActions, paths[0], first.Lineage.NumActions)
-		case storedOptions(f.Engine) != stored:
-			err = fmt.Errorf("was saved with options %+v, %s with %+v", storedOptions(f.Engine), paths[0], stored)
-		case ta != nil && !ta.Equal(credit.(*core.TimeAwareCredit)):
-			err = fmt.Errorf("holds different learned credit parameters than %s; the slices come from different models", paths[0])
-		case !samePrefix(f.Prefix, first.Prefix):
-			err = fmt.Errorf("stores a different seed prefix than %s; the slices come from different checkpoints", paths[0])
+	prefix, sketch := f.Prefix, f.Sketch
+	if ds.Log.NumActions() > f.Lineage.NumActions {
+		if eng, err = eng.AppendActions(ds.Graph, ds.Log, ActionID(f.Lineage.NumActions)); err != nil {
+			return fail(err)
 		}
-		if err != nil {
-			return fail(i+1, err)
-		}
-	}
-	slices.SortFunc(files, func(a, b *core.SnapshotFile) int {
-		return cmp.Or(cmp.Compare(a.RowLo, b.RowLo), cmp.Compare(a.RowHi, b.RowHi))
-	})
-	ranges := make([]partition.Range, len(files))
-	engines := make([]*core.Engine, len(files))
-	for i, f := range files {
-		ranges[i], engines[i] = partition.Range{Lo: f.RowLo, Hi: f.RowHi}, f.Engine
-	}
-	if err := partition.ValidateRanges(ranges, numUsers); err != nil {
-		return fail(-1, err)
-	}
-	eng := engines[0]
-	if len(engines) > 1 {
-		eng = core.JoinRows(engines)
-	}
-	prefix, sketch := first.Prefix, first.Sketch
-	if ds.Log.NumActions() > first.Lineage.NumActions {
-		var err error
-		if eng, err = eng.AppendActions(ds.Graph, ds.Log, ActionID(first.Lineage.NumActions)); err != nil {
-			return fail(-1, err)
-		}
-		ranges = partition.Extend(ranges, eng.NumNodes())
-		// The stored seed prefix was selected over the files' log prefix;
+		// The stored seed prefix was selected over the file's log prefix;
 		// appended actions change every marginal gain, so it no longer
 		// describes this model. The RR sketch falls for the same reason:
 		// its walks sampled the old log's DAGs.
 		prefix, sketch = nil, nil
 	}
 	m := newModel(ds, stored, eng.CreditModel())
+	m.base = func() *core.Engine { return eng }
 	m.prefix = prefix
-	m.fileActions = first.Lineage.NumActions
-	m.openTail = ds.Log.NumActions() - first.Lineage.NumActions
+	m.fileActions = f.Lineage.NumActions
+	m.openTail = ds.Log.NumActions() - f.Lineage.NumActions
 	if err := m.restoreApprox(sketch); err != nil {
-		return fail(-1, err)
+		return fail(err)
 	}
-	if len(files) == 1 && mmap {
-		// The engine aliases the one mapped file: the model keeps it open.
-		m.file, mapped = files[0], nil
+	if mmap {
+		m.file = f
 	}
-	return m, eng, ranges, nil
+	return m, nil
 }
 
 // storedOptions returns the options a snapshot engine was saved with.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"credist/internal/core"
 	"credist/internal/partition"
 )
 
@@ -18,14 +17,13 @@ type PartitionRange = partition.Range
 // entries, and the heap/mapped split of its rows' resident bytes.
 type PartitionStats = partition.Stats
 
-// SlicePaths returns the canonical snapshot-slice file names for a model
-// split n ways: "<modelPath>.slice-<i>-of-<n>". Benchmark-pinned:
-// credist-bench reopens the slices LoadModelPartitioned writes under
-// these names; serve names no slice file.
+// SlicePaths returns modelPath n times: the path list LoadPartitions
+// takes for an n-way split of the one model file. Benchmark-pinned:
+// credist-bench names its partitioned opens this way.
 func SlicePaths(modelPath string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = fmt.Sprintf("%s.slice-%d-of-%d", modelPath, i, n)
+		out[i] = modelPath
 	}
 	return out
 }
@@ -48,43 +46,31 @@ func (p *Planner) Partition(n int) (*Planner, error) {
 	return newPlanner(p.m, p.eng, partition.SplitRanges(p.eng.NumNodes(), n)), nil
 }
 
-// LoadPartitions restores a partitioned model from version-4
-// snapshot-slice files, one partition per slice: each slice is opened
-// (memory-mapped when mmap is set) and lineage-checked against the
-// dataset, and the set must tile the user universe exactly — overlapping
-// or gapped row ranges are refused naming both offending ranges — and
-// come from one model: a slice whose options, learned parameters or seed
-// prefix differ from slice 0's is refused. The slices' rows are then
-// joined into one heap engine, so the files are closed before it
-// returns. Like LoadModel, the dataset's log may extend past the slices'
-// recorded scan: the unscanned tail is appended once, the trailing
-// partition takes the rows of users it registers, and any stored seed
-// prefix is dropped. The returned model carries the slices' learned
-// parameters and stored options (pass the zero Options to adopt them)
-// but no scanned engine of its own — its lazy base would be a fresh
-// scan; serve queries through the planner instead. Model.SaveOn with the
-// returned planner writes the one whole-model file. Benchmark-pinned:
-// credist-bench reopens the slices LoadModelPartitioned writes.
+// LoadPartitions opens the one model file named by every entry of paths
+// (SlicePaths) and splits its planner len(paths) ways: it is
+// LoadModelPartitioned(paths[0], len(paths)). An empty list, or paths
+// naming more than one file, is refused. Benchmark-pinned: credist-bench
+// opens its partitioned planner this way.
 func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Model, *Planner, error) {
 	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("credist: no slice paths")
+		return nil, nil, fmt.Errorf("credist: no model paths")
 	}
-	m, eng, ranges, err := openSnapshots(ds, paths, mmap, opts)
-	if err != nil {
-		return nil, nil, err
+	for _, p := range paths[1:] {
+		if p != paths[0] {
+			return nil, nil, fmt.Errorf("credist: partitions are row ranges of one model file, got %s and %s", paths[0], p)
+		}
 	}
-	p := newPlanner(m, eng, ranges)
-	p.file, m.file = m.file, nil
-	return m, p, nil
+	m, pp, _, err := LoadModelPartitioned(ds, paths[0], len(paths), mmap, opts)
+	return m, pp, err
 }
 
 // LoadModelPartitioned opens the whole-model snapshot at modelPath once
-// (memory-mapped when mmap is set) and partitions its planner n ways, as
-// Planner.Partition does; the planner owns the mapping, so Close it, not
-// the model. Benchmark-pinned: when the canonical slice files (SlicePaths)
-// of the partition count are missing it writes them next to the model,
-// for credist-bench to reopen with LoadPartitions, and returns their
-// paths in partition order.
+// (memory-mapped when mmap is set), as LoadModel or LoadModelMapped does,
+// and partitions its planner n ways, as Planner.Partition does. It writes
+// no file. The model carries the opened engine; the planner owns the
+// mapping, so Close it, not the model. The returned paths are
+// SlicePaths(modelPath, NumPartitions()). Benchmark-pinned: credist-bench
+// calls it to prepare its partitioned workload.
 func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts Options) (*Model, *Planner, []string, error) {
 	m, err := loadSnapshotModel(ds, modelPath, mmap, opts)
 	if err != nil {
@@ -96,61 +82,7 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 		return nil, nil, nil, err
 	}
 	pp.file, m.file = m.file, nil
-	paths := SlicePaths(modelPath, pp.NumPartitions())
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
-			if err := pp.SaveSlices(m, m.prefix, paths); err != nil {
-				pp.Close()
-				return nil, nil, nil, err
-			}
-			break
-		}
-	}
-	return m, pp, paths, nil
-}
-
-// SaveSlices checkpoints the planner's partitions as version-4
-// snapshot-slice files, one per partition in partition order, each the
-// engine's rows of the partition's range, written to a temp file and
-// renamed into place. The planner must pass the same check as
-// WriteSnapshot's (this model's lineage, exactly the model's log, no
-// committed seeds); prefix, if non-nil, rides in every slice so a restart
-// from them resumes seed selection. Benchmark-pinned: only
-// LoadModelPartitioned's slices for credist-bench call it.
-func (p *Planner) SaveSlices(m *Model, prefix *SeedPrefix, paths []string) error {
-	if len(paths) != len(p.ranges) {
-		return fmt.Errorf("credist: %d slice paths for %d partitions", len(paths), len(p.ranges))
-	}
-	if err := m.checkPlanner(p, "snapshot", true); err != nil {
-		return err
-	}
-	lin := core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
-	for i, r := range p.ranges {
-		err := writeFileAtomic(paths[i], func(w io.Writer) error {
-			return p.eng.WriteSlice(w, lin, prefix, r.Lo, r.Hi)
-		})
-		if err != nil {
-			return fmt.Errorf("credist: write slice %s: %w", paths[i], err)
-		}
-	}
-	return nil
-}
-
-// samePrefix reports whether two stored seed prefixes describe the same
-// selection (both nil counts as same).
-func samePrefix(a, b *SeedPrefix) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.Seeds) != len(b.Seeds) {
-		return false
-	}
-	for i := range a.Seeds {
-		if a.Seeds[i] != b.Seeds[i] || a.Gains[i] != b.Gains[i] || a.LookupsAt[i] != b.LookupsAt[i] {
-			return false
-		}
-	}
-	return true
+	return m, pp, SlicePaths(modelPath, pp.NumPartitions()), nil
 }
 
 // writeFileAtomic writes via a uniquely named temp file in the target
@@ -199,8 +131,8 @@ func (p *Planner) Ranges() []PartitionRange { return append([]PartitionRange(nil
 // Stats returns per-partition accounting in partition order.
 func (p *Planner) Stats() []PartitionStats { return partition.StatsOf(p.eng, p.ranges) }
 
-// Close releases the file mapping LoadModelPartitioned, or LoadPartitions
-// of one file, opened with mmap; a no-op otherwise. Call it
+// Close releases the file mapping LoadModelPartitioned or LoadPartitions
+// opened with mmap; a no-op otherwise. Call it
 // only once no query, selection, clone or Extend successor derived from
 // this planner is in use.
 func (p *Planner) Close() error {

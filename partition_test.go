@@ -18,7 +18,7 @@ import (
 // check as a single engine, so a model learned with the other credit rule
 // — same lambda, universe and log — can neither extend nor save it, and a
 // refused checkpoint writes nothing. The planner's own model does both,
-// also after a load from slice paths given out of order.
+// also after its checkpoint is reopened by LoadPartitions.
 func TestPartitionedPlannerRefusedUnderOtherCreditRule(t *testing.T) {
 	ds := Generate(tinyConfig(31))
 	timeAware := Learn(ds, Options{Lambda: 0.001})
@@ -37,35 +37,111 @@ func TestPartitionedPlannerRefusedUnderOtherCreditRule(t *testing.T) {
 		if _, err := pp.Extend(pair.other); err == nil || !strings.Contains(err.Error(), "credit parameters") {
 			t.Errorf("%s: Extend = %v, want a credit-parameter refusal", pair.name, err)
 		}
-		paths := SlicePaths(filepath.Join(t.TempDir(), "model.bin"), pp.NumPartitions())
-		if err := pp.SaveSlices(pair.other, nil, paths); err == nil || !strings.Contains(err.Error(), "credit parameters") {
-			t.Errorf("%s: SaveSlices = %v, want a credit-parameter refusal", pair.name, err)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "model.bin")
+		if err := pair.other.SaveOn(path, pp, nil); err == nil || !strings.Contains(err.Error(), "credit parameters") {
+			t.Errorf("%s: SaveOn = %v, want a credit-parameter refusal", pair.name, err)
 		}
-		for _, p := range paths {
-			if _, err := os.Stat(p); err == nil {
-				t.Errorf("%s: refused SaveSlices wrote %s", pair.name, p)
-			}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Errorf("%s: refused SaveOn left %d files (%v)", pair.name, len(entries), err)
 		}
 		if _, err := pp.Extend(pair.owner); err != nil {
 			t.Errorf("%s: Extend under the planner's own model: %v", pair.name, err)
 		}
-		if err := pp.SaveSlices(pair.owner, nil, paths); err != nil {
-			t.Errorf("%s: SaveSlices under the planner's own model: %v", pair.name, err)
+		if err := pair.owner.SaveOn(path, pp, nil); err != nil {
+			t.Fatalf("%s: SaveOn under the planner's own model: %v", pair.name, err)
 		}
 
-		// Slices named out of order load sorted by row range, and the
-		// loaded model still owns its planner.
-		reversed := []string{paths[3], paths[2], paths[1], paths[0]}
-		lm, lp, err := LoadPartitions(ds, reversed, false, Options{})
+		// The reopened model still owns its planner.
+		lm, lp, err := LoadPartitions(ds, SlicePaths(path, 4), false, Options{})
 		if err != nil {
-			t.Fatalf("%s: LoadPartitions(reversed): %v", pair.name, err)
+			t.Fatalf("%s: LoadPartitions: %v", pair.name, err)
 		}
 		if _, err := lp.Extend(lm); err != nil {
-			t.Errorf("%s: Extend of reversed slices under their own model: %v", pair.name, err)
+			t.Errorf("%s: Extend of the reopened planner under its own model: %v", pair.name, err)
 		}
-		if err := lp.SaveSlices(lm, nil, SlicePaths(filepath.Join(t.TempDir(), "again.bin"), 4)); err != nil {
-			t.Errorf("%s: SaveSlices of reversed slices under their own model: %v", pair.name, err)
+		if err := lm.SaveOn(filepath.Join(dir, "again.bin"), lp, nil); err != nil {
+			t.Errorf("%s: SaveOn of the reopened planner under its own model: %v", pair.name, err)
 		}
+		if _, err := lp.Extend(pair.other); err == nil || !strings.Contains(err.Error(), "credit parameters") {
+			t.Errorf("%s: Extend of the reopened planner under the other model = %v", pair.name, err)
+		}
+	}
+}
+
+// TestPartitionedOpensReadOneFile: LoadModelPartitioned opens the one
+// model file and writes nothing beside it, heap-read or mapped, and
+// LoadPartitions is the same open: it refuses an empty path list and one
+// naming two files, and over SlicePaths its model carries the opened
+// engine (mapped when the open is) rather than a lazy rescan.
+func TestPartitionedOpensReadOneFile(t *testing.T) {
+	ds := Generate(tinyConfig(34))
+	m := Learn(ds, Options{Lambda: 0.001})
+	dir := t.TempDir()
+	path, other := filepath.Join(dir, "model.bin"), filepath.Join(dir, "other.bin")
+	for _, p := range []string{path, other} {
+		if err := m.Save(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := listing()
+	want := m.NewPlanner().Entries()
+	for _, mmap := range []bool{false, true} {
+		// The row store the one open serves from: "mmap" for a mapped
+		// open, except on hosts that decode the mapping onto the heap.
+		ref, err := loadSnapshotModel(ds, path, mmap, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := ref.NewPlanner().RowStoreBackend()
+		ref.Close()
+		_, pp, paths, err := LoadModelPartitioned(ds, path, 3, mmap, Options{})
+		if err != nil {
+			t.Fatalf("mmap=%t: LoadModelPartitioned: %v", mmap, err)
+		}
+		if pp.NumPartitions() != 3 || !reflect.DeepEqual(paths, SlicePaths(path, 3)) {
+			t.Errorf("mmap=%t: %d partitions, paths %v", mmap, pp.NumPartitions(), paths)
+		}
+		pp.Close()
+		if got := listing(); !reflect.DeepEqual(got, before) {
+			t.Errorf("mmap=%t: LoadModelPartitioned changed the directory from %v to %v", mmap, before, got)
+		}
+
+		for _, bad := range []struct {
+			paths []string
+			want  string
+		}{{nil, "no model paths"}, {[]string{path, other}, "one model file"}} {
+			if _, p, err := LoadPartitions(ds, bad.paths, mmap, Options{}); err == nil || !strings.Contains(err.Error(), bad.want) {
+				t.Errorf("mmap=%t: LoadPartitions(%v) = %v, want an error containing %q", mmap, bad.paths, err, bad.want)
+				if err == nil {
+					p.Close()
+				}
+			}
+		}
+
+		lm, lp, err := LoadPartitions(ds, SlicePaths(path, 2), mmap, Options{})
+		if err != nil {
+			t.Fatalf("mmap=%t: LoadPartitions: %v", mmap, err)
+		}
+		if lp.NumPartitions() != 2 || lp.RowStoreBackend() != store {
+			t.Errorf("mmap=%t: %d partitions on the %s row store", mmap, lp.NumPartitions(), lp.RowStoreBackend())
+		}
+		if p := lm.NewPlanner(); p.RowStoreBackend() != store || p.Entries() != want {
+			t.Errorf("mmap=%t: the model's planner holds %d entries on the %s row store, want %d on %s",
+				mmap, p.Entries(), p.RowStoreBackend(), want, store)
+		}
+		lp.Close()
 	}
 }
 
@@ -166,102 +242,5 @@ func TestPartitionedCheckpointIsOneModelFile(t *testing.T) {
 			}
 		}
 		loaded.Close()
-	}
-}
-
-// TestSliceCheckpointMergesIntoOneFile is the migration path for a
-// slice-only checkpoint: LoadPartitions over the version-4 slices, then
-// Model.SaveOn with that planner, writes the bytes the whole-model Save
-// writes, heap-read or mapped.
-func TestSliceCheckpointMergesIntoOneFile(t *testing.T) {
-	ds := Generate(tinyConfig(33))
-	m := Learn(ds, Options{Lambda: 0.001})
-	m.RecordSeedPrefix(m.Selection(3))
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.bin")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := m.NewPlanner().Partition(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slices := SlicePaths(path, 3)
-	if err := pp.SaveSlices(m, m.SeedPrefix(), slices); err != nil {
-		t.Fatal(err)
-	}
-	for _, mmap := range []bool{false, true} {
-		lm, lp, err := LoadPartitions(ds, slices, mmap, Options{})
-		if err != nil {
-			t.Fatalf("mmap=%t: LoadPartitions: %v", mmap, err)
-		}
-		merged := filepath.Join(dir, fmt.Sprintf("merged-%t.bin", mmap))
-		if err := lm.SaveOn(merged, lp, lm.SeedPrefix()); err != nil {
-			t.Fatalf("mmap=%t: SaveOn: %v", mmap, err)
-		}
-		if got, err := os.ReadFile(merged); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("mmap=%t: merged slices differ from the whole-model file (%d vs %d bytes, %v)", mmap, len(got), len(want), err)
-		}
-		lp.Close()
-	}
-}
-
-// TestLoadPartitionsRejectsMixedModels: slices checkpointed from two
-// models that agree on lambda, the credit rule, the action count and the
-// lineage but learned different time-aware parameters — one learned on
-// the head 80% of the log and ingested to the full log, one learned on
-// the full log — are refused, naming the offending slice, heap or mapped.
-func TestLoadPartitionsRejectsMixedModels(t *testing.T) {
-	ds := Generate(tinyConfig(31))
-	n := ds.Log.NumActions()
-	headN := n - n/5
-	var tail []Tuple
-	for a := headN; a < n; a++ {
-		tail = append(tail, ds.Log.Action(ActionID(a))...)
-	}
-	head := Learn(&Dataset{Name: ds.Name, Graph: ds.Graph, Log: ds.Log.Prefix(headN)}, Options{Lambda: 0.001})
-	grown, err := head.Ingest(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extended, err := grown.ExtendPlanner(head.NewPlanner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	relearned := Learn(ds, Options{Lambda: 0.001})
-	dir := t.TempDir()
-	save := func(m *Model, p *Planner, name string) []string {
-		pp, err := p.Partition(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths := SlicePaths(filepath.Join(dir, name), 2)
-		if err := pp.SaveSlices(m, nil, paths); err != nil {
-			t.Fatal(err)
-		}
-		return paths
-	}
-	ingested, learned := save(grown, extended, "ingested.bin"), save(relearned, relearned.NewPlanner(), "learned.bin")
-
-	for _, mmap := range []bool{false, true} {
-		for _, paths := range [][]string{ingested, learned} {
-			_, p, err := LoadPartitions(ds, paths, mmap, Options{})
-			if err != nil {
-				t.Fatalf("mmap=%t: slices of one model: %v", mmap, err)
-			}
-			p.Close()
-		}
-		_, p, err := LoadPartitions(ds, []string{ingested[0], learned[1]}, mmap, Options{})
-		if err == nil {
-			p.Close()
-			t.Fatalf("mmap=%t: slices of two models loaded as one", mmap)
-		}
-		if !strings.Contains(err.Error(), learned[1]) || !strings.Contains(err.Error(), "credit parameters") {
-			t.Errorf("mmap=%t: err = %v, want a credit-parameter refusal naming %s", mmap, err, learned[1])
-		}
 	}
 }

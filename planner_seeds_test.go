@@ -76,16 +76,12 @@ func TestSnapshotRefusesCommittedSeeds(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Errorf("refused writes left %d bytes", buf.Len())
 	}
-	path := filepath.Join(t.TempDir(), "model.bin")
-	slices := SlicePaths(path, 1)
-	if err := p.SaveSlices(m, nil, slices); err == nil || !strings.Contains(err.Error(), "committed seeds") {
-		t.Errorf("SaveSlices: err = %v", err)
-	}
-	if _, err := os.Stat(slices[0]); err == nil {
-		t.Errorf("refused SaveSlices wrote %s", slices[0])
-	}
-	if err := m.SaveOn(path, p, nil); err == nil || !strings.Contains(err.Error(), "committed seeds") {
+	dir := t.TempDir()
+	if err := m.SaveOn(filepath.Join(dir, "model.bin"), p, nil); err == nil || !strings.Contains(err.Error(), "committed seeds") {
 		t.Errorf("SaveOn: err = %v", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused SaveOn left %d files (%v)", len(entries), err)
 	}
 	if err := m.WriteSnapshot(io.Discard, m.NewPlanner(), nil); err != nil {
 		t.Errorf("WriteSnapshot of a seedless planner: %v", err)
